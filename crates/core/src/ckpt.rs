@@ -44,7 +44,7 @@
 //! ```
 
 use crate::faults::{apply_write_fault, FaultInjector};
-use crate::snapshot::{fnv1a, DistSnapshot, SimSnapshot};
+use crate::snapshot::{fnv1a, DistSnapshot, SimSnapshot, Snapshot};
 use std::fs::{self, File};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -219,10 +219,10 @@ impl CkptStore {
         Ok(path)
     }
 
-    /// Encode and commit a shared-memory snapshot.
-    pub fn commit_sim(
+    /// Encode and commit a snapshot of either kind, stamped with its step.
+    pub fn commit<S: Snapshot>(
         &self,
-        snap: &SimSnapshot,
+        snap: &S,
         format: CkptFormat,
         faults: &mut FaultInjector,
     ) -> io::Result<PathBuf> {
@@ -230,7 +230,17 @@ impl CkptStore {
             CkptFormat::Bin => snap.to_bytes(),
             CkptFormat::Json => snap.to_json().into_bytes(),
         };
-        self.commit_bytes(snap.step_count, format, bytes, faults)
+        self.commit_bytes(snap.step(), format, bytes, faults)
+    }
+
+    /// Encode and commit a shared-memory snapshot.
+    pub fn commit_sim(
+        &self,
+        snap: &SimSnapshot,
+        format: CkptFormat,
+        faults: &mut FaultInjector,
+    ) -> io::Result<PathBuf> {
+        self.commit(snap, format, faults)
     }
 
     /// Encode and commit a distributed snapshot.
@@ -240,11 +250,7 @@ impl CkptStore {
         format: CkptFormat,
         faults: &mut FaultInjector,
     ) -> io::Result<PathBuf> {
-        let bytes = match format {
-            CkptFormat::Bin => snap.to_bytes(),
-            CkptFormat::Json => snap.to_json().into_bytes(),
-        };
-        self.commit_bytes(snap.step, format, bytes, faults)
+        self.commit(snap, format, faults)
     }
 
     /// Rotation entries, newest-first: from the manifest when it is
@@ -286,14 +292,19 @@ impl CkptStore {
         None
     }
 
+    /// Newest intact snapshot of kind `S` in the rotation.
+    pub fn latest_valid<S: Snapshot>(&self) -> Option<(CkptEntry, S)> {
+        self.latest_valid_with(|bytes| S::decode(bytes).ok())
+    }
+
     /// Newest intact shared-memory snapshot in the rotation.
     pub fn latest_valid_sim(&self) -> Option<(CkptEntry, SimSnapshot)> {
-        self.latest_valid_with(|bytes| SimSnapshot::decode(bytes).ok())
+        self.latest_valid()
     }
 
     /// Newest intact distributed snapshot in the rotation.
     pub fn latest_valid_dist(&self) -> Option<(CkptEntry, DistSnapshot)> {
-        self.latest_valid_with(|bytes| DistSnapshot::decode(bytes).ok())
+        self.latest_valid()
     }
 
     // -- manifest ---------------------------------------------------------
@@ -551,6 +562,40 @@ mod tests {
         // Missing manifest too.
         fs::remove_file(st.manifest_path()).unwrap();
         assert_eq!(st.latest_valid_with(ok_decode).unwrap().0.step, 5);
+    }
+
+    /// A newest entry whose header claims a payload of nearly `u64::MAX`
+    /// bytes is one more damaged file to skip on the manifest-less scan —
+    /// not a length computation to overflow.
+    #[test]
+    fn hostile_length_header_falls_back_to_the_previous_snapshot() {
+        use crate::snapshot::{SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+        let st = store("hostile-len", 3);
+        let mut inj = FaultInjector::none();
+        let intact = SimSnapshot {
+            config: crate::SimConfig::default(),
+            time: 0.5,
+            step_count: 1,
+            next_id: 0,
+            rng_state: [1, 2, 3, 4],
+            stats: crate::SimStats::default(),
+            particles: Vec::new(),
+            last_vsig: Vec::new(),
+            pending: Vec::new(),
+            schedule: None,
+            model: None,
+        };
+        st.commit_sim(&intact, CkptFormat::Bin, &mut inj).unwrap();
+        let mut hostile = SNAPSHOT_MAGIC.to_vec();
+        hostile.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        hostile.extend_from_slice(&(u64::MAX - 25).to_le_bytes());
+        hostile.extend_from_slice(&[0; 16]);
+        fs::write(st.dir().join("checkpoint-000002.bin"), hostile).unwrap();
+        fs::remove_file(st.manifest_path()).unwrap();
+        assert_eq!(st.entries()[0].step, 2, "the hostile file is newest");
+        let (entry, snap) = st.latest_valid_sim().expect("falls back");
+        assert_eq!(entry.step, 1);
+        assert_eq!(snap, intact);
     }
 
     #[test]

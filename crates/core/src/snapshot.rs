@@ -6,39 +6,52 @@
 //! surrogate scheme's in-flight pool predictions — such that
 //! `restore(snapshot)` continues the run bit-for-bit identically to a run
 //! that never stopped (`tests/snapshot_restart.rs` asserts this in both
-//! timestep modes, with an SN region pending in the pool queue).
+//! timestep modes, with an SN region pending in the pool queue). A
+//! [`DistSnapshot`] is the same contract for the distributed driver.
 //!
-//! ## Snapshots & CLI
+//! ## One schema, two encodings
 //!
-//! Two interchangeable encodings are provided, both self-describing and
-//! checksummed:
+//! Every record that travels in a snapshot declares its fields **once**, in
+//! a `record!` table below: name, wire type, and the JSON key where it
+//! differs. The table expands to the typed walk to and from the binary
+//! layout, and to that layout described as plain data, which is all the
+//! JSON backends need. Both encodings are self-describing and checksummed,
+//! and [`Snapshot`] holds the one envelope of each:
 //!
-//! * **Binary** ([`SimSnapshot::to_bytes`] / [`SimSnapshot::from_bytes`]):
-//!   the compact production format. Layout: the 8-byte magic
-//!   [`SNAPSHOT_MAGIC`], a little-endian `u32` format version, a `u64`
-//!   payload length, the payload, and a trailing FNV-1a 64-bit checksum of
-//!   the payload. Floats are stored as raw IEEE-754 bits, so restart state
-//!   is exact.
-//! * **JSON** ([`SimSnapshot::to_json`] / [`SimSnapshot::from_json`]): a
-//!   human-inspectable rendering through [`unet::json`] (the workspace has
-//!   no serde). Finite floats use Rust's shortest-roundtrip formatting
-//!   (exact on reload); non-finite floats and `u64` values above 2^53 fall
-//!   back to tagged hex strings (`"bits:..."` / `"u64:..."`). The
-//!   checksum field covers the rendered `"state"` sub-document.
+//! * **Binary** ([`Snapshot::to_bytes`] / [`Snapshot::from_bytes`]): the
+//!   compact production format. Fields are positional and little-endian,
+//!   floats raw IEEE-754 bits (restart state is exact), lists carry a
+//!   `u64` length prefix, enums and options a `u8` tag. Envelope: the
+//!   8-byte [`Snapshot::MAGIC`], a `u32` format version, a `u64` payload
+//!   length, the payload, and a trailing FNV-1a 64-bit checksum of it.
+//! * **JSON** ([`Snapshot::to_json`] / [`Snapshot::from_json`]): a
+//!   human-inspectable rendering through [`unet::json`], decoded by key.
+//!   Particle and gas lists are column-oriented (one array per field,
+//!   coordinates as flat triplets). Finite floats use Rust's
+//!   shortest-roundtrip formatting (exact on reload); non-finite floats
+//!   and `u64` values above 2^53 fall back to tagged hex strings
+//!   (`"bits:..."` / `"u64:..."`), so every value survives bit-exactly.
+//!   The envelope's checksum covers the rendered `"state"` sub-document.
 //!
-//! **Format version policy**: [`SNAPSHOT_VERSION`] is bumped whenever the
-//! payload layout changes in any way (field added, removed, reordered, or
-//! re-encoded). Readers accept exactly the current version and reject
-//! everything else with [`SnapshotError::UnsupportedVersion`] — snapshots
-//! are short-lived operational artifacts (crash recovery, scenario replay),
-//! not archival storage, so no migration shims are kept. Corruption is
-//! reported as [`SnapshotError::ChecksumMismatch`]; every decode error is a
-//! `Result`, never a panic.
+//! **Adding a field**: one line in the record's table (structs are
+//! destructured and rebuilt exhaustively, so a field missing from its
+//! table does not compile), bump the kind's version constant, and refresh
+//! the goldens (`crates/core/fixtures/` and the checksums in this module's
+//! format-stability tests).
+//!
+//! **Format version policy**: [`SNAPSHOT_VERSION`] /
+//! [`DIST_SNAPSHOT_VERSION`] are bumped whenever the payload layout changes
+//! in any way (field added, removed, reordered, or re-encoded). Readers
+//! accept exactly the current version and reject everything else with
+//! [`SnapshotError::UnsupportedVersion`] — snapshots are short-lived
+//! operational artifacts (crash recovery, scenario replay), not archival
+//! storage, so no migration shims are kept. Corruption is reported as
+//! [`SnapshotError::ChecksumMismatch`]; every decode error is a `Result`,
+//! never a panic.
 //!
 //! The `asura` scenario-runner CLI (`src/bin/asura.rs`) writes snapshots at
 //! the [`SimConfig::snapshot_every`] cadence under `results/<scenario>/` and
-//! resumes from either encoding via [`SimSnapshot::load`], which sniffs the
-//! format from the leading bytes.
+//! resumes from either encoding via [`Snapshot::load`].
 
 use crate::config::{Scheme, SimConfig, TimestepMode};
 use crate::particle::{Kind, Particle};
@@ -47,6 +60,9 @@ use fdps::Vec3;
 use std::fmt;
 use surrogate::GasParticle;
 use unet::json::{parse_json, write_json, Json};
+use wire::{BinReader, Ty, Wire};
+
+pub use unet::json::fnv1a;
 
 /// Leading magic of binary snapshots.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ASURSNAP";
@@ -75,8 +91,8 @@ pub const DIST_SNAPSHOT_VERSION: u32 = 4;
 /// corrupt or foreign input never panics the reader.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// The input does not start with [`SNAPSHOT_MAGIC`] (binary) or is not
-    /// an `asura-snapshot` document (JSON).
+    /// The input does not start with the kind's magic (binary) or is not a
+    /// document of the kind's format (JSON).
     BadMagic,
     /// The snapshot was written by a different format version.
     UnsupportedVersion { found: u32, supported: u32 },
@@ -108,1198 +124,503 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// One in-flight pool prediction (paper §3.2 step 2→4): the predicted
-/// region state and the absolute step at which it falls due.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PendingPrediction {
-    pub due_step: u64,
-    pub predicted: Vec<GasParticle>,
-}
-
-/// The block-timestep scheduler's level assignment at snapshot time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScheduleState {
-    pub dt_max: f64,
-    pub levels: Vec<u32>,
-}
-
-/// The trained surrogate model a run carries: the pool-predictor RNG seed
-/// plus the verbatim weights document ([`SurrogateModel::to_json`] text,
-/// itself checksummed). Embedded in snapshots so a surrogate run resumes
-/// bitwise with its model intact — no weights file needs to exist at
-/// resume time.
-///
-/// [`SurrogateModel::to_json`]: surrogate::SurrogateModel::to_json
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ModelState {
-    /// Seed of the predictor's per-request Gibbs-resampling RNG.
-    pub seed: u64,
-    /// The self-describing weights document, byte-for-byte as written by
-    /// `asura train-surrogate`.
-    pub weights_json: String,
-}
-
-/// Complete serializable state of a shared-memory simulation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimSnapshot {
-    pub config: SimConfig,
-    pub time: f64,
-    pub step_count: u64,
-    /// Next particle id to hand out (star formation).
-    pub next_id: u64,
-    /// Raw xoshiro256** state of the driver's RNG stream.
-    pub rng_state: [u64; 4],
-    pub stats: SimStats,
-    pub particles: Vec<Particle>,
-    /// `(particle index, v_sig, h)` stash from the last SPH force pass —
-    /// hidden driver state that seeds the *next* step's CFL estimate, so
-    /// restart determinism requires it.
-    pub last_vsig: Vec<(u64, f64, f64)>,
-    /// The surrogate scheme's pending-region queue.
-    pub pending: Vec<PendingPrediction>,
-    /// The scheduler's last level assignment, if block mode has run.
-    pub schedule: Option<ScheduleState>,
-    /// The trained surrogate model in flight, if the run uses one
-    /// (`None` for the analytic Sedov-overlay default).
-    pub model: Option<ModelState>,
-}
-
-/// FNV-1a 64-bit checksum.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+fn malformed(why: impl Into<String>) -> SnapshotError {
+    SnapshotError::Malformed(why.into())
 }
 
 // ---------------------------------------------------------------------------
-// Binary encoding
+// The schema: wire types, the typed binary walk, and the record tables
 // ---------------------------------------------------------------------------
 
-#[derive(Default)]
-struct Writer {
-    buf: Vec<u8>,
-}
+/// What the schema is made of. Public inside a private module: [`Snapshot`]
+/// names [`Wire`] as its supertrait, but nothing outside this file can
+/// implement or drive it.
+mod wire {
+    use super::{malformed, SnapshotError};
 
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn vec3(&mut self, v: Vec3) {
-        self.f64(v.x);
-        self.f64(v.y);
-        self.f64(v.z);
-    }
-    fn bool(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-}
-
-struct Reader<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.pos + n > self.b.len() {
-            return Err(SnapshotError::Malformed(format!(
-                "truncated payload: wanted {n} bytes at offset {}, have {}",
-                self.pos,
-                self.b.len() - self.pos
-            )));
-        }
-        let s = &self.b[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn vec3(&mut self) -> Result<Vec3, SnapshotError> {
-        Ok(Vec3::new(self.f64()?, self.f64()?, self.f64()?))
-    }
-    fn bool(&mut self) -> Result<bool, SnapshotError> {
-        Ok(self.u8()? != 0)
-    }
-    /// A length prefix, sanity-bounded so corrupt input cannot trigger a
-    /// huge allocation before the checksum is even consulted.
-    fn len(&mut self) -> Result<usize, SnapshotError> {
-        let n = self.u64()?;
-        let remaining = (self.b.len() - self.pos) as u64;
-        if n > remaining {
-            return Err(SnapshotError::Malformed(format!(
-                "length prefix {n} exceeds remaining payload {remaining}"
-            )));
-        }
-        Ok(n as usize)
-    }
-}
-
-fn write_config(w: &mut Writer, c: &SimConfig) {
-    w.u8(match c.scheme {
-        Scheme::Surrogate => 0,
-        Scheme::Conventional => 1,
-    });
-    match c.timestep {
-        TimestepMode::Global => {
-            w.u8(0);
-            w.u32(0);
-        }
-        TimestepMode::Block { max_level } => {
-            w.u8(1);
-            w.u32(max_level);
-        }
-    }
-    w.f64(c.dt_global);
-    w.f64(c.theta);
-    w.u64(c.n_group as u64);
-    w.f64(c.eps);
-    w.u64(c.n_ngb as u64);
-    w.f64(c.region_side);
-    w.u64(c.pool_latency_steps as u64);
-    w.bool(c.cooling);
-    w.bool(c.star_formation);
-    w.f64(c.cfl);
-    w.f64(c.dt_min);
-    w.bool(c.mixed_precision);
-    w.f64(c.sf_rho_min);
-    w.f64(c.sf_t_max);
-    w.f64(c.sf_efficiency);
-    w.u64(c.snapshot_every);
-}
-
-fn read_config(r: &mut Reader) -> Result<SimConfig, SnapshotError> {
-    let scheme = match r.u8()? {
-        0 => Scheme::Surrogate,
-        1 => Scheme::Conventional,
-        k => return Err(SnapshotError::Malformed(format!("unknown scheme tag {k}"))),
-    };
-    let mode_tag = r.u8()?;
-    let max_level = r.u32()?;
-    let timestep = match mode_tag {
-        0 => TimestepMode::Global,
-        1 => TimestepMode::Block { max_level },
-        k => {
-            return Err(SnapshotError::Malformed(format!(
-                "unknown timestep mode tag {k}"
-            )))
-        }
-    };
-    Ok(SimConfig {
-        scheme,
-        timestep,
-        dt_global: r.f64()?,
-        theta: r.f64()?,
-        n_group: r.u64()? as usize,
-        eps: r.f64()?,
-        n_ngb: r.u64()? as usize,
-        region_side: r.f64()?,
-        pool_latency_steps: r.u64()? as usize,
-        cooling: r.bool()?,
-        star_formation: r.bool()?,
-        cfl: r.f64()?,
-        dt_min: r.f64()?,
-        mixed_precision: r.bool()?,
-        sf_rho_min: r.f64()?,
-        sf_t_max: r.f64()?,
-        sf_efficiency: r.f64()?,
-        snapshot_every: r.u64()?,
-    })
-}
-
-fn write_stats(w: &mut Writer, s: &SimStats) {
-    w.u64(s.steps);
-    w.u64(s.sn_events);
-    w.u64(s.stars_formed);
-    w.u64(s.regions_applied);
-    w.f64(s.dt_min_seen);
-    w.u64(s.gravity_interactions);
-    w.u64(s.hydro_interactions);
-    w.u64(s.substeps);
-    w.u64(s.active_updates);
-    w.u64(s.tree_rebuilds);
-    w.u64(s.tree_refreshes);
-    w.u64(s.sph_tree_rebuilds);
-    w.u64(s.sph_tree_refreshes);
-}
-
-fn read_stats(r: &mut Reader) -> Result<SimStats, SnapshotError> {
-    Ok(SimStats {
-        steps: r.u64()?,
-        sn_events: r.u64()?,
-        stars_formed: r.u64()?,
-        regions_applied: r.u64()?,
-        dt_min_seen: r.f64()?,
-        gravity_interactions: r.u64()?,
-        hydro_interactions: r.u64()?,
-        substeps: r.u64()?,
-        active_updates: r.u64()?,
-        tree_rebuilds: r.u64()?,
-        tree_refreshes: r.u64()?,
-        sph_tree_rebuilds: r.u64()?,
-        sph_tree_refreshes: r.u64()?,
-    })
-}
-
-fn write_particle(w: &mut Writer, p: &Particle) {
-    w.u64(p.id);
-    w.u8(match p.kind {
-        Kind::Dm => 0,
-        Kind::Star => 1,
-        Kind::Gas => 2,
-    });
-    w.vec3(p.pos);
-    w.vec3(p.vel);
-    w.f64(p.mass);
-    w.f64(p.u);
-    w.f64(p.h);
-    w.f64(p.rho);
-    w.f64(p.metals);
-    w.f64(p.birth_time);
-    w.bool(p.exploded);
-}
-
-fn read_particle(r: &mut Reader) -> Result<Particle, SnapshotError> {
-    let id = r.u64()?;
-    let kind = match r.u8()? {
-        0 => Kind::Dm,
-        1 => Kind::Star,
-        2 => Kind::Gas,
-        k => {
-            return Err(SnapshotError::Malformed(format!(
-                "unknown particle kind tag {k}"
-            )))
-        }
-    };
-    Ok(Particle {
-        id,
-        kind,
-        pos: r.vec3()?,
-        vel: r.vec3()?,
-        mass: r.f64()?,
-        u: r.f64()?,
-        h: r.f64()?,
-        rho: r.f64()?,
-        metals: r.f64()?,
-        birth_time: r.f64()?,
-        exploded: r.bool()?,
-    })
-}
-
-fn write_gas(w: &mut Writer, g: &GasParticle) {
-    w.vec3(g.pos);
-    w.vec3(g.vel);
-    w.f64(g.mass);
-    w.f64(g.temp);
-    w.f64(g.h);
-    w.u64(g.id);
-}
-
-fn read_gas(r: &mut Reader) -> Result<GasParticle, SnapshotError> {
-    Ok(GasParticle {
-        pos: r.vec3()?,
-        vel: r.vec3()?,
-        mass: r.f64()?,
-        temp: r.f64()?,
-        h: r.f64()?,
-        id: r.u64()?,
-    })
-}
-
-fn write_model(w: &mut Writer, m: &Option<ModelState>) {
-    match m {
-        None => w.u8(0),
-        Some(m) => {
-            w.u8(1);
-            w.u64(m.seed);
-            w.u64(m.weights_json.len() as u64);
-            w.buf.extend_from_slice(m.weights_json.as_bytes());
-        }
-    }
-}
-
-fn read_model(r: &mut Reader) -> Result<Option<ModelState>, SnapshotError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => {
-            let seed = r.u64()?;
-            let n = r.len()?;
-            let weights_json = std::str::from_utf8(r.take(n)?)
-                .map_err(|e| SnapshotError::Malformed(format!("model weights not UTF-8: {e}")))?
-                .to_string();
-            Ok(Some(ModelState { seed, weights_json }))
-        }
-        k => Err(SnapshotError::Malformed(format!("unknown model tag {k}"))),
-    }
-}
-
-fn model_json(m: &Option<ModelState>) -> Json {
-    match m {
-        None => Json::Null,
-        Some(m) => Json::Obj(vec![
-            ("seed".into(), ju(m.seed)),
-            ("weights".into(), Json::Str(m.weights_json.clone())),
-        ]),
-    }
-}
-
-fn model_from_json(v: &Json) -> Result<Option<ModelState>, SnapshotError> {
-    match v {
-        Json::Null => Ok(None),
-        m => {
-            let weights_json = match m.get("weights").map_err(SnapshotError::Malformed)? {
-                Json::Str(s) => s.clone(),
-                other => {
-                    return Err(SnapshotError::Malformed(format!(
-                        "model weights must be a string, got {other:?}"
-                    )))
-                }
-            };
-            Ok(Some(ModelState {
-                seed: get_u64(m, "seed")?,
-                weights_json,
-            }))
-        }
-    }
-}
-
-impl SimSnapshot {
-    /// Serialize to the compact binary format (see the module docs).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::default();
-        write_config(&mut w, &self.config);
-        w.f64(self.time);
-        w.u64(self.step_count);
-        w.u64(self.next_id);
-        for s in self.rng_state {
-            w.u64(s);
-        }
-        write_stats(&mut w, &self.stats);
-        w.u64(self.particles.len() as u64);
-        for p in &self.particles {
-            write_particle(&mut w, p);
-        }
-        w.u64(self.last_vsig.len() as u64);
-        for &(i, v, h) in &self.last_vsig {
-            w.u64(i);
-            w.f64(v);
-            w.f64(h);
-        }
-        w.u64(self.pending.len() as u64);
-        for pend in &self.pending {
-            w.u64(pend.due_step);
-            w.u64(pend.predicted.len() as u64);
-            for g in &pend.predicted {
-                write_gas(&mut w, g);
-            }
-        }
-        match &self.schedule {
-            None => w.u8(0),
-            Some(s) => {
-                w.u8(1);
-                w.f64(s.dt_max);
-                w.u64(s.levels.len() as u64);
-                for &l in &s.levels {
-                    w.u32(l);
-                }
-            }
-        }
-        write_model(&mut w, &self.model);
-
-        let payload = w.buf;
-        let mut out = Vec::with_capacity(payload.len() + 28);
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        let sum = fnv1a(&payload);
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
+    /// The wire type of a value: the schema as plain data. It describes
+    /// the binary layout the typed walk ([`Wire`]) follows, and is all the
+    /// two JSON backends need to render that layout and read it back.
+    #[derive(Debug, Clone, Copy)]
+    pub enum Ty {
+        /// Little-endian integers; `F64` is the raw IEEE-754 bits.
+        U32,
+        U64,
+        F64,
+        /// A `u64` with no numeric meaning (RNG state): always the tagged
+        /// hex string in JSON.
+        Word,
+        /// One byte.
+        Bool,
+        /// `u64` byte length, then UTF-8.
+        Str,
+        /// An enum variant as a `u8` tag; in JSON its name, or the tag
+        /// number when `by_name` is false.
+        Tag {
+            names: &'static [&'static str],
+            by_name: bool,
+        },
+        /// The keyed fields in order; a JSON object — except that a list
+        /// of `columns` records is one object holding an array per field.
+        Record {
+            fields: &'static [(&'static str, Ty)],
+            columns: bool,
+        },
+        /// Fixed arity, the parts in order; a JSON array, flattened into
+        /// its column inside a column-oriented list.
+        Tuple(&'static [Ty]),
+        /// `u64` length prefix, then the elements.
+        List(&'static Ty),
+        /// `u8` 0/1, then the value if 1; `null` or the value in JSON.
+        Option(&'static Ty),
+        /// `TimestepMode`: `u8` mode, then `u32` max_level (0 for global);
+        /// in JSON `{"mode": ..}`, plus `max_level` in block mode.
+        Timestep,
     }
 
-    /// Decode the binary format, verifying magic, version and checksum.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        if bytes.len() < 20 || bytes[..8] != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion {
-                found: version,
-                supported: SNAPSHOT_VERSION,
-            });
-        }
-        let payload_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
-        let body_end = 20usize
-            .checked_add(payload_len)
-            .ok_or_else(|| SnapshotError::Malformed("payload length overflow".into()))?;
-        if bytes.len() < body_end + 8 {
-            return Err(SnapshotError::Malformed(format!(
-                "truncated: header promises {payload_len} payload bytes + checksum, file has {}",
-                bytes.len()
-            )));
-        }
-        let payload = &bytes[20..body_end];
-        let stored = u64::from_le_bytes(bytes[body_end..body_end + 8].try_into().unwrap());
-        let computed = fnv1a(payload);
-        if stored != computed {
-            return Err(SnapshotError::ChecksumMismatch { stored, computed });
-        }
-
-        let mut r = Reader { b: payload, pos: 0 };
-        let config = read_config(&mut r)?;
-        let time = r.f64()?;
-        let step_count = r.u64()?;
-        let next_id = r.u64()?;
-        let rng_state = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-        let stats = read_stats(&mut r)?;
-        let n = r.len()?;
-        let mut particles = Vec::with_capacity(n);
-        for _ in 0..n {
-            particles.push(read_particle(&mut r)?);
-        }
-        let n = r.len()?;
-        let mut last_vsig = Vec::with_capacity(n);
-        for _ in 0..n {
-            last_vsig.push((r.u64()?, r.f64()?, r.f64()?));
-        }
-        let n = r.len()?;
-        let mut pending = Vec::with_capacity(n);
-        for _ in 0..n {
-            let due_step = r.u64()?;
-            let m = r.len()?;
-            let mut predicted = Vec::with_capacity(m);
-            for _ in 0..m {
-                predicted.push(read_gas(&mut r)?);
-            }
-            pending.push(PendingPrediction {
-                due_step,
-                predicted,
-            });
-        }
-        let schedule = match r.u8()? {
-            0 => None,
-            1 => {
-                let dt_max = r.f64()?;
-                let m = r.len()?;
-                let mut levels = Vec::with_capacity(m);
-                for _ in 0..m {
-                    levels.push(r.u32()?);
-                }
-                Some(ScheduleState { dt_max, levels })
-            }
-            k => {
-                return Err(SnapshotError::Malformed(format!(
-                    "unknown schedule tag {k}"
-                )))
-            }
-        };
-        let model = read_model(&mut r)?;
-        if r.pos != payload.len() {
-            return Err(SnapshotError::Malformed(format!(
-                "{} trailing payload bytes",
-                payload.len() - r.pos
-            )));
-        }
-        Ok(SimSnapshot {
-            config,
-            time,
-            step_count,
-            next_id,
-            rng_state,
-            stats,
-            particles,
-            last_vsig,
-            pending,
-            schedule,
-            model,
-        })
+    /// A value with a place in the schema: its wire type, and the typed
+    /// walk to and from the binary layout that type describes.
+    pub trait Wire: Sized {
+        const TY: Ty;
+        fn put(&self, out: &mut Vec<u8>);
+        fn get(r: &mut BinReader) -> Result<Self, SnapshotError>;
     }
 
-    /// Serialize to the JSON format (see the module docs).
-    pub fn to_json(&self) -> String {
-        let state = self.state_json();
-        let mut state_str = String::new();
-        write_json(&state, &mut state_str);
-        let sum = fnv1a(state_str.as_bytes());
-        let doc = Json::Obj(vec![
-            ("format".into(), Json::Str("asura-snapshot".into())),
-            ("version".into(), Json::Num(SNAPSHOT_VERSION as f64)),
-            ("state".into(), state),
-            ("checksum".into(), Json::Str(format!("fnv1a:{sum:016x}"))),
-        ]);
-        let mut out = String::new();
-        write_json(&doc, &mut out);
-        out
+    pub struct BinReader<'a> {
+        pub b: &'a [u8],
+        pub pos: usize,
     }
 
-    /// Decode the JSON format, verifying the document type, version and
-    /// checksum.
-    pub fn from_json(text: &str) -> Result<Self, SnapshotError> {
-        let doc = parse_json(text).map_err(|_| SnapshotError::BadMagic)?;
-        let format = doc.get("format").map_err(|_| SnapshotError::BadMagic)?;
-        if format != &Json::Str("asura-snapshot".into()) {
-            return Err(SnapshotError::BadMagic);
+    impl<'a> BinReader<'a> {
+        pub fn new(b: &'a [u8]) -> Self {
+            BinReader { b, pos: 0 }
         }
-        let version = doc
-            .get("version")
-            .and_then(|v| v.as_usize())
-            .map_err(SnapshotError::Malformed)? as u32;
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion {
-                found: version,
-                supported: SNAPSHOT_VERSION,
-            });
-        }
-        let state = doc.get("state").map_err(SnapshotError::Malformed)?;
-        let mut state_str = String::new();
-        write_json(state, &mut state_str);
-        let computed = fnv1a(state_str.as_bytes());
-        let stored_str = match doc.get("checksum").map_err(SnapshotError::Malformed)? {
-            Json::Str(s) => s.clone(),
-            other => {
-                return Err(SnapshotError::Malformed(format!(
-                    "checksum must be a string, got {other:?}"
-                )))
-            }
-        };
-        let stored = stored_str
-            .strip_prefix("fnv1a:")
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-            .ok_or_else(|| SnapshotError::Malformed(format!("bad checksum `{stored_str}`")))?;
-        if stored != computed {
-            return Err(SnapshotError::ChecksumMismatch { stored, computed });
-        }
-        Self::state_from_json(state)
-    }
-
-    /// Decode a snapshot from raw bytes, sniffing the encoding: binary
-    /// snapshots start with [`SNAPSHOT_MAGIC`], anything else is parsed as
-    /// JSON. This is the validation entry point the checkpoint store's
-    /// [`latest_valid`](crate::ckpt::CkptStore::latest_valid_sim) walk
-    /// uses to decide whether a rotation entry is intact.
-    pub fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        if bytes.starts_with(&SNAPSHOT_MAGIC) {
-            Self::from_bytes(bytes)
-        } else {
-            let text =
-                std::str::from_utf8(bytes).map_err(|e| SnapshotError::Malformed(e.to_string()))?;
-            Self::from_json(text)
-        }
-    }
-
-    /// Load a snapshot file, sniffing the encoding: binary snapshots start
-    /// with [`SNAPSHOT_MAGIC`], JSON ones with `{`.
-    pub fn load(path: &std::path::Path) -> Result<Self, SnapshotError> {
-        let bytes = std::fs::read(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
-        Self::decode(&bytes)
-    }
-
-    // -- JSON value tree --------------------------------------------------
-
-    fn state_json(&self) -> Json {
-        let c = &self.config;
-        let config = Json::Obj(vec![
-            (
-                "scheme".into(),
-                Json::Str(
-                    match c.scheme {
-                        Scheme::Surrogate => "surrogate",
-                        Scheme::Conventional => "conventional",
-                    }
-                    .into(),
-                ),
-            ),
-            (
-                "timestep".into(),
-                match c.timestep {
-                    TimestepMode::Global => {
-                        Json::Obj(vec![("mode".into(), Json::Str("global".into()))])
-                    }
-                    TimestepMode::Block { max_level } => Json::Obj(vec![
-                        ("mode".into(), Json::Str("block".into())),
-                        ("max_level".into(), Json::Num(max_level as f64)),
-                    ]),
-                },
-            ),
-            ("dt_global".into(), jf(c.dt_global)),
-            ("theta".into(), jf(c.theta)),
-            ("n_group".into(), ju(c.n_group as u64)),
-            ("eps".into(), jf(c.eps)),
-            ("n_ngb".into(), ju(c.n_ngb as u64)),
-            ("region_side".into(), jf(c.region_side)),
-            ("pool_latency_steps".into(), ju(c.pool_latency_steps as u64)),
-            ("cooling".into(), Json::Bool(c.cooling)),
-            ("star_formation".into(), Json::Bool(c.star_formation)),
-            ("cfl".into(), jf(c.cfl)),
-            ("dt_min".into(), jf(c.dt_min)),
-            ("mixed_precision".into(), Json::Bool(c.mixed_precision)),
-            ("sf_rho_min".into(), jf(c.sf_rho_min)),
-            ("sf_t_max".into(), jf(c.sf_t_max)),
-            ("sf_efficiency".into(), jf(c.sf_efficiency)),
-            ("snapshot_every".into(), ju(c.snapshot_every)),
-        ]);
-        let s = &self.stats;
-        let stats = Json::Obj(vec![
-            ("steps".into(), ju(s.steps)),
-            ("sn_events".into(), ju(s.sn_events)),
-            ("stars_formed".into(), ju(s.stars_formed)),
-            ("regions_applied".into(), ju(s.regions_applied)),
-            ("dt_min_seen".into(), jf(s.dt_min_seen)),
-            ("gravity_interactions".into(), ju(s.gravity_interactions)),
-            ("hydro_interactions".into(), ju(s.hydro_interactions)),
-            ("substeps".into(), ju(s.substeps)),
-            ("active_updates".into(), ju(s.active_updates)),
-            ("tree_rebuilds".into(), ju(s.tree_rebuilds)),
-            ("tree_refreshes".into(), ju(s.tree_refreshes)),
-            ("sph_tree_rebuilds".into(), ju(s.sph_tree_rebuilds)),
-            ("sph_tree_refreshes".into(), ju(s.sph_tree_refreshes)),
-        ]);
-        // Particles as SoA with flat coordinate triplets: compact enough to
-        // stay inspectable without one object per particle.
-        let particles = particles_json(&self.particles);
-        let last_vsig = Json::Arr(
-            self.last_vsig
-                .iter()
-                .map(|&(i, v, h)| Json::Arr(vec![ju(i), jf(v), jf(h)]))
-                .collect(),
-        );
-        let pending = Json::Arr(
-            self.pending
-                .iter()
-                .map(|p| {
-                    Json::Obj(vec![
-                        ("due_step".into(), ju(p.due_step)),
-                        ("predicted".into(), gas_json(&p.predicted)),
-                    ])
-                })
-                .collect(),
-        );
-        let schedule = match &self.schedule {
-            None => Json::Null,
-            Some(s) => schedule_json(s),
-        };
-        Json::Obj(vec![
-            ("config".into(), config),
-            ("time".into(), jf(self.time)),
-            ("step_count".into(), ju(self.step_count)),
-            ("next_id".into(), ju(self.next_id)),
-            (
-                "rng".into(),
-                Json::Arr(
-                    self.rng_state
-                        .iter()
-                        .map(|&s| Json::Str(format!("u64:{s:016x}")))
-                        .collect(),
-                ),
-            ),
-            ("stats".into(), stats),
-            ("particles".into(), particles),
-            ("last_vsig".into(), last_vsig),
-            ("pending".into(), pending),
-            ("schedule".into(), schedule),
-            ("model".into(), model_json(&self.model)),
-        ])
-    }
-
-    fn state_from_json(state: &Json) -> Result<Self, SnapshotError> {
-        let config = {
-            let c = state.get("config").map_err(SnapshotError::Malformed)?;
-            let scheme = match c.get("scheme").map_err(SnapshotError::Malformed)? {
-                Json::Str(s) if s == "surrogate" => Scheme::Surrogate,
-                Json::Str(s) if s == "conventional" => Scheme::Conventional,
-                other => {
-                    return Err(SnapshotError::Malformed(format!(
-                        "unknown scheme {other:?}"
-                    )))
-                }
-            };
-            let ts = c.get("timestep").map_err(SnapshotError::Malformed)?;
-            let timestep = match ts.get("mode").map_err(SnapshotError::Malformed)? {
-                Json::Str(m) if m == "global" => TimestepMode::Global,
-                Json::Str(m) if m == "block" => TimestepMode::Block {
-                    max_level: get_u64(ts, "max_level")? as u32,
-                },
-                other => {
-                    return Err(SnapshotError::Malformed(format!(
-                        "unknown timestep mode {other:?}"
-                    )))
-                }
-            };
-            SimConfig {
-                scheme,
-                timestep,
-                dt_global: get_f64(c, "dt_global")?,
-                theta: get_f64(c, "theta")?,
-                n_group: get_u64(c, "n_group")? as usize,
-                eps: get_f64(c, "eps")?,
-                n_ngb: get_u64(c, "n_ngb")? as usize,
-                region_side: get_f64(c, "region_side")?,
-                pool_latency_steps: get_u64(c, "pool_latency_steps")? as usize,
-                cooling: get_bool(c, "cooling")?,
-                star_formation: get_bool(c, "star_formation")?,
-                cfl: get_f64(c, "cfl")?,
-                dt_min: get_f64(c, "dt_min")?,
-                mixed_precision: get_bool(c, "mixed_precision")?,
-                sf_rho_min: get_f64(c, "sf_rho_min")?,
-                sf_t_max: get_f64(c, "sf_t_max")?,
-                sf_efficiency: get_f64(c, "sf_efficiency")?,
-                snapshot_every: get_u64(c, "snapshot_every")?,
-            }
-        };
-        let stats = {
-            let s = state.get("stats").map_err(SnapshotError::Malformed)?;
-            SimStats {
-                steps: get_u64(s, "steps")?,
-                sn_events: get_u64(s, "sn_events")?,
-                stars_formed: get_u64(s, "stars_formed")?,
-                regions_applied: get_u64(s, "regions_applied")?,
-                dt_min_seen: get_f64(s, "dt_min_seen")?,
-                gravity_interactions: get_u64(s, "gravity_interactions")?,
-                hydro_interactions: get_u64(s, "hydro_interactions")?,
-                substeps: get_u64(s, "substeps")?,
-                active_updates: get_u64(s, "active_updates")?,
-                tree_rebuilds: get_u64(s, "tree_rebuilds")?,
-                tree_refreshes: get_u64(s, "tree_refreshes")?,
-                sph_tree_rebuilds: get_u64(s, "sph_tree_rebuilds")?,
-                sph_tree_refreshes: get_u64(s, "sph_tree_refreshes")?,
-            }
-        };
-        let particles =
-            particles_from_json(state.get("particles").map_err(SnapshotError::Malformed)?)?;
-        let last_vsig = {
-            let entries = arr(state, "last_vsig")?;
-            let mut out = Vec::with_capacity(entries.len());
-            for e in entries {
-                match e {
-                    Json::Arr(t) if t.len() == 3 => {
-                        out.push((as_u64(&t[0])?, as_f64(&t[1])?, as_f64(&t[2])?))
-                    }
-                    other => {
-                        return Err(SnapshotError::Malformed(format!(
-                            "last_vsig entry must be a triple, got {other:?}"
-                        )))
-                    }
-                }
-            }
-            out
-        };
-        let pending = {
-            let entries = arr(state, "pending")?;
-            let mut out = Vec::with_capacity(entries.len());
-            for e in entries {
-                out.push(PendingPrediction {
-                    due_step: get_u64(e, "due_step")?,
-                    predicted: gas_from_json(
-                        e.get("predicted").map_err(SnapshotError::Malformed)?,
-                    )?,
-                });
-            }
-            out
-        };
-        let schedule = match state.get("schedule").map_err(SnapshotError::Malformed)? {
-            Json::Null => None,
-            s => Some(schedule_from_json(s)?),
-        };
-        let rng_state = {
-            let entries = arr(state, "rng")?;
-            if entries.len() != 4 {
-                return Err(SnapshotError::Malformed(format!(
-                    "rng state must have 4 words, got {}",
-                    entries.len()
+        pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+            let remaining = self.b.len() - self.pos;
+            if n > remaining {
+                return Err(malformed(format!(
+                    "truncated payload: wanted {n} bytes at offset {}, have {remaining}",
+                    self.pos
                 )));
             }
-            [
-                as_u64(&entries[0])?,
-                as_u64(&entries[1])?,
-                as_u64(&entries[2])?,
-                as_u64(&entries[3])?,
-            ]
+            let s = &self.b[self.pos..self.pos + n];
+            self.pos += n;
+            Ok(s)
+        }
+        pub fn array<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+            Ok(self.bytes(N)?.try_into().expect("bytes(N) is N long"))
+        }
+        pub fn u8(&mut self) -> Result<u8, SnapshotError> {
+            Ok(self.array::<1>()?[0])
+        }
+        /// A length prefix, sanity-bounded so corrupt input cannot trigger
+        /// a huge allocation before the checksum is even consulted.
+        pub fn len(&mut self) -> Result<usize, SnapshotError> {
+            let n = u64::from_le_bytes(self.array()?);
+            let remaining = self.b.len() - self.pos;
+            match usize::try_from(n) {
+                Ok(n) if n <= remaining => Ok(n),
+                _ => Err(malformed(format!("length prefix {n} overruns the payload"))),
+            }
+        }
+    }
+}
+
+/// Declares a record's schema: its fields in wire order, each with its
+/// wire type and, where the JSON key differs from the field name,
+/// `as "key"`. Given a whole `pub struct`, it defines the struct as well;
+/// a leading `columns` makes lists of the record column-oriented in JSON.
+/// Both directions destructure / rebuild the struct exhaustively, so a
+/// field missing from the table does not compile.
+macro_rules! record {
+    (
+        $(#[$meta:meta])*
+        pub struct $ty:ident {
+            $($(#[$fmeta:meta])* pub $field:ident $(as $key:literal)? : $fty:ty),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $ty {
+            $($(#[$fmeta])* pub $field: $fty),+
+        }
+        record!(@impl $ty false { $($field $(as $key)? : $fty),+ });
+    };
+    (columns $ty:ident $fields:tt) => {
+        record!(@impl $ty true $fields);
+    };
+    ($ty:ident $fields:tt) => {
+        record!(@impl $ty false $fields);
+    };
+    (@impl $ty:ident $columns:literal {
+        $($field:ident $(as $key:literal)? : $fty:ty),+ $(,)?
+    }) => {
+        impl Wire for $ty {
+            const TY: Ty = Ty::Record {
+                // `[key?, name][0]`: the explicit key where one is given.
+                fields: &[$(([$($key,)? stringify!($field)][0], <$fty as Wire>::TY)),+],
+                columns: $columns,
+            };
+            fn put(&self, out: &mut Vec<u8>) {
+                let $ty { $($field),+ } = self;
+                $(<$fty as Wire>::put($field, out);)+
+            }
+            fn get(r: &mut BinReader) -> Result<Self, SnapshotError> {
+                Ok($ty { $($field: <$fty as Wire>::get(r)?),+ })
+            }
+        }
+    };
+}
+
+/// Declares a field-less enum's wire tags (consecutive from 0, so a tag
+/// indexes the JSON names) and whether JSON spells the name or the number.
+macro_rules! tagged {
+    ($ty:ident, by_name: $by_name:literal, { $($variant:ident = $tag:literal $name:literal),+ }) => {
+        impl Wire for $ty {
+            const TY: Ty = Ty::Tag {
+                names: &[$($name),+],
+                by_name: $by_name,
+            };
+            fn put(&self, out: &mut Vec<u8>) {
+                out.push(match self {
+                    $($ty::$variant => $tag),+
+                });
+            }
+            fn get(r: &mut BinReader) -> Result<Self, SnapshotError> {
+                match r.u8()? {
+                    $($tag => Ok($ty::$variant),)+
+                    k => Err(malformed(format!("unknown {} tag {k}", stringify!($ty)))),
+                }
+            }
+        }
+    };
+}
+
+macro_rules! little_endian {
+    ($($ty:ident => $variant:ident),+) => {$(
+        impl Wire for $ty {
+            const TY: Ty = Ty::$variant;
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(r: &mut BinReader) -> Result<Self, SnapshotError> {
+                Ok(<$ty>::from_le_bytes(r.array()?))
+            }
+        }
+    )+};
+}
+
+little_endian!(u32 => U32, u64 => U64, f64 => F64);
+tagged!(Scheme, by_name: true, { Surrogate = 0 "surrogate", Conventional = 1 "conventional" });
+tagged!(Kind, by_name: false, { Dm = 0 "dm", Star = 1 "star", Gas = 2 "gas" });
+
+impl Wire for usize {
+    const TY: Ty = Ty::U64;
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
+    }
+    fn get(r: &mut BinReader) -> Result<Self, SnapshotError> {
+        let v = u64::get(r)?;
+        usize::try_from(v).map_err(|_| malformed(format!("{v} does not fit usize")))
+    }
+}
+
+impl Wire for bool {
+    const TY: Ty = Ty::Bool;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
+    }
+    fn get(r: &mut BinReader) -> Result<Self, SnapshotError> {
+        r.u8().map(|b| b != 0)
+    }
+}
+
+impl Wire for String {
+    const TY: Ty = Ty::Str;
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u64).put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn get(r: &mut BinReader) -> Result<Self, SnapshotError> {
+        let n = r.len()?;
+        let text = std::str::from_utf8(r.bytes(n)?);
+        let text = text.map_err(|e| malformed(format!("string field is not UTF-8: {e}")))?;
+        Ok(text.to_string())
+    }
+}
+
+impl Wire for [f64; 3] {
+    const TY: Ty = Ty::Tuple(&[Ty::F64; 3]);
+    fn put(&self, out: &mut Vec<u8>) {
+        self.iter().for_each(|x| x.put(out));
+    }
+    fn get(r: &mut BinReader) -> Result<Self, SnapshotError> {
+        Ok([f64::get(r)?, f64::get(r)?, f64::get(r)?])
+    }
+}
+
+impl Wire for Vec3 {
+    const TY: Ty = <[f64; 3]>::TY;
+    fn put(&self, out: &mut Vec<u8>) {
+        [self.x, self.y, self.z].put(out);
+    }
+    fn get(r: &mut BinReader) -> Result<Self, SnapshotError> {
+        <[f64; 3]>::get(r).map(|[x, y, z]| Vec3::new(x, y, z))
+    }
+}
+
+/// The xoshiro256** state words.
+impl Wire for [u64; 4] {
+    const TY: Ty = Ty::Tuple(&[Ty::Word; 4]);
+    fn put(&self, out: &mut Vec<u8>) {
+        self.iter().for_each(|x| x.put(out));
+    }
+    fn get(r: &mut BinReader) -> Result<Self, SnapshotError> {
+        Ok([u64::get(r)?, u64::get(r)?, u64::get(r)?, u64::get(r)?])
+    }
+}
+
+/// A `last_vsig` entry: `(particle index, v_sig, h)`.
+impl Wire for (u64, f64, f64) {
+    const TY: Ty = Ty::Tuple(&[Ty::U64, Ty::F64, Ty::F64]);
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+        self.2.put(out);
+    }
+    fn get(r: &mut BinReader) -> Result<Self, SnapshotError> {
+        Ok((u64::get(r)?, f64::get(r)?, f64::get(r)?))
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    const TY: Ty = Ty::List(&T::TY);
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u64).put(out);
+        self.iter().for_each(|v| v.put(out));
+    }
+    fn get(r: &mut BinReader) -> Result<Self, SnapshotError> {
+        let n = r.len()?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(T::get(r)?);
+        }
+        Ok(items)
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    const TY: Ty = Ty::Option(&T::TY);
+    fn put(&self, out: &mut Vec<u8>) {
+        self.is_some().put(out);
+        self.iter().for_each(|v| v.put(out));
+    }
+    fn get(r: &mut BinReader) -> Result<Self, SnapshotError> {
+        match r.u8()? {
+            0 => Ok(None),
+            1 => T::get(r).map(Some),
+            k => Err(malformed(format!("unknown option tag {k}"))),
+        }
+    }
+}
+
+const TIMESTEP_MODES: &[&str] = &["global", "block"];
+
+impl Wire for TimestepMode {
+    const TY: Ty = Ty::Timestep;
+    fn put(&self, out: &mut Vec<u8>) {
+        let (mode, max_level) = match *self {
+            TimestepMode::Global => (0, 0),
+            TimestepMode::Block { max_level } => (1, max_level),
         };
-        let model = model_from_json(state.get("model").map_err(SnapshotError::Malformed)?)?;
-        Ok(SimSnapshot {
-            config,
-            time: get_f64(state, "time")?,
-            step_count: get_u64(state, "step_count")?,
-            next_id: get_u64(state, "next_id")?,
-            rng_state,
-            stats,
-            particles,
-            last_vsig,
-            pending,
-            schedule,
-            model,
-        })
+        out.push(mode);
+        max_level.put(out);
+    }
+    fn get(r: &mut BinReader) -> Result<Self, SnapshotError> {
+        match (r.u8()?, u32::get(r)?) {
+            (0, _) => Ok(TimestepMode::Global),
+            (1, max_level) => Ok(TimestepMode::Block { max_level }),
+            (k, _) => Err(malformed(format!("unknown timestep mode tag {k}"))),
+        }
+    }
+}
+
+record!(SimConfig {
+    scheme: Scheme,
+    timestep: TimestepMode,
+    dt_global: f64,
+    theta: f64,
+    n_group: usize,
+    eps: f64,
+    n_ngb: usize,
+    region_side: f64,
+    pool_latency_steps: usize,
+    cooling: bool,
+    star_formation: bool,
+    cfl: f64,
+    dt_min: f64,
+    mixed_precision: bool,
+    sf_rho_min: f64,
+    sf_t_max: f64,
+    sf_efficiency: f64,
+    snapshot_every: u64,
+});
+
+record!(SimStats {
+    steps: u64,
+    sn_events: u64,
+    stars_formed: u64,
+    regions_applied: u64,
+    dt_min_seen: f64,
+    gravity_interactions: u64,
+    hydro_interactions: u64,
+    substeps: u64,
+    active_updates: u64,
+    tree_rebuilds: u64,
+    tree_refreshes: u64,
+    sph_tree_rebuilds: u64,
+    sph_tree_refreshes: u64,
+});
+
+record!(columns Particle {
+    id: u64,
+    kind: Kind,
+    pos: Vec3,
+    vel: Vec3,
+    mass: f64,
+    u: f64,
+    h: f64,
+    rho: f64,
+    metals: f64,
+    birth_time: f64,
+    exploded: bool,
+});
+
+record!(columns GasParticle {
+    pos: Vec3,
+    vel: Vec3,
+    mass: f64,
+    temp: f64,
+    h: f64,
+    id: u64,
+});
+
+record! {
+    /// One in-flight pool prediction (paper §3.2 step 2→4): the predicted
+    /// region state and the absolute step at which it falls due.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct PendingPrediction {
+        pub due_step: u64,
+        pub predicted: Vec<GasParticle>,
+    }
+}
+
+record! {
+    /// The block-timestep scheduler's level assignment at snapshot time.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ScheduleState {
+        pub dt_max: f64,
+        pub levels: Vec<u32>,
+    }
+}
+
+record! {
+    /// The trained surrogate model a run carries: the pool-predictor RNG seed
+    /// plus the verbatim weights document ([`SurrogateModel::to_json`] text,
+    /// itself checksummed). Embedded in snapshots so a surrogate run resumes
+    /// bitwise with its model intact — no weights file needs to exist at
+    /// resume time.
+    ///
+    /// [`SurrogateModel::to_json`]: surrogate::SurrogateModel::to_json
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ModelState {
+        /// Seed of the predictor's per-request Gibbs-resampling RNG.
+        pub seed: u64,
+        /// The self-describing weights document, byte-for-byte as written by
+        /// `asura train-surrogate`.
+        pub weights_json as "weights": String,
+    }
+}
+
+record! {
+    /// Complete serializable state of a shared-memory simulation.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SimSnapshot {
+        pub config: SimConfig,
+        pub time: f64,
+        pub step_count: u64,
+        /// Next particle id to hand out (star formation).
+        pub next_id: u64,
+        /// Raw xoshiro256** state of the driver's RNG stream.
+        pub rng_state as "rng": [u64; 4],
+        pub stats: SimStats,
+        pub particles: Vec<Particle>,
+        /// `(particle index, v_sig, h)` stash from the last SPH force pass —
+        /// hidden driver state that seeds the *next* step's CFL estimate, so
+        /// restart determinism requires it.
+        pub last_vsig: Vec<(u64, f64, f64)>,
+        /// The surrogate scheme's pending-region queue.
+        pub pending: Vec<PendingPrediction>,
+        /// The scheduler's last level assignment, if block mode has run.
+        pub schedule: Option<ScheduleState>,
+        /// The trained surrogate model in flight, if the run uses one
+        /// (`None` for the analytic Sedov-overlay default).
+        pub model: Option<ModelState>,
+    }
+}
+
+record! {
+    /// One in-flight pool dispatch of the distributed driver, captured as the
+    /// *request* (center + region gas): the predictor is deterministic, so a
+    /// resumed run re-dispatches the region and receives the identical reply,
+    /// due at the same absolute step.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct DistPending {
+        pub due_step: u64,
+        pub center: [f64; 3],
+        pub gas: Vec<GasParticle>,
+    }
+}
+
+record! {
+    /// Checkpoint of a distributed run
+    /// ([`run_distributed`](crate::dist::run_distributed) with
+    /// [`DistConfig::snapshot_every`](crate::dist::DistConfig) > 0), resumable
+    /// via [`run_distributed_resume`](crate::dist::run_distributed_resume).
+    ///
+    /// Per-rank particle lists keep each main rank's **local order** so the
+    /// resumed ranks rebuild identical trees and sum forces in the identical
+    /// order — the bitwise-determinism contract extends to the distributed
+    /// driver as long as the resuming configuration uses the same main-rank
+    /// grid. Both encodings are the shared-memory pair's, under their own
+    /// magic [`DIST_SNAPSHOT_MAGIC`], version [`DIST_SNAPSHOT_VERSION`] and
+    /// `asura-dist-snapshot` document type.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct DistSnapshot {
+        /// Completed steps at capture (the resume continues from here).
+        pub step: u64,
+        pub time: f64,
+        /// Particle lists per main rank, local order preserved.
+        pub rank_particles: Vec<Vec<Particle>>,
+        /// In-flight pool dispatches across all ranks.
+        pub pending: Vec<DistPending>,
+        /// Block-timestep schedules, one per main rank in rank order (level
+        /// arrays in the rank's local particle order), from the base step
+        /// during which the checkpoint was gathered; empty for
+        /// `TimestepMode::Global` runs. Restored for observability — the next
+        /// base step re-derives levels from forces, so resume determinism
+        /// never depends on it.
+        pub schedules: Vec<ScheduleState>,
+        /// The trained model the pool ranks serve, if the run uses one
+        /// (`None` for the analytic Sedov-overlay default). On resume this
+        /// overrides the configured predictor so the pool replays the same
+        /// weights bitwise without re-reading the weights file.
+        pub model: Option<ModelState>,
     }
 }
 
 // ---------------------------------------------------------------------------
-// Distributed snapshots
+// JSON backends: binary payload <-> JSON value tree, by the schema
 // ---------------------------------------------------------------------------
-
-/// One in-flight pool dispatch of the distributed driver, captured as the
-/// *request* (center + region gas): the predictor is deterministic, so a
-/// resumed run re-dispatches the region and receives the identical reply,
-/// due at the same absolute step.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DistPending {
-    pub due_step: u64,
-    pub center: [f64; 3],
-    pub gas: Vec<GasParticle>,
-}
-
-/// Checkpoint of a distributed run
-/// ([`run_distributed`](crate::dist::run_distributed) with
-/// [`DistConfig::snapshot_every`](crate::dist::DistConfig) > 0), resumable
-/// via [`run_distributed_resume`](crate::dist::run_distributed_resume).
-///
-/// Per-rank particle lists keep each main rank's **local order** so the
-/// resumed ranks rebuild identical trees and sum forces in the identical
-/// order — the bitwise-determinism contract extends to the distributed
-/// driver as long as the resuming configuration uses the same main-rank
-/// grid. Both encodings mirror the shared-memory pair: compact binary
-/// (own magic [`DIST_SNAPSHOT_MAGIC`], same version/checksum discipline)
-/// and inspectable JSON (`asura-dist-snapshot` documents through
-/// [`unet::json`]); [`DistSnapshot::load`] sniffs the format from the
-/// leading bytes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DistSnapshot {
-    /// Completed steps at capture (the resume continues from here).
-    pub step: u64,
-    pub time: f64,
-    /// Particle lists per main rank, local order preserved.
-    pub rank_particles: Vec<Vec<Particle>>,
-    /// In-flight pool dispatches across all ranks.
-    pub pending: Vec<DistPending>,
-    /// Block-timestep schedules, one per main rank in rank order (level
-    /// arrays in the rank's local particle order), from the base step
-    /// during which the checkpoint was gathered; empty for
-    /// `TimestepMode::Global` runs. Restored for observability — the next
-    /// base step re-derives levels from forces, so resume determinism
-    /// never depends on it.
-    pub schedules: Vec<ScheduleState>,
-    /// The trained model the pool ranks serve, if the run uses one
-    /// (`None` for the analytic Sedov-overlay default). On resume this
-    /// overrides the configured predictor so the pool replays the same
-    /// weights bitwise without re-reading the weights file.
-    pub model: Option<ModelState>,
-}
-
-impl DistSnapshot {
-    /// Serialize to the compact binary format.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::default();
-        w.u64(self.step);
-        w.f64(self.time);
-        w.u64(self.rank_particles.len() as u64);
-        for rank in &self.rank_particles {
-            w.u64(rank.len() as u64);
-            for p in rank {
-                write_particle(&mut w, p);
-            }
-        }
-        w.u64(self.pending.len() as u64);
-        for p in &self.pending {
-            w.u64(p.due_step);
-            for c in p.center {
-                w.f64(c);
-            }
-            w.u64(p.gas.len() as u64);
-            for g in &p.gas {
-                write_gas(&mut w, g);
-            }
-        }
-        w.u64(self.schedules.len() as u64);
-        for s in &self.schedules {
-            w.f64(s.dt_max);
-            w.u64(s.levels.len() as u64);
-            for &l in &s.levels {
-                w.u32(l);
-            }
-        }
-        write_model(&mut w, &self.model);
-        let payload = w.buf;
-        let mut out = Vec::with_capacity(payload.len() + 28);
-        out.extend_from_slice(&DIST_SNAPSHOT_MAGIC);
-        out.extend_from_slice(&DIST_SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        let sum = fnv1a(&payload);
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
-    }
-
-    /// Decode the binary format, verifying magic, version and checksum.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        if bytes.len() < 20 || bytes[..8] != DIST_SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if version != DIST_SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion {
-                found: version,
-                supported: DIST_SNAPSHOT_VERSION,
-            });
-        }
-        let payload_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
-        let body_end = 20usize
-            .checked_add(payload_len)
-            .ok_or_else(|| SnapshotError::Malformed("payload length overflow".into()))?;
-        if bytes.len() < body_end + 8 {
-            return Err(SnapshotError::Malformed(format!(
-                "truncated: header promises {payload_len} payload bytes + checksum, file has {}",
-                bytes.len()
-            )));
-        }
-        let payload = &bytes[20..body_end];
-        let stored = u64::from_le_bytes(bytes[body_end..body_end + 8].try_into().unwrap());
-        let computed = fnv1a(payload);
-        if stored != computed {
-            return Err(SnapshotError::ChecksumMismatch { stored, computed });
-        }
-        let mut r = Reader { b: payload, pos: 0 };
-        let step = r.u64()?;
-        let time = r.f64()?;
-        let n_ranks = r.len()?;
-        let mut rank_particles = Vec::with_capacity(n_ranks);
-        for _ in 0..n_ranks {
-            let n = r.len()?;
-            let mut rank = Vec::with_capacity(n);
-            for _ in 0..n {
-                rank.push(read_particle(&mut r)?);
-            }
-            rank_particles.push(rank);
-        }
-        let n = r.len()?;
-        let mut pending = Vec::with_capacity(n);
-        for _ in 0..n {
-            let due_step = r.u64()?;
-            let center = [r.f64()?, r.f64()?, r.f64()?];
-            let m = r.len()?;
-            let mut gas = Vec::with_capacity(m);
-            for _ in 0..m {
-                gas.push(read_gas(&mut r)?);
-            }
-            pending.push(DistPending {
-                due_step,
-                center,
-                gas,
-            });
-        }
-        let n = r.len()?;
-        let mut schedules = Vec::with_capacity(n);
-        for _ in 0..n {
-            let dt_max = r.f64()?;
-            let m = r.len()?;
-            let mut levels = Vec::with_capacity(m);
-            for _ in 0..m {
-                levels.push(r.u32()?);
-            }
-            schedules.push(ScheduleState { dt_max, levels });
-        }
-        let model = read_model(&mut r)?;
-        if r.pos != payload.len() {
-            return Err(SnapshotError::Malformed(format!(
-                "{} trailing payload bytes",
-                payload.len() - r.pos
-            )));
-        }
-        Ok(DistSnapshot {
-            step,
-            time,
-            rank_particles,
-            pending,
-            schedules,
-            model,
-        })
-    }
-
-    /// Serialize to the JSON format: an `asura-dist-snapshot` document with
-    /// the same version/checksum discipline as [`SimSnapshot::to_json`].
-    pub fn to_json(&self) -> String {
-        let state = Json::Obj(vec![
-            ("step".into(), ju(self.step)),
-            ("time".into(), jf(self.time)),
-            (
-                "rank_particles".into(),
-                Json::Arr(
-                    self.rank_particles
-                        .iter()
-                        .map(|rank| particles_json(rank))
-                        .collect(),
-                ),
-            ),
-            (
-                "pending".into(),
-                Json::Arr(
-                    self.pending
-                        .iter()
-                        .map(|p| {
-                            Json::Obj(vec![
-                                ("due_step".into(), ju(p.due_step)),
-                                (
-                                    "center".into(),
-                                    Json::Arr(p.center.iter().map(|&c| jf(c)).collect()),
-                                ),
-                                ("gas".into(), gas_json(&p.gas)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "schedules".into(),
-                Json::Arr(self.schedules.iter().map(schedule_json).collect()),
-            ),
-            ("model".into(), model_json(&self.model)),
-        ]);
-        let mut state_str = String::new();
-        write_json(&state, &mut state_str);
-        let sum = fnv1a(state_str.as_bytes());
-        let doc = Json::Obj(vec![
-            ("format".into(), Json::Str("asura-dist-snapshot".into())),
-            ("version".into(), Json::Num(DIST_SNAPSHOT_VERSION as f64)),
-            ("state".into(), state),
-            ("checksum".into(), Json::Str(format!("fnv1a:{sum:016x}"))),
-        ]);
-        let mut out = String::new();
-        write_json(&doc, &mut out);
-        out
-    }
-
-    /// Decode the JSON format, verifying the document type, version and
-    /// checksum.
-    pub fn from_json(text: &str) -> Result<Self, SnapshotError> {
-        let doc = parse_json(text).map_err(|_| SnapshotError::BadMagic)?;
-        let format = doc.get("format").map_err(|_| SnapshotError::BadMagic)?;
-        if format != &Json::Str("asura-dist-snapshot".into()) {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = doc
-            .get("version")
-            .and_then(|v| v.as_usize())
-            .map_err(SnapshotError::Malformed)? as u32;
-        if version != DIST_SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion {
-                found: version,
-                supported: DIST_SNAPSHOT_VERSION,
-            });
-        }
-        let state = doc.get("state").map_err(SnapshotError::Malformed)?;
-        let mut state_str = String::new();
-        write_json(state, &mut state_str);
-        let computed = fnv1a(state_str.as_bytes());
-        let stored_str = match doc.get("checksum").map_err(SnapshotError::Malformed)? {
-            Json::Str(s) => s.clone(),
-            other => {
-                return Err(SnapshotError::Malformed(format!(
-                    "checksum must be a string, got {other:?}"
-                )))
-            }
-        };
-        let stored = stored_str
-            .strip_prefix("fnv1a:")
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-            .ok_or_else(|| SnapshotError::Malformed(format!("bad checksum `{stored_str}`")))?;
-        if stored != computed {
-            return Err(SnapshotError::ChecksumMismatch { stored, computed });
-        }
-        let rank_particles = arr(state, "rank_particles")?
-            .iter()
-            .map(particles_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let pending = arr(state, "pending")?
-            .iter()
-            .map(|e| {
-                let center = match e.get("center").map_err(SnapshotError::Malformed)? {
-                    Json::Arr(c) if c.len() == 3 => {
-                        [as_f64(&c[0])?, as_f64(&c[1])?, as_f64(&c[2])?]
-                    }
-                    other => {
-                        return Err(SnapshotError::Malformed(format!(
-                            "pending center must be a triple, got {other:?}"
-                        )))
-                    }
-                };
-                Ok(DistPending {
-                    due_step: get_u64(e, "due_step")?,
-                    center,
-                    gas: gas_from_json(e.get("gas").map_err(SnapshotError::Malformed)?)?,
-                })
-            })
-            .collect::<Result<Vec<_>, SnapshotError>>()?;
-        let schedules = arr(state, "schedules")?
-            .iter()
-            .map(schedule_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let model = model_from_json(state.get("model").map_err(SnapshotError::Malformed)?)?;
-        Ok(DistSnapshot {
-            step: get_u64(state, "step")?,
-            time: get_f64(state, "time")?,
-            rank_particles,
-            pending,
-            schedules,
-            model,
-        })
-    }
-
-    /// Decode a distributed snapshot from raw bytes, sniffing the
-    /// encoding: binary snapshots start with [`DIST_SNAPSHOT_MAGIC`],
-    /// anything else is parsed as JSON. Used by the checkpoint store's
-    /// [`latest_valid`](crate::ckpt::CkptStore::latest_valid_dist) walk.
-    pub fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        if bytes.starts_with(&DIST_SNAPSHOT_MAGIC) {
-            Self::from_bytes(bytes)
-        } else {
-            let text =
-                std::str::from_utf8(bytes).map_err(|e| SnapshotError::Malformed(e.to_string()))?;
-            Self::from_json(text)
-        }
-    }
-
-    /// Load a distributed snapshot file, sniffing the encoding: binary
-    /// snapshots start with [`DIST_SNAPSHOT_MAGIC`], JSON ones with `{`.
-    pub fn load(path: &std::path::Path) -> Result<Self, SnapshotError> {
-        let bytes = std::fs::read(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
-        Self::decode(&bytes)
-    }
-}
-
-// -- JSON encoding helpers --------------------------------------------------
-//
-// Finite floats render as plain numbers (shortest-roundtrip, exact on
-// reload); non-finite floats and u64 values that do not fit the f64
-// mantissa fall back to tagged hex strings, so every value of either type
-// survives a JSON round-trip bit-exactly.
-
-fn jf(x: f64) -> Json {
-    if x.is_finite() {
-        Json::Num(x)
-    } else {
-        Json::Str(format!("bits:{:016x}", x.to_bits()))
-    }
-}
 
 fn ju(x: u64) -> Json {
     if x <= (1u64 << 53) {
@@ -1309,263 +630,371 @@ fn ju(x: u64) -> Json {
     }
 }
 
+fn tagged_hex(s: &str, prefix: &str) -> Option<u64> {
+    u64::from_str_radix(s.strip_prefix(prefix)?, 16).ok()
+}
+
 fn as_f64(v: &Json) -> Result<f64, SnapshotError> {
     match v {
         Json::Num(n) => Ok(*n),
-        Json::Str(s) => s
-            .strip_prefix("bits:")
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
+        Json::Str(s) => tagged_hex(s, "bits:")
             .map(f64::from_bits)
-            .ok_or_else(|| SnapshotError::Malformed(format!("bad float `{s}`"))),
-        other => Err(SnapshotError::Malformed(format!(
-            "expected float, got {other:?}"
-        ))),
+            .ok_or_else(|| malformed(format!("bad float `{s}`"))),
+        other => Err(malformed(format!("expected float, got {other:?}"))),
     }
 }
 
 fn as_u64(v: &Json) -> Result<u64, SnapshotError> {
     match v {
         Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= (1u64 << 53) as f64 => Ok(*n as u64),
-        Json::Str(s) => s
-            .strip_prefix("u64:")
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-            .ok_or_else(|| SnapshotError::Malformed(format!("bad u64 `{s}`"))),
-        other => Err(SnapshotError::Malformed(format!(
-            "expected unsigned integer, got {other:?}"
-        ))),
+        Json::Str(s) => tagged_hex(s, "u64:").ok_or_else(|| malformed(format!("bad u64 `{s}`"))),
+        other => Err(malformed(format!("expected a u64, got {other:?}"))),
     }
 }
 
-fn as_bool(v: &Json) -> Result<bool, SnapshotError> {
-    match v {
-        Json::Bool(b) => Ok(*b),
-        other => Err(SnapshotError::Malformed(format!(
-            "expected bool, got {other:?}"
-        ))),
+/// The one place a JSON integer narrows: checked, never truncated.
+fn as_u32(v: &Json) -> Result<u32, SnapshotError> {
+    let wide = as_u64(v)?;
+    u32::try_from(wide).map_err(|_| malformed(format!("{wide} does not fit u32")))
+}
+
+fn tag_to_value(tag: u8, names: &[&str], by_name: bool) -> Result<Json, SnapshotError> {
+    if !by_name {
+        return Ok(Json::Num(tag as f64));
+    }
+    let name = names.get(tag as usize);
+    let name = name.ok_or_else(|| malformed(format!("tag {tag} names none of {names:?}")))?;
+    Ok(Json::Str(name.to_string()))
+}
+
+fn tag_from_value(v: &Json, names: &[&str], by_name: bool) -> Result<u8, SnapshotError> {
+    let tag = match v {
+        Json::Str(s) if by_name => names.iter().position(|n| n == s),
+        _ if by_name => None,
+        number => usize::try_from(as_u64(number)?).ok(),
+    };
+    tag.and_then(|t| u8::try_from(t).ok())
+        .ok_or_else(|| malformed(format!("unknown tag {v:?} (names: {names:?})")))
+}
+
+/// The fields of `elem` if lists of it are column-oriented in JSON.
+fn columns_of(elem: &Ty) -> Option<&'static [(&'static str, Ty)]> {
+    match *elem {
+        Ty::Record { fields, columns } if columns => Some(fields),
+        _ => None,
     }
 }
 
-fn get_f64(obj: &Json, key: &str) -> Result<f64, SnapshotError> {
-    as_f64(obj.get(key).map_err(SnapshotError::Malformed)?)
-}
-
-fn get_u64(obj: &Json, key: &str) -> Result<u64, SnapshotError> {
-    as_u64(obj.get(key).map_err(SnapshotError::Malformed)?)
-}
-
-fn get_bool(obj: &Json, key: &str) -> Result<bool, SnapshotError> {
-    as_bool(obj.get(key).map_err(SnapshotError::Malformed)?)
-}
-
-fn arr<'a>(obj: &'a Json, key: &str) -> Result<&'a [Json], SnapshotError> {
-    match obj.get(key).map_err(SnapshotError::Malformed)? {
-        Json::Arr(items) => Ok(items),
-        other => Err(SnapshotError::Malformed(format!(
-            "field `{key}` must be an array, got {other:?}"
-        ))),
-    }
-}
-
-fn flat_vec3(vs: impl Iterator<Item = Vec3>) -> Json {
-    Json::Arr(vs.flat_map(|v| [jf(v.x), jf(v.y), jf(v.z)]).collect())
-}
-
-/// Particle list as a column-oriented (SoA) JSON object — compact enough
-/// to stay inspectable without one object per particle. Shared between the
-/// shared-memory and distributed snapshot encodings.
-fn particles_json(particles: &[Particle]) -> Json {
-    Json::Obj(vec![
-        (
-            "id".into(),
-            Json::Arr(particles.iter().map(|p| ju(p.id)).collect()),
-        ),
-        (
-            "kind".into(),
-            Json::Arr(
-                particles
-                    .iter()
-                    .map(|p| {
-                        Json::Num(match p.kind {
-                            Kind::Dm => 0.0,
-                            Kind::Star => 1.0,
-                            Kind::Gas => 2.0,
-                        })
-                    })
-                    .collect(),
-            ),
-        ),
-        ("pos".into(), flat_vec3(particles.iter().map(|p| p.pos))),
-        ("vel".into(), flat_vec3(particles.iter().map(|p| p.vel))),
-        (
-            "mass".into(),
-            Json::Arr(particles.iter().map(|p| jf(p.mass)).collect()),
-        ),
-        (
-            "u".into(),
-            Json::Arr(particles.iter().map(|p| jf(p.u)).collect()),
-        ),
-        (
-            "h".into(),
-            Json::Arr(particles.iter().map(|p| jf(p.h)).collect()),
-        ),
-        (
-            "rho".into(),
-            Json::Arr(particles.iter().map(|p| jf(p.rho)).collect()),
-        ),
-        (
-            "metals".into(),
-            Json::Arr(particles.iter().map(|p| jf(p.metals)).collect()),
-        ),
-        (
-            "birth_time".into(),
-            Json::Arr(particles.iter().map(|p| jf(p.birth_time)).collect()),
-        ),
-        (
-            "exploded".into(),
-            Json::Arr(particles.iter().map(|p| Json::Bool(p.exploded)).collect()),
-        ),
-    ])
-}
-
-fn particles_from_json(p: &Json) -> Result<Vec<Particle>, SnapshotError> {
-    let id = arr(p, "id")?;
-    let kind = arr(p, "kind")?;
-    let pos = read_flat_vec3(p, "pos", id.len())?;
-    let vel = read_flat_vec3(p, "vel", id.len())?;
-    let mass = arr(p, "mass")?;
-    let u = arr(p, "u")?;
-    let h = arr(p, "h")?;
-    let rho = arr(p, "rho")?;
-    let metals = arr(p, "metals")?;
-    let birth_time = arr(p, "birth_time")?;
-    let exploded = arr(p, "exploded")?;
-    for (name, a) in [
-        ("kind", &kind),
-        ("mass", &mass),
-        ("u", &u),
-        ("h", &h),
-        ("rho", &rho),
-        ("metals", &metals),
-        ("birth_time", &birth_time),
-        ("exploded", &exploded),
-    ] {
-        if a.len() != id.len() {
-            return Err(SnapshotError::Malformed(format!(
-                "particle column `{name}` has {} entries, id has {}",
-                a.len(),
-                id.len()
-            )));
+/// JSON write backend: render the binary value of type `ty` at `r`.
+fn to_value(ty: &Ty, r: &mut BinReader) -> Result<Json, SnapshotError> {
+    Ok(match *ty {
+        Ty::U32 => ju(u32::get(r)? as u64),
+        Ty::U64 => ju(u64::get(r)?),
+        Ty::Word => Json::Str(format!("u64:{:016x}", u64::get(r)?)),
+        Ty::F64 => match f64::get(r)? {
+            x if x.is_finite() => Json::Num(x),
+            x => Json::Str(format!("bits:{:016x}", x.to_bits())),
+        },
+        Ty::Bool => Json::Bool(bool::get(r)?),
+        Ty::Str => Json::Str(String::get(r)?),
+        Ty::Tag { names, by_name } => tag_to_value(r.u8()?, names, by_name)?,
+        Ty::Timestep => {
+            let mode = r.u8()?;
+            let max_level = ju(u32::get(r)? as u64);
+            let mut fields = vec![("mode".into(), tag_to_value(mode, TIMESTEP_MODES, true)?)];
+            if mode == 1 {
+                fields.push(("max_level".into(), max_level));
+            }
+            Json::Obj(fields)
         }
-    }
-    let mut out = Vec::with_capacity(id.len());
-    for i in 0..id.len() {
-        out.push(Particle {
-            id: as_u64(&id[i])?,
-            kind: match as_u64(&kind[i])? {
-                0 => Kind::Dm,
-                1 => Kind::Star,
-                2 => Kind::Gas,
-                k => {
-                    return Err(SnapshotError::Malformed(format!(
-                        "unknown particle kind {k}"
-                    )))
+        Ty::Record { fields, .. } => {
+            let keys = fields.iter().map(|(key, _)| key.to_string());
+            let values = fields.iter().map(|(_, ty)| to_value(ty, r));
+            Json::Obj(keys.zip(values.collect::<Result<Vec<_>, _>>()?).collect())
+        }
+        Ty::Tuple(parts) => {
+            let parts = parts.iter().map(|ty| to_value(ty, r));
+            Json::Arr(parts.collect::<Result<_, _>>()?)
+        }
+        Ty::List(elem) => {
+            let rows = r.len()?;
+            let Some(fields) = columns_of(elem) else {
+                let items = (0..rows).map(|_| to_value(elem, r));
+                return Ok(Json::Arr(items.collect::<Result<_, _>>()?));
+            };
+            let mut cols = vec![Vec::with_capacity(rows); fields.len()];
+            for _ in 0..rows {
+                for ((_, ty), col) in fields.iter().zip(&mut cols) {
+                    match (ty, to_value(ty, r)?) {
+                        (Ty::Tuple(_), Json::Arr(parts)) => col.extend(parts),
+                        (_, v) => col.push(v),
+                    }
                 }
-            },
-            pos: pos[i],
-            vel: vel[i],
-            mass: as_f64(&mass[i])?,
-            u: as_f64(&u[i])?,
-            h: as_f64(&h[i])?,
-            rho: as_f64(&rho[i])?,
-            metals: as_f64(&metals[i])?,
-            birth_time: as_f64(&birth_time[i])?,
-            exploded: as_bool(&exploded[i])?,
-        });
-    }
-    Ok(out)
-}
-
-/// Gas-region list (pool requests/replies) as a column-oriented object.
-fn gas_json(gas: &[GasParticle]) -> Json {
-    Json::Obj(vec![
-        (
-            "id".into(),
-            Json::Arr(gas.iter().map(|g| ju(g.id)).collect()),
-        ),
-        ("pos".into(), flat_vec3(gas.iter().map(|g| g.pos))),
-        ("vel".into(), flat_vec3(gas.iter().map(|g| g.vel))),
-        (
-            "mass".into(),
-            Json::Arr(gas.iter().map(|g| jf(g.mass)).collect()),
-        ),
-        (
-            "temp".into(),
-            Json::Arr(gas.iter().map(|g| jf(g.temp)).collect()),
-        ),
-        ("h".into(), Json::Arr(gas.iter().map(|g| jf(g.h)).collect())),
-    ])
-}
-
-fn gas_from_json(pr: &Json) -> Result<Vec<GasParticle>, SnapshotError> {
-    let id = arr(pr, "id")?;
-    let pos = read_flat_vec3(pr, "pos", id.len())?;
-    let vel = read_flat_vec3(pr, "vel", id.len())?;
-    let mass = arr(pr, "mass")?;
-    let temp = arr(pr, "temp")?;
-    let h = arr(pr, "h")?;
-    if mass.len() != id.len() || temp.len() != id.len() || h.len() != id.len() {
-        return Err(SnapshotError::Malformed(
-            "gas region columns disagree on length".into(),
-        ));
-    }
-    let mut out = Vec::with_capacity(id.len());
-    for i in 0..id.len() {
-        out.push(GasParticle {
-            pos: pos[i],
-            vel: vel[i],
-            mass: as_f64(&mass[i])?,
-            temp: as_f64(&temp[i])?,
-            h: as_f64(&h[i])?,
-            id: as_u64(&id[i])?,
-        });
-    }
-    Ok(out)
-}
-
-fn schedule_json(s: &ScheduleState) -> Json {
-    Json::Obj(vec![
-        ("dt_max".into(), jf(s.dt_max)),
-        (
-            "levels".into(),
-            Json::Arr(s.levels.iter().map(|&l| Json::Num(l as f64)).collect()),
-        ),
-    ])
-}
-
-fn schedule_from_json(s: &Json) -> Result<ScheduleState, SnapshotError> {
-    let levels = arr(s, "levels")?
-        .iter()
-        .map(|l| as_u64(l).map(|v| v as u32))
-        .collect::<Result<Vec<u32>, _>>()?;
-    Ok(ScheduleState {
-        dt_max: get_f64(s, "dt_max")?,
-        levels,
+            }
+            let keys = fields.iter().map(|(key, _)| key.to_string());
+            Json::Obj(keys.zip(cols.into_iter().map(Json::Arr)).collect())
+        }
+        Ty::Option(inner) => match r.u8()? {
+            0 => Json::Null,
+            _ => to_value(inner, r)?,
+        },
     })
 }
 
-fn read_flat_vec3(obj: &Json, key: &str, n: usize) -> Result<Vec<Vec3>, SnapshotError> {
-    let flat = arr(obj, key)?;
-    if flat.len() != 3 * n {
-        return Err(SnapshotError::Malformed(format!(
-            "field `{key}` must hold {} floats, got {}",
-            3 * n,
-            flat.len()
-        )));
+/// JSON read backend: append the binary value of type `ty` that `v`
+/// renders. Tag and range validity are the typed walk's to check.
+fn from_value(ty: &Ty, v: &Json, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
+    let field = |key: &str| v.get(key).map_err(malformed);
+    match (*ty, v) {
+        (Ty::U32, _) => as_u32(v)?.put(out),
+        (Ty::U64 | Ty::Word, _) => as_u64(v)?.put(out),
+        (Ty::F64, _) => as_f64(v)?.put(out),
+        (Ty::Bool, Json::Bool(b)) => b.put(out),
+        (Ty::Str, Json::Str(s)) => s.put(out),
+        (Ty::Tag { names, by_name }, _) => out.push(tag_from_value(v, names, by_name)?),
+        (Ty::Timestep, Json::Obj(_)) => {
+            let mode = tag_from_value(field("mode")?, TIMESTEP_MODES, true)?;
+            out.push(mode);
+            match mode {
+                1 => as_u32(field("max_level")?)?.put(out),
+                _ => 0u32.put(out),
+            }
+        }
+        (Ty::Record { fields, .. }, Json::Obj(_)) => {
+            for (key, ty) in fields {
+                from_value(ty, field(key)?, out)?;
+            }
+        }
+        (Ty::Tuple(parts), Json::Arr(items)) if items.len() == parts.len() => {
+            for (ty, item) in parts.iter().zip(items) {
+                from_value(ty, item, out)?;
+            }
+        }
+        (Ty::List(elem), Json::Arr(items)) if columns_of(elem).is_none() => {
+            (items.len() as u64).put(out);
+            for item in items {
+                from_value(elem, item, out)?;
+            }
+        }
+        (Ty::List(elem), Json::Obj(_)) => {
+            let fields = columns_of(elem).ok_or_else(|| malformed("expected an array"))?;
+            // Every column as a tuple of `parts` per row (one for a leaf);
+            // the first column fixes the row count.
+            let mut rows = None;
+            let mut cols = Vec::new();
+            for (key, ty) in fields {
+                let parts = match ty {
+                    Ty::Tuple(parts) => *parts,
+                    leaf => std::slice::from_ref(leaf),
+                };
+                let Json::Arr(items) = field(key)? else {
+                    return Err(malformed(format!("column `{key}` must be an array")));
+                };
+                let n = *rows.get_or_insert(items.len() / parts.len());
+                if items.len() != n * parts.len() {
+                    let want = n * parts.len();
+                    let why = format!("column `{key}` has {} entries, not {want}", items.len());
+                    return Err(malformed(why));
+                }
+                cols.push((parts, items.chunks(parts.len())));
+            }
+            let rows = rows.unwrap_or(0);
+            (rows as u64).put(out);
+            for _ in 0..rows {
+                for (parts, chunks) in &mut cols {
+                    for (ty, item) in parts.iter().zip(chunks.next().into_iter().flatten()) {
+                        from_value(ty, item, out)?;
+                    }
+                }
+            }
+        }
+        (Ty::Option(_), Json::Null) => out.push(0),
+        (Ty::Option(inner), _) => {
+            out.push(1);
+            from_value(inner, v, out)?;
+        }
+        _ => return Err(malformed(format!("wrong JSON type for the schema: {v:?}"))),
     }
-    flat.chunks_exact(3)
-        .map(|c| Ok(Vec3::new(as_f64(&c[0])?, as_f64(&c[1])?, as_f64(&c[2])?)))
-        .collect()
+    Ok(())
 }
+
+// ---------------------------------------------------------------------------
+// The envelope
+// ---------------------------------------------------------------------------
+
+/// Magic (8) + version (4) + payload length (8).
+const HEADER_LEN: usize = 20;
+
+fn check_version<S: Snapshot>(found: u32) -> Result<(), SnapshotError> {
+    let supported = S::VERSION;
+    if found == supported {
+        return Ok(());
+    }
+    Err(SnapshotError::UnsupportedVersion { found, supported })
+}
+
+/// The typed walk over a complete binary payload.
+fn from_payload<S: Snapshot>(payload: &[u8]) -> Result<S, SnapshotError> {
+    let mut r = BinReader::new(payload);
+    let snap = S::get(&mut r)?;
+    match payload.len() - r.pos {
+        0 => Ok(snap),
+        extra => Err(malformed(format!("{extra} trailing payload bytes"))),
+    }
+}
+
+/// A snapshot kind: its envelope constants on top of its schema. The
+/// provided methods are the codecs of the module docs — the one binary
+/// and the one JSON envelope, shared by every kind.
+pub trait Snapshot: Wire {
+    /// Leading magic of the binary encoding.
+    const MAGIC: [u8; 8];
+    /// The one format version readers accept.
+    const VERSION: u32;
+    /// `format` field of the JSON document.
+    const FORMAT: &'static str;
+
+    /// Completed steps at capture (stamps the checkpoint rotation entry).
+    fn step(&self) -> u64;
+
+    /// Serialize to the compact binary format (see the module docs).
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Self::MAGIC.to_vec();
+        Self::VERSION.put(&mut out);
+        0u64.put(&mut out); // payload length, patched once the payload is written
+        self.put(&mut out);
+        let payload_len = (out.len() - HEADER_LEN) as u64;
+        out[12..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
+        fnv1a(&out[HEADER_LEN..]).put(&mut out);
+        out
+    }
+
+    /// Decode the binary format, verifying magic, version and checksum.
+    fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        if bytes.len() < HEADER_LEN || bytes[..8] != Self::MAGIC {
+            return Err(SnapshotError::BadMagic);
+        }
+        let mut r = BinReader { b: bytes, pos: 8 };
+        check_version::<Self>(u32::get(&mut r)?)?;
+        // The length is untrusted: `len` bounds it by the bytes present.
+        let payload_len = r.len()?;
+        let payload = r.bytes(payload_len)?;
+        let (stored, computed) = (u64::get(&mut r)?, fnv1a(payload));
+        if stored != computed {
+            return Err(SnapshotError::ChecksumMismatch { stored, computed });
+        }
+        from_payload(payload)
+    }
+
+    /// Serialize to the JSON format (see the module docs).
+    fn to_json(&self) -> String {
+        let mut payload = Vec::new();
+        self.put(&mut payload);
+        let value = to_value(&Self::TY, &mut BinReader::new(&payload));
+        let value = value.expect("`put` writes what `TY` describes");
+        let mut state = String::new();
+        write_json(&value, &mut state);
+        format!(
+            "{{\"format\":\"{}\",\"version\":{:?},\"state\":{state},\
+             \"checksum\":\"fnv1a:{:016x}\"}}",
+            Self::FORMAT,
+            Self::VERSION as f64,
+            fnv1a(state.as_bytes())
+        )
+    }
+
+    /// Decode the JSON format, verifying the document type, version and
+    /// checksum.
+    fn from_json(text: &str) -> Result<Self, SnapshotError> {
+        let doc = parse_json(text).map_err(|_| SnapshotError::BadMagic)?;
+        if !matches!(doc.get("format"), Ok(Json::Str(f)) if f == Self::FORMAT) {
+            return Err(SnapshotError::BadMagic);
+        }
+        let field = |key: &str| doc.get(key).map_err(malformed);
+        check_version::<Self>(as_u32(field("version")?)?)?;
+        // The checksum is defined over the rendering of the *parsed*
+        // state, so key order and whitespace of the text do not matter.
+        let mut state = String::new();
+        write_json(field("state")?, &mut state);
+        let computed = fnv1a(state.as_bytes());
+        let stored = match field("checksum")? {
+            Json::Str(s) => tagged_hex(s, "fnv1a:"),
+            _ => None,
+        };
+        let stored = stored.ok_or_else(|| malformed("bad `checksum` field"))?;
+        if stored != computed {
+            return Err(SnapshotError::ChecksumMismatch { stored, computed });
+        }
+        let mut payload = Vec::new();
+        from_value(&Self::TY, field("state")?, &mut payload)?;
+        from_payload(&payload)
+    }
+
+    /// Decode a snapshot from raw bytes, sniffing the encoding: binary
+    /// snapshots start with [`Snapshot::MAGIC`], anything else is parsed
+    /// as JSON. What [`CkptStore::latest_valid`](crate::ckpt::CkptStore)
+    /// asks to decide whether a rotation entry is intact.
+    fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        if bytes.starts_with(&Self::MAGIC) {
+            return Self::from_bytes(bytes);
+        }
+        let text = std::str::from_utf8(bytes).map_err(|e| malformed(e.to_string()))?;
+        Self::from_json(text)
+    }
+
+    /// Load a snapshot file in either encoding (see [`Snapshot::decode`]).
+    fn load(path: &std::path::Path) -> Result<Self, SnapshotError> {
+        let bytes = std::fs::read(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
+        Self::decode(&bytes)
+    }
+}
+
+impl Snapshot for SimSnapshot {
+    const MAGIC: [u8; 8] = SNAPSHOT_MAGIC;
+    const VERSION: u32 = SNAPSHOT_VERSION;
+    const FORMAT: &'static str = "asura-snapshot";
+    fn step(&self) -> u64 {
+        self.step_count
+    }
+}
+
+impl Snapshot for DistSnapshot {
+    const MAGIC: [u8; 8] = DIST_SNAPSHOT_MAGIC;
+    const VERSION: u32 = DIST_SNAPSHOT_VERSION;
+    const FORMAT: &'static str = "asura-dist-snapshot";
+    fn step(&self) -> u64 {
+        self.step
+    }
+}
+
+/// Inherent mirrors of the four codec methods, so callers of a concrete
+/// kind need not import [`Snapshot`].
+macro_rules! inherent_codecs {
+    ($($ty:ident),+) => {$(
+        impl $ty {
+            /// Serialize to the compact binary format ([`Snapshot::to_bytes`]).
+            pub fn to_bytes(&self) -> Vec<u8> {
+                Snapshot::to_bytes(self)
+            }
+            /// Decode the binary format, verifying magic, version and
+            /// checksum ([`Snapshot::from_bytes`]).
+            pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+                <Self as Snapshot>::from_bytes(bytes)
+            }
+            /// Serialize to the JSON format ([`Snapshot::to_json`]).
+            pub fn to_json(&self) -> String {
+                Snapshot::to_json(self)
+            }
+            /// Decode the JSON format, verifying the document type, version
+            /// and checksum ([`Snapshot::from_json`]).
+            pub fn from_json(text: &str) -> Result<Self, SnapshotError> {
+                <Self as Snapshot>::from_json(text)
+            }
+        }
+    )+};
+}
+
+inherent_codecs!(SimSnapshot, DistSnapshot);
 
 #[cfg(test)]
 mod tests {
@@ -1902,5 +1331,236 @@ mod tests {
         ));
         let _ = std::fs::remove_file(&bin_path);
         let _ = std::fs::remove_file(&json_path);
+    }
+
+    // -- format stability ---------------------------------------------------
+
+    /// Fixed snapshots behind the format-stability goldens: model-bearing,
+    /// a region pending, a block schedule, a non-finite float and `u64`
+    /// values above 2^53 all present.
+    fn golden_sim() -> SimSnapshot {
+        let mut s = random_snapshot(12, 16);
+        s.config.timestep = TimestepMode::Block { max_level: 9 };
+        s.pending.push(PendingPrediction {
+            due_step: 77,
+            predicted: vec![GasParticle {
+                pos: Vec3::new(1.5, -2.25, 3.0),
+                vel: Vec3::new(-0.5, 0.125, 8.0),
+                mass: 1.0,
+                temp: 1.0e7,
+                h: 0.75,
+                id: u64::MAX - 3,
+            }],
+        });
+        s
+    }
+
+    fn golden_dist() -> DistSnapshot {
+        let mut d = random_dist_snapshot(12);
+        d.rank_particles[0][0].u = f64::INFINITY;
+        d.rank_particles[0][1].id = u64::MAX - 7;
+        d.pending.push(DistPending {
+            due_step: 91,
+            center: [0.5, f64::NEG_INFINITY, -4.0],
+            gas: golden_sim().pending.pop().unwrap().predicted,
+        });
+        d
+    }
+
+    /// `fnv1a(to_bytes())` of the goldens, recorded at the commit before
+    /// the codecs were rewritten around the schema. A mismatch means the
+    /// binary layout changed: bump the version, then refresh these.
+    #[test]
+    fn binary_encoding_reproduces_the_recorded_goldens() {
+        let s = golden_sim();
+        assert!(s.model.is_some() && s.schedule.is_some() && !s.pending.is_empty());
+        assert!(s.stats.dt_min_seen.is_infinite());
+        assert_eq!(s.to_bytes().len(), 2812);
+        assert_eq!(
+            fnv1a(&s.to_bytes()),
+            0xc64f_8806_6453_50a0,
+            "SimSnapshot v3"
+        );
+        let d = golden_dist();
+        assert!(d.model.is_some() && !d.schedules.is_empty() && !d.pending.is_empty());
+        assert_eq!(d.to_bytes().len(), 4150);
+        assert_eq!(
+            fnv1a(&d.to_bytes()),
+            0xd8b2_ea9c_9e85_37f5,
+            "DistSnapshot v4"
+        );
+        assert_eq!((SNAPSHOT_VERSION, DIST_SNAPSHOT_VERSION), (3, 4));
+    }
+
+    /// The fixtures are the goldens as rendered by that same earlier
+    /// commit (its key order, its envelope): they must keep decoding to
+    /// the same values.
+    #[test]
+    fn json_fixtures_rendered_before_the_schema_decode_to_equal_values() {
+        let sim = include_str!("../fixtures/sim_snapshot_v3.json");
+        assert_eq!(
+            SimSnapshot::from_json(sim).expect("sim fixture"),
+            golden_sim()
+        );
+        let dist = include_str!("../fixtures/dist_snapshot_v4.json");
+        assert_eq!(
+            DistSnapshot::from_json(dist).expect("dist fixture"),
+            golden_dist()
+        );
+    }
+
+    // -- hostile input --------------------------------------------------------
+
+    #[test]
+    fn hostile_payload_length_is_malformed_not_a_panic() {
+        fn hostile<S: Snapshot>() -> Vec<u8> {
+            let mut bytes = S::MAGIC.to_vec();
+            bytes.extend_from_slice(&S::VERSION.to_le_bytes());
+            bytes.extend_from_slice(&(u64::MAX - 25).to_le_bytes());
+            bytes.extend_from_slice(&[0; 16]);
+            bytes
+        }
+        assert!(matches!(
+            SimSnapshot::from_bytes(&hostile::<SimSnapshot>()),
+            Err(SnapshotError::Malformed(_))
+        ));
+        assert!(matches!(
+            DistSnapshot::decode(&hostile::<DistSnapshot>()),
+            Err(SnapshotError::Malformed(_))
+        ));
+    }
+
+    /// Recompute the checksum of a JSON snapshot whose state was edited.
+    fn resealed(text: &str) -> String {
+        let doc = parse_json(text).unwrap();
+        let (Json::Str(format), Json::Num(version)) =
+            (doc.get("format").unwrap(), doc.get("version").unwrap())
+        else {
+            panic!("not a snapshot document")
+        };
+        let mut state = String::new();
+        write_json(doc.get("state").unwrap(), &mut state);
+        format!(
+            "{{\"format\":\"{format}\",\"version\":{version:?},\"state\":{state},\
+             \"checksum\":\"fnv1a:{:016x}\"}}",
+            fnv1a(state.as_bytes())
+        )
+    }
+
+    fn edited(text: &str, from: &str, to: &str) -> String {
+        let out = text.replacen(from, to, 1);
+        assert_ne!(out, text, "`{from}` not found");
+        resealed(&out)
+    }
+
+    #[test]
+    fn json_version_beyond_u32_is_not_truncated_into_range() {
+        // 2^32 + VERSION used to truncate to VERSION and be accepted.
+        fn widened<S: Snapshot>(text: &str) -> String {
+            let wide = (1u64 << 32) + S::VERSION as u64;
+            edited(
+                text,
+                &format!("\"version\":{}.0", S::VERSION),
+                &format!("\"version\":{wide}.0"),
+            )
+        }
+        let sim = SimSnapshot::from_json(&widened::<SimSnapshot>(&golden_sim().to_json()));
+        assert!(matches!(sim, Err(SnapshotError::Malformed(_))), "{sim:?}");
+        let dist = DistSnapshot::from_json(&widened::<DistSnapshot>(&golden_dist().to_json()));
+        assert!(matches!(dist, Err(SnapshotError::Malformed(_))), "{dist:?}");
+    }
+
+    #[test]
+    fn json_max_level_beyond_u32_is_malformed() {
+        let text = golden_sim().to_json();
+        let bad = edited(&text, "\"max_level\":9.0", "\"max_level\":4294967305.0");
+        let got = SimSnapshot::from_json(&bad);
+        assert!(matches!(got, Err(SnapshotError::Malformed(_))), "{got:?}");
+        // The edit itself is sound: an in-range value decodes.
+        let ok = edited(&text, "\"max_level\":9.0", "\"max_level\":10.0");
+        let ok = SimSnapshot::from_json(&ok).expect("in-range edit");
+        assert_eq!(ok.config.timestep, TimestepMode::Block { max_level: 10 });
+    }
+
+    #[test]
+    fn json_schedule_level_beyond_u32_is_malformed() {
+        let widen = |text: String| edited(&text, "\"levels\":[", "\"levels\":[4294967296.0,");
+        let sim = SimSnapshot::from_json(&widen(golden_sim().to_json()));
+        assert!(matches!(sim, Err(SnapshotError::Malformed(_))), "{sim:?}");
+        let dist = DistSnapshot::from_json(&widen(golden_dist().to_json()));
+        assert!(matches!(dist, Err(SnapshotError::Malformed(_))), "{dist:?}");
+    }
+
+    // -- schema coverage -----------------------------------------------------
+
+    /// Byte ranges of every scalar of a `ty` value at `r`, by the schema.
+    fn scalars(ty: &Ty, r: &mut BinReader, out: &mut Vec<(usize, Ty)>) {
+        let at = r.pos;
+        match *ty {
+            Ty::U32 => drop(u32::get(r).unwrap()),
+            Ty::U64 | Ty::Word | Ty::F64 => drop(u64::get(r).unwrap()),
+            Ty::Bool | Ty::Tag { .. } => drop(r.u8().unwrap()),
+            Ty::Str => drop(String::get(r).unwrap()),
+            Ty::Timestep => {
+                out.push((
+                    at,
+                    Ty::Tag {
+                        names: TIMESTEP_MODES,
+                        by_name: true,
+                    },
+                ));
+                r.u8().unwrap();
+                return scalars(&Ty::U32, r, out);
+            }
+            Ty::Record { fields, .. } => {
+                return fields.iter().for_each(|(_, ty)| scalars(ty, r, out));
+            }
+            Ty::Tuple(parts) => return parts.iter().for_each(|ty| scalars(ty, r, out)),
+            Ty::List(elem) => return (0..r.len().unwrap()).for_each(|_| scalars(elem, r, out)),
+            Ty::Option(inner) => {
+                if r.u8().unwrap() == 1 {
+                    scalars(inner, r, out);
+                }
+                return;
+            }
+        }
+        out.push((at, *ty));
+    }
+
+    /// Perturbing any one scalar the schema walks — located in the binary
+    /// payload by the schema itself, so the test cannot fall behind it —
+    /// yields a different value whose binary *and* JSON encodings differ.
+    /// (Needs block mode: global mode's `max_level` word is read by nothing.)
+    fn every_scalar_reaches_both_encodings<S: Snapshot + PartialEq + std::fmt::Debug>(snap: &S) {
+        let bytes = snap.to_bytes();
+        let json = snap.to_json();
+        let payload = &bytes[HEADER_LEN..bytes.len() - 8];
+        let mut found = Vec::new();
+        let mut r = BinReader { b: payload, pos: 0 };
+        scalars(&S::TY, &mut r, &mut found);
+        assert_eq!(r.pos, payload.len(), "schema covers the whole payload");
+        assert!(found.len() > 100, "a fully populated snapshot");
+        for (at, ty) in found {
+            let mut perturbed = payload.to_vec();
+            match ty {
+                Ty::Tag { names, .. } => perturbed[at] = (perturbed[at] + 1) % names.len() as u8,
+                Ty::Str => perturbed[at + 8] ^= 1,
+                _ => perturbed[at] ^= 1,
+            }
+            let other: S = from_payload(&perturbed).expect("perturbed payload decodes");
+            assert_ne!(&other, snap, "{ty:?} at payload byte {at}");
+            assert_ne!(
+                other.to_bytes(),
+                bytes,
+                "{ty:?} at payload byte {at}: binary"
+            );
+            assert_ne!(other.to_json(), json, "{ty:?} at payload byte {at}: JSON");
+        }
+    }
+
+    #[test]
+    fn schema_covers_every_scalar_in_both_encodings() {
+        every_scalar_reaches_both_encodings(&golden_sim());
+        every_scalar_reaches_both_encodings(&golden_dist());
     }
 }

@@ -5,7 +5,7 @@ use crate::gibbs::grid_to_particles;
 use crate::voxel::{particles_to_grid, GasParticle, VoxelGrid};
 use fdps::Vec3;
 use rand::Rng;
-use unet::json::{parse_json, Json};
+use unet::json::{fnv1a, parse_json, Json};
 use unet::{Tensor, Trainer, UNet3d, UNetConfig};
 
 /// Document tag of [`SurrogateModel::to_json`] weights files.
@@ -231,16 +231,6 @@ impl SurrogateModel {
             net,
         })
     }
-}
-
-/// FNV-1a 64-bit checksum (the same discipline as the snapshot codecs).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

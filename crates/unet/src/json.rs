@@ -130,6 +130,17 @@ pub fn write_f32_array(values: &[f32], out: &mut String) {
     out.push(']');
 }
 
+/// FNV-1a 64-bit checksum — the one every checksummed document in the
+/// workspace (snapshots, checkpoint manifests, surrogate weights) carries.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
 /// Parse a complete JSON document.
 pub fn parse_json(s: &str) -> Result<Json, String> {
     let bytes = s.as_bytes();

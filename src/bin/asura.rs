@@ -72,7 +72,7 @@ use asura_core::dist::{
 };
 use asura_core::faults::{self, FaultInjector};
 use asura_core::serve::{self, Request, ServeConfig};
-use asura_core::snapshot::SimSnapshot;
+use asura_core::snapshot::{SimSnapshot, Snapshot};
 use asura_core::supervise::{
     Heartbeat, Outcome, ProcessChild, ResumePoint, RetryPolicy, Supervisor,
 };
@@ -373,41 +373,31 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     Ok(args)
 }
 
-/// Resolve `--resume` for the shared-memory path: a snapshot file, or a
-/// run directory whose rotation supplies the newest intact checkpoint.
-fn load_sim_resume(path: &Path, keep: usize) -> Result<(SimSnapshot, PathBuf), String> {
+/// Resolve `--resume` for a snapshot kind: a snapshot file, or a run
+/// directory whose rotation (entries named `<base>-<step>`) supplies the
+/// newest intact checkpoint.
+fn load_resume<S: Snapshot>(path: &Path, base: &str, keep: usize) -> Result<(S, PathBuf), String> {
     if path.is_dir() {
-        let store = CkptStore::new(path, keep);
-        let (entry, snap) = store.latest_valid_sim().ok_or_else(|| {
+        let store = CkptStore::with_base(path, base, keep);
+        let (entry, snap) = store.latest_valid().ok_or_else(|| {
             format!(
-                "--resume {}: no intact checkpoint in the rotation",
+                "--resume {}: no intact {base} in the rotation",
                 path.display()
             )
         })?;
-        let p = store.entry_path(&entry);
-        Ok((snap, p))
+        Ok((snap, store.entry_path(&entry)))
     } else {
-        let snap = SimSnapshot::load(path).map_err(|e| format!("--resume {path:?}: {e}"))?;
+        let snap = S::load(path).map_err(|e| format!("--resume {path:?}: {e}"))?;
         Ok((snap, path.to_path_buf()))
     }
 }
 
-/// Resolve `--resume` for the `--dist` path (base `dist_checkpoint`).
+fn load_sim_resume(path: &Path, keep: usize) -> Result<(SimSnapshot, PathBuf), String> {
+    load_resume(path, "checkpoint", keep)
+}
+
 fn load_dist_resume(path: &Path, keep: usize) -> Result<(DistSnapshot, PathBuf), String> {
-    if path.is_dir() {
-        let store = CkptStore::with_base(path, "dist_checkpoint", keep);
-        let (entry, snap) = store.latest_valid_dist().ok_or_else(|| {
-            format!(
-                "--resume {}: no intact dist checkpoint in the rotation",
-                path.display()
-            )
-        })?;
-        let p = store.entry_path(&entry);
-        Ok((snap, p))
-    } else {
-        let snap = DistSnapshot::load(path).map_err(|e| format!("--resume {path:?}: {e}"))?;
-        Ok((snap, path.to_path_buf()))
-    }
+    load_resume(path, "dist_checkpoint", keep)
 }
 
 /// The `--dist` path: route the scenario through the mpisim driver, with

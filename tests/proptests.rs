@@ -265,3 +265,176 @@ fn voxelization_conserves_interior_mass() {
         );
     }
 }
+
+/// Seeded random snapshots of both kinds for the cross-codec property:
+/// every optional section toggles, and awkward values (non-finite floats,
+/// `u64` above 2^53, empty lists) turn up regularly.
+mod random_snapshots {
+    use super::*;
+    use asura_core::snapshot::{
+        DistPending, DistSnapshot, ModelState, PendingPrediction, ScheduleState, SimSnapshot,
+    };
+    use asura_core::{Kind, Particle, Scheme, SimConfig, SimStats, TimestepMode};
+    use surrogate::GasParticle;
+
+    fn float(rng: &mut StdRng) -> f64 {
+        match rng.gen_range(0..12u32) {
+            0 => f64::INFINITY,
+            1 => f64::NEG_INFINITY,
+            2 => -0.0,
+            3 => f64::MIN_POSITIVE,
+            _ => rng.gen_range(-1.0e6..1.0e6),
+        }
+    }
+
+    fn word(rng: &mut StdRng) -> u64 {
+        match rng.gen_range(0..4u32) {
+            0 => rng.gen(), // almost surely above 2^53
+            1 => (1 << 53) + rng.gen_range(0..3u64),
+            _ => rng.gen_range(0..1000u64),
+        }
+    }
+
+    fn vec3(rng: &mut StdRng) -> Vec3 {
+        Vec3::new(float(rng), float(rng), float(rng))
+    }
+
+    fn particles(rng: &mut StdRng) -> Vec<Particle> {
+        (0..rng.gen_range(0..12usize))
+            .map(|_| Particle {
+                id: word(rng),
+                kind: [Kind::Dm, Kind::Star, Kind::Gas][rng.gen_range(0..3usize)],
+                pos: vec3(rng),
+                vel: vec3(rng),
+                mass: float(rng),
+                u: float(rng),
+                h: float(rng),
+                rho: float(rng),
+                metals: float(rng),
+                birth_time: float(rng),
+                exploded: rng.gen_bool(0.5),
+            })
+            .collect()
+    }
+
+    fn gas(rng: &mut StdRng) -> Vec<GasParticle> {
+        (0..rng.gen_range(0..5usize))
+            .map(|_| GasParticle {
+                pos: vec3(rng),
+                vel: vec3(rng),
+                mass: float(rng),
+                temp: float(rng),
+                h: float(rng),
+                id: word(rng),
+            })
+            .collect()
+    }
+
+    fn schedule(rng: &mut StdRng) -> ScheduleState {
+        ScheduleState {
+            dt_max: float(rng),
+            levels: (0..rng.gen_range(0..9usize)).map(|_| rng.gen()).collect(),
+        }
+    }
+
+    fn model(rng: &mut StdRng) -> Option<ModelState> {
+        rng.gen_bool(0.5).then(|| ModelState {
+            seed: word(rng),
+            weights_json: format!("{{\"weights\":\"é\\n{}\"}}", rng.gen::<u32>()),
+        })
+    }
+
+    pub fn sim(rng: &mut StdRng) -> SimSnapshot {
+        SimSnapshot {
+            config: SimConfig {
+                scheme: [Scheme::Surrogate, Scheme::Conventional][rng.gen_range(0..2usize)],
+                timestep: match rng.gen_range(0..3u32) {
+                    0 => TimestepMode::Global,
+                    1 => TimestepMode::Block { max_level: 0 },
+                    _ => TimestepMode::Block {
+                        max_level: rng.gen(),
+                    },
+                },
+                dt_global: float(rng),
+                n_group: rng.gen_range(0..1000usize),
+                cooling: rng.gen_bool(0.5),
+                mixed_precision: rng.gen_bool(0.5),
+                snapshot_every: word(rng),
+                ..SimConfig::default()
+            },
+            time: float(rng),
+            step_count: word(rng),
+            next_id: word(rng),
+            rng_state: [word(rng), word(rng), word(rng), word(rng)],
+            stats: SimStats {
+                steps: word(rng),
+                dt_min_seen: float(rng),
+                gravity_interactions: word(rng),
+                sph_tree_refreshes: word(rng),
+                ..SimStats::default()
+            },
+            particles: particles(rng),
+            last_vsig: (0..rng.gen_range(0..6usize))
+                .map(|_| (word(rng), float(rng), float(rng)))
+                .collect(),
+            pending: (0..rng.gen_range(0..3usize))
+                .map(|_| PendingPrediction {
+                    due_step: word(rng),
+                    predicted: gas(rng),
+                })
+                .collect(),
+            schedule: rng.gen_bool(0.5).then(|| schedule(rng)),
+            model: model(rng),
+        }
+    }
+
+    pub fn dist(rng: &mut StdRng) -> DistSnapshot {
+        DistSnapshot {
+            step: word(rng),
+            time: float(rng),
+            rank_particles: (0..rng.gen_range(0..4usize))
+                .map(|_| particles(rng))
+                .collect(),
+            pending: (0..rng.gen_range(0..3usize))
+                .map(|_| DistPending {
+                    due_step: word(rng),
+                    center: [float(rng), float(rng), float(rng)],
+                    gas: gas(rng),
+                })
+                .collect(),
+            schedules: (0..rng.gen_range(0..4usize))
+                .map(|_| schedule(rng))
+                .collect(),
+            model: model(rng),
+        }
+    }
+}
+
+/// The two codecs agree: through either one a snapshot comes back equal,
+/// and re-encoding what came back is byte-identical — for both kinds.
+#[test]
+fn snapshot_codecs_agree_on_any_snapshot() {
+    use asura_core::snapshot::Snapshot;
+    fn check<S: Snapshot + PartialEq + std::fmt::Debug>(snap: S, seed: u64) {
+        let (bytes, json) = (snap.to_bytes(), snap.to_json());
+        let via_bin = S::from_bytes(&bytes).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let via_json = S::from_json(&json).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        assert_eq!(via_bin, snap, "seed {seed}: binary");
+        assert_eq!(via_json, snap, "seed {seed}: json");
+        for back in [via_bin, via_json] {
+            assert_eq!(back.to_bytes(), bytes, "seed {seed}");
+            assert_eq!(back.to_json(), json, "seed {seed}");
+            assert_eq!(S::decode(&bytes).as_ref(), Ok(&back), "seed {seed}");
+            assert_eq!(
+                S::decode(json.as_bytes()).as_ref(),
+                Ok(&back),
+                "seed {seed}"
+            );
+        }
+    }
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        check(random_snapshots::sim(&mut rng), seed);
+        check(random_snapshots::dist(&mut rng), seed);
+    }
+}
