@@ -4,17 +4,21 @@
 //! Writes the `BENCH_tree_walk.json` trajectory artifact at the repo
 //! root, including the **gated** `h_iter_walk_ratio` top-level metric:
 //! tree walks issued per h-iteration across a density pass whose initial
-//! guess is off (the paper's "iterations are usually twice" regime).
-//! Before the candidate cache every iteration walked (ratio 1.0); cached
-//! re-filtering keeps it below 1.
+//! guess is off (the paper's "iterations are usually twice" regime) —
+//! the walks a leaf's targets share plus the fallback walks single
+//! targets issue past their group's radius. When every trial `h` walked
+//! the ratio was 1.0; a per-target candidate cache brought it to 0.40;
+//! with one walk per leaf it is the reciprocal of (targets per leaf ×
+//! iterations per target).
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use fdps::{Tree, Vec3};
 use gravity::GravitySolver;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sph::density::{compute_density_on_tree, density_one_reference, DensityConfig, DensityResult};
-use sph::{CubicSpline, SphKernel};
+use sph::density::{compute_density_on_tree, density_one_reference, DensityConfig};
+use sph::force::{pair_force, HydroAccum, HydroInput};
+use sph::{CubicSpline, HydroState, SphKernel, SphScratch, SphSolver};
 use std::hint::black_box;
 
 fn cloud(n: usize) -> (Vec<Vec3>, Vec<f64>) {
@@ -130,8 +134,15 @@ fn gas_cube(n_side: usize) -> (Vec<Vec3>, Vec<f64>) {
 
 /// The mediocre-initial-guess operating point: `h0` well above the
 /// converged value, so every particle actually iterates (shrinking h —
-/// the case the candidate cache serves from a single walk).
+/// the case the group list serves without any walk of a target's own).
 const H0: f64 = 1.8;
+
+/// The gas cube as a hydro state at rest, every `h` at the [`H0`] guess.
+fn gas_cube_state(n_side: usize) -> HydroState {
+    let (pos, mass) = gas_cube(n_side);
+    let n = pos.len();
+    HydroState::new(pos, vec![Vec3::ZERO; n], mass, vec![1.0; n], vec![H0; n])
+}
 
 fn bench_density_h_iteration(c: &mut Criterion) {
     let (pos, mass) = gas_cube(20);
@@ -144,7 +155,7 @@ fn bench_density_h_iteration(c: &mut Criterion) {
     let mut h = h0.clone();
     let mut group = c.benchmark_group("sph_density_8k_h_iteration");
     group.sample_size(10);
-    group.bench_function("cached_lists", |b| {
+    group.bench_function("group_lists", |b| {
         b.iter(|| {
             h.copy_from_slice(&h0);
             black_box(compute_density_on_tree(
@@ -167,23 +178,71 @@ fn bench_density_h_iteration(c: &mut Criterion) {
     group.finish();
 }
 
+/// One force pass over the converged gas cube: the solver's group-list
+/// path (tree refresh and input staging included, pool-parallel) against
+/// the serial per-particle reference — one walk and one scalar
+/// `pair_force` loop over the walk's candidates per target.
+fn bench_force_pass(c: &mut Criterion) {
+    let solver = SphSolver::default();
+    let mut state = gas_cube_state(20);
+    let n = state.len();
+    let mut scratch = SphScratch::default();
+    solver.density_pass_with(&mut state, n, &mut scratch);
+    let mut group = c.benchmark_group("sph_force_8k");
+    group.sample_size(10);
+    group.bench_function("group_lists", |b| {
+        b.iter(|| black_box(solver.force_pass_with(&mut state, n, &mut scratch)))
+    });
+    group.bench_function("per_particle_reference", |b| {
+        let support = solver.kernel.support();
+        let radii: Vec<f64> = state.h.iter().map(|h| support * h).collect();
+        let tree = Tree::build_with_h(&state.pos, &state.mass, Some(&radii), 16);
+        let inputs: Vec<HydroInput> = (0..n)
+            .map(|i| HydroInput {
+                pos: state.pos[i],
+                vel: state.vel[i],
+                mass: state.mass[i],
+                h: state.h[i],
+                rho: state.rho[i],
+                p_over_rho2: solver.eos.p_over_rho2(state.rho[i], state.u[i]),
+                cs: solver.eos.sound_speed(state.u[i]),
+            })
+            .collect();
+        let mut ngb = Vec::new();
+        b.iter(|| {
+            let mut acc = 0.0f64;
+            for (pi, &radius) in inputs.iter().zip(&radii) {
+                ngb.clear();
+                tree.neighbors_within(pi.pos, radius, &mut ngb);
+                let mut out = HydroAccum::default();
+                for &j in &ngb {
+                    pair_force(
+                        &solver.kernel,
+                        &solver.visc,
+                        pi,
+                        &inputs[j as usize],
+                        &mut out,
+                    );
+                }
+                acc += out.dudt + out.acc.x;
+            }
+            black_box(acc)
+        })
+    });
+    group.finish();
+}
+
 /// Measure walks / iterations over one mediocre-guess density pass.
 fn h_iter_walk_ratio() -> f64 {
-    let (pos, mass) = gas_cube(20);
-    let cfg = DensityConfig::default();
-    let kernel = CubicSpline;
-    let radii = vec![kernel.support() * H0; pos.len()];
-    let tree = Tree::build_with_h(&pos, &mass, Some(&radii), 16);
-    let targets: Vec<usize> = (0..pos.len()).collect();
-    let mut h = vec![H0; pos.len()];
-    let results: Vec<DensityResult> =
-        compute_density_on_tree(&kernel, &cfg, &tree, &pos, &mass, &mut h, &targets);
-    let iterations: u64 = results.iter().map(|r| r.iterations as u64).sum();
-    let walks: u64 = results.iter().map(|r| r.walks as u64).sum();
-    let ratio = walks as f64 / iterations.max(1) as f64;
+    let mut state = gas_cube_state(20);
+    let n = state.len();
+    let stats = SphSolver::default().density_pass(&mut state, n);
+    let walks = stats.group_walks + stats.h_walks;
+    let ratio = walks as f64 / stats.h_iterations.max(1) as f64;
     println!(
-        "h_iter_walk_ratio: {ratio:.3} ({walks} walks / {iterations} iterations, \
-         target < 1.0)"
+        "h_iter_walk_ratio: {ratio:.3} ({} group + {} fallback walks / {} iterations, \
+         target < 1.0)",
+        stats.group_walks, stats.h_walks, stats.h_iterations
     );
     ratio
 }
@@ -193,7 +252,8 @@ criterion_group!(
     bench_tree_build,
     bench_group_size,
     bench_mac_walk,
-    bench_density_h_iteration
+    bench_density_h_iteration,
+    bench_force_pass
 );
 
 fn main() {

@@ -10,15 +10,16 @@
 //! performs zero heap growth here. [`ForceBuffers::capacity_signature`]
 //! exposes the capacities so regression tests can assert exactly that.
 //!
-//! Downstream of this arena the solvers stage per *worker*, not per step:
-//! the gravity solver packs each interaction list into SoA `GroupScratch`
-//! for the runtime-dispatched SIMD monopole kernels, and the SPH solver
-//! carries a candidate `NeighborCache` (shared across the h-iteration)
-//! plus a `ForceBatch` per worker. Those live inside the solvers'
-//! `map_init` closures — worker-lifetime scratch, reused across every
-//! item a worker processes — which is why they do not appear in the
-//! capacity signature: they are not per-step state and never travel
-//! through snapshots.
+//! Downstream of this arena the solvers stage per *worker*, not per step.
+//! The gravity solver packs each interaction list into SoA `GroupScratch`
+//! for the runtime-dispatched SIMD monopole kernels inside its `map_init`
+//! closure — chunk-lifetime scratch, which is why it does not appear in
+//! the capacity signature. The SPH solver's per-worker group lists
+//! (`NeighborCache`, `ForceBatch`) and its leaf-ordered work plans do live
+//! here, inside [`SphScratch`], and are part of the signature: they are levelled across workers after every pass, so their
+//! capacities are a function of the passes run, not of which worker
+//! happened to meet the widest group. None of it is per-step state and
+//! none of it travels through snapshots.
 
 use crate::particle::Particle;
 use fdps::walk::WalkIndex;
@@ -50,8 +51,8 @@ pub struct ForceBuffers {
     /// SoA hydro state over the gas subset (holds the gas `pos`, `vel`,
     /// `mass`, `u`, `h` snapshots plus derived arrays).
     pub hydro: HydroState,
-    /// SPH staging buffers (search radii, targets, hydro inputs) plus the
-    /// cached SPH neighbor tree (`sph::solver::SphTreeCache`): rebuilt by
+    /// SPH staging buffers (search radii, targets, hydro inputs, work
+    /// plans, per-worker group lists) plus the cached SPH neighbor tree (`sph::solver::SphTreeCache`): rebuilt by
     /// each density pass on base steps, moment-refreshed by force and
     /// substep passes — the hydro counterpart of `tree`/`walk_index`
     /// below.

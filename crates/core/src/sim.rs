@@ -35,7 +35,11 @@ pub struct SimStats {
     pub dt_min_seen: f64,
     /// Total gravity interactions evaluated.
     pub gravity_interactions: u64,
-    /// Total SPH force interactions evaluated.
+    /// Total SPH interactions evaluated: per pass, the density sum's
+    /// converged neighbour counts plus the force pass's in-support pairs
+    /// (`sph::solver::SphStats`). Both count pairs that interact, not
+    /// candidates a tree walk staged, so the total does not depend on the
+    /// neighbour tree's topology.
     pub hydro_interactions: u64,
     /// Fine substeps executed by the block-timestep scheduler (0 in
     /// `Global` mode — the surrogate scheme by construction).

@@ -63,6 +63,9 @@ pub struct Tree {
     /// Global bounding cube used for Morton quantization.
     pub cube: BBox,
     n_leaf: usize,
+    /// Per particle, the Morton rank of its leaf (see [`Tree::leaf_rank`]).
+    /// Topology-derived, so it is filled at build and survives refreshes.
+    leaf_of: Vec<u32>,
 }
 
 /// Root node index.
@@ -104,6 +107,7 @@ impl Tree {
             nodes: Vec::with_capacity(pos.len() / n_leaf.max(1) * 2 + 16),
             cube,
             n_leaf,
+            leaf_of: vec![0; pos.len()],
         };
         tree.nodes.push(TreeNode {
             start: 0,
@@ -117,6 +121,11 @@ impl Tree {
         });
         tree.split_node(ROOT, 0, &keys);
         tree.compute_moments(ROOT, pos, mass, h);
+        for n in tree.nodes.iter().filter(|n| n.is_leaf()) {
+            for &pi in &tree.order[n.start as usize..n.end as usize] {
+                tree.leaf_of[pi as usize] = n.start;
+            }
+        }
         tree
     }
 
@@ -271,36 +280,87 @@ impl Tree {
         &self.order[node.start as usize..node.end as usize]
     }
 
+    /// Morton rank of the leaf holding particle `i`: the offset of the
+    /// leaf's first particle in [`Tree::order`]. Equal for exactly the
+    /// particles of one leaf and increasing along the Morton curve, so
+    /// sorting targets by it yields FDPS-style i-particle groups (one per
+    /// leaf) in tree order. Fixed by the last full build; refreshes keep it.
+    #[inline]
+    pub fn leaf_rank(&self, i: usize) -> u32 {
+        self.leaf_of[i]
+    }
+
     /// Collect all particle indices within `r` of `p` (gather) or within a
     /// particle's own stored search radius of `p` (scatter); the caller
-    /// passes candidate filtering. Appends to `out`.
+    /// passes candidate filtering. Appends to `out`. This is the walk of
+    /// [`Tree::spans_of_box`] for the degenerate box `[p, p]`, with the
+    /// spans expanded through [`Tree::order`].
     ///
     /// Caching contract: the traversal order is a fixed depth-first walk
     /// and the pruning bound `max(r, h_max)` is monotone in `r`, so for
     /// `r' <= r` the candidate list is an *order-preserving sublist* of
     /// the list at `r`. Callers may therefore cache one wide walk and
-    /// re-filter it exactly for any smaller radius — the SPH
-    /// smoothing-length iteration relies on this.
+    /// re-filter it exactly for any smaller radius.
     pub fn neighbors_within(&self, p: Vec3, r: f64, out: &mut Vec<u32>) {
-        if self.is_empty() {
-            return;
-        }
-        self.neighbor_rec(ROOT, p, r, out);
+        self.visit_leaves(&BBox::new(p, p), r, true, &mut |leaf| {
+            out.extend_from_slice(self.leaf_particles(leaf))
+        });
     }
 
-    fn neighbor_rec(&self, node: usize, p: Vec3, r: f64, out: &mut Vec<u32>) {
+    /// The group form of [`Tree::neighbors_within`]: find every particle
+    /// that lies within `r` of *some point of* `bbox` (gather) or whose own
+    /// stored search radius reaches the box (scatter), at leaf
+    /// granularity. Appends to `out` the spans `(start, end)` of
+    /// [`Tree::order`] that hold them, in Morton order, with adjacent
+    /// leaves merged into one span — so data laid out in tree order is
+    /// read in a few contiguous runs, with no per-candidate indirection.
+    ///
+    /// One call serves every query point inside `bbox` with radius up to
+    /// `r`: a node's distance to the box never exceeds its distance to a
+    /// point inside it (in floating point too — the per-axis gaps,
+    /// squares and sums are all monotone under rounding), so the result
+    /// is a superset of each such point's [`Tree::neighbors_within`] list,
+    /// and since both run the same depth-first walk the point's list is an
+    /// order-preserving sublist of it.
+    pub fn spans_of_box(&self, bbox: &BBox, r: f64, out: &mut Vec<(u32, u32)>) {
+        self.visit_leaves(bbox, r, true, &mut |leaf| push_span(out, leaf));
+    }
+
+    /// [`Tree::spans_of_box`] with gather-only pruning: nodes are kept by
+    /// the query radius `r` alone, ignoring their stored `h_max`. The
+    /// tighter list when only the *query's* reach matters — the SPH
+    /// density sum, which never looks at a source's smoothing length.
+    pub fn gather_spans_of_box(&self, bbox: &BBox, r: f64, out: &mut Vec<(u32, u32)>) {
+        self.visit_leaves(bbox, r, false, &mut |leaf| push_span(out, leaf));
+    }
+
+    /// Depth-first walk handing `visit` every leaf the query can reach.
+    fn visit_leaves(&self, bbox: &BBox, r: f64, scatter: bool, visit: &mut impl FnMut(&TreeNode)) {
+        if !self.is_empty() {
+            self.visit_rec(ROOT, bbox, r, scatter, visit);
+        }
+    }
+
+    fn visit_rec(
+        &self,
+        node: usize,
+        bbox: &BBox,
+        r: f64,
+        scatter: bool,
+        visit: &mut impl FnMut(&TreeNode),
+    ) {
         let n = &self.nodes[node];
-        // Scatter-aware bound: a particle inside this node can reach `p`
-        // within max(r, its own h) — the subtree bound is h_max.
-        let reach = r.max(n.h_max);
-        if n.bbox.is_empty() || n.bbox.dist2_to_point(p) > reach * reach {
+        // Scatter-aware bound: a particle inside this node can reach the
+        // box within max(r, its own h) — the subtree bound is h_max.
+        let reach = if scatter { r.max(n.h_max) } else { r };
+        if n.bbox.is_empty() || n.bbox.dist2_to_box(bbox) > reach * reach {
             return;
         }
         if n.is_leaf() {
-            out.extend_from_slice(self.leaf_particles(n));
+            visit(n);
         } else {
             for c in 0..n.child_count as usize {
-                self.neighbor_rec(n.child_start as usize + c, p, r, out);
+                self.visit_rec(n.child_start as usize + c, bbox, r, scatter, visit);
             }
         }
     }
@@ -325,6 +385,15 @@ impl Tree {
             }
         }
         out
+    }
+}
+
+/// Append a leaf's range of [`Tree::order`], merging it into the previous
+/// span when the two are adjacent (leaves arrive in Morton order).
+fn push_span(out: &mut Vec<(u32, u32)>, leaf: &TreeNode) {
+    match out.last_mut() {
+        Some(last) if last.1 == leaf.start => last.1 = leaf.end,
+        _ => out.push((leaf.start, leaf.end)),
     }
 }
 
@@ -474,6 +543,193 @@ mod tests {
         let mut out = Vec::new();
         tree.neighbors_within(Vec3::ZERO, 0.5, &mut out);
         assert!(out.contains(&1), "scatter neighbor with large h missed");
+    }
+
+    /// Seeded cloud with per-particle search radii, for the box-query tests.
+    fn cloud_with_h(seed: u64, n: usize) -> (Vec<Vec3>, Vec<f64>, Vec<f64>) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut coord = |_| rng.gen_range(-5.0..5.0);
+        let pos: Vec<Vec3> = (0..n)
+            .map(|i| Vec3::new(coord(i), coord(i), coord(i)))
+            .collect();
+        let h = (0..n).map(|_| rng.gen_range(0.05..2.5)).collect();
+        (pos, vec![1.0; n], h)
+    }
+
+    /// True distance from `p` to the nearest point of `b`.
+    fn dist_to_box(b: &BBox, p: Vec3) -> f64 {
+        b.dist2_to_point(p).sqrt()
+    }
+
+    /// Run a box query (gather-only or scatter-aware) and expand its spans
+    /// to particle indices, checking the spans are disjoint, increasing
+    /// and merged.
+    fn box_query(tree: &Tree, bbox: &BBox, r: f64, scatter: bool) -> Vec<u32> {
+        let mut spans = Vec::new();
+        if scatter {
+            tree.spans_of_box(bbox, r, &mut spans);
+        } else {
+            tree.gather_spans_of_box(bbox, r, &mut spans);
+        }
+        for w in spans.windows(2) {
+            assert!(
+                w[0].1 < w[1].0,
+                "spans {w:?} overlap, touch or go backwards"
+            );
+        }
+        spans
+            .iter()
+            .flat_map(|&(s, e)| &tree.order[s as usize..e as usize])
+            .copied()
+            .collect()
+    }
+
+    #[test]
+    fn box_query_matches_brute_force_on_random_clouds() {
+        for seed in 0..24u64 {
+            let (pos, mass, h) = cloud_with_h(seed, 20 + 17 * seed as usize);
+            let tree = Tree::build_with_h(&pos, &mass, Some(&h), 1 + seed as usize % 9);
+            let a = pos[seed as usize % pos.len()];
+            let b = pos[(3 * seed as usize + 1) % pos.len()];
+            let mut query = BBox::empty();
+            query.extend(a);
+            query.extend(a * 0.8 + b * 0.2);
+            let r = 0.2 + 0.15 * seed as f64;
+            let gather = box_query(&tree, &query, r, false);
+            let scatter = box_query(&tree, &query, r, true);
+            let mut seen = vec![false; pos.len()];
+            for &j in &scatter {
+                assert!(!seen[j as usize], "seed {seed}: {j} listed twice");
+                seen[j as usize] = true;
+            }
+            assert!(gather.iter().all(|&j| seen[j as usize]), "seed {seed}");
+            // Exact after the caller's filter: everything the box can
+            // reach (gather) or that reaches the box (scatter) is listed.
+            for (j, &p) in pos.iter().enumerate() {
+                let d = dist_to_box(&query, p);
+                let listed = |list: &[u32]| list.contains(&(j as u32));
+                assert!(d > r || listed(&gather), "seed {seed}: gather missed {j}");
+                assert!(
+                    d > r.max(h[j]) || listed(&scatter),
+                    "seed {seed}: scatter missed {j}"
+                );
+            }
+            // And it is a pruned walk, not the whole tree.
+            if r < 1.0 {
+                assert!(gather.len() < pos.len() || pos.len() < 40, "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn box_query_contains_every_member_points_list_in_order() {
+        // The group-walk contract: one box query serves every point inside
+        // the box — each point's own `neighbors_within` list is an
+        // order-preserving sublist of it, at the same and smaller radii.
+        for seed in 0..12u64 {
+            let (pos, mass, h) = cloud_with_h(100 + seed, 300);
+            let tree = Tree::build_with_h(&pos, &mass, Some(&h), 8);
+            let leaf = tree
+                .nodes
+                .iter()
+                .filter(|n| n.is_leaf())
+                .nth(seed as usize)
+                .unwrap();
+            let r = 0.3 + 0.2 * seed as f64;
+            let wide = box_query(&tree, &leaf.bbox, r, true);
+            for &i in tree.leaf_particles(leaf) {
+                for r_point in [r, 0.5 * r] {
+                    let mut own = Vec::new();
+                    tree.neighbors_within(pos[i as usize], r_point, &mut own);
+                    let mut it = wide.iter();
+                    for j in &own {
+                        assert!(
+                            it.any(|w| w == j),
+                            "seed {seed}: {j} of particle {i}'s list missing or reordered"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn box_query_stays_exact_on_a_refreshed_tree_with_overlapping_siblings() {
+        let (mut pos, mass, mut h) = cloud_with_h(7, 400);
+        let mut tree = Tree::build_with_h(&pos, &mass, Some(&h), 8);
+        // Drift hard enough that sibling boxes overlap, and change the radii.
+        for (i, p) in pos.iter_mut().enumerate() {
+            let k = i as f64;
+            *p += Vec3::new((k * 0.37).sin(), (k * 0.91).cos(), (k * 0.53).sin()) * 0.8;
+            h[i] *= 0.5 + (i % 4) as f64 * 0.4;
+        }
+        tree.refresh_with_h(&pos, &mass, Some(&h));
+        let overlapping = tree.nodes.iter().filter(|n| !n.is_leaf()).any(|n| {
+            let kids = &tree.nodes[n.child_start as usize..][..n.child_count as usize];
+            kids.iter()
+                .enumerate()
+                .any(|(a, x)| kids[a + 1..].iter().any(|y| x.bbox.overlaps(&y.bbox)))
+        });
+        assert!(overlapping, "the drift must make sibling boxes overlap");
+        for (k, leaf) in tree
+            .nodes
+            .iter()
+            .filter(|n| n.is_leaf())
+            .enumerate()
+            .take(20)
+        {
+            let r = 0.25 + 0.1 * k as f64;
+            let gather = box_query(&tree, &leaf.bbox, r, false);
+            let scatter = box_query(&tree, &leaf.bbox, r, true);
+            for (j, &p) in pos.iter().enumerate() {
+                let d = dist_to_box(&leaf.bbox, p);
+                assert!(
+                    d > r || gather.contains(&(j as u32)),
+                    "leaf {k}: gather {j}"
+                );
+                assert!(
+                    d > r.max(h[j]) || scatter.contains(&(j as u32)),
+                    "leaf {k}: scatter {j}"
+                );
+            }
+            // Leaf ranks survive the refresh: still one rank per leaf.
+            let rank = tree.leaf_rank(tree.leaf_particles(leaf)[0] as usize);
+            assert_eq!(rank, leaf.start);
+            assert!(tree
+                .leaf_particles(leaf)
+                .iter()
+                .all(|&i| tree.leaf_rank(i as usize) == rank));
+        }
+    }
+
+    #[test]
+    fn box_query_on_degenerate_trees() {
+        let anywhere = BBox::new(Vec3::splat(-1.0), Vec3::splat(1.0));
+        let empty = Tree::build(&[], &[], 4);
+        assert!(box_query(&empty, &anywhere, 1.0, true).is_empty());
+        assert!(box_query(&empty, &anywhere, 1.0, false).is_empty());
+
+        let one = Tree::build_with_h(&[Vec3::splat(3.0)], &[2.0], Some(&[0.5]), 4);
+        assert!(
+            box_query(&one, &anywhere, 1.0, true).is_empty(),
+            "sqrt(12) away, reach 1"
+        );
+        assert_eq!(box_query(&one, &anywhere, 3.5, true), [0]);
+        assert_eq!(one.leaf_rank(0), 0);
+
+        // 50 coincident particles: the build stops at max depth, and both
+        // an empty query box and a covering one terminate.
+        let pos = vec![Vec3::splat(0.5); 50];
+        let tree = Tree::build(&pos, &[1.0; 50], 4);
+        assert!(
+            box_query(&tree, &BBox::empty(), 10.0, true).is_empty(),
+            "an empty box reaches nothing"
+        );
+        let mut all = box_query(&tree, &anywhere, 0.0, false);
+        all.sort_unstable();
+        assert_eq!(all, (0..50).collect::<Vec<u32>>());
     }
 
     #[test]

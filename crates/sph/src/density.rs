@@ -4,25 +4,43 @@
 //! iterations are usually twice, if we can set the initial guess of the
 //! kernel size properly.").
 //!
-//! # Shared interaction lists across the h-iteration
+//! # Shared interaction lists
 //!
-//! The iteration no longer walks the tree once per trial `h`. The first
-//! walk's candidate list — indices, distances and masses — is cached in a
-//! per-worker [`NeighborCache`] and later iterations *re-filter* it by the
-//! updated support radius. This is exact because positions are fixed
-//! during the iteration and [`fdps::Tree::neighbors_within`]'s pruning
-//! bound `max(r, h_max)` is monotone in the query radius: the candidate
-//! list at any radius `r' <= r` is an order-preserving sublist of the list
-//! at `r` (pinned by a test in `fdps`), and the gather filter
-//! `r_j < support * h` is applied exactly on the superset. Only when `h`
-//! grows past the cached radius does the iteration fall back to a fresh
-//! walk — padded by [`NeighborCache::REWALK_MARGIN`] so further modest
-//! growth re-filters again. [`DensityResult::walks`] over
-//! [`DensityResult::iterations`] is the gated `h_iter_walk_ratio` metric.
+//! Neither a target nor a trial `h` walks the tree on its own. Once per
+//! pass the sources' positions and masses are laid out in tree (Morton)
+//! order ([`DensitySources`]), so that a tree walk can name its candidates
+//! as a few contiguous spans of those columns. The pass then runs over
+//! FDPS-style groups — one per leaf of the neighbour tree, see
+//! [`crate::group`] — and a per-worker [`NeighborCache`] holds the list at
+//! three widths, each filtered from the one before:
+//!
+//! 1. **Group list** — one gather-only [`fdps::Tree::gather_spans_of_box`]
+//!    walk around the bounding box of the leaf's targets at their largest
+//!    search radius: a handful of spans, shared by every target of the
+//!    leaf.
+//! 2. **Target rows** — per target, squared separations over those spans
+//!    and the rows within the target's own staging radius (distances are
+//!    computed once per target, not per trial `h`: positions are fixed
+//!    during the iteration).
+//! 3. **In-support rows** — per trial `h`, the rows passing the exact
+//!    gather test `r < support * h`, on which `W` is evaluated in batch
+//!    and summed over four lanes assigned by *rank among those rows*.
+//!
+//! Step 3 sees exactly the set, in exactly the (depth-first tree) order,
+//! that [`density_one_reference`] sees, whatever the widths of steps 1 and
+//! 2 were — so `h`, `n_ngb` and the iteration count are bitwise those of
+//! the reference, and `rho` depends on nothing but the target's own
+//! in-support set (the group-independence rule of [`crate::group`]).
+//!
+//! Only when `support * h` outgrows the group radius does a target fall
+//! back to a walk of its own — padded by [`NeighborCache::REWALK_MARGIN`]
+//! so further modest growth re-filters again. [`DensityResult::walks`]
+//! counts those fallbacks; together with the group walks, over
+//! [`DensityResult::iterations`], they are the gated `h_iter_walk_ratio`.
 
+use crate::group::{reserve_column, span_len, GroupBuffers, GroupScratch};
 use crate::kernel::SphKernel;
-use fdps::{Tree, Vec3};
-use rayon::prelude::*;
+use fdps::{BBox, Tree, Vec3};
 
 /// Result of a converged density pass for one particle.
 #[derive(Debug, Clone, Copy, Default)]
@@ -33,7 +51,8 @@ pub struct DensityResult {
     pub n_ngb: usize,
     /// Smoothing-length iterations taken.
     pub iterations: u32,
-    /// Tree walks issued — `<= iterations` thanks to the candidate cache.
+    /// Tree walks this target issued on its own: fallbacks past the group
+    /// radius (the group's shared walk is counted per group, not here).
     pub walks: u32,
 }
 
@@ -59,98 +78,202 @@ impl Default for DensityConfig {
     }
 }
 
-/// Per-worker candidate cache shared across one particle's h-iteration
-/// (see the module docs): indices, distances and masses from the last
-/// tree walk, valid for any query radius up to `radius`. Cleared in place
-/// between particles, so steady-state passes reuse its capacity.
+/// Positions and masses of every source of a pass, laid out in the
+/// neighbour tree's (Morton) order: entry `k` belongs to particle
+/// `tree.order[k]`, so the spans a tree walk returns address these columns
+/// directly and contiguously.
+#[derive(Debug, Clone, Default)]
+pub struct DensitySources {
+    x: Vec<f64>,
+    y: Vec<f64>,
+    z: Vec<f64>,
+    m: Vec<f64>,
+}
+
+impl DensitySources {
+    /// Lay `pos`/`mass` out in `tree`'s order (cleared in place, capacity
+    /// kept).
+    pub fn fill(&mut self, tree: &Tree, pos: &[Vec3], mass: &[f64]) {
+        self.x.clear();
+        self.y.clear();
+        self.z.clear();
+        self.m.clear();
+        for &j in &tree.order {
+            let p = pos[j as usize];
+            self.x.push(p.x);
+            self.y.push(p.y);
+            self.z.push(p.z);
+            self.m.push(mass[j as usize]);
+        }
+    }
+
+    /// Column capacity, for zero-allocation regression tests.
+    pub(crate) fn capacity(&self) -> usize {
+        self.x.capacity()
+    }
+}
+
+/// Per-worker neighbour lists of the density pass (see the module docs):
+/// the group's spans, the current target's rows, and the in-support rows
+/// of the current trial `h`. Cleared in place between groups and targets,
+/// so steady-state passes reuse its capacity.
 #[derive(Debug, Clone, Default)]
 pub struct NeighborCache {
-    /// Candidate indices of the cached walk.
-    idx: Vec<u32>,
-    /// `|x_i - x_j|` per candidate — positions are fixed during the
-    /// iteration, so distances are computed once per walk, not per trial h.
+    /// The group list, shared by every target of the leaf, and the radius
+    /// it covers around each of them.
+    group: Vec<(u32, u32)>,
+    group_radius: f64,
+    /// A single target's fallback walk, when `h` outgrew the group radius.
+    own: Vec<(u32, u32)>,
+    /// `|x_i - x_j|` and `m_j` of the candidates within `radius`.
     r: Vec<f64>,
-    /// Source mass per candidate.
     m: Vec<f64>,
-    /// Kernel-value scratch for the batched `W` evaluation.
-    w: Vec<f64>,
-    /// Query radius the cached walk covers.
+    /// Radius the target rows cover.
     radius: f64,
+    /// In-support rows of the current trial `h`, and their kernel values.
+    r_in: Vec<f64>,
+    m_in: Vec<f64>,
+    w: Vec<f64>,
+}
+
+impl GroupBuffers for NeighborCache {
+    fn capacity(&self) -> usize {
+        self.r.capacity()
+    }
+
+    fn reserve(&mut self, n: usize) {
+        for col in [
+            &mut self.r,
+            &mut self.m,
+            &mut self.r_in,
+            &mut self.m_in,
+            &mut self.w,
+        ] {
+            reserve_column(col, n);
+        }
+    }
 }
 
 impl NeighborCache {
-    /// Padding applied to the search radius of a *re*-walk (one forced by
-    /// `h` outgrowing the cache): once the iteration is known to be live,
-    /// walking slightly wide lets further growth up to this factor
-    /// re-filter instead of walking again. The first walk is unpadded so
-    /// the common converged-in-one case costs exactly what it used to.
+    /// Padding applied to the search radius once `h` has outgrown the
+    /// target rows: the iteration is then known to be live, and staging
+    /// slightly wide lets further growth up to this factor re-filter
+    /// instead of staging (or, past the group radius, walking) again. The
+    /// first staging is unpadded so the common converged-in-one case works
+    /// on the tightest rows.
     pub const REWALK_MARGIN: f64 = 1.2;
 
-    /// Walk the tree at `radius` around `xi` and stage candidates.
-    fn stage(&mut self, tree: &Tree, pos: &[Vec3], mass: &[f64], xi: Vec3, radius: f64) {
-        self.idx.clear();
-        tree.neighbors_within(xi, radius, &mut self.idx);
-        self.r.clear();
-        self.m.clear();
-        for &j in &self.idx {
-            let j = j as usize;
-            self.r.push((xi - pos[j]).norm());
-            self.m.push(mass[j]);
-        }
-        self.radius = radius;
+    /// Stage the group list: one walk for every target in `bbox` whose
+    /// search radius stays within `radius`.
+    fn stage_group(&mut self, tree: &Tree, bbox: &BBox, radius: f64) {
+        self.group.clear();
+        tree.gather_spans_of_box(bbox, radius, &mut self.group);
+        self.group_radius = radius;
+        self.reserve(span_len(&self.group));
     }
 
-    /// Sum `rho = sum m_j W(r_j, h)` and count neighbours over the cached
-    /// candidates with the exact gather filter `r_j < rad`. `W` is
-    /// evaluated through the kernel's batch method; the masked
-    /// accumulation runs over 4 independent lanes reduced in a fixed
-    /// order — deterministic for a given candidate order.
-    fn sum_density(&mut self, kernel: &dyn SphKernel, h: f64, rad: f64) -> (f64, usize) {
-        const L: usize = 4;
-        let n = self.r.len();
-        self.w.clear();
-        self.w.resize(n, 0.0);
-        kernel.w_batch(&self.r, h, &mut self.w);
-        let mut rho_l = [0.0f64; L];
-        let mut n_ngb = 0usize;
-        let chunks = n / L;
-        for c in 0..chunks {
-            let base = c * L;
-            for (l, acc) in rho_l.iter_mut().enumerate() {
-                let j = base + l;
-                let in_range = self.r[j] < rad;
-                *acc += if in_range { self.m[j] * self.w[j] } else { 0.0 };
-                n_ngb += in_range as usize;
+    /// Stage the rows of the target at `xi` within `radius` — from the
+    /// group list, or from a walk of the target's own if the group list
+    /// does not reach that far. Returns whether it had to walk.
+    fn stage_target(
+        &mut self,
+        tree: &Tree,
+        sources: &DensitySources,
+        xi: Vec3,
+        radius: f64,
+    ) -> bool {
+        let walked = radius > self.group_radius;
+        if walked {
+            self.own.clear();
+            tree.gather_spans_of_box(&BBox::new(xi, xi), radius, &mut self.own);
+            self.reserve(span_len(&self.own));
+        }
+        let spans = if walked { &self.own } else { &self.group };
+        // `r < radius` implies `r2 <= radius * radius` under correct
+        // rounding, so squared separations select a superset of every
+        // in-support set up to `radius` and only those rows pay a sqrt.
+        //
+        // Branch-free compaction: which candidates are near follows no
+        // predictable pattern, so write every row and advance on a hit.
+        let limit = radius * radius;
+        let n = span_len(spans);
+        self.r.clear();
+        self.r.resize(n, 0.0);
+        self.m.clear();
+        self.m.resize(n, 0.0);
+        let mut kept = 0;
+        for &(s, e) in spans {
+            let span = s as usize..e as usize;
+            let xyz = sources.x[span.clone()]
+                .iter()
+                .zip(&sources.y[span.clone()])
+                .zip(&sources.z[span.clone()]);
+            for (((&x, &y), &z), &m) in xyz.zip(&sources.m[span]) {
+                let (dx, dy, dz) = (xi.x - x, xi.y - y, xi.z - z);
+                let r2 = dx * dx + dy * dy + dz * dz;
+                self.r[kept] = r2;
+                self.m[kept] = m;
+                kept += (r2 <= limit) as usize;
             }
         }
-        for j in chunks * L..n {
-            let in_range = self.r[j] < rad;
-            rho_l[0] += if in_range { self.m[j] * self.w[j] } else { 0.0 };
-            n_ngb += in_range as usize;
+        self.r.truncate(kept);
+        self.m.truncate(kept);
+        for r in &mut self.r {
+            *r = r.sqrt();
         }
-        ((rho_l[0] + rho_l[1]) + (rho_l[2] + rho_l[3]), n_ngb)
+        self.radius = radius;
+        walked
+    }
+
+    /// Sum `rho = sum m_j W(r_j, h)` and count neighbours over the target
+    /// rows passing the exact gather test `r_j < rad`. `W` is evaluated
+    /// through the kernel's batch method on the in-support rows only; the
+    /// accumulation runs over 4 independent lanes, assigned by rank among
+    /// those rows and reduced in a fixed order — a function of the
+    /// in-support set alone.
+    fn sum_density(&mut self, kernel: &dyn SphKernel, h: f64, rad: f64) -> (f64, usize) {
+        const L: usize = 4;
+        self.r_in.clear();
+        self.m_in.clear();
+        for (&r, &m) in self.r.iter().zip(&self.m) {
+            if r < rad {
+                self.r_in.push(r);
+                self.m_in.push(m);
+            }
+        }
+        let n = self.r_in.len();
+        self.w.clear();
+        self.w.resize(n, 0.0);
+        kernel.w_batch(&self.r_in, h, &mut self.w);
+        let mut rho_l = [0.0f64; L];
+        let (m4, w4) = (self.m_in.chunks_exact(L), self.w.chunks_exact(L));
+        let (m_tail, w_tail) = (m4.remainder(), w4.remainder());
+        for (m, w) in m4.zip(w4) {
+            for ((acc, m), w) in rho_l.iter_mut().zip(m).zip(w) {
+                *acc += m * w;
+            }
+        }
+        for (m, w) in m_tail.iter().zip(w_tail) {
+            rho_l[0] += m * w;
+        }
+        ((rho_l[0] + rho_l[1]) + (rho_l[2] + rho_l[3]), n)
     }
 }
 
-/// Iterate the smoothing length of particle `i` and sum its density.
-/// `tree` must be built with per-particle search radii (`build_with_h`) over
-/// the same `pos`; `h0` is the initial guess. The candidate list of the
-/// first walk is cached in `cache` and re-filtered for later trial `h`
-/// values (see the module docs) — `h`, `n_ngb` and the iteration
-/// trajectory are exactly those of [`density_one_reference`]; `rho`
-/// agrees to lane-reassociation rounding (`~1e-15` relative).
-#[allow(clippy::too_many_arguments)]
-pub fn density_one(
+/// Iterate the smoothing length of a target at `xi` and sum its density
+/// from the group list staged in `cache`, which must cover `support * h0`
+/// around it (see the module docs). `h`, `n_ngb` and the iteration
+/// trajectory are exactly those of [`density_one_reference`] on the same
+/// tree; `rho` agrees to lane-reassociation rounding (`~1e-15` relative).
+fn density_in_group(
     kernel: &dyn SphKernel,
     cfg: &DensityConfig,
     tree: &Tree,
-    pos: &[Vec3],
-    mass: &[f64],
-    i: usize,
+    sources: &DensitySources,
+    xi: Vec3,
     h0: f64,
     cache: &mut NeighborCache,
 ) -> DensityResult {
-    let xi = pos[i];
     let mut h = h0.max(1e-12);
     let support = kernel.support();
     let mut result;
@@ -158,14 +281,13 @@ pub fn density_one(
     let mut walks = 0u32;
     loop {
         let rad = support * h;
-        if walks == 0 || rad > cache.radius {
-            let target = if iterations == 0 {
+        if iterations == 0 || rad > cache.radius {
+            let radius = if iterations == 0 {
                 rad
             } else {
                 rad * NeighborCache::REWALK_MARGIN
             };
-            cache.stage(tree, pos, mass, xi, target);
-            walks += 1;
+            walks += cache.stage_target(tree, sources, xi, radius) as u32;
         }
         let (rho, n_ngb) = cache.sum_density(kernel, h, rad);
         iterations += 1;
@@ -194,9 +316,9 @@ pub fn density_one(
     result
 }
 
-/// The scalar pre-cache reference: one tree walk and one scalar gather per
-/// trial `h`. Retained as the equivalence baseline for [`density_one`]
-/// (property tests) and the `h_iter_walk_ratio` bench denominator.
+/// The scalar per-particle reference: one tree walk and one scalar gather
+/// per trial `h`. Retained as the equivalence baseline for the grouped
+/// pass (property tests) and the density benches' reference row.
 #[allow(clippy::too_many_arguments)]
 pub fn density_one_reference(
     kernel: &dyn SphKernel,
@@ -253,50 +375,17 @@ pub fn density_one_reference(
 }
 
 /// Converge smoothing lengths and densities for all `targets` (indices into
-/// `pos`). Runs particles in parallel. `h` is the in/out smoothing-length
-/// array; returns (rho, n_ngb, total_iterations) per target in target order.
+/// `pos`) over a caller-provided neighbour tree, running the groups in
+/// parallel. `h` is the in/out smoothing-length array; returns one result
+/// per target, in target order.
 ///
-/// Allocates a fresh search-radius buffer per call; hot paths should hold
-/// the buffer and call [`compute_density_into`].
-pub fn compute_density(
-    kernel: &dyn SphKernel,
-    cfg: &DensityConfig,
-    pos: &[Vec3],
-    mass: &[f64],
-    h: &mut [f64],
-    targets: &[usize],
-) -> Vec<DensityResult> {
-    let mut radii = Vec::new();
-    compute_density_into(kernel, cfg, pos, mass, h, targets, &mut radii)
-}
-
-/// [`compute_density`] with the per-call search-radius allocation hoisted
-/// into a caller-owned scratch buffer (cleared in place, capacity kept) —
-/// the solver passes its [`crate::solver::SphScratch`] so steady-state
-/// density passes don't grow the heap.
-pub fn compute_density_into(
-    kernel: &dyn SphKernel,
-    cfg: &DensityConfig,
-    pos: &[Vec3],
-    mass: &[f64],
-    h: &mut [f64],
-    targets: &[usize],
-    radii: &mut Vec<f64>,
-) -> Vec<DensityResult> {
-    // The tree's stored per-particle radii cover the scatter side; rebuild
-    // with the current (pre-iteration) h values.
-    radii.clear();
-    radii.extend(h.iter().map(|&hi| kernel.support() * hi));
-    let tree = Tree::build_with_h(pos, mass, Some(radii), 16);
-    compute_density_on_tree(kernel, cfg, &tree, pos, mass, h, targets)
-}
-
-/// The density-iteration core over a caller-provided neighbor tree: the
-/// cross-substep tree-reuse entry point. The tree must index exactly
-/// `pos`, with its bounding boxes current (a fresh
-/// [`Tree::build_with_h`] or a [`Tree::refresh_with_h`] over these
+/// The tree must index exactly `pos`, with its bounding boxes current (a
+/// fresh [`Tree::build_with_h`] or a [`Tree::refresh_with_h`] over these
 /// positions) — correctness needs only containment, since the gather
 /// search prunes by node bounding box, not by the stored radii.
+///
+/// Allocates its scratch per call; the solver holds one in its
+/// [`crate::solver::SphScratch`] and calls [`compute_density_grouped`].
 pub fn compute_density_on_tree(
     kernel: &dyn SphKernel,
     cfg: &DensityConfig,
@@ -306,22 +395,76 @@ pub fn compute_density_on_tree(
     h: &mut [f64],
     targets: &[usize],
 ) -> Vec<DensityResult> {
-    let results: Vec<DensityResult> = targets
-        .par_iter()
-        .map_init(NeighborCache::default, |cache, &i| {
-            density_one(kernel, cfg, tree, pos, mass, i, h[i], cache)
-        })
-        .collect();
-    for (&i, r) in targets.iter().zip(&results) {
-        h[i] = r.h;
+    let mut scratch = DensityScratch::default();
+    let (results, _) =
+        compute_density_grouped(kernel, cfg, tree, pos, mass, h, targets, &mut scratch);
+    let mut ordered = vec![DensityResult::default(); targets.len()];
+    for (slot, r) in scratch.groups.slots().zip(results) {
+        ordered[slot] = r;
     }
-    results
+    ordered
+}
+
+/// What a density pass keeps between calls: the tree-ordered sources, the
+/// leaf-ordered work plan and the per-worker lists.
+#[derive(Debug, Clone, Default)]
+pub struct DensityScratch {
+    pub sources: DensitySources,
+    pub groups: GroupScratch<NeighborCache>,
+}
+
+/// The density-iteration core: [`compute_density_on_tree`] with everything
+/// it stages in caller-owned `scratch`. Returns the results in plan order
+/// — `scratch.groups.slots()` names each one's slot in `targets` — and the
+/// number of group walks issued.
+#[allow(clippy::too_many_arguments)]
+pub fn compute_density_grouped(
+    kernel: &dyn SphKernel,
+    cfg: &DensityConfig,
+    tree: &Tree,
+    pos: &[Vec3],
+    mass: &[f64],
+    h: &mut [f64],
+    targets: &[usize],
+    scratch: &mut DensityScratch,
+) -> (Vec<DensityResult>, u64) {
+    let DensityScratch { sources, groups } = scratch;
+    sources.fill(tree, pos, mass);
+    let sources = &*sources;
+    let support = kernel.support();
+    let h0 = &*h;
+    let (results, group_walks) = groups.run(
+        tree,
+        pos,
+        targets,
+        |i| support * h0[i].max(1e-12),
+        |cache, bbox, radius| cache.stage_group(tree, bbox, radius),
+        |cache, i| density_in_group(kernel, cfg, tree, sources, pos[i], h0[i], cache),
+    );
+    for (slot, r) in groups.slots().zip(&results) {
+        h[targets[slot]] = r.h;
+    }
+    (results, group_walks)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kernel::CubicSpline;
+
+    /// Build a neighbour tree from the current `h` and run the grouped pass.
+    fn compute_density(
+        kernel: &dyn SphKernel,
+        cfg: &DensityConfig,
+        pos: &[Vec3],
+        mass: &[f64],
+        h: &mut [f64],
+        targets: &[usize],
+    ) -> Vec<DensityResult> {
+        let radii: Vec<f64> = h.iter().map(|&hi| kernel.support() * hi).collect();
+        let tree = Tree::build_with_h(pos, mass, Some(&radii), 16);
+        compute_density_on_tree(kernel, cfg, &tree, pos, mass, h, targets)
+    }
 
     /// Uniform cubic lattice with spacing `a` and particle mass `m`:
     /// expected density is exactly `m / a^3` once h is converged.
@@ -393,8 +536,8 @@ mod tests {
 
     #[test]
     fn good_initial_guess_converges_in_two_iterations() {
-        // The paper's claim for a proper initial guess. Count iterations by
-        // calling density_one directly with a converged h as the guess.
+        // The paper's claim for a proper initial guess: re-run the pass
+        // with a converged h as the guess.
         let (pos, mass) = lattice(10, 1.0);
         let cfg = DensityConfig {
             n_ngb_target: 56,
@@ -432,8 +575,8 @@ mod tests {
     }
 
     #[test]
-    fn cached_iteration_matches_reference_and_saves_walks() {
-        // The cached h-iteration must reproduce the walk-per-iteration
+    fn grouped_iteration_matches_reference_and_falls_back_only_past_the_group_radius() {
+        // The grouped h-iteration must reproduce the walk-per-iteration
         // reference exactly in its integer trajectory (h, n_ngb,
         // iterations) and to reassociation rounding in rho — across
         // shrinking (h too big), growing (h too small) and converged
@@ -446,12 +589,14 @@ mod tests {
             tolerance: 0.05,
             max_iter: 12,
         };
-        let mut cache = NeighborCache::default();
+        let targets: Vec<usize> = (0..pos.len()).collect();
         let mut scratch = Vec::new();
-        let mut saved_walks = false;
-        for i in 0..pos.len() {
-            for h0 in [0.5, 0.9, 1.3, 1.9, 2.6] {
-                let a = density_one(&CubicSpline, &cfg, &tree, &pos, &mass, i, h0, &mut cache);
+        let mut fell_back = false;
+        for h0 in [0.5, 0.9, 1.3, 1.9, 2.6] {
+            let mut h = vec![h0; pos.len()];
+            let grouped =
+                compute_density_on_tree(&CubicSpline, &cfg, &tree, &pos, &mass, &mut h, &targets);
+            for (i, a) in grouped.iter().enumerate() {
                 let b = density_one_reference(
                     &CubicSpline,
                     &cfg,
@@ -463,23 +608,28 @@ mod tests {
                     &mut scratch,
                 );
                 assert_eq!(a.h.to_bits(), b.h.to_bits(), "h i={i} h0={h0}");
+                assert_eq!(h[i].to_bits(), b.h.to_bits(), "h[] i={i} h0={h0}");
                 assert_eq!(a.n_ngb, b.n_ngb, "n_ngb i={i} h0={h0}");
                 assert_eq!(a.iterations, b.iterations, "iterations i={i} h0={h0}");
-                assert!(a.walks <= a.iterations, "walks i={i} h0={h0}");
+                assert!(a.walks < a.iterations.max(2), "walks i={i} h0={h0}");
                 let rel = (a.rho - b.rho).abs() / b.rho.abs().max(1e-300);
                 assert!(rel < 1e-12, "rho i={i} h0={h0} rel {rel}");
-                if a.iterations > 1 && a.walks < a.iterations {
-                    saved_walks = true;
-                }
+                fell_back |= a.walks > 0;
+                // Every target of a group starts inside the group radius,
+                // so only a growing h can ever walk on its own.
+                assert!(a.walks == 0 || b.h > h0, "needless fallback i={i} h0={h0}");
             }
         }
-        assert!(saved_walks, "no particle ever re-filtered its cached list");
+        assert!(
+            fell_back,
+            "h0 = 0.5 must outgrow its group radius somewhere"
+        );
     }
 
     #[test]
-    fn shrinking_h_iterations_reuse_one_walk() {
+    fn shrinking_h_iterations_never_walk_on_their_own() {
         // An overestimated h only ever shrinks, so the whole iteration
-        // must be served by the single initial walk.
+        // must be served by the group's one shared walk.
         let (pos, mass) = lattice(10, 1.0);
         let radii = vec![2.0 * 3.0; pos.len()];
         let tree = Tree::build_with_h(&pos, &mass, Some(&radii), 16);
@@ -488,20 +638,34 @@ mod tests {
             tolerance: 0.1,
             max_iter: 12,
         };
-        let center = pos.iter().position(|p| *p == Vec3::splat(4.0)).unwrap();
-        let mut cache = NeighborCache::default();
-        let r = density_one(
+        let targets: Vec<usize> = (0..pos.len()).collect();
+        let mut h = vec![3.0; pos.len()];
+        let (results, group_walks) = compute_density_grouped(
             &CubicSpline,
             &cfg,
             &tree,
             &pos,
             &mass,
-            center,
-            3.0,
-            &mut cache,
+            &mut h,
+            &targets,
+            &mut DensityScratch::default(),
         );
-        assert!(r.iterations >= 2, "h0=3.0 must actually iterate");
-        assert_eq!(r.walks, 1, "shrinking h must never re-walk");
+        assert!(results.iter().any(|r| r.iterations >= 2), "h0=3.0 iterates");
+        assert!(
+            results.iter().all(|r| r.walks == 0),
+            "shrinking h re-walked"
+        );
+        let leaves = tree.nodes.iter().filter(|n| n.is_leaf()).count() as u64;
+        // One walk per leaf, plus at most one per chunk boundary that cut
+        // a leaf in two.
+        assert!(
+            group_walks >= leaves,
+            "{group_walks} walks, {leaves} leaves"
+        );
+        assert!(
+            group_walks < leaves + pos.len() as u64 / 16,
+            "{group_walks} walks for {leaves} leaves"
+        );
     }
 
     #[test]

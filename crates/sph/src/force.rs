@@ -3,14 +3,20 @@
 //!
 //! Two force paths live here: [`pair_force`], the scalar per-pair
 //! reference with early-out branches, and [`force_batch`], the production
-//! kernel — one target against its whole staged candidate list
-//! ([`ForceBatch`]), with the early-outs replaced by multiplicative masks
-//! and the kernel gradients evaluated through the batch trait methods so
-//! the inner loop is branch-free and vectorizable. Both evaluate the
-//! identical per-pair arithmetic; they differ only in summation order
-//! (the batch reduces over fixed lanes), so results agree to
-//! reassociation rounding and each path is individually deterministic.
+//! kernel — one target against its in-support pairs ([`ForceBatch`]),
+//! with the kernel gradients evaluated through the batch trait methods
+//! and no early-out left in the inner loop. The early-outs happen *before*
+//! the kernel: the pass's j-side data sits struct-of-arrays in tree order
+//! ([`ForceSources`]), a leaf's targets share one candidate list — a few
+//! contiguous spans of it, see [`crate::group`] — and
+//! [`ForceBatch::stage`] selects per target the pairs [`pair_force`]
+//! would not skip. Both paths evaluate the identical per-pair arithmetic
+//! over the identical pair set; they differ only in summation order (the
+//! batch reduces over fixed lanes assigned by rank among the in-support
+//! pairs), so results agree to reassociation rounding and each path is
+//! individually deterministic.
 
+use crate::group::{reserve_column, span_len};
 use crate::kernel::SphKernel;
 use fdps::Vec3;
 
@@ -106,26 +112,92 @@ pub fn pair_force(
 /// the result, is identical across hosts and thread counts.
 pub const FORCE_LANES: usize = 4;
 
-/// One target's candidate list staged struct-of-arrays: separations,
-/// velocity differences and j-side scalars laid out column-wise so
-/// [`force_batch`]'s inner loop runs over contiguous lanes instead of
-/// gathering through `HydroInput` structs. Owned per rayon worker by the
-/// solver; [`ForceBatch::stage`] clears in place, keeping capacity.
+/// The j-side hydro data of every source of a pass, struct-of-arrays in
+/// the neighbour tree's (Morton) order: the spans a tree walk returns
+/// address these columns directly and contiguously. Built once per pass;
+/// [`ForceSources::fill`] clears in place, keeping capacity.
+#[derive(Debug, Clone, Default)]
+pub struct ForceSources {
+    x: Vec<f64>,
+    y: Vec<f64>,
+    z: Vec<f64>,
+    vx: Vec<f64>,
+    vy: Vec<f64>,
+    vz: Vec<f64>,
+    h: Vec<f64>,
+    m: Vec<f64>,
+    rho: Vec<f64>,
+    p2: Vec<f64>,
+    cs: Vec<f64>,
+}
+
+impl ForceSources {
+    /// Refill from `inputs`, which must arrive in the order the spans
+    /// handed to [`ForceBatch::stage`] will refer to — the tree's
+    /// `order` in the solver.
+    pub fn fill(&mut self, inputs: impl Iterator<Item = HydroInput>) {
+        for col in self.columns() {
+            col.clear();
+        }
+        for pj in inputs {
+            self.x.push(pj.pos.x);
+            self.y.push(pj.pos.y);
+            self.z.push(pj.pos.z);
+            self.vx.push(pj.vel.x);
+            self.vy.push(pj.vel.y);
+            self.vz.push(pj.vel.z);
+            self.h.push(pj.h);
+            self.m.push(pj.mass);
+            self.rho.push(pj.rho);
+            self.p2.push(pj.p_over_rho2);
+            self.cs.push(pj.cs);
+        }
+    }
+
+    /// Number of sources.
+    pub fn len(&self) -> usize {
+        self.x.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.x.is_empty()
+    }
+
+    /// Column capacity, for zero-allocation regression tests.
+    pub(crate) fn capacity(&self) -> usize {
+        self.x.capacity()
+    }
+
+    fn columns(&mut self) -> [&mut Vec<f64>; 11] {
+        [
+            &mut self.x,
+            &mut self.y,
+            &mut self.z,
+            &mut self.vx,
+            &mut self.vy,
+            &mut self.vz,
+            &mut self.h,
+            &mut self.m,
+            &mut self.rho,
+            &mut self.p2,
+            &mut self.cs,
+        ]
+    }
+}
+
+/// One target's interacting pairs: which sources they are, and the
+/// per-pair values the batched kernel-gradient evaluations need
+/// contiguously. Everything else [`force_batch`] reads in place from the
+/// [`ForceSources`]. Owned per pool worker by the solver;
+/// [`ForceBatch::stage`] clears in place, keeping capacity.
 #[derive(Debug, Clone, Default)]
 pub struct ForceBatch {
-    dx: Vec<f64>,
-    dy: Vec<f64>,
-    dz: Vec<f64>,
-    dvx: Vec<f64>,
-    dvy: Vec<f64>,
-    dvz: Vec<f64>,
+    /// Positions in the [`ForceSources`] of the staged pairs, in span order.
+    near: Vec<u32>,
+    /// Squared separation, separation and `h_j` per staged pair.
     r2: Vec<f64>,
     r: Vec<f64>,
     hj: Vec<f64>,
-    mj: Vec<f64>,
-    rhoj: Vec<f64>,
-    p2j: Vec<f64>,
-    csj: Vec<f64>,
     /// `dW/dr (r, h_i)` scratch.
     dwi: Vec<f64>,
     /// `dW/dr (r, h_j)` scratch.
@@ -133,79 +205,121 @@ pub struct ForceBatch {
 }
 
 impl ForceBatch {
-    /// Stage the candidates `ngb` (indices into `inputs`) against target
-    /// `pi`. The target's own index needs no exclusion: `r2 == 0` rows
-    /// are masked to an exactly-zero contribution by [`force_batch`].
-    pub fn stage(&mut self, pi: &HydroInput, inputs: &[HydroInput], ngb: &[u32]) {
-        self.dx.clear();
-        self.dy.clear();
-        self.dz.clear();
-        self.dvx.clear();
-        self.dvy.clear();
-        self.dvz.clear();
+    /// Stage target `pi` against the candidates `spans` (ranges of
+    /// `sources`), keeping exactly the pairs [`pair_force`] interacts with
+    /// — `r2 > 0` and `r < support * max(h_i, h_j)` — in span order. The
+    /// target itself needs no exclusion: it is an `r2 == 0` row.
+    ///
+    /// Two steps: squared separations over all candidates pre-select the
+    /// rows with `r2 <= max(reach_i, reach_j)^2` (a superset: under
+    /// correct rounding `r < reach` implies `r2 <= reach * reach`), then
+    /// only those rows pay the sqrt and the exact test.
+    pub fn stage(
+        &mut self,
+        support: f64,
+        pi: &HydroInput,
+        sources: &ForceSources,
+        spans: &[(u32, u32)],
+    ) {
+        let n = span_len(spans);
+        let xi = pi.pos;
+        let reach_i = support * pi.h;
+        let reach_i2 = reach_i * reach_i;
+        // Branch-free compaction: in-range rows are a minority in no
+        // predictable pattern, so write every row and advance on a hit.
+        self.near.clear();
+        self.near.resize(n, 0);
         self.r2.clear();
+        self.r2.resize(n, 0.0);
+        let mut kept = 0;
+        for &(s, e) in spans {
+            let span = s as usize..e as usize;
+            let xyz = sources.x[span.clone()]
+                .iter()
+                .zip(&sources.y[span.clone()])
+                .zip(&sources.z[span.clone()]);
+            for ((((&x, &y), &z), &hj), k) in xyz.zip(&sources.h[span]).zip(s..) {
+                let (dx, dy, dz) = (xi.x - x, xi.y - y, xi.z - z);
+                let r2 = dx * dx + dy * dy + dz * dz;
+                let reach_j = support * hj;
+                self.near[kept] = k;
+                self.r2[kept] = r2;
+                kept += ((r2 > 0.0) & (r2 <= reach_i2.max(reach_j * reach_j))) as usize;
+            }
+        }
+        self.near.truncate(kept);
         self.r.clear();
         self.hj.clear();
-        self.mj.clear();
-        self.rhoj.clear();
-        self.p2j.clear();
-        self.csj.clear();
-        for &j in ngb {
-            let pj = &inputs[j as usize];
-            let d = pi.pos - pj.pos;
-            let dv = pi.vel - pj.vel;
-            let r2 = d.norm2();
-            self.dx.push(d.x);
-            self.dy.push(d.y);
-            self.dz.push(d.z);
-            self.dvx.push(dv.x);
-            self.dvy.push(dv.y);
-            self.dvz.push(dv.z);
-            self.r2.push(r2);
-            self.r.push(r2.sqrt());
-            self.hj.push(pj.h);
-            self.mj.push(pj.mass);
-            self.rhoj.push(pj.rho);
-            self.p2j.push(pj.p_over_rho2);
-            self.csj.push(pj.cs);
+        let mut kept = 0;
+        for q in 0..self.near.len() {
+            let (k, r2) = (self.near[q], self.r2[q]);
+            let (r, hj) = (r2.sqrt(), sources.h[k as usize]);
+            if r < support * pi.h.max(hj) {
+                self.near[kept] = k;
+                self.r2[kept] = r2;
+                kept += 1;
+                self.r.push(r);
+                self.hj.push(hj);
+            }
         }
+        self.near.truncate(kept);
+        self.r2.truncate(kept);
     }
 
-    /// Number of staged candidates.
+    /// Number of staged in-support pairs.
     pub fn len(&self) -> usize {
-        self.r.len()
+        self.near.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.r.is_empty()
+        self.near.is_empty()
+    }
+
+    /// Candidates the columns can hold without growing.
+    pub(crate) fn capacity(&self) -> usize {
+        self.r2.capacity()
+    }
+
+    /// Grow every column to hold a candidate list of `n` (see
+    /// [`crate::group::GroupBuffers`]; staging grows on demand without it).
+    pub(crate) fn reserve(&mut self, n: usize) {
+        reserve_column(&mut self.near, n);
+        for col in [
+            &mut self.r2,
+            &mut self.r,
+            &mut self.hj,
+            &mut self.dwi,
+            &mut self.dwj,
+        ] {
+            reserve_column(col, n);
+        }
     }
 }
 
-/// Accumulate the hydro force on `pi` from every candidate staged in
-/// `batch` — the branchless batched form of [`pair_force`].
+/// Accumulate the hydro force on `pi` from every pair staged in `batch`
+/// (against the same `sources`) — the batched form of [`pair_force`].
 ///
-/// [`pair_force`]'s early-outs become masks: `r2 == 0` rows zero the
-/// inverse distance (so the gradient, and with it the acceleration and
-/// heating terms, vanish exactly), and the signal velocity is gated on
-/// `r2 > 0 && r < support * max(h_i, h_j)`. Out-of-support rows need no
-/// gradient mask because every kernel here has `dW/dr = 0` at and beyond
-/// its support radius — which force_batch requires of the kernel.
-/// Accumulation runs over [`FORCE_LANES`] lanes reduced in a fixed order.
+/// [`pair_force`]'s early-outs (coincident or out-of-support pairs) were
+/// applied by [`ForceBatch::stage`], so the loop carries no mask for them;
+/// the one remaining branch, viscosity for approaching pairs only, is a
+/// select. Accumulation runs over [`FORCE_LANES`] lanes — staged pair `q`
+/// goes to lane `q % FORCE_LANES`, the remainder pairs to lane 0 — reduced
+/// in a fixed order.
 pub fn force_batch(
     kernel: &dyn SphKernel,
     visc: &Viscosity,
     pi: &HydroInput,
+    sources: &ForceSources,
     batch: &mut ForceBatch,
     out: &mut HydroAccum,
 ) {
-    let n = batch.r.len();
+    let n = batch.near.len();
     batch.dwi.clear();
     batch.dwi.resize(n, 0.0);
     batch.dwj.clear();
     batch.dwj.resize(n, 0.0);
     kernel.dwdr_batch(&batch.r, pi.h, &mut batch.dwi);
     kernel.dwdr_batch_per_h(&batch.r, &batch.hj, &mut batch.dwj);
-    let support = kernel.support();
 
     let mut ax = [0.0f64; FORCE_LANES];
     let mut ay = [0.0f64; FORCE_LANES];
@@ -213,35 +327,36 @@ pub fn force_batch(
     let mut du = [0.0f64; FORCE_LANES];
     let mut vs = [0.0f64; FORCE_LANES];
 
-    let body = |batch: &ForceBatch, j: usize| -> (f64, f64, f64, f64, f64) {
-        let r2 = batch.r2[j];
-        let r = batch.r[j];
-        let hj = batch.hj[j];
-        let in_range = r2 > 0.0 && r < support * pi.h.max(hj);
-        let rinv = if r2 > 0.0 { 1.0 / r } else { 0.0 };
-        let dw = 0.5 * (batch.dwi[j] + batch.dwj[j]);
-        let gf = dw * rinv;
-        let gx = batch.dx[j] * gf;
-        let gy = batch.dy[j] * gf;
-        let gz = batch.dz[j] * gf;
-        let vdotr =
-            batch.dvx[j] * batch.dx[j] + batch.dvy[j] * batch.dy[j] + batch.dvz[j] * batch.dz[j];
+    let src = sources;
+    let body = |b: &ForceBatch, q: usize| -> (f64, f64, f64, f64, f64) {
+        let k = b.near[q] as usize;
+        let (dx, dy, dz) = (
+            pi.pos.x - src.x[k],
+            pi.pos.y - src.y[k],
+            pi.pos.z - src.z[k],
+        );
+        let (dvx, dvy, dvz) = (
+            pi.vel.x - src.vx[k],
+            pi.vel.y - src.vy[k],
+            pi.vel.z - src.vz[k],
+        );
+        let hj = b.hj[q];
+        let dw = 0.5 * (b.dwi[q] + b.dwj[q]);
+        let gf = dw * (1.0 / b.r[q]);
+        let gx = dx * gf;
+        let gy = dy * gf;
+        let gz = dz * gf;
+        let vdotr = dvx * dx + dvy * dy + dvz * dz;
         let h_mean = 0.5 * (pi.h + hj);
-        let c_mean = 0.5 * (pi.cs + batch.csj[j]);
-        let rho_mean = 0.5 * (pi.rho + batch.rhoj[j]);
-        let mu_all = h_mean * vdotr / (r2 + visc.eta2 * h_mean * h_mean);
+        let c_mean = 0.5 * (pi.cs + src.cs[k]);
+        let rho_mean = 0.5 * (pi.rho + src.rho[k]);
+        let mu_all = h_mean * vdotr / (b.r2[q] + visc.eta2 * h_mean * h_mean);
         let mu = if vdotr < 0.0 { mu_all } else { 0.0 };
         let visc_term = (-visc.alpha * c_mean * mu + visc.beta * mu * mu) / rho_mean;
-        let v_sig = if in_range {
-            pi.cs + batch.csj[j] - 3.0 * mu
-        } else {
-            0.0
-        };
-        let mj = batch.mj[j];
-        let fac = pi.p_over_rho2 + batch.p2j[j] + visc_term;
-        let dudt = mj
-            * (pi.p_over_rho2 + 0.5 * visc_term)
-            * (batch.dvx[j] * gx + batch.dvy[j] * gy + batch.dvz[j] * gz);
+        let v_sig = pi.cs + src.cs[k] - 3.0 * mu;
+        let mj = src.m[k];
+        let fac = pi.p_over_rho2 + src.p2[k] + visc_term;
+        let dudt = mj * (pi.p_over_rho2 + 0.5 * visc_term) * (dvx * gx + dvy * gy + dvz * gz);
         (
             -(gx * (mj * fac)),
             -(gy * (mj * fac)),
@@ -263,8 +378,8 @@ pub fn force_batch(
             vs[l] = vs[l].max(v);
         }
     }
-    for j in chunks * FORCE_LANES..n {
-        let (x, y, z, d, v) = body(batch, j);
+    for q in chunks * FORCE_LANES..n {
+        let (x, y, z, d, v) = body(batch, q);
         ax[0] += x;
         ay[0] += y;
         az[0] += z;
@@ -378,10 +493,10 @@ mod tests {
 
     #[test]
     fn force_batch_matches_pair_force_loop() {
-        // The branchless batched kernel against the scalar reference, over
-        // a candidate list that exercises every masked early-out: the
-        // target itself (r2 == 0), out-of-support rows, approaching and
-        // receding pairs, asymmetric smoothing lengths.
+        // The staged batched kernel against the scalar reference, over a
+        // candidate list that exercises every early-out the staging must
+        // reproduce: the target itself (r2 == 0), out-of-support rows,
+        // approaching and receding pairs, asymmetric smoothing lengths.
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(1234);
@@ -411,20 +526,33 @@ mod tests {
             })
             .collect();
         let visc = Viscosity::default();
-        let ngb: Vec<u32> = (0..n as u32).collect();
+        let everyone = [(0, n as u32)];
+        let support = CubicSpline.support();
+        let mut sources = ForceSources::default();
+        sources.fill(inputs.iter().copied());
+        assert_eq!(sources.len(), n);
         let mut batch = ForceBatch::default();
+        let mut dropped_rows = false;
         for i in 0..n {
             let mut reference = HydroAccum::default();
+            let mut pairs = 0;
             for j in 0..n {
-                if j == i {
-                    continue;
-                }
+                let before = reference;
                 pair_force(&CubicSpline, &visc, &inputs[i], &inputs[j], &mut reference);
+                pairs += (reference != before) as usize;
             }
-            batch.stage(&inputs[i], &inputs, &ngb);
-            assert_eq!(batch.len(), n);
+            batch.stage(support, &inputs[i], &sources, &everyone);
+            assert_eq!(batch.len(), pairs, "staged rows are the interacting pairs");
+            dropped_rows |= batch.len() < n - 1;
             let mut batched = HydroAccum::default();
-            force_batch(&CubicSpline, &visc, &inputs[i], &mut batch, &mut batched);
+            force_batch(
+                &CubicSpline,
+                &visc,
+                &inputs[i],
+                &sources,
+                &mut batch,
+                &mut batched,
+            );
             let acc_rel = (batched.acc - reference.acc).norm() / reference.acc.norm().max(1e-12);
             assert!(acc_rel < 1e-12, "acc[{i}] rel {acc_rel}");
             let du_rel = (batched.dudt - reference.dudt).abs() / reference.dudt.abs().max(1e-12);
@@ -433,6 +561,7 @@ mod tests {
                 (batched.v_sig_max - reference.v_sig_max).abs() / reference.v_sig_max.max(1e-12);
             assert!(vs_rel < 1e-12, "v_sig[{i}] rel {vs_rel}");
         }
+        assert!(dropped_rows, "the cloud must hold out-of-support pairs");
     }
 
     #[test]
@@ -460,16 +589,20 @@ mod tests {
                 2.5,
             ),
         ];
-        let ngb: Vec<u32> = (0..sources.len() as u32).collect();
+        let everyone = [(0, sources.len() as u32)];
         let visc = Viscosity::default();
+        let support = CubicSpline.support();
+        let mut soa = ForceSources::default();
+        soa.fill(sources.iter().copied());
         let mut batch = ForceBatch::default();
-        batch.stage(&a, &sources, &ngb);
+        batch.stage(support, &a, &soa, &everyone);
+        assert_eq!(batch.len(), 3, "self and the far source are dropped");
         let mut first = HydroAccum::default();
-        force_batch(&CubicSpline, &visc, &a, &mut batch, &mut first);
+        force_batch(&CubicSpline, &visc, &a, &soa, &mut batch, &mut first);
         for _ in 0..3 {
-            batch.stage(&a, &sources, &ngb);
+            batch.stage(support, &a, &soa, &everyone);
             let mut again = HydroAccum::default();
-            force_batch(&CubicSpline, &visc, &a, &mut batch, &mut again);
+            force_batch(&CubicSpline, &visc, &a, &soa, &mut batch, &mut again);
             assert_eq!(first.acc.x.to_bits(), again.acc.x.to_bits());
             assert_eq!(first.acc.y.to_bits(), again.acc.y.to_bits());
             assert_eq!(first.acc.z.to_bits(), again.acc.z.to_bits());

@@ -23,7 +23,7 @@ pub trait SphKernel: Sync {
     /// `out[i] = w(r[i], h)`. The default loops the scalar method;
     /// branchless kernels override with a loop the compiler can
     /// vectorize. Overrides must produce the exact same values as the
-    /// scalar method element-wise (the density cache relies on it).
+    /// scalar method element-wise (`tests/kernel_equivalence.rs` pins it).
     fn w_batch(&self, r: &[f64], h: f64, out: &mut [f64]) {
         for (o, &ri) in out.iter_mut().zip(r) {
             *o = self.w(ri, h);

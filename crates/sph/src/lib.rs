@@ -9,13 +9,15 @@
 //! * [`kernel`] — the M4 cubic-spline kernel, plus a PPA table-lookup
 //!   variant built with [`pikg::PpaTable`] (the paper's §3.5 optimization);
 //! * [`eos`] — ideal-gas equation of state and temperature conversion;
+//! * [`group`] — FDPS-style i-particle groups: a leaf's targets share one
+//!   tree walk over j-side data laid out in tree order;
 //! * [`density`] — density summation with the smoothing-length (kernel
-//!   size) iteration of paper §5.2.5, re-filtering one cached candidate
-//!   list across the iteration instead of re-walking the tree per trial h;
+//!   size) iteration of paper §5.2.5, re-filtering the group's list
+//!   across targets and trial h values instead of re-walking the tree;
 //! * [`force`] — symmetrized pressure force with Monaghan artificial
-//!   viscosity and `du/dt`; the production path is the branchless batched
-//!   [`force::force_batch`], with scalar [`force::pair_force`] retained as
-//!   the equivalence reference;
+//!   viscosity and `du/dt`; the production path is the batched
+//!   [`force::force_batch`] over each target's in-support pairs, with
+//!   scalar [`force::pair_force`] retained as the equivalence reference;
 //! * [`timestep`] — the Courant–Friedrichs–Lewy condition that drives the
 //!   entire paper (§1: the SN-heated gas makes `dt_CFL` collapse);
 //! * [`solver`] — a rayon-parallel driver over a neighbor-search tree.
@@ -25,6 +27,7 @@
 pub mod density;
 pub mod eos;
 pub mod force;
+pub mod group;
 pub mod kernel;
 pub mod solver;
 pub mod timestep;

@@ -1,11 +1,12 @@
 //! Rayon-parallel SPH driver over a neighbor-search tree.
 //!
-//! The per-pass staging buffers (search radii, target indices, j-side
-//! hydro inputs) live in a caller-owned [`SphScratch`]: the
+//! The per-pass staging buffers (search radii, target indices, the
+//! tree-ordered j-side columns, the leaf-ordered work plans and the
+//! per-worker group lists) live in a caller-owned [`SphScratch`]: the
 //! `density_pass_with`/`force_pass_with` entry points clear — never shrink
-//! — the scratch, so a simulation's steady-state hydro evaluation performs
-//! no heap allocation in this layer. The scratch-free `density_pass`/
-//! `force_pass` wrappers remain for cold paths and tests.
+//! — the scratch, so a simulation's steady-state hydro evaluation grows no
+//! buffer in this layer. The scratch-free `density_pass`/`force_pass`
+//! wrappers remain for cold paths and tests.
 //!
 //! # Neighbor-tree reuse lifecycle
 //!
@@ -33,9 +34,20 @@
 //!    cube — or the particle count changes — `Refresh` silently degrades
 //!    to a full rebuild.
 //!
+//! 4. **Group lists** (every pass, on whichever tree the steps above
+//!    produced): the j-side data is laid out once in tree order, the
+//!    pass's targets are sorted by leaf, and each leaf's targets share one
+//!    tree walk whose result is a few contiguous spans of those columns
+//!    ([`crate::group`]); a target then only selects its own in-support
+//!    rows among them. Nothing of this is carried between passes but
+//!    capacity — a target's result depends on the tree and its own
+//!    in-support set alone, never on its group, so an active subset, a
+//!    full pass and any thread count produce the same bits on the same
+//!    tree.
+//!
 //! Reuse never changes *which* neighbors a pass finds, but a refreshed and
-//! a rebuilt tree group particles into different leaves, so candidate
-//! lists arrive in different orders and floating-point sums differ at the
+//! a rebuilt tree group particles into different leaves, so in-support
+//! rows arrive in different orders and floating-point sums differ at the
 //! last ULP. Results are therefore equivalent to a documented `1e-12`
 //! relative tolerance, not bitwise (the integration tests pin this), while
 //! *repeating* a pass against the same cache state is exactly
@@ -43,13 +55,13 @@
 //! needs, since full rebuilds happen at base-step boundaries where
 //! checkpoints are taken.
 
-use crate::density::{compute_density_on_tree, DensityConfig};
+use crate::density::{compute_density_grouped, DensityConfig, DensityScratch};
 use crate::eos::GammaLawEos;
-use crate::force::{force_batch, ForceBatch, HydroAccum, HydroInput, Viscosity};
+use crate::force::{force_batch, ForceBatch, ForceSources, HydroAccum, HydroInput, Viscosity};
+use crate::group::{span_len, GroupBuffers, GroupScratch};
 use crate::kernel::{CubicSpline, SphKernel};
 use crate::timestep::{dt_accel, dt_cfl};
 use fdps::{Tree, Vec3};
-use rayon::prelude::*;
 
 /// SoA hydrodynamic state. The first `n_local` entries are this rank's
 /// particles; any beyond are ghost copies acting as interaction sources.
@@ -191,6 +203,24 @@ impl SphTreeCache {
     }
 }
 
+/// One pool worker's buffers of the force pass: the group's candidate
+/// spans and the current target's staged pairs.
+#[derive(Debug, Default)]
+struct ForceLists {
+    spans: Vec<(u32, u32)>,
+    batch: ForceBatch,
+}
+
+impl GroupBuffers for ForceLists {
+    fn capacity(&self) -> usize {
+        self.batch.capacity()
+    }
+
+    fn reserve(&mut self, n: usize) {
+        self.batch.reserve(n);
+    }
+}
+
 /// Reusable staging buffers for the SPH passes: cleared in place every
 /// pass, capacities stabilize at the high-water mark after warm-up. Also
 /// carries the cross-pass [`SphTreeCache`].
@@ -198,22 +228,36 @@ impl SphTreeCache {
 pub struct SphScratch {
     /// Per-particle search radii (`support * h`), fed to the tree build.
     radii: Vec<f64>,
-    /// Target indices of the density pass.
+    /// Target indices of the current pass.
     targets: Vec<usize>,
-    /// Per-particle hydro inputs of the force pass.
-    inputs: Vec<HydroInput>,
     /// The cached neighbor tree (see the module docs' reuse lifecycle).
     tree: SphTreeCache,
+    /// Tree-ordered sources, work plan and per-worker neighbour lists of
+    /// the density pass.
+    density: DensityScratch,
+    /// Tree-ordered j-side hydro inputs of the force pass.
+    force_sources: ForceSources,
+    /// Work plan and per-worker candidate lists of the force pass.
+    force_groups: GroupScratch<ForceLists>,
 }
 
 impl SphScratch {
-    /// Buffer capacities, for zero-allocation regression tests.
-    pub fn capacities(&self) -> [usize; 4] {
+    /// Buffer capacities, for zero-allocation regression tests: the
+    /// staging arrays, then `[tree-ordered sources, work plan, per-worker
+    /// group lists]` of the density and of the force pass.
+    pub fn capacities(&self) -> [usize; 9] {
+        let [density_plan, density_lists] = self.density.groups.capacities();
+        let [force_plan, force_lists] = self.force_groups.capacities();
         [
             self.radii.capacity(),
             self.targets.capacity(),
-            self.inputs.capacity(),
             self.tree.ref_pos.capacity(),
+            self.density.sources.capacity(),
+            density_plan,
+            density_lists,
+            self.force_sources.capacity(),
+            force_plan,
+            force_lists,
         ]
     }
 
@@ -227,17 +271,29 @@ impl SphScratch {
     }
 }
 
-/// Interaction statistics of one force pass.
+/// Interaction statistics of one pass.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SphStats {
+    /// Neighbours inside `support * h_i` at convergence, summed over the
+    /// density pass's targets (the target itself included).
     pub density_interactions: u64,
+    /// Pairs the force pass interacted: `r > 0` and
+    /// `r < support * max(h_i, h_j)`, summed over its targets. A property
+    /// of the particle configuration — not of the tree, its leaves or the
+    /// groups the pass ran in.
     pub force_interactions: u64,
     /// Smoothing-length iterations summed over the pass's targets.
     pub h_iterations: u64,
-    /// Tree walks issued by those iterations — `h_walks / h_iterations`
-    /// is the benched `h_iter_walk_ratio` (`1.0` before the candidate
-    /// cache; `< 1.0` whenever any iteration re-filters a cached list).
+    /// Tree walks single targets issued because `h` outgrew their group's
+    /// radius.
     pub h_walks: u64,
+    /// Tree walks shared by a group (one per leaf holding targets, plus
+    /// one per leaf a work-chunk boundary cut in two).
+    /// `(group_walks + h_walks) / h_iterations` is the benched
+    /// `h_iter_walk_ratio`: `1.0` when every trial `h` walked, far below
+    /// it now that a leaf's targets share one walk across all their
+    /// iterations.
+    pub group_walks: u64,
 }
 
 /// The SPH solver configuration.
@@ -311,6 +367,7 @@ impl<K: SphKernel> SphSolver<K> {
             radii,
             targets,
             tree: cache,
+            density,
             ..
         } = scratch;
         // Stored radii cover the scatter side from the current
@@ -320,7 +377,7 @@ impl<K: SphKernel> SphSolver<K> {
         radii.clear();
         radii.extend(state.h.iter().map(|&hi| self.kernel.support() * hi));
         let tree = cache.obtain(&state.pos, &state.mass, radii, 16, reuse);
-        let results = compute_density_on_tree(
+        let (results, group_walks) = compute_density_grouped(
             &self.kernel,
             &self.density_cfg,
             tree,
@@ -328,9 +385,14 @@ impl<K: SphKernel> SphSolver<K> {
             &state.mass,
             &mut state.h,
             targets,
+            density,
         );
-        let mut stats = SphStats::default();
-        for (&i, r) in targets.iter().zip(&results) {
+        let mut stats = SphStats {
+            group_walks,
+            ..SphStats::default()
+        };
+        for (slot, r) in density.groups.slots().zip(&results) {
+            let i = targets[slot];
             state.rho[i] = r.rho;
             state.n_ngb[i] = r.n_ngb as u32;
             state.cs[i] = self.eos.sound_speed(state.u[i]);
@@ -391,51 +453,69 @@ impl<K: SphKernel> SphSolver<K> {
         let SphScratch {
             radii,
             targets,
-            inputs,
             tree: cache,
+            force_sources: sources,
+            force_groups,
+            ..
         } = scratch;
         radii.clear();
         radii.extend(state.h.iter().map(|&h| support * h));
         let tree = cache.obtain(&state.pos, &state.mass, radii, 16, reuse);
 
-        inputs.clear();
-        inputs.extend((0..state.len()).map(|i| HydroInput {
-            pos: state.pos[i],
-            vel: state.vel[i],
-            mass: state.mass[i],
-            h: state.h[i],
-            rho: state.rho[i].max(1e-300),
-            p_over_rho2: self.eos.p_over_rho2(state.rho[i].max(1e-300), state.u[i]),
-            cs: self.eos.sound_speed(state.u[i]),
-        }));
-        let inputs = &*inputs;
+        let input = |i: usize| {
+            let rho = state.rho[i].max(1e-300);
+            HydroInput {
+                pos: state.pos[i],
+                vel: state.vel[i],
+                mass: state.mass[i],
+                h: state.h[i],
+                rho,
+                p_over_rho2: self.eos.p_over_rho2(rho, state.u[i]),
+                cs: self.eos.sound_speed(state.u[i]),
+            }
+        };
+        sources.fill(tree.order.iter().map(|&j| input(j as usize)));
+        let sources = &*sources;
 
-        // Per-worker scratch: the candidate index list plus the SoA batch
-        // the vectorized kernel consumes; a target's own index stays in
-        // the list (force_batch masks r2 == 0 rows) but is excluded from
-        // the interaction count, matching the scalar path's bookkeeping.
-        let results: Vec<(HydroAccum, u64)> = targets
-            .par_iter()
-            .map_init(
-                || (Vec::new(), ForceBatch::default()),
-                |(ngb, batch): &mut (Vec<u32>, ForceBatch), &i| {
-                    ngb.clear();
-                    tree.neighbors_within(inputs[i].pos, support * inputs[i].h, ngb);
-                    let count = ngb.iter().filter(|&&j| j as usize != i).count() as u64;
-                    batch.stage(&inputs[i], inputs, ngb);
-                    let mut out = HydroAccum::default();
-                    force_batch(&self.kernel, &self.visc, &inputs[i], batch, &mut out);
-                    (out, count)
-                },
-            )
-            .collect();
+        // Per group: one scatter-aware walk (a source's own stored radius
+        // may reach the box too); per target: select the interacting pairs
+        // among the group's candidates and run the batched kernel on those.
+        let (results, group_walks) = force_groups.run(
+            tree,
+            &state.pos,
+            targets,
+            |i| radii[i],
+            |lists, bbox, radius| {
+                lists.spans.clear();
+                tree.spans_of_box(bbox, radius, &mut lists.spans);
+                lists.reserve(span_len(&lists.spans));
+            },
+            |lists, i| {
+                let pi = input(i);
+                lists.batch.stage(support, &pi, sources, &lists.spans);
+                let mut out = HydroAccum::default();
+                force_batch(
+                    &self.kernel,
+                    &self.visc,
+                    &pi,
+                    sources,
+                    &mut lists.batch,
+                    &mut out,
+                );
+                (out, lists.batch.len() as u64)
+            },
+        );
 
-        let mut stats = SphStats::default();
-        for (&i, (r, count)) in targets.iter().zip(results) {
+        let mut stats = SphStats {
+            group_walks,
+            ..SphStats::default()
+        };
+        for (slot, (r, pairs)) in force_groups.slots().zip(results) {
+            let i = targets[slot];
             state.acc[i] = r.acc;
             state.dudt[i] = r.dudt;
             state.v_sig[i] = r.v_sig_max;
-            stats.force_interactions += count;
+            stats.force_interactions += pairs;
         }
         stats
     }
@@ -744,6 +824,30 @@ mod tests {
             assert!(dudt_rel < 1e-12, "dudt[{i}] rel err {dudt_rel}");
             assert_eq!(a.rho[i], b.rho[i], "density paths are identical");
         }
+    }
+
+    #[test]
+    fn repeated_passes_do_not_grow_the_scratch() {
+        // After one warm-up evaluation every buffer — staging arrays, work
+        // plans and the per-worker group lists — is at its high-water
+        // mark: full and active passes over the same state leave the
+        // capacity signature alone, whichever worker meets which group.
+        let mut s = uniform_box(8, 1.0, 1.0);
+        let n = s.len();
+        let solver = SphSolver::default();
+        let mut scratch = SphScratch::default();
+        solver.density_pass_with(&mut s, n, &mut scratch);
+        solver.force_pass_with(&mut s, n, &mut scratch);
+        let caps = scratch.capacities();
+        assert!(caps.iter().all(|&c| c > 0), "warm-up left {caps:?}");
+        let active: Vec<usize> = (0..n).step_by(3).collect();
+        for _ in 0..3 {
+            solver.density_pass_with(&mut s, n, &mut scratch);
+            solver.force_pass_with(&mut s, n, &mut scratch);
+            solver.density_pass_active(&mut s, &active, &mut scratch);
+            solver.force_pass_active(&mut s, &active, &mut scratch);
+        }
+        assert_eq!(scratch.capacities(), caps, "scratch grew after warm-up");
     }
 
     #[test]

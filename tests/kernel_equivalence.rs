@@ -12,8 +12,14 @@
 //! * SPH batched kernel evaluations vs scalar trait methods — **bitwise**;
 //! * SPH `force_batch` vs the `pair_force` loop — 1e-12 relative (the
 //!   batch reassociates the neighbour sum across its fixed lanes);
-//! * SPH cached-list density vs walk-per-iteration reference — `h`
-//!   bitwise, `rho` 1e-12 relative;
+//! * SPH group-list density vs walk-per-iteration reference — `h`,
+//!   `n_ngb`, iterations bitwise, `rho` 1e-12 relative;
+//! * SPH group-list passes through the solver (full passes with ghosts,
+//!   scattered active subsets on a refreshed tree, `h` guesses bad enough
+//!   to leave the group radius) vs `density_one_reference` and a
+//!   brute-force `pair_force` loop — same tolerances, `v_sig` exact;
+//! * SPH group independence — a target's bits do not depend on which
+//!   other targets the pass carries: **bitwise**;
 //! * U-Net conv GEMM forward vs the scalar loop nest — **exact** f32
 //!   (fixed-order im2col GEMM);
 //! * and a Block-mode snapshot restart running the whole SIMD stack,
@@ -26,8 +32,10 @@ use gravity::kernel::{accumulate_f64, accumulate_f64_soa, accumulate_mixed_stage
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sph::density::{compute_density_on_tree, density_one_reference, DensityConfig};
-use sph::force::{force_batch, pair_force, ForceBatch, HydroAccum, HydroInput, Viscosity};
-use sph::{CubicSpline, SphKernel, WendlandC2};
+use sph::force::{
+    force_batch, pair_force, ForceBatch, ForceSources, HydroAccum, HydroInput, Viscosity,
+};
+use sph::{CubicSpline, HydroState, SphKernel, SphScratch, SphSolver, WendlandC2};
 use unet::conv::Conv3d;
 use unet::Tensor;
 
@@ -149,8 +157,9 @@ fn sph_batched_kernel_evaluations_are_bitwise_scalar() {
     }
 }
 
-/// `force_batch` over a random candidate list (self index included, as the
-/// tree walk ships it) agrees with the `pair_force` loop to 1e-12.
+/// `force_batch` over a random candidate span (the target itself
+/// included, as the tree walk ships it) agrees with the `pair_force` loop
+/// to 1e-12.
 #[test]
 fn sph_force_batch_matches_pair_force_loop() {
     let kernel = CubicSpline;
@@ -181,7 +190,9 @@ fn sph_force_batch_matches_pair_force_loop() {
                 }
             })
             .collect();
-        let ngb: Vec<u32> = (0..n as u32).collect();
+        let everyone = [(0, n as u32)];
+        let mut sources = ForceSources::default();
+        sources.fill(inputs.iter().copied());
         let mut batch = ForceBatch::default();
         for i in 0..n {
             let mut reference = HydroAccum::default();
@@ -191,8 +202,15 @@ fn sph_force_batch_matches_pair_force_loop() {
                 }
             }
             let mut batched = HydroAccum::default();
-            batch.stage(&inputs[i], &inputs, &ngb);
-            force_batch(&kernel, &visc, &inputs[i], &mut batch, &mut batched);
+            batch.stage(kernel.support(), &inputs[i], &sources, &everyone);
+            force_batch(
+                &kernel,
+                &visc,
+                &inputs[i],
+                &sources,
+                &mut batch,
+                &mut batched,
+            );
             for (a, b, what) in [
                 (reference.acc.x, batched.acc.x, "acc.x"),
                 (reference.acc.y, batched.acc.y, "acc.y"),
@@ -209,12 +227,12 @@ fn sph_force_batch_matches_pair_force_loop() {
     }
 }
 
-/// Cached-list density iteration reproduces the walk-per-iteration
+/// Group-list density iteration reproduces the walk-per-iteration
 /// reference: identical integer trajectory (`h` to the bit, `n_ngb`,
 /// iteration count), `rho` to lane reassociation, never more walks than
 /// iterations.
 #[test]
-fn sph_cached_density_matches_walk_per_iteration_reference() {
+fn sph_grouped_density_matches_walk_per_iteration_reference() {
     for seed in 0..8 {
         let mut rng = StdRng::seed_from_u64(400 + seed);
         let (pos, mass) = random_cloud(&mut rng, 600, 4.0);
@@ -225,15 +243,259 @@ fn sph_cached_density_matches_walk_per_iteration_reference() {
         let tree = Tree::build_with_h(&pos, &mass, Some(&radii), 16);
         let targets: Vec<usize> = (0..pos.len()).collect();
         let mut h = vec![h0; pos.len()];
-        let cached = compute_density_on_tree(&kernel, &cfg, &tree, &pos, &mass, &mut h, &targets);
+        let grouped = compute_density_on_tree(&kernel, &cfg, &tree, &pos, &mass, &mut h, &targets);
         let mut scratch = Vec::new();
-        for (i, c) in cached.iter().enumerate() {
+        for (i, c) in grouped.iter().enumerate() {
             let r = density_one_reference(&kernel, &cfg, &tree, &pos, &mass, i, h0, &mut scratch);
             assert_eq!(c.h.to_bits(), r.h.to_bits(), "seed {seed}, i {i}: h");
             assert_eq!(c.n_ngb, r.n_ngb, "seed {seed}, i {i}: n_ngb");
             assert_eq!(c.iterations, r.iterations, "seed {seed}, i {i}: iterations");
             assert!(c.walks <= c.iterations, "seed {seed}, i {i}: walk count");
             assert!(rel(c.rho, r.rho) < 1e-12, "seed {seed}, i {i}: rho");
+        }
+    }
+}
+
+/// A random gas cloud with a velocity field, thermal energies and a
+/// uniform smoothing-length guess.
+fn gas_state(rng: &mut StdRng, n: usize, h_guess: f64) -> HydroState {
+    let (pos, mass) = random_cloud(rng, n, 4.0);
+    let vel = random_cloud(rng, n, 1.0).0;
+    let u = (0..n).map(|_| rng.gen_range(0.2..3.0)).collect();
+    HydroState::new(pos, vel, mass, u, vec![h_guess; n])
+}
+
+/// `after` holds the density pass's output for `targets`, `before` the
+/// state it started from: hold every target against the scalar reference
+/// on an independently built tree (the trajectory is set-driven, so any
+/// valid tree over the same positions must reproduce it to the bit).
+fn assert_density_matches_reference(
+    solver: &SphSolver,
+    before: &HydroState,
+    after: &HydroState,
+    targets: &[usize],
+    what: &str,
+) {
+    let radii: Vec<f64> = before
+        .h
+        .iter()
+        .map(|h| solver.kernel.support() * h)
+        .collect();
+    let tree = Tree::build_with_h(&before.pos, &before.mass, Some(&radii), 16);
+    let mut scratch = Vec::new();
+    for &i in targets {
+        let r = density_one_reference(
+            &solver.kernel,
+            &solver.density_cfg,
+            &tree,
+            &before.pos,
+            &before.mass,
+            i,
+            before.h[i],
+            &mut scratch,
+        );
+        assert_eq!(after.h[i].to_bits(), r.h.to_bits(), "{what}, i {i}: h");
+        assert_eq!(after.n_ngb[i] as usize, r.n_ngb, "{what}, i {i}: n_ngb");
+        assert!(rel(after.rho[i], r.rho) < 1e-12, "{what}, i {i}: rho");
+    }
+}
+
+/// Hold the force pass's output for `targets` against a brute-force
+/// `pair_force` loop over every other particle of the state; returns the
+/// number of interacting pairs that loop found.
+fn assert_force_matches_pair_loop(
+    solver: &SphSolver,
+    state: &HydroState,
+    targets: &[usize],
+    what: &str,
+) -> u64 {
+    let inputs: Vec<HydroInput> = (0..state.len())
+        .map(|i| {
+            let rho = state.rho[i].max(1e-300);
+            HydroInput {
+                pos: state.pos[i],
+                vel: state.vel[i],
+                mass: state.mass[i],
+                h: state.h[i],
+                rho,
+                p_over_rho2: solver.eos.p_over_rho2(rho, state.u[i]),
+                cs: solver.eos.sound_speed(state.u[i]),
+            }
+        })
+        .collect();
+    let mut pairs = 0;
+    for &i in targets {
+        let mut reference = HydroAccum::default();
+        for j in (0..inputs.len()).filter(|&j| j != i) {
+            let reach = solver.kernel.support() * inputs[i].h.max(inputs[j].h);
+            let r = (inputs[i].pos - inputs[j].pos).norm();
+            pairs += (r > 0.0 && r < reach) as u64;
+            pair_force(
+                &solver.kernel,
+                &solver.visc,
+                &inputs[i],
+                &inputs[j],
+                &mut reference,
+            );
+        }
+        let scale = reference.acc.norm().max(1e-300);
+        assert!(
+            (state.acc[i] - reference.acc).norm() / scale < 1e-12,
+            "{what}, i {i}: acc {:?} vs {:?}",
+            state.acc[i],
+            reference.acc
+        );
+        assert!(
+            rel(state.dudt[i], reference.dudt) < 1e-12
+                || (state.dudt[i] - reference.dudt).abs() < 1e-12 * scale,
+            "{what}, i {i}: dudt {} vs {}",
+            state.dudt[i],
+            reference.dudt
+        );
+        assert_eq!(
+            state.v_sig[i].to_bits(),
+            reference.v_sig_max.to_bits(),
+            "{what}, i {i}: v_sig is a max over the same pair set"
+        );
+    }
+    pairs
+}
+
+/// The solver's group-list passes against the per-particle references in
+/// every shape the drivers use them: a full pass over a state with ghosts
+/// (`n_local < len`), scattered active subsets on a tree refreshed after
+/// a drift, and a smoothing-length guess bad enough that targets leave
+/// their group's radius and walk on their own.
+#[test]
+fn sph_grouped_passes_match_the_per_particle_references() {
+    let solver = SphSolver::default();
+    for seed in 0..6 {
+        let mut rng = StdRng::seed_from_u64(600 + seed);
+        let n = rng.gen_range(300..700);
+        let h_guess = rng.gen_range(0.5..1.5);
+        let mut state = gas_state(&mut rng, n, h_guess);
+        let mut scratch = SphScratch::default();
+
+        // Ghosts arrive with owner-computed h and rho: converge everyone
+        // once, then treat the tail as ghosts.
+        solver.density_pass_with(&mut state, n, &mut scratch);
+        let n_local = 2 * n / 3;
+        let locals: Vec<usize> = (0..n_local).collect();
+        let before = state.clone();
+        let d = solver.density_pass_with(&mut state, n_local, &mut scratch);
+        let what = format!("seed {seed}, full pass with ghosts");
+        assert_density_matches_reference(&solver, &before, &state, &locals, &what);
+        let counted: u64 = locals.iter().map(|&i| state.n_ngb[i] as u64).sum();
+        assert_eq!(d.density_interactions, counted, "{what}");
+        for i in n_local..n {
+            assert_eq!(
+                state.h[i].to_bits(),
+                before.h[i].to_bits(),
+                "{what}: ghost h"
+            );
+            assert_eq!(state.rho[i].to_bits(), before.rho[i].to_bits(), "{what}");
+        }
+        let f = solver.force_pass_with(&mut state, n_local, &mut scratch);
+        let pairs = assert_force_matches_pair_loop(&solver, &state, &locals, &what);
+        assert_eq!(f.force_interactions, pairs, "{what}: in-support pair count");
+        assert!(
+            state.acc[n_local..].iter().all(|a| *a == Vec3::ZERO),
+            "{what}"
+        );
+
+        // Substep: everyone drifts, a scattered subset is active, the
+        // passes refresh the cached topology instead of rebuilding.
+        for i in 0..n {
+            let v = state.vel[i];
+            state.pos[i] += v * 0.02;
+        }
+        let active: Vec<usize> = (0..n_local)
+            .filter(|i| i % 7 == seed as usize % 7 || i % 11 == 3)
+            .collect();
+        let (refreshes, _) = scratch.tree_counts();
+        let before = state.clone();
+        solver.density_pass_active(&mut state, &active, &mut scratch);
+        let what = format!("seed {seed}, active subset on a refreshed tree");
+        assert_density_matches_reference(&solver, &before, &state, &active, &what);
+        let f = solver.force_pass_active(&mut state, &active, &mut scratch);
+        let pairs = assert_force_matches_pair_loop(&solver, &state, &active, &what);
+        assert_eq!(f.force_interactions, pairs, "{what}");
+        assert_eq!(
+            scratch.tree_counts().0,
+            refreshes + 2,
+            "{what}: both refresh"
+        );
+
+        // A guess 8x too small: support * h doubles per iteration and
+        // leaves the group radius, forcing the per-target fallback walk.
+        for &i in &active {
+            state.h[i] *= 0.125;
+        }
+        let before = state.clone();
+        let d = solver.density_pass_active(&mut state, &active, &mut scratch);
+        let what = format!("seed {seed}, bad h guess");
+        assert!(d.h_walks > 0, "{what}: nobody left the group radius");
+        assert!(d.h_iterations > 2 * active.len() as u64, "{what}");
+        assert_density_matches_reference(&solver, &before, &state, &active, &what);
+    }
+}
+
+/// Group independence, bitwise: a target's density and force results do
+/// not depend on which other targets the pass carries — so neither on the
+/// bounding box and walk radius of the group it lands in, nor on where a
+/// work chunk ends. Run the active passes on `S` and on `S' ⊃ S` from the
+/// same state and the same cached tree.
+#[test]
+fn sph_results_do_not_depend_on_the_rest_of_the_group() {
+    let solver = SphSolver::default();
+    for seed in 0..6 {
+        let mut rng = StdRng::seed_from_u64(700 + seed);
+        let n = rng.gen_range(400..900);
+        let h_guess = rng.gen_range(0.4..1.2);
+        let mut state = gas_state(&mut rng, n, h_guess);
+        let mut scratch = SphScratch::default();
+        solver.density_pass_with(&mut state, n, &mut scratch);
+        solver.force_pass_with(&mut state, n, &mut scratch);
+        for i in 0..n {
+            let v = state.vel[i];
+            state.pos[i] += v * 0.01;
+            // Perturbed guesses, some of them far enough off to iterate.
+            state.h[i] *= [1.0, 0.7, 1.4, 0.3][i % 4];
+        }
+        let small: Vec<usize> = (0..n).filter(|i| i % 9 == 2).collect();
+        let large: Vec<usize> = (0..n).filter(|i| i % 9 == 2 || i % 2 == 0).collect();
+
+        let (mut a, mut b) = (state.clone(), state.clone());
+        let (mut scratch_a, mut scratch_b) = (scratch.clone(), scratch.clone());
+        solver.density_pass_active(&mut a, &small, &mut scratch_a);
+        solver.density_pass_active(&mut b, &large, &mut scratch_b);
+        for &i in &small {
+            assert_eq!(a.h[i].to_bits(), b.h[i].to_bits(), "seed {seed}, i {i}: h");
+            assert_eq!(a.n_ngb[i], b.n_ngb[i], "seed {seed}, i {i}: n_ngb");
+            assert_eq!(
+                a.rho[i].to_bits(),
+                b.rho[i].to_bits(),
+                "seed {seed}, i {i}: rho"
+            );
+        }
+
+        // The force pass reads its neighbours' h and rho, so start both
+        // sides from one state again.
+        let (mut a, mut b) = (b.clone(), b);
+        solver.force_pass_active(&mut a, &small, &mut scratch_a);
+        solver.force_pass_active(&mut b, &large, &mut scratch_b);
+        for &i in &small {
+            assert_eq!(a.acc[i], b.acc[i], "seed {seed}, i {i}: acc");
+            assert_eq!(
+                a.dudt[i].to_bits(),
+                b.dudt[i].to_bits(),
+                "seed {seed}, i {i}"
+            );
+            assert_eq!(
+                a.v_sig[i].to_bits(),
+                b.v_sig[i].to_bits(),
+                "seed {seed}, i {i}"
+            );
         }
     }
 }

@@ -96,6 +96,51 @@ fn neighbor_search_is_conservative() {
     }
 }
 
+/// The group form of the neighbour search never misses either: one box
+/// query covers every point of the box at every radius up to the query's,
+/// gather side and (with stored radii) scatter side.
+#[test]
+fn box_neighbor_search_is_conservative() {
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(1..160usize);
+        let r = rng.gen_range(0.1..8.0);
+        let pts = random_cloud(&mut rng, n, 20.0);
+        let mass = vec![1.0; pts.len()];
+        let h: Vec<f64> = (0..n).map(|_| rng.gen_range(0.1..12.0)).collect();
+        let tree = Tree::build_with_h(&pts, &mass, Some(&h), rng.gen_range(1..12usize));
+        let members: Vec<Vec3> = (0..rng.gen_range(1..6usize))
+            .map(|_| pts[rng.gen_range(0..n)])
+            .collect();
+        let query = BBox::of_points(&members);
+        let (mut gather, mut scatter) = (Vec::new(), Vec::new());
+        tree.gather_spans_of_box(&query, r, &mut gather);
+        tree.spans_of_box(&query, r, &mut scatter);
+        let expand = |spans: &[(u32, u32)]| -> Vec<u32> {
+            spans
+                .iter()
+                .flat_map(|&(s, e)| &tree.order[s as usize..e as usize])
+                .copied()
+                .collect()
+        };
+        let (gather, scatter) = (expand(&gather), expand(&scatter));
+        for q in &members {
+            for (i, p) in pts.iter().enumerate() {
+                let d = (*p - *q).norm();
+                assert!(
+                    d > r || gather.contains(&(i as u32)),
+                    "seed {seed}: gather missed {i} at distance {d}"
+                );
+                assert!(
+                    d > r.max(h[i]) || scatter.contains(&(i as u32)),
+                    "seed {seed}: scatter missed {i} at distance {d} (h {})",
+                    h[i]
+                );
+            }
+        }
+    }
+}
+
 /// Domain ownership is total and consistent with the clipped boxes.
 #[test]
 fn domain_ownership_is_total() {
