@@ -38,8 +38,11 @@ pub struct ForceBuffers {
     pub mass: Vec<f64>,
     /// Total acceleration (gravity, then SPH added on the gas subset).
     pub acc: Vec<Vec3>,
-    /// Gravitational potential (filled by the gravity solver; kept for
-    /// energy audits).
+    /// Gravitational potential at the run's `theta`, filled by the gravity
+    /// solver for the positions and masses in `pos`/`mass` (a substep
+    /// evaluation overwrites the active entries only). Read after a step
+    /// by `Simulation::live_energy` — the energy column of the live
+    /// diagnostics; empty until the first evaluation.
     pub pot: Vec<f64>,
     /// du/dt on the gas subset, zero elsewhere.
     pub dudt: Vec<f64>,

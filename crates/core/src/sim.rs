@@ -934,9 +934,41 @@ impl Simulation {
         }
     }
 
-    /// Total energy: kinetic + internal + gravitational potential.
+    /// Total energy: kinetic + internal + gravitational potential — the
+    /// exact (`theta = 0`) audit, O(N²) per call. Conservation tests and
+    /// end-of-run reports call it; anything sampling every step wants
+    /// [`Simulation::live_energy`].
     pub fn total_energy(&self) -> f64 {
         total_energy_of(&self.particles, self.config.eps)
+    }
+
+    /// Total energy at the cost of one pass over the particles: kinetic +
+    /// internal over the current particles, plus ½ Σ mᵢ φᵢ over the mass
+    /// and potential snapshots the step's closing force evaluation left in
+    /// the scratch arena ([`ForceBuffers::pot`]) — the tree potential at
+    /// the run's own `theta`, already paid for. Masses and potentials come
+    /// from the same evaluation, so the sum is self-consistent; in
+    /// [`TimestepMode::Block`] the last substep boundary of a base step
+    /// activates every level, so no entry is stale. What the snapshot
+    /// cannot see is what the step did after that evaluation: particles a
+    /// pool region replaced lag by one sample in the potential term, and a
+    /// star spawned this step is still inside its parent's mass there.
+    /// Measured against [`Simulation::total_energy`] in
+    /// `tests/live_energy.rs`. Before the first force evaluation since
+    /// `new`/`restore` there is no snapshot, and this *is* the exact audit.
+    pub fn live_energy(&self) -> f64 {
+        let bufs = &self.buffers;
+        if bufs.pot.is_empty() {
+            return self.total_energy();
+        }
+        let w: f64 = 0.5
+            * bufs
+                .pot
+                .iter()
+                .zip(&bufs.mass)
+                .map(|(phi, m)| phi * m)
+                .sum::<f64>();
+        w + kinetic_and_internal(&self.particles)
     }
 
     /// Number of in-flight pool predictions.
@@ -971,6 +1003,16 @@ pub fn total_energy_of(particles: &[Particle], eps: f64) -> f64 {
         .map(|p| p.mass * (0.5 * p.vel.norm2() + if p.is_gas() { p.u } else { 0.0 }))
         .sum();
     w + ke_ie
+}
+
+/// Kinetic + internal energy of a particle set (the non-gravitational
+/// terms of [`total_energy_of`], which keeps its own copy so the audit's
+/// reference numbers cannot move with the live path).
+fn kinetic_and_internal(particles: &[Particle]) -> f64 {
+    particles
+        .iter()
+        .map(|p| p.mass * (0.5 * p.vel.norm2() + if p.is_gas() { p.u } else { 0.0 }))
+        .sum()
 }
 
 #[cfg(test)]

@@ -5,9 +5,13 @@
 //! with an SN region prediction still pending in the pool queue at the
 //! snapshot step. This forces every piece of hidden driver state (RNG
 //! stream, CFL signal-speed stash, pending predictions, schedule, id
-//! counter) to be explicit and serialized.
+//! counter) to be explicit and serialized. The live diagnostics ride along:
+//! the samples a resumed run takes must equal the uninterrupted run's bit
+//! for bit, although the first of them reads a scratch arena the restore
+//! started empty.
 
 use asura::scenarios;
+use asura_core::diagnostics::TimeSample;
 use asura_core::dist::{run_distributed, run_distributed_resume, DistConfig, PredictorKind};
 use asura_core::snapshot::{DistSnapshot, SimSnapshot};
 use asura_core::{Particle, Scheme, SimConfig, Simulation, TimestepMode};
@@ -35,6 +39,20 @@ fn assert_states_identical(full: &Simulation, resumed: &Simulation, label: &str)
     );
 }
 
+/// Step `n` times, sampling the diagnostics after every step the way the
+/// `asura` run loop does (SFR window = since the previous sample).
+fn run_sampled(sim: &mut Simulation, n: usize) -> Vec<TimeSample> {
+    let mut t_prev = sim.time;
+    (0..n)
+        .map(|_| {
+            sim.step();
+            let sample = TimeSample::measure(sim, t_prev, 10.0);
+            t_prev = sim.time;
+            sample
+        })
+        .collect()
+}
+
 /// Run `2k` steps straight; independently run `k`, push the snapshot
 /// through the **serialized** binary format, restore, run `k` more.
 fn restart_roundtrip(
@@ -45,7 +63,7 @@ fn restart_roundtrip(
     label: &str,
 ) -> (Simulation, Simulation, SimSnapshot) {
     let mut full = Simulation::new(cfg, particles.clone(), seed);
-    full.run(2 * k);
+    let full_samples = run_sampled(&mut full, 2 * k);
 
     let mut first = Simulation::new(cfg, particles, seed);
     first.run(k);
@@ -57,8 +75,17 @@ fn restart_roundtrip(
     assert_eq!(via_json, snap, "{label}: JSON and binary restarts disagree");
 
     let mut resumed = Simulation::restore(&snap);
-    resumed.run(k);
+    let resumed_samples = run_sampled(&mut resumed, k);
     assert_states_identical(&full, &resumed, label);
+    for (a, b) in full_samples[k..].iter().zip(&resumed_samples) {
+        assert_eq!(a, b, "{label}: sample of step {} diverged", a.step);
+        assert_eq!(
+            a.total_energy.to_bits(),
+            b.total_energy.to_bits(),
+            "{label}: live energy of step {}",
+            a.step
+        );
+    }
     (full, resumed, snap)
 }
 

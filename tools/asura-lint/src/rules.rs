@@ -106,6 +106,21 @@ pub fn all_rules() -> Vec<Rule> {
             exclude: &[],
             check: check_ordered_iteration,
         },
+        Rule {
+            name: "no-exact-audit-live",
+            description: "no total_energy_of(…) / .total_energy() on the \
+                          per-step live path (diagnostics samples, daemon, \
+                          supervisor, the run loop) — the exact audit is \
+                          O(N²); live readers use Simulation::live_energy",
+            include: &[
+                "crates/core/src/diagnostics.rs",
+                "crates/core/src/serve.rs",
+                "crates/core/src/supervise.rs",
+                "src/bin/asura.rs",
+            ],
+            exclude: &[],
+            check: check_no_exact_audit_live,
+        },
     ]
 }
 
@@ -325,6 +340,34 @@ fn check_ordered_iteration(model: &FileModel) -> Vec<Finding> {
         .collect()
 }
 
+/// `total_energy_of(` calls and `.total_energy(` method calls (the
+/// `TimeSample::total_energy` *field* is never followed by a paren).
+fn check_no_exact_audit_live(model: &FileModel) -> Vec<Finding> {
+    let toks = &model.lexed.tokens;
+    let mut out = Vec::new();
+    for i in 0..toks.len() {
+        let t = &toks[i];
+        if t.kind != TokKind::Ident || toks.get(i + 1).is_none_or(|n| n.text != "(") {
+            continue;
+        }
+        let method = i > 0 && toks[i - 1].text == ".";
+        if t.text == "total_energy_of" || (t.text == "total_energy" && method) {
+            out.push(finding(
+                "no-exact-audit-live",
+                model,
+                t.line,
+                format!(
+                    "`{}(…)` direct-sums all N² pairs — on the per-step live \
+                     path read `Simulation::live_energy()` (the step's own tree \
+                     potential) and leave the exact audit to tests and reports",
+                    t.text
+                ),
+            ));
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,6 +452,20 @@ mod tests {
             "fn f() { let a = Instant::now(); let b = std::time::SystemTime::now(); }",
         );
         assert_eq!(check_no_wallclock(&m).len(), 2);
+    }
+
+    #[test]
+    fn exact_audit_catches_calls_but_not_the_sample_field() {
+        let m = model(
+            "crates/core/src/diagnostics.rs",
+            "fn f(sim: &Simulation) -> f64 { sim.total_energy() + total_energy_of(&sim.particles, 1.0) }",
+        );
+        assert_eq!(check_no_exact_audit_live(&m).len(), 2);
+        let m = model(
+            "crates/core/src/diagnostics.rs",
+            "use crate::sim::total_energy_of; fn f(s: &TimeSample, sim: &Simulation) -> f64 { s.total_energy + sim.live_energy() }",
+        );
+        assert!(check_no_exact_audit_live(&m).is_empty());
     }
 
     #[test]

@@ -51,6 +51,16 @@ fn bad_tree_trips_every_rule() {
         "ordered-iteration",
         "crates/core/src/snapshot.rs:2",
     );
+    assert_finding(
+        &report,
+        "no-exact-audit-live",
+        "crates/core/src/diagnostics.rs:4",
+    );
+    assert_finding(
+        &report,
+        "no-exact-audit-live",
+        "crates/core/src/diagnostics.rs:5",
+    );
     // The reasonless suppression in sim.rs is itself a finding and does
     // NOT silence the wall-clock read it sits above.
     assert_finding(&report, "lint-allow", "crates/core/src/sim.rs:4");
@@ -109,6 +119,7 @@ fn list_rules_prints_the_catalog() {
         "no-panic-daemon",
         "no-wallclock-determinism",
         "ordered-iteration",
+        "no-exact-audit-live",
     ] {
         assert!(text.contains(rule), "catalog missing {rule}:\n{text}");
     }
