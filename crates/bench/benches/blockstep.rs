@@ -8,7 +8,7 @@
 //!
 //! * wall-clock per base step and total particle-updates (the paper's §1
 //!   efficiency argument, measured instead of modeled);
-//! * the measured update ratio against [`BlockSchedule::efficiency`]'s
+//! * the measured update ratio against [`asura_core::ActiveScheduler::efficiency`]'s
 //!   prediction for the assigned level population;
 //! * tree refresh-vs-rebuild counts (the cross-substep reuse win).
 //!

@@ -1,170 +1,34 @@
-//! Hierarchical (block) individual timesteps — the conventional machinery
-//! the paper's scheme *replaces* (§1: "individual or hierarchical timestep
-//! methods are often adopted ... computational efficiency tends to decrease
-//! when the fraction of particles to be updated is small because
-//! inter-process communications must be done at each timestep").
-//!
-//! Implemented here so the claim is measurable: particles are binned into
-//! power-of-two levels below a base step, the scheduler walks the binary
-//! subdivision, and [`BlockSchedule::efficiency`] quantifies exactly the
-//! overhead argument the paper makes — every substep pays a fixed
-//! synchronization cost (tree predictions, communication) regardless of how
-//! few particles are active.
+//! Level-binning tests of [`crate::scheduler::ActiveScheduler`]. The
+//! schedule type that used to live here was folded into `scheduler.rs`;
+//! the tests stay at this path so the suite keeps reporting them under the
+//! names (`blocksteps::tests::*`) the test floor tracks.
+mod tests {
+    use crate::scheduler::ActiveScheduler;
 
-/// Assignment of particles to power-of-two timestep levels.
-///
-/// Level 0 steps with `dt_max`; level `l` with `dt_max / 2^l`.
-///
-/// The `Default` schedule is empty and unusable until
-/// [`BlockSchedule::reassign`] runs (it exists so drivers can embed one
-/// and fill it lazily).
-#[derive(Debug, Clone, Default)]
-pub struct BlockSchedule {
-    pub dt_max: f64,
-    /// Level per particle.
-    pub levels: Vec<u32>,
-    max_level: u32,
-}
-
-impl BlockSchedule {
-    /// Bin `dt_wanted` into levels: the largest power-of-two fraction of
-    /// `dt_max` not exceeding each particle's desired step, capped at
-    /// `max_level`.
-    pub fn assign(dt_max: f64, dt_wanted: &[f64], max_level: u32) -> Self {
-        let mut s = BlockSchedule {
-            dt_max,
-            levels: Vec::new(),
-            max_level: 0,
-        };
-        s.reassign(dt_max, dt_wanted, max_level);
+    fn assigned(dt_max: f64, dt_wanted: &[f64], max_level: u32) -> ActiveScheduler {
+        let mut s = ActiveScheduler::default();
+        s.assign(dt_max, dt_wanted, max_level);
         s
     }
 
-    /// In-place [`BlockSchedule::assign`]: the level array is cleared and
-    /// refilled, never re-collected, so a driver reassigning levels every
-    /// base step reuses the same storage (the scheduler's zero-allocation
-    /// contract).
-    pub fn reassign(&mut self, dt_max: f64, dt_wanted: &[f64], max_level: u32) {
-        assert!(dt_max > 0.0);
-        self.dt_max = dt_max;
-        self.levels.clear();
-        self.levels.extend(dt_wanted.iter().map(|&dt| {
-            assert!(dt > 0.0, "timesteps must be positive");
-            let ratio = dt_max / dt;
-            if ratio <= 1.0 {
-                0
-            } else {
-                (ratio.log2().ceil() as u32).min(max_level)
-            }
-        }));
-        self.max_level = self.levels.iter().copied().max().unwrap_or(0);
-    }
-
-    /// Restore a previously captured level assignment verbatim (snapshot
-    /// restart): unlike [`BlockSchedule::reassign`] the levels are taken as
-    /// given, not re-derived from desired timesteps.
-    pub fn restore(&mut self, dt_max: f64, levels: &[u32]) {
-        assert!(dt_max > 0.0);
-        self.dt_max = dt_max;
-        self.levels.clear();
-        self.levels.extend_from_slice(levels);
-        self.max_level = levels.iter().copied().max().unwrap_or(0);
-    }
-
-    /// Deepen the substep walk to `depth` without touching any particle's
-    /// level: the base step is subdivided as if level `depth` were
-    /// occupied, so `substeps_per_base_step` becomes `2^depth` and every
-    /// `active_at*` period is computed against the deeper hierarchy. This
-    /// is the distributed schedule-agreement hook — every rank raises its
-    /// local schedule to the allreduced world maximum so all ranks walk
-    /// the same fine-substep boundaries (and hit the same collectives),
-    /// while ranks with only shallow levels simply have empty active sets
-    /// at the extra boundaries. A `depth` below the deepest occupied
-    /// level is a no-op.
-    pub fn raise_depth(&mut self, depth: u32) {
-        self.max_level = self.max_level.max(depth);
-    }
-
-    /// Deepest level the substep walk subdivides to: the deepest occupied
-    /// level, or the [`BlockSchedule::raise_depth`] override if deeper.
-    pub fn max_level(&self) -> u32 {
-        self.max_level
-    }
-
-    /// The finest substep.
-    pub fn dt_min(&self) -> f64 {
-        self.dt_max / (1u64 << self.max_level) as f64
-    }
-
-    /// Substeps of the finest level needed to cover one base step.
-    pub fn substeps_per_base_step(&self) -> u64 {
-        1u64 << self.max_level
-    }
-
-    /// Which particles are active at fine-substep `k` (0-based within the
-    /// base step): a particle at level `l` updates every `2^(max - l)`
-    /// substeps.
-    pub fn active_at(&self, k: u64) -> Vec<usize> {
+    fn active_at(s: &ActiveScheduler, k: u64) -> Vec<u32> {
         let mut out = Vec::new();
-        self.active_at_into(k, &mut out);
-        out.into_iter().map(|i| i as usize).collect()
+        s.active_at_boundary_into(k, &mut out);
+        out
     }
-
-    /// [`BlockSchedule::active_at`] into a caller-owned index buffer
-    /// (cleared, capacity kept) — the zero-allocation entry point the
-    /// substep driver uses at every boundary. Also valid at `k = 2^max`
-    /// (the base-step end boundary, where every particle closes a step).
-    pub fn active_at_into(&self, k: u64, out: &mut Vec<u32>) {
-        out.clear();
-        for (i, &l) in self.levels.iter().enumerate() {
-            let period = 1u64 << (self.max_level - l);
-            if k.is_multiple_of(period) {
-                out.push(i as u32);
-            }
-        }
-    }
-
-    /// The quantized timestep of particle `i`: `dt_max / 2^level`.
-    pub fn dt_of(&self, i: usize) -> f64 {
-        self.dt_max / (1u64 << self.levels[i]) as f64
-    }
-
-    /// Total particle-updates over one base step — the useful work.
-    pub fn updates_per_base_step(&self) -> u64 {
-        self.levels.iter().map(|&l| 1u64 << l).sum()
-    }
-
-    /// Parallel efficiency under the paper's cost argument: each of the
-    /// `2^max_level` substeps pays `overhead_fraction` of a full-system
-    /// update (prediction + tree + communication for *all* particles),
-    /// while useful work is only the active updates. Equals ~1 when all
-    /// particles share one level, and collapses when a few particles force
-    /// deep levels.
-    pub fn efficiency(&self, overhead_fraction: f64) -> f64 {
-        let n = self.levels.len() as f64;
-        let substeps = self.substeps_per_base_step() as f64;
-        let useful = self.updates_per_base_step() as f64;
-        let overhead = substeps * overhead_fraction * n;
-        useful / (useful + overhead)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn uniform_timesteps_use_one_level() {
-        let s = BlockSchedule::assign(1.0, &[1.0; 100], 20);
+        let s = assigned(1.0, &[1.0; 100], 20);
         assert_eq!(s.max_level(), 0);
         assert_eq!(s.substeps_per_base_step(), 1);
         assert_eq!(s.updates_per_base_step(), 100);
-        assert_eq!(s.active_at(0).len(), 100);
+        assert_eq!(active_at(&s, 0).len(), 100);
     }
 
     #[test]
     fn levels_quantize_downward() {
-        let s = BlockSchedule::assign(1.0, &[1.0, 0.6, 0.5, 0.3, 0.11], 20);
+        let s = assigned(1.0, &[1.0, 0.6, 0.5, 0.3, 0.11], 20);
         // 0.6 -> level 1 (dt 0.5); 0.5 -> 1; 0.3 -> 2 (0.25); 0.11 -> 4 (0.0625).
         assert_eq!(s.levels, vec![0, 1, 1, 2, 4]);
         // Quantized dt never exceeds the wanted dt.
@@ -175,19 +39,19 @@ mod tests {
 
     #[test]
     fn activity_pattern_is_binary_subdivision() {
-        let s = BlockSchedule::assign(1.0, &[1.0, 0.5, 0.25], 20);
+        let s = assigned(1.0, &[1.0, 0.5, 0.25], 20);
         assert_eq!(s.max_level(), 2);
         assert_eq!(s.substeps_per_base_step(), 4);
         // Substep 0: everyone. 1: only level 2. 2: levels 1 and 2. 3: level 2.
-        assert_eq!(s.active_at(0), vec![0, 1, 2]);
-        assert_eq!(s.active_at(1), vec![2]);
-        assert_eq!(s.active_at(2), vec![1, 2]);
-        assert_eq!(s.active_at(3), vec![2]);
+        assert_eq!(active_at(&s, 0), vec![0, 1, 2]);
+        assert_eq!(active_at(&s, 1), vec![2]);
+        assert_eq!(active_at(&s, 2), vec![1, 2]);
+        assert_eq!(active_at(&s, 3), vec![2]);
         // Each particle's total updates match its level.
         let mut counts = [0u32; 3];
         for k in 0..4 {
-            for i in s.active_at(k) {
-                counts[i] += 1;
+            for i in active_at(&s, k) {
+                counts[i as usize] += 1;
             }
         }
         assert_eq!(counts, [1, 2, 4]);
@@ -200,9 +64,9 @@ mod tests {
         // 1024x smaller step makes the fixed per-substep costs dominate.
         let n = 10_000;
         let mut dts = vec![1.0; n];
-        let uniform = BlockSchedule::assign(1.0, &dts, 20);
+        let uniform = assigned(1.0, &dts, 20);
         dts[0] = 1.0 / 1024.0;
-        let spiked = BlockSchedule::assign(1.0, &dts, 20);
+        let spiked = assigned(1.0, &dts, 20);
         let overhead = 0.01; // 1% of a full update per substep
         let e_uniform = uniform.efficiency(overhead);
         let e_spiked = spiked.efficiency(overhead);
@@ -215,26 +79,26 @@ mod tests {
 
     #[test]
     fn max_level_cap_is_respected() {
-        let s = BlockSchedule::assign(1.0, &[1e-9], 10);
+        let s = assigned(1.0, &[1e-9], 10);
         assert_eq!(s.max_level(), 10);
-        assert!((s.dt_min() - 1.0 / 1024.0).abs() < 1e-12);
+        assert!((s.dt_fine() - 1.0 / 1024.0).abs() < 1e-12);
     }
 
     #[test]
     fn efficiency_with_zero_overhead_is_one() {
-        let s = BlockSchedule::assign(1.0, &[1.0, 0.25, 0.5], 20);
+        let s = assigned(1.0, &[1.0, 0.25, 0.5], 20);
         assert!((s.efficiency(0.0) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_timestep_rejected() {
-        let _ = BlockSchedule::assign(1.0, &[0.0], 4);
+        let _ = assigned(1.0, &[0.0], 4);
     }
 
     #[test]
     fn raise_depth_widens_the_walk_without_moving_levels() {
-        let mut s = BlockSchedule::assign(1.0, &[1.0, 0.5], 20);
+        let mut s = assigned(1.0, &[1.0, 0.5], 20);
         assert_eq!(s.max_level(), 1);
         s.raise_depth(3);
         assert_eq!(s.max_level(), 3);
@@ -243,23 +107,23 @@ mod tests {
         assert_eq!(s.levels, vec![0, 1]);
         assert_eq!(s.dt_of(1), 0.5);
         // Level-1 particles now update every 4 of the 8 fine substeps.
-        assert_eq!(s.active_at(4), vec![1]);
-        assert_eq!(s.active_at(1), Vec::<usize>::new());
-        assert_eq!(s.active_at(0), vec![0, 1]);
+        assert_eq!(active_at(&s, 4), vec![1]);
+        assert_eq!(active_at(&s, 1), Vec::<u32>::new());
+        assert_eq!(active_at(&s, 0), vec![0, 1]);
         // Raising below the occupied depth is a no-op.
         s.raise_depth(2);
         assert_eq!(s.max_level(), 3);
         // Reassignment re-derives the depth from the levels again.
-        s.reassign(1.0, &[1.0, 0.5], 20);
+        s.assign(1.0, &[1.0, 0.5], 20);
         assert_eq!(s.max_level(), 1);
     }
 
     #[test]
     fn reassign_reuses_storage_and_matches_assign() {
-        let mut s = BlockSchedule::assign(1.0, &[1.0, 0.3, 0.1, 0.6], 20);
+        let mut s = assigned(1.0, &[1.0, 0.3, 0.1, 0.6], 20);
         let cap = s.levels.capacity();
-        s.reassign(2.0, &[2.0, 0.5, 0.9], 20);
-        let fresh = BlockSchedule::assign(2.0, &[2.0, 0.5, 0.9], 20);
+        s.assign(2.0, &[2.0, 0.5, 0.9], 20);
+        let fresh = assigned(2.0, &[2.0, 0.5, 0.9], 20);
         assert_eq!(s.levels, fresh.levels);
         assert_eq!(s.max_level(), fresh.max_level());
         assert_eq!(s.levels.capacity(), cap, "reassign must not reallocate");
@@ -267,15 +131,17 @@ mod tests {
 
     #[test]
     fn active_at_into_matches_active_at_and_covers_end_boundary() {
-        let s = BlockSchedule::assign(1.0, &[1.0, 0.5, 0.25], 20);
+        let s = assigned(1.0, &[1.0, 0.5, 0.25], 20);
+        // One caller-owned buffer serves every boundary (cleared, capacity
+        // kept) and yields the binary-subdivision pattern.
         let mut buf = Vec::new();
+        let expected: [&[u32]; 4] = [&[0, 1, 2], &[2], &[1, 2], &[2]];
         for k in 0..s.substeps_per_base_step() {
-            s.active_at_into(k, &mut buf);
-            let via_vec: Vec<usize> = buf.iter().map(|&i| i as usize).collect();
-            assert_eq!(via_vec, s.active_at(k));
+            s.active_at_boundary_into(k, &mut buf);
+            assert_eq!(buf, expected[k as usize]);
         }
         // End boundary: everyone closes a step.
-        s.active_at_into(s.substeps_per_base_step(), &mut buf);
+        s.active_at_boundary_into(s.substeps_per_base_step(), &mut buf);
         assert_eq!(buf, vec![0, 1, 2]);
         // Per-particle quantized dt follows the level.
         assert_eq!(s.dt_of(0), 1.0);

@@ -28,8 +28,41 @@
 //! In `Global` mode the loop is a true kick–drift–kick: the opening force
 //! pass (`1st *` phases) feeds the half-kick + drift, a full re-force at
 //! the drifted positions (`2nd *` phases — a real evaluation, not a timed
-//! placeholder) feeds the closing half-kick under `Final_kick`. This
-//! matches the shared-memory driver's integration order.
+//! placeholder) feeds the closing half-kick under `Final_kick`.
+//!
+//! # One pipeline, two drivers
+//!
+//! None of the force evaluation or the integration above is written here:
+//! a main rank calls [`ForceBuffers::kdk`] / [`ForceBuffers::block_step`]
+//! — the code the shared-memory [`Simulation`](crate::sim::Simulation)
+//! runs — on its local slab, through a [`Halo`] (`DistHalo`) that appends
+//! the LET imports, exchanges and refreshes the SPH ghosts, all-reduces
+//! the block depth and brackets each phase for the timer. The region cut,
+//! the due rule, replace-by-ID and the cooling loop are the
+//! [`crate::step`] functions both drivers call. On a `(1,1,1)` grid the
+//! halo has nobody to talk to and the two drivers agree to the bit —
+//! every `pos`/`vel`/`mass`/`u`/`h`/`rho` and the whole [`SimStats`] — in
+//! `Global` and in `Block` mode and through an SN's pool round trip
+//! (`tests/driver_equivalence.rs`). On more ranks the domain cut reorders
+//! the force sums, and agreement is a drift class (`tests/distributed.rs`).
+//!
+//! What this loop still does *not* do that `Simulation::step` does:
+//!
+//! * **No nucleosynthesis yields.** `Simulation::inject_yields` spreads an
+//!   exploding star's metals over the gas within `region_side / 2`; doing
+//!   that across ranks needs a cross-rank Σw and is not implemented, so a
+//!   distributed run's `metals` stay at their initial values (in the
+//!   equivalence test's one-SN case 56 of 381 particles differ from the
+//!   shared-memory run, in `metals` only).
+//! * **No star formation.** `Star Formation` is a barrier pair around an
+//!   empty closure, kept so the phase report carries all 17 legend
+//!   entries; [`SimStats::stars_formed`] stays 0.
+//! * **[`SimConfig::scheme`] is ignored.** Every identified SN goes to the
+//!   pool (the surrogate data path); there is no distributed
+//!   `inject_thermal`, and no CFL-adaptive *global* step — `Block` mode is
+//!   the only conventional-style integration here.
+//! * **`sn_events` counts dispatched regions**, i.e. events whose cube
+//!   holds gas; `Simulation` counts every identified event.
 //!
 //! # Distributed block timesteps
 //!
@@ -75,6 +108,7 @@
 //! owning rank's same-pass values, never a locally invented clamp.
 
 use crate::config::{SimConfig, TimestepMode};
+use crate::forces::{ForceBuffers, Halo, PassPhases};
 use crate::particle::Particle;
 use crate::phases;
 use crate::pool::{PoolPredictor, SedovOverlayPredictor, UNetPredictor};
@@ -82,18 +116,19 @@ use crate::scheduler::{self, ActiveScheduler};
 pub use crate::sim::SimStats;
 pub use crate::snapshot::{DistPending, DistSnapshot};
 use crate::snapshot::{ModelState, ScheduleState};
+use crate::step::{self, GasIndex};
 use astro::lifetime::explodes_in_interval;
-use astro::units::{E_SN, G, NH_PER_MSUN_PC3};
+use astro::units::E_SN;
 use fdps::domain::DomainDecomposition;
 use fdps::exchange::{exchange_ghosts, exchange_particles, Routing};
 use fdps::let_exchange::exchange_let;
-use fdps::{Tree, Vec3, WalkIndex};
+use fdps::{Tree, Vec3};
 use gravity::GravitySolver;
 use mpisim::{Comm, PhaseReport, PhaseTimer, World};
-use sph::solver::{HydroState, SphScratch, SphSolver};
+use sph::solver::HydroState;
 use sph::GammaLawEos;
 use std::fmt;
-use surrogate::{GasParticle, SurrogateConfig, SurrogateModel};
+use surrogate::{GasParticle, SurrogateModel};
 
 const TAG_REGION: u64 = 50;
 const TAG_SHUTDOWN: u64 = 51;
@@ -107,15 +142,6 @@ pub enum PredictorKind {
     /// Analytic Sedov–Taylor overlay: deterministic and cheap (the default,
     /// and the reference the U-Net is trained to imitate).
     SedovOverlay,
-    /// The U-Net surrogate pipeline (voxelize → net → Gibbs resample) with
-    /// freshly initialized weights — the full paper data path on the pool
-    /// ranks, used for plumbing tests; production runs load trained
-    /// weights with [`PredictorKind::UNetTrained`].
-    UNetUntrained {
-        grid_n: usize,
-        base_features: usize,
-        seed: u64,
-    },
     /// Trained weights from an `asura train-surrogate` file. The CLI-facing
     /// form: [`PredictorKind::resolve`] reads and validates the file
     /// up front (before any rank is spawned), turning it into
@@ -170,19 +196,6 @@ impl PredictorKind {
     pub fn build(&self, region_side: f64) -> Box<dyn PoolPredictor> {
         match self {
             PredictorKind::SedovOverlay => Box::new(SedovOverlayPredictor),
-            PredictorKind::UNetUntrained {
-                grid_n,
-                base_features,
-                seed,
-            } => Box::new(UNetPredictor::new(
-                SurrogateModel::new(SurrogateConfig {
-                    grid_n: *grid_n,
-                    side: region_side,
-                    base_features: *base_features,
-                    seed: *seed,
-                }),
-                *seed,
-            )),
             PredictorKind::UNetTrained { path, seed } => {
                 let resolved = PredictorKind::UNetTrained {
                     path: path.clone(),
@@ -201,8 +214,8 @@ impl PredictorKind {
 
     /// The model state a checkpoint should embed for this predictor:
     /// `Some` for trained weights (resolved or file-backed after
-    /// [`resolve`](PredictorKind::resolve)), `None` for the analytic and
-    /// untrained kinds, which rebuild deterministically from config alone.
+    /// [`resolve`](PredictorKind::resolve)), `None` for the analytic kind,
+    /// which rebuilds deterministically from config alone.
     pub fn model_state(&self) -> Option<ModelState> {
         match self {
             PredictorKind::UNetWeights { seed, weights_json } => Some(ModelState {
@@ -461,454 +474,130 @@ struct Ghost {
     reach: f64,
 }
 
-/// Phase names of one full force evaluation; the opening (base-step) pass
-/// records under the `1st *` legend entries, the KDK re-force and the
-/// substep path under the `2nd *` ones.
-struct PassPhases {
-    tree: &'static str,
-    let_exchange: &'static str,
-    grav_force: &'static str,
-    density: &'static str,
-    sph_force: &'static str,
-}
-
-const PASS_OPENING: PassPhases = PassPhases {
-    tree: phases::MAKE_LOCAL_TREE_1,
-    let_exchange: phases::EXCHANGE_LET_1,
-    grav_force: phases::CALC_FORCE_1,
-    density: phases::CALC_KERNEL_DENSITY_1,
-    sph_force: phases::CALC_FORCE_1,
-};
-
-const PASS_CLOSING: PassPhases = PassPhases {
-    tree: phases::MAKE_TREE_2,
-    let_exchange: phases::EXCHANGE_LET_2,
-    grav_force: phases::CALC_FORCE_2,
-    density: phases::CALC_KERNEL_SIZE_2,
-    sph_force: phases::CALC_FORCE_2,
-};
-
-/// Per-rank force-evaluation state: persistent scratch arenas (the same
-/// zero-allocation contract the shared-memory driver keeps) plus the
-/// base-step source caches — gravity tree over locals + LET imports, walk
-/// index, hydro state — that the substep walk moment-refreshes instead of
-/// rebuilding.
-struct RankForces {
-    grav_acc: Vec<Vec3>,
-    grav_pot: Vec<f64>,
-    sph: SphScratch,
-    /// Combined gravity + SPH acceleration per local particle.
-    acc: Vec<Vec3>,
-    /// Specific-energy rate per local particle (0 for collisionless).
-    dudt: Vec<f64>,
-    /// `(particle index, v_sig, h)` from the last SPH force pass.
-    vsig: Vec<(usize, f64, f64)>,
-    /// Gravity source system: local positions followed by LET imports.
-    jpos: Vec<Vec3>,
-    jmass: Vec<f64>,
-    jtree: Option<Tree>,
-    jwalk: Option<WalkIndex>,
-    /// Source positions at the last full build (drift-bound reference).
-    ref_pos: Vec<Vec3>,
-    /// Hydro state: local gas first, then ghosts.
-    state: HydroState,
-    gas_idx: Vec<usize>,
-    /// Particle index → hydro-local index (`NOT_GAS_LOCAL` for non-gas).
-    gas_local: Vec<u32>,
-    n_gas_local: usize,
+/// One main rank's view of the other main ranks during a step: the
+/// [`Halo`] the shared force pipeline and integrator
+/// ([`crate::forces`]) run through. Every method is collective over
+/// `main` and recorded, barrier-bracketed, under the paper's phase names.
+struct DistHalo<'a> {
+    main: &'a Comm,
+    dd: &'a DomainDecomposition,
+    routing: Routing,
+    timer: &'a mut PhaseTimer,
     /// Pre-density exchange reach per local gas particle, reused by the
     /// post-density ghost refresh so the selection is identical.
-    reach0: Vec<f64>,
-    active_mask: Vec<bool>,
-    active_gas: Vec<usize>,
-    dt_wanted: Vec<f64>,
-    active: Vec<u32>,
+    reach0: &'a mut Vec<f64>,
 }
 
-const NOT_GAS_LOCAL: u32 = u32::MAX;
+/// Exchange the local gas (current owner values, one `reach` entry each)
+/// as ghost payloads.
+fn exchange_gas(
+    main: &Comm,
+    dd: &DomainDecomposition,
+    routing: Routing,
+    reach: &[f64],
+    hydro: &HydroState,
+) -> Vec<Ghost> {
+    let locals: Vec<Ghost> = reach
+        .iter()
+        .enumerate()
+        .map(|(k, &reach)| Ghost {
+            pos: hydro.pos[k],
+            vel: hydro.vel[k],
+            mass: hydro.mass[k],
+            u: hydro.u[k],
+            h: hydro.h[k],
+            rho: hydro.rho[k],
+            reach,
+        })
+        .collect();
+    exchange_ghosts(main, dd, &locals, |g| g.pos, |g| g.reach, routing)
+}
 
-impl RankForces {
-    fn new() -> Self {
-        RankForces {
-            grav_acc: Vec::new(),
-            grav_pot: Vec::new(),
-            sph: SphScratch::default(),
-            acc: Vec::new(),
-            dudt: Vec::new(),
-            vsig: Vec::new(),
-            jpos: Vec::new(),
-            jmass: Vec::new(),
-            jtree: None,
-            jwalk: None,
-            ref_pos: Vec::new(),
-            state: HydroState::default(),
-            gas_idx: Vec::new(),
-            gas_local: Vec::new(),
-            n_gas_local: 0,
-            reach0: Vec::new(),
-            active_mask: Vec::new(),
-            active_gas: Vec::new(),
-            dt_wanted: Vec::new(),
-            active: Vec::new(),
-        }
-    }
+impl Halo for DistHalo<'_> {
+    /// The exchanges and the barrier brackets are collective over the main
+    /// communicator: a rank whose domain holds no gas (or no active
+    /// particle this boundary) still enters every one of them with empty
+    /// payloads/targets — a data-dependent skip would desynchronize the
+    /// collective sequence and deadlock the walk.
+    const COLLECTIVE: bool = true;
 
-    fn gravity_solver(sim: &SimConfig) -> GravitySolver {
-        GravitySolver {
-            g: G,
-            theta: sim.theta,
-            n_group: sim.n_group,
-            n_leaf: 8,
-            eps: sim.eps,
-            mixed_precision: sim.mixed_precision,
-        }
-    }
-
-    fn sph_solver(sim: &SimConfig) -> SphSolver {
-        SphSolver {
-            density_cfg: sph::density::DensityConfig {
-                n_ngb_target: sim.n_ngb,
-                ..Default::default()
-            },
-            cfl: sim.cfl,
-            ..Default::default()
-        }
-    }
-
-    /// Refill the hydro-local arrays from the particle state (positions,
-    /// velocities and energies move between passes; `h`/`rho` carry each
-    /// particle's latest converged values).
-    fn stage_hydro_locals(&mut self, particles: &[Particle]) {
-        let st = &mut self.state;
-        st.pos.clear();
-        st.vel.clear();
-        st.mass.clear();
-        st.u.clear();
-        st.h.clear();
-        st.rho.clear();
-        for &i in &self.gas_idx {
-            let p = &particles[i];
-            st.pos.push(p.pos);
-            st.vel.push(p.vel);
-            st.mass.push(p.mass);
-            st.u.push(p.u);
-            st.h.push(p.h.max(1e-3));
-            st.rho.push(p.rho);
-        }
-    }
-
-    /// Export the local gas as ghost payloads (current owner values).
-    fn ghost_payloads(&self) -> Vec<Ghost> {
-        let st = &self.state;
-        (0..self.n_gas_local)
-            .map(|k| Ghost {
-                pos: st.pos[k],
-                vel: st.vel[k],
-                mass: st.mass[k],
-                u: st.u[k],
-                h: st.h[k],
-                rho: st.rho[k],
-                reach: self.reach0[k],
-            })
-            .collect()
-    }
-
-    /// Pre-density ghost exchange: append the other ranks' boundary gas to
-    /// the hydro state (their `rho` is the owner's previous value; the
-    /// post-density [`RankForces::refresh_ghosts`] replaces it with the
-    /// same-pass one).
-    fn exchange_ghosts_initial(&mut self, main: &Comm, dd: &DomainDecomposition, routing: Routing) {
-        self.reach0.clear();
-        self.reach0
-            .extend(self.state.h[..self.n_gas_local].iter().map(|&h| 2.0 * h));
-        let locals = self.ghost_payloads();
-        let ghosts = exchange_ghosts(main, dd, &locals, |g| g.pos, |g| g.reach, routing);
-        let st = &mut self.state;
-        st.acc.clear();
-        st.dudt.clear();
-        st.cs.clear();
-        st.v_sig.clear();
-        st.n_ngb.clear();
-        for g in ghosts {
-            st.pos.push(g.pos);
-            st.vel.push(g.vel);
-            st.mass.push(g.mass);
-            st.u.push(g.u);
-            st.h.push(g.h);
-            st.rho.push(g.rho);
-        }
-        st.resize_derived();
-    }
-
-    /// Post-density ghost refresh: re-run the exchange with the identical
-    /// per-particle reach (same positions, same selection, same order) so
-    /// every ghost entry receives the owner's freshly converged `rho`/`h`
-    /// and current `u`/`vel`.
-    fn refresh_ghosts(&mut self, main: &Comm, dd: &DomainDecomposition, routing: Routing) {
-        let locals = self.ghost_payloads();
-        let ghosts = exchange_ghosts(main, dd, &locals, |g| g.pos, |g| g.reach, routing);
-        let st = &mut self.state;
-        assert_eq!(
-            ghosts.len(),
-            st.len() - self.n_gas_local,
-            "ghost refresh must re-select the identical ghost set"
-        );
-        for (k, g) in ghosts.into_iter().enumerate() {
-            let j = self.n_gas_local + k;
-            st.vel[j] = g.vel;
-            st.u[j] = g.u;
-            st.h[j] = g.h;
-            st.rho[j] = g.rho;
-        }
-    }
-
-    /// One full force evaluation — gravity (local tree → LET → walk) plus
-    /// SPH (ghosts → density → owner-value ghost refresh → force) — for
-    /// *all* local particles, recorded under `ph`'s phase names. Rebuilds
-    /// and caches the gravity source system for the substep path.
-    #[allow(clippy::too_many_arguments)]
-    fn full_pass(
+    /// Local tree → LET exchange → imports appended after the locals.
+    fn import_sources(
         &mut self,
-        timer: &mut PhaseTimer,
-        main: &Comm,
-        dd: &DomainDecomposition,
-        cfg: &DistConfig,
-        particles: &mut [Particle],
         ph: &PassPhases,
-        stats: &mut SimStats,
+        solver: &GravitySolver,
+        pos: &mut Vec<Vec3>,
+        mass: &mut Vec<f64>,
     ) {
-        let sim = &cfg.sim;
-        let solver = Self::gravity_solver(sim);
-        let sph_solver = Self::sph_solver(sim);
-        let n_local = particles.len();
-
-        // --- Gravity: local tree, LET, force over locals + imports ------
-        self.jpos.clear();
-        self.jpos.extend(particles.iter().map(|p| p.pos));
-        self.jmass.clear();
-        self.jmass.extend(particles.iter().map(|p| p.mass));
-        let local_tree = timer.region(main, ph.tree, || Tree::build(&self.jpos, &self.jmass, 8));
-        let imports = timer.region(main, ph.let_exchange, || {
+        let local_tree = self
+            .timer
+            .region(self.main, ph.tree, || Tree::build(pos, mass, solver.n_leaf));
+        let imports = self.timer.region(self.main, ph.let_exchange, || {
             exchange_let(
-                main,
-                dd,
+                self.main,
+                self.dd,
                 &local_tree,
-                &self.jpos,
-                &self.jmass,
-                sim.theta,
-                cfg.routing,
+                pos,
+                mass,
+                solver.theta,
+                self.routing,
             )
         });
         for e in &imports {
-            self.jpos.push(e.position());
-            self.jmass.push(e.mass);
-        }
-        stats.gravity_interactions += timer.region(main, ph.grav_force, || {
-            let jtree = Tree::build(&self.jpos, &self.jmass, solver.n_leaf);
-            let jwalk = match self.jwalk.take() {
-                Some(mut ix) => {
-                    ix.rebuild_from(&jtree);
-                    ix
-                }
-                None => jtree.walk_index(),
-            };
-            let n = solver.evaluate_into_indexed(
-                &jtree,
-                &jwalk,
-                &self.jpos,
-                &self.jmass,
-                n_local,
-                &mut self.grav_acc,
-                &mut self.grav_pot,
-            );
-            self.jtree = Some(jtree);
-            self.jwalk = Some(jwalk);
-            n
-        });
-        stats.tree_rebuilds += 1;
-        self.ref_pos.clear();
-        self.ref_pos.extend_from_slice(&self.jpos);
-
-        // --- SPH: ghosts, density, owner-value refresh, force -----------
-        self.gas_idx.clear();
-        self.gas_idx
-            .extend((0..n_local).filter(|&i| particles[i].is_gas()));
-        self.gas_local.clear();
-        self.gas_local.resize(n_local, NOT_GAS_LOCAL);
-        for (k, &i) in self.gas_idx.iter().enumerate() {
-            self.gas_local[i] = k as u32;
-        }
-        self.n_gas_local = self.gas_idx.len();
-        self.stage_hydro_locals(particles);
-        timer.region(main, phases::PREPROCESS_FEEDBACK, || {
-            self.exchange_ghosts_initial(main, dd, cfg.routing);
-        });
-        let (r0, b0) = self.sph.tree_counts();
-        let dstats = timer.region(main, ph.density, || {
-            sph_solver.density_pass_with(&mut self.state, self.n_gas_local, &mut self.sph)
-        });
-        timer.region(main, phases::PREPROCESS_FEEDBACK, || {
-            self.refresh_ghosts(main, dd, cfg.routing);
-        });
-        let fstats = timer.region(main, ph.sph_force, || {
-            sph_solver.force_pass_with(&mut self.state, self.n_gas_local, &mut self.sph)
-        });
-        let (r1, b1) = self.sph.tree_counts();
-        stats.sph_tree_refreshes += r1 - r0;
-        stats.sph_tree_rebuilds += b1 - b0;
-        stats.hydro_interactions += dstats.density_interactions + fstats.force_interactions;
-
-        // --- Combine into per-particle acc/dudt, write back h/rho -------
-        self.acc.clear();
-        self.acc.extend_from_slice(&self.grav_acc[..n_local]);
-        self.dudt.clear();
-        self.dudt.resize(n_local, 0.0);
-        self.vsig.clear();
-        for (k, &i) in self.gas_idx.iter().enumerate() {
-            self.acc[i] += self.state.acc[k];
-            self.dudt[i] = self.state.dudt[k];
-            self.vsig.push((
-                i,
-                self.state.v_sig[k].max(self.state.cs[k]),
-                self.state.h[k],
-            ));
-            let p = &mut particles[i];
-            p.h = self.state.h[k];
-            p.rho = self.state.rho[k];
+            pos.push(e.position());
+            mass.push(e.mass);
         }
     }
 
-    /// One substep's force evaluation for the active set: ghost refresh at
-    /// the drifted positions, moment-refreshed gravity source tree (LET
-    /// imports frozen at their base-step positions — the same error class
-    /// as the refreshed MAC under the drift bound), active-set density and
-    /// hydro forces through the cached SPH neighbor tree. Must be entered
-    /// by every main rank each substep (the ghost exchanges are
-    /// collective), including ranks whose active set is empty.
-    fn active_pass(
-        &mut self,
-        timer: &mut PhaseTimer,
-        main: &Comm,
-        dd: &DomainDecomposition,
-        cfg: &DistConfig,
-        particles: &mut [Particle],
-        stats: &mut SimStats,
-    ) {
-        let sim = &cfg.sim;
-        let solver = Self::gravity_solver(sim);
-        let sph_solver = Self::sph_solver(sim);
-        let n_local = particles.len();
+    /// Pre-density ghost exchange (their `rho` is the owner's previous
+    /// value; [`Halo::refresh_ghosts`] replaces it with the same-pass one).
+    fn append_ghosts(&mut self, hydro: &mut HydroState, n_local: usize) {
+        self.timer
+            .region(self.main, phases::PREPROCESS_FEEDBACK, || {
+                self.reach0.clear();
+                self.reach0
+                    .extend(hydro.h[..n_local].iter().map(|&h| 2.0 * h));
+                for g in exchange_gas(self.main, self.dd, self.routing, self.reach0, hydro) {
+                    hydro.pos.push(g.pos);
+                    hydro.vel.push(g.vel);
+                    hydro.mass.push(g.mass);
+                    hydro.u.push(g.u);
+                    hydro.h.push(g.h);
+                    hydro.rho.push(g.rho);
+                }
+                hydro.resize_derived();
+            });
+    }
 
-        // --- Gravity: refresh the cached source system at the drifted
-        // local positions (imports keep their base-step coordinates).
-        timer.region(main, phases::MAKE_TREE_2, || {
-            for (i, p) in particles.iter().enumerate() {
-                self.jpos[i] = p.pos;
-            }
-            let reuse = self.jtree.as_ref().is_some_and(|t| {
-                t.len() == self.jpos.len() && self.ref_pos.len() == self.jpos.len() && {
-                    let bound = t.cube.max_extent() * scheduler::TREE_DRIFT_FRACTION;
-                    let b2 = bound * bound;
-                    self.jpos
-                        .iter()
-                        .zip(&self.ref_pos)
-                        .all(|(p, q)| (*p - *q).norm2() <= b2)
+    /// Post-density ghost refresh: re-run the exchange with the identical
+    /// per-particle reach (same positions, same selection, same order).
+    fn refresh_ghosts(&mut self, hydro: &mut HydroState, n_local: usize) {
+        self.timer
+            .region(self.main, phases::PREPROCESS_FEEDBACK, || {
+                let ghosts = exchange_gas(self.main, self.dd, self.routing, self.reach0, hydro);
+                assert_eq!(
+                    ghosts.len(),
+                    hydro.len() - n_local,
+                    "ghost refresh must re-select the identical ghost set"
+                );
+                for (k, g) in ghosts.into_iter().enumerate() {
+                    let j = n_local + k;
+                    hydro.vel[j] = g.vel;
+                    hydro.u[j] = g.u;
+                    hydro.h[j] = g.h;
+                    hydro.rho[j] = g.rho;
                 }
             });
-            if reuse {
-                let t = self.jtree.as_mut().expect("cache validated above");
-                t.refresh(&self.jpos, &self.jmass);
-                stats.tree_refreshes += 1;
-                match self.jwalk.as_mut() {
-                    Some(ix) if ix.len() == t.nodes.len() => ix.refresh(t),
-                    other => *other.expect("walk index rides with the tree") = t.walk_index(),
-                }
-            } else {
-                let t = Tree::build(&self.jpos, &self.jmass, solver.n_leaf);
-                stats.tree_rebuilds += 1;
-                self.ref_pos.clear();
-                self.ref_pos.extend_from_slice(&self.jpos);
-                match self.jwalk.take() {
-                    Some(mut ix) => {
-                        ix.rebuild_from(&t);
-                        self.jwalk = Some(ix);
-                    }
-                    None => self.jwalk = Some(t.walk_index()),
-                }
-                self.jtree = Some(t);
-            }
-        });
-        self.active_mask.resize(n_local, false);
-        self.active_gas.clear();
-        for &ai in &self.active {
-            let i = ai as usize;
-            self.active_mask[i] = true;
-            let k = self.gas_local[i];
-            if k != NOT_GAS_LOCAL {
-                self.active_gas.push(k as usize);
-            }
-        }
-        stats.gravity_interactions += timer.region(main, phases::CALC_FORCE_2, || {
-            let tree = self.jtree.as_ref().expect("cached by full_pass");
-            let index = self.jwalk.as_ref().expect("rides with the tree");
-            solver.evaluate_into_active_indexed(
-                tree,
-                index,
-                &self.jpos,
-                &self.jmass,
-                n_local,
-                &self.active_mask,
-                &mut self.grav_acc,
-                &mut self.grav_pot,
-            )
-        });
+    }
 
-        // --- SPH: ghost refresh at the drifted positions, then
-        // active-subset density + force through the cached neighbor tree.
-        // Every region here runs unconditionally — the ghost exchanges and
-        // the barrier brackets are collective over the main communicator,
-        // so a rank whose domain holds no gas (or no active gas this
-        // boundary) still enters them with empty payloads/targets; a
-        // data-dependent skip would desynchronize the collective sequence
-        // and deadlock the walk.
-        self.stage_hydro_locals(particles);
-        timer.region(main, phases::PREPROCESS_FEEDBACK, || {
-            self.exchange_ghosts_initial(main, dd, cfg.routing);
-        });
-        let (r0, b0) = self.sph.tree_counts();
-        let dstats = timer.region(main, phases::CALC_KERNEL_SIZE_2, || {
-            sph_solver.density_pass_active(&mut self.state, &self.active_gas, &mut self.sph)
-        });
-        timer.region(main, phases::PREPROCESS_FEEDBACK, || {
-            self.refresh_ghosts(main, dd, cfg.routing);
-        });
-        let fstats = timer.region(main, phases::CALC_FORCE_2, || {
-            sph_solver.force_pass_active(&mut self.state, &self.active_gas, &mut self.sph)
-        });
-        let (r1, b1) = self.sph.tree_counts();
-        stats.sph_tree_refreshes += r1 - r0;
-        stats.sph_tree_rebuilds += b1 - b0;
-        stats.hydro_interactions += dstats.density_interactions + fstats.force_interactions;
+    fn agree_depth(&mut self, sched: &mut ActiveScheduler) -> u64 {
+        self.timer.region(self.main, phases::INTEGRATION, || {
+            scheduler::reduce_depth_world(self.main, sched)
+        })
+    }
 
-        // --- Scatter fresh forces for the active set ---------------------
-        for &k in &self.active_gas {
-            let i = self.gas_idx[k];
-            self.acc[i] = self.grav_acc[i] + self.state.acc[k];
-            self.dudt[i] = self.state.dudt[k];
-            let p = &mut particles[i];
-            p.h = self.state.h[k];
-            p.rho = self.state.rho[k];
-        }
-        for &ai in &self.active {
-            let i = ai as usize;
-            if self.gas_local[i] == NOT_GAS_LOCAL {
-                self.acc[i] = self.grav_acc[i];
-            }
-        }
-        // Restore the all-false mask invariant.
-        for &ai in &self.active {
-            self.active_mask[ai as usize] = false;
-        }
+    fn phase<R>(&mut self, name: &'static str, f: impl FnOnce() -> R) -> R {
+        self.timer.region(self.main, name, f)
     }
 }
 
@@ -980,10 +669,11 @@ fn main_loop(
             sched.restore(sc.dt_max, &sc.levels);
         }
     }
-    // Per-rank force scratch + source caches threaded through every step
-    // (see [`RankForces`]): gravity results and SPH staging are refreshed
-    // in place, so the steady-state loop does not re-collect them.
-    let mut forces = RankForces::new();
+    // Per-rank force scratch + source caches threaded through every step:
+    // gravity results and SPH staging are refreshed in place, so the
+    // steady-state loop does not re-collect them.
+    let mut forces = ForceBuffers::default();
+    let mut reach0: Vec<f64> = Vec::new();
     // Set when the run degrades mid-flight (see [`DistError`]): every
     // rank agrees on it at a collective point, breaks the step loop
     // together, and the report carries it instead of a panic unwinding
@@ -1038,24 +728,9 @@ fn main_loop(
             let mut sends: Vec<Vec<(u32, GasParticle)>> = vec![Vec::new(); n_main];
             for (k, &(origin, c)) in flat.iter().enumerate() {
                 let center = Vec3::new(c[0], c[1], c[2]);
-                for p in particles.iter().filter(|p| {
-                    p.is_gas() && {
-                        let d = p.pos - center;
-                        d.x.abs() < half && d.y.abs() < half && d.z.abs() < half
-                    }
-                }) {
-                    sends[origin].push((
-                        k as u32,
-                        GasParticle {
-                            pos: p.pos,
-                            vel: p.vel,
-                            mass: p.mass,
-                            temp: eos.temperature_from_u(p.u),
-                            h: p.h.max(1e-3),
-                            id: p.id,
-                        },
-                    ));
-                }
+                sends[origin].extend(
+                    step::region_gas(&particles, center, half, &eos).map(|g| (k as u32, g)),
+                );
             }
             let gathered = main.alltoallv(sends);
             // Origin ranks assemble their events and ship to pool ranks.
@@ -1087,136 +762,34 @@ fn main_loop(
             }
         });
 
-        // --- (3) Integrate one (base) step -------------------------------
+        // --- (3) Integrate one (base) step: the integrator both drivers
+        // share, through this rank's halo ----------------------------------
+        let mut halo = DistHalo {
+            main,
+            dd: &dd,
+            routing: cfg.routing,
+            timer: &mut timer,
+            reach0: &mut reach0,
+        };
         match sim.timestep {
             TimestepMode::Global => {
-                // KDK with the fixed global step: opening forces, half-kick
-                // + drift, full re-force at the new positions, closing
-                // half-kick — matching the shared-memory driver's order.
-                forces.full_pass(
-                    &mut timer,
-                    main,
-                    &dd,
-                    cfg,
-                    &mut particles,
-                    &PASS_OPENING,
-                    &mut stats,
-                );
-                let dt = sim.dt_global;
-                timer.region(main, phases::INTEGRATION, || {
-                    for (i, p) in particles.iter_mut().enumerate() {
-                        p.vel += forces.acc[i] * (0.5 * dt);
-                        if p.is_gas() {
-                            p.u = (p.u + forces.dudt[i] * (0.5 * dt)).max(1e-10);
-                        }
-                        p.pos += p.vel * dt;
-                    }
-                });
-                forces.full_pass(
-                    &mut timer,
-                    main,
-                    &dd,
-                    cfg,
-                    &mut particles,
-                    &PASS_CLOSING,
-                    &mut stats,
-                );
-                timer.region(main, phases::FINAL_KICK, || {
-                    for (i, p) in particles.iter_mut().enumerate() {
-                        p.vel += forces.acc[i] * (0.5 * dt);
-                        if p.is_gas() {
-                            p.u = (p.u + forces.dudt[i] * (0.5 * dt)).max(1e-10);
-                        }
-                    }
-                });
-                stats.active_updates += particles.len() as u64;
-                stats.dt_min_seen = stats.dt_min_seen.min(dt);
+                forces.kdk(sim, &mut halo, &mut particles, sim.dt_global, &mut stats)
             }
-            TimestepMode::Block { max_level } => {
-                // Hierarchical block timesteps across ranks (module docs:
-                // "Distributed block timesteps").
-                forces.full_pass(
-                    &mut timer,
-                    main,
-                    &dd,
-                    cfg,
-                    &mut particles,
-                    &PASS_OPENING,
-                    &mut stats,
-                );
-                let dt_base = sim.dt_global;
-                let n_sub = timer.region(main, phases::INTEGRATION, || {
-                    scheduler::desired_timesteps(
-                        sim.cfl,
-                        sim.eps,
-                        dt_base,
-                        sim.dt_min,
-                        &forces.acc,
-                        &forces.vsig,
-                        &mut forces.dt_wanted,
-                    );
-                    sched.assign(dt_base, &forces.dt_wanted, max_level);
-                    scheduler::reduce_depth_world(main, &mut sched)
-                });
-                let dt_fine = dt_base / n_sub as f64;
-                // Opening half-kick, each particle with its own level's step.
-                timer.region(main, phases::INTEGRATION, || {
-                    for (i, p) in particles.iter_mut().enumerate() {
-                        let half = 0.5 * sched.dt_of(i);
-                        p.vel += forces.acc[i] * half;
-                        if p.is_gas() {
-                            p.u = (p.u + forces.dudt[i] * half).max(1e-10);
-                        }
-                    }
-                });
-                for k in 0..n_sub {
-                    // Drift-predict everyone to the boundary (the paper's
-                    // per-substep all-particle overhead).
-                    timer.region(main, phases::INTEGRATION, || {
-                        for p in particles.iter_mut() {
-                            p.pos += p.vel * dt_fine;
-                        }
-                    });
-                    let boundary = k + 1;
-                    sched.active_at_boundary_into(boundary, &mut forces.active);
-                    forces.active_pass(&mut timer, main, &dd, cfg, &mut particles, &mut stats);
-                    // Closing half-kick; mid-base-step the same force also
-                    // opens the particle's next step, so the halves fuse.
-                    let closing_only = boundary == n_sub;
-                    timer.region(main, phases::FINAL_KICK, || {
-                        for &ai in &forces.active {
-                            let i = ai as usize;
-                            let dt_l = sched.dt_of(i);
-                            let kick = if closing_only { 0.5 * dt_l } else { dt_l };
-                            let p = &mut particles[i];
-                            p.vel += forces.acc[i] * kick;
-                            if p.is_gas() {
-                                p.u = (p.u + forces.dudt[i] * kick).max(1e-10);
-                            }
-                        }
-                    });
-                    stats.substeps += 1;
-                    stats.active_updates += forces.active.len() as u64;
-                }
-                stats.dt_min_seen = stats.dt_min_seen.min(dt_fine);
-            }
+            // Hierarchical block timesteps across ranks (module docs:
+            // "Distributed block timesteps").
+            TimestepMode::Block { max_level } => forces.block_step(
+                sim,
+                &mut halo,
+                &mut sched,
+                &mut particles,
+                max_level,
+                &mut stats,
+            ),
         }
 
         // --- (4) Receive due pool predictions ---------------------------
         timer.region(main, phases::RECEIVE_SNE, || {
-            let due: Vec<Pending> = {
-                let mut keep = Vec::new();
-                let mut due = Vec::new();
-                for p in pending.drain(..) {
-                    if p.due_step <= step {
-                        due.push(p);
-                    } else {
-                        keep.push(p);
-                    }
-                }
-                pending = keep;
-                due
-            };
+            let due = step::take_due(&mut pending, step, |p| p.due_step);
             // Collect replacements on origin ranks, then share with all
             // mains so owners can apply them by ID.
             let mut mine: Vec<GasParticle> = Vec::new();
@@ -1227,40 +800,20 @@ fn main_loop(
                 stats.regions_applied += 1;
             }
             let shared = main.allgatherv(mine);
-            // lint:allow(ordered-iteration): keyed lookup only — the map is
-            // probed by particle id below, never iterated, so hasher order
-            // cannot influence the apply order (which follows `shared`).
-            use std::collections::HashMap;
-            // lint:allow(ordered-iteration): keyed lookup only (see above).
-            let mut index: HashMap<u64, usize> = HashMap::new();
-            for (i, p) in particles.iter().enumerate() {
-                if p.is_gas() {
-                    index.insert(p.id, i);
-                }
-            }
-            for g in shared.into_iter().flatten() {
-                if let Some(&i) = index.get(&g.id) {
-                    let p = &mut particles[i];
-                    p.pos = g.pos;
-                    p.vel = g.vel;
-                    p.mass = g.mass;
-                    p.u = eos.u_from_temperature(g.temp.max(1.0));
-                    p.h = g.h;
-                }
-            }
+            // Migration reshuffles the slab every step, so the id index is
+            // built per use — and only when something is due.
+            step::replace_by_id(
+                &mut particles,
+                &mut GasIndex::default(),
+                shared.into_iter().flatten(),
+                &eos,
+            );
         });
 
         // --- (6) Cooling / heating + star formation ---------------------
         timer.region(main, phases::FEEDBACK_COOLING, || {
             if sim.cooling {
-                for p in particles.iter_mut() {
-                    if p.is_gas() && p.rho > 0.0 {
-                        let t_now = eos.temperature_from_u(p.u);
-                        let nh = p.rho * NH_PER_MSUN_PC3;
-                        let t_new = cooling.update(t_now, nh, sim.dt_global);
-                        p.u = eos.u_from_temperature(t_new.max(10.0));
-                    }
-                }
+                step::cool(&mut particles, &cooling, &eos, sim.dt_global);
             }
         });
         timer.region(main, phases::STAR_FORMATION, || {
@@ -1271,6 +824,7 @@ fn main_loop(
         time += sim.dt_global;
         step += 1;
         stats.steps += 1;
+        stats.dt_min_seen = stats.dt_min_seen.min(sim.dt_global);
 
         // --- Checkpoint at the configured cadence -----------------------
         if cfg.snapshot_every > 0 && step.is_multiple_of(cfg.snapshot_every) {
@@ -1560,10 +1114,15 @@ mod tests {
         let dt = 2.0e-3;
         let ic = disk_ic(300, 0, true, dt);
         let mut cfg = test_cfg(5, 2);
-        cfg.predictor = PredictorKind::UNetUntrained {
-            grid_n: 8,
-            base_features: 2,
+        cfg.predictor = PredictorKind::UNetWeights {
             seed: 7,
+            weights_json: SurrogateModel::new(surrogate::SurrogateConfig {
+                grid_n: 8,
+                side: cfg.sim.region_side,
+                base_features: 2,
+                seed: 7,
+            })
+            .to_json(),
         };
         let report = run_distributed(&cfg, &ic).expect("dist run");
         assert_eq!(report.sn_events, 1);

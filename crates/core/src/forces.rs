@@ -1,4 +1,4 @@
-//! The force-evaluation scratch arena.
+//! The force pipeline and the integrator, once, for both drivers.
 //!
 //! [`ForceBuffers`] owns every per-step staging buffer of the force
 //! pipeline: the global SoA snapshot (`pos`, `mass`) fed to the gravity
@@ -9,6 +9,20 @@
 //! warm-up step the arena's capacities stabilize and steady-state stepping
 //! performs zero heap growth here. [`ForceBuffers::capacity_signature`]
 //! exposes the capacities so regression tests can assert exactly that.
+//!
+//! On that arena sit the two force evaluations
+//! ([`ForceBuffers::compute_forces`], [`ForceBuffers::compute_forces_active`])
+//! and the two integrators ([`ForceBuffers::kdk`],
+//! [`ForceBuffers::block_step`]) over a *local particle slab*. They are
+//! generic over a [`Halo`]: the handful of points where a rank of the
+//! distributed driver must talk to its neighbours — remote gravity sources
+//! appended after the locals, SPH ghosts appended after the local gas and
+//! overwritten with owner values after the density pass, the block depth
+//! agreed world-wide, each phase bracketed for the timer. The
+//! shared-memory driver passes `()`, whose every method is empty and
+//! compiles away, so this module reads no clock and `Simulation` and
+//! `run_distributed` on one rank are the same computation bit for bit
+//! (`tests/driver_equivalence.rs`).
 //!
 //! Downstream of this arena the solvers stage per *worker*, not per step.
 //! The gravity solver packs each interaction list into SoA `GroupScratch`
@@ -21,27 +35,171 @@
 //! happened to meet the widest group. None of it is per-step state and
 //! none of it travels through snapshots.
 
+use crate::config::SimConfig;
 use crate::particle::Particle;
+use crate::phases;
+use crate::scheduler::{self, ActiveScheduler};
+use crate::sim::SimStats;
+use astro::units::G;
 use fdps::walk::WalkIndex;
 use fdps::{Tree, Vec3};
-use sph::solver::{HydroState, SphScratch};
+use gravity::GravitySolver;
+use sph::solver::{HydroState, SphScratch, SphSolver};
 
 /// Sentinel in [`ForceBuffers::gas_local`] marking a non-gas particle.
 pub const NOT_GAS: u32 = u32::MAX;
 
-/// Reusable buffers for one simulation's force evaluations.
+/// Phase names of one force evaluation, handed to [`Halo::phase`]: the
+/// opening (base-step) pass records under the paper's `1st *` legend
+/// entries, the KDK re-force and the substep path under the `2nd *` ones.
+pub struct PassPhases {
+    pub tree: &'static str,
+    pub let_exchange: &'static str,
+    pub grav_force: &'static str,
+    pub density: &'static str,
+    pub sph_force: &'static str,
+}
+
+pub const PASS_OPENING: PassPhases = PassPhases {
+    tree: phases::MAKE_LOCAL_TREE_1,
+    let_exchange: phases::EXCHANGE_LET_1,
+    grav_force: phases::CALC_FORCE_1,
+    density: phases::CALC_KERNEL_DENSITY_1,
+    sph_force: phases::CALC_FORCE_1,
+};
+
+pub const PASS_CLOSING: PassPhases = PassPhases {
+    tree: phases::MAKE_TREE_2,
+    let_exchange: phases::EXCHANGE_LET_2,
+    grav_force: phases::CALC_FORCE_2,
+    density: phases::CALC_KERNEL_SIZE_2,
+    sph_force: phases::CALC_FORCE_2,
+};
+
+/// What a local particle slab needs from the rest of the world during a
+/// force evaluation or a block step. `()` is the shared-memory
+/// implementation (there is no rest of the world); the distributed driver
+/// implements it over its main communicator.
+pub trait Halo {
+    /// Whether the methods below are collective operations. A collective
+    /// halo must be entered by every rank in the same sequence, so the
+    /// pipeline may not skip a pass because *this* slab has no particles,
+    /// no gas or an empty active set; a non-collective one keeps those
+    /// skips. This is the only thing the shared code asks about who it is
+    /// serving.
+    const COLLECTIVE: bool;
+
+    /// Full pass only: append the remote gravity sources this slab needs
+    /// (its LET imports) after the local entries of `pos`/`mass`.
+    fn import_sources(
+        &mut self,
+        ph: &PassPhases,
+        solver: &GravitySolver,
+        pos: &mut Vec<Vec3>,
+        mass: &mut Vec<f64>,
+    );
+
+    /// Before the density pass: append the other slabs' boundary gas after
+    /// the `n_local` local entries of `hydro`.
+    fn append_ghosts(&mut self, hydro: &mut HydroState, n_local: usize);
+
+    /// After the density pass: overwrite every ghost entry with its
+    /// owner's freshly converged `rho`/`h` and current `u`/`vel`.
+    fn refresh_ghosts(&mut self, hydro: &mut HydroState, n_local: usize);
+
+    /// Raise `sched` to the depth every slab walks (see
+    /// [`scheduler::reduce_depth_world`]); returns the fine-substep count.
+    fn agree_depth(&mut self, sched: &mut ActiveScheduler) -> u64;
+
+    /// Run `f` as the named phase (one of [`crate::phases`]).
+    fn phase<R>(&mut self, name: &'static str, f: impl FnOnce() -> R) -> R;
+}
+
+impl Halo for () {
+    const COLLECTIVE: bool = false;
+
+    fn import_sources(
+        &mut self,
+        _: &PassPhases,
+        _: &GravitySolver,
+        _: &mut Vec<Vec3>,
+        _: &mut Vec<f64>,
+    ) {
+    }
+
+    fn append_ghosts(&mut self, _: &mut HydroState, _: usize) {}
+
+    fn refresh_ghosts(&mut self, _: &mut HydroState, _: usize) {}
+
+    fn agree_depth(&mut self, sched: &mut ActiveScheduler) -> u64 {
+        sched.substeps_per_base_step()
+    }
+
+    fn phase<R>(&mut self, _: &'static str, f: impl FnOnce() -> R) -> R {
+        f()
+    }
+}
+
+/// The gravity solver a run's configuration asks for.
+fn gravity_solver(cfg: &SimConfig) -> GravitySolver {
+    GravitySolver {
+        g: G,
+        theta: cfg.theta,
+        n_group: cfg.n_group,
+        n_leaf: 8,
+        eps: cfg.eps,
+        mixed_precision: cfg.mixed_precision,
+    }
+}
+
+/// The SPH solver a run's configuration asks for.
+fn sph_solver(cfg: &SimConfig) -> SphSolver {
+    SphSolver {
+        density_cfg: sph::density::DensityConfig {
+            n_ngb_target: cfg.n_ngb,
+            ..Default::default()
+        },
+        cfl: cfg.cfl,
+        ..Default::default()
+    }
+}
+
+/// The walk index of a freshly built `tree`, re-derived into the previous
+/// index's storage when there is one (the index rides along with the tree:
+/// rebuilt on every full build, moment-refreshed on substeps).
+fn rebuilt_index(cached: Option<WalkIndex>, tree: &Tree) -> WalkIndex {
+    match cached {
+        Some(mut ix) => {
+            ix.rebuild_from(tree);
+            ix
+        }
+        None => tree.walk_index(),
+    }
+}
+
+/// Kick one particle by `dt`: velocity from `acc`, and for gas the
+/// specific internal energy from `dudt` (floored).
+fn kick(p: &mut Particle, acc: Vec3, dudt: f64, dt: f64) {
+    p.vel += acc * dt;
+    if p.is_gas() {
+        p.u = (p.u + dudt * dt).max(1e-10);
+    }
+}
+
+/// Reusable buffers for one particle slab's force evaluations.
 #[derive(Debug, Clone, Default)]
 pub struct ForceBuffers {
-    /// Positions of all particles, refreshed each evaluation.
+    /// Gravity sources: positions of all local particles, refreshed each
+    /// evaluation, followed by the halo's imports.
     pub pos: Vec<Vec3>,
-    /// Masses of all particles, refreshed each evaluation.
+    /// Masses matching `pos`.
     pub mass: Vec<f64>,
     /// Total acceleration (gravity, then SPH added on the gas subset).
     pub acc: Vec<Vec3>,
     /// Gravitational potential at the run's `theta`, filled by the gravity
-    /// solver for the positions and masses in `pos`/`mass` (a substep
-    /// evaluation overwrites the active entries only). Read after a step
-    /// by `Simulation::live_energy` — the energy column of the live
+    /// solver for the local positions and masses in `pos`/`mass` (a
+    /// substep evaluation overwrites the active entries only). Read after
+    /// a step by `Simulation::live_energy` — the energy column of the live
     /// diagnostics; empty until the first evaluation.
     pub pot: Vec<f64>,
     /// du/dt on the gas subset, zero elsewhere.
@@ -52,7 +210,8 @@ pub struct ForceBuffers {
     /// [`NOT_GAS`] for collisionless species.
     pub gas_local: Vec<u32>,
     /// SoA hydro state over the gas subset (holds the gas `pos`, `vel`,
-    /// `mass`, `u`, `h` snapshots plus derived arrays).
+    /// `mass`, `u`, `h` snapshots plus derived arrays), followed by the
+    /// halo's ghosts.
     pub hydro: HydroState,
     /// SPH staging buffers (search radii, targets, hydro inputs, work
     /// plans, per-worker group lists) plus the cached SPH neighbor tree (`sph::solver::SphTreeCache`): rebuilt by
@@ -78,8 +237,17 @@ pub struct ForceBuffers {
     /// full tree builds, [`WalkIndex::refresh`]ed in place on moment-only
     /// refreshes — never reconstructed per force evaluation.
     pub walk_index: Option<WalkIndex>,
-    /// Position snapshot at the last full tree build, for the drift bound.
+    /// Source positions at the last full tree build, for the drift bound.
     pub tree_ref_pos: Vec<Vec3>,
+    /// The halo's gravity imports of the last full pass, re-appended to
+    /// `pos`/`mass` on substeps (frozen at their base-step coordinates —
+    /// the same error class as the refreshed MAC under the drift bound).
+    pub import_pos: Vec<Vec3>,
+    /// Masses matching `import_pos`.
+    pub import_mass: Vec<f64>,
+    /// `(particle index, v_sig, h)` from the last full SPH force pass: the
+    /// CFL input of the adaptive global step and of the level assignment.
+    pub vsig: Vec<(usize, f64, f64)>,
 }
 
 impl ForceBuffers {
@@ -105,7 +273,10 @@ impl ForceBuffers {
     }
 
     /// Refresh the gas SoA hydro state from the current particle data
-    /// (requires [`ForceBuffers::refresh`] to have filled `gas_idx`).
+    /// (requires [`ForceBuffers::refresh`] to have filled `gas_idx`):
+    /// positions, velocities and energies move between passes; `h`/`rho`
+    /// carry each particle's latest converged values. Any ghost tail of
+    /// the previous pass is dropped.
     pub fn refresh_hydro(&mut self, particles: &[Particle]) {
         let hs = &mut self.hydro;
         hs.pos.clear();
@@ -113,6 +284,7 @@ impl ForceBuffers {
         hs.mass.clear();
         hs.u.clear();
         hs.h.clear();
+        hs.rho.clear();
         for &i in &self.gas_idx {
             let p = &particles[i];
             hs.pos.push(p.pos);
@@ -120,8 +292,322 @@ impl ForceBuffers {
             hs.mass.push(p.mass);
             hs.u.push(p.u);
             hs.h.push(p.h.max(1e-3));
+            hs.rho.push(p.rho);
         }
         hs.resize_derived();
+    }
+
+    /// One full force evaluation for *all* local particles: gravity
+    /// (source snapshot → halo imports → fresh tree → walk) plus SPH on the
+    /// gas (ghosts → density → owner-value ghost refresh → force), written
+    /// into `acc`/`dudt` with `h`/`rho` scattered back to the particles.
+    /// Every staging buffer is refreshed in place; the octree, its walk
+    /// index and the imports are cached for the substep path to refresh.
+    pub fn compute_forces<H: Halo>(
+        &mut self,
+        cfg: &SimConfig,
+        halo: &mut H,
+        ph: &PassPhases,
+        particles: &mut [Particle],
+        stats: &mut SimStats,
+    ) {
+        let n = particles.len();
+        self.vsig.clear();
+        if n == 0 && !H::COLLECTIVE {
+            self.acc.clear();
+            self.dudt.clear();
+            return;
+        }
+        let solver = gravity_solver(cfg);
+        let sph = sph_solver(cfg);
+
+        // Gravity over all species, local sources first.
+        self.refresh(particles);
+        halo.import_sources(ph, &solver, &mut self.pos, &mut self.mass);
+        self.import_pos.clear();
+        self.import_pos.extend_from_slice(&self.pos[n..]);
+        self.import_mass.clear();
+        self.import_mass.extend_from_slice(&self.mass[n..]);
+        stats.gravity_interactions += halo.phase(ph.grav_force, || {
+            let tree = Tree::build(&self.pos, &self.mass, solver.n_leaf);
+            let index = rebuilt_index(self.walk_index.take(), &tree);
+            let interactions = solver.evaluate_into_indexed(
+                &tree,
+                &index,
+                &self.pos,
+                &self.mass,
+                n,
+                &mut self.acc,
+                &mut self.pot,
+            );
+            self.tree = Some(tree);
+            self.walk_index = Some(index);
+            interactions
+        });
+        stats.tree_rebuilds += 1;
+        self.tree_ref_pos.clear();
+        self.tree_ref_pos.extend_from_slice(&self.pos);
+
+        // SPH on the gas subset: the density pass rebuilds the neighbor
+        // tree, the force pass refreshes it (same positions, converged h).
+        if H::COLLECTIVE || self.gas_idx.len() > 1 {
+            self.refresh_hydro(particles);
+            let n_gas = self.gas_idx.len();
+            halo.append_ghosts(&mut self.hydro, n_gas);
+            let (r0, b0) = self.sph.tree_counts();
+            let dstats = halo.phase(ph.density, || {
+                sph.density_pass_with(&mut self.hydro, n_gas, &mut self.sph)
+            });
+            halo.refresh_ghosts(&mut self.hydro, n_gas);
+            let fstats = halo.phase(ph.sph_force, || {
+                sph.force_pass_with(&mut self.hydro, n_gas, &mut self.sph)
+            });
+            let (r1, b1) = self.sph.tree_counts();
+            stats.sph_tree_refreshes += r1 - r0;
+            stats.sph_tree_rebuilds += b1 - b0;
+            stats.hydro_interactions += dstats.density_interactions + fstats.force_interactions;
+            let state = &self.hydro;
+            for (k, &i) in self.gas_idx.iter().enumerate() {
+                self.acc[i] += state.acc[k];
+                self.dudt[i] = state.dudt[k];
+                let p = &mut particles[i];
+                p.h = state.h[k];
+                p.rho = state.rho[k];
+                // Stash signal speeds for the timestep criteria.
+                self.vsig
+                    .push((i, state.v_sig[k].max(state.cs[k]), state.h[k]));
+            }
+        }
+    }
+
+    /// Force evaluation restricted to the current active set (`active`):
+    /// the whole system acts as sources at its drift-predicted positions
+    /// (halo imports frozen where the base step left them), but only
+    /// active particles receive new gravity (skipping the tree walk of
+    /// fully-inactive groups) and only active gas re-sums density/hydro
+    /// forces against freshly exchanged ghosts. The cached octree is
+    /// moment-refreshed in place unless a source drifted beyond
+    /// [`scheduler::TREE_DRIFT_FRACTION`] of the root cube, which forces a
+    /// full rebuild.
+    pub fn compute_forces_active<H: Halo>(
+        &mut self,
+        cfg: &SimConfig,
+        halo: &mut H,
+        particles: &mut [Particle],
+        stats: &mut SimStats,
+    ) {
+        let n = particles.len();
+        if !H::COLLECTIVE && (n == 0 || self.active.is_empty()) {
+            return;
+        }
+        let solver = gravity_solver(cfg);
+        let sph = sph_solver(cfg);
+        let ph = &PASS_CLOSING;
+
+        // Source snapshot at the drift-predicted positions (this also
+        // rebuilds the gas index maps; species are fixed within a base
+        // step), then cross-substep tree reuse under the drift bound.
+        halo.phase(ph.tree, || {
+            self.refresh(particles);
+            self.pos.extend_from_slice(&self.import_pos);
+            self.mass.extend_from_slice(&self.import_mass);
+            let n_src = self.pos.len();
+            let cached = self.tree.take();
+            let cached_index = self.walk_index.take();
+            let reuse = cached.as_ref().is_some_and(|t| {
+                t.len() == n_src && self.tree_ref_pos.len() == n_src && {
+                    let bound = t.cube.max_extent() * scheduler::TREE_DRIFT_FRACTION;
+                    let b2 = bound * bound;
+                    self.pos
+                        .iter()
+                        .zip(&self.tree_ref_pos)
+                        .all(|(p, q)| (*p - *q).norm2() <= b2)
+                }
+            });
+            let (tree, index) = match cached {
+                Some(mut t) if reuse => {
+                    t.refresh(&self.pos, &self.mass);
+                    stats.tree_refreshes += 1;
+                    // Topology unchanged: the walk index refreshes in
+                    // place too.
+                    let ix = match cached_index {
+                        Some(mut ix) if ix.len() == t.nodes.len() => {
+                            ix.refresh(&t);
+                            ix
+                        }
+                        _ => t.walk_index(),
+                    };
+                    (t, ix)
+                }
+                _ => {
+                    stats.tree_rebuilds += 1;
+                    self.tree_ref_pos.clear();
+                    self.tree_ref_pos.extend_from_slice(&self.pos);
+                    let t = Tree::build(&self.pos, &self.mass, solver.n_leaf);
+                    let ix = rebuilt_index(cached_index, &t);
+                    (t, ix)
+                }
+            };
+            self.tree = Some(tree);
+            self.walk_index = Some(index);
+        });
+
+        // The mask is all-false between calls; only touched entries are
+        // set and later reset.
+        self.active_mask.resize(n, false);
+        self.active_gas.clear();
+        for &ai in &self.active {
+            let i = ai as usize;
+            self.active_mask[i] = true;
+            let k = self.gas_local[i];
+            if k != NOT_GAS {
+                self.active_gas.push(k as usize);
+            }
+        }
+        stats.gravity_interactions += halo.phase(ph.grav_force, || {
+            let tree = self.tree.as_ref().expect("cached just above");
+            let index = self.walk_index.as_ref().expect("rides with the tree");
+            solver.evaluate_into_active_indexed(
+                tree,
+                index,
+                &self.pos,
+                &self.mass,
+                n,
+                &self.active_mask,
+                &mut self.acc,
+                &mut self.pot,
+            )
+        });
+
+        // SPH on the active gas subset: both passes refresh the neighbor
+        // tree cached at the base step (full rebuild only when the drift
+        // bound trips or the gas population changed).
+        if H::COLLECTIVE || (self.gas_idx.len() > 1 && !self.active_gas.is_empty()) {
+            self.refresh_hydro(particles);
+            let n_gas = self.gas_idx.len();
+            halo.append_ghosts(&mut self.hydro, n_gas);
+            let (r0, b0) = self.sph.tree_counts();
+            let dstats = halo.phase(ph.density, || {
+                sph.density_pass_active(&mut self.hydro, &self.active_gas, &mut self.sph)
+            });
+            halo.refresh_ghosts(&mut self.hydro, n_gas);
+            let fstats = halo.phase(ph.sph_force, || {
+                sph.force_pass_active(&mut self.hydro, &self.active_gas, &mut self.sph)
+            });
+            let (r1, b1) = self.sph.tree_counts();
+            stats.sph_tree_refreshes += r1 - r0;
+            stats.sph_tree_rebuilds += b1 - b0;
+            stats.hydro_interactions += dstats.density_interactions + fstats.force_interactions;
+            for &k in &self.active_gas {
+                let i = self.gas_idx[k];
+                self.acc[i] += self.hydro.acc[k];
+                self.dudt[i] = self.hydro.dudt[k];
+                let p = &mut particles[i];
+                p.h = self.hydro.h[k];
+                p.rho = self.hydro.rho[k];
+            }
+        }
+
+        // Restore the all-false mask invariant.
+        for &ai in &self.active {
+            self.active_mask[ai as usize] = false;
+        }
+    }
+
+    /// KDK leapfrog with a shared timestep (paper §3.2 step 3): opening
+    /// forces, half-kick + drift, a full re-force at the new positions,
+    /// closing half-kick.
+    pub fn kdk<H: Halo>(
+        &mut self,
+        cfg: &SimConfig,
+        halo: &mut H,
+        particles: &mut [Particle],
+        dt: f64,
+        stats: &mut SimStats,
+    ) {
+        stats.active_updates += particles.len() as u64;
+        self.compute_forces(cfg, halo, &PASS_OPENING, particles, stats);
+        halo.phase(phases::INTEGRATION, || {
+            for (i, p) in particles.iter_mut().enumerate() {
+                kick(p, self.acc[i], self.dudt[i], 0.5 * dt);
+                p.pos += p.vel * dt;
+            }
+        });
+        self.compute_forces(cfg, halo, &PASS_CLOSING, particles, stats);
+        halo.phase(phases::FINAL_KICK, || {
+            for (i, p) in particles.iter_mut().enumerate() {
+                kick(p, self.acc[i], self.dudt[i], 0.5 * dt);
+            }
+        });
+    }
+
+    /// One base step under hierarchical block timesteps: assign levels
+    /// from per-particle desired dts, agree on the depth with the halo,
+    /// then walk the binary subdivision, kicking only the active subset at
+    /// each fine-substep boundary while everyone else is drift-predicted
+    /// (phase-by-phase mapping to the paper in the [`crate::scheduler`]
+    /// module docs).
+    pub fn block_step<H: Halo>(
+        &mut self,
+        cfg: &SimConfig,
+        halo: &mut H,
+        sched: &mut ActiveScheduler,
+        particles: &mut [Particle],
+        max_level: u32,
+        stats: &mut SimStats,
+    ) {
+        let dt_base = cfg.dt_global;
+        // (1) Full forces (fresh tree) + level assignment.
+        self.compute_forces(cfg, halo, &PASS_OPENING, particles, stats);
+        halo.phase(phases::INTEGRATION, || {
+            scheduler::desired_timesteps(
+                cfg.cfl,
+                cfg.eps,
+                dt_base,
+                cfg.dt_min,
+                &self.acc,
+                &self.vsig,
+                &mut self.dt_wanted,
+            );
+            sched.assign(dt_base, &self.dt_wanted, max_level);
+        });
+        let n_sub = halo.agree_depth(sched);
+        let dt_fine = sched.dt_fine();
+
+        // (2) Opening half-kick, each particle with its own level's step.
+        halo.phase(phases::INTEGRATION, || {
+            for (i, p) in particles.iter_mut().enumerate() {
+                kick(p, self.acc[i], self.dudt[i], 0.5 * sched.dt_of(i));
+            }
+        });
+
+        // (3) Binary-subdivision walk over the fine substeps.
+        for boundary in 1..=n_sub {
+            // Drift everyone to the boundary: inactive particles are
+            // thereby drift-predicted — the per-substep all-particle
+            // overhead of the paper's efficiency argument (§1).
+            halo.phase(phases::INTEGRATION, || {
+                for p in particles.iter_mut() {
+                    p.pos += p.vel * dt_fine;
+                }
+            });
+            sched.active_at_boundary_into(boundary, &mut self.active);
+            self.compute_forces_active(cfg, halo, particles, stats);
+            // Closing half-kick; mid-base-step the same force also opens
+            // the particle's next step, so the two halves fuse.
+            let closing_only = boundary == n_sub;
+            halo.phase(phases::FINAL_KICK, || {
+                for &ai in &self.active {
+                    let i = ai as usize;
+                    let dt_l = sched.dt_of(i);
+                    let dt_kick = if closing_only { 0.5 * dt_l } else { dt_l };
+                    kick(&mut particles[i], self.acc[i], self.dudt[i], dt_kick);
+                }
+            });
+            stats.substeps += 1;
+            stats.active_updates += self.active.len() as u64;
+        }
+        stats.dt_min_seen = stats.dt_min_seen.min(dt_fine);
     }
 
     /// Capacities of every owned buffer, in a fixed order. Steady-state
@@ -153,6 +639,9 @@ impl ForceBuffers {
             self.active_mask.capacity(),
             self.active_gas.capacity(),
             self.tree_ref_pos.capacity(),
+            self.import_pos.capacity(),
+            self.import_mass.capacity(),
+            self.vsig.capacity(),
         ];
         sig.extend(self.sph.capacities());
         sig

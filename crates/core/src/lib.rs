@@ -62,7 +62,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod blocksteps;
+#[cfg(test)]
+mod blocksteps;
 pub mod ckpt;
 pub mod config;
 pub mod diagnostics;
@@ -77,11 +78,11 @@ pub mod scheduler;
 pub mod serve;
 pub mod sim;
 pub mod snapshot;
+pub mod step;
 pub mod supervise;
 
 pub use forces::ForceBuffers;
 
-pub use blocksteps::BlockSchedule;
 pub use ckpt::{atomic_write, CkptEntry, CkptFormat, CkptStore};
 pub use config::{Scheme, SimConfig, TimestepMode};
 pub use faults::{FaultInjector, FaultPlan, FAULT_KILL_EXIT};

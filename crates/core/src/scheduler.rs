@@ -1,14 +1,17 @@
-//! Active-set block-timestep scheduler: drives [`BlockSchedule`] inside
-//! the conventional scheme's integration loop.
+//! Block timesteps: the power-of-two level assignment, the active-set
+//! walk over it, and the cost model of the paper's argument against it.
 //!
 //! The paper's headline comparison (§1, §5.3) is between its surrogate
 //! scheme — which keeps the fixed global timestep of the §3.2 loop — and
 //! conventional direct feedback, which is forced onto hierarchical
-//! individual timesteps whose per-substep synchronization overhead
-//! dominates as soon as a few SN-heated particles demand deep levels.
-//! [`crate::blocksteps`] models that cost argument; this module makes it
-//! *measurable* by actually running the hierarchy. One base step of the
-//! driver maps onto the paper's procedure as follows:
+//! individual timesteps ("computational efficiency tends to decrease when
+//! the fraction of particles to be updated is small because inter-process
+//! communications must be done at each timestep"). [`ActiveScheduler`]
+//! both *models* that cost ([`ActiveScheduler::efficiency`]: every substep
+//! pays a fixed synchronization cost regardless of how few particles are
+//! active) and makes it *measurable* by actually running the hierarchy.
+//! One base step of the integrator (`ForceBuffers::block_step`, shared by
+//! both drivers) maps onto the paper's procedure as follows:
 //!
 //! 1. **Full force pass + level assignment** (the §3.2 step-3 force
 //!    evaluation, done once per base step): forces on everyone from a
@@ -16,7 +19,7 @@
 //!    CFL criterion `C h / v_sig` from the last force pass's signal speeds
 //!    (the quantity §5.3 says collapses after an SN) and a gravity
 //!    acceleration criterion `C sqrt(eps / |a|)` — are binned into
-//!    power-of-two levels by [`BlockSchedule::reassign`]
+//!    power-of-two levels by [`ActiveScheduler::assign`]
 //!    ([`desired_timesteps`]).
 //! 2. **Opening half-kick**: every particle kicks by half of its *own*
 //!    level's step, entering the standard KDK stagger of hierarchical
@@ -28,19 +31,18 @@
 //!    charges against individual timesteps), the tree is moment-refreshed
 //!    rather than rebuilt ([`fdps::Tree::refresh`], falling back to a full
 //!    rebuild when the [`TREE_DRIFT_FRACTION`] bound trips), and only the
-//!    boundary's active set ([`BlockSchedule::active_at_into`]) gets new
-//!    forces and a full kick — closing its old step and opening its next.
+//!    boundary's active set ([`ActiveScheduler::active_at_boundary_into`])
+//!    gets new forces and a full kick — closing its old step and opening
+//!    its next.
 //! 4. **Base-step close**: at the last boundary every level closes with a
 //!    half-kick, re-synchronizing the system so cooling, star formation
 //!    and SN identification (§3.2 steps 1 and 6) run on the shared base
 //!    step, as conventional codes do.
 //!
 //! [`SimStats`](crate::sim::SimStats) counts substeps, active updates and
-//! tree refreshes/rebuilds so [`BlockSchedule::efficiency`]'s modeled
-//! overhead can be checked against measured wall-clock (`cargo bench
-//! --bench blockstep`).
+//! tree refreshes/rebuilds so the modeled overhead can be checked against
+//! measured wall-clock (`cargo bench --bench blockstep`).
 
-use crate::blocksteps::BlockSchedule;
 use fdps::Vec3;
 use sph::timestep::{dt_accel, dt_cfl};
 
@@ -52,65 +54,128 @@ use sph::timestep::{dt_accel, dt_cfl};
 /// criterion itself.
 pub const TREE_DRIFT_FRACTION: f64 = 0.05;
 
-/// The per-base-step scheduler state: a reusable [`BlockSchedule`] plus
-/// the bookkeeping the substep walk needs. Lives inside the simulation
-/// and is re-assigned (allocation-free after warm-up) every base step.
+/// Assignment of particles to power-of-two timestep levels, reused
+/// (allocation-free after warm-up) every base step: level 0 steps with
+/// `dt_max`, level `l` with `dt_max / 2^l`. The `Default` scheduler is
+/// unassigned — one substep, no levels — until [`ActiveScheduler::assign`]
+/// or [`ActiveScheduler::restore`] runs.
 #[derive(Debug, Clone, Default)]
 pub struct ActiveScheduler {
-    schedule: BlockSchedule,
+    pub dt_max: f64,
+    /// Level per particle.
+    pub levels: Vec<u32>,
+    max_level: u32,
     assigned: bool,
 }
 
 impl ActiveScheduler {
-    /// Bin `dt_wanted` into levels for a new base step of `dt_base`.
-    pub fn assign(&mut self, dt_base: f64, dt_wanted: &[f64], max_level: u32) {
-        self.schedule.reassign(dt_base, dt_wanted, max_level);
+    /// Bin `dt_wanted` into levels for a new base step of `dt_max`: the
+    /// largest power-of-two fraction of `dt_max` not exceeding each
+    /// particle's desired step, capped at `max_level`. The level array is
+    /// cleared and refilled, never re-collected.
+    pub fn assign(&mut self, dt_max: f64, dt_wanted: &[f64], max_level: u32) {
+        assert!(dt_max > 0.0);
+        self.dt_max = dt_max;
+        self.levels.clear();
+        self.levels.extend(dt_wanted.iter().map(|&dt| {
+            assert!(dt > 0.0, "timesteps must be positive");
+            let ratio = dt_max / dt;
+            if ratio <= 1.0 {
+                0
+            } else {
+                (ratio.log2().ceil() as u32).min(max_level)
+            }
+        }));
+        self.max_level = self.levels.iter().copied().max().unwrap_or(0);
         self.assigned = true;
     }
 
     /// The schedule of the current (last assigned) base step, if any.
-    pub fn schedule(&self) -> Option<&BlockSchedule> {
-        self.assigned.then_some(&self.schedule)
+    pub fn schedule(&self) -> Option<&ActiveScheduler> {
+        self.assigned.then_some(self)
     }
 
-    /// Restore a snapshotted level assignment (see [`BlockSchedule::restore`]).
+    /// Restore a previously captured level assignment verbatim (snapshot
+    /// restart): unlike [`ActiveScheduler::assign`] the levels are taken
+    /// as given, not re-derived from desired timesteps.
     pub fn restore(&mut self, dt_max: f64, levels: &[u32]) {
-        self.schedule.restore(dt_max, levels);
+        assert!(dt_max > 0.0);
+        self.dt_max = dt_max;
+        self.levels.clear();
+        self.levels.extend_from_slice(levels);
+        self.max_level = levels.iter().copied().max().unwrap_or(0);
         self.assigned = true;
     }
 
-    /// Deepen the substep walk to `depth` without moving any particle's
-    /// level (see [`BlockSchedule::raise_depth`]). Panics if no schedule
-    /// has been assigned.
+    /// Deepen the substep walk to `depth` without touching any particle's
+    /// level: the base step is subdivided as if level `depth` were
+    /// occupied, so `substeps_per_base_step` becomes `2^depth` and every
+    /// active-set period is computed against the deeper hierarchy. This
+    /// is the distributed schedule-agreement hook — every rank raises its
+    /// local schedule to the allreduced world maximum so all ranks walk
+    /// the same fine-substep boundaries (and hit the same collectives),
+    /// while ranks with only shallow levels simply have empty active sets
+    /// at the extra boundaries. A `depth` below the deepest occupied
+    /// level is a no-op. Panics if no schedule has been assigned.
     pub fn raise_depth(&mut self, depth: u32) {
         assert!(self.assigned, "raise_depth requires an assigned schedule");
-        self.schedule.raise_depth(depth);
+        self.max_level = self.max_level.max(depth);
     }
 
-    /// Fine substeps per base step (1 before any assignment).
-    pub fn substeps(&self) -> u64 {
-        if self.assigned {
-            self.schedule.substeps_per_base_step()
-        } else {
-            1
-        }
+    /// Deepest level the substep walk subdivides to: the deepest occupied
+    /// level, or the [`ActiveScheduler::raise_depth`] override if deeper.
+    pub fn max_level(&self) -> u32 {
+        self.max_level
+    }
+
+    /// Substeps of the finest level needed to cover one base step (1
+    /// before any assignment).
+    pub fn substeps_per_base_step(&self) -> u64 {
+        1u64 << self.max_level
     }
 
     /// The finest substep of the current schedule.
     pub fn dt_fine(&self) -> f64 {
-        self.schedule.dt_max / self.substeps() as f64
+        self.dt_max / self.substeps_per_base_step() as f64
     }
 
-    /// The quantized step of particle `i` under the current schedule.
+    /// The quantized step of particle `i`: `dt_max / 2^level`.
     pub fn dt_of(&self, i: usize) -> f64 {
-        self.schedule.dt_of(i)
+        self.dt_max / (1u64 << self.levels[i]) as f64
     }
 
     /// Particles closing (and, mid-base-step, re-opening) a step at
-    /// fine-substep boundary `k` in `1..=substeps()`, written into the
-    /// caller-owned buffer.
+    /// fine-substep boundary `k` in `1..=substeps_per_base_step()`,
+    /// written into the caller-owned buffer (cleared, capacity kept): a
+    /// particle at level `l` updates every `2^(max - l)` substeps, and at
+    /// the base-step end boundary everyone closes a step.
     pub fn active_at_boundary_into(&self, k: u64, out: &mut Vec<u32>) {
-        self.schedule.active_at_into(k, out);
+        out.clear();
+        for (i, &l) in self.levels.iter().enumerate() {
+            let period = 1u64 << (self.max_level - l);
+            if k.is_multiple_of(period) {
+                out.push(i as u32);
+            }
+        }
+    }
+
+    /// Total particle-updates over one base step — the useful work.
+    pub fn updates_per_base_step(&self) -> u64 {
+        self.levels.iter().map(|&l| 1u64 << l).sum()
+    }
+
+    /// Parallel efficiency under the paper's cost argument: each of the
+    /// `2^max_level` substeps pays `overhead_fraction` of a full-system
+    /// update (prediction + tree + communication for *all* particles),
+    /// while useful work is only the active updates. Equals ~1 when all
+    /// particles share one level, and collapses when a few particles force
+    /// deep levels.
+    pub fn efficiency(&self, overhead_fraction: f64) -> f64 {
+        let n = self.levels.len() as f64;
+        let substeps = self.substeps_per_base_step() as f64;
+        let useful = self.updates_per_base_step() as f64;
+        let overhead = substeps * overhead_fraction * n;
+        useful / (useful + overhead)
     }
 }
 
@@ -127,12 +192,11 @@ impl ActiveScheduler {
 /// finest quantized dt, since levels are powers of two below the shared
 /// base step. Returns the world-consistent fine-substep count.
 pub fn reduce_depth_world(comm: &mpisim::Comm, sched: &mut ActiveScheduler) -> u64 {
-    let local = sched.schedule().map_or(0, |s| s.max_level()) as u64;
-    let world = comm.allreduce_max_u64(local) as u32;
+    let world = comm.allreduce_max_u64(sched.max_level() as u64) as u32;
     if sched.schedule().is_some() {
         sched.raise_depth(world);
     }
-    sched.substeps()
+    sched.substeps_per_base_step()
 }
 
 /// Fill `out[i]` with particle `i`'s desired timestep: the minimum of the
@@ -174,7 +238,7 @@ mod tests {
     #[test]
     fn unassigned_scheduler_reports_one_substep() {
         let s = ActiveScheduler::default();
-        assert_eq!(s.substeps(), 1);
+        assert_eq!(s.substeps_per_base_step(), 1);
         assert!(s.schedule().is_none());
     }
 
@@ -183,14 +247,14 @@ mod tests {
         let mut s = ActiveScheduler::default();
         s.assign(1.0, &[1.0, 0.3, 0.01], 10);
         assert_eq!(s.schedule().unwrap().max_level(), 7);
-        assert_eq!(s.substeps(), 128);
+        assert_eq!(s.substeps_per_base_step(), 128);
         assert!((s.dt_fine() - 1.0 / 128.0).abs() < 1e-15);
         let mut active = Vec::new();
-        s.active_at_boundary_into(s.substeps(), &mut active);
+        s.active_at_boundary_into(s.substeps_per_base_step(), &mut active);
         assert_eq!(active, vec![0, 1, 2], "everyone closes at the base end");
         // Re-assign with uniform steps: no growth, single level.
         s.assign(1.0, &[1.0, 1.0, 1.0], 10);
-        assert_eq!(s.substeps(), 1);
+        assert_eq!(s.substeps_per_base_step(), 1);
         assert_eq!(s.dt_of(1), 1.0);
     }
 

@@ -4,22 +4,22 @@
 use crate::ckpt::{CkptFormat, CkptStore};
 use crate::config::{Scheme, SimConfig, TimestepMode};
 use crate::faults::FaultInjector;
-use crate::forces::{ForceBuffers, NOT_GAS};
+use crate::forces::ForceBuffers;
 use crate::particle::{Kind, Particle};
 use crate::pool::{PoolPredictor, SedovOverlayPredictor, UNetPredictor};
-use crate::scheduler::{self, ActiveScheduler};
+use crate::scheduler::ActiveScheduler;
 use crate::snapshot::{ModelState, PendingPrediction, ScheduleState, SimSnapshot};
+use crate::step::{self, GasIndex};
 use astro::cooling::CoolingCurve;
 use astro::lifetime::explodes_in_interval;
 use astro::starform::{SfOutcome, StarFormation};
 use astro::supernova::SnFeedback;
-use astro::units::{E_SN, G, NH_PER_MSUN_PC3};
+use astro::units::{E_SN, G};
 use astro::yields::SnYield;
 use fdps::Vec3;
 use gravity::GravitySolver;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sph::solver::SphSolver;
 use sph::timestep::quantize_block;
 use sph::GammaLawEos;
 use surrogate::GasParticle;
@@ -88,11 +88,11 @@ pub struct Simulation {
     cooling: CoolingCurve,
     starform: StarFormation,
     feedback: SnFeedback,
-    /// `(particle index, v_sig, h)` from the last SPH force pass, used by
-    /// the conventional scheme's CFL estimate.
-    last_vsig: Vec<(usize, f64, f64)>,
-    /// The force-evaluation scratch arena: refreshed in place every step,
-    /// zero heap growth in steady state (see [`crate::forces`]).
+    /// The force pipeline's scratch arena: refreshed in place every step,
+    /// zero heap growth in steady state (see [`crate::forces`]). Its
+    /// `vsig` stash — the last SPH force pass's signal speeds, input of
+    /// the conventional scheme's CFL estimate — is the one part of it
+    /// that travels through snapshots.
     buffers: ForceBuffers,
     /// Block-timestep level machinery (see [`crate::scheduler`]); only the
     /// conventional scheme in [`TimestepMode::Block`] drives it.
@@ -100,10 +100,7 @@ pub struct Simulation {
     /// Persistent gas id → particle index map for applying pool
     /// predictions, invalidated on particle insertion/conversion instead
     /// of being rebuilt every step that has due regions.
-    // lint:allow(ordered-iteration): keyed lookup only — never iterated,
-    // so hasher order cannot reach any persisted or rendered byte.
-    id_index: std::collections::HashMap<u64, usize>,
-    id_index_dirty: bool,
+    gas_index: GasIndex,
 }
 
 impl Simulation {
@@ -145,12 +142,9 @@ impl Simulation {
                 ..Default::default()
             },
             feedback: SnFeedback::default(),
-            last_vsig: Vec::new(),
             buffers: ForceBuffers::default(),
             scheduler: ActiveScheduler::default(),
-            // lint:allow(ordered-iteration): keyed lookup only (see field).
-            id_index: std::collections::HashMap::new(),
-            id_index_dirty: true,
+            gas_index: GasIndex::default(),
         }
     }
 
@@ -222,7 +216,8 @@ impl Simulation {
             stats: self.stats,
             particles: self.particles.clone(),
             last_vsig: self
-                .last_vsig
+                .buffers
+                .vsig
                 .iter()
                 .map(|&(i, v, h)| (i as u64, v, h))
                 .collect(),
@@ -280,7 +275,7 @@ impl Simulation {
         sim.next_id = snapshot.next_id;
         sim.rng = StdRng::from_state(snapshot.rng_state);
         sim.stats = snapshot.stats;
-        sim.last_vsig = snapshot
+        sim.buffers.vsig = snapshot
             .last_vsig
             .iter()
             .map(|&(i, v, h)| (i as usize, v, h))
@@ -338,90 +333,25 @@ impl Simulation {
                         self.cooling_and_star_formation(dt);
                         self.advance(dt);
                     }
-                    TimestepMode::Block { max_level } => self.block_step(max_level),
-                }
-            }
-        }
-    }
-
-    /// One base step under hierarchical block timesteps: assign levels
-    /// from per-particle desired dts, then walk the binary subdivision,
-    /// kicking only the active subset at each fine-substep boundary while
-    /// everyone else is drift-predicted (phase-by-phase mapping to the
-    /// paper in the [`crate::scheduler`] module docs).
-    fn block_step(&mut self, max_level: u32) {
-        let dt_base = self.config.dt_global;
-        if self.particles.is_empty() {
-            self.advance(dt_base);
-            return;
-        }
-        // (1) Full forces (fresh tree) + level assignment.
-        self.compute_forces();
-        scheduler::desired_timesteps(
-            self.config.cfl,
-            self.config.eps,
-            dt_base,
-            self.config.dt_min,
-            &self.buffers.acc,
-            &self.last_vsig,
-            &mut self.buffers.dt_wanted,
-        );
-        self.scheduler
-            .assign(dt_base, &self.buffers.dt_wanted, max_level);
-        let n_sub = self.scheduler.substeps();
-        let dt_fine = dt_base / n_sub as f64;
-
-        // (2) Opening half-kick, each particle with its own level's step.
-        {
-            let sched = &self.scheduler;
-            let bufs = &self.buffers;
-            for (i, p) in self.particles.iter_mut().enumerate() {
-                let half = 0.5 * sched.dt_of(i);
-                p.vel += bufs.acc[i] * half;
-                if p.is_gas() {
-                    p.u = (p.u + bufs.dudt[i] * half).max(1e-10);
-                }
-            }
-        }
-
-        // (3) Binary-subdivision walk over the fine substeps.
-        for k in 0..n_sub {
-            // Drift everyone to the boundary: inactive particles are
-            // thereby drift-predicted — the per-substep all-particle
-            // overhead of the paper's efficiency argument (§1).
-            for p in self.particles.iter_mut() {
-                p.pos += p.vel * dt_fine;
-            }
-            let boundary = k + 1;
-            self.scheduler
-                .active_at_boundary_into(boundary, &mut self.buffers.active);
-            self.compute_forces_active();
-            // Closing half-kick; mid-base-step the same force also opens
-            // the particle's next step, so the two halves fuse.
-            let closing_only = boundary == n_sub;
-            {
-                let sched = &self.scheduler;
-                let bufs = &self.buffers;
-                let particles = &mut self.particles;
-                for &ai in &bufs.active {
-                    let i = ai as usize;
-                    let dt_l = sched.dt_of(i);
-                    let kick = if closing_only { 0.5 * dt_l } else { dt_l };
-                    let p = &mut particles[i];
-                    p.vel += bufs.acc[i] * kick;
-                    if p.is_gas() {
-                        p.u = (p.u + bufs.dudt[i] * kick).max(1e-10);
+                    TimestepMode::Block { max_level } => {
+                        let dt_base = self.config.dt_global;
+                        if !self.particles.is_empty() {
+                            self.buffers.block_step(
+                                &self.config,
+                                &mut (),
+                                &mut self.scheduler,
+                                &mut self.particles,
+                                max_level,
+                                &mut self.stats,
+                            );
+                        }
+                        // Shared-base-step physics, re-synchronized.
+                        self.cooling_and_star_formation(dt_base);
+                        self.advance(dt_base);
                     }
                 }
             }
-            self.stats.substeps += 1;
-            self.stats.active_updates += self.buffers.active.len() as u64;
         }
-
-        // (4) Shared-base-step physics, re-synchronized.
-        self.cooling_and_star_formation(dt_base);
-        self.stats.dt_min_seen = self.stats.dt_min_seen.min(dt_fine);
-        self.advance(dt_base);
     }
 
     fn advance(&mut self, dt: f64) {
@@ -450,24 +380,8 @@ impl Simulation {
     /// modelled by the due step).
     fn dispatch_region(&mut self, center: Vec3) {
         let half = 0.5 * self.config.region_side;
-        let gas: Vec<GasParticle> = self
-            .particles
-            .iter()
-            .filter(|p| {
-                p.is_gas() && {
-                    let d = p.pos - center;
-                    d.x.abs() < half && d.y.abs() < half && d.z.abs() < half
-                }
-            })
-            .map(|p| GasParticle {
-                pos: p.pos,
-                vel: p.vel,
-                mass: p.mass,
-                temp: self.eos.temperature_from_u(p.u),
-                h: p.h.max(1e-3),
-                id: p.id,
-            })
-            .collect();
+        let gas: Vec<GasParticle> =
+            step::region_gas(&self.particles, center, half, &self.eos).collect();
         if gas.is_empty() {
             return;
         }
@@ -483,49 +397,14 @@ impl Simulation {
     /// Replace particles by ID with any predictions that are due
     /// (paper §3.2 step 4).
     fn apply_due_regions(&mut self) {
-        let step = self.step_count;
-        let due: Vec<PendingRegion> = {
-            let mut kept = Vec::new();
-            let mut due = Vec::new();
-            for r in self.pending.drain(..) {
-                if r.due_step <= step + 1 {
-                    due.push(r);
-                } else {
-                    kept.push(r);
-                }
-            }
-            self.pending = kept;
-            due
-        };
-        if due.is_empty() {
-            return;
-        }
-        // The gas id → index map persists across steps; insertion and
-        // gas→star conversion mark it dirty, everything else (kicks,
-        // drifts, region replacement by id) leaves it valid.
-        if self.id_index_dirty {
-            self.id_index.clear();
-            for (i, p) in self.particles.iter().enumerate() {
-                if p.is_gas() {
-                    self.id_index.insert(p.id, i);
-                }
-            }
-            self.id_index_dirty = false;
-        }
-        let index = &self.id_index;
-        for region in due {
-            for g in region.predicted {
-                if let Some(&i) = index.get(&g.id) {
-                    let p = &mut self.particles[i];
-                    p.pos = g.pos;
-                    p.vel = g.vel;
-                    p.mass = g.mass;
-                    p.u = self.eos.u_from_temperature(g.temp.max(1.0));
-                    p.h = g.h;
-                }
-            }
-            self.stats.regions_applied += 1;
-        }
+        let due = step::take_due(&mut self.pending, self.step_count + 1, |r| r.due_step);
+        self.stats.regions_applied += due.len() as u64;
+        step::replace_by_id(
+            &mut self.particles,
+            &mut self.gas_index,
+            due.into_iter().flat_map(|r| r.predicted),
+            &self.eos,
+        );
     }
 
     /// Inject the exploding star's nucleosynthesis yields into nearby gas
@@ -533,24 +412,11 @@ impl Simulation {
     fn inject_yields(&mut self, star_idx: usize, center: Vec3) {
         let progenitor_mass = self.particles[star_idx].mass;
         let y = SnYield::for_progenitor(progenitor_mass);
-        let half = 0.5 * self.config.region_side;
-        let neighbours: Vec<usize> = self
-            .particles
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.is_gas() && (p.pos - center).norm() < half)
-            .map(|(i, _)| i)
-            .collect();
+        let (neighbours, weights) =
+            step::sn_neighbours(&self.particles, center, 0.5 * self.config.region_side);
         if neighbours.is_empty() {
             return;
         }
-        let weights: Vec<f64> = neighbours
-            .iter()
-            .map(|&i| {
-                let r = (self.particles[i].pos - center).norm();
-                (1.0 - r / half).max(0.01)
-            })
-            .collect();
         let per = astro::yields::distribute_yields(&y, &weights);
         for (&i, dz) in neighbours.iter().zip(per) {
             self.particles[i].metals += dz.iter().sum::<f64>();
@@ -559,25 +425,12 @@ impl Simulation {
 
     /// Conventional feedback: kernel-weighted thermal injection.
     fn inject_thermal(&mut self, center: Vec3) {
-        let half = 0.5 * self.config.region_side;
-        let neighbours: Vec<usize> = self
-            .particles
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.is_gas() && (p.pos - center).norm() < half)
-            .map(|(i, _)| i)
-            .collect();
+        let (neighbours, weights) =
+            step::sn_neighbours(&self.particles, center, 0.5 * self.config.region_side);
         if neighbours.is_empty() {
             return;
         }
         let masses: Vec<f64> = neighbours.iter().map(|&i| self.particles[i].mass).collect();
-        let weights: Vec<f64> = neighbours
-            .iter()
-            .map(|&i| {
-                let r = (self.particles[i].pos - center).norm();
-                (1.0 - r / half).max(0.01)
-            })
-            .collect();
         let event = astro::SnEvent {
             star_index: 0,
             pos: [center.x, center.y, center.z],
@@ -590,261 +443,17 @@ impl Simulation {
         }
     }
 
-    /// KDK leapfrog with a shared timestep (paper §3.2 step 3).
+    /// KDK leapfrog with a shared timestep (paper §3.2 step 3), through
+    /// the one integrator both drivers share; the shared-memory halo is
+    /// empty.
     fn kdk(&mut self, dt: f64) {
-        self.stats.active_updates += self.particles.len() as u64;
-        self.compute_forces();
-        // First kick + drift.
-        for (i, p) in self.particles.iter_mut().enumerate() {
-            p.vel += self.buffers.acc[i] * (0.5 * dt);
-            if p.is_gas() {
-                p.u = (p.u + self.buffers.dudt[i] * 0.5 * dt).max(1e-10);
-            }
-            p.pos += p.vel * dt;
-        }
-        // Re-evaluate forces at the new positions, second kick.
-        self.compute_forces();
-        for (i, p) in self.particles.iter_mut().enumerate() {
-            p.vel += self.buffers.acc[i] * (0.5 * dt);
-            if p.is_gas() {
-                p.u = (p.u + self.buffers.dudt[i] * 0.5 * dt).max(1e-10);
-            }
-        }
-    }
-
-    /// The gravity solver configured for this run.
-    fn gravity_solver(&self) -> GravitySolver {
-        GravitySolver {
-            g: G,
-            theta: self.config.theta,
-            n_group: self.config.n_group,
-            n_leaf: 8,
-            eps: self.config.eps,
-            mixed_precision: self.config.mixed_precision,
-        }
-    }
-
-    /// The SPH solver configured for this run.
-    fn sph_solver(&self) -> SphSolver {
-        SphSolver {
-            density_cfg: sph::density::DensityConfig {
-                n_ngb_target: self.config.n_ngb,
-                ..Default::default()
-            },
-            cfl: self.config.cfl,
-            ..Default::default()
-        }
-    }
-
-    /// Gravity on everything plus SPH forces on the gas, written into the
-    /// scratch arena's `acc`/`dudt` — every staging buffer is refreshed in
-    /// place, so steady-state steps do not grow the arena. The octree is
-    /// fully rebuilt and cached for the substep path to refresh.
-    fn compute_forces(&mut self) {
-        let n = self.particles.len();
-        let solver = self.gravity_solver();
-        let sph = self.sph_solver();
-        let bufs = &mut self.buffers;
-        if n == 0 {
-            bufs.acc.clear();
-            bufs.dudt.clear();
-            self.last_vsig.clear();
-            return;
-        }
-
-        // Gravity over all species.
-        bufs.refresh(&self.particles);
-        let tree = fdps::Tree::build(&bufs.pos, &bufs.mass, solver.n_leaf);
-        self.stats.tree_rebuilds += 1;
-        bufs.tree_ref_pos.clear();
-        bufs.tree_ref_pos.extend_from_slice(&bufs.pos);
-        // The walk index rides along with the tree: re-derived (storage
-        // reused) on every full build, moment-refreshed on substeps.
-        let index = match bufs.walk_index.take() {
-            Some(mut ix) => {
-                ix.rebuild_from(&tree);
-                ix
-            }
-            None => tree.walk_index(),
-        };
-        self.stats.gravity_interactions += solver.evaluate_into_indexed(
-            &tree,
-            &index,
-            &bufs.pos,
-            &bufs.mass,
-            n,
-            &mut bufs.acc,
-            &mut bufs.pot,
+        self.buffers.kdk(
+            &self.config,
+            &mut (),
+            &mut self.particles,
+            dt,
+            &mut self.stats,
         );
-        bufs.tree = Some(tree);
-        bufs.walk_index = Some(index);
-
-        // SPH on the gas subset: the density pass rebuilds the neighbor
-        // tree, the force pass refreshes it (same positions, converged h).
-        if bufs.gas_idx.len() > 1 {
-            bufs.refresh_hydro(&self.particles);
-            let n_gas = bufs.hydro.len();
-            let (r0, b0) = bufs.sph.tree_counts();
-            let dstats = sph.density_pass_with(&mut bufs.hydro, n_gas, &mut bufs.sph);
-            let fstats = sph.force_pass_with(&mut bufs.hydro, n_gas, &mut bufs.sph);
-            let (r1, b1) = bufs.sph.tree_counts();
-            self.stats.sph_tree_refreshes += r1 - r0;
-            self.stats.sph_tree_rebuilds += b1 - b0;
-            self.stats.hydro_interactions +=
-                dstats.density_interactions + fstats.force_interactions;
-            let state = &bufs.hydro;
-            self.last_vsig.clear();
-            for (k, &i) in bufs.gas_idx.iter().enumerate() {
-                bufs.acc[i] += state.acc[k];
-                bufs.dudt[i] = state.dudt[k];
-                let p = &mut self.particles[i];
-                p.h = state.h[k];
-                p.rho = state.rho[k];
-                // Stash signal speeds for the adaptive timestep.
-                self.last_vsig
-                    .push((i, state.v_sig[k].max(state.cs[k]), state.h[k]));
-            }
-        } else {
-            self.last_vsig.clear();
-        }
-    }
-
-    /// Force evaluation restricted to the current active set
-    /// (`buffers.active`): the whole system acts as sources at its
-    /// drift-predicted positions, but only active particles receive new
-    /// gravity (skipping the tree walk of fully-inactive groups) and only
-    /// active gas re-sums density/hydro forces. The cached octree is
-    /// moment-refreshed in place unless a particle drifted beyond
-    /// [`scheduler::TREE_DRIFT_FRACTION`] of the root cube, which forces a
-    /// full rebuild.
-    fn compute_forces_active(&mut self) {
-        let n = self.particles.len();
-        let solver = self.gravity_solver();
-        let sph = self.sph_solver();
-        let bufs = &mut self.buffers;
-        if n == 0 || bufs.active.is_empty() {
-            return;
-        }
-        // Source snapshot at the drift-predicted positions; also rebuilds
-        // the gas index maps (species are fixed within a base step).
-        bufs.refresh(&self.particles);
-        {
-            let ForceBuffers {
-                active,
-                active_mask,
-                active_gas,
-                gas_local,
-                ..
-            } = &mut *bufs;
-            // The mask is all-false between calls; only touched entries
-            // are set and later reset.
-            active_mask.resize(n, false);
-            active_gas.clear();
-            for &ai in active.iter() {
-                let i = ai as usize;
-                active_mask[i] = true;
-                let k = gas_local[i];
-                if k != NOT_GAS {
-                    active_gas.push(k as usize);
-                }
-            }
-        }
-
-        // Cross-substep tree reuse with the drift sanity bound.
-        let cached = bufs.tree.take();
-        let cached_index = bufs.walk_index.take();
-        let reuse = cached.as_ref().is_some_and(|t| {
-            t.len() == n && bufs.tree_ref_pos.len() == n && {
-                let bound = t.cube.max_extent() * scheduler::TREE_DRIFT_FRACTION;
-                let b2 = bound * bound;
-                bufs.pos
-                    .iter()
-                    .zip(&bufs.tree_ref_pos)
-                    .all(|(p, q)| (*p - *q).norm2() <= b2)
-            }
-        });
-        let (tree, index) = if reuse {
-            let mut t = cached.unwrap();
-            t.refresh(&bufs.pos, &bufs.mass);
-            self.stats.tree_refreshes += 1;
-            // Topology unchanged: the walk index refreshes in place too.
-            let ix = match cached_index {
-                Some(mut ix) if ix.len() == t.nodes.len() => {
-                    ix.refresh(&t);
-                    ix
-                }
-                _ => t.walk_index(),
-            };
-            (t, ix)
-        } else {
-            self.stats.tree_rebuilds += 1;
-            bufs.tree_ref_pos.clear();
-            bufs.tree_ref_pos.extend_from_slice(&bufs.pos);
-            let t = fdps::Tree::build(&bufs.pos, &bufs.mass, solver.n_leaf);
-            let ix = match cached_index {
-                Some(mut ix) => {
-                    ix.rebuild_from(&t);
-                    ix
-                }
-                None => t.walk_index(),
-            };
-            (t, ix)
-        };
-        self.stats.gravity_interactions += solver.evaluate_into_active_indexed(
-            &tree,
-            &index,
-            &bufs.pos,
-            &bufs.mass,
-            n,
-            &bufs.active_mask,
-            &mut bufs.acc,
-            &mut bufs.pot,
-        );
-        bufs.tree = Some(tree);
-        bufs.walk_index = Some(index);
-
-        // SPH on the active gas subset: both passes refresh the neighbor
-        // tree cached at the base step (full rebuild only when the drift
-        // bound trips or the gas population changed).
-        if bufs.gas_idx.len() > 1 && !bufs.active_gas.is_empty() {
-            bufs.refresh_hydro(&self.particles);
-            let (r0, b0) = bufs.sph.tree_counts();
-            let dstats = sph.density_pass_active(&mut bufs.hydro, &bufs.active_gas, &mut bufs.sph);
-            let fstats = sph.force_pass_active(&mut bufs.hydro, &bufs.active_gas, &mut bufs.sph);
-            let (r1, b1) = bufs.sph.tree_counts();
-            self.stats.sph_tree_refreshes += r1 - r0;
-            self.stats.sph_tree_rebuilds += b1 - b0;
-            self.stats.hydro_interactions +=
-                dstats.density_interactions + fstats.force_interactions;
-            let ForceBuffers {
-                hydro,
-                active_gas,
-                gas_idx,
-                acc,
-                dudt,
-                ..
-            } = &mut *bufs;
-            for &k in active_gas.iter() {
-                let i = gas_idx[k];
-                acc[i] += hydro.acc[k];
-                dudt[i] = hydro.dudt[k];
-                let p = &mut self.particles[i];
-                p.h = hydro.h[k];
-                p.rho = hydro.rho[k];
-            }
-        }
-
-        // Restore the all-false mask invariant.
-        {
-            let ForceBuffers {
-                active,
-                active_mask,
-                ..
-            } = &mut *bufs;
-            for &ai in active.iter() {
-                active_mask[ai as usize] = false;
-            }
-        }
     }
 
     /// The block-timestep scheduler (its schedule reflects the last base
@@ -873,7 +482,7 @@ impl Simulation {
                 }
             }
         }
-        for &(_, vsig, h) in &self.last_vsig {
+        for &(_, vsig, h) in &self.buffers.vsig {
             if vsig > 0.0 {
                 dt = dt.min(self.config.cfl * h / vsig);
             }
@@ -883,19 +492,16 @@ impl Simulation {
 
     /// Cooling/heating and stochastic star formation (paper §3.2 step 6).
     fn cooling_and_star_formation(&mut self, dt: f64) {
+        if self.config.cooling {
+            step::cool(&mut self.particles, &self.cooling, &self.eos, dt);
+        }
+        if !self.config.star_formation {
+            return;
+        }
         let mut new_stars: Vec<Particle> = Vec::new();
         let eos = self.eos;
         for p in self.particles.iter_mut() {
-            if !p.is_gas() {
-                continue;
-            }
-            if self.config.cooling && p.rho > 0.0 {
-                let temp = eos.temperature_from_u(p.u);
-                let nh = p.rho * NH_PER_MSUN_PC3;
-                let t_new = self.cooling.update(temp, nh, dt);
-                p.u = eos.u_from_temperature(t_new.max(10.0));
-            }
-            if self.config.star_formation && p.rho > 0.0 {
+            if p.is_gas() && p.rho > 0.0 {
                 let temp = eos.temperature_from_u(p.u);
                 match self
                     .starform
@@ -918,13 +524,13 @@ impl Simulation {
                         p.birth_time = self.time;
                         p.exploded = false;
                         // A gas id just left the gas population.
-                        self.id_index_dirty = true;
+                        self.gas_index.invalidate();
                     }
                 }
             }
         }
         if !new_stars.is_empty() {
-            self.id_index_dirty = true;
+            self.gas_index.invalidate();
         }
         for mut s in new_stars {
             s.id = self.next_id;

@@ -253,18 +253,21 @@ fn surrogate_encoding_roundtrips() {
 /// activity schedule performs exactly the promised updates.
 #[test]
 fn block_schedule_bookkeeping_is_exact() {
-    use asura_core::blocksteps::BlockSchedule;
+    use asura_core::ActiveScheduler;
+    let mut s = ActiveScheduler::default();
+    let mut active = Vec::new();
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = rng.gen_range(1..40usize);
         let dts: Vec<f64> = (0..n)
             .map(|_| 10f64.powf(rng.gen_range(-4.0..0.0)))
             .collect();
-        let s = BlockSchedule::assign(1.0, &dts, 24);
+        s.assign(1.0, &dts, 24);
         let mut updates = vec![0u64; dts.len()];
-        for k in 0..s.substeps_per_base_step() {
-            for i in s.active_at(k) {
-                updates[i] += 1;
+        for k in 1..=s.substeps_per_base_step() {
+            s.active_at_boundary_into(k, &mut active);
+            for &i in &active {
+                updates[i as usize] += 1;
             }
         }
         let total: u64 = updates.iter().sum();

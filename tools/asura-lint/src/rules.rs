@@ -74,6 +74,8 @@ pub fn all_rules() -> Vec<Rule> {
             include: &[
                 "crates/core/src/sim.rs",
                 "crates/core/src/dist.rs",
+                "crates/core/src/forces.rs",
+                "crates/core/src/step.rs",
                 "crates/core/src/snapshot.rs",
                 "crates/core/src/ckpt.rs",
                 "crates/core/src/scheduler.rs",
@@ -95,6 +97,7 @@ pub fn all_rules() -> Vec<Rule> {
             include: &[
                 "crates/core/src/sim.rs",
                 "crates/core/src/dist.rs",
+                "crates/core/src/step.rs",
                 "crates/core/src/snapshot.rs",
                 "crates/core/src/ckpt.rs",
                 "crates/core/src/diagnostics.rs",

@@ -48,6 +48,11 @@ fn bad_tree_trips_every_rule() {
     );
     assert_finding(
         &report,
+        "no-wallclock-determinism",
+        "crates/core/src/forces.rs:5",
+    );
+    assert_finding(
+        &report,
         "ordered-iteration",
         "crates/core/src/snapshot.rs:2",
     );
