@@ -397,7 +397,7 @@ impl Simulation {
     /// Replace particles by ID with any predictions that are due
     /// (paper §3.2 step 4).
     fn apply_due_regions(&mut self) {
-        let due = step::take_due(&mut self.pending, self.step_count + 1, |r| r.due_step);
+        let due = step::take_due(&mut self.pending, self.step_count, |r| r.due_step);
         self.stats.regions_applied += due.len() as u64;
         step::replace_by_id(
             &mut self.particles,

@@ -38,10 +38,14 @@ pub fn region_gas<'a>(
         })
 }
 
-/// Split the predictions with `due_step <= now` off the pool queue, order
-/// kept on both sides.
-pub fn take_due<T>(pending: &mut Vec<T>, now: u64, due_step: impl Fn(&T) -> u64) -> Vec<T> {
-    let (due, kept) = pending.drain(..).partition(|p| due_step(p) <= now);
+/// Split the predictions that are due off the pool queue, order kept on
+/// both sides. `step` counts the steps completed *before* the one being
+/// taken: a region dispatched during step `s` carries `due_step = s +
+/// pool_latency_steps` and a prediction for `horizon() = pool_latency_steps
+/// × dt_global` past its dispatch, so it lands at the end of the step that
+/// advances the clock to `due_step`.
+pub fn take_due<T>(pending: &mut Vec<T>, step: u64, due_step: impl Fn(&T) -> u64) -> Vec<T> {
+    let (due, kept) = pending.drain(..).partition(|p| due_step(p) <= step + 1);
     *pending = kept;
     due
 }
