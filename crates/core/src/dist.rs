@@ -43,7 +43,7 @@
 //! halo has nobody to talk to and the two drivers agree to the bit —
 //! every `pos`/`vel`/`mass`/`u`/`h`/`rho` and the whole [`SimStats`] — in
 //! `Global` and in `Block` mode and through an SN's pool round trip
-//! (`tests/driver_equivalence.rs`). On more ranks the domain cut reorders
+//! (`tests/distributed.rs`). On more ranks the domain cut reorders
 //! the force sums, and agreement is a drift class (`tests/distributed.rs`).
 //!
 //! What this loop still does *not* do that `Simulation::step` does:

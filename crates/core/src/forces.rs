@@ -22,7 +22,7 @@
 //! shared-memory driver passes `()`, whose every method is empty and
 //! compiles away, so this module reads no clock and `Simulation` and
 //! `run_distributed` on one rank are the same computation bit for bit
-//! (`tests/driver_equivalence.rs`).
+//! (`tests/distributed.rs`).
 //!
 //! Downstream of this arena the solvers stage per *worker*, not per step.
 //! The gravity solver packs each interaction list into SoA `GroupScratch`

@@ -90,7 +90,10 @@ impl ActiveScheduler {
         self.assigned = true;
     }
 
-    /// The schedule of the current (last assigned) base step, if any.
+    /// The schedule of the current (last assigned) base step, if any —
+    /// `self`, once something has been assigned or restored. Readers that
+    /// must tell "never ran in block mode" from "one level" go through
+    /// this.
     pub fn schedule(&self) -> Option<&ActiveScheduler> {
         self.assigned.then_some(self)
     }

@@ -1,7 +1,10 @@
 //! Integration tests of the distributed main/pool driver across mpisim
 //! ranks: the SN pool round trip, routing equivalence, KDK integration
-//! order against the shared-memory driver, and block-timestep schedule
-//! agreement/energy conservation.
+//! order against the shared-memory driver, block-timestep schedule
+//! agreement/energy conservation — and, on a `(1,1,1)` main grid, bitwise
+//! equivalence with the shared-memory driver (both run the force pipeline
+//! and integrator of `asura_core::forces`; with one main rank the
+//! distributed halo's exchanges have nobody to talk to).
 
 use asura_core::dist::{run_distributed, DistConfig, PredictorKind};
 use asura_core::sim::total_energy_of;
@@ -340,4 +343,125 @@ fn single_main_rank_degenerate_case_works() {
     let report = run_distributed(&cfg, &ic).expect("dist run");
     assert_eq!(report.sn_events, 1);
     assert_eq!(report.regions_applied, 1);
+}
+
+/// Run `steps` steps through `Simulation` and through `run_distributed` on
+/// `(1,1,1)` + 1 pool rank and hold them against each other to the bit:
+/// every particle's dynamic state and the whole `SimStats`.
+/// `shared_scheme` is what the shared-memory side is configured with (the
+/// distributed driver ignores `SimConfig::scheme`; see the `dist` module
+/// docs). Returns the shared-memory run for extra checks.
+fn assert_drivers_agree(
+    what: &str,
+    sim_cfg: SimConfig,
+    shared_scheme: Scheme,
+    ic: &[Particle],
+    steps: usize,
+    compare_metals: bool,
+) -> Simulation {
+    let mut shared = Simulation::new(
+        SimConfig {
+            scheme: shared_scheme,
+            ..sim_cfg
+        },
+        ic.to_vec(),
+        1,
+    );
+    shared.run(steps);
+    let mut expect = shared.particles.clone();
+    expect.sort_by_key(|p| p.id);
+
+    let cfg = DistConfig {
+        grid: (1, 1, 1),
+        n_pool: 1,
+        sim: sim_cfg,
+        ..base_cfg(steps)
+    };
+    let report = run_distributed(&cfg, ic).expect("dist run");
+
+    assert_eq!(report.final_state.len(), expect.len(), "{what}: count");
+    let differing = expect
+        .iter()
+        .zip(&report.final_state)
+        .filter(|(a, b)| {
+            assert_eq!(a.id, b.id, "{what}: id order");
+            !(a.pos == b.pos
+                && a.vel == b.vel
+                && a.mass == b.mass
+                && a.u == b.u
+                && a.h == b.h
+                && a.rho == b.rho
+                && a.exploded == b.exploded
+                && (!compare_metals || a.metals == b.metals))
+        })
+        .count();
+    assert_eq!(
+        differing,
+        0,
+        "{what}: {differing} of {} particles differ between the drivers after {steps} steps",
+        expect.len()
+    );
+    assert_eq!(
+        report.rank_stats[0], shared.stats,
+        "{what}: SimStats after {steps} steps"
+    );
+    shared
+}
+
+#[test]
+fn one_rank_global_steps_equal_the_shared_memory_driver_bitwise() {
+    let ic = slab_ic(300, 80, 0, 2.0e-3, 7);
+    for cooling in [false, true] {
+        let cfg = SimConfig {
+            cooling,
+            ..base_cfg(0).sim
+        };
+        let sim = assert_drivers_agree("global", cfg, Scheme::Surrogate, &ic, 4, true);
+        assert!(sim.stats.gravity_interactions > 0 && sim.stats.hydro_interactions > 0);
+    }
+}
+
+#[test]
+fn one_rank_block_walk_equals_the_shared_memory_driver_bitwise() {
+    let (cfg, ic) = asura::scenarios::find("spiked_dt")
+        .expect("registered")
+        .build(1);
+    let cfg = SimConfig {
+        timestep: TimestepMode::Block { max_level: 6 },
+        ..cfg
+    };
+    let sim = assert_drivers_agree("block", cfg, Scheme::Conventional, &ic, 2, true);
+    assert!(
+        sim.stats.substeps > sim.stats.steps,
+        "the hierarchy must engage: {} substeps over {} base steps",
+        sim.stats.substeps,
+        sim.stats.steps
+    );
+    assert!(sim.stats.tree_refreshes > 0 && sim.stats.tree_rebuilds > 0);
+}
+
+#[test]
+fn one_rank_sn_round_trip_equals_the_shared_memory_driver_at_every_stage() {
+    // The star explodes in step 2 (step counter 1), so with latency 2 the
+    // prediction — asked for a horizon of 2·dt — is due at counter 3 and
+    // lands at the end of the third step: before dispatch (1), in flight
+    // (2), just applied (3), and integrated onward (4, 6).
+    //
+    // `metals` is left out: the distributed loop injects no
+    // nucleosynthesis yields (a distributed `inject_yields` needs a
+    // cross-rank Σw; see the `dist` module docs), so 56 of the 381
+    // particles differ there by design, not by drift.
+    let ic = slab_ic(300, 80, 1, 2.0e-3, 7);
+    for steps in [1, 2, 3, 4, 6] {
+        let sim = assert_drivers_agree(
+            "one SN",
+            base_cfg(0).sim,
+            Scheme::Surrogate,
+            &ic,
+            steps,
+            false,
+        );
+        assert_eq!(sim.stats.sn_events, (steps >= 2) as u64);
+        assert_eq!(sim.stats.regions_applied, (steps >= 3) as u64);
+    }
 }
