@@ -45,10 +45,12 @@
 
 use crate::faults::{apply_write_fault, FaultInjector};
 use crate::snapshot::{fnv1a, DistSnapshot, SimSnapshot, Snapshot};
+use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use unet::json::{parse_json, write_json, Json};
+use std::str::FromStr;
+use unet::json::{parse_json, Json};
 
 /// `format` field of the rotation manifest.
 pub const MANIFEST_FORMAT: &str = "asura-ckpt-manifest";
@@ -65,11 +67,29 @@ pub enum CkptFormat {
 }
 
 impl CkptFormat {
+    /// The file extension, which is also how `--snapshot-format` and the
+    /// `snapshot_format` override spell the value.
     pub fn ext(self) -> &'static str {
         match self {
             CkptFormat::Bin => "bin",
             CkptFormat::Json => "json",
         }
+    }
+}
+
+impl fmt::Display for CkptFormat {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.ext())
+    }
+}
+
+impl FromStr for CkptFormat {
+    type Err = String;
+    fn from_str(s: &str) -> Result<CkptFormat, String> {
+        [CkptFormat::Bin, CkptFormat::Json]
+            .into_iter()
+            .find(|f| f.ext() == s)
+            .ok_or_else(|| format!("unknown snapshot format `{s}` (expected bin | json)"))
     }
 }
 
@@ -309,38 +329,32 @@ impl CkptStore {
 
     // -- manifest ---------------------------------------------------------
 
-    /// Canonical rendering of the entries array — integers are written
-    /// plain (not as `f64`), and the manifest's self-checksum is defined
-    /// over exactly this text, so reading re-renders parsed entries
-    /// through the same function before comparing.
-    fn render_entries(entries: &[CkptEntry]) -> String {
-        let mut out = String::from("[");
-        for (i, e) in entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"file\":");
-            write_json(&Json::Str(e.file.clone()), &mut out);
-            out.push_str(&format!(
-                ",\"step\":{},\"len\":{},\"checksum\":\"fnv1a:{:016x}\"}}",
-                e.step, e.len, e.checksum
-            ));
-        }
-        out.push(']');
-        out
+    /// The entries array as a value. The manifest's self-checksum is
+    /// defined over the rendering of exactly this, so reading re-renders
+    /// the parsed entries through the same function before comparing.
+    fn entries_value(entries: &[CkptEntry]) -> Json {
+        let entry = |e: &CkptEntry| {
+            Json::obj([
+                ("file", e.file.as_str().into()),
+                ("step", e.step.into()),
+                ("len", e.len.into()),
+                ("checksum", Json::checksum(e.checksum)),
+            ])
+        };
+        Json::Arr(entries.iter().map(entry).collect())
     }
 
     fn write_manifest(&self, entries: &[CkptEntry]) -> io::Result<()> {
-        let entries_text = Self::render_entries(entries);
-        let mut text = String::from("{\"format\":");
-        write_json(&Json::Str(MANIFEST_FORMAT.into()), &mut text);
-        text.push_str(&format!(",\"version\":{MANIFEST_VERSION},\"base\":"));
-        write_json(&Json::Str(self.base.clone()), &mut text);
-        text.push_str(&format!(
-            ",\"entries\":{entries_text},\"checksum\":\"fnv1a:{:016x}\"}}\n",
-            fnv1a(entries_text.as_bytes())
-        ));
-        atomic_write(&self.manifest_path(), text.as_bytes())
+        let entries_text = Self::entries_value(entries).render();
+        let checksum = Json::checksum(fnv1a(entries_text.as_bytes()));
+        let doc = Json::obj([
+            ("format", MANIFEST_FORMAT.into()),
+            ("version", MANIFEST_VERSION.into()),
+            ("base", self.base.as_str().into()),
+            ("entries", Json::Raw(entries_text)),
+            ("checksum", checksum),
+        ]);
+        atomic_write(&self.manifest_path(), (doc.render() + "\n").as_bytes())
     }
 
     /// Parse and validate the manifest. `None` on any failure (missing,
@@ -349,35 +363,22 @@ impl CkptStore {
     fn read_manifest(&self) -> Option<Vec<CkptEntry>> {
         let text = fs::read_to_string(self.manifest_path()).ok()?;
         let doc = parse_json(&text).ok()?;
-        match doc.get("format").ok()? {
-            Json::Str(s) if s == MANIFEST_FORMAT => {}
-            _ => return None,
-        }
-        if doc.get("version").ok()?.as_usize().ok()? != MANIFEST_VERSION as usize {
-            return None;
-        }
-        let Json::Arr(items) = doc.get("entries").ok()? else {
-            return None;
+        doc.expect_header(MANIFEST_FORMAT, MANIFEST_VERSION).ok()?;
+        let entry = |item: &Json| -> Result<CkptEntry, String> {
+            Ok(CkptEntry {
+                file: item.at("file", Json::as_str)?.to_string(),
+                step: item.at("step", Json::as_u64)?,
+                len: item.at("len", Json::as_u64)?,
+                checksum: item.at("checksum", Json::as_checksum)?,
+            })
         };
-        let mut entries = Vec::with_capacity(items.len());
-        for item in items {
-            entries.push(CkptEntry {
-                file: match item.get("file").ok()? {
-                    Json::Str(s) => s.clone(),
-                    _ => return None,
-                },
-                step: item.get("step").ok()?.as_usize().ok()? as u64,
-                len: item.get("len").ok()?.as_usize().ok()? as u64,
-                checksum: parse_checksum(item.get("checksum").ok()?)?,
-            });
-        }
+        let entries = doc.at("entries", Json::as_arr).ok()?;
+        let entries: Vec<CkptEntry> = entries.iter().map(entry).collect::<Result<_, _>>().ok()?;
         // The self-checksum is defined over the canonical rendering, so
         // re-render the parsed entries rather than hashing raw file text.
-        let canonical = Self::render_entries(&entries);
-        if parse_checksum(doc.get("checksum").ok()?)? != fnv1a(canonical.as_bytes()) {
-            return None;
-        }
-        Some(entries)
+        let canonical = Self::entries_value(&entries).render();
+        (doc.at("checksum", Json::as_checksum).ok()? == fnv1a(canonical.as_bytes()))
+            .then_some(entries)
     }
 
     /// Recover rotation entries from file names alone: anything matching
@@ -398,7 +399,7 @@ impl CkptStore {
             let Some((digits, ext)) = rest.split_once('.') else {
                 continue;
             };
-            if !(ext == "bin" || ext == "json") || digits.is_empty() {
+            if ext.parse::<CkptFormat>().is_err() || digits.is_empty() {
                 continue;
             }
             let Ok(step) = digits.parse::<u64>() else {
@@ -415,13 +416,6 @@ impl CkptStore {
             });
         }
         entries
-    }
-}
-
-fn parse_checksum(v: &Json) -> Option<u64> {
-    match v {
-        Json::Str(s) => u64::from_str_radix(s.strip_prefix("fnv1a:")?, 16).ok(),
-        _ => None,
     }
 }
 
@@ -625,5 +619,56 @@ mod tests {
             .filter(|d| d.file_name().to_string_lossy().ends_with(".tmp"))
             .collect();
         assert!(leftovers.is_empty(), "no tmp files left behind");
+    }
+    /// Bytes recorded at the commit before the manifest moved onto the
+    /// `unet::json` writer (PR 19). The self-checksum is defined over the
+    /// entries text, so a manifest written on either side of that change
+    /// must validate on the other — through `read_manifest`, not the
+    /// directory-scan fallback.
+    #[test]
+    fn manifest_bytes_are_stable_and_parent_written_manifests_validate() {
+        const GOLDEN: &str = "{\"format\":\"asura-ckpt-manifest\",\"version\":1,\"base\":\"checkpoint\",\"entries\":[{\"file\":\"checkpoint-000002.bin\",\"step\":2,\"len\":6,\"checksum\":\"fnv1a:701d3ccaad469f21\"},{\"file\":\"checkpoint-000004.json\",\"step\":4,\"len\":9,\"checksum\":\"fnv1a:c38b95671c9ae86d\"}],\"checksum\":\"fnv1a:a1c2dc7606e5005e\"}\n";
+        let st = store("golden", 3);
+        let mut inj = FaultInjector::none();
+        st.commit_bytes(2, CkptFormat::Bin, b"OK two".to_vec(), &mut inj)
+            .unwrap();
+        st.commit_bytes(4, CkptFormat::Json, b"OK \"four\"".to_vec(), &mut inj)
+            .unwrap();
+        assert_eq!(fs::read_to_string(st.manifest_path()).unwrap(), GOLDEN);
+        // The reverse direction: the recorded text, put back, is accepted
+        // as a manifest (lengths and checksums are the *recorded* ones).
+        fs::write(st.manifest_path(), GOLDEN).unwrap();
+        let entries = st.read_manifest().expect("no fall-back to the scan");
+        assert_eq!(entries.len(), 2);
+        assert_eq!((entries[1].step, entries[1].len), (4, 9));
+        assert_eq!(entries[1].checksum, 0xc38b95671c9ae86d);
+        // A base name that needs escaping, a seven-digit step.
+        let st = CkptStore::with_base(tmpdir("golden-base"), "dist \"ckpt\"", 3);
+        st.commit_bytes(1234567, CkptFormat::Bin, vec![7u8; 70000], &mut inj)
+            .unwrap();
+        assert_eq!(
+            fs::read_to_string(st.manifest_path()).unwrap(),
+            "{\"format\":\"asura-ckpt-manifest\",\"version\":1,\"base\":\"dist \\\"ckpt\\\"\",\"entries\":[{\"file\":\"dist \\\"ckpt\\\"-1234567.bin\",\"step\":1234567,\"len\":70000,\"checksum\":\"fnv1a:36f67a227cd238d5\"}],\"checksum\":\"fnv1a:e760c35622a5d7d1\"}\n"
+        );
+        assert!(st.read_manifest().is_some());
+    }
+
+    #[test]
+    fn a_manifest_with_inexact_integers_is_not_a_manifest() {
+        let st = store("inexact", 3);
+        let mut inj = FaultInjector::none();
+        st.commit_bytes(2, CkptFormat::Bin, b"OK two".to_vec(), &mut inj)
+            .unwrap();
+        let good = fs::read_to_string(st.manifest_path()).unwrap();
+        for (from, to) in [
+            ("\"step\":2", "\"step\":2.5"),
+            ("\"len\":6", "\"len\":-6"),
+            ("\"version\":1", "\"version\":1.5"),
+        ] {
+            fs::write(st.manifest_path(), good.replacen(from, to, 1)).unwrap();
+            assert!(st.read_manifest().is_none(), "{to}");
+        }
+        // … and the store still finds the entry, by the directory scan.
+        assert_eq!(st.latest_valid_with(ok_decode).unwrap().0.step, 2);
     }
 }

@@ -1,4 +1,7 @@
-//! Simulation configuration.
+//! Simulation configuration, and how its option values are spelled.
+
+use std::fmt;
+use std::str::FromStr;
 
 /// Which SN-handling scheme drives the timestep (paper §3.2 vs §5.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,6 +25,73 @@ pub enum TimestepMode {
     /// paper's surrogate scheme replaces (§1, §5.3). Levels are capped at
     /// `max_level`, i.e. the finest substep is `dt_global / 2^max_level`.
     Block { max_level: u32 },
+}
+
+/// The spellings of [`Scheme`], indexed by variant — what `--scheme`, the
+/// `scheme` override and the snapshot tag all read and write.
+pub(crate) const SCHEME_NAMES: &[&str] = &["surrogate", "conventional"];
+
+/// The spellings of [`TimestepMode`]'s two modes (`block` may carry a
+/// `:<max_level>` suffix).
+pub(crate) const TIMESTEP_MODE_NAMES: &[&str] = &["global", "block"];
+
+/// `max_level` of a bare `block`.
+const DEFAULT_MAX_LEVEL: u32 = 8;
+
+impl fmt::Display for Scheme {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(SCHEME_NAMES[*self as usize])
+    }
+}
+
+impl FromStr for Scheme {
+    type Err = String;
+    fn from_str(s: &str) -> Result<Scheme, String> {
+        match SCHEME_NAMES.iter().position(|n| *n == s) {
+            Some(0) => Ok(Scheme::Surrogate),
+            Some(_) => Ok(Scheme::Conventional),
+            None => Err(format!(
+                "unknown scheme `{s}` (expected {})",
+                SCHEME_NAMES.join(" | ")
+            )),
+        }
+    }
+}
+
+/// `global`, or `block:<max_level>` — always with the level, so a value
+/// that was spelled `block` reads back the same after a round trip.
+impl fmt::Display for TimestepMode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TimestepMode::Global => f.write_str(TIMESTEP_MODE_NAMES[0]),
+            TimestepMode::Block { max_level } => {
+                write!(f, "{}:{max_level}", TIMESTEP_MODE_NAMES[1])
+            }
+        }
+    }
+}
+
+impl FromStr for TimestepMode {
+    type Err = String;
+    fn from_str(s: &str) -> Result<TimestepMode, String> {
+        let (mode, level) = match s.split_once(':') {
+            Some((mode, level)) => (mode, Some(level)),
+            None => (s, None),
+        };
+        match (TIMESTEP_MODE_NAMES.iter().position(|n| *n == mode), level) {
+            (Some(0), None) => Ok(TimestepMode::Global),
+            (Some(1), None) => Ok(TimestepMode::Block {
+                max_level: DEFAULT_MAX_LEVEL,
+            }),
+            (Some(1), Some(level)) => match level.parse() {
+                Ok(max_level) => Ok(TimestepMode::Block { max_level }),
+                Err(e) => Err(format!("timestep `{s}`: bad max_level: {e}")),
+            },
+            _ => Err(format!(
+                "unknown timestep mode `{s}` (expected global | block | block:<max_level>)"
+            )),
+        }
+    }
 }
 
 /// Driver parameters; defaults follow the paper where it gives numbers.
@@ -119,5 +189,62 @@ mod tests {
         assert_eq!(c.region_side, 60.0);
         // 50 steps * 2,000 yr = 0.1 Myr, the paper's prediction horizon.
         assert!((c.horizon() - 0.1).abs() < 1e-12);
+    }
+    /// Every option value, through the one `FromStr` + `Display` pair its
+    /// type carries: what the CLI flags, the supervisor's flag forwarding,
+    /// the `SUBMIT` overrides and `fleet.json` all read and write.
+    #[test]
+    fn every_option_value_round_trips_through_its_spelling() {
+        use crate::ckpt::CkptFormat;
+        use crate::dist::PredictorSpec;
+        fn check<T>(spelled: &str, value: T, rendered: &str)
+        where
+            T: FromStr<Err = String> + fmt::Display + PartialEq + fmt::Debug,
+        {
+            assert_eq!(spelled.parse::<T>().as_ref(), Ok(&value), "`{spelled}`");
+            assert_eq!(value.to_string(), rendered, "{value:?}");
+            assert_eq!(rendered.parse::<T>(), Ok(value), "`{rendered}` reads back");
+        }
+        check("surrogate", Scheme::Surrogate, "surrogate");
+        check("conventional", Scheme::Conventional, "conventional");
+        check("global", TimestepMode::Global, "global");
+        check("block", TimestepMode::Block { max_level: 8 }, "block:8");
+        check("block:8", TimestepMode::Block { max_level: 8 }, "block:8");
+        check("block:0", TimestepMode::Block { max_level: 0 }, "block:0");
+        check(
+            "block:12",
+            TimestepMode::Block { max_level: 12 },
+            "block:12",
+        );
+        check("bin", CkptFormat::Bin, "bin");
+        check("json", CkptFormat::Json, "json");
+        check("sedov", PredictorSpec::Sedov, "sedov");
+        check(
+            "unet:results/w.json",
+            PredictorSpec::UNet("results/w.json".into()),
+            "unet:results/w.json",
+        );
+        check(
+            "unet:unet:odd",
+            PredictorSpec::UNet("unet:odd".into()),
+            "unet:unet:odd",
+        );
+        assert!("warp".parse::<Scheme>().is_err());
+        assert!("Surrogate".parse::<Scheme>().is_err());
+        for bad in [
+            "",
+            "blocks",
+            "block:",
+            "block:x",
+            "block:-1",
+            "global:3",
+            "block:1:2",
+        ] {
+            assert!(bad.parse::<TimestepMode>().is_err(), "`{bad}`");
+        }
+        assert!("yaml".parse::<CkptFormat>().is_err());
+        for bad in ["", "unet", "unet:", "sedov:x", "weights.json"] {
+            assert!(bad.parse::<PredictorSpec>().is_err(), "`{bad}`");
+        }
     }
 }

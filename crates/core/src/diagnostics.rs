@@ -14,7 +14,7 @@
 use crate::particle::Particle;
 use crate::sim::Simulation;
 use fdps::Vec3;
-use unet::json::{write_json, Json};
+use unet::json::Json;
 
 /// A 2-D column-density map [M_sun / pc^2] on a square grid.
 #[derive(Debug, Clone)]
@@ -240,61 +240,32 @@ impl TimeSeries {
         // `+ 0.0` turns `-0.0` — what an empty `f64` sum is (no star born
         // in the window, no gas to carry metals) — into `0.0`; every other
         // value is unchanged.
-        fn ncol(samples: &[TimeSample], f: impl Fn(&TimeSample) -> f64) -> Json {
-            Json::Arr(samples.iter().map(|s| Json::Num(f(s) + 0.0)).collect())
-        }
-        let columns = Json::Obj(vec![
-            ("step".into(), ncol(&self.samples, |s| s.step as f64)),
-            ("time".into(), ncol(&self.samples, |s| s.time)),
-            ("n_gas".into(), ncol(&self.samples, |s| s.n_gas as f64)),
-            ("n_star".into(), ncol(&self.samples, |s| s.n_star as f64)),
-            (
-                "sn_events".into(),
-                ncol(&self.samples, |s| s.sn_events as f64),
-            ),
-            (
-                "regions_applied".into(),
-                ncol(&self.samples, |s| s.regions_applied as f64),
-            ),
-            (
-                "pending_regions".into(),
-                ncol(&self.samples, |s| s.pending_regions as f64),
-            ),
-            ("sfr".into(), ncol(&self.samples, |s| s.sfr)),
-            (
-                "total_metals".into(),
-                ncol(&self.samples, |s| s.total_metals),
-            ),
-            (
-                "total_energy".into(),
-                ncol(&self.samples, |s| s.total_energy),
-            ),
-            ("sigma_peak".into(), ncol(&self.samples, |s| s.sigma_peak)),
-            (
-                "tree_refreshes".into(),
-                ncol(&self.samples, |s| s.tree_refreshes as f64),
-            ),
-            (
-                "tree_rebuilds".into(),
-                ncol(&self.samples, |s| s.tree_rebuilds as f64),
-            ),
-            (
-                "sph_tree_refreshes".into(),
-                ncol(&self.samples, |s| s.sph_tree_refreshes as f64),
-            ),
-            (
-                "sph_tree_rebuilds".into(),
-                ncol(&self.samples, |s| s.sph_tree_rebuilds as f64),
-            ),
+        let col = |f: fn(&TimeSample) -> f64| {
+            Json::Arr(self.samples.iter().map(|s| Json::Num(f(s) + 0.0)).collect())
+        };
+        let columns = Json::obj([
+            ("step", col(|s| s.step as f64)),
+            ("time", col(|s| s.time)),
+            ("n_gas", col(|s| s.n_gas as f64)),
+            ("n_star", col(|s| s.n_star as f64)),
+            ("sn_events", col(|s| s.sn_events as f64)),
+            ("regions_applied", col(|s| s.regions_applied as f64)),
+            ("pending_regions", col(|s| s.pending_regions as f64)),
+            ("sfr", col(|s| s.sfr)),
+            ("total_metals", col(|s| s.total_metals)),
+            ("total_energy", col(|s| s.total_energy)),
+            ("sigma_peak", col(|s| s.sigma_peak)),
+            ("tree_refreshes", col(|s| s.tree_refreshes as f64)),
+            ("tree_rebuilds", col(|s| s.tree_rebuilds as f64)),
+            ("sph_tree_refreshes", col(|s| s.sph_tree_refreshes as f64)),
+            ("sph_tree_rebuilds", col(|s| s.sph_tree_rebuilds as f64)),
         ]);
-        let doc = Json::Obj(vec![
-            ("scenario".into(), Json::Str(self.scenario.clone())),
-            ("samples".into(), Json::Num(self.samples.len() as f64)),
-            ("columns".into(), columns),
-        ]);
-        let mut out = String::new();
-        write_json(&doc, &mut out);
-        out
+        Json::obj([
+            ("scenario", self.scenario.as_str().into()),
+            ("samples", Json::Num(self.samples.len() as f64)),
+            ("columns", columns),
+        ])
+        .render()
     }
 }
 

@@ -128,13 +128,16 @@ use mpisim::{Comm, PhaseReport, PhaseTimer, World};
 use sph::solver::HydroState;
 use sph::GammaLawEos;
 use std::fmt;
+use std::str::FromStr;
 use surrogate::{GasParticle, SurrogateModel};
 
 const TAG_REGION: u64 = 50;
 const TAG_SHUTDOWN: u64 = 51;
 const TAG_REPLY_BASE: u64 = 1_000_000;
 
-/// Which predictor the pool ranks run (paper Fig. 3 step 3). A config-level
+/// Which predictor the pool ranks run (paper Fig. 3 step 3), ready to
+/// build: a file-backed `--predictor` is a [`PredictorSpec`] until
+/// [`PredictorSpec::resolve`] has read and validated it. A config-level
 /// enum rather than a trait object so [`DistConfig`] stays cloneable and
 /// every pool rank can construct its own instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -142,69 +145,20 @@ pub enum PredictorKind {
     /// Analytic Sedov–Taylor overlay: deterministic and cheap (the default,
     /// and the reference the U-Net is trained to imitate).
     SedovOverlay,
-    /// Trained weights from an `asura train-surrogate` file. The CLI-facing
-    /// form: [`PredictorKind::resolve`] reads and validates the file
-    /// up front (before any rank is spawned), turning it into
-    /// [`PredictorKind::UNetWeights`] or a typed
-    /// [`DistError::BadWeights`] — never a loader panic.
-    UNetTrained {
-        /// Path of the weights JSON document.
-        path: String,
-        /// Per-request Gibbs-resampling RNG seed.
-        seed: u64,
-    },
-    /// Trained weights held inline (the resolved form of
-    /// [`PredictorKind::UNetTrained`], and what snapshots embed): the
-    /// verbatim, checksummed [`SurrogateModel::to_json`] document.
+    /// Trained weights held inline (what snapshots embed): the verbatim,
+    /// checksummed [`SurrogateModel::to_json`] document, and the
+    /// per-request Gibbs-resampling RNG seed.
     UNetWeights { seed: u64, weights_json: String },
 }
 
 impl PredictorKind {
-    /// Validate any file-backed weights and return the self-contained form:
-    /// [`PredictorKind::UNetTrained`] becomes
-    /// [`PredictorKind::UNetWeights`] (or [`DistError::BadWeights`] if the
-    /// file is missing, foreign, or corrupt); every other kind is returned
-    /// unchanged. Run drivers call this before spawning ranks so bad
-    /// weights surface as a typed error, not a mid-run panic.
-    pub fn resolve(&self) -> Result<PredictorKind, DistError> {
-        match self {
-            PredictorKind::UNetTrained { path, seed } => {
-                let text = std::fs::read_to_string(path).map_err(|e| DistError::BadWeights {
-                    path: path.clone(),
-                    reason: e.to_string(),
-                })?;
-                // Full decode (checksum included) so corruption is caught
-                // here; build() below re-parses the validated text.
-                SurrogateModel::from_json(&text).map_err(|reason| DistError::BadWeights {
-                    path: path.clone(),
-                    reason,
-                })?;
-                Ok(PredictorKind::UNetWeights {
-                    seed: *seed,
-                    weights_json: text,
-                })
-            }
-            other => Ok(other.clone()),
-        }
-    }
-
-    /// Instantiate the predictor for regions of side `region_side`.
-    /// File-backed kinds must be [`resolve`](PredictorKind::resolve)d
-    /// first; inline weights have already been validated there (or came
-    /// out of a checksummed snapshot), so a decode failure here is a
-    /// driver bug, not bad input.
+    /// Instantiate the predictor for regions of side `region_side`. Inline
+    /// weights were validated by [`PredictorSpec::resolve`] (or came out of
+    /// a checksummed snapshot), so a decode failure here is a driver bug,
+    /// not bad input.
     pub fn build(&self, region_side: f64) -> Box<dyn PoolPredictor> {
         match self {
             PredictorKind::SedovOverlay => Box::new(SedovOverlayPredictor),
-            PredictorKind::UNetTrained { path, seed } => {
-                let resolved = PredictorKind::UNetTrained {
-                    path: path.clone(),
-                    seed: *seed,
-                }
-                .resolve()
-                .expect("unresolved weights file: call PredictorKind::resolve first");
-                resolved.build(region_side)
-            }
             PredictorKind::UNetWeights { seed, weights_json } => Box::new(
                 UNetPredictor::from_weights(*seed, weights_json, region_side)
                     .expect("inline weights were validated at resolve time"),
@@ -213,16 +167,67 @@ impl PredictorKind {
     }
 
     /// The model state a checkpoint should embed for this predictor:
-    /// `Some` for trained weights (resolved or file-backed after
-    /// [`resolve`](PredictorKind::resolve)), `None` for the analytic kind,
-    /// which rebuilds deterministically from config alone.
+    /// `Some` for trained weights, `None` for the analytic kind, which
+    /// rebuilds deterministically from config alone.
     pub fn model_state(&self) -> Option<ModelState> {
         match self {
             PredictorKind::UNetWeights { seed, weights_json } => Some(ModelState {
                 seed: *seed,
                 weights_json: weights_json.clone(),
             }),
-            _ => None,
+            PredictorKind::SedovOverlay => None,
+        }
+    }
+}
+
+/// How `--predictor` spells the pool predictor: `sedov`, or
+/// `unet:<weights.json>`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PredictorSpec {
+    /// The analytic Sedov–Taylor overlay (the default, no weights needed).
+    Sedov,
+    /// A trained U-Net from `asura train-surrogate` weights at this path.
+    UNet(String),
+}
+
+impl PredictorSpec {
+    /// Resolve to a ready [`PredictorKind`]: for `unet:` this reads the
+    /// weights file and decodes it in full (checksum included), so a
+    /// missing, foreign or corrupt file is a typed
+    /// [`DistError::BadWeights`] here — before any rank is spawned, never
+    /// a loader panic mid-run. `seed` seeds the Gibbs resampling.
+    pub fn resolve(&self, seed: u64) -> Result<PredictorKind, DistError> {
+        let PredictorSpec::UNet(path) = self else {
+            return Ok(PredictorKind::SedovOverlay);
+        };
+        let bad = |reason: String| DistError::BadWeights {
+            path: path.clone(),
+            reason,
+        };
+        let weights_json = std::fs::read_to_string(path).map_err(|e| bad(e.to_string()))?;
+        SurrogateModel::from_json(&weights_json).map_err(bad)?;
+        Ok(PredictorKind::UNetWeights { seed, weights_json })
+    }
+}
+
+impl fmt::Display for PredictorSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PredictorSpec::Sedov => f.write_str("sedov"),
+            PredictorSpec::UNet(path) => write!(f, "unet:{path}"),
+        }
+    }
+}
+
+impl FromStr for PredictorSpec {
+    type Err = String;
+    fn from_str(s: &str) -> Result<PredictorSpec, String> {
+        match (s, s.strip_prefix("unet:")) {
+            ("sedov", _) => Ok(PredictorSpec::Sedov),
+            (_, Some(path)) if !path.is_empty() => Ok(PredictorSpec::UNet(path.to_string())),
+            _ => Err(format!(
+                "unknown predictor `{s}` (expected sedov | unet:<weights.json>)"
+            )),
         }
     }
 }
@@ -284,7 +289,7 @@ pub enum DistError {
     MissingPendingPayload { count: u64 },
     /// A trained-weights file could not be read or failed validation
     /// (foreign document, damaged weights, checksum mismatch). Raised by
-    /// [`PredictorKind::resolve`] before any rank is spawned; the CLI maps
+    /// [`PredictorSpec::resolve`] before any rank is spawned; the CLI maps
     /// it to a permanent exit so the supervisor never retries a run whose
     /// weights can never load.
     BadWeights { path: String, reason: String },
@@ -397,18 +402,16 @@ fn run_inner(
     if cfg.n_pool < 1 {
         return Err(DistError::NoPoolRank);
     }
-    // Validate file-backed weights before any rank is spawned: a bad file
-    // is a typed error here, never a pool-rank panic. A resume snapshot
-    // that carries a model overrides the configured predictor entirely —
-    // the pool replays the exact weights that produced the checkpoint.
+    // A resume snapshot that carries a model overrides the configured
+    // predictor entirely — the pool replays the exact weights that
+    // produced the checkpoint.
     let mut cfg = cfg.clone();
-    cfg.predictor = match resume.and_then(|s| s.model.as_ref()) {
-        Some(m) => PredictorKind::UNetWeights {
+    if let Some(m) = resume.and_then(|s| s.model.as_ref()) {
+        cfg.predictor = PredictorKind::UNetWeights {
             seed: m.seed,
             weights_json: m.weights_json.clone(),
-        },
-        None => cfg.predictor.resolve()?,
-    };
+        };
+    }
     let cfg = &cfg;
     let world = World::new(cfg.world_size());
     let (results, stats) = world.run_with_stats(|comm| {

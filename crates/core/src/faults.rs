@@ -243,6 +243,15 @@ impl FaultInjector {
         self.faults.is_empty()
     }
 
+    /// True when a `kill@N` / `stall@N` is armed for this attempt — a
+    /// driver with no per-step hook must refuse the plan rather than run
+    /// it fault-free.
+    pub fn has_step_fault(&self) -> bool {
+        self.faults
+            .iter()
+            .any(|f| matches!(f, Fault::KillAtStep(_) | Fault::StallAtStep(_)))
+    }
+
     /// The step fault armed for `step`, if any (pure; see
     /// [`FaultInjector::enforce_step`] for the effectful form).
     pub fn step_fault(&self, step: u64) -> Option<StepFault> {

@@ -49,20 +49,22 @@
 //! root (removed on clean exit), so clients on the same machine need no
 //! configuration beyond the root directory.
 
-use crate::ckpt::{atomic_write, CkptStore};
+use crate::ckpt::{atomic_write, CkptFormat, CkptStore};
+use crate::config::{Scheme, TimestepMode};
 use crate::faults::{self, FaultPlan};
 use crate::supervise::{
     Heartbeat, IncidentLog, Outcome, ProcessChild, ResumePoint, RetryPolicy, StopReason, Supervisor,
 };
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use unet::json::{parse_json, write_json, Json};
+use unet::json::{parse_json, Json};
 
 /// `format` field of `fleet.json`.
 pub const FLEET_FORMAT: &str = "asura-fleet";
@@ -73,16 +75,23 @@ pub const FLEET_FILE: &str = "fleet.json";
 /// Address-discovery file name under the serve root.
 pub const ADDR_FILE: &str = "serve.json";
 
-/// Render a JSON string literal (with escaping).
-fn jstr(s: &str) -> String {
-    let mut out = String::new();
-    write_json(&Json::Str(s.to_string()), &mut out);
-    out
+/// A success response line: `{"ok":true,…fields}`.
+fn ok_line<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> String {
+    Json::obj([("ok", true.into())].into_iter().chain(fields)).render()
 }
 
 /// A standard error response line.
 pub fn err_line(msg: &str) -> String {
-    format!("{{\"ok\":false,\"error\":{}}}", jstr(msg))
+    Json::obj([("ok", false.into()), ("error", msg.into())]).render()
+}
+
+/// Whether a response line reports success. Only an `"ok":false` object
+/// is a failure; `WATCH`'s sample rows carry no `ok` field at all.
+pub fn reply_ok(line: &str) -> bool {
+    !matches!(
+        parse_json(line).map(|doc| doc.at("ok", Json::as_bool)),
+        Ok(Ok(false))
+    )
 }
 
 /// Lifecycle state of a fleet run.
@@ -131,21 +140,20 @@ impl RunState {
 
 /// Per-run configuration accepted in `SUBMIT`'s overrides JSON. Every
 /// field is optional; unknown keys are rejected at submit time (a typo'd
-/// override must not silently run with defaults).
+/// override must not silently run with defaults). Values are held as the
+/// types the CLI flags parse into, spelled by the same `FromStr` /
+/// `Display` pair.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunOverrides {
     /// Target step count (default: the scenario's registered default).
     pub steps: Option<u64>,
     pub seed: Option<u64>,
-    /// `surrogate` | `conventional`.
-    pub scheme: Option<String>,
-    /// `global` | `block` | `block:<max_level>`.
-    pub timestep: Option<String>,
+    pub scheme: Option<Scheme>,
+    pub timestep: Option<TimestepMode>,
     /// Checkpoint cadence in steps (serve default: 1, so auto-resume
     /// always has a fresh rotation entry).
     pub snapshot_every: Option<u64>,
-    /// `bin` | `json`.
-    pub snapshot_format: Option<String>,
+    pub snapshot_format: Option<CkptFormat>,
     /// An `ASURA_FAULTS` plan set on this run's children only — the
     /// daemon-level chaos tests kill one fleet member without touching
     /// its neighbors.
@@ -160,91 +168,48 @@ impl RunOverrides {
         };
         let mut o = RunOverrides::default();
         for (key, value) in fields {
-            match key.as_str() {
-                "steps" => {
-                    o.steps = Some(value.as_usize().map_err(|e| format!("steps: {e}"))? as u64)
+            let mut set = || -> Result<(), String> {
+                match key.as_str() {
+                    "steps" => o.steps = Some(value.as_u64()?),
+                    "seed" => o.seed = Some(value.as_u64()?),
+                    "snapshot_every" => o.snapshot_every = Some(value.as_u64()?),
+                    "scheme" => o.scheme = Some(value.as_parsed()?),
+                    "timestep" => o.timestep = Some(value.as_parsed()?),
+                    "snapshot_format" => o.snapshot_format = Some(value.as_parsed()?),
+                    "faults" => {
+                        let plan = value.as_str()?;
+                        FaultPlan::parse(plan)?;
+                        o.faults = Some(plan.to_string());
+                    }
+                    _ => return Err("unknown override".into()),
                 }
-                "seed" => o.seed = Some(value.as_usize().map_err(|e| format!("seed: {e}"))? as u64),
-                "snapshot_every" => {
-                    o.snapshot_every = Some(
-                        value
-                            .as_usize()
-                            .map_err(|e| format!("snapshot_every: {e}"))?
-                            as u64,
-                    )
-                }
-                "scheme" => match value {
-                    Json::Str(s) if s == "surrogate" || s == "conventional" => {
-                        o.scheme = Some(s.clone())
-                    }
-                    other => {
-                        return Err(format!(
-                            "scheme must be surrogate|conventional, got {other:?}"
-                        ))
-                    }
-                },
-                "timestep" => match value {
-                    Json::Str(s)
-                        if s == "global"
-                            || s == "block"
-                            || s.strip_prefix("block:")
-                                .is_some_and(|l| l.parse::<u32>().is_ok()) =>
-                    {
-                        o.timestep = Some(s.clone())
-                    }
-                    other => {
-                        return Err(format!(
-                            "timestep must be global|block|block:<max_level>, got {other:?}"
-                        ))
-                    }
-                },
-                "snapshot_format" => match value {
-                    Json::Str(s) if s == "bin" || s == "json" => {
-                        o.snapshot_format = Some(s.clone())
-                    }
-                    other => {
-                        return Err(format!("snapshot_format must be bin|json, got {other:?}"))
-                    }
-                },
-                "faults" => match value {
-                    Json::Str(s) => {
-                        FaultPlan::parse(s).map_err(|e| format!("faults: {e}"))?;
-                        o.faults = Some(s.clone());
-                    }
-                    other => return Err(format!("faults must be a plan string, got {other:?}")),
-                },
-                other => return Err(format!("unknown override `{other}`")),
-            }
+                Ok(())
+            };
+            set().map_err(|e| format!("`{key}`: {e}"))?;
         }
         Ok(o)
     }
 
-    /// Compact JSON rendering (only the set fields; integers stay
-    /// integers).
+    /// Only the set fields, in declaration order.
+    fn to_value(&self) -> Json {
+        fn spelled(v: Option<impl fmt::Display>) -> Option<Json> {
+            v.map(|v| v.to_string().into())
+        }
+        let fields = [
+            ("steps", self.steps.map(Json::from)),
+            ("seed", self.seed.map(Json::from)),
+            ("scheme", spelled(self.scheme)),
+            ("timestep", spelled(self.timestep)),
+            ("snapshot_every", self.snapshot_every.map(Json::from)),
+            ("snapshot_format", spelled(self.snapshot_format)),
+            ("faults", spelled(self.faults.as_ref())),
+        ];
+        Json::obj(fields.into_iter().filter_map(|(k, v)| Some((k, v?))))
+    }
+
+    /// Compact JSON rendering of [`RunOverrides::from_json`]'s input.
     pub fn to_json(&self) -> String {
-        let mut parts = Vec::new();
-        if let Some(v) = self.steps {
-            parts.push(format!("\"steps\":{v}"));
-        }
-        if let Some(v) = self.seed {
-            parts.push(format!("\"seed\":{v}"));
-        }
-        if let Some(s) = &self.scheme {
-            parts.push(format!("\"scheme\":{}", jstr(s)));
-        }
-        if let Some(s) = &self.timestep {
-            parts.push(format!("\"timestep\":{}", jstr(s)));
-        }
-        if let Some(v) = self.snapshot_every {
-            parts.push(format!("\"snapshot_every\":{v}"));
-        }
-        if let Some(s) = &self.snapshot_format {
-            parts.push(format!("\"snapshot_format\":{}", jstr(s)));
-        }
-        if let Some(s) = &self.faults {
-            parts.push(format!("\"faults\":{}", jstr(s)));
-        }
-        format!("{{{}}}", parts.join(","))
+        self.to_value().render()
     }
 }
 
@@ -262,6 +227,28 @@ pub struct RunEntry {
     /// killed daemon's registry is re-adopted.
     pub child_pid: Option<u32>,
     pub overrides: RunOverrides,
+}
+
+impl RunEntry {
+    /// The fields `fleet.json`, `LIST` and `STATUS` all lead a run with.
+    fn summary(&self) -> [(&'static str, Json); 4] {
+        [
+            ("id", self.id.as_str().into()),
+            ("scenario", self.scenario.as_str().into()),
+            ("state", self.state.as_str().into()),
+            ("target_steps", self.target_steps.into()),
+        ]
+    }
+}
+
+/// A recorded child pid. [`Fleet::adopt`] hands these to `kill -9`, where
+/// 0 is the daemon's own process group and a truncated value is someone
+/// else's process — so anything that is not a pid is a malformed file.
+fn as_pid(v: &Json) -> Result<u32, String> {
+    match v.as_i32()? {
+        pid if pid > 0 => Ok(pid.unsigned_abs()),
+        other => Err(format!("{other} is not a process id")),
+    }
 }
 
 /// A submittable scenario, as the daemon advertises it — the binary feeds
@@ -334,78 +321,42 @@ impl Fleet {
         stale
     }
 
-    /// Hand-rendered `fleet.json` (integers stay integers).
     pub fn to_json(&self) -> String {
-        let mut text = format!(
-            "{{\"format\":\"{FLEET_FORMAT}\",\"version\":{FLEET_VERSION},\"next_seq\":{},\"runs\":[",
-            self.next_seq
-        );
-        for (n, r) in self.runs.iter().enumerate() {
-            if n > 0 {
-                text.push(',');
-            }
-            let pid = match r.child_pid {
-                Some(p) => p.to_string(),
-                None => "null".to_string(),
-            };
-            text.push_str(&format!(
-                "{{\"id\":{},\"scenario\":{},\"state\":\"{}\",\"target_steps\":{},\
-                 \"child_pid\":{pid},\"overrides\":{}}}",
-                jstr(&r.id),
-                jstr(&r.scenario),
-                r.state.as_str(),
-                r.target_steps,
-                r.overrides.to_json(),
-            ));
-        }
-        text.push_str("]}\n");
-        text
+        let run = |r: &RunEntry| {
+            let rest = [
+                ("child_pid", r.child_pid.into()),
+                ("overrides", r.overrides.to_value()),
+            ];
+            Json::obj(r.summary().into_iter().chain(rest))
+        };
+        let doc = Json::obj([
+            ("format", FLEET_FORMAT.into()),
+            ("version", FLEET_VERSION.into()),
+            ("next_seq", self.next_seq.into()),
+            ("runs", Json::Arr(self.runs.iter().map(run).collect())),
+        ]);
+        doc.render() + "\n"
     }
 
     pub fn from_json(text: &str) -> Result<Fleet, String> {
         let doc = parse_json(text)?;
-        match doc.get("format")? {
-            Json::Str(s) if s == FLEET_FORMAT => {}
-            other => return Err(format!("not a fleet file: format {other:?}")),
-        }
-        let version = doc.get("version")?.as_usize()?;
-        if version != FLEET_VERSION as usize {
-            return Err(format!("unsupported fleet version {version}"));
-        }
-        let Json::Arr(items) = doc.get("runs")? else {
-            return Err("runs is not an array".into());
+        doc.expect_header(FLEET_FORMAT, FLEET_VERSION)?;
+        let run = |item: &Json| -> Result<RunEntry, String> {
+            let state = item.at("state", Json::as_str)?;
+            Ok(RunEntry {
+                id: item.at("id", Json::as_str)?.to_string(),
+                scenario: item.at("scenario", Json::as_str)?.to_string(),
+                state: RunState::parse(state)
+                    .ok_or_else(|| format!("unknown run state `{state}`"))?,
+                target_steps: item.at("target_steps", Json::as_u64)?,
+                child_pid: item.at("child_pid", |v| v.as_opt(as_pid))?,
+                overrides: item.at("overrides", RunOverrides::from_json)?,
+            })
         };
-        let mut runs = Vec::with_capacity(items.len());
-        for item in items {
-            let state = match item.get("state")? {
-                Json::Str(s) => {
-                    RunState::parse(s).ok_or_else(|| format!("unknown run state `{s}`"))?
-                }
-                other => return Err(format!("bad state field {other:?}")),
-            };
-            let id = match item.get("id")? {
-                Json::Str(s) => s.clone(),
-                other => return Err(format!("bad id field {other:?}")),
-            };
-            let scenario = match item.get("scenario")? {
-                Json::Str(s) => s.clone(),
-                other => return Err(format!("bad scenario field {other:?}")),
-            };
-            runs.push(RunEntry {
-                id,
-                scenario,
-                state,
-                target_steps: item.get("target_steps")?.as_usize()? as u64,
-                child_pid: match item.get("child_pid")? {
-                    Json::Null => None,
-                    v => Some(v.as_usize()? as u32),
-                },
-                overrides: RunOverrides::from_json(item.get("overrides")?)?,
-            });
-        }
+        let runs = doc.at("runs", Json::as_arr)?;
         Ok(Fleet {
-            next_seq: doc.get("next_seq")?.as_usize()? as u64,
-            runs,
+            next_seq: doc.at("next_seq", Json::as_u64)?,
+            runs: runs.iter().map(run).collect::<Result<_, _>>()?,
         })
     }
 
@@ -604,10 +555,8 @@ impl Shared {
 /// Read the daemon's advertised address from `<root>/serve.json`.
 pub fn read_serve_addr(root: &Path) -> Option<String> {
     let text = std::fs::read_to_string(root.join(ADDR_FILE)).ok()?;
-    match parse_json(&text).ok()?.get("addr").ok()? {
-        Json::Str(s) => Some(s.clone()),
-        _ => None,
-    }
+    let doc = parse_json(&text).ok()?;
+    Some(doc.at("addr", Json::as_str).ok()?.to_string())
 }
 
 /// One-shot client: send a request line, return every response line. The
@@ -644,9 +593,13 @@ pub fn serve(cfg: ServeConfig, spawner: Spawner) -> io::Result<()> {
     let listener = TcpListener::bind(&cfg.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
+    let advert = Json::obj([
+        ("addr", addr.to_string().into()),
+        ("pid", std::process::id().into()),
+    ]);
     atomic_write(
         &cfg.root.join(ADDR_FILE),
-        format!("{{\"addr\":\"{addr}\",\"pid\":{}}}\n", std::process::id()).as_bytes(),
+        (advert.render() + "\n").as_bytes(),
     )?;
     println!(
         "[serve] listening on {addr} (root {}, max {} concurrent, {} queued run(s) adopted)",
@@ -878,7 +831,7 @@ fn submit(shared: &Arc<Shared>, scenario: &str, overrides: RunOverrides) -> Stri
     let mut fleet = shared.fleet.lock();
     let id = fleet.submit(scenario, meta.default_steps, overrides);
     shared.save(&fleet);
-    format!("{{\"ok\":true,\"id\":{}}}", jstr(&id))
+    ok_line([("id", id.into())])
 }
 
 fn status_line(shared: &Arc<Shared>, id: &str) -> String {
@@ -886,62 +839,40 @@ fn status_line(shared: &Arc<Shared>, id: &str) -> String {
         return err_line(&format!("unknown run `{id}`"));
     };
     let run_dir = shared.cfg.root.join(id);
-    let step = match Heartbeat::read(&run_dir.join("heartbeat")) {
-        Some((_, step)) => step.to_string(),
-        None => "null".to_string(),
-    };
+    let step = Heartbeat::read(&run_dir.join("heartbeat")).map(|(_, step)| step);
     let age_ms = std::fs::metadata(run_dir.join("heartbeat"))
         .and_then(|m| m.modified())
         .ok()
         .and_then(|t| t.elapsed().ok())
-        .map_or("null".to_string(), |d| d.as_millis().to_string());
+        .and_then(|d| u64::try_from(d.as_millis()).ok());
     let incidents = std::fs::read_to_string(run_dir.join("supervisor.json"))
         .ok()
         .and_then(|text| IncidentLog::from_json(&text).ok())
         .map_or(0, |log| log.incidents.len());
-    format!(
-        "{{\"ok\":true,\"id\":{},\"scenario\":{},\"state\":\"{}\",\"target_steps\":{},\
-         \"step\":{step},\"heartbeat_age_ms\":{age_ms},\"incidents\":{incidents}}}",
-        jstr(&run.id),
-        jstr(&run.scenario),
-        run.state.as_str(),
-        run.target_steps,
-    )
+    let live = [
+        ("step", step.into()),
+        ("heartbeat_age_ms", age_ms.into()),
+        ("incidents", incidents.into()),
+    ];
+    ok_line(run.summary().into_iter().chain(live))
 }
 
 fn list_line(shared: &Arc<Shared>) -> String {
     let fleet = shared.fleet.lock();
-    let runs: Vec<String> = fleet
-        .runs
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"id\":{},\"scenario\":{},\"state\":\"{}\",\"target_steps\":{}}}",
-                jstr(&r.id),
-                jstr(&r.scenario),
-                r.state.as_str(),
-                r.target_steps,
-            )
-        })
-        .collect();
-    format!("{{\"ok\":true,\"runs\":[{}]}}", runs.join(","))
+    let runs = fleet.runs.iter().map(|r| Json::obj(r.summary())).collect();
+    ok_line([("runs", Json::Arr(runs))])
 }
 
 fn scenarios_line(shared: &Arc<Shared>) -> String {
-    let items: Vec<String> = shared
-        .cfg
-        .catalog
-        .iter()
-        .map(|m| {
-            format!(
-                "{{\"name\":{},\"description\":{},\"default_steps\":{}}}",
-                jstr(&m.name),
-                jstr(&m.description),
-                m.default_steps,
-            )
-        })
-        .collect();
-    format!("{{\"ok\":true,\"scenarios\":[{}]}}", items.join(","))
+    let scenario = |m: &ScenarioMeta| {
+        Json::obj([
+            ("name", m.name.as_str().into()),
+            ("description", m.description.as_str().into()),
+            ("default_steps", m.default_steps.into()),
+        ])
+    };
+    let scenarios = shared.cfg.catalog.iter().map(scenario).collect();
+    ok_line([("scenarios", Json::Arr(scenarios))])
 }
 
 fn cancel(shared: &Arc<Shared>, id: &str) -> String {
@@ -953,17 +884,14 @@ fn cancel(shared: &Arc<Shared>, id: &str) -> String {
         RunState::Queued => {
             run.state = RunState::Canceled;
             shared.save(&fleet);
-            format!("{{\"ok\":true,\"id\":{},\"state\":\"canceled\"}}", jstr(id))
+            ok_line([("id", id.into()), ("state", "canceled".into())])
         }
         RunState::Running => {
             drop(fleet);
             if let Some(flag) = shared.flags.lock().get(id) {
                 flag.store(FLAG_CANCEL, Ordering::SeqCst);
             }
-            format!(
-                "{{\"ok\":true,\"id\":{},\"state\":\"canceling\"}}",
-                jstr(id)
-            )
+            ok_line([("id", id.into()), ("state", "canceling".into())])
         }
         state => err_line(&format!("run `{id}` is already {}", state.as_str())),
     }
@@ -972,7 +900,7 @@ fn cancel(shared: &Arc<Shared>, id: &str) -> String {
 fn shutdown(shared: &Arc<Shared>, drain: bool) -> String {
     if drain {
         shared.shutdown.store(DRAINING, Ordering::SeqCst);
-        "{\"ok\":true,\"shutdown\":\"drain\"}".to_string()
+        ok_line([("shutdown", "drain".into())])
     } else {
         shared.shutdown.store(STOPPING, Ordering::SeqCst);
         // Detach every running worker: children are killed, their runs
@@ -980,7 +908,7 @@ fn shutdown(shared: &Arc<Shared>, drain: bool) -> String {
         for flag in shared.flags.lock().values() {
             flag.store(FLAG_DETACH, Ordering::SeqCst);
         }
-        "{\"ok\":true,\"shutdown\":\"detach\"}".to_string()
+        ok_line([("shutdown", "detach".into())])
     }
 }
 
@@ -1006,16 +934,14 @@ fn diagnostics_rows(doc: &Json) -> Vec<String> {
                     _ => None,
                 })
                 .collect();
-            let mut out = String::new();
-            write_json(&Json::Obj(row), &mut out);
-            out
+            Json::Obj(row).render()
         })
         .collect()
 }
 
 /// Stream a run's diagnostics samples as they land, then a final done
 /// line once the run reaches a terminal state (or the daemon shuts down).
-fn watch(shared: &Arc<Shared>, id: &str, out: &mut TcpStream) -> io::Result<()> {
+fn watch(shared: &Arc<Shared>, id: &str, out: &mut impl Write) -> io::Result<()> {
     if shared.fleet.lock().get(id).is_none() {
         writeln!(out, "{}", err_line(&format!("unknown run `{id}`")))?;
         return Ok(());
@@ -1043,13 +969,12 @@ fn watch(shared: &Arc<Shared>, id: &str, out: &mut TcpStream) -> io::Result<()> 
             }
         }
         if state.is_terminal() || stopping {
-            writeln!(
-                out,
-                "{{\"ok\":true,\"done\":{},\"state\":\"{}\",\"samples\":{emitted}}}",
-                state.is_terminal(),
-                state.as_str(),
-            )?;
-            return Ok(());
+            let done = [
+                ("done", state.is_terminal().into()),
+                ("state", state.as_str().into()),
+                ("samples", emitted.into()),
+            ];
+            return writeln!(out, "{}", ok_line(done));
         }
         std::thread::sleep(Duration::from_millis(50));
     }
@@ -1116,14 +1041,24 @@ mod tests {
         let o = RunOverrides {
             steps: Some(4),
             seed: Some(7),
-            scheme: Some("surrogate".into()),
-            timestep: Some("block:6".into()),
+            scheme: Some(Scheme::Surrogate),
+            timestep: Some(TimestepMode::Block { max_level: 6 }),
             snapshot_every: Some(2),
-            snapshot_format: Some("json".into()),
+            snapshot_format: Some(CkptFormat::Json),
             faults: Some("kill@3#0".into()),
         };
         let doc = parse_json(&o.to_json()).unwrap();
         assert_eq!(RunOverrides::from_json(&doc).unwrap(), o);
+        // A bare `block` is the default depth, and is written back with it.
+        let bare = parse_json("{\"timestep\":\"block\"}").unwrap();
+        let bare = RunOverrides::from_json(&bare).unwrap();
+        assert_eq!(bare.timestep, Some(TimestepMode::Block { max_level: 8 }));
+        assert_eq!(bare.to_json(), "{\"timestep\":\"block:8\"}");
+        // Integers are read exactly or not at all.
+        for bad in ["{\"steps\":4.5}", "{\"seed\":-1}", "{\"seed\":1e300}"] {
+            let doc = parse_json(bad).unwrap();
+            assert!(RunOverrides::from_json(&doc).is_err(), "{bad}");
+        }
         let empty = RunOverrides::default();
         let doc = parse_json(&empty.to_json()).unwrap();
         assert_eq!(RunOverrides::from_json(&doc).unwrap(), empty);
@@ -1223,5 +1158,222 @@ mod tests {
             doc.get("error").unwrap(),
             &Json::Str("bad \"input\"\nline".into())
         );
+    }
+    // -- golden bytes ------------------------------------------------------
+    //
+    // Recorded at the commit before these documents moved onto the
+    // `unet::json` writer (PR 19), from the functions' output there: key
+    // order and integer rendering are contract (CI greps them).
+
+    fn golden_shared(root: PathBuf, fleet: Fleet) -> Arc<Shared> {
+        let meta = |name: &str, description: &str, default_steps| ScenarioMeta {
+            name: name.into(),
+            description: description.into(),
+            default_steps,
+        };
+        Arc::new(Shared {
+            cfg: ServeConfig {
+                root,
+                addr: "127.0.0.1:0".into(),
+                max_concurrent: 2,
+                catalog: vec![
+                    meta("quickstart", "a \"quick\" start", 20),
+                    meta("spiked_dt", "one hot particle", 6),
+                ],
+                retry: RetryPolicy::default(),
+                heartbeat_timeout_ms: 30_000,
+                keep: 3,
+            },
+            spawner: Arc::new(|_| Err(io::Error::other("no spawner"))),
+            fleet: Mutex::new(fleet),
+            flags: Mutex::new(BTreeMap::new()),
+            shutdown: AtomicU8::new(RUNNING),
+        })
+    }
+
+    fn every_override() -> RunOverrides {
+        RunOverrides {
+            steps: Some(3),
+            seed: Some(7),
+            scheme: Some(Scheme::Conventional),
+            timestep: Some(TimestepMode::Block { max_level: 6 }),
+            snapshot_every: Some(2),
+            snapshot_format: Some(CkptFormat::Json),
+            faults: Some("kill@3#0".into()),
+        }
+    }
+
+    /// Three runs: a running one with a pid, a queued one with every
+    /// override set, a completed one with the other value of each option.
+    fn golden_fleet() -> Fleet {
+        let mut fleet = Fleet::default();
+        let a = fleet.submit("quickstart", 20, RunOverrides::default());
+        fleet.submit("spiked_dt", 6, every_override());
+        let c = fleet.submit(
+            "quickstart",
+            20,
+            RunOverrides {
+                scheme: Some(Scheme::Surrogate),
+                timestep: Some(TimestepMode::Global),
+                snapshot_format: Some(CkptFormat::Bin),
+                ..Default::default()
+            },
+        );
+        fleet.get_mut(&a).unwrap().state = RunState::Running;
+        fleet.get_mut(&a).unwrap().child_pid = Some(4242);
+        fleet.get_mut(&c).unwrap().state = RunState::Completed;
+        fleet
+    }
+
+    const GOLDEN_FLEET: &str = "{\"format\":\"asura-fleet\",\"version\":1,\"next_seq\":3,\"runs\":[{\"id\":\"r0001-quickstart\",\"scenario\":\"quickstart\",\"state\":\"running\",\"target_steps\":20,\"child_pid\":4242,\"overrides\":{}},{\"id\":\"r0002-spiked_dt\",\"scenario\":\"spiked_dt\",\"state\":\"queued\",\"target_steps\":3,\"child_pid\":null,\"overrides\":{\"steps\":3,\"seed\":7,\"scheme\":\"conventional\",\"timestep\":\"block:6\",\"snapshot_every\":2,\"snapshot_format\":\"json\",\"faults\":\"kill@3#0\"}},{\"id\":\"r0003-quickstart\",\"scenario\":\"quickstart\",\"state\":\"completed\",\"target_steps\":20,\"child_pid\":null,\"overrides\":{\"scheme\":\"surrogate\",\"timestep\":\"global\",\"snapshot_format\":\"bin\"}}]}\n";
+
+    #[test]
+    fn fleet_json_bytes_are_stable() {
+        assert_eq!(golden_fleet().to_json(), GOLDEN_FLEET);
+        assert_eq!(Fleet::from_json(GOLDEN_FLEET).unwrap(), golden_fleet());
+        assert_eq!(
+            Fleet::default().to_json(),
+            "{\"format\":\"asura-fleet\",\"version\":1,\"next_seq\":0,\"runs\":[]}\n"
+        );
+        let submit = Request::Submit {
+            scenario: "spiked_dt".into(),
+            overrides: every_override(),
+        };
+        assert_eq!(
+            submit.render(),
+            "SUBMIT spiked_dt {\"steps\":3,\"seed\":7,\"scheme\":\"conventional\",\"timestep\":\"block:6\",\"snapshot_every\":2,\"snapshot_format\":\"json\",\"faults\":\"kill@3#0\"}"
+        );
+    }
+
+    #[test]
+    fn protocol_reply_bytes_are_stable() {
+        let root = std::env::temp_dir().join(format!("asura-serve-golden-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let shared = golden_shared(root.clone(), golden_fleet());
+        let unknown = "{\"ok\":false,\"error\":\"unknown run `r0009-x`\"}";
+        assert_eq!(
+            submit(&shared, "quickstart", RunOverrides::default()),
+            "{\"ok\":true,\"id\":\"r0004-quickstart\"}"
+        );
+        assert_eq!(
+            submit(&shared, "warp", RunOverrides::default()),
+            "{\"ok\":false,\"error\":\"unknown scenario `warp` (available: quickstart, spiked_dt)\"}"
+        );
+        // STATUS before the run has a directory: every live field is null.
+        assert_eq!(
+            status_line(&shared, "r0001-quickstart"),
+            "{\"ok\":true,\"id\":\"r0001-quickstart\",\"scenario\":\"quickstart\",\"state\":\"running\",\"target_steps\":20,\"step\":null,\"heartbeat_age_ms\":null,\"incidents\":0}"
+        );
+        assert_eq!(status_line(&shared, "r0009-x"), unknown);
+        // … and with a heartbeat and an incident log (the age is the one
+        // field that is not reproducible).
+        let run_dir = root.join("r0002-spiked_dt");
+        std::fs::create_dir_all(&run_dir).unwrap();
+        Heartbeat::new(run_dir.join("heartbeat")).beat(5).unwrap();
+        let log = IncidentLog {
+            incidents: vec![crate::supervise::Incident {
+                attempt: 0,
+                kind: crate::supervise::IncidentKind::Crash { exit_code: 86 },
+                resumed_from_step: Some(2),
+                backoff_ms: 500,
+            }],
+            outcome: None,
+        };
+        log.save(&run_dir.join("supervisor.json")).unwrap();
+        let live = status_line(&shared, "r0002-spiked_dt");
+        let (head, tail) = live.split_once("\"heartbeat_age_ms\":").unwrap();
+        assert_eq!(
+            head,
+            "{\"ok\":true,\"id\":\"r0002-spiked_dt\",\"scenario\":\"spiked_dt\",\"state\":\"queued\",\"target_steps\":3,\"step\":5,"
+        );
+        let (age, tail) = tail.split_once(',').unwrap();
+        assert!(age.parse::<u64>().is_ok(), "age is a plain integer: {age}");
+        assert_eq!(tail, "\"incidents\":1}");
+        assert_eq!(
+            list_line(&shared),
+            "{\"ok\":true,\"runs\":[{\"id\":\"r0001-quickstart\",\"scenario\":\"quickstart\",\"state\":\"running\",\"target_steps\":20},{\"id\":\"r0002-spiked_dt\",\"scenario\":\"spiked_dt\",\"state\":\"queued\",\"target_steps\":3},{\"id\":\"r0003-quickstart\",\"scenario\":\"quickstart\",\"state\":\"completed\",\"target_steps\":20},{\"id\":\"r0004-quickstart\",\"scenario\":\"quickstart\",\"state\":\"queued\",\"target_steps\":20}]}"
+        );
+        assert_eq!(
+            scenarios_line(&shared),
+            "{\"ok\":true,\"scenarios\":[{\"name\":\"quickstart\",\"description\":\"a \\\"quick\\\" start\",\"default_steps\":20},{\"name\":\"spiked_dt\",\"description\":\"one hot particle\",\"default_steps\":6}]}"
+        );
+        assert_eq!(
+            cancel(&shared, "r0002-spiked_dt"),
+            "{\"ok\":true,\"id\":\"r0002-spiked_dt\",\"state\":\"canceled\"}"
+        );
+        assert_eq!(
+            cancel(&shared, "r0001-quickstart"),
+            "{\"ok\":true,\"id\":\"r0001-quickstart\",\"state\":\"canceling\"}"
+        );
+        assert_eq!(
+            cancel(&shared, "r0003-quickstart"),
+            "{\"ok\":false,\"error\":\"run `r0003-quickstart` is already completed\"}"
+        );
+        assert_eq!(cancel(&shared, "r0009-x"), unknown);
+        // WATCH on a finished run: its rows, then the done line.
+        let watched = root.join("r0003-quickstart");
+        std::fs::create_dir_all(&watched).unwrap();
+        atomic_write(
+            &watched.join("diagnostics.json"),
+            b"{\"scenario\":\"q\",\"samples\":2,\"columns\":{\"step\":[1.0,2.0],\"time\":[0.1,0.2]}}",
+        )
+        .unwrap();
+        let mut out = Vec::new();
+        watch(&shared, "r0003-quickstart", &mut out).unwrap();
+        watch(&shared, "r0009-x", &mut out).unwrap();
+        assert_eq!(
+            String::from_utf8(out).unwrap(),
+            format!(
+                "{{\"step\":1.0,\"time\":0.1}}\n{{\"step\":2.0,\"time\":0.2}}\n\
+                 {{\"ok\":true,\"done\":true,\"state\":\"completed\",\"samples\":2}}\n{unknown}\n"
+            )
+        );
+        assert_eq!(
+            shutdown(&shared, true),
+            "{\"ok\":true,\"shutdown\":\"drain\"}"
+        );
+        assert_eq!(
+            shutdown(&shared, false),
+            "{\"ok\":true,\"shutdown\":\"detach\"}"
+        );
+        assert_eq!(
+            submit(&shared, "quickstart", RunOverrides::default()),
+            "{\"ok\":false,\"error\":\"daemon is shutting down\"}"
+        );
+        assert_eq!(
+            err_line("bad \"input\"\nline\ttab \\ back \u{1} ctl"),
+            "{\"ok\":false,\"error\":\"bad \\\"input\\\"\\nline\\ttab \\\\ back \\u0001 ctl\"}"
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// `adopt` hands every recorded pid of a `running` entry to `kill -9`:
+    /// pid 0 is the daemon's own process group, and 2^32 + 1 used to
+    /// truncate to pid 1. Neither may come out of a damaged file.
+    #[test]
+    fn a_child_pid_that_is_not_a_pid_is_a_malformed_fleet_file() {
+        assert_eq!(
+            Fleet::from_json(GOLDEN_FLEET).unwrap().adopt(),
+            vec![4242],
+            "the intact file adopts"
+        );
+        for bad in ["0", "4294967297", "-1", "4242.5", "2147483648", "\"4242\""] {
+            let text = GOLDEN_FLEET.replace("\"child_pid\":4242", &format!("\"child_pid\":{bad}"));
+            let err = Fleet::from_json(&text).expect_err(bad);
+            assert!(err.contains("child_pid"), "{bad}: {err}");
+        }
+        let text = GOLDEN_FLEET.replace("\"target_steps\":20", "\"target_steps\":20.5");
+        assert!(Fleet::from_json(&text).is_err(), "fractional target_steps");
+        let text = GOLDEN_FLEET.replace("\"next_seq\":3", "\"next_seq\":-3");
+        assert!(Fleet::from_json(&text).is_err(), "negative next_seq");
+    }
+
+    #[test]
+    fn reply_ok_reads_the_ok_field_not_a_substring() {
+        assert!(reply_ok("{\"ok\":true,\"id\":\"r0001-q\"}"));
+        assert!(reply_ok("{\"step\":1.0,\"time\":0.1}"), "a WATCH row");
+        assert!(!reply_ok(&err_line("nope")));
+        assert!(!reply_ok("{ \"ok\" : false }"), "whitespace is not a pass");
+        assert!(reply_ok(&ok_line([("note", "said \"ok\":false".into())])));
     }
 }

@@ -53,13 +53,13 @@
 //! the [`SimConfig::snapshot_every`] cadence under `results/<scenario>/` and
 //! resumes from either encoding via [`Snapshot::load`].
 
-use crate::config::{Scheme, SimConfig, TimestepMode};
+use crate::config::{Scheme, SimConfig, TimestepMode, SCHEME_NAMES, TIMESTEP_MODE_NAMES};
 use crate::particle::{Kind, Particle};
 use crate::sim::SimStats;
 use fdps::Vec3;
 use std::fmt;
 use surrogate::GasParticle;
-use unet::json::{parse_json, write_json, Json};
+use unet::json::{parse_json, Json};
 use wire::{BinReader, Ty, Wire};
 
 pub use unet::json::fnv1a;
@@ -274,10 +274,10 @@ macro_rules! record {
 /// Declares a field-less enum's wire tags (consecutive from 0, so a tag
 /// indexes the JSON names) and whether JSON spells the name or the number.
 macro_rules! tagged {
-    ($ty:ident, by_name: $by_name:literal, { $($variant:ident = $tag:literal $name:literal),+ }) => {
+    ($ty:ident, by_name: $by_name:literal, names: $names:expr, { $($variant:ident = $tag:literal),+ }) => {
         impl Wire for $ty {
             const TY: Ty = Ty::Tag {
-                names: &[$($name),+],
+                names: $names,
                 by_name: $by_name,
             };
             fn put(&self, out: &mut Vec<u8>) {
@@ -310,8 +310,8 @@ macro_rules! little_endian {
 }
 
 little_endian!(u32 => U32, u64 => U64, f64 => F64);
-tagged!(Scheme, by_name: true, { Surrogate = 0 "surrogate", Conventional = 1 "conventional" });
-tagged!(Kind, by_name: false, { Dm = 0 "dm", Star = 1 "star", Gas = 2 "gas" });
+tagged!(Scheme, by_name: true, names: SCHEME_NAMES, { Surrogate = 0, Conventional = 1 });
+tagged!(Kind, by_name: false, names: &["dm", "star", "gas"], { Dm = 0, Star = 1, Gas = 2 });
 
 impl Wire for usize {
     const TY: Ty = Ty::U64;
@@ -422,8 +422,6 @@ impl<T: Wire> Wire for Option<T> {
         }
     }
 }
-
-const TIMESTEP_MODES: &[&str] = &["global", "block"];
 
 impl Wire for TimestepMode {
     const TY: Ty = Ty::Timestep;
@@ -630,32 +628,19 @@ fn ju(x: u64) -> Json {
     }
 }
 
-fn tagged_hex(s: &str, prefix: &str) -> Option<u64> {
-    u64::from_str_radix(s.strip_prefix(prefix)?, 16).ok()
-}
-
 fn as_f64(v: &Json) -> Result<f64, SnapshotError> {
     match v {
         Json::Num(n) => Ok(*n),
-        Json::Str(s) => tagged_hex(s, "bits:")
-            .map(f64::from_bits)
-            .ok_or_else(|| malformed(format!("bad float `{s}`"))),
-        other => Err(malformed(format!("expected float, got {other:?}"))),
+        bits => bits.as_hex("bits:").map(f64::from_bits).map_err(malformed),
     }
 }
 
 fn as_u64(v: &Json) -> Result<u64, SnapshotError> {
     match v {
-        Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= (1u64 << 53) as f64 => Ok(*n as u64),
-        Json::Str(s) => tagged_hex(s, "u64:").ok_or_else(|| malformed(format!("bad u64 `{s}`"))),
-        other => Err(malformed(format!("expected a u64, got {other:?}"))),
+        Json::Str(_) => v.as_hex("u64:"),
+        number => number.as_u64(),
     }
-}
-
-/// The one place a JSON integer narrows: checked, never truncated.
-fn as_u32(v: &Json) -> Result<u32, SnapshotError> {
-    let wide = as_u64(v)?;
-    u32::try_from(wide).map_err(|_| malformed(format!("{wide} does not fit u32")))
+    .map_err(malformed)
 }
 
 fn tag_to_value(tag: u8, names: &[&str], by_name: bool) -> Result<Json, SnapshotError> {
@@ -701,7 +686,10 @@ fn to_value(ty: &Ty, r: &mut BinReader) -> Result<Json, SnapshotError> {
         Ty::Timestep => {
             let mode = r.u8()?;
             let max_level = ju(u32::get(r)? as u64);
-            let mut fields = vec![("mode".into(), tag_to_value(mode, TIMESTEP_MODES, true)?)];
+            let mut fields = vec![(
+                "mode".into(),
+                tag_to_value(mode, TIMESTEP_MODE_NAMES, true)?,
+            )];
             if mode == 1 {
                 fields.push(("max_level".into(), max_level));
             }
@@ -746,17 +734,17 @@ fn to_value(ty: &Ty, r: &mut BinReader) -> Result<Json, SnapshotError> {
 fn from_value(ty: &Ty, v: &Json, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
     let field = |key: &str| v.get(key).map_err(malformed);
     match (*ty, v) {
-        (Ty::U32, _) => as_u32(v)?.put(out),
+        (Ty::U32, _) => v.as_u32().map_err(malformed)?.put(out),
         (Ty::U64 | Ty::Word, _) => as_u64(v)?.put(out),
         (Ty::F64, _) => as_f64(v)?.put(out),
         (Ty::Bool, Json::Bool(b)) => b.put(out),
         (Ty::Str, Json::Str(s)) => s.put(out),
         (Ty::Tag { names, by_name }, _) => out.push(tag_from_value(v, names, by_name)?),
         (Ty::Timestep, Json::Obj(_)) => {
-            let mode = tag_from_value(field("mode")?, TIMESTEP_MODES, true)?;
+            let mode = tag_from_value(field("mode")?, TIMESTEP_MODE_NAMES, true)?;
             out.push(mode);
             match mode {
-                1 => as_u32(field("max_level")?)?.put(out),
+                1 => field("max_level")?.as_u32().map_err(malformed)?.put(out),
                 _ => 0u32.put(out),
             }
         }
@@ -892,15 +880,15 @@ pub trait Snapshot: Wire {
         self.put(&mut payload);
         let value = to_value(&Self::TY, &mut BinReader::new(&payload));
         let value = value.expect("`put` writes what `TY` describes");
-        let mut state = String::new();
-        write_json(&value, &mut state);
-        format!(
-            "{{\"format\":\"{}\",\"version\":{:?},\"state\":{state},\
-             \"checksum\":\"fnv1a:{:016x}\"}}",
-            Self::FORMAT,
-            Self::VERSION as f64,
-            fnv1a(state.as_bytes())
-        )
+        let state = value.render();
+        let checksum = Json::checksum(fnv1a(state.as_bytes()));
+        Json::obj([
+            ("format", Self::FORMAT.into()),
+            ("version", Json::Num(Self::VERSION as f64)),
+            ("state", Json::Raw(state)),
+            ("checksum", checksum),
+        ])
+        .render()
     }
 
     /// Decode the JSON format, verifying the document type, version and
@@ -911,17 +899,11 @@ pub trait Snapshot: Wire {
             return Err(SnapshotError::BadMagic);
         }
         let field = |key: &str| doc.get(key).map_err(malformed);
-        check_version::<Self>(as_u32(field("version")?)?)?;
+        check_version::<Self>(doc.at("version", Json::as_u32).map_err(malformed)?)?;
         // The checksum is defined over the rendering of the *parsed*
         // state, so key order and whitespace of the text do not matter.
-        let mut state = String::new();
-        write_json(field("state")?, &mut state);
-        let computed = fnv1a(state.as_bytes());
-        let stored = match field("checksum")? {
-            Json::Str(s) => tagged_hex(s, "fnv1a:"),
-            _ => None,
-        };
-        let stored = stored.ok_or_else(|| malformed("bad `checksum` field"))?;
+        let computed = fnv1a(field("state")?.render().as_bytes());
+        let stored = doc.at("checksum", Json::as_checksum).map_err(malformed)?;
         if stored != computed {
             return Err(SnapshotError::ChecksumMismatch { stored, computed });
         }
@@ -1438,8 +1420,7 @@ mod tests {
         else {
             panic!("not a snapshot document")
         };
-        let mut state = String::new();
-        write_json(doc.get("state").unwrap(), &mut state);
+        let state = doc.get("state").unwrap().render();
         format!(
             "{{\"format\":\"{format}\",\"version\":{version:?},\"state\":{state},\
              \"checksum\":\"fnv1a:{:016x}\"}}",
@@ -1505,7 +1486,7 @@ mod tests {
                 out.push((
                     at,
                     Ty::Tag {
-                        names: TIMESTEP_MODES,
+                        names: TIMESTEP_MODE_NAMES,
                         by_name: true,
                     },
                 ));

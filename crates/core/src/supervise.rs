@@ -172,113 +172,87 @@ pub struct IncidentLog {
 }
 
 impl IncidentLog {
+    /// Key order and integer rendering are contract: CI greps
+    /// `"outcome":"completed","attempts":2` out of this file.
     pub fn to_json(&self) -> String {
-        // Hand-rendered so integers stay integers (the `Json` writer
-        // formats every number as `f64`, which turns `2` into `2.0` —
-        // hostile to the CI greps that assert on this file).
-        let mut text =
-            format!("{{\"format\":\"{LOG_FORMAT}\",\"version\":{LOG_VERSION},\"outcome\":");
-        match self.outcome {
-            None => text.push_str("\"running\""),
-            Some(Outcome::Completed { attempts }) => {
-                text.push_str(&format!("\"completed\",\"attempts\":{attempts}"));
-            }
-            Some(Outcome::GaveUp { attempts }) => {
-                text.push_str(&format!("\"gave_up\",\"attempts\":{attempts}"));
-            }
+        let attempts = |n: u32| Some(("attempts", n.into()));
+        let (outcome, detail) = match self.outcome {
+            None => ("running", None),
+            Some(Outcome::Completed { attempts: n }) => ("completed", attempts(n)),
+            Some(Outcome::GaveUp { attempts: n }) => ("gave_up", attempts(n)),
+            Some(Outcome::Canceled { attempts: n }) => ("canceled", attempts(n)),
             Some(Outcome::Permanent { exit_code }) => {
-                text.push_str(&format!("\"permanent\",\"exit_code\":{exit_code}"));
+                ("permanent", Some(("exit_code", exit_code.into())))
             }
-            Some(Outcome::Canceled { attempts }) => {
-                text.push_str(&format!("\"canceled\",\"attempts\":{attempts}"));
-            }
-        }
-        text.push_str(",\"incidents\":[");
-        for (n, i) in self.incidents.iter().enumerate() {
-            if n > 0 {
-                text.push(',');
-            }
-            text.push_str(&format!("{{\"attempt\":{}", i.attempt));
-            match i.kind {
-                IncidentKind::Crash { exit_code } => {
-                    text.push_str(&format!(",\"kind\":\"crash\",\"exit_code\":{exit_code}"));
-                }
-                IncidentKind::Hang { stale_ms } => {
-                    text.push_str(&format!(",\"kind\":\"hang\",\"stale_ms\":{stale_ms}"));
-                }
-            }
-            match i.resumed_from_step {
-                Some(s) => text.push_str(&format!(",\"resumed_from_step\":{s}")),
-                None => text.push_str(",\"resumed_from_step\":null"),
-            }
-            text.push_str(&format!(",\"backoff_ms\":{}}}", i.backoff_ms));
-        }
-        text.push_str("]}\n");
-        text
+        };
+        let mut doc: Vec<(&str, Json)> = vec![
+            ("format", LOG_FORMAT.into()),
+            ("version", LOG_VERSION.into()),
+            ("outcome", outcome.into()),
+        ];
+        doc.extend(detail);
+        let incident = |i: &Incident| {
+            let (kind, detail) = match i.kind {
+                IncidentKind::Crash { exit_code } => ("crash", ("exit_code", exit_code.into())),
+                IncidentKind::Hang { stale_ms } => ("hang", ("stale_ms", stale_ms.into())),
+            };
+            Json::obj([
+                ("attempt", i.attempt.into()),
+                ("kind", kind.into()),
+                detail,
+                ("resumed_from_step", i.resumed_from_step.into()),
+                ("backoff_ms", i.backoff_ms.into()),
+            ])
+        };
+        let incidents = self.incidents.iter().map(incident).collect();
+        doc.push(("incidents", Json::Arr(incidents)));
+        Json::obj(doc).render() + "\n"
     }
 
     /// Parse a `supervisor.json` document (used by tests and tooling to
     /// assert exactly which incidents a run suffered).
     pub fn from_json(text: &str) -> Result<IncidentLog, String> {
         let doc = parse_json(text)?;
-        match doc.get("format")? {
-            Json::Str(s) if s == LOG_FORMAT => {}
-            other => return Err(format!("not a supervisor log: format {other:?}")),
-        }
-        let version = doc.get("version")?.as_usize()?;
-        if version != LOG_VERSION as usize {
-            return Err(format!("unsupported supervisor log version {version}"));
-        }
-        let outcome = match doc.get("outcome")? {
-            Json::Str(s) => match s.as_str() {
-                "running" => None,
-                "completed" => Some(Outcome::Completed {
-                    attempts: doc.get("attempts")?.as_usize()? as u32,
-                }),
-                "gave_up" => Some(Outcome::GaveUp {
-                    attempts: doc.get("attempts")?.as_usize()? as u32,
-                }),
-                "canceled" => Some(Outcome::Canceled {
-                    attempts: doc.get("attempts")?.as_usize()? as u32,
-                }),
-                "permanent" => Some(Outcome::Permanent {
-                    exit_code: match doc.get("exit_code")? {
-                        Json::Num(n) => *n as i32,
-                        other => return Err(format!("bad exit_code {other:?}")),
-                    },
-                }),
-                other => return Err(format!("unknown outcome `{other}`")),
-            },
-            other => return Err(format!("bad outcome field {other:?}")),
+        doc.expect_header(LOG_FORMAT, LOG_VERSION)?;
+        let attempts = || doc.at("attempts", Json::as_u32);
+        let outcome = match doc.at("outcome", Json::as_str)? {
+            "running" => None,
+            "completed" => Some(Outcome::Completed {
+                attempts: attempts()?,
+            }),
+            "gave_up" => Some(Outcome::GaveUp {
+                attempts: attempts()?,
+            }),
+            "canceled" => Some(Outcome::Canceled {
+                attempts: attempts()?,
+            }),
+            "permanent" => Some(Outcome::Permanent {
+                exit_code: doc.at("exit_code", Json::as_i32)?,
+            }),
+            other => return Err(format!("unknown outcome `{other}`")),
         };
-        let Json::Arr(items) = doc.get("incidents")? else {
-            return Err("incidents is not an array".into());
-        };
-        let mut incidents = Vec::with_capacity(items.len());
-        for item in items {
-            let kind = match item.get("kind")? {
-                Json::Str(s) if s == "crash" => IncidentKind::Crash {
-                    exit_code: match item.get("exit_code")? {
-                        Json::Num(n) => *n as i32,
-                        other => return Err(format!("bad exit_code {other:?}")),
-                    },
+        let incident = |item: &Json| -> Result<Incident, String> {
+            let kind = match item.at("kind", Json::as_str)? {
+                "crash" => IncidentKind::Crash {
+                    exit_code: item.at("exit_code", Json::as_i32)?,
                 },
-                Json::Str(s) if s == "hang" => IncidentKind::Hang {
-                    stale_ms: item.get("stale_ms")?.as_usize()? as u64,
+                "hang" => IncidentKind::Hang {
+                    stale_ms: item.at("stale_ms", Json::as_u64)?,
                 },
-                other => return Err(format!("unknown incident kind {other:?}")),
+                other => return Err(format!("unknown incident kind `{other}`")),
             };
-            incidents.push(Incident {
-                attempt: item.get("attempt")?.as_usize()? as u32,
+            Ok(Incident {
+                attempt: item.at("attempt", Json::as_u32)?,
                 kind,
-                resumed_from_step: match item.get("resumed_from_step")? {
-                    Json::Null => None,
-                    v => Some(v.as_usize()? as u64),
-                },
-                backoff_ms: item.get("backoff_ms")?.as_usize()? as u64,
-            });
-        }
-        Ok(IncidentLog { incidents, outcome })
+                resumed_from_step: item.at("resumed_from_step", |v| v.as_opt(Json::as_u64))?,
+                backoff_ms: item.at("backoff_ms", Json::as_u64)?,
+            })
+        };
+        let incidents = doc.at("incidents", Json::as_arr)?;
+        Ok(IncidentLog {
+            incidents: incidents.iter().map(incident).collect::<Result<_, _>>()?,
+            outcome,
+        })
     }
 
     /// Atomically persist the log.
@@ -813,5 +787,107 @@ mod tests {
         assert_eq!(IncidentLog::from_json(&log.to_json()).unwrap(), log);
         let running = IncidentLog::default();
         assert_eq!(IncidentLog::from_json(&running.to_json()).unwrap(), running);
+    }
+    fn golden_incidents() -> Vec<Incident> {
+        vec![
+            Incident {
+                attempt: 0,
+                kind: IncidentKind::Crash { exit_code: 86 },
+                resumed_from_step: Some(2),
+                backoff_ms: 500,
+            },
+            Incident {
+                attempt: 1,
+                kind: IncidentKind::Hang { stale_ms: 1200 },
+                resumed_from_step: None,
+                backoff_ms: 1000,
+            },
+            Incident {
+                attempt: 2,
+                kind: IncidentKind::Crash { exit_code: -1 },
+                resumed_from_step: Some(4),
+                backoff_ms: 0,
+            },
+        ]
+    }
+
+    const GOLDEN_INCIDENTS: &str = "\"incidents\":[{\"attempt\":0,\"kind\":\"crash\",\"exit_code\":86,\"resumed_from_step\":2,\"backoff_ms\":500},{\"attempt\":1,\"kind\":\"hang\",\"stale_ms\":1200,\"resumed_from_step\":null,\"backoff_ms\":1000},{\"attempt\":2,\"kind\":\"crash\",\"exit_code\":-1,\"resumed_from_step\":4,\"backoff_ms\":0}]}\n";
+
+    /// Bytes recorded at the commit before the log moved onto the
+    /// `unet::json` writer (PR 19). CI greps
+    /// `"outcome":"completed","attempts":2` out of this file, so key order
+    /// and integer rendering are contract.
+    #[test]
+    fn supervisor_json_bytes_are_stable_for_every_outcome_and_kind() {
+        for (outcome, text) in [
+            (None, "\"running\""),
+            (
+                Some(Outcome::Completed { attempts: 2 }),
+                "\"completed\",\"attempts\":2",
+            ),
+            (
+                Some(Outcome::GaveUp { attempts: 4 }),
+                "\"gave_up\",\"attempts\":4",
+            ),
+            (
+                Some(Outcome::Permanent { exit_code: 2 }),
+                "\"permanent\",\"exit_code\":2",
+            ),
+            (
+                Some(Outcome::Canceled { attempts: 1 }),
+                "\"canceled\",\"attempts\":1",
+            ),
+        ] {
+            let log = IncidentLog {
+                incidents: golden_incidents(),
+                outcome,
+            };
+            let golden = format!(
+                "{{\"format\":\"asura-supervisor-log\",\"version\":1,\"outcome\":{text},{GOLDEN_INCIDENTS}"
+            );
+            assert_eq!(log.to_json(), golden);
+            assert_eq!(IncidentLog::from_json(&golden).unwrap(), log);
+        }
+        assert_eq!(
+            IncidentLog::default().to_json(),
+            "{\"format\":\"asura-supervisor-log\",\"version\":1,\"outcome\":\"running\",\"incidents\":[]}\n"
+        );
+    }
+
+    /// `*n as i32` used to accept `86.7` as 86 and saturate 2^31;
+    /// `as_usize()? as u32` wrapped 2^32 + 2 attempts to 2.
+    #[test]
+    fn integers_in_the_log_are_read_exactly_or_rejected() {
+        let log = IncidentLog {
+            incidents: golden_incidents(),
+            outcome: Some(Outcome::Completed { attempts: 2 }),
+        };
+        let good = log.to_json();
+        for (from, to) in [
+            ("\"exit_code\":86", "\"exit_code\":86.7"),
+            ("\"exit_code\":86", "\"exit_code\":2147483648"),
+            ("\"exit_code\":86", "\"exit_code\":\"86\""),
+            ("\"attempts\":2", "\"attempts\":4294967298"),
+            ("\"attempts\":2", "\"attempts\":-2"),
+            ("\"attempt\":1", "\"attempt\":1.5"),
+            ("\"attempt\":1", "\"attempt\":4294967297"),
+            ("\"stale_ms\":1200", "\"stale_ms\":-1"),
+            ("\"backoff_ms\":500", "\"backoff_ms\":0.5"),
+        ] {
+            let bad = good.replacen(from, to, 1);
+            assert_ne!(bad, good, "`{from}` not found");
+            assert!(
+                IncidentLog::from_json(&bad).is_err(),
+                "{to} must be rejected"
+            );
+        }
+        let permanent = IncidentLog {
+            incidents: Vec::new(),
+            outcome: Some(Outcome::Permanent { exit_code: 2 }),
+        };
+        let bad = permanent
+            .to_json()
+            .replace("\"exit_code\":2", "\"exit_code\":2.5");
+        assert!(IncidentLog::from_json(&bad).is_err());
     }
 }

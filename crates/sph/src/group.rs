@@ -6,7 +6,7 @@
 //! the leaf then streams through — no per-target walk, no per-candidate
 //! indirection.
 //!
-//! [`GroupScratch::run`] is the one driver both passes use. It owns the
+//! `GroupScratch::run` is the one driver both passes use. It owns the
 //! two pieces of state that must outlive a pass for steady-state stepping
 //! to stay allocation-free: the leaf-ordered work plan (`keys`) and one
 //! set of group buffers per pool worker, checked out for the duration of a
@@ -93,7 +93,7 @@ impl<W: GroupBuffers> GroupScratch<W> {
         [self.keys.capacity(), workers]
     }
 
-    /// Slot (index into the target list) of each result [`GroupScratch::run`]
+    /// Slot (index into the target list) of each result `GroupScratch::run`
     /// last returned, in result order.
     pub fn slots(&self) -> impl Iterator<Item = usize> + '_ {
         self.keys.iter().map(|&k| (k & SLOT_MASK) as usize)

@@ -139,13 +139,18 @@ impl SurrogateModel {
     /// Float rendering is shortest-roundtrip, so save → load is bit-exact.
     pub fn to_json(&self) -> String {
         let net = self.net.to_json();
-        let sum = fnv1a(net.as_bytes());
-        format!(
-            "{{\"format\":\"{WEIGHTS_FORMAT}\",\"grid_n\":{},\"side\":{},\
-             \"base_features\":{},\"seed\":\"{}\",\"checksum\":\"fnv1a:{sum:016x}\",\
-             \"net\":{net}}}",
-            self.config.grid_n, self.config.side, self.config.base_features, self.config.seed,
-        )
+        let checksum = Json::checksum(fnv1a(net.as_bytes()));
+        Json::obj([
+            ("format", WEIGHTS_FORMAT.into()),
+            ("grid_n", self.config.grid_n.into()),
+            ("side", Json::number(self.config.side)),
+            ("base_features", self.config.base_features.into()),
+            // Decimal text: a u64 seed does not survive a trip through f64.
+            ("seed", self.config.seed.to_string().into()),
+            ("checksum", checksum),
+            ("net", Json::Raw(net)),
+        ])
+        .render()
     }
 
     /// Load a [`SurrogateModel::to_json`] document. Every failure mode —
@@ -153,83 +158,56 @@ impl SurrogateModel {
     /// weights — is an `Err`, never a panic: this is the path untrusted
     /// on-disk weights files come through.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let v = parse_json(text).map_err(|e| format!("surrogate weights: {e}"))?;
-        match v.get("format")? {
-            Json::Str(f) if f == WEIGHTS_FORMAT => {}
+        Self::read(text).map_err(|e| format!("surrogate weights: {e}"))
+    }
+
+    fn read(text: &str) -> Result<Self, String> {
+        let v = parse_json(text)?;
+        match v.at("format", Json::as_str) {
+            Ok(WEIGHTS_FORMAT) => {}
             other => {
                 return Err(format!(
-                    "surrogate weights: not a {WEIGHTS_FORMAT} document (format {other:?})"
+                    "not a {WEIGHTS_FORMAT} document (format {other:?})"
                 ))
             }
         }
-        let grid_n = v.get("grid_n")?.as_usize()?;
-        if grid_n == 0 {
-            return Err("surrogate weights: grid_n must be positive".into());
+        let config = SurrogateConfig {
+            grid_n: v.at("grid_n", Json::as_usize)?,
+            side: match v.get("side")? {
+                Json::Num(s) if s.is_finite() && *s > 0.0 => *s,
+                other => return Err(format!("side must be a positive number, got {other:?}")),
+            },
+            base_features: v.at("base_features", Json::as_usize)?,
+            seed: v.at("seed", Json::as_parsed)?,
+        };
+        if config.grid_n == 0 {
+            return Err("grid_n must be positive".into());
         }
-        let side = match v.get("side")? {
-            Json::Num(s) if s.is_finite() && *s > 0.0 => *s,
-            other => {
-                return Err(format!(
-                    "surrogate weights: side must be a positive number, got {other:?}"
-                ))
-            }
-        };
-        let base_features = v.get("base_features")?.as_usize()?;
-        let seed = match v.get("seed")? {
-            Json::Str(s) => s
-                .parse::<u64>()
-                .map_err(|e| format!("surrogate weights: bad seed `{s}`: {e}"))?,
-            other => {
-                return Err(format!(
-                    "surrogate weights: seed must be a decimal string, got {other:?}"
-                ))
-            }
-        };
         let net = UNet3d::from_json_value(v.get("net")?)?;
         // The checksum covers the canonical re-rendering of the parsed
         // network: bit-exact float formatting makes it equal to the stored
         // bytes for an intact file, while any flipped digit surfaces here.
-        let stored = match v.get("checksum")? {
-            Json::Str(s) => s
-                .strip_prefix("fnv1a:")
-                .and_then(|h| u64::from_str_radix(h, 16).ok())
-                .ok_or_else(|| format!("surrogate weights: bad checksum `{s}`"))?,
-            other => {
-                return Err(format!(
-                    "surrogate weights: checksum must be a string, got {other:?}"
-                ))
-            }
-        };
+        let stored = v.at("checksum", Json::as_checksum)?;
         let computed = fnv1a(net.to_json().as_bytes());
         if stored != computed {
             return Err(format!(
-                "surrogate weights: checksum mismatch (stored {stored:016x}, \
-                 computed {computed:016x})"
+                "checksum mismatch (stored {stored:016x}, computed {computed:016x})"
             ));
         }
         if net.config.in_channels != 8 || net.config.out_channels != 8 {
             return Err(format!(
-                "surrogate weights: network must be 8-in/8-out (the encode/decode \
-                 channel contract), got {}-in/{}-out",
+                "network must be 8-in/8-out (the encode/decode channel contract), \
+                 got {}-in/{}-out",
                 net.config.in_channels, net.config.out_channels
             ));
         }
-        if net.config.base_features != base_features {
+        if net.config.base_features != config.base_features {
             return Err(format!(
-                "surrogate weights: envelope says base_features {base_features} but the \
-                 network was built with {}",
-                net.config.base_features
+                "envelope says base_features {} but the network was built with {}",
+                config.base_features, net.config.base_features
             ));
         }
-        Ok(SurrogateModel {
-            config: SurrogateConfig {
-                grid_n,
-                side,
-                base_features,
-                seed,
-            },
-            net,
-        })
+        Ok(SurrogateModel { config, net })
     }
 }
 
@@ -369,6 +347,33 @@ mod tests {
                 "particle strayed: {:?}",
                 p.pos
             );
+        }
+    }
+    /// The envelope's bytes, recorded at the commit before it moved onto
+    /// the `unet::json` writer (PR 19): `side` is spelled the way `{}`
+    /// prints it (`60`, `62.5`), the seed is decimal text.
+    #[test]
+    fn weights_envelope_bytes_are_stable() {
+        for (side, head_side, len, sum) in [
+            (60.0, "60", 71348, 0xd7a04f77c7aa0980u64),
+            (62.5, "62.5", 71350, 0x9d721489a5906c6b),
+        ] {
+            let doc = SurrogateModel::new(SurrogateConfig {
+                side,
+                seed: u64::MAX - 1,
+                ..small_cfg()
+            })
+            .to_json();
+            let head = format!(
+                "{{\"format\":\"asura-surrogate-model\",\"grid_n\":8,\"side\":{head_side},\
+                 \"base_features\":2,\"seed\":\"18446744073709551614\",\
+                 \"checksum\":\"fnv1a:0d7c084fdbef30d4\",\"net\":"
+            );
+            assert!(doc.starts_with(&head), "{}", &doc[..head.len()]);
+            assert_eq!((doc.len(), fnv1a(doc.as_bytes())), (len, sum));
+            let back = SurrogateModel::from_json(&doc).expect("loads");
+            assert_eq!(back.config.seed, u64::MAX - 1);
+            assert_eq!(back.config.side, side);
         }
     }
 }

@@ -1,15 +1,18 @@
-//! Minimal JSON serialization for model interchange.
+//! The workspace's one JSON layer: a value tree, the writer every document
+//! and protocol reply is rendered by, a recursive-descent parser, and the
+//! checked readers that turn a parsed value into a Rust one.
 //!
-//! The build environment has no registry access, so instead of
-//! `serde`/`serde_json` the model types serialize through this small
-//! hand-rolled layer: a JSON value tree, a recursive-descent parser, and
-//! explicit to/from impls for the handful of network types. Floats are
-//! written with Rust's shortest-roundtrip formatting, so weights survive a
-//! save/load cycle bit-exactly.
+//! The build environment has no registry access, so this stands in for
+//! `serde`/`serde_json`. Floats are written with Rust's shortest-roundtrip
+//! formatting, so weights survive a save/load cycle bit-exactly; integers
+//! go through [`Json::Int`] and stay integers (`2`, never `2.0`). On the
+//! way back every narrowing is checked: a reader either returns the value
+//! the text spelled or an error, never a truncated or saturated one.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::str::FromStr;
 
-/// A parsed JSON value.
+/// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     Null,
@@ -18,9 +21,74 @@ pub enum Json {
     Str(String),
     Arr(Vec<Json>),
     Obj(Vec<(String, Json)>),
+    /// An integer, written without a fraction where `Num(2.0)` writes
+    /// `2.0`. Writer-side only: [`parse_json`] returns `Num` for every
+    /// number, and the integer readers accept both.
+    Int(i128),
+    /// Text this writer (or the network's) already rendered, written
+    /// verbatim — a document body whose checksum was just taken over
+    /// exactly these bytes. Never parsed.
+    Raw(String),
+}
+
+macro_rules! json_from {
+    ($($ty:ty => $make:expr),+ $(,)?) => {$(
+        impl From<$ty> for Json {
+            fn from(v: $ty) -> Json {
+                $make(v)
+            }
+        }
+    )+};
+}
+
+json_from!(
+    bool => Json::Bool,
+    f64 => Json::Num,
+    String => Json::Str,
+    &str => |v: &str| Json::Str(v.to_string()),
+    i32 => |v| Json::Int(v as i128),
+    u32 => |v| Json::Int(v as i128),
+    u64 => |v| Json::Int(v as i128),
+    usize => |v| Json::Int(v as i128),
+);
+
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
 }
 
 impl Json {
+    /// An object from `(key, value)` pairs, in the order given — key order
+    /// is part of every document's contract.
+    pub fn obj<K: Into<String>>(fields: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// The `"fnv1a:<16 hex>"` string every checksummed document carries;
+    /// [`Json::as_checksum`] reads it back.
+    pub fn checksum(sum: u64) -> Json {
+        Json::Str(format!("fnv1a:{sum:016x}"))
+    }
+
+    /// `x` as an integer when it is one (`60`, the way `{}` prints
+    /// `60.0`), as a float otherwise.
+    pub fn number(x: f64) -> Json {
+        if x.fract() == 0.0 && x.abs() <= MAX_EXACT {
+            Json::Int(x as i128)
+        } else {
+            Json::Num(x)
+        }
+    }
+
+    /// Render to a compact string.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        write_json(self, &mut out);
+        out
+    }
+
     /// Look up an object field.
     pub fn get(&self, key: &str) -> Result<&Json, String> {
         match self {
@@ -33,11 +101,107 @@ impl Json {
         }
     }
 
-    pub fn as_usize(&self) -> Result<usize, String> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as usize),
-            other => Err(format!("expected non-negative integer, got {other:?}")),
+    /// Read object field `key` with `read`, naming the key in the error:
+    /// `item.at("attempt", Json::as_u32)`.
+    pub fn at<'a, T>(
+        &'a self,
+        key: &str,
+        read: impl FnOnce(&'a Json) -> Result<T, String>,
+    ) -> Result<T, String> {
+        read(self.get(key)?).map_err(|e| format!("`{key}`: {e}"))
+    }
+
+    /// Check a document's `format` tag and `version` number.
+    pub fn expect_header(&self, format: &str, version: u64) -> Result<(), String> {
+        match self.at("format", Json::as_str)? {
+            f if f == format => {}
+            other => return Err(format!("not a {format} document (format `{other}`)")),
         }
+        match self.at("version", Json::as_u64)? {
+            v if v == version => Ok(()),
+            other => Err(format!("unsupported {format} version {other}")),
+        }
+    }
+
+    /// `null` is `None`; anything else goes through `read`.
+    pub fn as_opt<'a, T>(
+        &'a self,
+        read: impl FnOnce(&'a Json) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        match self {
+            Json::Null => Ok(None),
+            v => read(v).map(Some),
+        }
+    }
+
+    pub fn as_str(&self) -> Result<&str, String> {
+        match self {
+            Json::Str(s) => Ok(s),
+            other => Err(format!("expected a string, got {other:?}")),
+        }
+    }
+
+    /// A string that parses as a `T` — an option value through its
+    /// `FromStr`, a `u64` kept as decimal text.
+    pub fn as_parsed<T: FromStr>(&self) -> Result<T, String>
+    where
+        T::Err: fmt::Display,
+    {
+        self.as_str()?.parse().map_err(|e: T::Err| e.to_string())
+    }
+
+    pub fn as_bool(&self) -> Result<bool, String> {
+        match self {
+            Json::Bool(b) => Ok(*b),
+            other => Err(format!("expected a boolean, got {other:?}")),
+        }
+    }
+
+    pub fn as_arr(&self) -> Result<&[Json], String> {
+        match self {
+            Json::Arr(items) => Ok(items),
+            other => Err(format!("expected an array, got {other:?}")),
+        }
+    }
+
+    /// The integer this value spells, if it spells one exactly.
+    fn as_int<T: TryFrom<i128>>(&self) -> Result<T, String> {
+        let wide = match self {
+            Json::Int(i) => *i,
+            Json::Num(n) if n.fract() == 0.0 && n.abs() <= MAX_EXACT => *n as i128,
+            other => return Err(format!("expected an integer, got {other:?}")),
+        };
+        let ty = std::any::type_name::<T>();
+        T::try_from(wide).map_err(|_| format!("{wide} does not fit {ty}"))
+    }
+
+    pub fn as_u64(&self) -> Result<u64, String> {
+        self.as_int()
+    }
+
+    pub fn as_u32(&self) -> Result<u32, String> {
+        self.as_int()
+    }
+
+    pub fn as_i32(&self) -> Result<i32, String> {
+        self.as_int()
+    }
+
+    pub fn as_usize(&self) -> Result<usize, String> {
+        self.as_int()
+    }
+
+    /// A `"<prefix><hex>"` string as the `u64` it spells.
+    pub fn as_hex(&self, prefix: &str) -> Result<u64, String> {
+        let s = self.as_str()?;
+        s.strip_prefix(prefix)
+            .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+            .ok_or_else(|| format!("expected `{prefix}<hex>`, got `{s}`"))
+    }
+
+    /// Read a [`Json::checksum`] string.
+    pub fn as_checksum(&self) -> Result<u64, String> {
+        self.as_hex("fnv1a:")
     }
 
     pub fn as_f32_vec(&self) -> Result<Vec<f32>, String> {
@@ -58,6 +222,10 @@ impl Json {
     }
 }
 
+/// 2^53: up to here every integral `f64` is exact; past it the text a
+/// number was parsed from has already lost digits.
+const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
+
 /// Render a JSON value to a compact string.
 pub fn write_json(v: &Json, out: &mut String) {
     match v {
@@ -71,6 +239,10 @@ pub fn write_json(v: &Json, out: &mut String) {
                 out.push_str("null");
             }
         }
+        Json::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
+        Json::Raw(text) => out.push_str(text),
         Json::Str(s) => {
             out.push('"');
             for c in s.chars() {
@@ -346,5 +518,66 @@ mod tests {
         assert!(parse_json("[1, 2").is_err());
         assert!(parse_json("hello").is_err());
         assert!(parse_json("{} junk").is_err());
+    }
+    #[test]
+    fn integers_stay_integers_and_raw_text_goes_out_verbatim() {
+        let body = Json::Arr(vec![1.5.into(), 2u64.into()]).render();
+        let doc = Json::obj([
+            ("seed", u64::MAX.into()),
+            ("exit_code", (-1i32).into()),
+            ("float", 2.0.into()),
+            ("pid", None::<u32>.into()),
+            ("side", Json::number(60.0)),
+            ("half", Json::number(62.5)),
+            ("sum", Json::checksum(0xab)),
+            ("body", Json::Raw(body)),
+        ]);
+        assert_eq!(
+            doc.render(),
+            "{\"seed\":18446744073709551615,\"exit_code\":-1,\"float\":2.0,\"pid\":null,\
+             \"side\":60,\"half\":62.5,\"sum\":\"fnv1a:00000000000000ab\",\"body\":[1.5,2]}"
+        );
+        // The parser's side of the contract: every number is a `Num`.
+        let back = parse_json(&doc.render()).unwrap();
+        assert_eq!(back.get("exit_code").unwrap(), &Json::Num(-1.0));
+        assert_eq!(back.at("sum", Json::as_checksum), Ok(0xab));
+    }
+
+    #[test]
+    fn integer_readers_are_exact_or_an_error() {
+        let read = |text: &str| parse_json(text).unwrap();
+        assert_eq!(read("4242").as_u32(), Ok(4242));
+        assert_eq!(read("-1").as_i32(), Ok(-1));
+        assert_eq!(read("2147483647").as_i32(), Ok(i32::MAX));
+        assert_eq!(read("9007199254740992").as_u64(), Ok(1 << 53));
+        assert_eq!(Json::Int(u64::MAX as i128).as_u64(), Ok(u64::MAX));
+        // Truncation, saturation and wrap-around are all refused.
+        assert!(read("86.7").as_i32().is_err());
+        assert!(read("2147483648").as_i32().is_err());
+        assert!(read("4294967297").as_u32().is_err());
+        assert!(read("-1").as_u64().is_err());
+        assert!(read("-1").as_usize().is_err());
+        assert!(read("1e300").as_u64().is_err());
+        assert!(read("18446744073709551615").as_u64().is_err(), "past 2^53");
+        assert!(read("\"7\"").as_u64().is_err());
+        assert_eq!(read("\"7\"").as_parsed::<u64>(), Ok(7));
+        assert!(read("\"7.5\"").as_parsed::<u64>().is_err());
+    }
+
+    #[test]
+    fn field_readers_name_the_key_and_check_the_header() {
+        let read_doc = |text: &str| parse_json(text).unwrap();
+        let doc = read_doc("{\"format\":\"x\",\"version\":1,\"pid\":null,\"n\":2.5}");
+        assert_eq!(doc.at("pid", |v| v.as_opt(Json::as_u32)), Ok(None));
+        assert_eq!(doc.at("version", |v| v.as_opt(Json::as_u32)), Ok(Some(1)));
+        let err = doc.at("n", Json::as_u32).unwrap_err();
+        assert!(err.contains("`n`"), "{err}");
+        assert!(doc.at("missing", Json::as_str).is_err());
+        assert_eq!(doc.expect_header("x", 1), Ok(()));
+        assert!(doc.expect_header("y", 1).is_err());
+        assert!(doc.expect_header("x", 2).is_err());
+        assert!(read_doc("\"fnv1a:zz\"").as_checksum().is_err());
+        assert!(read_doc("\"crc:00\"").as_checksum().is_err());
+        assert_eq!(read_doc("\"bits:ff\"").as_hex("bits:"), Ok(255));
     }
 }

@@ -58,6 +58,19 @@
 //! weights file is a *permanent* error (exit 2): the supervisor never
 //! retries it.
 //!
+//! # How this file is laid out
+//!
+//! Option *values* are spelled in `asura-core`, beside their types
+//! (`Scheme`, `TimestepMode`, `CkptFormat`, `PredictorSpec` each carry one
+//! `FromStr` + `Display` pair); this file only maps flag names onto them.
+//! Every flag loop — the scenario runner's, `train-surrogate`'s, `serve`'s
+//! and the client verbs' — reads its values through one cursor
+//! ([`Flags`]); the supervised child of `--supervised` and of a fleet run
+//! is the same command line, built once ([`ChildRun`]); and every JSON
+//! document written here (`dist_report.json`, and through the library
+//! `train_manifest.json`) is a `unet::json` value rendered by the one
+//! writer.
+//!
 //! Exit codes: 0 success, 1 runtime failure (unreadable snapshot, I/O,
 //! supervision gave up), 2 usage error or permanent failure (bad weights).
 
@@ -68,7 +81,7 @@ use asura::surrogate_train::{self, TrainSpec};
 use asura_core::ckpt::{atomic_write, CkptFormat, CkptStore, DEFAULT_KEEP};
 use asura_core::diagnostics::{TimeSample, TimeSeries};
 use asura_core::dist::{
-    run_distributed, run_distributed_resume, DistConfig, DistSnapshot, PredictorKind,
+    run_distributed, run_distributed_resume, DistConfig, DistSnapshot, PredictorKind, PredictorSpec,
 };
 use asura_core::faults::{self, FaultInjector};
 use asura_core::serve::{self, Request, ServeConfig};
@@ -78,10 +91,13 @@ use asura_core::supervise::{
 };
 use asura_core::{Scheme, Simulation, TimestepMode};
 use fdps::exchange::Routing;
+use std::fmt::Display;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
-use std::process::ExitCode;
+use std::process::{Command, ExitCode};
+use std::str::FromStr;
 use std::sync::Arc;
+use unet::json::Json;
 
 const USAGE: &str = "\
 asura — ASURA-FDPS-ML scenario runner
@@ -149,49 +165,61 @@ read from ASURA_FAULTS, e.g. `ASURA_FAULTS=\"torn@2:64#0,kill@5#0\"`; see
 the asura-core faults module docs for the grammar.
 ";
 
-/// Parsed `--predictor` spec: which pool predictor serves SN regions.
-#[derive(Debug, Clone, PartialEq)]
-enum PredictorSpec {
-    /// The analytic Sedov–Taylor overlay (the default, no weights needed).
-    Sedov,
-    /// A trained U-Net from `asura train-surrogate` weights at this path.
-    UNet(String),
+/// `--seed` when the flag (or a fleet run's override) is absent.
+const DEFAULT_SEED: u64 = 42;
+
+/// Resolve `--predictor` to a ready [`PredictorKind`]. A weights file that
+/// cannot load is a *permanent* error (exit 2, never retried by the
+/// supervisor), and it fails here — not mid-run.
+fn resolve_predictor(spec: &PredictorSpec, seed: u64) -> Result<PredictorKind, String> {
+    spec.resolve(seed).map_err(|e| format!("permanent: {e}"))
 }
 
-impl PredictorSpec {
-    fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "sedov" => Ok(PredictorSpec::Sedov),
-            other => match other.strip_prefix("unet:") {
-                Some(p) if !p.is_empty() => Ok(PredictorSpec::UNet(p.to_string())),
-                _ => Err(format!(
-                    "--predictor expects `sedov` or `unet:<weights.json>`, got `{s}`"
-                )),
-            },
+/// The one cursor every flag loop reads through: hands out flags, their
+/// values, and parsed values, with each error naming the flag (after
+/// `ctx`, the subcommand's error prefix).
+struct Flags<'a> {
+    rest: std::slice::Iter<'a, String>,
+    ctx: &'a str,
+}
+
+impl<'a> Flags<'a> {
+    fn new(argv: &'a [String], ctx: &'a str) -> Flags<'a> {
+        Flags {
+            rest: argv.iter(),
+            ctx,
         }
     }
 
-    /// Render back to the flag value (for forwarding to supervised children).
-    fn flag_value(&self) -> String {
-        match self {
-            PredictorSpec::Sedov => "sedov".into(),
-            PredictorSpec::UNet(p) => format!("unet:{p}"),
+    fn next(&mut self) -> Option<&'a str> {
+        self.rest.next().map(String::as_str)
+    }
+
+    fn value(&mut self, flag: &str) -> Result<&'a str, String> {
+        self.next()
+            .ok_or_else(|| format!("{}{flag} needs a value", self.ctx))
+    }
+
+    fn parsed<T: FromStr>(&mut self, flag: &str) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        let value = self.value(flag)?;
+        value
+            .parse()
+            .map_err(|e| format!("{}{flag}: {e}", self.ctx))
+    }
+
+    /// A count that must not be zero (`--keep`, `--max-concurrent`).
+    fn at_least_one(&mut self, flag: &str) -> Result<usize, String> {
+        match self.parsed(flag)? {
+            0 => Err(format!("{}{flag} must be at least 1", self.ctx)),
+            n => Ok(n),
         }
     }
 
-    /// Resolve to a ready [`PredictorKind`]: for `unet:` this reads and
-    /// validates the weights file, so a bad file fails here — as a
-    /// *permanent* error (exit 2, never retried by the supervisor) — not
-    /// mid-run.
-    fn resolve(&self, seed: u64) -> Result<PredictorKind, String> {
-        let kind = match self {
-            PredictorSpec::Sedov => PredictorKind::SedovOverlay,
-            PredictorSpec::UNet(path) => PredictorKind::UNetTrained {
-                path: path.clone(),
-                seed,
-            },
-        };
-        kind.resolve().map_err(|e| format!("permanent: {e}"))
+    fn unknown(&self, flag: &str) -> String {
+        format!("{}unknown flag `{flag}`", self.ctx)
     }
 }
 
@@ -228,9 +256,22 @@ struct Args {
     predictor: Option<PredictorSpec>,
 }
 
+impl Args {
+    /// Create and return the run's artifact directory: `--run-dir` as
+    /// given, else `<out-dir>/<run name>` — on every route.
+    fn prepare_run_dir(&self, run_name: &str) -> Result<PathBuf, String> {
+        let dir = self
+            .run_dir
+            .clone()
+            .unwrap_or_else(|| self.out_dir.join(run_name));
+        std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+        Ok(dir)
+    }
+}
+
 /// Parse `--dist`'s `NXxNYxNZ+P` spec.
 fn parse_dist_spec(spec: &str) -> Result<((usize, usize, usize), usize), String> {
-    let bad = || format!("--dist expects NXxNYxNZ+P (e.g. 2x1x1+1), got `{spec}`");
+    let bad = || format!("expected NXxNYxNZ+P (e.g. 2x1x1+1), got `{spec}`");
     let (grid, pool) = spec.split_once('+').ok_or_else(bad)?;
     let dims: Vec<usize> = grid
         .split('x')
@@ -241,11 +282,11 @@ fn parse_dist_spec(spec: &str) -> Result<((usize, usize, usize), usize), String>
     };
     let n_pool = pool.parse::<usize>().map_err(|_| bad())?;
     if nx * ny * nz == 0 {
-        return Err(format!("--dist needs at least one main rank, got `{spec}`"));
+        return Err(format!("needs at least one main rank, got `{spec}`"));
     }
     if n_pool == 0 {
         return Err(format!(
-            "--dist needs at least one pool rank (the surrogate scheme ships SN regions \
+            "needs at least one pool rank (the surrogate scheme ships SN regions \
              to the pool), got `{spec}`"
         ));
     }
@@ -262,7 +303,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         timestep: None,
         snapshot_every: None,
         snapshot_format: CkptFormat::Bin,
-        seed: 42,
+        seed: DEFAULT_SEED,
         diag_every: None,
         out_dir: PathBuf::from("results"),
         run_dir: None,
@@ -275,99 +316,34 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         heartbeat: None,
         predictor: None,
     };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
+    let mut flags = Flags::new(argv, "");
+    while let Some(flag) = flags.next() {
+        match flag {
             "--help" | "-h" => return Err(String::new()),
             "--list" => args.list = true,
-            "--scenario" => args.scenario = Some(value("--scenario")?.clone()),
-            "--resume" => args.resume = Some(PathBuf::from(value("--resume")?)),
-            "--steps" => {
-                args.steps = Some(
-                    value("--steps")?
-                        .parse()
-                        .map_err(|e| format!("--steps: {e}"))?,
-                )
+            "--scenario" => args.scenario = Some(flags.value(flag)?.to_string()),
+            "--resume" => args.resume = Some(PathBuf::from(flags.value(flag)?)),
+            "--steps" => args.steps = Some(flags.parsed(flag)?),
+            "--scheme" => args.scheme = Some(flags.parsed(flag)?),
+            "--timestep" => args.timestep = Some(flags.parsed(flag)?),
+            "--snapshot-every" => args.snapshot_every = Some(flags.parsed(flag)?),
+            "--snapshot-format" => args.snapshot_format = flags.parsed(flag)?,
+            "--seed" => args.seed = flags.parsed(flag)?,
+            "--diag-every" => args.diag_every = Some(flags.parsed(flag)?),
+            "--out-dir" => args.out_dir = PathBuf::from(flags.value(flag)?),
+            "--run-dir" => args.run_dir = Some(PathBuf::from(flags.value(flag)?)),
+            "--keep" => args.keep = flags.at_least_one(flag)?,
+            "--dist" => {
+                let spec = parse_dist_spec(flags.value(flag)?);
+                args.dist = Some(spec.map_err(|e| format!("--dist: {e}"))?)
             }
-            "--scheme" => {
-                args.scheme = Some(match value("--scheme")?.as_str() {
-                    "surrogate" => Scheme::Surrogate,
-                    "conventional" => Scheme::Conventional,
-                    other => return Err(format!("unknown scheme `{other}`")),
-                })
-            }
-            "--timestep" => {
-                let v = value("--timestep")?.clone();
-                args.timestep = Some(match v.as_str() {
-                    "global" => TimestepMode::Global,
-                    "block" => TimestepMode::Block { max_level: 8 },
-                    other => match other.strip_prefix("block:") {
-                        Some(l) => TimestepMode::Block {
-                            max_level: l.parse().map_err(|e| format!("--timestep block: {e}"))?,
-                        },
-                        None => return Err(format!("unknown timestep mode `{other}`")),
-                    },
-                })
-            }
-            "--snapshot-every" => {
-                args.snapshot_every = Some(
-                    value("--snapshot-every")?
-                        .parse()
-                        .map_err(|e| format!("--snapshot-every: {e}"))?,
-                )
-            }
-            "--snapshot-format" => {
-                args.snapshot_format = match value("--snapshot-format")?.as_str() {
-                    "bin" => CkptFormat::Bin,
-                    "json" => CkptFormat::Json,
-                    other => return Err(format!("unknown snapshot format `{other}`")),
-                }
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--diag-every" => {
-                args.diag_every = Some(
-                    value("--diag-every")?
-                        .parse()
-                        .map_err(|e| format!("--diag-every: {e}"))?,
-                )
-            }
-            "--out-dir" => args.out_dir = PathBuf::from(value("--out-dir")?),
-            "--run-dir" => args.run_dir = Some(PathBuf::from(value("--run-dir")?)),
-            "--keep" => {
-                args.keep = value("--keep")?
-                    .parse()
-                    .map_err(|e| format!("--keep: {e}"))?;
-                if args.keep == 0 {
-                    return Err("--keep must be at least 1".into());
-                }
-            }
-            "--dist" => args.dist = Some(parse_dist_spec(value("--dist")?)?),
             "--supervised" => args.supervised = true,
-            "--max-retries" => {
-                args.max_retries = value("--max-retries")?
-                    .parse()
-                    .map_err(|e| format!("--max-retries: {e}"))?
-            }
-            "--backoff-ms" => {
-                args.backoff_ms = value("--backoff-ms")?
-                    .parse()
-                    .map_err(|e| format!("--backoff-ms: {e}"))?
-            }
-            "--heartbeat-timeout-ms" => {
-                args.heartbeat_timeout_ms = value("--heartbeat-timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("--heartbeat-timeout-ms: {e}"))?
-            }
-            "--heartbeat" => args.heartbeat = Some(PathBuf::from(value("--heartbeat")?)),
-            "--predictor" => args.predictor = Some(PredictorSpec::parse(value("--predictor")?)?),
-            other => return Err(format!("unknown flag `{other}`")),
+            "--max-retries" => args.max_retries = flags.parsed(flag)?,
+            "--backoff-ms" => args.backoff_ms = flags.parsed(flag)?,
+            "--heartbeat-timeout-ms" => args.heartbeat_timeout_ms = flags.parsed(flag)?,
+            "--heartbeat" => args.heartbeat = Some(PathBuf::from(flags.value(flag)?)),
+            "--predictor" => args.predictor = Some(flags.parsed(flag)?),
+            other => return Err(flags.unknown(other)),
         }
     }
     Ok(args)
@@ -390,14 +366,6 @@ fn load_resume<S: Snapshot>(path: &Path, base: &str, keep: usize) -> Result<(S, 
         let snap = S::load(path).map_err(|e| format!("--resume {path:?}: {e}"))?;
         Ok((snap, path.to_path_buf()))
     }
-}
-
-fn load_sim_resume(path: &Path, keep: usize) -> Result<(SimSnapshot, PathBuf), String> {
-    load_resume(path, "checkpoint", keep)
-}
-
-fn load_dist_resume(path: &Path, keep: usize) -> Result<(DistSnapshot, PathBuf), String> {
-    load_resume(path, "dist_checkpoint", keep)
 }
 
 /// The `--dist` path: route the scenario through the mpisim driver, with
@@ -430,6 +398,16 @@ fn run_dist(
                 .into(),
         );
     }
+    // The distributed driver runs its steps inside `run_distributed`, with
+    // no per-step hook to fire `kill@N` / `stall@N` from — and a fault plan
+    // must never silently run fault-free.
+    if injector.has_step_fault() {
+        return Err(format!(
+            "usage: {} arms a step fault (kill@N / stall@N), which --dist cannot fire; \
+             only write faults (torn / corrupt / io) apply to distributed runs",
+            faults::FAULTS_ENV
+        ));
+    }
     // Resume replaces the particle state wholesale, so only realize the
     // initial condition on a fresh run; the config alone is cheap.
     let (mut sim_cfg, particles) = match args.resume {
@@ -453,42 +431,34 @@ fn run_dist(
         // Resolved eagerly so a bad weights file dies here with exit 2
         // (on resume the snapshot's embedded model overrides this anyway).
         predictor: match &args.predictor {
-            Some(p) => p.resolve(args.seed)?,
+            Some(p) => resolve_predictor(p, args.seed)?,
             None => PredictorKind::SedovOverlay,
         },
         snapshot_every: args.snapshot_every.unwrap_or(0),
     };
-    let dir = args.out_dir.join(scenario.name);
-    std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+    let dir = args.prepare_run_dir(scenario.name)?;
+    let ranks = format!("{}x{}x{}+{n_pool}", grid.0, grid.1, grid.2);
 
     let report = match &args.resume {
         Some(path) => {
-            let (snap, resolved) = load_dist_resume(path, args.keep)?;
+            let (snap, resolved) = load_resume::<DistSnapshot>(path, "dist_checkpoint", args.keep)?;
             if snap.rank_particles.len() != cfg.n_main() {
                 return Err(format!(
                     "--resume {}: checkpoint was written by {} main ranks but --dist \
-                     asks for {} ({}x{}x{}) — resume requires the same main-rank grid",
+                     {ranks} has {} — resume requires the same main-rank grid",
                     resolved.display(),
                     snap.rank_particles.len(),
                     cfg.n_main(),
-                    grid.0,
-                    grid.1,
-                    grid.2,
                 ));
             }
             println!(
                 "dist resume from {} (step {}, t = {:.4} Myr, {} ranks, {} regions in flight): \
-                 {} more steps on {}x{}x{}+{} ranks",
+                 {steps} more steps on {ranks} ranks",
                 resolved.display(),
                 snap.step,
                 snap.time,
                 snap.rank_particles.len(),
                 snap.pending.len(),
-                steps,
-                grid.0,
-                grid.1,
-                grid.2,
-                n_pool,
             );
             // Unlike shared-memory snapshots, a DistSnapshot carries no
             // SimConfig — the named scenario supplies it, so resuming
@@ -503,14 +473,9 @@ fn run_dist(
         }
         None => {
             println!(
-                "dist scenario {} ({} particles) on {}x{}x{}+{} ranks for {} steps",
+                "dist scenario {} ({} particles) on {ranks} ranks for {steps} steps",
                 scenario.name,
                 particles.len(),
-                grid.0,
-                grid.1,
-                grid.2,
-                n_pool,
-                steps,
             );
             run_distributed(&cfg, &particles)
         }
@@ -529,7 +494,7 @@ fn run_dist(
     if !report.snapshots.is_empty() {
         println!("[manifest] {}", store.manifest_path().display());
     }
-    // Counter summary (hand-rendered JSON, like the bench artifacts).
+    // Counter summary.
     let total_bytes: u64 = report.bytes_sent.iter().sum();
     let substeps_max = report
         .rank_stats
@@ -537,46 +502,32 @@ fn run_dist(
         .map(|s| s.substeps)
         .max()
         .unwrap_or(0);
-    let active_updates: u64 = report.rank_stats.iter().map(|s| s.active_updates).sum();
-    let tree_refreshes: u64 = report.rank_stats.iter().map(|s| s.tree_refreshes).sum();
-    let tree_rebuilds: u64 = report.rank_stats.iter().map(|s| s.tree_rebuilds).sum();
-    let phases: String = report
-        .phases
-        .entries
-        .iter()
-        .map(|e| {
-            format!(
-                "    {{\"name\": \"{}\", \"total_s\": {:.6}}}",
-                e.name, e.total_s
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let degraded = match &report.error {
-        Some(e) => format!("\"{e}\""),
-        None => "null".to_string(),
-    };
-    let json = format!(
-        "{{\n  \"steps\": {},\n  \"sn_events\": {},\n  \"regions_applied\": {},\n  \
-         \"gravity_interactions\": {},\n  \"hydro_interactions\": {},\n  \
-         \"final_particles\": {},\n  \"bytes_sent_total\": {},\n  \"snapshots\": {},\n  \
-         \"substeps\": {},\n  \"active_updates\": {},\n  \"tree_refreshes\": {},\n  \
-         \"tree_rebuilds\": {},\n  \"error\": {},\n  \"phases\": [\n{}\n  ]\n}}\n",
-        report.steps,
-        report.sn_events,
-        report.regions_applied,
-        report.gravity_interactions,
-        report.hydro_interactions,
-        report.final_particles,
-        total_bytes,
-        report.snapshots.len(),
-        substeps_max,
-        active_updates,
-        tree_refreshes,
-        tree_rebuilds,
-        degraded,
-        phases,
-    );
+    let sum = |f: fn(&asura_core::SimStats) -> u64| report.rank_stats.iter().map(f).sum::<u64>();
+    let phases = report.phases.entries.iter().map(|e| {
+        Json::obj([
+            ("name", e.name.as_str().into()),
+            // Microseconds, as this file has always resolved them.
+            ("total_s", ((e.total_s * 1e6).round() / 1e6).into()),
+        ])
+    });
+    let json = Json::obj([
+        ("steps", report.steps.into()),
+        ("sn_events", report.sn_events.into()),
+        ("regions_applied", report.regions_applied.into()),
+        ("gravity_interactions", report.gravity_interactions.into()),
+        ("hydro_interactions", report.hydro_interactions.into()),
+        ("final_particles", report.final_particles.into()),
+        ("bytes_sent_total", total_bytes.into()),
+        ("snapshots", report.snapshots.len().into()),
+        ("substeps", substeps_max.into()),
+        ("active_updates", sum(|s| s.active_updates).into()),
+        ("tree_refreshes", sum(|s| s.tree_refreshes).into()),
+        ("tree_rebuilds", sum(|s| s.tree_rebuilds).into()),
+        ("error", report.error.as_ref().map(|e| e.to_string()).into()),
+        ("phases", Json::Arr(phases.collect())),
+    ])
+    .render()
+        + "\n";
     let report_path = dir.join("dist_report.json");
     atomic_write(&report_path, json.as_bytes())
         .map_err(|e| format!("write {}: {e}", report_path.display()))?;
@@ -603,6 +554,61 @@ fn run_dist(
     Ok(())
 }
 
+/// What a supervised child process is told, whoever spawns it — the
+/// `--supervised` parent from its own flags, or the serve daemon from a
+/// fleet run's overrides.
+struct ChildRun<'a> {
+    scenario: &'a str,
+    /// The run's target in *absolute* steps: a resumed attempt is handed
+    /// `target - resume_step`, so every attempt ends at the same final
+    /// step — which is what makes the chaos tests' bitwise final-state
+    /// comparison meaningful.
+    target_steps: u64,
+    scheme: Option<Scheme>,
+    timestep: Option<TimestepMode>,
+    snapshot_every: Option<u64>,
+    snapshot_format: Option<CkptFormat>,
+    seed: u64,
+    diag_every: Option<u64>,
+    predictor: Option<&'a PredictorSpec>,
+    run_dir: &'a Path,
+    keep: usize,
+    heartbeat: &'a Path,
+}
+
+impl ChildRun<'_> {
+    /// The child's command line for one attempt.
+    fn command(&self, exe: &Path, resume: Option<&ResumePoint>) -> Command {
+        fn opt(cmd: &mut Command, flag: &str, value: Option<impl Display>) {
+            if let Some(v) = value {
+                cmd.arg(flag).arg(v.to_string());
+            }
+        }
+        let done = resume.map_or(0, |rp| rp.step);
+        let mut cmd = Command::new(exe);
+        cmd.arg("--scenario").arg(self.scenario);
+        opt(
+            &mut cmd,
+            "--steps",
+            Some(self.target_steps.saturating_sub(done)),
+        );
+        if let Some(rp) = resume {
+            cmd.arg("--resume").arg(&rp.path);
+        }
+        opt(&mut cmd, "--scheme", self.scheme);
+        opt(&mut cmd, "--timestep", self.timestep);
+        opt(&mut cmd, "--snapshot-every", self.snapshot_every);
+        opt(&mut cmd, "--snapshot-format", self.snapshot_format);
+        opt(&mut cmd, "--seed", Some(self.seed));
+        opt(&mut cmd, "--diag-every", self.diag_every);
+        opt(&mut cmd, "--predictor", self.predictor);
+        cmd.arg("--run-dir").arg(self.run_dir);
+        opt(&mut cmd, "--keep", Some(self.keep));
+        cmd.arg("--heartbeat").arg(self.heartbeat);
+        cmd
+    }
+}
+
 /// The `--supervised` parent: spawn the scenario as a heartbeat-monitored
 /// child, auto-resume it from the checkpoint rotation on crash or hang,
 /// and record every incident in `supervisor.json`.
@@ -626,19 +632,10 @@ fn run_supervised(args: &Args) -> Result<(), String> {
         );
     }
     let scenario = scenarios::find(name).ok_or_else(|| format!("unknown scenario `{name}`"))?;
-    // `--steps` is the run's *target* in absolute steps: every resumed
-    // attempt is handed `target - resume_step` so all attempts end at the
-    // same final step, which is what makes the chaos tests' bitwise
-    // final-state comparison meaningful.
     let target_steps = args.steps.unwrap_or(scenario.default_steps);
-    let dir = args
-        .run_dir
-        .clone()
-        .unwrap_or_else(|| args.out_dir.join(scenario.name));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+    let dir = args.prepare_run_dir(scenario.name)?;
     let store = CkptStore::new(&dir, args.keep);
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let hb_path = dir.join("heartbeat");
     let supervisor = Supervisor {
         policy: RetryPolicy {
             max_retries: args.max_retries,
@@ -649,7 +646,21 @@ fn run_supervised(args: &Args) -> Result<(), String> {
         poll_interval_ms: 20,
         permanent_exit_codes: vec![2],
         log_path: dir.join("supervisor.json"),
-        heartbeat_path: hb_path.clone(),
+        heartbeat_path: dir.join("heartbeat"),
+    };
+    let child = ChildRun {
+        scenario: name,
+        target_steps: target_steps as u64,
+        scheme: args.scheme,
+        timestep: args.timestep,
+        snapshot_every: args.snapshot_every,
+        snapshot_format: Some(args.snapshot_format),
+        seed: args.seed,
+        diag_every: args.diag_every,
+        predictor: args.predictor.as_ref(),
+        run_dir: &dir,
+        keep: args.keep,
+        heartbeat: &supervisor.heartbeat_path,
     };
     println!(
         "supervising scenario {name}: target {target_steps} steps, rotation keep {}, \
@@ -659,42 +670,7 @@ fn run_supervised(args: &Args) -> Result<(), String> {
     let (outcome, log) = supervisor
         .run(
             |attempt, resume| {
-                let mut cmd = std::process::Command::new(&exe);
-                cmd.arg("--scenario").arg(name);
-                let child_steps = match resume {
-                    Some(rp) => target_steps.saturating_sub(rp.step as usize),
-                    None => target_steps,
-                };
-                cmd.arg("--steps").arg(child_steps.to_string());
-                if let Some(rp) = resume {
-                    cmd.arg("--resume").arg(&rp.path);
-                }
-                if let Some(s) = args.scheme {
-                    cmd.arg("--scheme").arg(match s {
-                        Scheme::Surrogate => "surrogate",
-                        Scheme::Conventional => "conventional",
-                    });
-                }
-                if let Some(t) = args.timestep {
-                    cmd.arg("--timestep").arg(match t {
-                        TimestepMode::Global => "global".to_string(),
-                        TimestepMode::Block { max_level } => format!("block:{max_level}"),
-                    });
-                }
-                if let Some(k) = args.snapshot_every {
-                    cmd.arg("--snapshot-every").arg(k.to_string());
-                }
-                cmd.arg("--snapshot-format").arg(args.snapshot_format.ext());
-                cmd.arg("--seed").arg(args.seed.to_string());
-                if let Some(d) = args.diag_every {
-                    cmd.arg("--diag-every").arg(d.to_string());
-                }
-                if let Some(p) = &args.predictor {
-                    cmd.arg("--predictor").arg(p.flag_value());
-                }
-                cmd.arg("--run-dir").arg(&dir);
-                cmd.arg("--keep").arg(args.keep.to_string());
-                cmd.arg("--heartbeat").arg(&hb_path);
+                let mut cmd = child.command(&exe, resume);
                 // Attempt-scoped fault arming: ASURA_FAULTS is inherited
                 // from this process's environment untouched.
                 cmd.env(faults::ATTEMPT_ENV, attempt.to_string());
@@ -743,15 +719,9 @@ fn run_supervised(args: &Args) -> Result<(), String> {
     }
 }
 
-/// The `asura scenarios` subcommand: the submittable registry, one line
-/// per scenario.
-fn cmd_scenarios(rest: &[String]) -> Result<(), String> {
-    if !rest.is_empty() {
-        return Err(format!(
-            "usage: scenarios takes no arguments, got `{}`",
-            rest.join(" ")
-        ));
-    }
+/// The registry, one line per scenario — what `--list` and `asura
+/// scenarios` both print.
+fn print_scenarios() {
     println!("registered scenarios:");
     for s in scenarios::SCENARIOS {
         println!(
@@ -759,6 +729,17 @@ fn cmd_scenarios(rest: &[String]) -> Result<(), String> {
             s.name, s.default_steps, s.description
         );
     }
+}
+
+/// The `asura scenarios` subcommand: the submittable registry.
+fn cmd_scenarios(rest: &[String]) -> Result<(), String> {
+    if !rest.is_empty() {
+        return Err(format!(
+            "usage: scenarios takes no arguments, got `{}`",
+            rest.join(" ")
+        ));
+    }
+    print_scenarios();
     Ok(())
 }
 
@@ -769,37 +750,17 @@ fn cmd_scenarios(rest: &[String]) -> Result<(), String> {
 fn cmd_train_surrogate(rest: &[String]) -> Result<(), String> {
     let mut spec = TrainSpec::default();
     let mut out = PathBuf::from("results/train-surrogate/weights.json");
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next()
-                .ok_or_else(|| format!("usage: train-surrogate: {name} needs a value"))
-        };
-        let bad =
-            |name: &str, e: std::num::ParseIntError| format!("usage: train-surrogate: {name}: {e}");
-        match flag.as_str() {
-            "--out" => out = PathBuf::from(value("--out")?),
-            "--samples" => {
-                spec.samples = value("--samples")?
-                    .parse()
-                    .map_err(|e| bad("--samples", e))?
-            }
-            "--epochs" => {
-                spec.epochs = value("--epochs")?.parse().map_err(|e| bad("--epochs", e))?
-            }
-            "--grid" => spec.grid_n = value("--grid")?.parse().map_err(|e| bad("--grid", e))?,
-            "--base-features" => {
-                spec.base_features = value("--base-features")?
-                    .parse()
-                    .map_err(|e| bad("--base-features", e))?
-            }
-            "--lr" => {
-                spec.lr = value("--lr")?
-                    .parse()
-                    .map_err(|e| format!("usage: train-surrogate: --lr: {e}"))?
-            }
-            "--seed" => spec.seed = value("--seed")?.parse().map_err(|e| bad("--seed", e))?,
-            other => return Err(format!("usage: train-surrogate: unknown flag `{other}`")),
+    let mut flags = Flags::new(rest, "usage: train-surrogate: ");
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--out" => out = PathBuf::from(flags.value(flag)?),
+            "--samples" => spec.samples = flags.parsed(flag)?,
+            "--epochs" => spec.epochs = flags.parsed(flag)?,
+            "--grid" => spec.grid_n = flags.parsed(flag)?,
+            "--base-features" => spec.base_features = flags.parsed(flag)?,
+            "--lr" => spec.lr = flags.parsed(flag)?,
+            "--seed" => spec.seed = flags.parsed(flag)?,
+            other => return Err(flags.unknown(other)),
         }
     }
     if spec.samples == 0 || spec.epochs == 0 || spec.base_features == 0 {
@@ -869,47 +830,20 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
         heartbeat_timeout_ms: 30_000,
         keep: DEFAULT_KEEP,
     };
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--root" => cfg.root = PathBuf::from(value("--root")?),
-            "--addr" => cfg.addr = value("--addr")?.clone(),
-            "--max-concurrent" => {
-                cfg.max_concurrent = value("--max-concurrent")?
-                    .parse()
-                    .map_err(|e| format!("--max-concurrent: {e}"))?;
-                if cfg.max_concurrent == 0 {
-                    return Err("--max-concurrent must be at least 1".into());
-                }
-            }
-            "--max-retries" => {
-                cfg.retry.max_retries = value("--max-retries")?
-                    .parse()
-                    .map_err(|e| format!("--max-retries: {e}"))?
-            }
+    let mut flags = Flags::new(rest, "serve: ");
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--root" => cfg.root = PathBuf::from(flags.value(flag)?),
+            "--addr" => cfg.addr = flags.value(flag)?.to_string(),
+            "--max-concurrent" => cfg.max_concurrent = flags.at_least_one(flag)?,
+            "--max-retries" => cfg.retry.max_retries = flags.parsed(flag)?,
             "--backoff-ms" => {
-                cfg.retry.backoff_base_ms = value("--backoff-ms")?
-                    .parse()
-                    .map_err(|e| format!("--backoff-ms: {e}"))?;
+                cfg.retry.backoff_base_ms = flags.parsed(flag)?;
                 cfg.retry.backoff_cap_ms = cfg.retry.backoff_base_ms.max(1) * 16;
             }
-            "--heartbeat-timeout-ms" => {
-                cfg.heartbeat_timeout_ms = value("--heartbeat-timeout-ms")?
-                    .parse()
-                    .map_err(|e| format!("--heartbeat-timeout-ms: {e}"))?
-            }
-            "--keep" => {
-                cfg.keep = value("--keep")?
-                    .parse()
-                    .map_err(|e| format!("--keep: {e}"))?;
-                if cfg.keep == 0 {
-                    return Err("--keep must be at least 1".into());
-                }
-            }
-            other => return Err(format!("serve: unknown flag `{other}`")),
+            "--heartbeat-timeout-ms" => cfg.heartbeat_timeout_ms = flags.parsed(flag)?,
+            "--keep" => cfg.keep = flags.at_least_one(flag)?,
+            other => return Err(flags.unknown(other)),
         }
     }
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
@@ -917,38 +851,24 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
     // Build each worker attempt's command line from the run entry. The
     // daemon itself adds ASURA_ATTEMPT and any per-run ASURA_FAULTS plan.
     let spawner: serve::Spawner = Arc::new(move |spec: &serve::SpawnSpec| {
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.arg("--scenario").arg(&spec.run.scenario);
-        // Absolute-step target: resumed attempts integrate the remainder,
-        // so every attempt ends at the same final step (the
-        // bitwise-determinism contract of the chaos tests).
-        let child_steps = match spec.resume {
-            Some(rp) => spec.run.target_steps.saturating_sub(rp.step),
-            None => spec.run.target_steps,
-        };
-        cmd.arg("--steps").arg(child_steps.to_string());
-        if let Some(rp) = spec.resume {
-            cmd.arg("--resume").arg(&rp.path);
-        }
         let o = &spec.run.overrides;
-        if let Some(s) = &o.scheme {
-            cmd.arg("--scheme").arg(s);
-        }
-        if let Some(t) = &o.timestep {
-            cmd.arg("--timestep").arg(t);
-        }
-        // Serve default cadence is every step: auto-resume should never
-        // replay more than one step of lost work.
-        cmd.arg("--snapshot-every")
-            .arg(o.snapshot_every.unwrap_or(1).to_string());
-        if let Some(f) = &o.snapshot_format {
-            cmd.arg("--snapshot-format").arg(f);
-        }
-        cmd.arg("--seed").arg(o.seed.unwrap_or(42).to_string());
-        cmd.arg("--run-dir").arg(spec.run_dir);
-        cmd.arg("--keep").arg(keep.to_string());
-        cmd.arg("--heartbeat").arg(spec.heartbeat);
-        Ok(cmd)
+        let child = ChildRun {
+            scenario: &spec.run.scenario,
+            target_steps: spec.run.target_steps,
+            scheme: o.scheme,
+            timestep: o.timestep,
+            // Serve default cadence is every step: auto-resume should never
+            // replay more than one step of lost work.
+            snapshot_every: Some(o.snapshot_every.unwrap_or(1)),
+            snapshot_format: o.snapshot_format,
+            seed: o.seed.unwrap_or(DEFAULT_SEED),
+            diag_every: None,
+            predictor: None,
+            run_dir: spec.run_dir,
+            keep,
+            heartbeat: spec.heartbeat,
+        };
+        Ok(child.command(&exe, spec.resume))
     });
     serve::serve(cfg, spawner).map_err(|e| format!("serve: {e}"))
 }
@@ -960,31 +880,19 @@ fn cmd_client(verb: &str, rest: &[String]) -> Result<(), String> {
     let mut root = PathBuf::from("results");
     let mut addr: Option<String> = None;
     let mut drain = false;
-    let mut positional: Vec<&String> = Vec::new();
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => {
-                root = PathBuf::from(
-                    it.next()
-                        .ok_or_else(|| "--root needs a value".to_string())?,
-                )
-            }
-            "--addr" => {
-                addr = Some(
-                    it.next()
-                        .ok_or_else(|| "--addr needs a value".to_string())?
-                        .clone(),
-                )
-            }
+    let mut positional: Vec<&str> = Vec::new();
+    let ctx = format!("{verb}: ");
+    let mut flags = Flags::new(rest, &ctx);
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--root" => root = PathBuf::from(flags.value(arg)?),
+            "--addr" => addr = Some(flags.value(arg)?.to_string()),
             "--drain" if verb == "shutdown" => drain = true,
-            other if other.starts_with("--") => {
-                return Err(format!("{verb}: unknown flag `{other}`"))
-            }
+            other if other.starts_with("--") => return Err(flags.unknown(other)),
             _ => positional.push(arg),
         }
     }
-    let pos = |n: usize, what: &str| -> Result<&String, String> {
+    let pos = |n: usize, what: &str| -> Result<&str, String> {
         positional
             .get(n)
             .copied()
@@ -1033,7 +941,7 @@ fn cmd_client(verb: &str, rest: &[String]) -> Result<(), String> {
     let mut failed = false;
     for reply in BufReader::new(stream).lines() {
         let reply = reply.map_err(|e| format!("read: {e}"))?;
-        failed |= reply.contains("\"ok\":false");
+        failed |= !serve::reply_ok(&reply);
         println!("{reply}");
     }
     if failed {
@@ -1064,13 +972,7 @@ fn run() -> Result<(), String> {
     })?;
 
     if args.list {
-        println!("registered scenarios:");
-        for s in scenarios::SCENARIOS {
-            println!(
-                "  {:<18} {:>4} default steps   {}",
-                s.name, s.default_steps, s.description
-            );
-        }
+        print_scenarios();
         return Ok(());
     }
 
@@ -1089,7 +991,7 @@ fn run() -> Result<(), String> {
     // Resolve the run: a fresh scenario build, or a snapshot restore.
     let (mut sim, run_name, default_steps) = match (&args.resume, &args.scenario) {
         (Some(path), scenario) => {
-            let (snap, resolved) = load_sim_resume(path, args.keep)?;
+            let (snap, resolved) = load_resume::<SimSnapshot>(path, "checkpoint", args.keep)?;
             let name = scenario.clone().unwrap_or_else(|| "resumed".to_string());
             println!(
                 "resumed from {} (step {}, t = {:.4} Myr, {} particles, {} regions in flight)",
@@ -1105,7 +1007,7 @@ fn run() -> Result<(), String> {
             // flag to resumed attempts, so it must not conflict here).
             let sim = match (&snap.model, &args.predictor) {
                 (None, Some(spec @ PredictorSpec::UNet(_))) => {
-                    let kind = spec.resolve(args.seed)?;
+                    let kind = resolve_predictor(spec, args.seed)?;
                     let mut sim = Simulation::restore_with_predictor(
                         &snap,
                         kind.build(snap.config.region_side),
@@ -1141,7 +1043,7 @@ fn run() -> Result<(), String> {
             let sim = match &args.predictor {
                 None | Some(PredictorSpec::Sedov) => Simulation::new(cfg, particles, args.seed),
                 Some(spec) => {
-                    let kind = spec.resolve(args.seed)?;
+                    let kind = resolve_predictor(spec, args.seed)?;
                     let mut sim = Simulation::with_predictor(
                         cfg,
                         particles,
@@ -1174,11 +1076,7 @@ fn run() -> Result<(), String> {
     let steps = args.steps.unwrap_or(default_steps);
     let map_half = scenarios::find(&run_name).map_or(100.0, |s| s.map_half);
 
-    let dir = args
-        .run_dir
-        .clone()
-        .unwrap_or_else(|| args.out_dir.join(&run_name));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+    let dir = args.prepare_run_dir(&run_name)?;
     let store = CkptStore::new(&dir, args.keep);
 
     println!(

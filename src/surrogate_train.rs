@@ -23,7 +23,7 @@ use surrogate::training::to_train_sample;
 use surrogate::{
     particles_to_grid, GasParticle, SurrogateConfig, SurrogateModel, VoxelFields, VoxelGrid,
 };
-use unet::json::{write_json, Json};
+use unet::json::Json;
 use unet::TrainSample;
 
 /// Document tag of the training manifest written next to the weights.
@@ -156,27 +156,20 @@ pub fn train(spec: &TrainSpec) -> TrainOutcome {
 /// Render the training manifest: the spec, the dataset recipe, and the
 /// loss trajectory, as a [`unet::json`] document.
 pub fn manifest_json(spec: &TrainSpec, losses: &[f64]) -> String {
-    let doc = Json::Obj(vec![
-        ("format".into(), Json::Str(MANIFEST_FORMAT.into())),
-        ("scenario".into(), Json::Str(TRAIN_SCENARIO.into())),
-        ("dataset_seed".into(), Json::Num(spec.seed as f64)),
-        ("samples".into(), Json::Num(spec.samples as f64)),
-        ("epochs".into(), Json::Num(spec.epochs as f64)),
-        ("lr".into(), Json::Num(spec.lr)),
-        ("grid_n".into(), Json::Num(spec.grid_n as f64)),
-        ("base_features".into(), Json::Num(spec.base_features as f64)),
-        (
-            "final_loss".into(),
-            losses.last().map_or(Json::Null, |&l| Json::Num(l)),
-        ),
-        (
-            "losses".into(),
-            Json::Arr(losses.iter().map(|&l| Json::Num(l)).collect()),
-        ),
-    ]);
-    let mut out = String::new();
-    write_json(&doc, &mut out);
-    out
+    let losses_arr = losses.iter().map(|&l| Json::Num(l)).collect();
+    Json::obj([
+        ("format", MANIFEST_FORMAT.into()),
+        ("scenario", TRAIN_SCENARIO.into()),
+        ("dataset_seed", spec.seed.into()),
+        ("samples", spec.samples.into()),
+        ("epochs", spec.epochs.into()),
+        ("lr", spec.lr.into()),
+        ("grid_n", spec.grid_n.into()),
+        ("base_features", spec.base_features.into()),
+        ("final_loss", losses.last().copied().into()),
+        ("losses", Json::Arr(losses_arr)),
+    ])
+    .render()
 }
 
 #[cfg(test)]

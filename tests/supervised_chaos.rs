@@ -195,3 +195,66 @@ fn unrecoverable_fault_budget_exhaustion_gives_up() {
             exit_code: FAULT_KILL_EXIT
         }));
 }
+
+/// `--dist` used to write to `<out-dir>/<scenario>` whatever `--run-dir`
+/// said, and to drop `kill@N` / `stall@N` silently (its steps run inside
+/// `run_distributed`, with no hook to fire them from) — against the CLI's
+/// own rule that a fault plan never runs fault-free.
+#[test]
+fn dist_honours_run_dir_and_refuses_step_faults_it_cannot_fire() {
+    let out = tmpdir("dist-run-dir");
+    let exact = out.join("exactly-here");
+    let dist_cmd = || {
+        let mut cmd = base_cmd(&out, None);
+        cmd.args(["--dist", "1x1x1+1"]).arg("--run-dir").arg(&exact);
+        cmd
+    };
+    let status = dist_cmd().status().unwrap();
+    assert!(status.success(), "--dist --run-dir run failed");
+    for file in [
+        format!("dist_checkpoint-{STEPS:06}.bin"),
+        "dist_checkpoint.manifest.json".to_string(),
+        "dist_report.json".to_string(),
+    ] {
+        assert!(exact.join(&file).is_file(), "{file} belongs in --run-dir");
+    }
+    assert!(
+        !run_dir(&out).exists(),
+        "nothing under <out-dir>/<scenario>"
+    );
+    let report = fs::read_to_string(exact.join("dist_report.json")).unwrap();
+    assert!(
+        report.starts_with(&format!("{{\"steps\":{STEPS},\"sn_events\":")),
+        "{report}"
+    );
+    assert!(report.contains("\"error\":null,\"phases\":[{\"name\":\""));
+
+    for plan in ["kill@3", "torn@1:8,stall@2"] {
+        let output = dist_cmd()
+            .env(asura_core::faults::FAULTS_ENV, plan)
+            .output()
+            .unwrap();
+        assert_eq!(output.status.code(), Some(2), "{plan}: a usage error");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("step fault"), "{plan}: {stderr}");
+    }
+    // A write fault is one the distributed route *can* fire: it stays legal
+    // (and the torn first commit is what the rotation then skips).
+    let output = dist_cmd()
+        .env(asura_core::faults::FAULTS_ENV, "torn@1:8")
+        .output()
+        .unwrap();
+    assert!(
+        output.status.success(),
+        "write faults still apply to --dist"
+    );
+    // … as is a step fault armed for another attempt than this one.
+    let output = dist_cmd()
+        .env(asura_core::faults::FAULTS_ENV, "kill@3#1")
+        .output()
+        .unwrap();
+    assert!(
+        output.status.success(),
+        "a fault for attempt 1 is not armed"
+    );
+}

@@ -2,12 +2,12 @@
 //! model documents that now travel with runs: the weights JSON
 //! round-trips exactly, corruption is a typed rejection (never a panic)
 //! at every layer it can enter — [`SurrogateModel::from_json`], the
-//! [`UNetPredictor::from_weights`] loader, [`PredictorKind::resolve`]
+//! [`UNetPredictor::from_weights`] loader, [`PredictorSpec::resolve`]
 //! ([`DistError::BadWeights`]), and the CLI, where a bad `--predictor`
 //! file must exit 2 (the supervisor's permanent code) rather than be
 //! retried.
 
-use asura_core::dist::{DistError, PredictorKind};
+use asura_core::dist::{DistError, PredictorKind, PredictorSpec};
 use asura_core::pool::UNetPredictor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -119,11 +119,8 @@ fn resolve_turns_bad_weight_files_into_typed_errors() {
     let dir = scratch_dir("resolve");
 
     // Missing file.
-    let missing = PredictorKind::UNetTrained {
-        path: dir.join("nope.json").display().to_string(),
-        seed: 1,
-    };
-    match missing.resolve() {
+    let missing = PredictorSpec::UNet(dir.join("nope.json").display().to_string());
+    match missing.resolve(1) {
         Err(DistError::BadWeights { path, .. }) => assert!(path.contains("nope.json")),
         other => panic!("missing file must be BadWeights, got {other:?}"),
     }
@@ -131,26 +128,19 @@ fn resolve_turns_bad_weight_files_into_typed_errors() {
     // Corrupt file.
     let bad_path = dir.join("bad.json");
     std::fs::write(&bad_path, "{\"format\":\"nope\"}").unwrap();
-    let corrupt = PredictorKind::UNetTrained {
-        path: bad_path.display().to_string(),
-        seed: 1,
-    };
+    let corrupt = PredictorSpec::UNet(bad_path.display().to_string());
     assert!(matches!(
-        corrupt.resolve(),
+        corrupt.resolve(1),
         Err(DistError::BadWeights { .. })
     ));
 
     // Valid file resolves to inline weights that carry the exact text,
-    // and only then does a model state exist to embed in snapshots.
+    // and with them the model state to embed in snapshots.
     let good_path = dir.join("good.json");
     let doc = weights_doc();
     std::fs::write(&good_path, &doc).unwrap();
-    let good = PredictorKind::UNetTrained {
-        path: good_path.display().to_string(),
-        seed: 5,
-    };
-    assert_eq!(good.model_state(), None, "unresolved: nothing to embed");
-    let resolved = good.resolve().expect("valid weights resolve");
+    let good = PredictorSpec::UNet(good_path.display().to_string());
+    let resolved = good.resolve(5).expect("valid weights resolve");
     match &resolved {
         PredictorKind::UNetWeights { seed, weights_json } => {
             assert_eq!(*seed, 5);
@@ -162,11 +152,12 @@ fn resolve_turns_bad_weight_files_into_typed_errors() {
     assert_eq!(state.seed, 5);
     assert_eq!(state.weights_json, doc);
 
-    // Non-file kinds resolve to themselves.
-    assert!(matches!(
-        PredictorKind::SedovOverlay.resolve(),
+    // The analytic kind needs no file and embeds nothing.
+    assert_eq!(
+        PredictorSpec::Sedov.resolve(5),
         Ok(PredictorKind::SedovOverlay)
-    ));
+    );
+    assert_eq!(PredictorKind::SedovOverlay.model_state(), None);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -28,12 +28,25 @@ pub struct Tok {
     pub line: usize,
 }
 
+/// One string literal: the line its opening quote is on and its source
+/// text between the quotes — escapes as written, so `\"` is still two
+/// characters.
+#[derive(Debug, Clone)]
+pub struct StrLit {
+    pub line: usize,
+    pub text: String,
+    /// A raw (`r"…"`, `r#"…"#`) literal: `"` needs no backslash in it.
+    pub raw: bool,
+}
+
 /// The lexed file: tokens plus the comment text found on each line
-/// (1-based line → concatenated comment text on that line).
+/// (1-based line → concatenated comment text on that line) and the string
+/// literals, which are not tokens.
 #[derive(Debug, Default)]
 pub struct Lexed {
     pub tokens: Vec<Tok>,
     pub comments: Vec<(usize, String)>,
+    pub strings: Vec<StrLit>,
 }
 
 impl Lexed {
@@ -130,6 +143,7 @@ pub fn lex(src: &str) -> Lexed {
                 // Byte string b"..." uses the escaped scan below instead.
                 if fence > 0 || (c == 'r') || (c == 'b' && b[i + 1] == 'r') {
                     i = j + 1;
+                    let (start, start_line) = (i, line);
                     'raw: while i < n {
                         if b[i] == '\n' {
                             line += 1;
@@ -140,6 +154,11 @@ pub fn lex(src: &str) -> Lexed {
                                 k += 1;
                             }
                             if k == fence {
+                                out.strings.push(StrLit {
+                                    line: start_line,
+                                    text: b[start..i].iter().collect(),
+                                    raw: true,
+                                });
                                 i += 1 + fence;
                                 break 'raw;
                             }
@@ -150,7 +169,7 @@ pub fn lex(src: &str) -> Lexed {
                 }
                 // b"...": fall through to escaped-string scan from j.
                 i = j;
-                line = scan_string(&b, &mut i, line);
+                line = scan_string(&b, &mut i, line, &mut out);
                 continue;
             }
             if c == 'b' && i + 1 < n && b[i + 1] == '\'' {
@@ -163,7 +182,7 @@ pub fn lex(src: &str) -> Lexed {
             // Not a literal prefix: plain identifier starting with r/b.
         }
         if c == '"' {
-            line = scan_string(&b, &mut i, line);
+            line = scan_string(&b, &mut i, line, &mut out);
             continue;
         }
         if c == '\'' {
@@ -223,13 +242,26 @@ pub fn lex(src: &str) -> Lexed {
     out
 }
 
-/// Scan a `"..."` literal from the opening quote; returns the updated line.
-fn scan_string(b: &[char], i: &mut usize, mut line: usize) -> usize {
+/// Scan a `"..."` literal from the opening quote, recording it; returns
+/// the updated line.
+fn scan_string(b: &[char], i: &mut usize, mut line: usize, out: &mut Lexed) -> usize {
     *i += 1; // opening quote
+    let (start, start_line) = (*i, line);
     while *i < b.len() {
         match b[*i] {
-            '\\' => *i += 2,
+            '\\' => {
+                // A `\` line continuation still ends a source line.
+                if b.get(*i + 1) == Some(&'\n') {
+                    line += 1;
+                }
+                *i += 2;
+            }
             '"' => {
+                out.strings.push(StrLit {
+                    line: start_line,
+                    text: b[start..*i].iter().collect(),
+                    raw: false,
+                });
                 *i += 1;
                 return line;
             }
@@ -329,8 +361,32 @@ mod tests {
     }
 
     #[test]
+    fn string_literals_are_recorded_with_their_source_text() {
+        let src = "let a = \"k\\\":1\";\nlet b = r#\"{\"k\":2}\"#;\nlet c = b\"x\";";
+        let lexed = lex(src);
+        let got: Vec<(usize, &str, bool)> = lexed
+            .strings
+            .iter()
+            .map(|s| (s.line, s.text.as_str(), s.raw))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (1, "k\\\":1", false),
+                (2, "{\"k\":2}", true),
+                (3, "x", false)
+            ]
+        );
+    }
+
+    #[test]
     fn line_numbers_survive_multiline_strings() {
         let src = "let a = \"one\ntwo\";\nlet target = 1;";
+        let lexed = lex(src);
+        let t = lexed.tokens.iter().find(|t| t.text == "target").unwrap();
+        assert_eq!(t.line, 3);
+        // … and `\`-continued ones.
+        let src = "let a = \"one\\\n     two\";\nlet target = 1;";
         let lexed = lex(src);
         let t = lexed.tokens.iter().find(|t| t.text == "target").unwrap();
         assert_eq!(t.line, 3);

@@ -124,6 +124,16 @@ pub fn all_rules() -> Vec<Rule> {
             exclude: &[],
             check: check_no_exact_audit_live,
         },
+        Rule {
+            name: "one-json-writer",
+            description: "no escaped JSON key (`\\\":`) inside a string literal — \
+                          documents and protocol replies are built as \
+                          unet::json values and rendered by its one writer, \
+                          which keeps integers integers and escapes strings",
+            include: &["crates/core/src/**", "crates/surrogate/src/**", "src/**"],
+            exclude: &[],
+            check: check_one_json_writer,
+        },
     ]
 }
 
@@ -371,6 +381,28 @@ fn check_no_exact_audit_live(model: &FileModel) -> Vec<Finding> {
     out
 }
 
+/// A string literal that spells a JSON key by hand: `\":` in an ordinary
+/// literal, `":` in a raw one. Reported at the line of the key, which for
+/// a multi-line literal is not the line it opens on.
+fn check_one_json_writer(model: &FileModel) -> Vec<Finding> {
+    let mut out = Vec::new();
+    for lit in &model.lexed.strings {
+        let key_end = if lit.raw { "\":" } else { "\\\":" };
+        for (at, _) in lit.text.match_indices(key_end) {
+            out.push(finding(
+                "one-json-writer",
+                model,
+                lit.line + lit.text[..at].matches('\n').count(),
+                "a JSON key spelled inside a string literal — build the \
+                 document as a `unet::json::Json` value (`Json::obj`, \
+                 `.into()`) and let `render()` write it"
+                    .into(),
+            ));
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,6 +501,20 @@ mod tests {
             "use crate::sim::total_energy_of; fn f(s: &TimeSample, sim: &Simulation) -> f64 { s.total_energy + sim.live_energy() }",
         );
         assert!(check_no_exact_audit_live(&m).is_empty());
+    }
+
+    #[test]
+    fn one_json_writer_catches_escaped_and_raw_keys_on_their_own_lines() {
+        let src = "fn f(id: &str) -> String {\n    format!(\n        \"{{\\\"ok\\\":true,\\\n         \\\"id\\\":{id}}}\"\n    ) + r#\"{\"k\":1}\"#\n}\n";
+        let found = check_one_json_writer(&model("crates/core/src/serve.rs", src));
+        let lines: Vec<usize> = found.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![3, 4, 5], "{src}");
+    }
+
+    #[test]
+    fn one_json_writer_ignores_quotes_and_colons_that_are_not_keys() {
+        let src = "fn f() { let a = \"say \\\"hi\\\" then: go\"; let b = \"k:v\"; let c = (\"ok\", true); }";
+        assert!(check_one_json_writer(&model("src/bin/asura.rs", src)).is_empty());
     }
 
     #[test]

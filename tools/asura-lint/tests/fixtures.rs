@@ -66,6 +66,18 @@ fn bad_tree_trips_every_rule() {
         "no-exact-audit-live",
         "crates/core/src/diagnostics.rs:5",
     );
+    assert_finding(&report, "one-json-writer", "crates/core/src/supervise.rs:4");
+    assert_finding(&report, "one-json-writer", "crates/core/src/supervise.rs:8");
+    assert_finding(
+        &report,
+        "one-json-writer",
+        "crates/surrogate/src/model.rs:5",
+    );
+    assert_finding(
+        &report,
+        "one-json-writer",
+        "crates/surrogate/src/model.rs:6",
+    );
     // The reasonless suppression in sim.rs is itself a finding and does
     // NOT silence the wall-clock read it sits above.
     assert_finding(&report, "lint-allow", "crates/core/src/sim.rs:4");
@@ -125,6 +137,7 @@ fn list_rules_prints_the_catalog() {
         "no-wallclock-determinism",
         "ordered-iteration",
         "no-exact-audit-live",
+        "one-json-writer",
     ] {
         assert!(text.contains(rule), "catalog missing {rule}:\n{text}");
     }
