@@ -13,20 +13,28 @@
 //! Writes `BENCH_serve.json` at the repo root so subsequent PRs have a
 //! trajectory.
 
-use asura_core::serve;
-use std::path::{Path, PathBuf};
+use asura_core::serve::{self, RunOverrides, RunState};
+use bench::{BenchDoc, Better};
+use std::path::Path;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
+use unet::json::{parse_json, Json};
 
 const BIN: &str = env!("CARGO_BIN_EXE_asura");
 const RUNS: usize = 2;
 const STEPS: u64 = 6;
-const OVERRIDES: &str = "{\"steps\":6,\"snapshot_every\":2}";
 
 fn request_one(addr: &str, line: &str) -> String {
     let mut lines = serve::request(addr, line).expect("daemon reachable");
     assert_eq!(lines.len(), 1, "{line}: expected one response line");
     lines.pop().unwrap()
+}
+
+/// String field `key` of a reply line.
+fn field(reply: &str, key: &str) -> String {
+    parse_json(reply)
+        .and_then(|doc| doc.at(key, Json::as_str).map(str::to_string))
+        .unwrap_or_else(|e| panic!("{e} in reply {reply}"))
 }
 
 /// Run the two-run fleet at the given concurrency; returns the wall time
@@ -53,29 +61,28 @@ fn fleet_wall(root: &Path, max_concurrent: usize) -> f64 {
         std::thread::sleep(Duration::from_millis(10));
     };
 
+    let overrides = RunOverrides {
+        steps: Some(STEPS),
+        snapshot_every: Some(2),
+        ..Default::default()
+    }
+    .to_json();
     let start = Instant::now();
     let mut ids = Vec::new();
     for _ in 0..RUNS {
-        let reply = request_one(&addr, &format!("SUBMIT quickstart {OVERRIDES}"));
-        assert!(reply.contains("\"ok\":true"), "SUBMIT failed: {reply}");
-        let id = reply
-            .split("\"id\":\"")
-            .nth(1)
-            .and_then(|r| r.split('"').next())
-            .expect("id in SUBMIT reply");
-        ids.push(id.to_string());
+        let reply = request_one(&addr, &format!("SUBMIT quickstart {overrides}"));
+        assert!(serve::reply_ok(&reply), "SUBMIT failed: {reply}");
+        ids.push(field(&reply, "id"));
     }
     let deadline = Instant::now() + Duration::from_secs(300);
     for id in &ids {
         loop {
             let reply = request_one(&addr, &format!("STATUS {id}"));
-            if reply.contains("\"state\":\"completed\"") {
-                break;
+            match RunState::parse(&field(&reply, "state")) {
+                Some(RunState::Completed) => break,
+                Some(state) if state.is_terminal() => panic!("{id} did not complete: {reply}"),
+                _ => {}
             }
-            assert!(
-                !reply.contains("\"state\":\"failed\"") && !reply.contains("\"state\":\"gave_up\""),
-                "{id} did not complete: {reply}"
-            );
             assert!(Instant::now() < deadline, "{id} still running after 300s");
             std::thread::sleep(Duration::from_millis(20));
         }
@@ -83,7 +90,7 @@ fn fleet_wall(root: &Path, max_concurrent: usize) -> f64 {
     let wall = start.elapsed().as_secs_f64();
 
     let reply = request_one(&addr, "SHUTDOWN");
-    assert!(reply.contains("\"ok\":true"), "SHUTDOWN failed: {reply}");
+    assert!(serve::reply_ok(&reply), "SHUTDOWN failed: {reply}");
     assert!(daemon.wait().expect("daemon exit").success());
     wall
 }
@@ -102,12 +109,12 @@ fn main() {
          serial {serial:.3} s  concurrent {concurrent:.3} s  overlap x{overlap_speedup:.3}"
     );
 
-    let json = format!(
-        "{{\n  \"scenario\": \"quickstart\",\n  \"runs\": {RUNS},\n  \"steps_per_run\": {STEPS},\n  \
-         \"serial_wall_s\": {serial:.4},\n  \"concurrent_wall_s\": {concurrent:.4},\n  \
-         \"overlap_speedup\": {overlap_speedup:.4}\n}}\n"
-    );
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("BENCH_serve.json");
-    std::fs::write(&path, json).expect("write BENCH_serve.json");
-    println!("[artifact] {}", path.display());
+    BenchDoc::new()
+        .info("scenario", "quickstart")
+        .info("runs", RUNS)
+        .info("steps_per_run", STEPS)
+        .info("serial_wall_s", serial)
+        .info("concurrent_wall_s", concurrent)
+        .gated("overlap_speedup", overlap_speedup, Better::Higher)
+        .write("BENCH_serve.json");
 }

@@ -29,7 +29,7 @@ use asura::surrogate_train::{self, TrainSpec};
 use asura_core::pool::UNetPredictor;
 use asura_core::sim::total_energy_of;
 use asura_core::{Particle, Simulation};
-use std::path::PathBuf;
+use bench::{BenchDoc, Better};
 use std::time::Instant;
 
 /// Scenario seed for both deployment runs (not the training seeds).
@@ -128,17 +128,17 @@ fn main() {
         "surrogate must beat the conventional twin on wall clock"
     );
 
-    let json = format!(
-        "{{\n  \"scenario\": \"supernova_remnant\",\n  \"surrogate_steps\": {STEPS},\n  \
-         \"t_end_myr\": {t_end:.6},\n  \"conventional_steps\": {conventional_steps},\n  \
-         \"train_wall_s\": {train_wall:.4},\n  \"surrogate_wall_s\": {surrogate_wall:.4},\n  \
-         \"conventional_wall_s\": {conventional_wall:.4},\n  \
-         \"surrogate_energy_err\": {err_surr:.6e},\n  \
-         \"conventional_energy_err\": {err_conv:.6e},\n  \
-         \"surrogate_speedup\": {surrogate_speedup:.4},\n  \
-         \"energy_err_ratio\": {energy_err_ratio:.6}\n}}\n"
-    );
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("BENCH_surrogate.json");
-    std::fs::write(&path, json).expect("write BENCH_surrogate.json");
-    println!("[artifact] {}", path.display());
+    BenchDoc::new()
+        .info("scenario", "supernova_remnant")
+        .info("surrogate_steps", STEPS)
+        .info("t_end_myr", t_end)
+        .info("conventional_steps", conventional_steps)
+        .info("train_wall_s", train_wall)
+        .info("surrogate_wall_s", surrogate_wall)
+        .info("conventional_wall_s", conventional_wall)
+        .info("surrogate_energy_err", err_surr)
+        .info("conventional_energy_err", err_conv)
+        .gated("surrogate_speedup", surrogate_speedup, Better::Higher)
+        .gated("energy_err_ratio", energy_err_ratio, Better::Lower)
+        .write("BENCH_surrogate.json");
 }

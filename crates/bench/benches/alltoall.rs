@@ -2,6 +2,7 @@
 //! optimization), measured on real mpisim ranks. Writes the
 //! `BENCH_alltoall.json` trajectory artifact at the repo root.
 
+use bench::BenchDoc;
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use mpisim::{TorusDims, World};
 use std::hint::black_box;
@@ -38,10 +39,7 @@ criterion_group!(benches, bench_alltoall);
 
 fn main() {
     benches();
-    let records = criterion::take_records();
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_alltoall.json");
-    criterion::write_artifact(&path, &records);
-    println!("[artifact] {}", path.display());
+    BenchDoc::new()
+        .records(criterion::take_records())
+        .write("BENCH_alltoall.json");
 }

@@ -16,8 +16,10 @@
 //! perf trajectory.
 
 use asura_core::{Particle, Scheme, SimConfig, Simulation, TimestepMode};
+use bench::{BenchDoc, Better};
 use fdps::Vec3;
 use std::time::Instant;
+use unet::json::Json;
 
 const N_SIDE: usize = 10;
 const DT_BASE: f64 = 2.0e-3;
@@ -153,54 +155,45 @@ fn main() {
         block.modeled_efficiency
     );
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"n\": {},\n",
-            "  \"dt_base\": {},\n",
-            "  \"base_steps\": {},\n",
-            "  \"max_level_cap\": {},\n",
-            "  \"global\": {{\"wall_s\": {:.4}, \"steps\": {}, \"updates\": {}, \"dt_min\": {:.6e}, \"tree_rebuilds\": {},\n",
-            "             \"sph_tree_refreshes\": {}, \"sph_tree_rebuilds\": {}}},\n",
-            "  \"block\": {{\"wall_s\": {:.4}, \"base_steps\": {}, \"substeps\": {}, \"updates\": {}, \"dt_min\": {:.6e},\n",
-            "            \"max_level\": {}, \"substeps_per_base_step\": {}, \"tree_refreshes\": {}, \"tree_rebuilds\": {},\n",
-            "            \"sph_tree_refreshes\": {}, \"sph_tree_rebuilds\": {}}},\n",
-            "  \"update_ratio\": {:.3},\n",
-            "  \"wall_speedup\": {:.3},\n",
-            "  \"modeled_block_efficiency\": {:.4},\n",
-            "  \"threads\": {}\n",
-            "}}\n"
-        ),
-        n,
-        DT_BASE,
-        BASE_STEPS,
-        MAX_LEVEL,
-        global.wall_s,
-        global.steps,
-        global.updates,
-        global.dt_min,
-        global.rebuilds,
-        global.sph_refreshes,
-        global.sph_rebuilds,
-        block.wall_s,
-        block.steps,
-        block.substeps,
-        block.updates,
-        block.dt_min,
-        block.max_level,
-        block.predicted_substeps,
-        block.refreshes,
-        block.rebuilds,
-        block.sph_refreshes,
-        block.sph_rebuilds,
-        update_ratio,
-        speedup,
-        block.modeled_efficiency,
-        rayon::current_num_threads(),
-    );
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_blockstep.json");
-    std::fs::write(&path, json).expect("write BENCH_blockstep.json");
-    println!("[artifact] {}", path.display());
+    BenchDoc::new()
+        .info("n", n)
+        .info("dt_base", DT_BASE)
+        .info("base_steps", BASE_STEPS)
+        .info("max_level_cap", MAX_LEVEL)
+        .info(
+            "global",
+            Json::obj([
+                ("wall_s", global.wall_s.into()),
+                ("steps", global.steps.into()),
+                ("updates", global.updates.into()),
+                ("dt_min", global.dt_min.into()),
+                ("tree_rebuilds", global.rebuilds.into()),
+                ("sph_tree_refreshes", global.sph_refreshes.into()),
+                ("sph_tree_rebuilds", global.sph_rebuilds.into()),
+            ]),
+        )
+        .info(
+            "block",
+            Json::obj([
+                ("wall_s", block.wall_s.into()),
+                ("base_steps", block.steps.into()),
+                ("substeps", block.substeps.into()),
+                ("updates", block.updates.into()),
+                ("dt_min", block.dt_min.into()),
+                ("max_level", block.max_level.into()),
+                ("substeps_per_base_step", block.predicted_substeps.into()),
+                ("tree_refreshes", block.refreshes.into()),
+                ("tree_rebuilds", block.rebuilds.into()),
+                ("sph_tree_refreshes", block.sph_refreshes.into()),
+                ("sph_tree_rebuilds", block.sph_rebuilds.into()),
+            ]),
+        )
+        .gated("update_ratio", update_ratio, Better::Higher)
+        .gated("wall_speedup", speedup, Better::Higher)
+        .gated(
+            "modeled_block_efficiency",
+            block.modeled_efficiency,
+            Better::Higher,
+        )
+        .write("BENCH_blockstep.json");
 }

@@ -25,9 +25,11 @@
 
 use asura_core::dist::{run_distributed, DistConfig, DistReport, PredictorKind};
 use asura_core::{Particle, Scheme, SimConfig, TimestepMode};
+use bench::{BenchDoc, Better};
 use fdps::exchange::Routing;
 use fdps::Vec3;
 use std::time::Instant;
+use unet::json::Json;
 
 const N_SIDE: usize = 8;
 const DT_BASE: f64 = 2.0e-3;
@@ -195,55 +197,42 @@ fn main() {
          sync share: global {global_sync_share:.3} -> block {block_sync_share:.3}"
     );
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"n\": {},\n",
-            "  \"grid\": \"{}x{}x{}+{}\",\n",
-            "  \"dt_base\": {},\n",
-            "  \"base_steps\": {},\n",
-            "  \"max_level_cap\": {},\n",
-            "  \"global\": {{\"wall_s\": {:.4}, \"steps\": {}, \"updates\": {}, \"phase_total_s\": {:.4},\n",
-            "             \"sync_s\": {:.4}, \"sync_share\": {:.4}}},\n",
-            "  \"block\": {{\"wall_s\": {:.4}, \"base_steps\": {}, \"substeps\": {}, \"updates\": {},\n",
-            "            \"phase_total_s\": {:.4}, \"sync_s\": {:.4}, \"tree_refreshes\": {}, \"tree_rebuilds\": {},\n",
-            "            \"sph_tree_refreshes\": {}, \"sph_tree_rebuilds\": {}}},\n",
-            "  \"update_ratio\": {:.3},\n",
-            "  \"block_sync_share\": {:.4},\n",
-            "  \"threads\": {}\n",
-            "}}\n"
-        ),
-        n,
-        GRID.0,
-        GRID.1,
-        GRID.2,
-        N_POOL,
-        DT_BASE,
-        BASE_STEPS,
-        MAX_LEVEL,
-        global.wall_s,
-        global.report.steps,
-        g_updates,
-        global.phase_total_s,
-        global.sync_s,
-        global_sync_share,
-        block.wall_s,
-        block.report.steps,
-        substeps,
-        b_updates,
-        block.phase_total_s,
-        block.sync_s,
-        refreshes,
-        rebuilds,
-        sph_refreshes,
-        sph_rebuilds,
-        update_ratio,
-        block_sync_share,
-        rayon::current_num_threads(),
-    );
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_dist_blockstep.json");
-    std::fs::write(&path, json).expect("write BENCH_dist_blockstep.json");
-    println!("[artifact] {}", path.display());
+    BenchDoc::new()
+        .info("n", n)
+        .info(
+            "grid",
+            format!("{}x{}x{}+{}", GRID.0, GRID.1, GRID.2, N_POOL),
+        )
+        .info("dt_base", DT_BASE)
+        .info("base_steps", BASE_STEPS)
+        .info("max_level_cap", MAX_LEVEL)
+        .info(
+            "global",
+            Json::obj([
+                ("wall_s", global.wall_s.into()),
+                ("steps", global.report.steps.into()),
+                ("updates", g_updates.into()),
+                ("phase_total_s", global.phase_total_s.into()),
+                ("sync_s", global.sync_s.into()),
+                ("sync_share", global_sync_share.into()),
+            ]),
+        )
+        .info(
+            "block",
+            Json::obj([
+                ("wall_s", block.wall_s.into()),
+                ("base_steps", block.report.steps.into()),
+                ("substeps", substeps.into()),
+                ("updates", b_updates.into()),
+                ("phase_total_s", block.phase_total_s.into()),
+                ("sync_s", block.sync_s.into()),
+                ("tree_refreshes", refreshes.into()),
+                ("tree_rebuilds", rebuilds.into()),
+                ("sph_tree_refreshes", sph_refreshes.into()),
+                ("sph_tree_rebuilds", sph_rebuilds.into()),
+            ]),
+        )
+        .gated("update_ratio", update_ratio, Better::Higher)
+        .info("block_sync_share", block_sync_share)
+        .write("BENCH_dist_blockstep.json");
 }

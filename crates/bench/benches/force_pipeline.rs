@@ -21,6 +21,7 @@
 //! perf trajectory, and prints the walk speedup (target: >= 2x) and the
 //! kernel simd speedup (target: >= 1.5x).
 
+use bench::{BenchDoc, Better};
 use fdps::walk::{InteractionList, WalkScratch};
 use fdps::{Tree, Vec3};
 use gravity::kernel::{accumulate_f64, accumulate_f64_soa, accumulate_mixed_staged, GravityAccum};
@@ -206,44 +207,19 @@ fn main() {
     println!("kernel mixed (staged): {ns_per_inter_mixed:.3} ns/interaction");
     println!("simd_speedup: {simd_speedup:.2}x (target >= 1.5x)");
 
-    // Trajectory artifact at the repo root.
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"n\": {},\n",
-            "  \"theta\": {},\n",
-            "  \"n_group\": {},\n",
-            "  \"n_groups\": {},\n",
-            "  \"total_list_len\": {},\n",
-            "  \"walk_recursive_alloc_lists_per_sec\": {:.1},\n",
-            "  \"walk_indexed_serial_lists_per_sec\": {:.1},\n",
-            "  \"walk_indexed_parallel_lists_per_sec\": {:.1},\n",
-            "  \"walk_speedup\": {:.3},\n",
-            "  \"kernel_f64_ns_per_interaction\": {:.4},\n",
-            "  \"kernel_f64_soa_ns_per_interaction\": {:.4},\n",
-            "  \"kernel_mixed_ns_per_interaction\": {:.4},\n",
-            "  \"simd_speedup\": {:.3},\n",
-            "  \"threads\": {}\n",
-            "}}\n"
-        ),
-        N,
-        THETA,
-        N_GROUP,
-        n_groups,
-        len_par,
-        lists_per_sec_rec,
-        lists_per_sec_ser,
-        lists_per_sec_par,
-        speedup,
-        ns_per_inter_f64,
-        ns_per_inter_soa,
-        ns_per_inter_mixed,
-        simd_speedup,
-        rayon::current_num_threads(),
-    );
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_force.json");
-    std::fs::write(&path, json).expect("write BENCH_force.json");
-    println!("[artifact] {}", path.display());
+    BenchDoc::new()
+        .info("n", N)
+        .info("theta", THETA)
+        .info("n_group", N_GROUP)
+        .info("n_groups", n_groups)
+        .info("total_list_len", len_par)
+        .info("walk_recursive_alloc_lists_per_sec", lists_per_sec_rec)
+        .info("walk_indexed_serial_lists_per_sec", lists_per_sec_ser)
+        .info("walk_indexed_parallel_lists_per_sec", lists_per_sec_par)
+        .gated("walk_speedup", speedup, Better::Higher)
+        .info("kernel_f64_ns_per_interaction", ns_per_inter_f64)
+        .info("kernel_f64_soa_ns_per_interaction", ns_per_inter_soa)
+        .info("kernel_mixed_ns_per_interaction", ns_per_inter_mixed)
+        .gated("simd_speedup", simd_speedup, Better::Higher)
+        .write("BENCH_force.json");
 }

@@ -11,6 +11,7 @@
 //! with one walk per leaf it is the reciprocal of (targets per leaf ×
 //! iterations per target).
 
+use bench::{BenchDoc, Better};
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use fdps::{Tree, Vec3};
 use gravity::GravitySolver;
@@ -258,11 +259,8 @@ criterion_group!(
 
 fn main() {
     benches();
-    let records = criterion::take_records();
-    let ratio = h_iter_walk_ratio();
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_tree_walk.json");
-    criterion::write_artifact_with_metrics(&path, &records, &[("h_iter_walk_ratio", ratio)]);
-    println!("[artifact] {}", path.display());
+    BenchDoc::new()
+        .records(criterion::take_records())
+        .gated("h_iter_walk_ratio", h_iter_walk_ratio(), Better::Lower)
+        .write("BENCH_tree_walk.json");
 }

@@ -18,6 +18,7 @@
 //!   count, same run, same machine — throughput ratio = time ratio, so
 //!   runner speed cancels and the bench-gate can hold the line on it.
 
+use bench::{BenchDoc, Better};
 use criterion::{criterion_group, BenchRecord, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
@@ -161,10 +162,8 @@ fn main() {
     benches();
     let mut records = criterion::take_records();
     records.extend(paper_grid_single_shot());
-    let ratio = conv_gflops_ratio();
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_unet_infer.json");
-    criterion::write_artifact_with_metrics(&path, &records, &[("conv_gflops_ratio", ratio)]);
-    println!("[artifact] {}", path.display());
+    BenchDoc::new()
+        .records(records)
+        .gated("conv_gflops_ratio", conv_gflops_ratio(), Better::Higher)
+        .write("BENCH_unet_infer.json");
 }

@@ -1,19 +1,140 @@
-//! Shared helpers for the benchmark harness binaries.
+//! The bench harness's one shared module: what a bench result *is*.
 //!
-//! Every paper table/figure has a binary in `src/bin/` that prints the
-//! regenerated rows/series to stdout and writes CSV artifacts under
-//! `results/` (see DESIGN.md's experiment index).
+//! Every `BENCH_*.json` at the repo root is a [`BenchDoc`]: scalars and
+//! nested objects in the order the bench reports them, the criterion
+//! shim's `records`, the `threads` the numbers were taken at, and a
+//! `"gated"` object naming which top-level scalars gate and which way is
+//! better. `tools/bench-gate` reads that declaration back through
+//! [`gates`] — it holds no per-file table — so making a metric gated is
+//! one [`BenchDoc::gated`] call in the bench that measures it (ROADMAP
+//! "Benchmarks & gating").
+//!
+//! The CSV helpers below serve `src/bin/validate_surrogate.rs`.
 
 #![forbid(unsafe_code)]
 
+use criterion::BenchRecord;
+use std::fmt;
 use std::fs;
 use std::path::PathBuf;
+use std::str::FromStr;
+use unet::json::Json;
+
+fn repo_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// Which way "better" points for a gated metric.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Better {
+    Higher,
+    Lower,
+}
+
+impl fmt::Display for Better {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Better::Higher => "higher",
+            Better::Lower => "lower",
+        })
+    }
+}
+
+impl FromStr for Better {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "higher" => Ok(Better::Higher),
+            "lower" => Ok(Better::Lower),
+            other => Err(format!("expected `higher` or `lower`, got `{other}`")),
+        }
+    }
+}
+
+/// Key of the gate declaration inside a bench document.
+const GATED: &str = "gated";
+
+/// One bench result document, built in the order it is reported.
+#[derive(Default)]
+pub struct BenchDoc {
+    fields: Vec<(String, Json)>,
+    gated: Vec<(String, Json)>,
+}
+
+impl BenchDoc {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An informational entry — a count, a wall time, a label, a nested
+    /// object of them: the gate reports it and never fails on it.
+    pub fn info(mut self, name: &str, value: impl Into<Json>) -> Self {
+        self.fields.push((name.to_string(), value.into()));
+        self
+    }
+
+    /// A gated scalar: a machine-independent quantity measured within one
+    /// run, which the gate fails on when it moves the wrong way beyond its
+    /// tolerance or stops being a number.
+    pub fn gated(mut self, name: &str, value: f64, better: Better) -> Self {
+        self.gated
+            .push((name.to_string(), better.to_string().into()));
+        self.info(name, value)
+    }
+
+    /// The criterion shim's measurements (`criterion::take_records()`),
+    /// informational and matched by name.
+    pub fn records(self, records: Vec<BenchRecord>) -> Self {
+        let rows = records.into_iter().map(|r| {
+            Json::obj([
+                ("name", r.name.into()),
+                ("ns_per_iter", r.ns_per_iter.into()),
+                ("iters", r.iters.into()),
+            ])
+        });
+        self.info("records", Json::Arr(rows.collect()))
+    }
+
+    fn render(mut self, threads: usize) -> String {
+        self.fields.push(("threads".to_string(), threads.into()));
+        self.fields.push((GATED.to_string(), Json::Obj(self.gated)));
+        let mut text = Json::Obj(self.fields).render();
+        text.push('\n');
+        text
+    }
+
+    /// Write the document to `file` at the repo root, stamped with the
+    /// pool's thread count.
+    pub fn write(self, file: &str) {
+        let path = repo_root().join(file);
+        let text = self.render(rayon::current_num_threads());
+        fs::write(&path, text).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        println!("[artifact] {}", path.display());
+    }
+}
+
+/// The gates a parsed bench document declares, in document order; a
+/// document without the declaration gates nothing.
+pub fn gates(doc: &Json) -> Result<Vec<(String, Better)>, String> {
+    let Ok(declared) = doc.get(GATED) else {
+        return Ok(Vec::new());
+    };
+    let Json::Obj(fields) = declared else {
+        return Err(format!("`{GATED}` must be an object, got {declared:?}"));
+    };
+    fields
+        .iter()
+        .map(|(name, better)| match better.as_parsed() {
+            Ok(better) => Ok((name.clone(), better)),
+            Err(e) => Err(format!("`{GATED}.{name}`: {e}")),
+        })
+        .collect()
+}
 
 /// Directory where harness binaries drop their CSV artifacts.
 pub fn results_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("results");
+    let dir = repo_root().join("results");
     fs::create_dir_all(&dir).expect("create results dir");
     dir
 }
@@ -41,7 +162,9 @@ pub fn sci(v: f64) -> String {
 
 #[cfg(test)]
 mod tests {
+    use super::Better::{Higher, Lower};
     use super::*;
+    use unet::json::parse_json;
 
     #[test]
     fn sci_formats_both_regimes() {
@@ -55,5 +178,129 @@ mod tests {
     fn results_dir_is_creatable() {
         let d = results_dir();
         assert!(d.exists());
+    }
+
+    #[test]
+    fn bench_doc_bytes_are_stable() {
+        let text = BenchDoc::new()
+            .info("n", 1000usize)
+            .info("dt_base", 0.002)
+            .info("grid", "2x1x1+1")
+            .info(
+                "block",
+                Json::obj([("wall_s", 1.5.into()), ("substeps", 256u64.into())]),
+            )
+            .gated("update_ratio", 6.035, Higher)
+            .gated("h_iter_walk_ratio", 0.115756, Lower)
+            .records(vec![BenchRecord {
+                name: "g/\"q\"".into(),
+                ns_per_iter: 12.5,
+                iters: 7,
+            }])
+            .render(2);
+        assert_eq!(
+            text,
+            concat!(
+                r#"{"n":1000,"dt_base":0.002,"grid":"2x1x1+1","#,
+                r#""block":{"wall_s":1.5,"substeps":256},"#,
+                r#""update_ratio":6.035,"h_iter_walk_ratio":0.115756,"#,
+                r#""records":[{"name":"g/\"q\"","ns_per_iter":12.5,"iters":7}],"#,
+                r#""threads":2,"#,
+                r#""gated":{"update_ratio":"higher","h_iter_walk_ratio":"lower"}}"#,
+                "\n"
+            )
+        );
+    }
+
+    #[test]
+    fn records_registry_captures_and_serializes_measurements() {
+        let _ = criterion::take_records();
+        criterion::Criterion::default().bench_function("artifact/\"quoted\"", |b| {
+            b.iter(|| criterion::black_box(1 + 1))
+        });
+        let records = criterion::take_records();
+        assert_eq!(records.len(), 1);
+        assert!(records[0].ns_per_iter >= 0.0);
+        assert!(records[0].iters >= 10);
+        let doc = parse_json(&BenchDoc::new().records(records).render(1)).unwrap();
+        let rows = doc.at("records", Json::as_arr).unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(
+            rows[0].at("name", Json::as_str).unwrap(),
+            "artifact/\"quoted\""
+        );
+        assert!(rows[0].at("iters", Json::as_u64).unwrap() >= 10);
+    }
+
+    #[test]
+    fn artifact_metrics_land_as_top_level_scalars() {
+        let records = vec![BenchRecord {
+            name: "g/b".into(),
+            ns_per_iter: 12.5,
+            iters: 7,
+        }];
+        let text = BenchDoc::new()
+            .records(records)
+            .gated("conv_gflops_ratio", 39.25, Higher)
+            .render(1);
+        let doc = parse_json(&text).unwrap();
+        assert_eq!(doc.get("conv_gflops_ratio"), Ok(&Json::Num(39.25)));
+        assert_eq!(doc.at("records", Json::as_arr).unwrap().len(), 1);
+        assert_eq!(
+            gates(&doc).unwrap(),
+            [("conv_gflops_ratio".to_string(), Higher)]
+        );
+    }
+
+    #[test]
+    fn a_gate_declaration_that_is_not_a_direction_is_an_error() {
+        let doc = parse_json(r#"{"x": 1.0, "gated": {"x": "sideways"}}"#).unwrap();
+        assert!(gates(&doc).unwrap_err().contains("gated.x"));
+        let doc = parse_json(r#"{"x": 1.0, "gated": ["x"]}"#).unwrap();
+        assert!(gates(&doc).is_err());
+        assert_eq!(gates(&parse_json(r#"{"x": 1.0}"#).unwrap()), Ok(vec![]));
+    }
+
+    /// A gate dropped from a checked-in baseline (or from the bench that
+    /// refreshes it) is a red test, not a silently passing gate.
+    #[test]
+    fn checked_in_baselines_declare_todays_gates() {
+        let expected: [(&str, &[(&str, Better)]); 8] = [
+            (
+                "BENCH_force.json",
+                &[("walk_speedup", Higher), ("simd_speedup", Higher)],
+            ),
+            (
+                "BENCH_blockstep.json",
+                &[
+                    ("update_ratio", Higher),
+                    ("wall_speedup", Higher),
+                    ("modeled_block_efficiency", Higher),
+                ],
+            ),
+            ("BENCH_dist_blockstep.json", &[("update_ratio", Higher)]),
+            ("BENCH_tree_walk.json", &[("h_iter_walk_ratio", Lower)]),
+            ("BENCH_unet_infer.json", &[("conv_gflops_ratio", Higher)]),
+            ("BENCH_serve.json", &[("overlap_speedup", Higher)]),
+            (
+                "BENCH_surrogate.json",
+                &[("surrogate_speedup", Higher), ("energy_err_ratio", Lower)],
+            ),
+            ("BENCH_alltoall.json", &[]),
+        ];
+        for (file, want) in expected {
+            let text = fs::read_to_string(repo_root().join(file)).expect(file);
+            let doc = parse_json(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
+            let got = gates(&doc).unwrap_or_else(|e| panic!("{file}: {e}"));
+            let want: Vec<_> = want.iter().map(|&(n, b)| (n.to_string(), b)).collect();
+            assert_eq!(got, want, "{file}");
+            for (name, _) in &got {
+                let value = doc.get(name).unwrap_or_else(|e| panic!("{file}: {e}"));
+                assert!(
+                    matches!(value, Json::Num(v) if v.is_finite()),
+                    "{file}: gated `{name}` is {value:?}"
+                );
+            }
+        }
     }
 }

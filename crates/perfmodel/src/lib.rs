@@ -1,9 +1,10 @@
 //! # perfmodel — machine models and scaling extrapolation
 //!
 //! We do not have Fugaku (158,976 A64FX nodes on a TofuD torus), the Rusty
-//! genoa partition, or Miyabi GH200 nodes. Per DESIGN.md, this crate stands
-//! in for them: analytic machine/network models whose *cost terms* are the
-//! ones the paper derives —
+//! genoa partition, or Miyabi GH200 nodes. This crate stands in for them
+//! (ROADMAP open item 4b decides whether it stays): analytic
+//! machine/network models whose *cost terms* are the ones the paper
+//! derives —
 //!
 //! * interaction work `O(N (log N + n_g))` split between gravity
 //!   (27 ops), density (73 ops) and hydro force (101 ops) kernels at the

@@ -11,7 +11,8 @@
 //!
 //! The training set substitutes the authors' 1 M_sun-resolution SN
 //! simulations with Sedov–Taylor blasts in `v^-4` turbulent boxes
-//! ([`training`]), as documented in DESIGN.md.
+//! ([`training`]); the recipe that trains on real conventional runs
+//! instead is ROADMAP "Surrogate training & deployment".
 
 #![forbid(unsafe_code)]
 

@@ -5,7 +5,7 @@
 //! the same structure: the *input* is a turbulent ambient cube just before
 //! the explosion; the *target* is the same cube 0.1 Myr later with the
 //! Sedov–Taylor blast (the analytic limit of the simulated shell) stamped
-//! onto it. See DESIGN.md for the substitution rationale.
+//! onto it.
 
 use crate::encode::encode_fields;
 use crate::voxel::{VoxelFields, VoxelGrid};

@@ -68,7 +68,7 @@ fn request_one(addr: &str, line: &str) -> String {
 
 fn submit(addr: &str, scenario: &str, overrides: &str) -> String {
     let reply = request_one(addr, &format!("SUBMIT {scenario} {overrides}"));
-    assert!(reply.contains("\"ok\":true"), "SUBMIT failed: {reply}");
+    assert!(serve::reply_ok(&reply), "SUBMIT failed: {reply}");
     let id = reply
         .split("\"id\":\"")
         .nth(1)
@@ -109,7 +109,7 @@ fn wait_state(addr: &str, id: &str, want: RunState) -> String {
 
 fn shutdown(addr: &str, mut daemon: Child) {
     let reply = request_one(addr, "SHUTDOWN");
-    assert!(reply.contains("\"ok\":true"), "SHUTDOWN failed: {reply}");
+    assert!(serve::reply_ok(&reply), "SHUTDOWN failed: {reply}");
     let status = daemon.wait().unwrap();
     assert!(status.success(), "daemon must exit cleanly, got {status}");
 }
@@ -210,7 +210,7 @@ fn cancel_dequeues_queued_runs_and_kills_running_ones() {
     assert!(reply.contains("\"state\":\"canceled\""), "{reply}");
     // Canceling a running run kills its child and records the outcome.
     let reply = request_one(&addr, &format!("CANCEL {running}"));
-    assert!(reply.contains("\"ok\":true"), "{reply}");
+    assert!(serve::reply_ok(&reply), "{reply}");
     wait_state(&addr, &running, RunState::Canceled);
     assert!(matches!(
         read_log(&root, &running).outcome,
@@ -261,6 +261,6 @@ fn protocol_errors_come_back_as_ok_false() {
     }
     // The daemon is unharmed by garbage requests.
     let reply = request_one(&addr, "LIST");
-    assert!(reply.contains("\"ok\":true"), "{reply}");
+    assert!(serve::reply_ok(&reply), "{reply}");
     shutdown(&addr, daemon);
 }

@@ -127,10 +127,19 @@ pub fn all_rules() -> Vec<Rule> {
         Rule {
             name: "one-json-writer",
             description: "no escaped JSON key (`\\\":`) inside a string literal — \
-                          documents and protocol replies are built as \
-                          unet::json values and rendered by its one writer, \
-                          which keeps integers integers and escapes strings",
-            include: &["crates/core/src/**", "crates/surrogate/src/**", "src/**"],
+                          documents, protocol replies and bench results \
+                          (bench::BenchDoc) are built as unet::json values and \
+                          rendered by its one writer, which keeps integers \
+                          integers and escapes strings",
+            include: &[
+                "crates/core/src/**",
+                "crates/surrogate/src/**",
+                "src/**",
+                "crates/bench/**",
+                "benches/**",
+                "tools/bench-gate/src/**",
+                "vendor/criterion/src/**",
+            ],
             exclude: &[],
             check: check_one_json_writer,
         },

@@ -10,387 +10,163 @@
 //! bench-gate --baseline-dir bench-baselines --current-dir . --tolerance 0.30
 //! ```
 //!
-//! Metrics fall into three classes, because CI runners are noisy:
+//! The gate holds no table of files or metrics. A bench document says
+//! itself which of its scalars gate and which way is better (its
+//! `"gated"` object, written by `bench::BenchDoc::gated` and read back by
+//! `bench::gates`); everything else in it is informational, because CI
+//! runners are noisy:
 //!
-//! * **Gated ratios** — machine-independent quantities (speedup ratios,
-//!   update savings, modeled efficiencies) measured *within* one run, so
-//!   runner throttling cancels out. A gated metric regressing by more
-//!   than `--tolerance` (default 30%) fails the job.
-//! * **Counters** — deterministic per-run counts (tree refreshes vs
-//!   rebuilds). Reported, and gated only in the *wrong direction* (e.g.
-//!   reuse disappearing entirely would show up as a gated ratio anyway).
-//! * **Informational** — absolute wall-clock and ns-per-iter numbers.
-//!   Reported with their delta but never failing: a shared runner's
-//!   absolute timings swing far more than any real regression they could
-//!   catch (this repo has measured 2x run-to-run variance on idle
-//!   containers with CPU shares).
+//! * **Gated** — the names the fresh document or its baseline declares:
+//!   machine-independent quantities (speedup ratios, update savings,
+//!   modeled efficiencies, deterministic counts) measured *within* one
+//!   run, so runner throttling cancels out. One regressing by more than
+//!   `--tolerance` (default 30%), or one the baseline had as a number and
+//!   the fresh document lacks or holds as `null` / a non-number, fails the
+//!   job.
+//! * **Informational** — every other numeric leaf and every `records`
+//!   entry (ns/iter, matched by name). Reported with their change, never
+//!   failing: a shared runner's absolute timings swing far more than any
+//!   real regression they could catch (this repo has measured 2x
+//!   run-to-run variance on idle containers with CPU shares).
 //!
 //! The gate prints one markdown table per file to the job log and exits
-//! non-zero iff a gated metric regressed. A *missing baseline* for a file
-//! is reported and passes (first run of a new bench); a missing *current*
-//! file fails — that's a CI wiring error, not a perf result.
+//! non-zero iff a gated metric failed. The files are the `BENCH_*.json`
+//! either directory holds, or the ones `--files` names. A *missing
+//! baseline* for a file is reported and passes (first run of a new bench);
+//! a missing *current* file fails — that's a CI wiring error, not a perf
+//! result.
 
 #![forbid(unsafe_code)]
 
+use bench::{gates, Better};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use unet::json::{parse_json, Json};
-
-/// Which way "better" points for a metric.
-#[derive(Clone, Copy, PartialEq)]
-enum Direction {
-    Higher,
-    Lower,
-}
-
-/// How a metric participates in the gate.
-#[derive(Clone, Copy, PartialEq)]
-enum Class {
-    /// Machine-independent ratio: regression beyond tolerance fails CI.
-    Gated,
-    /// Reported only; never fails.
-    Info,
-}
-
-/// One tracked scalar inside a `BENCH_*.json` document.
-struct Metric {
-    /// Object path from the document root, e.g. `["block", "wall_s"]`.
-    path: &'static [&'static str],
-    direction: Direction,
-    class: Class,
-}
-
-/// Tracked per-file metric specs. Files with a top-level `records` array
-/// (the criterion-shim registry format) are handled generically instead:
-/// every record's `ns_per_iter` is an informational lower-is-better row.
-fn tracked(file: &str) -> &'static [Metric] {
-    const BLOCKSTEP: &[Metric] = &[
-        Metric {
-            path: &["update_ratio"],
-            direction: Direction::Higher,
-            class: Class::Gated,
-        },
-        Metric {
-            path: &["wall_speedup"],
-            direction: Direction::Higher,
-            class: Class::Gated,
-        },
-        Metric {
-            path: &["modeled_block_efficiency"],
-            direction: Direction::Higher,
-            class: Class::Gated,
-        },
-        Metric {
-            path: &["block", "tree_refreshes"],
-            direction: Direction::Higher,
-            class: Class::Info,
-        },
-        Metric {
-            path: &["block", "tree_rebuilds"],
-            direction: Direction::Lower,
-            class: Class::Info,
-        },
-        Metric {
-            path: &["block", "sph_tree_refreshes"],
-            direction: Direction::Higher,
-            class: Class::Info,
-        },
-        Metric {
-            path: &["block", "sph_tree_rebuilds"],
-            direction: Direction::Lower,
-            class: Class::Info,
-        },
-        Metric {
-            path: &["global", "wall_s"],
-            direction: Direction::Lower,
-            class: Class::Info,
-        },
-        Metric {
-            path: &["block", "wall_s"],
-            direction: Direction::Lower,
-            class: Class::Info,
-        },
-    ];
-    const FORCE: &[Metric] = &[
-        Metric {
-            path: &["walk_speedup"],
-            direction: Direction::Higher,
-            class: Class::Gated,
-        },
-        Metric {
-            // AoS-reference time over SoA time for the f64 monopole
-            // kernel, measured within one run: machine-independent.
-            path: &["simd_speedup"],
-            direction: Direction::Higher,
-            class: Class::Gated,
-        },
-        Metric {
-            path: &["walk_indexed_parallel_lists_per_sec"],
-            direction: Direction::Higher,
-            class: Class::Info,
-        },
-        Metric {
-            path: &["kernel_f64_ns_per_interaction"],
-            direction: Direction::Lower,
-            class: Class::Info,
-        },
-        Metric {
-            path: &["kernel_f64_soa_ns_per_interaction"],
-            direction: Direction::Lower,
-            class: Class::Info,
-        },
-        Metric {
-            path: &["kernel_mixed_ns_per_interaction"],
-            direction: Direction::Lower,
-            class: Class::Info,
-        },
-    ];
-    const UNET_INFER: &[Metric] = &[Metric {
-        // Scalar-reference conv time over im2col+GEMM time on the same
-        // net and input — the achieved-GFLOPs ratio of the production
-        // forward. Within-run ratio, so runner speed cancels.
-        path: &["conv_gflops_ratio"],
-        direction: Direction::Higher,
-        class: Class::Gated,
-    }];
-    const TREE_WALK: &[Metric] = &[Metric {
-        // Tree walks per smoothing-length iteration across a density
-        // pass with a mediocre initial guess: 1.0 without the candidate
-        // cache, < 1.0 when re-filtering works. Deterministic count.
-        path: &["h_iter_walk_ratio"],
-        direction: Direction::Lower,
-        class: Class::Gated,
-    }];
-    const DIST_BLOCKSTEP: &[Metric] = &[
-        Metric {
-            // Deterministic update economy of the distributed active-set
-            // walk vs a lockstep walk at the same schedule depth.
-            path: &["update_ratio"],
-            direction: Direction::Higher,
-            class: Class::Gated,
-        },
-        Metric {
-            path: &["block_sync_share"],
-            direction: Direction::Lower,
-            class: Class::Info,
-        },
-        Metric {
-            path: &["block", "substeps"],
-            direction: Direction::Lower,
-            class: Class::Info,
-        },
-        Metric {
-            path: &["block", "tree_refreshes"],
-            direction: Direction::Higher,
-            class: Class::Info,
-        },
-        Metric {
-            path: &["block", "tree_rebuilds"],
-            direction: Direction::Lower,
-            class: Class::Info,
-        },
-        Metric {
-            path: &["global", "wall_s"],
-            direction: Direction::Lower,
-            class: Class::Info,
-        },
-        Metric {
-            path: &["block", "wall_s"],
-            direction: Direction::Lower,
-            class: Class::Info,
-        },
-    ];
-    const SERVE: &[Metric] = &[
-        Metric {
-            // Serial-fleet wall over concurrent-fleet wall, measured
-            // within one bench run: ~1.0 on a single core (only run I/O
-            // overlaps), higher with more cores. Gated because a daemon
-            // that serializes workers behind a lock or re-runs work drags
-            // it well below its own machine's baseline.
-            path: &["overlap_speedup"],
-            direction: Direction::Higher,
-            class: Class::Gated,
-        },
-        Metric {
-            path: &["serial_wall_s"],
-            direction: Direction::Lower,
-            class: Class::Info,
-        },
-        Metric {
-            path: &["concurrent_wall_s"],
-            direction: Direction::Lower,
-            class: Class::Info,
-        },
-    ];
-    const SURROGATE: &[Metric] = &[
-        Metric {
-            // Conventional-twin wall over surrogate wall for the same
-            // physical interval, measured within one bench invocation so
-            // runner speed cancels. The surrogate skipping the post-SN
-            // CFL collapse is the paper's headline claim — this must stay
-            // above 1.
-            path: &["surrogate_speedup"],
-            direction: Direction::Higher,
-            class: Class::Gated,
-        },
-        Metric {
-            // Surrogate energy-budget error over the conventional one.
-            // Both runs are bitwise deterministic, so this ratio is
-            // exactly reproducible — it bounds the fidelity cost of the
-            // speedup.
-            path: &["energy_err_ratio"],
-            direction: Direction::Lower,
-            class: Class::Gated,
-        },
-        Metric {
-            path: &["train_wall_s"],
-            direction: Direction::Lower,
-            class: Class::Info,
-        },
-        Metric {
-            path: &["surrogate_wall_s"],
-            direction: Direction::Lower,
-            class: Class::Info,
-        },
-        Metric {
-            path: &["conventional_wall_s"],
-            direction: Direction::Lower,
-            class: Class::Info,
-        },
-        Metric {
-            path: &["conventional_steps"],
-            direction: Direction::Higher,
-            class: Class::Info,
-        },
-    ];
-    match file {
-        "BENCH_blockstep.json" => BLOCKSTEP,
-        "BENCH_dist_blockstep.json" => DIST_BLOCKSTEP,
-        "BENCH_force.json" => FORCE,
-        "BENCH_unet_infer.json" => UNET_INFER,
-        "BENCH_tree_walk.json" => TREE_WALK,
-        "BENCH_serve.json" => SERVE,
-        "BENCH_surrogate.json" => SURROGATE,
-        _ => &[],
-    }
-}
 
 /// Outcome of one metric comparison.
 struct Row {
     name: String,
     baseline: Option<f64>,
     current: Option<f64>,
-    /// Relative change in the *worse* direction (positive = regressed).
-    regression: Option<f64>,
-    gated: bool,
+    /// Which way is better, for a row a document declares as gated;
+    /// `None` is an informational row.
+    gate: Option<Better>,
 }
 
 impl Row {
+    /// Relative growth from baseline to current; ±inf off a zero baseline.
+    fn growth(&self) -> Option<f64> {
+        let (b, c) = (self.baseline?, self.current?);
+        Some(if c == b { 0.0 } else { (c - b) / b.abs() })
+    }
+
+    /// A gated row's growth in its *worse* direction (positive = regressed).
+    fn regression(&self) -> Option<f64> {
+        let growth = self.growth()?;
+        Some(match self.gate? {
+            Better::Higher => -growth,
+            Better::Lower => growth,
+        })
+    }
+
+    /// A gated metric the baseline had fails when it regressed beyond the
+    /// tolerance — or has no regression to compute: one that vanished from
+    /// the fresh output, or came back `null` (the writer's NaN / ±inf) or
+    /// as a non-number, is the likeliest silent-bypass accident, not a
+    /// shrug.
+    fn failed(&self, tolerance: f64) -> bool {
+        self.gate.is_some()
+            && self.baseline.is_some()
+            && self.regression().is_none_or(|r| r > tolerance)
+    }
+
     fn status(&self, tolerance: f64) -> &'static str {
-        match (self.baseline, self.current, self.regression) {
-            (None, Some(_), _) => "new",
-            (Some(_), None, _) => "MISSING",
-            (Some(_), Some(_), Some(r)) if self.gated && r > tolerance => "REGRESSED",
-            (Some(_), Some(_), Some(r)) if r > tolerance => "info (worse)",
-            (Some(_), Some(_), _) if self.gated => "ok",
+        match (self.baseline, self.current) {
+            (None, _) => "new",
+            (Some(_), None) => "MISSING",
+            _ if self.failed(tolerance) => "REGRESSED",
+            _ if self.gate.is_some() => "ok",
             _ => "info",
         }
     }
 
-    fn failed(&self, tolerance: f64) -> bool {
-        if !self.gated {
-            return false;
-        }
-        match (self.baseline, self.current) {
-            // A gated metric that vanished from the fresh output is the
-            // likeliest silent-bypass accident (renamed/dropped field):
-            // treat it as a failure, not a shrug.
-            (Some(_), None) => true,
-            (Some(_), Some(_)) => self.regression.is_some_and(|r| r > tolerance),
-            _ => false,
+    fn change(&self) -> String {
+        let Some(growth) = self.growth() else {
+            return "—".into();
+        };
+        // A gated row knows which way is worse: say so plainly instead of
+        // leaving the reader to remember each metric's sign.
+        match self.regression() {
+            _ if growth.abs() < 5e-4 => "±0.0%".into(),
+            Some(r) if r > 0.0 => format!("{:.1}% worse", r * 100.0),
+            Some(r) => format!("{:.1}% better", -r * 100.0),
+            None => format!("{:+.1}%", growth * 100.0),
         }
     }
 }
 
-/// Relative regression of `current` vs `baseline` given the direction:
-/// positive means worse, negative means improved.
-fn regression(baseline: f64, current: f64, direction: Direction) -> Option<f64> {
-    if !baseline.is_finite() || !current.is_finite() || baseline == 0.0 {
-        return None;
-    }
-    let rel = (current - baseline) / baseline.abs();
-    Some(match direction {
-        Direction::Higher => -rel,
-        Direction::Lower => rel,
-    })
-}
-
-/// Walk an object path; `None` when any hop is missing or non-numeric.
-fn lookup(doc: &Json, path: &[&str]) -> Option<f64> {
-    let mut v = doc;
-    for key in path {
-        v = v.get(key).ok()?;
-    }
+/// A finite number, or nothing: `null`, strings and overflowed literals
+/// (`1e999`) are not values a metric can be compared on.
+fn finite(v: &Json) -> Option<f64> {
     match v {
-        Json::Num(n) => Some(*n),
+        Json::Num(n) if n.is_finite() => Some(*n),
         _ => None,
     }
 }
 
-/// `records`-format documents: `name -> ns_per_iter`.
-fn record_map(doc: &Json) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    if let Ok(Json::Arr(records)) = doc.get("records") {
-        for r in records {
-            if let (Ok(Json::Str(name)), Ok(Json::Num(ns))) = (r.get("name"), r.get("ns_per_iter"))
-            {
-                out.push((name.clone(), *ns));
+/// Every numeric leaf under `v` as `(dotted.path, value)`, in document
+/// order; an array (`records`) gives one `<name> (ns/iter)` leaf per entry.
+fn leaves(prefix: &str, v: &Json, out: &mut Vec<(String, f64)>) {
+    match v {
+        Json::Obj(fields) => {
+            for (key, value) in fields {
+                let dot = if prefix.is_empty() { "" } else { "." };
+                leaves(&format!("{prefix}{dot}{key}"), value, out);
             }
         }
+        Json::Arr(records) => {
+            for r in records {
+                if let (Ok(name), Ok(ns)) = (r.at("name", Json::as_str), r.get("ns_per_iter")) {
+                    leaves(&format!("{name} (ns/iter)"), ns, out);
+                }
+            }
+        }
+        _ => out.extend(finite(v).map(|n| (prefix.to_string(), n))),
     }
-    out
 }
 
-/// Compare one bench file; returns the rendered rows.
-fn compare_file(file: &str, baseline: Option<&Json>, current: &Json) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for m in tracked(file) {
-        let name = m.path.join(".");
-        let b = baseline.and_then(|d| lookup(d, m.path));
-        let c = lookup(current, m.path);
-        let reg = match (b, c) {
-            (Some(b), Some(c)) => regression(b, c, m.direction),
-            _ => None,
-        };
-        rows.push(Row {
-            name,
-            baseline: b,
-            current: c,
-            regression: reg,
-            gated: m.class == Class::Gated,
-        });
-    }
-    // Generic records-format handling (tree_walk, alltoall, unet_infer):
-    // informational ns-per-iter rows keyed by record name.
-    let current_records = record_map(current);
-    if !current_records.is_empty() {
-        let baseline_records = baseline.map(record_map).unwrap_or_default();
-        for (name, c) in current_records {
-            let b = baseline_records
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map(|&(_, v)| v);
-            let reg = b.and_then(|b| regression(b, c, Direction::Lower));
-            rows.push(Row {
-                name: format!("{name} (ns/iter)"),
-                baseline: b,
-                current: Some(c),
-                regression: reg,
-                gated: false,
-            });
+fn lookup<T: Copy>(pairs: &[(String, T)], name: &str) -> Option<T> {
+    let pair = pairs.iter().find(|(n, _)| n == name);
+    pair.map(|&(_, v)| v)
+}
+
+/// Compare one bench document against its baseline: gated rows first (the
+/// fresh declaration, then names only the baseline still declares), then
+/// every other numeric leaf of the fresh document.
+fn compare(baseline: Option<&Json>, current: &Json) -> Result<Vec<Row>, String> {
+    let mut gated = gates(current)?;
+    for (name, better) in baseline.map(gates).transpose()?.unwrap_or_default() {
+        if lookup(&gated, &name).is_none() {
+            gated.push((name, better));
         }
     }
-    rows
+    let (mut was, mut now) = (Vec::new(), Vec::new());
+    if let Some(doc) = baseline {
+        leaves("", doc, &mut was);
+    }
+    leaves("", current, &mut now);
+    let others = now.iter().map(|(n, _)| n);
+    let others = others.filter(|n| lookup(&gated, n).is_none());
+    let names = gated.iter().map(|(n, _)| n).chain(others);
+    Ok(names
+        .map(|name| Row {
+            name: name.clone(),
+            baseline: lookup(&was, name),
+            current: lookup(&now, name),
+            gate: lookup(&gated, name),
+        })
+        .collect())
 }
 
 fn fmt_value(v: Option<f64>) -> String {
@@ -399,17 +175,6 @@ fn fmt_value(v: Option<f64>) -> String {
         Some(0.0) => "0".into(),
         Some(v) if v.abs() >= 1e6 || v.abs() < 1e-3 => format!("{v:.4e}"),
         Some(v) => format!("{v:.4}"),
-    }
-}
-
-fn fmt_delta(r: Option<f64>) -> String {
-    match r {
-        None => "—".into(),
-        // `regression` is positive-when-worse; label the direction plainly
-        // instead of leaving the reader to remember each metric's sign.
-        Some(r) if r.abs() < 5e-4 => "±0.0%".into(),
-        Some(r) if r > 0.0 => format!("{:.1}% worse", r * 100.0),
-        Some(r) => format!("{:.1}% better", -r * 100.0),
     }
 }
 
@@ -426,7 +191,7 @@ fn render(file: &str, rows: &[Row], tolerance: f64, out: &mut String) {
             r.name,
             fmt_value(r.baseline),
             fmt_value(r.current),
-            fmt_delta(r.regression),
+            r.change(),
             r.status(tolerance),
         )
         .unwrap();
@@ -437,19 +202,9 @@ struct Args {
     baseline_dir: PathBuf,
     current_dir: PathBuf,
     tolerance: f64,
-    files: Vec<String>,
+    /// `--files`; without it, every `BENCH_*.json` either directory holds.
+    files: Option<Vec<String>>,
 }
-
-const DEFAULT_FILES: &[&str] = &[
-    "BENCH_force.json",
-    "BENCH_blockstep.json",
-    "BENCH_dist_blockstep.json",
-    "BENCH_tree_walk.json",
-    "BENCH_alltoall.json",
-    "BENCH_unet_infer.json",
-    "BENCH_serve.json",
-    "BENCH_surrogate.json",
-];
 
 const USAGE: &str = "\
 bench-gate — diff fresh BENCH_*.json against checked-in baselines
@@ -458,9 +213,11 @@ USAGE:
     bench-gate [--baseline-dir <dir>] [--current-dir <dir>]
                [--tolerance <frac>] [--files <a.json,b.json,...>]
 
-Exits non-zero iff a gated (machine-independent) metric regressed by more
-than the tolerance (default 0.30). Absolute timings are reported but never
-gate. A missing baseline passes (new bench); a missing current file fails.
+Compares every BENCH_*.json found in either directory (or just --files).
+Exits non-zero iff a metric the documents declare as gated regressed by
+more than the tolerance (default 0.30) or is no longer a number. Everything
+else is reported but never gates. A missing baseline passes (new bench); a
+missing current file fails.
 ";
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -468,7 +225,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         baseline_dir: PathBuf::from("bench-baselines"),
         current_dir: PathBuf::from("."),
         tolerance: 0.30,
-        files: DEFAULT_FILES.iter().map(|s| s.to_string()).collect(),
+        files: None,
     };
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
@@ -488,16 +245,39 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 }
             }
             "--files" => {
-                args.files = value("--files")?
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect();
+                args.files = Some(
+                    value("--files")?
+                        .split(',')
+                        .map(|s| s.trim().to_string())
+                        .filter(|s| !s.is_empty())
+                        .collect(),
+                );
             }
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
     Ok(args)
+}
+
+/// The `BENCH_*.json` names under `dir`; a directory that does not exist
+/// holds none.
+fn bench_files(dir: &Path, into: &mut BTreeSet<String>) -> Result<(), String> {
+    let entries = match std::fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(format!("{}: {e}", dir.display())),
+    };
+    for entry in entries {
+        let name = entry
+            .map_err(|e| format!("{}: {e}", dir.display()))?
+            .file_name();
+        if let Some(name) = name.to_str() {
+            if name.starts_with("BENCH_") && name.ends_with(".json") {
+                into.insert(name.to_string());
+            }
+        }
+    }
+    Ok(())
 }
 
 fn load(path: &Path) -> Result<Option<Json>, String> {
@@ -519,10 +299,26 @@ fn run() -> Result<bool, String> {
             format!("usage: {e}")
         }
     })?;
+    let files = match args.files {
+        Some(files) => files,
+        None => {
+            let mut found = BTreeSet::new();
+            bench_files(&args.baseline_dir, &mut found)?;
+            bench_files(&args.current_dir, &mut found)?;
+            found.into_iter().collect()
+        }
+    };
+    if files.is_empty() {
+        return Err(format!(
+            "no BENCH_*.json under {} or {} — nothing to gate",
+            args.baseline_dir.display(),
+            args.current_dir.display()
+        ));
+    }
 
     let mut report = String::from("## Bench regression gate\n");
     let mut failures: Vec<String> = Vec::new();
-    for file in &args.files {
+    for file in &files {
         let current = load(&args.current_dir.join(file))?;
         let baseline = load(&args.baseline_dir.join(file))?;
         let Some(current) = current else {
@@ -537,28 +333,20 @@ fn run() -> Result<bool, String> {
                 "\n### {file}\n\nno checked-in baseline — first run, passing.\n"
             ));
         }
-        let rows = compare_file(file, baseline.as_ref(), &current);
+        let rows = compare(baseline.as_ref(), &current).map_err(|e| format!("{file}: {e}"))?;
         render(file, &rows, args.tolerance, &mut report);
-        for r in &rows {
-            if r.failed(args.tolerance) {
-                failures.push(if r.current.is_none() {
-                    format!(
-                        "{file}: gated metric {} disappeared from the fresh output \
-                         (baseline {})",
-                        r.name,
-                        fmt_value(r.baseline),
-                    )
-                } else {
-                    format!(
-                        "{file}: {} regressed {:.1}% (baseline {}, current {}, tolerance {:.0}%)",
-                        r.name,
-                        r.regression.unwrap_or(0.0) * 100.0,
-                        fmt_value(r.baseline),
-                        fmt_value(r.current),
-                        args.tolerance * 100.0,
-                    )
-                });
-            }
+        for r in rows.iter().filter(|r| r.failed(args.tolerance)) {
+            let what = match r.regression() {
+                Some(by) => format!("regressed {:.1}%", by * 100.0),
+                None => "is missing from the fresh output or not a finite number there".into(),
+            };
+            failures.push(format!(
+                "{file}: gated metric {} {what} (baseline {}, current {}, tolerance {:.0}%)",
+                r.name,
+                fmt_value(r.baseline),
+                fmt_value(r.current),
+                args.tolerance * 100.0,
+            ));
         }
     }
     println!("{report}");
@@ -603,35 +391,72 @@ mod tests {
         parse_json(text).expect("test doc parses")
     }
 
+    fn rows(baseline: &Json, current: &Json) -> Vec<Row> {
+        compare(Some(baseline), current).expect("gate declarations parse")
+    }
+
+    fn row<'a>(rows: &'a [Row], name: &str) -> &'a Row {
+        rows.iter()
+            .find(|r| r.name == name)
+            .unwrap_or_else(|| panic!("no row `{name}`"))
+    }
+
+    /// `doc` with top-level `name` replaced by `value`.
+    fn with(doc: &Json, name: &str, value: Json) -> Json {
+        let Json::Obj(fields) = doc else {
+            panic!("bench documents are objects")
+        };
+        Json::obj(fields.iter().map(|(k, v)| {
+            let v = if k == name { value.clone() } else { v.clone() };
+            (k.clone(), v)
+        }))
+    }
+
     #[test]
     fn regression_signs_follow_direction() {
+        let gated = |baseline, current, better| Row {
+            name: "m".into(),
+            baseline: Some(baseline),
+            current: Some(current),
+            gate: Some(better),
+        };
         // Higher-is-better dropping 50% is a +0.5 regression.
-        assert!((regression(2.0, 1.0, Direction::Higher).unwrap() - 0.5).abs() < 1e-12);
+        let r = gated(2.0, 1.0, Better::Higher).regression().unwrap();
+        assert!((r - 0.5).abs() < 1e-12);
         // Higher-is-better improving reads negative.
-        assert!(regression(2.0, 3.0, Direction::Higher).unwrap() < 0.0);
+        assert!(gated(2.0, 3.0, Better::Higher).regression().unwrap() < 0.0);
         // Lower-is-better growing 50% is a +0.5 regression.
-        assert!((regression(2.0, 3.0, Direction::Lower).unwrap() - 0.5).abs() < 1e-12);
-        assert_eq!(regression(0.0, 1.0, Direction::Lower), None);
+        let r = gated(2.0, 3.0, Better::Lower).regression().unwrap();
+        assert!((r - 0.5).abs() < 1e-12);
+        // Off a zero baseline any worsening is unbounded, not "ok".
+        assert!(gated(0.0, 1.0, Better::Lower).failed(0.30));
+        assert!(!gated(0.0, 0.0, Better::Lower).failed(0.30));
+        assert!(!gated(0.0, 1.0, Better::Higher).failed(0.30));
     }
 
     #[test]
     fn gated_metric_beyond_tolerance_fails() {
-        let base = doc(r#"{"update_ratio": 6.0, "wall_speedup": 3.0}"#);
-        let worse = doc(r#"{"update_ratio": 6.0, "wall_speedup": 1.8}"#);
-        let rows = compare_file("BENCH_blockstep.json", Some(&base), &worse);
-        let speedup = rows.iter().find(|r| r.name == "wall_speedup").unwrap();
+        let base = doc(r#"{"update_ratio": 6.0, "wall_speedup": 3.0,
+                "gated": {"update_ratio": "higher", "wall_speedup": "higher"}}"#);
+        let worse = with(&base, "wall_speedup", 1.8.into());
+        let rows = rows(&base, &worse);
+        let speedup = row(&rows, "wall_speedup");
         assert!(speedup.failed(0.30), "40% drop must fail at 30% tolerance");
+        assert_eq!(speedup.status(0.30), "REGRESSED");
         assert!(!speedup.failed(0.50), "but pass at 50% tolerance");
-        let ratio = rows.iter().find(|r| r.name == "update_ratio").unwrap();
-        assert!(!ratio.failed(0.30), "unchanged metric passes");
+        assert!(!row(&rows, "update_ratio").failed(0.30), "unchanged passes");
     }
 
     #[test]
     fn gated_metric_missing_from_fresh_output_fails() {
-        let base = doc(r#"{"update_ratio": 6.0, "wall_speedup": 3.0}"#);
-        let renamed = doc(r#"{"update_ratio": 6.0, "wallclock_speedup": 3.0}"#);
-        let rows = compare_file("BENCH_blockstep.json", Some(&base), &renamed);
-        let speedup = rows.iter().find(|r| r.name == "wall_speedup").unwrap();
+        let base = doc(r#"{"update_ratio": 6.0, "wall_speedup": 3.0,
+                "gated": {"update_ratio": "higher", "wall_speedup": "higher"}}"#);
+        // Renamed away together with its declaration: the baseline's
+        // declaration still gates it.
+        let renamed = doc(r#"{"update_ratio": 6.0, "wallclock_speedup": 3.0,
+                "gated": {"update_ratio": "higher"}}"#);
+        let rows = rows(&base, &renamed);
+        let speedup = row(&rows, "wall_speedup");
         assert_eq!(speedup.current, None);
         assert_eq!(speedup.status(0.3), "MISSING");
         assert!(
@@ -640,14 +465,45 @@ mod tests {
         );
     }
 
+    /// The one writer renders NaN and ±inf as `null`, and two of the gated
+    /// metrics are quotients: a gated number that stopped being one fails
+    /// exactly like a missing one.
+    #[test]
+    fn gated_metric_that_is_no_longer_a_finite_number_fails() {
+        let base = doc(r#"{"energy_err_ratio": 76.0, "gated": {"energy_err_ratio": "lower"}}"#);
+        let not_numbers = [
+            Json::Null,
+            Json::Num(f64::NAN),
+            Json::Num(f64::INFINITY),
+            "76.0".into(),
+            Json::obj([("value", 76.0.into())]),
+        ];
+        for value in not_numbers {
+            let fresh = with(&base, "energy_err_ratio", value.clone());
+            let rows = rows(&base, &fresh);
+            let ratio = row(&rows, "energy_err_ratio");
+            assert_eq!(ratio.status(0.30), "MISSING", "{value:?}");
+            assert!(ratio.failed(0.30), "{value:?} must fail the gate");
+        }
+        // Through the text, as the gate meets it: a literal past f64 range.
+        let fresh = doc(r#"{"energy_err_ratio": 1e999, "gated": {"energy_err_ratio": "lower"}}"#);
+        assert!(row(&rows(&base, &fresh), "energy_err_ratio").failed(0.30));
+    }
+
     #[test]
     fn informational_metrics_never_fail() {
-        let base = doc(r#"{"global": {"wall_s": 1.0}, "update_ratio": 6.0}"#);
-        let worse = doc(r#"{"global": {"wall_s": 100.0}, "update_ratio": 6.0}"#);
-        let rows = compare_file("BENCH_blockstep.json", Some(&base), &worse);
-        let wall = rows.iter().find(|r| r.name == "global.wall_s").unwrap();
-        assert!(wall.regression.unwrap() > 10.0, "huge slowdown measured");
+        let base = doc(r#"{"global": {"wall_s": 1.0}, "update_ratio": 6.0,
+                "gated": {"update_ratio": "higher"}}"#);
+        let worse = doc(
+            r#"{"global": {"wall_s": 100.0, "steps": null}, "update_ratio": 6.0,
+                "gated": {"update_ratio": "higher"}}"#,
+        );
+        let rows = rows(&base, &worse);
+        let wall = row(&rows, "global.wall_s");
+        assert!(wall.growth().unwrap() > 10.0, "huge slowdown measured");
+        assert_eq!(wall.change(), "+9900.0%");
         assert!(!wall.failed(0.30), "...but absolute timings never gate");
+        assert!(rows.iter().all(|r| r.name != "global.steps"));
     }
 
     #[test]
@@ -660,11 +516,12 @@ mod tests {
             r#"{"records": [{"name": "a/1", "ns_per_iter": 150.0, "iters": 5},
                             {"name": "c/3", "ns_per_iter": 50.0, "iters": 5}]}"#,
         );
-        let rows = compare_file("BENCH_tree_walk.json", Some(&base), &cur);
-        let a = rows.iter().find(|r| r.name.starts_with("a/1")).unwrap();
-        assert!((a.regression.unwrap() - 0.5).abs() < 1e-12);
+        let rows = rows(&base, &cur);
+        let a = row(&rows, "a/1 (ns/iter)");
+        assert!((a.growth().unwrap() - 0.5).abs() < 1e-12);
+        assert_eq!(a.change(), "+50.0%");
         assert!(!a.failed(0.01), "records are informational");
-        let c = rows.iter().find(|r| r.name.starts_with("c/3")).unwrap();
+        let c = row(&rows, "c/3 (ns/iter)");
         assert_eq!(c.baseline, None);
         assert_eq!(c.status(0.3), "new");
     }
@@ -672,81 +529,91 @@ mod tests {
     #[test]
     fn dist_blockstep_gates_only_the_update_ratio() {
         let base = doc(r#"{"update_ratio": 8.0, "block_sync_share": 0.1,
-                "block": {"wall_s": 1.0, "substeps": 128}}"#);
+                "block": {"wall_s": 1.0, "substeps": 128},
+                "gated": {"update_ratio": "higher"}}"#);
         let worse = doc(r#"{"update_ratio": 4.0, "block_sync_share": 0.9,
-                "block": {"wall_s": 50.0, "substeps": 512}}"#);
-        let rows = compare_file("BENCH_dist_blockstep.json", Some(&base), &worse);
-        let ratio = rows.iter().find(|r| r.name == "update_ratio").unwrap();
-        assert!(ratio.failed(0.30), "halved update economy must gate");
+                "block": {"wall_s": 50.0, "substeps": 512},
+                "gated": {"update_ratio": "higher"}}"#);
+        let rows = rows(&base, &worse);
+        assert!(
+            row(&rows, "update_ratio").failed(0.30),
+            "halved update economy must gate"
+        );
         for name in ["block_sync_share", "block.wall_s", "block.substeps"] {
-            let row = rows.iter().find(|r| r.name == name).unwrap();
-            assert!(!row.failed(0.30), "{name} is informational");
+            assert!(!row(&rows, name).failed(0.30), "{name} is informational");
         }
     }
 
     #[test]
     fn simd_speedup_regression_gates_force_file() {
         let base = doc(r#"{"walk_speedup": 3.0, "simd_speedup": 2.0,
-                "kernel_f64_soa_ns_per_interaction": 2.5}"#);
+                "kernel_f64_soa_ns_per_interaction": 2.5,
+                "gated": {"walk_speedup": "higher", "simd_speedup": "higher"}}"#);
         let worse = doc(r#"{"walk_speedup": 3.0, "simd_speedup": 1.0,
-                "kernel_f64_soa_ns_per_interaction": 9.0}"#);
-        let rows = compare_file("BENCH_force.json", Some(&base), &worse);
-        let simd = rows.iter().find(|r| r.name == "simd_speedup").unwrap();
-        assert!(simd.failed(0.30), "halved simd speedup must gate");
-        let ns = rows
-            .iter()
-            .find(|r| r.name == "kernel_f64_soa_ns_per_interaction")
-            .unwrap();
+                "kernel_f64_soa_ns_per_interaction": 9.0,
+                "gated": {"walk_speedup": "higher", "simd_speedup": "higher"}}"#);
+        let rows = rows(&base, &worse);
         assert!(
-            !ns.failed(0.30),
+            row(&rows, "simd_speedup").failed(0.30),
+            "halved simd speedup must gate"
+        );
+        assert!(
+            !row(&rows, "kernel_f64_soa_ns_per_interaction").failed(0.30),
             "absolute kernel timing stays informational"
         );
     }
 
     #[test]
     fn unet_conv_ratio_and_records_coexist() {
-        // unet_infer carries both a gated top-level scalar and the generic
+        // unet_infer carries both a gated top-level scalar and the
         // informational records array.
         let base = doc(
             r#"{"records": [{"name": "f/16", "ns_per_iter": 10.0, "iters": 3}],
-                "conv_gflops_ratio": 30.0}"#,
+                "conv_gflops_ratio": 30.0, "gated": {"conv_gflops_ratio": "higher"}}"#,
         );
         let worse = doc(
             r#"{"records": [{"name": "f/16", "ns_per_iter": 80.0, "iters": 3}],
-                "conv_gflops_ratio": 4.0}"#,
+                "conv_gflops_ratio": 4.0, "gated": {"conv_gflops_ratio": "higher"}}"#,
         );
-        let rows = compare_file("BENCH_unet_infer.json", Some(&base), &worse);
-        let ratio = rows.iter().find(|r| r.name == "conv_gflops_ratio").unwrap();
-        assert!(ratio.failed(0.30), "collapsed conv throughput must gate");
-        let rec = rows.iter().find(|r| r.name.starts_with("f/16")).unwrap();
-        assert!(!rec.failed(0.30), "records stay informational");
+        let rows = rows(&base, &worse);
+        assert!(
+            row(&rows, "conv_gflops_ratio").failed(0.30),
+            "collapsed conv throughput must gate"
+        );
+        assert!(
+            !row(&rows, "f/16 (ns/iter)").failed(0.30),
+            "records stay informational"
+        );
     }
 
     #[test]
     fn h_iter_walk_ratio_gates_lower_is_better() {
-        let base = doc(r#"{"h_iter_walk_ratio": 0.5}"#);
-        let worse = doc(r#"{"h_iter_walk_ratio": 1.0}"#);
-        let better = doc(r#"{"h_iter_walk_ratio": 0.34}"#);
-        let rows = compare_file("BENCH_tree_walk.json", Some(&base), &worse);
-        let r = rows.iter().find(|r| r.name == "h_iter_walk_ratio").unwrap();
-        assert!(r.failed(0.30), "walks-per-iteration doubling must gate");
-        let rows = compare_file("BENCH_tree_walk.json", Some(&base), &better);
-        let r = rows.iter().find(|r| r.name == "h_iter_walk_ratio").unwrap();
-        assert!(!r.failed(0.30), "fewer walks per iteration passes");
+        let base = doc(r#"{"h_iter_walk_ratio": 0.5, "gated": {"h_iter_walk_ratio": "lower"}}"#);
+        let worse = with(&base, "h_iter_walk_ratio", 1.0.into());
+        let better = with(&base, "h_iter_walk_ratio", 0.34.into());
+        assert!(
+            row(&rows(&base, &worse), "h_iter_walk_ratio").failed(0.30),
+            "walks-per-iteration doubling must gate"
+        );
+        assert!(
+            !row(&rows(&base, &better), "h_iter_walk_ratio").failed(0.30),
+            "fewer walks per iteration passes"
+        );
     }
 
     #[test]
     fn serve_overlap_gates_but_fleet_wall_times_stay_informational() {
         let base = doc(r#"{"overlap_speedup": 1.0, "serial_wall_s": 1.5,
-                "concurrent_wall_s": 1.5}"#);
+                "concurrent_wall_s": 1.5, "gated": {"overlap_speedup": "higher"}}"#);
         let worse = doc(r#"{"overlap_speedup": 0.5, "serial_wall_s": 9.0,
-                "concurrent_wall_s": 18.0}"#);
-        let rows = compare_file("BENCH_serve.json", Some(&base), &worse);
-        let overlap = rows.iter().find(|r| r.name == "overlap_speedup").unwrap();
-        assert!(overlap.failed(0.30), "halved fleet overlap must gate");
+                "concurrent_wall_s": 18.0, "gated": {"overlap_speedup": "higher"}}"#);
+        let rows = rows(&base, &worse);
+        assert!(
+            row(&rows, "overlap_speedup").failed(0.30),
+            "halved fleet overlap must gate"
+        );
         for name in ["serial_wall_s", "concurrent_wall_s"] {
-            let row = rows.iter().find(|r| r.name == name).unwrap();
-            assert!(!row.failed(0.30), "{name} is informational");
+            assert!(!row(&rows, name).failed(0.30), "{name} is informational");
         }
     }
 
@@ -754,32 +621,98 @@ mod tests {
     fn surrogate_loop_gates_speedup_and_energy_ratio_but_not_walls() {
         let base = doc(r#"{"surrogate_speedup": 3.0, "energy_err_ratio": 76.0,
                 "train_wall_s": 4.0, "surrogate_wall_s": 0.1,
-                "conventional_wall_s": 0.4, "conventional_steps": 28}"#);
+                "conventional_wall_s": 0.4, "conventional_steps": 28,
+                "gated": {"surrogate_speedup": "higher", "energy_err_ratio": "lower"}}"#);
         let worse = doc(r#"{"surrogate_speedup": 1.2, "energy_err_ratio": 500.0,
                 "train_wall_s": 40.0, "surrogate_wall_s": 1.0,
-                "conventional_wall_s": 4.0, "conventional_steps": 28}"#);
-        let rows = compare_file("BENCH_surrogate.json", Some(&base), &worse);
-        let speedup = rows.iter().find(|r| r.name == "surrogate_speedup").unwrap();
+                "conventional_wall_s": 4.0, "conventional_steps": 28,
+                "gated": {"surrogate_speedup": "higher", "energy_err_ratio": "lower"}}"#);
+        let rows = rows(&base, &worse);
         assert!(
-            speedup.failed(0.30),
+            row(&rows, "surrogate_speedup").failed(0.30),
             "collapsed surrogate speedup must gate"
         );
-        let ratio = rows.iter().find(|r| r.name == "energy_err_ratio").unwrap();
-        assert!(ratio.failed(0.30), "fidelity-cost blowup must gate");
+        assert!(
+            row(&rows, "energy_err_ratio").failed(0.30),
+            "fidelity-cost blowup must gate"
+        );
         for name in ["train_wall_s", "surrogate_wall_s", "conventional_wall_s"] {
-            let row = rows.iter().find(|r| r.name == name).unwrap();
-            assert!(!row.failed(0.30), "{name} is informational");
+            assert!(!row(&rows, name).failed(0.30), "{name} is informational");
         }
     }
 
     #[test]
     fn missing_baseline_passes_and_renders() {
-        let cur = doc(r#"{"update_ratio": 6.0, "wall_speedup": 3.0}"#);
-        let rows = compare_file("BENCH_blockstep.json", None, &cur);
+        let cur = doc(r#"{"update_ratio": 6.0, "wall_speedup": 3.0,
+                "gated": {"update_ratio": "higher", "wall_speedup": "higher"}}"#);
+        let rows = compare(None, &cur).unwrap();
         assert!(rows.iter().all(|r| !r.failed(0.0)), "no baseline, no fail");
         let mut out = String::new();
         render("BENCH_blockstep.json", &rows, 0.3, &mut out);
         assert!(out.contains("| update_ratio |"));
         assert!(out.contains("| new |"));
+    }
+
+    /// The acceptance bar over the real baselines: every gate they declare
+    /// fails 31 % the wrong way, passes 29 % the wrong way, passes any
+    /// improvement, and fails when the fresh document holds `null`.
+    #[test]
+    fn every_checked_in_gate_trips_at_the_tolerance_and_on_null() {
+        let mut found = BTreeSet::new();
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        bench_files(&root, &mut found).unwrap();
+        assert_eq!(found.len(), 8, "{found:?}");
+        let mut checked = 0;
+        for file in &found {
+            let base = load(&root.join(file)).unwrap().expect(file);
+            for (name, better) in gates(&base).unwrap() {
+                let value = finite(base.get(&name).unwrap()).expect("gated numbers");
+                let toward_worse = match better {
+                    Better::Higher => -value.abs(),
+                    Better::Lower => value.abs(),
+                };
+                let verdict = |fresh: Json| {
+                    let rows = rows(&base, &with(&base, &name, fresh));
+                    row(&rows, &name).failed(0.30)
+                };
+                assert!(
+                    verdict((value + 0.31 * toward_worse).into()),
+                    "{file} {name}"
+                );
+                assert!(
+                    !verdict((value + 0.29 * toward_worse).into()),
+                    "{file} {name}"
+                );
+                assert!(
+                    !verdict((value - 5.0 * toward_worse).into()),
+                    "{file} {name}"
+                );
+                assert!(verdict(Json::Null), "{file} {name}");
+                checked += 1;
+            }
+            let unchanged = rows(&base, &base);
+            assert!(unchanged.iter().all(|r| !r.failed(0.0)), "{file}");
+        }
+        assert_eq!(checked, 11);
+    }
+
+    #[test]
+    fn the_file_list_is_what_the_directories_hold() {
+        let dir = std::env::temp_dir().join(format!("bench-gate-files-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("cur")).unwrap();
+        for name in [
+            "BENCH_b.json",
+            "BENCH_a.json",
+            "BENCHMARK.json",
+            "BENCH_x.txt",
+        ] {
+            std::fs::write(dir.join("cur").join(name), "{}").unwrap();
+        }
+        let mut found = BTreeSet::new();
+        bench_files(&dir.join("no-such-baseline-dir"), &mut found).unwrap();
+        bench_files(&dir.join("cur"), &mut found).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(Vec::from_iter(found), ["BENCH_a.json", "BENCH_b.json"]);
     }
 }
