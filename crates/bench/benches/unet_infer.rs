@@ -8,7 +8,7 @@
 //!
 //! * iterated criterion-style measurements at small test grids (16^3 and
 //!   32^3, both feature widths) for stable per-stage numbers;
-//! * a single-shot encode → forward → decode pipeline at the paper's 64^3
+//! * a single-shot voxelize → encode → forward → decode pipeline at the paper's 64^3
 //!   region grid — *informational* absolute timings (the <1 s
 //!   interactivity target is asserted by the integration tests, not
 //!   gated here, because absolute wall-clock swings with the runner);
@@ -48,28 +48,38 @@ fn bench_inference(c: &mut Criterion) {
 }
 
 fn bench_encode_decode(c: &mut Criterion) {
-    // The tensor boundary around the net at a small test grid: voxel fields
-    // → 8-channel log tensor → fields.
-    let n = 16usize;
-    let grid = VoxelGrid::centered(fdps::Vec3::ZERO, 60.0, n);
-    let fields = particles_to_grid(grid, &synthetic_region(4000, 60.0));
-    let mut group = c.benchmark_group("encode_decode_16cubed");
-    group.sample_size(20);
-    group.bench_function("encode", |b| b.iter(|| black_box(encode_fields(&fields))));
-    let t = encode_fields(&fields);
-    group.bench_function("decode", |b| b.iter(|| black_box(decode_fields(&t, grid))));
-    group.finish();
+    // The tensor boundary around the net: voxel fields → 8-channel log
+    // tensor → fields, at a small test grid and at the benchmark's
+    // `sn_surrogate` grid (262 k `log10` / `powf` per region).
+    for n in [16usize, 32] {
+        let grid = VoxelGrid::centered(fdps::Vec3::ZERO, 60.0, n);
+        let fields = particles_to_grid(grid, &synthetic_region(4000, 60.0, 2.0));
+        let mut group = c.benchmark_group(format!("encode_decode_{n}cubed"));
+        group.sample_size(20);
+        group.bench_function("encode", |b| b.iter(|| black_box(encode_fields(&fields))));
+        let t = encode_fields(&fields);
+        group.bench_function("decode", |b| b.iter(|| black_box(decode_fields(&t, grid))));
+        group.finish();
+    }
 }
 
 fn bench_voxel_pipeline(c: &mut Criterion) {
-    let parts = synthetic_region(5000, 60.0);
+    // One-voxel footprints: h = 2 pc on 3.75 pc voxels.
+    let parts = synthetic_region(5000, 60.0, 2.0);
     c.bench_function("voxelize_5k_particles_16cubed", |b| {
         let grid = VoxelGrid::centered(fdps::Vec3::ZERO, 60.0, 16);
         b.iter(|| black_box(particles_to_grid(grid, &parts)))
     });
+    // The shape the benchmark's `sn_surrogate` deploys: ~1600 particles
+    // with h ~ 5 pc on 1.875 pc voxels, ~560 voxels per footprint.
+    let parts = synthetic_region(1600, 60.0, 5.0);
+    c.bench_function("voxelize_1600_particles_32cubed_h5", |b| {
+        let grid = VoxelGrid::centered(fdps::Vec3::ZERO, 60.0, 32);
+        b.iter(|| black_box(particles_to_grid(grid, &parts)))
+    });
 }
 
-fn synthetic_region(n: usize, side: f64) -> Vec<surrogate::GasParticle> {
+fn synthetic_region(n: usize, side: f64, h: f64) -> Vec<surrogate::GasParticle> {
     (0..n)
         .map(|i| surrogate::GasParticle {
             pos: fdps::Vec3::new(
@@ -80,7 +90,7 @@ fn synthetic_region(n: usize, side: f64) -> Vec<surrogate::GasParticle> {
             vel: fdps::Vec3::new((i % 11) as f64 - 5.0, 0.0, 0.0),
             mass: 1.0,
             temp: 100.0 + (i % 97) as f64 * 50.0,
-            h: 2.0,
+            h,
             id: i as u64,
         })
         .collect()
@@ -117,7 +127,7 @@ fn paper_grid_single_shot() -> Vec<BenchRecord> {
     const N: usize = 64;
     const FEATS: usize = 4;
     let grid = VoxelGrid::centered(fdps::Vec3::ZERO, 60.0, N);
-    let fields = particles_to_grid(grid, &synthetic_region(20_000, 60.0));
+    let region = synthetic_region(20_000, 60.0, 2.0);
     let net = UNet3d::new(
         &UNetConfig {
             in_channels: 8,
@@ -135,6 +145,10 @@ fn paper_grid_single_shot() -> Vec<BenchRecord> {
             iters: 1,
         });
     };
+
+    let t0 = Instant::now();
+    let fields = black_box(particles_to_grid(grid, &region));
+    shot("voxelize", t0.elapsed().as_secs_f64() * 1e9);
 
     let t0 = Instant::now();
     let x = encode_fields(&fields);

@@ -7,6 +7,7 @@
 //! values. We thus input a total of eight data cubes."
 
 use crate::voxel::VoxelFields;
+use rayon::prelude::*;
 use unet::Tensor;
 
 /// Floor inserted before logarithms so empty voxels stay finite.
@@ -23,51 +24,89 @@ pub const T_CEIL: f64 = 1.0e10;
 /// Encode the five physical fields into the eight-channel tensor:
 /// `[log rho, log T, log v_x^+, log v_x^-, log v_y^+, log v_y^-,
 ///   log v_z^+, log v_z^-]`.
+///
+/// Every element is a pure function of one voxel, so the `z`-planes of
+/// the eight channels are filled on the worker pool in any order.
 pub fn encode_fields(fields: &VoxelFields) -> Tensor {
     let n = fields.grid.n;
-    let len = n * n * n;
+    let plane = n * n;
     let mut t = Tensor::zeros(8, n, n, n);
-    for f in 0..len {
-        t.data[f] = (fields.density[f].max(LOG_FLOOR)).log10() as f32;
-        t.data[len + f] = (fields.temperature[f].max(LOG_FLOOR)).log10() as f32;
-        for a in 0..3 {
-            let v = fields.vel[a][f];
-            let (pos, neg) = if v >= 0.0 { (v, 0.0) } else { (0.0, -v) };
-            t.data[(2 + 2 * a) * len + f] = (pos.max(LOG_FLOOR)).log10() as f32;
-            t.data[(3 + 2 * a) * len + f] = (neg.max(LOG_FLOOR)).log10() as f32;
-        }
-    }
+    t.data
+        .par_chunks_mut(plane.max(1))
+        .enumerate()
+        .for_each(|(c, out)| {
+            // Chunk `c` is plane `c % n` of channel `c / n`.
+            let (channel, z) = (c / n, c % n);
+            let voxels = z * plane..(z + 1) * plane;
+            match channel {
+                0 => log_into(out, &fields.density[voxels], |v| v),
+                1 => log_into(out, &fields.temperature[voxels], |v| v),
+                _ => {
+                    let v = &fields.vel[(channel - 2) / 2][voxels];
+                    if channel % 2 == 0 {
+                        log_into(out, v, |v| if v >= 0.0 { v } else { 0.0 })
+                    } else {
+                        log_into(out, v, |v| if v >= 0.0 { 0.0 } else { -v })
+                    }
+                }
+            }
+        });
     t
 }
 
-/// Decode a five-channel prediction `[log rho, log T, (log v+ , log v-) x3]`
-/// — the network output uses the same eight-channel layout as the input —
-/// back into physical fields. Negative densities/temperatures cannot occur
-/// by construction.
+/// `out[i] = log10(max(part(src[i]), LOG_FLOOR))`.
+fn log_into(out: &mut [f32], src: &[f64], part: impl Fn(f64) -> f64) {
+    for (o, &v) in out.iter_mut().zip(src) {
+        *o = part(v).max(LOG_FLOOR).log10() as f32;
+    }
+}
+
+/// Decode an eight-channel prediction `[log rho, log T, (log v+, log v-)
+/// x3]` — the network output uses the same layout as the input — back
+/// into the five physical fields. Negative densities/temperatures cannot
+/// occur by construction. Like [`encode_fields`], pure per voxel and run
+/// plane by plane on the worker pool.
 pub fn decode_fields(t: &Tensor, grid: crate::voxel::VoxelGrid) -> VoxelFields {
     assert_eq!(t.c, 8, "decoder expects the 8-channel layout");
     assert_eq!(t.d, grid.n);
     let n = grid.n;
     let len = n * n * n;
+    let plane = (n * n).max(1);
     let mut out = VoxelFields::zeros(grid);
-    let floor = LOG_FLOOR as f32;
-    for f in 0..len {
-        let rho = 10f64.powf(t.data[f] as f64);
-        out.density[f] = if (t.data[f] - floor.log10()).abs() < 0.5 {
+    let log_floor = (LOG_FLOOR as f32).log10();
+    let exp = |channel: usize, f: usize| 10f64.powf(t.data[channel * len + f] as f64);
+    fill_planes(&mut out.density, plane, |f| {
+        if (t.data[f] - log_floor).abs() < 0.5 {
             0.0
         } else {
-            rho
-        };
-        out.temperature[f] = 10f64.powf(t.data[len + f] as f64).min(T_CEIL);
-        for a in 0..3 {
-            let vp = 10f64.powf(t.data[(2 + 2 * a) * len + f] as f64).min(V_CEIL);
-            let vn = 10f64.powf(t.data[(3 + 2 * a) * len + f] as f64).min(V_CEIL);
-            let vp = if vp <= LOG_FLOOR * 10.0 { 0.0 } else { vp };
-            let vn = if vn <= LOG_FLOOR * 10.0 { 0.0 } else { vn };
-            out.vel[a][f] = vp - vn;
+            exp(0, f)
         }
+    });
+    fill_planes(&mut out.temperature, plane, |f| exp(1, f).min(T_CEIL));
+    let part = |channel: usize, f: usize| {
+        let v = exp(channel, f).min(V_CEIL);
+        if v <= LOG_FLOOR * 10.0 {
+            0.0
+        } else {
+            v
+        }
+    };
+    for (a, vel) in out.vel.iter_mut().enumerate() {
+        fill_planes(vel, plane, |f| part(2 + 2 * a, f) - part(3 + 2 * a, f));
     }
     out
+}
+
+/// `field[f] = value(f)`, one `plane`-sized chunk per pool task.
+fn fill_planes(field: &mut [f64], plane: usize, value: impl Fn(usize) -> f64 + Sync) {
+    field
+        .par_chunks_mut(plane)
+        .enumerate()
+        .for_each(|(c, chunk)| {
+            for (o, f) in chunk.iter_mut().zip(c * plane..) {
+                *o = value(f);
+            }
+        });
 }
 
 #[cfg(test)]

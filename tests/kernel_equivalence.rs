@@ -22,6 +22,9 @@
 //!   other targets the pass carries: **bitwise**;
 //! * U-Net conv GEMM forward vs the scalar loop nest — **exact** f32
 //!   (fixed-order im2col GEMM);
+//! * the surrogate's voxel scatter (support-culled, batched through
+//!   `w_batch`) vs the per-voxel scalar loop it replaced — **bitwise**,
+//!   as a hash of the five fields recorded from that loop;
 //! * and a Block-mode snapshot restart running the whole SIMD stack,
 //!   which must stay bitwise identical to the uninterrupted run.
 
@@ -538,6 +541,57 @@ fn conv_gemm_forward_is_exact_f32() {
             );
         }
     }
+}
+
+/// The voxel scatter on the benchmark's `sn_surrogate` shape (32^3 on
+/// 60 pc, footprints of hundreds of voxels) plus NGP-narrow and
+/// cube-clipped particles, at the offset centre where a sloppy culling
+/// range would lose voxels to cancellation. The hash is FNV-1a over the
+/// bits of the five fields as the pre-PR-21 per-voxel scalar loop
+/// produced them (`surrogate::voxel`'s unit tests keep that loop and
+/// compare field by field; this case is here for the release-codegen
+/// rerun).
+#[test]
+fn voxel_scatter_is_bitwise_equal_to_the_scalar_loop_it_replaced() {
+    use surrogate::{particles_to_grid, GasParticle, VoxelGrid};
+    let mut rng = StdRng::seed_from_u64(2100);
+    let center = Vec3::new(1000.0, -500.0, 30.0);
+    let grid = VoxelGrid::centered(center, 60.0, 32);
+    let parts: Vec<GasParticle> = (0..600)
+        .map(|i| GasParticle {
+            pos: center
+                + Vec3::new(
+                    rng.gen_range(-33.0..33.0),
+                    rng.gen_range(-33.0..33.0),
+                    rng.gen_range(-33.0..33.0),
+                ),
+            vel: Vec3::new(
+                rng.gen_range(-40.0..40.0),
+                rng.gen_range(-40.0..40.0),
+                rng.gen_range(-40.0..40.0),
+            ),
+            mass: rng.gen_range(0.2..3.0),
+            temp: 10f64.powf(rng.gen_range(1.0..7.0)),
+            // 0.02 .. 8 pc on 1.875 pc voxels.
+            h: 10f64.powf(rng.gen_range(-1.7..0.9)),
+            id: i,
+        })
+        .collect();
+    let fields = particles_to_grid(grid, &parts);
+    let mut bytes = Vec::with_capacity(5 * 8 * fields.density.len());
+    for field in [&fields.density, &fields.temperature]
+        .into_iter()
+        .chain(&fields.vel)
+    {
+        for v in field {
+            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+    }
+    assert_eq!(
+        unet::json::fnv1a(&bytes),
+        0x4f27_57eb_080b_ba0a,
+        "voxel scatter no longer reproduces the scalar loop's bits"
+    );
 }
 
 /// Block-mode snapshot restart through the SIMD force stack (dispatched

@@ -143,3 +143,57 @@ fn model_serialization_preserves_predictions() {
     let x = unet::Tensor::zeros(8, 8, 8, 8);
     assert_eq!(model.infer(&x).data, restored.infer(&x).data);
 }
+
+/// The whole region pipeline — voxelise → encode → U-Net → decode →
+/// Gibbs → mass rescale — pinned to the bit for one fixed region, model
+/// seed and RNG seed. The hash was recorded before the scatter and the
+/// codec were made faster (PR 21), so any change to what a stage computes,
+/// as opposed to how fast, fails here without the benchmark's checksums.
+#[test]
+fn region_pipeline_output_bits_are_pinned() {
+    let mut rng = StdRng::seed_from_u64(21);
+    let center = Vec3::new(1000.0, -500.0, 30.0);
+    let model = SurrogateModel::new(SurrogateConfig {
+        grid_n: 16,
+        side: 60.0,
+        base_features: 2,
+        seed: 11,
+    });
+    // `h` from well below a voxel (NGP) to several voxels, some particles
+    // outside the cube, uneven masses.
+    let region: Vec<GasParticle> = (0..400)
+        .map(|i| GasParticle {
+            pos: center
+                + Vec3::new(
+                    rng.gen_range(-32.0..32.0),
+                    rng.gen_range(-32.0..32.0),
+                    rng.gen_range(-32.0..32.0),
+                ),
+            vel: Vec3::new(
+                rng.gen_range(-30.0..30.0),
+                rng.gen_range(-30.0..30.0),
+                rng.gen_range(-30.0..30.0),
+            ),
+            mass: rng.gen_range(0.5..2.0),
+            temp: 10f64.powf(rng.gen_range(1.0..7.0)),
+            h: 10f64.powf(rng.gen_range(-1.0..1.2)),
+            id: 5000 + i as u64,
+        })
+        .collect();
+    let out = model.predict_particles(&mut rng, center, &region);
+    assert_eq!(out.len(), region.len());
+    let mut bytes = Vec::with_capacity(out.len() * 80);
+    for p in &out {
+        for v in [
+            p.pos.x, p.pos.y, p.pos.z, p.vel.x, p.vel.y, p.vel.z, p.mass, p.temp, p.h,
+        ] {
+            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        bytes.extend_from_slice(&p.id.to_le_bytes());
+    }
+    assert_eq!(
+        unet::json::fnv1a(&bytes),
+        0x584c_17b2_27cf_2e35,
+        "predict_particles changed its output bits"
+    );
+}

@@ -39,6 +39,8 @@ pub fn all_rules() -> Vec<Rule> {
                 "crates/gravity/**",
                 "crates/sph/**",
                 "crates/unet/src/gemm.rs",
+                "crates/surrogate/src/voxel.rs",
+                "crates/surrogate/src/encode.rs",
             ],
             exclude: &[],
             check: check_no_fma,
