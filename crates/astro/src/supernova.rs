@@ -67,15 +67,17 @@ impl SnFeedback {
 
     /// Distribute one SN's thermal energy over neighbour gas particles with
     /// kernel weights: returns `du` [specific energy] per neighbour given
-    /// their masses and weights. Weights need not be normalized.
+    /// their masses and weights. Weights need not be normalized: `wsum` is
+    /// their sum over *every* recipient (a caller that holds only some of
+    /// them passes the total).
     pub fn thermal_injection(
         &self,
         event: &SnEvent,
         neighbour_mass: &[f64],
         weights: &[f64],
+        wsum: f64,
     ) -> Vec<f64> {
         assert_eq!(neighbour_mass.len(), weights.len());
-        let wsum: f64 = weights.iter().sum();
         if wsum <= 0.0 {
             return vec![0.0; weights.len()];
         }
@@ -146,7 +148,7 @@ mod tests {
         };
         let masses = vec![1.0, 2.0, 0.5, 1.5];
         let weights = vec![0.4, 0.3, 0.2, 0.1];
-        let du = fb.thermal_injection(&event, &masses, &weights);
+        let du = fb.thermal_injection(&event, &masses, &weights, weights.iter().sum());
         let total: f64 = du.iter().zip(&masses).map(|(d, m)| d * m).sum();
         assert!((total - E_SN).abs() < 1e-6 * E_SN);
     }
@@ -163,7 +165,7 @@ mod tests {
         };
         let masses = vec![1.0; 100];
         let weights = vec![1.0; 100];
-        let du = fb.thermal_injection(&event, &masses, &weights);
+        let du = fb.thermal_injection(&event, &masses, &weights, weights.iter().sum());
         // T = u mu (gamma-1) / (kB/mp)
         let t = du[0] * 1.27 * (2.0 / 3.0) / crate::units::KB_OVER_MP;
         assert!(t > 1.0e6, "post-injection T = {t} K");
@@ -178,7 +180,7 @@ mod tests {
             time: 0.0,
             energy: E_SN,
         };
-        let du = fb.thermal_injection(&event, &[1.0, 1.0], &[0.0, 0.0]);
+        let du = fb.thermal_injection(&event, &[1.0, 1.0], &[0.0, 0.0], 0.0);
         assert_eq!(du, vec![0.0, 0.0]);
     }
 

@@ -79,9 +79,10 @@ impl SnYield {
 
 /// Distribute one SN's yields over neighbour gas particles with the given
 /// (unnormalized) weights: returns the metal-mass increments per neighbour
-/// per species, ordered as [`ALL_SPECIES`].
-pub fn distribute_yields(y: &SnYield, weights: &[f64]) -> Vec<[f64; 4]> {
-    let wsum: f64 = weights.iter().sum();
+/// per species, ordered as [`ALL_SPECIES`]. `wsum` is the weights' sum over
+/// *every* recipient — a caller that holds only some of them passes the
+/// total.
+pub fn distribute_yields(y: &SnYield, weights: &[f64], wsum: f64) -> Vec<[f64; 4]> {
     if wsum <= 0.0 {
         return vec![[0.0; 4]; weights.len()];
     }
@@ -138,7 +139,7 @@ mod tests {
     fn distribution_conserves_each_species() {
         let y = SnYield::for_progenitor(18.0);
         let weights = [1.0, 3.0, 0.5, 2.5];
-        let given = distribute_yields(&y, &weights);
+        let given = distribute_yields(&y, &weights, weights.iter().sum());
         let mut totals = [0.0f64; 4];
         for g in &given {
             for k in 0..4 {
@@ -153,7 +154,7 @@ mod tests {
     #[test]
     fn zero_weights_give_nothing() {
         let y = SnYield::for_progenitor(12.0);
-        let given = distribute_yields(&y, &[0.0, 0.0]);
+        let given = distribute_yields(&y, &[0.0, 0.0], 0.0);
         assert!(given.iter().all(|g| g.iter().all(|&v| v == 0.0)));
     }
 

@@ -73,7 +73,13 @@ fn config(mode: TimestepMode) -> DistConfig {
         n_pool: N_POOL,
         routing: Routing::Flat,
         sim: SimConfig {
-            scheme: Scheme::Surrogate,
+            // The paper's pairing: the fixed global step is the surrogate
+            // scheme's, the hierarchy the conventional one's (under the
+            // surrogate scheme `Block` would mean the fixed step too).
+            scheme: match mode {
+                TimestepMode::Global => Scheme::Surrogate,
+                TimestepMode::Block { .. } => Scheme::Conventional,
+            },
             timestep: mode,
             dt_global: DT_BASE,
             cooling: false,

@@ -99,8 +99,9 @@ impl FromStr for TimestepMode {
 pub struct SimConfig {
     pub scheme: Scheme,
     /// Timestep hierarchy driving the conventional scheme's integration
-    /// loop. The surrogate scheme ignores this: its whole point is the
-    /// fixed global step, so it never leaves `Global` mode.
+    /// loop. The surrogate scheme ignores this under either driver: its
+    /// whole point is the fixed global step, so it never leaves `Global`
+    /// mode.
     pub timestep: TimestepMode,
     /// Global timestep \[Myr\] (paper: 2,000 yr = 2e-3 Myr).
     pub dt_global: f64,
@@ -136,11 +137,11 @@ pub struct SimConfig {
     /// Star-formation efficiency per free-fall time.
     pub sf_efficiency: f64,
     /// Checkpoint cadence in steps: every `snapshot_every`-th completed
-    /// step [`Simulation::run_with_snapshots`](crate::sim::Simulation::run_with_snapshots)
-    /// hands the caller a [`SimSnapshot`](crate::snapshot::SimSnapshot)
-    /// (and the distributed driver gathers a
-    /// [`DistSnapshot`](crate::dist::DistSnapshot)). `0` disables periodic
-    /// checkpointing.
+    /// step [`Simulation::run_with_store`](crate::sim::Simulation::run_with_store)
+    /// commits a [`SimSnapshot`](crate::snapshot::SimSnapshot) into its
+    /// store (the distributed driver's cadence is
+    /// [`DistConfig::snapshot_every`](crate::dist::DistConfig)). `0`
+    /// disables periodic checkpointing.
     pub snapshot_every: u64,
 }
 

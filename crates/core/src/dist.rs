@@ -13,56 +13,45 @@
 //! | Legend entry | Global (KDK) | Block (substepped) |
 //! |---|---|---|
 //! | `Exchange_Particle` | decomposition + migration, once per step | once per base step |
-//! | `Identify_SNe` / `Send_SNe` | SN scan + region gather/dispatch | same, at base cadence |
+//! | `Identify_SNe` | the slab's SN scan | same, at base cadence |
+//! | `Send_SNe` | event all-gather; per event the feedback weights' Σw and (surrogate scheme) the region gather | same, at base cadence |
 //! | `1st Make_Local_Tree` / `1st Exchange_LET` | gravity tree + LET of the opening force pass | base-step full pass |
 //! | `1st Calc_Force` | gravity + SPH forces of the opening pass | base-step full pass |
 //! | `Preprocess_of_Feedback` | SPH ghost exchange (pre-density + owner-value refresh) | **per-substep ghost refresh** — the synchronization cost §1 charges against individual timesteps |
 //! | `1st Calc_Kernel_Size_and_Density` | kernel-size/density of the opening pass | base-step full pass |
-//! | `Integration` | opening half-kick + drift | level assignment, schedule reduction, opening half-kick and per-substep drift-prediction of *all* particles |
+//! | `Integration` | the conventional scheme's CFL-step min-reduction, opening half-kick + drift | level assignment, schedule reduction, opening half-kick and per-substep drift-prediction of *all* particles |
 //! | `2nd Make_Tree` / `2nd Exchange_LET` | gravity tree + LET of the closing (re-force) pass | per-substep moment refresh of the cached source tree (LET imports reused) |
 //! | `2nd Calc_Kernel_Size` | density of the closing pass | per-substep active-set density |
 //! | `2nd Calc_Force` | gravity + SPH forces of the closing pass | per-substep active-set forces |
 //! | `Final_kick (brdg asso)` | closing half-kick | per-substep closing/opening kicks of the active set |
-//! | `Receive_SNe` / `Feedback_and_Cooling (direct)` / `Star Formation` | pool replies, cooling, (timed placeholder) | same, at base cadence |
+//! | `Receive_SNe` | pool replies, shared with every rank | same, at base cadence |
+//! | `Feedback_and_Cooling (direct)` / `Star Formation` | cooling, (empty stage — below) | same, at base cadence |
 //!
 //! In `Global` mode the loop is a true kick–drift–kick: the opening force
 //! pass (`1st *` phases) feeds the half-kick + drift, a full re-force at
 //! the drifted positions (`2nd *` phases — a real evaluation, not a timed
 //! placeholder) feeds the closing half-kick under `Final_kick`.
 //!
-//! # One pipeline, two drivers
+//! # One step, two drivers
 //!
-//! None of the force evaluation or the integration above is written here:
-//! a main rank calls [`ForceBuffers::kdk`] / [`ForceBuffers::block_step`]
-//! — the code the shared-memory [`Simulation`](crate::sim::Simulation)
-//! runs — on its local slab, through a [`Halo`] (`DistHalo`) that appends
-//! the LET imports, exchanges and refreshes the SPH ghosts, all-reduces
-//! the block depth and brackets each phase for the timer. The region cut,
-//! the due rule, replace-by-ID and the cooling loop are the
-//! [`crate::step`] functions both drivers call. On a `(1,1,1)` grid the
-//! halo has nobody to talk to and the two drivers agree to the bit —
-//! every `pos`/`vel`/`mass`/`u`/`h`/`rho` and the whole [`SimStats`] — in
-//! `Global` and in `Block` mode and through an SN's pool round trip
-//! (`tests/distributed.rs`). On more ranks the domain cut reorders
-//! the force sums, and agreement is a drift class (`tests/distributed.rs`).
+//! None of the §3.2 sequence is written here: a main rank calls
+//! [`step::step`] — the function the shared-memory
+//! [`Simulation`](crate::sim::Simulation) calls — on its local slab,
+//! through a [`Halo`] (`DistHalo`) that holds everything distributed about
+//! the step, so [`SimConfig::scheme`] and [`SimConfig::timestep`] mean here
+//! what they mean there. On a `(1,1,1)` grid the halo has nobody to talk
+//! to and the two drivers agree to the bit — every particle field and the
+//! whole [`SimStats`] — under either scheme and either timestep mode,
+//! through an SN (`tests/distributed.rs`). On more ranks the domain cut
+//! reorders the force sums and agreement is a drift class; a blast that
+//! straddles the cut still deposits the same yields and energy to
+//! round-off, since only Σw crosses ranks.
 //!
-//! What this loop still does *not* do that `Simulation::step` does:
-//!
-//! * **No nucleosynthesis yields.** `Simulation::inject_yields` spreads an
-//!   exploding star's metals over the gas within `region_side / 2`; doing
-//!   that across ranks needs a cross-rank Σw and is not implemented, so a
-//!   distributed run's `metals` stay at their initial values (in the
-//!   equivalence test's one-SN case 56 of 381 particles differ from the
-//!   shared-memory run, in `metals` only).
-//! * **No star formation.** `Star Formation` is a barrier pair around an
-//!   empty closure, kept so the phase report carries all 17 legend
-//!   entries; [`SimStats::stars_formed`] stays 0.
-//! * **[`SimConfig::scheme`] is ignored.** Every identified SN goes to the
-//!   pool (the surrogate data path); there is no distributed
-//!   `inject_thermal`, and no CFL-adaptive *global* step — `Block` mode is
-//!   the only conventional-style integration here.
-//! * **`sn_events` counts dispatched regions**, i.e. events whose cube
-//!   holds gas; `Simulation` counts every identified event.
+//! What this driver does not do is **form stars**: a per-rank stochastic
+//! stream needs a seed, which [`DistConfig`] does not carry, so the stage
+//! handed to [`step::step`] is empty (still bracketed under `Star
+//! Formation`, so the phase report carries all 17 legend entries) and
+//! [`SimStats::stars_formed`] stays 0.
 //!
 //! # Distributed block timesteps
 //!
@@ -92,7 +81,7 @@
 //!    the SPH neighbor tree, and gives only the boundary's active set new
 //!    forces and kicks.
 //!
-//! Domain decomposition, SN identification/dispatch, pool replies and
+//! Domain decomposition, SN identification/feedback, pool replies and
 //! cooling stay at the base cadence, as conventional codes re-synchronize
 //! there. Per-rank [`SimStats`] (substeps, active updates, tree
 //! refresh/rebuild splits) are gathered into [`DistReport::rank_stats`].
@@ -107,8 +96,8 @@
 //! the entries are overwritten in place. Ghost densities are therefore the
 //! owning rank's same-pass values, never a locally invented clamp.
 
-use crate::config::{SimConfig, TimestepMode};
-use crate::forces::{ForceBuffers, Halo, PassPhases};
+use crate::config::SimConfig;
+use crate::forces::{Halo, PassPhases};
 use crate::particle::Particle;
 use crate::phases;
 use crate::pool::{PoolPredictor, SedovOverlayPredictor, UNetPredictor};
@@ -116,17 +105,16 @@ use crate::scheduler::{self, ActiveScheduler};
 pub use crate::sim::SimStats;
 pub use crate::snapshot::{DistPending, DistSnapshot};
 use crate::snapshot::{ModelState, ScheduleState};
-use crate::step::{self, GasIndex};
-use astro::lifetime::explodes_in_interval;
+use crate::step::{self, Explosion, InFlight, Slab, SlabState};
 use astro::units::E_SN;
 use fdps::domain::DomainDecomposition;
 use fdps::exchange::{exchange_ghosts, exchange_particles, Routing};
 use fdps::let_exchange::exchange_let;
 use fdps::{Tree, Vec3};
 use gravity::GravitySolver;
+use mpisim::collective::ReduceOp;
 use mpisim::{Comm, PhaseReport, PhaseTimer, World};
 use sph::solver::HydroState;
-use sph::GammaLawEos;
 use std::fmt;
 use std::str::FromStr;
 use surrogate::{GasParticle, SurrogateModel};
@@ -242,7 +230,7 @@ pub struct DistConfig {
     /// Alltoallv routing for decomposition/LET traffic.
     pub routing: Routing,
     pub sim: SimConfig,
-    /// Steps to integrate (base steps in [`TimestepMode::Block`]).
+    /// Steps to integrate (base steps in `TimestepMode::Block`).
     pub steps: usize,
     /// The predictor served by the pool ranks.
     pub predictor: PredictorKind,
@@ -341,7 +329,7 @@ pub struct DistReport {
     /// audits compare this across runs).
     pub final_state: Vec<Particle>,
     /// Per-main-rank integration counters (substeps, active updates, tree
-    /// refresh/rebuild splits, dt floor) — [`TimestepMode::Block`] runs
+    /// refresh/rebuild splits, dt floor) — `TimestepMode::Block` runs
     /// populate the substep counters on every rank, and schedule agreement
     /// shows up as identical `substeps` across the vector.
     pub rank_stats: Vec<SimStats>,
@@ -352,10 +340,10 @@ pub struct DistReport {
     pub error: Option<DistError>,
 }
 
-struct Pending {
+/// A region shipped to a pool rank and not yet redeemed.
+struct Ticket {
     event_id: u64,
-    due_step: u64,
-    origin: usize,
+    pool_rank: usize,
     /// The dispatched request `(center, region gas)`, retained only when
     /// the run checkpoints (`snapshot_every > 0`) so a snapshot can capture
     /// in-flight regions (the pool's reply is deterministic in the
@@ -363,7 +351,7 @@ struct Pending {
     payload: Option<([f64; 3], Vec<GasParticle>)>,
 }
 
-/// Run `cfg.steps` steps of the surrogate scheme across
+/// Run `cfg.steps` steps of `cfg.sim`'s scheme across
 /// `n_main + n_pool` ranks. `particles` is the full initial condition;
 /// main ranks claim strided slices and immediately re-balance via domain
 /// decomposition.
@@ -477,18 +465,27 @@ struct Ghost {
     reach: f64,
 }
 
-/// One main rank's view of the other main ranks during a step: the
-/// [`Halo`] the shared force pipeline and integrator
-/// ([`crate::forces`]) run through. Every method is collective over
-/// `main` and recorded, barrier-bracketed, under the paper's phase names.
+/// One main rank's view of the other ranks: the [`Halo`] that
+/// [`step::step`] and the force pipeline under it run through. Every
+/// method but `submit` is collective over `main` and recorded,
+/// barrier-bracketed, under the paper's phase names.
 struct DistHalo<'a> {
+    world: &'a Comm,
     main: &'a Comm,
-    dd: &'a DomainDecomposition,
-    routing: Routing,
-    timer: &'a mut PhaseTimer,
+    cfg: &'a DistConfig,
+    timer: PhaseTimer,
+    /// This step's decomposition (`rebalance` opens every step).
+    dd: Option<DomainDecomposition>,
     /// Pre-density exchange reach per local gas particle, reused by the
     /// post-density ghost refresh so the selection is identical.
-    reach0: &'a mut Vec<f64>,
+    reach0: Vec<f64>,
+    /// Regions this rank has shipped; numbers its event ids.
+    shipped: u64,
+}
+
+/// This step's decomposition.
+fn opened(dd: &Option<DomainDecomposition>) -> &DomainDecomposition {
+    dd.as_ref().expect("rebalance opens every step")
 }
 
 /// Exchange the local gas (current owner values, one `reach` entry each)
@@ -524,6 +521,78 @@ impl Halo for DistHalo<'_> {
     /// collective sequence and deadlock the walk.
     const COLLECTIVE: bool = true;
 
+    type Ticket = Ticket;
+
+    /// Tagged send to a pool rank (round-robin by event id); the reply
+    /// comes back under the event's own tag.
+    fn submit(&mut self, center: Vec3, gas: Vec<GasParticle>) -> Ticket {
+        let n_main = self.main.size();
+        let event_id = self.shipped * n_main as u64 + self.main.rank() as u64;
+        self.shipped += 1;
+        let pool_rank = n_main + (event_id as usize % self.cfg.n_pool);
+        let center = [center.x, center.y, center.z];
+        let payload = (self.cfg.snapshot_every > 0).then(|| (center, gas.clone()));
+        self.world
+            .send(pool_rank, TAG_REGION, (event_id, center, gas));
+        Ticket {
+            event_id,
+            pool_rank,
+            payload,
+        }
+    }
+
+    fn collect(&mut self, due: Vec<Ticket>) -> Vec<GasParticle> {
+        self.timer.region(self.main, phases::RECEIVE_SNE, || {
+            let mine: Vec<GasParticle> = due
+                .iter()
+                .flat_map(|t| {
+                    self.world
+                        .recv_vec::<GasParticle>(t.pool_rank, TAG_REPLY_BASE + t.event_id)
+                })
+                .collect();
+            self.main.allgatherv(mine).into_iter().flatten().collect()
+        })
+    }
+
+    fn rebalance(&mut self, particles: &mut Vec<Particle>) {
+        self.timer.region(self.main, phases::EXCHANGE_PARTICLE, || {
+            let pos: Vec<Vec3> = particles.iter().map(|p| p.pos).collect();
+            let dd = DomainDecomposition::decompose(self.main, self.cfg.grid, &pos, 512);
+            let mine = std::mem::take(particles);
+            *particles = exchange_particles(self.main, &dd, mine, |p| p.pos, self.cfg.routing);
+            self.dd = Some(dd);
+        });
+    }
+
+    fn all_events(&mut self, mine: Vec<Explosion>) -> Vec<(usize, Explosion)> {
+        self.timer.region(self.main, phases::SEND_SNE, || {
+            let all = self.main.allgatherv(mine).into_iter().enumerate();
+            all.flat_map(|(owner, evs)| evs.into_iter().map(move |e| (owner, e)))
+                .collect()
+        })
+    }
+
+    fn gather_region(&mut self, owner: usize, local: Vec<GasParticle>) -> Option<Vec<GasParticle>> {
+        self.timer.region(self.main, phases::SEND_SNE, || {
+            let mut sends = vec![Vec::new(); self.main.size()];
+            sends[owner] = local;
+            let parts = self.main.alltoallv(sends);
+            (owner == self.main.rank()).then(|| parts.into_iter().flatten().collect())
+        })
+    }
+
+    fn sum(&mut self, x: f64) -> f64 {
+        self.timer.region(self.main, phases::SEND_SNE, || {
+            self.main.allreduce_f64(x, ReduceOp::Sum)
+        })
+    }
+
+    fn min(&mut self, x: f64) -> f64 {
+        self.timer.region(self.main, phases::INTEGRATION, || {
+            self.main.allreduce_f64(x, ReduceOp::Min)
+        })
+    }
+
     /// Local tree → LET exchange → imports appended after the locals.
     fn import_sources(
         &mut self,
@@ -538,12 +607,12 @@ impl Halo for DistHalo<'_> {
         let imports = self.timer.region(self.main, ph.let_exchange, || {
             exchange_let(
                 self.main,
-                self.dd,
+                opened(&self.dd),
                 &local_tree,
                 pos,
                 mass,
                 solver.theta,
-                self.routing,
+                self.cfg.routing,
             )
         });
         for e in &imports {
@@ -560,7 +629,8 @@ impl Halo for DistHalo<'_> {
                 self.reach0.clear();
                 self.reach0
                     .extend(hydro.h[..n_local].iter().map(|&h| 2.0 * h));
-                for g in exchange_gas(self.main, self.dd, self.routing, self.reach0, hydro) {
+                let dd = opened(&self.dd);
+                for g in exchange_gas(self.main, dd, self.cfg.routing, &self.reach0, hydro) {
                     hydro.pos.push(g.pos);
                     hydro.vel.push(g.vel);
                     hydro.mass.push(g.mass);
@@ -577,7 +647,8 @@ impl Halo for DistHalo<'_> {
     fn refresh_ghosts(&mut self, hydro: &mut HydroState, n_local: usize) {
         self.timer
             .region(self.main, phases::PREPROCESS_FEEDBACK, || {
-                let ghosts = exchange_gas(self.main, self.dd, self.routing, self.reach0, hydro);
+                let dd = opened(&self.dd);
+                let ghosts = exchange_gas(self.main, dd, self.cfg.routing, &self.reach0, hydro);
                 assert_eq!(
                     ghosts.len(),
                     hydro.len() - n_local,
@@ -604,7 +675,8 @@ impl Halo for DistHalo<'_> {
     }
 }
 
-/// One main rank's integration loop.
+/// One main rank's integration loop: [`step::step`] on its slab at every
+/// step, the checkpoint gather at the cadence, the report at the end.
 fn main_loop(
     world: &Comm,
     main: &Comm,
@@ -614,10 +686,15 @@ fn main_loop(
 ) -> DistReport {
     let me = main.rank();
     let n_main = main.size();
-    let sim = &cfg.sim;
-    let eos = GammaLawEos::default();
-    let cooling = astro::CoolingCurve::standard_ism();
-    let mut timer = PhaseTimer::new();
+    let mut halo = DistHalo {
+        world,
+        main,
+        cfg,
+        timer: PhaseTimer::new(),
+        dd: None,
+        reach0: Vec::new(),
+        shipped: 0,
+    };
 
     // Fresh runs claim strided slices of the initial condition (then
     // balance); resumed runs take back exactly their snapshotted list.
@@ -634,49 +711,39 @@ fn main_loop(
             0,
         ),
     };
-
     let mut step: u64 = step0;
-    let mut event_counter: u64 = 0;
-    let mut pending: Vec<Pending> = Vec::new();
     let mut snapshots: Vec<DistSnapshot> = Vec::new();
     let mut stats = SimStats {
         dt_min_seen: f64::INFINITY,
         ..Default::default()
     };
-    let mut sched = ActiveScheduler::default();
+    // Per-rank force scratch + source caches threaded through every step:
+    // gravity results and SPH staging are refreshed in place, so the
+    // steady-state loop does not re-collect them.
+    let mut state = SlabState::<Ticket>::default();
 
     // Re-dispatch the checkpoint's in-flight regions (round-robin over the
     // main ranks — any rank may own a replay; replies come back by event
     // tag). The deterministic predictor reproduces the original replies,
     // due at their original absolute steps.
     if let Some(s) = resume {
-        for (k, p) in s.pending.iter().enumerate() {
-            if k % n_main != me {
-                continue;
-            }
-            let event_id = event_counter * n_main as u64 + me as u64;
-            let pool_rank = n_main + (event_id as usize % cfg.n_pool);
-            world.send(pool_rank, TAG_REGION, (event_id, p.center, p.gas.clone()));
-            pending.push(Pending {
-                event_id,
+        for p in s.pending.iter().skip(me).step_by(n_main) {
+            let [x, y, z] = p.center;
+            state.pending.push(InFlight {
                 due_step: p.due_step,
-                origin: pool_rank,
-                payload: (cfg.snapshot_every > 0).then(|| (p.center, p.gas.clone())),
+                ticket: halo.submit(Vec3::new(x, y, z), p.gas.clone()),
             });
-            event_counter += 1;
         }
         // The snapshotted block schedule (if any) is reinstated for
-        // observability — the next base step re-derives it from forces.
-        if s.schedules.len() == n_main {
-            let sc = &s.schedules[me];
-            sched.restore(sc.dt_max, &sc.levels);
+        // observability — the next base step re-derives it from forces;
+        // the signal-speed stash seeds the next adaptive step.
+        if let Some(sc) = s.schedules.get(me).filter(|_| s.schedules.len() == n_main) {
+            state.sched.restore(sc.dt_max, &sc.levels);
+        }
+        if let Some(vsig) = s.last_vsig.get(me) {
+            state.forces.restore_vsig(vsig);
         }
     }
-    // Per-rank force scratch + source caches threaded through every step:
-    // gravity results and SPH staging are refreshed in place, so the
-    // steady-state loop does not re-collect them.
-    let mut forces = ForceBuffers::default();
-    let mut reach0: Vec<f64> = Vec::new();
     // Set when the run degrades mid-flight (see [`DistError`]): every
     // rank agrees on it at a collective point, breaks the step loop
     // together, and the report carries it instead of a panic unwinding
@@ -684,150 +751,16 @@ fn main_loop(
     let mut degraded: Option<DistError> = None;
 
     for _ in 0..cfg.steps {
-        // --- Domain decomposition + particle exchange -------------------
-        let dd = timer.region(main, phases::EXCHANGE_PARTICLE, || {
-            let pos: Vec<Vec3> = particles.iter().map(|p| p.pos).collect();
-
-            DomainDecomposition::decompose(main, cfg.grid, &pos, 512)
-        });
-        particles = timer.region(main, phases::EXCHANGE_PARTICLE, || {
-            exchange_particles(
-                main,
-                &dd,
-                std::mem::take(&mut particles),
-                |p| p.pos,
-                cfg.routing,
-            )
-        });
-
-        // --- (1) Identify SNe -------------------------------------------
-        let my_events: Vec<(u64, [f64; 3])> = timer.region(main, phases::IDENTIFY_SNE, || {
-            let mut ev = Vec::new();
-            for p in particles.iter_mut() {
-                if p.is_star()
-                    && !p.exploded
-                    && explodes_in_interval(p.mass, p.birth_time, time, sim.dt_global)
-                {
-                    p.exploded = true;
-                    ev.push((p.id, [p.pos.x, p.pos.y, p.pos.z]));
-                }
-            }
-            ev
-        });
-
-        // --- (2) Ship SN regions to pool ranks ---------------------------
-        timer.region(main, phases::SEND_SNE, || {
-            // Everyone learns every event (origin = the rank owning the star).
-            let all_events = main.allgatherv(my_events.clone());
-            let mut flat: Vec<(usize, [f64; 3])> = Vec::new();
-            for (origin, evs) in all_events.iter().enumerate() {
-                for &(_, c) in evs {
-                    flat.push((origin, c));
-                }
-            }
-            // Each rank contributes its local gas inside each region cube,
-            // tagged with the event ordinal, routed to the event's origin.
-            let half = 0.5 * sim.region_side;
-            let mut sends: Vec<Vec<(u32, GasParticle)>> = vec![Vec::new(); n_main];
-            for (k, &(origin, c)) in flat.iter().enumerate() {
-                let center = Vec3::new(c[0], c[1], c[2]);
-                sends[origin].extend(
-                    step::region_gas(&particles, center, half, &eos).map(|g| (k as u32, g)),
-                );
-            }
-            let gathered = main.alltoallv(sends);
-            // Origin ranks assemble their events and ship to pool ranks.
-            for (k, &(origin, c)) in flat.iter().enumerate() {
-                if origin != me {
-                    continue;
-                }
-                let region: Vec<GasParticle> = gathered
-                    .iter()
-                    .flatten()
-                    .filter(|(ord, _)| *ord == k as u32)
-                    .map(|(_, g)| *g)
-                    .collect();
-                if region.is_empty() {
-                    continue;
-                }
-                let event_id = event_counter * n_main as u64 + me as u64;
-                let pool_rank = n_main + (event_id as usize % cfg.n_pool);
-                let payload = (cfg.snapshot_every > 0).then(|| (c, region.clone()));
-                world.send(pool_rank, TAG_REGION, (event_id, c, region));
-                pending.push(Pending {
-                    event_id,
-                    due_step: step + sim.pool_latency_steps as u64,
-                    origin: pool_rank,
-                    payload,
-                });
-                stats.sn_events += 1;
-                event_counter += 1;
-            }
-        });
-
-        // --- (3) Integrate one (base) step: the integrator both drivers
-        // share, through this rank's halo ----------------------------------
-        let mut halo = DistHalo {
-            main,
-            dd: &dd,
-            routing: cfg.routing,
-            timer: &mut timer,
-            reach0: &mut reach0,
+        let mut slab = Slab {
+            particles: &mut particles,
+            time: &mut time,
+            step_count: &mut step,
+            stats: &mut stats,
+            state: &mut state,
         };
-        match sim.timestep {
-            TimestepMode::Global => {
-                forces.kdk(sim, &mut halo, &mut particles, sim.dt_global, &mut stats)
-            }
-            // Hierarchical block timesteps across ranks (module docs:
-            // "Distributed block timesteps").
-            TimestepMode::Block { max_level } => forces.block_step(
-                sim,
-                &mut halo,
-                &mut sched,
-                &mut particles,
-                max_level,
-                &mut stats,
-            ),
-        }
-
-        // --- (4) Receive due pool predictions ---------------------------
-        timer.region(main, phases::RECEIVE_SNE, || {
-            let due = step::take_due(&mut pending, step, |p| p.due_step);
-            // Collect replacements on origin ranks, then share with all
-            // mains so owners can apply them by ID.
-            let mut mine: Vec<GasParticle> = Vec::new();
-            for d in due {
-                let predicted: Vec<GasParticle> =
-                    world.recv_vec(d.origin, TAG_REPLY_BASE + d.event_id);
-                mine.extend(predicted);
-                stats.regions_applied += 1;
-            }
-            let shared = main.allgatherv(mine);
-            // Migration reshuffles the slab every step, so the id index is
-            // built per use — and only when something is due.
-            step::replace_by_id(
-                &mut particles,
-                &mut GasIndex::default(),
-                shared.into_iter().flatten(),
-                &eos,
-            );
-        });
-
-        // --- (6) Cooling / heating + star formation ---------------------
-        timer.region(main, phases::FEEDBACK_COOLING, || {
-            if sim.cooling {
-                step::cool(&mut particles, &cooling, &eos, sim.dt_global);
-            }
-        });
-        timer.region(main, phases::STAR_FORMATION, || {
-            // Star formation runs in the shared-memory driver; the phase is
-            // timed here for the breakdown's completeness.
-        });
-
-        time += sim.dt_global;
-        step += 1;
-        stats.steps += 1;
-        stats.dt_min_seen = stats.dt_min_seen.min(sim.dt_global);
+        // No star-formation stage: this driver has no seeded stream
+        // (module docs).
+        step::step(&cfg.sim, &mut halo, &mut slab, |_, _| {});
 
         // --- Checkpoint at the configured cadence -----------------------
         if cfg.snapshot_every > 0 && step.is_multiple_of(cfg.snapshot_every) {
@@ -839,9 +772,10 @@ fn main_loop(
             // a final (best-effort) checkpoint is still assembled from
             // what remains.
             let mut missing: u64 = 0;
-            let my_pending: Vec<DistPending> = pending
+            let my_pending: Vec<DistPending> = state
+                .pending
                 .iter()
-                .filter_map(|p| match p.payload.clone() {
+                .filter_map(|p| match p.ticket.payload.clone() {
                     Some((center, gas)) => Some(DistPending {
                         due_step: p.due_step,
                         center,
@@ -858,7 +792,8 @@ fn main_loop(
             // The current block schedule (one per rank, level arrays in
             // local particle order) travels with the checkpoint; Global
             // runs contribute nothing and the field stays empty.
-            let my_sched: Vec<ScheduleState> = sched
+            let my_sched: Vec<ScheduleState> = state
+                .sched
                 .schedule()
                 .map(|s| ScheduleState {
                     dt_max: s.dt_max,
@@ -867,6 +802,7 @@ fn main_loop(
                 .into_iter()
                 .collect();
             let all_scheds = main.allgatherv(my_sched);
+            let last_vsig = main.allgather(state.forces.vsig_record());
             if me == 0 {
                 snapshots.push(DistSnapshot {
                     step,
@@ -874,6 +810,7 @@ fn main_loop(
                     rank_particles: all_parts,
                     pending: all_pending.into_iter().flatten().collect(),
                     schedules: all_scheds.into_iter().flatten().collect(),
+                    last_vsig,
                     model: cfg.predictor.model_state(),
                 });
             }
@@ -886,11 +823,9 @@ fn main_loop(
         }
     }
 
-    // Drain any remaining pool replies so messages don't leak, then stop
+    // Redeem any remaining pool replies so messages don't leak, then stop
     // the pool ranks.
-    for d in pending.drain(..) {
-        let _: Vec<GasParticle> = world.recv_vec(d.origin, TAG_REPLY_BASE + d.event_id);
-    }
+    halo.collect(state.pending.drain(..).map(|p| p.ticket).collect());
     main.barrier();
     if me == 0 {
         for pr in 0..cfg.n_pool {
@@ -898,7 +833,7 @@ fn main_loop(
         }
     }
 
-    let phases = timer.report_max(main);
+    let phases = halo.timer.report_max(main);
     let total_particles = main.allreduce_sum_u64(particles.len() as u64);
     let rank_stats = main.allgather(stats);
     let final_state = {
@@ -930,7 +865,7 @@ fn main_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Scheme;
+    use crate::config::{Scheme, TimestepMode};
     use astro::lifetime::stellar_lifetime_myr;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1022,6 +957,7 @@ mod tests {
             rank_particles: vec![Vec::new(); 2],
             pending: Vec::new(),
             schedules: Vec::new(),
+            last_vsig: Vec::new(),
             model: None,
         };
         let cfg = test_cfg(1, 1); // grid (2,2,1) = 4 main ranks
@@ -1072,23 +1008,10 @@ mod tests {
         let ic = disk_ic(200, 50, false, 2.0e-3);
         let cfg = test_cfg(2, 2);
         let report = run_distributed(&cfg, &ic).expect("dist run");
-        for name in [
-            phases::EXCHANGE_PARTICLE,
-            phases::MAKE_LOCAL_TREE_1,
-            phases::EXCHANGE_LET_1,
-            phases::CALC_FORCE_1,
-            phases::CALC_KERNEL_DENSITY_1,
-            phases::INTEGRATION,
-            phases::RECEIVE_SNE,
-            phases::SEND_SNE,
-            // The KDK re-force pass makes the 2nd-pass legend entries and
-            // the final kick real measurements.
-            phases::MAKE_TREE_2,
-            phases::EXCHANGE_LET_2,
-            phases::CALC_KERNEL_SIZE_2,
-            phases::CALC_FORCE_2,
-            phases::FINAL_KICK,
-        ] {
+        // The KDK re-force pass makes the 2nd-pass legend entries and the
+        // final kick real measurements; the SN, cooling and star-formation
+        // brackets are entered every step whether or not they have work.
+        for name in phases::ALL {
             assert!(
                 report.phases.get(name).is_some(),
                 "missing phase {name} in report"
@@ -1137,44 +1060,68 @@ mod tests {
 
     #[test]
     fn distributed_resume_reproduces_the_uninterrupted_run_bitwise() {
-        // 6 steps straight vs snapshot-at-3 + resume-for-3 — with an SN
-        // region still pending in the pool queue at the snapshot step
-        // (latency 4 > snapshot step 3 - explosion step 1).
+        // 6 steps straight vs snapshot-at-3 + resume-for-3, in every mode.
+        // Under the surrogate scheme the SN's region is still pending in
+        // the pool queue at the snapshot step (latency 4 > snapshot step 3
+        // - explosion step 1); under conventional + global the SN's heat
+        // collapses the step, and the resumed run's first CFL estimate
+        // comes out of the snapshotted signal-speed stash.
         let dt = 2.0e-3;
         let ic = disk_ic(300, 60, true, dt);
-        let mut cfg = test_cfg(6, 4);
-        cfg.snapshot_every = 3;
-        let full = run_distributed(&cfg, &ic).expect("dist run");
-        assert_eq!(full.sn_events, 1);
-        assert_eq!(full.regions_applied, 1);
-        assert_eq!(full.snapshots.len(), 2, "snapshots at steps 3 and 6");
+        for (scheme, timestep) in [
+            (Scheme::Surrogate, TimestepMode::Global),
+            (Scheme::Conventional, TimestepMode::Global),
+            (Scheme::Conventional, TimestepMode::Block { max_level: 4 }),
+        ] {
+            let what = format!("{scheme:?} + {timestep:?}");
+            let surrogate = scheme == Scheme::Surrogate;
+            let mut cfg = test_cfg(6, 4);
+            cfg.sim.scheme = scheme;
+            cfg.sim.timestep = timestep;
+            cfg.snapshot_every = 3;
+            let full = run_distributed(&cfg, &ic).expect("dist run");
+            assert_eq!(full.sn_events, 1, "{what}");
+            assert_eq!(full.regions_applied, surrogate as u64, "{what}");
+            assert_eq!(
+                full.snapshots.len(),
+                2,
+                "{what}: snapshots at steps 3 and 6"
+            );
 
-        let snap = &full.snapshots[0];
-        assert_eq!(snap.step, 3);
-        assert_eq!(
-            snap.pending.len(),
-            1,
-            "the SN region must still be in flight at the snapshot"
-        );
-        assert!(
-            snap.schedules.is_empty(),
-            "Global runs carry no block schedule"
-        );
-        // The checkpoint survives its binary encoding.
-        let snap = crate::snapshot::DistSnapshot::from_bytes(&snap.to_bytes()).expect("roundtrip");
+            let snap = &full.snapshots[0];
+            assert_eq!(snap.step, 3);
+            assert_eq!(
+                snap.pending.len(),
+                surrogate as usize,
+                "{what}: the SN region must still be in flight at the snapshot"
+            );
+            assert_eq!(
+                snap.schedules.is_empty(),
+                timestep == TimestepMode::Global,
+                "{what}: only block runs carry a schedule"
+            );
+            assert_eq!(snap.last_vsig.len(), cfg.n_main(), "{what}");
+            if scheme == Scheme::Conventional {
+                let dt_min = full.rank_stats[0].dt_min_seen;
+                assert!(dt_min < dt, "{what}: the SN must collapse the step");
+            }
+            // The checkpoint survives its binary encoding.
+            let snap =
+                crate::snapshot::DistSnapshot::from_bytes(&snap.to_bytes()).expect("roundtrip");
 
-        let mut resume_cfg = cfg;
-        resume_cfg.steps = 3;
-        let resumed = run_distributed_resume(&resume_cfg, &snap).expect("dist resume");
-        assert_eq!(resumed.steps, 3);
-        assert_eq!(
-            resumed.regions_applied, 1,
-            "the replayed region must be applied after the restart"
-        );
-        assert_eq!(full.final_state.len(), ic.len());
-        assert_eq!(resumed.final_state.len(), ic.len());
-        for (a, b) in full.final_state.iter().zip(&resumed.final_state) {
-            assert_eq!(a, b, "resumed particle {} diverged", a.id);
+            let mut resume_cfg = cfg;
+            resume_cfg.steps = 3;
+            let resumed = run_distributed_resume(&resume_cfg, &snap).expect("dist resume");
+            assert_eq!(resumed.steps, 3);
+            assert_eq!(
+                resumed.regions_applied, surrogate as u64,
+                "{what}: the replayed region must be applied after the restart"
+            );
+            assert_eq!(full.final_state.len(), ic.len());
+            assert_eq!(resumed.final_state.len(), ic.len());
+            for (a, b) in full.final_state.iter().zip(&resumed.final_state) {
+                assert_eq!(a, b, "{what}: resumed particle {} diverged", a.id);
+            }
         }
     }
 
@@ -1186,6 +1133,7 @@ mod tests {
         let mut ic = disk_ic(300, 0, false, 2.0e-3);
         ic[40].u = 1.0e8;
         let mut cfg = test_cfg(2, 2);
+        cfg.sim.scheme = Scheme::Conventional;
         cfg.sim.timestep = TimestepMode::Block { max_level: 8 };
         let report = run_distributed(&cfg, &ic).expect("dist run");
         assert_eq!(report.final_particles, ic.len() as u64);

@@ -19,8 +19,8 @@
 //! appended after the locals, SPH ghosts appended after the local gas and
 //! overwritten with owner values after the density pass, the block depth
 //! agreed world-wide, each phase bracketed for the timer. The
-//! shared-memory driver passes `()`, whose every method is empty and
-//! compiles away, so this module reads no clock and `Simulation` and
+//! shared-memory driver's halo keeps the trait's defaults, which are empty
+//! and compile away, so this module reads no clock and `Simulation` and
 //! `run_distributed` on one rank are the same computation bit for bit
 //! (`tests/distributed.rs`).
 //!
@@ -40,11 +40,13 @@ use crate::particle::Particle;
 use crate::phases;
 use crate::scheduler::{self, ActiveScheduler};
 use crate::sim::SimStats;
+use crate::step::Explosion;
 use astro::units::G;
 use fdps::walk::WalkIndex;
 use fdps::{Tree, Vec3};
 use gravity::GravitySolver;
 use sph::solver::{HydroState, SphScratch, SphSolver};
+use surrogate::GasParticle;
 
 /// Sentinel in [`ForceBuffers::gas_local`] marking a non-gas particle.
 pub const NOT_GAS: u32 = u32::MAX;
@@ -77,9 +79,11 @@ pub const PASS_CLOSING: PassPhases = PassPhases {
 };
 
 /// What a local particle slab needs from the rest of the world during a
-/// force evaluation or a block step. `()` is the shared-memory
-/// implementation (there is no rest of the world); the distributed driver
-/// implements it over its main communicator.
+/// step ([`crate::step::step`] states what each method is for in the §3.2
+/// sequence). Every method but the pool pair has a default body — the
+/// answer of a slab that is alone in the world, which is the shared-memory
+/// driver's; the distributed driver overrides them all over its main
+/// communicator.
 pub trait Halo {
     /// Whether the methods below are collective operations. A collective
     /// halo must be entered by every rank in the same sequence, so the
@@ -87,55 +91,76 @@ pub trait Halo {
     /// no gas or an empty active set; a non-collective one keeps those
     /// skips. This is the only thing the shared code asks about who it is
     /// serving.
-    const COLLECTIVE: bool;
+    const COLLECTIVE: bool = false;
+
+    /// The handle on a region the pool is predicting.
+    type Ticket;
+
+    /// Ship a region's gas to the pool (paper Fig. 3, `Send_SNe`); called
+    /// on the slab that owns the exploding star only.
+    fn submit(&mut self, center: Vec3, gas: Vec<GasParticle>) -> Self::Ticket;
+
+    /// Redeem this slab's due tickets and return *every* slab's due
+    /// predictions, in slab order: a region's particles may have migrated
+    /// anywhere since dispatch, so every slab replaces by ID.
+    fn collect(&mut self, due: Vec<Self::Ticket>) -> Vec<GasParticle>;
+
+    /// Start of a step: hand particles over so each slab holds its domain.
+    fn rebalance(&mut self, _particles: &mut Vec<Particle>) {}
+
+    /// Every slab's SN events of this step as `(owning slab, event)`, in
+    /// one order on all slabs.
+    fn all_events(&mut self, mine: Vec<Explosion>) -> Vec<(usize, Explosion)> {
+        mine.into_iter().map(|e| (0, e)).collect()
+    }
+
+    /// A region's gas on the slab `owner` — every slab's `local` part in
+    /// slab order — and `None` on the others.
+    fn gather_region(
+        &mut self,
+        _owner: usize,
+        local: Vec<GasParticle>,
+    ) -> Option<Vec<GasParticle>> {
+        Some(local)
+    }
+
+    /// Σ of `x` over the slabs (the feedback weights' normalisation).
+    fn sum(&mut self, x: f64) -> f64 {
+        x
+    }
+
+    /// Minimum of `x` over the slabs (the CFL-adaptive global step).
+    fn min(&mut self, x: f64) -> f64 {
+        x
+    }
 
     /// Full pass only: append the remote gravity sources this slab needs
     /// (its LET imports) after the local entries of `pos`/`mass`.
     fn import_sources(
         &mut self,
-        ph: &PassPhases,
-        solver: &GravitySolver,
-        pos: &mut Vec<Vec3>,
-        mass: &mut Vec<f64>,
-    );
-
-    /// Before the density pass: append the other slabs' boundary gas after
-    /// the `n_local` local entries of `hydro`.
-    fn append_ghosts(&mut self, hydro: &mut HydroState, n_local: usize);
-
-    /// After the density pass: overwrite every ghost entry with its
-    /// owner's freshly converged `rho`/`h` and current `u`/`vel`.
-    fn refresh_ghosts(&mut self, hydro: &mut HydroState, n_local: usize);
-
-    /// Raise `sched` to the depth every slab walks (see
-    /// [`scheduler::reduce_depth_world`]); returns the fine-substep count.
-    fn agree_depth(&mut self, sched: &mut ActiveScheduler) -> u64;
-
-    /// Run `f` as the named phase (one of [`crate::phases`]).
-    fn phase<R>(&mut self, name: &'static str, f: impl FnOnce() -> R) -> R;
-}
-
-impl Halo for () {
-    const COLLECTIVE: bool = false;
-
-    fn import_sources(
-        &mut self,
-        _: &PassPhases,
-        _: &GravitySolver,
-        _: &mut Vec<Vec3>,
-        _: &mut Vec<f64>,
+        _ph: &PassPhases,
+        _solver: &GravitySolver,
+        _pos: &mut Vec<Vec3>,
+        _mass: &mut Vec<f64>,
     ) {
     }
 
-    fn append_ghosts(&mut self, _: &mut HydroState, _: usize) {}
+    /// Before the density pass: append the other slabs' boundary gas after
+    /// the `n_local` local entries of `hydro`.
+    fn append_ghosts(&mut self, _hydro: &mut HydroState, _n_local: usize) {}
 
-    fn refresh_ghosts(&mut self, _: &mut HydroState, _: usize) {}
+    /// After the density pass: overwrite every ghost entry with its
+    /// owner's freshly converged `rho`/`h` and current `u`/`vel`.
+    fn refresh_ghosts(&mut self, _hydro: &mut HydroState, _n_local: usize) {}
 
+    /// Raise `sched` to the depth every slab walks (see
+    /// [`scheduler::reduce_depth_world`]); returns the fine-substep count.
     fn agree_depth(&mut self, sched: &mut ActiveScheduler) -> u64 {
         sched.substeps_per_base_step()
     }
 
-    fn phase<R>(&mut self, _: &'static str, f: impl FnOnce() -> R) -> R {
+    /// Run `f` as the named phase (one of [`crate::phases`]).
+    fn phase<R>(&mut self, _name: &'static str, f: impl FnOnce() -> R) -> R {
         f()
     }
 }
@@ -608,6 +633,19 @@ impl ForceBuffers {
             stats.active_updates += self.active.len() as u64;
         }
         stats.dt_min_seen = stats.dt_min_seen.min(dt_fine);
+    }
+
+    /// The `vsig` stash as snapshots carry it.
+    pub fn vsig_record(&self) -> Vec<(u64, f64, f64)> {
+        self.vsig
+            .iter()
+            .map(|&(i, v, h)| (i as u64, v, h))
+            .collect()
+    }
+
+    /// Reinstate a snapshotted `vsig` stash.
+    pub fn restore_vsig(&mut self, record: &[(u64, f64, f64)]) {
+        self.vsig = record.iter().map(|&(i, v, h)| (i as usize, v, h)).collect();
     }
 
     /// Capacities of every owned buffer, in a fixed order. Steady-state

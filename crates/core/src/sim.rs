@@ -2,26 +2,20 @@
 //! with either the surrogate or the conventional SN scheme.
 
 use crate::ckpt::{CkptFormat, CkptStore};
-use crate::config::{Scheme, SimConfig, TimestepMode};
+use crate::config::SimConfig;
 use crate::faults::FaultInjector;
-use crate::forces::ForceBuffers;
+use crate::forces::{ForceBuffers, Halo};
 use crate::particle::{Kind, Particle};
 use crate::pool::{PoolPredictor, SedovOverlayPredictor, UNetPredictor};
 use crate::scheduler::ActiveScheduler;
 use crate::snapshot::{ModelState, PendingPrediction, ScheduleState, SimSnapshot};
-use crate::step::{self, GasIndex};
-use astro::cooling::CoolingCurve;
-use astro::lifetime::explodes_in_interval;
+use crate::step::{self, InFlight, Slab, SlabState};
 use astro::starform::{SfOutcome, StarFormation};
-use astro::supernova::SnFeedback;
 use astro::units::{E_SN, G};
-use astro::yields::SnYield;
 use fdps::Vec3;
 use gravity::GravitySolver;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sph::timestep::quantize_block;
-use sph::GammaLawEos;
 use surrogate::GasParticle;
 
 /// Counters accumulated over a run.
@@ -63,10 +57,24 @@ pub struct SimStats {
     pub sph_tree_refreshes: u64,
 }
 
-/// A prediction in flight between pool dispatch and application.
-struct PendingRegion {
-    due_step: u64,
-    predicted: Vec<GasParticle>,
+/// The halo of a slab that is alone in the world: nobody to exchange with
+/// (the [`Halo`] defaults), and the pool is a function call — the ticket
+/// is the prediction itself.
+struct Alone<'a> {
+    pool: &'a dyn PoolPredictor,
+    horizon: f64,
+}
+
+impl Halo for Alone<'_> {
+    type Ticket = Vec<GasParticle>;
+
+    fn submit(&mut self, center: Vec3, gas: Vec<GasParticle>) -> Self::Ticket {
+        self.pool.predict(center, E_SN, self.horizon, &gas)
+    }
+
+    fn collect(&mut self, due: Vec<Self::Ticket>) -> Vec<GasParticle> {
+        due.into_iter().flatten().collect()
+    }
 }
 
 /// The simulation state and driver.
@@ -81,26 +89,15 @@ pub struct Simulation {
     /// the analytic Sedov-overlay default.
     pub model: Option<ModelState>,
     predictor: Box<dyn PoolPredictor>,
-    pending: Vec<PendingRegion>,
     next_id: u64,
     rng: StdRng,
-    eos: GammaLawEos,
-    cooling: CoolingCurve,
     starform: StarFormation,
-    feedback: SnFeedback,
-    /// The force pipeline's scratch arena: refreshed in place every step,
-    /// zero heap growth in steady state (see [`crate::forces`]). Its
-    /// `vsig` stash — the last SPH force pass's signal speeds, input of
-    /// the conventional scheme's CFL estimate — is the one part of it
-    /// that travels through snapshots.
-    buffers: ForceBuffers,
-    /// Block-timestep level machinery (see [`crate::scheduler`]); only the
-    /// conventional scheme in [`TimestepMode::Block`] drives it.
-    scheduler: ActiveScheduler,
-    /// Persistent gas id → particle index map for applying pool
-    /// predictions, invalidated on particle insertion/conversion instead
-    /// of being rebuilt every step that has due regions.
-    gas_index: GasIndex,
+    /// What [`step::step`] keeps between steps. Of the force arena only
+    /// the `vsig` stash — the last SPH force pass's signal speeds, input
+    /// of the conventional scheme's CFL estimate — travels through
+    /// snapshots; the queue holds each region *predicted*; the id index
+    /// persists until a particle is inserted or converted.
+    state: SlabState<Vec<GasParticle>>,
 }
 
 impl Simulation {
@@ -128,11 +125,8 @@ impl Simulation {
             },
             model: None,
             predictor,
-            pending: Vec::new(),
             next_id,
             rng: StdRng::seed_from_u64(seed),
-            eos: GammaLawEos::default(),
-            cooling: CoolingCurve::standard_ism(),
             starform: StarFormation {
                 criteria: astro::StarFormationCriteria {
                     rho_min: config.sf_rho_min,
@@ -141,10 +135,7 @@ impl Simulation {
                 },
                 ..Default::default()
             },
-            feedback: SnFeedback::default(),
-            buffers: ForceBuffers::default(),
-            scheduler: ActiveScheduler::default(),
-            gas_index: GasIndex::default(),
+            state: SlabState::default(),
         }
     }
 
@@ -152,20 +143,6 @@ impl Simulation {
     pub fn run(&mut self, n: usize) {
         for _ in 0..n {
             self.step();
-        }
-    }
-
-    /// Advance `n` steps, handing the caller a checkpoint after every
-    /// [`SimConfig::snapshot_every`]-th completed step (no callbacks when
-    /// the cadence is 0). The callback receives the live simulation so it
-    /// can call [`Simulation::snapshot`] — or cheaper observers — itself.
-    pub fn run_with_snapshots<F: FnMut(&Simulation)>(&mut self, n: usize, mut on_snapshot: F) {
-        let every = self.config.snapshot_every;
-        for _ in 0..n {
-            self.step();
-            if every > 0 && self.step_count.is_multiple_of(every) {
-                on_snapshot(self);
-            }
         }
     }
 
@@ -215,21 +192,17 @@ impl Simulation {
             rng_state: self.rng.state(),
             stats: self.stats,
             particles: self.particles.clone(),
-            last_vsig: self
-                .buffers
-                .vsig
-                .iter()
-                .map(|&(i, v, h)| (i as u64, v, h))
-                .collect(),
+            last_vsig: self.state.forces.vsig_record(),
             pending: self
+                .state
                 .pending
                 .iter()
                 .map(|r| PendingPrediction {
                     due_step: r.due_step,
-                    predicted: r.predicted.clone(),
+                    predicted: r.ticket.clone(),
                 })
                 .collect(),
-            schedule: self.scheduler.schedule().map(|s| ScheduleState {
+            schedule: self.state.sched.schedule().map(|s| ScheduleState {
                 dt_max: s.dt_max,
                 levels: s.levels.clone(),
             }),
@@ -275,269 +248,51 @@ impl Simulation {
         sim.next_id = snapshot.next_id;
         sim.rng = StdRng::from_state(snapshot.rng_state);
         sim.stats = snapshot.stats;
-        sim.buffers.vsig = snapshot
-            .last_vsig
-            .iter()
-            .map(|&(i, v, h)| (i as usize, v, h))
-            .collect();
-        sim.pending = snapshot
+        sim.state.forces.restore_vsig(&snapshot.last_vsig);
+        sim.state.pending = snapshot
             .pending
             .iter()
-            .map(|p| PendingRegion {
+            .map(|p| InFlight {
                 due_step: p.due_step,
-                predicted: p.predicted.clone(),
+                ticket: p.predicted.clone(),
             })
             .collect();
         if let Some(s) = &snapshot.schedule {
-            sim.scheduler.restore(s.dt_max, &s.levels);
+            sim.state.sched.restore(s.dt_max, &s.levels);
         }
         sim
     }
 
-    /// One full step of the paper's §3.2 procedure.
+    /// One full step of the paper's §3.2 procedure: [`step::step`] on the
+    /// one slab there is, with this driver's seeded star formation.
     pub fn step(&mut self) {
-        // (1) Identify SNe exploding in (t, t + dt_global].
-        let events = self.identify_sne();
-        self.stats.sn_events += events.len() as u64;
-
-        match self.config.scheme {
-            Scheme::Surrogate => {
-                // (2) Ship regions to the pool; predictions apply after
-                // the pool latency. Metal yields are injected immediately
-                // (the surrogate predicts dynamics, not composition).
-                for (star_idx, center) in &events {
-                    self.particles[*star_idx].exploded = true;
-                    self.inject_yields(*star_idx, *center);
-                    self.dispatch_region(*center);
-                }
-                // (3) Fixed-global-timestep KDK without feedback energy.
-                let dt = self.config.dt_global;
-                self.kdk(dt);
-                // (4) Receive pool predictions due this step, replace by ID.
-                self.apply_due_regions();
-                // (6) Star formation, cooling and heating.
-                self.cooling_and_star_formation(dt);
-                self.advance(dt);
-            }
-            Scheme::Conventional => {
-                // Direct thermal feedback, then a CFL-limited step.
-                for (star_idx, center) in &events {
-                    self.particles[*star_idx].exploded = true;
-                    self.inject_yields(*star_idx, *center);
-                    self.inject_thermal(*center);
-                }
-                match self.config.timestep {
-                    TimestepMode::Global => {
-                        let dt = self.adaptive_dt();
-                        self.kdk(dt);
-                        self.cooling_and_star_formation(dt);
-                        self.advance(dt);
-                    }
-                    TimestepMode::Block { max_level } => {
-                        let dt_base = self.config.dt_global;
-                        if !self.particles.is_empty() {
-                            self.buffers.block_step(
-                                &self.config,
-                                &mut (),
-                                &mut self.scheduler,
-                                &mut self.particles,
-                                max_level,
-                                &mut self.stats,
-                            );
-                        }
-                        // Shared-base-step physics, re-synchronized.
-                        self.cooling_and_star_formation(dt_base);
-                        self.advance(dt_base);
-                    }
-                }
-            }
-        }
-    }
-
-    fn advance(&mut self, dt: f64) {
-        self.time += dt;
-        self.step_count += 1;
-        self.stats.steps += 1;
-        self.stats.dt_min_seen = self.stats.dt_min_seen.min(dt);
-    }
-
-    /// Stars whose lifetime ends within the next global step.
-    fn identify_sne(&self) -> Vec<(usize, Vec3)> {
-        self.particles
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| {
-                p.is_star()
-                    && !p.exploded
-                    && explodes_in_interval(p.mass, p.birth_time, self.time, self.config.dt_global)
-            })
-            .map(|(i, p)| (i, p.pos))
-            .collect()
-    }
-
-    /// Cut the (region_side)^3 cube around `center` and queue its
-    /// prediction (paper §3.2 step 2; the pool's compute latency is
-    /// modelled by the due step).
-    fn dispatch_region(&mut self, center: Vec3) {
-        let half = 0.5 * self.config.region_side;
-        let gas: Vec<GasParticle> =
-            step::region_gas(&self.particles, center, half, &self.eos).collect();
-        if gas.is_empty() {
-            return;
-        }
-        let predicted = self
-            .predictor
-            .predict(center, E_SN, self.config.horizon(), &gas);
-        self.pending.push(PendingRegion {
-            due_step: self.step_count + self.config.pool_latency_steps as u64,
-            predicted,
+        let mut slab = Slab {
+            particles: &mut self.particles,
+            time: &mut self.time,
+            step_count: &mut self.step_count,
+            stats: &mut self.stats,
+            state: &mut self.state,
+        };
+        let mut halo = Alone {
+            pool: &*self.predictor,
+            horizon: self.config.horizon(),
+        };
+        let (rng, starform, next_id) = (&mut self.rng, &self.starform, &mut self.next_id);
+        step::step(&self.config, &mut halo, &mut slab, |s, dt| {
+            form_stars(rng, starform, next_id, s, dt)
         });
     }
 
-    /// Replace particles by ID with any predictions that are due
-    /// (paper §3.2 step 4).
-    fn apply_due_regions(&mut self) {
-        let due = step::take_due(&mut self.pending, self.step_count, |r| r.due_step);
-        self.stats.regions_applied += due.len() as u64;
-        step::replace_by_id(
-            &mut self.particles,
-            &mut self.gas_index,
-            due.into_iter().flat_map(|r| r.predicted),
-            &self.eos,
-        );
-    }
-
-    /// Inject the exploding star's nucleosynthesis yields into nearby gas
-    /// (Figure 1's element cycle: C, O, Mg, Fe spread by the explosion).
-    fn inject_yields(&mut self, star_idx: usize, center: Vec3) {
-        let progenitor_mass = self.particles[star_idx].mass;
-        let y = SnYield::for_progenitor(progenitor_mass);
-        let (neighbours, weights) =
-            step::sn_neighbours(&self.particles, center, 0.5 * self.config.region_side);
-        if neighbours.is_empty() {
-            return;
-        }
-        let per = astro::yields::distribute_yields(&y, &weights);
-        for (&i, dz) in neighbours.iter().zip(per) {
-            self.particles[i].metals += dz.iter().sum::<f64>();
-        }
-    }
-
-    /// Conventional feedback: kernel-weighted thermal injection.
-    fn inject_thermal(&mut self, center: Vec3) {
-        let (neighbours, weights) =
-            step::sn_neighbours(&self.particles, center, 0.5 * self.config.region_side);
-        if neighbours.is_empty() {
-            return;
-        }
-        let masses: Vec<f64> = neighbours.iter().map(|&i| self.particles[i].mass).collect();
-        let event = astro::SnEvent {
-            star_index: 0,
-            pos: [center.x, center.y, center.z],
-            time: self.time,
-            energy: E_SN,
-        };
-        let du = self.feedback.thermal_injection(&event, &masses, &weights);
-        for (&i, d) in neighbours.iter().zip(du) {
-            self.particles[i].u += d;
-        }
-    }
-
-    /// KDK leapfrog with a shared timestep (paper §3.2 step 3), through
-    /// the one integrator both drivers share; the shared-memory halo is
-    /// empty.
-    fn kdk(&mut self, dt: f64) {
-        self.buffers.kdk(
-            &self.config,
-            &mut (),
-            &mut self.particles,
-            dt,
-            &mut self.stats,
-        );
-    }
-
     /// The block-timestep scheduler (its schedule reflects the last base
-    /// step integrated in [`TimestepMode::Block`]).
+    /// step integrated in `TimestepMode::Block`).
     pub fn scheduler(&self) -> &ActiveScheduler {
-        &self.scheduler
+        &self.state.sched
     }
 
     /// Read-only view of the force scratch arena (regression tests assert
     /// its steady-state capacities).
     pub fn force_buffers(&self) -> &ForceBuffers {
-        &self.buffers
-    }
-
-    /// CFL-adaptive shared timestep (conventional scheme, paper §5.3).
-    fn adaptive_dt(&mut self) -> f64 {
-        // Signal speeds from the current thermal state (pre-force estimate:
-        // sound speed; the stashed v_sig from the last force pass refines
-        // it after the first step).
-        let mut dt = self.config.dt_global;
-        for p in &self.particles {
-            if p.is_gas() {
-                let cs = self.eos.sound_speed(p.u);
-                if cs > 0.0 && p.h > 0.0 {
-                    dt = dt.min(self.config.cfl * p.h / cs);
-                }
-            }
-        }
-        for &(_, vsig, h) in &self.buffers.vsig {
-            if vsig > 0.0 {
-                dt = dt.min(self.config.cfl * h / vsig);
-            }
-        }
-        quantize_block(dt.max(self.config.dt_min), self.config.dt_global)
-    }
-
-    /// Cooling/heating and stochastic star formation (paper §3.2 step 6).
-    fn cooling_and_star_formation(&mut self, dt: f64) {
-        if self.config.cooling {
-            step::cool(&mut self.particles, &self.cooling, &self.eos, dt);
-        }
-        if !self.config.star_formation {
-            return;
-        }
-        let mut new_stars: Vec<Particle> = Vec::new();
-        let eos = self.eos;
-        for p in self.particles.iter_mut() {
-            if p.is_gas() && p.rho > 0.0 {
-                let temp = eos.temperature_from_u(p.u);
-                match self
-                    .starform
-                    .try_form(&mut self.rng, p.rho, temp, p.mass, dt)
-                {
-                    SfOutcome::None => {}
-                    SfOutcome::Spawn {
-                        star_mass,
-                        gas_left,
-                    } => {
-                        new_stars.push(Particle::star(
-                            0, // assigned below
-                            p.pos, p.vel, star_mass, self.time,
-                        ));
-                        p.mass = gas_left;
-                    }
-                    SfOutcome::Convert { star_mass } => {
-                        p.kind = Kind::Star;
-                        p.mass = star_mass;
-                        p.birth_time = self.time;
-                        p.exploded = false;
-                        // A gas id just left the gas population.
-                        self.gas_index.invalidate();
-                    }
-                }
-            }
-        }
-        if !new_stars.is_empty() {
-            self.gas_index.invalidate();
-        }
-        for mut s in new_stars {
-            s.id = self.next_id;
-            self.next_id += 1;
-            self.stats.stars_formed += 1;
-            self.particles.push(s);
-        }
+        &self.state.forces
     }
 
     /// Total energy: kinetic + internal + gravitational potential — the
@@ -554,7 +309,7 @@ impl Simulation {
     /// the scratch arena ([`ForceBuffers::pot`]) — the tree potential at
     /// the run's own `theta`, already paid for. Masses and potentials come
     /// from the same evaluation, so the sum is self-consistent; in
-    /// [`TimestepMode::Block`] the last substep boundary of a base step
+    /// `TimestepMode::Block` the last substep boundary of a base step
     /// activates every level, so no entry is stale. What the snapshot
     /// cannot see is what the step did after that evaluation: particles a
     /// pool region replaced lag by one sample in the potential term, and a
@@ -563,7 +318,7 @@ impl Simulation {
     /// `tests/live_energy.rs`. Before the first force evaluation since
     /// `new`/`restore` there is no snapshot, and this *is* the exact audit.
     pub fn live_energy(&self) -> f64 {
-        let bufs = &self.buffers;
+        let bufs = &self.state.forces;
         if bufs.pot.is_empty() {
             return self.total_energy();
         }
@@ -579,7 +334,53 @@ impl Simulation {
 
     /// Number of in-flight pool predictions.
     pub fn pending_regions(&self) -> usize {
-        self.pending.len()
+        self.state.pending.len()
+    }
+}
+
+/// Stochastic star formation over the gas (paper §3.2 step 6), on the
+/// driver's seeded stream; new stars take ids from `next_id`.
+fn form_stars<T>(
+    rng: &mut StdRng,
+    starform: &StarFormation,
+    next_id: &mut u64,
+    s: &mut Slab<'_, T>,
+    dt: f64,
+) {
+    let (time, eos) = (*s.time, s.state.eos);
+    let mut new_stars: Vec<Particle> = Vec::new();
+    for p in s.particles.iter_mut() {
+        if p.is_gas() && p.rho > 0.0 {
+            let temp = eos.temperature_from_u(p.u);
+            match starform.try_form(rng, p.rho, temp, p.mass, dt) {
+                SfOutcome::None => {}
+                SfOutcome::Spawn {
+                    star_mass,
+                    gas_left,
+                } => {
+                    // The id is assigned below.
+                    new_stars.push(Particle::star(0, p.pos, p.vel, star_mass, time));
+                    p.mass = gas_left;
+                }
+                SfOutcome::Convert { star_mass } => {
+                    p.kind = Kind::Star;
+                    p.mass = star_mass;
+                    p.birth_time = time;
+                    p.exploded = false;
+                    // A gas id just left the gas population.
+                    s.state.gas_index.invalidate();
+                }
+            }
+        }
+    }
+    if !new_stars.is_empty() {
+        s.state.gas_index.invalidate();
+    }
+    for mut star in new_stars {
+        star.id = *next_id;
+        *next_id += 1;
+        s.stats.stars_formed += 1;
+        s.particles.push(star);
     }
 }
 
@@ -624,6 +425,7 @@ fn kinetic_and_internal(particles: &[Particle]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{Scheme, TimestepMode};
     use astro::lifetime::stellar_lifetime_myr;
 
     fn two_body() -> Vec<Particle> {

@@ -84,8 +84,10 @@ pub const SNAPSHOT_VERSION: u32 = 3;
 /// v3: [`DistSnapshot`] carries the per-rank block-timestep schedules
 /// ([`DistSnapshot::schedules`]) and gained a JSON encoding;
 /// v4: the pool predictor's model weights travel with the checkpoint
-/// ([`DistSnapshot::model`]).
-pub const DIST_SNAPSHOT_VERSION: u32 = 4;
+/// ([`DistSnapshot::model`]);
+/// v5: the per-rank signal-speed stash ([`DistSnapshot::last_vsig`]), so
+/// the conventional scheme's adaptive global step resumes bitwise.
+pub const DIST_SNAPSHOT_VERSION: u32 = 5;
 
 /// Why a snapshot failed to decode. Every variant is a recoverable error —
 /// corrupt or foreign input never panics the reader.
@@ -608,6 +610,11 @@ record! {
         /// base step re-derives levels from forces, so resume determinism
         /// never depends on it.
         pub schedules: Vec<ScheduleState>,
+        /// Each main rank's `(particle index, v_sig, h)` stash from its last
+        /// SPH force pass, in rank order: it seeds the next step's CFL
+        /// estimate (conventional scheme, global step), so restart
+        /// determinism requires it — as [`SimSnapshot::last_vsig`] does.
+        pub last_vsig: Vec<Vec<(u64, f64, f64)>>,
         /// The trained model the pool ranks serve, if the run uses one
         /// (`None` for the analytic Sedov-overlay default). On resume this
         /// overrides the configured predictor so the pool replays the same
@@ -1208,6 +1215,7 @@ mod tests {
                 })
                 .collect(),
             schedules,
+            last_vsig: base.last_vsig.chunks(2).map(|c| c.to_vec()).collect(),
             model: base.model,
         }
     }
@@ -1349,9 +1357,11 @@ mod tests {
         d
     }
 
-    /// `fnv1a(to_bytes())` of the goldens, recorded at the commit before
-    /// the codecs were rewritten around the schema. A mismatch means the
-    /// binary layout changed: bump the version, then refresh these.
+    /// `fnv1a(to_bytes())` of the goldens: the shared-memory one recorded at
+    /// the commit before the codecs were rewritten around the schema, the
+    /// distributed one refreshed for v5 (v4's 4150 bytes plus the 288 of
+    /// `last_vsig`). A mismatch means the binary layout changed: bump the
+    /// version, then refresh these.
     #[test]
     fn binary_encoding_reproduces_the_recorded_goldens() {
         let s = golden_sim();
@@ -1365,18 +1375,19 @@ mod tests {
         );
         let d = golden_dist();
         assert!(d.model.is_some() && !d.schedules.is_empty() && !d.pending.is_empty());
-        assert_eq!(d.to_bytes().len(), 4150);
+        assert!(d.last_vsig.iter().any(|rank| !rank.is_empty()));
+        assert_eq!(d.to_bytes().len(), 4438);
         assert_eq!(
             fnv1a(&d.to_bytes()),
-            0xd8b2_ea9c_9e85_37f5,
-            "DistSnapshot v4"
+            0xc283_29dd_e7bb_5593,
+            "DistSnapshot v5"
         );
-        assert_eq!((SNAPSHOT_VERSION, DIST_SNAPSHOT_VERSION), (3, 4));
+        assert_eq!((SNAPSHOT_VERSION, DIST_SNAPSHOT_VERSION), (3, 5));
     }
 
-    /// The fixtures are the goldens as rendered by that same earlier
-    /// commit (its key order, its envelope): they must keep decoding to
-    /// the same values.
+    /// The fixtures are the goldens as rendered by the commit that last
+    /// changed each layout (its key order, its envelope): they must keep
+    /// decoding to the same values.
     #[test]
     fn json_fixtures_rendered_before_the_schema_decode_to_equal_values() {
         let sim = include_str!("../fixtures/sim_snapshot_v3.json");
@@ -1384,7 +1395,7 @@ mod tests {
             SimSnapshot::from_json(sim).expect("sim fixture"),
             golden_sim()
         );
-        let dist = include_str!("../fixtures/dist_snapshot_v4.json");
+        let dist = include_str!("../fixtures/dist_snapshot_v5.json");
         assert_eq!(
             DistSnapshot::from_json(dist).expect("dist fixture"),
             golden_dist()

@@ -1,20 +1,243 @@
-//! The pieces of the §3.2 step that sit around the integrator, written
-//! once for both drivers: the SN region cut, the due rule of the pool
-//! queue, replace-by-ID, the cooling loop and the feedback neighbour
-//! weights. Plain functions over a local particle slab — the drivers keep
-//! what is genuinely theirs (who predicts, who owns which particle, which
-//! ranks must hear about an event).
+//! The paper's §3.2 step (Fig. 3), written once for both drivers: [`step`]
+//! advances one local particle slab through
+//!
+//! 1. identify the SNe exploding in `(t, t + dt_global]`;
+//! 2. inject each one's nucleosynthesis yields into the gas around it;
+//! 3. `Scheme::Surrogate`: cut the region cube and dispatch it to the
+//!    pool — `Scheme::Conventional`: inject the thermal energy;
+//! 4. integrate — the fixed `dt_global` KDK (`Surrogate`, whatever
+//!    [`SimConfig::timestep`] says), the CFL-adaptive global KDK
+//!    (`Conventional` + `Global`) or the block walk (`Conventional` +
+//!    `Block`);
+//! 5. collect the predictions that are due and replace by ID;
+//! 6. cool;
+//! 7. run the star-formation stage the driver supplies;
+//! 8. advance the clock.
+//!
+//! What one slab cannot know alone it asks its [`Halo`]:
+//! [`Halo::rebalance`] before anything else (domain decomposition),
+//! [`Halo::all_events`] so every slab walks the same events (2–3),
+//! [`Halo::sum`] for the feedback weights' Σw over the slabs a blast
+//! straddles (2–3), [`Halo::gather_region`] for the cube's gas held by
+//! other slabs (3), [`Halo::submit`] / [`Halo::collect`] for the pool (3,
+//! 5), [`Halo::min`] for the adaptive step (4), the force-pass methods
+//! inside [`ForceBuffers`] (4) and [`Halo::phase`] around each stage. The
+//! drivers keep what is genuinely theirs: the transport, the checkpoint
+//! cadence and — star formation needs a seeded stream — stage 7.
 
+use crate::config::{Scheme, SimConfig, TimestepMode};
+use crate::forces::{ForceBuffers, Halo};
 use crate::particle::Particle;
+use crate::phases;
+use crate::scheduler::ActiveScheduler;
+use crate::sim::SimStats;
 use astro::cooling::CoolingCurve;
-use astro::units::NH_PER_MSUN_PC3;
+use astro::lifetime::explodes_in_interval;
+use astro::supernova::SnFeedback;
+use astro::units::{E_SN, NH_PER_MSUN_PC3};
+use astro::yields::{distribute_yields, SnYield};
 use fdps::Vec3;
+use sph::timestep::quantize_block;
 use sph::GammaLawEos;
 use surrogate::GasParticle;
 
+/// An identified SN: where, and the progenitor's mass (which sets the
+/// yields).
+#[derive(Debug, Clone, Copy)]
+pub struct Explosion {
+    pub center: Vec3,
+    pub progenitor_mass: f64,
+}
+
+/// A region the pool is predicting: the halo's handle on it and the step
+/// at which the prediction falls due.
+pub struct InFlight<T> {
+    pub due_step: u64,
+    pub ticket: T,
+}
+
+/// What a slab carries from step to step besides the particles, clock and
+/// counters its driver exposes: the force arena (whose `vsig` stash seeds
+/// the next adaptive step), the block schedule, the pool queue, the id
+/// index, the equation of state and the cooling curve.
+pub struct SlabState<T> {
+    pub forces: ForceBuffers,
+    pub sched: ActiveScheduler,
+    pub pending: Vec<InFlight<T>>,
+    pub gas_index: GasIndex,
+    pub eos: GammaLawEos,
+    pub cooling: CoolingCurve,
+}
+
+impl<T> Default for SlabState<T> {
+    fn default() -> Self {
+        SlabState {
+            forces: ForceBuffers::default(),
+            sched: ActiveScheduler::default(),
+            pending: Vec::new(),
+            gas_index: GasIndex::default(),
+            eos: GammaLawEos::default(),
+            cooling: CoolingCurve::standard_ism(),
+        }
+    }
+}
+
+/// One slab as [`step`] takes it: the driver's own particles, clock and
+/// counters, and the [`SlabState`] it keeps for the step.
+pub struct Slab<'a, T> {
+    pub particles: &'a mut Vec<Particle>,
+    pub time: &'a mut f64,
+    pub step_count: &'a mut u64,
+    pub stats: &'a mut SimStats,
+    pub state: &'a mut SlabState<T>,
+}
+
+/// One full step of the paper's §3.2 procedure on one slab (module docs).
+/// `star_formation(slab, dt)` is stage 7; it runs when
+/// [`SimConfig::star_formation`] is set.
+pub fn step<H: Halo>(
+    cfg: &SimConfig,
+    halo: &mut H,
+    s: &mut Slab<'_, H::Ticket>,
+    star_formation: impl FnOnce(&mut Slab<'_, H::Ticket>, f64),
+) {
+    halo.rebalance(s.particles);
+    if H::COLLECTIVE {
+        // Other slabs exist: migration may have changed who is here.
+        s.state.gas_index.invalidate();
+    }
+
+    let time = *s.time;
+    let mine = halo.phase(phases::IDENTIFY_SNE, || {
+        let mut mine = Vec::new();
+        for p in s.particles.iter_mut() {
+            if p.is_star()
+                && !p.exploded
+                && explodes_in_interval(p.mass, p.birth_time, time, cfg.dt_global)
+            {
+                p.exploded = true;
+                mine.push(Explosion {
+                    center: p.pos,
+                    progenitor_mass: p.mass,
+                });
+            }
+        }
+        mine
+    });
+    s.stats.sn_events += mine.len() as u64;
+
+    let half = 0.5 * cfg.region_side;
+    for (owner, sn) in halo.all_events(mine) {
+        // Yields go in at once under either scheme (the surrogate predicts
+        // dynamics, not composition), to the recipients of the thermal
+        // energy and with the same weights.
+        let (near, weights) = sn_neighbours(s.particles, sn.center, half);
+        let wsum = halo.sum(weights.iter().sum());
+        let yields = SnYield::for_progenitor(sn.progenitor_mass);
+        for (&i, dz) in near.iter().zip(distribute_yields(&yields, &weights, wsum)) {
+            s.particles[i].metals += dz.iter().sum::<f64>();
+        }
+        match cfg.scheme {
+            // The pool's compute latency is modelled by the due step.
+            Scheme::Surrogate => {
+                let local = region_gas(s.particles, sn.center, half, &s.state.eos).collect();
+                if let Some(gas) = halo.gather_region(owner, local).filter(|g| !g.is_empty()) {
+                    s.state.pending.push(InFlight {
+                        due_step: *s.step_count + cfg.pool_latency_steps as u64,
+                        ticket: halo.submit(sn.center, gas),
+                    });
+                }
+            }
+            Scheme::Conventional => {
+                let masses: Vec<f64> = near.iter().map(|&i| s.particles[i].mass).collect();
+                let event = astro::SnEvent {
+                    star_index: 0,
+                    pos: [sn.center.x, sn.center.y, sn.center.z],
+                    time,
+                    energy: E_SN,
+                };
+                let du = SnFeedback::default().thermal_injection(&event, &masses, &weights, wsum);
+                for (&i, d) in near.iter().zip(du) {
+                    s.particles[i].u += d;
+                }
+            }
+        }
+    }
+
+    let st = &mut *s.state;
+    let dt = match (cfg.scheme, cfg.timestep) {
+        (Scheme::Conventional, TimestepMode::Block { max_level }) => {
+            if H::COLLECTIVE || !s.particles.is_empty() {
+                st.forces
+                    .block_step(cfg, halo, &mut st.sched, s.particles, max_level, s.stats);
+            }
+            // Shared-base-step physics below, re-synchronized.
+            cfg.dt_global
+        }
+        (scheme, _) => {
+            let dt = match scheme {
+                Scheme::Surrogate => cfg.dt_global,
+                Scheme::Conventional => {
+                    adaptive_dt(cfg, halo, s.particles, &st.eos, &st.forces.vsig)
+                }
+            };
+            st.forces.kdk(cfg, halo, s.particles, dt, s.stats);
+            dt
+        }
+    };
+
+    let due = take_due(&mut st.pending, *s.step_count, |p| p.due_step);
+    s.stats.regions_applied += due.len() as u64;
+    let predicted = halo.collect(due.into_iter().map(|p| p.ticket).collect());
+    replace_by_id(s.particles, &mut st.gas_index, predicted, &st.eos);
+
+    halo.phase(phases::FEEDBACK_COOLING, || {
+        if cfg.cooling {
+            cool(s.particles, &st.cooling, &st.eos, dt);
+        }
+    });
+    halo.phase(phases::STAR_FORMATION, || {
+        if cfg.star_formation {
+            star_formation(s, dt);
+        }
+    });
+
+    *s.time += dt;
+    *s.step_count += 1;
+    s.stats.steps += 1;
+    s.stats.dt_min_seen = s.stats.dt_min_seen.min(dt);
+}
+
+/// CFL-adaptive shared timestep (conventional scheme, paper §5.3): the
+/// sound-speed estimate from the current thermal state, refined by the
+/// signal speeds the last force pass stashed, agreed over the slabs.
+fn adaptive_dt<H: Halo>(
+    cfg: &SimConfig,
+    halo: &mut H,
+    particles: &[Particle],
+    eos: &GammaLawEos,
+    vsig: &[(usize, f64, f64)],
+) -> f64 {
+    let mut dt = cfg.dt_global;
+    for p in particles {
+        if p.is_gas() {
+            let cs = eos.sound_speed(p.u);
+            if cs > 0.0 && p.h > 0.0 {
+                dt = dt.min(cfg.cfl * p.h / cs);
+            }
+        }
+    }
+    for &(_, vsig, h) in vsig {
+        if vsig > 0.0 {
+            dt = dt.min(cfg.cfl * h / vsig);
+        }
+    }
+    quantize_block(halo.min(dt).max(cfg.dt_min), cfg.dt_global)
+}
+
 /// The gas of `particles` inside the cube of half-side `half` around
 /// `center`, in the form the pool predictor takes (paper §3.2 step 2).
-pub fn region_gas<'a>(
+fn region_gas<'a>(
     particles: &'a [Particle],
     center: Vec3,
     half: f64,
@@ -44,7 +267,7 @@ pub fn region_gas<'a>(
 /// pool_latency_steps` and a prediction for `horizon() = pool_latency_steps
 /// × dt_global` past its dispatch, so it lands at the end of the step that
 /// advances the clock to `due_step`.
-pub fn take_due<T>(pending: &mut Vec<T>, step: u64, due_step: impl Fn(&T) -> u64) -> Vec<T> {
+fn take_due<T>(pending: &mut Vec<T>, step: u64, due_step: impl Fn(&T) -> u64) -> Vec<T> {
     let (due, kept) = pending.drain(..).partition(|p| due_step(p) <= step + 1);
     *pending = kept;
     due
@@ -70,7 +293,7 @@ impl GasIndex {
 
 /// Replace particles by ID with the pool's predictions (paper §3.2 step
 /// 4), in the order given; ids no longer present as gas are skipped.
-pub fn replace_by_id(
+fn replace_by_id(
     particles: &mut [Particle],
     index: &mut GasIndex,
     predicted: impl IntoIterator<Item = GasParticle>,
@@ -102,7 +325,7 @@ pub fn replace_by_id(
 }
 
 /// Radiative cooling/heating of the gas over `dt` (paper §3.2 step 6).
-pub fn cool(particles: &mut [Particle], cooling: &CoolingCurve, eos: &GammaLawEos, dt: f64) {
+fn cool(particles: &mut [Particle], cooling: &CoolingCurve, eos: &GammaLawEos, dt: f64) {
     for p in particles.iter_mut() {
         if p.is_gas() && p.rho > 0.0 {
             let temp = eos.temperature_from_u(p.u);
@@ -115,7 +338,7 @@ pub fn cool(particles: &mut [Particle], cooling: &CoolingCurve, eos: &GammaLawEo
 
 /// The gas within `radius` of an SN at `center` and each particle's share
 /// weight (linear taper, floored): who receives yields or thermal energy.
-pub fn sn_neighbours(particles: &[Particle], center: Vec3, radius: f64) -> (Vec<usize>, Vec<f64>) {
+fn sn_neighbours(particles: &[Particle], center: Vec3, radius: f64) -> (Vec<usize>, Vec<f64>) {
     particles
         .iter()
         .enumerate()

@@ -40,10 +40,12 @@
 //! (`mpisim`) driver — `NX*NY*NZ` main ranks plus `P` pool ranks —
 //! rotating `dist_checkpoint-<step>.{bin,json}` per `--snapshot-format`
 //! (resumable with `--dist --resume`, either encoding) and writing
-//! `dist_report.json` instead of the shared-memory outputs. `--timestep
+//! `dist_report.json` instead of the shared-memory outputs. `--scheme` and
+//! `--timestep` mean what they mean without `--dist` (both drivers run the
+//! one `asura_core::step::step`): `--scheme conventional --timestep
 //! block[:<max_level>]` runs the conventional hierarchy's substep walk
 //! across the ranks so its per-substep synchronization cost is measured
-//! (paper Figs. 6/7).
+//! (paper Figs. 6/7). What `--dist` leaves out is star formation.
 //!
 //! # Trained surrogates
 //!
@@ -150,7 +152,8 @@ OPTIONS:
                                own directory
     --keep <k>                 checkpoint rotation depth (default 3)
     --dist <NXxNYxNZ+P>        run through the distributed (mpisim) driver:
-                               NX*NY*NZ main ranks + P pool ranks
+                               NX*NY*NZ main ranks + P pool ranks, under either
+                               --scheme and either --timestep (no star formation)
     --supervised               run as a heartbeat-monitored child with crash/hang
                                detection and auto-resume from the rotation
     --max-retries <n>          supervised: resume budget (default 3)
@@ -381,16 +384,8 @@ fn run_dist(
         .as_deref()
         .ok_or("--dist requires --scenario (it provides the config and initial condition)")?;
     let scenario = scenarios::find(name).ok_or_else(|| format!("unknown scenario `{name}`"))?;
-    // The distributed driver handles SNe through the pool ranks (the
-    // surrogate data path) in either timestep mode; reject flags it would
-    // silently ignore rather than hand back a run the user didn't ask for.
-    if args.scheme == Some(Scheme::Conventional) {
-        return Err(
-            "--dist handles SNe through the pool ranks (the surrogate data path); \
-                    --scheme conventional is the shared-memory driver's comparison baseline"
-                .into(),
-        );
-    }
+    // Reject flags the distributed driver would silently ignore rather
+    // than hand back a run the user didn't ask for.
     if args.diag_every.is_some() {
         return Err(
             "--dist writes dist_report.json instead of a diagnostics time series; \
@@ -414,10 +409,12 @@ fn run_dist(
         Some(_) => (scenario.config(), Vec::new()),
         None => scenario.build(args.seed),
     };
-    sim_cfg.scheme = Scheme::Surrogate;
-    // `--timestep block[:<max_level>]` runs the conventional hierarchy's
-    // substep walk across the mpisim ranks (dist.rs module docs:
-    // "Distributed block timesteps").
+    if let Some(s) = args.scheme {
+        sim_cfg.scheme = s;
+    }
+    // Under the conventional scheme `--timestep block[:<max_level>]` runs
+    // the hierarchy's substep walk across the mpisim ranks (dist.rs module
+    // docs: "Distributed block timesteps").
     if let Some(t) = args.timestep {
         sim_cfg.timestep = t;
     }

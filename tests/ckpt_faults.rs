@@ -58,6 +58,7 @@ fn dist_snapshots(seed: u64) -> (DistSnapshot, DistSnapshot) {
                 gas: Vec::new(),
             }],
             schedules: s.schedule.iter().cloned().collect(),
+            last_vsig: vec![s.last_vsig.clone(), Vec::new()],
             model: s.model.clone(),
         }
     };

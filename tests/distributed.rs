@@ -2,9 +2,9 @@
 //! ranks: the SN pool round trip, routing equivalence, KDK integration
 //! order against the shared-memory driver, block-timestep schedule
 //! agreement/energy conservation — and, on a `(1,1,1)` main grid, bitwise
-//! equivalence with the shared-memory driver (both run the force pipeline
-//! and integrator of `asura_core::forces`; with one main rank the
-//! distributed halo's exchanges have nobody to talk to).
+//! equivalence with the shared-memory driver under the same `SimConfig`
+//! (both run `asura_core::step::step`; with one main rank the distributed
+//! halo's exchanges have nobody to talk to).
 
 use asura_core::dist::{run_distributed, DistConfig, PredictorKind};
 use asura_core::sim::total_energy_of;
@@ -187,14 +187,8 @@ fn distributed_block_mode_conserves_energy_on_the_spiked_ic() {
     // particle is CFL-marginal at the level cap), so "conserves" means
     // "the same drift class as the proven shared-memory walk", not an
     // absolute bound.
-    let mut shared = Simulation::new(
-        SimConfig {
-            scheme: Scheme::Conventional,
-            ..cfg.sim
-        },
-        particles.clone(),
-        1,
-    );
+    assert_eq!(cfg.sim.scheme, Scheme::Conventional);
+    let mut shared = Simulation::new(cfg.sim, particles.clone(), 1);
     shared.run(cfg.steps);
     let shared_drift = ((total_energy_of(&shared.particles, cfg.sim.eps) - e0) / e0).abs();
 
@@ -228,7 +222,7 @@ fn distributed_block_schedule_is_identical_on_every_rank_and_snapshotted() {
         n_pool: 1,
         routing: Routing::Flat,
         sim: SimConfig {
-            scheme: Scheme::Surrogate,
+            scheme: Scheme::Conventional,
             timestep: TimestepMode::Block { max_level: 6 },
             dt_global: 2.0e-3,
             pool_latency_steps: 2,
@@ -311,7 +305,7 @@ fn block_mode_survives_a_rank_with_no_gas() {
         n_pool: 1,
         routing: Routing::Flat,
         sim: SimConfig {
-            scheme: Scheme::Surrogate,
+            scheme: Scheme::Conventional,
             timestep: TimestepMode::Block { max_level: 5 },
             dt_global: 2.0e-3,
             pool_latency_steps: 2,
@@ -346,27 +340,16 @@ fn single_main_rank_degenerate_case_works() {
 }
 
 /// Run `steps` steps through `Simulation` and through `run_distributed` on
-/// `(1,1,1)` + 1 pool rank and hold them against each other to the bit:
-/// every particle's dynamic state and the whole `SimStats`.
-/// `shared_scheme` is what the shared-memory side is configured with (the
-/// distributed driver ignores `SimConfig::scheme`; see the `dist` module
-/// docs). Returns the shared-memory run for extra checks.
+/// `(1,1,1)` + 1 pool rank, under the same `SimConfig`, and hold them
+/// against each other to the bit: every field of every particle and the
+/// whole `SimStats`. Returns the shared-memory run for extra checks.
 fn assert_drivers_agree(
     what: &str,
     sim_cfg: SimConfig,
-    shared_scheme: Scheme,
     ic: &[Particle],
     steps: usize,
-    compare_metals: bool,
 ) -> Simulation {
-    let mut shared = Simulation::new(
-        SimConfig {
-            scheme: shared_scheme,
-            ..sim_cfg
-        },
-        ic.to_vec(),
-        1,
-    );
+    let mut shared = Simulation::new(sim_cfg, ic.to_vec(), 1);
     shared.run(steps);
     let mut expect = shared.particles.clone();
     expect.sort_by_key(|p| p.id);
@@ -383,17 +366,7 @@ fn assert_drivers_agree(
     let differing = expect
         .iter()
         .zip(&report.final_state)
-        .filter(|(a, b)| {
-            assert_eq!(a.id, b.id, "{what}: id order");
-            !(a.pos == b.pos
-                && a.vel == b.vel
-                && a.mass == b.mass
-                && a.u == b.u
-                && a.h == b.h
-                && a.rho == b.rho
-                && a.exploded == b.exploded
-                && (!compare_metals || a.metals == b.metals))
-        })
+        .filter(|(a, b)| a != b)
         .count();
     assert_eq!(
         differing,
@@ -416,7 +389,7 @@ fn one_rank_global_steps_equal_the_shared_memory_driver_bitwise() {
             cooling,
             ..base_cfg(0).sim
         };
-        let sim = assert_drivers_agree("global", cfg, Scheme::Surrogate, &ic, 4, true);
+        let sim = assert_drivers_agree("global", cfg, &ic, 4);
         assert!(sim.stats.gravity_interactions > 0 && sim.stats.hydro_interactions > 0);
     }
 }
@@ -430,7 +403,7 @@ fn one_rank_block_walk_equals_the_shared_memory_driver_bitwise() {
         timestep: TimestepMode::Block { max_level: 6 },
         ..cfg
     };
-    let sim = assert_drivers_agree("block", cfg, Scheme::Conventional, &ic, 2, true);
+    let sim = assert_drivers_agree("block", cfg, &ic, 2);
     assert!(
         sim.stats.substeps > sim.stats.steps,
         "the hierarchy must engage: {} substeps over {} base steps",
@@ -445,23 +418,161 @@ fn one_rank_sn_round_trip_equals_the_shared_memory_driver_at_every_stage() {
     // The star explodes in step 2 (step counter 1), so with latency 2 the
     // prediction — asked for a horizon of 2·dt — is due at counter 3 and
     // lands at the end of the third step: before dispatch (1), in flight
-    // (2), just applied (3), and integrated onward (4, 6).
-    //
-    // `metals` is left out: the distributed loop injects no
-    // nucleosynthesis yields (a distributed `inject_yields` needs a
-    // cross-rank Σw; see the `dist` module docs), so 56 of the 381
-    // particles differ there by design, not by drift.
+    // (2), just applied (3), and integrated onward (4, 6). The yields go
+    // in at the explosion, so `metals` is part of the comparison.
     let ic = slab_ic(300, 80, 1, 2.0e-3, 7);
     for steps in [1, 2, 3, 4, 6] {
-        let sim = assert_drivers_agree(
-            "one SN",
-            base_cfg(0).sim,
-            Scheme::Surrogate,
-            &ic,
-            steps,
-            false,
-        );
+        let sim = assert_drivers_agree("one SN", base_cfg(0).sim, &ic, steps);
         assert_eq!(sim.stats.sn_events, (steps >= 2) as u64);
         assert_eq!(sim.stats.regions_applied, (steps >= 3) as u64);
+        let enriched = sim.particles.iter().filter(|p| p.metals > 0.0).count();
+        assert_eq!(enriched > 0, steps >= 2, "{enriched} enriched at {steps}");
     }
+}
+
+#[test]
+fn one_rank_conventional_sn_equals_the_shared_memory_driver_bitwise() {
+    // The conventional scheme's answer to the same SN: thermal injection,
+    // then the CFL-adaptive global step collapsing under the heat — the
+    // same sequence of shrunken steps on both drivers.
+    let ic = slab_ic(300, 80, 1, 2.0e-3, 7);
+    let cfg = SimConfig {
+        scheme: Scheme::Conventional,
+        ..base_cfg(0).sim
+    };
+    let sim = assert_drivers_agree("conventional SN", cfg, &ic, 4);
+    assert_eq!(sim.stats.sn_events, 1);
+    assert_eq!(sim.stats.regions_applied, 0, "nothing goes to the pool");
+    assert!(
+        sim.stats.dt_min_seen < cfg.dt_global / 2.0,
+        "the SN must collapse the step: {} vs {}",
+        sim.stats.dt_min_seen,
+        cfg.dt_global
+    );
+}
+
+#[test]
+fn an_sn_in_an_empty_cube_is_counted_by_both_drivers() {
+    // No gas within `region_side / 2` of the star: no region, no yields —
+    // but an identified event all the same.
+    let mut ic = slab_ic(300, 80, 1, 2.0e-3, 7);
+    ic.last_mut().expect("the star").pos = Vec3::new(500.0, 0.0, 0.0);
+    let sim = assert_drivers_agree("empty cube", base_cfg(0).sim, &ic, 3);
+    assert_eq!(sim.stats.sn_events, 1);
+    assert_eq!(sim.stats.regions_applied, 0);
+    assert!(sim.particles.iter().all(|p| p.metals == 0.0));
+}
+
+#[test]
+fn a_blast_straddling_the_domain_cut_deposits_what_the_shared_memory_run_does() {
+    // The star sits at x = -10 and the (2,1,1) cut near the median x ≈ 0,
+    // so the recipients within `region_side / 2` = 30 pc live on both
+    // ranks. Only Σw crosses the cut: every recipient's yields (either
+    // scheme) and thermal energy (conventional) match the one-slab run to
+    // round-off. The star explodes in the first step, which is all we run
+    // — a step so short that what comes back is the post-injection state
+    // (the cut also reorders the force sums, which is a drift class, not
+    // round-off; over 1e-9 Myr from rest it moves nothing).
+    let dt = 1.0e-9;
+    let mut ic = slab_ic(300, 80, 1, dt, 7);
+    let star = ic.last_mut().expect("the star");
+    star.birth_time = dt * 0.5 - astro::lifetime::stellar_lifetime_myr(star.mass);
+    let (center, m_star) = (star.pos, star.mass);
+    let mut xs: Vec<f64> = ic.iter().map(|p| p.pos.x).collect();
+    xs.sort_by(f64::total_cmp);
+    let cut = xs[xs.len() / 2];
+    let radius = 0.5 * base_cfg(0).sim.region_side;
+    let near = |p: &&Particle| p.is_gas() && (p.pos - center).norm() < radius;
+    for side in [-1.0, 1.0] {
+        let n = ic.iter().filter(near);
+        let n = n.filter(|p| (p.pos.x - cut) * side > 3.0).count();
+        assert!(n >= 5, "{n} recipients on side {side} of the cut at {cut}");
+    }
+
+    for scheme in [Scheme::Surrogate, Scheme::Conventional] {
+        let sim_cfg = SimConfig {
+            scheme,
+            dt_global: dt,
+            ..base_cfg(0).sim
+        };
+        let mut shared = Simulation::new(sim_cfg, ic.clone(), 1);
+        shared.run(1);
+        shared.particles.sort_by_key(|p| p.id);
+        let cfg = DistConfig {
+            grid: (2, 1, 1),
+            n_pool: 1,
+            sim: sim_cfg,
+            ..base_cfg(1)
+        };
+        let report = run_distributed(&cfg, &ic).expect("dist run");
+        assert_eq!(report.sn_events, 1, "{scheme:?}");
+
+        let mut recipients = 0;
+        for (a, b) in shared.particles.iter().zip(&report.final_state) {
+            assert_eq!(a.id, b.id);
+            let rel = |x: f64, y: f64| (x - y).abs() / x.abs().max(f64::MIN_POSITIVE);
+            assert!(
+                rel(a.metals, b.metals) < 1e-12,
+                "{scheme:?}: metals of {} differ: {} vs {}",
+                a.id,
+                a.metals,
+                b.metals
+            );
+            if a.metals > 0.0 {
+                recipients += 1;
+                assert!(
+                    rel(a.u, b.u) < 1e-12,
+                    "{scheme:?}: u of recipient {} differs: {} vs {}",
+                    a.id,
+                    a.u,
+                    b.u
+                );
+                let heated = b.u > 10.0 * ic[b.id as usize].u;
+                assert_eq!(
+                    heated,
+                    scheme == Scheme::Conventional,
+                    "{scheme:?}: {}",
+                    b.u
+                );
+            }
+        }
+        assert!(recipients >= 10, "{scheme:?}: {recipients} recipients");
+        let given: f64 = report.final_state.iter().map(|p| p.metals).sum();
+        let expected = astro::yields::SnYield::for_progenitor(m_star).metals();
+        assert!(
+            (given / expected - 1.0).abs() < 1e-12,
+            "{scheme:?}: gas received {given} of {expected} M_sun in metals"
+        );
+    }
+}
+
+const BIN: &str = env!("CARGO_BIN_EXE_asura");
+
+#[test]
+fn cli_dist_runs_the_conventional_scheme_it_used_to_refuse() {
+    // `--dist` used to reject `--scheme conventional` and to overwrite the
+    // scenario's scheme with the surrogate one; under the conventional
+    // scheme the SN of `supernova_remnant` heats its neighbours directly
+    // and nothing comes back from the pool, however long the run.
+    let dir = std::env::temp_dir().join(format!("asura-dist-conv-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let output = std::process::Command::new(BIN)
+        .args(["--scenario", "supernova_remnant", "--steps", "8"])
+        .args(["--dist", "2x1x1+1", "--scheme", "conventional"])
+        .arg("--run-dir")
+        .arg(&dir)
+        .env_remove(asura_core::faults::FAULTS_ENV)
+        .output()
+        .expect("spawn asura");
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let report = std::fs::read_to_string(dir.join("dist_report.json")).expect("report");
+    assert!(
+        report.starts_with("{\"steps\":8,\"sn_events\":1,\"regions_applied\":0,"),
+        "{report}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

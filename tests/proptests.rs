@@ -385,6 +385,12 @@ mod random_snapshots {
         }
     }
 
+    fn vsig(rng: &mut StdRng) -> Vec<(u64, f64, f64)> {
+        (0..rng.gen_range(0..6usize))
+            .map(|_| (word(rng), float(rng), float(rng)))
+            .collect()
+    }
+
     fn model(rng: &mut StdRng) -> Option<ModelState> {
         rng.gen_bool(0.5).then(|| ModelState {
             seed: word(rng),
@@ -422,9 +428,7 @@ mod random_snapshots {
                 ..SimStats::default()
             },
             particles: particles(rng),
-            last_vsig: (0..rng.gen_range(0..6usize))
-                .map(|_| (word(rng), float(rng), float(rng)))
-                .collect(),
+            last_vsig: vsig(rng),
             pending: (0..rng.gen_range(0..3usize))
                 .map(|_| PendingPrediction {
                     due_step: word(rng),
@@ -453,6 +457,7 @@ mod random_snapshots {
             schedules: (0..rng.gen_range(0..4usize))
                 .map(|_| schedule(rng))
                 .collect(),
+            last_vsig: (0..rng.gen_range(0..4usize)).map(|_| vsig(rng)).collect(),
             model: model(rng),
         }
     }

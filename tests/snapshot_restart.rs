@@ -11,9 +11,11 @@
 //! started empty.
 
 use asura::scenarios;
+use asura_core::ckpt::{CkptFormat, CkptStore};
 use asura_core::diagnostics::TimeSample;
 use asura_core::dist::{run_distributed, run_distributed_resume, DistConfig, PredictorKind};
-use asura_core::snapshot::{DistSnapshot, SimSnapshot};
+use asura_core::faults::FaultInjector;
+use asura_core::snapshot::{DistSnapshot, SimSnapshot, Snapshot};
 use asura_core::{Particle, Scheme, SimConfig, Simulation, TimestepMode};
 use fdps::exchange::Routing;
 use fdps::Vec3;
@@ -236,7 +238,7 @@ fn distributed_block_resume_is_bitwise_with_the_schedule_in_the_snapshot() {
         n_pool: 1,
         routing: Routing::Flat,
         sim: SimConfig {
-            scheme: Scheme::Surrogate,
+            scheme: Scheme::Conventional,
             timestep: TimestepMode::Block { max_level: 5 },
             dt_global: 2.0e-3,
             pool_latency_steps: 2,
@@ -289,19 +291,32 @@ fn distributed_block_resume_is_bitwise_with_the_schedule_in_the_snapshot() {
 }
 
 #[test]
-fn snapshot_cadence_fires_through_run_with_snapshots() {
+fn snapshot_cadence_fires_through_run_with_store() {
     let (cfg, particles) = scenarios::find("spiked_dt").expect("registered").build(2);
     let cfg = SimConfig {
         snapshot_every: 2,
         ..cfg
     };
     let mut sim = Simulation::new(cfg, particles, 9);
-    let mut captured: Vec<u64> = Vec::new();
-    sim.run_with_snapshots(5, |s| captured.push(s.step_count));
-    assert_eq!(captured, vec![2, 4], "cadence 2 over 5 steps");
-    // Cadence 0 never fires.
+    let dir = std::env::temp_dir().join(format!("asura_cadence_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = CkptStore::new(&dir, 3);
+    let mut faults = FaultInjector::none();
+    let written = sim
+        .run_with_store(5, &store, CkptFormat::Bin, &mut faults, |_| {})
+        .expect("commits");
+    let steps: Vec<u64> = written
+        .iter()
+        .map(|p| SimSnapshot::load(p).expect("committed snapshot").step_count)
+        .collect();
+    assert_eq!(steps, vec![2, 4], "cadence 2 over 5 steps");
+    // Cadence 0 never commits.
     sim.config.snapshot_every = 0;
-    sim.run_with_snapshots(2, |_| panic!("cadence 0 must never snapshot"));
+    let written = sim
+        .run_with_store(2, &store, CkptFormat::Bin, &mut faults, |_| {})
+        .expect("nothing to commit");
+    assert!(written.is_empty(), "cadence 0 must never snapshot");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
