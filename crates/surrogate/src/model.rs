@@ -180,8 +180,12 @@ impl SurrogateModel {
             base_features: v.at("base_features", Json::as_usize)?,
             seed: v.at("seed", Json::as_parsed)?,
         };
-        if config.grid_n == 0 {
-            return Err("grid_n must be positive".into());
+        // The U-Net pools twice: `predict_particles` feeds it a grid_n^3 cube.
+        if config.grid_n == 0 || !config.grid_n.is_multiple_of(4) {
+            return Err(format!(
+                "grid_n must be a positive multiple of 4, got {}",
+                config.grid_n
+            ));
         }
         let net = UNet3d::from_json_value(v.get("net")?)?;
         // The checksum covers the canonical re-rendering of the parsed

@@ -1,21 +1,42 @@
 //! 3-D convolution with full backpropagation.
 //!
-//! The forward and backward hot paths lower to the cache-tiled GEMM in
-//! [`crate::gemm`]: each output row `(oz, oy)` becomes `C = W·B + bias`
-//! where `B` is an im2col patch matrix built by `fill_im2col_row` with
-//! the zero-padding resolved during the fill (whole-row zeros for
-//! out-of-volume planes, margin zeros for the `kx` shift) so the inner
-//! loops carry no bounds branches. The original scalar loop nests are
-//! retained as [`Conv3d::forward_reference`] /
-//! [`Conv3d::backward_reference`] — they are the comparison baseline for
-//! the kernel-equivalence tests and the `conv_gflops_ratio` bench metric.
+//! One lowering serves the forward pass, the forward pass with a fused
+//! ReLU, and the backward pass's input gradient: a direct "same"
+//! convolution (`conv_direct`). For each output row `(oz, oy)` a worker
+//! stages the `c_in·k²` input rows that row reads — slot
+//! `(ci·k + kz)·k + ky`, zero-padded by `k/2` on both sides in `x`, whole
+//! rows of zeros where `(iz, iy)` leaves the volume — and a register-tiled
+//! micro-kernel turns them into all `c_out` output rows: 4 output channels
+//! × 16 columns per tile, with 8-column, scalar-column and single-channel
+//! tails. The staging buffer is `c_in·k²·(w + k − 1)` floats (3.5 KB at
+//! the U-Net's first layer on a 32³ cube) and lives in L1 for the whole
+//! row; output rows are written straight into the CDHW tensor.
 //!
-//! Parallelism is over output row tiles (disjoint output, per-worker
-//! im2col scratch via `map_init`), and the weight-gradient reduction uses
-//! a fixed chunk count summed in chunk order, so all results are
-//! bit-reproducible across thread counts.
+//! # Determinism
+//!
+//! Every output element owns one accumulator, seeded from the bias, that
+//! adds `w[co][kr] · x[slot][ox + kx]` for
+//! `kr = ((ci·k + kz)·k + ky)·k + kx` **ascending** — padding included,
+//! as exact `w · 0.0` terms. Vector lanes span *output columns* only,
+//! never a split of that sum, and multiply and add are separate
+//! exactly-rounded operations (never FMA), so the result does not depend
+//! on tile shape, vector width, thread count or CPU: the AVX2 body the
+//! dispatcher picks on x86-64 ([`Conv3d::forward`]) equals the portable
+//! `[f32; 8]`-lane body ([`Conv3d::forward_portable`]) to the bit, and
+//! both equal the scalar loop nest kept as
+//! [`Conv3d::forward_reference`] — the comparison baseline of the
+//! kernel-equivalence tests and of the `conv_gflops_ratio` bench metric.
+//! The fused ReLU is the scalar one (`acc < 0.0 → 0.0`: NaN and −0.0
+//! pass through). See `## Kernel determinism` in ROADMAP.md.
+//!
+//! Parallelism is over blocks of output rows (disjoint output slices, one
+//! staging buffer per block). The weight gradient is the one place an
+//! im2col matrix is still built (`fill_im2col_row` + [`crate::gemm::dot`]),
+//! reduced over a fixed chunk count in chunk order, so gradients are
+//! bit-reproducible across thread counts too.
 
 use crate::gemm;
+use crate::layers::relu_scalar;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -56,17 +77,18 @@ impl Param {
     }
 }
 
-/// Fill the im2col patch matrix for one output row.
+/// Fill the im2col patch matrix for one output row — the weight
+/// gradient's view of the input (its only caller is
+/// `Conv3d::accumulate_weight_grad`).
 ///
 /// `b` has `x.c·k³` rows of `x.w` columns; row
 /// `kr = ((ci·k + kz)·k + ky)·k + kx` holds
 /// `x[ci, oz+kz-pad, oy+ky-pad, ox+kx-pad]` for every `ox`, with zeros
-/// where the index leaves the volume. The interior/halo split happens
-/// here, once per row: an out-of-volume `(iz, iy)` plane zeroes all `k`
-/// of its `kx` rows in one `fill`, and the `kx` shift is a contiguous
-/// `copy_from_slice` with zeroed margins — the GEMM that consumes `b`
-/// never sees a padding branch.
-pub(crate) fn fill_im2col_row(x: &Tensor, k: usize, oz: usize, oy: usize, b: &mut [f32]) {
+/// where the index leaves the volume: an out-of-volume `(iz, iy)` plane
+/// zeroes all `k` of its `kx` rows in one `fill`, and the `kx` shift is a
+/// contiguous `copy_from_slice` with zeroed margins, so the dot products
+/// that consume `b` never see a padding branch.
+fn fill_im2col_row(x: &Tensor, k: usize, oz: usize, oy: usize, b: &mut [f32]) {
     let (d, h, w) = (x.d, x.h, x.w);
     let pad = (k / 2) as isize;
     debug_assert_eq!(b.len(), x.c * k * k * k * w, "im2col scratch size");
@@ -102,38 +124,385 @@ pub(crate) fn fill_im2col_row(x: &Tensor, k: usize, oz: usize, oy: usize, b: &mu
     }
 }
 
-/// GEMM-backed "same"-padding convolution: `weight` in
-/// `[c_out][x.c][k][k][k]` layout, one bias per output channel.
-///
-/// Parallel over output rows; each worker reuses one im2col scratch
-/// buffer across its rows. Output rows land in a row-major
-/// `(row, co, ox)` tile that is transposed into CDHW afterwards, so the
-/// parallel writes stay contiguous and disjoint.
-fn conv_gemm(x: &Tensor, weight: &[f32], bias: &[f32], c_out: usize, k: usize) -> Tensor {
+/// Output channels per register tile.
+const CO_TILE: usize = 4;
+
+/// Lane width of one vector of output columns (one AVX register).
+const LANES: usize = gemm::LANES;
+
+/// A convolution of at least this many output rows is split into about
+/// this many row blocks for the workers; a smaller one is a single block
+/// and runs on the calling thread. Results cannot depend on the split:
+/// every output element is computed on its own.
+const ROW_BLOCKS: usize = 64;
+
+/// What the micro-kernel reads to produce one output row `(oz, oy)` of
+/// every output channel.
+struct RowOperands<'a> {
+    /// `kk / k` staged input rows of `wp` floats each (see [`stage_row`]).
+    staged: &'a [f32],
+    /// Staged row pitch: `w + 2·(k/2)`.
+    wp: usize,
+    /// `[c_out][kk]`, the stored layout of the weights.
+    weight: &'a [f32],
+    bias: &'a [f32],
+    /// Reduction length `c_in·k³`.
+    kk: usize,
+    k: usize,
+    /// Output row width.
+    w: usize,
+    relu: bool,
+}
+
+impl RowOperands<'_> {
+    /// The extents every load and store of a row kernel stays inside,
+    /// checked once per row: `out` holds one slice per output channel and
+    /// the row is written to `out[co][off..off + w]`.
+    fn assert_extents(&self, out: &[&mut [f32]], off: usize) {
+        let c_out = out.len();
+        assert!(self.k >= 1 && self.kk.is_multiple_of(self.k));
+        assert!(self.wp >= self.w + self.k - 1, "staged rows too narrow");
+        assert!(self.staged.len() >= (self.kk / self.k) * self.wp);
+        assert!(self.weight.len() >= c_out * self.kk && self.bias.len() >= c_out);
+        assert!(out.iter().all(|row| row.len() >= off + self.w));
+    }
+}
+
+/// A row kernel: writes `out[co][off..off + w]` for every `co`.
+type RowKernel = fn(&RowOperands, &mut [&mut [f32]], usize);
+
+/// Stage the input rows output row `(oz, oy)` reads: slot
+/// `(ci·k + kz)·k + ky` of `staged` (pitch `w + 2·pad`) holds
+/// `x[ci, oz+kz-pad, oy+ky-pad, ·]` at columns `pad..pad + w`, or zeros
+/// where that row lies outside the volume. The `pad` margin columns are
+/// never written, so they keep the zeros the buffer was created with.
+fn stage_row(x: &Tensor, k: usize, oz: usize, oy: usize, staged: &mut [f32]) {
     let (d, h, w) = (x.d, x.h, x.w);
-    let kk = x.c * k * k * k;
-    let rows = d * h;
-    let tiles: Vec<Vec<f32>> = (0..rows)
-        .into_par_iter()
-        .map_init(
-            || vec![0.0f32; kk * w],
-            |bbuf, r| {
-                fill_im2col_row(x, k, r / h, r % h, bbuf);
-                let mut ctile = vec![0.0f32; c_out * w];
-                gemm::gemm_bias(weight, bias, bbuf, &mut ctile, c_out, kk, w);
-                ctile
-            },
-        )
-        .collect();
-    let mut y = Tensor::zeros(c_out, d, h, w);
-    let spatial = d * h * w;
-    for (r, tile) in tiles.iter().enumerate() {
-        for co in 0..c_out {
-            y.data[co * spatial + r * w..co * spatial + (r + 1) * w]
-                .copy_from_slice(&tile[co * w..(co + 1) * w]);
+    let pad = k / 2;
+    let wp = w + 2 * pad;
+    debug_assert_eq!(staged.len(), x.c * k * k * wp, "staging buffer size");
+    let mut slots = staged.chunks_exact_mut(wp);
+    for ci in 0..x.c {
+        for kz in 0..k {
+            let iz = (oz + kz).wrapping_sub(pad);
+            for ky in 0..k {
+                let iy = (oy + ky).wrapping_sub(pad);
+                let dst = &mut slots.next().expect("one slot per (ci, kz, ky)")[pad..pad + w];
+                if iz < d && iy < h {
+                    let start = x.idx(ci, iz, iy, 0);
+                    dst.copy_from_slice(&x.data[start..start + w]);
+                } else {
+                    dst.fill(0.0);
+                }
+            }
         }
     }
+}
+
+/// Direct "same"-padding convolution: `weight` in `[c_out][x.c][k][k][k]`
+/// layout, one bias per output channel, optionally `relu` applied to each
+/// element as it is stored.
+///
+/// Parallel over blocks of output rows. A block owns one staging buffer
+/// and, per output channel, the slice of the CDHW output its rows occupy,
+/// so the kernel writes results where they belong.
+fn conv_direct(
+    x: &Tensor,
+    weight: &[f32],
+    bias: &[f32],
+    k: usize,
+    relu: bool,
+    row_kernel: RowKernel,
+) -> Tensor {
+    let (d, h, w) = (x.d, x.h, x.w);
+    let c_out = bias.len();
+    let n_slots = x.c * k * k;
+    let kk = n_slots * k;
+    assert_eq!(weight.len(), c_out * kk, "conv weight length");
+    let wp = w + 2 * (k / 2);
+    let rows = d * h;
+    let mut y = Tensor::zeros(c_out, d, h, w);
+    if y.is_empty() {
+        return y;
+    }
+    let block_rows = if rows < ROW_BLOCKS {
+        rows
+    } else {
+        rows / ROW_BLOCKS
+    };
+    // `outs[b·c_out + co]` is block `b`'s rows of channel `co`.
+    let mut channels: Vec<_> = y
+        .data
+        .chunks_mut(rows * w)
+        .map(|channel| channel.chunks_mut(block_rows * w))
+        .collect();
+    let n_blocks = rows.div_ceil(block_rows);
+    let mut outs: Vec<&mut [f32]> = Vec::with_capacity(n_blocks * c_out);
+    for _ in 0..n_blocks {
+        for blocks in channels.iter_mut() {
+            outs.push(blocks.next().expect("every channel has every row block"));
+        }
+    }
+    outs.par_chunks_mut(c_out).enumerate().for_each(|(b, out)| {
+        let mut staged = vec![0.0f32; n_slots * wp];
+        let first = b * block_rows;
+        for r in first..(first + block_rows).min(rows) {
+            stage_row(x, k, r / h, r % h, &mut staged);
+            let ops = RowOperands {
+                staged: &staged,
+                wp,
+                weight,
+                bias,
+                kk,
+                k,
+                w,
+                relu,
+            };
+            row_kernel(&ops, out, (r - first) * w);
+        }
+    });
     y
+}
+
+/// The row kernel [`Conv3d::forward`] runs: the AVX2 body where the CPU
+/// has it, the portable body elsewhere. Both produce the same bits.
+fn conv_row(ops: &RowOperands, out: &mut [&mut [f32]], off: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 presence was just checked; the body asserts the
+        // slice extents itself before its first raw load.
+        unsafe { avx2::conv_row(ops, out, off) };
+        return;
+    }
+    conv_row_portable(ops, out, off);
+}
+
+/// Portable body of the row kernel: the tiling of the AVX2 body with each
+/// vector spelled as an explicit `[f32; LANES]`.
+fn conv_row_portable(ops: &RowOperands, out: &mut [&mut [f32]], off: usize) {
+    ops.assert_extents(out, off);
+    let c_out = out.len();
+    let mut co = 0;
+    while co + CO_TILE <= c_out {
+        portable_channels::<CO_TILE>(ops, out, off, co);
+        co += CO_TILE;
+    }
+    while co < c_out {
+        portable_channels::<1>(ops, out, off, co);
+        co += 1;
+    }
+}
+
+/// Channels `co..co + R` of one output row, all columns.
+fn portable_channels<const R: usize>(
+    ops: &RowOperands,
+    out: &mut [&mut [f32]],
+    off: usize,
+    co: usize,
+) {
+    let mut ox = 0;
+    while ox + 2 * LANES <= ops.w {
+        portable_tile::<R, 2>(ops, out, off, co, ox);
+        ox += 2 * LANES;
+    }
+    if ox + LANES <= ops.w {
+        portable_tile::<R, 1>(ops, out, off, co, ox);
+        ox += LANES;
+    }
+    scalar_columns(ops, out, off, co..co + R, ox);
+}
+
+/// One `R`-channel × `NV·LANES`-column tile: the accumulators stay in
+/// registers across the whole `kr` sweep, each staged segment is loaded
+/// once per `kr` and multiplied into every channel's accumulator.
+fn portable_tile<const R: usize, const NV: usize>(
+    ops: &RowOperands,
+    out: &mut [&mut [f32]],
+    off: usize,
+    co: usize,
+    ox: usize,
+) {
+    let mut acc = [[[0.0f32; LANES]; NV]; R];
+    for (i, a) in acc.iter_mut().enumerate() {
+        *a = [[ops.bias[co + i]; LANES]; NV];
+    }
+    for (slot, xrow) in ops.staged.chunks_exact(ops.wp).enumerate() {
+        for kx in 0..ops.k {
+            let kr = slot * ops.k + kx;
+            let mut xv = [[0.0f32; LANES]; NV];
+            for (v, x) in xv.iter_mut().enumerate() {
+                x.copy_from_slice(&xrow[ox + kx + v * LANES..][..LANES]);
+            }
+            for (i, a) in acc.iter_mut().enumerate() {
+                let wv = ops.weight[(co + i) * ops.kk + kr];
+                for (av, x) in a.iter_mut().zip(&xv) {
+                    for l in 0..LANES {
+                        av[l] += wv * x[l];
+                    }
+                }
+            }
+        }
+    }
+    for (i, a) in acc.iter_mut().enumerate() {
+        for (v, av) in a.iter_mut().enumerate() {
+            if ops.relu {
+                av.iter_mut().for_each(|s| *s = relu_scalar(*s));
+            }
+            out[co + i][off + ox + v * LANES..][..LANES].copy_from_slice(av);
+        }
+    }
+}
+
+/// Columns `ox0..w` of the given channels, one scalar accumulator each,
+/// in the same `kr`-ascending order. Shared by both bodies.
+fn scalar_columns(
+    ops: &RowOperands,
+    out: &mut [&mut [f32]],
+    off: usize,
+    channels: std::ops::Range<usize>,
+    ox0: usize,
+) {
+    for co in channels {
+        let wrow = &ops.weight[co * ops.kk..(co + 1) * ops.kk];
+        for ox in ox0..ops.w {
+            let mut acc = ops.bias[co];
+            for (slot, xrow) in ops.staged.chunks_exact(ops.wp).enumerate() {
+                for kx in 0..ops.k {
+                    acc += wrow[slot * ops.k + kx] * xrow[ox + kx];
+                }
+            }
+            out[co][off + ox] = if ops.relu { relu_scalar(acc) } else { acc };
+        }
+    }
+}
+
+/// AVX2 body of the row kernel. One 256-bit vector carries the
+/// [`LANES`] output columns a `[f32; LANES]` carries in the portable body,
+/// and only `_mm256_mul_ps` / `_mm256_add_ps` touch the accumulators —
+/// never FMA — so every lane rounds exactly like the scalar expression
+/// and the two bodies agree to the bit. All `unsafe` of this crate is in
+/// this module.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{scalar_columns, RowOperands, CO_TILE, LANES};
+    use std::arch::x86_64::*;
+
+    /// Write `out[co][off..off + ops.w]` for every channel of `out`.
+    ///
+    /// # Safety
+    ///
+    /// SAFETY: callers must only invoke this when the CPU supports AVX2
+    /// (the dispatcher checks `is_x86_feature_detected!("avx2")`). Slice
+    /// extents are not the caller's burden: they are asserted here.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn conv_row(ops: &RowOperands, out: &mut [&mut [f32]], off: usize) {
+        ops.assert_extents(out, off);
+        let c_out = out.len();
+        let mut co = 0;
+        while co + CO_TILE <= c_out {
+            // SAFETY: extents asserted above; co + CO_TILE <= c_out.
+            unsafe { channels::<CO_TILE>(ops, out, off, co) };
+            co += CO_TILE;
+        }
+        while co < c_out {
+            // SAFETY: extents asserted above; co + 1 <= c_out.
+            unsafe { channels::<1>(ops, out, off, co) };
+            co += 1;
+        }
+    }
+
+    /// Channels `co..co + R` of one output row, all columns.
+    ///
+    /// # Safety
+    ///
+    /// SAFETY: callers guarantee that AVX2 is available, that
+    /// `ops.assert_extents(out, off)` holds and that `co + R <= out.len()`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn channels<const R: usize>(
+        ops: &RowOperands,
+        out: &mut [&mut [f32]],
+        off: usize,
+        co: usize,
+    ) {
+        let mut ox = 0;
+        while ox + 2 * LANES <= ops.w {
+            // SAFETY: the caller's contract, and ox + 2·LANES <= w.
+            unsafe { tile::<R, 2>(ops, out, off, co, ox) };
+            ox += 2 * LANES;
+        }
+        if ox + LANES <= ops.w {
+            // SAFETY: the caller's contract, and ox + LANES <= w.
+            unsafe { tile::<R, 1>(ops, out, off, co, ox) };
+            ox += LANES;
+        }
+        scalar_columns(ops, out, off, co..co + R, ox);
+    }
+
+    /// One `R`-channel × `NV·LANES`-column tile (`R·NV` accumulator
+    /// registers; 4 × 2 is the main tile).
+    ///
+    /// # Safety
+    ///
+    /// SAFETY: callers guarantee that AVX2 is available, that
+    /// `ops.assert_extents(out, off)` holds, that `co + R <= out.len()`
+    /// and that `ox + NV·LANES <= ops.w`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn tile<const R: usize, const NV: usize>(
+        ops: &RowOperands,
+        out: &mut [&mut [f32]],
+        off: usize,
+        co: usize,
+        ox: usize,
+    ) {
+        let (k, kk, wp) = (ops.k, ops.kk, ops.wp);
+        let staged = ops.staged.as_ptr();
+        let weight = ops.weight.as_ptr();
+        let mut acc = [[_mm256_setzero_ps(); NV]; R];
+        for (i, a) in acc.iter_mut().enumerate() {
+            *a = [_mm256_set1_ps(ops.bias[co + i]); NV];
+        }
+        for slot in 0..kk / k {
+            for kx in 0..k {
+                let at = slot * wp + ox + kx;
+                debug_assert!(at + NV * LANES <= ops.staged.len());
+                let mut xv = [_mm256_setzero_ps(); NV];
+                for (v, x) in xv.iter_mut().enumerate() {
+                    // SAFETY: slot < kk/k, kx < k and ox + NV·LANES <= w,
+                    // so the last float read is at most
+                    // slot·wp + (w − 1) + (k − 1) < (slot + 1)·wp
+                    // <= staged.len(), by wp >= w + k − 1 and
+                    // staged.len() >= (kk/k)·wp.
+                    *x = unsafe { _mm256_loadu_ps(staged.add(at + v * LANES)) };
+                }
+                let kr = slot * k + kx;
+                for (i, a) in acc.iter_mut().enumerate() {
+                    debug_assert!((co + i) * kk + kr < ops.weight.len());
+                    // SAFETY: kr < kk and co + i < c_out, so the index is
+                    // below c_out·kk <= weight.len().
+                    let wv = _mm256_set1_ps(unsafe { *weight.add((co + i) * kk + kr) });
+                    for (av, x) in a.iter_mut().zip(&xv) {
+                        *av = _mm256_add_ps(*av, _mm256_mul_ps(wv, *x));
+                    }
+                }
+            }
+        }
+        let zero = _mm256_setzero_ps();
+        for (i, a) in acc.iter().enumerate() {
+            let row = &mut out[co + i][off + ox..off + ox + NV * LANES];
+            for (v, &av) in a.iter().enumerate() {
+                // `acc < 0.0 → +0.0`, lanes that compare false (NaN,
+                // −0.0, positives) keep their bits: the scalar relu.
+                let stored = if ops.relu {
+                    _mm256_andnot_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(av, zero), av)
+                } else {
+                    av
+                };
+                // SAFETY: `row` is NV·LANES floats long (sliced with a
+                // bounds check above), so vector `v` fits in it.
+                unsafe { _mm256_storeu_ps(row.as_mut_ptr().add(v * LANES), stored) };
+            }
+        }
+    }
 }
 
 /// Number of row-chunks the weight-gradient reduction is split into.
@@ -180,11 +549,35 @@ impl Conv3d {
 
     /// Forward pass: `y[co] = b[co] + sum_ci w[co,ci] * x[ci]`.
     ///
-    /// im2col + GEMM; bitwise equal to [`Conv3d::forward_reference`]
-    /// (same per-element reduction order — see [`crate::gemm`]).
+    /// The direct convolution of the module docs; bitwise equal to
+    /// [`Conv3d::forward_reference`] (same per-element reduction order).
     pub fn forward(&self, x: &Tensor) -> Tensor {
+        self.convolve(x, false, conv_row)
+    }
+
+    /// `relu(&self.forward(x))` to the bit, with the clamp applied as each
+    /// element is stored — the inference path keeps no pre-activation.
+    pub fn forward_relu(&self, x: &Tensor) -> Tensor {
+        self.convolve(x, true, conv_row)
+    }
+
+    /// [`Conv3d::forward`] through the portable body on every CPU; public
+    /// so the equivalence tests can pin the dispatched path against it.
+    pub fn forward_portable(&self, x: &Tensor) -> Tensor {
+        self.convolve(x, false, conv_row_portable)
+    }
+
+    fn convolve(&self, x: &Tensor, relu: bool, row_kernel: RowKernel) -> Tensor {
         assert_eq!(x.c, self.c_in, "conv input channel mismatch");
-        conv_gemm(x, &self.weight.value, &self.bias.value, self.c_out, self.k)
+        assert_eq!(self.bias.value.len(), self.c_out, "conv bias length");
+        conv_direct(
+            x,
+            &self.weight.value,
+            &self.bias.value,
+            self.k,
+            relu,
+            row_kernel,
+        )
     }
 
     /// The original scalar loop nest, kept as the equivalence/bench
@@ -305,12 +698,12 @@ impl Conv3d {
     /// Backward pass: given upstream `gy`, accumulate weight/bias gradients
     /// and return the input gradient.
     ///
-    /// Mirrors the forward GEMM: the input gradient is a forward
-    /// convolution of `gy` with the flipped-transposed weights, and the
-    /// weight gradient reuses the im2col tiles. Summation orders are fixed
-    /// (see [`crate::gemm`]) so gradients are reproducible across thread
-    /// counts; they differ from [`Conv3d::backward_reference`] only by
-    /// f32 reassociation.
+    /// The input gradient is the forward kernel again — a direct
+    /// convolution of `gy` with the flipped-transposed weights — and the
+    /// weight gradient sums im2col rows against `gy` rows. Summation
+    /// orders are fixed (see [`crate::gemm`]) so gradients are
+    /// reproducible across thread counts; they differ from
+    /// [`Conv3d::backward_reference`] only by f32 reassociation.
     pub fn backward(&mut self, x: &Tensor, gy: &Tensor) -> Tensor {
         assert_eq!(gy.c, self.c_out);
         assert_eq!((gy.d, gy.h, gy.w), (x.d, x.h, x.w));
@@ -325,7 +718,7 @@ impl Conv3d {
 
         let wt = self.flipped_transposed_weight();
         let zero_bias = vec![0.0f32; self.c_in];
-        conv_gemm(gy, &wt, &zero_bias, self.c_in, self.k)
+        conv_direct(gy, &wt, &zero_bias, self.k, false, conv_row)
     }
 
     /// The original scalar backward pass, kept as the equivalence
@@ -456,7 +849,15 @@ impl Conv3d {
         let k = v.get("k")?.as_usize()?;
         let weight = Param::from_json_value(v.get("weight")?)?;
         let bias = Param::from_json_value(v.get("bias")?)?;
-        if weight.value.len() != c_out * c_in * k * k * k || bias.value.len() != c_out {
+        if k % 2 == 0 {
+            return Err(format!(
+                "conv3d: kernel edge must be odd (same padding), got {k}"
+            ));
+        }
+        let weights = [c_in, k, k, k]
+            .iter()
+            .try_fold(c_out, |n, &f| n.checked_mul(f));
+        if weights != Some(weight.value.len()) || bias.value.len() != c_out {
             return Err("conv3d: weight/bias lengths inconsistent with shape".into());
         }
         Ok(Conv3d {
@@ -523,9 +924,10 @@ mod tests {
         assert_eq!(y.data, vec![210.0, 321.0, 32.0]);
     }
 
-    /// The GEMM forward must reproduce the scalar reference exactly: the
-    /// per-element reduction order is identical (bias first, then kr
-    /// ascending), and the padding contributes exact zeros.
+    /// The direct convolution must reproduce the scalar reference exactly:
+    /// the per-element reduction order is identical (bias first, then kr
+    /// ascending), and the padding contributes exact zeros. (Named for the
+    /// GEMM lowering it pinned first.)
     #[test]
     fn gemm_forward_matches_reference_bitwise() {
         let mut rng = StdRng::seed_from_u64(17);
@@ -535,6 +937,9 @@ mod tests {
             (3, 2, 1, 3, 3, 3),
             (4, 8, 3, 5, 4, 9),
             (2, 5, 5, 6, 6, 6),
+            // Every tile of the row kernel at once: 4 x 16, 4 x 8, scalar
+            // columns, and a single-channel tail.
+            (3, 5, 3, 2, 3, 27),
         ] {
             let mut conv = Conv3d::new(c_in, c_out, k, 5);
             conv.bias
@@ -552,16 +957,50 @@ mod tests {
             );
             let fast = conv.forward(&x);
             let slow = conv.forward_reference(&x);
+            let portable = conv.forward_portable(&x);
             for (i, (&a, &b)) in fast.data.iter().zip(&slow.data).enumerate() {
                 assert!(
-                    a.to_bits() == b.to_bits(),
+                    a.to_bits() == b.to_bits() && a.to_bits() == portable.data[i].to_bits(),
                     "({c_in},{c_out},k{k},{d}x{h}x{w}) voxel {i}: {a} vs {b}"
                 );
             }
+            let fused = conv.forward_relu(&x);
+            let clamped = crate::layers::relu(&fast);
+            assert_eq!(
+                fused.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                clamped.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                "({c_in},{c_out},k{k},{d}x{h}x{w}) fused relu"
+            );
         }
     }
 
-    /// GEMM backward agrees with the scalar reference up to f32
+    /// A layer document is refused at load, not in the first forward pass:
+    /// an even or zero kernel edge has no "same" padding, and a shape
+    /// whose weight count overflows `usize` must not wrap round to match
+    /// an empty weight array.
+    #[test]
+    fn malformed_layer_documents_are_rejected() {
+        let load = |doc: &str| {
+            Conv3d::from_json_value(&crate::json::parse_json(doc).expect("well-formed JSON"))
+        };
+        let layer = |c_in: &str, c_out: usize, k: usize, weights: usize| {
+            format!(
+                "{{\"c_in\":{c_in},\"c_out\":{c_out},\"k\":{k},\
+                 \"weight\":{{\"value\":{:?}}},\"bias\":{{\"value\":{:?}}}}}",
+                vec![0.5f32; weights],
+                vec![0.0f32; c_out]
+            )
+        };
+        assert!(load(&layer("1", 1, 3, 27)).is_ok());
+        let even = load(&layer("1", 1, 2, 8)).expect_err("even k");
+        assert!(even.contains("odd"), "{even}");
+        assert!(load(&layer("1", 1, 0, 0)).is_err(), "zero k");
+        // 2^62 · 4 = 2^64 wraps to 0 weights.
+        assert!(load(&layer("4611686018427387904", 4, 1, 0)).is_err());
+        assert!(load(&layer("1", 1, 3, 26)).is_err(), "short weights");
+    }
+
+    /// The backward pass agrees with the scalar reference up to f32
     /// reassociation (the summation orders legitimately differ).
     #[test]
     fn gemm_backward_matches_reference() {

@@ -1,102 +1,24 @@
-//! Cache-tiled f32 matrix multiply for the convolution layers.
+//! The fixed-order dot product of the convolution weight gradient.
 //!
-//! `Conv3d` lowers each output row `(oz, oy)` to a small GEMM
-//! (`C = A·B + bias`) where `A` is the weight matrix (`c_out × K`,
-//! `K = c_in·k³`, the natural row-major layout of the stored weights) and
-//! `B` is an im2col patch matrix (`K × w`) built by
-//! `fill_im2col_row` (private to `crate::conv`). The kernel here processes `C` in
-//! 4-row × 8-column micro-tiles with explicit fixed-size array lanes, a
-//! form LLVM autovectorizes on the SSE2 baseline (and wider targets) while
-//! staying plain stable Rust — no `std::simd`, no intrinsics.
+//! The forward pass and the input gradient are a direct convolution
+//! ([`crate::conv`]); the im2col + GEMM lowering that used to live here is
+//! gone. What is left is the one reduction that is *not* a per-output-
+//! element sum: `Conv3d::backward`'s weight gradient contracts a row of
+//! the upstream gradient with a row of the im2col matrix
+//! (`gw[co][kr] += dot(gy_row, b_row)`), a reduction over output columns
+//! that [`dot`] splits across [`LANES`] partial sums.
 //!
 //! # Determinism
 //!
-//! Every output element owns exactly one accumulator that sums over the
-//! reduction index `kr = 0..K` **in ascending order**, seeded from the
-//! bias. Lanes span *output columns*, never splits of the reduction
-//! dimension, so the floating-point addition order per element is
-//! identical to the scalar triple loop — results are bit-reproducible
-//! regardless of tile shape, lane width, or thread count. [`dot`] (used by
-//! the weight-gradient pass) does split its reduction across eight lanes,
-//! but with a fixed lane count and a fixed horizontal-sum tree, so it too
-//! is machine- and thread-count-independent. See the `## Kernel
-//! determinism` section of ROADMAP.md.
+//! [`dot`] uses a fixed lane count and a fixed horizontal-sum tree, and
+//! plain `*` and `+` (never a fused multiply-add), so it returns the same
+//! bits on every machine and for every thread count — not the bits of
+//! the naive left-to-right sum, which is why gradients match the scalar
+//! reference only to f32 reassociation. See the `## Kernel determinism`
+//! section of ROADMAP.md.
 
 /// Lane width of the f32 inner loops (two SSE2 vectors; one AVX vector).
 pub const LANES: usize = 8;
-
-/// Rows of `C` processed per micro-kernel invocation.
-const MR: usize = 4;
-
-/// `C[m×n] = A[m×K]·B[K×n]`, row-major, with `bias[i]` seeding row `i`.
-///
-/// Exact (bitwise) per-element equality with the naive
-/// `c[i][j] = bias[i] + Σ_kr a[i][kr]·b[kr][j]` loop: the reduction per
-/// element is sequential in `kr` no matter which tile the element lands in.
-pub fn gemm_bias(a: &[f32], bias: &[f32], b: &[f32], c: &mut [f32], m: usize, kk: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * kk, "gemm: A shape");
-    debug_assert!(b.len() >= kk * n, "gemm: B shape");
-    debug_assert_eq!(c.len(), m * n, "gemm: C shape");
-    debug_assert_eq!(bias.len(), m, "gemm: bias length");
-    let mut row = 0;
-    while row + MR <= m {
-        gemm_rows::<MR>(a, bias, b, c, row, kk, n);
-        row += MR;
-    }
-    while row < m {
-        gemm_rows::<1>(a, bias, b, c, row, kk, n);
-        row += 1;
-    }
-}
-
-/// `R` consecutive rows of the output, all columns.
-#[inline]
-fn gemm_rows<const R: usize>(
-    a: &[f32],
-    bias: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    row: usize,
-    kk: usize,
-    n: usize,
-) {
-    let mut col = 0;
-    // Main tile: R×LANES accumulators live in registers across the whole
-    // kr sweep; the b row segment is loaded once per kr and broadcast-
-    // multiplied into each output row.
-    while col + LANES <= n {
-        let mut acc = [[0.0f32; LANES]; R];
-        for (i, acc_row) in acc.iter_mut().enumerate() {
-            *acc_row = [bias[row + i]; LANES];
-        }
-        for kr in 0..kk {
-            let mut bl = [0.0f32; LANES];
-            bl.copy_from_slice(&b[kr * n + col..kr * n + col + LANES]);
-            for (i, acc_row) in acc.iter_mut().enumerate() {
-                let av = a[(row + i) * kk + kr];
-                for l in 0..LANES {
-                    acc_row[l] += av * bl[l];
-                }
-            }
-        }
-        for (i, acc_row) in acc.iter().enumerate() {
-            c[(row + i) * n + col..(row + i) * n + col + LANES].copy_from_slice(acc_row);
-        }
-        col += LANES;
-    }
-    // Column tail: scalar accumulators, same kr-ascending order.
-    while col < n {
-        for i in 0..R {
-            let ar = &a[(row + i) * kk..(row + i + 1) * kk];
-            let mut acc = bias[row + i];
-            for (kr, &av) in ar.iter().enumerate() {
-                acc += av * b[kr * n + col];
-            }
-            c[(row + i) * n + col] = acc;
-        }
-        col += 1;
-    }
-}
 
 /// Fixed-order eight-lane dot product.
 ///
@@ -131,57 +53,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    /// The reference definition every tile shape must reproduce bitwise.
-    fn naive_gemm_bias(
-        a: &[f32],
-        bias: &[f32],
-        b: &[f32],
-        m: usize,
-        kk: usize,
-        n: usize,
-    ) -> Vec<f32> {
-        let mut c = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = bias[i];
-                for kr in 0..kk {
-                    acc += a[i * kk + kr] * b[kr * n + j];
-                }
-                c[i * n + j] = acc;
-            }
-        }
-        c
-    }
-
-    #[test]
-    fn gemm_matches_naive_bitwise_across_shapes() {
-        let mut rng = StdRng::seed_from_u64(42);
-        // Shapes straddle every tile boundary: row tails (m % 4), column
-        // tails (n % 8), tiny and skinny matrices.
-        for &(m, kk, n) in &[
-            (1usize, 1usize, 1usize),
-            (4, 8, 8),
-            (5, 27, 9),
-            (3, 7, 17),
-            (16, 108, 33),
-            (6, 54, 64),
-            (13, 11, 3),
-        ] {
-            let a: Vec<f32> = (0..m * kk).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let b: Vec<f32> = (0..kk * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let bias: Vec<f32> = (0..m).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let mut c = vec![0.0f32; m * n];
-            gemm_bias(&a, &bias, &b, &mut c, m, kk, n);
-            let want = naive_gemm_bias(&a, &bias, &b, m, kk, n);
-            for (i, (&got, &exp)) in c.iter().zip(&want).enumerate() {
-                assert!(
-                    got.to_bits() == exp.to_bits(),
-                    "({m}x{kk}x{n}) element {i}: {got} vs {exp}"
-                );
-            }
-        }
-    }
 
     #[test]
     fn dot_is_deterministic_and_accurate() {

@@ -20,7 +20,9 @@
 //! assert_eq!([y.c, y.d, y.h, y.w], [1, 8, 8, 8]);
 //! ```
 
-#![forbid(unsafe_code)]
+// The one `unsafe` region of this crate is `conv`'s AVX2 row kernel (raw
+// vector loads and stores behind `is_x86_feature_detected!`).
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod adam;
 pub mod conv;

@@ -5,7 +5,8 @@
 use crate::conv::{Conv3d, Param};
 use crate::json::parse_json;
 use crate::layers::{
-    maxpool2, maxpool2_backward, relu, relu_backward, upsample2, upsample2_backward,
+    maxpool2, maxpool2_backward, maxpool2_values, relu, relu_backward, upsample2_backward,
+    upsample2_concat,
 };
 use crate::tensor::Tensor;
 
@@ -69,41 +70,96 @@ pub struct Cache {
     rd1b: Tensor,
 }
 
+/// Layer names in construction / serialization order.
+const LAYER_NAMES: [&str; 11] = [
+    "enc1a", "enc1b", "enc2a", "enc2b", "bot_a", "bot_b", "dec2a", "dec2b", "dec1a", "dec1b",
+    "head",
+];
+
+/// `(c_in, c_out, k)` of every layer, in [`LAYER_NAMES`] order: what
+/// [`UNet3d::new`] builds and the only shapes [`UNet3d::from_json_value`]
+/// accepts, so the channels chain by construction in both.
+fn layer_shapes(cfg: &UNetConfig) -> [(usize, usize, usize); 11] {
+    let f = cfg.base_features;
+    [
+        (cfg.in_channels, f, 3),
+        (f, f, 3),
+        (f, 2 * f, 3),
+        (2 * f, 2 * f, 3),
+        (2 * f, 4 * f, 3),
+        (4 * f, 4 * f, 3),
+        (4 * f + 2 * f, 2 * f, 3),
+        (2 * f, 2 * f, 3),
+        (2 * f + f, f, 3),
+        (f, f, 3),
+        (f, cfg.out_channels, 1),
+    ]
+}
+
 impl UNet3d {
-    /// Build with deterministic Kaiming initialization.
-    pub fn new(cfg: &UNetConfig, seed: u64) -> Self {
-        let f = cfg.base_features;
-        assert!(f >= 1 && cfg.in_channels >= 1 && cfg.out_channels >= 1);
-        let s = |k: u64| seed.wrapping_mul(0x9E37).wrapping_add(k);
+    /// Name the eleven layers, given in [`LAYER_NAMES`] order.
+    fn from_layers(config: UNetConfig, layers: [Conv3d; 11]) -> Self {
+        let [enc1a, enc1b, enc2a, enc2b, bot_a, bot_b, dec2a, dec2b, dec1a, dec1b, head] = layers;
         UNet3d {
-            config: *cfg,
-            enc1a: Conv3d::new(cfg.in_channels, f, 3, s(1)),
-            enc1b: Conv3d::new(f, f, 3, s(2)),
-            enc2a: Conv3d::new(f, 2 * f, 3, s(3)),
-            enc2b: Conv3d::new(2 * f, 2 * f, 3, s(4)),
-            bot_a: Conv3d::new(2 * f, 4 * f, 3, s(5)),
-            bot_b: Conv3d::new(4 * f, 4 * f, 3, s(6)),
-            dec2a: Conv3d::new(4 * f + 2 * f, 2 * f, 3, s(7)),
-            dec2b: Conv3d::new(2 * f, 2 * f, 3, s(8)),
-            dec1a: Conv3d::new(2 * f + f, f, 3, s(9)),
-            dec1b: Conv3d::new(f, f, 3, s(10)),
-            head: Conv3d::new(f, cfg.out_channels, 1, s(11)),
+            config,
+            enc1a,
+            enc1b,
+            enc2a,
+            enc2b,
+            bot_a,
+            bot_b,
+            dec2a,
+            dec2b,
+            dec1a,
+            dec1b,
+            head,
         }
     }
 
-    /// Inference: input spatial dims must be divisible by 4 (two poolings).
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        let (y, _) = self.forward_cached(x);
-        y
+    /// Build with deterministic Kaiming initialization.
+    pub fn new(cfg: &UNetConfig, seed: u64) -> Self {
+        assert!(cfg.base_features >= 1 && cfg.in_channels >= 1 && cfg.out_channels >= 1);
+        let shapes = layer_shapes(cfg);
+        let layers = std::array::from_fn(|i| {
+            let (c_in, c_out, k) = shapes[i];
+            let layer_seed = seed.wrapping_mul(0x9E37).wrapping_add(i as u64 + 1);
+            Conv3d::new(c_in, c_out, k, layer_seed)
+        });
+        Self::from_layers(*cfg, layers)
     }
 
-    /// Forward keeping intermediates for backprop.
-    pub fn forward_cached(&self, x: &Tensor) -> (Tensor, Cache) {
+    /// Both forward passes need two poolings' worth of even dims.
+    fn assert_poolable(x: &Tensor) {
         assert!(
             x.d.is_multiple_of(4) && x.h.is_multiple_of(4) && x.w.is_multiple_of(4),
             "U-Net input dims must be divisible by 4, got {:?}",
             x.shape()
         );
+    }
+
+    /// Inference: input spatial dims must be divisible by 4 (two poolings).
+    ///
+    /// The output of [`UNet3d::forward_cached`] to the bit, without the
+    /// backprop cache: every ReLU is fused into its convolution's store,
+    /// the pools keep values only, and no intermediate outlives its last
+    /// reader.
+    pub fn forward(&self, x: &Tensor) -> Tensor {
+        Self::assert_poolable(x);
+        let skip1 = self.enc1b.forward_relu(&self.enc1a.forward_relu(x));
+        let p1 = maxpool2_values(&skip1);
+        let skip2 = self.enc2b.forward_relu(&self.enc2a.forward_relu(&p1));
+        let p2 = maxpool2_values(&skip2);
+        let bottom = self.bot_b.forward_relu(&self.bot_a.forward_relu(&p2));
+        let cat2 = upsample2_concat(&bottom, &skip2);
+        let up2 = self.dec2b.forward_relu(&self.dec2a.forward_relu(&cat2));
+        let cat1 = upsample2_concat(&up2, &skip1);
+        let up1 = self.dec1b.forward_relu(&self.dec1a.forward_relu(&cat1));
+        self.head.forward(&up1)
+    }
+
+    /// Forward keeping intermediates for backprop.
+    pub fn forward_cached(&self, x: &Tensor) -> (Tensor, Cache) {
+        Self::assert_poolable(x);
         let z1a = self.enc1a.forward(x);
         let r1a = relu(&z1a);
         let z1b = self.enc1b.forward(&r1a);
@@ -121,15 +177,13 @@ impl UNet3d {
         let zbb = self.bot_b.forward(&rba);
         let rbb = relu(&zbb);
 
-        let up2 = upsample2(&rbb);
-        let cat2 = up2.concat_channels(&skip2);
+        let cat2 = upsample2_concat(&rbb, &skip2);
         let zd2a = self.dec2a.forward(&cat2);
         let rd2a = relu(&zd2a);
         let zd2b = self.dec2b.forward(&rd2a);
         let rd2b = relu(&zd2b);
 
-        let up1 = upsample2(&rd2b);
-        let cat1 = up1.concat_channels(&skip1);
+        let cat1 = upsample2_concat(&rd2b, &skip1);
         let zd1a = self.dec1a.forward(&cat1);
         let rd1a = relu(&zd1a);
         let zd1b = self.dec1b.forward(&rd1a);
@@ -245,21 +299,37 @@ impl UNet3d {
         self.params_mut().iter().map(|p| p.value.len()).sum()
     }
 
+    /// Floating-point operations of one forward pass over a `d × h × w`
+    /// input: 2 per multiply-add of every convolution, padding taps
+    /// included, computed from the layer shapes (ReLU, pooling and
+    /// upsampling are not counted).
+    pub fn forward_flops(&self, d: usize, h: usize, w: usize) -> f64 {
+        // Pooling level each layer runs at, in `LAYER_NAMES` order.
+        const LEVEL: [u32; 11] = [0, 0, 1, 1, 2, 2, 1, 1, 0, 0, 0];
+        let voxels = (d * h * w) as f64;
+        (self.layers().iter().zip(LEVEL))
+            .map(|((_, conv), level)| {
+                2.0 * conv.weight.value.len() as f64 * voxels / f64::from(8u32.pow(level))
+            })
+            .sum()
+    }
+
     /// Names and references of the layers, in serialization order.
     fn layers(&self) -> [(&'static str, &Conv3d); 11] {
-        [
-            ("enc1a", &self.enc1a),
-            ("enc1b", &self.enc1b),
-            ("enc2a", &self.enc2a),
-            ("enc2b", &self.enc2b),
-            ("bot_a", &self.bot_a),
-            ("bot_b", &self.bot_b),
-            ("dec2a", &self.dec2a),
-            ("dec2b", &self.dec2b),
-            ("dec1a", &self.dec1a),
-            ("dec1b", &self.dec1b),
-            ("head", &self.head),
-        ]
+        let layers = [
+            &self.enc1a,
+            &self.enc1b,
+            &self.enc2a,
+            &self.enc2b,
+            &self.bot_a,
+            &self.bot_b,
+            &self.dec2a,
+            &self.dec2b,
+            &self.dec1a,
+            &self.dec1b,
+            &self.head,
+        ];
+        std::array::from_fn(|i| (LAYER_NAMES[i], layers[i]))
     }
 
     /// Serialize to a JSON string (our ONNX-interchange stand-in).
@@ -286,6 +356,10 @@ impl UNet3d {
     /// Load from an already-parsed [`UNet3d::to_json`] document — the entry
     /// point for containers that embed a network inside a larger JSON value
     /// (e.g. the surrogate's self-describing weights file).
+    ///
+    /// Every layer must have exactly the shape [`UNet3d::new`] gives it
+    /// for the document's `config`: a document whose layers do not chain
+    /// is an `Err` here, not a failed assertion in the first forward pass.
     pub fn from_json_value(v: &crate::json::Json) -> Result<Self, String> {
         let cfg = v.get("config")?;
         let config = UNetConfig {
@@ -293,24 +367,29 @@ impl UNet3d {
             out_channels: cfg.get("out_channels")?.as_usize()?,
             base_features: cfg.get("base_features")?.as_usize()?,
         };
-        let layer = |name: &str| -> Result<Conv3d, String> {
-            Conv3d::from_json_value(v.get(name)?)
-                .map_err(|e| format!("U-Net deserialize `{name}`: {e}"))
-        };
-        Ok(UNet3d {
-            config,
-            enc1a: layer("enc1a")?,
-            enc1b: layer("enc1b")?,
-            enc2a: layer("enc2a")?,
-            enc2b: layer("enc2b")?,
-            bot_a: layer("bot_a")?,
-            bot_b: layer("bot_b")?,
-            dec2a: layer("dec2a")?,
-            dec2b: layer("dec2b")?,
-            dec1a: layer("dec1a")?,
-            dec1b: layer("dec1b")?,
-            head: layer("head")?,
-        })
+        if config.in_channels == 0 || config.out_channels == 0 || config.base_features == 0 {
+            return Err("U-Net deserialize: channel counts must be positive".into());
+        }
+        // The widest layer reads 6·base_features channels.
+        if config.base_features.checked_mul(6).is_none() {
+            return Err("U-Net deserialize: base_features overflows".into());
+        }
+        let shapes = layer_shapes(&config);
+        let mut layers = Vec::with_capacity(LAYER_NAMES.len());
+        for (name, want) in LAYER_NAMES.into_iter().zip(shapes) {
+            let layer = Conv3d::from_json_value(v.get(name)?)
+                .map_err(|e| format!("U-Net deserialize `{name}`: {e}"))?;
+            let got = (layer.c_in, layer.c_out, layer.k);
+            if got != want {
+                return Err(format!(
+                    "U-Net deserialize `{name}`: shape (c_in, c_out, k) = {got:?}, \
+                     but this config builds {want:?}"
+                ));
+            }
+            layers.push(layer);
+        }
+        let layers = layers.try_into().expect("one layer per name");
+        Ok(Self::from_layers(config, layers))
     }
 }
 
@@ -434,6 +513,65 @@ mod tests {
         let back = UNet3d::from_json(&json).unwrap();
         let x = Tensor::zeros(2, 4, 4, 4);
         assert_eq!(net.forward(&x).data, back.forward(&x).data);
+    }
+
+    /// Documents `from_json` used to accept and the first forward pass
+    /// then died on: one layer stored under another's name (the channels
+    /// no longer chain), and a zero width.
+    #[test]
+    fn documents_whose_layers_do_not_chain_are_rejected() {
+        let json = tiny().to_json();
+        // The text between a layer's key and the next layer's key.
+        let body = |name: &str, next: &str| {
+            let start = json.find(&format!("\"{name}\":")).expect("layer key") + name.len() + 3;
+            let end = json.find(&format!(",\"{next}\":")).expect("next layer key");
+            &json[start..end]
+        };
+        let swapped = json.replace(body("enc1b", "enc2a"), body("bot_b", "dec2a"));
+        assert_ne!(swapped, json);
+        let err = UNet3d::from_json(&swapped).expect_err("bot_b's body under enc1b");
+        assert!(err.contains("enc1b") && err.contains("(2, 2, 3)"), "{err}");
+
+        let zero = json.replace("\"base_features\":2", "\"base_features\":0");
+        assert!(UNet3d::from_json(&zero).is_err());
+        let huge = json.replace(
+            "\"base_features\":2",
+            "\"base_features\":9223372036854775807",
+        );
+        assert!(UNet3d::from_json(&huge).is_err());
+    }
+
+    /// The inference path is the training forward to the bit.
+    #[test]
+    fn inference_forward_equals_cached_forward_bitwise() {
+        let net = tiny();
+        let mut rng = StdRng::seed_from_u64(12);
+        let x = Tensor::from_vec(
+            2,
+            8,
+            4,
+            12,
+            (0..2 * 8 * 4 * 12)
+                .map(|_| rng.gen_range(-1.0..1.0))
+                .collect(),
+        );
+        let bits = |t: &Tensor| t.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&net.forward(&x)), bits(&net.forward_cached(&x).0));
+    }
+
+    #[test]
+    fn forward_flops_follow_the_layer_table() {
+        let net = UNet3d::new(
+            &UNetConfig {
+                in_channels: 8,
+                out_channels: 8,
+                base_features: 1,
+            },
+            0,
+        );
+        // Multiply-adds at 4^3 with f = 1: 64, 8 and 1 voxels per level.
+        let macs = 27 * (64 * (8 + 1 + 3 + 1) + 8 * (2 + 4 + 12 + 4) + (8 + 16)) + 64 * 8;
+        assert_eq!(net.forward_flops(4, 4, 4), 2.0 * macs as f64);
     }
 
     #[test]

@@ -20,8 +20,10 @@
 //!   brute-force `pair_force` loop — same tolerances, `v_sig` exact;
 //! * SPH group independence — a target's bits do not depend on which
 //!   other targets the pass carries: **bitwise**;
-//! * U-Net conv GEMM forward vs the scalar loop nest — **exact** f32
-//!   (fixed-order im2col GEMM);
+//! * U-Net direct convolution — dispatched (AVX2) body vs portable body vs
+//!   the scalar loop nest — **exact** f32 over shapes on every tile edge;
+//!   fused ReLU vs `relu(forward)` and the inference forward vs the
+//!   training forward — **bitwise**, plus a recorded output hash;
 //! * the surrogate's voxel scatter (support-culled, batched through
 //!   `w_batch`) vs the per-voxel scalar loop it replaced — **bitwise**,
 //!   as a hash of the five fields recorded from that loop;
@@ -40,7 +42,7 @@ use sph::force::{
 };
 use sph::{CubicSpline, HydroState, SphKernel, SphScratch, SphSolver, WendlandC2};
 use unet::conv::Conv3d;
-use unet::Tensor;
+use unet::{Tensor, UNet3d, UNetConfig};
 
 const CASES: u64 = 24;
 
@@ -503,9 +505,21 @@ fn sph_results_do_not_depend_on_the_rest_of_the_group() {
     }
 }
 
-/// The im2col+GEMM conv forward is exactly equal to the scalar loop nest:
-/// the GEMM accumulates each output element in the same fixed k-order the
-/// reference does, so there is no f32 reassociation to tolerate.
+fn random_tensor(rng: &mut StdRng, c: usize, d: usize, h: usize, w: usize) -> Tensor {
+    let data = (0..c * d * h * w)
+        .map(|_| rng.gen_range(-1.0f32..1.0))
+        .collect();
+    Tensor::from_vec(c, d, h, w, data)
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The conv forward is exactly equal to the scalar loop nest: each output
+/// element is accumulated in the same fixed k-order the reference uses,
+/// so there is no f32 reassociation to tolerate. (Named for the
+/// im2col + GEMM lowering it pinned before the direct convolution.)
 #[test]
 fn conv_gemm_forward_is_exact_f32() {
     for seed in 0..8 {
@@ -522,15 +536,7 @@ fn conv_gemm_forward_is_exact_f32() {
             .value
             .iter_mut()
             .for_each(|b| *b = rng.gen_range(-0.5..0.5));
-        let x = Tensor::from_vec(
-            c_in,
-            d,
-            h,
-            w,
-            (0..c_in * d * h * w)
-                .map(|_| rng.gen_range(-1.0f32..1.0))
-                .collect(),
-        );
+        let x = random_tensor(&mut rng, c_in, d, h, w);
         let fast = conv.forward(&x);
         let slow = conv.forward_reference(&x);
         for (i, (a, b)) in fast.data.iter().zip(&slow.data).enumerate() {
@@ -541,6 +547,99 @@ fn conv_gemm_forward_is_exact_f32() {
             );
         }
     }
+}
+
+/// Dispatched body == portable body == scalar reference, by bits, over
+/// shapes that straddle every edge of the 4-channel x 16-column register
+/// tile: the 8-column and scalar-column tails, the single-channel tail,
+/// and `d`/`h` of 1 and 2 where every row reads halo planes.
+#[test]
+fn conv_direct_bodies_agree_bitwise_on_every_tile_edge() {
+    let mut rng = StdRng::seed_from_u64(2200);
+    for k in [1, 3] {
+        for c_in in [1, 4, 12, 24] {
+            for c_out in [1, 3, 4, 5, 9] {
+                let mut conv = Conv3d::new(c_in, c_out, k, 2201);
+                conv.bias
+                    .value
+                    .iter_mut()
+                    .for_each(|b| *b = rng.gen_range(-0.5..0.5));
+                for (i, w) in [1, 7, 8, 9, 15, 16, 17, 33].into_iter().enumerate() {
+                    let (d, h) = [(1, 1), (2, 1), (1, 2), (2, 2)][i % 4];
+                    let x = random_tensor(&mut rng, c_in, d, h, w);
+                    let dispatched = bits(&conv.forward(&x));
+                    let case = format!("{c_in}->{c_out} k{k} {d}x{h}x{w}");
+                    assert_eq!(dispatched, bits(&conv.forward_portable(&x)), "{case}");
+                    assert_eq!(dispatched, bits(&conv.forward_reference(&x)), "{case}");
+                }
+            }
+        }
+    }
+}
+
+/// The ReLU fused into the convolution's store is the scalar `relu` on
+/// the unfused output — also where that output is NaN (passes through),
+/// -0.0 (passes through, sign kept) or infinite.
+#[test]
+fn conv_fused_relu_equals_relu_of_forward_bitwise() {
+    let mut rng = StdRng::seed_from_u64(2250);
+    for (c_in, c_out, k, w) in [(3, 5, 3, 27), (4, 4, 3, 32), (2, 9, 1, 17)] {
+        let mut conv = Conv3d::new(c_in, c_out, k, 2251);
+        // Channel 0 comes out as -0.0 wherever its inputs are finite: a
+        // -0.0 seed plus -0.0 products (-0.0 weights, inputs >= 0).
+        let kk = c_in * k * k * k;
+        conv.weight.value[..kk].fill(-0.0);
+        conv.bias.value[0] = -0.0;
+        let mut x = random_tensor(&mut rng, c_in, 3, 4, w);
+        x.data.iter_mut().for_each(|v| *v = v.abs());
+        // One NaN and one infinity in the input poison their neighbourhoods.
+        x.data[5] = f32::NAN;
+        let last = x.len() - 3;
+        x.data[last] = f32::INFINITY;
+        let plain = conv.forward(&x);
+        assert!(
+            plain.data.iter().any(|v| v.is_nan()),
+            "case has NaN outputs"
+        );
+        assert!(
+            plain
+                .data
+                .iter()
+                .any(|v| v.to_bits() == (-0.0f32).to_bits()),
+            "case has -0.0 outputs"
+        );
+        assert!(plain.data.iter().any(|&v| v < 0.0), "case has negatives");
+        assert_eq!(
+            bits(&conv.forward_relu(&x)),
+            bits(&unet::layers::relu(&plain)),
+            "{c_in}->{c_out} k{k} w{w}"
+        );
+    }
+}
+
+/// `UNet3d::forward` (inference: fused ReLUs, value-only pools, no cache)
+/// is `forward_cached(..).0` to the bit, and both are what the parent of
+/// the direct convolution produced through im2col + GEMM: the hash is
+/// FNV-1a over the output bits, recorded at that commit.
+#[test]
+fn unet_inference_forward_equals_training_forward_and_recorded_bits() {
+    let net = UNet3d::new(
+        &UNetConfig {
+            in_channels: 8,
+            out_channels: 8,
+            base_features: 4,
+        },
+        2300,
+    );
+    let x = random_tensor(&mut StdRng::seed_from_u64(2301), 8, 16, 16, 16);
+    let y = net.forward(&x);
+    assert_eq!(bits(&y), bits(&net.forward_cached(&x).0));
+    let bytes: Vec<u8> = bits(&y).into_iter().flat_map(u32::to_le_bytes).collect();
+    assert_eq!(
+        unet::json::fnv1a(&bytes),
+        0xb9e2_a06d_8117_68ab,
+        "U-Net forward no longer reproduces the im2col + GEMM bits"
+    );
 }
 
 /// The voxel scatter on the benchmark's `sn_surrogate` shape (32^3 on
@@ -597,7 +696,7 @@ fn voxel_scatter_is_bitwise_equal_to_the_scalar_loop_it_replaced() {
 /// Block-mode snapshot restart through the SIMD force stack (dispatched
 /// SoA gravity kernels, batched SPH force, cached density lists): run 2k
 /// steps straight vs k + serialized restore + k, and require every
-/// particle field bitwise equal. (The surrogate's GEMM conv path is
+/// particle field bitwise equal. (The surrogate's convolution is
 /// pinned exact by `conv_gemm_forward_is_exact_f32` above and restarts
 /// bitwise in `tests/snapshot_restart.rs`; a surrogate scheme here would
 /// defeat the test — it exists to *remove* the timestep spike that makes

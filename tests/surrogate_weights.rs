@@ -80,6 +80,58 @@ fn byte_flips_inside_the_net_are_caught_by_the_checksum() {
     }
 }
 
+/// Documents that are well-formed and correctly checksummed, yet describe
+/// a model the pipeline cannot run. Each used to load and then panic in
+/// `predict_particles` (a failed assertion inside the U-Net); each must
+/// be an `Err` at load, which `PredictorSpec::resolve` turns into exit 2.
+#[test]
+fn checksummed_documents_the_pipeline_cannot_run_are_rejected_at_load() {
+    let doc = weights_doc();
+    let load = |text: &str| {
+        std::panic::catch_unwind(|| SurrogateModel::from_json(text).map(|_| ()))
+            .expect("loading must not panic")
+    };
+    assert!(load(&doc).is_ok());
+
+    // A cube the two poolings cannot halve twice (the checksum covers
+    // only the network, so the envelope edit leaves it valid).
+    for bad in ["6", "0", "10"] {
+        let hostile = doc.replace("\"grid_n\":8", &format!("\"grid_n\":{bad}"));
+        assert_ne!(hostile, doc);
+        let err = load(&hostile).expect_err("grid_n not a multiple of 4");
+        assert!(err.contains("grid_n"), "{err}");
+    }
+
+    // Layers that do not chain: `bot_b`'s body stored under `enc1b`, the
+    // checksum recomputed over the edited network as the writer would.
+    let net_at = doc.find("\"net\":").expect("net key") + "\"net\":".len();
+    let net = &doc[net_at..doc.len() - 1];
+    let body = |name: &str, next: &str| {
+        let start = net.find(&format!("\"{name}\":")).expect("layer key") + name.len() + 3;
+        let end = net.find(&format!(",\"{next}\":")).expect("next layer key");
+        &net[start..end]
+    };
+    let hostile_net = net.replace(body("enc1b", "enc2a"), body("bot_b", "dec2a"));
+    assert_ne!(hostile_net, net);
+    let stored = doc.find("fnv1a:").expect("checksum") + "fnv1a:".len();
+    let hostile = format!(
+        "{}{:016x}{}{hostile_net}}}",
+        &doc[..stored],
+        unet::json::fnv1a(hostile_net.as_bytes()),
+        &doc[stored + 16..net_at],
+    );
+    let err = load(&hostile).expect_err("layers that do not chain");
+    assert!(
+        err.contains("enc1b") && !err.contains("checksum"),
+        "rejected for the wrong reason: {err}"
+    );
+
+    // The same documents through the loader the drivers use.
+    assert!(UNetPredictor::from_weights(1, &hostile, 60.0).is_err());
+    let six = doc.replace("\"grid_n\":8", "\"grid_n\":6");
+    assert!(UNetPredictor::from_weights(1, &six, 60.0).is_err());
+}
+
 #[test]
 fn wrong_format_tag_is_rejected_with_context() {
     let doc = weights_doc().replace("asura-surrogate-model", "some-other-doc");

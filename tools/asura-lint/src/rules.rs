@@ -39,6 +39,7 @@ pub fn all_rules() -> Vec<Rule> {
                 "crates/gravity/**",
                 "crates/sph/**",
                 "crates/unet/src/gemm.rs",
+                "crates/unet/src/conv.rs",
                 "crates/surrogate/src/voxel.rs",
                 "crates/surrogate/src/encode.rs",
             ],
