@@ -44,7 +44,7 @@
 //! ```
 
 use crate::faults::{apply_write_fault, FaultInjector};
-use crate::snapshot::{fnv1a, DistSnapshot, SimSnapshot, Snapshot};
+use crate::snapshot::{fnv1a, SimSnapshot};
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Write as _};
@@ -239,10 +239,10 @@ impl CkptStore {
         Ok(path)
     }
 
-    /// Encode and commit a snapshot of either kind, stamped with its step.
-    pub fn commit<S: Snapshot>(
+    /// Encode and commit a snapshot, stamped with its step.
+    pub fn commit_sim(
         &self,
-        snap: &S,
+        snap: &SimSnapshot,
         format: CkptFormat,
         faults: &mut FaultInjector,
     ) -> io::Result<PathBuf> {
@@ -250,27 +250,7 @@ impl CkptStore {
             CkptFormat::Bin => snap.to_bytes(),
             CkptFormat::Json => snap.to_json().into_bytes(),
         };
-        self.commit_bytes(snap.step(), format, bytes, faults)
-    }
-
-    /// Encode and commit a shared-memory snapshot.
-    pub fn commit_sim(
-        &self,
-        snap: &SimSnapshot,
-        format: CkptFormat,
-        faults: &mut FaultInjector,
-    ) -> io::Result<PathBuf> {
-        self.commit(snap, format, faults)
-    }
-
-    /// Encode and commit a distributed snapshot.
-    pub fn commit_dist(
-        &self,
-        snap: &DistSnapshot,
-        format: CkptFormat,
-        faults: &mut FaultInjector,
-    ) -> io::Result<PathBuf> {
-        self.commit(snap, format, faults)
+        self.commit_bytes(snap.step_count, format, bytes, faults)
     }
 
     /// Rotation entries, newest-first: from the manifest when it is
@@ -312,19 +292,10 @@ impl CkptStore {
         None
     }
 
-    /// Newest intact snapshot of kind `S` in the rotation.
-    pub fn latest_valid<S: Snapshot>(&self) -> Option<(CkptEntry, S)> {
-        self.latest_valid_with(|bytes| S::decode(bytes).ok())
-    }
-
-    /// Newest intact shared-memory snapshot in the rotation.
+    /// Newest intact snapshot in the rotation — a run's under the
+    /// `checkpoint` base, a distributed run's under `dist_checkpoint`.
     pub fn latest_valid_sim(&self) -> Option<(CkptEntry, SimSnapshot)> {
-        self.latest_valid()
-    }
-
-    /// Newest intact distributed snapshot in the rotation.
-    pub fn latest_valid_dist(&self) -> Option<(CkptEntry, DistSnapshot)> {
-        self.latest_valid()
+        self.latest_valid_with(|bytes| SimSnapshot::decode(bytes).ok())
     }
 
     // -- manifest ---------------------------------------------------------
@@ -570,14 +541,9 @@ mod tests {
             config: crate::SimConfig::default(),
             time: 0.5,
             step_count: 1,
-            next_id: 0,
-            rng_state: [1, 2, 3, 4],
-            stats: crate::SimStats::default(),
-            particles: Vec::new(),
-            last_vsig: Vec::new(),
-            pending: Vec::new(),
-            schedule: None,
             model: None,
+            sf_stream: None,
+            slabs: Vec::new(),
         };
         st.commit_sim(&intact, CkptFormat::Bin, &mut inj).unwrap();
         let mut hostile = SNAPSHOT_MAGIC.to_vec();

@@ -86,6 +86,20 @@
 //! there. Per-rank [`SimStats`] (substeps, active updates, tree
 //! refresh/rebuild splits) are gathered into [`DistReport::rank_stats`].
 //!
+//! # Checkpoints
+//!
+//! At the [`DistConfig::snapshot_every`] cadence the main ranks gather the
+//! one snapshot kind there is, a [`SimSnapshot`] with one
+//! [`SlabRecord`](crate::snapshot::SlabRecord) per rank — what
+//! [`Simulation::snapshot`](crate::sim::Simulation::snapshot) writes with
+//! one. Each rank first redeems the tickets it has in the pool, so the
+//! queue travels *predicted*, as it does there, and a resume asks the pool
+//! for nothing; each slab keeps its own queue because the rank that
+//! dispatched a region is the one that counts it applied.
+//! [`run_distributed_resume`] hands every rank its slab back — particles,
+//! counters, schedule, signal-speed stash, queue — and the run continues
+//! to the bit, [`DistReport::rank_stats`] included.
+//!
 //! # Ghost exchange
 //!
 //! SPH ghosts are exchanged twice per force evaluation: once before the
@@ -103,9 +117,8 @@ use crate::phases;
 use crate::pool::{PoolPredictor, SedovOverlayPredictor, UNetPredictor};
 use crate::scheduler::{self, ActiveScheduler};
 pub use crate::sim::SimStats;
-pub use crate::snapshot::{DistPending, DistSnapshot};
-use crate::snapshot::{ModelState, ScheduleState};
-use crate::step::{self, Explosion, InFlight, Slab, SlabState};
+use crate::snapshot::{ModelState, PendingPrediction, SimSnapshot};
+use crate::step::{self, Explosion, Slab, SlabState};
 use astro::units::E_SN;
 use fdps::domain::DomainDecomposition;
 use fdps::exchange::{exchange_ghosts, exchange_particles, Routing};
@@ -140,17 +153,32 @@ pub enum PredictorKind {
 }
 
 impl PredictorKind {
-    /// Instantiate the predictor for regions of side `region_side`. Inline
-    /// weights were validated by [`PredictorSpec::resolve`] (or came out of
-    /// a checksummed snapshot), so a decode failure here is a driver bug,
-    /// not bad input.
-    pub fn build(&self, region_side: f64) -> Box<dyn PoolPredictor> {
+    /// Instantiate the predictor for regions of side `region_side`. This is
+    /// where an inline weights document is decoded, whoever supplied it — a
+    /// checkpoint's checksum covers damage, not intent — so one that does
+    /// not decode is [`DistError::BadWeights`] here, before any rank or
+    /// step runs.
+    pub fn build(&self, region_side: f64) -> Result<Box<dyn PoolPredictor>, DistError> {
         match self {
-            PredictorKind::SedovOverlay => Box::new(SedovOverlayPredictor),
-            PredictorKind::UNetWeights { seed, weights_json } => Box::new(
-                UNetPredictor::from_weights(*seed, weights_json, region_side)
-                    .expect("inline weights were validated at resolve time"),
-            ),
+            PredictorKind::SedovOverlay => Ok(Box::new(SedovOverlayPredictor)),
+            PredictorKind::UNetWeights { seed, weights_json } => {
+                match UNetPredictor::from_weights(*seed, weights_json, region_side) {
+                    Ok(predictor) => Ok(Box::new(predictor)),
+                    Err(reason) => Err(DistError::BadWeights {
+                        path: "<inline weights>".into(),
+                        reason,
+                    }),
+                }
+            }
+        }
+    }
+
+    /// The predictor a checkpoint's embedded model stands for (the
+    /// inverse of [`PredictorKind::model_state`]).
+    pub fn embedded(model: &ModelState) -> PredictorKind {
+        PredictorKind::UNetWeights {
+            seed: model.seed,
+            weights_json: model.weights_json.clone(),
         }
     }
 
@@ -235,8 +263,8 @@ pub struct DistConfig {
     /// The predictor served by the pool ranks.
     pub predictor: PredictorKind,
     /// Checkpoint cadence in steps (0 = off): every `snapshot_every`-th
-    /// completed step the main ranks gather a [`DistSnapshot`] into the
-    /// report, resumable with [`run_distributed_resume`].
+    /// completed step the main ranks gather a [`SimSnapshot`] (one slab
+    /// per rank) into the report, resumable with [`run_distributed_resume`].
     pub snapshot_every: u64,
 }
 
@@ -250,36 +278,28 @@ impl DistConfig {
     }
 }
 
-/// Typed failure of the distributed driver. Conditions that used to
-/// `expect()`-panic on recoverable state now surface as values: the
-/// up-front configuration errors are returned as `Err` from
-/// [`run_distributed`]/[`run_distributed_resume`] before any rank is
-/// spawned, and mid-run degradation is recorded in
-/// [`DistReport::error`] — the run breaks out of its step loop at a
-/// collective point (so no rank deadlocks in a collective), gathers a
-/// final checkpoint, shuts the pool down cleanly, and returns what it
-/// has instead of panicking.
+/// Typed failure of the distributed driver: every one is found, and
+/// returned as `Err` from [`run_distributed`] / [`run_distributed_resume`]
+/// (or [`Simulation::try_restore`](crate::sim::Simulation::try_restore)),
+/// before any rank is spawned or any step taken.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DistError {
     /// The main-rank grid is empty (`grid` multiplies to zero).
     NoMainRank,
     /// No pool ranks are configured to serve SN-region predictions.
     NoPoolRank,
-    /// A resume snapshot's rank count does not match the configured grid.
+    /// A resume snapshot's slab count does not match the configured grid
+    /// (one, for the shared-memory driver).
     GridMismatch {
         snapshot_ranks: usize,
         config_ranks: usize,
     },
-    /// A checkpoint gather found in-flight SN regions whose request
-    /// payloads were not retained (world total across ranks) — the run
-    /// can no longer produce a resumable snapshot and aborts with its
-    /// last complete state.
-    MissingPendingPayload { count: u64 },
-    /// A trained-weights file could not be read or failed validation
-    /// (foreign document, damaged weights, checksum mismatch). Raised by
-    /// [`PredictorSpec::resolve`] before any rank is spawned; the CLI maps
-    /// it to a permanent exit so the supervisor never retries a run whose
-    /// weights can never load.
+    /// Trained weights — a `--predictor` file, or the document a
+    /// checkpoint embeds — could not be read or failed validation (foreign
+    /// document, damaged weights, checksum mismatch). Raised by
+    /// [`PredictorSpec::resolve`] and [`PredictorKind::build`]; the CLI
+    /// maps it to a permanent exit so the supervisor never retries a run
+    /// whose weights can never load.
     BadWeights { path: String, reason: String },
 }
 
@@ -294,12 +314,7 @@ impl fmt::Display for DistError {
             } => write!(
                 f,
                 "resume requires the snapshotting run's main-rank grid: \
-                 snapshot has {snapshot_ranks} ranks, config has {config_ranks}"
-            ),
-            DistError::MissingPendingPayload { count } => write!(
-                f,
-                "{count} in-flight SN region(s) lost their request payload; \
-                 aborting with the last complete checkpoint"
+                 snapshot has {snapshot_ranks} slab(s), this run has {config_ranks}"
             ),
             DistError::BadWeights { path, reason } => {
                 write!(f, "cannot load surrogate weights `{path}`: {reason}")
@@ -315,6 +330,8 @@ impl std::error::Error for DistError {}
 pub struct DistReport {
     /// Slowest-rank phase timings (the paper's measurement convention).
     pub phases: PhaseReport,
+    /// Steps this call integrated. Every counter below is the *run's*
+    /// total: a resumed run carries its checkpoint's counters on.
     pub steps: u64,
     pub sn_events: u64,
     pub regions_applied: u64,
@@ -324,7 +341,7 @@ pub struct DistReport {
     /// Communication volume per rank (bytes sent), main ranks only.
     pub bytes_sent: Vec<u64>,
     /// Checkpoints gathered at the [`DistConfig::snapshot_every`] cadence.
-    pub snapshots: Vec<DistSnapshot>,
+    pub snapshots: Vec<SimSnapshot>,
     /// The complete final particle state, sorted by id (restart-determinism
     /// audits compare this across runs).
     pub final_state: Vec<Particle>,
@@ -333,22 +350,34 @@ pub struct DistReport {
     /// populate the substep counters on every rank, and schedule agreement
     /// shows up as identical `substeps` across the vector.
     pub rank_stats: Vec<SimStats>,
-    /// `Some` when the run degraded mid-flight and aborted early: the
-    /// report then holds everything integrated up to the abort, including
-    /// a final checkpoint in `snapshots`, and callers should treat the
-    /// run as failed-but-recoverable rather than complete.
+    /// Always `None`: no path degrades a run mid-flight — every
+    /// [`DistError`] is returned before the first step. Kept because
+    /// callers read it.
     pub error: Option<DistError>,
 }
 
-/// A region shipped to a pool rank and not yet redeemed.
-struct Ticket {
-    event_id: u64,
-    pool_rank: usize,
-    /// The dispatched request `(center, region gas)`, retained only when
-    /// the run checkpoints (`snapshot_every > 0`) so a snapshot can capture
-    /// in-flight regions (the pool's reply is deterministic in the
-    /// request); `None` otherwise — no copy overhead on plain runs.
-    payload: Option<([f64; 3], Vec<GasParticle>)>,
+/// A region in the pool, as the main rank that dispatched it holds it.
+enum Ticket {
+    /// Shipped: the reply comes from `pool_rank` under the event's own tag.
+    Shipped { event_id: u64, pool_rank: usize },
+    /// Already received — by a checkpoint gather, or by the run a resume
+    /// continues.
+    Redeemed(Vec<GasParticle>),
+}
+
+impl Ticket {
+    /// The prediction: the blocking receive due at `due_step`, or what an
+    /// earlier one returned. A prediction is a pure function of its
+    /// request, so *when* it is received cannot reach state.
+    fn redeem(self, world: &Comm) -> Vec<GasParticle> {
+        match self {
+            Ticket::Shipped {
+                event_id,
+                pool_rank,
+            } => world.recv_vec(pool_rank, TAG_REPLY_BASE + event_id),
+            Ticket::Redeemed(predicted) => predicted,
+        }
+    }
 }
 
 /// Run `cfg.steps` steps of `cfg.sim`'s scheme across
@@ -360,28 +389,36 @@ pub fn run_distributed(cfg: &DistConfig, particles: &[Particle]) -> Result<DistR
 }
 
 /// Continue a distributed run from a checkpoint: each main rank takes back
-/// exactly its snapshotted particle list (local order preserved, so force
-/// evaluation is bitwise identical to the uninterrupted run) and in-flight
-/// SN regions are re-dispatched to the pool with their original due steps.
-/// `cfg.steps` more steps are integrated. The main-rank grid must match
-/// the snapshotting run's (a mismatch is [`DistError::GridMismatch`]).
+/// exactly its slab — particles in local order (so force evaluation is
+/// bitwise identical to the uninterrupted run), counters, schedule,
+/// signal-speed stash and its in-flight predictions, which come back
+/// *predicted* with their original due steps: the pool is not asked again.
+/// `cfg.steps` more steps are integrated under `cfg.sim` (the caller's to
+/// supply — the snapshot's `config` with its overrides, normally); a model
+/// the snapshot embeds overrides `cfg.predictor`, so the pool replays the
+/// weights that produced the checkpoint. The main-rank grid must match the
+/// snapshotting run's (a mismatch is [`DistError::GridMismatch`]).
 pub fn run_distributed_resume(
     cfg: &DistConfig,
-    snapshot: &DistSnapshot,
+    snapshot: &SimSnapshot,
 ) -> Result<DistReport, DistError> {
-    if snapshot.rank_particles.len() != cfg.n_main() {
+    if snapshot.slabs.len() != cfg.n_main() {
         return Err(DistError::GridMismatch {
-            snapshot_ranks: snapshot.rank_particles.len(),
+            snapshot_ranks: snapshot.slabs.len(),
             config_ranks: cfg.n_main(),
         });
     }
-    run_inner(cfg, &[], Some(snapshot))
+    let mut cfg = cfg.clone();
+    if let Some(model) = &snapshot.model {
+        cfg.predictor = PredictorKind::embedded(model);
+    }
+    run_inner(&cfg, &[], Some(snapshot))
 }
 
 fn run_inner(
     cfg: &DistConfig,
     particles: &[Particle],
-    resume: Option<&DistSnapshot>,
+    resume: Option<&SimSnapshot>,
 ) -> Result<DistReport, DistError> {
     let n_main = cfg.n_main();
     if n_main < 1 {
@@ -390,23 +427,14 @@ fn run_inner(
     if cfg.n_pool < 1 {
         return Err(DistError::NoPoolRank);
     }
-    // A resume snapshot that carries a model overrides the configured
-    // predictor entirely — the pool replays the exact weights that
-    // produced the checkpoint.
-    let mut cfg = cfg.clone();
-    if let Some(m) = resume.and_then(|s| s.model.as_ref()) {
-        cfg.predictor = PredictorKind::UNetWeights {
-            seed: m.seed,
-            weights_json: m.weights_json.clone(),
-        };
-    }
-    let cfg = &cfg;
+    // One predictor, built (and its weights decoded) before any rank is
+    // spawned; the pool ranks share it.
+    let predictor = cfg.predictor.build(cfg.sim.region_side)?;
     let world = World::new(cfg.world_size());
     let (results, stats) = world.run_with_stats(|comm| {
         let is_pool = comm.rank() >= n_main;
         let sub = comm.split(is_pool as u64, comm.rank() as i64);
         if is_pool {
-            let predictor = cfg.predictor.build(cfg.sim.region_side);
             pool_loop(comm, n_main, predictor.as_ref(), cfg);
             None
         } else {
@@ -531,25 +559,18 @@ impl Halo for DistHalo<'_> {
         self.shipped += 1;
         let pool_rank = n_main + (event_id as usize % self.cfg.n_pool);
         let center = [center.x, center.y, center.z];
-        let payload = (self.cfg.snapshot_every > 0).then(|| (center, gas.clone()));
         self.world
             .send(pool_rank, TAG_REGION, (event_id, center, gas));
-        Ticket {
+        Ticket::Shipped {
             event_id,
             pool_rank,
-            payload,
         }
     }
 
     fn collect(&mut self, due: Vec<Ticket>) -> Vec<GasParticle> {
         self.timer.region(self.main, phases::RECEIVE_SNE, || {
-            let mine: Vec<GasParticle> = due
-                .iter()
-                .flat_map(|t| {
-                    self.world
-                        .recv_vec::<GasParticle>(t.pool_rank, TAG_REPLY_BASE + t.event_id)
-                })
-                .collect();
+            let mine: Vec<GasParticle> =
+                due.into_iter().flat_map(|t| t.redeem(self.world)).collect();
             self.main.allgatherv(mine).into_iter().flatten().collect()
         })
     }
@@ -682,7 +703,7 @@ fn main_loop(
     main: &Comm,
     cfg: &DistConfig,
     all_particles: &[Particle],
-    resume: Option<&DistSnapshot>,
+    resume: Option<&SimSnapshot>,
 ) -> DistReport {
     let me = main.rank();
     let n_main = main.size();
@@ -697,58 +718,28 @@ fn main_loop(
     };
 
     // Fresh runs claim strided slices of the initial condition (then
-    // balance); resumed runs take back exactly their snapshotted list.
-    let (mut particles, mut time, step0): (Vec<Particle>, f64, u64) = match resume {
-        Some(s) => (s.rank_particles[me].clone(), s.time, s.step),
-        None => (
-            all_particles
-                .iter()
-                .skip(me)
-                .step_by(n_main)
-                .copied()
-                .collect(),
-            0.0,
-            0,
-        ),
+    // balance); resumed runs take back exactly their slab. `state` is the
+    // per-rank force scratch + source caches threaded through every step
+    // (gravity results and SPH staging are refreshed in place, so the
+    // steady-state loop does not re-collect them) and the pool queue.
+    let (mut particles, mut time, step0, mut stats, mut state) = match resume {
+        Some(s) => {
+            let slab = &s.slabs[me];
+            let state = SlabState::resumed(slab, Ticket::Redeemed);
+            let particles = slab.particles.clone();
+            (particles, s.time, s.step_count, slab.stats, state)
+        }
+        None => {
+            let mine = all_particles.iter().skip(me).step_by(n_main);
+            let stats = SimStats {
+                dt_min_seen: f64::INFINITY,
+                ..Default::default()
+            };
+            (mine.copied().collect(), 0.0, 0, stats, SlabState::default())
+        }
     };
     let mut step: u64 = step0;
-    let mut snapshots: Vec<DistSnapshot> = Vec::new();
-    let mut stats = SimStats {
-        dt_min_seen: f64::INFINITY,
-        ..Default::default()
-    };
-    // Per-rank force scratch + source caches threaded through every step:
-    // gravity results and SPH staging are refreshed in place, so the
-    // steady-state loop does not re-collect them.
-    let mut state = SlabState::<Ticket>::default();
-
-    // Re-dispatch the checkpoint's in-flight regions (round-robin over the
-    // main ranks — any rank may own a replay; replies come back by event
-    // tag). The deterministic predictor reproduces the original replies,
-    // due at their original absolute steps.
-    if let Some(s) = resume {
-        for p in s.pending.iter().skip(me).step_by(n_main) {
-            let [x, y, z] = p.center;
-            state.pending.push(InFlight {
-                due_step: p.due_step,
-                ticket: halo.submit(Vec3::new(x, y, z), p.gas.clone()),
-            });
-        }
-        // The snapshotted block schedule (if any) is reinstated for
-        // observability — the next base step re-derives it from forces;
-        // the signal-speed stash seeds the next adaptive step.
-        if let Some(sc) = s.schedules.get(me).filter(|_| s.schedules.len() == n_main) {
-            state.sched.restore(sc.dt_max, &sc.levels);
-        }
-        if let Some(vsig) = s.last_vsig.get(me) {
-            state.forces.restore_vsig(vsig);
-        }
-    }
-    // Set when the run degrades mid-flight (see [`DistError`]): every
-    // rank agrees on it at a collective point, breaks the step loop
-    // together, and the report carries it instead of a panic unwinding
-    // through the world.
-    let mut degraded: Option<DistError> = None;
+    let mut snapshots: Vec<SimSnapshot> = Vec::new();
 
     for _ in 0..cfg.steps {
         let mut slab = Slab {
@@ -764,61 +755,25 @@ fn main_loop(
 
         // --- Checkpoint at the configured cadence -----------------------
         if cfg.snapshot_every > 0 && step.is_multiple_of(cfg.snapshot_every) {
-            let all_parts = main.allgatherv(particles.clone());
-            // Pending payloads are retained whenever `snapshot_every > 0`;
-            // a rank that finds them missing anyway has degraded state.
-            // The gather is already a collective point, so the ranks
-            // agree on the world total here and abort together below —
-            // a final (best-effort) checkpoint is still assembled from
-            // what remains.
-            let mut missing: u64 = 0;
-            let my_pending: Vec<DistPending> = state
-                .pending
-                .iter()
-                .filter_map(|p| match p.ticket.payload.clone() {
-                    Some((center, gas)) => Some(DistPending {
-                        due_step: p.due_step,
-                        center,
-                        gas,
-                    }),
-                    None => {
-                        missing += 1;
-                        None
-                    }
-                })
-                .collect();
-            let world_missing = main.allreduce_sum_u64(missing);
-            let all_pending = main.allgatherv(my_pending);
-            // The current block schedule (one per rank, level arrays in
-            // local particle order) travels with the checkpoint; Global
-            // runs contribute nothing and the field stays empty.
-            let my_sched: Vec<ScheduleState> = state
-                .sched
-                .schedule()
-                .map(|s| ScheduleState {
-                    dt_max: s.dt_max,
-                    levels: s.levels.clone(),
-                })
-                .into_iter()
-                .collect();
-            let all_scheds = main.allgatherv(my_sched);
-            let last_vsig = main.allgather(state.forces.vsig_record());
+            // Snapshots hold regions *predicted*: redeem what is in flight
+            // (the receive `collect` would issue at `due_step` anyway) and
+            // keep the predictions on the tickets.
+            let redeemed = |p: step::InFlight<Ticket>| PendingPrediction {
+                due_step: p.due_step,
+                predicted: p.ticket.redeem(world),
+            };
+            let pending: Vec<_> = state.pending.drain(..).map(redeemed).collect();
+            state.pending = step::requeue(&pending, Ticket::Redeemed);
+            let slabs = main.allgather(state.record(&particles, &stats, pending));
             if me == 0 {
-                snapshots.push(DistSnapshot {
-                    step,
+                snapshots.push(SimSnapshot {
+                    config: cfg.sim,
                     time,
-                    rank_particles: all_parts,
-                    pending: all_pending.into_iter().flatten().collect(),
-                    schedules: all_scheds.into_iter().flatten().collect(),
-                    last_vsig,
+                    step_count: step,
                     model: cfg.predictor.model_state(),
+                    sf_stream: None,
+                    slabs,
                 });
-            }
-            if world_missing > 0 {
-                degraded = Some(DistError::MissingPendingPayload {
-                    count: world_missing,
-                });
-                break;
             }
         }
     }
@@ -858,7 +813,7 @@ fn main_loop(
         snapshots,
         final_state,
         rank_stats,
-        error: degraded,
+        error: None,
     }
 }
 
@@ -951,16 +906,15 @@ mod tests {
 
     #[test]
     fn resume_grid_mismatch_is_a_typed_error() {
-        let snap = DistSnapshot {
-            step: 2,
-            time: 4.0e-3,
-            rank_particles: vec![Vec::new(); 2],
-            pending: Vec::new(),
-            schedules: Vec::new(),
-            last_vsig: Vec::new(),
-            model: None,
-        };
-        let cfg = test_cfg(1, 1); // grid (2,2,1) = 4 main ranks
+        // Two of the four slabs a (2,2,1) grid wrote.
+        let ic = disk_ic(40, 0, false, 2.0e-3);
+        let mut cfg = test_cfg(1, 1);
+        cfg.snapshot_every = 1;
+        let mut snap = run_distributed(&cfg, &ic)
+            .expect("dist run")
+            .snapshots
+            .remove(0);
+        snap.slabs.truncate(2);
         assert_eq!(
             run_distributed_resume(&cfg, &snap).unwrap_err(),
             DistError::GridMismatch {
@@ -1089,25 +1043,28 @@ mod tests {
             );
 
             let snap = &full.snapshots[0];
-            assert_eq!(snap.step, 3);
+            assert_eq!(snap.step_count, 3);
+            assert_eq!(snap.config, cfg.sim, "{what}: the physics rides along");
             assert_eq!(
-                snap.pending.len(),
+                snap.pending_regions(),
                 surrogate as usize,
                 "{what}: the SN region must still be in flight at the snapshot"
             );
-            assert_eq!(
-                snap.schedules.is_empty(),
-                timestep == TimestepMode::Global,
-                "{what}: only block runs carry a schedule"
-            );
-            assert_eq!(snap.last_vsig.len(), cfg.n_main(), "{what}");
+            assert_eq!(snap.slabs.len(), cfg.n_main(), "{what}");
+            for slab in &snap.slabs {
+                assert_eq!(
+                    slab.schedule.is_none(),
+                    timestep == TimestepMode::Global,
+                    "{what}: only block runs carry a schedule"
+                );
+                assert_eq!(slab.stats.steps, 3, "{what}: counters ride along");
+            }
             if scheme == Scheme::Conventional {
                 let dt_min = full.rank_stats[0].dt_min_seen;
                 assert!(dt_min < dt, "{what}: the SN must collapse the step");
             }
             // The checkpoint survives its binary encoding.
-            let snap =
-                crate::snapshot::DistSnapshot::from_bytes(&snap.to_bytes()).expect("roundtrip");
+            let snap = SimSnapshot::from_bytes(&snap.to_bytes()).expect("roundtrip");
 
             let mut resume_cfg = cfg;
             resume_cfg.steps = 3;
@@ -1122,6 +1079,17 @@ mod tests {
             for (a, b) in full.final_state.iter().zip(&resumed.final_state) {
                 assert_eq!(a, b, "{what}: resumed particle {} diverged", a.id);
             }
+            // Every rank's counters carry on from the checkpoint — the
+            // region counted applied by the rank that dispatched it.
+            assert_eq!(resumed.rank_stats, full.rank_stats, "{what}");
+            // The resumed run's own step-6 checkpoint is the uninterrupted
+            // run's, to the byte.
+            assert_eq!(resumed.snapshots.len(), 1, "{what}");
+            assert_eq!(
+                resumed.snapshots[0].to_bytes(),
+                full.snapshots[1].to_bytes(),
+                "{what}: checkpoint of the resumed run"
+            );
         }
     }
 

@@ -23,11 +23,13 @@
 //!
 //! The [`snapshot`] module provides versioned, checksummed checkpoint
 //! serialization (compact binary and inspectable JSON) of the complete
-//! driver state; [`Simulation::snapshot`]/[`Simulation::restore`] and the
-//! distributed [`dist::DistSnapshot`]/[`dist::run_distributed_resume`] pair
-//! guarantee that a restored run continues bit-for-bit identically to one
-//! that never stopped — including with SN-region predictions still in
-//! flight in the pool queue. Periodic checkpointing is driven by
+//! driver state. There is one snapshot kind, [`snapshot::SimSnapshot`]:
+//! run-level state plus one record per particle slab — one from
+//! [`Simulation::snapshot`], one per main rank from the distributed
+//! driver's gather. [`Simulation::restore`] and
+//! [`dist::run_distributed_resume`] guarantee that a restored run continues
+//! bit-for-bit identically to one that never stopped — counters included,
+//! and with SN-region predictions still in flight in the pool queue. Periodic checkpointing is driven by
 //! [`SimConfig::snapshot_every`]; the `asura` scenario-runner binary (in
 //! the workspace root package) exposes the registered scenarios, snapshot
 //! cadence, `--resume`, and a diagnostics time-series writer from one

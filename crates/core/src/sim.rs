@@ -3,13 +3,14 @@
 
 use crate::ckpt::{CkptFormat, CkptStore};
 use crate::config::SimConfig;
+use crate::dist::{DistError, PredictorKind};
 use crate::faults::FaultInjector;
 use crate::forces::{ForceBuffers, Halo};
 use crate::particle::{Kind, Particle};
-use crate::pool::{PoolPredictor, SedovOverlayPredictor, UNetPredictor};
+use crate::pool::{PoolPredictor, SedovOverlayPredictor};
 use crate::scheduler::ActiveScheduler;
-use crate::snapshot::{ModelState, PendingPrediction, ScheduleState, SimSnapshot};
-use crate::step::{self, InFlight, Slab, SlabState};
+use crate::snapshot::{ModelState, PendingPrediction, SfStream, SimSnapshot};
+use crate::step::{self, Slab, SlabState};
 use astro::starform::{SfOutcome, StarFormation};
 use astro::units::{E_SN, G};
 use fdps::Vec3;
@@ -178,89 +179,81 @@ impl Simulation {
     }
 
     /// Capture the complete state of the run as a serializable
-    /// [`SimSnapshot`] (see [`crate::snapshot`] for the format and the
-    /// restart-determinism contract). Cheap relative to a step: one deep
-    /// copy of the particle set and the pending-region queue; none of the
-    /// force scratch arena is captured because [`Simulation::restore`]
-    /// rebuilds it on the next force evaluation.
+    /// [`SimSnapshot`] of one slab (see [`crate::snapshot`] for the format
+    /// and the restart-determinism contract). Cheap relative to a step: one
+    /// deep copy of the particle set and the pending-region queue
+    /// ([`SlabState::record`]).
     pub fn snapshot(&self) -> SimSnapshot {
+        let predicted = |r: &step::InFlight<Vec<GasParticle>>| PendingPrediction {
+            due_step: r.due_step,
+            predicted: r.ticket.clone(),
+        };
+        let pending = self.state.pending.iter().map(predicted).collect();
         SimSnapshot {
             config: self.config,
             time: self.time,
             step_count: self.step_count,
-            next_id: self.next_id,
-            rng_state: self.rng.state(),
-            stats: self.stats,
-            particles: self.particles.clone(),
-            last_vsig: self.state.forces.vsig_record(),
-            pending: self
-                .state
-                .pending
-                .iter()
-                .map(|r| PendingPrediction {
-                    due_step: r.due_step,
-                    predicted: r.ticket.clone(),
-                })
-                .collect(),
-            schedule: self.state.sched.schedule().map(|s| ScheduleState {
-                dt_max: s.dt_max,
-                levels: s.levels.clone(),
-            }),
             model: self.model.clone(),
+            sf_stream: Some(SfStream {
+                next_id: self.next_id,
+                rng_state: self.rng.state(),
+            }),
+            slabs: vec![self.state.record(&self.particles, &self.stats, pending)],
         }
     }
 
-    /// Rebuild a simulation from a snapshot. The continued run reproduces
-    /// an uninterrupted one bit-for-bit: every piece of cross-step driver
-    /// state (RNG stream, pending pool predictions — stored *predicted*,
-    /// so the predictor is never re-run for them — CFL signal-speed stash,
-    /// id counter, schedule) is reinstated. If the snapshot carries a
-    /// trained model ([`SimSnapshot::model`]), the identical U-Net
-    /// predictor is rebuilt from the embedded weights — no weights file
-    /// needs to exist at resume time; otherwise the default Sedov-overlay
-    /// predictor is used.
+    /// [`Simulation::try_restore`] for a snapshot this process wrote
+    /// itself: panics where that returns an error. A checkpoint *file* is
+    /// outside input and goes through `try_restore`.
     pub fn restore(snapshot: &SimSnapshot) -> Self {
-        let predictor: Box<dyn PoolPredictor> = match &snapshot.model {
-            // The embedded document already passed the snapshot checksum
-            // and carries its own; a decode failure here means the writer
-            // was broken, not the file.
-            Some(m) => Box::new(
-                UNetPredictor::from_weights(m.seed, &m.weights_json, snapshot.config.region_side)
-                    .expect("snapshot-embedded model weights must decode"),
-            ),
-            None => Box::new(SedovOverlayPredictor),
-        };
+        Self::try_restore(snapshot).unwrap_or_else(|e| panic!("restoring a snapshot: {e}"))
+    }
+
+    /// Rebuild a simulation from a one-slab snapshot. The continued run
+    /// reproduces an uninterrupted one bit-for-bit: every piece of
+    /// cross-step driver state (RNG stream, pending pool predictions —
+    /// stored *predicted*, so the predictor is never re-run for them — CFL
+    /// signal-speed stash, id counter, schedule) is reinstated. If the
+    /// snapshot carries a trained model ([`SimSnapshot::model`]), the
+    /// identical U-Net predictor is rebuilt from the embedded weights — no
+    /// weights file needs to exist at resume time — and a document that
+    /// does not decode is [`DistError::BadWeights`]; otherwise the default
+    /// Sedov-overlay predictor is used.
+    pub fn try_restore(snapshot: &SimSnapshot) -> Result<Self, DistError> {
+        let embedded = snapshot.model.as_ref().map(PredictorKind::embedded);
+        let kind = embedded.unwrap_or(PredictorKind::SedovOverlay);
+        let predictor = kind.build(snapshot.config.region_side)?;
         Self::restore_with_predictor(snapshot, predictor)
     }
 
-    /// [`Simulation::restore`] with an explicit pool predictor for regions
-    /// dispatched *after* the restart (in-flight predictions are replayed
-    /// from the snapshot verbatim).
+    /// [`Simulation::try_restore`] with an explicit pool predictor for
+    /// regions dispatched *after* the restart (in-flight predictions are
+    /// replayed from the snapshot verbatim). A snapshot of several slabs
+    /// is the distributed driver's to resume
+    /// ([`DistError::GridMismatch`]); one without a star-formation stream
+    /// (a `(1,1,1)` distributed run's) starts a fresh one.
     pub fn restore_with_predictor(
         snapshot: &SimSnapshot,
         predictor: Box<dyn PoolPredictor>,
-    ) -> Self {
+    ) -> Result<Self, DistError> {
+        let [slab] = &snapshot.slabs[..] else {
+            return Err(DistError::GridMismatch {
+                snapshot_ranks: snapshot.slabs.len(),
+                config_ranks: 1,
+            });
+        };
         let mut sim =
-            Simulation::with_predictor(snapshot.config, snapshot.particles.clone(), 0, predictor);
+            Simulation::with_predictor(snapshot.config, slab.particles.clone(), 0, predictor);
         sim.model = snapshot.model.clone();
         sim.time = snapshot.time;
         sim.step_count = snapshot.step_count;
-        sim.next_id = snapshot.next_id;
-        sim.rng = StdRng::from_state(snapshot.rng_state);
-        sim.stats = snapshot.stats;
-        sim.state.forces.restore_vsig(&snapshot.last_vsig);
-        sim.state.pending = snapshot
-            .pending
-            .iter()
-            .map(|p| InFlight {
-                due_step: p.due_step,
-                ticket: p.predicted.clone(),
-            })
-            .collect();
-        if let Some(s) = &snapshot.schedule {
-            sim.state.sched.restore(s.dt_max, &s.levels);
+        sim.stats = slab.stats;
+        if let Some(sf) = &snapshot.sf_stream {
+            sim.next_id = sf.next_id;
+            sim.rng = StdRng::from_state(sf.rng_state);
         }
-        sim
+        sim.state = SlabState::resumed(slab, |predicted| predicted);
+        Ok(sim)
     }
 
     /// One full step of the paper's §3.2 procedure: [`step::step`] on the
@@ -446,6 +439,44 @@ mod tests {
             eps: 0.5,
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn try_restore_refuses_what_it_cannot_resume_with_a_typed_error() {
+        let mut sim = Simulation::new(quiet_config(), two_body(), 1);
+        sim.run(1);
+        let good = sim.snapshot();
+        assert!(Simulation::try_restore(&good).is_ok());
+
+        // A model the codec carries verbatim but nothing can decode.
+        let mut bad_model = good.clone();
+        bad_model.model = Some(ModelState {
+            seed: 1,
+            weights_json: "{}".into(),
+        });
+        match Simulation::try_restore(&bad_model) {
+            Err(DistError::BadWeights { .. }) => {}
+            other => panic!("expected BadWeights, got {:?}", other.map(|_| ())),
+        }
+
+        // Several slabs (a distributed run's checkpoint), or none.
+        for n in [0, 2] {
+            let mut slabs = good.clone();
+            slabs.slabs = vec![good.slabs[0].clone(); n];
+            let refused = Simulation::try_restore(&slabs).map(|_| ());
+            let want = DistError::GridMismatch {
+                snapshot_ranks: n,
+                config_ranks: 1,
+            };
+            assert_eq!(refused, Err(want));
+        }
+
+        // Without a star-formation stream the run starts a fresh one.
+        let mut no_stream = good.clone();
+        no_stream.sf_stream = None;
+        let resumed = Simulation::try_restore(&no_stream).expect("resumable");
+        assert_eq!(resumed.next_id, 2, "ids continue past the particles");
+        assert_eq!(resumed.stats, sim.stats);
     }
 
     #[test]

@@ -1,30 +1,38 @@
 //! Versioned snapshot / checkpoint-restart serialization.
 //!
-//! A [`SimSnapshot`] captures the **complete** state of a
-//! [`Simulation`](crate::sim::Simulation) — particle set, [`SimConfig`],
-//! the RNG stream, the block-timestep schedule, run statistics, and the
-//! surrogate scheme's in-flight pool predictions — such that
-//! `restore(snapshot)` continues the run bit-for-bit identically to a run
-//! that never stopped (`tests/snapshot_restart.rs` asserts this in both
-//! timestep modes, with an SN region pending in the pool queue). A
-//! [`DistSnapshot`] is the same contract for the distributed driver.
+//! A [`SimSnapshot`] captures the **complete** state of a run — the
+//! [`SimConfig`], the clock, the surrogate model in service, the
+//! shared-memory driver's star-formation stream, and one [`SlabRecord`]
+//! per particle slab: the particles in local order, the signal-speed
+//! stash, the block-timestep schedule, the counters and the slab's queue
+//! of in-flight pool predictions — such that restoring it continues the
+//! run bit-for-bit identically to a run that never stopped.
 //!
-//! ## One schema, two encodings
+//! ## One schema, two encodings, one kind
+//!
+//! Both drivers keep the same [`SlabState`](crate::step::SlabState)
+//! between steps, so there is one kind of checkpoint and the number of
+//! slabs is data: [`Simulation::snapshot`](crate::sim::Simulation::snapshot)
+//! writes one slab, [`run_distributed`](crate::dist::run_distributed)'s
+//! gather writes one per main rank, in rank order
+//! (`tests/snapshot_restart.rs` asserts bitwise resume in both timestep
+//! modes with an SN region pending in the pool queue; `tests/distributed.rs`
+//! that on one rank the two drivers write the same record).
 //!
 //! Every record that travels in a snapshot declares its fields **once**, in
 //! a `record!` table below: name, wire type, and the JSON key where it
 //! differs. The table expands to the typed walk to and from the binary
 //! layout, and to that layout described as plain data, which is all the
-//! JSON backends need. Both encodings are self-describing and checksummed,
-//! and [`Snapshot`] holds the one envelope of each:
+//! JSON backends need. Both encodings are self-describing and checksummed:
 //!
-//! * **Binary** ([`Snapshot::to_bytes`] / [`Snapshot::from_bytes`]): the
-//!   compact production format. Fields are positional and little-endian,
-//!   floats raw IEEE-754 bits (restart state is exact), lists carry a
-//!   `u64` length prefix, enums and options a `u8` tag. Envelope: the
-//!   8-byte [`Snapshot::MAGIC`], a `u32` format version, a `u64` payload
-//!   length, the payload, and a trailing FNV-1a 64-bit checksum of it.
-//! * **JSON** ([`Snapshot::to_json`] / [`Snapshot::from_json`]): a
+//! * **Binary** ([`SimSnapshot::to_bytes`] / [`SimSnapshot::from_bytes`]):
+//!   the compact production format. Fields are positional and
+//!   little-endian, floats raw IEEE-754 bits (restart state is exact),
+//!   lists carry a `u64` length prefix, enums and options a `u8` tag.
+//!   Envelope: the 8-byte [`SNAPSHOT_MAGIC`], a `u32` format version, a
+//!   `u64` payload length, the payload, and a trailing FNV-1a 64-bit
+//!   checksum of it.
+//! * **JSON** ([`SimSnapshot::to_json`] / [`SimSnapshot::from_json`]): a
 //!   human-inspectable rendering through [`unet::json`], decoded by key.
 //!   Particle and gas lists are column-oriented (one array per field,
 //!   coordinates as flat triplets). Finite floats use Rust's
@@ -35,23 +43,24 @@
 //!
 //! **Adding a field**: one line in the record's table (structs are
 //! destructured and rebuilt exhaustively, so a field missing from its
-//! table does not compile), bump the kind's version constant, and refresh
-//! the goldens (`crates/core/fixtures/` and the checksums in this module's
+//! table does not compile), bump [`SNAPSHOT_VERSION`], and refresh the
+//! goldens (`crates/core/fixtures/` and the checksums in this module's
 //! format-stability tests).
 //!
-//! **Format version policy**: [`SNAPSHOT_VERSION`] /
-//! [`DIST_SNAPSHOT_VERSION`] are bumped whenever the payload layout changes
-//! in any way (field added, removed, reordered, or re-encoded). Readers
-//! accept exactly the current version and reject everything else with
-//! [`SnapshotError::UnsupportedVersion`] — snapshots are short-lived
-//! operational artifacts (crash recovery, scenario replay), not archival
-//! storage, so no migration shims are kept. Corruption is reported as
-//! [`SnapshotError::ChecksumMismatch`]; every decode error is a `Result`,
-//! never a panic.
+//! **Format version policy**: [`SNAPSHOT_VERSION`] is bumped whenever the
+//! payload layout changes in any way (field added, removed, reordered, or
+//! re-encoded). Readers accept exactly the current version and reject
+//! everything else with [`SnapshotError::UnsupportedVersion`] — snapshots
+//! are short-lived operational artifacts (crash recovery, scenario
+//! replay), not archival storage, so no migration shims are kept.
+//! Corruption is reported as [`SnapshotError::ChecksumMismatch`]; every
+//! decode error is a `Result`, never a panic. The checksums catch damage,
+//! not intent: what a snapshot *embeds* (the weights document) is decoded
+//! where it is used, fallibly ([`PredictorKind::build`](crate::dist::PredictorKind::build)).
 //!
 //! The `asura` scenario-runner CLI (`src/bin/asura.rs`) writes snapshots at
 //! the [`SimConfig::snapshot_every`] cadence under `results/<scenario>/` and
-//! resumes from either encoding via [`Snapshot::load`].
+//! resumes from either encoding via [`SimSnapshot::load`].
 
 use crate::config::{Scheme, SimConfig, TimestepMode, SCHEME_NAMES, TIMESTEP_MODE_NAMES};
 use crate::particle::{Kind, Particle};
@@ -66,35 +75,26 @@ pub use unet::json::fnv1a;
 
 /// Leading magic of binary snapshots.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ASURSNAP";
-/// Leading magic of binary *distributed* snapshots (see [`DistSnapshot`]).
-pub const DIST_SNAPSHOT_MAGIC: [u8; 8] = *b"ASURDSNP";
-/// Current shared-memory snapshot format version (see the module docs for
-/// the policy).
+/// Current snapshot format version (see the module docs for the policy).
 /// v2: [`SimStats`] gained the split SPH neighbor-tree reuse counters
 /// (`sph_tree_rebuilds` / `sph_tree_refreshes`);
 /// v3: the surrogate model travels with the run ([`SimSnapshot::model`]),
 /// so a trained-predictor run resumes bitwise without re-reading the
-/// weights file.
-pub const SNAPSHOT_VERSION: u32 = 3;
-
-/// Current *distributed* snapshot format version. Versioned separately
-/// from [`SNAPSHOT_VERSION`] so a layout change in one format never
-/// invalidates checkpoints of the other (the two magics already keep the
-/// byte streams apart). History: v2 and below shared the common counter;
-/// v3: [`DistSnapshot`] carries the per-rank block-timestep schedules
-/// ([`DistSnapshot::schedules`]) and gained a JSON encoding;
-/// v4: the pool predictor's model weights travel with the checkpoint
-/// ([`DistSnapshot::model`]);
-/// v5: the per-rank signal-speed stash ([`DistSnapshot::last_vsig`]), so
-/// the conventional scheme's adaptive global step resumes bitwise.
-pub const DIST_SNAPSHOT_VERSION: u32 = 5;
+/// weights file;
+/// v4: one kind for both drivers — per-slab state moved into
+/// [`SimSnapshot::slabs`] (the pool queue with it), the star-formation
+/// stream became optional, and the distributed driver's own format
+/// (`ASURDSNP`, last at v5) was retired.
+pub const SNAPSHOT_VERSION: u32 = 4;
+/// `format` field of the JSON document.
+const SNAPSHOT_FORMAT: &str = "asura-snapshot";
 
 /// Why a snapshot failed to decode. Every variant is a recoverable error —
 /// corrupt or foreign input never panics the reader.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// The input does not start with the kind's magic (binary) or is not a
-    /// document of the kind's format (JSON).
+    /// The input does not start with [`SNAPSHOT_MAGIC`] (binary) or is not
+    /// an `asura-snapshot` document (JSON).
     BadMagic,
     /// The snapshot was written by a different format version.
     UnsupportedVersion { found: u32, supported: u32 },
@@ -134,9 +134,8 @@ fn malformed(why: impl Into<String>) -> SnapshotError {
 // The schema: wire types, the typed binary walk, and the record tables
 // ---------------------------------------------------------------------------
 
-/// What the schema is made of. Public inside a private module: [`Snapshot`]
-/// names [`Wire`] as its supertrait, but nothing outside this file can
-/// implement or drive it.
+/// What the schema is made of; nothing outside this file can implement or
+/// drive it.
 mod wire {
     use super::{malformed, SnapshotError};
 
@@ -542,84 +541,64 @@ record! {
 }
 
 record! {
-    /// Complete serializable state of a shared-memory simulation.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct SimSnapshot {
-        pub config: SimConfig,
-        pub time: f64,
-        pub step_count: u64,
-        /// Next particle id to hand out (star formation).
+    /// The shared-memory driver's star-formation stream.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SfStream {
+        /// Next particle id to hand out.
         pub next_id: u64,
         /// Raw xoshiro256** state of the driver's RNG stream.
         pub rng_state as "rng": [u64; 4],
-        pub stats: SimStats,
+    }
+}
+
+record! {
+    /// One particle slab and what its [`SlabState`](crate::step::SlabState)
+    /// must carry across a restart.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SlabRecord {
+        /// The slab's particles, local order preserved — a resumed slab
+        /// rebuilds identical trees and sums forces in the identical order.
         pub particles: Vec<Particle>,
         /// `(particle index, v_sig, h)` stash from the last SPH force pass —
         /// hidden driver state that seeds the *next* step's CFL estimate, so
         /// restart determinism requires it.
         pub last_vsig: Vec<(u64, f64, f64)>,
-        /// The surrogate scheme's pending-region queue.
+        /// The regions this slab has in the pool, each *predicted*: the
+        /// slab that dispatched a region is the one that counts it applied.
         pub pending: Vec<PendingPrediction>,
-        /// The scheduler's last level assignment, if block mode has run.
+        /// The scheduler's last level assignment (levels in local particle
+        /// order), if block mode has run.
         pub schedule: Option<ScheduleState>,
-        /// The trained surrogate model in flight, if the run uses one
+        pub stats: SimStats,
+    }
+}
+
+record! {
+    /// Complete serializable state of a run, under either driver.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SimSnapshot {
+        pub config: SimConfig,
+        pub time: f64,
+        /// Completed steps at capture (the resume continues from here).
+        pub step_count: u64,
+        /// The trained surrogate model in service, if the run uses one
         /// (`None` for the analytic Sedov-overlay default).
         pub model: Option<ModelState>,
+        /// `None` from the distributed driver, which forms no stars and
+        /// draws from no stream.
+        pub sf_stream: Option<SfStream>,
+        /// One record from [`Simulation`](crate::sim::Simulation), one per
+        /// main rank in rank order from
+        /// [`run_distributed`](crate::dist::run_distributed); a resume
+        /// needs the same count.
+        pub slabs: Vec<SlabRecord>,
     }
 }
 
-record! {
-    /// One in-flight pool dispatch of the distributed driver, captured as the
-    /// *request* (center + region gas): the predictor is deterministic, so a
-    /// resumed run re-dispatches the region and receives the identical reply,
-    /// due at the same absolute step.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct DistPending {
-        pub due_step: u64,
-        pub center: [f64; 3],
-        pub gas: Vec<GasParticle>,
-    }
-}
-
-record! {
-    /// Checkpoint of a distributed run
-    /// ([`run_distributed`](crate::dist::run_distributed) with
-    /// [`DistConfig::snapshot_every`](crate::dist::DistConfig) > 0), resumable
-    /// via [`run_distributed_resume`](crate::dist::run_distributed_resume).
-    ///
-    /// Per-rank particle lists keep each main rank's **local order** so the
-    /// resumed ranks rebuild identical trees and sum forces in the identical
-    /// order — the bitwise-determinism contract extends to the distributed
-    /// driver as long as the resuming configuration uses the same main-rank
-    /// grid. Both encodings are the shared-memory pair's, under their own
-    /// magic [`DIST_SNAPSHOT_MAGIC`], version [`DIST_SNAPSHOT_VERSION`] and
-    /// `asura-dist-snapshot` document type.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct DistSnapshot {
-        /// Completed steps at capture (the resume continues from here).
-        pub step: u64,
-        pub time: f64,
-        /// Particle lists per main rank, local order preserved.
-        pub rank_particles: Vec<Vec<Particle>>,
-        /// In-flight pool dispatches across all ranks.
-        pub pending: Vec<DistPending>,
-        /// Block-timestep schedules, one per main rank in rank order (level
-        /// arrays in the rank's local particle order), from the base step
-        /// during which the checkpoint was gathered; empty for
-        /// `TimestepMode::Global` runs. Restored for observability — the next
-        /// base step re-derives levels from forces, so resume determinism
-        /// never depends on it.
-        pub schedules: Vec<ScheduleState>,
-        /// Each main rank's `(particle index, v_sig, h)` stash from its last
-        /// SPH force pass, in rank order: it seeds the next step's CFL
-        /// estimate (conventional scheme, global step), so restart
-        /// determinism requires it — as [`SimSnapshot::last_vsig`] does.
-        pub last_vsig: Vec<Vec<(u64, f64, f64)>>,
-        /// The trained model the pool ranks serve, if the run uses one
-        /// (`None` for the analytic Sedov-overlay default). On resume this
-        /// overrides the configured predictor so the pool replays the same
-        /// weights bitwise without re-reading the weights file.
-        pub model: Option<ModelState>,
+impl SimSnapshot {
+    /// Regions in flight in the pool, over all slabs.
+    pub fn pending_regions(&self) -> usize {
+        self.slabs.iter().map(|s| s.pending.len()).sum()
     }
 }
 
@@ -820,8 +799,8 @@ fn from_value(ty: &Ty, v: &Json, out: &mut Vec<u8>) -> Result<(), SnapshotError>
 /// Magic (8) + version (4) + payload length (8).
 const HEADER_LEN: usize = 20;
 
-fn check_version<S: Snapshot>(found: u32) -> Result<(), SnapshotError> {
-    let supported = S::VERSION;
+fn check_version(found: u32) -> Result<(), SnapshotError> {
+    let supported = SNAPSHOT_VERSION;
     if found == supported {
         return Ok(());
     }
@@ -829,33 +808,21 @@ fn check_version<S: Snapshot>(found: u32) -> Result<(), SnapshotError> {
 }
 
 /// The typed walk over a complete binary payload.
-fn from_payload<S: Snapshot>(payload: &[u8]) -> Result<S, SnapshotError> {
+fn from_payload(payload: &[u8]) -> Result<SimSnapshot, SnapshotError> {
     let mut r = BinReader::new(payload);
-    let snap = S::get(&mut r)?;
+    let snap = SimSnapshot::get(&mut r)?;
     match payload.len() - r.pos {
         0 => Ok(snap),
         extra => Err(malformed(format!("{extra} trailing payload bytes"))),
     }
 }
 
-/// A snapshot kind: its envelope constants on top of its schema. The
-/// provided methods are the codecs of the module docs — the one binary
-/// and the one JSON envelope, shared by every kind.
-pub trait Snapshot: Wire {
-    /// Leading magic of the binary encoding.
-    const MAGIC: [u8; 8];
-    /// The one format version readers accept.
-    const VERSION: u32;
-    /// `format` field of the JSON document.
-    const FORMAT: &'static str;
-
-    /// Completed steps at capture (stamps the checkpoint rotation entry).
-    fn step(&self) -> u64;
-
+/// The codecs of the module docs: the one binary and the one JSON envelope.
+impl SimSnapshot {
     /// Serialize to the compact binary format (see the module docs).
-    fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Self::MAGIC.to_vec();
-        Self::VERSION.put(&mut out);
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = SNAPSHOT_MAGIC.to_vec();
+        SNAPSHOT_VERSION.put(&mut out);
         0u64.put(&mut out); // payload length, patched once the payload is written
         self.put(&mut out);
         let payload_len = (out.len() - HEADER_LEN) as u64;
@@ -865,12 +832,12 @@ pub trait Snapshot: Wire {
     }
 
     /// Decode the binary format, verifying magic, version and checksum.
-    fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        if bytes.len() < HEADER_LEN || bytes[..8] != Self::MAGIC {
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        if bytes.len() < HEADER_LEN || bytes[..8] != SNAPSHOT_MAGIC {
             return Err(SnapshotError::BadMagic);
         }
         let mut r = BinReader { b: bytes, pos: 8 };
-        check_version::<Self>(u32::get(&mut r)?)?;
+        check_version(u32::get(&mut r)?)?;
         // The length is untrusted: `len` bounds it by the bytes present.
         let payload_len = r.len()?;
         let payload = r.bytes(payload_len)?;
@@ -882,7 +849,7 @@ pub trait Snapshot: Wire {
     }
 
     /// Serialize to the JSON format (see the module docs).
-    fn to_json(&self) -> String {
+    pub fn to_json(&self) -> String {
         let mut payload = Vec::new();
         self.put(&mut payload);
         let value = to_value(&Self::TY, &mut BinReader::new(&payload));
@@ -890,8 +857,8 @@ pub trait Snapshot: Wire {
         let state = value.render();
         let checksum = Json::checksum(fnv1a(state.as_bytes()));
         Json::obj([
-            ("format", Self::FORMAT.into()),
-            ("version", Json::Num(Self::VERSION as f64)),
+            ("format", SNAPSHOT_FORMAT.into()),
+            ("version", Json::Num(SNAPSHOT_VERSION as f64)),
             ("state", Json::Raw(state)),
             ("checksum", checksum),
         ])
@@ -900,13 +867,13 @@ pub trait Snapshot: Wire {
 
     /// Decode the JSON format, verifying the document type, version and
     /// checksum.
-    fn from_json(text: &str) -> Result<Self, SnapshotError> {
+    pub fn from_json(text: &str) -> Result<Self, SnapshotError> {
         let doc = parse_json(text).map_err(|_| SnapshotError::BadMagic)?;
-        if !matches!(doc.get("format"), Ok(Json::Str(f)) if f == Self::FORMAT) {
+        if !matches!(doc.get("format"), Ok(Json::Str(f)) if f == SNAPSHOT_FORMAT) {
             return Err(SnapshotError::BadMagic);
         }
         let field = |key: &str| doc.get(key).map_err(malformed);
-        check_version::<Self>(doc.at("version", Json::as_u32).map_err(malformed)?)?;
+        check_version(doc.at("version", Json::as_u32).map_err(malformed)?)?;
         // The checksum is defined over the rendering of the *parsed*
         // state, so key order and whitespace of the text do not matter.
         let computed = fnv1a(field("state")?.render().as_bytes());
@@ -920,70 +887,23 @@ pub trait Snapshot: Wire {
     }
 
     /// Decode a snapshot from raw bytes, sniffing the encoding: binary
-    /// snapshots start with [`Snapshot::MAGIC`], anything else is parsed
-    /// as JSON. What [`CkptStore::latest_valid`](crate::ckpt::CkptStore)
+    /// snapshots start with [`SNAPSHOT_MAGIC`], anything else is parsed as
+    /// JSON. What [`CkptStore::latest_valid_sim`](crate::ckpt::CkptStore)
     /// asks to decide whether a rotation entry is intact.
-    fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        if bytes.starts_with(&Self::MAGIC) {
+    pub fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        if bytes.starts_with(&SNAPSHOT_MAGIC) {
             return Self::from_bytes(bytes);
         }
         let text = std::str::from_utf8(bytes).map_err(|e| malformed(e.to_string()))?;
         Self::from_json(text)
     }
 
-    /// Load a snapshot file in either encoding (see [`Snapshot::decode`]).
-    fn load(path: &std::path::Path) -> Result<Self, SnapshotError> {
+    /// Load a snapshot file in either encoding (see [`SimSnapshot::decode`]).
+    pub fn load(path: &std::path::Path) -> Result<Self, SnapshotError> {
         let bytes = std::fs::read(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
         Self::decode(&bytes)
     }
 }
-
-impl Snapshot for SimSnapshot {
-    const MAGIC: [u8; 8] = SNAPSHOT_MAGIC;
-    const VERSION: u32 = SNAPSHOT_VERSION;
-    const FORMAT: &'static str = "asura-snapshot";
-    fn step(&self) -> u64 {
-        self.step_count
-    }
-}
-
-impl Snapshot for DistSnapshot {
-    const MAGIC: [u8; 8] = DIST_SNAPSHOT_MAGIC;
-    const VERSION: u32 = DIST_SNAPSHOT_VERSION;
-    const FORMAT: &'static str = "asura-dist-snapshot";
-    fn step(&self) -> u64 {
-        self.step
-    }
-}
-
-/// Inherent mirrors of the four codec methods, so callers of a concrete
-/// kind need not import [`Snapshot`].
-macro_rules! inherent_codecs {
-    ($($ty:ident),+) => {$(
-        impl $ty {
-            /// Serialize to the compact binary format ([`Snapshot::to_bytes`]).
-            pub fn to_bytes(&self) -> Vec<u8> {
-                Snapshot::to_bytes(self)
-            }
-            /// Decode the binary format, verifying magic, version and
-            /// checksum ([`Snapshot::from_bytes`]).
-            pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-                <Self as Snapshot>::from_bytes(bytes)
-            }
-            /// Serialize to the JSON format ([`Snapshot::to_json`]).
-            pub fn to_json(&self) -> String {
-                Snapshot::to_json(self)
-            }
-            /// Decode the JSON format, verifying the document type, version
-            /// and checksum ([`Snapshot::from_json`]).
-            pub fn from_json(text: &str) -> Result<Self, SnapshotError> {
-                <Self as Snapshot>::from_json(text)
-            }
-        }
-    )+};
-}
-
-inherent_codecs!(SimSnapshot, DistSnapshot);
 
 #[cfg(test)]
 mod tests {
@@ -991,6 +911,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// A one-slab snapshot, as `Simulation::snapshot` writes them.
     fn random_snapshot(seed: u64, n: usize) -> SimSnapshot {
         let mut rng = StdRng::seed_from_u64(seed);
         let rv3 = |rng: &mut StdRng| {
@@ -1056,31 +977,6 @@ mod tests {
             },
             time: rng.gen_range(0.0..100.0),
             step_count: rng.gen::<u32>() as u64,
-            next_id: n as u64,
-            rng_state: [rng.gen(), rng.gen(), rng.gen(), rng.gen()],
-            stats: SimStats {
-                steps: rng.gen::<u32>() as u64,
-                dt_min_seen: if seed.is_multiple_of(4) {
-                    f64::INFINITY // a fresh run's sentinel must survive
-                } else {
-                    rng.gen_range(1e-9..1e-2)
-                },
-                gravity_interactions: rng.gen(), // full-range u64
-                ..Default::default()
-            },
-            particles,
-            last_vsig: (0..n / 3)
-                .map(|i| (i as u64, rng.gen_range(0.0..1e4), rng.gen_range(1e-3..10.0)))
-                .collect(),
-            pending,
-            schedule: if seed.is_multiple_of(2) {
-                Some(ScheduleState {
-                    dt_max: rng.gen_range(1e-4..1.0),
-                    levels: (0..n).map(|_| rng.gen_range(0..10u32)).collect(),
-                })
-            } else {
-                None
-            },
             model: if seed.is_multiple_of(3) {
                 Some(ModelState {
                     seed: rng.gen(), // full-range u64 (exercises the "u64:" JSON fallback)
@@ -1092,6 +988,35 @@ mod tests {
             } else {
                 None
             },
+            sf_stream: Some(SfStream {
+                next_id: n as u64,
+                rng_state: [rng.gen(), rng.gen(), rng.gen(), rng.gen()],
+            }),
+            slabs: vec![SlabRecord {
+                stats: SimStats {
+                    steps: rng.gen::<u32>() as u64,
+                    dt_min_seen: if seed.is_multiple_of(4) {
+                        f64::INFINITY // a fresh run's sentinel must survive
+                    } else {
+                        rng.gen_range(1e-9..1e-2)
+                    },
+                    gravity_interactions: rng.gen(), // full-range u64
+                    ..Default::default()
+                },
+                last_vsig: (0..n / 3)
+                    .map(|i| (i as u64, rng.gen_range(0.0..1e4), rng.gen_range(1e-3..10.0)))
+                    .collect(),
+                pending,
+                schedule: if seed.is_multiple_of(2) {
+                    Some(ScheduleState {
+                        dt_max: rng.gen_range(1e-4..1.0),
+                        levels: (0..n).map(|_| rng.gen_range(0..10u32)).collect(),
+                    })
+                } else {
+                    None
+                },
+                particles,
+            }],
         }
     }
 
@@ -1185,60 +1110,83 @@ mod tests {
         );
     }
 
-    fn random_dist_snapshot(seed: u64) -> DistSnapshot {
-        let base = random_snapshot(seed, 30);
+    /// A several-slab snapshot, as the distributed gather writes them: the
+    /// one-slab snapshot's particles dealt out in chunks of 7, a schedule on
+    /// every slab or none, no star-formation stream.
+    fn random_dist_snapshot(seed: u64) -> SimSnapshot {
+        let mut snap = random_snapshot(seed, 30);
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(77).wrapping_add(5));
-        let rank_particles: Vec<Vec<Particle>> =
-            base.particles.chunks(7).map(|c| c.to_vec()).collect();
-        let schedules = if seed.is_multiple_of(2) {
-            rank_particles
-                .iter()
-                .map(|rank| ScheduleState {
+        let base = snap.slabs.remove(0);
+        let mut pending = base.pending.into_iter();
+        let mut vsig = base.last_vsig.chunks(2);
+        for (rank, chunk) in base.particles.chunks(7).enumerate() {
+            snap.slabs.push(SlabRecord {
+                particles: chunk.to_vec(),
+                last_vsig: vsig.next().map(|c| c.to_vec()).unwrap_or_default(),
+                pending: pending.next().into_iter().collect(),
+                schedule: base.schedule.as_ref().map(|_| ScheduleState {
                     dt_max: rng.gen_range(1e-4..1.0),
-                    levels: rank.iter().map(|_| rng.gen_range(0..10u32)).collect(),
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        DistSnapshot {
-            step: 17,
-            time: 0.034,
-            rank_particles,
-            pending: base
-                .pending
-                .iter()
-                .map(|p| DistPending {
-                    due_step: p.due_step,
-                    center: [1.0, -2.0, 3.5],
-                    gas: p.predicted.clone(),
-                })
-                .collect(),
-            schedules,
-            last_vsig: base.last_vsig.chunks(2).map(|c| c.to_vec()).collect(),
-            model: base.model,
+                    levels: chunk.iter().map(|_| rng.gen_range(0..10u32)).collect(),
+                }),
+                stats: SimStats {
+                    steps: 17,
+                    substeps: rank as u64 * 3,
+                    ..base.stats
+                },
+            });
         }
+        snap.step_count = 17;
+        snap.sf_stream = None;
+        snap
+    }
+
+    /// What the formats this one replaced look like to the decoder, in
+    /// both encodings: the retired distributed kind (`ASURDSNP` /
+    /// `asura-dist-snapshot`, last at v5) and a v3 shared-memory file.
+    fn retired_files(current: &SimSnapshot) -> [(Vec<u8>, SnapshotError); 4] {
+        let unsupported = |found| SnapshotError::UnsupportedVersion {
+            found,
+            supported: SNAPSHOT_VERSION,
+        };
+        let mut dist_bin = current.to_bytes();
+        dist_bin[..8].copy_from_slice(b"ASURDSNP");
+        dist_bin[8..12].copy_from_slice(&5u32.to_le_bytes());
+        let mut v3_bin = current.to_bytes();
+        v3_bin[8..12].copy_from_slice(&3u32.to_le_bytes());
+        let json = current.to_json();
+        let stamp = format!("\"version\":{SNAPSHOT_VERSION}.0");
+        let dist_json = json
+            .replacen("asura-snapshot", "asura-dist-snapshot", 1)
+            .replacen(&stamp, "\"version\":5.0", 1);
+        let v3_json = json.replacen(&stamp, "\"version\":3.0", 1);
+        assert!(dist_json != json && v3_json != json && dist_json != v3_json);
+        [
+            (dist_bin, SnapshotError::BadMagic),
+            (v3_bin, unsupported(3)),
+            (dist_json.into_bytes(), SnapshotError::BadMagic),
+            (v3_json.into_bytes(), unsupported(3)),
+        ]
     }
 
     #[test]
     fn dist_snapshot_binary_roundtrip_and_rejection() {
         let snap = random_dist_snapshot(6);
-        assert!(!snap.schedules.is_empty(), "schedules exercised");
+        assert!(snap.slabs.len() > 2 && snap.slabs.iter().all(|s| s.schedule.is_some()));
         let bytes = snap.to_bytes();
-        assert_eq!(DistSnapshot::from_bytes(&bytes).expect("roundtrip"), snap);
-        assert_eq!(DistSnapshot::from_bytes(&bytes).unwrap().to_bytes(), bytes);
-        // The two binary formats are not confusable.
-        assert_eq!(
-            SimSnapshot::from_bytes(&bytes),
-            Err(SnapshotError::BadMagic)
-        );
+        assert_eq!(SimSnapshot::from_bytes(&bytes).expect("roundtrip"), snap);
+        assert_eq!(SimSnapshot::from_bytes(&bytes).unwrap().to_bytes(), bytes);
         let mut corrupt = bytes.clone();
         let k = 20 + corrupt.len() / 3;
         corrupt[k] ^= 1;
         assert!(matches!(
-            DistSnapshot::from_bytes(&corrupt),
+            SimSnapshot::from_bytes(&corrupt),
             Err(SnapshotError::ChecksumMismatch { .. }) | Err(SnapshotError::Malformed(_))
         ));
+        // A v3 file, a v5 file and the `ASURDSNP` magic are typed
+        // refusals, not a panic.
+        let [(dist, bad_magic), (v3, unsupported), ..] = retired_files(&snap);
+        assert_eq!(SimSnapshot::from_bytes(&dist), Err(bad_magic));
+        assert_eq!(SimSnapshot::from_bytes(&v3), Err(unsupported));
     }
 
     #[test]
@@ -1246,49 +1194,26 @@ mod tests {
         for seed in [6u64, 7] {
             let snap = random_dist_snapshot(seed);
             let text = snap.to_json();
-            let back = DistSnapshot::from_json(&text).expect("roundtrip");
+            let back = SimSnapshot::from_json(&text).expect("roundtrip");
             assert_eq!(back, snap, "seed {seed}");
             assert_eq!(back.to_json(), text, "seed {seed}: reserialize differs");
-            // The two JSON document types are not confusable.
-            assert_eq!(
-                SimSnapshot::from_json(&text),
-                Err(SnapshotError::BadMagic),
-                "seed {seed}"
-            );
         }
         let snap = random_dist_snapshot(6);
         let text = snap.to_json();
         assert_eq!(
-            DistSnapshot::from_json(&snap.rank_particles.len().to_string()),
+            SimSnapshot::from_json(&snap.slabs.len().to_string()),
             Err(SnapshotError::BadMagic)
         );
-        let tampered = text.replacen("\"step\":17", "\"step\":18", 1);
+        let tampered = text.replacen("\"step_count\":17", "\"step_count\":18", 1);
         assert_ne!(tampered, text, "test must actually tamper");
         assert!(matches!(
-            DistSnapshot::from_json(&tampered),
+            SimSnapshot::from_json(&tampered),
             Err(SnapshotError::ChecksumMismatch { .. }) | Err(SnapshotError::Malformed(_))
         ));
-    }
-
-    #[test]
-    fn dist_snapshot_versions_independently_of_the_shared_memory_format() {
-        // The two formats version separately: bumping DIST_SNAPSHOT_VERSION
-        // (v3: schedules + JSON codec) must not invalidate shared-memory
-        // v2 snapshots, and a dist snapshot stamped with the shared-memory
-        // version is rejected with the dist reader's expectation.
-        assert_ne!(SNAPSHOT_VERSION, DIST_SNAPSHOT_VERSION);
-        let sim = random_snapshot(3, 5);
-        assert!(SimSnapshot::from_bytes(&sim.to_bytes()).is_ok());
-        let dist = random_dist_snapshot(6);
-        let mut bytes = dist.to_bytes();
-        bytes[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        match DistSnapshot::from_bytes(&bytes) {
-            Err(SnapshotError::UnsupportedVersion { found, supported }) => {
-                assert_eq!(found, SNAPSHOT_VERSION);
-                assert_eq!(supported, DIST_SNAPSHOT_VERSION);
-            }
-            other => panic!("expected UnsupportedVersion, got {other:?}"),
-        }
+        let [.., (dist, bad_magic), (v3, unsupported)] = retired_files(&snap);
+        let text = |bytes: &[u8]| String::from_utf8(bytes.to_vec()).unwrap();
+        assert_eq!(SimSnapshot::from_json(&text(&dist)), Err(bad_magic));
+        assert_eq!(SimSnapshot::from_json(&text(&v3)), Err(unsupported));
     }
 
     #[test]
@@ -1299,8 +1224,20 @@ mod tests {
         let json_path = dir.join("asura_dist_snapshot_sniff_test.json");
         std::fs::write(&bin_path, snap.to_bytes()).unwrap();
         std::fs::write(&json_path, snap.to_json()).unwrap();
-        assert_eq!(DistSnapshot::load(&bin_path).expect("binary load"), snap);
-        assert_eq!(DistSnapshot::load(&json_path).expect("json load"), snap);
+        assert_eq!(SimSnapshot::load(&bin_path).expect("binary load"), snap);
+        assert_eq!(SimSnapshot::load(&json_path).expect("json load"), snap);
+        // The sniffing reader refuses the retired formats the same way —
+        // except that a foreign magic sends binary down the JSON road,
+        // where not being UTF-8 is `Malformed`.
+        for (bytes, refusal) in retired_files(&snap) {
+            std::fs::write(&bin_path, &bytes).unwrap();
+            let got = SimSnapshot::load(&bin_path).expect_err("a retired format");
+            let not_text = bytes.starts_with(b"ASURDSNP");
+            assert!(
+                got == refusal || (not_text && matches!(got, SnapshotError::Malformed(_))),
+                "{got:?} vs {refusal:?}"
+            );
+        }
         let _ = std::fs::remove_file(&bin_path);
         let _ = std::fs::remove_file(&json_path);
     }
@@ -1331,7 +1268,7 @@ mod tests {
     fn golden_sim() -> SimSnapshot {
         let mut s = random_snapshot(12, 16);
         s.config.timestep = TimestepMode::Block { max_level: 9 };
-        s.pending.push(PendingPrediction {
+        s.slabs[0].pending.push(PendingPrediction {
             due_step: 77,
             predicted: vec![GasParticle {
                 pos: Vec3::new(1.5, -2.25, 3.0),
@@ -1345,59 +1282,58 @@ mod tests {
         s
     }
 
-    fn golden_dist() -> DistSnapshot {
+    /// The several-slab golden (what a distributed run gathers).
+    fn golden_dist() -> SimSnapshot {
         let mut d = random_dist_snapshot(12);
-        d.rank_particles[0][0].u = f64::INFINITY;
-        d.rank_particles[0][1].id = u64::MAX - 7;
-        d.pending.push(DistPending {
-            due_step: 91,
-            center: [0.5, f64::NEG_INFINITY, -4.0],
-            gas: golden_sim().pending.pop().unwrap().predicted,
-        });
+        d.config.timestep = TimestepMode::Block { max_level: 9 };
+        d.slabs[0].particles[0].u = f64::INFINITY;
+        d.slabs[0].particles[1].id = u64::MAX - 7;
+        let mut region = golden_sim().slabs.remove(0).pending.pop().unwrap();
+        region.due_step = 91;
+        region.predicted[0].pos.y = f64::NEG_INFINITY;
+        d.slabs[2].pending.push(region);
         d
     }
 
-    /// `fnv1a(to_bytes())` of the goldens: the shared-memory one recorded at
-    /// the commit before the codecs were rewritten around the schema, the
-    /// distributed one refreshed for v5 (v4's 4150 bytes plus the 288 of
-    /// `last_vsig`). A mismatch means the binary layout changed: bump the
+    /// `fnv1a(to_bytes())` of the goldens, recorded with v4 (one kind, the
+    /// slab list). A mismatch means the binary layout changed: bump the
     /// version, then refresh these.
     #[test]
     fn binary_encoding_reproduces_the_recorded_goldens() {
         let s = golden_sim();
-        assert!(s.model.is_some() && s.schedule.is_some() && !s.pending.is_empty());
-        assert!(s.stats.dt_min_seen.is_infinite());
-        assert_eq!(s.to_bytes().len(), 2812);
-        assert_eq!(
-            fnv1a(&s.to_bytes()),
-            0xc64f_8806_6453_50a0,
-            "SimSnapshot v3"
-        );
+        let slab = &s.slabs[0];
+        assert!(s.model.is_some() && s.sf_stream.is_some() && s.slabs.len() == 1);
+        assert!(slab.schedule.is_some() && !slab.pending.is_empty());
+        assert!(slab.stats.dt_min_seen.is_infinite());
+        assert_eq!(s.to_bytes().len(), 2820);
+        assert_eq!(fnv1a(&s.to_bytes()), 0x1b4e_e12b_6907_1ad7, "one slab, v4");
         let d = golden_dist();
-        assert!(d.model.is_some() && !d.schedules.is_empty() && !d.pending.is_empty());
-        assert!(d.last_vsig.iter().any(|rank| !rank.is_empty()));
-        assert_eq!(d.to_bytes().len(), 4438);
+        assert!(d.model.is_some() && d.sf_stream.is_none() && d.slabs.len() > 2);
+        assert!(d.slabs.iter().all(|slab| slab.schedule.is_some()));
+        assert!(d.slabs.iter().any(|slab| !slab.pending.is_empty()));
+        assert!(d.slabs.iter().any(|slab| !slab.last_vsig.is_empty()));
+        assert_eq!(d.to_bytes().len(), 5019);
         assert_eq!(
             fnv1a(&d.to_bytes()),
-            0xc283_29dd_e7bb_5593,
-            "DistSnapshot v5"
+            0xa7a3_df76_8b8d_4da9,
+            "several slabs, v4"
         );
-        assert_eq!((SNAPSHOT_VERSION, DIST_SNAPSHOT_VERSION), (3, 5));
+        assert_eq!(SNAPSHOT_VERSION, 4);
     }
 
     /// The fixtures are the goldens as rendered by the commit that last
-    /// changed each layout (its key order, its envelope): they must keep
+    /// changed the layout (its key order, its envelope): they must keep
     /// decoding to the same values.
     #[test]
     fn json_fixtures_rendered_before_the_schema_decode_to_equal_values() {
-        let sim = include_str!("../fixtures/sim_snapshot_v3.json");
+        let sim = include_str!("../fixtures/sim_snapshot_v4.json");
         assert_eq!(
-            SimSnapshot::from_json(sim).expect("sim fixture"),
+            SimSnapshot::from_json(sim).expect("one-slab fixture"),
             golden_sim()
         );
-        let dist = include_str!("../fixtures/dist_snapshot_v5.json");
+        let dist = include_str!("../fixtures/slabs_snapshot_v4.json");
         assert_eq!(
-            DistSnapshot::from_json(dist).expect("dist fixture"),
+            SimSnapshot::from_json(dist).expect("several-slab fixture"),
             golden_dist()
         );
     }
@@ -1406,21 +1342,13 @@ mod tests {
 
     #[test]
     fn hostile_payload_length_is_malformed_not_a_panic() {
-        fn hostile<S: Snapshot>() -> Vec<u8> {
-            let mut bytes = S::MAGIC.to_vec();
-            bytes.extend_from_slice(&S::VERSION.to_le_bytes());
-            bytes.extend_from_slice(&(u64::MAX - 25).to_le_bytes());
-            bytes.extend_from_slice(&[0; 16]);
-            bytes
+        let mut hostile = SNAPSHOT_MAGIC.to_vec();
+        hostile.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        hostile.extend_from_slice(&(u64::MAX - 25).to_le_bytes());
+        hostile.extend_from_slice(&[0; 16]);
+        for decode in [SimSnapshot::from_bytes, SimSnapshot::decode] {
+            assert!(matches!(decode(&hostile), Err(SnapshotError::Malformed(_))));
         }
-        assert!(matches!(
-            SimSnapshot::from_bytes(&hostile::<SimSnapshot>()),
-            Err(SnapshotError::Malformed(_))
-        ));
-        assert!(matches!(
-            DistSnapshot::decode(&hostile::<DistSnapshot>()),
-            Err(SnapshotError::Malformed(_))
-        ));
     }
 
     /// Recompute the checksum of a JSON snapshot whose state was edited.
@@ -1448,18 +1376,16 @@ mod tests {
     #[test]
     fn json_version_beyond_u32_is_not_truncated_into_range() {
         // 2^32 + VERSION used to truncate to VERSION and be accepted.
-        fn widened<S: Snapshot>(text: &str) -> String {
-            let wide = (1u64 << 32) + S::VERSION as u64;
-            edited(
-                text,
-                &format!("\"version\":{}.0", S::VERSION),
+        let wide = (1u64 << 32) + SNAPSHOT_VERSION as u64;
+        for golden in [golden_sim(), golden_dist()] {
+            let widened = edited(
+                &golden.to_json(),
+                &format!("\"version\":{SNAPSHOT_VERSION}.0"),
                 &format!("\"version\":{wide}.0"),
-            )
+            );
+            let got = SimSnapshot::from_json(&widened);
+            assert!(matches!(got, Err(SnapshotError::Malformed(_))), "{got:?}");
         }
-        let sim = SimSnapshot::from_json(&widened::<SimSnapshot>(&golden_sim().to_json()));
-        assert!(matches!(sim, Err(SnapshotError::Malformed(_))), "{sim:?}");
-        let dist = DistSnapshot::from_json(&widened::<DistSnapshot>(&golden_dist().to_json()));
-        assert!(matches!(dist, Err(SnapshotError::Malformed(_))), "{dist:?}");
     }
 
     #[test]
@@ -1476,11 +1402,12 @@ mod tests {
 
     #[test]
     fn json_schedule_level_beyond_u32_is_malformed() {
-        let widen = |text: String| edited(&text, "\"levels\":[", "\"levels\":[4294967296.0,");
-        let sim = SimSnapshot::from_json(&widen(golden_sim().to_json()));
-        assert!(matches!(sim, Err(SnapshotError::Malformed(_))), "{sim:?}");
-        let dist = DistSnapshot::from_json(&widen(golden_dist().to_json()));
-        assert!(matches!(dist, Err(SnapshotError::Malformed(_))), "{dist:?}");
+        for golden in [golden_sim(), golden_dist()] {
+            let text = golden.to_json();
+            let wide = edited(&text, "\"levels\":[", "\"levels\":[4294967296.0,");
+            let got = SimSnapshot::from_json(&wide);
+            assert!(matches!(got, Err(SnapshotError::Malformed(_))), "{got:?}");
+        }
     }
 
     // -- schema coverage -----------------------------------------------------
@@ -1523,13 +1450,13 @@ mod tests {
     /// payload by the schema itself, so the test cannot fall behind it —
     /// yields a different value whose binary *and* JSON encodings differ.
     /// (Needs block mode: global mode's `max_level` word is read by nothing.)
-    fn every_scalar_reaches_both_encodings<S: Snapshot + PartialEq + std::fmt::Debug>(snap: &S) {
+    fn every_scalar_reaches_both_encodings(snap: &SimSnapshot) {
         let bytes = snap.to_bytes();
         let json = snap.to_json();
         let payload = &bytes[HEADER_LEN..bytes.len() - 8];
         let mut found = Vec::new();
         let mut r = BinReader { b: payload, pos: 0 };
-        scalars(&S::TY, &mut r, &mut found);
+        scalars(&SimSnapshot::TY, &mut r, &mut found);
         assert_eq!(r.pos, payload.len(), "schema covers the whole payload");
         assert!(found.len() > 100, "a fully populated snapshot");
         for (at, ty) in found {
@@ -1539,7 +1466,7 @@ mod tests {
                 Ty::Str => perturbed[at + 8] ^= 1,
                 _ => perturbed[at] ^= 1,
             }
-            let other: S = from_payload(&perturbed).expect("perturbed payload decodes");
+            let other = from_payload(&perturbed).expect("perturbed payload decodes");
             assert_ne!(&other, snap, "{ty:?} at payload byte {at}");
             assert_ne!(
                 other.to_bytes(),

@@ -31,6 +31,7 @@ use crate::particle::Particle;
 use crate::phases;
 use crate::scheduler::ActiveScheduler;
 use crate::sim::SimStats;
+use crate::snapshot::{PendingPrediction, ScheduleState, SlabRecord};
 use astro::cooling::CoolingCurve;
 use astro::lifetime::explodes_in_interval;
 use astro::supernova::SnFeedback;
@@ -80,6 +81,57 @@ impl<T> Default for SlabState<T> {
             cooling: CoolingCurve::standard_ism(),
         }
     }
+}
+
+impl<T> SlabState<T> {
+    /// This slab as a checkpoint keeps it (the one capture both drivers
+    /// share). `pending` is the queue with every prediction in hand — how
+    /// a ticket becomes one is the driver's business. None of the force
+    /// scratch arena but the `vsig` stash is kept: the next force
+    /// evaluation rebuilds it.
+    pub fn record(
+        &self,
+        particles: &[Particle],
+        stats: &SimStats,
+        pending: Vec<PendingPrediction>,
+    ) -> SlabRecord {
+        SlabRecord {
+            particles: particles.to_vec(),
+            last_vsig: self.forces.vsig_record(),
+            pending,
+            schedule: self.sched.schedule().map(|s| ScheduleState {
+                dt_max: s.dt_max,
+                levels: s.levels.clone(),
+            }),
+            stats: *stats,
+        }
+    }
+
+    /// The state a slab resumes `slab` with: the stash that seeds the next
+    /// adaptive step, the schedule (for observability — the next base step
+    /// re-derives it from forces) and the queue, `ticket` wrapping each
+    /// prediction already in hand.
+    pub fn resumed(slab: &SlabRecord, ticket: impl Fn(Vec<GasParticle>) -> T) -> Self {
+        let mut state = SlabState::default();
+        state.forces.restore_vsig(&slab.last_vsig);
+        if let Some(s) = &slab.schedule {
+            state.sched.restore(s.dt_max, &s.levels);
+        }
+        state.pending = requeue(&slab.pending, ticket);
+        state
+    }
+}
+
+/// A checkpoint's `pending` list as the pool queue it was taken from.
+pub fn requeue<T>(
+    pending: &[PendingPrediction],
+    ticket: impl Fn(Vec<GasParticle>) -> T,
+) -> Vec<InFlight<T>> {
+    let in_flight = |p: &PendingPrediction| InFlight {
+        due_step: p.due_step,
+        ticket: ticket(p.predicted.clone()),
+    };
+    pending.iter().map(in_flight).collect()
 }
 
 /// One slab as [`step`] takes it: the driver's own particles, clock and

@@ -13,7 +13,7 @@
 //! asura --scenario spiked_dt --scheme conventional --timestep block:8
 //! asura --scenario spiked_dt --supervised --snapshot-every 2
 //! asura --scenario quickstart --dist 2x1x1+1 --steps 6 --snapshot-every 3
-//! asura --scenario quickstart --dist 2x1x1+1 --resume results/quickstart
+//! asura --dist 2x1x1+1 --resume results/quickstart
 //! ```
 //!
 //! # Checkpoints
@@ -39,10 +39,13 @@
 //! `--dist NXxNYxNZ+P` routes the scenario through the distributed
 //! (`mpisim`) driver — `NX*NY*NZ` main ranks plus `P` pool ranks —
 //! rotating `dist_checkpoint-<step>.{bin,json}` per `--snapshot-format`
-//! (resumable with `--dist --resume`, either encoding) and writing
-//! `dist_report.json` instead of the shared-memory outputs. `--scheme` and
-//! `--timestep` mean what they mean without `--dist` (both drivers run the
-//! one `asura_core::step::step`): `--scheme conventional --timestep
+//! and writing `dist_report.json` instead of the shared-memory outputs. A
+//! checkpoint is the same [`SimSnapshot`] on both routes — one slab, or
+//! one per main rank — so `--dist --resume` follows the shared-memory
+//! rules: the checkpoint supplies config, counters and model, flags
+//! override, `--scenario` is optional, and the grid must be the writer's.
+//! `--scheme` and `--timestep` mean what they mean without `--dist` (both
+//! drivers run the one `asura_core::step::step`): `--scheme conventional --timestep
 //! block[:<max_level>]` runs the conventional hierarchy's substep walk
 //! across the ranks so its per-substep synchronization cost is measured
 //! (paper Figs. 6/7). What `--dist` leaves out is star formation.
@@ -83,15 +86,15 @@ use asura::surrogate_train::{self, TrainSpec};
 use asura_core::ckpt::{atomic_write, CkptFormat, CkptStore, DEFAULT_KEEP};
 use asura_core::diagnostics::{TimeSample, TimeSeries};
 use asura_core::dist::{
-    run_distributed, run_distributed_resume, DistConfig, DistSnapshot, PredictorKind, PredictorSpec,
+    run_distributed, run_distributed_resume, DistConfig, DistError, PredictorKind, PredictorSpec,
 };
 use asura_core::faults::{self, FaultInjector};
 use asura_core::serve::{self, Request, ServeConfig};
-use asura_core::snapshot::{SimSnapshot, Snapshot};
+use asura_core::snapshot::SimSnapshot;
 use asura_core::supervise::{
     Heartbeat, Outcome, ProcessChild, ResumePoint, RetryPolicy, Supervisor,
 };
-use asura_core::{Scheme, Simulation, TimestepMode};
+use asura_core::{Particle, Scheme, SimConfig, Simulation, TimestepMode};
 use fdps::exchange::Routing;
 use std::fmt::Display;
 use std::io::{BufRead, BufReader, Write};
@@ -153,7 +156,8 @@ OPTIONS:
     --keep <k>                 checkpoint rotation depth (default 3)
     --dist <NXxNYxNZ+P>        run through the distributed (mpisim) driver:
                                NX*NY*NZ main ranks + P pool ranks, under either
-                               --scheme and either --timestep (no star formation)
+                               --scheme and either --timestep (no star formation);
+                               --resume needs the grid that wrote the checkpoint
     --supervised               run as a heartbeat-monitored child with crash/hang
                                detection and auto-resume from the rotation
     --max-retries <n>          supervised: resume budget (default 3)
@@ -171,11 +175,15 @@ the asura-core faults module docs for the grammar.
 /// `--seed` when the flag (or a fleet run's override) is absent.
 const DEFAULT_SEED: u64 = 42;
 
-/// Resolve `--predictor` to a ready [`PredictorKind`]. A weights file that
-/// cannot load is a *permanent* error (exit 2, never retried by the
-/// supervisor), and it fails here — not mid-run.
-fn resolve_predictor(spec: &PredictorSpec, seed: u64) -> Result<PredictorKind, String> {
-    spec.resolve(seed).map_err(|e| format!("permanent: {e}"))
+/// A driver error as this CLI reports it. Weights that cannot load — a
+/// `--predictor` file or the model a checkpoint embeds — are a *permanent*
+/// error (exit 2, never retried by the supervisor), and they fail before
+/// the first step, not mid-run.
+fn run_error(e: DistError) -> String {
+    match e {
+        DistError::BadWeights { .. } => format!("permanent: {e}"),
+        _ => e.to_string(),
+    }
 }
 
 /// The one cursor every flag loop reads through: hands out flags, their
@@ -352,13 +360,12 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     Ok(args)
 }
 
-/// Resolve `--resume` for a snapshot kind: a snapshot file, or a run
-/// directory whose rotation (entries named `<base>-<step>`) supplies the
-/// newest intact checkpoint.
-fn load_resume<S: Snapshot>(path: &Path, base: &str, keep: usize) -> Result<(S, PathBuf), String> {
+/// Resolve `--resume`: a snapshot file, or a run directory whose rotation
+/// (entries named `<base>-<step>`) supplies the newest intact checkpoint.
+fn load_resume(path: &Path, base: &str, keep: usize) -> Result<(SimSnapshot, PathBuf), String> {
     if path.is_dir() {
         let store = CkptStore::with_base(path, base, keep);
-        let (entry, snap) = store.latest_valid().ok_or_else(|| {
+        let (entry, snap) = store.latest_valid_sim().ok_or_else(|| {
             format!(
                 "--resume {}: no intact {base} in the rotation",
                 path.display()
@@ -366,24 +373,118 @@ fn load_resume<S: Snapshot>(path: &Path, base: &str, keep: usize) -> Result<(S, 
         })?;
         Ok((snap, store.entry_path(&entry)))
     } else {
-        let snap = S::load(path).map_err(|e| format!("--resume {path:?}: {e}"))?;
+        let snap = SimSnapshot::load(path).map_err(|e| format!("--resume {path:?}: {e}"))?;
         Ok((snap, path.to_path_buf()))
     }
 }
 
-/// The `--dist` path: route the scenario through the mpisim driver, with
-/// snapshot→resume support mirroring the shared-memory CLI.
+/// Where a run starts: a scenario's freshly built initial condition, or a
+/// checkpoint.
+enum Start {
+    Fresh(Vec<Particle>),
+    Resumed(Box<SimSnapshot>),
+}
+
+/// A run as either driver takes it.
+struct Run {
+    /// Names the run directory under `--out-dir`.
+    name: String,
+    /// The scenario's or the checkpoint's config, flag overrides applied.
+    config: SimConfig,
+    predictor: PredictorKind,
+    steps: usize,
+    start: Start,
+}
+
+/// Resolve the run — a snapshot restore or a fresh scenario build — by
+/// one rule on both routes (`base` names the route's rotation).
+fn resolve_run(args: &Args, base: &str) -> Result<Run, String> {
+    let flag_predictor = || match &args.predictor {
+        Some(spec) => spec.resolve(args.seed).map_err(run_error),
+        None => Ok(PredictorKind::SedovOverlay),
+    };
+    let (name, mut config, predictor, default_steps, start) = match (&args.resume, &args.scenario) {
+        (Some(path), scenario) => {
+            let (snap, resolved) = load_resume(path, base, args.keep)?;
+            println!(
+                "resumed from {} (step {}, t = {:.4} Myr, {} particles in {} slab(s), \
+                 {} regions in flight)",
+                resolved.display(),
+                snap.step_count,
+                snap.time,
+                snap.slabs.iter().map(|s| s.particles.len()).sum::<usize>(),
+                snap.slabs.len(),
+                snap.pending_regions()
+            );
+            // A model embedded in the snapshot is authoritative — it is
+            // what the bitwise resume contract demands. Only a model-less
+            // snapshot accepts `--predictor` (the supervisor forwards the
+            // flag to resumed attempts, so it must not conflict here).
+            let predictor = match &snap.model {
+                Some(model) => PredictorKind::embedded(model),
+                None => flag_predictor()?,
+            };
+            // When the scenario is named alongside --resume, honour its
+            // registered default step count; otherwise fall back to 10.
+            let name = scenario.clone().unwrap_or_else(|| "resumed".to_string());
+            let default_steps = scenarios::find(&name).map_or(10, |s| s.default_steps);
+            let config = snap.config;
+            let start = Start::Resumed(Box::new(snap));
+            (name, config, predictor, default_steps, start)
+        }
+        (None, Some(name)) => {
+            let scenario = scenarios::find(name).ok_or_else(|| {
+                format!(
+                    "unknown scenario `{name}` (available: {})",
+                    scenarios::SCENARIOS
+                        .iter()
+                        .map(|s| s.name)
+                        .collect::<Vec<_>>()
+                        .join(", ")
+                )
+            })?;
+            let (cfg, particles) = scenario.build(args.seed);
+            println!(
+                "scenario {} ({} particles): {}",
+                scenario.name,
+                particles.len(),
+                scenario.description
+            );
+            let name = scenario.name.to_string();
+            let start = Start::Fresh(particles);
+            (name, cfg, flag_predictor()?, scenario.default_steps, start)
+        }
+        (None, None) => {
+            return Err("usage: either --scenario <name> or --resume <snapshot> is required".into())
+        }
+    };
+    // Flag overrides on top of the scenario/snapshot config.
+    if let Some(s) = args.scheme {
+        config.scheme = s;
+    }
+    if let Some(t) = args.timestep {
+        config.timestep = t;
+    }
+    if let Some(k) = args.snapshot_every {
+        config.snapshot_every = k;
+    }
+    Ok(Run {
+        name,
+        config,
+        predictor,
+        steps: args.steps.unwrap_or(default_steps),
+        start,
+    })
+}
+
+/// The `--dist` path: route the run through the mpisim driver, with
+/// snapshot→resume support by the shared-memory CLI's own rules.
 fn run_dist(
     args: &Args,
     grid: (usize, usize, usize),
     n_pool: usize,
     injector: &mut FaultInjector,
 ) -> Result<(), String> {
-    let name = args
-        .scenario
-        .as_deref()
-        .ok_or("--dist requires --scenario (it provides the config and initial condition)")?;
-    let scenario = scenarios::find(name).ok_or_else(|| format!("unknown scenario `{name}`"))?;
     // Reject flags the distributed driver would silently ignore rather
     // than hand back a run the user didn't ask for.
     if args.diag_every.is_some() {
@@ -394,8 +495,16 @@ fn run_dist(
         );
     }
     // The distributed driver runs its steps inside `run_distributed`, with
-    // no per-step hook to fire `kill@N` / `stall@N` from — and a fault plan
-    // must never silently run fault-free.
+    // no per-step hook to beat a heartbeat or fire `kill@N` / `stall@N`
+    // from — and neither a supervisor's liveness signal nor a fault plan
+    // may silently do nothing.
+    if args.heartbeat.is_some() {
+        return Err(
+            "usage: --heartbeat is touched after every step, which --dist has no hook for; \
+             distributed runs cannot be supervised yet"
+                .into(),
+        );
+    }
     if injector.has_step_fault() {
         return Err(format!(
             "usage: {} arms a step fault (kill@N / stall@N), which --dist cannot fire; \
@@ -403,90 +512,43 @@ fn run_dist(
             faults::FAULTS_ENV
         ));
     }
-    // Resume replaces the particle state wholesale, so only realize the
-    // initial condition on a fresh run; the config alone is cheap.
-    let (mut sim_cfg, particles) = match args.resume {
-        Some(_) => (scenario.config(), Vec::new()),
-        None => scenario.build(args.seed),
-    };
-    if let Some(s) = args.scheme {
-        sim_cfg.scheme = s;
-    }
-    // Under the conventional scheme `--timestep block[:<max_level>]` runs
-    // the hierarchy's substep walk across the mpisim ranks (dist.rs module
-    // docs: "Distributed block timesteps").
-    if let Some(t) = args.timestep {
-        sim_cfg.timestep = t;
-    }
-    let steps = args.steps.unwrap_or(scenario.default_steps);
+    let run = resolve_run(args, "dist_checkpoint")?;
     let cfg = DistConfig {
         grid,
         n_pool,
         routing: Routing::Flat,
-        sim: sim_cfg,
-        steps,
-        // Resolved eagerly so a bad weights file dies here with exit 2
-        // (on resume the snapshot's embedded model overrides this anyway).
-        predictor: match &args.predictor {
-            Some(p) => resolve_predictor(p, args.seed)?,
-            None => PredictorKind::SedovOverlay,
-        },
-        snapshot_every: args.snapshot_every.unwrap_or(0),
+        sim: run.config,
+        steps: run.steps,
+        predictor: run.predictor,
+        snapshot_every: run.config.snapshot_every,
     };
-    let dir = args.prepare_run_dir(scenario.name)?;
-    let ranks = format!("{}x{}x{}+{n_pool}", grid.0, grid.1, grid.2);
-
-    let report = match &args.resume {
-        Some(path) => {
-            let (snap, resolved) = load_resume::<DistSnapshot>(path, "dist_checkpoint", args.keep)?;
-            if snap.rank_particles.len() != cfg.n_main() {
-                return Err(format!(
-                    "--resume {}: checkpoint was written by {} main ranks but --dist \
-                     {ranks} has {} — resume requires the same main-rank grid",
-                    resolved.display(),
-                    snap.rank_particles.len(),
-                    cfg.n_main(),
-                ));
-            }
-            println!(
-                "dist resume from {} (step {}, t = {:.4} Myr, {} ranks, {} regions in flight): \
-                 {steps} more steps on {ranks} ranks",
-                resolved.display(),
-                snap.step,
-                snap.time,
-                snap.rank_particles.len(),
-                snap.pending.len(),
-            );
-            // Unlike shared-memory snapshots, a DistSnapshot carries no
-            // SimConfig — the named scenario supplies it, so resuming
-            // under a different scenario's name would integrate the
-            // checkpointed particles with the wrong physics.
-            println!(
-                "note: resuming with scenario `{}`'s config — it must be the scenario \
-                 that wrote the checkpoint",
-                scenario.name
-            );
-            run_distributed_resume(&cfg, &snap)
-        }
-        None => {
-            println!(
-                "dist scenario {} ({} particles) on {ranks} ranks for {steps} steps",
-                scenario.name,
-                particles.len(),
-            );
-            run_distributed(&cfg, &particles)
-        }
+    let dir = args.prepare_run_dir(&run.name)?;
+    println!(
+        "integrating {} steps on {}x{}x{}+{n_pool} ranks (dt = {} Myr, scheme {:?}, \
+         timestep {:?}, snapshot every {})",
+        cfg.steps,
+        grid.0,
+        grid.1,
+        grid.2,
+        cfg.sim.dt_global,
+        cfg.sim.scheme,
+        cfg.sim.timestep,
+        cfg.snapshot_every
+    );
+    let report = match &run.start {
+        Start::Fresh(particles) => run_distributed(&cfg, particles),
+        Start::Resumed(snap) => run_distributed_resume(&cfg, snap),
     }
-    .map_err(|e| format!("distributed run: {e}"))?;
+    .map_err(run_error)?;
 
     // Gathered checkpoints rotate through the atomic store — the newest
     // `--keep` of them, in the requested encoding, plus the manifest.
     let store = CkptStore::with_base(&dir, "dist_checkpoint", args.keep);
     for snap in &report.snapshots {
         let path = store
-            .commit_dist(snap, args.snapshot_format, injector)
+            .commit_sim(snap, args.snapshot_format, injector)
             .map_err(|e| format!("writing dist checkpoint under {}: {e}", dir.display()))?;
-        println!("[checkpoint] {} (step {})", path.display(), snap.step);
+        println!("[checkpoint] {} (step {})", path.display(), snap.step_count);
     }
     if !report.snapshots.is_empty() {
         println!("[manifest] {}", store.manifest_path().display());
@@ -539,15 +601,6 @@ fn run_dist(
         report.snapshots.len(),
     );
     println!("[report] {}", report_path.display());
-    // A degraded run aborted early at a collective point: its final
-    // checkpoint and report are on disk, but the run did not complete —
-    // surface that as a failure after persisting everything.
-    if let Some(err) = &report.error {
-        return Err(format!(
-            "distributed run degraded: {err} (checkpoint and report retained under {})",
-            dir.display()
-        ));
-    }
     Ok(())
 }
 
@@ -985,92 +1038,26 @@ fn run() -> Result<(), String> {
         return run_dist(&args, grid, n_pool, &mut injector);
     }
 
-    // Resolve the run: a fresh scenario build, or a snapshot restore.
-    let (mut sim, run_name, default_steps) = match (&args.resume, &args.scenario) {
-        (Some(path), scenario) => {
-            let (snap, resolved) = load_resume::<SimSnapshot>(path, "checkpoint", args.keep)?;
-            let name = scenario.clone().unwrap_or_else(|| "resumed".to_string());
-            println!(
-                "resumed from {} (step {}, t = {:.4} Myr, {} particles, {} regions in flight)",
-                resolved.display(),
-                snap.step_count,
-                snap.time,
-                snap.particles.len(),
-                snap.pending.len()
-            );
-            // A model embedded in the snapshot is authoritative — it is
-            // what the bitwise resume contract demands. Only a model-less
-            // snapshot accepts `--predictor` (the supervisor forwards the
-            // flag to resumed attempts, so it must not conflict here).
-            let sim = match (&snap.model, &args.predictor) {
-                (None, Some(spec @ PredictorSpec::UNet(_))) => {
-                    let kind = resolve_predictor(spec, args.seed)?;
-                    let mut sim = Simulation::restore_with_predictor(
-                        &snap,
-                        kind.build(snap.config.region_side),
-                    );
-                    sim.model = kind.model_state();
-                    sim
-                }
-                _ => Simulation::restore(&snap),
-            };
-            // When the scenario is named alongside --resume, honour its
-            // registered default step count; otherwise fall back to 10.
-            let default_steps = scenarios::find(&name).map_or(10, |s| s.default_steps);
-            (sim, name, default_steps)
+    let Run {
+        name: run_name,
+        config,
+        predictor: kind,
+        steps,
+        start,
+    } = resolve_run(&args, "checkpoint")?;
+    let predictor = kind.build(config.region_side).map_err(run_error)?;
+    let mut sim = match start {
+        Start::Fresh(particles) => {
+            Simulation::with_predictor(config, particles, args.seed, predictor)
         }
-        (None, Some(name)) => {
-            let scenario = scenarios::find(name).ok_or_else(|| {
-                format!(
-                    "unknown scenario `{name}` (available: {})",
-                    scenarios::SCENARIOS
-                        .iter()
-                        .map(|s| s.name)
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )
-            })?;
-            let (cfg, particles) = scenario.build(args.seed);
-            println!(
-                "scenario {} ({} particles): {}",
-                scenario.name,
-                particles.len(),
-                scenario.description
-            );
-            let sim = match &args.predictor {
-                None | Some(PredictorSpec::Sedov) => Simulation::new(cfg, particles, args.seed),
-                Some(spec) => {
-                    let kind = resolve_predictor(spec, args.seed)?;
-                    let mut sim = Simulation::with_predictor(
-                        cfg,
-                        particles,
-                        args.seed,
-                        kind.build(cfg.region_side),
-                    );
-                    // Embed the weights so every checkpoint carries the
-                    // model and `--resume` rebuilds it without the file.
-                    sim.model = kind.model_state();
-                    sim
-                }
-            };
-            (sim, scenario.name.to_string(), scenario.default_steps)
-        }
-        (None, None) => {
-            return Err("usage: either --scenario <name> or --resume <snapshot> is required".into())
+        Start::Resumed(snap) => {
+            Simulation::restore_with_predictor(&snap, predictor).map_err(run_error)?
         }
     };
-
-    // Flag overrides on top of the scenario/snapshot config.
-    if let Some(s) = args.scheme {
-        sim.config.scheme = s;
-    }
-    if let Some(t) = args.timestep {
-        sim.config.timestep = t;
-    }
-    if let Some(k) = args.snapshot_every {
-        sim.config.snapshot_every = k;
-    }
-    let steps = args.steps.unwrap_or(default_steps);
+    sim.config = config;
+    // Embed the weights so every checkpoint carries the model and
+    // `--resume` rebuilds it without the file.
+    sim.model = kind.model_state();
     let map_half = scenarios::find(&run_name).map_or(100.0, |s| s.map_half);
 
     let dir = args.prepare_run_dir(&run_name)?;

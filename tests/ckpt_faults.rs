@@ -1,9 +1,9 @@
 //! Property tests of the atomic rotated checkpoint store's recovery
 //! contract: damage a committed checkpoint at a **seeded random byte**
 //! (truncation or corruption) and `latest_valid()` must fall back to the
-//! previous rotation entry — for both codecs (binary and JSON) and both
-//! snapshot kinds (shared-memory [`SimSnapshot`], distributed
-//! [`DistSnapshot`]). Damage is detected by two independent layers: the
+//! previous rotation entry — for both codecs (binary and JSON), for a
+//! one-slab [`SimSnapshot`] and a several-slab one under the distributed
+//! driver's base name. Damage is detected by two independent layers: the
 //! manifest's intended length/FNV-1a checksum, and the codec's own
 //! magic/version/checksum validation (which is all that's left when the
 //! manifest itself is lost).
@@ -11,7 +11,7 @@
 use asura::scenarios;
 use asura_core::ckpt::{CkptFormat, CkptStore};
 use asura_core::faults::FaultInjector;
-use asura_core::snapshot::{DistPending, DistSnapshot, SimSnapshot};
+use asura_core::snapshot::{SimSnapshot, SlabRecord};
 use asura_core::Simulation;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,58 +41,61 @@ fn sim_snapshots(seed: u64) -> (SimSnapshot, SimSnapshot) {
     (first, sim.snapshot())
 }
 
-/// A pair of distributed snapshots synthesized from the same particle
-/// state (rank-partitioned), with an in-flight SN region and a block
-/// schedule so every snapshot section is exercised.
-fn dist_snapshots(seed: u64) -> (DistSnapshot, DistSnapshot) {
+/// The same pair as a distributed run would have gathered it: the slab
+/// dealt out over two ranks, no star-formation stream.
+fn several_slab_snapshots(seed: u64) -> (SimSnapshot, SimSnapshot) {
     let (a, b) = sim_snapshots(seed);
-    let to_dist = |s: &SimSnapshot| {
-        let mid = s.particles.len() / 2;
-        DistSnapshot {
-            step: s.step_count,
-            time: s.time,
-            rank_particles: vec![s.particles[..mid].to_vec(), s.particles[mid..].to_vec()],
-            pending: vec![DistPending {
-                due_step: s.step_count + 50,
-                center: [1.0, -2.0, 3.0],
-                gas: Vec::new(),
-            }],
-            schedules: s.schedule.iter().cloned().collect(),
-            last_vsig: vec![s.last_vsig.clone(), Vec::new()],
-            model: s.model.clone(),
-        }
+    let split = |mut s: SimSnapshot| {
+        let slab = s.slabs.remove(0);
+        let mid = slab.particles.len() / 2;
+        let levels = |range: std::ops::Range<usize>| {
+            let mut sched = slab.schedule.clone();
+            if let Some(sched) = &mut sched {
+                sched.levels = sched.levels[range].to_vec();
+            }
+            sched
+        };
+        s.slabs = vec![
+            SlabRecord {
+                particles: slab.particles[..mid].to_vec(),
+                schedule: levels(0..mid),
+                ..slab.clone()
+            },
+            SlabRecord {
+                particles: slab.particles[mid..].to_vec(),
+                last_vsig: Vec::new(),
+                schedule: levels(mid..slab.particles.len()),
+                ..slab.clone()
+            },
+        ];
+        s.sf_stream = None;
+        s
     };
-    (to_dist(&a), to_dist(&b))
+    (split(a), split(b))
 }
 
+#[derive(Clone, Copy)]
 enum Damage {
     Truncate,
     FlipByte,
 }
 
-/// Commit `older` then `newer` into a rotation, damage the newest entry's
-/// file at a seeded random position, and assert the walk falls back to
-/// `older`.
-#[allow(clippy::too_many_arguments)]
-fn damaged_newest_falls_back<T, C>(
+/// Commit `older` then `newer` into a rotation under `base`, damage the
+/// newest entry's file at a seeded random position, and assert the walk
+/// falls back to `older`.
+fn damaged_newest_falls_back(
     tag: &str,
     format: CkptFormat,
     base: &str,
-    older_step: u64,
-    pair: (&T, &T),
-    commit: C,
-    latest: impl Fn(&CkptStore) -> Option<(u64, T)>,
+    (older, newer): (&SimSnapshot, &SimSnapshot),
     damage: Damage,
     seed: u64,
-) where
-    C: Fn(&CkptStore, &T, &mut FaultInjector) -> std::io::Result<PathBuf>,
-{
+) {
     let mut rng = StdRng::seed_from_u64(seed);
     let st = CkptStore::with_base(tmpdir(tag), base, 3);
     let mut inj = FaultInjector::none();
-    let (older, newer) = pair;
-    commit(&st, older, &mut inj).unwrap();
-    let newest_path = commit(&st, newer, &mut inj).unwrap();
+    st.commit_sim(older, format, &mut inj).unwrap();
+    let newest_path = st.commit_sim(newer, format, &mut inj).unwrap();
 
     let mut bytes = fs::read(&newest_path).unwrap();
     assert!(bytes.len() > 1);
@@ -108,18 +111,19 @@ fn damaged_newest_falls_back<T, C>(
     }
     fs::write(&newest_path, &bytes).unwrap();
 
-    let (step, _) = latest(&st).unwrap_or_else(|| {
+    let (entry, recovered) = st.latest_valid_sim().unwrap_or_else(|| {
         panic!(
             "{tag} seed {seed} ({:?}): no valid entry survived",
             format.ext()
         )
     });
     assert_eq!(
-        step,
-        older_step,
+        entry.step,
+        older.step_count,
         "{tag} seed {seed} ({}): damaged newest must fall back to the previous entry",
         format.ext()
     );
+    assert_eq!(&recovered, older, "{tag} seed {seed}");
 }
 
 #[test]
@@ -128,17 +132,8 @@ fn sim_checkpoint_damage_falls_back_bin_and_json() {
         let (older, newer) = sim_snapshots(seed);
         for format in [CkptFormat::Bin, CkptFormat::Json] {
             for damage in [Damage::Truncate, Damage::FlipByte] {
-                damaged_newest_falls_back(
-                    "sim",
-                    format,
-                    "checkpoint",
-                    older.step_count,
-                    (&older, &newer),
-                    |st, snap: &SimSnapshot, inj| st.commit_sim(snap, format, inj),
-                    |st| st.latest_valid_sim().map(|(e, s)| (e.step, s)),
-                    damage,
-                    seed,
-                );
+                let pair = (&older, &newer);
+                damaged_newest_falls_back("sim", format, "checkpoint", pair, damage, seed);
             }
         }
     }
@@ -147,20 +142,12 @@ fn sim_checkpoint_damage_falls_back_bin_and_json() {
 #[test]
 fn dist_checkpoint_damage_falls_back_bin_and_json() {
     for seed in [5u64, 13] {
-        let (older, newer) = dist_snapshots(seed);
+        let (older, newer) = several_slab_snapshots(seed);
+        assert!(older.slabs.len() == 2 && older.slabs[1].schedule.is_some());
         for format in [CkptFormat::Bin, CkptFormat::Json] {
             for damage in [Damage::Truncate, Damage::FlipByte] {
-                damaged_newest_falls_back(
-                    "dist",
-                    format,
-                    "dist_checkpoint",
-                    older.step,
-                    (&older, &newer),
-                    |st, snap: &DistSnapshot, inj| st.commit_dist(snap, format, inj),
-                    |st| st.latest_valid_dist().map(|(e, s)| (e.step, s)),
-                    damage,
-                    seed,
-                );
+                let pair = (&older, &newer);
+                damaged_newest_falls_back("dist", format, "dist_checkpoint", pair, damage, seed);
             }
         }
     }

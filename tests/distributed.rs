@@ -245,19 +245,15 @@ fn distributed_block_schedule_is_identical_on_every_rank_and_snapshotted() {
     // The checkpoint carries one schedule per main rank, level arrays in
     // the rank's local particle order.
     let snap = &report.snapshots[0];
-    assert_eq!(snap.schedules.len(), cfg.n_main());
-    for (rank, sched) in snap.schedules.iter().enumerate() {
-        assert_eq!(
-            sched.levels.len(),
-            snap.rank_particles[rank].len(),
-            "rank {rank} schedule covers its particles"
-        );
+    assert_eq!(snap.slabs.len(), cfg.n_main());
+    let schedules = snap.slabs.iter().map(|slab| {
+        let sched = slab.schedule.as_ref().expect("a block run's slab");
+        assert_eq!(sched.levels.len(), slab.particles.len());
         assert_eq!(sched.dt_max, cfg.sim.dt_global);
-    }
+        sched
+    });
     // The deep levels live on the rank that owns the hot particle.
-    let deepest = snap
-        .schedules
-        .iter()
+    let deepest = schedules
         .map(|s| s.levels.iter().copied().max().unwrap_or(0))
         .max()
         .unwrap();
@@ -341,8 +337,11 @@ fn single_main_rank_degenerate_case_works() {
 
 /// Run `steps` steps through `Simulation` and through `run_distributed` on
 /// `(1,1,1)` + 1 pool rank, under the same `SimConfig`, and hold them
-/// against each other to the bit: every field of every particle and the
-/// whole `SimStats`. Returns the shared-memory run for extra checks.
+/// against each other to the bit: every field of every particle, the
+/// whole `SimStats`, and the checkpoint each writes after the last step —
+/// everything in it but the star-formation stream, which only the
+/// shared-memory driver has. Returns the shared-memory run for extra
+/// checks.
 fn assert_drivers_agree(
     what: &str,
     sim_cfg: SimConfig,
@@ -358,6 +357,7 @@ fn assert_drivers_agree(
         grid: (1, 1, 1),
         n_pool: 1,
         sim: sim_cfg,
+        snapshot_every: steps as u64,
         ..base_cfg(steps)
     };
     let report = run_distributed(&cfg, ic).expect("dist run");
@@ -378,6 +378,23 @@ fn assert_drivers_agree(
         report.rank_stats[0], shared.stats,
         "{what}: SimStats after {steps} steps"
     );
+
+    let (want, got) = (shared.snapshot(), &report.snapshots[0]);
+    assert_eq!(report.snapshots.len(), 1, "{what}: one cadence hit");
+    assert_eq!(got.config, want.config, "{what}: checkpoint config");
+    assert_eq!(got.time.to_bits(), want.time.to_bits(), "{what}: time");
+    assert_eq!(got.step_count, want.step_count, "{what}: step_count");
+    assert_eq!(got.model, want.model, "{what}: model");
+    assert!(got.sf_stream.is_none() && want.sf_stream.is_some());
+    let [got, want] = [&got.slabs[..], &want.slabs[..]].map(|slabs| match slabs {
+        [slab] => slab,
+        _ => panic!("{what}: {} slabs", slabs.len()),
+    });
+    assert_eq!(got.particles, want.particles, "{what}: slab particles");
+    assert_eq!(got.last_vsig, want.last_vsig, "{what}: slab last_vsig");
+    assert_eq!(got.pending, want.pending, "{what}: slab pending");
+    assert_eq!(got.schedule, want.schedule, "{what}: slab schedule");
+    assert_eq!(got.stats, want.stats, "{what}: slab stats");
     shared
 }
 
@@ -425,6 +442,8 @@ fn one_rank_sn_round_trip_equals_the_shared_memory_driver_at_every_stage() {
         let sim = assert_drivers_agree("one SN", base_cfg(0).sim, &ic, steps);
         assert_eq!(sim.stats.sn_events, (steps >= 2) as u64);
         assert_eq!(sim.stats.regions_applied, (steps >= 3) as u64);
+        // At 2 steps both checkpoints held the region, predicted.
+        assert_eq!(sim.pending_regions(), (steps == 2) as usize);
         let enriched = sim.particles.iter().filter(|p| p.metals > 0.0).count();
         assert_eq!(enriched > 0, steps >= 2, "{enriched} enriched at {steps}");
     }

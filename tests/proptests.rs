@@ -314,13 +314,14 @@ fn voxelization_conserves_interior_mass() {
     }
 }
 
-/// Seeded random snapshots of both kinds for the cross-codec property:
-/// every optional section toggles, and awkward values (non-finite floats,
-/// `u64` above 2^53, empty lists) turn up regularly.
+/// Seeded random snapshots for the cross-codec and hostile-bytes
+/// properties, from one generator: 1..=4 slabs, every optional section
+/// toggles, and awkward values (non-finite floats, `u64` above 2^53, empty
+/// lists) turn up regularly.
 mod random_snapshots {
     use super::*;
     use asura_core::snapshot::{
-        DistPending, DistSnapshot, ModelState, PendingPrediction, ScheduleState, SimSnapshot,
+        ModelState, PendingPrediction, ScheduleState, SfStream, SimSnapshot, SlabRecord,
     };
     use asura_core::{Kind, Particle, Scheme, SimConfig, SimStats, TimestepMode};
     use surrogate::GasParticle;
@@ -378,27 +379,33 @@ mod random_snapshots {
             .collect()
     }
 
-    fn schedule(rng: &mut StdRng) -> ScheduleState {
-        ScheduleState {
-            dt_max: float(rng),
-            levels: (0..rng.gen_range(0..9usize)).map(|_| rng.gen()).collect(),
+    fn slab(rng: &mut StdRng) -> SlabRecord {
+        SlabRecord {
+            particles: particles(rng),
+            last_vsig: (0..rng.gen_range(0..6usize))
+                .map(|_| (word(rng), float(rng), float(rng)))
+                .collect(),
+            pending: (0..rng.gen_range(0..3usize))
+                .map(|_| PendingPrediction {
+                    due_step: word(rng),
+                    predicted: gas(rng),
+                })
+                .collect(),
+            schedule: rng.gen_bool(0.5).then(|| ScheduleState {
+                dt_max: float(rng),
+                levels: (0..rng.gen_range(0..9usize)).map(|_| rng.gen()).collect(),
+            }),
+            stats: SimStats {
+                steps: word(rng),
+                dt_min_seen: float(rng),
+                gravity_interactions: word(rng),
+                sph_tree_refreshes: word(rng),
+                ..SimStats::default()
+            },
         }
     }
 
-    fn vsig(rng: &mut StdRng) -> Vec<(u64, f64, f64)> {
-        (0..rng.gen_range(0..6usize))
-            .map(|_| (word(rng), float(rng), float(rng)))
-            .collect()
-    }
-
-    fn model(rng: &mut StdRng) -> Option<ModelState> {
-        rng.gen_bool(0.5).then(|| ModelState {
-            seed: word(rng),
-            weights_json: format!("{{\"weights\":\"é\\n{}\"}}", rng.gen::<u32>()),
-        })
-    }
-
-    pub fn sim(rng: &mut StdRng) -> SimSnapshot {
+    pub fn snapshot(rng: &mut StdRng) -> SimSnapshot {
         SimSnapshot {
             config: SimConfig {
                 scheme: [Scheme::Surrogate, Scheme::Conventional][rng.gen_range(0..2usize)],
@@ -418,76 +425,67 @@ mod random_snapshots {
             },
             time: float(rng),
             step_count: word(rng),
-            next_id: word(rng),
-            rng_state: [word(rng), word(rng), word(rng), word(rng)],
-            stats: SimStats {
-                steps: word(rng),
-                dt_min_seen: float(rng),
-                gravity_interactions: word(rng),
-                sph_tree_refreshes: word(rng),
-                ..SimStats::default()
-            },
-            particles: particles(rng),
-            last_vsig: vsig(rng),
-            pending: (0..rng.gen_range(0..3usize))
-                .map(|_| PendingPrediction {
-                    due_step: word(rng),
-                    predicted: gas(rng),
-                })
-                .collect(),
-            schedule: rng.gen_bool(0.5).then(|| schedule(rng)),
-            model: model(rng),
-        }
-    }
-
-    pub fn dist(rng: &mut StdRng) -> DistSnapshot {
-        DistSnapshot {
-            step: word(rng),
-            time: float(rng),
-            rank_particles: (0..rng.gen_range(0..4usize))
-                .map(|_| particles(rng))
-                .collect(),
-            pending: (0..rng.gen_range(0..3usize))
-                .map(|_| DistPending {
-                    due_step: word(rng),
-                    center: [float(rng), float(rng), float(rng)],
-                    gas: gas(rng),
-                })
-                .collect(),
-            schedules: (0..rng.gen_range(0..4usize))
-                .map(|_| schedule(rng))
-                .collect(),
-            last_vsig: (0..rng.gen_range(0..4usize)).map(|_| vsig(rng)).collect(),
-            model: model(rng),
+            model: rng.gen_bool(0.5).then(|| ModelState {
+                seed: word(rng),
+                weights_json: format!("{{\"weights\":\"é\\n{}\"}}", rng.gen::<u32>()),
+            }),
+            sf_stream: rng.gen_bool(0.5).then(|| SfStream {
+                next_id: word(rng),
+                rng_state: [word(rng), word(rng), word(rng), word(rng)],
+            }),
+            slabs: (0..rng.gen_range(1..5usize)).map(|_| slab(rng)).collect(),
         }
     }
 }
 
 /// The two codecs agree: through either one a snapshot comes back equal,
-/// and re-encoding what came back is byte-identical — for both kinds.
+/// and re-encoding what came back is byte-identical.
 #[test]
 fn snapshot_codecs_agree_on_any_snapshot() {
-    use asura_core::snapshot::Snapshot;
-    fn check<S: Snapshot + PartialEq + std::fmt::Debug>(snap: S, seed: u64) {
+    use asura_core::snapshot::SimSnapshot;
+    for seed in 0..CASES {
+        let snap = random_snapshots::snapshot(&mut StdRng::seed_from_u64(seed));
         let (bytes, json) = (snap.to_bytes(), snap.to_json());
-        let via_bin = S::from_bytes(&bytes).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        let via_json = S::from_json(&json).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let via_bin =
+            SimSnapshot::from_bytes(&bytes).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let via_json = SimSnapshot::from_json(&json).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert_eq!(via_bin, snap, "seed {seed}: binary");
         assert_eq!(via_json, snap, "seed {seed}: json");
         for back in [via_bin, via_json] {
             assert_eq!(back.to_bytes(), bytes, "seed {seed}");
             assert_eq!(back.to_json(), json, "seed {seed}");
-            assert_eq!(S::decode(&bytes).as_ref(), Ok(&back), "seed {seed}");
             assert_eq!(
-                S::decode(json.as_bytes()).as_ref(),
+                SimSnapshot::decode(&bytes).as_ref(),
+                Ok(&back),
+                "seed {seed}"
+            );
+            assert_eq!(
+                SimSnapshot::decode(json.as_bytes()).as_ref(),
                 Ok(&back),
                 "seed {seed}"
             );
         }
     }
+}
+
+/// Hostile bytes: a one-bit flip or a truncation of either encoding of any
+/// snapshot is a typed error — or, where the flip is harmless (the case of
+/// a hex digit in the JSON checksum), a snapshot that still re-encodes —
+/// never a panic.
+#[test]
+fn damaged_snapshot_bytes_never_panic_the_decoder() {
+    use asura_core::snapshot::SimSnapshot;
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
-        check(random_snapshots::sim(&mut rng), seed);
-        check(random_snapshots::dist(&mut rng), seed);
+        let snap = random_snapshots::snapshot(&mut rng);
+        for encoded in [snap.to_bytes(), snap.to_json().into_bytes()] {
+            let at = rng.gen_range(0..encoded.len());
+            let mut flipped = encoded.clone();
+            flipped[at] ^= 1 << rng.gen_range(0..8u32);
+            assert!(SimSnapshot::decode(&encoded[..at]).is_err(), "seed {seed}");
+            if let Ok(other) = SimSnapshot::decode(&flipped) {
+                assert_eq!(other, snap, "seed {seed}: byte {at} flipped");
+            }
+        }
     }
 }

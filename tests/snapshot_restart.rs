@@ -15,7 +15,7 @@ use asura_core::ckpt::{CkptFormat, CkptStore};
 use asura_core::diagnostics::TimeSample;
 use asura_core::dist::{run_distributed, run_distributed_resume, DistConfig, PredictorKind};
 use asura_core::faults::FaultInjector;
-use asura_core::snapshot::{DistSnapshot, SimSnapshot, Snapshot};
+use asura_core::snapshot::SimSnapshot;
 use asura_core::{Particle, Scheme, SimConfig, Simulation, TimestepMode};
 use fdps::exchange::Routing;
 use fdps::Vec3;
@@ -127,7 +127,7 @@ fn surrogate_global_restart_with_pending_sn_region_is_bitwise_identical() {
     let (full, _, snap) = restart_roundtrip(cfg, particles, 5, 4, "surrogate/global");
     assert_eq!(full.stats.sn_events, 1, "the SN must fire before step 4");
     assert_eq!(
-        snap.pending.len(),
+        snap.pending_regions(),
         1,
         "the prediction must be in flight at the snapshot step"
     );
@@ -179,7 +179,7 @@ fn conventional_block_restart_is_bitwise_identical() {
         "the hierarchy must engage"
     );
     assert!(
-        snap.schedule.is_some(),
+        snap.slabs[0].schedule.is_some(),
         "the snapshot must carry the level assignment"
     );
     assert_eq!(full.stats.substeps, resumed.stats.substeps);
@@ -223,8 +223,8 @@ fn distributed_block_resume_is_bitwise_with_the_schedule_in_the_snapshot() {
     // The distributed analogue of the conventional/block restart: 4 base
     // steps straight vs snapshot-at-2 + resume-for-2 under the
     // world-reduced block hierarchy, with the checkpoint pushed through
-    // *both* DistSnapshot codecs. The snapshot carries the per-rank
-    // schedule of the base step it was gathered in.
+    // *both* codecs. The snapshot carries each rank's schedule of the base
+    // step it was gathered in, and its counters.
     let mut particles = gas_blob(6, 1.0, 1.0);
     particles[100].u = 1.0e8; // deep levels on the owning rank
     particles.push(Particle::dm(
@@ -258,16 +258,16 @@ fn distributed_block_resume_is_bitwise_with_the_schedule_in_the_snapshot() {
         "the hierarchy must engage"
     );
     let snap = &full.snapshots[0];
-    assert_eq!(snap.step, 2);
-    assert_eq!(
-        snap.schedules.len(),
-        cfg.n_main(),
+    assert_eq!(snap.step_count, 2);
+    assert_eq!(snap.slabs.len(), cfg.n_main());
+    assert!(
+        snap.slabs.iter().all(|slab| slab.schedule.is_some()),
         "the checkpoint must carry one schedule per rank"
     );
 
     // Binary and JSON codecs must agree and both restart bitwise.
-    let via_bin = DistSnapshot::from_bytes(&snap.to_bytes()).expect("binary roundtrip");
-    let via_json = DistSnapshot::from_json(&snap.to_json()).expect("json roundtrip");
+    let via_bin = SimSnapshot::from_bytes(&snap.to_bytes()).expect("binary roundtrip");
+    let via_json = SimSnapshot::from_json(&snap.to_json()).expect("json roundtrip");
     assert_eq!(via_bin, *snap);
     assert_eq!(via_json, *snap);
 
@@ -279,15 +279,11 @@ fn distributed_block_resume_is_bitwise_with_the_schedule_in_the_snapshot() {
     for (a, b) in full.final_state.iter().zip(&resumed.final_state) {
         assert_eq!(a, b, "resumed particle {} diverged", a.id);
     }
-    // The resumed ranks re-derive the same world schedule: substep totals
-    // over the overlapping base steps agree.
-    let full_subs: Vec<u64> = full.rank_stats.iter().map(|s| s.substeps).collect();
-    let resumed_subs: Vec<u64> = resumed.rank_stats.iter().map(|s| s.substeps).collect();
-    assert!(resumed_subs.iter().all(|&s| s == resumed_subs[0]));
-    assert!(
-        resumed_subs[0] <= full_subs[0],
-        "resume covers the tail of the full run's substeps"
-    );
+    // The resumed ranks re-derive the same world schedule and carry the
+    // checkpoint's counters on: the whole `SimStats` of every rank is the
+    // uninterrupted run's.
+    assert_eq!(resumed.rank_stats, full.rank_stats);
+    assert!(full.rank_stats.iter().all(|s| s.steps == 4));
 }
 
 #[test]

@@ -238,6 +238,16 @@ fn dist_honours_run_dir_and_refuses_step_faults_it_cannot_fire() {
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert!(stderr.contains("step fault"), "{plan}: {stderr}");
     }
+    // `--heartbeat` is per-step too, and used to be dropped without a word.
+    let output = dist_cmd()
+        .arg("--heartbeat")
+        .arg(out.join("heartbeat"))
+        .output()
+        .unwrap();
+    assert_eq!(output.status.code(), Some(2), "--heartbeat: a usage error");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("--heartbeat"), "{stderr}");
+    assert!(!out.join("heartbeat").exists(), "no beat was written");
     // A write fault is one the distributed route *can* fire: it stays legal
     // (and the torn first commit is what the rotation then skips).
     let output = dist_cmd()
