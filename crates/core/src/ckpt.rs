@@ -169,14 +169,6 @@ impl CkptStore {
         &self.dir
     }
 
-    pub fn base(&self) -> &str {
-        &self.base
-    }
-
-    pub fn keep(&self) -> usize {
-        self.keep
-    }
-
     /// Path of the rotation manifest.
     pub fn manifest_path(&self) -> PathBuf {
         self.dir.join(format!("{}.manifest.json", self.base))
@@ -251,6 +243,20 @@ impl CkptStore {
             CkptFormat::Json => snap.to_json().into_bytes(),
         };
         self.commit_bytes(snap.step_count, format, bytes, faults)
+    }
+
+    /// The crash-safe run loop's per-step tail, under either driver: enforce
+    /// the step fault armed for `step` — *before* the commit, so a kill costs
+    /// the newest checkpoint — then commit `snap`, a cadence step's one.
+    pub fn after_step(
+        &self,
+        step: u64,
+        snap: Option<&SimSnapshot>,
+        format: CkptFormat,
+        faults: &mut FaultInjector,
+    ) -> io::Result<Option<PathBuf>> {
+        faults.enforce_step(step);
+        snap.map(|s| self.commit_sim(s, format, faults)).transpose()
     }
 
     /// Rotation entries, newest-first: from the manifest when it is

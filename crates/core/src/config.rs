@@ -140,7 +140,8 @@ pub struct SimConfig {
     /// step [`Simulation::run_with_store`](crate::sim::Simulation::run_with_store)
     /// commits a [`SimSnapshot`](crate::snapshot::SimSnapshot) into its
     /// store (the distributed driver's cadence is
-    /// [`DistConfig::snapshot_every`](crate::dist::DistConfig)). `0`
+    /// [`DistConfig::snapshot_every`](crate::dist::DistConfig), its
+    /// checkpoints go to [`dist::run`](crate::dist::run)'s hook). `0`
     /// disables periodic checkpointing.
     pub snapshot_every: u64,
 }

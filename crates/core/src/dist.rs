@@ -92,13 +92,16 @@
 //! one snapshot kind there is, a [`SimSnapshot`] with one
 //! [`SlabRecord`](crate::snapshot::SlabRecord) per rank — what
 //! [`Simulation::snapshot`](crate::sim::Simulation::snapshot) writes with
-//! one. Each rank first redeems the tickets it has in the pool, so the
-//! queue travels *predicted*, as it does there, and a resume asks the pool
-//! for nothing; each slab keeps its own queue because the rank that
-//! dispatched a region is the one that counts it applied.
-//! [`run_distributed_resume`] hands every rank its slab back — particles,
-//! counters, schedule, signal-speed stash, queue — and the run continues
-//! to the bit, [`DistReport::rank_stats`] included.
+//! one — onto main rank 0. Each rank first redeems the tickets it has in
+//! the pool, so the queue travels *predicted*, as it does there, and a
+//! resume asks the pool for nothing; each slab keeps its own queue because
+//! the rank that dispatched a region is the one that counts it applied.
+//!
+//! None is kept: main rank 0 hands each to [`run`]'s per-step hook (the
+//! `asura` CLI commits it there), and the gather's broadcast leg carries
+//! the hook's verdict back, so a failed commit stops every rank at that
+//! step. [`Start::Resumed`] hands every rank its slab back and the run
+//! continues to the bit, [`DistReport::rank_stats`] included.
 //!
 //! # Ghost exchange
 //!
@@ -130,6 +133,7 @@ use mpisim::{Comm, PhaseReport, PhaseTimer, World};
 use sph::solver::HydroState;
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Mutex;
 use surrogate::{GasParticle, SurrogateModel};
 
 const TAG_REGION: u64 = 50;
@@ -264,7 +268,7 @@ pub struct DistConfig {
     pub predictor: PredictorKind,
     /// Checkpoint cadence in steps (0 = off): every `snapshot_every`-th
     /// completed step the main ranks gather a [`SimSnapshot`] (one slab
-    /// per rank) into the report, resumable with [`run_distributed_resume`].
+    /// per rank) for [`run`]'s hook, resumable with [`Start::Resumed`].
     pub snapshot_every: u64,
 }
 
@@ -278,10 +282,10 @@ impl DistConfig {
     }
 }
 
-/// Typed failure of the distributed driver: every one is found, and
-/// returned as `Err` from [`run_distributed`] / [`run_distributed_resume`]
-/// (or [`Simulation::try_restore`](crate::sim::Simulation::try_restore)),
-/// before any rank is spawned or any step taken.
+/// Typed failure of the distributed driver, returned as `Err` from [`run`]
+/// / [`run_distributed`] (or
+/// [`Simulation::try_restore`](crate::sim::Simulation::try_restore)): all
+/// but [`DistError::Stopped`] before any rank is spawned or any step taken.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DistError {
     /// The main-rank grid is empty (`grid` multiplies to zero).
@@ -301,6 +305,9 @@ pub enum DistError {
     /// maps it to a permanent exit so the supervisor never retries a run
     /// whose weights can never load.
     BadWeights { path: String, reason: String },
+    /// [`run`]'s per-step hook failed (a checkpoint commit, in the CLI), and
+    /// every rank stopped at the gather that carried the failure.
+    Stopped(String),
 }
 
 impl fmt::Display for DistError {
@@ -319,6 +326,7 @@ impl fmt::Display for DistError {
             DistError::BadWeights { path, reason } => {
                 write!(f, "cannot load surrogate weights `{path}`: {reason}")
             }
+            DistError::Stopped(why) => f.write_str(why),
         }
     }
 }
@@ -340,8 +348,6 @@ pub struct DistReport {
     pub final_particles: u64,
     /// Communication volume per rank (bytes sent), main ranks only.
     pub bytes_sent: Vec<u64>,
-    /// Checkpoints gathered at the [`DistConfig::snapshot_every`] cadence.
-    pub snapshots: Vec<SimSnapshot>,
     /// The complete final particle state, sorted by id (restart-determinism
     /// audits compare this across runs).
     pub final_state: Vec<Particle>,
@@ -350,9 +356,8 @@ pub struct DistReport {
     /// populate the substep counters on every rank, and schedule agreement
     /// shows up as identical `substeps` across the vector.
     pub rank_stats: Vec<SimStats>,
-    /// Always `None`: no path degrades a run mid-flight — every
-    /// [`DistError`] is returned before the first step. Kept because
-    /// callers read it.
+    /// Always `None`: no path degrades a run mid-flight — a run completes
+    /// or returns `Err`. Kept because callers read it.
     pub error: Option<DistError>,
 }
 
@@ -380,28 +385,31 @@ impl Ticket {
     }
 }
 
-/// Run `cfg.steps` steps of `cfg.sim`'s scheme across
-/// `n_main + n_pool` ranks. `particles` is the full initial condition;
-/// main ranks claim strided slices and immediately re-balance via domain
-/// decomposition.
-pub fn run_distributed(cfg: &DistConfig, particles: &[Particle]) -> Result<DistReport, DistError> {
-    run_inner(cfg, particles, None)
+/// Where a run starts: a full initial condition (main ranks claim strided
+/// slices, then balance) or a checkpoint (each rank takes its slab back).
+pub enum Start {
+    Fresh(Vec<Particle>),
+    Resumed(Box<SimSnapshot>),
 }
 
-/// Continue a distributed run from a checkpoint: each main rank takes back
-/// exactly its slab — particles in local order (so force evaluation is
-/// bitwise identical to the uninterrupted run), counters, schedule,
-/// signal-speed stash and its in-flight predictions, which come back
-/// *predicted* with their original due steps: the pool is not asked again.
-/// `cfg.steps` more steps are integrated under `cfg.sim` (the caller's to
-/// supply — the snapshot's `config` with its overrides, normally); a model
-/// the snapshot embeds overrides `cfg.predictor`, so the pool replays the
-/// weights that produced the checkpoint. The main-rank grid must match the
-/// snapshotting run's (a mismatch is [`DistError::GridMismatch`]).
-pub fn run_distributed_resume(
+/// Run `cfg.steps` steps of `cfg.sim`'s scheme across `n_main + n_pool`
+/// ranks from `start`, main rank 0 calling `on_step(step, checkpoint)`
+/// after every step — with the checkpoint on the
+/// [`DistConfig::snapshot_every`] cadence. A hook error is the hook's last
+/// call: every rank stops at the next gather, or the run's end, with
+/// [`DistError::Stopped`]. A resume runs under `cfg.sim` (the snapshot's
+/// `config` with overrides, normally) on the snapshotting run's grid
+/// ([`DistError::GridMismatch`] if not), its pool serving the model the
+/// snapshot embeds, if any, over `cfg.predictor`.
+pub fn run(
     cfg: &DistConfig,
-    snapshot: &SimSnapshot,
+    start: &Start,
+    on_step: impl FnMut(u64, Option<&SimSnapshot>) -> Result<(), String> + Send,
 ) -> Result<DistReport, DistError> {
+    let snapshot = match start {
+        Start::Fresh(particles) => return run_inner(cfg, particles, None, on_step),
+        Start::Resumed(snapshot) => snapshot,
+    };
     if snapshot.slabs.len() != cfg.n_main() {
         return Err(DistError::GridMismatch {
             snapshot_ranks: snapshot.slabs.len(),
@@ -412,13 +420,19 @@ pub fn run_distributed_resume(
     if let Some(model) = &snapshot.model {
         cfg.predictor = PredictorKind::embedded(model);
     }
-    run_inner(&cfg, &[], Some(snapshot))
+    run_inner(&cfg, &[], Some(snapshot), on_step)
+}
+
+/// [`run`] from `particles`, with nothing to do between steps.
+pub fn run_distributed(cfg: &DistConfig, particles: &[Particle]) -> Result<DistReport, DistError> {
+    run_inner(cfg, particles, None, |_, _| Ok(()))
 }
 
 fn run_inner(
     cfg: &DistConfig,
     particles: &[Particle],
     resume: Option<&SimSnapshot>,
+    on_step: impl FnMut(u64, Option<&SimSnapshot>) -> Result<(), String> + Send,
 ) -> Result<DistReport, DistError> {
     let n_main = cfg.n_main();
     if n_main < 1 {
@@ -430,6 +444,7 @@ fn run_inner(
     // One predictor, built (and its weights decoded) before any rank is
     // spawned; the pool ranks share it.
     let predictor = cfg.predictor.build(cfg.sim.region_side)?;
+    let on_step = Mutex::new(on_step);
     let world = World::new(cfg.world_size());
     let (results, stats) = world.run_with_stats(|comm| {
         let is_pool = comm.rank() >= n_main;
@@ -438,14 +453,14 @@ fn run_inner(
             pool_loop(comm, n_main, predictor.as_ref(), cfg);
             None
         } else {
-            Some(main_loop(comm, &sub, cfg, particles, resume))
+            Some(main_loop(comm, &sub, cfg, particles, resume, &on_step))
         }
     });
     let mut report = results
         .into_iter()
         .flatten()
         .next()
-        .ok_or(DistError::NoMainRank)?;
+        .ok_or(DistError::NoMainRank)??;
     report.bytes_sent = stats[..n_main].iter().map(|s| s.bytes_sent).collect();
     Ok(report)
 }
@@ -697,14 +712,16 @@ impl Halo for DistHalo<'_> {
 }
 
 /// One main rank's integration loop: [`step::step`] on its slab at every
-/// step, the checkpoint gather at the cadence, the report at the end.
-fn main_loop(
+/// step, then the checkpoint gather at the cadence and main rank 0's hook;
+/// the report at the end.
+fn main_loop<H: FnMut(u64, Option<&SimSnapshot>) -> Result<(), String>>(
     world: &Comm,
     main: &Comm,
     cfg: &DistConfig,
     all_particles: &[Particle],
     resume: Option<&SimSnapshot>,
-) -> DistReport {
+    on_step: &Mutex<H>,
+) -> Result<DistReport, DistError> {
     let me = main.rank();
     let n_main = main.size();
     let mut halo = DistHalo {
@@ -739,7 +756,8 @@ fn main_loop(
         }
     };
     let mut step: u64 = step0;
-    let mut snapshots: Vec<SimSnapshot> = Vec::new();
+    // The hook's error: main rank 0's, every rank's once a gather carries it.
+    let mut stop: Option<String> = None;
 
     for _ in 0..cfg.steps {
         let mut slab = Slab {
@@ -753,8 +771,9 @@ fn main_loop(
         // (module docs).
         step::step(&cfg.sim, &mut halo, &mut slab, |_, _| {});
 
-        // --- Checkpoint at the configured cadence -----------------------
-        if cfg.snapshot_every > 0 && step.is_multiple_of(cfg.snapshot_every) {
+        // --- Checkpoint at the configured cadence, onto main rank 0 -------
+        let due = cfg.snapshot_every > 0 && step.is_multiple_of(cfg.snapshot_every);
+        let snap = due.then(|| {
             // Snapshots hold regions *predicted*: redeem what is in flight
             // (the receive `collect` would issue at `due_step` anyway) and
             // keep the predictions on the tickets.
@@ -764,16 +783,25 @@ fn main_loop(
             };
             let pending: Vec<_> = state.pending.drain(..).map(redeemed).collect();
             state.pending = step::requeue(&pending, Ticket::Redeemed);
-            let slabs = main.allgather(state.record(&particles, &stats, pending));
-            if me == 0 {
-                snapshots.push(SimSnapshot {
-                    config: cfg.sim,
-                    time,
-                    step_count: step,
-                    model: cfg.predictor.model_state(),
-                    sf_stream: None,
-                    slabs,
-                });
+            let slabs = main.gather(0, state.record(&particles, &stats, pending));
+            slabs.map(|slabs| SimSnapshot {
+                config: cfg.sim,
+                time,
+                step_count: step,
+                model: cfg.predictor.model_state(),
+                sf_stream: None,
+                slabs,
+            })
+        });
+        if me == 0 && stop.is_none() {
+            let mut hook = on_step.lock().expect("only main rank 0 takes the hook");
+            stop = hook(step, snap.flatten().as_ref()).err();
+        }
+        if due {
+            // The gather's broadcast leg: main rank 0's verdict.
+            stop = main.bcast(0, (me == 0).then(|| stop.clone()));
+            if stop.is_some() {
+                break;
             }
         }
     }
@@ -801,7 +829,7 @@ fn main_loop(
             Vec::new()
         }
     };
-    DistReport {
+    let report = DistReport {
         phases,
         steps: step - step0,
         sn_events: main.allreduce_sum_u64(stats.sn_events),
@@ -810,11 +838,11 @@ fn main_loop(
         hydro_interactions: main.allreduce_sum_u64(stats.hydro_interactions),
         final_particles: total_particles,
         bytes_sent: Vec::new(),
-        snapshots,
         final_state,
         rank_stats,
         error: None,
-    }
+    };
+    stop.map_or(Ok(report), |why| Err(DistError::Stopped(why)))
 }
 
 #[cfg(test)]
@@ -886,6 +914,16 @@ mod tests {
         }
     }
 
+    /// [`run`] with a hook that keeps every checkpoint it is handed.
+    fn collected(cfg: &DistConfig, start: &Start) -> (DistReport, Vec<SimSnapshot>) {
+        let mut snaps = Vec::new();
+        let report = run(cfg, start, |_, snap| {
+            snaps.extend(snap.cloned());
+            Ok(())
+        });
+        (report.expect("dist run"), snaps)
+    }
+
     #[test]
     fn config_errors_are_typed_not_panics() {
         let ic = disk_ic(10, 0, false, 2.0e-3);
@@ -910,13 +948,10 @@ mod tests {
         let ic = disk_ic(40, 0, false, 2.0e-3);
         let mut cfg = test_cfg(1, 1);
         cfg.snapshot_every = 1;
-        let mut snap = run_distributed(&cfg, &ic)
-            .expect("dist run")
-            .snapshots
-            .remove(0);
+        let mut snap = collected(&cfg, &Start::Fresh(ic)).1.remove(0);
         snap.slabs.truncate(2);
         assert_eq!(
-            run_distributed_resume(&cfg, &snap).unwrap_err(),
+            run(&cfg, &Start::Resumed(Box::new(snap)), |_, _| Ok(())).unwrap_err(),
             DistError::GridMismatch {
                 snapshot_ranks: 2,
                 config_ranks: 4
@@ -1033,16 +1068,12 @@ mod tests {
             cfg.sim.scheme = scheme;
             cfg.sim.timestep = timestep;
             cfg.snapshot_every = 3;
-            let full = run_distributed(&cfg, &ic).expect("dist run");
+            let (full, snaps) = collected(&cfg, &Start::Fresh(ic.clone()));
             assert_eq!(full.sn_events, 1, "{what}");
             assert_eq!(full.regions_applied, surrogate as u64, "{what}");
-            assert_eq!(
-                full.snapshots.len(),
-                2,
-                "{what}: snapshots at steps 3 and 6"
-            );
+            assert_eq!(snaps.len(), 2, "{what}: snapshots at steps 3 and 6");
 
-            let snap = &full.snapshots[0];
+            let snap = &snaps[0];
             assert_eq!(snap.step_count, 3);
             assert_eq!(snap.config, cfg.sim, "{what}: the physics rides along");
             assert_eq!(
@@ -1068,7 +1099,7 @@ mod tests {
 
             let mut resume_cfg = cfg;
             resume_cfg.steps = 3;
-            let resumed = run_distributed_resume(&resume_cfg, &snap).expect("dist resume");
+            let (resumed, resumed_snaps) = collected(&resume_cfg, &Start::Resumed(Box::new(snap)));
             assert_eq!(resumed.steps, 3);
             assert_eq!(
                 resumed.regions_applied, surrogate as u64,
@@ -1084,12 +1115,37 @@ mod tests {
             assert_eq!(resumed.rank_stats, full.rank_stats, "{what}");
             // The resumed run's own step-6 checkpoint is the uninterrupted
             // run's, to the byte.
-            assert_eq!(resumed.snapshots.len(), 1, "{what}");
+            assert_eq!(resumed_snaps.len(), 1, "{what}");
             assert_eq!(
-                resumed.snapshots[0].to_bytes(),
-                full.snapshots[1].to_bytes(),
+                resumed_snaps[0].to_bytes(),
+                snaps[1].to_bytes(),
                 "{what}: checkpoint of the resumed run"
             );
+        }
+    }
+
+    #[test]
+    fn a_failed_hook_stops_every_rank_at_the_gather_that_carries_it() {
+        // Failing at step 2 (a cadence step) stops the run there; failing
+        // at 3 is the hook's last call, and the run stops at the next
+        // gather, 4. Every rank stops: one that stepped on would wait
+        // forever in the next step's collectives.
+        let ic = disk_ic(200, 50, false, 2.0e-3);
+        let mut cfg = test_cfg(6, 2);
+        cfg.snapshot_every = 2;
+        for fail_at in [2, 3] {
+            let mut seen = Vec::new();
+            let stopped = run(&cfg, &Start::Fresh(ic.clone()), |step, snap| {
+                seen.push((step, snap.is_some()));
+                match step == fail_at {
+                    true => Err(format!("no room at step {step}")),
+                    false => Ok(()),
+                }
+            });
+            let why = format!("no room at step {fail_at}");
+            assert_eq!(stopped.unwrap_err(), DistError::Stopped(why));
+            let want: Vec<_> = (1..=fail_at).map(|s| (s, s % 2 == 0)).collect();
+            assert_eq!(seen, want, "fail at {fail_at}");
         }
     }
 

@@ -238,20 +238,6 @@ impl FaultInjector {
         Ok(FaultInjector::from_plan(&plan, attempt))
     }
 
-    /// True when no fault can ever fire.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
-    /// True when a `kill@N` / `stall@N` is armed for this attempt — a
-    /// driver with no per-step hook must refuse the plan rather than run
-    /// it fault-free.
-    pub fn has_step_fault(&self) -> bool {
-        self.faults
-            .iter()
-            .any(|f| matches!(f, Fault::KillAtStep(_) | Fault::StallAtStep(_)))
-    }
-
     /// The step fault armed for `step`, if any (pure; see
     /// [`FaultInjector::enforce_step`] for the effectful form).
     pub fn step_fault(&self, step: u64) -> Option<StepFault> {
@@ -402,7 +388,6 @@ mod tests {
     #[test]
     fn empty_injector_is_a_noop() {
         let mut inj = FaultInjector::none();
-        assert!(inj.is_empty());
         assert_eq!(inj.step_fault(0), None);
         assert_eq!(inj.on_commit(), None);
         // enforce_step with nothing armed must return (not exit/hang).

@@ -26,11 +26,13 @@
 //! driver state. There is one snapshot kind, [`snapshot::SimSnapshot`]:
 //! run-level state plus one record per particle slab — one from
 //! [`Simulation::snapshot`], one per main rank from the distributed
-//! driver's gather. [`Simulation::restore`] and
-//! [`dist::run_distributed_resume`] guarantee that a restored run continues
+//! driver's gather. [`Simulation::restore`] and [`dist::run`] from
+//! [`dist::Start::Resumed`] guarantee that a restored run continues
 //! bit-for-bit identically to one that never stopped — counters included,
-//! and with SN-region predictions still in flight in the pool queue. Periodic checkpointing is driven by
-//! [`SimConfig::snapshot_every`]; the `asura` scenario-runner binary (in
+//! and with SN-region predictions still in flight in the pool queue.
+//! Periodic checkpointing is driven by [`SimConfig::snapshot_every`], and
+//! committed by one per-step tail under both drivers
+//! ([`ckpt::CkptStore::after_step`]); the `asura` scenario-runner binary (in
 //! the workspace root package) exposes the registered scenarios, snapshot
 //! cadence, `--resume`, and a diagnostics time-series writer from one
 //! command line. The snapshot format version policy lives in the

@@ -151,12 +151,9 @@ impl Simulation {
     /// [`SimConfig::snapshot_every`]-th completed step (atomic write +
     /// rotation + manifest — see [`crate::ckpt`]). This is the crash-safe
     /// run loop: `on_step` fires after *every* step (heartbeat,
-    /// diagnostics), then any armed step fault is enforced
-    /// ([`FaultInjector::enforce_step`] — deliberately *before* the
-    /// cadence commit, so an injected kill costs the newest checkpoint,
-    /// the most adversarial timing for recovery), then the cadence commit
-    /// runs with write faults threaded through the store. Returns the
-    /// committed checkpoint paths.
+    /// diagnostics), then [`CkptStore::after_step`] — the tail the
+    /// distributed driver's hook runs too — enforces any armed step fault
+    /// and commits the cadence checkpoint. Returns the committed paths.
     pub fn run_with_store<F: FnMut(&Simulation)>(
         &mut self,
         n: usize,
@@ -170,10 +167,9 @@ impl Simulation {
         for _ in 0..n {
             self.step();
             on_step(self);
-            faults.enforce_step(self.step_count);
-            if every > 0 && self.step_count.is_multiple_of(every) {
-                written.push(store.commit_sim(&self.snapshot(), format, faults)?);
-            }
+            let due = every > 0 && self.step_count.is_multiple_of(every);
+            let snap = due.then(|| self.snapshot());
+            written.extend(store.after_step(self.step_count, snap.as_ref(), format, faults)?);
         }
         Ok(written)
     }

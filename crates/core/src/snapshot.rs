@@ -13,8 +13,8 @@
 //! Both drivers keep the same [`SlabState`](crate::step::SlabState)
 //! between steps, so there is one kind of checkpoint and the number of
 //! slabs is data: [`Simulation::snapshot`](crate::sim::Simulation::snapshot)
-//! writes one slab, [`run_distributed`](crate::dist::run_distributed)'s
-//! gather writes one per main rank, in rank order
+//! writes one slab, [`dist::run`](crate::dist::run)'s gather writes one
+//! per main rank, in rank order
 //! (`tests/snapshot_restart.rs` asserts bitwise resume in both timestep
 //! modes with an SN region pending in the pool queue; `tests/distributed.rs`
 //! that on one rank the two drivers write the same record).
@@ -55,8 +55,11 @@
 //! replay), not archival storage, so no migration shims are kept.
 //! Corruption is reported as [`SnapshotError::ChecksumMismatch`]; every
 //! decode error is a `Result`, never a panic. The checksums catch damage,
-//! not intent: what a snapshot *embeds* (the weights document) is decoded
-//! where it is used, fallibly ([`PredictorKind::build`](crate::dist::PredictorKind::build)).
+//! not intent: a slab schedule no resume can take (a base step that is not
+//! finite and positive, more levels than particles, a level of 64 or more)
+//! is [`SnapshotError::Malformed`] at decode, and what a snapshot *embeds*
+//! (the weights document) is decoded where it is used, fallibly
+//! ([`PredictorKind::build`](crate::dist::PredictorKind::build)).
 //!
 //! The `asura` scenario-runner CLI (`src/bin/asura.rs`) writes snapshots at
 //! the [`SimConfig::snapshot_every`] cadence under `results/<scenario>/` and
@@ -588,9 +591,8 @@ record! {
         /// draws from no stream.
         pub sf_stream: Option<SfStream>,
         /// One record from [`Simulation`](crate::sim::Simulation), one per
-        /// main rank in rank order from
-        /// [`run_distributed`](crate::dist::run_distributed); a resume
-        /// needs the same count.
+        /// main rank in rank order from [`dist::run`](crate::dist::run); a
+        /// resume needs the same count.
         pub slabs: Vec<SlabRecord>,
     }
 }
@@ -807,14 +809,36 @@ fn check_version(found: u32) -> Result<(), SnapshotError> {
     Err(SnapshotError::UnsupportedVersion { found, supported })
 }
 
-/// The typed walk over a complete binary payload.
+/// The typed walk over a complete binary payload, then what the walk
+/// cannot see: a slab's schedule must be one a resume can take — a finite,
+/// positive base step, and a level below 64 (`2^level` substeps fit a
+/// `u64`) for no more particles than the slab holds. (Fewer is
+/// legitimate: a star spawned after the base step's assignment has no
+/// level until the next one.)
 fn from_payload(payload: &[u8]) -> Result<SimSnapshot, SnapshotError> {
     let mut r = BinReader::new(payload);
     let snap = SimSnapshot::get(&mut r)?;
-    match payload.len() - r.pos {
-        0 => Ok(snap),
-        extra => Err(malformed(format!("{extra} trailing payload bytes"))),
+    if let extra @ 1.. = payload.len() - r.pos {
+        return Err(malformed(format!("{extra} trailing payload bytes")));
     }
+    for (k, slab) in snap.slabs.iter().enumerate() {
+        let Some(s) = &slab.schedule else { continue };
+        if !(s.dt_max.is_finite() && s.dt_max > 0.0) {
+            return Err(malformed(format!("slab {k}: schedule dt_max {}", s.dt_max)));
+        }
+        if s.levels.len() > slab.particles.len() {
+            let n = slab.particles.len();
+            let why = format!(
+                "slab {k}: {} schedule levels for {n} particles",
+                s.levels.len()
+            );
+            return Err(malformed(why));
+        }
+        if let Some(deep) = s.levels.iter().find(|&&l| l >= u64::BITS) {
+            return Err(malformed(format!("slab {k}: schedule level {deep}")));
+        }
+    }
+    Ok(snap)
 }
 
 /// The codecs of the module docs: the one binary and the one JSON envelope.
@@ -1408,6 +1432,21 @@ mod tests {
             let got = SimSnapshot::from_json(&wide);
             assert!(matches!(got, Err(SnapshotError::Malformed(_))), "{got:?}");
         }
+    }
+
+    /// A star spawned after the base step's level assignment leaves its
+    /// slab a level short — a checkpoint a resume must take; a level more
+    /// than the slab has particles is not one.
+    #[test]
+    fn a_schedule_may_fall_short_of_its_slab_but_not_exceed_it() {
+        let mut s = golden_sim();
+        let spawned = s.slabs[0].particles[0];
+        s.slabs[0].particles.push(spawned);
+        assert_eq!(SimSnapshot::from_bytes(&s.to_bytes()).as_ref(), Ok(&s));
+        let levels = &mut s.slabs[0].schedule.as_mut().unwrap().levels;
+        levels.extend([0, 0]);
+        let got = SimSnapshot::from_bytes(&s.to_bytes());
+        assert!(matches!(got, Err(SnapshotError::Malformed(_))), "{got:?}");
     }
 
     // -- schema coverage -----------------------------------------------------

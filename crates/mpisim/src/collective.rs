@@ -171,33 +171,33 @@ impl Comm {
         self.allreduce_with(value, |a, b| a.max(b))
     }
 
-    /// Gather one value from every rank onto all ranks, indexed by rank.
+    /// Gather one value from every rank onto `root`, indexed by rank
+    /// (linear, received in source order): `Some` on the root, `None`
+    /// elsewhere.
+    pub fn gather<T: Send + 'static>(&self, root: usize, value: T) -> Option<Vec<T>> {
+        let seq = self.next_coll_seq();
+        let tag = self.coll_tag(seq, 0);
+        if self.rank() != root {
+            self.coll_send(root, tag, value);
+            return None;
+        }
+        let mut mine = Some(value);
+        let from = |src| match src == root {
+            true => mine.take().expect("the root's own slot is taken once"),
+            false => self.recv_raw(src, tag),
+        };
+        Some((0..self.size()).map(from).collect())
+    }
+
+    /// Gather one value from every rank onto all ranks, indexed by rank:
+    /// [`Comm::gather`] onto rank 0, then a binomial broadcast of the vector.
     pub fn allgather<T: Clone + Send + 'static>(&self, value: T) -> Vec<T> {
-        let p = self.size();
-        if p == 1 {
+        if self.size() == 1 {
             self.next_coll_seq();
             return vec![value];
         }
-        let seq = self.next_coll_seq();
-        let tag = self.coll_tag(seq, 0);
-        // Linear gather onto rank 0, then binomial broadcast of the vector.
-        if self.rank() == 0 {
-            let mut out: Vec<Option<T>> = (0..p).map(|_| None).collect();
-            out[0] = Some(value);
-            for _ in 1..p {
-                // Accept in any arrival order: each sender uses its own slot tag.
-                // We receive sequentially by source to keep matching simple.
-            }
-            #[allow(clippy::needless_range_loop)]
-            for src in 1..p {
-                out[src] = Some(self.recv_raw(src, tag));
-            }
-            let full: Vec<T> = out.into_iter().map(|o| o.unwrap()).collect();
-            self.bcast(0, Some(full))
-        } else {
-            self.coll_send(0, tag, value);
-            self.bcast::<Vec<T>>(0, None)
-        }
+        let all = self.gather(0, value);
+        self.bcast(0, all)
     }
 
     /// Variable-size allgather: every rank contributes a vector; all ranks
@@ -373,6 +373,9 @@ mod tests {
             let all = c.allgather(c.rank() as u32 * 10);
             let expect: Vec<u32> = (0..6).map(|r| r * 10).collect();
             assert_eq!(all, expect);
+            // A plain gather fills only its root.
+            let onto_5 = c.gather(5, c.rank() as u32 * 10);
+            assert_eq!(onto_5, (c.rank() == 5).then_some(expect));
         });
     }
 

@@ -14,6 +14,7 @@
 //! asura --scenario spiked_dt --supervised --snapshot-every 2
 //! asura --scenario quickstart --dist 2x1x1+1 --steps 6 --snapshot-every 3
 //! asura --dist 2x1x1+1 --resume results/quickstart
+//! asura --scenario spiked_dt --dist 2x1x1+1 --supervised --snapshot-every 2
 //! ```
 //!
 //! # Checkpoints
@@ -32,9 +33,11 @@
 //! heartbeat file every step. The parent detects crashes (exit status)
 //! and hangs (stale heartbeat) and auto-resumes from the newest intact
 //! checkpoint under a bounded retry budget with exponential backoff,
-//! recording every incident in `supervisor.json`. Deterministic fault
-//! injection for testing this machinery is driven by the `ASURA_FAULTS` /
-//! `ASURA_ATTEMPT` environment variables ([`asura_core::faults`]).
+//! recording every incident in `supervisor.json` — on either route: with
+//! `--dist` the child runs distributed and resumes from the
+//! `dist_checkpoint` rotation. Deterministic fault injection for testing
+//! this machinery is driven by the `ASURA_FAULTS` / `ASURA_ATTEMPT`
+//! environment variables ([`asura_core::faults`]).
 //!
 //! `--dist NXxNYxNZ+P` routes the scenario through the distributed
 //! (`mpisim`) driver — `NX*NY*NZ` main ranks plus `P` pool ranks —
@@ -48,7 +51,11 @@
 //! drivers run the one `asura_core::step::step`): `--scheme conventional --timestep
 //! block[:<max_level>]` runs the conventional hierarchy's substep walk
 //! across the ranks so its per-substep synchronization cost is measured
-//! (paper Figs. 6/7). What `--dist` leaves out is star formation.
+//! (paper Figs. 6/7). What `--dist` leaves out is star formation. Both
+//! routes run one per-step tail — heartbeat, step fault, cadence commit —
+//! so a distributed run's checkpoints reach disk as it steps (from main
+//! rank 0) and a failed commit stops it where it stops the shared-memory
+//! run.
 //!
 //! # Trained surrogates
 //!
@@ -85,16 +92,14 @@ use asura::scenarios;
 use asura::surrogate_train::{self, TrainSpec};
 use asura_core::ckpt::{atomic_write, CkptFormat, CkptStore, DEFAULT_KEEP};
 use asura_core::diagnostics::{TimeSample, TimeSeries};
-use asura_core::dist::{
-    run_distributed, run_distributed_resume, DistConfig, DistError, PredictorKind, PredictorSpec,
-};
+use asura_core::dist::{self, DistConfig, DistError, PredictorKind, PredictorSpec, Start};
 use asura_core::faults::{self, FaultInjector};
 use asura_core::serve::{self, Request, ServeConfig};
 use asura_core::snapshot::SimSnapshot;
 use asura_core::supervise::{
     Heartbeat, Outcome, ProcessChild, ResumePoint, RetryPolicy, Supervisor,
 };
-use asura_core::{Particle, Scheme, SimConfig, Simulation, TimestepMode};
+use asura_core::{Scheme, SimConfig, Simulation, TimestepMode};
 use fdps::exchange::Routing;
 use std::fmt::Display;
 use std::io::{BufRead, BufReader, Write};
@@ -159,7 +164,8 @@ OPTIONS:
                                --scheme and either --timestep (no star formation);
                                --resume needs the grid that wrote the checkpoint
     --supervised               run as a heartbeat-monitored child with crash/hang
-                               detection and auto-resume from the rotation
+                               detection and auto-resume from the rotation (with
+                               --dist too: the child runs distributed)
     --max-retries <n>          supervised: resume budget (default 3)
     --backoff-ms <ms>          supervised: exponential backoff base (default 500)
     --heartbeat-timeout-ms <ms>  supervised: stale-heartbeat hang threshold
@@ -278,6 +284,19 @@ impl Args {
         std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
         Ok(dir)
     }
+
+    /// The base name of this route's checkpoint rotation.
+    fn ckpt_base(&self) -> &'static str {
+        match self.dist {
+            Some(_) => "dist_checkpoint",
+            None => "checkpoint",
+        }
+    }
+}
+
+/// `--dist`'s spec as the flag spells it.
+fn dist_spec(((x, y, z), n_pool): ((usize, usize, usize), usize)) -> String {
+    format!("{x}x{y}x{z}+{n_pool}")
 }
 
 /// Parse `--dist`'s `NXxNYxNZ+P` spec.
@@ -378,13 +397,6 @@ fn load_resume(path: &Path, base: &str, keep: usize) -> Result<(SimSnapshot, Pat
     }
 }
 
-/// Where a run starts: a scenario's freshly built initial condition, or a
-/// checkpoint.
-enum Start {
-    Fresh(Vec<Particle>),
-    Resumed(Box<SimSnapshot>),
-}
-
 /// A run as either driver takes it.
 struct Run {
     /// Names the run directory under `--out-dir`.
@@ -477,42 +489,144 @@ fn resolve_run(args: &Args, base: &str) -> Result<Run, String> {
     })
 }
 
-/// The `--dist` path: route the run through the mpisim driver, with
-/// snapshot→resume support by the shared-memory CLI's own rules.
-fn run_dist(
-    args: &Args,
-    grid: (usize, usize, usize),
-    n_pool: usize,
-    injector: &mut FaultInjector,
-) -> Result<(), String> {
-    // Reject flags the distributed driver would silently ignore rather
-    // than hand back a run the user didn't ask for.
-    if args.diag_every.is_some() {
+/// A run on either route: the heartbeat beats after every step, ahead of
+/// the per-step tail both drivers end in, [`CkptStore::after_step`] — in
+/// [`Simulation::run_with_store`], or main rank 0's hook under `--dist`.
+fn run_scenario(args: &Args) -> Result<(), String> {
+    // A malformed fault plan is a usage error (exit 2, never retried) so a
+    // typo'd ASURA_FAULTS can't silently run fault-free.
+    let mut injector = FaultInjector::from_env().map_err(|e| format!("usage: {e}"))?;
+    // Refuse a flag the distributed driver would silently ignore.
+    if args.dist.is_some() && args.diag_every.is_some() {
         return Err(
             "--dist writes dist_report.json instead of a diagnostics time series; \
-                    --diag-every applies to the shared-memory driver"
+             --diag-every applies to the shared-memory driver"
                 .into(),
         );
     }
-    // The distributed driver runs its steps inside `run_distributed`, with
-    // no per-step hook to beat a heartbeat or fire `kill@N` / `stall@N`
-    // from — and neither a supervisor's liveness signal nor a fault plan
-    // may silently do nothing.
-    if args.heartbeat.is_some() {
-        return Err(
-            "usage: --heartbeat is touched after every step, which --dist has no hook for; \
-             distributed runs cannot be supervised yet"
-                .into(),
-        );
+    let run = resolve_run(args, args.ckpt_base())?;
+    let ranks = args
+        .dist
+        .map_or(String::new(), |d| format!(" on {} ranks", dist_spec(d)));
+    println!(
+        "integrating {} steps{ranks} (dt = {} Myr, scheme {:?}, timestep {:?}, snapshot every {})",
+        run.steps,
+        run.config.dt_global,
+        run.config.scheme,
+        run.config.timestep,
+        run.config.snapshot_every
+    );
+    let dir = args.prepare_run_dir(&run.name)?;
+    let store = CkptStore::with_base(&dir, args.ckpt_base(), args.keep);
+    let mut hb = args.heartbeat.as_ref().map(Heartbeat::new);
+    let mut hb_io: Option<std::io::Error> = None;
+    // A heartbeat write error stops the beats and fails the run at its end.
+    let mut beat = |step: u64| {
+        hb_io = hb_io.take().or_else(|| hb.as_mut()?.beat(step).err());
+    };
+    let ckpt_error = |e: std::io::Error| format!("writing checkpoint under {}: {e}", dir.display());
+    match args.dist {
+        Some(spec) => run_dist(run, spec, &store, |step, snap| {
+            beat(step);
+            let committed = store.after_step(step, snap, args.snapshot_format, &mut injector);
+            if let Some(path) = committed.map_err(ckpt_error)? {
+                println!("[checkpoint] {}", path.display());
+            }
+            Ok(())
+        }),
+        None => run_shared(args, run, &store, &mut injector, beat, ckpt_error),
+    }?;
+    hb_io.map_or(Ok(()), |e| Err(format!("writing heartbeat: {e}")))
+}
+
+/// The shared-memory route: [`Simulation::run_with_store`], sampling
+/// diagnostics after every step — and a final checkpoint unless the
+/// cadence committed the last step.
+fn run_shared(
+    args: &Args,
+    run: Run,
+    store: &CkptStore,
+    injector: &mut FaultInjector,
+    mut beat: impl FnMut(u64),
+    ckpt_error: impl Fn(std::io::Error) -> String,
+) -> Result<(), String> {
+    let predictor = run
+        .predictor
+        .build(run.config.region_side)
+        .map_err(run_error)?;
+    let mut sim = match run.start {
+        Start::Fresh(particles) => {
+            Simulation::with_predictor(run.config, particles, args.seed, predictor)
+        }
+        Start::Resumed(snap) => {
+            Simulation::restore_with_predictor(&snap, predictor).map_err(run_error)?
+        }
+    };
+    sim.config = run.config;
+    // Embed the weights so every checkpoint carries the model and
+    // `--resume` rebuilds it without the file.
+    sim.model = run.predictor.model_state();
+    let map_half = scenarios::find(&run.name).map_or(100.0, |s| s.map_half);
+    let mut series = TimeSeries::new(run.name.clone());
+    let mut t_prev = sim.time;
+    let diag_every = args.diag_every.unwrap_or(1);
+    let diag_path = store.dir().join("diagnostics.json");
+    // Under supervision (--heartbeat set) the series is also rewritten
+    // atomically after every sample, so WATCHers of the serve daemon see
+    // rows as they land instead of at run end. In-loop write errors are
+    // tolerated (the final write below still reports them).
+    let live_diag = args.heartbeat.is_some();
+    let mut written = sim
+        .run_with_store(run.steps, store, args.snapshot_format, injector, |s| {
+            beat(s.step_count);
+            if diag_every > 0 && s.step_count.is_multiple_of(diag_every) {
+                series.record(TimeSample::measure(s, t_prev, map_half));
+                t_prev = s.time;
+                if live_diag {
+                    let _ = atomic_write(&diag_path, series.to_json().as_bytes());
+                }
+            }
+        })
+        .map_err(ckpt_error)?;
+    // Always leave a final checkpoint (unless the cadence already
+    // committed the last step) + the diagnostics series.
+    let every = sim.config.snapshot_every;
+    if run.steps == 0 || every == 0 || !sim.step_count.is_multiple_of(every) {
+        let last = store.commit_sim(&sim.snapshot(), args.snapshot_format, injector);
+        written.push(last.map_err(|e| format!("writing final checkpoint: {e}"))?);
     }
-    if injector.has_step_fault() {
-        return Err(format!(
-            "usage: {} arms a step fault (kill@N / stall@N), which --dist cannot fire; \
-             only write faults (torn / corrupt / io) apply to distributed runs",
-            faults::FAULTS_ENV
-        ));
+    atomic_write(&diag_path, series.to_json().as_bytes())
+        .map_err(|e| format!("write {}: {e}", diag_path.display()))?;
+
+    println!(
+        "done: t = {:.4} Myr after {} total steps | {} SNe, {} regions applied, {} in flight, {} stars formed",
+        sim.time,
+        sim.step_count,
+        sim.stats.sn_events,
+        sim.stats.regions_applied,
+        sim.pending_regions(),
+        sim.stats.stars_formed,
+    );
+    for path in &written {
+        println!("[checkpoint] {}", path.display());
     }
-    let run = resolve_run(args, "dist_checkpoint")?;
+    println!("[manifest] {}", store.manifest_path().display());
+    println!(
+        "[diagnostics] {} ({} samples)",
+        diag_path.display(),
+        series.len()
+    );
+    Ok(())
+}
+
+/// The `--dist` route: the same run through the mpisim driver, whose main
+/// rank 0 runs `on_step`; `dist_report.json` at the end.
+fn run_dist(
+    run: Run,
+    (grid, n_pool): ((usize, usize, usize), usize),
+    store: &CkptStore,
+    mut on_step: impl FnMut(u64, Option<&SimSnapshot>) -> Result<(), String> + Send,
+) -> Result<(), String> {
     let cfg = DistConfig {
         grid,
         n_pool,
@@ -522,35 +636,13 @@ fn run_dist(
         predictor: run.predictor,
         snapshot_every: run.config.snapshot_every,
     };
-    let dir = args.prepare_run_dir(&run.name)?;
-    println!(
-        "integrating {} steps on {}x{}x{}+{n_pool} ranks (dt = {} Myr, scheme {:?}, \
-         timestep {:?}, snapshot every {})",
-        cfg.steps,
-        grid.0,
-        grid.1,
-        grid.2,
-        cfg.sim.dt_global,
-        cfg.sim.scheme,
-        cfg.sim.timestep,
-        cfg.snapshot_every
-    );
-    let report = match &run.start {
-        Start::Fresh(particles) => run_distributed(&cfg, particles),
-        Start::Resumed(snap) => run_distributed_resume(&cfg, snap),
-    }
-    .map_err(run_error)?;
-
-    // Gathered checkpoints rotate through the atomic store — the newest
-    // `--keep` of them, in the requested encoding, plus the manifest.
-    let store = CkptStore::with_base(&dir, "dist_checkpoint", args.keep);
-    for snap in &report.snapshots {
-        let path = store
-            .commit_sim(snap, args.snapshot_format, injector)
-            .map_err(|e| format!("writing dist checkpoint under {}: {e}", dir.display()))?;
-        println!("[checkpoint] {} (step {})", path.display(), snap.step_count);
-    }
-    if !report.snapshots.is_empty() {
+    let mut snapshots = 0usize;
+    let counted = |step, snap: Option<&SimSnapshot>| {
+        snapshots += snap.is_some() as usize;
+        on_step(step, snap)
+    };
+    let report = dist::run(&cfg, &run.start, counted).map_err(run_error)?;
+    if snapshots > 0 {
         println!("[manifest] {}", store.manifest_path().display());
     }
     // Counter summary.
@@ -577,7 +669,7 @@ fn run_dist(
         ("hydro_interactions", report.hydro_interactions.into()),
         ("final_particles", report.final_particles.into()),
         ("bytes_sent_total", total_bytes.into()),
-        ("snapshots", report.snapshots.len().into()),
+        ("snapshots", snapshots.into()),
         ("substeps", substeps_max.into()),
         ("active_updates", sum(|s| s.active_updates).into()),
         ("tree_refreshes", sum(|s| s.tree_refreshes).into()),
@@ -587,7 +679,7 @@ fn run_dist(
     ])
     .render()
         + "\n";
-    let report_path = dir.join("dist_report.json");
+    let report_path = store.dir().join("dist_report.json");
     atomic_write(&report_path, json.as_bytes())
         .map_err(|e| format!("write {}: {e}", report_path.display()))?;
     println!(
@@ -598,7 +690,7 @@ fn run_dist(
         report.sn_events,
         report.regions_applied,
         report.final_particles,
-        report.snapshots.len(),
+        snapshots,
     );
     println!("[report] {}", report_path.display());
     Ok(())
@@ -621,6 +713,8 @@ struct ChildRun<'a> {
     seed: u64,
     diag_every: Option<u64>,
     predictor: Option<&'a PredictorSpec>,
+    /// `--dist`'s main-rank grid and pool rank count.
+    dist: Option<((usize, usize, usize), usize)>,
     run_dir: &'a Path,
     keep: usize,
     heartbeat: &'a Path,
@@ -652,6 +746,7 @@ impl ChildRun<'_> {
         opt(&mut cmd, "--seed", Some(self.seed));
         opt(&mut cmd, "--diag-every", self.diag_every);
         opt(&mut cmd, "--predictor", self.predictor);
+        opt(&mut cmd, "--dist", self.dist.map(dist_spec));
         cmd.arg("--run-dir").arg(self.run_dir);
         opt(&mut cmd, "--keep", Some(self.keep));
         cmd.arg("--heartbeat").arg(self.heartbeat);
@@ -667,13 +762,6 @@ fn run_supervised(args: &Args) -> Result<(), String> {
         .scenario
         .as_deref()
         .ok_or("usage: --supervised requires --scenario")?;
-    if args.dist.is_some() {
-        return Err(
-            "usage: --supervised drives the shared-memory runner; it cannot be combined \
-             with --dist"
-                .into(),
-        );
-    }
     if args.resume.is_some() {
         return Err(
             "usage: --supervised resumes automatically from the run directory's rotation; \
@@ -684,7 +772,7 @@ fn run_supervised(args: &Args) -> Result<(), String> {
     let scenario = scenarios::find(name).ok_or_else(|| format!("unknown scenario `{name}`"))?;
     let target_steps = args.steps.unwrap_or(scenario.default_steps);
     let dir = args.prepare_run_dir(scenario.name)?;
-    let store = CkptStore::new(&dir, args.keep);
+    let store = CkptStore::with_base(&dir, args.ckpt_base(), args.keep);
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let supervisor = Supervisor {
         policy: RetryPolicy {
@@ -708,6 +796,7 @@ fn run_supervised(args: &Args) -> Result<(), String> {
         seed: args.seed,
         diag_every: args.diag_every,
         predictor: args.predictor.as_ref(),
+        dist: args.dist,
         run_dir: &dir,
         keep: args.keep,
         heartbeat: &supervisor.heartbeat_path,
@@ -914,6 +1003,7 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
             seed: o.seed.unwrap_or(DEFAULT_SEED),
             diag_every: None,
             predictor: None,
+            dist: None,
             run_dir: spec.run_dir,
             keep,
             heartbeat: spec.heartbeat,
@@ -1029,115 +1119,7 @@ fn run() -> Result<(), String> {
     if args.supervised {
         return run_supervised(&args);
     }
-
-    // A malformed fault plan is a usage error (exit 2, never retried) so a
-    // typo'd ASURA_FAULTS can't silently run fault-free.
-    let mut injector = FaultInjector::from_env().map_err(|e| format!("usage: {e}"))?;
-
-    if let Some((grid, n_pool)) = args.dist {
-        return run_dist(&args, grid, n_pool, &mut injector);
-    }
-
-    let Run {
-        name: run_name,
-        config,
-        predictor: kind,
-        steps,
-        start,
-    } = resolve_run(&args, "checkpoint")?;
-    let predictor = kind.build(config.region_side).map_err(run_error)?;
-    let mut sim = match start {
-        Start::Fresh(particles) => {
-            Simulation::with_predictor(config, particles, args.seed, predictor)
-        }
-        Start::Resumed(snap) => {
-            Simulation::restore_with_predictor(&snap, predictor).map_err(run_error)?
-        }
-    };
-    sim.config = config;
-    // Embed the weights so every checkpoint carries the model and
-    // `--resume` rebuilds it without the file.
-    sim.model = kind.model_state();
-    let map_half = scenarios::find(&run_name).map_or(100.0, |s| s.map_half);
-
-    let dir = args.prepare_run_dir(&run_name)?;
-    let store = CkptStore::new(&dir, args.keep);
-
-    println!(
-        "integrating {steps} steps (dt = {} Myr, scheme {:?}, timestep {:?}, snapshot every {})",
-        sim.config.dt_global, sim.config.scheme, sim.config.timestep, sim.config.snapshot_every
-    );
-
-    let mut series = TimeSeries::new(run_name.clone());
-    let mut t_prev = sim.time;
-    let diag_every = args.diag_every.unwrap_or(1);
-    let mut heartbeat = args.heartbeat.as_ref().map(Heartbeat::new);
-    let mut hb_io: Option<std::io::Error> = None;
-    let diag_path = dir.join("diagnostics.json");
-    // Under supervision (--heartbeat set) the series is also rewritten
-    // atomically after every sample, so WATCHers of the serve daemon see
-    // rows as they land instead of at run end. In-loop write errors are
-    // tolerated (the final write below still reports them).
-    let live_diag = args.heartbeat.is_some();
-    // The crash-safe run loop: heartbeat + diagnostics after every step,
-    // then (fault enforcement and) the cadence commit through the atomic
-    // rotated store — see `Simulation::run_with_store`.
-    let mut written = sim
-        .run_with_store(steps, &store, args.snapshot_format, &mut injector, |s| {
-            if let Some(hb) = heartbeat.as_mut() {
-                if hb_io.is_none() {
-                    if let Err(e) = hb.beat(s.step_count) {
-                        hb_io = Some(e);
-                    }
-                }
-            }
-            if diag_every > 0 && s.step_count.is_multiple_of(diag_every) {
-                series.record(TimeSample::measure(s, t_prev, map_half));
-                t_prev = s.time;
-                if live_diag {
-                    let _ = atomic_write(&diag_path, series.to_json().as_bytes());
-                }
-            }
-        })
-        .map_err(|e| format!("writing checkpoint under {}: {e}", dir.display()))?;
-    if let Some(e) = hb_io {
-        return Err(format!("writing heartbeat: {e}"));
-    }
-
-    // Always leave a final checkpoint (unless the cadence already
-    // committed the last step) + the diagnostics series.
-    let cadence_hit = steps > 0
-        && sim.config.snapshot_every > 0
-        && sim.step_count.is_multiple_of(sim.config.snapshot_every);
-    if !cadence_hit {
-        written.push(
-            store
-                .commit_sim(&sim.snapshot(), args.snapshot_format, &mut injector)
-                .map_err(|e| format!("writing final checkpoint: {e}"))?,
-        );
-    }
-    atomic_write(&diag_path, series.to_json().as_bytes())
-        .map_err(|e| format!("write {}: {e}", diag_path.display()))?;
-
-    println!(
-        "done: t = {:.4} Myr after {} total steps | {} SNe, {} regions applied, {} in flight, {} stars formed",
-        sim.time,
-        sim.step_count,
-        sim.stats.sn_events,
-        sim.stats.regions_applied,
-        sim.pending_regions(),
-        sim.stats.stars_formed,
-    );
-    for p in &written {
-        println!("[checkpoint] {}", p.display());
-    }
-    println!("[manifest] {}", store.manifest_path().display());
-    println!(
-        "[diagnostics] {} ({} samples)",
-        diag_path.display(),
-        series.len()
-    );
-    Ok(())
+    run_scenario(&args)
 }
 
 fn main() -> ExitCode {

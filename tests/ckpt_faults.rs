@@ -11,12 +11,14 @@
 use asura::scenarios;
 use asura_core::ckpt::{CkptFormat, CkptStore};
 use asura_core::faults::FaultInjector;
-use asura_core::snapshot::{SimSnapshot, SlabRecord};
+use asura_core::snapshot::{fnv1a, SimSnapshot, SlabRecord, SnapshotError};
 use asura_core::Simulation;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fs;
 use std::path::PathBuf;
+use std::process::Command;
+use unet::json::{parse_json, Json};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -222,4 +224,89 @@ fn rotation_across_formats_resumes_the_newest_intact_of_either() {
     let (entry, _) = st.latest_valid_sim().unwrap();
     assert_eq!(entry.step, newer.step_count);
     assert!(entry.file.ends_with(".json"));
+}
+
+/// `text`, a JSON snapshot, with its state's first `from` replaced by `to`
+/// and sealed again: every checksum passes, so only the decoder's own
+/// checks stand between the file and a resume.
+fn resealed(text: &str, from: &str, to: &str) -> String {
+    let state = parse_json(text).unwrap().get("state").unwrap().render();
+    assert!(state.contains(from), "`{from}` not found");
+    let state = parse_json(&state.replacen(from, to, 1)).unwrap().render();
+    let sum = fnv1a(state.as_bytes());
+    format!(
+        "{{\"format\":\"asura-snapshot\",\"version\":4,\"state\":{state},\
+         \"checksum\":\"fnv1a:{sum:016x}\"}}"
+    )
+}
+
+/// A schedule a resume cannot take — a base step that is not finite and
+/// positive, more levels than particles, a level of 64 or more (past
+/// `1u64 << level`) — in a re-sealed checkpoint is a
+/// typed `Malformed` at decode: the rotation skips back past it and
+/// `--resume` fails on both routes with exit 1. It used to decode, and
+/// `ActiveScheduler::restore`'s `assert!(dt_max > 0.0)` panicked.
+#[test]
+fn a_resealed_checkpoint_with_a_hostile_schedule_is_malformed_not_a_panic() {
+    let (older, newer) = sim_snapshots(3);
+    let sched = newer.slabs[0].schedule.as_ref().expect("a block run's");
+    let dt_max = format!("\"dt_max\":{}", Json::Num(sched.dt_max).render());
+    let text = newer.to_json();
+    // Encoding checks nothing, so a level 2^64 substeps deep seals as is.
+    let mut deep = newer.clone();
+    deep.slabs[0].schedule.as_mut().unwrap().levels[0] = 64;
+    for (what, hostile) in [
+        ("zero dt_max", resealed(&text, &dt_max, "\"dt_max\":0")),
+        (
+            "negative dt_max",
+            resealed(&text, &dt_max, "\"dt_max\":-0.002"),
+        ),
+        (
+            "infinite dt_max",
+            resealed(&text, &dt_max, "\"dt_max\":\"bits:7ff0000000000000\""),
+        ),
+        (
+            "NaN dt_max",
+            resealed(&text, &dt_max, "\"dt_max\":\"bits:7ff8000000000000\""),
+        ),
+        (
+            "a level too many",
+            resealed(&text, "\"levels\":[", "\"levels\":[0,"),
+        ),
+        ("a level too deep", deep.to_json()),
+    ] {
+        let decoded = SimSnapshot::decode(hostile.as_bytes());
+        assert!(
+            matches!(decoded, Err(SnapshotError::Malformed(_))),
+            "{what}: {decoded:?}"
+        );
+
+        let dir = tmpdir("hostile-schedule");
+        let st = CkptStore::new(&dir, 3);
+        let mut inj = FaultInjector::none();
+        st.commit_sim(&older, CkptFormat::Json, &mut inj).unwrap();
+        let bytes = hostile.clone().into_bytes();
+        st.commit_bytes(newer.step_count, CkptFormat::Json, bytes, &mut inj)
+            .unwrap();
+        let (entry, _) = st.latest_valid_sim().expect("the older entry");
+        assert_eq!(entry.step, older.step_count, "{what}: skipped back");
+
+        let file = dir.join("hostile.json");
+        fs::write(&file, &hostile).unwrap();
+        for route in [&[][..], &["--dist", "1x1x1+1"]] {
+            let output = Command::new(env!("CARGO_BIN_EXE_asura"))
+                .args(route)
+                .arg("--resume")
+                .arg(&file)
+                .args(["--steps", "1"])
+                .arg("--run-dir")
+                .arg(dir.join("resumed"))
+                .env_remove(asura_core::faults::FAULTS_ENV)
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(output.status.code(), Some(1), "{what} {route:?}: {stderr}");
+            assert!(stderr.contains("malformed snapshot"), "{what}: {stderr}");
+        }
+    }
 }

@@ -6,8 +6,9 @@
 //! (both run `asura_core::step::step`; with one main rank the distributed
 //! halo's exchanges have nobody to talk to).
 
-use asura_core::dist::{run_distributed, DistConfig, PredictorKind};
+use asura_core::dist::{self, run_distributed, DistConfig, DistReport, PredictorKind, Start};
 use asura_core::sim::total_energy_of;
+use asura_core::snapshot::SimSnapshot;
 use asura_core::{Particle, Scheme, SimConfig, Simulation, TimestepMode};
 use fdps::exchange::Routing;
 use fdps::Vec3;
@@ -78,6 +79,17 @@ fn base_cfg(steps: usize) -> DistConfig {
         snapshot_every: 0,
         steps,
     }
+}
+
+/// `dist::run` from `ic` with a hook that keeps every checkpoint it is
+/// handed.
+fn collected(cfg: &DistConfig, ic: &[Particle]) -> (DistReport, Vec<SimSnapshot>) {
+    let mut snaps = Vec::new();
+    let report = dist::run(cfg, &Start::Fresh(ic.to_vec()), |_, snap| {
+        snaps.extend(snap.cloned());
+        Ok(())
+    });
+    (report.expect("dist run"), snaps)
 }
 
 #[test]
@@ -236,7 +248,7 @@ fn distributed_block_schedule_is_identical_on_every_rank_and_snapshotted() {
         snapshot_every: 2,
         steps: 2,
     };
-    let report = run_distributed(&cfg, &ic).expect("dist run");
+    let (report, snaps) = collected(&cfg, &ic);
     // World-consistent walk: every rank ran the same number of substeps,
     // and the hot particle forced more than one per base step.
     let subs: Vec<u64> = report.rank_stats.iter().map(|s| s.substeps).collect();
@@ -244,7 +256,7 @@ fn distributed_block_schedule_is_identical_on_every_rank_and_snapshotted() {
     assert!(subs[0] > report.steps, "hierarchy engaged: {subs:?}");
     // The checkpoint carries one schedule per main rank, level arrays in
     // the rank's local particle order.
-    let snap = &report.snapshots[0];
+    let snap = &snaps[0];
     assert_eq!(snap.slabs.len(), cfg.n_main());
     let schedules = snap.slabs.iter().map(|slab| {
         let sched = slab.schedule.as_ref().expect("a block run's slab");
@@ -360,7 +372,7 @@ fn assert_drivers_agree(
         snapshot_every: steps as u64,
         ..base_cfg(steps)
     };
-    let report = run_distributed(&cfg, ic).expect("dist run");
+    let (report, snaps) = collected(&cfg, ic);
 
     assert_eq!(report.final_state.len(), expect.len(), "{what}: count");
     let differing = expect
@@ -379,8 +391,8 @@ fn assert_drivers_agree(
         "{what}: SimStats after {steps} steps"
     );
 
-    let (want, got) = (shared.snapshot(), &report.snapshots[0]);
-    assert_eq!(report.snapshots.len(), 1, "{what}: one cadence hit");
+    let (want, got) = (shared.snapshot(), &snaps[0]);
+    assert_eq!(snaps.len(), 1, "{what}: one cadence hit");
     assert_eq!(got.config, want.config, "{what}: checkpoint config");
     assert_eq!(got.time.to_bits(), want.time.to_bits(), "{what}: time");
     assert_eq!(got.step_count, want.step_count, "{what}: step_count");

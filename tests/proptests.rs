@@ -380,8 +380,8 @@ mod random_snapshots {
     }
 
     fn slab(rng: &mut StdRng) -> SlabRecord {
+        let particles = particles(rng);
         SlabRecord {
-            particles: particles(rng),
             last_vsig: (0..rng.gen_range(0..6usize))
                 .map(|_| (word(rng), float(rng), float(rng)))
                 .collect(),
@@ -391,10 +391,14 @@ mod random_snapshots {
                     predicted: gas(rng),
                 })
                 .collect(),
+            // Decoders refuse a schedule a resume cannot take: the base
+            // step is finite and positive, no more levels than particles,
+            // none of them 64 deep.
             schedule: rng.gen_bool(0.5).then(|| ScheduleState {
-                dt_max: float(rng),
-                levels: (0..rng.gen_range(0..9usize)).map(|_| rng.gen()).collect(),
+                dt_max: rng.gen_range(f64::MIN_POSITIVE..1.0e6),
+                levels: particles.iter().map(|_| rng.gen_range(0..64)).collect(),
             }),
+            particles,
             stats: SimStats {
                 steps: word(rng),
                 dt_min_seen: float(rng),

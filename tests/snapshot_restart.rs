@@ -13,7 +13,7 @@
 use asura::scenarios;
 use asura_core::ckpt::{CkptFormat, CkptStore};
 use asura_core::diagnostics::TimeSample;
-use asura_core::dist::{run_distributed, run_distributed_resume, DistConfig, PredictorKind};
+use asura_core::dist::{self, DistConfig, DistReport, PredictorKind, Start};
 use asura_core::faults::FaultInjector;
 use asura_core::snapshot::SimSnapshot;
 use asura_core::{Particle, Scheme, SimConfig, Simulation, TimestepMode};
@@ -252,12 +252,21 @@ fn distributed_block_resume_is_bitwise_with_the_schedule_in_the_snapshot() {
         snapshot_every: 2,
         steps: 4,
     };
-    let full = run_distributed(&cfg, &particles).expect("dist run");
+    // A hook that keeps every checkpoint it is handed.
+    let collected = |cfg: &DistConfig, start: Start| -> (DistReport, Vec<SimSnapshot>) {
+        let mut snaps = Vec::new();
+        let report = dist::run(cfg, &start, |_, snap| {
+            snaps.extend(snap.cloned());
+            Ok(())
+        });
+        (report.expect("dist run"), snaps)
+    };
+    let (full, snaps) = collected(&cfg, Start::Fresh(particles));
     assert!(
         full.rank_stats.iter().all(|s| s.substeps > full.steps),
         "the hierarchy must engage"
     );
-    let snap = &full.snapshots[0];
+    let snap = &snaps[0];
     assert_eq!(snap.step_count, 2);
     assert_eq!(snap.slabs.len(), cfg.n_main());
     assert!(
@@ -273,7 +282,7 @@ fn distributed_block_resume_is_bitwise_with_the_schedule_in_the_snapshot() {
 
     let mut resume_cfg = cfg;
     resume_cfg.steps = 2;
-    let resumed = run_distributed_resume(&resume_cfg, &via_json).expect("dist resume");
+    let (resumed, resumed_snaps) = collected(&resume_cfg, Start::Resumed(Box::new(via_json)));
     assert_eq!(resumed.steps, 2);
     assert_eq!(full.final_state.len(), resumed.final_state.len());
     for (a, b) in full.final_state.iter().zip(&resumed.final_state) {
@@ -284,6 +293,9 @@ fn distributed_block_resume_is_bitwise_with_the_schedule_in_the_snapshot() {
     // uninterrupted run's.
     assert_eq!(resumed.rank_stats, full.rank_stats);
     assert!(full.rank_stats.iter().all(|s| s.steps == 4));
+    // … and its own step-4 checkpoint is the uninterrupted run's.
+    assert_eq!(resumed_snaps.len(), 1);
+    assert_eq!(resumed_snaps[0].to_bytes(), snaps[1].to_bytes());
 }
 
 #[test]

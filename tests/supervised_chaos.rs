@@ -5,8 +5,9 @@
 //! produces a final checkpoint **bitwise identical** to an uninterrupted
 //! run — in both Block and Global timestep modes.
 
+use asura_core::ckpt::CkptStore;
 use asura_core::faults::FAULT_KILL_EXIT;
-use asura_core::supervise::{IncidentKind, IncidentLog, Outcome};
+use asura_core::supervise::{Heartbeat, IncidentKind, IncidentLog, Outcome};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fs;
@@ -197,11 +198,13 @@ fn unrecoverable_fault_budget_exhaustion_gives_up() {
 }
 
 /// `--dist` used to write to `<out-dir>/<scenario>` whatever `--run-dir`
-/// said, and to drop `kill@N` / `stall@N` silently (its steps run inside
-/// `run_distributed`, with no hook to fire them from) — against the CLI's
-/// own rule that a fault plan never runs fault-free.
+/// said, and — its steps running inside `run_distributed`, with no hook to
+/// fire them from — to drop `kill@N` / `stall@N` and `--heartbeat`, later
+/// to refuse them. Main rank 0 now runs the shared-memory loop's per-step
+/// tail: the heartbeat beats, a step fault fires, a checkpoint reaches
+/// disk as the run steps.
 #[test]
-fn dist_honours_run_dir_and_refuses_step_faults_it_cannot_fire() {
+fn dist_honours_run_dir_and_fires_step_faults_as_it_steps() {
     let out = tmpdir("dist-run-dir");
     let exact = out.join("exactly-here");
     let dist_cmd = || {
@@ -209,7 +212,12 @@ fn dist_honours_run_dir_and_refuses_step_faults_it_cannot_fire() {
         cmd.args(["--dist", "1x1x1+1"]).arg("--run-dir").arg(&exact);
         cmd
     };
-    let status = dist_cmd().status().unwrap();
+    let heartbeat = out.join("heartbeat");
+    let status = dist_cmd()
+        .arg("--heartbeat")
+        .arg(&heartbeat)
+        .status()
+        .unwrap();
     assert!(status.success(), "--dist --run-dir run failed");
     for file in [
         format!("dist_checkpoint-{STEPS:06}.bin"),
@@ -228,28 +236,31 @@ fn dist_honours_run_dir_and_refuses_step_faults_it_cannot_fire() {
         "{report}"
     );
     assert!(report.contains("\"error\":null,\"phases\":[{\"name\":\""));
+    // The heartbeat was beaten after every step; it reads the last one.
+    assert_eq!(
+        Heartbeat::read(&heartbeat).map(|(_, step)| step),
+        Some(STEPS)
+    );
 
-    for plan in ["kill@3", "torn@1:8,stall@2"] {
-        let output = dist_cmd()
-            .env(asura_core::faults::FAULTS_ENV, plan)
-            .output()
-            .unwrap();
-        assert_eq!(output.status.code(), Some(2), "{plan}: a usage error");
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(stderr.contains("step fault"), "{plan}: {stderr}");
-    }
-    // `--heartbeat` is per-step too, and used to be dropped without a word.
-    let output = dist_cmd()
-        .arg("--heartbeat")
-        .arg(out.join("heartbeat"))
+    // kill@5 fires after step 5, before anything else: the step-4
+    // checkpoint is on disk and intact, the step-6 one never happens.
+    let killed = out.join("killed");
+    let output = base_cmd(&out, None)
+        .args(["--dist", "1x1x1+1"])
+        .arg("--run-dir")
+        .arg(&killed)
+        .env(asura_core::faults::FAULTS_ENV, "kill@5")
         .output()
         .unwrap();
-    assert_eq!(output.status.code(), Some(2), "--heartbeat: a usage error");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("--heartbeat"), "{stderr}");
-    assert!(!out.join("heartbeat").exists(), "no beat was written");
-    // A write fault is one the distributed route *can* fire: it stays legal
-    // (and the torn first commit is what the rotation then skips).
+    assert_eq!(output.status.code(), Some(FAULT_KILL_EXIT), "kill@5");
+    assert!(killed.join("dist_checkpoint-000004.bin").is_file());
+    let store = CkptStore::with_base(&killed, "dist_checkpoint", 3);
+    let (entry, snap) = store.latest_valid_sim().expect("an intact checkpoint");
+    assert_eq!((entry.step, snap.step_count), (4, 4));
+    assert!(!killed.join("dist_report.json").exists());
+
+    // A write fault stays legal (and the torn first commit is what the
+    // rotation then skips) …
     let output = dist_cmd()
         .env(asura_core::faults::FAULTS_ENV, "torn@1:8")
         .output()
@@ -267,4 +278,85 @@ fn dist_honours_run_dir_and_refuses_step_faults_it_cannot_fire() {
         output.status.success(),
         "a fault for attempt 1 is not armed"
     );
+}
+
+/// A checkpoint commit that fails stops `--dist` at that step, with the
+/// shared-memory route's message — it used to run all its steps first.
+#[test]
+fn a_failed_commit_stops_dist_where_it_stops_the_shared_memory_run() {
+    let out = tmpdir("io-fault");
+    for (route, dist) in [("shared", None), ("dist", Some("2x1x1+1"))] {
+        let dir = out.join(route);
+        let heartbeat = out.join(format!("{route}.heartbeat"));
+        let mut cmd = base_cmd(&out, None);
+        cmd.args(dist.map(|grid| ["--dist", grid]).into_iter().flatten())
+            .arg("--run-dir")
+            .arg(&dir)
+            .arg("--heartbeat")
+            .arg(&heartbeat)
+            .env(asura_core::faults::FAULTS_ENV, "io@1");
+        let output = cmd.output().unwrap();
+        assert_eq!(output.status.code(), Some(1), "{route}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        let why = format!(
+            "error: writing checkpoint under {}: injected I/O fault\n",
+            dir.display()
+        );
+        assert!(stderr.ends_with(&why), "{route}: {stderr}");
+        assert_eq!(
+            Heartbeat::read(&heartbeat).map(|(_, step)| step),
+            Some(2),
+            "{route}: the run stopped at the first cadence step"
+        );
+        assert!(!dir.join("dist_report.json").exists(), "{route}");
+    }
+}
+
+/// Undisturbed `--dist 2x1x1+1` reference; returns its final checkpoint.
+fn dist_baseline(tag: &str) -> Vec<u8> {
+    let dir = tmpdir(tag);
+    let status = base_cmd(&dir, None)
+        .args(["--dist", "2x1x1+1"])
+        .status()
+        .unwrap();
+    assert!(status.success(), "distributed baseline run failed");
+    fs::read(run_dir(&dir).join(format!("dist_checkpoint-{STEPS:06}.bin"))).unwrap()
+}
+
+/// The supervised child forwards `--dist` and resumes from the
+/// `dist_checkpoint` rotation: a kill, a hang, and a torn checkpoint plus
+/// a kill each converge to the undisturbed distributed run's final
+/// checkpoint, byte for byte.
+#[test]
+fn supervised_dist_runs_recover_bitwise() {
+    let reference = dist_baseline("base-dist");
+    for (tag, faults, hang) in [
+        ("dist-kill", "kill@3#0", false),
+        ("dist-stall", "stall@3#0", true),
+        ("dist-torn-kill", "torn@2:64#0,kill@5#0", false),
+    ] {
+        let dir = tmpdir(tag);
+        let mut cmd = supervised_cmd(&dir, None, faults);
+        cmd.args(["--dist", "2x1x1+1", "--heartbeat-timeout-ms", "4000"]);
+        assert!(cmd.status().unwrap().success(), "{faults}");
+
+        let log = read_log(&dir);
+        assert_eq!(
+            log.outcome,
+            Some(Outcome::Completed { attempts: 2 }),
+            "{faults}"
+        );
+        assert_eq!(log.incidents.len(), 1, "{faults}");
+        let incident = &log.incidents[0];
+        assert_eq!(
+            matches!(incident.kind, IncidentKind::Hang { .. }),
+            hang,
+            "{faults}"
+        );
+        // Step 4 is either never written (kill@3, stall@3) or torn.
+        assert_eq!(incident.resumed_from_step, Some(2), "{faults}");
+        let final_bytes =
+            fs::read(run_dir(&dir).join(format!("dist_checkpoint-{STEPS:06}.bin"))).unwrap();
+        assert_eq!(final_bytes, reference, "{faults}: final checkpoint");
+    }
 }
