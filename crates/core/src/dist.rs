@@ -103,6 +103,30 @@
 //! step. [`Start::Resumed`] hands every rank its slab back and the run
 //! continues to the bit, [`DistReport::rank_stats`] included.
 //!
+//! # Threads
+//!
+//! Every rank is an `mpisim` thread, as every rank is a process in the
+//! paper (§3.1, Fig. 3). The pool rank sleeps in [`Comm::wait_any`] until a
+//! region or main rank 0's shutdown is queued, so it holds no core while
+//! idle. Where the parallel regions of a rank (tree walks, SPH passes, the
+//! U-Net's convolutions) run depends on one observable count:
+//!
+//! - **Fewer main ranks than worker-pool threads**
+//!   (`n_main < rayon::current_num_threads()`): a rank submits its regions
+//!   to the process's one worker pool, which runs one region at a time on
+//!   every core.
+//! - **At least as many**: every rank, pool rank included, runs inside
+//!   [`rayon::solo`], so its regions run on its own thread. On the shared
+//!   pool these ranks would only take turns, each one's region holding
+//!   the cores the others' rank threads are already on.
+//!
+//! The output bits are the same either way. Every parallel kernel writes
+//! disjoint targets, each a function of its own inputs; a kernel that
+//! partitions its work does so by `rayon::current_num_threads()`, which
+//! `solo` does not change, never by which thread runs a piece.
+//! `tests/partition_independence.rs` holds shared-memory runs of every
+//! kernel family to that, inside and outside `solo`.
+//!
 //! # Ghost exchange
 //!
 //! SPH ghosts are exchanged twice per force evaluation: once before the
@@ -445,15 +469,25 @@ fn run_inner(
     // spawned; the pool ranks share it.
     let predictor = cfg.predictor.build(cfg.sim.region_side)?;
     let on_step = Mutex::new(on_step);
+    // With at least as many main ranks as cores, every rank keeps its own
+    // (module docs, "Threads").
+    let solo = n_main >= rayon::current_num_threads();
     let world = World::new(cfg.world_size());
     let (results, stats) = world.run_with_stats(|comm| {
-        let is_pool = comm.rank() >= n_main;
-        let sub = comm.split(is_pool as u64, comm.rank() as i64);
-        if is_pool {
-            pool_loop(comm, n_main, predictor.as_ref(), cfg);
-            None
+        let rank = || {
+            let is_pool = comm.rank() >= n_main;
+            let sub = comm.split(is_pool as u64, comm.rank() as i64);
+            if is_pool {
+                pool_loop(comm, n_main, predictor.as_ref(), cfg);
+                None
+            } else {
+                Some(main_loop(comm, &sub, cfg, particles, resume, &on_step))
+            }
+        };
+        if solo {
+            rayon::solo(rank)
         } else {
-            Some(main_loop(comm, &sub, cfg, particles, resume, &on_step))
+            rank()
         }
     });
     let mut report = results
@@ -465,32 +499,26 @@ fn run_inner(
     Ok(report)
 }
 
-/// The pool-rank service loop (paper Fig. 3 right half).
+/// The pool-rank service loop (paper Fig. 3 right half): asleep until a
+/// main rank ships a region or main rank 0 ends the service.
 fn pool_loop(world: &Comm, n_main: usize, predictor: &dyn PoolPredictor, cfg: &DistConfig) {
     loop {
-        // Shutdown signal from main rank 0 ends the service.
-        if world.probe(0, TAG_SHUTDOWN) {
+        let (src, tag) = world.wait_any(|src, tag| {
+            (tag == TAG_REGION && src < n_main) || (tag == TAG_SHUTDOWN && src == 0)
+        });
+        if tag == TAG_SHUTDOWN {
             let _: u8 = world.recv(0, TAG_SHUTDOWN);
             return;
         }
-        let mut served = false;
-        for src in 0..n_main {
-            if world.probe(src, TAG_REGION) {
-                let (event_id, center, gas): (u64, [f64; 3], Vec<GasParticle>) =
-                    world.recv(src, TAG_REGION);
-                let predicted = predictor.predict(
-                    Vec3::new(center[0], center[1], center[2]),
-                    E_SN,
-                    cfg.sim.horizon(),
-                    &gas,
-                );
-                world.send_vec(src, TAG_REPLY_BASE + event_id, predicted);
-                served = true;
-            }
-        }
-        if !served {
-            std::thread::yield_now();
-        }
+        let (event_id, center, gas): (u64, [f64; 3], Vec<GasParticle>) =
+            world.recv(src, TAG_REGION);
+        let predicted = predictor.predict(
+            Vec3::new(center[0], center[1], center[2]),
+            E_SN,
+            cfg.sim.horizon(),
+            &gas,
+        );
+        world.send_vec(src, TAG_REPLY_BASE + event_id, predicted);
     }
 }
 
@@ -1147,6 +1175,29 @@ mod tests {
             let want: Vec<_> = (1..=fail_at).map(|s| (s, s % 2 == 0)).collect();
             assert_eq!(seen, want, "fail at {fail_at}");
         }
+    }
+
+    #[test]
+    fn ranks_that_outnumber_the_cores_run_their_regions_on_their_own_thread() {
+        // Main rank 0's hook runs on its rank thread, inside whatever mode
+        // the rank body runs in.
+        let ic = disk_ic(100, 20, false, 2.0e-3);
+        let mut cfg = test_cfg(1, 1);
+        cfg.grid = (rayon::current_num_threads(), 1, 1);
+        cfg.n_pool = 1;
+        let mut foreign = None;
+        run(&cfg, &Start::Fresh(ic), |_, _| {
+            use rayon::prelude::*;
+            let me = std::thread::current().id();
+            let threads: Vec<_> = (0..10_000usize)
+                .into_par_iter()
+                .map(|_| std::thread::current().id())
+                .collect();
+            foreign = Some(threads.iter().filter(|&&t| t != me).count());
+            Ok(())
+        })
+        .expect("dist run");
+        assert_eq!(foreign, Some(0), "items run off the rank's thread");
     }
 
     #[test]

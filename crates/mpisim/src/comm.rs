@@ -108,10 +108,12 @@ impl Comm {
             .take()
     }
 
-    /// Non-blocking probe for a pending message from `src` with `tag`
-    /// (`MPI_Iprobe` analogue; the pool-node loop uses this).
-    pub fn probe(&self, src: usize, tag: u64) -> bool {
-        self.shared.mailboxes[self.my_world_rank()].probe(self.id, src, tag)
+    /// Sleep until a message on this communicator whose `(src, tag)`
+    /// satisfies `matches` is pending, and return that pair without
+    /// receiving it (`MPI_Probe` on `MPI_ANY_SOURCE` / `MPI_ANY_TAG`,
+    /// filtered; the pool-node loop waits for work with this).
+    pub fn wait_any(&self, matches: impl Fn(usize, u64) -> bool) -> (usize, u64) {
+        self.shared.mailboxes[self.my_world_rank()].wait_any(self.id, matches)
     }
 
     /// Next collective tag; advances the per-communicator sequence.
@@ -221,16 +223,32 @@ mod tests {
     }
 
     #[test]
-    fn probe_sees_pending_message() {
+    fn wait_any_sees_pending_message() {
         World::new(2).run(|c| {
             if c.rank() == 0 {
                 c.send(1, 9, 1u8);
                 c.barrier();
             } else {
                 c.barrier();
-                assert!(c.probe(0, 9));
-                assert!(!c.probe(0, 10));
+                assert_eq!(c.wait_any(|_, tag| tag == 9 || tag == 10), (0, 9));
                 let _: u8 = c.recv(0, 9);
+            }
+        });
+    }
+
+    #[test]
+    fn wait_any_ignores_a_split_communicators_traffic() {
+        // Rank 0 sends on the split communicator first, then on the world:
+        // rank 1's world wait skips the split's message though it came first.
+        World::new(2).run(|c| {
+            let sub = c.split(0, c.rank() as i64);
+            if c.rank() == 0 {
+                sub.send(1, 7, 1u8);
+                c.send(1, 7, 2u8);
+            } else {
+                assert_eq!(c.wait_any(|_, tag| tag == 7), (0, 7));
+                assert_eq!(c.recv::<u8>(0, 7), 2);
+                assert_eq!(sub.recv::<u8>(0, 7), 1);
             }
         });
     }
