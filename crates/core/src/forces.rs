@@ -5,9 +5,12 @@
 //! tree, the result arrays (`acc`, `pot`, `dudt`), the gas subset index,
 //! the SoA hydro state (which carries the gas `pos`/`vel`/`mass`/`u`/`h`
 //! snapshots), and the SPH staging scratch. All of them are refreshed
-//! **in place** — cleared and re-extended, never re-collected — so after a
-//! warm-up step the arena's capacities stabilize and steady-state stepping
-//! performs zero heap growth here. [`ForceBuffers::capacity_signature`]
+//! **in place** — resized to the step's length and written by slot, never
+//! re-collected or pushed element by element — so after a warm-up step the
+//! arena's capacities stabilize and steady-state stepping performs zero
+//! heap growth here. A substep rewrites only the local positions: species
+//! and masses, and with them the gas maps and the halo's imports, are
+//! fixed within a base step. [`ForceBuffers::capacity_signature`]
 //! exposes the capacities so regression tests can assert exactly that.
 //!
 //! On that arena sit the two force evaluations
@@ -215,7 +218,9 @@ fn kick(p: &mut Particle, acc: Vec3, dudt: f64, dt: f64) {
 #[derive(Debug, Clone, Default)]
 pub struct ForceBuffers {
     /// Gravity sources: positions of all local particles, refreshed each
-    /// evaluation, followed by the halo's imports.
+    /// evaluation, followed by the halo's imports of the last full pass
+    /// (kept through its substeps, frozen at their base-step coordinates —
+    /// the same error class as the refreshed MAC under the drift bound).
     pub pos: Vec<Vec3>,
     /// Masses matching `pos`.
     pub mass: Vec<f64>,
@@ -264,60 +269,74 @@ pub struct ForceBuffers {
     pub walk_index: Option<WalkIndex>,
     /// Source positions at the last full tree build, for the drift bound.
     pub tree_ref_pos: Vec<Vec3>,
-    /// The halo's gravity imports of the last full pass, re-appended to
-    /// `pos`/`mass` on substeps (frozen at their base-step coordinates —
-    /// the same error class as the refreshed MAC under the drift bound).
-    pub import_pos: Vec<Vec3>,
-    /// Masses matching `import_pos`.
-    pub import_mass: Vec<f64>,
     /// `(particle index, v_sig, h)` from the last full SPH force pass: the
     /// CFL input of the adaptive global step and of the level assignment.
     pub vsig: Vec<(usize, f64, f64)>,
 }
 
 impl ForceBuffers {
-    /// Refresh the global SoA snapshot and the gas index in place.
+    /// Refresh the global SoA snapshot and the gas index in place, by
+    /// slot: every column is sized to the particle count once and
+    /// particle `i` written at index `i`; `gas_idx` is compacted
+    /// branch-free (each particle writes the next slot, gas advances it).
     pub fn refresh(&mut self, particles: &[Particle]) {
-        self.pos.clear();
-        self.mass.clear();
-        self.gas_idx.clear();
-        self.gas_local.clear();
-        for (i, p) in particles.iter().enumerate() {
-            self.pos.push(p.pos);
-            self.mass.push(p.mass);
-            if p.is_gas() {
-                self.gas_local.push(self.gas_idx.len() as u32);
-                self.gas_idx.push(i);
-            } else {
-                self.gas_local.push(NOT_GAS);
-            }
-        }
         let n = particles.len();
+        self.pos.resize(n, Vec3::ZERO);
+        self.mass.resize(n, 0.0);
+        self.gas_local.resize(n, NOT_GAS);
+        self.gas_idx.resize(n, 0);
+        let mut n_gas = 0;
+        let slots = self
+            .pos
+            .iter_mut()
+            .zip(&mut self.mass)
+            .zip(&mut self.gas_local);
+        for (i, (((pos, mass), local), p)) in slots.zip(particles).enumerate() {
+            let gas = p.is_gas();
+            (*pos, *mass) = (p.pos, p.mass);
+            *local = if gas { n_gas as u32 } else { NOT_GAS };
+            self.gas_idx[n_gas] = i;
+            n_gas += gas as usize;
+        }
+        self.gas_idx.truncate(n_gas);
         self.dudt.clear();
         self.dudt.resize(n, 0.0);
+    }
+
+    /// The substep share of [`ForceBuffers::refresh`]: within a base step
+    /// only positions move — species and masses, hence the gas maps, and
+    /// the halo imports after the locals stay what the base step staged —
+    /// so the local entries of `pos` are rewritten in place and nothing
+    /// else. `dudt` keeps the base step's values; a substep kick reads
+    /// only its active set's, which the evaluation rewrites.
+    fn refresh_positions(&mut self, particles: &[Particle]) {
+        debug_assert_eq!(self.gas_local.len(), particles.len());
+        for (pos, p) in self.pos.iter_mut().zip(particles) {
+            *pos = p.pos;
+        }
     }
 
     /// Refresh the gas SoA hydro state from the current particle data
     /// (requires [`ForceBuffers::refresh`] to have filled `gas_idx`):
     /// positions, velocities and energies move between passes; `h`/`rho`
     /// carry each particle's latest converged values. Any ghost tail of
-    /// the previous pass is dropped.
+    /// the previous pass is dropped. Writes by slot, like `refresh`.
     pub fn refresh_hydro(&mut self, particles: &[Particle]) {
         let hs = &mut self.hydro;
-        hs.pos.clear();
-        hs.vel.clear();
-        hs.mass.clear();
-        hs.u.clear();
-        hs.h.clear();
-        hs.rho.clear();
-        for &i in &self.gas_idx {
+        let n = self.gas_idx.len();
+        hs.pos.resize(n, Vec3::ZERO);
+        hs.vel.resize(n, Vec3::ZERO);
+        for col in [&mut hs.mass, &mut hs.u, &mut hs.h, &mut hs.rho] {
+            col.resize(n, 0.0);
+        }
+        for (k, &i) in self.gas_idx.iter().enumerate() {
             let p = &particles[i];
-            hs.pos.push(p.pos);
-            hs.vel.push(p.vel);
-            hs.mass.push(p.mass);
-            hs.u.push(p.u);
-            hs.h.push(p.h.max(1e-3));
-            hs.rho.push(p.rho);
+            hs.pos[k] = p.pos;
+            hs.vel[k] = p.vel;
+            hs.mass[k] = p.mass;
+            hs.u[k] = p.u;
+            hs.h[k] = p.h.max(1e-3);
+            hs.rho[k] = p.rho;
         }
         hs.resize_derived();
     }
@@ -349,10 +368,6 @@ impl ForceBuffers {
         // Gravity over all species, local sources first.
         self.refresh(particles);
         halo.import_sources(ph, &solver, &mut self.pos, &mut self.mass);
-        self.import_pos.clear();
-        self.import_pos.extend_from_slice(&self.pos[n..]);
-        self.import_mass.clear();
-        self.import_mass.extend_from_slice(&self.mass[n..]);
         stats.gravity_interactions += halo.phase(ph.grav_force, || {
             let tree = Tree::build(&self.pos, &self.mass, solver.n_leaf);
             let index = rebuilt_index(self.walk_index.take(), &tree);
@@ -429,13 +444,11 @@ impl ForceBuffers {
         let sph = sph_solver(cfg);
         let ph = &PASS_CLOSING;
 
-        // Source snapshot at the drift-predicted positions (this also
-        // rebuilds the gas index maps; species are fixed within a base
-        // step), then cross-substep tree reuse under the drift bound.
+        // Source snapshot at the drift-predicted positions (the base step
+        // staged everything else), then cross-substep tree reuse under
+        // the drift bound.
         halo.phase(ph.tree, || {
-            self.refresh(particles);
-            self.pos.extend_from_slice(&self.import_pos);
-            self.mass.extend_from_slice(&self.import_mass);
+            self.refresh_positions(particles);
             let n_src = self.pos.len();
             let cached = self.tree.take();
             let cached_index = self.walk_index.take();
@@ -677,8 +690,6 @@ impl ForceBuffers {
             self.active_mask.capacity(),
             self.active_gas.capacity(),
             self.tree_ref_pos.capacity(),
-            self.import_pos.capacity(),
-            self.import_mass.capacity(),
             self.vsig.capacity(),
         ];
         sig.extend(self.sph.capacities());
@@ -740,5 +751,130 @@ mod tests {
             bufs.refresh_hydro(&particles);
         }
         assert_eq!(bufs.capacity_signature(), sig);
+    }
+
+    /// `refresh` + `refresh_hydro` as they were before they wrote by slot,
+    /// with a substep's imports re-appended after the locals.
+    fn refreshed_by_push(particles: &[Particle], imports: &[(Vec3, f64)]) -> ForceBuffers {
+        let mut b = ForceBuffers::default();
+        for (i, p) in particles.iter().enumerate() {
+            b.pos.push(p.pos);
+            b.mass.push(p.mass);
+            if p.is_gas() {
+                b.gas_local.push(b.gas_idx.len() as u32);
+                b.gas_idx.push(i);
+            } else {
+                b.gas_local.push(NOT_GAS);
+            }
+        }
+        b.dudt.resize(particles.len(), 0.0);
+        for &(pos, mass) in imports {
+            b.pos.push(pos);
+            b.mass.push(mass);
+        }
+        let hs = &mut b.hydro;
+        for &i in &b.gas_idx {
+            let p = &particles[i];
+            hs.pos.push(p.pos);
+            hs.vel.push(p.vel);
+            hs.mass.push(p.mass);
+            hs.u.push(p.u);
+            hs.h.push(p.h.max(1e-3));
+            hs.rho.push(p.rho);
+        }
+        hs.resize_derived();
+        b
+    }
+
+    fn f64_bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn vec3_bits(v: &[Vec3]) -> Vec<[u64; 3]> {
+        v.iter()
+            .map(|p| [p.x, p.y, p.z].map(f64::to_bits))
+            .collect()
+    }
+
+    /// Everything the force pipeline reads from the staged buffers.
+    fn staged(b: &ForceBuffers) -> impl PartialEq + std::fmt::Debug {
+        let hs = &b.hydro;
+        (
+            [vec3_bits(&b.pos), vec3_bits(&hs.pos), vec3_bits(&hs.vel)],
+            [&b.mass, &b.dudt, &hs.mass, &hs.u, &hs.h, &hs.rho].map(|c| f64_bits(c)),
+            (b.gas_idx.clone(), b.gas_local.clone(), hs.len()),
+        )
+    }
+
+    /// The slot writers against the push reference, through one reused
+    /// (growing and shrinking) set of buffers: 0–9 particles of mixed
+    /// species, all gas (every row of the gas compaction kept) and no gas
+    /// (none kept); then a substep's positions-only refresh against a full
+    /// refresh with the imports re-appended.
+    #[test]
+    fn slot_refresh_matches_the_push_reference_bitwise() {
+        let make = |n: usize, gas_every: usize, shift: f64| -> Vec<Particle> {
+            (0..n)
+                .map(|i| {
+                    let pos = Vec3::new(i as f64 * 0.7 + shift, -shift, 0.3 * i as f64);
+                    let vel = Vec3::new(0.1 * i as f64, 0.2, -0.3);
+                    let mut p = if i % gas_every == 0 {
+                        Particle::gas(
+                            i as u64,
+                            pos,
+                            vel,
+                            1.0 + i as f64,
+                            0.5 * i as f64,
+                            1e-4 * i as f64,
+                        )
+                    } else {
+                        Particle::dm(i as u64, pos, vel, 5.0 + i as f64)
+                    };
+                    p.rho = 0.25 * i as f64;
+                    p
+                })
+                .collect()
+        };
+        let imports = [
+            (Vec3::new(9.0, 8.0, 7.0), 3.5),
+            (Vec3::new(-9.0, 1.0, 2.0), 0.5),
+        ];
+        let mut bufs = ForceBuffers::default();
+        for n in (0..=9).rev().chain(0..=9) {
+            // gas_every 1: all gas; 3: mixed; usize::MAX: none (particle
+            // 0, the only multiple, becomes a star).
+            for gas_every in [1, usize::MAX, 3] {
+                let mut particles = make(n, gas_every, 0.0);
+                if gas_every == usize::MAX && n > 0 {
+                    particles[0] = Particle::star(0, Vec3::ZERO, Vec3::ZERO, 2.0, 0.0);
+                }
+                let case = format!("{n} particles, gas every {gas_every}");
+                bufs.refresh(&particles);
+                bufs.pos.extend(imports.iter().map(|i| i.0));
+                bufs.mass.extend(imports.iter().map(|i| i.1));
+                bufs.refresh_hydro(&particles);
+                assert_eq!(
+                    staged(&bufs),
+                    staged(&refreshed_by_push(&particles, &imports)),
+                    "{case}"
+                );
+
+                // A substep: positions move, species and masses do not.
+                let drifted = make(n, gas_every, 0.125);
+                for (p, q) in particles.iter_mut().zip(&drifted) {
+                    p.pos = q.pos;
+                }
+                bufs.refresh_positions(&particles);
+                bufs.refresh_hydro(&particles);
+                let reference = refreshed_by_push(&particles, &imports);
+                assert_eq!(vec3_bits(&bufs.pos), vec3_bits(&reference.pos), "{case}");
+                assert_eq!(f64_bits(&bufs.mass), f64_bits(&reference.mass), "{case}");
+                assert_eq!(
+                    vec3_bits(&bufs.hydro.pos),
+                    vec3_bits(&reference.hydro.pos),
+                    "{case}"
+                );
+            }
+        }
     }
 }

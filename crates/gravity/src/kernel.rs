@@ -24,6 +24,12 @@
 //! the dispatched and portable paths are bitwise identical too: which CPU
 //! ran the kernel can never leak into a snapshot. See `## Kernel
 //! determinism` in ROADMAP.md.
+//!
+//! The lane a j lands in is its index in the staged columns, so the
+//! caller's staging order is part of the contract: the solver writes each
+//! interaction list by slot, EP entries then SP monopoles (see
+//! `solver`'s "Staging by slot"), and that order — not how the columns
+//! are filled — is what fixes the lanes and the result.
 
 use fdps::Vec3;
 

@@ -7,34 +7,117 @@
 //! (target indices and accumulators) are freshly allocated, and
 //! [`GravitySolver::evaluate_into`] lets callers own the result arrays too,
 //! so a simulation's steady-state force evaluation does not grow the heap.
+//!
+//! # Staging by slot
+//!
+//! Each interaction list is copied into the kernel's SoA columns *by
+//! slot*: the columns are sized to the list length once, EP entries fill
+//! slots `0..ep.len()` and SP monopoles the slots after them. Entry `k`
+//! of that order is the `k`-th j of the kernel, so it lands in lane
+//! `k % 4` (f64) or `k % 8` (f32), or in lane 0 if it is part of the
+//! remainder after the last full lane block. The EP-then-SP order is what
+//! fixes the lanes, and with them every bit of the result; writing by
+//! slot instead of pushing entry by entry changes the cost of staging,
+//! never its values or order.
 
 use crate::kernel::{accumulate_f64_soa, accumulate_mixed_staged, GravityAccum};
-use fdps::walk::{InteractionList, WalkIndex, WalkScratch};
+use fdps::walk::{InteractionList, SuperParticle, WalkIndex, WalkScratch};
 use fdps::{Tree, Vec3};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Per-worker scratch reused across all groups a rayon worker processes.
-///
-/// The j-side is staged as struct-of-arrays (`jx/jy/jz/jmass`, or the f32
-/// relative-coordinate quartet for the mixed-precision kernel) so the
-/// interaction kernels read contiguous per-axis streams — the layout the
-/// SIMD lanes need. Staging order is always EP entries then SP monopoles,
-/// which fixes the kernel's reduction order and keeps results
-/// bit-reproducible.
+/// The j-side of one kernel launch, struct-of-arrays so the interaction
+/// kernels read contiguous per-axis streams — the layout the SIMD lanes
+/// need: positions `x/y/z` and mass `m` of every list entry, EP entries
+/// first, then SP monopoles (see the module docs' "Staging by slot").
+#[derive(Default)]
+struct JColumns<T> {
+    x: Vec<T>,
+    y: Vec<T>,
+    z: Vec<T>,
+    m: Vec<T>,
+}
+
+impl<T: Copy + Default> JColumns<T> {
+    /// Size every column to `list.len()` (capacity kept) and write entry
+    /// `k` of the EP-then-SP order into slot `k` of each.
+    fn stage(
+        &mut self,
+        list: &InteractionList,
+        ep: impl Fn(u32) -> [T; 4],
+        sp: impl Fn(&SuperParticle) -> [T; 4],
+    ) {
+        for col in [&mut self.x, &mut self.y, &mut self.z, &mut self.m] {
+            col.resize(list.len(), T::default());
+        }
+        self.write(0, list.ep.iter().map(|&j| ep(j)));
+        self.write(list.ep.len(), list.sp.iter().map(sp));
+    }
+
+    /// Write `rows` into consecutive slots from `start` on.
+    fn write(&mut self, start: usize, rows: impl Iterator<Item = [T; 4]>) {
+        let slots = self.x[start..]
+            .iter_mut()
+            .zip(&mut self.y[start..])
+            .zip(&mut self.z[start..])
+            .zip(&mut self.m[start..]);
+        for ((((x, y), z), m), [rx, ry, rz, rm]) in slots.zip(rows) {
+            (*x, *y, *z, *m) = (rx, ry, rz, rm);
+        }
+    }
+}
+
+impl JColumns<f64> {
+    /// Stage `list` at absolute coordinates for [`accumulate_f64_soa`].
+    fn stage_f64(&mut self, list: &InteractionList, pos: &[Vec3], mass: &[f64]) {
+        self.stage(
+            list,
+            |j| {
+                let p = pos[j as usize];
+                [p.x, p.y, p.z, mass[j as usize]]
+            },
+            |s| [s.pos.x, s.pos.y, s.pos.z, s.mass],
+        );
+    }
+}
+
+impl JColumns<f32> {
+    /// Stage `list` narrowed to f32 coordinates relative to `origin` for
+    /// [`accumulate_mixed_staged`].
+    fn stage_mixed(&mut self, list: &InteractionList, pos: &[Vec3], mass: &[f64], origin: Vec3) {
+        self.stage(
+            list,
+            |j| {
+                let p = pos[j as usize];
+                [
+                    (p.x - origin.x) as f32,
+                    (p.y - origin.y) as f32,
+                    (p.z - origin.z) as f32,
+                    mass[j as usize] as f32,
+                ]
+            },
+            |s| {
+                [
+                    (s.pos.x - origin.x) as f32,
+                    (s.pos.y - origin.y) as f32,
+                    (s.pos.z - origin.z) as f32,
+                    s.mass as f32,
+                ]
+            },
+        );
+    }
+}
+
+/// Per-worker scratch reused across all groups a rayon worker processes:
+/// the walk's stack and list, the j-side columns of the f64 kernel and of
+/// the mixed-precision kernel (f32 relative coordinates), and the group's
+/// target positions.
 #[derive(Default)]
 struct GroupScratch {
     walk: WalkScratch,
     list: InteractionList,
-    jx: Vec<f64>,
-    jy: Vec<f64>,
-    jz: Vec<f64>,
-    jmass: Vec<f64>,
-    // f32 relative-coordinate staging for the mixed-precision kernel.
-    jx32: Vec<f32>,
-    jy32: Vec<f32>,
-    jz32: Vec<f32>,
-    jm32: Vec<f32>,
+    j64: JColumns<f64>,
+    j32: JColumns<f32>,
     ipos: Vec<Vec3>,
 }
 
@@ -159,11 +242,11 @@ impl GravitySolver {
 
     /// The group kernel shared by the full and active-subset entry points:
     /// per group, filter targets (locality plus the optional active mask),
-    /// walk the tree, stage the j-side SoA (EP entries then SP monopoles,
-    /// fused into one contiguous kernel launch), run the monopole kernel
-    /// and subtract the softened self-interaction. Groups with no
-    /// surviving target skip their walk entirely — with a sparse mask that
-    /// is where the block-timestep savings come from.
+    /// walk the tree, stage the j-side SoA by slot (EP entries then SP
+    /// monopoles, fused into one contiguous kernel launch), run the
+    /// monopole kernel and subtract the softened self-interaction. Groups
+    /// with no surviving target skip their walk entirely — with a sparse
+    /// mask that is where the block-timestep savings come from.
     ///
     /// Each group owns disjoint i-particles, so groups parallelize
     /// cleanly; a worker's walk/list/SoA scratch persists across its
@@ -220,63 +303,13 @@ impl GravitySolver {
                     // allocation (the old allocating path made "mixed"
                     // slower than f64).
                     let origin = node.bbox.center();
-                    let (jx, jy, jz, jm) = (
-                        &mut scratch.jx32,
-                        &mut scratch.jy32,
-                        &mut scratch.jz32,
-                        &mut scratch.jm32,
-                    );
-                    jx.clear();
-                    jy.clear();
-                    jz.clear();
-                    jm.clear();
-                    jx.reserve(n_j);
-                    jy.reserve(n_j);
-                    jz.reserve(n_j);
-                    jm.reserve(n_j);
-                    for &j in &list.ep {
-                        let p = pos[j as usize];
-                        jx.push((p.x - origin.x) as f32);
-                        jy.push((p.y - origin.y) as f32);
-                        jz.push((p.z - origin.z) as f32);
-                        jm.push(mass[j as usize] as f32);
-                    }
-                    for s in &list.sp {
-                        jx.push((s.pos.x - origin.x) as f32);
-                        jy.push((s.pos.y - origin.y) as f32);
-                        jz.push((s.pos.z - origin.z) as f32);
-                        jm.push(s.mass as f32);
-                    }
-                    accumulate_mixed_staged(origin, ipos, jx, jy, jz, jm, eps2, &mut accum);
+                    let j = &mut scratch.j32;
+                    j.stage_mixed(list, pos, mass, origin);
+                    accumulate_mixed_staged(origin, ipos, &j.x, &j.y, &j.z, &j.m, eps2, &mut accum);
                 } else {
-                    let (jx, jy, jz, jm) = (
-                        &mut scratch.jx,
-                        &mut scratch.jy,
-                        &mut scratch.jz,
-                        &mut scratch.jmass,
-                    );
-                    jx.clear();
-                    jy.clear();
-                    jz.clear();
-                    jm.clear();
-                    jx.reserve(n_j);
-                    jy.reserve(n_j);
-                    jz.reserve(n_j);
-                    jm.reserve(n_j);
-                    for &j in &list.ep {
-                        let p = pos[j as usize];
-                        jx.push(p.x);
-                        jy.push(p.y);
-                        jz.push(p.z);
-                        jm.push(mass[j as usize]);
-                    }
-                    for s in &list.sp {
-                        jx.push(s.pos.x);
-                        jy.push(s.pos.y);
-                        jz.push(s.pos.z);
-                        jm.push(s.mass);
-                    }
-                    accumulate_f64_soa(ipos, jx, jy, jz, jm, eps2, &mut accum);
+                    let j = &mut scratch.j64;
+                    j.stage_f64(list, pos, mass);
+                    accumulate_f64_soa(ipos, &j.x, &j.y, &j.z, &j.m, eps2, &mut accum);
                 }
                 // Remove the softened self-interaction: zero force but a
                 // spurious self-potential m_i/eps.
@@ -542,6 +575,112 @@ mod tests {
             sparse * 10 < full,
             "one-hot active set should prune interactions: {sparse} vs {full}"
         );
+    }
+
+    /// The f64 staging as it was before it wrote by slot: four pushes per
+    /// entry, EP then SP.
+    fn pushed_f64(list: &InteractionList, pos: &[Vec3], mass: &[f64]) -> JColumns<f64> {
+        let mut c = JColumns::default();
+        for &j in &list.ep {
+            let p = pos[j as usize];
+            c.x.push(p.x);
+            c.y.push(p.y);
+            c.z.push(p.z);
+            c.m.push(mass[j as usize]);
+        }
+        for s in &list.sp {
+            c.x.push(s.pos.x);
+            c.y.push(s.pos.y);
+            c.z.push(s.pos.z);
+            c.m.push(s.mass);
+        }
+        c
+    }
+
+    /// The mixed-precision staging as it was before it wrote by slot.
+    fn pushed_mixed(
+        list: &InteractionList,
+        pos: &[Vec3],
+        mass: &[f64],
+        origin: Vec3,
+    ) -> JColumns<f32> {
+        let mut c = JColumns::default();
+        for &j in &list.ep {
+            let p = pos[j as usize];
+            c.x.push((p.x - origin.x) as f32);
+            c.y.push((p.y - origin.y) as f32);
+            c.z.push((p.z - origin.z) as f32);
+            c.m.push(mass[j as usize] as f32);
+        }
+        for s in &list.sp {
+            c.x.push((s.pos.x - origin.x) as f32);
+            c.y.push((s.pos.y - origin.y) as f32);
+            c.z.push((s.pos.z - origin.z) as f32);
+            c.m.push(s.mass as f32);
+        }
+        c
+    }
+
+    fn accum_bits(accum: &[GravityAccum]) -> Vec<[u64; 4]> {
+        accum
+            .iter()
+            .map(|a| [a.acc.x, a.acc.y, a.acc.z, a.pot].map(f64::to_bits))
+            .collect()
+    }
+
+    /// Slot staging into reused (dirty, shrinking and growing) columns
+    /// equals the push reference column for column, and the kernels give
+    /// the same bits on both: over empty EP and SP halves and every list
+    /// length 0–18, which straddles the 4-lane f64 and 8-lane f32 blocks.
+    #[test]
+    fn slot_staging_matches_the_push_reference_bitwise() {
+        let (pos, mass) = plummer_like(40, 11);
+        let ipos = &pos[..5];
+        let origin = Vec3::new(0.1, -0.2, 0.05);
+        let (mut j64, mut j32) = (JColumns::default(), JColumns::default());
+        for n_ep in (0..=9).rev().chain(0..=9) {
+            for n_sp in [3, 0, 9, 1, 4, 8, 2, 7, 5, 6] {
+                let list = InteractionList {
+                    ep: (0..n_ep as u32).map(|k| (k * 7 + 3) % 40).collect(),
+                    sp: (0..n_sp)
+                        .map(|k| SuperParticle {
+                            pos: pos[39 - k] * 3.0,
+                            mass: 0.5 + k as f64,
+                        })
+                        .collect(),
+                };
+                let case = format!("{n_ep} EP + {n_sp} SP");
+                j64.stage_f64(&list, &pos, &mass);
+                let r64 = pushed_f64(&list, &pos, &mass);
+                for (a, b) in [
+                    (&j64.x, &r64.x),
+                    (&j64.y, &r64.y),
+                    (&j64.z, &r64.z),
+                    (&j64.m, &r64.m),
+                ] {
+                    assert_eq!(a.len(), n_ep + n_sp, "{case}");
+                    assert!(
+                        a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{case}"
+                    );
+                }
+                let mut slot = vec![GravityAccum::default(); ipos.len()];
+                let mut pushed = slot.clone();
+                accumulate_f64_soa(ipos, &j64.x, &j64.y, &j64.z, &j64.m, 1e-4, &mut slot);
+                accumulate_f64_soa(ipos, &r64.x, &r64.y, &r64.z, &r64.m, 1e-4, &mut pushed);
+                assert_eq!(accum_bits(&slot), accum_bits(&pushed), "f64, {case}");
+
+                j32.stage_mixed(&list, &pos, &mass, origin);
+                let r32 = pushed_mixed(&list, &pos, &mass, origin);
+                assert_eq!(j32.m.len(), n_ep + n_sp, "{case}");
+                let mut slot = vec![GravityAccum::default(); ipos.len()];
+                let mut pushed = slot.clone();
+                let (a, b) = (&j32, &r32);
+                accumulate_mixed_staged(origin, ipos, &a.x, &a.y, &a.z, &a.m, 1e-4, &mut slot);
+                accumulate_mixed_staged(origin, ipos, &b.x, &b.y, &b.z, &b.m, 1e-4, &mut pushed);
+                assert_eq!(accum_bits(&slot), accum_bits(&pushed), "mixed, {case}");
+            }
+        }
     }
 
     #[test]

@@ -91,19 +91,22 @@ pub struct DensitySources {
 }
 
 impl DensitySources {
-    /// Lay `pos`/`mass` out in `tree`'s order (cleared in place, capacity
-    /// kept).
+    /// Lay `pos`/`mass` out in `tree`'s order, by slot: every column is
+    /// sized to the tree once (capacity kept) and entry `k` written in
+    /// place.
     pub fn fill(&mut self, tree: &Tree, pos: &[Vec3], mass: &[f64]) {
-        self.x.clear();
-        self.y.clear();
-        self.z.clear();
-        self.m.clear();
-        for &j in &tree.order {
+        for col in [&mut self.x, &mut self.y, &mut self.z, &mut self.m] {
+            col.resize(tree.order.len(), 0.0);
+        }
+        let slots = self
+            .x
+            .iter_mut()
+            .zip(&mut self.y)
+            .zip(&mut self.z)
+            .zip(&mut self.m);
+        for ((((x, y), z), m), &j) in slots.zip(&tree.order) {
             let p = pos[j as usize];
-            self.x.push(p.x);
-            self.y.push(p.y);
-            self.z.push(p.z);
-            self.m.push(mass[j as usize]);
+            (*x, *y, *z, *m) = (p.x, p.y, p.z, mass[j as usize]);
         }
     }
 
@@ -233,15 +236,17 @@ impl NeighborCache {
     /// in-support set alone.
     fn sum_density(&mut self, kernel: &dyn SphKernel, h: f64, rad: f64) -> (f64, usize) {
         const L: usize = 4;
-        self.r_in.clear();
-        self.m_in.clear();
+        // Branch-free compaction, as in `stage_target`.
+        self.r_in.resize(self.r.len(), 0.0);
+        self.m_in.resize(self.r.len(), 0.0);
+        let mut n = 0;
         for (&r, &m) in self.r.iter().zip(&self.m) {
-            if r < rad {
-                self.r_in.push(r);
-                self.m_in.push(m);
-            }
+            self.r_in[n] = r;
+            self.m_in[n] = m;
+            n += (r < rad) as usize;
         }
-        let n = self.r_in.len();
+        self.r_in.truncate(n);
+        self.m_in.truncate(n);
         self.w.clear();
         self.w.resize(n, 0.0);
         kernel.w_batch(&self.r_in, h, &mut self.w);
@@ -679,5 +684,100 @@ mod tests {
         let r1 = compute_density(&CubicSpline, &cfg, &pos, &mass, &mut h1, &[center]);
         let r2 = compute_density(&CubicSpline, &cfg, &pos, &mass2, &mut h2, &[center]);
         assert!((r2[0].rho / r1[0].rho - 3.0).abs() < 1e-9);
+    }
+
+    /// [`DensitySources::fill`] as it was before it wrote by slot.
+    fn fill_pushed(tree: &Tree, pos: &[Vec3], mass: &[f64]) -> DensitySources {
+        let mut s = DensitySources::default();
+        for &j in &tree.order {
+            let p = pos[j as usize];
+            s.x.push(p.x);
+            s.y.push(p.y);
+            s.z.push(p.z);
+            s.m.push(mass[j as usize]);
+        }
+        s
+    }
+
+    /// [`NeighborCache::sum_density`] as it was before its compaction wrote
+    /// by slot: two pushes per in-support row.
+    fn sum_density_pushed(
+        c: &mut NeighborCache,
+        kernel: &dyn SphKernel,
+        h: f64,
+        rad: f64,
+    ) -> (f64, usize) {
+        c.r_in.clear();
+        c.m_in.clear();
+        for (&r, &m) in c.r.iter().zip(&c.m) {
+            if r < rad {
+                c.r_in.push(r);
+                c.m_in.push(m);
+            }
+        }
+        let n = c.r_in.len();
+        c.w.clear();
+        c.w.resize(n, 0.0);
+        kernel.w_batch(&c.r_in, h, &mut c.w);
+        let mut rho_l = [0.0f64; 4];
+        let (m4, w4) = (c.m_in.chunks_exact(4), c.w.chunks_exact(4));
+        let (m_tail, w_tail) = (m4.remainder(), w4.remainder());
+        for (m, w) in m4.zip(w4) {
+            for ((acc, m), w) in rho_l.iter_mut().zip(m).zip(w) {
+                *acc += m * w;
+            }
+        }
+        for (m, w) in m_tail.iter().zip(w_tail) {
+            rho_l[0] += m * w;
+        }
+        ((rho_l[0] + rho_l[1]) + (rho_l[2] + rho_l[3]), n)
+    }
+
+    /// The slot writers — [`DensitySources::fill`] and the in-support
+    /// compaction of [`NeighborCache::sum_density`] — against their push
+    /// references through reused buffers: equal columns and equal density
+    /// bits over 0–9 sources and target rows, with radii that keep every
+    /// row, none and some.
+    #[test]
+    fn slot_writers_match_the_push_references_bitwise() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(2829);
+        let mut sources = DensitySources::default();
+        let mut cache = NeighborCache::default();
+        for n in (0..=9).rev().chain(0..=9) {
+            let pos: Vec<Vec3> = (0..n)
+                .map(|_| Vec3::new(rng.gen(), rng.gen(), rng.gen()))
+                .collect();
+            let mass: Vec<f64> = (0..n).map(|_| rng.gen_range(0.5..2.0)).collect();
+            let tree = Tree::build_with_h(&pos, &mass, None, 2);
+            sources.fill(&tree, &pos, &mass);
+            let reference = fill_pushed(&tree, &pos, &mass);
+            for (a, b) in [
+                (&sources.x, &reference.x),
+                (&sources.y, &reference.y),
+                (&sources.z, &reference.z),
+                (&sources.m, &reference.m),
+            ] {
+                assert_eq!(a.len(), n);
+                assert!(a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits()));
+            }
+
+            let r: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..2.0)).collect();
+            for rad in [0.0, 1.0, 2.5] {
+                cache.r.clone_from(&r);
+                cache.m.clone_from(&mass);
+                let slot = cache.sum_density(&CubicSpline, rad / 2.0, rad);
+                let pushed = sum_density_pushed(&mut cache, &CubicSpline, rad / 2.0, rad);
+                assert_eq!(slot.0.to_bits(), pushed.0.to_bits(), "{n} rows, rad {rad}");
+                assert_eq!(slot.1, pushed.1, "{n} rows, rad {rad}");
+                // Rows lie in [0, 2): rad 0 keeps none, rad 2.5 keeps all.
+                if rad == 0.0 {
+                    assert_eq!(slot.1, 0);
+                } else if rad > 2.0 {
+                    assert_eq!(slot.1, n);
+                }
+            }
+        }
     }
 }

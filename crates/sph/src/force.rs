@@ -115,7 +115,7 @@ pub const FORCE_LANES: usize = 4;
 /// The j-side hydro data of every source of a pass, struct-of-arrays in
 /// the neighbour tree's (Morton) order: the spans a tree walk returns
 /// address these columns directly and contiguously. Built once per pass;
-/// [`ForceSources::fill`] clears in place, keeping capacity.
+/// [`ForceSources::fill`] rewrites it in place, keeping capacity.
 #[derive(Debug, Clone, Default)]
 pub struct ForceSources {
     x: Vec<f64>,
@@ -135,22 +135,26 @@ impl ForceSources {
     /// Refill from `inputs`, which must arrive in the order the spans
     /// handed to [`ForceBatch::stage`] will refer to — the tree's
     /// `order` in the solver.
-    pub fn fill(&mut self, inputs: impl Iterator<Item = HydroInput>) {
+    ///
+    /// Writes by slot: every column is sized to `inputs.len()` once
+    /// (capacity kept) and input `k` is stored at index `k` of each.
+    pub fn fill(&mut self, inputs: impl ExactSizeIterator<Item = HydroInput>) {
+        let n = inputs.len();
         for col in self.columns() {
-            col.clear();
+            col.resize(n, 0.0);
         }
-        for pj in inputs {
-            self.x.push(pj.pos.x);
-            self.y.push(pj.pos.y);
-            self.z.push(pj.pos.z);
-            self.vx.push(pj.vel.x);
-            self.vy.push(pj.vel.y);
-            self.vz.push(pj.vel.z);
-            self.h.push(pj.h);
-            self.m.push(pj.mass);
-            self.rho.push(pj.rho);
-            self.p2.push(pj.p_over_rho2);
-            self.cs.push(pj.cs);
+        for (k, pj) in inputs.enumerate() {
+            self.x[k] = pj.pos.x;
+            self.y[k] = pj.pos.y;
+            self.z[k] = pj.pos.z;
+            self.vx[k] = pj.vel.x;
+            self.vy[k] = pj.vel.y;
+            self.vz[k] = pj.vel.z;
+            self.h[k] = pj.h;
+            self.m[k] = pj.mass;
+            self.rho[k] = pj.rho;
+            self.p2[k] = pj.p_over_rho2;
+            self.cs[k] = pj.cs;
         }
     }
 
@@ -248,22 +252,25 @@ impl ForceBatch {
             }
         }
         self.near.truncate(kept);
-        self.r.clear();
-        self.hj.clear();
+        self.r2.truncate(kept);
+        // The exact test, compacted the same way: row `q` is written to
+        // slot `kept <= q`, so the in-place columns are never overrun.
+        self.r.resize(kept, 0.0);
+        self.hj.resize(kept, 0.0);
         let mut kept = 0;
         for q in 0..self.near.len() {
             let (k, r2) = (self.near[q], self.r2[q]);
             let (r, hj) = (r2.sqrt(), sources.h[k as usize]);
-            if r < support * pi.h.max(hj) {
-                self.near[kept] = k;
-                self.r2[kept] = r2;
-                kept += 1;
-                self.r.push(r);
-                self.hj.push(hj);
-            }
+            self.near[kept] = k;
+            self.r2[kept] = r2;
+            self.r[kept] = r;
+            self.hj[kept] = hj;
+            kept += (r < support * pi.h.max(hj)) as usize;
         }
         self.near.truncate(kept);
         self.r2.truncate(kept);
+        self.r.truncate(kept);
+        self.hj.truncate(kept);
     }
 
     /// Number of staged in-support pairs.
@@ -624,5 +631,167 @@ mod tests {
         pair_force(&CubicSpline, &visc, &a, &b, &mut fa);
         pair_force(&CubicSpline, &visc, &b, &a, &mut fb);
         assert!((fa.acc * a.mass + fb.acc * b.mass).norm() < 1e-14);
+    }
+
+    /// [`ForceSources::fill`] as it was before it wrote by slot.
+    fn fill_pushed(inputs: &[HydroInput]) -> ForceSources {
+        let mut s = ForceSources::default();
+        for pj in inputs {
+            s.x.push(pj.pos.x);
+            s.y.push(pj.pos.y);
+            s.z.push(pj.pos.z);
+            s.vx.push(pj.vel.x);
+            s.vy.push(pj.vel.y);
+            s.vz.push(pj.vel.z);
+            s.h.push(pj.h);
+            s.m.push(pj.mass);
+            s.rho.push(pj.rho);
+            s.p2.push(pj.p_over_rho2);
+            s.cs.push(pj.cs);
+        }
+        s
+    }
+
+    /// [`ForceBatch::stage`] as it was before its exact test wrote by
+    /// slot: the second pass pushed `r` and `hj` per surviving row.
+    fn stage_pushed(
+        b: &mut ForceBatch,
+        support: f64,
+        pi: &HydroInput,
+        sources: &ForceSources,
+        spans: &[(u32, u32)],
+    ) {
+        let n = span_len(spans);
+        let reach_i = support * pi.h;
+        let reach_i2 = reach_i * reach_i;
+        b.near.clear();
+        b.near.resize(n, 0);
+        b.r2.clear();
+        b.r2.resize(n, 0.0);
+        let mut kept = 0;
+        for &(s, e) in spans {
+            for k in s..e {
+                let j = k as usize;
+                let (dx, dy, dz) = (
+                    pi.pos.x - sources.x[j],
+                    pi.pos.y - sources.y[j],
+                    pi.pos.z - sources.z[j],
+                );
+                let r2 = dx * dx + dy * dy + dz * dz;
+                let reach_j = support * sources.h[j];
+                b.near[kept] = k;
+                b.r2[kept] = r2;
+                kept += ((r2 > 0.0) & (r2 <= reach_i2.max(reach_j * reach_j))) as usize;
+            }
+        }
+        b.near.truncate(kept);
+        b.r.clear();
+        b.hj.clear();
+        let mut kept = 0;
+        for q in 0..b.near.len() {
+            let (k, r2) = (b.near[q], b.r2[q]);
+            let (r, hj) = (r2.sqrt(), sources.h[k as usize]);
+            if r < support * pi.h.max(hj) {
+                b.near[kept] = k;
+                b.r2[kept] = r2;
+                kept += 1;
+                b.r.push(r);
+                b.hj.push(hj);
+            }
+        }
+        b.near.truncate(kept);
+        b.r2.truncate(kept);
+    }
+
+    fn random_inputs(rng: &mut rand::rngs::StdRng, n: usize, spread: f64) -> Vec<HydroInput> {
+        use rand::Rng;
+        let eos = GammaLawEos::default();
+        (0..n)
+            .map(|_| {
+                let mut p = make(
+                    Vec3::new(
+                        rng.gen_range(-spread..spread),
+                        rng.gen_range(-spread..spread),
+                        rng.gen_range(-spread..spread),
+                    ),
+                    Vec3::new(
+                        rng.gen_range(-1.0..1.0),
+                        rng.gen_range(-1.0..1.0),
+                        rng.gen_range(-1.0..1.0),
+                    ),
+                    rng.gen_range(0.5..2.0),
+                    rng.gen_range(0.2..3.0),
+                );
+                p.mass = rng.gen_range(0.5..1.5);
+                p.h = rng.gen_range(0.4..1.6);
+                p.cs = eos.sound_speed(rng.gen_range(0.2..3.0));
+                p
+            })
+            .collect()
+    }
+
+    fn accum_bits(a: &HydroAccum) -> [u64; 5] {
+        [a.acc.x, a.acc.y, a.acc.z, a.dudt, a.v_sig_max].map(f64::to_bits)
+    }
+
+    /// The slot writers — [`ForceSources::fill`] and the exact-test
+    /// compaction of [`ForceBatch::stage`] — against their push references,
+    /// through reused buffers: equal columns and equal [`force_batch`]
+    /// bits over 0–9 sources (empty candidate lists included), split and
+    /// whole spans, and clouds where every row is kept and where none is.
+    #[test]
+    fn slot_writers_match_the_push_references_bitwise() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2828);
+        let support = CubicSpline.support();
+        let visc = Viscosity::default();
+        let mut sources = ForceSources::default();
+        let (mut slot, mut pushed) = (ForceBatch::default(), ForceBatch::default());
+        let (mut all_kept, mut none_kept) = (false, false);
+        for n in (0..=9u32).rev().chain(0..=9) {
+            // 0.2: every pair within reach; 40: almost never.
+            for spread in [0.2, 1.5, 40.0] {
+                let inputs = random_inputs(&mut rng, n as usize, spread);
+                sources.fill(inputs.iter().copied());
+                let mut reference = fill_pushed(&inputs);
+                for (a, b) in sources.columns().into_iter().zip(reference.columns()) {
+                    assert_eq!(a.len(), n as usize);
+                    assert!(a
+                        .iter()
+                        .zip(b.iter())
+                        .all(|(a, b)| a.to_bits() == b.to_bits()));
+                }
+                let outside = random_inputs(&mut rng, 1, spread)[0];
+                for (t, pi) in inputs.iter().chain([&outside]).enumerate() {
+                    let cut = n / 2;
+                    for spans in [&[(0, n)][..], &[(0, cut), (cut, n)], &[]] {
+                        slot.stage(support, pi, &sources, spans);
+                        stage_pushed(&mut pushed, support, pi, &reference, spans);
+                        let case = format!("n {n}, spread {spread}, target {t}, {spans:?}");
+                        assert_eq!(slot.near, pushed.near, "{case}");
+                        for (a, b) in [
+                            (&slot.r2, &pushed.r2),
+                            (&slot.r, &pushed.r),
+                            (&slot.hj, &pushed.hj),
+                        ] {
+                            assert_eq!(a.len(), slot.near.len(), "{case}");
+                            assert!(a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits()));
+                        }
+                        let candidates =
+                            span_len(spans) - (t < n as usize && !spans.is_empty()) as usize;
+                        all_kept |= candidates > 0 && slot.len() == candidates;
+                        none_kept |= candidates > 0 && slot.is_empty();
+                        let (mut a, mut b) = (HydroAccum::default(), HydroAccum::default());
+                        force_batch(&CubicSpline, &visc, pi, &sources, &mut slot, &mut a);
+                        force_batch(&CubicSpline, &visc, pi, &reference, &mut pushed, &mut b);
+                        assert_eq!(accum_bits(&a), accum_bits(&b), "{case}");
+                    }
+                }
+            }
+        }
+        assert!(
+            all_kept && none_kept,
+            "kept all: {all_kept}, kept none: {none_kept}"
+        );
     }
 }

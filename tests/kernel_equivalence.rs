@@ -27,6 +27,11 @@
 //! * the surrogate's voxel scatter (support-culled, batched through
 //!   `w_batch`) vs the per-voxel scalar loop it replaced — **bitwise**,
 //!   as a hash of the five fields recorded from that loop;
+//! * the force pipeline's staging (gravity j-lists, SPH source columns
+//!   and compactions, `ForceBuffers`' refreshes), written by slot since
+//!   it stopped pushing element by element — **bitwise**, as recorded
+//!   hashes of a gravity pass (f64 and mixed), an SPH full and active
+//!   pass, and a Block-mode run, all taken from the push-based loops;
 //! * and a Block-mode snapshot restart running the whole SIMD stack,
 //!   which must stay bitwise identical to the uninterrupted run.
 
@@ -503,6 +508,179 @@ fn sph_results_do_not_depend_on_the_rest_of_the_group() {
             );
         }
     }
+}
+
+/// FNV-1a over the little-endian bytes of `words`.
+fn hash_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    let bytes: Vec<u8> = words.into_iter().flat_map(u64::to_le_bytes).collect();
+    unet::json::fnv1a(&bytes)
+}
+
+/// Three Plummer-like clumps of different richness and size inside a
+/// sparse uniform halo, so group lists range from mostly individual
+/// particles to mostly monopoles.
+fn clustered_cloud(seed: u64) -> (Vec<Vec3>, Vec<f64>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut pos = Vec::new();
+    for (center, scale, n) in [
+        (Vec3::new(-6.0, 1.0, 0.5), 0.4, 1200),
+        (Vec3::new(5.0, -2.0, 1.0), 0.8, 700),
+        (Vec3::new(0.5, 6.0, -4.0), 0.2, 300),
+    ] {
+        for _ in 0..n {
+            let r = scale / (rng.gen_range(0.02f64..1.0).powf(-2.0 / 3.0) - 1.0).sqrt();
+            let dir = Vec3::new(
+                rng.gen_range(-1.0..1.0),
+                rng.gen_range(-1.0..1.0),
+                rng.gen_range(-1.0..1.0),
+            );
+            pos.push(center + dir * (r / dir.norm().max(1e-3)));
+        }
+    }
+    for _ in 0..150 {
+        pos.push(Vec3::new(
+            rng.gen_range(-12.0..12.0),
+            rng.gen_range(-12.0..12.0),
+            rng.gen_range(-12.0..12.0),
+        ));
+    }
+    let mass = (0..pos.len()).map(|_| rng.gen_range(0.5..2.0)).collect();
+    (pos, mass)
+}
+
+/// Gravity evaluations through the solver's group staging, f64 and mixed
+/// precision, hashed over the bits of `acc` and `pot`: the clustered
+/// cloud, whose groups range from mostly individual particles (EP) to
+/// mostly monopoles (SP), and the first 60 particles of its first clump:
+/// one group whose list is EP only (every node overlaps a box around the
+/// whole system, so none is accepted as a monopole). Both staging halves
+/// and the EP-then-SP boundary are exercised. Recorded before the
+/// staging loops were rewritten to write by slot; they must not move.
+#[test]
+fn gravity_pass_bits_are_pinned() {
+    use fdps::walk::{InteractionList, WalkScratch};
+    use gravity::GravitySolver;
+    let (pos, mass) = clustered_cloud(2800);
+    let solver = GravitySolver {
+        theta: 0.5,
+        n_group: 64,
+        eps: 0.01,
+        ..Default::default()
+    };
+    let mut hashes = Vec::new();
+    for (pos, mass) in [(&pos[..], &mass[..]), (&pos[..60], &mass[..60])] {
+        let tree = Tree::build(pos, mass, solver.n_leaf);
+        let index = tree.walk_index();
+        let (mut walk, mut list) = (WalkScratch::default(), InteractionList::default());
+        let (mut ep_only, mut ep_heavy, mut sp_heavy) = (0, 0, 0);
+        for g in tree.groups(solver.n_group) {
+            let bbox = &tree.nodes[g].bbox;
+            tree.walk_mac_indexed(&index, bbox, solver.theta, &mut walk, &mut list);
+            ep_only += list.sp.is_empty() as usize;
+            ep_heavy += (!list.sp.is_empty() && list.ep.len() > list.sp.len()) as usize;
+            sp_heavy += (list.sp.len() > list.ep.len()) as usize;
+        }
+        let kinds = format!("{ep_only} EP-only, {ep_heavy} EP-heavy, {sp_heavy} SP-heavy");
+        if pos.len() > solver.n_group {
+            assert!(ep_heavy > 0 && sp_heavy > 0, "{kinds}");
+        } else {
+            assert_eq!((ep_only, ep_heavy, sp_heavy), (1, 0, 0), "{kinds}");
+        }
+        for mixed_precision in [false, true] {
+            let solver = GravitySolver {
+                mixed_precision,
+                ..solver
+            };
+            let (mut acc, mut pot) = (Vec::new(), Vec::new());
+            let n_local = pos.len() - pos.len() / 20;
+            solver.evaluate_into_indexed(&tree, &index, pos, mass, n_local, &mut acc, &mut pot);
+            let words = acc.iter().flat_map(|a| [a.x, a.y, a.z]).chain(pot);
+            hashes.push(hash_words(words.map(f64::to_bits)));
+        }
+    }
+    assert_eq!(
+        hashes,
+        [
+            0xf47c_96c8_ff85_d6e0,
+            0xb82a_6bd2_9e32_f170,
+            0x0bbf_455d_4489_9b62,
+            0x77e3_a89e_5f99_6181
+        ],
+        "gravity staging no longer reproduces the recorded bits"
+    );
+}
+
+/// Hash the outputs of the SPH passes for `targets`.
+fn hydro_hash(state: &HydroState, targets: &[usize]) -> u64 {
+    hash_words(targets.iter().flat_map(|&i| {
+        let (a, rho, h) = (state.acc[i], state.rho[i], state.h[i]);
+        [rho, h, a.x, a.y, a.z, state.dudt[i], state.v_sig[i]]
+            .map(f64::to_bits)
+            .into_iter()
+            .chain([state.n_ngb[i] as u64])
+    }))
+}
+
+/// One full density + force pass (with ghosts), then an active density +
+/// force pass on a scattered subset after a drift, hashed over `rho`,
+/// `h`, `n_ngb`, `acc`, `dudt` and `v_sig`. Recorded before the SPH
+/// staging loops were rewritten to write by slot; they must not move.
+#[test]
+fn sph_pass_bits_are_pinned() {
+    let solver = SphSolver::default();
+    let mut rng = StdRng::seed_from_u64(2810);
+    let n = 900;
+    let mut state = gas_state(&mut rng, n, 0.9);
+    let mut scratch = SphScratch::default();
+    let n_local = n - 120;
+    solver.density_pass_with(&mut state, n_local, &mut scratch);
+    solver.force_pass_with(&mut state, n_local, &mut scratch);
+    let locals: Vec<usize> = (0..n_local).collect();
+    let full = hydro_hash(&state, &locals);
+
+    for i in 0..n {
+        let v = state.vel[i];
+        state.pos[i] += v * 0.015;
+    }
+    let active: Vec<usize> = (0..n_local).filter(|i| i % 5 == 1 || i % 13 == 0).collect();
+    solver.density_pass_active(&mut state, &active, &mut scratch);
+    solver.force_pass_active(&mut state, &active, &mut scratch);
+    let subset = hydro_hash(&state, &active);
+    assert_eq!(
+        [full, subset],
+        [0x440d_f714_26a1_5535, 0xe263_fd5f_2e49_cfb0],
+        "SPH staging no longer reproduces the recorded bits"
+    );
+}
+
+/// A Block-mode run of `spiked_dt` — base-step and substep force
+/// evaluations through `ForceBuffers`' staging — hashed over every
+/// particle field the forces move. Recorded before the staging loops
+/// were rewritten to write by slot; it must not move.
+#[test]
+fn block_mode_run_bits_are_pinned() {
+    let (cfg, particles) = asura::scenarios::find("spiked_dt")
+        .expect("registered scenario")
+        .build(1);
+    let mut sim = Simulation::new(cfg, particles, 11);
+    sim.run(4);
+    assert!(sim.stats.substeps > sim.stats.steps, "hierarchy engaged");
+    let words = sim.particles.iter().flat_map(|p| {
+        [p.pos.x, p.pos.y, p.pos.z, p.vel.x, p.vel.y, p.vel.z]
+            .into_iter()
+            .chain([p.mass, p.u, p.h, p.rho, p.metals])
+            .map(f64::to_bits)
+            .chain([p.id])
+    });
+    assert_eq!(
+        [
+            hash_words(words),
+            sim.stats.gravity_interactions,
+            sim.stats.hydro_interactions
+        ],
+        [0x9e6b_02a2_048b_611b, 13_648_713, 3_734_244],
+        "force staging no longer reproduces the recorded run"
+    );
 }
 
 fn random_tensor(rng: &mut StdRng, c: usize, d: usize, h: usize, w: usize) -> Tensor {
