@@ -548,7 +548,7 @@ mod tests {
             time: 0.5,
             step_count: 1,
             model: None,
-            sf_stream: None,
+            next_id: 0,
             slabs: Vec::new(),
         };
         st.commit_sim(&intact, CkptFormat::Bin, &mut inj).unwrap();

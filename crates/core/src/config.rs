@@ -144,6 +144,10 @@ pub struct SimConfig {
     /// checkpoints go to [`dist::run`](crate::dist::run)'s hook). `0`
     /// disables periodic checkpointing.
     pub snapshot_every: u64,
+    /// Key of the run's random draws: a star-formation draw is a function
+    /// of `(seed, particle id, step)` alone (`core::step`), so it rides the
+    /// checkpoint and one value serves every slab.
+    pub seed: u64,
 }
 
 impl Default for SimConfig {
@@ -167,6 +171,7 @@ impl Default for SimConfig {
             sf_t_max: 100.0,
             sf_efficiency: 0.02,
             snapshot_every: 0,
+            seed: 0,
         }
     }
 }

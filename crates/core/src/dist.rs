@@ -25,7 +25,7 @@
 //! | `2nd Calc_Force` | gravity + SPH forces of the closing pass | per-substep active-set forces |
 //! | `Final_kick (brdg asso)` | closing half-kick | per-substep closing/opening kicks of the active set |
 //! | `Receive_SNe` | pool replies, shared with every rank | same, at base cadence |
-//! | `Feedback_and_Cooling (direct)` / `Star Formation` | cooling, (empty stage — below) | same, at base cadence |
+//! | `Feedback_and_Cooling (direct)` / `Star Formation` | cooling / the star-formation draws and the all-gather of the spawning parents' ids | same, at base cadence |
 //!
 //! In `Global` mode the loop is a true kick–drift–kick: the opening force
 //! pass (`1st *` phases) feeds the half-kick + drift, a full re-force at
@@ -42,16 +42,11 @@
 //! what they mean there. On a `(1,1,1)` grid the halo has nobody to talk
 //! to and the two drivers agree to the bit — every particle field and the
 //! whole [`SimStats`] — under either scheme and either timestep mode,
-//! through an SN (`tests/distributed.rs`). On more ranks the domain cut
-//! reorders the force sums and agreement is a drift class; a blast that
-//! straddles the cut still deposits the same yields and energy to
-//! round-off, since only Σw crosses ranks.
-//!
-//! What this driver does not do is **form stars**: a per-rank stochastic
-//! stream needs a seed, which [`DistConfig`] does not carry, so the stage
-//! handed to [`step::step`] is empty (still bracketed under `Star
-//! Formation`, so the phase report carries all 17 legend entries) and
-//! [`SimStats::stars_formed`] stays 0.
+//! through an SN and while forming stars (`tests/distributed.rs`). On more
+//! ranks the domain cut reorders the force sums and agreement is a drift
+//! class; a blast that straddles the cut still deposits the same yields and
+//! energy to round-off, since only Σw crosses ranks, and a star-formation
+//! draw is keyed by `(SimConfig::seed, id, step)`, not by the rank.
 //!
 //! # Distributed block timesteps
 //!
@@ -657,6 +652,12 @@ impl Halo for DistHalo<'_> {
         })
     }
 
+    fn all_parents(&mut self, mine: Vec<u64>) -> Vec<u64> {
+        self.timer.region(self.main, phases::STAR_FORMATION, || {
+            self.main.allgatherv(mine).concat()
+        })
+    }
+
     /// Local tree → LET exchange → imports appended after the locals.
     fn import_sources(
         &mut self,
@@ -767,6 +768,7 @@ fn main_loop<H: FnMut(u64, Option<&SimSnapshot>) -> Result<(), String>>(
     // per-rank force scratch + source caches threaded through every step
     // (gravity results and SPH staging are refreshed in place, so the
     // steady-state loop does not re-collect them) and the pool queue.
+    let mut next_id = resume.map_or_else(|| step::first_free_id(all_particles), |s| s.next_id);
     let (mut particles, mut time, step0, mut stats, mut state) = match resume {
         Some(s) => {
             let slab = &s.slabs[me];
@@ -792,12 +794,11 @@ fn main_loop<H: FnMut(u64, Option<&SimSnapshot>) -> Result<(), String>>(
             particles: &mut particles,
             time: &mut time,
             step_count: &mut step,
+            next_id: &mut next_id,
             stats: &mut stats,
             state: &mut state,
         };
-        // No star-formation stage: this driver has no seeded stream
-        // (module docs).
-        step::step(&cfg.sim, &mut halo, &mut slab, |_, _| {});
+        step::step(&cfg.sim, &mut halo, &mut slab);
 
         // --- Checkpoint at the configured cadence, onto main rank 0 -------
         let due = cfg.snapshot_every > 0 && step.is_multiple_of(cfg.snapshot_every);
@@ -817,7 +818,7 @@ fn main_loop<H: FnMut(u64, Option<&SimSnapshot>) -> Result<(), String>>(
                 time,
                 step_count: step,
                 model: cfg.predictor.model_state(),
-                sf_stream: None,
+                next_id,
                 slabs,
             })
         });

@@ -137,6 +137,12 @@ pub trait Halo {
         x
     }
 
+    /// Every slab's ids of this step's star-spawning gas (the ids the new
+    /// stars are numbered by), in any order.
+    fn all_parents(&mut self, mine: Vec<u64>) -> Vec<u64> {
+        mine
+    }
+
     /// Full pass only: append the remote gravity sources this slab needs
     /// (its LET imports) after the local entries of `pos`/`mass`.
     fn import_sources(

@@ -6,17 +6,14 @@ use crate::config::SimConfig;
 use crate::dist::{DistError, PredictorKind};
 use crate::faults::FaultInjector;
 use crate::forces::{ForceBuffers, Halo};
-use crate::particle::{Kind, Particle};
+use crate::particle::Particle;
 use crate::pool::{PoolPredictor, SedovOverlayPredictor};
 use crate::scheduler::ActiveScheduler;
-use crate::snapshot::{ModelState, PendingPrediction, SfStream, SimSnapshot};
+use crate::snapshot::{ModelState, PendingPrediction, SimSnapshot};
 use crate::step::{self, Slab, SlabState};
-use astro::starform::{SfOutcome, StarFormation};
 use astro::units::{E_SN, G};
 use fdps::Vec3;
 use gravity::GravitySolver;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use surrogate::GasParticle;
 
 /// Counters accumulated over a run.
@@ -90,9 +87,8 @@ pub struct Simulation {
     /// the analytic Sedov-overlay default.
     pub model: Option<ModelState>,
     predictor: Box<dyn PoolPredictor>,
+    /// The id the next star spawned takes.
     next_id: u64,
-    rng: StdRng,
-    starform: StarFormation,
     /// What [`step::step`] keeps between steps. Of the force arena only
     /// the `vsig` stash — the last SPH force pass's signal speeds, input
     /// of the conventional scheme's CFL estimate — travels through
@@ -107,16 +103,17 @@ impl Simulation {
         Self::with_predictor(config, particles, seed, Box::new(SedovOverlayPredictor))
     }
 
-    /// Build with an explicit pool predictor (e.g. a trained U-Net).
+    /// Build with an explicit pool predictor (e.g. a trained U-Net). `seed`
+    /// becomes the run's key, [`SimConfig::seed`].
     pub fn with_predictor(
         config: SimConfig,
         particles: Vec<Particle>,
         seed: u64,
         predictor: Box<dyn PoolPredictor>,
     ) -> Self {
-        let next_id = particles.iter().map(|p| p.id).max().map_or(0, |m| m + 1);
         Simulation {
-            config,
+            config: SimConfig { seed, ..config },
+            next_id: step::first_free_id(&particles),
             particles,
             time: 0.0,
             step_count: 0,
@@ -126,16 +123,6 @@ impl Simulation {
             },
             model: None,
             predictor,
-            next_id,
-            rng: StdRng::seed_from_u64(seed),
-            starform: StarFormation {
-                criteria: astro::StarFormationCriteria {
-                    rho_min: config.sf_rho_min,
-                    t_max: config.sf_t_max,
-                    efficiency: config.sf_efficiency,
-                },
-                ..Default::default()
-            },
             state: SlabState::default(),
         }
     }
@@ -190,10 +177,7 @@ impl Simulation {
             time: self.time,
             step_count: self.step_count,
             model: self.model.clone(),
-            sf_stream: Some(SfStream {
-                next_id: self.next_id,
-                rng_state: self.rng.state(),
-            }),
+            next_id: self.next_id,
             slabs: vec![self.state.record(&self.particles, &self.stats, pending)],
         }
     }
@@ -207,14 +191,15 @@ impl Simulation {
 
     /// Rebuild a simulation from a one-slab snapshot. The continued run
     /// reproduces an uninterrupted one bit-for-bit: every piece of
-    /// cross-step driver state (RNG stream, pending pool predictions —
-    /// stored *predicted*, so the predictor is never re-run for them — CFL
-    /// signal-speed stash, id counter, schedule) is reinstated. If the
-    /// snapshot carries a trained model ([`SimSnapshot::model`]), the
-    /// identical U-Net predictor is rebuilt from the embedded weights — no
-    /// weights file needs to exist at resume time — and a document that
-    /// does not decode is [`DistError::BadWeights`]; otherwise the default
-    /// Sedov-overlay predictor is used.
+    /// cross-step driver state (the config with its seed, pending pool
+    /// predictions — stored *predicted*, so the predictor is never re-run
+    /// for them — CFL signal-speed stash, id counter, schedule) is
+    /// reinstated. If the snapshot carries a trained model
+    /// ([`SimSnapshot::model`]), the identical U-Net predictor is rebuilt
+    /// from the embedded weights — no weights file needs to exist at resume
+    /// time — and a document that does not decode is
+    /// [`DistError::BadWeights`]; otherwise the default Sedov-overlay
+    /// predictor is used.
     pub fn try_restore(snapshot: &SimSnapshot) -> Result<Self, DistError> {
         let embedded = snapshot.model.as_ref().map(PredictorKind::embedded);
         let kind = embedded.unwrap_or(PredictorKind::SedovOverlay);
@@ -225,9 +210,8 @@ impl Simulation {
     /// [`Simulation::try_restore`] with an explicit pool predictor for
     /// regions dispatched *after* the restart (in-flight predictions are
     /// replayed from the snapshot verbatim). A snapshot of several slabs
-    /// is the distributed driver's to resume
-    /// ([`DistError::GridMismatch`]); one without a star-formation stream
-    /// (a `(1,1,1)` distributed run's) starts a fresh one.
+    /// is the distributed driver's to resume ([`DistError::GridMismatch`]);
+    /// a `(1,1,1)` distributed run's is this driver's like its own.
     pub fn restore_with_predictor(
         snapshot: &SimSnapshot,
         predictor: Box<dyn PoolPredictor>,
@@ -238,27 +222,25 @@ impl Simulation {
                 config_ranks: 1,
             });
         };
-        let mut sim =
-            Simulation::with_predictor(snapshot.config, slab.particles.clone(), 0, predictor);
+        let (config, particles) = (snapshot.config, slab.particles.clone());
+        let mut sim = Simulation::with_predictor(config, particles, config.seed, predictor);
         sim.model = snapshot.model.clone();
         sim.time = snapshot.time;
         sim.step_count = snapshot.step_count;
+        sim.next_id = snapshot.next_id;
         sim.stats = slab.stats;
-        if let Some(sf) = &snapshot.sf_stream {
-            sim.next_id = sf.next_id;
-            sim.rng = StdRng::from_state(sf.rng_state);
-        }
         sim.state = SlabState::resumed(slab, |predicted| predicted);
         Ok(sim)
     }
 
     /// One full step of the paper's §3.2 procedure: [`step::step`] on the
-    /// one slab there is, with this driver's seeded star formation.
+    /// one slab there is.
     pub fn step(&mut self) {
         let mut slab = Slab {
             particles: &mut self.particles,
             time: &mut self.time,
             step_count: &mut self.step_count,
+            next_id: &mut self.next_id,
             stats: &mut self.stats,
             state: &mut self.state,
         };
@@ -266,10 +248,7 @@ impl Simulation {
             pool: &*self.predictor,
             horizon: self.config.horizon(),
         };
-        let (rng, starform, next_id) = (&mut self.rng, &self.starform, &mut self.next_id);
-        step::step(&self.config, &mut halo, &mut slab, |s, dt| {
-            form_stars(rng, starform, next_id, s, dt)
-        });
+        step::step(&self.config, &mut halo, &mut slab);
     }
 
     /// The block-timestep scheduler (its schedule reflects the last base
@@ -324,52 +303,6 @@ impl Simulation {
     /// Number of in-flight pool predictions.
     pub fn pending_regions(&self) -> usize {
         self.state.pending.len()
-    }
-}
-
-/// Stochastic star formation over the gas (paper §3.2 step 6), on the
-/// driver's seeded stream; new stars take ids from `next_id`.
-fn form_stars<T>(
-    rng: &mut StdRng,
-    starform: &StarFormation,
-    next_id: &mut u64,
-    s: &mut Slab<'_, T>,
-    dt: f64,
-) {
-    let (time, eos) = (*s.time, s.state.eos);
-    let mut new_stars: Vec<Particle> = Vec::new();
-    for p in s.particles.iter_mut() {
-        if p.is_gas() && p.rho > 0.0 {
-            let temp = eos.temperature_from_u(p.u);
-            match starform.try_form(rng, p.rho, temp, p.mass, dt) {
-                SfOutcome::None => {}
-                SfOutcome::Spawn {
-                    star_mass,
-                    gas_left,
-                } => {
-                    // The id is assigned below.
-                    new_stars.push(Particle::star(0, p.pos, p.vel, star_mass, time));
-                    p.mass = gas_left;
-                }
-                SfOutcome::Convert { star_mass } => {
-                    p.kind = Kind::Star;
-                    p.mass = star_mass;
-                    p.birth_time = time;
-                    p.exploded = false;
-                    // A gas id just left the gas population.
-                    s.state.gas_index.invalidate();
-                }
-            }
-        }
-    }
-    if !new_stars.is_empty() {
-        s.state.gas_index.invalidate();
-    }
-    for mut star in new_stars {
-        star.id = *next_id;
-        *next_id += 1;
-        s.stats.stars_formed += 1;
-        s.particles.push(star);
     }
 }
 
@@ -467,12 +400,14 @@ mod tests {
             assert_eq!(refused, Err(want));
         }
 
-        // Without a star-formation stream the run starts a fresh one.
-        let mut no_stream = good.clone();
-        no_stream.sf_stream = None;
-        let resumed = Simulation::try_restore(&no_stream).expect("resumable");
-        assert_eq!(resumed.next_id, 2, "ids continue past the particles");
+        // The key and the id counter are the snapshot's, not a fresh run's.
+        let mut keyed = good.clone();
+        keyed.config.seed = 7;
+        keyed.next_id = 40;
+        let resumed = Simulation::try_restore(&keyed).expect("resumable");
+        assert_eq!((resumed.config.seed, resumed.next_id), (7, 40));
         assert_eq!(resumed.stats, sim.stats);
+        assert_eq!(resumed.snapshot(), keyed);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Versioned snapshot / checkpoint-restart serialization.
 //!
 //! A [`SimSnapshot`] captures the **complete** state of a run — the
-//! [`SimConfig`], the clock, the surrogate model in service, the
-//! shared-memory driver's star-formation stream, and one [`SlabRecord`]
+//! [`SimConfig`] (the run's seed with it), the clock, the surrogate model in
+//! service, the id the next star takes, and one [`SlabRecord`]
 //! per particle slab: the particles in local order, the signal-speed
 //! stash, the block-timestep schedule, the counters and the slab's queue
 //! of in-flight pool predictions — such that restoring it continues the
@@ -87,8 +87,11 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ASURSNAP";
 /// v4: one kind for both drivers — per-slab state moved into
 /// [`SimSnapshot::slabs`] (the pool queue with it), the star-formation
 /// stream became optional, and the distributed driver's own format
-/// (`ASURDSNP`, last at v5) was retired.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// (`ASURDSNP`, last at v5) was retired;
+/// v5: star formation draws from no stream — [`SimConfig`] gained its
+/// `seed`, and the stream gave way to the run-level
+/// [`SimSnapshot::next_id`].
+pub const SNAPSHOT_VERSION: u32 = 5;
 /// `format` field of the JSON document.
 const SNAPSHOT_FORMAT: &str = "asura-snapshot";
 
@@ -151,9 +154,6 @@ mod wire {
         U32,
         U64,
         F64,
-        /// A `u64` with no numeric meaning (RNG state): always the tagged
-        /// hex string in JSON.
-        Word,
         /// One byte.
         Bool,
         /// `u64` byte length, then UTF-8.
@@ -372,17 +372,6 @@ impl Wire for Vec3 {
     }
 }
 
-/// The xoshiro256** state words.
-impl Wire for [u64; 4] {
-    const TY: Ty = Ty::Tuple(&[Ty::Word; 4]);
-    fn put(&self, out: &mut Vec<u8>) {
-        self.iter().for_each(|x| x.put(out));
-    }
-    fn get(r: &mut BinReader) -> Result<Self, SnapshotError> {
-        Ok([u64::get(r)?, u64::get(r)?, u64::get(r)?, u64::get(r)?])
-    }
-}
-
 /// A `last_vsig` entry: `(particle index, v_sig, h)`.
 impl Wire for (u64, f64, f64) {
     const TY: Ty = Ty::Tuple(&[Ty::U64, Ty::F64, Ty::F64]);
@@ -465,6 +454,7 @@ record!(SimConfig {
     sf_t_max: f64,
     sf_efficiency: f64,
     snapshot_every: u64,
+    seed: u64,
 });
 
 record!(SimStats {
@@ -544,17 +534,6 @@ record! {
 }
 
 record! {
-    /// The shared-memory driver's star-formation stream.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct SfStream {
-        /// Next particle id to hand out.
-        pub next_id: u64,
-        /// Raw xoshiro256** state of the driver's RNG stream.
-        pub rng_state as "rng": [u64; 4],
-    }
-}
-
-record! {
     /// One particle slab and what its [`SlabState`](crate::step::SlabState)
     /// must carry across a restart.
     #[derive(Debug, Clone, PartialEq)]
@@ -587,9 +566,8 @@ record! {
         /// The trained surrogate model in service, if the run uses one
         /// (`None` for the analytic Sedov-overlay default).
         pub model: Option<ModelState>,
-        /// `None` from the distributed driver, which forms no stars and
-        /// draws from no stream.
-        pub sf_stream: Option<SfStream>,
+        /// The id the next star takes — the same on every slab.
+        pub next_id: u64,
         /// One record from [`Simulation`](crate::sim::Simulation), one per
         /// main rank in rank order from [`dist::run`](crate::dist::run); a
         /// resume needs the same count.
@@ -663,7 +641,6 @@ fn to_value(ty: &Ty, r: &mut BinReader) -> Result<Json, SnapshotError> {
     Ok(match *ty {
         Ty::U32 => ju(u32::get(r)? as u64),
         Ty::U64 => ju(u64::get(r)?),
-        Ty::Word => Json::Str(format!("u64:{:016x}", u64::get(r)?)),
         Ty::F64 => match f64::get(r)? {
             x if x.is_finite() => Json::Num(x),
             x => Json::Str(format!("bits:{:016x}", x.to_bits())),
@@ -723,7 +700,7 @@ fn from_value(ty: &Ty, v: &Json, out: &mut Vec<u8>) -> Result<(), SnapshotError>
     let field = |key: &str| v.get(key).map_err(malformed);
     match (*ty, v) {
         (Ty::U32, _) => v.as_u32().map_err(malformed)?.put(out),
-        (Ty::U64 | Ty::Word, _) => as_u64(v)?.put(out),
+        (Ty::U64, _) => as_u64(v)?.put(out),
         (Ty::F64, _) => as_f64(v)?.put(out),
         (Ty::Bool, Json::Bool(b)) => b.put(out),
         (Ty::Str, Json::Str(s)) => s.put(out),
@@ -997,6 +974,7 @@ mod tests {
                     }
                 },
                 snapshot_every: rng.gen_range(0..10u64),
+                seed: rng.gen(), // full-range u64
                 ..Default::default()
             },
             time: rng.gen_range(0.0..100.0),
@@ -1012,10 +990,7 @@ mod tests {
             } else {
                 None
             },
-            sf_stream: Some(SfStream {
-                next_id: n as u64,
-                rng_state: [rng.gen(), rng.gen(), rng.gen(), rng.gen()],
-            }),
+            next_id: n as u64,
             slabs: vec![SlabRecord {
                 stats: SimStats {
                     steps: rng.gen::<u32>() as u64,
@@ -1136,7 +1111,7 @@ mod tests {
 
     /// A several-slab snapshot, as the distributed gather writes them: the
     /// one-slab snapshot's particles dealt out in chunks of 7, a schedule on
-    /// every slab or none, no star-formation stream.
+    /// every slab or none.
     fn random_dist_snapshot(seed: u64) -> SimSnapshot {
         let mut snap = random_snapshot(seed, 30);
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(77).wrapping_add(5));
@@ -1160,7 +1135,6 @@ mod tests {
             });
         }
         snap.step_count = 17;
-        snap.sf_stream = None;
         snap
     }
 
@@ -1319,30 +1293,30 @@ mod tests {
         d
     }
 
-    /// `fnv1a(to_bytes())` of the goldens, recorded with v4 (one kind, the
-    /// slab list). A mismatch means the binary layout changed: bump the
-    /// version, then refresh these.
+    /// `fnv1a(to_bytes())` of the goldens, recorded with v5 (the seed in
+    /// the config, `next_id` at run level). A mismatch means the binary
+    /// layout changed: bump the version, then refresh these.
     #[test]
     fn binary_encoding_reproduces_the_recorded_goldens() {
         let s = golden_sim();
         let slab = &s.slabs[0];
-        assert!(s.model.is_some() && s.sf_stream.is_some() && s.slabs.len() == 1);
+        assert!(s.model.is_some() && s.slabs.len() == 1 && s.config.seed > 1 << 53);
         assert!(slab.schedule.is_some() && !slab.pending.is_empty());
         assert!(slab.stats.dt_min_seen.is_infinite());
-        assert_eq!(s.to_bytes().len(), 2820);
-        assert_eq!(fnv1a(&s.to_bytes()), 0x1b4e_e12b_6907_1ad7, "one slab, v4");
+        assert_eq!(s.to_bytes().len(), 2796);
+        assert_eq!(fnv1a(&s.to_bytes()), 0x68a2_c2a3_1f69_3c61, "one slab, v5");
         let d = golden_dist();
-        assert!(d.model.is_some() && d.sf_stream.is_none() && d.slabs.len() > 2);
+        assert!(d.model.is_some() && d.slabs.len() > 2);
         assert!(d.slabs.iter().all(|slab| slab.schedule.is_some()));
         assert!(d.slabs.iter().any(|slab| !slab.pending.is_empty()));
         assert!(d.slabs.iter().any(|slab| !slab.last_vsig.is_empty()));
-        assert_eq!(d.to_bytes().len(), 5019);
+        assert_eq!(d.to_bytes().len(), 5036);
         assert_eq!(
             fnv1a(&d.to_bytes()),
-            0xa7a3_df76_8b8d_4da9,
-            "several slabs, v4"
+            0x1750_dd88_3f3b_cdd5,
+            "several slabs, v5"
         );
-        assert_eq!(SNAPSHOT_VERSION, 4);
+        assert_eq!(SNAPSHOT_VERSION, 5);
     }
 
     /// The fixtures are the goldens as rendered by the commit that last
@@ -1350,12 +1324,12 @@ mod tests {
     /// decoding to the same values.
     #[test]
     fn json_fixtures_rendered_before_the_schema_decode_to_equal_values() {
-        let sim = include_str!("../fixtures/sim_snapshot_v4.json");
+        let sim = include_str!("../fixtures/sim_snapshot_v5.json");
         assert_eq!(
             SimSnapshot::from_json(sim).expect("one-slab fixture"),
             golden_sim()
         );
-        let dist = include_str!("../fixtures/slabs_snapshot_v4.json");
+        let dist = include_str!("../fixtures/slabs_snapshot_v5.json");
         assert_eq!(
             SimSnapshot::from_json(dist).expect("several-slab fixture"),
             golden_dist()
@@ -1456,7 +1430,7 @@ mod tests {
         let at = r.pos;
         match *ty {
             Ty::U32 => drop(u32::get(r).unwrap()),
-            Ty::U64 | Ty::Word | Ty::F64 => drop(u64::get(r).unwrap()),
+            Ty::U64 | Ty::F64 => drop(u64::get(r).unwrap()),
             Ty::Bool | Ty::Tag { .. } => drop(r.u8().unwrap()),
             Ty::Str => drop(String::get(r).unwrap()),
             Ty::Timestep => {

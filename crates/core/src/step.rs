@@ -11,7 +11,7 @@
 //!    `Block`);
 //! 5. collect the predictions that are due and replace by ID;
 //! 6. cool;
-//! 7. run the star-formation stage the driver supplies;
+//! 7. form stars;
 //! 8. advance the clock.
 //!
 //! What one slab cannot know alone it asks its [`Halo`]:
@@ -21,23 +21,33 @@
 //! straddles (2–3), [`Halo::gather_region`] for the cube's gas held by
 //! other slabs (3), [`Halo::submit`] / [`Halo::collect`] for the pool (3,
 //! 5), [`Halo::min`] for the adaptive step (4), the force-pass methods
-//! inside [`ForceBuffers`] (4) and [`Halo::phase`] around each stage. The
-//! drivers keep what is genuinely theirs: the transport, the checkpoint
-//! cadence and — star formation needs a seeded stream — stage 7.
+//! inside [`ForceBuffers`] (4), [`Halo::all_parents`] for the star ids (7)
+//! and [`Halo::phase`] around each stage. The drivers keep what is
+//! genuinely theirs: the transport and the checkpoint cadence.
+//!
+//! Stage 7 draws from no stream. A gas particle's draw is seeded by a hash
+//! of `(SimConfig::seed, its id, the step)` — counter-based random numbers
+//! (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11) —
+//! so it depends on neither particle order nor partition, and new stars
+//! take ids from the run's `next_id` in parent-id order over every slab.
 
 use crate::config::{Scheme, SimConfig, TimestepMode};
 use crate::forces::{ForceBuffers, Halo};
-use crate::particle::Particle;
+use crate::particle::{Kind, Particle};
 use crate::phases;
 use crate::scheduler::ActiveScheduler;
 use crate::sim::SimStats;
 use crate::snapshot::{PendingPrediction, ScheduleState, SlabRecord};
 use astro::cooling::CoolingCurve;
 use astro::lifetime::explodes_in_interval;
+use astro::starform::{SfOutcome, StarFormation};
 use astro::supernova::SnFeedback;
 use astro::units::{E_SN, NH_PER_MSUN_PC3};
 use astro::yields::{distribute_yields, SnYield};
+use astro::StarFormationCriteria;
 use fdps::Vec3;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use sph::timestep::quantize_block;
 use sph::GammaLawEos;
 use surrogate::GasParticle;
@@ -134,25 +144,25 @@ pub fn requeue<T>(
     pending.iter().map(in_flight).collect()
 }
 
-/// One slab as [`step`] takes it: the driver's own particles, clock and
-/// counters, and the [`SlabState`] it keeps for the step.
+/// One slab as [`step`] takes it: the driver's own particles, clock, id
+/// counter (the same on every slab) and counters, and the [`SlabState`] it
+/// keeps for the step.
 pub struct Slab<'a, T> {
     pub particles: &'a mut Vec<Particle>,
     pub time: &'a mut f64,
     pub step_count: &'a mut u64,
+    pub next_id: &'a mut u64,
     pub stats: &'a mut SimStats,
     pub state: &'a mut SlabState<T>,
 }
 
+/// The first id past `particles`' — a fresh run's `next_id`.
+pub fn first_free_id(particles: &[Particle]) -> u64 {
+    particles.iter().map(|p| p.id).max().map_or(0, |m| m + 1)
+}
+
 /// One full step of the paper's §3.2 procedure on one slab (module docs).
-/// `star_formation(slab, dt)` is stage 7; it runs when
-/// [`SimConfig::star_formation`] is set.
-pub fn step<H: Halo>(
-    cfg: &SimConfig,
-    halo: &mut H,
-    s: &mut Slab<'_, H::Ticket>,
-    star_formation: impl FnOnce(&mut Slab<'_, H::Ticket>, f64),
-) {
+pub fn step<H: Halo>(cfg: &SimConfig, halo: &mut H, s: &mut Slab<'_, H::Ticket>) {
     halo.rebalance(s.particles);
     if H::COLLECTIVE {
         // Other slabs exist: migration may have changed who is here.
@@ -248,11 +258,13 @@ pub fn step<H: Halo>(
             cool(s.particles, &st.cooling, &st.eos, dt);
         }
     });
-    halo.phase(phases::STAR_FORMATION, || {
-        if cfg.star_formation {
-            star_formation(s, dt);
-        }
+    let spawned = halo.phase(phases::STAR_FORMATION, || match cfg.star_formation {
+        true => draw_stars(cfg, s, dt),
+        false => Vec::new(),
     });
+    if cfg.star_formation {
+        number_stars(halo, s, spawned);
+    }
 
     *s.time += dt;
     *s.step_count += 1;
@@ -326,9 +338,9 @@ fn take_due<T>(pending: &mut Vec<T>, step: u64, due_step: impl Fn(&T) -> u64) ->
 }
 
 /// Gas id → particle index, for applying pool predictions. Built on first
-/// use and kept until [`GasIndex::invalidate`]d: insertion, gas→star
-/// conversion and migration change it; kicks, drifts and replacement by
-/// id do not.
+/// use and kept until [`GasIndex::invalidate`]d: gas→star conversion and
+/// migration change it; kicks, drifts, replacement by id and appending a
+/// star do not.
 #[derive(Default)]
 pub struct GasIndex {
     // lint:allow(ordered-iteration): keyed lookup only — never iterated,
@@ -388,6 +400,75 @@ fn cool(particles: &mut [Particle], cooling: &CoolingCurve, eos: &GammaLawEos, d
     }
 }
 
+/// The seed of a star-formation draw: SplitMix64's finalizer folded over
+/// `(seed, id, step)`, one word at a time.
+fn draw_key(seed: u64, id: u64, step: u64) -> u64 {
+    let mix = |z: u64| {
+        let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let gamma = 0x9E37_79B9_7F4A_7C15u64;
+    [seed, id, step]
+        .into_iter()
+        .fold(0, |h, w| mix(h.wrapping_add(gamma) ^ w))
+}
+
+/// Stochastic star formation over the gas (paper §3.2 step 6), each
+/// particle on its own [`draw_key`]-seeded generator. A conversion happens
+/// in place; a spawn leaves the gas its remainder and comes back as
+/// `(parent id, star)`, the star's id still to be given.
+fn draw_stars<T>(cfg: &SimConfig, s: &mut Slab<'_, T>, dt: f64) -> Vec<(u64, Particle)> {
+    let criteria = StarFormationCriteria {
+        rho_min: cfg.sf_rho_min,
+        t_max: cfg.sf_t_max,
+        efficiency: cfg.sf_efficiency,
+    };
+    let starform = StarFormation {
+        criteria,
+        ..Default::default()
+    };
+    let (time, step, eos) = (*s.time, *s.step_count, s.state.eos);
+    let mut spawned = Vec::new();
+    for p in s.particles.iter_mut().filter(|p| p.is_gas() && p.rho > 0.0) {
+        let mut rng = StdRng::seed_from_u64(draw_key(cfg.seed, p.id, step));
+        let temp = eos.temperature_from_u(p.u);
+        match starform.try_form(&mut rng, p.rho, temp, p.mass, dt) {
+            SfOutcome::None => {}
+            SfOutcome::Spawn {
+                star_mass,
+                gas_left,
+            } => {
+                spawned.push((p.id, Particle::star(0, p.pos, p.vel, star_mass, time)));
+                p.mass = gas_left;
+            }
+            SfOutcome::Convert { star_mass } => {
+                p.kind = Kind::Star;
+                p.mass = star_mass;
+                p.birth_time = time;
+                p.exploded = false;
+                // A gas id just left the gas population.
+                s.state.gas_index.invalidate();
+            }
+        }
+    }
+    spawned
+}
+
+/// Give this slab's spawned stars their ids and append them: every slab's
+/// spawns ([`Halo::all_parents`]) take ids from `next_id` in parent-id
+/// order, so the ids do not depend on who holds which parent.
+fn number_stars<H: Halo>(halo: &mut H, s: &mut Slab<'_, H::Ticket>, spawned: Vec<(u64, Particle)>) {
+    let mut parents = halo.all_parents(spawned.iter().map(|&(id, _)| id).collect());
+    parents.sort_unstable();
+    s.stats.stars_formed += spawned.len() as u64;
+    for (parent, mut star) in spawned {
+        star.id = *s.next_id + parents.partition_point(|&q| q < parent) as u64;
+        s.particles.push(star);
+    }
+    *s.next_id += parents.len() as u64;
+}
+
 /// The gas within `radius` of an SN at `center` and each particle's share
 /// weight (linear taper, floored): who receives yields or thermal energy.
 fn sn_neighbours(particles: &[Particle], center: Vec3, radius: f64) -> (Vec<usize>, Vec<f64>) {
@@ -400,4 +481,78 @@ fn sn_neighbours(particles: &[Particle], center: Vec3, radius: f64) -> (Vec<usiz
             (r < radius).then(|| (i, (1.0 - r / radius).max(0.01)))
         })
         .unzip()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeMap;
+
+    /// A halo with nobody to talk to and no pool.
+    struct Lone;
+
+    impl Halo for Lone {
+        type Ticket = ();
+        fn submit(&mut self, _: Vec3, _: Vec<GasParticle>) {}
+        fn collect(&mut self, _: Vec<()>) -> Vec<GasParticle> {
+            Vec::new()
+        }
+    }
+
+    /// Stage 7 once over `particles`, as `parent id → (new id, star mass
+    /// bits)`; a spawned star sits where its parent does.
+    fn formed(cfg: &SimConfig, mut particles: Vec<Particle>) -> BTreeMap<u64, (u64, u64)> {
+        let at = |p: &Particle| [p.pos.x, p.pos.y, p.pos.z].map(f64::to_bits);
+        let parent: BTreeMap<_, _> = particles.iter().map(|p| (at(p), p.id)).collect();
+        let (mut time, mut step_count, mut next_id) = (1.0, 3, 1_000);
+        let (mut stats, mut state) = (SimStats::default(), SlabState::default());
+        let mut s = Slab {
+            particles: &mut particles,
+            time: &mut time,
+            step_count: &mut step_count,
+            next_id: &mut next_id,
+            stats: &mut stats,
+            state: &mut state,
+        };
+        let spawned = draw_stars(cfg, &mut s, 4.0);
+        number_stars(&mut Lone, &mut s, spawned);
+        let n = stats.stars_formed;
+        assert_eq!(next_id, 1_000 + n, "ids are handed out without a gap");
+        let stars = particles.iter().filter(|p| p.id >= 1_000);
+        stars
+            .map(|p| (parent[&at(p)], (p.id, p.mass.to_bits())))
+            .collect()
+    }
+
+    #[test]
+    fn a_slab_in_reversed_order_forms_the_same_stars_under_the_same_ids() {
+        let cfg = SimConfig {
+            sf_rho_min: 0.5,
+            sf_t_max: 2.0e4,
+            sf_efficiency: 1.0,
+            seed: 9,
+            ..Default::default()
+        };
+        let gas: Vec<Particle> = (0..64u64)
+            .map(|k| {
+                let pos = Vec3::new((k % 4) as f64, (k / 4 % 4) as f64, (k / 16) as f64);
+                let mut p = Particle::gas(7 * k + 3, pos, Vec3::ZERO, 1_000.0, 1e-4, 1.0);
+                p.rho = 1.0;
+                p
+            })
+            .collect();
+        let forward = formed(&cfg, gas.clone());
+        assert!(
+            forward.len() > 4,
+            "{} stars: too few to tell",
+            forward.len()
+        );
+        let reversed = formed(&cfg, gas.iter().rev().copied().collect());
+        assert_eq!(forward, reversed);
+        // Numbered in parent-id order.
+        let ids: Vec<u64> = forward.values().map(|&(id, _)| id).collect();
+        assert!(ids.windows(2).all(|w| w[0] + 1 == w[1]), "{ids:?}");
+        // Another key draws other stars.
+        assert_ne!(formed(&SimConfig { seed: 10, ..cfg }, gas), forward);
+    }
 }

@@ -51,8 +51,8 @@
 //! drivers run the one `asura_core::step::step`): `--scheme conventional --timestep
 //! block[:<max_level>]` runs the conventional hierarchy's substep walk
 //! across the ranks so its per-substep synchronization cost is measured
-//! (paper Figs. 6/7). What `--dist` leaves out is star formation. Both
-//! routes run one per-step tail — heartbeat, step fault, cadence commit —
+//! (paper Figs. 6/7). Stars form on both routes from the same keyed draws.
+//! Both routes run one per-step tail — heartbeat, step fault, cadence commit —
 //! so a distributed run's checkpoints reach disk as it steps (from main
 //! rank 0) and a failed commit stops it where it stops the shared-memory
 //! run.
@@ -146,7 +146,8 @@ OPTIONS:
     --timestep <t>             global | block | block:<max_level>
     --snapshot-every <k>       checkpoint cadence in steps (0 = off)
     --snapshot-format <f>      bin | json (default bin)
-    --seed <s>                 scenario realization / RNG seed (default 42)
+    --seed <s>                 scenario realization and star-formation key
+                               (default 42; a resume keeps its checkpoint's)
     --predictor <p>            sedov (default) | unet:<weights.json> — the pool
                                predictor serving SN regions; unet: loads trained
                                weights from `asura train-surrogate` and embeds
@@ -161,8 +162,8 @@ OPTIONS:
     --keep <k>                 checkpoint rotation depth (default 3)
     --dist <NXxNYxNZ+P>        run through the distributed (mpisim) driver:
                                NX*NY*NZ main ranks + P pool ranks, under either
-                               --scheme and either --timestep (no star formation);
-                               --resume needs the grid that wrote the checkpoint
+                               --scheme and either --timestep; --resume needs the
+                               grid that wrote the checkpoint
     --supervised               run as a heartbeat-monitored child with crash/hang
                                detection and auto-resume from the rotation (with
                                --dist too: the child runs distributed)
@@ -556,7 +557,7 @@ fn run_shared(
         .map_err(run_error)?;
     let mut sim = match run.start {
         Start::Fresh(particles) => {
-            Simulation::with_predictor(run.config, particles, args.seed, predictor)
+            Simulation::with_predictor(run.config, particles, run.config.seed, predictor)
         }
         Start::Resumed(snap) => {
             Simulation::restore_with_predictor(&snap, predictor).map_err(run_error)?
@@ -665,6 +666,7 @@ fn run_dist(
         ("steps", report.steps.into()),
         ("sn_events", report.sn_events.into()),
         ("regions_applied", report.regions_applied.into()),
+        ("stars_formed", sum(|s| s.stars_formed).into()),
         ("gravity_interactions", report.gravity_interactions.into()),
         ("hydro_interactions", report.hydro_interactions.into()),
         ("final_particles", report.final_particles.into()),
@@ -683,12 +685,13 @@ fn run_dist(
     atomic_write(&report_path, json.as_bytes())
         .map_err(|e| format!("write {}: {e}", report_path.display()))?;
     println!(
-        "dist done: {} steps ({} substeps) | {} SNe, {} regions applied, {} particles, \
-         {} snapshot(s)",
+        "dist done: {} steps ({} substeps) | {} SNe, {} regions applied, {} stars formed, \
+         {} particles, {} snapshot(s)",
         report.steps,
         substeps_max,
         report.sn_events,
         report.regions_applied,
+        sum(|s| s.stars_formed),
         report.final_particles,
         snapshots,
     );

@@ -14,10 +14,10 @@ use galactic_ic::GalaxyModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A named, reproducible workload: `build(seed)` returns the driver config
-/// and the initial particle set; `config()` returns the config alone
-/// (resume paths need it without paying for an IC realization they will
-/// immediately discard).
+/// A named, reproducible workload: `build(seed)` returns the driver config,
+/// keyed by `seed`, and the initial particle set; `config()` returns the
+/// config alone, unkeyed (resume paths need it without paying for an IC
+/// realization they will immediately discard).
 pub struct Scenario {
     pub name: &'static str,
     pub description: &'static str,
@@ -35,9 +35,11 @@ impl Scenario {
         (self.config)()
     }
 
-    /// Realize the scenario: `(config, initial particles)`.
+    /// Realize the scenario at `seed`: `(config, initial particles)`.
     pub fn build(&self, seed: u64) -> (SimConfig, Vec<Particle>) {
-        ((self.config)(), (self.build_ic)(seed))
+        let mut config = self.config();
+        config.seed = seed;
+        (config, (self.build_ic)(seed))
     }
 }
 
@@ -351,7 +353,11 @@ mod tests {
     fn config_alone_matches_the_full_build() {
         for s in SCENARIOS {
             let (cfg, _) = s.build(1);
-            assert_eq!(s.config(), cfg, "{}: config() must equal build().0", s.name);
+            let keyed = SimConfig {
+                seed: 1,
+                ..s.config()
+            };
+            assert_eq!(keyed, cfg, "{}: config() must equal build().0", s.name);
         }
     }
 

@@ -11,7 +11,7 @@
 use asura::scenarios;
 use asura_core::ckpt::{CkptFormat, CkptStore};
 use asura_core::faults::FaultInjector;
-use asura_core::snapshot::{fnv1a, SimSnapshot, SlabRecord, SnapshotError};
+use asura_core::snapshot::{fnv1a, SimSnapshot, SlabRecord, SnapshotError, SNAPSHOT_VERSION};
 use asura_core::Simulation;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -44,7 +44,7 @@ fn sim_snapshots(seed: u64) -> (SimSnapshot, SimSnapshot) {
 }
 
 /// The same pair as a distributed run would have gathered it: the slab
-/// dealt out over two ranks, no star-formation stream.
+/// dealt out over two ranks.
 fn several_slab_snapshots(seed: u64) -> (SimSnapshot, SimSnapshot) {
     let (a, b) = sim_snapshots(seed);
     let split = |mut s: SimSnapshot| {
@@ -70,7 +70,6 @@ fn several_slab_snapshots(seed: u64) -> (SimSnapshot, SimSnapshot) {
                 ..slab.clone()
             },
         ];
-        s.sf_stream = None;
         s
     };
     (split(a), split(b))
@@ -235,7 +234,7 @@ fn resealed(text: &str, from: &str, to: &str) -> String {
     let state = parse_json(&state.replacen(from, to, 1)).unwrap().render();
     let sum = fnv1a(state.as_bytes());
     format!(
-        "{{\"format\":\"asura-snapshot\",\"version\":4,\"state\":{state},\
+        "{{\"format\":\"asura-snapshot\",\"version\":{SNAPSHOT_VERSION},\"state\":{state},\
          \"checksum\":\"fnv1a:{sum:016x}\"}}"
     )
 }

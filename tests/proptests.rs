@@ -321,7 +321,7 @@ fn voxelization_conserves_interior_mass() {
 mod random_snapshots {
     use super::*;
     use asura_core::snapshot::{
-        ModelState, PendingPrediction, ScheduleState, SfStream, SimSnapshot, SlabRecord,
+        ModelState, PendingPrediction, ScheduleState, SimSnapshot, SlabRecord,
     };
     use asura_core::{Kind, Particle, Scheme, SimConfig, SimStats, TimestepMode};
     use surrogate::GasParticle;
@@ -425,6 +425,7 @@ mod random_snapshots {
                 cooling: rng.gen_bool(0.5),
                 mixed_precision: rng.gen_bool(0.5),
                 snapshot_every: word(rng),
+                seed: word(rng),
                 ..SimConfig::default()
             },
             time: float(rng),
@@ -433,10 +434,7 @@ mod random_snapshots {
                 seed: word(rng),
                 weights_json: format!("{{\"weights\":\"é\\n{}\"}}", rng.gen::<u32>()),
             }),
-            sf_stream: rng.gen_bool(0.5).then(|| SfStream {
-                next_id: word(rng),
-                rng_state: [word(rng), word(rng), word(rng), word(rng)],
-            }),
+            next_id: word(rng),
             slabs: (0..rng.gen_range(1..5usize)).map(|_| slab(rng)).collect(),
         }
     }

@@ -3,12 +3,12 @@
 //! steps, snapshotting, serializing the snapshot through the on-disk
 //! format, restoring, and running `k` more — in both timestep modes and
 //! with an SN region prediction still pending in the pool queue at the
-//! snapshot step. This forces every piece of hidden driver state (RNG
-//! stream, CFL signal-speed stash, pending predictions, schedule, id
-//! counter) to be explicit and serialized. The live diagnostics ride along:
-//! the samples a resumed run takes must equal the uninterrupted run's bit
-//! for bit, although the first of them reads a scratch arena the restore
-//! started empty.
+//! snapshot step. This forces every piece of hidden driver state (the
+//! star-formation seed, CFL signal-speed stash, pending predictions,
+//! schedule, id counter) to be explicit and serialized. The live
+//! diagnostics ride along: the samples a resumed run takes must equal the
+//! uninterrupted run's bit for bit, although the first of them reads a
+//! scratch arena the restore started empty.
 
 use asura::scenarios;
 use asura_core::ckpt::{CkptFormat, CkptStore};
@@ -189,10 +189,9 @@ fn conventional_block_restart_is_bitwise_identical() {
 
 #[test]
 fn restart_preserves_the_star_formation_rng_stream() {
-    // Stochastic star formation draws from the driver RNG every step; a
-    // restart that re-seeded instead of restoring the stream would fork the
-    // history. Dense cold gas so stars actually form on both sides of the
-    // snapshot.
+    // Stochastic star formation draws are keyed by (seed, id, step): a
+    // restart that lost the seed or the id counter would fork the history.
+    // Dense cold gas so stars actually form on both sides of the snapshot.
     let mut particles = gas_blob(5, 0.5, 1e-4);
     for p in particles.iter_mut() {
         p.mass = 5.0;

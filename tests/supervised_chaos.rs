@@ -7,6 +7,7 @@
 
 use asura_core::ckpt::CkptStore;
 use asura_core::faults::FAULT_KILL_EXIT;
+use asura_core::snapshot::SimSnapshot;
 use asura_core::supervise::{Heartbeat, IncidentKind, IncidentLog, Outcome};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -358,5 +359,57 @@ fn supervised_dist_runs_recover_bitwise() {
         let final_bytes =
             fs::read(run_dir(&dir).join(format!("dist_checkpoint-{STEPS:06}.bin"))).unwrap();
         assert_eq!(final_bytes, reference, "{faults}: final checkpoint");
+    }
+}
+
+/// The supervisor forwards `--seed` to every attempt, resumed ones
+/// included, and the serve daemon does the same from a run's overrides; a
+/// resume must nonetheless draw its stars from the checkpoint's seed. A
+/// `dwarf_galaxy` run resumed at step 2 under another `--seed` lands
+/// bitwise on the uninterrupted run — with stars formed after the resume
+/// point — on both routes.
+#[test]
+fn a_resume_under_another_seed_keeps_the_checkpoints_seed() {
+    let out = tmpdir("seed-resume");
+    for (route, dist, base) in [
+        ("shared", None, "checkpoint"),
+        ("dist", Some("1x1x1+1"), "dist_checkpoint"),
+    ] {
+        let run = |dir: &str, steps: &str, seed: &str, resume: bool| {
+            let dir = out.join(route).join(dir);
+            let mut cmd = Command::new(BIN);
+            cmd.args(["--scenario", "dwarf_galaxy", "--steps", steps])
+                .args(["--snapshot-every", "2", "--seed", seed])
+                .args(dist.map(|grid| ["--dist", grid]).into_iter().flatten())
+                .arg("--run-dir")
+                .arg(&dir)
+                .env_remove(asura_core::faults::FAULTS_ENV);
+            if resume {
+                cmd.arg("--resume").arg(&dir);
+            }
+            assert!(cmd.status().unwrap().success(), "{route} {dir:?}");
+            dir
+        };
+        let at = |dir: &Path, step: u64| fs::read(dir.join(format!("{base}-{step:06}.bin")));
+        let full = run("full", "6", "5", false);
+        let part = run("part", "2", "5", false);
+        let at_resume = at(&part, 2).unwrap();
+        run("part", "4", "99", true);
+        let resumed = at(&part, 6).unwrap();
+        assert_eq!(
+            resumed,
+            at(&full, 6).unwrap(),
+            "{route}: resumed under --seed 99"
+        );
+
+        let stars = |bytes: &[u8]| {
+            let snap = SimSnapshot::from_bytes(bytes).unwrap();
+            assert_eq!(snap.config.seed, 5, "{route}");
+            snap.slabs.iter().map(|s| s.stats.stars_formed).sum::<u64>()
+        };
+        assert!(
+            stars(&resumed) > stars(&at_resume),
+            "{route}: no star formed after the resume point"
+        );
     }
 }

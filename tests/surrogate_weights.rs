@@ -273,7 +273,7 @@ fn cli_exits_2_on_bad_weights_and_never_panics() {
 /// to panic the resume.
 #[test]
 fn cli_exits_2_on_a_checkpoint_whose_embedded_model_does_not_decode() {
-    use asura_core::snapshot::SimSnapshot;
+    use asura_core::snapshot::{SimSnapshot, SNAPSHOT_VERSION};
     use unet::json::{fnv1a, parse_json};
     let dir = scratch_dir("embedded");
     let weights = dir.join("weights.json");
@@ -314,7 +314,7 @@ fn cli_exits_2_on_a_checkpoint_whose_embedded_model_does_not_decode() {
         let hostile_state = state.replacen(&quoted, "\"{}\"", 1);
         assert_ne!(hostile_state, state, "{route}: weights string not found");
         let hostile = format!(
-            "{{\"format\":\"asura-snapshot\",\"version\":4.0,\"state\":{hostile_state},\
+            "{{\"format\":\"asura-snapshot\",\"version\":{SNAPSHOT_VERSION},\"state\":{hostile_state},\
              \"checksum\":\"fnv1a:{:016x}\"}}",
             fnv1a(hostile_state.as_bytes())
         );
