@@ -9,13 +9,13 @@
 //!   is either its complete old contents or its complete new contents,
 //!   never a torn hybrid. Used for *every* output file (checkpoints,
 //!   manifests, diagnostics, reports, incident logs).
-//! * [`CkptStore`]: a rotation of the last `keep` stamped snapshots
-//!   (`<base>-<step:06>.<ext>`) plus a checksummed JSON manifest
+//! * [`CkptStore`]: a rotation of the last `keep` stamped binary
+//!   snapshots (`<base>-<step:06>.bin`) plus a checksummed JSON manifest
 //!   (`<base>.manifest.json`). Commits prune the oldest entries beyond
 //!   `keep`; [`CkptStore::latest_valid_with`] walks the rotation
 //!   newest-first and returns the first entry that passes *all* of:
 //!   file readable, length matches the manifest, FNV-1a checksum matches
-//!   the manifest, and the payload decodes (the codec's own magic,
+//!   the manifest, and the payload decodes (the binary codec's own magic,
 //!   version, and internal-checksum checks). Anything that fails is
 //!   skipped, so a damaged newest checkpoint silently falls back to the
 //!   previous one.
@@ -45,11 +45,9 @@
 
 use crate::faults::{apply_write_fault, FaultInjector};
 use crate::snapshot::{fnv1a, SimSnapshot};
-use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::str::FromStr;
 use unet::json::{parse_json, Json};
 
 /// `format` field of the rotation manifest.
@@ -59,38 +57,15 @@ pub const MANIFEST_VERSION: u64 = 1;
 /// Default rotation depth.
 pub const DEFAULT_KEEP: usize = 3;
 
-/// Checkpoint encoding, selecting the snapshot codec and file extension.
+/// The checkpoint encoding: the binary [`SimSnapshot`], the only thing the
+/// store writes to a rotation or reads back (a JSON rendering is `asura
+/// inspect`'s output, never a rotation entry). Kept, with its one variant,
+/// because callers pass it to
+/// [`Simulation::run_with_store`](crate::sim::Simulation::run_with_store)
+/// and [`CkptStore::commit_bytes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CkptFormat {
     Bin,
-    Json,
-}
-
-impl CkptFormat {
-    /// The file extension, which is also how `--snapshot-format` and the
-    /// `snapshot_format` override spell the value.
-    pub fn ext(self) -> &'static str {
-        match self {
-            CkptFormat::Bin => "bin",
-            CkptFormat::Json => "json",
-        }
-    }
-}
-
-impl fmt::Display for CkptFormat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.ext())
-    }
-}
-
-impl FromStr for CkptFormat {
-    type Err = String;
-    fn from_str(s: &str) -> Result<CkptFormat, String> {
-        [CkptFormat::Bin, CkptFormat::Json]
-            .into_iter()
-            .find(|f| f.ext() == s)
-            .ok_or_else(|| format!("unknown snapshot format `{s}` (expected bin | json)"))
-    }
 }
 
 /// Write `bytes` to `path` atomically: the data lands in a hidden
@@ -139,7 +114,7 @@ pub struct CkptEntry {
 }
 
 /// A rotated checkpoint store rooted at a directory. All files it owns
-/// share a `base` name: rotation entries are `<base>-<step:06>.<ext>`,
+/// share a `base` name: rotation entries are `<base>-<step:06>.bin`,
 /// the manifest is `<base>.manifest.json`. See the module docs for the
 /// validation walk.
 #[derive(Debug, Clone)]
@@ -179,8 +154,8 @@ impl CkptStore {
         self.dir.join(&entry.file)
     }
 
-    fn entry_file(&self, step: u64, format: CkptFormat) -> String {
-        format!("{}-{step:06}.{}", self.base, format.ext())
+    fn entry_file(&self, step: u64) -> String {
+        format!("{}-{step:06}.bin", self.base)
     }
 
     /// Commit one snapshot payload for `step`: apply any armed write
@@ -189,10 +164,12 @@ impl CkptStore {
     /// the manifest and prune the rotation to the newest `keep` entries.
     /// The manifest records the *intended* length/checksum, so injected
     /// damage is detectable at read time. Returns the entry path.
+    /// `_format` is always [`CkptFormat::Bin`]; kept because callers pass
+    /// it.
     pub fn commit_bytes(
         &self,
         step: u64,
-        format: CkptFormat,
+        _format: CkptFormat,
         bytes: Vec<u8>,
         faults: &mut FaultInjector,
     ) -> io::Result<PathBuf> {
@@ -204,7 +181,7 @@ impl CkptStore {
             eprintln!("[fault] checkpoint commit {}: {fault}", faults.commits());
             apply_write_fault(fault, &mut payload)?;
         }
-        let file = self.entry_file(step, format);
+        let file = self.entry_file(step);
         let path = self.dir.join(&file);
         atomic_write(&path, &payload)?;
 
@@ -235,14 +212,9 @@ impl CkptStore {
     pub fn commit_sim(
         &self,
         snap: &SimSnapshot,
-        format: CkptFormat,
         faults: &mut FaultInjector,
     ) -> io::Result<PathBuf> {
-        let bytes = match format {
-            CkptFormat::Bin => snap.to_bytes(),
-            CkptFormat::Json => snap.to_json().into_bytes(),
-        };
-        self.commit_bytes(snap.step_count, format, bytes, faults)
+        self.commit_bytes(snap.step_count, CkptFormat::Bin, snap.to_bytes(), faults)
     }
 
     /// The crash-safe run loop's per-step tail, under either driver: enforce
@@ -252,11 +224,10 @@ impl CkptStore {
         &self,
         step: u64,
         snap: Option<&SimSnapshot>,
-        format: CkptFormat,
         faults: &mut FaultInjector,
     ) -> io::Result<Option<PathBuf>> {
         faults.enforce_step(step);
-        snap.map(|s| self.commit_sim(s, format, faults)).transpose()
+        snap.map(|s| self.commit_sim(s, faults)).transpose()
     }
 
     /// Rotation entries, newest-first: from the manifest when it is
@@ -299,9 +270,11 @@ impl CkptStore {
     }
 
     /// Newest intact snapshot in the rotation — a run's under the
-    /// `checkpoint` base, a distributed run's under `dist_checkpoint`.
+    /// `checkpoint` base, a distributed run's under `dist_checkpoint`. Only
+    /// the binary codec decides: an entry an older build wrote as JSON is
+    /// skipped like a damaged one, even when the manifest lists it.
     pub fn latest_valid_sim(&self) -> Option<(CkptEntry, SimSnapshot)> {
-        self.latest_valid_with(|bytes| SimSnapshot::decode(bytes).ok())
+        self.latest_valid_with(|bytes| SimSnapshot::from_bytes(bytes).ok())
     }
 
     // -- manifest ---------------------------------------------------------
@@ -359,7 +332,7 @@ impl CkptStore {
     }
 
     /// Recover rotation entries from file names alone: anything matching
-    /// `<base>-<digits>.<bin|json>` in the store directory. Length and
+    /// `<base>-<digits>.bin` in the store directory. Length and
     /// checksum come from the file contents, so only payload decoding can
     /// reject a damaged entry on this path.
     fn scan_dir(&self) -> Vec<CkptEntry> {
@@ -370,16 +343,10 @@ impl CkptStore {
         let mut entries = Vec::new();
         for dent in rd.flatten() {
             let name = dent.file_name().to_string_lossy().into_owned();
-            let Some(rest) = name.strip_prefix(&prefix) else {
-                continue;
-            };
-            let Some((digits, ext)) = rest.split_once('.') else {
-                continue;
-            };
-            if ext.parse::<CkptFormat>().is_err() || digits.is_empty() {
-                continue;
-            }
-            let Ok(step) = digits.parse::<u64>() else {
+            let digits = name
+                .strip_prefix(&prefix)
+                .and_then(|s| s.strip_suffix(".bin"));
+            let Some(Ok(step)) = digits.map(str::parse::<u64>) else {
                 continue;
             };
             let Ok(bytes) = fs::read(dent.path()) else {
@@ -524,14 +491,20 @@ mod tests {
     fn corrupt_manifest_falls_back_to_dir_scan() {
         let st = store("manifest", 3);
         let mut inj = FaultInjector::none();
-        st.commit_bytes(5, CkptFormat::Json, b"OK json".to_vec(), &mut inj)
+        st.commit_bytes(5, CkptFormat::Bin, b"OK five".to_vec(), &mut inj)
             .unwrap();
         fs::write(st.manifest_path(), b"{ not json").unwrap();
         let (entry, payload) = st.latest_valid_with(ok_decode).unwrap();
         assert_eq!(entry.step, 5);
-        assert_eq!(payload, b"OK json");
-        // Missing manifest too.
+        assert_eq!(payload, b"OK five");
+        // Missing manifest too — and the scan takes only `.bin` names: a
+        // newer `.json` entry an older build wrote is not a rotation entry.
         fs::remove_file(st.manifest_path()).unwrap();
+        fs::write(st.dir().join("checkpoint-000009.json"), b"OK json").unwrap();
+        assert_eq!(
+            st.entries().iter().map(|e| e.step).collect::<Vec<_>>(),
+            vec![5]
+        );
         assert_eq!(st.latest_valid_with(ok_decode).unwrap().0.step, 5);
     }
 
@@ -551,7 +524,7 @@ mod tests {
             next_id: 0,
             slabs: Vec::new(),
         };
-        st.commit_sim(&intact, CkptFormat::Bin, &mut inj).unwrap();
+        st.commit_sim(&intact, &mut inj).unwrap();
         let mut hostile = SNAPSHOT_MAGIC.to_vec();
         hostile.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         hostile.extend_from_slice(&(u64::MAX - 25).to_le_bytes());
@@ -596,20 +569,25 @@ mod tests {
     /// `unet::json` writer (PR 19). The self-checksum is defined over the
     /// entries text, so a manifest written on either side of that change
     /// must validate on the other — through `read_manifest`, not the
-    /// directory-scan fallback.
+    /// directory-scan fallback. `PARENT` is that recording, from the days
+    /// the rotation could hold a `.json` entry; the writer's bytes differ
+    /// from it only in that entry's name and the self-checksum.
     #[test]
     fn manifest_bytes_are_stable_and_parent_written_manifests_validate() {
-        const GOLDEN: &str = "{\"format\":\"asura-ckpt-manifest\",\"version\":1,\"base\":\"checkpoint\",\"entries\":[{\"file\":\"checkpoint-000002.bin\",\"step\":2,\"len\":6,\"checksum\":\"fnv1a:701d3ccaad469f21\"},{\"file\":\"checkpoint-000004.json\",\"step\":4,\"len\":9,\"checksum\":\"fnv1a:c38b95671c9ae86d\"}],\"checksum\":\"fnv1a:a1c2dc7606e5005e\"}\n";
+        const PARENT: &str = "{\"format\":\"asura-ckpt-manifest\",\"version\":1,\"base\":\"checkpoint\",\"entries\":[{\"file\":\"checkpoint-000002.bin\",\"step\":2,\"len\":6,\"checksum\":\"fnv1a:701d3ccaad469f21\"},{\"file\":\"checkpoint-000004.json\",\"step\":4,\"len\":9,\"checksum\":\"fnv1a:c38b95671c9ae86d\"}],\"checksum\":\"fnv1a:a1c2dc7606e5005e\"}\n";
+        let golden = PARENT
+            .replace("000004.json", "000004.bin")
+            .replace("a1c2dc7606e5005e", "505ba3143186747f");
         let st = store("golden", 3);
         let mut inj = FaultInjector::none();
         st.commit_bytes(2, CkptFormat::Bin, b"OK two".to_vec(), &mut inj)
             .unwrap();
-        st.commit_bytes(4, CkptFormat::Json, b"OK \"four\"".to_vec(), &mut inj)
+        st.commit_bytes(4, CkptFormat::Bin, b"OK \"four\"".to_vec(), &mut inj)
             .unwrap();
-        assert_eq!(fs::read_to_string(st.manifest_path()).unwrap(), GOLDEN);
+        assert_eq!(fs::read_to_string(st.manifest_path()).unwrap(), golden);
         // The reverse direction: the recorded text, put back, is accepted
         // as a manifest (lengths and checksums are the *recorded* ones).
-        fs::write(st.manifest_path(), GOLDEN).unwrap();
+        fs::write(st.manifest_path(), PARENT).unwrap();
         let entries = st.read_manifest().expect("no fall-back to the scan");
         assert_eq!(entries.len(), 2);
         assert_eq!((entries[1].step, entries[1].len), (4, 9));

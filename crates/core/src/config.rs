@@ -202,7 +202,6 @@ mod tests {
     /// the `SUBMIT` overrides and `fleet.json` all read and write.
     #[test]
     fn every_option_value_round_trips_through_its_spelling() {
-        use crate::ckpt::CkptFormat;
         use crate::dist::PredictorSpec;
         fn check<T>(spelled: &str, value: T, rendered: &str)
         where
@@ -223,8 +222,6 @@ mod tests {
             TimestepMode::Block { max_level: 12 },
             "block:12",
         );
-        check("bin", CkptFormat::Bin, "bin");
-        check("json", CkptFormat::Json, "json");
         check("sedov", PredictorSpec::Sedov, "sedov");
         check(
             "unet:results/w.json",
@@ -249,7 +246,6 @@ mod tests {
         ] {
             assert!(bad.parse::<TimestepMode>().is_err(), "`{bad}`");
         }
-        assert!("yaml".parse::<CkptFormat>().is_err());
         for bad in ["", "unet", "unet:", "sedov:x", "weights.json"] {
             assert!(bad.parse::<PredictorSpec>().is_err(), "`{bad}`");
         }

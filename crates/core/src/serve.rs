@@ -49,7 +49,7 @@
 //! root (removed on clean exit), so clients on the same machine need no
 //! configuration beyond the root directory.
 
-use crate::ckpt::{atomic_write, CkptFormat, CkptStore};
+use crate::ckpt::{atomic_write, CkptStore};
 use crate::config::{Scheme, TimestepMode};
 use crate::faults::{self, FaultPlan};
 use crate::supervise::{
@@ -153,7 +153,6 @@ pub struct RunOverrides {
     /// Checkpoint cadence in steps (serve default: 1, so auto-resume
     /// always has a fresh rotation entry).
     pub snapshot_every: Option<u64>,
-    pub snapshot_format: Option<CkptFormat>,
     /// An `ASURA_FAULTS` plan set on this run's children only — the
     /// daemon-level chaos tests kill one fleet member without touching
     /// its neighbors.
@@ -175,7 +174,6 @@ impl RunOverrides {
                     "snapshot_every" => o.snapshot_every = Some(value.as_u64()?),
                     "scheme" => o.scheme = Some(value.as_parsed()?),
                     "timestep" => o.timestep = Some(value.as_parsed()?),
-                    "snapshot_format" => o.snapshot_format = Some(value.as_parsed()?),
                     "faults" => {
                         let plan = value.as_str()?;
                         FaultPlan::parse(plan)?;
@@ -201,7 +199,6 @@ impl RunOverrides {
             ("scheme", spelled(self.scheme)),
             ("timestep", spelled(self.timestep)),
             ("snapshot_every", self.snapshot_every.map(Json::from)),
-            ("snapshot_format", spelled(self.snapshot_format)),
             ("faults", spelled(self.faults.as_ref())),
         ];
         Json::obj(fields.into_iter().filter_map(|(k, v)| Some((k, v?))))
@@ -739,14 +736,8 @@ fn supervise_run(
     flag: &Arc<AtomicU8>,
 ) -> Result<Option<Outcome>, String> {
     let store = CkptStore::new(run_dir, shared.cfg.keep);
-    let supervisor = Supervisor {
-        policy: shared.cfg.retry,
-        heartbeat_timeout_ms: shared.cfg.heartbeat_timeout_ms,
-        poll_interval_ms: 20,
-        permanent_exit_codes: vec![2],
-        log_path: run_dir.join("supervisor.json"),
-        heartbeat_path: run_dir.join("heartbeat"),
-    };
+    let supervisor =
+        Supervisor::for_run_dir(run_dir, shared.cfg.retry, shared.cfg.heartbeat_timeout_ms);
     let (outcome, _log) = supervisor
         .run_with_abort(
             |attempt, resume| {
@@ -770,12 +761,7 @@ fn supervise_run(
                 shared.save(&fleet);
                 Ok(ProcessChild::new(child))
             },
-            || {
-                store.latest_valid_sim().map(|(e, _)| ResumePoint {
-                    step: e.step,
-                    path: store.entry_path(&e),
-                })
-            },
+            || ResumePoint::latest(&store),
             || match flag.load(Ordering::SeqCst) {
                 FLAG_CANCEL => Some(StopReason::Cancel),
                 FLAG_DETACH => Some(StopReason::Detach),
@@ -1017,6 +1003,8 @@ mod tests {
 
     #[test]
     fn malformed_requests_are_rejected() {
+        // A key this build no longer takes, refused by name, not ignored.
+        let retired = "SUBMIT quickstart {\"snapshot_format\":\"bin\"}";
         for line in [
             "",
             "FROBNICATE",
@@ -1028,12 +1016,18 @@ mod tests {
             "SUBMIT quickstart {not json",
             "SUBMIT quickstart {\"stepz\":4}",
             "SUBMIT quickstart {\"scheme\":\"warp\"}",
-            "SUBMIT quickstart {\"snapshot_format\":\"yaml\"}",
+            retired,
             "SUBMIT quickstart {\"timestep\":\"block:x\"}",
             "SUBMIT quickstart {\"faults\":\"explode@9\"}",
         ] {
             assert!(Request::parse(line).is_err(), "`{line}` must be rejected");
         }
+        let reply = err_line(&Request::parse(retired).unwrap_err());
+        assert!(!reply_ok(&reply), "{reply}");
+        assert!(
+            reply.contains("`snapshot_format`: unknown override"),
+            "{reply}"
+        );
     }
 
     #[test]
@@ -1044,7 +1038,6 @@ mod tests {
             scheme: Some(Scheme::Surrogate),
             timestep: Some(TimestepMode::Block { max_level: 6 }),
             snapshot_every: Some(2),
-            snapshot_format: Some(CkptFormat::Json),
             faults: Some("kill@3#0".into()),
         };
         let doc = parse_json(&o.to_json()).unwrap();
@@ -1198,7 +1191,6 @@ mod tests {
             scheme: Some(Scheme::Conventional),
             timestep: Some(TimestepMode::Block { max_level: 6 }),
             snapshot_every: Some(2),
-            snapshot_format: Some(CkptFormat::Json),
             faults: Some("kill@3#0".into()),
         }
     }
@@ -1215,7 +1207,6 @@ mod tests {
             RunOverrides {
                 scheme: Some(Scheme::Surrogate),
                 timestep: Some(TimestepMode::Global),
-                snapshot_format: Some(CkptFormat::Bin),
                 ..Default::default()
             },
         );
@@ -1225,7 +1216,7 @@ mod tests {
         fleet
     }
 
-    const GOLDEN_FLEET: &str = "{\"format\":\"asura-fleet\",\"version\":1,\"next_seq\":3,\"runs\":[{\"id\":\"r0001-quickstart\",\"scenario\":\"quickstart\",\"state\":\"running\",\"target_steps\":20,\"child_pid\":4242,\"overrides\":{}},{\"id\":\"r0002-spiked_dt\",\"scenario\":\"spiked_dt\",\"state\":\"queued\",\"target_steps\":3,\"child_pid\":null,\"overrides\":{\"steps\":3,\"seed\":7,\"scheme\":\"conventional\",\"timestep\":\"block:6\",\"snapshot_every\":2,\"snapshot_format\":\"json\",\"faults\":\"kill@3#0\"}},{\"id\":\"r0003-quickstart\",\"scenario\":\"quickstart\",\"state\":\"completed\",\"target_steps\":20,\"child_pid\":null,\"overrides\":{\"scheme\":\"surrogate\",\"timestep\":\"global\",\"snapshot_format\":\"bin\"}}]}\n";
+    const GOLDEN_FLEET: &str = "{\"format\":\"asura-fleet\",\"version\":1,\"next_seq\":3,\"runs\":[{\"id\":\"r0001-quickstart\",\"scenario\":\"quickstart\",\"state\":\"running\",\"target_steps\":20,\"child_pid\":4242,\"overrides\":{}},{\"id\":\"r0002-spiked_dt\",\"scenario\":\"spiked_dt\",\"state\":\"queued\",\"target_steps\":3,\"child_pid\":null,\"overrides\":{\"steps\":3,\"seed\":7,\"scheme\":\"conventional\",\"timestep\":\"block:6\",\"snapshot_every\":2,\"faults\":\"kill@3#0\"}},{\"id\":\"r0003-quickstart\",\"scenario\":\"quickstart\",\"state\":\"completed\",\"target_steps\":20,\"child_pid\":null,\"overrides\":{\"scheme\":\"surrogate\",\"timestep\":\"global\"}}]}\n";
 
     #[test]
     fn fleet_json_bytes_are_stable() {
@@ -1241,7 +1232,7 @@ mod tests {
         };
         assert_eq!(
             submit.render(),
-            "SUBMIT spiked_dt {\"steps\":3,\"seed\":7,\"scheme\":\"conventional\",\"timestep\":\"block:6\",\"snapshot_every\":2,\"snapshot_format\":\"json\",\"faults\":\"kill@3#0\"}"
+            "SUBMIT spiked_dt {\"steps\":3,\"seed\":7,\"scheme\":\"conventional\",\"timestep\":\"block:6\",\"snapshot_every\":2,\"faults\":\"kill@3#0\"}"
         );
     }
 
@@ -1366,6 +1357,28 @@ mod tests {
         assert!(Fleet::from_json(&text).is_err(), "fractional target_steps");
         let text = GOLDEN_FLEET.replace("\"next_seq\":3", "\"next_seq\":-3");
         assert!(Fleet::from_json(&text).is_err(), "negative next_seq");
+    }
+
+    /// A `fleet.json` an older build wrote, with an override key this build
+    /// no longer takes, is a typed error from `serve` that names the key —
+    /// the daemon neither panics nor rewrites the file.
+    #[test]
+    fn a_fleet_file_with_a_retired_override_is_a_typed_error() {
+        let root = std::env::temp_dir().join(format!("asura-serve-retired-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&root).unwrap();
+        let parent =
+            GOLDEN_FLEET.replacen("\"faults\":", "\"snapshot_format\":\"json\",\"faults\":", 1);
+        std::fs::write(root.join(FLEET_FILE), &parent).unwrap();
+        let cfg = golden_shared(root.clone(), Fleet::default()).cfg.clone();
+        let err = serve(cfg, Arc::new(|_| Err(io::Error::other("no spawner")))).unwrap_err();
+        assert!(err.to_string().contains("`snapshot_format`"), "{err}");
+        assert_eq!(
+            std::fs::read_to_string(root.join(FLEET_FILE)).unwrap(),
+            parent
+        );
+        assert!(!root.join(ADDR_FILE).exists(), "never bound");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

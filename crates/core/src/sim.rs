@@ -141,11 +141,13 @@ impl Simulation {
     /// diagnostics), then [`CkptStore::after_step`] — the tail the
     /// distributed driver's hook runs too — enforces any armed step fault
     /// and commits the cadence checkpoint. Returns the committed paths.
+    /// `_format` is always [`CkptFormat::Bin`]; kept because callers pass
+    /// it.
     pub fn run_with_store<F: FnMut(&Simulation)>(
         &mut self,
         n: usize,
         store: &CkptStore,
-        format: CkptFormat,
+        _format: CkptFormat,
         faults: &mut FaultInjector,
         mut on_step: F,
     ) -> std::io::Result<Vec<std::path::PathBuf>> {
@@ -156,7 +158,7 @@ impl Simulation {
             on_step(self);
             let due = every > 0 && self.step_count.is_multiple_of(every);
             let snap = due.then(|| self.snapshot());
-            written.extend(store.after_step(self.step_count, snap.as_ref(), format, faults)?);
+            written.extend(store.after_step(self.step_count, snap.as_ref(), faults)?);
         }
         Ok(written)
     }

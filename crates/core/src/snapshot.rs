@@ -8,7 +8,7 @@
 //! of in-flight pool predictions — such that restoring it continues the
 //! run bit-for-bit identically to a run that never stopped.
 //!
-//! ## One schema, two encodings, one kind
+//! ## One schema, one encoding on disk, one kind
 //!
 //! Both drivers keep the same [`SlabState`](crate::step::SlabState)
 //! between steps, so there is one kind of checkpoint and the number of
@@ -23,17 +23,20 @@
 //! a `record!` table below: name, wire type, and the JSON key where it
 //! differs. The table expands to the typed walk to and from the binary
 //! layout, and to that layout described as plain data, which is all the
-//! JSON backends need. Both encodings are self-describing and checksummed:
+//! JSON backends need. There is one encoding on disk, and JSON is a
+//! rendering of it; both are self-describing and checksummed:
 //!
 //! * **Binary** ([`SimSnapshot::to_bytes`] / [`SimSnapshot::from_bytes`]):
-//!   the compact production format. Fields are positional and
+//!   the one on-disk format — what the checkpoint rotation holds and what
+//!   a resume reads back ([`SimSnapshot::load`]). Fields are positional and
 //!   little-endian, floats raw IEEE-754 bits (restart state is exact),
 //!   lists carry a `u64` length prefix, enums and options a `u8` tag.
 //!   Envelope: the 8-byte [`SNAPSHOT_MAGIC`], a `u32` format version, a
 //!   `u64` payload length, the payload, and a trailing FNV-1a 64-bit
 //!   checksum of it.
 //! * **JSON** ([`SimSnapshot::to_json`] / [`SimSnapshot::from_json`]): a
-//!   human-inspectable rendering through [`unet::json`], decoded by key.
+//!   human-readable rendering through [`unet::json`] — `asura inspect
+//!   <checkpoint.bin>` prints it — that the program never reads back.
 //!   Particle and gas lists are column-oriented (one array per field,
 //!   coordinates as flat triplets). Finite floats use Rust's
 //!   shortest-roundtrip formatting (exact on reload); non-finite floats
@@ -61,9 +64,9 @@
 //! (the weights document) is decoded where it is used, fallibly
 //! ([`PredictorKind::build`](crate::dist::PredictorKind::build)).
 //!
-//! The `asura` scenario-runner CLI (`src/bin/asura.rs`) writes snapshots at
-//! the [`SimConfig::snapshot_every`] cadence under `results/<scenario>/` and
-//! resumes from either encoding via [`SimSnapshot::load`].
+//! The `asura` scenario-runner CLI (`src/bin/asura.rs`) writes binary
+//! snapshots at the [`SimConfig::snapshot_every`] cadence under
+//! `results/<scenario>/` and resumes from them via [`SimSnapshot::load`].
 
 use crate::config::{Scheme, SimConfig, TimestepMode, SCHEME_NAMES, TIMESTEP_MODE_NAMES};
 use crate::particle::{Kind, Particle};
@@ -818,7 +821,8 @@ fn from_payload(payload: &[u8]) -> Result<SimSnapshot, SnapshotError> {
     Ok(snap)
 }
 
-/// The codecs of the module docs: the one binary and the one JSON envelope.
+/// The codecs of the module docs: the binary envelope on disk, and its
+/// JSON rendering.
 impl SimSnapshot {
     /// Serialize to the compact binary format (see the module docs).
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -849,7 +853,8 @@ impl SimSnapshot {
         from_payload(payload)
     }
 
-    /// Serialize to the JSON format (see the module docs).
+    /// Render as JSON (see the module docs): what `asura inspect` prints.
+    /// Never written to a checkpoint rotation.
     pub fn to_json(&self) -> String {
         let mut payload = Vec::new();
         self.put(&mut payload);
@@ -866,8 +871,10 @@ impl SimSnapshot {
         .render()
     }
 
-    /// Decode the JSON format, verifying the document type, version and
-    /// checksum.
+    /// Decode a JSON rendering, verifying the document type, version and
+    /// checksum. No resume path calls it: it is the decoder of the format
+    /// fixtures (`crates/core/fixtures/`), and kept because callers
+    /// measure the rendering's round trip.
     pub fn from_json(text: &str) -> Result<Self, SnapshotError> {
         let doc = parse_json(text).map_err(|_| SnapshotError::BadMagic)?;
         if !matches!(doc.get("format"), Ok(Json::Str(f)) if f == SNAPSHOT_FORMAT) {
@@ -887,22 +894,11 @@ impl SimSnapshot {
         from_payload(&payload)
     }
 
-    /// Decode a snapshot from raw bytes, sniffing the encoding: binary
-    /// snapshots start with [`SNAPSHOT_MAGIC`], anything else is parsed as
-    /// JSON. What [`CkptStore::latest_valid_sim`](crate::ckpt::CkptStore)
-    /// asks to decide whether a rotation entry is intact.
-    pub fn decode(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        if bytes.starts_with(&SNAPSHOT_MAGIC) {
-            return Self::from_bytes(bytes);
-        }
-        let text = std::str::from_utf8(bytes).map_err(|e| malformed(e.to_string()))?;
-        Self::from_json(text)
-    }
-
-    /// Load a snapshot file in either encoding (see [`SimSnapshot::decode`]).
+    /// Load a binary snapshot file. A JSON rendering is not a checkpoint:
+    /// it fails here with [`SnapshotError::BadMagic`].
     pub fn load(path: &std::path::Path) -> Result<Self, SnapshotError> {
         let bytes = std::fs::read(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
-        Self::decode(&bytes)
+        Self::from_bytes(&bytes)
     }
 }
 
@@ -1215,25 +1211,28 @@ mod tests {
     }
 
     #[test]
-    fn dist_snapshot_load_sniffs_binary_and_json_files() {
+    fn dist_snapshot_load_refuses_json_and_retired_files() {
         let snap = random_dist_snapshot(8);
         let dir = std::env::temp_dir();
-        let bin_path = dir.join("asura_dist_snapshot_sniff_test.bin");
-        let json_path = dir.join("asura_dist_snapshot_sniff_test.json");
+        let bin_path = dir.join("asura_dist_snapshot_load_test.bin");
+        let json_path = dir.join("asura_dist_snapshot_load_test.json");
         std::fs::write(&bin_path, snap.to_bytes()).unwrap();
         std::fs::write(&json_path, snap.to_json()).unwrap();
         assert_eq!(SimSnapshot::load(&bin_path).expect("binary load"), snap);
-        assert_eq!(SimSnapshot::load(&json_path).expect("json load"), snap);
-        // The sniffing reader refuses the retired formats the same way —
-        // except that a foreign magic sends binary down the JSON road,
-        // where not being UTF-8 is `Malformed`.
+        assert_eq!(SimSnapshot::load(&json_path), Err(SnapshotError::BadMagic));
+        // An old version behind the magic is refused by its version; a
+        // foreign magic, or a JSON rendering of any kind, by the magic.
         for (bytes, refusal) in retired_files(&snap) {
             std::fs::write(&bin_path, &bytes).unwrap();
             let got = SimSnapshot::load(&bin_path).expect_err("a retired format");
-            let not_text = bytes.starts_with(b"ASURDSNP");
-            assert!(
-                got == refusal || (not_text && matches!(got, SnapshotError::Malformed(_))),
-                "{got:?} vs {refusal:?}"
+            let magic = bytes.starts_with(&SNAPSHOT_MAGIC);
+            assert_eq!(
+                got,
+                if magic {
+                    refusal
+                } else {
+                    SnapshotError::BadMagic
+                }
             );
         }
         let _ = std::fs::remove_file(&bin_path);
@@ -1241,15 +1240,15 @@ mod tests {
     }
 
     #[test]
-    fn load_sniffs_binary_and_json_files() {
+    fn load_reads_binary_and_refuses_json_files() {
         let snap = random_snapshot(5, 12);
         let dir = std::env::temp_dir();
-        let bin_path = dir.join("asura_snapshot_sniff_test.bin");
-        let json_path = dir.join("asura_snapshot_sniff_test.json");
+        let bin_path = dir.join("asura_snapshot_load_test.bin");
+        let json_path = dir.join("asura_snapshot_load_test.json");
         std::fs::write(&bin_path, snap.to_bytes()).unwrap();
         std::fs::write(&json_path, snap.to_json()).unwrap();
         assert_eq!(SimSnapshot::load(&bin_path).expect("binary load"), snap);
-        assert_eq!(SimSnapshot::load(&json_path).expect("json load"), snap);
+        assert_eq!(SimSnapshot::load(&json_path), Err(SnapshotError::BadMagic));
         assert!(matches!(
             SimSnapshot::load(&dir.join("asura_snapshot_missing_file")),
             Err(SnapshotError::Io(_))
@@ -1344,9 +1343,8 @@ mod tests {
         hostile.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         hostile.extend_from_slice(&(u64::MAX - 25).to_le_bytes());
         hostile.extend_from_slice(&[0; 16]);
-        for decode in [SimSnapshot::from_bytes, SimSnapshot::decode] {
-            assert!(matches!(decode(&hostile), Err(SnapshotError::Malformed(_))));
-        }
+        let got = SimSnapshot::from_bytes(&hostile);
+        assert!(matches!(got, Err(SnapshotError::Malformed(_))), "{got:?}");
     }
 
     /// Recompute the checksum of a JSON snapshot whose state was edited.

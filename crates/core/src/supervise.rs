@@ -26,7 +26,7 @@
 //! `asura` CLI provides the real `std::process::Child`-backed
 //! implementation.
 
-use crate::ckpt::atomic_write;
+use crate::ckpt::{atomic_write, CkptStore};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -304,6 +304,18 @@ pub struct ResumePoint {
     pub path: PathBuf,
 }
 
+impl ResumePoint {
+    /// The newest intact entry of `store`'s rotation, if any — what every
+    /// supervisor of a run directory resumes from.
+    pub fn latest(store: &CkptStore) -> Option<ResumePoint> {
+        let (entry, _) = store.latest_valid_sim()?;
+        Some(ResumePoint {
+            step: entry.step,
+            path: store.entry_path(&entry),
+        })
+    }
+}
+
 /// Crash/hang supervisor (see the module docs).
 #[derive(Debug, Clone)]
 pub struct Supervisor {
@@ -327,6 +339,21 @@ enum Verdict {
 }
 
 impl Supervisor {
+    /// The supervisor of one run directory, as `asura --supervised` and the
+    /// serve daemon's workers both drive it: the child's heartbeat at
+    /// `<dir>/heartbeat`, the incident log at `<dir>/supervisor.json`, a
+    /// 20 ms poll, and exit code 2 (usage errors, bad weights) permanent.
+    pub fn for_run_dir(dir: &Path, policy: RetryPolicy, heartbeat_timeout_ms: u64) -> Supervisor {
+        Supervisor {
+            policy,
+            heartbeat_timeout_ms,
+            poll_interval_ms: 20,
+            permanent_exit_codes: vec![2],
+            log_path: dir.join("supervisor.json"),
+            heartbeat_path: dir.join("heartbeat"),
+        }
+    }
+
     /// Drive attempts until one completes, a permanent failure occurs, or
     /// the retry budget runs out.
     ///
@@ -495,19 +522,59 @@ mod tests {
         dir
     }
 
+    /// A run directory's supervisor, polling fast and backing off briefly.
     fn supervisor(dir: &Path, max_retries: u32, hb_timeout_ms: u64) -> Supervisor {
+        let policy = RetryPolicy {
+            max_retries,
+            backoff_base_ms: 1,
+            backoff_cap_ms: 4,
+        };
         Supervisor {
-            policy: RetryPolicy {
-                max_retries,
-                backoff_base_ms: 1,
-                backoff_cap_ms: 4,
-            },
-            heartbeat_timeout_ms: hb_timeout_ms,
             poll_interval_ms: 2,
-            permanent_exit_codes: vec![2],
-            log_path: dir.join("supervisor.json"),
-            heartbeat_path: dir.join("heartbeat"),
+            ..Supervisor::for_run_dir(dir, policy, hb_timeout_ms)
         }
+    }
+
+    /// The resume point is the rotation's newest *intact* entry, by the
+    /// store's own walk — or none when nothing intact was committed.
+    #[test]
+    fn resume_point_is_the_newest_intact_rotation_entry() {
+        use crate::faults::FaultInjector;
+        use crate::snapshot::SimSnapshot;
+        let dir = tmpdir("resume-point");
+        let store = CkptStore::new(&dir, 3);
+        assert_eq!(ResumePoint::latest(&store), None, "an empty directory");
+        let mut inj = FaultInjector::none();
+        let mut snap = SimSnapshot {
+            config: crate::SimConfig::default(),
+            time: 0.0,
+            step_count: 2,
+            model: None,
+            next_id: 0,
+            slabs: Vec::new(),
+        };
+        let older = store.commit_sim(&snap, &mut inj).unwrap();
+        snap.step_count = 4;
+        let newest = store.commit_sim(&snap, &mut inj).unwrap();
+        assert_eq!(
+            ResumePoint::latest(&store),
+            Some(ResumePoint {
+                step: 4,
+                path: newest.clone()
+            })
+        );
+        std::fs::write(&newest, b"torn").unwrap();
+        assert_eq!(
+            ResumePoint::latest(&store),
+            Some(ResumePoint {
+                step: 2,
+                path: older
+            })
+        );
+        let sup = Supervisor::for_run_dir(&dir, RetryPolicy::default(), 30_000);
+        assert_eq!(sup.heartbeat_path, dir.join("heartbeat"));
+        assert_eq!(sup.log_path, dir.join("supervisor.json"));
+        assert_eq!(sup.permanent_exit_codes, vec![2]);
     }
 
     /// Fake child: exits with a scripted code after a few polls, or never

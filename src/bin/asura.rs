@@ -9,7 +9,7 @@
 //! asura --list
 //! asura --scenario quickstart --steps 5 --snapshot-every 2
 //! asura --scenario quickstart --resume results/quickstart --steps 5
-//! asura --scenario supernova_remnant --snapshot-format json
+//! asura inspect results/quickstart/checkpoint-000004.bin
 //! asura --scenario spiked_dt --scheme conventional --timestep block:8
 //! asura --scenario spiked_dt --supervised --snapshot-every 2
 //! asura --scenario quickstart --dist 2x1x1+1 --steps 6 --snapshot-every 3
@@ -21,11 +21,13 @@
 //!
 //! Checkpoints are managed by the atomic rotated store
 //! ([`asura_core::ckpt`]): every commit is tmp → fsync → rename, the run
-//! directory keeps the last `--keep` stamped snapshots
-//! (`checkpoint-<step>.<ext>`, `dist_checkpoint-<step>.<ext>` for
-//! `--dist`) plus a checksummed manifest, and `--resume` accepts either a
-//! snapshot file or a run *directory* — the latter loads the newest
-//! rotation entry that passes validation, silently skipping damaged ones.
+//! directory keeps the last `--keep` stamped binary snapshots
+//! (`checkpoint-<step>.bin`, `dist_checkpoint-<step>.bin` for `--dist`)
+//! plus a checksummed manifest, and `--resume` accepts either a snapshot
+//! file or a run *directory* — the latter loads the newest rotation entry
+//! that passes validation, silently skipping damaged ones. A checkpoint has
+//! one encoding on disk; `asura inspect <checkpoint.bin>` prints its JSON
+//! rendering for a person to read, and nothing reads that JSON back.
 //!
 //! # Supervision
 //!
@@ -41,12 +43,12 @@
 //!
 //! `--dist NXxNYxNZ+P` routes the scenario through the distributed
 //! (`mpisim`) driver — `NX*NY*NZ` main ranks plus `P` pool ranks —
-//! rotating `dist_checkpoint-<step>.{bin,json}` per `--snapshot-format`
-//! and writing `dist_report.json` instead of the shared-memory outputs. A
-//! checkpoint is the same [`SimSnapshot`] on both routes — one slab, or
-//! one per main rank — so `--dist --resume` follows the shared-memory
-//! rules: the checkpoint supplies config, counters and model, flags
-//! override, `--scenario` is optional, and the grid must be the writer's.
+//! rotating `dist_checkpoint-<step>.bin` and writing `dist_report.json`
+//! instead of the shared-memory outputs. A checkpoint is the same
+//! [`SimSnapshot`] on both routes — one slab, or one per main rank — so
+//! `--dist --resume` follows the shared-memory rules: the checkpoint
+//! supplies config, counters and model, flags override, `--scenario` is
+//! optional, and the grid must be the writer's.
 //! `--scheme` and `--timestep` mean what they mean without `--dist` (both
 //! drivers run the one `asura_core::step::step`): `--scheme conventional --timestep
 //! block[:<max_level>]` runs the conventional hierarchy's substep walk
@@ -73,7 +75,7 @@
 //! # How this file is laid out
 //!
 //! Option *values* are spelled in `asura-core`, beside their types
-//! (`Scheme`, `TimestepMode`, `CkptFormat`, `PredictorSpec` each carry one
+//! (`Scheme`, `TimestepMode`, `PredictorSpec` each carry one
 //! `FromStr` + `Display` pair); this file only maps flag names onto them.
 //! Every flag loop — the scenario runner's, `train-surrogate`'s, `serve`'s
 //! and the client verbs' — reads its values through one cursor
@@ -120,6 +122,7 @@ USAGE:
     asura train-surrogate [--out <weights.json>] [--samples <n>] [--epochs <n>]
                           [--grid <n>] [--base-features <n>] [--lr <x>] [--seed <s>]
     asura scenarios
+    asura inspect <checkpoint.bin>
     asura serve [--root <dir>] [--addr <ip:port>] [--max-concurrent <n>]
                 [--max-retries <n>] [--backoff-ms <ms>]
                 [--heartbeat-timeout-ms <ms>] [--keep <k>]
@@ -136,6 +139,9 @@ supervised child process per dispatched run. The client subcommands speak
 its line protocol; they find the daemon via <root>/serve.json unless
 --addr is given. See the asura-core serve module docs for the grammar.
 
+`asura inspect` prints a binary checkpoint as JSON, for reading; nothing
+reads that JSON back (a checkpoint has one encoding on disk).
+
 OPTIONS:
     --list                     list registered scenarios and exit
     --scenario <name>          scenario to run (also names the results/ subdirectory)
@@ -145,7 +151,6 @@ OPTIONS:
     --scheme <s>               surrogate | conventional
     --timestep <t>             global | block | block:<max_level>
     --snapshot-every <k>       checkpoint cadence in steps (0 = off)
-    --snapshot-format <f>      bin | json (default bin)
     --seed <s>                 scenario realization and star-formation key
                                (default 42; a resume keeps its checkpoint's)
     --predictor <p>            sedov (default) | unet:<weights.json> — the pool
@@ -249,7 +254,6 @@ struct Args {
     scheme: Option<Scheme>,
     timestep: Option<TimestepMode>,
     snapshot_every: Option<u64>,
-    snapshot_format: CkptFormat,
     seed: u64,
     /// Diagnostics sampling cadence; `None` means the default of every
     /// step (explicitly passing the flag with `--dist` is rejected).
@@ -333,7 +337,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         scheme: None,
         timestep: None,
         snapshot_every: None,
-        snapshot_format: CkptFormat::Bin,
         seed: DEFAULT_SEED,
         diag_every: None,
         out_dir: PathBuf::from("results"),
@@ -358,7 +361,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--scheme" => args.scheme = Some(flags.parsed(flag)?),
             "--timestep" => args.timestep = Some(flags.parsed(flag)?),
             "--snapshot-every" => args.snapshot_every = Some(flags.parsed(flag)?),
-            "--snapshot-format" => args.snapshot_format = flags.parsed(flag)?,
             "--seed" => args.seed = flags.parsed(flag)?,
             "--diag-every" => args.diag_every = Some(flags.parsed(flag)?),
             "--out-dir" => args.out_dir = PathBuf::from(flags.value(flag)?),
@@ -529,7 +531,7 @@ fn run_scenario(args: &Args) -> Result<(), String> {
     match args.dist {
         Some(spec) => run_dist(run, spec, &store, |step, snap| {
             beat(step);
-            let committed = store.after_step(step, snap, args.snapshot_format, &mut injector);
+            let committed = store.after_step(step, snap, &mut injector);
             if let Some(path) = committed.map_err(ckpt_error)? {
                 println!("[checkpoint] {}", path.display());
             }
@@ -578,7 +580,7 @@ fn run_shared(
     // tolerated (the final write below still reports them).
     let live_diag = args.heartbeat.is_some();
     let mut written = sim
-        .run_with_store(run.steps, store, args.snapshot_format, injector, |s| {
+        .run_with_store(run.steps, store, CkptFormat::Bin, injector, |s| {
             beat(s.step_count);
             if diag_every > 0 && s.step_count.is_multiple_of(diag_every) {
                 series.record(TimeSample::measure(s, t_prev, map_half));
@@ -593,7 +595,7 @@ fn run_shared(
     // committed the last step) + the diagnostics series.
     let every = sim.config.snapshot_every;
     if run.steps == 0 || every == 0 || !sim.step_count.is_multiple_of(every) {
-        let last = store.commit_sim(&sim.snapshot(), args.snapshot_format, injector);
+        let last = store.commit_sim(&sim.snapshot(), injector);
         written.push(last.map_err(|e| format!("writing final checkpoint: {e}"))?);
     }
     atomic_write(&diag_path, series.to_json().as_bytes())
@@ -676,7 +678,6 @@ fn run_dist(
         ("active_updates", sum(|s| s.active_updates).into()),
         ("tree_refreshes", sum(|s| s.tree_refreshes).into()),
         ("tree_rebuilds", sum(|s| s.tree_rebuilds).into()),
-        ("error", report.error.as_ref().map(|e| e.to_string()).into()),
         ("phases", Json::Arr(phases.collect())),
     ])
     .render()
@@ -712,7 +713,6 @@ struct ChildRun<'a> {
     scheme: Option<Scheme>,
     timestep: Option<TimestepMode>,
     snapshot_every: Option<u64>,
-    snapshot_format: Option<CkptFormat>,
     seed: u64,
     diag_every: Option<u64>,
     predictor: Option<&'a PredictorSpec>,
@@ -745,7 +745,6 @@ impl ChildRun<'_> {
         opt(&mut cmd, "--scheme", self.scheme);
         opt(&mut cmd, "--timestep", self.timestep);
         opt(&mut cmd, "--snapshot-every", self.snapshot_every);
-        opt(&mut cmd, "--snapshot-format", self.snapshot_format);
         opt(&mut cmd, "--seed", Some(self.seed));
         opt(&mut cmd, "--diag-every", self.diag_every);
         opt(&mut cmd, "--predictor", self.predictor);
@@ -777,25 +776,18 @@ fn run_supervised(args: &Args) -> Result<(), String> {
     let dir = args.prepare_run_dir(scenario.name)?;
     let store = CkptStore::with_base(&dir, args.ckpt_base(), args.keep);
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let supervisor = Supervisor {
-        policy: RetryPolicy {
-            max_retries: args.max_retries,
-            backoff_base_ms: args.backoff_ms,
-            backoff_cap_ms: args.backoff_ms.max(1) * 16,
-        },
-        heartbeat_timeout_ms: args.heartbeat_timeout_ms,
-        poll_interval_ms: 20,
-        permanent_exit_codes: vec![2],
-        log_path: dir.join("supervisor.json"),
-        heartbeat_path: dir.join("heartbeat"),
+    let policy = RetryPolicy {
+        max_retries: args.max_retries,
+        backoff_base_ms: args.backoff_ms,
+        backoff_cap_ms: args.backoff_ms.max(1) * 16,
     };
+    let supervisor = Supervisor::for_run_dir(&dir, policy, args.heartbeat_timeout_ms);
     let child = ChildRun {
         scenario: name,
         target_steps: target_steps as u64,
         scheme: args.scheme,
         timestep: args.timestep,
         snapshot_every: args.snapshot_every,
-        snapshot_format: Some(args.snapshot_format),
         seed: args.seed,
         diag_every: args.diag_every,
         predictor: args.predictor.as_ref(),
@@ -826,12 +818,7 @@ fn run_supervised(args: &Args) -> Result<(), String> {
                 }
                 cmd.spawn().map(ProcessChild::new)
             },
-            || {
-                store.latest_valid_sim().map(|(entry, _)| ResumePoint {
-                    step: entry.step,
-                    path: store.entry_path(&entry),
-                })
-            },
+            || ResumePoint::latest(&store),
         )
         .map_err(|e| format!("supervisor: {e}"))?;
     println!(
@@ -882,6 +869,17 @@ fn cmd_scenarios(rest: &[String]) -> Result<(), String> {
         ));
     }
     print_scenarios();
+    Ok(())
+}
+
+/// The `asura inspect` subcommand: print a binary checkpoint's JSON
+/// rendering to stdout. The one argument is the checkpoint file.
+fn cmd_inspect(rest: &[String]) -> Result<(), String> {
+    let [path] = rest else {
+        return Err("usage: asura inspect <checkpoint.bin>".into());
+    };
+    let snap = SimSnapshot::load(Path::new(path)).map_err(|e| format!("inspect {path}: {e}"))?;
+    println!("{}", snap.to_json());
     Ok(())
 }
 
@@ -1002,7 +1000,6 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
             // Serve default cadence is every step: auto-resume should never
             // replay more than one step of lost work.
             snapshot_every: Some(o.snapshot_every.unwrap_or(1)),
-            snapshot_format: o.snapshot_format,
             seed: o.seed.unwrap_or(DEFAULT_SEED),
             diag_every: None,
             predictor: None,
@@ -1099,6 +1096,7 @@ fn run() -> Result<(), String> {
     // Subcommand forms first; everything else is the classic flag CLI.
     match argv.first().map(|s| s.as_str()) {
         Some("scenarios") => return cmd_scenarios(&argv[1..]),
+        Some("inspect") => return cmd_inspect(&argv[1..]),
         Some("serve") => return cmd_serve(&argv[1..]),
         Some("train-surrogate") => return cmd_train_surrogate(&argv[1..]),
         Some(verb @ ("submit" | "status" | "list" | "watch" | "cancel" | "shutdown")) => {

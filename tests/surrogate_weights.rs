@@ -265,16 +265,15 @@ fn cli_exits_2_on_bad_weights_and_never_panics() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A checkpoint is outside input, and FNV-1a is not a signature: a JSON
+/// A checkpoint is outside input, and FNV-1a is not a signature: a
 /// checkpoint whose embedded weights document was replaced by `{}` and
-/// resealed (checksum recomputed over the edited state, as the writer
-/// would) decodes as a snapshot — and must then be refused where the
-/// model is built, exit 2 with the typed message, on both routes. It used
-/// to panic the resume.
+/// re-encoded (checksums recomputed, as the writer would — `to_bytes`
+/// validates nothing) decodes as a snapshot — and must then be refused
+/// where the model is built, exit 2 with the typed message, on both routes.
+/// It used to panic the resume.
 #[test]
 fn cli_exits_2_on_a_checkpoint_whose_embedded_model_does_not_decode() {
-    use asura_core::snapshot::{SimSnapshot, SNAPSHOT_VERSION};
-    use unet::json::{fnv1a, parse_json};
+    use asura_core::snapshot::SimSnapshot;
     let dir = scratch_dir("embedded");
     let weights = dir.join("weights.json");
     std::fs::write(&weights, weights_doc()).unwrap();
@@ -290,7 +289,7 @@ fn cli_exits_2_on_a_checkpoint_whose_embedded_model_does_not_decode() {
     for (route, dist) in [("shared", &[][..]), ("dist", &["--dist", "1x1x1+1"][..])] {
         let predictor = format!("unet:{}", weights.display());
         let mut fresh = vec!["--scenario", "supernova_remnant", "--steps", "1"];
-        fresh.extend(["--snapshot-every", "1", "--snapshot-format", "json"]);
+        fresh.extend(["--snapshot-every", "1"]);
         fresh.extend(["--predictor", &predictor]);
         fresh.extend(dist);
         let out = run(&fresh, route);
@@ -300,27 +299,17 @@ fn cli_exits_2_on_a_checkpoint_whose_embedded_model_does_not_decode() {
             String::from_utf8_lossy(&out.stderr)
         );
         let base = if dist.is_empty() { "" } else { "dist_" };
-        let ckpt = dir
-            .join(route)
-            .join(format!("{base}checkpoint-000001.json"));
-        let text = std::fs::read_to_string(&ckpt).expect("the JSON checkpoint");
-        let snap = SimSnapshot::from_json(&text).expect("decodes");
-        let embedded = snap.model.expect("the model rides along").weights_json;
+        let ckpt = dir.join(route).join(format!("{base}checkpoint-000001.bin"));
+        let mut snap = SimSnapshot::load(&ckpt).expect("the checkpoint");
+        let model = snap.model.as_mut().expect("the model rides along");
+        assert_ne!(model.weights_json, "{}");
 
-        // Swap the document for `{}` and reseal.
-        let doc = parse_json(&text).unwrap();
-        let state = doc.get("state").unwrap().render();
-        let quoted = unet::json::Json::Str(embedded).render();
-        let hostile_state = state.replacen(&quoted, "\"{}\"", 1);
-        assert_ne!(hostile_state, state, "{route}: weights string not found");
-        let hostile = format!(
-            "{{\"format\":\"asura-snapshot\",\"version\":{SNAPSHOT_VERSION},\"state\":{hostile_state},\
-             \"checksum\":\"fnv1a:{:016x}\"}}",
-            fnv1a(hostile_state.as_bytes())
-        );
-        let hostile_snap = SimSnapshot::from_json(&hostile).expect("resealed: still a snapshot");
+        // Swap the document for `{}` and re-encode.
+        model.weights_json = "{}".into();
+        let hostile = snap.to_bytes();
+        let hostile_snap = SimSnapshot::from_bytes(&hostile).expect("still a snapshot");
         assert_eq!(hostile_snap.model.unwrap().weights_json, "{}");
-        let hostile_path = dir.join(format!("{route}-hostile.json"));
+        let hostile_path = dir.join(format!("{route}-hostile.bin"));
         std::fs::write(&hostile_path, hostile).unwrap();
 
         let mut resume = vec!["--resume", hostile_path.to_str().unwrap(), "--steps", "1"];

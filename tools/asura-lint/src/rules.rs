@@ -58,13 +58,14 @@ pub fn all_rules() -> Vec<Rule> {
         Rule {
             name: "no-panic-daemon",
             description: "no unwrap/expect/panic!/unreachable! in the serve \
-                          daemon, supervisor, or protocol/fault parsers — \
-                          malformed input must be a typed error, never a \
-                          crashed fleet",
+                          daemon, supervisor, protocol/fault parsers, or the \
+                          checkpoint store — malformed input must be a typed \
+                          error, never a crashed fleet",
             include: &[
                 "crates/core/src/serve.rs",
                 "crates/core/src/supervise.rs",
                 "crates/core/src/faults.rs",
+                "crates/core/src/ckpt.rs",
             ],
             exclude: &[],
             check: check_no_panic,
