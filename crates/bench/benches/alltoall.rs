@@ -2,44 +2,23 @@
 //! optimization), measured on real mpisim ranks. Writes the
 //! `BENCH_alltoall.json` trajectory artifact at the repo root.
 
-use bench::BenchDoc;
-use criterion::{criterion_group, BenchmarkId, Criterion};
+use bench::{BenchDoc, Records};
 use mpisim::{TorusDims, World};
-use std::hint::black_box;
-
-fn bench_alltoall(c: &mut Criterion) {
-    let mut group = c.benchmark_group("alltoallv");
-    group.sample_size(10);
-    for &ranks in &[8usize, 27, 64] {
-        let payload = 256usize; // u64 per rank pair
-        group.bench_with_input(BenchmarkId::new("flat", ranks), &ranks, |b, &p| {
-            b.iter(|| {
-                let out = World::new(p).run(|comm| {
-                    let sends: Vec<Vec<u64>> = (0..p).map(|j| vec![j as u64; payload]).collect();
-                    comm.alltoallv(sends).len()
-                });
-                black_box(out)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("torus3d", ranks), &ranks, |b, &p| {
-            let dims = TorusDims::for_size(p);
-            b.iter(|| {
-                let out = World::new(p).run(|comm| {
-                    let sends: Vec<Vec<u64>> = (0..p).map(|j| vec![j as u64; payload]).collect();
-                    comm.alltoallv_torus(dims, sends).len()
-                });
-                black_box(out)
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_alltoall);
 
 fn main() {
-    benches();
+    const PAYLOAD: usize = 256; // u64 per rank pair
+    let mut records = Records::new();
+    for p in [8usize, 27, 64] {
+        let sends = move || (0..p).map(|j| vec![j as u64; PAYLOAD]).collect::<Vec<_>>();
+        records.time(format!("alltoallv/flat/{p}"), 10, || {
+            World::new(p).run(|comm| comm.alltoallv(sends()).len())
+        });
+        let dims = TorusDims::for_size(p);
+        records.time(format!("alltoallv/torus3d/{p}"), 10, || {
+            World::new(p).run(|comm| comm.alltoallv_torus(dims, sends()).len())
+        });
+    }
     BenchDoc::new()
-        .records(criterion::take_records())
+        .records(records)
         .write("BENCH_alltoall.json");
 }

@@ -15,45 +15,15 @@
 //! Writes `BENCH_blockstep.json` at the repo root so subsequent PRs have a
 //! perf trajectory.
 
-use asura_core::{Particle, Scheme, SimConfig, Simulation, TimestepMode};
-use bench::{BenchDoc, Better};
-use fdps::Vec3;
-use std::time::Instant;
+use asura_core::{Scheme, SimConfig, Simulation, TimestepMode};
+use bench::fixtures::spiked_blob;
+use bench::{best_of, BenchDoc, Better};
 use unet::json::Json;
 
 const N_SIDE: usize = 10;
 const DT_BASE: f64 = 2.0e-3;
 const BASE_STEPS: usize = 3;
 const MAX_LEVEL: u32 = 8;
-
-fn spiked_blob() -> Vec<Particle> {
-    let mut particles = Vec::new();
-    let mut id = 0u64;
-    for i in 0..N_SIDE {
-        for j in 0..N_SIDE {
-            for k in 0..N_SIDE {
-                particles.push(Particle::gas(
-                    id,
-                    Vec3::new(
-                        i as f64 - N_SIDE as f64 / 2.0,
-                        j as f64 - N_SIDE as f64 / 2.0,
-                        k as f64 - N_SIDE as f64 / 2.0,
-                    ),
-                    Vec3::ZERO,
-                    1.0,
-                    1.0,
-                    1.3,
-                ));
-                id += 1;
-            }
-        }
-    }
-    // SN-hot centre particle: ~10^4 km/s signal speed collapses its CFL
-    // step by a factor ~2^5-2^6 below the base step.
-    let center = (N_SIDE / 2) * N_SIDE * N_SIDE + (N_SIDE / 2) * N_SIDE + N_SIDE / 2;
-    particles[center].u = 1.0e8;
-    particles
-}
 
 fn config(mode: TimestepMode) -> SimConfig {
     SimConfig {
@@ -84,12 +54,12 @@ struct RunResult {
 
 fn run(mode: TimestepMode) -> RunResult {
     let horizon = BASE_STEPS as f64 * DT_BASE;
-    let mut sim = Simulation::new(config(mode), spiked_blob(), 1);
-    let start = Instant::now();
-    while sim.time < horizon - 1e-12 {
-        sim.step();
-    }
-    let wall_s = start.elapsed().as_secs_f64();
+    let mut sim = Simulation::new(config(mode), spiked_blob(N_SIDE), 1);
+    let (wall_s, ()) = best_of(1, || {
+        while sim.time < horizon - 1e-12 {
+            sim.step();
+        }
+    });
     let (max_level, predicted_substeps, modeled_efficiency) = sim
         .scheduler()
         .schedule()

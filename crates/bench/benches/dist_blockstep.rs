@@ -24,11 +24,10 @@
 //! have a perf trajectory.
 
 use asura_core::dist::{run_distributed, DistConfig, DistReport, PredictorKind};
-use asura_core::{Particle, Scheme, SimConfig, TimestepMode};
-use bench::{BenchDoc, Better};
+use asura_core::{Scheme, SimConfig, TimestepMode};
+use bench::fixtures::spiked_blob;
+use bench::{best_of, BenchDoc, Better};
 use fdps::exchange::Routing;
-use fdps::Vec3;
-use std::time::Instant;
 use unet::json::Json;
 
 const N_SIDE: usize = 8;
@@ -37,35 +36,6 @@ const BASE_STEPS: usize = 2;
 const MAX_LEVEL: u32 = 6;
 const GRID: (usize, usize, usize) = (2, 1, 1);
 const N_POOL: usize = 1;
-
-fn spiked_blob() -> Vec<Particle> {
-    let mut particles = Vec::new();
-    let mut id = 0u64;
-    for i in 0..N_SIDE {
-        for j in 0..N_SIDE {
-            for k in 0..N_SIDE {
-                particles.push(Particle::gas(
-                    id,
-                    Vec3::new(
-                        i as f64 - N_SIDE as f64 / 2.0,
-                        j as f64 - N_SIDE as f64 / 2.0,
-                        k as f64 - N_SIDE as f64 / 2.0,
-                    ),
-                    Vec3::ZERO,
-                    1.0,
-                    1.0,
-                    1.3,
-                ));
-                id += 1;
-            }
-        }
-    }
-    // SN-hot centre particle: ~10^4 km/s signal speed collapses its CFL
-    // step well below the base step on whichever rank owns it.
-    let center = (N_SIDE / 2) * N_SIDE * N_SIDE + (N_SIDE / 2) * N_SIDE + N_SIDE / 2;
-    particles[center].u = 1.0e8;
-    particles
-}
 
 fn config(mode: TimestepMode) -> DistConfig {
     DistConfig {
@@ -114,11 +84,9 @@ struct RunResult {
 }
 
 fn run(mode: TimestepMode) -> RunResult {
-    let ic = spiked_blob();
+    let ic = spiked_blob(N_SIDE);
     let cfg = config(mode);
-    let start = Instant::now();
-    let report = run_distributed(&cfg, &ic).expect("dist run");
-    let wall_s = start.elapsed().as_secs_f64();
+    let (wall_s, report) = best_of(1, || run_distributed(&cfg, &ic).expect("dist run"));
     let sync_s: f64 = SYNC_PHASES
         .iter()
         .filter_map(|name| report.phases.get(name).map(|e| e.total_s))

@@ -21,47 +21,18 @@
 //! perf trajectory, and prints the walk speedup (target: >= 2x) and the
 //! kernel simd speedup (target: >= 1.5x).
 
-use bench::{BenchDoc, Better};
+use bench::fixtures::cloud;
+use bench::{best_of, BenchDoc, Better};
 use fdps::walk::{InteractionList, WalkScratch};
 use fdps::{Tree, Vec3};
 use gravity::kernel::{accumulate_f64, accumulate_f64_soa, accumulate_mixed_staged, GravityAccum};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use std::hint::black_box;
-use std::time::Instant;
 
 const N: usize = 100_000;
 const THETA: f64 = 0.5;
 const N_GROUP: usize = 64;
 const N_LEAF: usize = 8;
-
-fn cloud(n: usize) -> (Vec<Vec3>, Vec<f64>) {
-    let mut rng = StdRng::seed_from_u64(1);
-    let pos = (0..n)
-        .map(|_| {
-            // Centrally concentrated, like the galaxy.
-            let r: f64 = rng.gen::<f64>().powi(2) * 10.0;
-            let th = rng.gen_range(0.0..std::f64::consts::TAU);
-            let z = rng.gen_range(-0.5..0.5);
-            Vec3::new(r * th.cos(), r * th.sin(), z)
-        })
-        .collect();
-    let mass = vec![1.0; n];
-    (pos, mass)
-}
-
-/// Wall-clock seconds of `f`, best of `reps`.
-fn time_best<F: FnMut() -> u64>(reps: usize, mut f: F) -> (f64, u64) {
-    let mut best = f64::INFINITY;
-    let mut check = 0u64;
-    for _ in 0..reps {
-        let start = Instant::now();
-        check = black_box(f());
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    (best, check)
-}
 
 fn main() {
     let (pos, mass) = cloud(N);
@@ -72,7 +43,7 @@ fn main() {
 
     // 1. Naive checked-in baseline: serial recursive walk, fresh list per
     //    group (the pre-refactor interaction_lists).
-    let (t_rec, len_rec) = time_best(5, || {
+    let (t_rec, len_rec) = best_of(5, || {
         let mut total = 0u64;
         for &g in &groups {
             let mut list = InteractionList::default();
@@ -84,7 +55,7 @@ fn main() {
 
     // 2. Indexed walk, serial, scratch reuse: the cache-layout win alone.
     let index = tree.walk_index();
-    let (t_ser, len_ser) = time_best(5, || {
+    let (t_ser, len_ser) = best_of(5, || {
         let mut scratch = WalkScratch::default();
         let mut list = InteractionList::default();
         let mut total = 0u64;
@@ -97,7 +68,7 @@ fn main() {
     assert_eq!(len_rec, len_ser, "walks must agree on total list length");
 
     // 3. Production path: parallel indexed walk, per-worker scratch reuse.
-    let (t_par, len_par) = time_best(5, || {
+    let (t_par, len_par) = best_of(5, || {
         groups
             .par_iter()
             .map_init(
@@ -109,7 +80,7 @@ fn main() {
             )
             .collect::<Vec<u64>>()
             .iter()
-            .sum()
+            .sum::<u64>()
     });
     assert_eq!(len_rec, len_par, "walks must agree on total list length");
 
@@ -157,7 +128,7 @@ fn main() {
     let jm32: Vec<f32> = jmass.iter().map(|&m| m as f32).collect();
     let mut out = vec![GravityAccum::default(); n_i];
     let kernel_reps = 200;
-    let (t_f64, _) = time_best(3, || {
+    let (t_f64, _) = best_of(3, || {
         for _ in 0..kernel_reps {
             accumulate_f64(
                 black_box(ipos),
@@ -167,10 +138,9 @@ fn main() {
                 &mut out,
             );
         }
-        out.len() as u64
     });
     let ns_per_inter_f64 = t_f64 * 1e9 / (kernel_reps * n_i * n_j) as f64;
-    let (t_soa, _) = time_best(3, || {
+    let (t_soa, _) = best_of(3, || {
         for _ in 0..kernel_reps {
             accumulate_f64_soa(
                 black_box(ipos),
@@ -182,10 +152,9 @@ fn main() {
                 &mut out,
             );
         }
-        out.len() as u64
     });
     let ns_per_inter_soa = t_soa * 1e9 / (kernel_reps * n_i * n_j) as f64;
-    let (t_mixed, _) = time_best(3, || {
+    let (t_mixed, _) = best_of(3, || {
         for _ in 0..kernel_reps {
             accumulate_mixed_staged(
                 Vec3::ZERO,
@@ -198,7 +167,6 @@ fn main() {
                 &mut out,
             );
         }
-        out.len() as u64
     });
     let ns_per_inter_mixed = t_mixed * 1e9 / (kernel_reps * n_i * n_j) as f64;
     let simd_speedup = ns_per_inter_f64 / ns_per_inter_soa;

@@ -11,8 +11,9 @@
 //! with one walk per leaf it is the reciprocal of (targets per leaf ×
 //! iterations per target).
 
-use bench::{BenchDoc, Better};
-use criterion::{criterion_group, BenchmarkId, Criterion};
+use bench::fixtures::cloud;
+use bench::{BenchDoc, Better, Records};
+use fdps::walk::{InteractionList, WalkScratch};
 use fdps::{Tree, Vec3};
 use gravity::GravitySolver;
 use rand::rngs::StdRng;
@@ -20,97 +21,63 @@ use rand::{Rng, SeedableRng};
 use sph::density::{compute_density_on_tree, density_one_reference, DensityConfig};
 use sph::force::{pair_force, HydroAccum, HydroInput};
 use sph::{CubicSpline, HydroState, SphKernel, SphScratch, SphSolver};
-use std::hint::black_box;
 
-fn cloud(n: usize) -> (Vec<Vec3>, Vec<f64>) {
-    let mut rng = StdRng::seed_from_u64(1);
-    let pos = (0..n)
-        .map(|_| {
-            // Centrally concentrated, like the galaxy.
-            let r: f64 = rng.gen::<f64>().powi(2) * 10.0;
-            let th = rng.gen_range(0.0..std::f64::consts::TAU);
-            let z = rng.gen_range(-0.5..0.5);
-            Vec3::new(r * th.cos(), r * th.sin(), z)
-        })
-        .collect();
-    let mass = vec![1.0; n];
-    (pos, mass)
-}
-
-fn bench_tree_build(c: &mut Criterion) {
-    let mut group = c.benchmark_group("tree_build");
-    group.sample_size(20);
-    for &n in &[10_000usize, 50_000] {
+fn bench_tree_build(records: &mut Records) {
+    for n in [10_000usize, 50_000] {
         let (pos, mass) = cloud(n);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| black_box(Tree::build(&pos, &mass, 8)))
+        records.time(format!("tree_build/{n}"), 20, || {
+            Tree::build(&pos, &mass, 8)
         });
     }
-    group.finish();
 }
 
-fn bench_group_size(c: &mut Criterion) {
+fn bench_group_size(records: &mut Records) {
     let (pos, mass) = cloud(20_000);
-    let mut group = c.benchmark_group("gravity_n_group");
-    group.sample_size(10);
-    for &n_g in &[16usize, 64, 256, 1024] {
-        group.bench_with_input(BenchmarkId::from_parameter(n_g), &n_g, |b, &n_g| {
-            let solver = GravitySolver {
-                theta: 0.5,
-                n_group: n_g,
-                eps: 0.01,
-                ..Default::default()
-            };
-            b.iter(|| black_box(solver.evaluate(&pos, &mass, pos.len()).interactions))
+    for n_group in [16usize, 64, 256, 1024] {
+        let solver = GravitySolver {
+            theta: 0.5,
+            n_group,
+            eps: 0.01,
+            ..Default::default()
+        };
+        records.time(format!("gravity_n_group/{n_group}"), 10, || {
+            solver.evaluate(&pos, &mass, pos.len()).interactions
         });
     }
-    group.finish();
 }
 
-fn bench_mac_walk(c: &mut Criterion) {
-    use fdps::walk::{InteractionList, WalkScratch};
+fn bench_mac_walk(records: &mut Records) {
     let (pos, mass) = cloud(50_000);
     let tree = Tree::build(&pos, &mass, 8);
     let groups = tree.groups(64);
     let index = tree.walk_index();
-    let mut group = c.benchmark_group("mac_walk_50k");
-    group.sample_size(10);
-    group.bench_function("recursive_alloc_baseline", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for &g in &groups {
-                let mut list = InteractionList::default();
-                tree.walk_mac_recursive(&tree.nodes[g].bbox, 0.5, &mut list);
-                total += list.len();
-            }
-            black_box(total)
-        })
+    records.time("mac_walk_50k/recursive_alloc_baseline", 10, || {
+        let mut total = 0usize;
+        for &g in &groups {
+            let mut list = InteractionList::default();
+            tree.walk_mac_recursive(&tree.nodes[g].bbox, 0.5, &mut list);
+            total += list.len();
+        }
+        total
     });
-    group.bench_function("iterative_reuse", |b| {
-        let mut scratch = WalkScratch::default();
-        let mut list = InteractionList::default();
-        b.iter(|| {
-            let mut total = 0usize;
-            for &g in &groups {
-                tree.walk_mac_into(&tree.nodes[g].bbox, 0.5, &mut scratch, &mut list);
-                total += list.len();
-            }
-            black_box(total)
-        })
+    let mut scratch = WalkScratch::default();
+    let mut list = InteractionList::default();
+    records.time("mac_walk_50k/iterative_reuse", 10, || {
+        let mut total = 0usize;
+        for &g in &groups {
+            tree.walk_mac_into(&tree.nodes[g].bbox, 0.5, &mut scratch, &mut list);
+            total += list.len();
+        }
+        total
     });
-    group.bench_function("indexed_reuse", |b| {
-        let mut scratch = WalkScratch::default();
-        let mut list = InteractionList::default();
-        b.iter(|| {
-            let mut total = 0usize;
-            for &g in &groups {
-                tree.walk_mac_indexed(&index, &tree.nodes[g].bbox, 0.5, &mut scratch, &mut list);
-                total += list.len();
-            }
-            black_box(total)
-        })
+    records.time("mac_walk_50k/indexed_reuse", 10, || {
+        let mut total = 0usize;
+        for &g in &groups {
+            tree.walk_mac_indexed(&index, &tree.nodes[g].bbox, 0.5, &mut scratch, &mut list);
+            total += list.len();
+        }
+        total
     });
-    group.finish();
 }
 
 /// Jittered gas lattice for the density benches: `n_side^3` particles at
@@ -145,7 +112,7 @@ fn gas_cube_state(n_side: usize) -> HydroState {
     HydroState::new(pos, vec![Vec3::ZERO; n], mass, vec![1.0; n], vec![H0; n])
 }
 
-fn bench_density_h_iteration(c: &mut Criterion) {
+fn bench_density_h_iteration(records: &mut Records) {
     let (pos, mass) = gas_cube(20);
     let cfg = DensityConfig::default();
     let kernel = CubicSpline;
@@ -154,83 +121,73 @@ fn bench_density_h_iteration(c: &mut Criterion) {
     let targets: Vec<usize> = (0..pos.len()).collect();
     let h0 = vec![H0; pos.len()];
     let mut h = h0.clone();
-    let mut group = c.benchmark_group("sph_density_8k_h_iteration");
-    group.sample_size(10);
-    group.bench_function("group_lists", |b| {
-        b.iter(|| {
-            h.copy_from_slice(&h0);
-            black_box(compute_density_on_tree(
-                &kernel, &cfg, &tree, &pos, &mass, &mut h, &targets,
-            ))
-        })
+    records.time("sph_density_8k_h_iteration/group_lists", 10, || {
+        h.copy_from_slice(&h0);
+        compute_density_on_tree(&kernel, &cfg, &tree, &pos, &mass, &mut h, &targets)
     });
-    group.bench_function("walk_per_iteration_reference", |b| {
-        let mut scratch = Vec::new();
-        b.iter(|| {
+    let mut scratch = Vec::new();
+    records.time(
+        "sph_density_8k_h_iteration/walk_per_iteration_reference",
+        10,
+        || {
             let mut acc = 0.0f64;
             for &i in &targets {
                 let r =
                     density_one_reference(&kernel, &cfg, &tree, &pos, &mass, i, H0, &mut scratch);
                 acc += r.rho;
             }
-            black_box(acc)
-        })
-    });
-    group.finish();
+            acc
+        },
+    );
 }
 
 /// One force pass over the converged gas cube: the solver's group-list
 /// path (tree refresh and input staging included, pool-parallel) against
 /// the serial per-particle reference — one walk and one scalar
 /// `pair_force` loop over the walk's candidates per target.
-fn bench_force_pass(c: &mut Criterion) {
+fn bench_force_pass(records: &mut Records) {
     let solver = SphSolver::default();
     let mut state = gas_cube_state(20);
     let n = state.len();
     let mut scratch = SphScratch::default();
     solver.density_pass_with(&mut state, n, &mut scratch);
-    let mut group = c.benchmark_group("sph_force_8k");
-    group.sample_size(10);
-    group.bench_function("group_lists", |b| {
-        b.iter(|| black_box(solver.force_pass_with(&mut state, n, &mut scratch)))
+    records.time("sph_force_8k/group_lists", 10, || {
+        solver.force_pass_with(&mut state, n, &mut scratch)
     });
-    group.bench_function("per_particle_reference", |b| {
-        let support = solver.kernel.support();
-        let radii: Vec<f64> = state.h.iter().map(|h| support * h).collect();
-        let tree = Tree::build_with_h(&state.pos, &state.mass, Some(&radii), 16);
-        let inputs: Vec<HydroInput> = (0..n)
-            .map(|i| HydroInput {
-                pos: state.pos[i],
-                vel: state.vel[i],
-                mass: state.mass[i],
-                h: state.h[i],
-                rho: state.rho[i],
-                p_over_rho2: solver.eos.p_over_rho2(state.rho[i], state.u[i]),
-                cs: solver.eos.sound_speed(state.u[i]),
-            })
-            .collect();
-        let mut ngb = Vec::new();
-        b.iter(|| {
-            let mut acc = 0.0f64;
-            for (pi, &radius) in inputs.iter().zip(&radii) {
-                ngb.clear();
-                tree.neighbors_within(pi.pos, radius, &mut ngb);
-                let mut out = HydroAccum::default();
-                for &j in &ngb {
-                    pair_force(
-                        &solver.kernel,
-                        &solver.visc,
-                        pi,
-                        &inputs[j as usize],
-                        &mut out,
-                    );
-                }
-                acc += out.dudt + out.acc.x;
-            }
-            black_box(acc)
+    let support = solver.kernel.support();
+    let radii: Vec<f64> = state.h.iter().map(|h| support * h).collect();
+    let tree = Tree::build_with_h(&state.pos, &state.mass, Some(&radii), 16);
+    let inputs: Vec<HydroInput> = (0..n)
+        .map(|i| HydroInput {
+            pos: state.pos[i],
+            vel: state.vel[i],
+            mass: state.mass[i],
+            h: state.h[i],
+            rho: state.rho[i],
+            p_over_rho2: solver.eos.p_over_rho2(state.rho[i], state.u[i]),
+            cs: solver.eos.sound_speed(state.u[i]),
         })
+        .collect();
+    let mut ngb = Vec::new();
+    records.time("sph_force_8k/per_particle_reference", 10, || {
+        let mut acc = 0.0f64;
+        for (pi, &radius) in inputs.iter().zip(&radii) {
+            ngb.clear();
+            tree.neighbors_within(pi.pos, radius, &mut ngb);
+            let mut out = HydroAccum::default();
+            for &j in &ngb {
+                pair_force(
+                    &solver.kernel,
+                    &solver.visc,
+                    pi,
+                    &inputs[j as usize],
+                    &mut out,
+                );
+            }
+            acc += out.dudt + out.acc.x;
+        }
+        acc
     });
-    group.finish();
 }
 
 /// Measure walks / iterations over one mediocre-guess density pass.
@@ -248,19 +205,15 @@ fn h_iter_walk_ratio() -> f64 {
     ratio
 }
 
-criterion_group!(
-    benches,
-    bench_tree_build,
-    bench_group_size,
-    bench_mac_walk,
-    bench_density_h_iteration,
-    bench_force_pass
-);
-
 fn main() {
-    benches();
+    let mut records = Records::new();
+    bench_tree_build(&mut records);
+    bench_group_size(&mut records);
+    bench_mac_walk(&mut records);
+    bench_density_h_iteration(&mut records);
+    bench_force_pass(&mut records);
     BenchDoc::new()
-        .records(criterion::take_records())
+        .records(records)
         .gated("h_iter_walk_ratio", h_iter_walk_ratio(), Better::Lower)
         .write("BENCH_tree_walk.json");
 }

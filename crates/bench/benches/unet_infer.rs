@@ -6,8 +6,8 @@
 //!
 //! Three tiers:
 //!
-//! * iterated criterion-style measurements at small test grids (16^3 and
-//!   32^3, both feature widths) for stable per-stage numbers;
+//! * iterated measurements ([`bench::Records::time`]) at small test grids
+//!   (16^3 and 32^3, both feature widths) for stable per-stage numbers;
 //! * a single-shot voxelize → encode → forward → decode pipeline at the paper's 64^3
 //!   region grid — *informational* absolute timings (the <1 s
 //!   interactivity target is asserted by the integration tests, not
@@ -23,17 +23,12 @@
 //!   (which keeps the backprop cache) on one 32^3 input at
 //!   `base_features` 4 — the benchmark's `sn_surrogate` shape.
 
-use bench::{BenchDoc, Better};
-use criterion::{criterion_group, BenchRecord, BenchmarkId, Criterion};
-use std::hint::black_box;
-use std::time::Instant;
+use bench::{best_of, BenchDoc, Better, Records};
 use surrogate::{decode_fields, encode_fields, particles_to_grid, VoxelGrid};
 use unet::{Tensor, UNet3d, UNetConfig};
 
-fn bench_inference(c: &mut Criterion) {
-    let mut group = c.benchmark_group("unet_inference");
-    group.sample_size(10);
-    for &(n, feats) in &[(16usize, 4usize), (32, 4), (32, 8)] {
+fn bench_inference(records: &mut Records) {
+    for (n, feats) in [(16usize, 4usize), (32, 4), (32, 8)] {
         let net = UNet3d::new(
             &UNetConfig {
                 in_channels: 8,
@@ -43,44 +38,39 @@ fn bench_inference(c: &mut Criterion) {
             1,
         );
         let x = Tensor::zeros(8, n, n, n);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{n}cubed_f{feats}")),
-            &n,
-            |b, _| b.iter(|| black_box(net.forward(&x))),
-        );
+        records.time(format!("unet_inference/{n}cubed_f{feats}"), 10, || {
+            net.forward(&x)
+        });
     }
-    group.finish();
 }
 
-fn bench_encode_decode(c: &mut Criterion) {
+fn bench_encode_decode(records: &mut Records) {
     // The tensor boundary around the net: voxel fields → 8-channel log
     // tensor → fields, at a small test grid and at the benchmark's
     // `sn_surrogate` grid (262 k `log10` / `powf` per region).
     for n in [16usize, 32] {
         let grid = VoxelGrid::centered(fdps::Vec3::ZERO, 60.0, n);
         let fields = particles_to_grid(grid, &synthetic_region(4000, 60.0, 2.0));
-        let mut group = c.benchmark_group(format!("encode_decode_{n}cubed"));
-        group.sample_size(20);
-        group.bench_function("encode", |b| b.iter(|| black_box(encode_fields(&fields))));
+        let group = format!("encode_decode_{n}cubed");
+        records.time(format!("{group}/encode"), 20, || encode_fields(&fields));
         let t = encode_fields(&fields);
-        group.bench_function("decode", |b| b.iter(|| black_box(decode_fields(&t, grid))));
-        group.finish();
+        records.time(format!("{group}/decode"), 20, || decode_fields(&t, grid));
     }
 }
 
-fn bench_voxel_pipeline(c: &mut Criterion) {
+fn bench_voxel_pipeline(records: &mut Records) {
     // One-voxel footprints: h = 2 pc on 3.75 pc voxels.
     let parts = synthetic_region(5000, 60.0, 2.0);
-    c.bench_function("voxelize_5k_particles_16cubed", |b| {
-        let grid = VoxelGrid::centered(fdps::Vec3::ZERO, 60.0, 16);
-        b.iter(|| black_box(particles_to_grid(grid, &parts)))
+    let grid = VoxelGrid::centered(fdps::Vec3::ZERO, 60.0, 16);
+    records.time("voxelize_5k_particles_16cubed", 10, || {
+        particles_to_grid(grid, &parts)
     });
     // The shape the benchmark's `sn_surrogate` deploys: ~1600 particles
     // with h ~ 5 pc on 1.875 pc voxels, ~560 voxels per footprint.
     let parts = synthetic_region(1600, 60.0, 5.0);
-    c.bench_function("voxelize_1600_particles_32cubed_h5", |b| {
-        let grid = VoxelGrid::centered(fdps::Vec3::ZERO, 60.0, 32);
-        b.iter(|| black_box(particles_to_grid(grid, &parts)))
+    let grid = VoxelGrid::centered(fdps::Vec3::ZERO, 60.0, 32);
+    records.time("voxelize_1600_particles_32cubed_h5", 10, || {
+        particles_to_grid(grid, &parts)
     });
 }
 
@@ -101,17 +91,6 @@ fn synthetic_region(n: usize, side: f64, h: f64) -> Vec<surrogate::GasParticle> 
         .collect()
 }
 
-/// Best wall time of `reps` calls, in seconds.
-fn best_of(reps: usize, mut f: impl FnMut() -> Tensor) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
 /// The gated convolution-throughput ratio: time the scalar loop-nest
 /// reference against the production forward (the dispatched direct
 /// convolution) on one representative interior convolution (8 -> 8
@@ -122,8 +101,8 @@ fn conv_gflops_ratio() -> f64 {
     use unet::conv::Conv3d;
     let conv = Conv3d::new(8, 8, 3, 7);
     let x = Tensor::zeros(8, 32, 32, 32);
-    let t_ref = best_of(3, || conv.forward_reference(&x));
-    let t_direct = best_of(10, || conv.forward(&x));
+    let (t_ref, _) = best_of(3, || conv.forward_reference(&x));
+    let (t_direct, _) = best_of(10, || conv.forward(&x));
     let ratio = t_ref / t_direct;
     println!(
         "conv_gflops_ratio: {ratio:.2}x (scalar reference {t_ref:.4} s, \
@@ -147,8 +126,8 @@ fn forward_paths() -> [(&'static str, f64); 3] {
         1,
     );
     let x = Tensor::zeros(8, N, N, N);
-    let t_inference = best_of(10, || net.forward(&x));
-    let t_cached = best_of(10, || net.forward_cached(&x).0);
+    let (t_inference, _) = best_of(10, || net.forward(&x));
+    let (t_cached, _) = best_of(10, || net.forward_cached(&x).0);
     let gflop = net.forward_flops(N, N, N) * 1e-9;
     let gflops = gflop / t_inference;
     println!(
@@ -165,8 +144,8 @@ fn forward_paths() -> [(&'static str, f64); 3] {
 }
 
 /// Single-shot timings of the full tensor pipeline at the paper's 64^3
-/// region grid, appended to the artifact as one-iteration records.
-fn paper_grid_single_shot() -> Vec<BenchRecord> {
+/// region grid, appended to the records as one-iteration measurements.
+fn paper_grid_single_shot(records: &mut Records) {
     const N: usize = 64;
     const FEATS: usize = 4;
     let grid = VoxelGrid::centered(fdps::Vec3::ZERO, 60.0, N);
@@ -179,46 +158,20 @@ fn paper_grid_single_shot() -> Vec<BenchRecord> {
         },
         1,
     );
-    let mut records = Vec::new();
-    let mut shot = |name: &str, ns: f64| {
-        println!("bench {name:<40} time: {ns:>14.1} ns/iter  (1 iter, single shot)");
-        records.push(BenchRecord {
-            name: format!("paper_grid_64cubed_f{FEATS}/{name}"),
-            ns_per_iter: ns,
-            iters: 1,
-        });
-    };
-
-    let t0 = Instant::now();
-    let fields = black_box(particles_to_grid(grid, &region));
-    shot("voxelize", t0.elapsed().as_secs_f64() * 1e9);
-
-    let t0 = Instant::now();
-    let x = encode_fields(&fields);
-    shot("encode", t0.elapsed().as_secs_f64() * 1e9);
-
-    let t0 = Instant::now();
-    let y = black_box(net.forward(&x));
-    shot("forward", t0.elapsed().as_secs_f64() * 1e9);
-
-    let t0 = Instant::now();
-    let out = black_box(decode_fields(&y, grid));
-    shot("decode", t0.elapsed().as_secs_f64() * 1e9);
+    let stage = |name| format!("paper_grid_{N}cubed_f{FEATS}/{name}");
+    let fields = records.shot(stage("voxelize"), || particles_to_grid(grid, &region));
+    let x = records.shot(stage("encode"), || encode_fields(&fields));
+    let y = records.shot(stage("forward"), || net.forward(&x));
+    let out = records.shot(stage("decode"), || decode_fields(&y, grid));
     assert_eq!(out.grid.n, N);
-    records
 }
 
-criterion_group!(
-    benches,
-    bench_inference,
-    bench_encode_decode,
-    bench_voxel_pipeline
-);
-
 fn main() {
-    benches();
-    let mut records = criterion::take_records();
-    records.extend(paper_grid_single_shot());
+    let mut records = Records::new();
+    bench_inference(&mut records);
+    bench_encode_decode(&mut records);
+    bench_voxel_pipeline(&mut records);
+    paper_grid_single_shot(&mut records);
     forward_paths()
         .into_iter()
         .fold(BenchDoc::new().records(records), |doc, (name, value)| {

@@ -1,27 +1,104 @@
-//! The bench harness's one shared module: what a bench result *is*.
+//! The bench harness's one shared module: how a bench measures and what
+//! a bench result *is*.
 //!
-//! Every `BENCH_*.json` at the repo root is a [`BenchDoc`]: scalars and
-//! nested objects in the order the bench reports them, the criterion
-//! shim's `records`, the `threads` the numbers were taken at, and a
-//! `"gated"` object naming which top-level scalars gate and which way is
-//! better. `tools/bench-gate` reads that declaration back through
-//! [`gates`] — it holds no per-file table — so making a metric gated is
-//! one [`BenchDoc::gated`] call in the bench that measures it (ROADMAP
-//! "Benchmarks & gating").
+//! Every bench is a plain `main` that times its work through [`Records`]
+//! (iterated ns/iter, or one shot) and [`best_of`] (best-of-`reps`
+//! seconds, for within-run ratios), then writes a [`BenchDoc`]. Every
+//! `BENCH_*.json` at the repo root is one: scalars and nested objects in
+//! the order the bench reports them, the [`Records`] by name, the
+//! `threads` the numbers were taken at, and a `"gated"` object naming
+//! which top-level scalars gate and which way is better.
+//! `tools/bench-gate` reads that declaration back through [`gates`] — it
+//! holds no per-file table — so making a metric gated is one
+//! [`BenchDoc::gated`] call in the bench that measures it (ROADMAP
+//! "Benchmarks & gating"). The inputs more than one bench measures on
+//! live in [`fixtures`].
 //!
 //! The CSV helpers below serve `src/bin/validate_surrogate.rs`.
 
 #![forbid(unsafe_code)]
 
-use criterion::BenchRecord;
+pub mod fixtures;
+
 use std::fmt;
 use std::fs;
+use std::hint::black_box;
 use std::path::PathBuf;
 use std::str::FromStr;
+use std::time::Instant;
 use unet::json::Json;
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// One named measurement: mean wall-clock nanoseconds over `iters`.
+#[derive(Debug)]
+struct Record {
+    name: String,
+    ns_per_iter: f64,
+    iters: u64,
+}
+
+/// A bench's measurements, in the order it takes them; handed to
+/// [`BenchDoc::records`].
+#[derive(Debug, Default)]
+pub struct Records(Vec<Record>);
+
+impl Records {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Time `f`: one warm-up call estimates its cost, then
+    /// `max(min_iters, ⌈0.1 s / warm-up⌉ clamped to [1, 10⁶])` calls are
+    /// measured and recorded as their mean.
+    pub fn time<O>(&mut self, name: impl Into<String>, min_iters: u64, mut f: impl FnMut() -> O) {
+        let warm = Instant::now();
+        black_box(f());
+        let once = warm.elapsed().as_secs_f64().max(1e-9);
+        let iters = min_iters.max(((0.1 / once).ceil() as u64).clamp(1, 1_000_000));
+        let start = Instant::now();
+        for _ in 0..iters {
+            black_box(f());
+        }
+        let ns = start.elapsed().as_secs_f64() * 1e9;
+        self.push(name.into(), ns / iters as f64, iters);
+    }
+
+    /// Record one call of `f` as a one-iteration measurement and hand its
+    /// output on, for stages too costly to repeat.
+    pub fn shot<O>(&mut self, name: impl Into<String>, f: impl FnOnce() -> O) -> O {
+        let start = Instant::now();
+        let out = black_box(f());
+        self.push(name.into(), start.elapsed().as_secs_f64() * 1e9, 1);
+        out
+    }
+
+    fn push(&mut self, name: String, ns_per_iter: f64, iters: u64) {
+        println!("bench {name:<40} time: {ns_per_iter:>14.1} ns/iter  ({iters} iters)");
+        self.0.push(Record {
+            name,
+            ns_per_iter,
+            iters,
+        });
+    }
+}
+
+/// The best wall-clock seconds of `reps` calls of `f` (at least one), and
+/// the last call's output.
+pub fn best_of<O>(reps: usize, mut f: impl FnMut() -> O) -> (f64, O) {
+    let mut timed = || {
+        let start = Instant::now();
+        let out = black_box(f());
+        (start.elapsed().as_secs_f64(), out)
+    };
+    let (mut best, mut last) = timed();
+    for _ in 1..reps {
+        let (seconds, out) = timed();
+        (best, last) = (best.min(seconds), out);
+    }
+    (best, last)
 }
 
 /// Which way "better" points for a gated metric.
@@ -83,10 +160,9 @@ impl BenchDoc {
         self.info(name, value)
     }
 
-    /// The criterion shim's measurements (`criterion::take_records()`),
-    /// informational and matched by name.
-    pub fn records(self, records: Vec<BenchRecord>) -> Self {
-        let rows = records.into_iter().map(|r| {
+    /// The bench's [`Records`], informational and matched by name.
+    pub fn records(self, records: Records) -> Self {
+        let rows = records.0.into_iter().map(|r| {
             Json::obj([
                 ("name", r.name.into()),
                 ("ns_per_iter", r.ns_per_iter.into()),
@@ -192,11 +268,11 @@ mod tests {
             )
             .gated("update_ratio", 6.035, Higher)
             .gated("h_iter_walk_ratio", 0.115756, Lower)
-            .records(vec![BenchRecord {
+            .records(Records(vec![Record {
                 name: "g/\"q\"".into(),
                 ns_per_iter: 12.5,
                 iters: 7,
-            }])
+            }]))
             .render(2);
         assert_eq!(
             text,
@@ -214,31 +290,82 @@ mod tests {
 
     #[test]
     fn records_registry_captures_and_serializes_measurements() {
-        let _ = criterion::take_records();
-        criterion::Criterion::default().bench_function("artifact/\"quoted\"", |b| {
-            b.iter(|| criterion::black_box(1 + 1))
-        });
-        let records = criterion::take_records();
-        assert_eq!(records.len(), 1);
-        assert!(records[0].ns_per_iter >= 0.0);
-        assert!(records[0].iters >= 10);
+        let mut records = Records::new();
+        records.time("artifact/\"quoted\"", 10, || black_box(1 + 1));
+        let out = records.shot("artifact/shot", || 7);
+        assert_eq!(out, 7, "a shot hands its output on");
         let doc = parse_json(&BenchDoc::new().records(records).render(1)).unwrap();
         let rows = doc.at("records", Json::as_arr).unwrap();
-        assert_eq!(rows.len(), 1);
+        assert_eq!(rows.len(), 2);
         assert_eq!(
             rows[0].at("name", Json::as_str).unwrap(),
             "artifact/\"quoted\""
         );
         assert!(rows[0].at("iters", Json::as_u64).unwrap() >= 10);
+        assert_eq!(rows[1].at("name", Json::as_str).unwrap(), "artifact/shot");
+        assert_eq!(rows[1].at("iters", Json::as_u64).unwrap(), 1);
+    }
+
+    /// The measuring rule: at least `min_iters` calls after the warm-up,
+    /// and enough to fill ~0.1 s when a call is cheap.
+    #[test]
+    fn time_records_at_least_min_iters_and_a_finite_mean() {
+        let mut calls = 0u64;
+        let mut records = Records::new();
+        records.time("slow", 5, || {
+            calls += 1;
+            std::thread::sleep(std::time::Duration::from_millis(30));
+        });
+        records.time("cheap", 5, || black_box(1 + 1));
+        let [slow, cheap] = &records.0[..] else {
+            panic!("two records, got {records:?}")
+        };
+        assert_eq!((slow.iters, calls), (5, 6), "5 measured + 1 warm-up");
+        assert!(slow.ns_per_iter >= 30e6 && slow.ns_per_iter.is_finite());
+        assert!(cheap.iters > 5 && cheap.iters <= 1_000_000);
+        assert!(cheap.ns_per_iter.is_finite() && cheap.ns_per_iter >= 0.0);
+    }
+
+    #[test]
+    fn record_names_are_kept_verbatim_through_the_document() {
+        let names = ["tree_build/10000", "alltoallv/torus3d/64", "g/\"q\" \\ é"];
+        let mut records = Records::new();
+        for name in names {
+            records.shot(name, || ());
+        }
+        let doc = parse_json(&BenchDoc::new().records(records).render(1)).unwrap();
+        let rows = doc.at("records", Json::as_arr).unwrap();
+        let got: Vec<&str> = rows
+            .iter()
+            .map(|r| r.at("name", Json::as_str).unwrap())
+            .collect();
+        assert_eq!(got, names);
+    }
+
+    /// The fastest call (a no-op) wins over the mean (~67 ms) and the
+    /// last call (100 ms); the output is the last call's.
+    #[test]
+    fn best_of_keeps_the_fastest_call_and_the_last_output() {
+        let mut call = 0u64;
+        let (seconds, last) = best_of(3, || {
+            call += 1;
+            if call != 2 {
+                std::thread::sleep(std::time::Duration::from_millis(100));
+            }
+            call
+        });
+        assert_eq!(last, 3);
+        assert!((0.0..0.05).contains(&seconds), "{seconds}");
+        assert_eq!(best_of(0, || 9).1, 9, "zero reps still call once");
     }
 
     #[test]
     fn artifact_metrics_land_as_top_level_scalars() {
-        let records = vec![BenchRecord {
+        let records = Records(vec![Record {
             name: "g/b".into(),
             ns_per_iter: 12.5,
             iters: 7,
-        }];
+        }]);
         let text = BenchDoc::new()
             .records(records)
             .gated("conv_gflops_ratio", 39.25, Higher)

@@ -6,7 +6,7 @@
 //! snapshot, and collect a diagnostics time series — all under `results/`.
 //!
 //! ```sh
-//! asura --list
+//! asura scenarios
 //! asura --scenario quickstart --steps 5 --snapshot-every 2
 //! asura --scenario quickstart --resume results/quickstart --steps 5
 //! asura inspect results/quickstart/checkpoint-000004.bin
@@ -115,7 +115,6 @@ const USAGE: &str = "\
 asura — ASURA-FDPS-ML scenario runner
 
 USAGE:
-    asura --list
     asura --scenario <name> [OPTIONS]
     asura --resume <snapshot|run-dir> [--scenario <name>] [OPTIONS]
     asura --scenario <name> --supervised [OPTIONS]
@@ -143,7 +142,6 @@ its line protocol; they find the daemon via <root>/serve.json unless
 reads that JSON back (a checkpoint has one encoding on disk).
 
 OPTIONS:
-    --list                     list registered scenarios and exit
     --scenario <name>          scenario to run (also names the results/ subdirectory)
     --resume <path>            continue from a snapshot file, or from a run directory's
                                newest intact rotation entry
@@ -247,7 +245,6 @@ impl<'a> Flags<'a> {
 }
 
 struct Args {
-    list: bool,
     scenario: Option<String>,
     resume: Option<PathBuf>,
     steps: Option<usize>,
@@ -316,7 +313,10 @@ fn parse_dist_spec(spec: &str) -> Result<((usize, usize, usize), usize), String>
         return Err(bad());
     };
     let n_pool = pool.parse::<usize>().map_err(|_| bad())?;
-    if nx * ny * nz == 0 {
+    let Some(n_main) = nx.checked_mul(ny).and_then(|n| n.checked_mul(nz)) else {
+        return Err(format!("{nx}*{ny}*{nz} main ranks overflow, got `{spec}`"));
+    };
+    if n_main == 0 {
         return Err(format!("needs at least one main rank, got `{spec}`"));
     }
     if n_pool == 0 {
@@ -330,7 +330,6 @@ fn parse_dist_spec(spec: &str) -> Result<((usize, usize, usize), usize), String>
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
-        list: false,
         scenario: None,
         resume: None,
         steps: None,
@@ -354,7 +353,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     while let Some(flag) = flags.next() {
         match flag {
             "--help" | "-h" => return Err(String::new()),
-            "--list" => args.list = true,
             "--scenario" => args.scenario = Some(flags.value(flag)?.to_string()),
             "--resume" => args.resume = Some(PathBuf::from(flags.value(flag)?)),
             "--steps" => args.steps = Some(flags.parsed(flag)?),
@@ -848,19 +846,8 @@ fn run_supervised(args: &Args) -> Result<(), String> {
     }
 }
 
-/// The registry, one line per scenario — what `--list` and `asura
-/// scenarios` both print.
-fn print_scenarios() {
-    println!("registered scenarios:");
-    for s in scenarios::SCENARIOS {
-        println!(
-            "  {:<18} {:>4} default steps   {}",
-            s.name, s.default_steps, s.description
-        );
-    }
-}
-
-/// The `asura scenarios` subcommand: the submittable registry.
+/// The `asura scenarios` subcommand: the submittable registry, one line
+/// per scenario.
 fn cmd_scenarios(rest: &[String]) -> Result<(), String> {
     if !rest.is_empty() {
         return Err(format!(
@@ -868,7 +855,13 @@ fn cmd_scenarios(rest: &[String]) -> Result<(), String> {
             rest.join(" ")
         ));
     }
-    print_scenarios();
+    println!("registered scenarios:");
+    for s in scenarios::SCENARIOS {
+        println!(
+            "  {:<18} {:>4} default steps   {}",
+            s.name, s.default_steps, s.description
+        );
+    }
     Ok(())
 }
 
@@ -1111,11 +1104,6 @@ fn run() -> Result<(), String> {
             format!("usage: {e}")
         }
     })?;
-
-    if args.list {
-        print_scenarios();
-        return Ok(());
-    }
 
     if args.supervised {
         return run_supervised(&args);

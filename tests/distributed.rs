@@ -666,3 +666,31 @@ fn cli_dist_runs_the_conventional_scheme_it_used_to_refuse() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A `--dist` spec the parser refuses is a usage error (exit 2) naming the
+/// flag, raised before any run directory exists — a grid whose main-rank
+/// count overflows included.
+#[test]
+fn cli_dist_rejects_bad_specs_as_usage_errors() {
+    let root = std::env::temp_dir().join(format!("asura-dist-spec-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let overflow = "4294967296x4294967296x1+1";
+    for spec in ["0x1x1+1", "2x1x1+0", "2x1+1", "2x1x1", overflow] {
+        let output = std::process::Command::new(BIN)
+            .args(["--scenario", "quickstart", "--steps", "1", "--dist", spec])
+            .arg("--out-dir")
+            .arg(&root)
+            .arg("--run-dir")
+            .arg(root.join("run"))
+            .env_remove(asura_core::faults::FAULTS_ENV)
+            .output()
+            .expect("spawn asura");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{spec}: {stderr}");
+        assert!(stderr.contains("--dist"), "{spec}: {stderr}");
+        if spec == overflow {
+            assert!(stderr.contains("overflow"), "{spec}: {stderr}");
+        }
+        assert!(!root.exists(), "{spec}: a run directory was created");
+    }
+}

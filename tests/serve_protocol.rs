@@ -264,3 +264,19 @@ fn protocol_errors_come_back_as_ok_false() {
     assert!(serve::reply_ok(&reply), "{reply}");
     shutdown(&addr, daemon);
 }
+
+/// `asura scenarios` prints the submittable registry: every registered
+/// scenario's name, in registry order, one per line under a header.
+#[test]
+fn scenarios_lists_every_registered_scenario() {
+    let out = Command::new(BIN).arg("scenarios").output().unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let listed: Vec<&str> = stdout
+        .lines()
+        .skip(1)
+        .filter_map(|line| line.split_whitespace().next())
+        .collect();
+    let names: Vec<&str> = asura::scenarios::SCENARIOS.iter().map(|s| s.name).collect();
+    assert_eq!(listed, names, "{stdout}");
+}

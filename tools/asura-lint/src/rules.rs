@@ -142,7 +142,6 @@ pub fn all_rules() -> Vec<Rule> {
                 "crates/bench/**",
                 "benches/**",
                 "tools/bench-gate/src/**",
-                "vendor/criterion/src/**",
             ],
             exclude: &[],
             check: check_one_json_writer,

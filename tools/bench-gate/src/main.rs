@@ -27,7 +27,9 @@
 //!   entry (ns/iter, matched by name). Reported with their change, never
 //!   failing: a shared runner's absolute timings swing far more than any
 //!   real regression they could catch (this repo has measured 2x
-//!   run-to-run variance on idle containers with CPU shares).
+//!   run-to-run variance on idle containers with CPU shares). One only
+//!   the baseline holds — a renamed or deleted record — is listed as
+//!   `dropped`.
 //!
 //! The gate prints one markdown table per file to the job log and exits
 //! non-zero iff a gated metric failed. The files are the `BENCH_*.json`
@@ -84,7 +86,8 @@ impl Row {
     fn status(&self, tolerance: f64) -> &'static str {
         match (self.baseline, self.current) {
             (None, _) => "new",
-            (Some(_), None) => "MISSING",
+            (Some(_), None) if self.gate.is_some() => "MISSING",
+            (Some(_), None) => "dropped",
             _ if self.failed(tolerance) => "REGRESSED",
             _ if self.gate.is_some() => "ok",
             _ => "info",
@@ -143,7 +146,9 @@ fn lookup<T: Copy>(pairs: &[(String, T)], name: &str) -> Option<T> {
 
 /// Compare one bench document against its baseline: gated rows first (the
 /// fresh declaration, then names only the baseline still declares), then
-/// every other numeric leaf of the fresh document.
+/// every other numeric leaf of the fresh document, then the informational
+/// leaves only the baseline holds — a renamed or vanished record shows up
+/// as `dropped` instead of leaving the table without a trace.
 fn compare(baseline: Option<&Json>, current: &Json) -> Result<Vec<Row>, String> {
     let mut gated = gates(current)?;
     for (name, better) in baseline.map(gates).transpose()?.unwrap_or_default() {
@@ -156,7 +161,8 @@ fn compare(baseline: Option<&Json>, current: &Json) -> Result<Vec<Row>, String> 
         leaves("", doc, &mut was);
     }
     leaves("", current, &mut now);
-    let others = now.iter().map(|(n, _)| n);
+    let dropped = was.iter().filter(|(n, _)| lookup(&now, n).is_none());
+    let others = now.iter().chain(dropped).map(|(n, _)| n);
     let others = others.filter(|n| lookup(&gated, n).is_none());
     let names = gated.iter().map(|(n, _)| n).chain(others);
     Ok(names
@@ -524,6 +530,41 @@ mod tests {
         let c = row(&rows, "c/3 (ns/iter)");
         assert_eq!(c.baseline, None);
         assert_eq!(c.status(0.3), "new");
+    }
+
+    /// A record (or informational leaf) only the baseline holds is listed
+    /// as `dropped`, never silently left out, and never fails the gate.
+    #[test]
+    fn baseline_only_leaves_are_reported_dropped_and_pass() {
+        let base = doc(
+            r#"{"records": [{"name": "a/1", "ns_per_iter": 100.0, "iters": 5},
+                                       {"name": "b/2", "ns_per_iter": 200.0, "iters": 5}],
+                "block": {"wall_s": 1.0}, "update_ratio": 6.0,
+                "gated": {"update_ratio": "higher"}}"#,
+        );
+        let renamed = doc(
+            r#"{"records": [{"name": "a/1", "ns_per_iter": 100.0, "iters": 5},
+                                          {"name": "b/two", "ns_per_iter": 200.0, "iters": 5}],
+                "update_ratio": 6.0, "gated": {"update_ratio": "higher"}}"#,
+        );
+        let rows = rows(&base, &renamed);
+        for name in ["b/2 (ns/iter)", "block.wall_s"] {
+            let r = row(&rows, name);
+            assert_eq!((r.baseline.is_some(), r.current), (true, None), "{name}");
+            assert_eq!(r.status(0.30), "dropped", "{name}");
+            assert!(!r.failed(0.0), "{name} is informational");
+        }
+        assert_eq!(row(&rows, "b/two (ns/iter)").status(0.30), "new");
+        let mut out = String::new();
+        render("BENCH_tree_walk.json", &rows, 0.30, &mut out);
+        assert!(
+            out.contains("| b/2 (ns/iter) | 200.0000 | — | — | dropped |"),
+            "{out}"
+        );
+        assert!(
+            rows.iter().all(|r| !r.failed(0.30)),
+            "the file still passes"
+        );
     }
 
     #[test]
