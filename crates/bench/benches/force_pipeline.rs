@@ -15,17 +15,25 @@
 //!    (what `Tree::interaction_lists` and the gravity solver run);
 //! 4. the monopole kernel's ns/interaction: AoS f64 (the retained scalar
 //!    reference), SoA f64 (the vectorized production kernel — their ratio
-//!    is the gated `simd_speedup`), and the staged mixed-precision kernel.
+//!    is the gated `simd_speedup`), and the staged mixed-precision kernel;
+//! 5. what the mixed kernel costs in accuracy: the solver's f64 and mixed
+//!    passes against the direct sum at a fixed, seeded subsample of
+//!    targets, p50 / p99 relative force error (their p99 ratio is the
+//!    gated `force_err_p99_ratio`).
 //!
 //! Writes `BENCH_force.json` at the repo root so subsequent PRs have a
 //! perf trajectory, and prints the walk speedup (target: >= 2x) and the
 //! kernel simd speedup (target: >= 1.5x).
 
+use bench::accuracy::{direct_sum, ForceErrors};
 use bench::fixtures::cloud;
 use bench::{best_of, BenchDoc, Better};
 use fdps::walk::{InteractionList, WalkScratch};
 use fdps::{Tree, Vec3};
 use gravity::kernel::{accumulate_f64, accumulate_f64_soa, accumulate_mixed_staged, GravityAccum};
+use gravity::GravitySolver;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use std::hint::black_box;
 
@@ -33,6 +41,8 @@ const N: usize = 100_000;
 const THETA: f64 = 0.5;
 const N_GROUP: usize = 64;
 const N_LEAF: usize = 8;
+/// Targets the accuracy pass direct-sums (O(N) each).
+const N_ERR_TARGETS: usize = 1000;
 
 fn main() {
     let (pos, mass) = cloud(N);
@@ -175,6 +185,41 @@ fn main() {
     println!("kernel mixed (staged): {ns_per_inter_mixed:.3} ns/interaction");
     println!("simd_speedup: {simd_speedup:.2}x (target >= 1.5x)");
 
+    // 5. Accuracy of the solver's two kernels on the same cloud: a seeded
+    //    partial shuffle picks N_ERR_TARGETS distinct targets, whose exact
+    //    forces come from the direct sum over all N.
+    let mut rng = StdRng::seed_from_u64(2);
+    let mut targets: Vec<usize> = (0..N).collect();
+    for k in 0..N_ERR_TARGETS {
+        targets.swap(k, rng.gen_range(k..N));
+    }
+    targets.truncate(N_ERR_TARGETS);
+    let solver = GravitySolver {
+        theta: THETA,
+        n_group: N_GROUP,
+        n_leaf: N_LEAF,
+        ..Default::default()
+    };
+    let exact = direct_sum(solver.g, &pos, &mass, 0.0, &targets);
+    let [err_f64, err_mixed] = [false, true].map(|mixed_precision| {
+        let r = GravitySolver {
+            mixed_precision,
+            ..solver
+        }
+        .evaluate_with_tree(&tree, &pos, &mass, N);
+        ForceErrors::measure(&r.acc, &r.pot, &exact, &targets).force
+    });
+    let force_err_p99_ratio = err_mixed.p99 / err_f64.p99;
+    println!(
+        "force error f64:   p50 {:.3e}  p99 {:.3e}",
+        err_f64.p50, err_f64.p99
+    );
+    println!(
+        "force error mixed: p50 {:.3e}  p99 {:.3e}",
+        err_mixed.p50, err_mixed.p99
+    );
+    println!("force_err_p99_ratio: {force_err_p99_ratio:.4} (mixed / f64)");
+
     BenchDoc::new()
         .info("n", N)
         .info("theta", THETA)
@@ -189,5 +234,11 @@ fn main() {
         .info("kernel_f64_soa_ns_per_interaction", ns_per_inter_soa)
         .info("kernel_mixed_ns_per_interaction", ns_per_inter_mixed)
         .gated("simd_speedup", simd_speedup, Better::Higher)
+        .info("force_err_targets", N_ERR_TARGETS)
+        .info("force_err_p50_f64", err_f64.p50)
+        .info("force_err_p99_f64", err_f64.p99)
+        .info("force_err_p50_mixed", err_mixed.p50)
+        .info("force_err_p99_mixed", err_mixed.p99)
+        .gated("force_err_p99_ratio", force_err_p99_ratio, Better::Lower)
         .write("BENCH_force.json");
 }

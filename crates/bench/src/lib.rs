@@ -12,12 +12,14 @@
 //! holds no per-file table — so making a metric gated is one
 //! [`BenchDoc::gated`] call in the bench that measures it (ROADMAP
 //! "Benchmarks & gating"). The inputs more than one bench measures on
-//! live in [`fixtures`].
+//! live in [`fixtures`]; a gravity pass's error against the direct sum is
+//! measured by [`accuracy`].
 //!
 //! The CSV helpers below serve `src/bin/validate_surrogate.rs`.
 
 #![forbid(unsafe_code)]
 
+pub mod accuracy;
 pub mod fixtures;
 
 use std::fmt;
@@ -395,7 +397,11 @@ mod tests {
         let expected: [(&str, &[(&str, Better)]); 8] = [
             (
                 "BENCH_force.json",
-                &[("walk_speedup", Higher), ("simd_speedup", Higher)],
+                &[
+                    ("walk_speedup", Higher),
+                    ("simd_speedup", Higher),
+                    ("force_err_p99_ratio", Lower),
+                ],
             ),
             (
                 "BENCH_blockstep.json",

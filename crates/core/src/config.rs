@@ -126,7 +126,13 @@ pub struct SimConfig {
     pub cfl: f64,
     /// Floor on the adaptive timestep \[Myr\].
     pub dt_min: f64,
-    /// Use the mixed-precision gravity kernel.
+    /// Evaluate gravity with the mixed-precision kernel
+    /// ([`gravity::GravitySolver::mixed_precision`]): f32 interaction
+    /// arithmetic on group-relative coordinates, ~3.5× cheaper per
+    /// interaction than f64, for a force error the tree's opening-angle
+    /// error swamps. Off by default; the galaxy scenarios (`quickstart`,
+    /// `dwarf_galaxy`) set it, gated by `tests/force_accuracy.rs`. It
+    /// rides the snapshot, so a resumed run keeps the kernel it started on.
     pub mixed_precision: bool,
     /// Star-formation density threshold \[M_sun/pc^3\]. The paper-physical
     /// value (~3.2, i.e. ~100 cm^-3) suits star-by-star resolution;

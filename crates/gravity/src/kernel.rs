@@ -732,6 +732,8 @@ mod tests {
             );
             for (d, p) in disp.iter().zip(&port) {
                 assert_eq!(d.acc.x.to_bits(), p.acc.x.to_bits());
+                assert_eq!(d.acc.y.to_bits(), p.acc.y.to_bits());
+                assert_eq!(d.acc.z.to_bits(), p.acc.z.to_bits());
                 assert_eq!(d.pot.to_bits(), p.pot.to_bits());
             }
         }
@@ -748,6 +750,23 @@ mod tests {
         let jm = [5.0; 4];
         let mut out = [GravityAccum::default()];
         accumulate_f64_soa(&p[..1], &jx, &jy, &jz, &jm, 0.0, &mut out);
+        assert_eq!(out[0], GravityAccum::default());
+    }
+
+    /// The same through the dispatched mixed-precision path: eight copies
+    /// of the target fill one f32 vector block and one more lands in the
+    /// lane-0 remainder, and every one contributes exactly zero.
+    #[test]
+    fn dispatched_mixed_skips_unsoftened_self_interaction() {
+        let origin = Vec3::new(0.5, 1.5, 2.5);
+        let p = Vec3::new(1.0, 2.0, 3.0);
+        let rel = p - origin;
+        let jx = [rel.x as f32; 9];
+        let jy = [rel.y as f32; 9];
+        let jz = [rel.z as f32; 9];
+        let jm = [5.0f32; 9];
+        let mut out = [GravityAccum::default()];
+        accumulate_mixed_staged(origin, &[p], &jx, &jy, &jz, &jm, 0.0, &mut out);
         assert_eq!(out[0], GravityAccum::default());
     }
 

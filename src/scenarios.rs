@@ -158,6 +158,7 @@ fn config_quickstart() -> SimConfig {
         pool_latency_steps: 5,
         eps: 20.0,
         n_ngb: 24,
+        mixed_precision: true,
         ..Default::default()
     }
 }
@@ -175,6 +176,7 @@ fn config_dwarf_galaxy() -> SimConfig {
         pool_latency_steps: 4,
         eps: 15.0,
         n_ngb: 24,
+        mixed_precision: true,
         cooling: true,
         star_formation: true,
         // Coarse-resolution thresholds: 80,000 M_sun gas particles never
@@ -378,5 +380,20 @@ mod tests {
         let (cfg, particles) = find("supernova_remnant").unwrap().build(1);
         assert_eq!(cfg.scheme, Scheme::Surrogate);
         assert_eq!(particles.iter().filter(|p| p.is_star()).count(), 1);
+    }
+
+    /// The galaxy scenarios run the mixed-precision gravity kernel, which
+    /// `tests/force_accuracy.rs` shows adds no force error on their ICs.
+    /// The other three keep f64 because they carry pinned f64 bits:
+    /// `spiked_dt` the Block-mode run hash (`block_mode_run_bits_are_pinned`)
+    /// and the benchmark's `sn_block` trajectory, `sn_shell_conventional`
+    /// the surrogate training recipe, and `supernova_remnant` the
+    /// benchmark's `sn_surrogate` trajectory.
+    #[test]
+    fn only_the_galaxy_scenarios_run_the_mixed_kernel() {
+        for s in SCENARIOS {
+            let want = matches!(s.name, "quickstart" | "dwarf_galaxy");
+            assert_eq!(s.config().mixed_precision, want, "{}", s.name);
+        }
     }
 }

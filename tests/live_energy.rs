@@ -42,7 +42,10 @@ fn live_energy_tracks_the_exact_audit_through_star_formation_and_regions() {
     // mass is still inside the parent's entry of the snapshot) or applies
     // a region (replaced particles lag one sample).
     // Measured maximum over the 24 steps: 4.0e-7 (the exact audit itself
-    // drifts 6e-5 over them; 19 stars form, one region lands at step 18).
+    // drifts 6e-5 over them; 12 stars form and one region lands). Since
+    // `dwarf_galaxy` runs the mixed-precision kernel, the live side reads
+    // the f32-accumulated tree potential: 3.9971e-7, against 3.9968e-7
+    // on the f64 kernel — the tree's monopole error, not f32, sets it.
     let (mut sim, map_half) = scenario_sim("dwarf_galaxy");
     let worst = max_rel_diff(&mut sim, map_half, 24);
     assert!(sim.stats.stars_formed > 0, "a step must form a star");

@@ -9,6 +9,7 @@ use asura_core::ckpt::CkptStore;
 use asura_core::faults::FAULT_KILL_EXIT;
 use asura_core::snapshot::SimSnapshot;
 use asura_core::supervise::{Heartbeat, IncidentKind, IncidentLog, Outcome};
+use asura_core::{SimConfig, Simulation};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fs;
@@ -413,4 +414,54 @@ fn a_resume_under_another_seed_keeps_the_checkpoints_seed() {
             "{route}: no star formed after the resume point"
         );
     }
+}
+
+/// A checkpoint keeps the gravity kernel it was written with: `--resume`
+/// takes the snapshot's config, not the named scenario's. `dwarf_galaxy`
+/// runs the mixed-precision kernel, but a checkpoint an f64 run wrote —
+/// as every run in flight before the scenario switched kernels did, and
+/// supervised retries and fleet adoption resume such runs — goes on in
+/// f64 and lands on the library's uninterrupted f64 run, byte for byte.
+#[test]
+fn a_resume_keeps_the_checkpoints_gravity_kernel() {
+    const K: usize = 2;
+    const M: usize = 2;
+    let dir = tmpdir("kernel-resume");
+    let (cfg, particles) = asura::scenarios::find("dwarf_galaxy").unwrap().build(42);
+    assert!(cfg.mixed_precision, "dwarf_galaxy runs the mixed kernel");
+    let cfg = SimConfig {
+        mixed_precision: false,
+        ..cfg
+    };
+    let mut sim = Simulation::new(cfg, particles, cfg.seed);
+    sim.run(K);
+    let start = dir.join("f64.bin");
+    fs::write(&start, sim.snapshot().to_bytes()).unwrap();
+    sim.run(M);
+    let uninterrupted = sim.snapshot().to_bytes();
+
+    let run_dir = dir.join("resumed");
+    let status = Command::new(BIN)
+        .arg("--resume")
+        .arg(&start)
+        .args(["--scenario", "dwarf_galaxy", "--steps", &M.to_string()])
+        .arg("--run-dir")
+        .arg(&run_dir)
+        .env_remove(asura_core::faults::FAULTS_ENV)
+        .status()
+        .unwrap();
+    assert!(status.success(), "resume failed");
+    let last = run_dir.join(format!("checkpoint-{:06}.bin", K + M));
+    assert!(
+        fs::read(&last).unwrap() == uninterrupted,
+        "the resumed run left the f64 trajectory"
+    );
+    let inspect = Command::new(BIN)
+        .arg("inspect")
+        .arg(&last)
+        .output()
+        .unwrap();
+    assert!(inspect.status.success(), "inspect failed");
+    let json = String::from_utf8(inspect.stdout).unwrap();
+    assert!(json.contains(r#""mixed_precision":false"#), "{json}");
 }
