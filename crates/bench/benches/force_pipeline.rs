@@ -19,7 +19,13 @@
 //! 5. what the mixed kernel costs in accuracy: the solver's f64 and mixed
 //!    passes against the direct sum at a fixed, seeded subsample of
 //!    targets, p50 / p99 relative force error (their p99 ratio is the
-//!    gated `force_err_p99_ratio`).
+//!    gated `force_err_p99_ratio`);
+//! 6. one serial SPH force pass over a gas disc — per leaf group, stage
+//!    every target against the group's spans, then run the pair body —
+//!    through the portable and the dispatched (AVX2 where the CPU has it)
+//!    bodies on the same staged state: ns per scanned candidate, ns per
+//!    interacting pair, and their pass-time ratio, the gated
+//!    `sph_simd_speedup`.
 //!
 //! Writes `BENCH_force.json` at the repo root so subsequent PRs have a
 //! perf trajectory, and prints the walk speedup (target: >= 2x) and the
@@ -29,12 +35,16 @@ use bench::accuracy::{direct_sum, ForceErrors};
 use bench::fixtures::cloud;
 use bench::{best_of, BenchDoc, Better};
 use fdps::walk::{InteractionList, WalkScratch};
-use fdps::{Tree, Vec3};
+use fdps::{BBox, Tree, Vec3};
 use gravity::kernel::{accumulate_f64, accumulate_f64_soa, accumulate_mixed_staged, GravityAccum};
 use gravity::GravitySolver;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
+use sph::force::{
+    force_batch, force_batch_portable, ForceBatch, ForceSources, HydroAccum, HydroInput,
+};
+use sph::{HydroState, SphKernel, SphSolver};
 use std::hint::black_box;
 
 const N: usize = 100_000;
@@ -43,6 +53,111 @@ const N_GROUP: usize = 64;
 const N_LEAF: usize = 8;
 /// Targets the accuracy pass direct-sums (O(N) each).
 const N_ERR_TARGETS: usize = 1000;
+/// Gas particles of the SPH force pass.
+const N_SPH: usize = 20_000;
+
+/// One leaf's targets and the spans of the one walk they share, as the
+/// SPH solver's force pass groups them.
+struct SphGroup {
+    targets: Vec<HydroInput>,
+    spans: Vec<(u32, u32)>,
+}
+
+/// A converged gas disc — the gravity cloud's positions with seeded
+/// velocities and internal energies, `h` and `rho` from a density pass —
+/// as the force pass stages it: tree-ordered sources and leaf groups.
+fn sph_force_input(solver: &SphSolver) -> (ForceSources, Vec<SphGroup>) {
+    let (pos, mass) = cloud(N_SPH);
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut unit = || rng.gen_range(-1.0..1.0);
+    let vel = (0..N_SPH)
+        .map(|_| Vec3::new(unit(), unit(), unit()))
+        .collect();
+    let u = (0..N_SPH).map(|_| 1.5 + unit()).collect();
+    let mut gas = HydroState::new(pos, vel, mass, u, vec![0.3; N_SPH]);
+    solver.density_pass(&mut gas, N_SPH);
+    let support = solver.kernel.support();
+    let radii: Vec<f64> = gas.h.iter().map(|h| support * h).collect();
+    let tree = Tree::build_with_h(&gas.pos, &gas.mass, Some(&radii), 16);
+    let input = |i: u32| {
+        let i = i as usize;
+        HydroInput {
+            pos: gas.pos[i],
+            vel: gas.vel[i],
+            mass: gas.mass[i],
+            h: gas.h[i],
+            rho: gas.rho[i],
+            p_over_rho2: solver.eos.p_over_rho2(gas.rho[i], gas.u[i]),
+            cs: solver.eos.sound_speed(gas.u[i]),
+        }
+    };
+    let mut sources = ForceSources::default();
+    sources.fill(tree.order.iter().map(|&j| input(j)));
+    let groups = tree
+        .nodes
+        .iter()
+        .filter(|node| node.is_leaf() && !node.is_empty())
+        .map(|leaf| {
+            let members = tree.leaf_particles(leaf);
+            let mut bbox = BBox::empty();
+            let mut r_max = 0.0f64;
+            for &i in members {
+                bbox.extend(gas.pos[i as usize]);
+                r_max = r_max.max(radii[i as usize]);
+            }
+            let mut spans = Vec::new();
+            tree.spans_of_box(&bbox, r_max, &mut spans);
+            let targets = members.iter().map(|&i| input(i)).collect();
+            SphGroup { targets, spans }
+        })
+        .collect();
+    (sources, groups)
+}
+
+/// One serial force pass over `groups`, staging through the portable or
+/// the dispatched body and, with `body`, running the matching pair body.
+/// Returns the candidates scanned, the pairs staged and a hash of every
+/// output bit.
+fn sph_force_pass(
+    solver: &SphSolver,
+    sources: &ForceSources,
+    groups: &[SphGroup],
+    batch: &mut ForceBatch,
+    portable: bool,
+    body: bool,
+) -> (u64, u64, u64) {
+    let support = solver.kernel.support();
+    let (mut candidates, mut pairs, mut hash) = (0u64, 0u64, 0u64);
+    for group in groups {
+        let n = group
+            .spans
+            .iter()
+            .map(|&(s, e)| (e - s) as u64)
+            .sum::<u64>();
+        for pi in &group.targets {
+            if portable {
+                batch.stage_portable(support, pi, sources, &group.spans);
+            } else {
+                batch.stage(support, pi, sources, &group.spans);
+            }
+            candidates += n;
+            pairs += batch.len() as u64;
+            if body {
+                let mut out = HydroAccum::default();
+                let run = if portable {
+                    force_batch_portable
+                } else {
+                    force_batch
+                };
+                run(&solver.kernel, &solver.visc, pi, sources, batch, &mut out);
+                for v in [out.acc.x, out.acc.y, out.acc.z, out.dudt, out.v_sig_max] {
+                    hash = hash.rotate_left(5) ^ v.to_bits();
+                }
+            }
+        }
+    }
+    (candidates, pairs, hash)
+}
 
 fn main() {
     let (pos, mass) = cloud(N);
@@ -220,6 +335,48 @@ fn main() {
     );
     println!("force_err_p99_ratio: {force_err_p99_ratio:.4} (mixed / f64)");
 
+    // 6. The SPH force pass, serial, on one staged state: the selection
+    //    alone and selection plus pair body, per body. The pair body's
+    //    cost is the difference; the gate is the whole pass's ratio.
+    let sph_solver = SphSolver::default();
+    let (sources, groups) = sph_force_input(&sph_solver);
+    let mut batch = ForceBatch::default();
+    let [portable, dispatched] = [true, false].map(|portable| {
+        let mut pass = |body| {
+            best_of(5, || {
+                sph_force_pass(&sph_solver, &sources, &groups, &mut batch, portable, body)
+            })
+        };
+        let (t_stage, _) = pass(false);
+        let (t_pass, counts) = pass(true);
+        (t_stage, t_pass, counts)
+    });
+    let (_, _, (candidates, pairs, hash)) = portable;
+    assert_eq!(
+        (candidates, pairs, hash),
+        dispatched.2,
+        "dispatched SPH bodies must reproduce the portable ones bit for bit"
+    );
+    let per_unit = |(t_stage, t_pass, _): (f64, f64, _)| {
+        (
+            t_stage * 1e9 / candidates as f64,
+            (t_pass - t_stage) * 1e9 / pairs as f64,
+        )
+    };
+    let (candidate_portable, pair_portable) = per_unit(portable);
+    let (candidate_dispatched, pair_dispatched) = per_unit(dispatched);
+    let candidates_per_pair = candidates as f64 / pairs as f64;
+    let sph_simd_speedup = portable.1 / dispatched.1;
+    println!(
+        "sph force pass: {N_SPH} targets, {candidates} candidates, {pairs} pairs \
+         ({candidates_per_pair:.2} per pair)"
+    );
+    println!("sph portable:   {candidate_portable:.2} ns/candidate, {pair_portable:.2} ns/pair");
+    println!(
+        "sph dispatched: {candidate_dispatched:.2} ns/candidate, {pair_dispatched:.2} ns/pair"
+    );
+    println!("sph_simd_speedup: {sph_simd_speedup:.2}x (portable / dispatched pass)");
+
     BenchDoc::new()
         .info("n", N)
         .info("theta", THETA)
@@ -240,5 +397,15 @@ fn main() {
         .info("force_err_p50_mixed", err_mixed.p50)
         .info("force_err_p99_mixed", err_mixed.p99)
         .gated("force_err_p99_ratio", force_err_p99_ratio, Better::Lower)
+        .info("sph_force/targets", N_SPH)
+        .info("sph_force/candidates_per_pair", candidates_per_pair)
+        .info("sph_force/ns_per_candidate_portable", candidate_portable)
+        .info(
+            "sph_force/ns_per_candidate_dispatched",
+            candidate_dispatched,
+        )
+        .info("sph_force/ns_per_pair_portable", pair_portable)
+        .info("sph_force/ns_per_pair_dispatched", pair_dispatched)
+        .gated("sph_simd_speedup", sph_simd_speedup, Better::Higher)
         .write("BENCH_force.json");
 }

@@ -401,6 +401,7 @@ mod tests {
                     ("walk_speedup", Higher),
                     ("simd_speedup", Higher),
                     ("force_err_p99_ratio", Lower),
+                    ("sph_simd_speedup", Higher),
                 ],
             ),
             (

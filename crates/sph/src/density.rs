@@ -40,6 +40,8 @@
 
 use crate::group::{reserve_column, span_len, GroupBuffers, GroupScratch};
 use crate::kernel::SphKernel;
+#[cfg(target_arch = "x86_64")]
+use crate::simd::Avx2;
 use fdps::{BBox, Tree, Vec3};
 
 /// Result of a converged density pass for one particle.
@@ -84,10 +86,10 @@ impl Default for DensityConfig {
 /// directly and contiguously.
 #[derive(Debug, Clone, Default)]
 pub struct DensitySources {
-    x: Vec<f64>,
-    y: Vec<f64>,
-    z: Vec<f64>,
-    m: Vec<f64>,
+    pub(crate) x: Vec<f64>,
+    pub(crate) y: Vec<f64>,
+    pub(crate) z: Vec<f64>,
+    pub(crate) m: Vec<f64>,
 }
 
 impl DensitySources {
@@ -192,40 +194,49 @@ impl NeighborCache {
             self.reserve(span_len(&self.own));
         }
         let spans = if walked { &self.own } else { &self.group };
-        // `r < radius` implies `r2 <= radius * radius` under correct
-        // rounding, so squared separations select a superset of every
-        // in-support set up to `radius` and only those rows pay a sqrt.
-        //
-        // Branch-free compaction: which candidates are near follows no
-        // predictable pattern, so write every row and advance on a hit.
-        let limit = radius * radius;
-        let n = span_len(spans);
-        self.r.clear();
-        self.r.resize(n, 0.0);
-        self.m.clear();
-        self.m.resize(n, 0.0);
-        let mut kept = 0;
-        for &(s, e) in spans {
-            let span = s as usize..e as usize;
-            let xyz = sources.x[span.clone()]
-                .iter()
-                .zip(&sources.y[span.clone()])
-                .zip(&sources.z[span.clone()]);
-            for (((&x, &y), &z), &m) in xyz.zip(&sources.m[span]) {
-                let (dx, dy, dz) = (xi.x - x, xi.y - y, xi.z - z);
-                let r2 = dx * dx + dy * dy + dz * dz;
-                self.r[kept] = r2;
-                self.m[kept] = m;
-                kept += (r2 <= limit) as usize;
-            }
-        }
-        self.r.truncate(kept);
-        self.m.truncate(kept);
-        for r in &mut self.r {
-            *r = r.sqrt();
-        }
+        select_rows(&mut self.r, &mut self.m, sources, spans, xi, radius);
         self.radius = radius;
         walked
+    }
+
+    /// Stage as target rows the candidates of `spans` (ranges of
+    /// `sources`) within `radius` of `xi`, as the density pass does for
+    /// each target. Runs the AVX2 body where the CPU has it; the rows are
+    /// those of [`NeighborCache::stage_rows_portable`], bit for bit.
+    pub fn stage_rows(
+        &mut self,
+        sources: &DensitySources,
+        spans: &[(u32, u32)],
+        xi: Vec3,
+        radius: f64,
+    ) {
+        select_rows(&mut self.r, &mut self.m, sources, spans, xi, radius);
+        self.radius = radius;
+    }
+
+    /// [`NeighborCache::stage_rows`] through the portable body on every
+    /// CPU; public so the equivalence tests can pin the dispatched path
+    /// against it.
+    pub fn stage_rows_portable(
+        &mut self,
+        sources: &DensitySources,
+        spans: &[(u32, u32)],
+        xi: Vec3,
+        radius: f64,
+    ) {
+        rows_with(
+            &mut self.r,
+            &mut self.m,
+            span_len(spans),
+            radius,
+            |r, m, limit| select_rows_portable(xi, limit, sources, spans, r, m),
+        );
+        self.radius = radius;
+    }
+
+    /// The staged target rows `(r, m)`: `|x_i - x_j|` and `m_j`.
+    pub fn rows(&self) -> (&[f64], &[f64]) {
+        (&self.r, &self.m)
     }
 
     /// Sum `rho = sum m_j W(r_j, h)` and count neighbours over the target
@@ -233,21 +244,48 @@ impl NeighborCache {
     /// through the kernel's batch method on the in-support rows only; the
     /// accumulation runs over 4 independent lanes, assigned by rank among
     /// those rows and reduced in a fixed order — a function of the
-    /// in-support set alone.
-    fn sum_density(&mut self, kernel: &dyn SphKernel, h: f64, rad: f64) -> (f64, usize) {
+    /// in-support set alone. Selects the rows with the AVX2 body where the
+    /// CPU has it; the result is that of
+    /// [`NeighborCache::sum_density_portable`], bit for bit.
+    pub fn sum_density(&mut self, kernel: &dyn SphKernel, h: f64, rad: f64) -> (f64, usize) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(avx2) = Avx2::detect() {
+            return self.sum_with(kernel, h, |r, m, r_in, m_in| {
+                avx2.select_below(rad, r, m, r_in, m_in)
+            });
+        }
+        self.sum_density_portable(kernel, h, rad)
+    }
+
+    /// [`NeighborCache::sum_density`] through the portable body on every
+    /// CPU; public so the equivalence tests can pin the dispatched path
+    /// against it.
+    pub fn sum_density_portable(
+        &mut self,
+        kernel: &dyn SphKernel,
+        h: f64,
+        rad: f64,
+    ) -> (f64, usize) {
+        self.sum_with(kernel, h, |r, m, r_in, m_in| {
+            select_below_portable(rad, r, m, r_in, m_in)
+        })
+    }
+
+    /// Both density sums around their row selection: `select` packs the
+    /// in-support rows of `r`/`m` to the front of `r_in`/`m_in` and
+    /// returns their number.
+    fn sum_with(
+        &mut self,
+        kernel: &dyn SphKernel,
+        h: f64,
+        select: impl FnOnce(&[f64], &[f64], &mut [f64], &mut [f64]) -> usize,
+    ) -> (f64, usize) {
         const L: usize = 4;
-        // Branch-free compaction, as in `stage_target`.
         self.r_in.resize(self.r.len(), 0.0);
         self.m_in.resize(self.r.len(), 0.0);
-        let mut n = 0;
-        for (&r, &m) in self.r.iter().zip(&self.m) {
-            self.r_in[n] = r;
-            self.m_in[n] = m;
-            n += (r < rad) as usize;
-        }
+        let n = select(&self.r, &self.m, &mut self.r_in, &mut self.m_in);
         self.r_in.truncate(n);
         self.m_in.truncate(n);
-        self.w.clear();
         self.w.resize(n, 0.0);
         kernel.w_batch(&self.r_in, h, &mut self.w);
         let mut rho_l = [0.0f64; L];
@@ -263,6 +301,105 @@ impl NeighborCache {
         }
         ((rho_l[0] + rho_l[1]) + (rho_l[2] + rho_l[3]), n)
     }
+}
+
+/// The portable in-support selection of the density sum: the rows of
+/// `r`/`m` with `r < rad`, packed to the front of `r_in`/`m_in` (one slot
+/// per row, branch-free as in [`select_rows_portable`]); returns their
+/// number.
+fn select_below_portable(
+    rad: f64,
+    r: &[f64],
+    m: &[f64],
+    r_in: &mut [f64],
+    m_in: &mut [f64],
+) -> usize {
+    let mut n = 0;
+    for (&r, &m) in r.iter().zip(m) {
+        r_in[n] = r;
+        m_in[n] = m;
+        n += (r < rad) as usize;
+    }
+    n
+}
+
+/// The target rows of `spans` within `radius` of `xi` into `r`/`m`: the
+/// AVX2 body where the CPU has it, the portable one elsewhere.
+fn select_rows(
+    r: &mut Vec<f64>,
+    m: &mut Vec<f64>,
+    sources: &DensitySources,
+    spans: &[(u32, u32)],
+    xi: Vec3,
+    radius: f64,
+) {
+    let n = span_len(spans);
+    #[cfg(target_arch = "x86_64")]
+    if let Some(avx2) = Avx2::detect() {
+        rows_with(r, m, n, radius, |r, m, limit| {
+            avx2.select_rows(xi, limit, sources, spans, r, m)
+        });
+        return;
+    }
+    rows_with(r, m, n, radius, |r, m, limit| {
+        select_rows_portable(xi, limit, sources, spans, r, m)
+    });
+}
+
+/// Size `r`/`m` for `n` candidates, let `select` pack the rows with
+/// `r2 <= limit` to their front, keep those and take their square roots.
+///
+/// `r < radius` implies `r2 <= radius * radius` under correct rounding,
+/// so squared separations select a superset of every in-support set up
+/// to `radius` and only those rows pay a sqrt.
+fn rows_with(
+    r: &mut Vec<f64>,
+    m: &mut Vec<f64>,
+    n: usize,
+    radius: f64,
+    select: impl FnOnce(&mut [f64], &mut [f64], f64) -> usize,
+) {
+    // Every entry below the kept count is written before it is read, so
+    // the columns only need the length, not fresh contents.
+    r.resize(n, 0.0);
+    m.resize(n, 0.0);
+    let kept = select(r, m, radius * radius);
+    r.truncate(kept);
+    m.truncate(kept);
+    for r in r.iter_mut() {
+        *r = r.sqrt();
+    }
+}
+
+/// The portable row selection: writes every candidate's squared
+/// separation and mass to `r`/`m` (one slot per candidate) and returns how
+/// many rows with `r2 <= limit` it packed to the front, in span order.
+/// Branch-free compaction: which candidates are near follows no
+/// predictable pattern, so write every row and advance on a hit.
+fn select_rows_portable(
+    xi: Vec3,
+    limit: f64,
+    sources: &DensitySources,
+    spans: &[(u32, u32)],
+    r: &mut [f64],
+    m: &mut [f64],
+) -> usize {
+    let mut kept = 0;
+    for &(s, e) in spans {
+        let span = s as usize..e as usize;
+        let xyz = sources.x[span.clone()]
+            .iter()
+            .zip(&sources.y[span.clone()])
+            .zip(&sources.z[span.clone()]);
+        for (((&x, &y), &z), &mass) in xyz.zip(&sources.m[span]) {
+            let (dx, dy, dz) = (xi.x - x, xi.y - y, xi.z - z);
+            let r2 = dx * dx + dy * dy + dz * dz;
+            r[kept] = r2;
+            m[kept] = mass;
+            kept += (r2 <= limit) as usize;
+        }
+    }
+    kept
 }
 
 /// Iterate the smoothing length of a target at `xi` and sum its density

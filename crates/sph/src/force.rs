@@ -1,23 +1,32 @@
 //! Symmetrized SPH momentum and energy equations with Monaghan artificial
 //! viscosity.
 //!
-//! Two force paths live here: [`pair_force`], the scalar per-pair
-//! reference with early-out branches, and [`force_batch`], the production
-//! kernel — one target against its in-support pairs ([`ForceBatch`]),
-//! with the kernel gradients evaluated through the batch trait methods
-//! and no early-out left in the inner loop. The early-outs happen *before*
-//! the kernel: the pass's j-side data sits struct-of-arrays in tree order
-//! ([`ForceSources`]), a leaf's targets share one candidate list — a few
-//! contiguous spans of it, see [`crate::group`] — and
-//! [`ForceBatch::stage`] selects per target the pairs [`pair_force`]
-//! would not skip. Both paths evaluate the identical per-pair arithmetic
+//! Three force paths live here. [`pair_force`] is the scalar per-pair
+//! reference with early-out branches. [`force_batch_portable`] is the
+//! batched kernel — one target against its in-support pairs
+//! ([`ForceBatch`]), with the kernel gradients evaluated through the batch
+//! trait methods and no early-out left in the inner loop — written with
+//! explicit `[f64; 4]` lanes. [`force_batch`], the production entry point,
+//! runs the same loop as one 256-bit vector per four pairs where the CPU
+//! has AVX2 (`crate::simd`) and the portable body elsewhere. The
+//! early-outs happen *before* the kernel: the pass's j-side data sits
+//! struct-of-arrays in tree order ([`ForceSources`]), a leaf's targets
+//! share one candidate list — a few contiguous spans of it, see
+//! [`crate::group`] — and [`ForceBatch::stage`] (dispatched the same way,
+//! with [`ForceBatch::stage_portable`] its twin) selects per target the
+//! pairs [`pair_force`] would not skip.
+//!
+//! The reference and the batch evaluate the identical per-pair arithmetic
 //! over the identical pair set; they differ only in summation order (the
 //! batch reduces over fixed lanes assigned by rank among the in-support
-//! pairs), so results agree to reassociation rounding and each path is
-//! individually deterministic.
+//! pairs), so they agree to reassociation rounding. The dispatched and
+//! the portable batch agree on every bit: same lanes, same association
+//! order, exactly rounded operations only (see `crate::simd`).
 
 use crate::group::{reserve_column, span_len};
 use crate::kernel::SphKernel;
+#[cfg(target_arch = "x86_64")]
+use crate::simd::Avx2;
 use fdps::Vec3;
 
 /// Per-particle hydrodynamic quantities consumed by the force kernel.
@@ -115,20 +124,21 @@ pub const FORCE_LANES: usize = 4;
 /// The j-side hydro data of every source of a pass, struct-of-arrays in
 /// the neighbour tree's (Morton) order: the spans a tree walk returns
 /// address these columns directly and contiguously. Built once per pass;
-/// [`ForceSources::fill`] rewrites it in place, keeping capacity.
+/// [`ForceSources::fill`] rewrites it in place, keeping capacity. Every
+/// column always holds [`ForceSources::len`] entries.
 #[derive(Debug, Clone, Default)]
 pub struct ForceSources {
-    x: Vec<f64>,
-    y: Vec<f64>,
-    z: Vec<f64>,
-    vx: Vec<f64>,
-    vy: Vec<f64>,
-    vz: Vec<f64>,
-    h: Vec<f64>,
-    m: Vec<f64>,
-    rho: Vec<f64>,
-    p2: Vec<f64>,
-    cs: Vec<f64>,
+    pub(crate) x: Vec<f64>,
+    pub(crate) y: Vec<f64>,
+    pub(crate) z: Vec<f64>,
+    pub(crate) vx: Vec<f64>,
+    pub(crate) vy: Vec<f64>,
+    pub(crate) vz: Vec<f64>,
+    pub(crate) h: Vec<f64>,
+    pub(crate) m: Vec<f64>,
+    pub(crate) rho: Vec<f64>,
+    pub(crate) p2: Vec<f64>,
+    pub(crate) cs: Vec<f64>,
 }
 
 impl ForceSources {
@@ -214,10 +224,16 @@ impl ForceBatch {
     /// — `r2 > 0` and `r < support * max(h_i, h_j)` — in span order. The
     /// target itself needs no exclusion: it is an `r2 == 0` row.
     ///
-    /// Two steps: squared separations over all candidates pre-select the
-    /// rows with `r2 <= max(reach_i, reach_j)^2` (a superset: under
-    /// correct rounding `r < reach` implies `r2 <= reach * reach`), then
-    /// only those rows pay the sqrt and the exact test.
+    /// Two steps: squared separations `(dx·dx + dy·dy) + dz·dz` over all
+    /// candidates pre-select the rows with `r2 <= max(reach_i, reach_j)^2`
+    /// (a superset: under correct rounding `r < reach` implies
+    /// `r2 <= reach * reach`), then only those rows pay the sqrt and the
+    /// exact test. Both steps compact branch-free: in-range rows are a
+    /// minority in no predictable pattern, so every row is written and
+    /// the write position advances on a hit.
+    ///
+    /// Runs the AVX2 bodies where the CPU has them; the staged columns are
+    /// those of [`ForceBatch::stage_portable`], bit for bit.
     pub fn stage(
         &mut self,
         support: f64,
@@ -225,48 +241,68 @@ impl ForceBatch {
         sources: &ForceSources,
         spans: &[(u32, u32)],
     ) {
-        let n = span_len(spans);
-        let xi = pi.pos;
-        let reach_i = support * pi.h;
-        let reach_i2 = reach_i * reach_i;
-        // Branch-free compaction: in-range rows are a minority in no
-        // predictable pattern, so write every row and advance on a hit.
-        self.near.clear();
-        self.near.resize(n, 0);
-        self.r2.clear();
-        self.r2.resize(n, 0.0);
-        let mut kept = 0;
-        for &(s, e) in spans {
-            let span = s as usize..e as usize;
-            let xyz = sources.x[span.clone()]
-                .iter()
-                .zip(&sources.y[span.clone()])
-                .zip(&sources.z[span.clone()]);
-            for ((((&x, &y), &z), &hj), k) in xyz.zip(&sources.h[span]).zip(s..) {
-                let (dx, dy, dz) = (xi.x - x, xi.y - y, xi.z - z);
-                let r2 = dx * dx + dy * dy + dz * dz;
-                let reach_j = support * hj;
-                self.near[kept] = k;
-                self.r2[kept] = r2;
-                kept += ((r2 > 0.0) & (r2 <= reach_i2.max(reach_j * reach_j))) as usize;
-            }
+        #[cfg(target_arch = "x86_64")]
+        if let Some(avx2) = Avx2::detect() {
+            self.stage_with(
+                support,
+                pi,
+                span_len(spans),
+                |near, r2, reach_i2| {
+                    avx2.preselect(support, pi.pos, reach_i2, sources, spans, near, r2)
+                },
+                |near, r2, r, hj| avx2.exact(support, pi.h, &sources.h, near, r2, r, hj),
+            );
+            return;
         }
+        self.stage_portable(support, pi, sources, spans);
+    }
+
+    /// [`ForceBatch::stage`] through the portable bodies on every CPU;
+    /// public so the equivalence tests and the bench can pin and time the
+    /// dispatched path against it.
+    pub fn stage_portable(
+        &mut self,
+        support: f64,
+        pi: &HydroInput,
+        sources: &ForceSources,
+        spans: &[(u32, u32)],
+    ) {
+        self.stage_with(
+            support,
+            pi,
+            span_len(spans),
+            |near, r2, reach_i2| {
+                preselect_portable(support, pi.pos, reach_i2, sources, spans, near, r2)
+            },
+            |near, r2, r, hj| exact_portable(support, pi.h, &sources.h, near, r2, r, hj),
+        );
+    }
+
+    /// The column bookkeeping of both staging paths around their two
+    /// loops: `preselect` fills `near`/`r2` for each of the `n` candidates
+    /// and returns how many it kept at the front; `exact` compacts those
+    /// rows in place, filling `r`/`hj`, and returns how many survive.
+    fn stage_with(
+        &mut self,
+        support: f64,
+        pi: &HydroInput,
+        n: usize,
+        preselect: impl FnOnce(&mut [u32], &mut [f64], f64) -> usize,
+        exact: impl FnOnce(&mut [u32], &mut [f64], &mut [f64], &mut [f64]) -> usize,
+    ) {
+        let reach_i = support * pi.h;
+        // Every entry below `kept` is written before it is read, so the
+        // columns only need the length, not fresh contents.
+        self.near.resize(n, 0);
+        self.r2.resize(n, 0.0);
+        let kept = preselect(&mut self.near, &mut self.r2, reach_i * reach_i);
         self.near.truncate(kept);
         self.r2.truncate(kept);
-        // The exact test, compacted the same way: row `q` is written to
-        // slot `kept <= q`, so the in-place columns are never overrun.
+        // Row `q` of the exact test is written to slot `kept <= q`, so the
+        // in-place columns are never overrun.
         self.r.resize(kept, 0.0);
         self.hj.resize(kept, 0.0);
-        let mut kept = 0;
-        for q in 0..self.near.len() {
-            let (k, r2) = (self.near[q], self.r2[q]);
-            let (r, hj) = (r2.sqrt(), sources.h[k as usize]);
-            self.near[kept] = k;
-            self.r2[kept] = r2;
-            self.r[kept] = r;
-            self.hj[kept] = hj;
-            kept += (r < support * pi.h.max(hj)) as usize;
-        }
+        let kept = exact(&mut self.near, &mut self.r2, &mut self.r, &mut self.hj);
         self.near.truncate(kept);
         self.r2.truncate(kept);
         self.r.truncate(kept);
@@ -280,6 +316,12 @@ impl ForceBatch {
 
     pub fn is_empty(&self) -> bool {
         self.near.is_empty()
+    }
+
+    /// The staged columns `(near, r2, r, hj)`: per pair, its position in
+    /// the [`ForceSources`], squared separation, separation and `h_j`.
+    pub fn staged(&self) -> (&[u32], &[f64], &[f64], &[f64]) {
+        (&self.near, &self.r2, &self.r, &self.hj)
     }
 
     /// Candidates the columns can hold without growing.
@@ -303,6 +345,183 @@ impl ForceBatch {
     }
 }
 
+/// The pre-selection loop of [`ForceBatch::stage_portable`]: writes every
+/// candidate of `spans` to `near`/`r2` (one slot per candidate) and
+/// returns how many rows with `0 < r2 <= max(reach_i2, reach_j^2)` it
+/// packed to the front, in span order.
+fn preselect_portable(
+    support: f64,
+    xi: Vec3,
+    reach_i2: f64,
+    sources: &ForceSources,
+    spans: &[(u32, u32)],
+    near: &mut [u32],
+    r2: &mut [f64],
+) -> usize {
+    let mut kept = 0;
+    for &(s, e) in spans {
+        let span = s as usize..e as usize;
+        let xyz = sources.x[span.clone()]
+            .iter()
+            .zip(&sources.y[span.clone()])
+            .zip(&sources.z[span.clone()]);
+        for ((((&x, &y), &z), &hj), k) in xyz.zip(&sources.h[span]).zip(s..) {
+            let (dx, dy, dz) = (xi.x - x, xi.y - y, xi.z - z);
+            let d2 = dx * dx + dy * dy + dz * dz;
+            let reach_j = support * hj;
+            near[kept] = k;
+            r2[kept] = d2;
+            kept += ((d2 > 0.0) & (d2 <= reach_i2.max(reach_j * reach_j))) as usize;
+        }
+    }
+    kept
+}
+
+/// The exact test of [`ForceBatch::stage_portable`]: over the
+/// pre-selected rows, `r = sqrt(r2)` and `h_j` gathered from `h`; packs
+/// the rows with `r < support * max(h_i, h_j)` to the front of all four
+/// columns and returns their number.
+fn exact_portable(
+    support: f64,
+    hi: f64,
+    h: &[f64],
+    near: &mut [u32],
+    r2: &mut [f64],
+    r: &mut [f64],
+    hj: &mut [f64],
+) -> usize {
+    let mut kept = 0;
+    for q in 0..near.len() {
+        let (k, d2) = (near[q], r2[q]);
+        let (d, h_j) = (d2.sqrt(), h[k as usize]);
+        near[kept] = k;
+        r2[kept] = d2;
+        r[kept] = d;
+        hj[kept] = h_j;
+        kept += (d < support * hi.max(h_j)) as usize;
+    }
+    kept
+}
+
+/// The staged columns of one target a force body reads, all of one
+/// length: the pair's source position, `r2`, `r`, `h_j` and the two
+/// kernel gradients.
+pub(crate) struct PairColumns<'a> {
+    pub(crate) near: &'a [u32],
+    pub(crate) r2: &'a [f64],
+    pub(crate) r: &'a [f64],
+    pub(crate) hj: &'a [f64],
+    pub(crate) dwi: &'a [f64],
+    pub(crate) dwj: &'a [f64],
+}
+
+/// The [`FORCE_LANES`] accumulators of a force body, reduced by
+/// [`Lanes::reduce_into`] in one fixed order.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Lanes {
+    pub(crate) ax: [f64; FORCE_LANES],
+    pub(crate) ay: [f64; FORCE_LANES],
+    pub(crate) az: [f64; FORCE_LANES],
+    pub(crate) du: [f64; FORCE_LANES],
+    pub(crate) vs: [f64; FORCE_LANES],
+}
+
+impl Lanes {
+    /// Add one pair's [`pair_terms`] to lane `l`. The signal-velocity max
+    /// is `f64::max(acc, v)`: the vector bodies take `max(v, acc)` with
+    /// the operand order that reproduces it (see `crate::simd`).
+    #[inline(always)]
+    pub(crate) fn add(&mut self, l: usize, [x, y, z, d, v]: [f64; 5]) {
+        self.ax[l] += x;
+        self.ay[l] += y;
+        self.az[l] += z;
+        self.du[l] += d;
+        self.vs[l] = self.vs[l].max(v);
+    }
+
+    fn reduce_into(&self, out: &mut HydroAccum) {
+        let (ax, ay, az, du, vs) = (self.ax, self.ay, self.az, self.du, self.vs);
+        out.acc += Vec3::new(
+            (ax[0] + ax[1]) + (ax[2] + ax[3]),
+            (ay[0] + ay[1]) + (ay[2] + ay[3]),
+            (az[0] + az[1]) + (az[2] + az[3]),
+        );
+        out.dudt += (du[0] + du[1]) + (du[2] + du[3]);
+        out.v_sig_max = out.v_sig_max.max(vs[0].max(vs[1]).max(vs[2].max(vs[3])));
+    }
+}
+
+/// The terms staged pair `q` adds to its lane — `(a_x, a_y, a_z, du/dt,
+/// v_sig)` — in the association order every force body follows. The
+/// vector bodies spell this same expression one operation at a time.
+#[inline(always)]
+pub(crate) fn pair_terms(
+    pi: &HydroInput,
+    visc: &Viscosity,
+    src: &ForceSources,
+    cols: &PairColumns,
+    q: usize,
+) -> [f64; 5] {
+    let k = cols.near[q] as usize;
+    let (dx, dy, dz) = (
+        pi.pos.x - src.x[k],
+        pi.pos.y - src.y[k],
+        pi.pos.z - src.z[k],
+    );
+    let (dvx, dvy, dvz) = (
+        pi.vel.x - src.vx[k],
+        pi.vel.y - src.vy[k],
+        pi.vel.z - src.vz[k],
+    );
+    let hj = cols.hj[q];
+    let dw = 0.5 * (cols.dwi[q] + cols.dwj[q]);
+    let gf = dw * (1.0 / cols.r[q]);
+    let gx = dx * gf;
+    let gy = dy * gf;
+    let gz = dz * gf;
+    let vdotr = dvx * dx + dvy * dy + dvz * dz;
+    let h_mean = 0.5 * (pi.h + hj);
+    let c_mean = 0.5 * (pi.cs + src.cs[k]);
+    let rho_mean = 0.5 * (pi.rho + src.rho[k]);
+    let mu_all = h_mean * vdotr / (cols.r2[q] + visc.eta2 * h_mean * h_mean);
+    let mu = if vdotr < 0.0 { mu_all } else { 0.0 };
+    let visc_term = (-visc.alpha * c_mean * mu + visc.beta * mu * mu) / rho_mean;
+    let v_sig = pi.cs + src.cs[k] - 3.0 * mu;
+    let mj = src.m[k];
+    let fac = pi.p_over_rho2 + src.p2[k] + visc_term;
+    let dudt = mj * (pi.p_over_rho2 + 0.5 * visc_term) * (dvx * gx + dvy * gy + dvz * gz);
+    [
+        -(gx * (mj * fac)),
+        -(gy * (mj * fac)),
+        -(gz * (mj * fac)),
+        dudt,
+        v_sig,
+    ]
+}
+
+/// The portable force body: staged pair `q` goes to lane
+/// `q % FORCE_LANES`, the pairs after the last full block of
+/// [`FORCE_LANES`] to lane 0.
+fn force_lanes_portable(
+    pi: &HydroInput,
+    visc: &Viscosity,
+    src: &ForceSources,
+    cols: &PairColumns,
+) -> Lanes {
+    let n = cols.near.len();
+    let full = n - n % FORCE_LANES;
+    let mut lanes = Lanes::default();
+    for base in (0..full).step_by(FORCE_LANES) {
+        for l in 0..FORCE_LANES {
+            lanes.add(l, pair_terms(pi, visc, src, cols, base + l));
+        }
+    }
+    for q in full..n {
+        lanes.add(0, pair_terms(pi, visc, src, cols, q));
+    }
+    lanes
+}
+
 /// Accumulate the hydro force on `pi` from every pair staged in `batch`
 /// (against the same `sources`) — the batched form of [`pair_force`].
 ///
@@ -312,6 +531,9 @@ impl ForceBatch {
 /// select. Accumulation runs over [`FORCE_LANES`] lanes — staged pair `q`
 /// goes to lane `q % FORCE_LANES`, the remainder pairs to lane 0 — reduced
 /// in a fixed order.
+///
+/// Runs the AVX2 body where the CPU has it; the result is that of
+/// [`force_batch_portable`], bit for bit.
 pub fn force_batch(
     kernel: &dyn SphKernel,
     visc: &Viscosity,
@@ -320,87 +542,56 @@ pub fn force_batch(
     batch: &mut ForceBatch,
     out: &mut HydroAccum,
 ) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(avx2) = Avx2::detect() {
+        force_batch_with(kernel, pi, batch, out, |cols| {
+            avx2.force_lanes(pi, visc, sources, cols)
+        });
+        return;
+    }
+    force_batch_portable(kernel, visc, pi, sources, batch, out);
+}
+
+/// [`force_batch`] through the portable body on every CPU; public so the
+/// equivalence tests and the bench can pin and time the dispatched path
+/// against it.
+pub fn force_batch_portable(
+    kernel: &dyn SphKernel,
+    visc: &Viscosity,
+    pi: &HydroInput,
+    sources: &ForceSources,
+    batch: &mut ForceBatch,
+    out: &mut HydroAccum,
+) {
+    force_batch_with(kernel, pi, batch, out, |cols| {
+        force_lanes_portable(pi, visc, sources, cols)
+    });
+}
+
+/// Both force paths around their bodies: the kernel gradients of every
+/// staged pair, then `body` over the pair columns, then the fixed-order
+/// reduction into `out`.
+fn force_batch_with(
+    kernel: &dyn SphKernel,
+    pi: &HydroInput,
+    batch: &mut ForceBatch,
+    out: &mut HydroAccum,
+    body: impl FnOnce(&PairColumns) -> Lanes,
+) {
     let n = batch.near.len();
-    batch.dwi.clear();
     batch.dwi.resize(n, 0.0);
-    batch.dwj.clear();
     batch.dwj.resize(n, 0.0);
     kernel.dwdr_batch(&batch.r, pi.h, &mut batch.dwi);
     kernel.dwdr_batch_per_h(&batch.r, &batch.hj, &mut batch.dwj);
-
-    let mut ax = [0.0f64; FORCE_LANES];
-    let mut ay = [0.0f64; FORCE_LANES];
-    let mut az = [0.0f64; FORCE_LANES];
-    let mut du = [0.0f64; FORCE_LANES];
-    let mut vs = [0.0f64; FORCE_LANES];
-
-    let src = sources;
-    let body = |b: &ForceBatch, q: usize| -> (f64, f64, f64, f64, f64) {
-        let k = b.near[q] as usize;
-        let (dx, dy, dz) = (
-            pi.pos.x - src.x[k],
-            pi.pos.y - src.y[k],
-            pi.pos.z - src.z[k],
-        );
-        let (dvx, dvy, dvz) = (
-            pi.vel.x - src.vx[k],
-            pi.vel.y - src.vy[k],
-            pi.vel.z - src.vz[k],
-        );
-        let hj = b.hj[q];
-        let dw = 0.5 * (b.dwi[q] + b.dwj[q]);
-        let gf = dw * (1.0 / b.r[q]);
-        let gx = dx * gf;
-        let gy = dy * gf;
-        let gz = dz * gf;
-        let vdotr = dvx * dx + dvy * dy + dvz * dz;
-        let h_mean = 0.5 * (pi.h + hj);
-        let c_mean = 0.5 * (pi.cs + src.cs[k]);
-        let rho_mean = 0.5 * (pi.rho + src.rho[k]);
-        let mu_all = h_mean * vdotr / (b.r2[q] + visc.eta2 * h_mean * h_mean);
-        let mu = if vdotr < 0.0 { mu_all } else { 0.0 };
-        let visc_term = (-visc.alpha * c_mean * mu + visc.beta * mu * mu) / rho_mean;
-        let v_sig = pi.cs + src.cs[k] - 3.0 * mu;
-        let mj = src.m[k];
-        let fac = pi.p_over_rho2 + src.p2[k] + visc_term;
-        let dudt = mj * (pi.p_over_rho2 + 0.5 * visc_term) * (dvx * gx + dvy * gy + dvz * gz);
-        (
-            -(gx * (mj * fac)),
-            -(gy * (mj * fac)),
-            -(gz * (mj * fac)),
-            dudt,
-            v_sig,
-        )
+    let cols = PairColumns {
+        near: &batch.near,
+        r2: &batch.r2,
+        r: &batch.r,
+        hj: &batch.hj,
+        dwi: &batch.dwi,
+        dwj: &batch.dwj,
     };
-
-    let chunks = n / FORCE_LANES;
-    for c in 0..chunks {
-        let base = c * FORCE_LANES;
-        for l in 0..FORCE_LANES {
-            let (x, y, z, d, v) = body(batch, base + l);
-            ax[l] += x;
-            ay[l] += y;
-            az[l] += z;
-            du[l] += d;
-            vs[l] = vs[l].max(v);
-        }
-    }
-    for q in chunks * FORCE_LANES..n {
-        let (x, y, z, d, v) = body(batch, q);
-        ax[0] += x;
-        ay[0] += y;
-        az[0] += z;
-        du[0] += d;
-        vs[0] = vs[0].max(v);
-    }
-
-    out.acc += Vec3::new(
-        (ax[0] + ax[1]) + (ax[2] + ax[3]),
-        (ay[0] + ay[1]) + (ay[2] + ay[3]),
-        (az[0] + az[1]) + (az[2] + az[3]),
-    );
-    out.dudt += (du[0] + du[1]) + (du[2] + du[3]);
-    out.v_sig_max = out.v_sig_max.max(vs[0].max(vs[1]).max(vs[2].max(vs[3])));
+    body(&cols).reduce_into(out);
 }
 
 #[cfg(test)]

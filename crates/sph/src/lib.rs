@@ -18,17 +18,29 @@
 //!   viscosity and `du/dt`; the production path is the batched
 //!   [`force::force_batch`] over each target's in-support pairs, with
 //!   scalar [`force::pair_force`] retained as the equivalence reference;
+//! * `simd` — the AVX2 bodies of both passes' pair loops (candidate and
+//!   row selection, the hydro-force body) and of the cubic spline's batch
+//!   loops, dispatched at run time and equal to their portable twins on
+//!   every output bit;
 //! * [`timestep`] — the Courant–Friedrichs–Lewy condition that drives the
 //!   entire paper (§1: the SN-heated gas makes `dt_CFL` collapse);
 //! * [`solver`] — a rayon-parallel driver over a neighbor-search tree.
 
-#![forbid(unsafe_code)]
+// The one `unsafe` region of this crate is `simd`, the AVX2 bodies of the
+// pair loops (raw vector loads, gathers and stores behind
+// `is_x86_feature_detected!`); the compiler keeps it out of every other
+// module.
+#![deny(unsafe_code)]
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod density;
 pub mod eos;
 pub mod force;
 pub mod group;
 pub mod kernel;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod simd;
 pub mod solver;
 pub mod timestep;
 

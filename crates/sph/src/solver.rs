@@ -282,6 +282,13 @@ pub struct SphStats {
     /// of the particle configuration — not of the tree, its leaves or the
     /// groups the pass ran in.
     pub force_interactions: u64,
+    /// Rows the force pass's pre-selection ([`ForceBatch::stage`])
+    /// scanned: the candidates of each target's group list, summed over
+    /// its targets. Like `force_interactions` it is deterministic, but a
+    /// property of the tree's leaves and the pass's groups too, so
+    /// `candidates / force_interactions` measures how wide the shared
+    /// lists are. Zero for a density pass.
+    pub candidates: u64,
     /// Smoothing-length iterations summed over the pass's targets.
     pub h_iterations: u64,
     /// Tree walks single targets issued because `h` outgrew their group's
@@ -502,7 +509,8 @@ impl<K: SphKernel> SphSolver<K> {
                     &mut lists.batch,
                     &mut out,
                 );
-                (out, lists.batch.len() as u64)
+                let candidates = span_len(&lists.spans) as u64;
+                (out, lists.batch.len() as u64, candidates)
             },
         );
 
@@ -510,12 +518,13 @@ impl<K: SphKernel> SphSolver<K> {
             group_walks,
             ..SphStats::default()
         };
-        for (slot, (r, pairs)) in force_groups.slots().zip(results) {
+        for (slot, (r, pairs, candidates)) in force_groups.slots().zip(results) {
             let i = targets[slot];
             state.acc[i] = r.acc;
             state.dudt[i] = r.dudt;
             state.v_sig[i] = r.v_sig_max;
             stats.force_interactions += pairs;
+            stats.candidates += candidates;
         }
         stats
     }
@@ -719,6 +728,29 @@ mod tests {
             f.force_interactions,
             full.force_interactions
         );
+    }
+
+    /// `SphStats::candidates` counts the rows the force pass's
+    /// pre-selection scanned: every target's whole group list, so at
+    /// least one row per interacting pair plus the target itself; the
+    /// same on a repeated pass, fewer on an active subset, zero for a
+    /// density pass.
+    #[test]
+    fn force_pass_counts_the_candidates_it_scanned() {
+        let mut s = uniform_box(8, 1.0, 1.0);
+        let n = s.len();
+        let solver = SphSolver::default();
+        let mut scratch = SphScratch::default();
+        let d = solver.density_pass_with(&mut s, n, &mut scratch);
+        assert_eq!(d.candidates, 0);
+        let full = solver.force_pass_with(&mut s, n, &mut scratch);
+        assert!(full.candidates >= full.force_interactions + n as u64);
+        let again = solver.force_pass_with(&mut s, n, &mut scratch);
+        assert_eq!(again.candidates, full.candidates);
+        let subset: Vec<usize> = (0..n).step_by(7).collect();
+        let active = solver.force_pass_active(&mut s, &subset, &mut scratch);
+        assert!(active.candidates >= active.force_interactions + subset.len() as u64);
+        assert!(active.candidates < full.candidates);
     }
 
     #[test]

@@ -409,6 +409,18 @@ struct Run {
     start: Start,
 }
 
+/// The registered scenario `name`. An unknown name is a usage error
+/// (exit 2, never retried), on every route.
+fn find_scenario(name: &str) -> Result<&'static scenarios::Scenario, String> {
+    scenarios::find(name).ok_or_else(|| {
+        let names: Vec<_> = scenarios::SCENARIOS.iter().map(|s| s.name).collect();
+        format!(
+            "usage: unknown scenario `{name}` (available: {})",
+            names.join(", ")
+        )
+    })
+}
+
 /// Resolve the run — a snapshot restore or a fresh scenario build — by
 /// one rule on both routes (`base` names the route's rotation).
 fn resolve_run(args: &Args, base: &str) -> Result<Run, String> {
@@ -446,16 +458,7 @@ fn resolve_run(args: &Args, base: &str) -> Result<Run, String> {
             (name, config, predictor, default_steps, start)
         }
         (None, Some(name)) => {
-            let scenario = scenarios::find(name).ok_or_else(|| {
-                format!(
-                    "unknown scenario `{name}` (available: {})",
-                    scenarios::SCENARIOS
-                        .iter()
-                        .map(|s| s.name)
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                )
-            })?;
+            let scenario = find_scenario(name)?;
             let (cfg, particles) = scenario.build(args.seed);
             println!(
                 "scenario {} ({} particles): {}",
@@ -769,7 +772,7 @@ fn run_supervised(args: &Args) -> Result<(), String> {
                 .into(),
         );
     }
-    let scenario = scenarios::find(name).ok_or_else(|| format!("unknown scenario `{name}`"))?;
+    let scenario = find_scenario(name)?;
     let target_steps = args.steps.unwrap_or(scenario.default_steps);
     let dir = args.prepare_run_dir(scenario.name)?;
     let store = CkptStore::with_base(&dir, args.ckpt_base(), args.keep);

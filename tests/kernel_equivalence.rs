@@ -20,6 +20,9 @@
 //!   brute-force `pair_force` loop — same tolerances, `v_sig` exact;
 //! * SPH group independence — a target's bits do not depend on which
 //!   other targets the pass carries: **bitwise**;
+//! * SPH pair loops — the dispatched (AVX2) candidate selection, hydro
+//!   force body and density row selections vs their portable twins, on
+//!   every staged column and output: **bitwise**;
 //! * U-Net direct convolution — dispatched (AVX2) body vs portable body vs
 //!   the scalar loop nest — **exact** f32 over shapes on every tile edge;
 //!   fused ReLU vs `relu(forward)` and the inference forward vs the
@@ -41,9 +44,12 @@ use fdps::{Tree, Vec3};
 use gravity::kernel::{accumulate_f64, accumulate_f64_soa, accumulate_mixed_staged, GravityAccum};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sph::density::{compute_density_on_tree, density_one_reference, DensityConfig};
+use sph::density::{
+    compute_density_on_tree, density_one_reference, DensityConfig, DensitySources, NeighborCache,
+};
 use sph::force::{
-    force_batch, pair_force, ForceBatch, ForceSources, HydroAccum, HydroInput, Viscosity,
+    force_batch, force_batch_portable, pair_force, ForceBatch, ForceSources, HydroAccum,
+    HydroInput, Viscosity,
 };
 use sph::{CubicSpline, HydroState, SphKernel, SphScratch, SphSolver, WendlandC2};
 use unet::conv::Conv3d;
@@ -507,6 +513,198 @@ fn sph_results_do_not_depend_on_the_rest_of_the_group() {
                 "seed {seed}, i {i}"
             );
         }
+    }
+}
+
+/// Seeded inputs for the dispatched-vs-portable SPH test: `n` sources
+/// whose smoothing lengths and sound speeds come from a few exact binary
+/// values (so boundaries are exact and signal velocities tie), with the
+/// target at `t`. When `at_origin`, the target sits at the origin and
+/// rows are planted on the axes: a duplicate of the target's position,
+/// rows at exactly its own and at their own reach, and rows whose
+/// velocity difference is perpendicular to the separation so that
+/// `vdotr` is `+0.0` or `-0.0`.
+fn boundary_cloud(rng: &mut StdRng, n: usize, t: usize, at_origin: bool) -> Vec<HydroInput> {
+    let support = CubicSpline.support();
+    let mut inputs: Vec<HydroInput> = (0..n)
+        .map(|_| {
+            let rho = rng.gen_range(0.5..4.0);
+            HydroInput {
+                pos: Vec3::new(
+                    rng.gen_range(-1.5..1.5),
+                    rng.gen_range(-1.5..1.5),
+                    rng.gen_range(-1.5..1.5),
+                ),
+                vel: Vec3::new(
+                    rng.gen_range(-1.0..1.0),
+                    rng.gen_range(-1.0..1.0),
+                    rng.gen_range(-1.0..1.0),
+                ),
+                mass: rng.gen_range(0.2..2.0),
+                h: [0.25, 0.5, 0.75, 1.0][rng.gen_range(0..4usize)],
+                rho,
+                p_over_rho2: rng.gen_range(0.1..2.0) / (rho * rho),
+                cs: [0.5, 1.0][rng.gen_range(0..2usize)],
+            }
+        })
+        .collect();
+    if !at_origin {
+        return inputs;
+    }
+    inputs[t].pos = Vec3::ZERO;
+    inputs[t].vel = Vec3::ZERO;
+    let hi = inputs[t].h;
+    for j in (0..n).filter(|&j| j != t) {
+        let p = &mut inputs[j];
+        let axis = match j % 5 {
+            0 => Some(0.0),                         // coincident with the target
+            1 => Some(support * p.h),               // at its own reach
+            2 => Some(-support * hi),               // at the target's reach
+            3 => Some(rng.gen_range(0.1..support)), // anywhere on the axis
+            _ => None,
+        };
+        if let Some(x) = axis {
+            p.pos = Vec3::new(x, 0.0, 0.0);
+            // `d` lies along x and `dv` has no x part: `vdotr` is -0.0
+            // for a source at +x moving with +y, +z, and +0.0 otherwise.
+            let s = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+            p.vel = Vec3::new(0.0, s, s);
+        }
+    }
+    inputs
+}
+
+/// The AVX2 bodies of both SPH passes — the force pass's candidate
+/// selection and pair body, the density pass's row selection and its
+/// in-support selection, run where the host has AVX2 — equal their
+/// portable twins on every staged column (`near`, `r2`, `r`, `hj`, the
+/// density rows) and every output bit (`acc`, `dudt`, `v_sig_max`,
+/// `rho`, `n_ngb`). The cases cover spans of every length 0–9 (so every
+/// tail length and empty spans), `r2 == 0` rows (the target itself and a
+/// duplicate position), rows exactly at `reach²` and at
+/// `support · max(h_i, h_j)`, approaching and receding pairs and
+/// `vdotr == ±0.0`, and equal `v_sig` across lanes.
+#[test]
+fn sph_dispatched_bodies_match_portable_bitwise() {
+    let kernel = CubicSpline;
+    let visc = Viscosity::default();
+    let support = kernel.support();
+    let mut span_lengths = [false; 10];
+    let mut seen = [0usize; 7];
+    let (mut sources, mut density_sources) = (ForceSources::default(), DensitySources::default());
+    let (mut fast, mut slow) = (ForceBatch::default(), ForceBatch::default());
+    let (mut fast_rows, mut slow_rows) = (NeighborCache::default(), NeighborCache::default());
+    for seed in 0..4 * CASES {
+        let mut rng = StdRng::seed_from_u64(2900 + seed);
+        let n: usize = rng.gen_range(12..48);
+        let t = rng.gen_range(0..n);
+        let inputs = boundary_cloud(&mut rng, n, t, seed % 2 == 0);
+        let pi = inputs[t];
+        sources.fill(inputs.iter().copied());
+        let pos: Vec<Vec3> = inputs.iter().map(|p| p.pos).collect();
+        let mass: Vec<f64> = inputs.iter().map(|p| p.mass).collect();
+        density_sources.fill(&Tree::build_with_h(&pos, &mass, None, 4), &pos, &mass);
+
+        // A few short spans in ascending order, one of length `seed % 10`,
+        // and then the whole list as one span.
+        let mut short = Vec::new();
+        let mut start = 0u32;
+        for k in 0..rng.gen_range(1..5) {
+            let len = if k == 0 {
+                seed as u32 % 10
+            } else {
+                rng.gen_range(0..10u32)
+            };
+            let s = (start + rng.gen_range(0..3u32)).min(n as u32);
+            let e = (s + len).min(n as u32);
+            span_lengths[(e - s) as usize] = true;
+            short.push((s, e));
+            start = e;
+        }
+        for spans in [&short[..], &[(0, n as u32)]] {
+            let case = format!("seed {seed}, spans {spans:?}");
+            fast.stage(support, &pi, &sources, spans);
+            slow.stage_portable(support, &pi, &sources, spans);
+            let (a, b) = (fast.staged(), slow.staged());
+            assert_eq!(a.0, b.0, "{case}: near");
+            for (what, x, y) in [("r2", a.1, b.1), ("r", a.2, b.2), ("hj", a.3, b.3)] {
+                assert_eq!(x.len(), y.len(), "{case}: {what}");
+                for (q, (x, y)) in x.iter().zip(y).enumerate() {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{case}: {what}[{q}]");
+                }
+            }
+
+            // What the staged pairs exercise.
+            let mut receding_cs = Vec::new();
+            for (q, &k) in a.0.iter().enumerate() {
+                let pj = &inputs[k as usize];
+                let d = pi.pos - pj.pos;
+                let vdotr = (pi.vel - pj.vel).dot(d);
+                seen[0] += (vdotr < 0.0) as usize;
+                seen[1] += (vdotr > 0.0) as usize;
+                seen[2] += (vdotr == 0.0) as usize;
+                if vdotr >= 0.0 {
+                    receding_cs.push(pj.cs.to_bits());
+                }
+                seen[3] += (a.1[q] == (support * pj.h).powi(2)) as usize;
+            }
+            receding_cs.sort_unstable();
+            seen[4] += receding_cs.windows(2).filter(|w| w[0] == w[1]).count();
+            for &(s, e) in spans {
+                for pj in &inputs[s as usize..e as usize] {
+                    let d2 = (pi.pos - pj.pos).norm2();
+                    seen[5] += (d2 == 0.0) as usize;
+                    let edge = support * pi.h.max(pj.h);
+                    seen[6] += (d2.sqrt() == edge) as usize;
+                }
+            }
+
+            let (mut x, mut y) = (HydroAccum::default(), HydroAccum::default());
+            force_batch(&kernel, &visc, &pi, &sources, &mut fast, &mut x);
+            force_batch_portable(&kernel, &visc, &pi, &sources, &mut slow, &mut y);
+            for (what, x, y) in [
+                ("acc.x", x.acc.x, y.acc.x),
+                ("acc.y", x.acc.y, y.acc.y),
+                ("acc.z", x.acc.z, y.acc.z),
+                ("dudt", x.dudt, y.dudt),
+                ("v_sig_max", x.v_sig_max, y.v_sig_max),
+            ] {
+                assert_eq!(x.to_bits(), y.to_bits(), "{case}: {what}");
+            }
+
+            let radius = support * pi.h;
+            fast_rows.stage_rows(&density_sources, spans, pi.pos, radius);
+            slow_rows.stage_rows_portable(&density_sources, spans, pi.pos, radius);
+            let (a, b) = (fast_rows.rows(), slow_rows.rows());
+            for (what, x, y) in [("r", a.0, b.0), ("m", a.1, b.1)] {
+                assert_eq!(x.len(), y.len(), "{case}: density {what}");
+                for (q, (x, y)) in x.iter().zip(y).enumerate() {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{case}: density {what}[{q}]");
+                }
+            }
+            for rad in [radius, 0.5 * radius, pi.h] {
+                let x = fast_rows.sum_density(&kernel, pi.h, rad);
+                let y = slow_rows.sum_density_portable(&kernel, pi.h, rad);
+                assert_eq!(x.0.to_bits(), y.0.to_bits(), "{case}: rho at {rad}");
+                assert_eq!(x.1, y.1, "{case}: n_ngb at {rad}");
+            }
+        }
+    }
+    assert!(
+        span_lengths.iter().all(|&s| s),
+        "span lengths {span_lengths:?}"
+    );
+    let names = [
+        "approaching",
+        "receding",
+        "vdotr == ±0",
+        "at reach_j²",
+        "equal v_sig",
+        "r2 == 0",
+        "at support·max(h)",
+    ];
+    for (name, count) in names.iter().zip(seen) {
+        assert!(count > 0, "no case exercised {name}");
     }
 }
 

@@ -199,6 +199,36 @@ fn unrecoverable_fault_budget_exhaustion_gives_up() {
         }));
 }
 
+/// An unknown `--scenario` is a usage error — exit 2, which the
+/// supervisor and the fleet never retry — on the direct route and under
+/// `--supervised` alike: stderr names the registered scenarios, and no
+/// run directory is created.
+#[test]
+fn an_unknown_scenario_is_a_usage_error_on_both_routes() {
+    for (route, extra) in [("direct", &[][..]), ("supervised", &["--supervised"][..])] {
+        let out = tmpdir(&format!("unknown-scenario-{route}"));
+        let output = Command::new(BIN)
+            .args(["--scenario", "nosuch", "--steps", "1"])
+            .args(extra)
+            .arg("--out-dir")
+            .arg(&out)
+            .env_remove(asura_core::faults::FAULTS_ENV)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{route}: {stderr}");
+        assert!(
+            stderr.contains("unknown scenario `nosuch`"),
+            "{route}: {stderr}"
+        );
+        for scenario in asura::scenarios::SCENARIOS {
+            assert!(stderr.contains(scenario.name), "{route}: {stderr}");
+        }
+        let created: Vec<_> = fs::read_dir(&out).unwrap().collect();
+        assert!(created.is_empty(), "{route}: created {created:?}");
+    }
+}
+
 /// `--dist` used to write to `<out-dir>/<scenario>` whatever `--run-dir`
 /// said, and — its steps running inside `run_distributed`, with no hook to
 /// fire them from — to drop `kill@N` / `stall@N` and `--heartbeat`, later
