@@ -16,10 +16,14 @@
 //! 4. the monopole kernel's ns/interaction: AoS f64 (the retained scalar
 //!    reference), SoA f64 (the vectorized production kernel — their ratio
 //!    is the gated `simd_speedup`), and the staged mixed-precision kernel;
-//! 5. what the mixed kernel costs in accuracy: the solver's f64 and mixed
-//!    passes against the direct sum at a fixed, seeded subsample of
-//!    targets, p50 / p99 relative force error (their p99 ratio is the
-//!    gated `force_err_p99_ratio`);
+//! 5. the group-size curve, and what the mixed kernel costs in accuracy:
+//!    the solver's f64 and mixed passes at each `n_group` in
+//!    [`N_GROUP_SWEEP`] — ms, interactions and p99 relative force error
+//!    against the direct sum at a fixed, seeded subsample of targets
+//!    (`n_group_sweep`). At `n_group` 64, mixed p99 over f64 p99 is the
+//!    gated `force_err_p99_ratio`; mixed p99 at 256 over mixed p99 at 64
+//!    is the gated `n_group_p99_ratio`, what the galaxy scenarios' group
+//!    size does to their kernel's error;
 //! 6. one serial SPH force pass over a gas disc — per leaf group, stage
 //!    every target against the group's spans, then run the pair body —
 //!    through the portable and the dispatched (AVX2 where the CPU has it)
@@ -46,10 +50,13 @@ use sph::force::{
 };
 use sph::{HydroState, SphKernel, SphSolver};
 use std::hint::black_box;
+use unet::json::Json;
 
 const N: usize = 100_000;
 const THETA: f64 = 0.5;
 const N_GROUP: usize = 64;
+/// The group sizes of the curve section 5 draws.
+const N_GROUP_SWEEP: [usize; 6] = [16, 32, 64, 128, 256, 512];
 const N_LEAF: usize = 8;
 /// Targets the accuracy pass direct-sums (O(N) each).
 const N_ERR_TARGETS: usize = 1000;
@@ -300,31 +307,47 @@ fn main() {
     println!("kernel mixed (staged): {ns_per_inter_mixed:.3} ns/interaction");
     println!("simd_speedup: {simd_speedup:.2}x (target >= 1.5x)");
 
-    // 5. Accuracy of the solver's two kernels on the same cloud: a seeded
-    //    partial shuffle picks N_ERR_TARGETS distinct targets, whose exact
-    //    forces come from the direct sum over all N.
+    // 5. The solver's two kernels on the same cloud, across the group-size
+    //    curve: per `n_group`, each kernel's best-of-3 evaluation time, the
+    //    interactions (one list per group, so the same for both kernels)
+    //    and the force error at N_ERR_TARGETS distinct targets, picked by a
+    //    seeded partial shuffle, against the direct sum over all N.
     let mut rng = StdRng::seed_from_u64(2);
     let mut targets: Vec<usize> = (0..N).collect();
     for k in 0..N_ERR_TARGETS {
         targets.swap(k, rng.gen_range(k..N));
     }
     targets.truncate(N_ERR_TARGETS);
-    let solver = GravitySolver {
-        theta: THETA,
-        n_group: N_GROUP,
-        n_leaf: N_LEAF,
-        ..Default::default()
-    };
-    let exact = direct_sum(solver.g, &pos, &mass, 0.0, &targets);
-    let [err_f64, err_mixed] = [false, true].map(|mixed_precision| {
-        let r = GravitySolver {
-            mixed_precision,
-            ..solver
-        }
-        .evaluate_with_tree(&tree, &pos, &mass, N);
-        ForceErrors::measure(&r.acc, &r.pot, &exact, &targets).force
+    let exact = direct_sum(GravitySolver::default().g, &pos, &mass, 0.0, &targets);
+    let sweep = N_GROUP_SWEEP.map(|n_group| {
+        [false, true].map(|mixed_precision| {
+            let solver = GravitySolver {
+                theta: THETA,
+                n_group,
+                n_leaf: N_LEAF,
+                mixed_precision,
+                ..Default::default()
+            };
+            let (t, r) = best_of(3, || solver.evaluate_with_tree(&tree, &pos, &mass, N));
+            let errs = ForceErrors::measure(&r.acc, &r.pot, &exact, &targets).force;
+            (t * 1e3, r.interactions, errs)
+        })
     });
+    let at = |n_group| sweep[N_GROUP_SWEEP.iter().position(|&n| n == n_group).unwrap()];
+    println!("n_group   f64 ms  mixed ms  interactions  p99 f64    p99 mixed");
+    for (n_group, [(ms_f64, inter, e_f64), (ms_mixed, _, e_mixed)]) in
+        N_GROUP_SWEEP.iter().zip(&sweep)
+    {
+        println!(
+            "{n_group:>7} {ms_f64:>8.1} {ms_mixed:>9.1} {inter:>13} {:.3e}  {:.3e}",
+            e_f64.p99, e_mixed.p99
+        );
+    }
+    let [(_, _, err_f64), (_, _, err_mixed)] = at(N_GROUP);
     let force_err_p99_ratio = err_mixed.p99 / err_f64.p99;
+    let [_, (_, _, err_mixed_256)] = at(256);
+    let n_group_p99_ratio = err_mixed_256.p99 / err_mixed.p99;
+    println!("n_group_p99_ratio: {n_group_p99_ratio:.4} (mixed p99, n_group 256 / 64)");
     println!(
         "force error f64:   p50 {:.3e}  p99 {:.3e}",
         err_f64.p50, err_f64.p99
@@ -397,6 +420,21 @@ fn main() {
         .info("force_err_p50_mixed", err_mixed.p50)
         .info("force_err_p99_mixed", err_mixed.p99)
         .gated("force_err_p99_ratio", force_err_p99_ratio, Better::Lower)
+        .info(
+            "n_group_sweep",
+            Json::obj(N_GROUP_SWEEP.iter().zip(&sweep).map(|(n_group, kernels)| {
+                let [(ms_f64, inter, e_f64), (ms_mixed, _, e_mixed)] = *kernels;
+                let row = Json::obj([
+                    ("f64_ms", ms_f64.into()),
+                    ("mixed_ms", ms_mixed.into()),
+                    ("interactions", inter.into()),
+                    ("force_err_p99_f64", e_f64.p99.into()),
+                    ("force_err_p99_mixed", e_mixed.p99.into()),
+                ]);
+                (n_group.to_string(), row)
+            })),
+        )
+        .gated("n_group_p99_ratio", n_group_p99_ratio, Better::Lower)
         .info("sph_force/targets", N_SPH)
         .info("sph_force/candidates_per_pair", candidates_per_pair)
         .info("sph_force/ns_per_candidate_portable", candidate_portable)

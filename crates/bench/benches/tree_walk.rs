@@ -1,6 +1,7 @@
-//! Ablation bench: interaction-list group size n_g (paper §5.2.4 tunes
-//! n_g = 2048 on Fugaku, 65,536 on Miyabi), tree construction cost, and
-//! the SPH smoothing-length iteration's tree-walk economy.
+//! Ablation bench: tree construction cost, the MAC walk's layouts, and
+//! the SPH smoothing-length iteration's tree-walk economy. (The gravity
+//! group size n_g — paper §5.2.4 tunes 2048 on Fugaku, 65,536 on Miyabi —
+//! is swept on both kernels, with its accuracy, by `force_pipeline`.)
 //! Writes the `BENCH_tree_walk.json` trajectory artifact at the repo
 //! root, including the **gated** `h_iter_walk_ratio` top-level metric:
 //! tree walks issued per h-iteration across a density pass whose initial
@@ -15,7 +16,6 @@ use bench::fixtures::cloud;
 use bench::{BenchDoc, Better, Records};
 use fdps::walk::{InteractionList, WalkScratch};
 use fdps::{Tree, Vec3};
-use gravity::GravitySolver;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sph::density::{compute_density_on_tree, density_one_reference, DensityConfig};
@@ -27,21 +27,6 @@ fn bench_tree_build(records: &mut Records) {
         let (pos, mass) = cloud(n);
         records.time(format!("tree_build/{n}"), 20, || {
             Tree::build(&pos, &mass, 8)
-        });
-    }
-}
-
-fn bench_group_size(records: &mut Records) {
-    let (pos, mass) = cloud(20_000);
-    for n_group in [16usize, 64, 256, 1024] {
-        let solver = GravitySolver {
-            theta: 0.5,
-            n_group,
-            eps: 0.01,
-            ..Default::default()
-        };
-        records.time(format!("gravity_n_group/{n_group}"), 10, || {
-            solver.evaluate(&pos, &mass, pos.len()).interactions
         });
     }
 }
@@ -208,7 +193,6 @@ fn h_iter_walk_ratio() -> f64 {
 fn main() {
     let mut records = Records::new();
     bench_tree_build(&mut records);
-    bench_group_size(&mut records);
     bench_mac_walk(&mut records);
     bench_density_h_iteration(&mut records);
     bench_force_pass(&mut records);

@@ -107,7 +107,16 @@ pub struct SimConfig {
     pub dt_global: f64,
     /// Barnes–Hut opening angle.
     pub theta: f64,
-    /// Interaction-list group size (paper n_g; scaled down for tests).
+    /// Gravity group size (paper `n_g`): at most this many targets share
+    /// one tree walk and one interaction list. Larger groups make fewer
+    /// walks but longer lists, opened against the whole group's box, so
+    /// every member sees more interactions, each at least as accurate. The
+    /// best value depends on the walk's cost against the kernel's:
+    /// `force_pipeline` records the curve (`BENCH_force.json`'s
+    /// `n_group_sweep`), and the mixed-kernel galaxy scenarios take 256
+    /// from it. The default, 64, suits the f64 kernel and is what the
+    /// lattice scenarios' pinned bits were recorded with. Rides the
+    /// snapshot, so a resume keeps its checkpoint's value.
     pub n_group: usize,
     /// Gravitational softening \[pc\].
     pub eps: f64,

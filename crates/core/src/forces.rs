@@ -29,9 +29,10 @@
 //!
 //! Downstream of this arena the solvers stage per *worker*, not per step.
 //! The gravity solver packs each interaction list into SoA `GroupScratch`
-//! for the runtime-dispatched SIMD monopole kernels inside its `map_init`
-//! closure — chunk-lifetime scratch, which is why it does not appear in
-//! the capacity signature. The SPH solver's per-worker group lists
+//! for the runtime-dispatched SIMD monopole kernels — one thread-local
+//! scratch per thread that runs groups, owned by the thread rather than
+//! by this arena, which is why it does not appear in the capacity
+//! signature. The SPH solver's per-worker group lists
 //! (`NeighborCache`, `ForceBatch`) and its leaf-ordered work plans do live
 //! here, inside [`SphScratch`], and are part of the signature: they are levelled across workers after every pass, so their
 //! capacities are a function of the passes run, not of which worker

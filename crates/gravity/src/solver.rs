@@ -1,10 +1,14 @@
 //! Group-wise tree gravity driver.
 //!
 //! Parallelism follows the fdps walk's buffer-reuse contract: groups are
-//! processed with rayon `map_init`, each worker owning one `GroupScratch`
-//! (walk stack, interaction list, and j-side SoA staging buffers) that is
-//! cleared — never reallocated — between groups. Only the per-group outputs
-//! (target indices and accumulators) are freshly allocated, and
+//! processed in parallel, and every thread that runs one — pool worker or
+//! calling thread — owns one thread-local `GroupScratch` (walk stack,
+//! interaction list, j-side SoA staging buffers and target positions). It
+//! is cleared, never reallocated, between groups, and it outlives the
+//! evaluation, so the next evaluation on that thread (every block-mode
+//! substep, every step) starts from buffers already grown to the largest
+//! group it has seen. Only the per-group outputs (target indices and
+//! accumulators) are freshly allocated, and
 //! [`GravitySolver::evaluate_into`] lets callers own the result arrays too,
 //! so a simulation's steady-state force evaluation does not grow the heap.
 //!
@@ -24,6 +28,7 @@ use crate::kernel::{accumulate_f64_soa, accumulate_mixed_staged, GravityAccum};
 use fdps::walk::{InteractionList, SuperParticle, WalkIndex, WalkScratch};
 use fdps::{Tree, Vec3};
 use rayon::prelude::*;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The j-side of one kernel launch, struct-of-arrays so the interaction
@@ -108,10 +113,10 @@ impl JColumns<f32> {
     }
 }
 
-/// Per-worker scratch reused across all groups a rayon worker processes:
-/// the walk's stack and list, the j-side columns of the f64 kernel and of
-/// the mixed-precision kernel (f32 relative coordinates), and the group's
-/// target positions.
+/// Per-thread scratch reused across all groups a thread processes, in
+/// this evaluation and the next: the walk's stack and list, the j-side
+/// columns of the f64 kernel and of the mixed-precision kernel (f32
+/// relative coordinates), and the group's target positions.
 #[derive(Default)]
 struct GroupScratch {
     walk: WalkScratch,
@@ -119,6 +124,12 @@ struct GroupScratch {
     j64: JColumns<f64>,
     j32: JColumns<f32>,
     ipos: Vec<Vec3>,
+}
+
+thread_local! {
+    /// This thread's [`GroupScratch`]. Borrowed for one group at a time;
+    /// a group's work makes no parallel call, so no borrow ever nests.
+    static SCRATCH: RefCell<GroupScratch> = RefCell::new(GroupScratch::default());
 }
 
 /// Result of a gravity evaluation over the local particles.
@@ -257,8 +268,9 @@ impl GravitySolver {
     /// mask that is where the block-timestep savings come from.
     ///
     /// Each group owns disjoint i-particles, so groups parallelize
-    /// cleanly; a worker's walk/list/SoA scratch persists across its
-    /// groups, and only the per-group outputs are freshly allocated.
+    /// cleanly; a thread's walk/list/SoA scratch persists across its
+    /// groups and evaluations, and only the per-group outputs are freshly
+    /// allocated.
     #[allow(clippy::too_many_arguments)]
     fn accumulate_groups(
         &self,
@@ -273,62 +285,61 @@ impl GravitySolver {
         let eps2 = 2.0 * self.eps * self.eps; // eps_i^2 + eps_j^2, equal eps
         let groups = tree.groups(self.n_group);
 
+        let group = |scratch: &mut GroupScratch, g: usize| {
+            let node = &tree.nodes[g];
+            let targets: Vec<u32> = tree
+                .leaf_particles(node)
+                .iter()
+                .copied()
+                .filter(|&i| (i as usize) < n_local && active_mask.is_none_or(|m| m[i as usize]))
+                .collect();
+            if targets.is_empty() {
+                return (targets, Vec::new());
+            }
+            tree.walk_mac_indexed(
+                index,
+                &node.bbox,
+                self.theta,
+                &mut scratch.walk,
+                &mut scratch.list,
+            );
+            let list = &scratch.list;
+
+            let ipos = &mut scratch.ipos;
+            ipos.clear();
+            ipos.extend(targets.iter().map(|&i| pos[i as usize]));
+
+            let n_j = list.len();
+            interactions.fetch_add((ipos.len() * n_j) as u64, Ordering::Relaxed);
+
+            let mut accum = vec![GravityAccum::default(); ipos.len()];
+            if self.mixed_precision {
+                // Narrow straight from the list into reused f32 SoA
+                // scratch — no intermediate f64 copy and no per-group
+                // allocation (the old allocating path made "mixed"
+                // slower than f64).
+                let origin = node.bbox.center();
+                let j = &mut scratch.j32;
+                j.stage_mixed(list, pos, mass, origin);
+                accumulate_mixed_staged(origin, ipos, &j.x, &j.y, &j.z, &j.m, eps2, &mut accum);
+            } else {
+                let j = &mut scratch.j64;
+                j.stage_f64(list, pos, mass);
+                accumulate_f64_soa(ipos, &j.x, &j.y, &j.z, &j.m, eps2, &mut accum);
+            }
+            // Remove the softened self-interaction: zero force but a
+            // spurious self-potential m_i/eps.
+            if eps2 > 0.0 {
+                let self_pot = 1.0 / eps2.sqrt();
+                for (k, &i) in targets.iter().enumerate() {
+                    accum[k].pot -= mass[i as usize] * self_pot;
+                }
+            }
+            (targets, accum)
+        };
         groups
             .par_iter()
-            .map_init(GroupScratch::default, |scratch, &g| {
-                let node = &tree.nodes[g];
-                let targets: Vec<u32> = tree
-                    .leaf_particles(node)
-                    .iter()
-                    .copied()
-                    .filter(|&i| {
-                        (i as usize) < n_local && active_mask.is_none_or(|m| m[i as usize])
-                    })
-                    .collect();
-                if targets.is_empty() {
-                    return (targets, Vec::new());
-                }
-                tree.walk_mac_indexed(
-                    index,
-                    &node.bbox,
-                    self.theta,
-                    &mut scratch.walk,
-                    &mut scratch.list,
-                );
-                let list = &scratch.list;
-
-                let ipos = &mut scratch.ipos;
-                ipos.clear();
-                ipos.extend(targets.iter().map(|&i| pos[i as usize]));
-
-                let n_j = list.len();
-                interactions.fetch_add((ipos.len() * n_j) as u64, Ordering::Relaxed);
-
-                let mut accum = vec![GravityAccum::default(); ipos.len()];
-                if self.mixed_precision {
-                    // Narrow straight from the list into reused f32 SoA
-                    // scratch — no intermediate f64 copy and no per-group
-                    // allocation (the old allocating path made "mixed"
-                    // slower than f64).
-                    let origin = node.bbox.center();
-                    let j = &mut scratch.j32;
-                    j.stage_mixed(list, pos, mass, origin);
-                    accumulate_mixed_staged(origin, ipos, &j.x, &j.y, &j.z, &j.m, eps2, &mut accum);
-                } else {
-                    let j = &mut scratch.j64;
-                    j.stage_f64(list, pos, mass);
-                    accumulate_f64_soa(ipos, &j.x, &j.y, &j.z, &j.m, eps2, &mut accum);
-                }
-                // Remove the softened self-interaction: zero force but a
-                // spurious self-potential m_i/eps.
-                if eps2 > 0.0 {
-                    let self_pot = 1.0 / eps2.sqrt();
-                    for (k, &i) in targets.iter().enumerate() {
-                        accum[k].pot -= mass[i as usize] * self_pot;
-                    }
-                }
-                (targets, accum)
-            })
+            .map(|&g| SCRATCH.with_borrow_mut(|scratch| group(scratch, g)))
             .collect()
     }
 

@@ -151,6 +151,16 @@ fn pack_galaxy(
     particles
 }
 
+/// Gravity group size of the galaxy scenarios, which run the mixed kernel.
+/// At about half the f64 kernel's cost per interaction, a tree walk weighs
+/// more against the extra interactions a bigger group's list brings. 256
+/// is the knee of the curve `force_pipeline` records (`BENCH_force.json`'s
+/// `n_group_sweep`): it evaluates faster than 64 and, because a group's
+/// list is opened against the group's whole bounding box, more accurately
+/// (`tests/force_accuracy.rs`); past it, interactions grow faster than the
+/// walks they save.
+const GALAXY_N_GROUP: usize = 256;
+
 fn config_quickstart() -> SimConfig {
     SimConfig {
         scheme: Scheme::Surrogate,
@@ -159,6 +169,7 @@ fn config_quickstart() -> SimConfig {
         eps: 20.0,
         n_ngb: 24,
         mixed_precision: true,
+        n_group: GALAXY_N_GROUP,
         ..Default::default()
     }
 }
@@ -177,6 +188,7 @@ fn config_dwarf_galaxy() -> SimConfig {
         eps: 15.0,
         n_ngb: 24,
         mixed_precision: true,
+        n_group: GALAXY_N_GROUP,
         cooling: true,
         star_formation: true,
         // Coarse-resolution thresholds: 80,000 M_sun gas particles never
@@ -382,18 +394,22 @@ mod tests {
         assert_eq!(particles.iter().filter(|p| p.is_star()).count(), 1);
     }
 
-    /// The galaxy scenarios run the mixed-precision gravity kernel, which
-    /// `tests/force_accuracy.rs` shows adds no force error on their ICs.
-    /// The other three keep f64 because they carry pinned f64 bits:
-    /// `spiked_dt` the Block-mode run hash (`block_mode_run_bits_are_pinned`)
-    /// and the benchmark's `sn_block` trajectory, `sn_shell_conventional`
-    /// the surrogate training recipe, and `supernova_remnant` the
-    /// benchmark's `sn_surrogate` trajectory.
+    /// The galaxy scenarios run the mixed-precision gravity kernel at
+    /// `n_group` 256: `tests/force_accuracy.rs` shows the kernel adds no
+    /// force error on their ICs and the larger groups remove some. The
+    /// other three keep f64 and `n_group` 64 because they carry pinned
+    /// bits: `spiked_dt` the Block-mode run hash
+    /// (`block_mode_run_bits_are_pinned`) and the benchmark's `sn_block`
+    /// trajectory, `sn_shell_conventional` the surrogate training recipe,
+    /// and `supernova_remnant` the benchmark's `sn_surrogate` trajectory.
     #[test]
     fn only_the_galaxy_scenarios_run_the_mixed_kernel() {
         for s in SCENARIOS {
-            let want = matches!(s.name, "quickstart" | "dwarf_galaxy");
-            assert_eq!(s.config().mixed_precision, want, "{}", s.name);
+            let galaxy = matches!(s.name, "quickstart" | "dwarf_galaxy");
+            let cfg = s.config();
+            assert_eq!(cfg.mixed_precision, galaxy, "{}", s.name);
+            let n_group = if galaxy { 256 } else { 64 };
+            assert_eq!(cfg.n_group, n_group, "{}", s.name);
         }
     }
 }

@@ -446,12 +446,13 @@ fn a_resume_under_another_seed_keeps_the_checkpoints_seed() {
     }
 }
 
-/// A checkpoint keeps the gravity kernel it was written with: `--resume`
-/// takes the snapshot's config, not the named scenario's. `dwarf_galaxy`
-/// runs the mixed-precision kernel, but a checkpoint an f64 run wrote —
-/// as every run in flight before the scenario switched kernels did, and
-/// supervised retries and fleet adoption resume such runs — goes on in
-/// f64 and lands on the library's uninterrupted f64 run, byte for byte.
+/// A checkpoint keeps the gravity kernel and group size it was written
+/// with: `--resume` takes the snapshot's config, not the named scenario's.
+/// `dwarf_galaxy` runs the mixed-precision kernel at `n_group` 256, but a
+/// checkpoint an f64 run at 64 wrote — as every run in flight before the
+/// scenario switched did, and supervised retries and fleet adoption
+/// resume such runs — goes on in f64 at 64 and lands on the library's
+/// uninterrupted run with those settings, byte for byte.
 #[test]
 fn a_resume_keeps_the_checkpoints_gravity_kernel() {
     const K: usize = 2;
@@ -459,8 +460,10 @@ fn a_resume_keeps_the_checkpoints_gravity_kernel() {
     let dir = tmpdir("kernel-resume");
     let (cfg, particles) = asura::scenarios::find("dwarf_galaxy").unwrap().build(42);
     assert!(cfg.mixed_precision, "dwarf_galaxy runs the mixed kernel");
+    assert_eq!(cfg.n_group, 256, "dwarf_galaxy runs 256-target groups");
     let cfg = SimConfig {
         mixed_precision: false,
+        n_group: 64,
         ..cfg
     };
     let mut sim = Simulation::new(cfg, particles, cfg.seed);
@@ -484,7 +487,7 @@ fn a_resume_keeps_the_checkpoints_gravity_kernel() {
     let last = run_dir.join(format!("checkpoint-{:06}.bin", K + M));
     assert!(
         fs::read(&last).unwrap() == uninterrupted,
-        "the resumed run left the f64 trajectory"
+        "the resumed run left the f64, n_group 64 trajectory"
     );
     let inspect = Command::new(BIN)
         .arg("inspect")
@@ -494,4 +497,5 @@ fn a_resume_keeps_the_checkpoints_gravity_kernel() {
     assert!(inspect.status.success(), "inspect failed");
     let json = String::from_utf8(inspect.stdout).unwrap();
     assert!(json.contains(r#""mixed_precision":false"#), "{json}");
+    assert!(json.contains(r#""n_group":64"#), "{json}");
 }

@@ -734,7 +734,7 @@ mod tests {
             let unchanged = rows(&base, &base);
             assert!(unchanged.iter().all(|r| !r.failed(0.0)), "{file}");
         }
-        assert_eq!(checked, 13);
+        assert_eq!(checked, 14);
     }
 
     #[test]
