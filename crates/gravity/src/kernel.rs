@@ -6,11 +6,12 @@
 //! SoA kernels ([`accumulate_f64_soa`], [`accumulate_mixed_staged`]) take
 //! struct-of-arrays j-side inputs staged by the caller (the solver's
 //! per-worker `GroupScratch`), which turns the per-lane coordinate loads
-//! into contiguous packed loads, and on x86-64 they dispatch at runtime to
-//! an AVX2 body (one 256-bit vector per 4 × f64 / 8 × f32 lane block) —
-//! the portable fallback is the same loop in explicit-unrolled form. The
-//! AoS `Vec3` layout forces stride-3 gathers that never vectorize, which
-//! is why the SoA staging exists at all.
+//! into contiguous packed loads, and where [`lanes::Avx2::detect`] finds
+//! AVX2 they run an AVX2 body (one 256-bit vector per 4 × f64 / 8 × f32
+//! lane block) — the portable fallback is the same loop in
+//! explicit-unrolled form, and both end in the same remainder and
+//! reduction. The AoS `Vec3` layout forces stride-3 gathers that never
+//! vectorize, which is why the SoA staging exists at all.
 //!
 //! # Determinism
 //!
@@ -32,6 +33,8 @@
 //! are filled — is what fixes the lanes and the result.
 
 use fdps::Vec3;
+#[cfg(target_arch = "x86_64")]
+use lanes::Avx2;
 
 /// Accumulated acceleration (per unit G, without the sign of the potential
 /// applied) and positive potential sum for one i-particle.
@@ -115,8 +118,8 @@ pub fn accumulate_f64(
 /// Semantics and determinism contract are identical to
 /// [`accumulate_f64`] — same 4-lane structure, same remainder handling,
 /// same `lane0+lane1+lane2+lane3` reduction — so the two produce bitwise
-/// equal results. On x86-64 with AVX2 the 4-lane block runs as one
-/// 256-bit vector (`vsqrtpd`/`vdivpd` over 4 interactions at once);
+/// equal results. Where [`Avx2::detect`] finds AVX2 the 4-lane block runs
+/// as one 256-bit vector (`vsqrtpd`/`vdivpd` over 4 interactions at once);
 /// elsewhere the explicit-unrolled portable body runs. Both paths are
 /// bitwise identical (exactly-rounded ops, same association order).
 pub fn accumulate_f64_soa(
@@ -129,14 +132,10 @@ pub fn accumulate_f64_soa(
     out: &mut [GravityAccum],
 ) {
     debug_assert_eq!(ipos.len(), out.len());
-    debug_assert_eq!(jx.len(), jmass.len());
-    debug_assert_eq!(jy.len(), jmass.len());
-    debug_assert_eq!(jz.len(), jmass.len());
+    debug_assert!([jx, jy, jz].iter().all(|c| c.len() == jmass.len()));
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: feature presence just checked; slice lengths validated.
-        unsafe { avx2::accumulate_f64_soa(ipos, jx, jy, jz, jmass, eps2, out) };
-        return;
+    if let Some(avx2) = Avx2::detect() {
+        return simd::f64_soa(avx2, ipos, [jx, jy, jz, jmass], eps2, out);
     }
     accumulate_f64_soa_portable(ipos, jx, jy, jz, jmass, eps2, out);
 }
@@ -154,10 +153,7 @@ pub fn accumulate_f64_soa_portable(
 ) {
     let n_j = jmass.len();
     for (i, &pi) in ipos.iter().enumerate() {
-        let mut ax = [0.0f64; 4];
-        let mut ay = [0.0f64; 4];
-        let mut az = [0.0f64; 4];
-        let mut ps = [0.0f64; 4];
+        let [mut ax, mut ay, mut az, mut ps] = [[0.0f64; 4]; 4];
         let mut j = 0;
         while j + 4 <= n_j {
             for lane in 0..4 {
@@ -175,27 +171,42 @@ pub fn accumulate_f64_soa_portable(
             }
             j += 4;
         }
-        while j < n_j {
-            let dx = pi.x - jx[j];
-            let dy = pi.y - jy[j];
-            let dz = pi.z - jz[j];
-            let r2 = dx * dx + dy * dy + dz * dz + eps2;
-            let rinv = if r2 > 0.0 { 1.0 / r2.sqrt() } else { 0.0 };
-            let mrinv = jmass[j] * rinv;
-            let mr3 = mrinv * rinv * rinv;
-            ax[0] -= mr3 * dx;
-            ay[0] -= mr3 * dy;
-            az[0] -= mr3 * dz;
-            ps[0] += mrinv;
-            j += 1;
-        }
-        out[i].acc += Vec3::new(
-            ax[0] + ax[1] + ax[2] + ax[3],
-            ay[0] + ay[1] + ay[2] + ay[3],
-            az[0] + az[1] + az[2] + az[3],
-        );
-        out[i].pot += ps[0] + ps[1] + ps[2] + ps[3];
+        let lanes = [ax, ay, az, ps];
+        f64_tail(pi, [jx, jy, jz, jmass], j, eps2, lanes, &mut out[i]);
     }
+}
+
+/// The end of one i-particle's f64 sum on both paths: the j from `j0` on
+/// run into lane 0, then the `[ax, ay, az, pot]` lanes are reduced into
+/// `out` in the fixed `lane0+lane1+lane2+lane3` order.
+#[inline(always)]
+fn f64_tail(
+    pi: Vec3,
+    [jx, jy, jz, jmass]: [&[f64]; 4],
+    j0: usize,
+    eps2: f64,
+    [mut ax, mut ay, mut az, mut ps]: [[f64; 4]; 4],
+    out: &mut GravityAccum,
+) {
+    for j in j0..jmass.len() {
+        let dx = pi.x - jx[j];
+        let dy = pi.y - jy[j];
+        let dz = pi.z - jz[j];
+        let r2 = dx * dx + dy * dy + dz * dz + eps2;
+        let rinv = if r2 > 0.0 { 1.0 / r2.sqrt() } else { 0.0 };
+        let mrinv = jmass[j] * rinv;
+        let mr3 = mrinv * rinv * rinv;
+        ax[0] -= mr3 * dx;
+        ay[0] -= mr3 * dy;
+        az[0] -= mr3 * dz;
+        ps[0] += mrinv;
+    }
+    out.acc += Vec3::new(
+        ax[0] + ax[1] + ax[2] + ax[3],
+        ay[0] + ay[1] + ay[2] + ay[3],
+        az[0] + az[1] + az[2] + az[3],
+    );
+    out.pot += ps[0] + ps[1] + ps[2] + ps[3];
 }
 
 /// Mixed-precision kernel over pre-staged f32 relative SoA coordinates.
@@ -217,14 +228,10 @@ pub fn accumulate_mixed_staged(
     out: &mut [GravityAccum],
 ) {
     debug_assert_eq!(ipos.len(), out.len());
-    debug_assert_eq!(jx.len(), jm.len());
-    debug_assert_eq!(jy.len(), jm.len());
-    debug_assert_eq!(jz.len(), jm.len());
+    debug_assert!([jx, jy, jz].iter().all(|c| c.len() == jm.len()));
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: feature presence just checked; slice lengths validated.
-        unsafe { avx2::accumulate_mixed_staged(origin, ipos, jx, jy, jz, jm, eps2, out) };
-        return;
+    if let Some(avx2) = Avx2::detect() {
+        return simd::mixed_staged(avx2, origin, ipos, [jx, jy, jz, jm], eps2, out);
     }
     accumulate_mixed_staged_portable(origin, ipos, jx, jy, jz, jm, eps2, out);
 }
@@ -249,10 +256,7 @@ pub fn accumulate_mixed_staged_portable(
         let yi = (pi.y - origin.y) as f32;
         let zi = (pi.z - origin.z) as f32;
         // 8 f32 lanes: one AVX vector's worth of independent chains.
-        let mut ax = [0.0f32; 8];
-        let mut ay = [0.0f32; 8];
-        let mut az = [0.0f32; 8];
-        let mut ps = [0.0f32; 8];
+        let [mut ax, mut ay, mut az, mut ps] = [[0.0f32; 8]; 4];
         let mut j = 0;
         while j + 8 <= n_j {
             for lane in 0..8 {
@@ -270,26 +274,41 @@ pub fn accumulate_mixed_staged_portable(
             }
             j += 8;
         }
-        while j < n_j {
-            let dx = xi - jx[j];
-            let dy = yi - jy[j];
-            let dz = zi - jz[j];
-            let r2 = dx * dx + dy * dy + dz * dz + e2;
-            let rinv = if r2 > 0.0 { 1.0 / r2.sqrt() } else { 0.0 };
-            let mrinv = jm[j] * rinv;
-            let mr3 = mrinv * rinv * rinv;
-            ax[0] -= mr3 * dx;
-            ay[0] -= mr3 * dy;
-            az[0] -= mr3 * dz;
-            ps[0] += mrinv;
-            j += 1;
-        }
-        let sum8 = |v: [f32; 8]| -> f64 {
-            ((v[0] + v[4]) + (v[1] + v[5])) as f64 + ((v[2] + v[6]) + (v[3] + v[7])) as f64
-        };
-        out[i].acc += Vec3::new(sum8(ax), sum8(ay), sum8(az));
-        out[i].pot += sum8(ps);
+        let lanes = [ax, ay, az, ps];
+        mixed_tail([xi, yi, zi], [jx, jy, jz, jm], j, e2, lanes, &mut out[i]);
     }
+}
+
+/// The end of one i-particle's mixed-precision sum on both paths: the j
+/// from `j0` on run into lane 0, then the lanes are reduced into `out`
+/// pairwise in f32 and widened to f64 in a fixed order.
+#[inline(always)]
+fn mixed_tail(
+    [xi, yi, zi]: [f32; 3],
+    [jx, jy, jz, jm]: [&[f32]; 4],
+    j0: usize,
+    e2: f32,
+    [mut ax, mut ay, mut az, mut ps]: [[f32; 8]; 4],
+    out: &mut GravityAccum,
+) {
+    for j in j0..jm.len() {
+        let dx = xi - jx[j];
+        let dy = yi - jy[j];
+        let dz = zi - jz[j];
+        let r2 = dx * dx + dy * dy + dz * dz + e2;
+        let rinv = if r2 > 0.0 { 1.0 / r2.sqrt() } else { 0.0 };
+        let mrinv = jm[j] * rinv;
+        let mr3 = mrinv * rinv * rinv;
+        ax[0] -= mr3 * dx;
+        ay[0] -= mr3 * dy;
+        az[0] -= mr3 * dz;
+        ps[0] += mrinv;
+    }
+    let sum8 = |v: [f32; 8]| -> f64 {
+        ((v[0] + v[4]) + (v[1] + v[5])) as f64 + ((v[2] + v[6]) + (v[3] + v[7])) as f64
+    };
+    out.acc += Vec3::new(sum8(ax), sum8(ay), sum8(az));
+    out.pot += sum8(ps);
 }
 
 /// Mixed-precision kernel (paper §4.3): coordinates are re-expressed
@@ -318,36 +337,51 @@ pub fn accumulate_mixed(
     accumulate_mixed_staged(origin, ipos, &jx, &jy, &jz, &jm, eps2, out);
 }
 
-/// AVX2 bodies of the SoA kernels. One 256-bit vector carries the whole
-/// fixed lane block (4 × f64 / 8 × f32), so the lane-wise arithmetic of
-/// the portable forms maps 1:1 onto packed ops with the *same* per-lane
-/// values; the accumulator vector is then spilled to an array and the
-/// remainder loop + final reduction run in exactly the portable order.
-/// Only exactly-rounded instructions are used — `vaddp*`, `vsubp*`,
-/// `vmulp*`, `vdivp*`, `vsqrtp*`, compare+mask — never FMA, so every
-/// intermediate rounds exactly like the scalar expression and the results
-/// are bitwise identical to the portable path.
+/// AVX2 bodies of the SoA kernels, the only module of this crate allowed
+/// `unsafe`. One 256-bit vector carries the whole fixed lane block
+/// (4 × f64 / 8 × f32), so the lane-wise arithmetic of the portable forms
+/// maps 1:1 onto packed ops with the *same* per-lane values; the
+/// accumulator vector is then spilled to an array and handed to the
+/// portable path's own remainder and reduction ([`f64_tail`],
+/// [`mixed_tail`]). Only exactly-rounded instructions are used —
+/// `vaddp*`, `vsubp*`, `vmulp*`, `vdivp*`, `vsqrtp*`, compare+mask —
+/// never FMA, so every intermediate rounds exactly like the scalar
+/// expression and the results are bitwise identical to the portable path.
+///
+/// Each body is reached only through a safe function that takes the
+/// [`Avx2`] token and asserts the j-column lengths its raw loads rely on.
 #[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::GravityAccum;
+#[allow(unsafe_code)]
+mod simd {
+    use super::{f64_tail, mixed_tail, GravityAccum};
     use fdps::Vec3;
+    use lanes::Avx2;
     use std::arch::x86_64::*;
 
-    // SAFETY: callers must only invoke this when the CPU supports AVX2
-    // (the dispatcher checks `is_x86_feature_detected!("avx2")`); slices
-    // jx/jy/jz/jmass must be equal length so the vector loads below stay
-    // in bounds.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn accumulate_f64_soa(
+    /// [`super::accumulate_f64_soa`] on the AVX2 body; `j` is
+    /// `[jx, jy, jz, jmass]`.
+    pub(super) fn f64_soa(
+        _: Avx2,
         ipos: &[Vec3],
-        jx: &[f64],
-        jy: &[f64],
-        jz: &[f64],
-        jmass: &[f64],
+        j: [&[f64]; 4],
         eps2: f64,
         out: &mut [GravityAccum],
     ) {
-        let n_j = jmass.len();
+        assert!(j.iter().all(|c| c.len() == j[3].len()), "j-column lengths");
+        // SAFETY: the token proves AVX2, and the four j-columns share the
+        // length the body loads up to.
+        unsafe { f64_soa_body(ipos, j, eps2, out) }
+    }
+
+    /// Body of [`f64_soa`].
+    ///
+    /// # Safety
+    ///
+    /// SAFETY: callers guarantee AVX2 and that the four j-columns share
+    /// one length.
+    #[target_feature(enable = "avx2")]
+    unsafe fn f64_soa_body(ipos: &[Vec3], j4: [&[f64]; 4], eps2: f64, out: &mut [GravityAccum]) {
+        let n_j = j4[3].len();
         let e2v = _mm256_set1_pd(eps2);
         let zero = _mm256_setzero_pd();
         let one = _mm256_set1_pd(1.0);
@@ -355,22 +389,13 @@ mod avx2 {
             let pix = _mm256_set1_pd(pi.x);
             let piy = _mm256_set1_pd(pi.y);
             let piz = _mm256_set1_pd(pi.z);
-            let mut axv = zero;
-            let mut ayv = zero;
-            let mut azv = zero;
-            let mut psv = zero;
+            let (mut axv, mut ayv, mut azv, mut psv) = (zero, zero, zero, zero);
             let mut j = 0;
             while j + 4 <= n_j {
                 // SAFETY: j + 4 <= n_j and the caller guarantees the j-
-                // slices share n_j elements, so each 4-wide load is in
+                // columns share n_j elements, so each 4-wide load is in
                 // bounds of its slice.
-                let (xv, yv, zv) = unsafe {
-                    (
-                        _mm256_loadu_pd(jx.as_ptr().add(j)),
-                        _mm256_loadu_pd(jy.as_ptr().add(j)),
-                        _mm256_loadu_pd(jz.as_ptr().add(j)),
-                    )
-                };
+                let [xv, yv, zv, mv] = j4.map(|c| unsafe { _mm256_loadu_pd(c.as_ptr().add(j)) });
                 let dx = _mm256_sub_pd(pix, xv);
                 let dy = _mm256_sub_pd(piy, yv);
                 let dz = _mm256_sub_pd(piz, zv);
@@ -387,8 +412,6 @@ mod avx2 {
                 // trap, no NaN escapes.
                 let mask = _mm256_cmp_pd::<_CMP_GT_OQ>(r2, zero);
                 let rinv = _mm256_and_pd(_mm256_div_pd(one, _mm256_sqrt_pd(r2)), mask);
-                // SAFETY: same bounds argument as the position loads.
-                let mv = unsafe { _mm256_loadu_pd(jmass.as_ptr().add(j)) };
                 let mrinv = _mm256_mul_pd(mv, rinv);
                 let mr3 = _mm256_mul_pd(_mm256_mul_pd(mrinv, rinv), rinv);
                 axv = _mm256_sub_pd(axv, _mm256_mul_pd(mr3, dx));
@@ -397,59 +420,48 @@ mod avx2 {
                 psv = _mm256_add_pd(psv, mrinv);
                 j += 4;
             }
-            let mut ax = [0.0f64; 4];
-            let mut ay = [0.0f64; 4];
-            let mut az = [0.0f64; 4];
-            let mut ps = [0.0f64; 4];
-            // SAFETY: each destination is a local [f64; 4] — exactly one
-            // 256-bit store wide.
-            unsafe {
-                _mm256_storeu_pd(ax.as_mut_ptr(), axv);
-                _mm256_storeu_pd(ay.as_mut_ptr(), ayv);
-                _mm256_storeu_pd(az.as_mut_ptr(), azv);
-                _mm256_storeu_pd(ps.as_mut_ptr(), psv);
+            let mut lanes = [[0.0f64; 4]; 4];
+            for (lane, v) in lanes.iter_mut().zip([axv, ayv, azv, psv]) {
+                // SAFETY: each destination is a local [f64; 4] — exactly
+                // one 256-bit store wide.
+                unsafe { _mm256_storeu_pd(lane.as_mut_ptr(), v) };
             }
-            while j < n_j {
-                let dx = pi.x - jx[j];
-                let dy = pi.y - jy[j];
-                let dz = pi.z - jz[j];
-                let r2 = dx * dx + dy * dy + dz * dz + eps2;
-                let rinv = if r2 > 0.0 { 1.0 / r2.sqrt() } else { 0.0 };
-                let mrinv = jmass[j] * rinv;
-                let mr3 = mrinv * rinv * rinv;
-                ax[0] -= mr3 * dx;
-                ay[0] -= mr3 * dy;
-                az[0] -= mr3 * dz;
-                ps[0] += mrinv;
-                j += 1;
-            }
-            out[i].acc += Vec3::new(
-                ax[0] + ax[1] + ax[2] + ax[3],
-                ay[0] + ay[1] + ay[2] + ay[3],
-                az[0] + az[1] + az[2] + az[3],
-            );
-            out[i].pot += ps[0] + ps[1] + ps[2] + ps[3];
+            f64_tail(pi, j4, j, eps2, lanes, &mut out[i]);
         }
     }
 
-    // SAFETY: callers must only invoke this when the CPU supports AVX2
-    // (the dispatcher checks `is_x86_feature_detected!("avx2")`); slices
-    // jx/jy/jz/jm must be equal length so the vector loads below stay in
-    // bounds.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn accumulate_mixed_staged(
+    /// [`super::accumulate_mixed_staged`] on the AVX2 body; `j` is
+    /// `[jx, jy, jz, jm]`.
+    pub(super) fn mixed_staged(
+        _: Avx2,
         origin: Vec3,
         ipos: &[Vec3],
-        jx: &[f32],
-        jy: &[f32],
-        jz: &[f32],
-        jm: &[f32],
+        j: [&[f32]; 4],
+        eps2: f64,
+        out: &mut [GravityAccum],
+    ) {
+        assert!(j.iter().all(|c| c.len() == j[3].len()), "j-column lengths");
+        // SAFETY: the token proves AVX2, and the four j-columns share the
+        // length the body loads up to.
+        unsafe { mixed_staged_body(origin, ipos, j, eps2, out) }
+    }
+
+    /// Body of [`mixed_staged`].
+    ///
+    /// # Safety
+    ///
+    /// SAFETY: callers guarantee AVX2 and that the four j-columns share
+    /// one length.
+    #[target_feature(enable = "avx2")]
+    unsafe fn mixed_staged_body(
+        origin: Vec3,
+        ipos: &[Vec3],
+        j4: [&[f32]; 4],
         eps2: f64,
         out: &mut [GravityAccum],
     ) {
         let e2 = eps2 as f32;
-        let n_j = jm.len();
+        let n_j = j4[3].len();
         let e2v = _mm256_set1_ps(e2);
         let zero = _mm256_setzero_ps();
         let one = _mm256_set1_ps(1.0);
@@ -460,22 +472,13 @@ mod avx2 {
             let xiv = _mm256_set1_ps(xi);
             let yiv = _mm256_set1_ps(yi);
             let ziv = _mm256_set1_ps(zi);
-            let mut axv = zero;
-            let mut ayv = zero;
-            let mut azv = zero;
-            let mut psv = zero;
+            let (mut axv, mut ayv, mut azv, mut psv) = (zero, zero, zero, zero);
             let mut j = 0;
             while j + 8 <= n_j {
                 // SAFETY: j + 8 <= n_j and the caller guarantees the j-
-                // slices share n_j elements, so each 8-wide load is in
+                // columns share n_j elements, so each 8-wide load is in
                 // bounds of its slice.
-                let (xv, yv, zv) = unsafe {
-                    (
-                        _mm256_loadu_ps(jx.as_ptr().add(j)),
-                        _mm256_loadu_ps(jy.as_ptr().add(j)),
-                        _mm256_loadu_ps(jz.as_ptr().add(j)),
-                    )
-                };
+                let [xv, yv, zv, mv] = j4.map(|c| unsafe { _mm256_loadu_ps(c.as_ptr().add(j)) });
                 let dx = _mm256_sub_ps(xiv, xv);
                 let dy = _mm256_sub_ps(yiv, yv);
                 let dz = _mm256_sub_ps(ziv, zv);
@@ -488,8 +491,6 @@ mod avx2 {
                 );
                 let mask = _mm256_cmp_ps::<_CMP_GT_OQ>(r2, zero);
                 let rinv = _mm256_and_ps(_mm256_div_ps(one, _mm256_sqrt_ps(r2)), mask);
-                // SAFETY: same bounds argument as the position loads.
-                let mv = unsafe { _mm256_loadu_ps(jm.as_ptr().add(j)) };
                 let mrinv = _mm256_mul_ps(mv, rinv);
                 let mr3 = _mm256_mul_ps(_mm256_mul_ps(mrinv, rinv), rinv);
                 axv = _mm256_sub_ps(axv, _mm256_mul_ps(mr3, dx));
@@ -498,37 +499,13 @@ mod avx2 {
                 psv = _mm256_add_ps(psv, mrinv);
                 j += 8;
             }
-            let mut ax = [0.0f32; 8];
-            let mut ay = [0.0f32; 8];
-            let mut az = [0.0f32; 8];
-            let mut ps = [0.0f32; 8];
-            // SAFETY: each destination is a local [f32; 8] — exactly one
-            // 256-bit store wide.
-            unsafe {
-                _mm256_storeu_ps(ax.as_mut_ptr(), axv);
-                _mm256_storeu_ps(ay.as_mut_ptr(), ayv);
-                _mm256_storeu_ps(az.as_mut_ptr(), azv);
-                _mm256_storeu_ps(ps.as_mut_ptr(), psv);
+            let mut lanes = [[0.0f32; 8]; 4];
+            for (lane, v) in lanes.iter_mut().zip([axv, ayv, azv, psv]) {
+                // SAFETY: each destination is a local [f32; 8] — exactly
+                // one 256-bit store wide.
+                unsafe { _mm256_storeu_ps(lane.as_mut_ptr(), v) };
             }
-            while j < n_j {
-                let dx = xi - jx[j];
-                let dy = yi - jy[j];
-                let dz = zi - jz[j];
-                let r2 = dx * dx + dy * dy + dz * dz + e2;
-                let rinv = if r2 > 0.0 { 1.0 / r2.sqrt() } else { 0.0 };
-                let mrinv = jm[j] * rinv;
-                let mr3 = mrinv * rinv * rinv;
-                ax[0] -= mr3 * dx;
-                ay[0] -= mr3 * dy;
-                az[0] -= mr3 * dz;
-                ps[0] += mrinv;
-                j += 1;
-            }
-            let sum8 = |v: [f32; 8]| -> f64 {
-                ((v[0] + v[4]) + (v[1] + v[5])) as f64 + ((v[2] + v[6]) + (v[3] + v[7])) as f64
-            };
-            out[i].acc += Vec3::new(sum8(ax), sum8(ay), sum8(az));
-            out[i].pot += sum8(ps);
+            mixed_tail([xi, yi, zi], j4, j, e2, lanes, &mut out[i]);
         }
     }
 }
@@ -768,6 +745,39 @@ mod tests {
         let mut out = [GravityAccum::default()];
         accumulate_mixed_staged(origin, &[p], &jx, &jy, &jz, &jm, 0.0, &mut out);
         assert_eq!(out[0], GravityAccum::default());
+    }
+
+    /// A position column shorter than the masses is refused on every
+    /// path. Four masses fill exactly one f64 vector block, so no scalar
+    /// remainder indexes `jx` first: on the AVX2 path only the token
+    /// entry's length check stands between this input and an
+    /// out-of-bounds load.
+    #[test]
+    #[should_panic]
+    fn f64_soa_refuses_a_short_position_column() {
+        let mut out = [GravityAccum::default()];
+        let col = [0.5; 4];
+        accumulate_f64_soa(&[Vec3::ZERO], &[], &col, &col, &[1.0; 4], 1e-4, &mut out);
+    }
+
+    /// The same for the mixed kernel, with the eight masses of one f32
+    /// vector block.
+    #[test]
+    #[should_panic]
+    fn mixed_staged_refuses_a_short_position_column() {
+        let mut out = [GravityAccum::default()];
+        let col = [0.5f32; 8];
+        let jm = [1.0f32; 8];
+        accumulate_mixed_staged(
+            Vec3::ZERO,
+            &[Vec3::ZERO],
+            &[],
+            &col,
+            &col,
+            &jm,
+            1e-4,
+            &mut out,
+        );
     }
 
     #[test]

@@ -19,6 +19,9 @@
 //! across groups (the intra-node OpenMP analogue), staging each group's
 //! interaction list into per-worker SoA buffers.
 
+// `unsafe` is confined to `kernel::simd`, the AVX2 bodies behind a
+// `lanes::Avx2` token: the compiler keeps it out of every other module.
+#![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod kernel;

@@ -41,7 +41,7 @@
 use crate::group::{reserve_column, span_len, GroupBuffers, GroupScratch};
 use crate::kernel::SphKernel;
 #[cfg(target_arch = "x86_64")]
-use crate::simd::Avx2;
+use crate::simd::{self, Avx2};
 use fdps::{BBox, Tree, Vec3};
 
 /// Result of a converged density pass for one particle.
@@ -251,7 +251,7 @@ impl NeighborCache {
         #[cfg(target_arch = "x86_64")]
         if let Some(avx2) = Avx2::detect() {
             return self.sum_with(kernel, h, |r, m, r_in, m_in| {
-                avx2.select_below(rad, r, m, r_in, m_in)
+                simd::select_below(avx2, rad, r, m, r_in, m_in)
             });
         }
         self.sum_density_portable(kernel, h, rad)
@@ -306,8 +306,9 @@ impl NeighborCache {
 /// The portable in-support selection of the density sum: the rows of
 /// `r`/`m` with `r < rad`, packed to the front of `r_in`/`m_in` (one slot
 /// per row, branch-free as in [`select_rows_portable`]); returns their
-/// number.
-fn select_below_portable(
+/// number. Also the AVX2 body's tail, hence inlined there.
+#[inline(always)]
+pub(crate) fn select_below_portable(
     rad: f64,
     r: &[f64],
     m: &[f64],
@@ -337,7 +338,7 @@ fn select_rows(
     #[cfg(target_arch = "x86_64")]
     if let Some(avx2) = Avx2::detect() {
         rows_with(r, m, n, radius, |r, m, limit| {
-            avx2.select_rows(xi, limit, sources, spans, r, m)
+            simd::select_rows(avx2, xi, limit, sources, spans, r, m)
         });
         return;
     }
@@ -375,8 +376,10 @@ fn rows_with(
 /// separation and mass to `r`/`m` (one slot per candidate) and returns how
 /// many rows with `r2 <= limit` it packed to the front, in span order.
 /// Branch-free compaction: which candidates are near follows no
-/// predictable pattern, so write every row and advance on a hit.
-fn select_rows_portable(
+/// predictable pattern, so write every row and advance on a hit. Also the
+/// AVX2 body's tail on every span, hence inlined there.
+#[inline(always)]
+pub(crate) fn select_rows_portable(
     xi: Vec3,
     limit: f64,
     sources: &DensitySources,

@@ -26,7 +26,7 @@
 use crate::group::{reserve_column, span_len};
 use crate::kernel::SphKernel;
 #[cfg(target_arch = "x86_64")]
-use crate::simd::Avx2;
+use crate::simd::{self, Avx2};
 use fdps::Vec3;
 
 /// Per-particle hydrodynamic quantities consumed by the force kernel.
@@ -248,9 +248,9 @@ impl ForceBatch {
                 pi,
                 span_len(spans),
                 |near, r2, reach_i2| {
-                    avx2.preselect(support, pi.pos, reach_i2, sources, spans, near, r2)
+                    simd::preselect(avx2, support, pi.pos, reach_i2, sources, spans, near, r2)
                 },
-                |near, r2, r, hj| avx2.exact(support, pi.h, &sources.h, near, r2, r, hj),
+                |near, r2, r, hj| simd::exact(avx2, support, pi.h, &sources.h, near, r2, r, hj),
             );
             return;
         }
@@ -348,8 +348,10 @@ impl ForceBatch {
 /// The pre-selection loop of [`ForceBatch::stage_portable`]: writes every
 /// candidate of `spans` to `near`/`r2` (one slot per candidate) and
 /// returns how many rows with `0 < r2 <= max(reach_i2, reach_j^2)` it
-/// packed to the front, in span order.
-fn preselect_portable(
+/// packed to the front, in span order. Also the AVX2 body's tail on every
+/// span, hence inlined there.
+#[inline(always)]
+pub(crate) fn preselect_portable(
     support: f64,
     xi: Vec3,
     reach_i2: f64,
@@ -545,7 +547,7 @@ pub fn force_batch(
     #[cfg(target_arch = "x86_64")]
     if let Some(avx2) = Avx2::detect() {
         force_batch_with(kernel, pi, batch, out, |cols| {
-            avx2.force_lanes(pi, visc, sources, cols)
+            simd::force_lanes(avx2, pi, visc, sources, cols)
         });
         return;
     }

@@ -1,7 +1,7 @@
 //! SPH smoothing kernels.
 
 #[cfg(target_arch = "x86_64")]
-use crate::simd::Avx2;
+use crate::simd::{self, Avx2};
 use pikg::PpaTable;
 
 /// A spherically symmetric SPH kernel with compact support `q = r/h < 2`.
@@ -93,7 +93,7 @@ impl SphKernel for CubicSpline {
     fn w_batch(&self, r: &[f64], h: f64, out: &mut [f64]) {
         #[cfg(target_arch = "x86_64")]
         if let Some(avx2) = Avx2::detect() {
-            return avx2.spline_w(r, h, out);
+            return simd::spline_w(avx2, r, h, out);
         }
         spline_w(r, h, out);
     }
@@ -101,7 +101,7 @@ impl SphKernel for CubicSpline {
     fn dwdr_batch(&self, r: &[f64], h: f64, out: &mut [f64]) {
         #[cfg(target_arch = "x86_64")]
         if let Some(avx2) = Avx2::detect() {
-            return avx2.spline_dwdr(r, h, out);
+            return simd::spline_dwdr(avx2, r, h, out);
         }
         spline_dwdr(r, h, out);
     }
@@ -109,7 +109,7 @@ impl SphKernel for CubicSpline {
     fn dwdr_batch_per_h(&self, r: &[f64], h: &[f64], out: &mut [f64]) {
         #[cfg(target_arch = "x86_64")]
         if let Some(avx2) = Avx2::detect() {
-            return avx2.spline_dwdr_per_h(r, h, out);
+            return simd::spline_dwdr_per_h(avx2, r, h, out);
         }
         spline_dwdr_per_h(r, h, out);
     }

@@ -27,9 +27,9 @@
 //! * [`solver`] — a rayon-parallel driver over a neighbor-search tree.
 
 // The one `unsafe` region of this crate is `simd`, the AVX2 bodies of the
-// pair loops (raw vector loads, gathers and stores behind
-// `is_x86_feature_detected!`); the compiler keeps it out of every other
-// module.
+// pair loops (raw vector loads, gathers and stores), reached through safe
+// functions that take a `lanes::Avx2` token; the compiler keeps it out of
+// every other module.
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 

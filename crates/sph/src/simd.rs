@@ -31,218 +31,175 @@
 //!   by `-inf` once per call: both make the comparison come out as
 //!   `f64::max` would.
 //! - **Compaction by permutation.** A selection loop keeps the rows whose
-//!   mask bit is set, packed to the front in row order: one permutation
-//!   per column ([`PACK`]) and one 4-wide store at the write position,
-//!   which then advances by the number of kept rows. The store may write
-//!   up to four slots past the last kept row, all inside the block just
-//!   read, so nothing beyond the candidate's own slots is touched and the
-//!   caller's truncation drops the rest.
+//!   mask bit is set, packed to the front in row order by the `lanes`
+//!   compaction. Its 4-wide store may write up to four slots past the
+//!   last kept row, all inside the block just read, so nothing beyond the
+//!   candidate's own slots is touched and the caller's truncation drops
+//!   the rest.
+//! - **One tail.** After a selection's last full block of four, the rest
+//!   of the span runs through the portable twin, into the slots from the
+//!   write position on. Only `force_exact`, which compacts in place,
+//!   keeps a scalar tail.
 //!
 //! Every `unsafe` operation of the crate is in this module (the crate
-//! denies `unsafe_code` everywhere else). An [`Avx2`] token exists only
-//! once `is_x86_feature_detected!("avx2")` said yes, and its safe methods
-//! check every extent the raw loads, gathers and stores rely on before
-//! entering a body; inside, each load carries a bounds `debug_assert!`.
+//! denies `unsafe_code` everywhere else). Each body is reached through a
+//! safe function that takes a [`lanes::Avx2`] token, which exists only
+//! on a CPU with AVX2, and checks every extent the raw loads, gathers and
+//! stores rely on before entering it; inside, each load carries a bounds
+//! `debug_assert!`.
 
-use crate::density::DensitySources;
-use crate::force::{pair_terms, ForceSources, HydroInput, Lanes, PairColumns, Viscosity};
+use crate::density::{select_below_portable, select_rows_portable, DensitySources};
+use crate::force::{
+    pair_terms, preselect_portable, ForceSources, HydroInput, Lanes, PairColumns, Viscosity,
+};
 use crate::kernel;
 use fdps::Vec3;
+pub(crate) use lanes::Avx2;
+use lanes::{store_packed_pd, store_packed_u32, W};
 use std::arch::x86_64::*;
 
-/// Lanes per vector: `f64` in a 256-bit register.
-const W: usize = 4;
 const _: () = assert!(W == crate::force::FORCE_LANES);
 
-/// For each 4-bit keep mask, the 32-bit permutation that packs the kept
-/// lanes of a vector to its front, in lane order: as `f64` lanes (two
-/// 32-bit halves each) in `PACK[mask][0]`, as `u32` lanes in the low four
-/// entries of `PACK[mask][1]`.
-static PACK: [[[i32; 8]; 2]; 16] = pack_table();
-
-const fn pack_table() -> [[[i32; 8]; 2]; 16] {
-    let mut table = [[[0; 8]; 2]; 16];
-    let mut mask = 0;
-    while mask < 16 {
-        let (mut slot, mut lane) = (0, 0);
-        while lane < W {
-            if mask >> lane & 1 == 1 {
-                table[mask][0][2 * slot] = 2 * lane as i32;
-                table[mask][0][2 * slot + 1] = 2 * lane as i32 + 1;
-                table[mask][1][slot] = lane as i32;
-                slot += 1;
-            }
-            lane += 1;
-        }
-        mask += 1;
-    }
-    table
+/// The pre-selection of [`crate::force::ForceBatch::stage`]: the twin of
+/// `force::preselect_portable`, same arguments, same result.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn preselect(
+    _: Avx2,
+    support: f64,
+    xi: Vec3,
+    reach_i2: f64,
+    sources: &ForceSources,
+    spans: &[(u32, u32)],
+    near: &mut [u32],
+    r2: &mut [f64],
+) -> usize {
+    let s = sources;
+    check_spans(spans, [&s.x, &s.y, &s.z, &s.h], near.len().min(r2.len()));
+    // SAFETY: the token proves AVX2; every span lies inside the four
+    // columns the body loads and the spans fit the output slots.
+    unsafe { force_preselect(support, xi, reach_i2, sources, spans, near, r2) }
 }
 
-/// Proof that the running CPU has AVX2: only [`Avx2::detect`] makes one.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Avx2(());
+/// The exact test of [`crate::force::ForceBatch::stage`]: the twin of
+/// `force::exact_portable`, same arguments, same result.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn exact(
+    _: Avx2,
+    support: f64,
+    hi: f64,
+    h: &[f64],
+    near: &mut [u32],
+    r2: &mut [f64],
+    r: &mut [f64],
+    hj: &mut [f64],
+) -> usize {
+    let n = near.len();
+    assert!(
+        r2.len() == n && r.len() == n && hj.len() == n,
+        "column lengths"
+    );
+    check_gather(near, &[h]);
+    // SAFETY: the token proves AVX2; the four columns share one length
+    // and every gathered position is inside `h`.
+    unsafe { force_exact(support, hi, h, near, r2, r, hj) }
+}
 
-impl Avx2 {
-    pub(crate) fn detect() -> Option<Avx2> {
-        std::arch::is_x86_feature_detected!("avx2").then_some(Avx2(()))
-    }
+/// The pair body of [`crate::force::force_batch`]: the twin of
+/// `force::force_lanes_portable`, same arguments, same lanes.
+pub(crate) fn force_lanes(
+    _: Avx2,
+    pi: &HydroInput,
+    visc: &Viscosity,
+    src: &ForceSources,
+    cols: &PairColumns,
+) -> Lanes {
+    let n = cols.near.len();
+    let staged = [cols.r2, cols.r, cols.hj, cols.dwi, cols.dwj];
+    assert!(staged.iter().all(|c| c.len() == n), "column lengths");
+    let gathered: [&[f64]; 10] = [
+        &src.x, &src.y, &src.z, &src.vx, &src.vy, &src.vz, &src.cs, &src.rho, &src.m, &src.p2,
+    ];
+    check_gather(cols.near, &gathered);
+    // SAFETY: the token proves AVX2; the staged columns share one length
+    // and every gathered position is inside every source column.
+    unsafe { force_lanes_body(pi, visc, src, cols) }
+}
 
-    /// The pre-selection of [`crate::force::ForceBatch::stage`]: the
-    /// twin of `force::preselect_portable`, same arguments, same result.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn preselect(
-        self,
-        support: f64,
-        xi: Vec3,
-        reach_i2: f64,
-        sources: &ForceSources,
-        spans: &[(u32, u32)],
-        near: &mut [u32],
-        r2: &mut [f64],
-    ) -> usize {
-        let s = sources;
-        let len = [&s.x, &s.y, &s.z, &s.h].map(|c| c.len());
-        check_spans(
-            spans,
-            len.into_iter().min().unwrap_or(0),
-            near.len().min(r2.len()),
-        );
-        // SAFETY: `self` proves AVX2; every span lies inside the four
-        // columns the body loads and the spans fit the output slots.
-        unsafe { force_preselect(support, xi, reach_i2, sources, spans, near, r2) }
-    }
+/// The row selection of the density pass's `stage_target`: the twin of
+/// `density::select_rows_portable`, same arguments, same result.
+pub(crate) fn select_rows(
+    _: Avx2,
+    xi: Vec3,
+    limit: f64,
+    sources: &DensitySources,
+    spans: &[(u32, u32)],
+    r: &mut [f64],
+    m: &mut [f64],
+) -> usize {
+    let s = sources;
+    check_spans(spans, [&s.x, &s.y, &s.z, &s.m], r.len().min(m.len()));
+    // SAFETY: the token proves AVX2; every span lies inside the four
+    // columns the body loads and the spans fit the output slots.
+    unsafe { density_select(xi, limit, sources, spans, r, m) }
+}
 
-    /// The exact test of [`crate::force::ForceBatch::stage`]: the twin
-    /// of `force::exact_portable`, same arguments, same result.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn exact(
-        self,
-        support: f64,
-        hi: f64,
-        h: &[f64],
-        near: &mut [u32],
-        r2: &mut [f64],
-        r: &mut [f64],
-        hj: &mut [f64],
-    ) -> usize {
-        let n = near.len();
-        assert!(
-            r2.len() == n && r.len() == n && hj.len() == n,
-            "column lengths"
-        );
-        check_gather(near, h.len());
-        // SAFETY: `self` proves AVX2; the four columns share one length
-        // and every gathered position is inside `h`.
-        unsafe { force_exact(support, hi, h, near, r2, r, hj) }
-    }
-
-    /// The pair body of [`crate::force::force_batch`]: the twin of
-    /// `force::force_lanes_portable`, same arguments, same lanes.
-    pub(crate) fn force_lanes(
-        self,
-        pi: &HydroInput,
-        visc: &Viscosity,
-        src: &ForceSources,
-        cols: &PairColumns,
-    ) -> Lanes {
-        let n = cols.near.len();
-        let staged = [cols.r2, cols.r, cols.hj, cols.dwi, cols.dwj];
-        assert!(staged.iter().all(|c| c.len() == n), "column lengths");
-        let gathered = [
-            &src.x, &src.y, &src.z, &src.vx, &src.vy, &src.vz, &src.cs, &src.rho, &src.m, &src.p2,
-        ];
-        check_gather(
-            cols.near,
-            gathered.map(|c| c.len()).into_iter().min().unwrap_or(0),
-        );
-        // SAFETY: `self` proves AVX2; the staged columns share one length
-        // and every gathered position is inside every source column.
-        unsafe { force_lanes(pi, visc, src, cols) }
-    }
-
-    /// The row selection of the density pass's `stage_target`: the twin
-    /// of `density::select_rows_portable`, same arguments, same result.
-    pub(crate) fn select_rows(
-        self,
-        xi: Vec3,
-        limit: f64,
-        sources: &DensitySources,
-        spans: &[(u32, u32)],
-        r: &mut [f64],
-        m: &mut [f64],
-    ) -> usize {
-        let s = sources;
-        let len = [&s.x, &s.y, &s.z, &s.m].map(|c| c.len());
-        check_spans(
-            spans,
-            len.into_iter().min().unwrap_or(0),
-            r.len().min(m.len()),
-        );
-        // SAFETY: `self` proves AVX2; every span lies inside the four
-        // columns the body loads and the spans fit the output slots.
-        unsafe { density_select(xi, limit, sources, spans, r, m) }
-    }
-
-    /// The in-support selection of the density sum: the twin of
-    /// `density::select_below_portable`, same arguments, same result.
-    pub(crate) fn select_below(
-        self,
-        rad: f64,
-        r: &[f64],
-        m: &[f64],
-        r_in: &mut [f64],
-        m_in: &mut [f64],
-    ) -> usize {
-        let n = r.len();
-        assert!(
-            m.len() == n && r_in.len() >= n && m_in.len() >= n,
-            "column lengths"
-        );
-        // SAFETY: `self` proves AVX2; both inputs hold `n` rows and both
-        // outputs at least `n` slots.
-        unsafe { density_below(rad, r, m, r_in, m_in) }
-    }
+/// The in-support selection of the density sum: the twin of
+/// `density::select_below_portable`, same arguments, same result.
+pub(crate) fn select_below(
+    _: Avx2,
+    rad: f64,
+    r: &[f64],
+    m: &[f64],
+    r_in: &mut [f64],
+    m_in: &mut [f64],
+) -> usize {
+    let n = r.len();
+    assert!(
+        m.len() == n && r_in.len() >= n && m_in.len() >= n,
+        "column lengths"
+    );
+    // SAFETY: the token proves AVX2; both inputs hold `n` rows and both
+    // outputs at least `n` slots.
+    unsafe { density_below(rad, r, m, r_in, m_in) }
 }
 
 /// The cubic spline's batch loops compiled for AVX2: the element-wise
 /// expressions of `kernel::spline_*`, which the compiler vectorizes four
 /// elements per vector without reordering any element's operations.
-impl Avx2 {
-    pub(crate) fn spline_w(self, r: &[f64], h: f64, out: &mut [f64]) {
-        // SAFETY: `self` proves AVX2; the loop only indexes safe slices.
-        unsafe { spline_w(r, h, out) }
-    }
+pub(crate) fn spline_w(_: Avx2, r: &[f64], h: f64, out: &mut [f64]) {
+    // SAFETY: the token proves AVX2; the loop only indexes safe slices.
+    unsafe { spline_w_body(r, h, out) }
+}
 
-    pub(crate) fn spline_dwdr(self, r: &[f64], h: f64, out: &mut [f64]) {
-        // SAFETY: `self` proves AVX2; the loop only indexes safe slices.
-        unsafe { spline_dwdr(r, h, out) }
-    }
+pub(crate) fn spline_dwdr(_: Avx2, r: &[f64], h: f64, out: &mut [f64]) {
+    // SAFETY: the token proves AVX2; the loop only indexes safe slices.
+    unsafe { spline_dwdr_body(r, h, out) }
+}
 
-    pub(crate) fn spline_dwdr_per_h(self, r: &[f64], h: &[f64], out: &mut [f64]) {
-        // SAFETY: `self` proves AVX2; the loop only indexes safe slices.
-        unsafe { spline_dwdr_per_h(r, h, out) }
-    }
+pub(crate) fn spline_dwdr_per_h(_: Avx2, r: &[f64], h: &[f64], out: &mut [f64]) {
+    // SAFETY: the token proves AVX2; the loop only indexes safe slices.
+    unsafe { spline_dwdr_per_h_body(r, h, out) }
 }
 
 #[target_feature(enable = "avx2")]
-fn spline_w(r: &[f64], h: f64, out: &mut [f64]) {
+fn spline_w_body(r: &[f64], h: f64, out: &mut [f64]) {
     kernel::spline_w(r, h, out)
 }
 
 #[target_feature(enable = "avx2")]
-fn spline_dwdr(r: &[f64], h: f64, out: &mut [f64]) {
+fn spline_dwdr_body(r: &[f64], h: f64, out: &mut [f64]) {
     kernel::spline_dwdr(r, h, out)
 }
 
 #[target_feature(enable = "avx2")]
-fn spline_dwdr_per_h(r: &[f64], h: &[f64], out: &mut [f64]) {
+fn spline_dwdr_per_h_body(r: &[f64], h: &[f64], out: &mut [f64]) {
     kernel::spline_dwdr_per_h(r, h, out)
 }
 
-/// Every span is an ordered range inside columns of `len`, and together
+/// Every span is an ordered range inside each of `cols`, and together
 /// they name at most `slots` rows.
-fn check_spans(spans: &[(u32, u32)], len: usize, slots: usize) {
+fn check_spans(spans: &[(u32, u32)], cols: [&[f64]; 4], slots: usize) {
+    let len = cols.iter().map(|c| c.len()).min().unwrap_or(0);
     let mut rows = 0usize;
     for &(s, e) in spans {
         assert!(
@@ -254,56 +211,13 @@ fn check_spans(spans: &[(u32, u32)], len: usize, slots: usize) {
     assert!(rows <= slots, "{rows} candidates for {slots} slots");
 }
 
-/// Every position in `near` is inside columns of `len`, and `len` fits
+/// Every position in `near` is inside each of `cols`, whose length fits
 /// the signed 32-bit offsets of `vgatherdpd`.
-fn check_gather(near: &[u32], len: usize) {
+fn check_gather(near: &[u32], cols: &[&[f64]]) {
+    let len = cols.iter().map(|c| c.len()).min().unwrap_or(0);
     assert!(len <= i32::MAX as usize, "{len} sources overflow a gather");
     let top = near.iter().copied().max().map_or(0, |k| k as usize + 1);
     assert!(top <= len, "position {} of {len} sources", top - 1);
-}
-
-/// `v` with its lanes under `mask` packed to the front, as `f64` lanes.
-#[target_feature(enable = "avx2")]
-fn pack_pd(v: __m256d, mask: usize) -> __m256d {
-    let row = &PACK[mask][0];
-    // SAFETY: `row` is eight `i32`, exactly one 256-bit load.
-    let perm = unsafe { _mm256_loadu_si256(row.as_ptr().cast()) };
-    _mm256_castsi256_pd(_mm256_permutevar8x32_epi32(_mm256_castpd_si256(v), perm))
-}
-
-/// The four `u32` lanes of `v` under `mask` packed to the front.
-#[target_feature(enable = "avx2")]
-fn pack_u32(v: __m128i, mask: usize) -> __m128i {
-    let row = &PACK[mask][1];
-    // SAFETY: `row` is eight `i32`, exactly one 256-bit load.
-    let perm = unsafe { _mm256_loadu_si256(row.as_ptr().cast()) };
-    // The upper half of the widened vector is never selected: `perm`'s
-    // low four entries are below 4.
-    _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(_mm256_castsi128_si256(v), perm))
-}
-
-/// The lanes of `v` under `mask`, packed, at `dst[at..at + W]`.
-///
-/// # Safety
-///
-/// SAFETY: callers guarantee AVX2 and `at + W <= dst.len()`.
-#[target_feature(enable = "avx2")]
-unsafe fn store_packed_pd(dst: &mut [f64], at: usize, v: __m256d, mask: usize) {
-    debug_assert!(at + W <= dst.len());
-    // SAFETY: `at + W <= dst.len()` is the caller's obligation.
-    unsafe { _mm256_storeu_pd(dst.as_mut_ptr().add(at), pack_pd(v, mask)) };
-}
-
-/// The `u32` lanes of `v` under `mask`, packed, at `dst[at..at + W]`.
-///
-/// # Safety
-///
-/// SAFETY: callers guarantee AVX2 and `at + W <= dst.len()`.
-#[target_feature(enable = "avx2")]
-unsafe fn store_packed_u32(dst: &mut [u32], at: usize, v: __m128i, mask: usize) {
-    debug_assert!(at + W <= dst.len());
-    // SAFETY: `at + W <= dst.len()` is the caller's obligation.
-    unsafe { _mm_storeu_si128(dst.as_mut_ptr().add(at).cast(), pack_u32(v, mask)) };
 }
 
 /// `x[at..at + W]` as one vector.
@@ -371,7 +285,7 @@ fn max_operand(a: f64) -> __m256d {
     splat(if a.is_nan() { f64::NEG_INFINITY } else { a })
 }
 
-/// Body of [`Avx2::preselect`].
+/// Body of [`preselect`].
 ///
 /// # Safety
 ///
@@ -428,23 +342,14 @@ unsafe fn force_preselect(
             kept += mask.count_ones() as usize;
             k += W;
         }
-        for k in k..e {
-            let (dx, dy, dz) = (
-                xi.x - sources.x[k],
-                xi.y - sources.y[k],
-                xi.z - sources.z[k],
-            );
-            let d2 = dx * dx + dy * dy + dz * dz;
-            let reach_j = support * sources.h[k];
-            near[kept] = k as u32;
-            r2[kept] = d2;
-            kept += ((d2 > 0.0) & (d2 <= reach_i2.max(reach_j * reach_j))) as usize;
-        }
+        let rest = [(k as u32, e as u32)];
+        let (near_rest, r2_rest) = (&mut near[kept..], &mut r2[kept..]);
+        kept += preselect_portable(support, xi, reach_i2, sources, &rest, near_rest, r2_rest);
     }
     kept
 }
 
-/// Body of [`Avx2::exact`].
+/// Body of [`exact`].
 ///
 /// # Safety
 ///
@@ -494,7 +399,7 @@ unsafe fn force_exact(
     kept
 }
 
-/// Body of [`Avx2::force_lanes`]: `force::pair_terms`, one operation at a
+/// Body of [`force_lanes`]: `force::pair_terms`, one operation at a
 /// time over four pairs.
 ///
 /// # Safety
@@ -503,7 +408,7 @@ unsafe fn force_exact(
 /// length of `cols.near`, and that every entry of `cols.near` is a
 /// position inside every column of `src` the body gathers from.
 #[target_feature(enable = "avx2")]
-unsafe fn force_lanes(
+unsafe fn force_lanes_body(
     pi: &HydroInput,
     visc: &Viscosity,
     src: &ForceSources,
@@ -626,7 +531,7 @@ unsafe fn force_lanes(
     lanes
 }
 
-/// Body of [`Avx2::select_rows`].
+/// Body of [`select_rows`].
 ///
 /// # Safety
 ///
@@ -673,22 +578,13 @@ unsafe fn density_select(
             kept += mask.count_ones() as usize;
             k += W;
         }
-        for k in k..e {
-            let (dx, dy, dz) = (
-                xi.x - sources.x[k],
-                xi.y - sources.y[k],
-                xi.z - sources.z[k],
-            );
-            let d2 = dx * dx + dy * dy + dz * dz;
-            r[kept] = d2;
-            m[kept] = sources.m[k];
-            kept += (d2 <= limit) as usize;
-        }
+        let rest = [(k as u32, e as u32)];
+        kept += select_rows_portable(xi, limit, sources, &rest, &mut r[kept..], &mut m[kept..]);
     }
     kept
 }
 
-/// Body of [`Avx2::select_below`].
+/// Body of [`select_below`].
 ///
 /// # Safety
 ///
@@ -717,10 +613,5 @@ unsafe fn density_below(
         kept += mask.count_ones() as usize;
         q += W;
     }
-    for q in q..n {
-        r_in[kept] = r[q];
-        m_in[kept] = m[q];
-        kept += (r[q] < rad) as usize;
-    }
-    kept
+    kept + select_below_portable(rad, &r[q..], &m[q..], &mut r_in[kept..], &mut m_in[kept..])
 }

@@ -20,10 +20,12 @@
 //! as exact `w · 0.0` terms. Vector lanes span *output columns* only,
 //! never a split of that sum, and multiply and add are separate
 //! exactly-rounded operations (never FMA), so the result does not depend
-//! on tile shape, vector width, thread count or CPU: the AVX2 body the
-//! dispatcher picks on x86-64 ([`Conv3d::forward`]) equals the portable
-//! `[f32; 8]`-lane body ([`Conv3d::forward_portable`]) to the bit, and
-//! both equal the scalar loop nest kept as
+//! on tile shape, vector width, thread count or CPU: the AVX2 tile that
+//! [`Conv3d::forward`] runs where [`lanes::Avx2::detect`] finds AVX2
+//! equals the portable `[f32; 8]`-lane tile
+//! ([`Conv3d::forward_portable`]) to the bit — one tiling loop and one
+//! scalar column tail serve both — and both equal the scalar loop nest
+//! kept as
 //! [`Conv3d::forward_reference`] — the comparison baseline of the
 //! kernel-equivalence tests and of the `conv_gflops_ratio` bench metric.
 //! The fused ReLU is the scalar one (`acc < 0.0 → 0.0`: NaN and −0.0
@@ -38,6 +40,8 @@
 use crate::gemm;
 use crate::layers::relu_scalar;
 use crate::tensor::Tensor;
+#[cfg(target_arch = "x86_64")]
+use lanes::Avx2;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -159,12 +163,20 @@ impl RowOperands<'_> {
     /// checked once per row: `out` holds one slice per output channel and
     /// the row is written to `out[co][off..off + w]`.
     fn assert_extents(&self, out: &[&mut [f32]], off: usize) {
-        let c_out = out.len();
-        assert!(self.k >= 1 && self.kk.is_multiple_of(self.k));
-        assert!(self.wp >= self.w + self.k - 1, "staged rows too narrow");
+        self.assert_operands(out.len());
+        assert!(self.kk.is_multiple_of(self.k));
+        assert!(out.iter().all(|row| row.len() >= off + self.w));
+    }
+
+    /// The extents the staged and weight reads of channels `0..c_out`
+    /// stay inside: O(1), so a tile checks them for itself.
+    fn assert_operands(&self, c_out: usize) {
+        assert!(
+            self.k >= 1 && self.wp >= self.w + self.k - 1,
+            "staged rows too narrow"
+        );
         assert!(self.staged.len() >= (self.kk / self.k) * self.wp);
         assert!(self.weight.len() >= c_out * self.kk && self.bias.len() >= c_out);
-        assert!(out.iter().all(|row| row.len() >= off + self.w));
     }
 }
 
@@ -264,37 +276,49 @@ fn conv_direct(
     y
 }
 
-/// The row kernel [`Conv3d::forward`] runs: the AVX2 body where the CPU
-/// has it, the portable body elsewhere. Both produce the same bits.
+/// The row kernel [`Conv3d::forward`] runs: the AVX2 tile where the CPU
+/// has it, the portable tile elsewhere. Both produce the same bits.
 fn conv_row(ops: &RowOperands, out: &mut [&mut [f32]], off: usize) {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 presence was just checked; the body asserts the
-        // slice extents itself before its first raw load.
-        unsafe { avx2::conv_row(ops, out, off) };
-        return;
+    if let Some(avx2) = Avx2::detect() {
+        return tile_row(avx2, ops, out, off);
     }
-    conv_row_portable(ops, out, off);
+    tile_row(Portable, ops, out, off);
 }
 
-/// Portable body of the row kernel: the tiling of the AVX2 body with each
-/// vector spelled as an explicit `[f32; LANES]`.
-fn conv_row_portable(ops: &RowOperands, out: &mut [&mut [f32]], off: usize) {
+/// One `R`-channel × `NV·LANES`-column tile of an output row: writes
+/// `out[co + i][off + ox..off + ox + NV·LANES]` for `i < R`. The
+/// accumulators stay in registers across the whole `kr` sweep, and each
+/// staged segment is loaded once per `kr` and multiplied into every
+/// channel's accumulator.
+trait Tile: Copy {
+    fn tile<const R: usize, const NV: usize>(
+        self,
+        ops: &RowOperands,
+        out: &mut [&mut [f32]],
+        off: usize,
+        co: usize,
+        ox: usize,
+    );
+}
+
+/// One output row of every channel, tiled the same way for every tile
+/// body: 4-channel tiles, then single channels, each over 16-column
+/// tiles, one 8-column tile and scalar columns.
+fn tile_row(body: impl Tile, ops: &RowOperands, out: &mut [&mut [f32]], off: usize) {
     ops.assert_extents(out, off);
-    let c_out = out.len();
-    let mut co = 0;
-    while co + CO_TILE <= c_out {
-        portable_channels::<CO_TILE>(ops, out, off, co);
-        co += CO_TILE;
+    let full = out.len() - out.len() % CO_TILE;
+    for co in (0..full).step_by(CO_TILE) {
+        channels::<CO_TILE>(body, ops, out, off, co);
     }
-    while co < c_out {
-        portable_channels::<1>(ops, out, off, co);
-        co += 1;
+    for co in full..out.len() {
+        channels::<1>(body, ops, out, off, co);
     }
 }
 
 /// Channels `co..co + R` of one output row, all columns.
-fn portable_channels<const R: usize>(
+fn channels<const R: usize>(
+    body: impl Tile,
     ops: &RowOperands,
     out: &mut [&mut [f32]],
     off: usize,
@@ -302,59 +326,63 @@ fn portable_channels<const R: usize>(
 ) {
     let mut ox = 0;
     while ox + 2 * LANES <= ops.w {
-        portable_tile::<R, 2>(ops, out, off, co, ox);
+        body.tile::<R, 2>(ops, out, off, co, ox);
         ox += 2 * LANES;
     }
     if ox + LANES <= ops.w {
-        portable_tile::<R, 1>(ops, out, off, co, ox);
+        body.tile::<R, 1>(ops, out, off, co, ox);
         ox += LANES;
     }
     scalar_columns(ops, out, off, co..co + R, ox);
 }
 
-/// One `R`-channel × `NV·LANES`-column tile: the accumulators stay in
-/// registers across the whole `kr` sweep, each staged segment is loaded
-/// once per `kr` and multiplied into every channel's accumulator.
-fn portable_tile<const R: usize, const NV: usize>(
-    ops: &RowOperands,
-    out: &mut [&mut [f32]],
-    off: usize,
-    co: usize,
-    ox: usize,
-) {
-    let mut acc = [[[0.0f32; LANES]; NV]; R];
-    for (i, a) in acc.iter_mut().enumerate() {
-        *a = [[ops.bias[co + i]; LANES]; NV];
-    }
-    for (slot, xrow) in ops.staged.chunks_exact(ops.wp).enumerate() {
-        for kx in 0..ops.k {
-            let kr = slot * ops.k + kx;
-            let mut xv = [[0.0f32; LANES]; NV];
-            for (v, x) in xv.iter_mut().enumerate() {
-                x.copy_from_slice(&xrow[ox + kx + v * LANES..][..LANES]);
-            }
-            for (i, a) in acc.iter_mut().enumerate() {
-                let wv = ops.weight[(co + i) * ops.kk + kr];
-                for (av, x) in a.iter_mut().zip(&xv) {
-                    for l in 0..LANES {
-                        av[l] += wv * x[l];
+/// The portable tile: each vector spelled as an explicit `[f32; LANES]`.
+#[derive(Clone, Copy)]
+struct Portable;
+
+impl Tile for Portable {
+    fn tile<const R: usize, const NV: usize>(
+        self,
+        ops: &RowOperands,
+        out: &mut [&mut [f32]],
+        off: usize,
+        co: usize,
+        ox: usize,
+    ) {
+        let mut acc = [[[0.0f32; LANES]; NV]; R];
+        for (i, a) in acc.iter_mut().enumerate() {
+            *a = [[ops.bias[co + i]; LANES]; NV];
+        }
+        for (slot, xrow) in ops.staged.chunks_exact(ops.wp).enumerate() {
+            for kx in 0..ops.k {
+                let kr = slot * ops.k + kx;
+                let mut xv = [[0.0f32; LANES]; NV];
+                for (v, x) in xv.iter_mut().enumerate() {
+                    x.copy_from_slice(&xrow[ox + kx + v * LANES..][..LANES]);
+                }
+                for (i, a) in acc.iter_mut().enumerate() {
+                    let wv = ops.weight[(co + i) * ops.kk + kr];
+                    for (av, x) in a.iter_mut().zip(&xv) {
+                        for l in 0..LANES {
+                            av[l] += wv * x[l];
+                        }
                     }
                 }
             }
         }
-    }
-    for (i, a) in acc.iter_mut().enumerate() {
-        for (v, av) in a.iter_mut().enumerate() {
-            if ops.relu {
-                av.iter_mut().for_each(|s| *s = relu_scalar(*s));
+        for (i, a) in acc.iter_mut().enumerate() {
+            for (v, av) in a.iter_mut().enumerate() {
+                if ops.relu {
+                    av.iter_mut().for_each(|s| *s = relu_scalar(*s));
+                }
+                out[co + i][off + ox + v * LANES..][..LANES].copy_from_slice(av);
             }
-            out[co + i][off + ox + v * LANES..][..LANES].copy_from_slice(av);
         }
     }
 }
 
 /// Columns `ox0..w` of the given channels, one scalar accumulator each,
-/// in the same `kr`-ascending order. Shared by both bodies.
+/// in the same `kr`-ascending order. Shared by both tiles.
 fn scalar_columns(
     ops: &RowOperands,
     out: &mut [&mut [f32]],
@@ -376,76 +404,48 @@ fn scalar_columns(
     }
 }
 
-/// AVX2 body of the row kernel. One 256-bit vector carries the
-/// [`LANES`] output columns a `[f32; LANES]` carries in the portable body,
-/// and only `_mm256_mul_ps` / `_mm256_add_ps` touch the accumulators —
-/// never FMA — so every lane rounds exactly like the scalar expression
-/// and the two bodies agree to the bit. All `unsafe` of this crate is in
-/// this module.
+/// The AVX2 tile, the only module of this crate allowed `unsafe`. One
+/// 256-bit vector carries the [`LANES`] output columns a `[f32; LANES]`
+/// carries in the portable tile, and only `_mm256_mul_ps` /
+/// `_mm256_add_ps` touch the accumulators — never FMA — so every lane
+/// rounds exactly like the scalar expression and the two tiles agree to
+/// the bit. The tile body is reached only through [`Tile::tile`] on the
+/// [`Avx2`] token, which checks the extents its raw loads rely on.
 #[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::{scalar_columns, RowOperands, CO_TILE, LANES};
+#[allow(unsafe_code)]
+mod simd {
+    use super::{RowOperands, Tile, LANES};
+    use lanes::Avx2;
     use std::arch::x86_64::*;
 
-    /// Write `out[co][off..off + ops.w]` for every channel of `out`.
-    ///
-    /// # Safety
-    ///
-    /// SAFETY: callers must only invoke this when the CPU supports AVX2
-    /// (the dispatcher checks `is_x86_feature_detected!("avx2")`). Slice
-    /// extents are not the caller's burden: they are asserted here.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn conv_row(ops: &RowOperands, out: &mut [&mut [f32]], off: usize) {
-        ops.assert_extents(out, off);
-        let c_out = out.len();
-        let mut co = 0;
-        while co + CO_TILE <= c_out {
-            // SAFETY: extents asserted above; co + CO_TILE <= c_out.
-            unsafe { channels::<CO_TILE>(ops, out, off, co) };
-            co += CO_TILE;
-        }
-        while co < c_out {
-            // SAFETY: extents asserted above; co + 1 <= c_out.
-            unsafe { channels::<1>(ops, out, off, co) };
-            co += 1;
+    impl Tile for Avx2 {
+        fn tile<const R: usize, const NV: usize>(
+            self,
+            ops: &RowOperands,
+            out: &mut [&mut [f32]],
+            off: usize,
+            co: usize,
+            ox: usize,
+        ) {
+            assert!(
+                co + R <= out.len() && ox + NV * LANES <= ops.w,
+                "tile outside the row"
+            );
+            ops.assert_operands(co + R);
+            // SAFETY: the token proves AVX2, and the two checks above are
+            // the extents the body's staged and weight reads rely on.
+            unsafe { tile::<R, NV>(ops, out, off, co, ox) }
         }
     }
 
-    /// Channels `co..co + R` of one output row, all columns.
+    /// Body of [`Tile::tile`] on the token (`R·NV` accumulator registers;
+    /// 4 × 2 is the main tile).
     ///
     /// # Safety
     ///
     /// SAFETY: callers guarantee that AVX2 is available, that
-    /// `ops.assert_extents(out, off)` holds and that `co + R <= out.len()`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn channels<const R: usize>(
-        ops: &RowOperands,
-        out: &mut [&mut [f32]],
-        off: usize,
-        co: usize,
-    ) {
-        let mut ox = 0;
-        while ox + 2 * LANES <= ops.w {
-            // SAFETY: the caller's contract, and ox + 2·LANES <= w.
-            unsafe { tile::<R, 2>(ops, out, off, co, ox) };
-            ox += 2 * LANES;
-        }
-        if ox + LANES <= ops.w {
-            // SAFETY: the caller's contract, and ox + LANES <= w.
-            unsafe { tile::<R, 1>(ops, out, off, co, ox) };
-            ox += LANES;
-        }
-        scalar_columns(ops, out, off, co..co + R, ox);
-    }
-
-    /// One `R`-channel × `NV·LANES`-column tile (`R·NV` accumulator
-    /// registers; 4 × 2 is the main tile).
-    ///
-    /// # Safety
-    ///
-    /// SAFETY: callers guarantee that AVX2 is available, that
-    /// `ops.assert_extents(out, off)` holds, that `co + R <= out.len()`
-    /// and that `ox + NV·LANES <= ops.w`.
+    /// `ops.assert_operands(co + R)` holds and that
+    /// `ox + NV·LANES <= ops.w`.
     #[target_feature(enable = "avx2")]
     unsafe fn tile<const R: usize, const NV: usize>(
         ops: &RowOperands,
@@ -477,8 +477,8 @@ mod avx2 {
                 let kr = slot * k + kx;
                 for (i, a) in acc.iter_mut().enumerate() {
                     debug_assert!((co + i) * kk + kr < ops.weight.len());
-                    // SAFETY: kr < kk and co + i < c_out, so the index is
-                    // below c_out·kk <= weight.len().
+                    // SAFETY: kr < kk and i < R, so the index is below
+                    // (co + R)·kk <= weight.len().
                     let wv = _mm256_set1_ps(unsafe { *weight.add((co + i) * kk + kr) });
                     for (av, x) in a.iter_mut().zip(&xv) {
                         *av = _mm256_add_ps(*av, _mm256_mul_ps(wv, *x));
@@ -564,7 +564,7 @@ impl Conv3d {
     /// [`Conv3d::forward`] through the portable body on every CPU; public
     /// so the equivalence tests can pin the dispatched path against it.
     pub fn forward_portable(&self, x: &Tensor) -> Tensor {
-        self.convolve(x, false, conv_row_portable)
+        self.convolve(x, false, |ops, out, off| tile_row(Portable, ops, out, off))
     }
 
     fn convolve(&self, x: &Tensor, relu: bool, row_kernel: RowKernel) -> Tensor {

@@ -20,8 +20,9 @@
 //! assert_eq!([y.c, y.d, y.h, y.w], [1, 8, 8, 8]);
 //! ```
 
-// The one `unsafe` region of this crate is `conv`'s AVX2 row kernel (raw
-// vector loads and stores behind `is_x86_feature_detected!`).
+// `unsafe` is confined to `conv::simd`, the AVX2 tile behind a
+// `lanes::Avx2` token: the compiler keeps it out of every other module.
+#![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod adam;

@@ -37,6 +37,7 @@ pub fn all_rules() -> Vec<Rule> {
                           the bitwise snapshot contract",
             include: &[
                 "crates/gravity/**",
+                "crates/lanes/**",
                 "crates/sph/**",
                 "crates/unet/src/gemm.rs",
                 "crates/unet/src/conv.rs",
@@ -84,6 +85,7 @@ pub fn all_rules() -> Vec<Rule> {
                 "crates/core/src/ckpt.rs",
                 "crates/core/src/scheduler.rs",
                 "crates/gravity/src/**",
+                "crates/lanes/src/**",
                 "crates/sph/src/**",
                 "crates/fdps/src/**",
                 "crates/unet/src/**",

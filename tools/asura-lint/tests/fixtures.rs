@@ -39,6 +39,7 @@ fn bad_tree_trips_every_rule() {
     assert_finding(&report, "atomic-io", "crates/core/src/state.rs:5");
     assert_finding(&report, "no-fma", "crates/gravity/src/kernel.rs:3");
     assert_finding(&report, "no-fma", "crates/unet/src/conv.rs:8");
+    assert_finding(&report, "no-fma", "crates/lanes/src/lib.rs:7");
     assert_finding(&report, "no-fma", "crates/surrogate/src/voxel.rs:4");
     assert_finding(&report, "no-fma", "crates/surrogate/src/encode.rs:3");
     assert_finding(&report, "safety-comment", "crates/gravity/src/simd.rs:3");
