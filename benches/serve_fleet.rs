@@ -15,10 +15,10 @@
 
 use asura_core::serve::{self, RunOverrides, RunState};
 use bench::{BenchDoc, Better};
+use json::{parse_json, Json};
 use std::path::Path;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
-use unet::json::{parse_json, Json};
 
 const BIN: &str = env!("CARGO_BIN_EXE_asura");
 const RUNS: usize = 2;

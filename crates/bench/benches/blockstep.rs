@@ -18,7 +18,7 @@
 use asura_core::{Scheme, SimConfig, Simulation, TimestepMode};
 use bench::fixtures::spiked_blob;
 use bench::{best_of, BenchDoc, Better};
-use unet::json::Json;
+use json::Json;
 
 const N_SIDE: usize = 10;
 const DT_BASE: f64 = 2.0e-3;

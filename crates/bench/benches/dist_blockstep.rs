@@ -28,7 +28,7 @@ use asura_core::{Scheme, SimConfig, TimestepMode};
 use bench::fixtures::spiked_blob;
 use bench::{best_of, BenchDoc, Better};
 use fdps::exchange::Routing;
-use unet::json::Json;
+use json::Json;
 
 const N_SIDE: usize = 8;
 const DT_BASE: f64 = 2.0e-3;

@@ -42,6 +42,7 @@ use fdps::walk::{InteractionList, WalkScratch};
 use fdps::{BBox, Tree, Vec3};
 use gravity::kernel::{accumulate_f64, accumulate_f64_soa, accumulate_mixed_staged, GravityAccum};
 use gravity::GravitySolver;
+use json::Json;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -50,7 +51,6 @@ use sph::force::{
 };
 use sph::{HydroState, SphKernel, SphSolver};
 use std::hint::black_box;
-use unet::json::Json;
 
 const N: usize = 100_000;
 const THETA: f64 = 0.5;

@@ -22,13 +22,13 @@
 pub mod accuracy;
 pub mod fixtures;
 
+use json::Json;
 use std::fmt;
 use std::fs;
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::str::FromStr;
 use std::time::Instant;
-use unet::json::Json;
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -242,7 +242,7 @@ pub fn sci(v: f64) -> String {
 mod tests {
     use super::Better::{Higher, Lower};
     use super::*;
-    use unet::json::parse_json;
+    use json::parse_json;
 
     #[test]
     fn sci_formats_both_regimes() {

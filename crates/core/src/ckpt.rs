@@ -44,11 +44,11 @@
 //! ```
 
 use crate::faults::{apply_write_fault, FaultInjector};
-use crate::snapshot::{fnv1a, SimSnapshot};
+use crate::snapshot::SimSnapshot;
+use json::{fnv1a, parse_json, Json};
 use std::fs::{self, File};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use unet::json::{parse_json, Json};
 
 /// `format` field of the rotation manifest.
 pub const MANIFEST_FORMAT: &str = "asura-ckpt-manifest";

@@ -14,7 +14,7 @@
 use crate::particle::Particle;
 use crate::sim::Simulation;
 use fdps::Vec3;
-use unet::json::Json;
+use json::Json;
 
 /// A 2-D column-density map [M_sun / pc^2] on a square grid.
 #[derive(Debug, Clone)]
@@ -437,16 +437,16 @@ mod tests {
         assert!(series.samples()[0].n_gas == 8);
         assert!(series.samples()[0].sigma_peak > 0.0);
         let json = series.to_json();
-        let doc = unet::json::parse_json(&json).expect("valid JSON");
+        let doc = json::parse_json(&json).expect("valid JSON");
         assert_eq!(
             doc.get("scenario").unwrap(),
-            &unet::json::Json::Str("unit-test".into())
+            &json::Json::Str("unit-test".into())
         );
         assert_eq!(doc.get("samples").unwrap().as_usize().unwrap(), 3);
         let cols = doc.get("columns").unwrap();
         for key in ["step", "time", "total_energy", "sfr", "sigma_peak"] {
             match cols.get(key).unwrap() {
-                unet::json::Json::Arr(a) => assert_eq!(a.len(), 3, "column {key}"),
+                json::Json::Arr(a) => assert_eq!(a.len(), 3, "column {key}"),
                 other => panic!("column {key} must be an array, got {other:?}"),
             }
         }

@@ -55,6 +55,7 @@ use crate::faults::{self, FaultPlan};
 use crate::supervise::{
     Heartbeat, IncidentLog, Outcome, ProcessChild, ResumePoint, RetryPolicy, StopReason, Supervisor,
 };
+use json::{parse_json, Json};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -64,7 +65,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use unet::json::{parse_json, Json};
 
 /// `format` field of `fleet.json`.
 pub const FLEET_FORMAT: &str = "asura-fleet";
@@ -74,6 +74,8 @@ pub const FLEET_VERSION: u64 = 1;
 pub const FLEET_FILE: &str = "fleet.json";
 /// Address-discovery file name under the serve root.
 pub const ADDR_FILE: &str = "serve.json";
+/// The longest request line the daemon reads, newline included.
+pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
 
 /// A success response line: `{"ok":true,…fields}`.
 fn ok_line<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> String {
@@ -556,17 +558,19 @@ pub fn read_serve_addr(root: &Path) -> Option<String> {
     Some(doc.at("addr", Json::as_str).ok()?.to_string())
 }
 
-/// One-shot client: send a request line, return every response line. The
-/// write half is shut down after the request so streaming responses
-/// (WATCH) terminate the read with EOF.
-pub fn request(addr: &str, line: &str) -> io::Result<Vec<String>> {
+/// Send a request line; the response lines stream back from the returned
+/// reader as they arrive. The write half is shut down after the request
+/// so streaming responses (WATCH) end with EOF.
+pub fn send(addr: &str, line: &str) -> io::Result<BufReader<TcpStream>> {
     let mut stream = TcpStream::connect(addr)?;
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
+    stream.write_all(format!("{line}\n").as_bytes())?;
     stream.shutdown(std::net::Shutdown::Write)?;
-    let mut text = String::new();
-    stream.read_to_string(&mut text)?;
-    Ok(text.lines().map(|l| l.to_string()).collect())
+    Ok(BufReader::new(stream))
+}
+
+/// One-shot client: send a request line, return every response line.
+pub fn request(addr: &str, line: &str) -> io::Result<Vec<String>> {
+    send(addr, line)?.lines().collect()
 }
 
 /// Run the daemon: bind, adopt any existing `fleet.json`, then accept and
@@ -781,7 +785,16 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
     });
     let mut out = stream;
     let mut line = String::new();
-    if reader.read_line(&mut line).is_err() {
+    let cap = MAX_REQUEST_BYTES as u64 + 1;
+    if (&mut reader).take(cap).read_line(&mut line).is_err() {
+        return;
+    }
+    if line.len() > MAX_REQUEST_BYTES {
+        let msg = format!("request line longer than {MAX_REQUEST_BYTES} bytes");
+        let _ = writeln!(out, "{}", err_line(&msg));
+        // Read the rest into nothing: a close on unread bytes is a reset,
+        // which can discard the reply before the client reads it.
+        let _ = io::copy(&mut reader, &mut io::sink());
         return;
     }
     let reply = match Request::parse(&line) {

@@ -35,7 +35,7 @@
 //!   `u64` payload length, the payload, and a trailing FNV-1a 64-bit
 //!   checksum of it.
 //! * **JSON** ([`SimSnapshot::to_json`] / [`SimSnapshot::from_json`]): a
-//!   human-readable rendering through [`unet::json`] — `asura inspect
+//!   human-readable rendering through the [`json`] crate — `asura inspect
 //!   <checkpoint.bin>` prints it — that the program never reads back.
 //!   Particle and gas lists are column-oriented (one array per field,
 //!   coordinates as flat triplets). Finite floats use Rust's
@@ -72,12 +72,13 @@ use crate::config::{Scheme, SimConfig, TimestepMode, SCHEME_NAMES, TIMESTEP_MODE
 use crate::particle::{Kind, Particle};
 use crate::sim::SimStats;
 use fdps::Vec3;
+use json::{parse_json, Json};
 use std::fmt;
 use surrogate::GasParticle;
-use unet::json::{parse_json, Json};
 use wire::{BinReader, Ty, Wire};
 
-pub use unet::json::fnv1a;
+// Kept for `benchmark/`, which imports `asura_core::snapshot::fnv1a`.
+pub use json::fnv1a;
 
 /// Leading magic of binary snapshots.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ASURSNAP";

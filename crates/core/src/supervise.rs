@@ -27,10 +27,10 @@
 //! implementation.
 
 use crate::ckpt::{atomic_write, CkptStore};
+use json::{parse_json, Json};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
-use unet::json::{parse_json, Json};
 
 /// `format` field of the incident log.
 pub const LOG_FORMAT: &str = "asura-supervisor-log";

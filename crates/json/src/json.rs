@@ -1,14 +1,3 @@
-//! The workspace's one JSON layer: a value tree, the writer every document
-//! and protocol reply is rendered by, a recursive-descent parser, and the
-//! checked readers that turn a parsed value into a Rust one.
-//!
-//! The build environment has no registry access, so this stands in for
-//! `serde`/`serde_json`. Floats are written with Rust's shortest-roundtrip
-//! formatting, so weights survive a save/load cycle bit-exactly; integers
-//! go through [`Json::Int`] and stay integers (`2`, never `2.0`). On the
-//! way back every narrowing is checked: a reader either returns the value
-//! the text spelled or an error, never a truncated or saturated one.
-
 use std::fmt::{self, Write as _};
 use std::str::FromStr;
 
@@ -25,9 +14,9 @@ pub enum Json {
     /// `2.0`. Writer-side only: [`parse_json`] returns `Num` for every
     /// number, and the integer readers accept both.
     Int(i128),
-    /// Text this writer (or the network's) already rendered, written
-    /// verbatim — a document body whose checksum was just taken over
-    /// exactly these bytes. Never parsed.
+    /// Text this writer already rendered, written verbatim — a document
+    /// body whose checksum was just taken over exactly these bytes, or a
+    /// [`Json::f32s`] array. Never parsed.
     Raw(String),
 }
 
@@ -80,6 +69,25 @@ impl Json {
         } else {
             Json::Num(x)
         }
+    }
+
+    /// An `f32` array rendered in one pass, one allocation per array and
+    /// not a `Json` per element; a non-finite value is written `null`.
+    pub fn f32s(values: &[f32]) -> Json {
+        let mut out = String::with_capacity(values.len() * 12 + 2);
+        out.push('[');
+        for (i, v) in values.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            if v.is_finite() {
+                let _ = write!(out, "{v:?}");
+            } else {
+                out.push_str("null");
+            }
+        }
+        out.push(']');
+        Json::Raw(out)
     }
 
     /// Render to a compact string.
@@ -285,23 +293,6 @@ pub fn write_json(v: &Json, out: &mut String) {
     }
 }
 
-/// Serialize a vector of `f32` without going through `Json` allocation per
-/// element (weight arrays dominate the payload).
-pub fn write_f32_array(values: &[f32], out: &mut String) {
-    out.push('[');
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        if v.is_finite() {
-            let _ = write!(out, "{v:?}");
-        } else {
-            out.push_str("null");
-        }
-    }
-    out.push(']');
-}
-
 /// FNV-1a 64-bit checksum — the one every checksummed document in the
 /// workspace (snapshots, checkpoint manifests, surrogate weights) carries.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -313,11 +304,17 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// The deepest nesting of arrays and objects [`parse_json`] accepts. The
+/// parser recurses once per level, so this bounds its stack use whatever
+/// the input. The deepest document the workspace writes, a snapshot's
+/// `to_json`, nests 8 levels; the weights document nests 5.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document.
 pub fn parse_json(s: &str) -> Result<Json, String> {
     let bytes = s.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -341,8 +338,12 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse the value at `pos`, which sits inside `depth` arrays and objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if depth == MAX_DEPTH && matches!(b.get(*pos), Some(b'{' | b'[')) {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'{') => {
@@ -355,12 +356,12 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
+                let key = match parse_value(b, pos, depth + 1)? {
                     Json::Str(s) => s,
                     other => return Err(format!("object key must be string, got {other:?}")),
                 };
                 expect(b, pos, b':')?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -382,7 +383,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -494,18 +495,20 @@ mod tests {
     #[test]
     fn f32_shortest_form_roundtrips_exactly() {
         let values: Vec<f32> = vec![0.1, -3.4028235e38, 1.1754944e-38, 0.0, 123.456];
-        let mut s = String::new();
-        write_f32_array(&values, &mut s);
-        let back = parse_json(&s).unwrap().as_f32_vec().unwrap();
+        let back = parse_json(&Json::f32s(&values).render())
+            .unwrap()
+            .as_f32_vec()
+            .unwrap();
         assert_eq!(values, back);
     }
 
     #[test]
     fn non_finite_weights_stay_loadable_as_nan() {
         let values: Vec<f32> = vec![1.0, f32::NAN, f32::INFINITY, -2.5];
-        let mut s = String::new();
-        write_f32_array(&values, &mut s);
-        let back = parse_json(&s).unwrap().as_f32_vec().unwrap();
+        let back = parse_json(&Json::f32s(&values).render())
+            .unwrap()
+            .as_f32_vec()
+            .unwrap();
         assert_eq!(back[0], 1.0);
         assert!(back[1].is_nan());
         assert!(back[2].is_nan(), "Inf degrades to NaN, not a load error");
@@ -518,6 +521,27 @@ mod tests {
         assert!(parse_json("[1, 2").is_err());
         assert!(parse_json("hello").is_err());
         assert!(parse_json("{} junk").is_err());
+    }
+
+    /// Nesting past [`MAX_DEPTH`] is an `Err` on a thread with the 2 MiB
+    /// stack `std::thread::spawn` gives a daemon connection, however deep
+    /// the input goes; without the limit these overflow the stack.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let at_limit = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse_json(&at_limit).is_ok());
+        let past = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        assert!(parse_json(&past).unwrap_err().contains("nesting"));
+        for hostile in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+            let err = std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn(move || parse_json(&hostile))
+                .unwrap()
+                .join()
+                .expect("the parser returns rather than overflowing")
+                .unwrap_err();
+            assert!(err.contains(&format!("deeper than {MAX_DEPTH}")), "{err}");
+        }
     }
     #[test]
     fn integers_stay_integers_and_raw_text_goes_out_verbatim() {

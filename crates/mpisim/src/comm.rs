@@ -5,7 +5,6 @@ use crate::world::WorldShared;
 use std::cell::Cell;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A communicator: a group of ranks that can exchange messages and take part
 /// in collectives, analogous to `MPI_Comm`.
@@ -22,7 +21,6 @@ pub struct Comm {
     /// Collective sequence number; advances identically on every member
     /// because collectives are (as in MPI) called in the same order.
     coll_seq: Cell<u64>,
-    epoch: Instant,
 }
 
 impl Comm {
@@ -33,7 +31,6 @@ impl Comm {
             rank,
             members,
             coll_seq: Cell::new(0),
-            epoch: Instant::now(),
         }
     }
 
@@ -47,19 +44,6 @@ impl Comm {
     #[inline]
     pub fn size(&self) -> usize {
         self.members.len()
-    }
-
-    /// World rank backing a communicator rank.
-    #[inline]
-    pub fn world_rank(&self, rank: usize) -> usize {
-        self.members[rank]
-    }
-
-    /// Wall-clock seconds since this communicator was created
-    /// (`MPI_Wtime` analogue).
-    #[inline]
-    pub fn wtime(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64()
     }
 
     #[inline]
@@ -183,7 +167,6 @@ impl Comm {
             rank: new_rank,
             members: Arc::new(new_members),
             coll_seq: Cell::new(0),
-            epoch: self.epoch,
         }
     }
 }

@@ -37,12 +37,6 @@ impl World {
         }
     }
 
-    /// Override the per-rank thread stack size (bytes).
-    pub fn with_stack_size(mut self, bytes: usize) -> Self {
-        self.stack_size = bytes;
-        self
-    }
-
     /// Number of ranks.
     pub fn size(&self) -> usize {
         self.size

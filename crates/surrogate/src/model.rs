@@ -4,8 +4,8 @@ use crate::encode::{decode_fields, encode_fields};
 use crate::gibbs::grid_to_particles;
 use crate::voxel::{particles_to_grid, GasParticle, VoxelGrid};
 use fdps::Vec3;
+use json::{fnv1a, parse_json, Json};
 use rand::Rng;
-use unet::json::{fnv1a, parse_json, Json};
 use unet::{Tensor, Trainer, UNet3d, UNetConfig};
 
 /// Document tag of [`SurrogateModel::to_json`] weights files.
@@ -51,13 +51,6 @@ impl SurrogateModel {
             },
             config.seed,
         );
-        SurrogateModel { config, net }
-    }
-
-    /// Wrap an externally trained network.
-    pub fn with_net(config: SurrogateConfig, net: UNet3d) -> Self {
-        assert_eq!(net.config.in_channels, 8);
-        assert_eq!(net.config.out_channels, 8);
         SurrogateModel { config, net }
     }
 
@@ -379,5 +372,52 @@ mod tests {
             assert_eq!(back.config.seed, u64::MAX - 1);
             assert_eq!(back.config.side, side);
         }
+    }
+
+    /// The weights document and a tensor document keep their bytes from
+    /// one commit to the next: `read` checks the stored checksum against a
+    /// fresh rendering, so one moved byte would stop every weights file
+    /// and every checkpoint's embedded model from loading. Both pins were
+    /// recorded before the network and tensor writers moved onto
+    /// `json::Json`. The tensor covers `-0.0`, a subnormal, `f32::MAX` and
+    /// the non-finite values that render as `null`.
+    #[test]
+    fn weights_and_tensor_document_bytes_are_pinned() {
+        let doc = SurrogateModel::new(SurrogateConfig {
+            seed: 20251017,
+            ..small_cfg()
+        })
+        .to_json();
+        assert_eq!(
+            (doc.len(), fnv1a(doc.as_bytes())),
+            (71397, 0xee49be9dc57275b1)
+        );
+        let mut data: Vec<f32> = (0..24).map(|i| (i as f32 - 5.5) * 0.37).collect();
+        data[1..7].copy_from_slice(&[
+            f32::NAN,
+            -0.0,
+            f32::INFINITY,
+            1e-40,
+            f32::MAX,
+            f32::NEG_INFINITY,
+        ]);
+        let doc = Tensor {
+            c: 2,
+            d: 2,
+            h: 2,
+            w: 3,
+            data,
+        }
+        .to_json();
+        assert!(
+            doc.starts_with(
+                "{\"c\":2,\"d\":2,\"h\":2,\"w\":3,\"data\":[-2.035,null,-0.0,null,1e-40,"
+            ),
+            "{doc}"
+        );
+        assert_eq!(
+            (doc.len(), fnv1a(doc.as_bytes())),
+            (190, 0xa2651964f962dc10)
+        );
     }
 }

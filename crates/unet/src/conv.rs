@@ -40,6 +40,7 @@
 use crate::gemm;
 use crate::layers::relu_scalar;
 use crate::tensor::Tensor;
+use json::Json;
 #[cfg(target_arch = "x86_64")]
 use lanes::Avx2;
 use rand::rngs::StdRng;
@@ -60,15 +61,13 @@ impl Param {
         Param { value, grad }
     }
 
-    /// Serialize (values only; gradients are transient) into `out`.
-    pub(crate) fn write_json(&self, out: &mut String) {
-        out.push_str("{\"value\":");
-        crate::json::write_f32_array(&self.value, out);
-        out.push('}');
+    /// The values as a JSON object; gradients are transient.
+    pub(crate) fn to_json_value(&self) -> Json {
+        Json::obj([("value", Json::f32s(&self.value))])
     }
 
-    /// Parse [`Param::write_json`] output.
-    pub(crate) fn from_json_value(v: &crate::json::Json) -> Result<Param, String> {
+    /// Parse [`Param::to_json_value`] output.
+    pub(crate) fn from_json_value(v: &Json) -> Result<Param, String> {
         Ok(Param::new(v.get("value")?.as_f32_vec()?))
     }
 
@@ -830,20 +829,19 @@ impl Conv3d {
         [&mut self.weight, &mut self.bias]
     }
 
-    /// Serialize the layer (shape + weights) into `out`.
-    pub(crate) fn write_json(&self, out: &mut String) {
-        out.push_str(&format!(
-            "{{\"c_in\":{},\"c_out\":{},\"k\":{},\"weight\":",
-            self.c_in, self.c_out, self.k
-        ));
-        self.weight.write_json(out);
-        out.push_str(",\"bias\":");
-        self.bias.write_json(out);
-        out.push('}');
+    /// The layer (shape + weights) as a JSON object.
+    pub(crate) fn to_json_value(&self) -> Json {
+        Json::obj([
+            ("c_in", self.c_in.into()),
+            ("c_out", self.c_out.into()),
+            ("k", self.k.into()),
+            ("weight", self.weight.to_json_value()),
+            ("bias", self.bias.to_json_value()),
+        ])
     }
 
-    /// Parse [`Conv3d::write_json`] output.
-    pub(crate) fn from_json_value(v: &crate::json::Json) -> Result<Conv3d, String> {
+    /// Parse [`Conv3d::to_json_value`] output.
+    pub(crate) fn from_json_value(v: &Json) -> Result<Conv3d, String> {
         let c_in = v.get("c_in")?.as_usize()?;
         let c_out = v.get("c_out")?.as_usize()?;
         let k = v.get("k")?.as_usize()?;
@@ -980,9 +978,8 @@ mod tests {
     /// an empty weight array.
     #[test]
     fn malformed_layer_documents_are_rejected() {
-        let load = |doc: &str| {
-            Conv3d::from_json_value(&crate::json::parse_json(doc).expect("well-formed JSON"))
-        };
+        let load =
+            |doc: &str| Conv3d::from_json_value(&json::parse_json(doc).expect("well-formed JSON"));
         let layer = |c_in: &str, c_out: usize, k: usize, weights: usize| {
             format!(
                 "{{\"c_in\":{c_in},\"c_out\":{c_out},\"k\":{k},\

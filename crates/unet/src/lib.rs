@@ -7,8 +7,9 @@
 //! SoftNeuro on A64FX) because shipping data to GPUs would bottleneck the
 //! simulation; this crate plays both roles: a from-scratch training stack
 //! (forward + full backprop) and a dependency-free CPU inference path, with
-//! hand-rolled JSON model serialization ([`json`]) standing in for the ONNX
-//! interchange format.
+//! a JSON model document ([`UNet3d::to_json`], built as a [`json::Json`]
+//! value and rendered by the workspace's one writer) standing in for the
+//! ONNX interchange format.
 //!
 //! ```
 //! use unet::{Tensor, UNet3d, UNetConfig};
@@ -28,11 +29,13 @@
 pub mod adam;
 pub mod conv;
 pub mod gemm;
-pub mod json;
 pub mod layers;
 pub mod tensor;
 pub mod train;
 pub mod unet;
+
+// Kept for `benchmark/`, which imports `unet::json::…`.
+pub use json;
 
 pub use adam::Adam;
 pub use tensor::Tensor;

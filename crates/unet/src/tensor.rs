@@ -1,6 +1,6 @@
 //! A dense rank-4 tensor: channels × depth × height × width.
 
-use crate::json::{parse_json, write_f32_array, Json};
+use json::{parse_json, Json};
 
 /// `f32` tensor with CDHW layout (batch size is 1 throughout, as in the
 /// paper's training setup).
@@ -114,14 +114,14 @@ impl Tensor {
 
     /// Serialize to a compact JSON string.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(self.data.len() * 12 + 64);
-        out.push_str(&format!(
-            "{{\"c\":{},\"d\":{},\"h\":{},\"w\":{},\"data\":",
-            self.c, self.d, self.h, self.w
-        ));
-        write_f32_array(&self.data, &mut out);
-        out.push('}');
-        out
+        Json::obj([
+            ("c", self.c.into()),
+            ("d", self.d.into()),
+            ("h", self.h.into()),
+            ("w", self.w.into()),
+            ("data", Json::f32s(&self.data)),
+        ])
+        .render()
     }
 
     /// Parse [`Tensor::to_json`] output.

@@ -3,12 +3,12 @@
 //! layers" with the classic contracting/expanding U shape).
 
 use crate::conv::{Conv3d, Param};
-use crate::json::parse_json;
 use crate::layers::{
     maxpool2, maxpool2_backward, maxpool2_values, relu, relu_backward, upsample2_backward,
     upsample2_concat,
 };
 use crate::tensor::Tensor;
+use json::{parse_json, Json};
 
 /// Network hyperparameters.
 #[derive(Debug, Clone, Copy)]
@@ -334,17 +334,16 @@ impl UNet3d {
 
     /// Serialize to a JSON string (our ONNX-interchange stand-in).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"config\":{{\"in_channels\":{},\"out_channels\":{},\"base_features\":{}}}",
-            self.config.in_channels, self.config.out_channels, self.config.base_features
-        ));
-        for (name, layer) in self.layers() {
-            out.push_str(&format!(",\"{name}\":"));
-            layer.write_json(&mut out);
-        }
-        out.push('}');
-        out
+        let c = &self.config;
+        let config = Json::obj([
+            ("in_channels", c.in_channels.into()),
+            ("out_channels", c.out_channels.into()),
+            ("base_features", c.base_features.into()),
+        ]);
+        let layers = self
+            .layers()
+            .map(|(name, layer)| (name, layer.to_json_value()));
+        Json::obj([("config", config)].into_iter().chain(layers)).render()
     }
 
     /// Load from [`UNet3d::to_json`] output.
@@ -360,7 +359,7 @@ impl UNet3d {
     /// Every layer must have exactly the shape [`UNet3d::new`] gives it
     /// for the document's `config`: a document whose layers do not chain
     /// is an `Err` here, not a failed assertion in the first forward pass.
-    pub fn from_json_value(v: &crate::json::Json) -> Result<Self, String> {
+    pub fn from_json_value(v: &Json) -> Result<Self, String> {
         let cfg = v.get("config")?;
         let config = UNetConfig {
             in_channels: cfg.get("in_channels")?.as_usize()?,

@@ -82,7 +82,7 @@
 //! ([`Flags`]); the supervised child of `--supervised` and of a fleet run
 //! is the same command line, built once ([`ChildRun`]); and every JSON
 //! document written here (`dist_report.json`, and through the library
-//! `train_manifest.json`) is a `unet::json` value rendered by the one
+//! `train_manifest.json`) is a `json::Json` value rendered by the one
 //! writer.
 //!
 //! Exit codes: 0 success, 1 runtime failure (unreadable snapshot, I/O,
@@ -96,20 +96,20 @@ use asura_core::ckpt::{atomic_write, CkptFormat, CkptStore, DEFAULT_KEEP};
 use asura_core::diagnostics::{TimeSample, TimeSeries};
 use asura_core::dist::{self, DistConfig, DistError, PredictorKind, PredictorSpec, Start};
 use asura_core::faults::{self, FaultInjector};
-use asura_core::serve::{self, Request, ServeConfig};
+use asura_core::serve::{self, Request, RunOverrides, ServeConfig};
 use asura_core::snapshot::SimSnapshot;
 use asura_core::supervise::{
     Heartbeat, Outcome, ProcessChild, ResumePoint, RetryPolicy, Supervisor,
 };
 use asura_core::{Scheme, SimConfig, Simulation, TimestepMode};
 use fdps::exchange::Routing;
+use json::Json;
 use std::fmt::Display;
-use std::io::{BufRead, BufReader, Write};
+use std::io::BufRead;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 use std::str::FromStr;
 use std::sync::Arc;
-use unet::json::Json;
 
 const USAGE: &str = "\
 asura — ASURA-FDPS-ML scenario runner
@@ -1028,36 +1028,30 @@ fn cmd_client(verb: &str, rest: &[String]) -> Result<(), String> {
             _ => positional.push(arg),
         }
     }
-    let pos = |n: usize, what: &str| -> Result<&str, String> {
-        positional
-            .get(n)
-            .copied()
-            .ok_or_else(|| format!("usage: asura {verb} <{what}>"))
+    let pos = |n: usize, what: &str| -> Result<String, String> {
+        let arg = positional.get(n).map(|a| a.to_string());
+        arg.ok_or_else(|| format!("usage: asura {verb} <{what}>"))
     };
-    let line = match verb {
-        "submit" => {
-            let scenario = pos(0, "scenario")?;
-            match positional.get(1) {
-                Some(json) => format!("SUBMIT {scenario} {json}"),
-                None => format!("SUBMIT {scenario}"),
-            }
-        }
-        "status" => format!("STATUS {}", pos(0, "run-id")?),
-        "list" => "LIST".to_string(),
-        "watch" => format!("WATCH {}", pos(0, "run-id")?),
-        "cancel" => format!("CANCEL {}", pos(0, "run-id")?),
-        "shutdown" => {
-            if drain {
-                "SHUTDOWN DRAIN".to_string()
-            } else {
-                "SHUTDOWN".to_string()
-            }
-        }
+    let id = || pos(0, "run-id");
+    // Typo'd overrides JSON is caught here, before the request crosses
+    // the wire; `render` sends the overrides in their canonical form.
+    let request = match verb {
+        "submit" => Request::Submit {
+            scenario: pos(0, "scenario")?,
+            overrides: match positional.get(1) {
+                Some(text) => json::parse_json(text)
+                    .and_then(|doc| RunOverrides::from_json(&doc))
+                    .map_err(|e| format!("{verb}: {e}"))?,
+                None => RunOverrides::default(),
+            },
+        },
+        "status" => Request::Status { id: id()? },
+        "list" => Request::List,
+        "watch" => Request::Watch { id: id()? },
+        "cancel" => Request::Cancel { id: id()? },
+        "shutdown" => Request::Shutdown { drain },
         other => return Err(format!("unknown subcommand `{other}`")),
     };
-    // Catch grammar errors locally (typo'd overrides JSON etc.) before
-    // the request crosses the wire.
-    Request::parse(&line).map_err(|e| format!("{verb}: {e}"))?;
     let addr = match addr {
         Some(a) => a,
         None => serve::read_serve_addr(&root).ok_or_else(|| {
@@ -1068,14 +1062,9 @@ fn cmd_client(verb: &str, rest: &[String]) -> Result<(), String> {
             )
         })?,
     };
-    let mut stream =
-        std::net::TcpStream::connect(&addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream
-        .write_all(format!("{line}\n").as_bytes())
-        .and_then(|()| stream.shutdown(std::net::Shutdown::Write))
-        .map_err(|e| format!("send: {e}"))?;
+    let replies = serve::send(&addr, &request.render()).map_err(|e| format!("{addr}: {e}"))?;
     let mut failed = false;
-    for reply in BufReader::new(stream).lines() {
+    for reply in replies.lines() {
         let reply = reply.map_err(|e| format!("read: {e}"))?;
         failed |= !serve::reply_ok(&reply);
         println!("{reply}");

@@ -18,12 +18,12 @@
 use crate::scenarios;
 use asura_core::{Particle, Simulation};
 use fdps::Vec3;
+use json::Json;
 use sph::GammaLawEos;
 use surrogate::training::to_train_sample;
 use surrogate::{
     particles_to_grid, GasParticle, SurrogateConfig, SurrogateModel, VoxelFields, VoxelGrid,
 };
-use unet::json::Json;
 use unet::TrainSample;
 
 /// Document tag of the training manifest written next to the weights.
@@ -154,7 +154,7 @@ pub fn train(spec: &TrainSpec) -> TrainOutcome {
 }
 
 /// Render the training manifest: the spec, the dataset recipe, and the
-/// loss trajectory, as a [`unet::json`] document.
+/// loss trajectory, as a [`json::Json`] document.
 pub fn manifest_json(spec: &TrainSpec, losses: &[f64]) -> String {
     let losses_arr = losses.iter().map(|&l| Json::Num(l)).collect();
     Json::obj([
@@ -221,7 +221,7 @@ mod tests {
     fn manifest_records_the_recipe() {
         let spec = tiny_spec();
         let m = manifest_json(&spec, &[0.5, 0.25]);
-        let v = unet::json::parse_json(&m).expect("manifest parses");
+        let v = json::parse_json(&m).expect("manifest parses");
         assert_eq!(v.get("format").unwrap(), &Json::Str(MANIFEST_FORMAT.into()));
         assert_eq!(v.get("samples").unwrap(), &Json::Num(1.0));
         assert_eq!(v.get("final_loss").unwrap(), &Json::Num(0.25));

@@ -14,14 +14,14 @@
 use asura::scenarios;
 use asura_core::ckpt::{CkptEntry, CkptFormat, CkptStore, MANIFEST_FORMAT, MANIFEST_VERSION};
 use asura_core::faults::FaultInjector;
-use asura_core::snapshot::{fnv1a, SimSnapshot, SlabRecord, SnapshotError};
+use asura_core::snapshot::{SimSnapshot, SlabRecord, SnapshotError};
 use asura_core::Simulation;
+use json::{fnv1a, Json};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
-use unet::json::Json;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(

@@ -711,7 +711,7 @@ fn sph_dispatched_bodies_match_portable_bitwise() {
 /// FNV-1a over the little-endian bytes of `words`.
 fn hash_words(words: impl IntoIterator<Item = u64>) -> u64 {
     let bytes: Vec<u8> = words.into_iter().flat_map(u64::to_le_bytes).collect();
-    unet::json::fnv1a(&bytes)
+    json::fnv1a(&bytes)
 }
 
 /// Three Plummer-like clumps of different richness and size inside a
@@ -1012,7 +1012,7 @@ fn unet_inference_forward_equals_training_forward_and_recorded_bits() {
     assert_eq!(bits(&y), bits(&net.forward_cached(&x).0));
     let bytes: Vec<u8> = bits(&y).into_iter().flat_map(u32::to_le_bytes).collect();
     assert_eq!(
-        unet::json::fnv1a(&bytes),
+        json::fnv1a(&bytes),
         0xb9e2_a06d_8117_68ab,
         "U-Net forward no longer reproduces the im2col + GEMM bits"
     );
@@ -1063,7 +1063,7 @@ fn voxel_scatter_is_bitwise_equal_to_the_scalar_loop_it_replaced() {
         }
     }
     assert_eq!(
-        unet::json::fnv1a(&bytes),
+        json::fnv1a(&bytes),
         0x4f27_57eb_080b_ba0a,
         "voxel scatter no longer reproduces the scalar loop's bits"
     );

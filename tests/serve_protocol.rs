@@ -265,6 +265,67 @@ fn protocol_errors_come_back_as_ok_false() {
     shutdown(&addr, daemon);
 }
 
+/// Hostile request lines come back `ok:false`, and the same daemon then
+/// answers `LIST`. 60 000 `[` fit under the line cap, so they reach the
+/// JSON parser: with no depth limit its recursion overflows the connection
+/// thread's 2 MiB stack there and aborts the daemon. 100 000 `[` and a
+/// `LIST` padded with 70 000 spaces are past the cap, which the daemon
+/// refuses to read on; before the cap it trimmed the spaces and answered.
+#[test]
+fn deep_and_overlong_requests_are_refused_and_the_daemon_survives() {
+    let root = tmpdir("hostile");
+    let (daemon, addr) = start_daemon(&root, 1);
+    let deep = format!("SUBMIT quickstart {}", "[".repeat(60_000));
+    let reply = request_one(&addr, &deep);
+    assert!(!serve::reply_ok(&reply), "{reply}");
+    assert!(reply.contains("nesting deeper than"), "{reply}");
+    for (line, what) in [
+        (format!("SUBMIT quickstart {}", "[".repeat(100_000)), "deep"),
+        (format!("LIST{}", " ".repeat(70_000)), "padded"),
+    ] {
+        let reply = request_one(&addr, &line);
+        assert!(!serve::reply_ok(&reply), "{what}: {reply}");
+        assert!(
+            reply.contains("request line longer than"),
+            "{what}: {reply}"
+        );
+    }
+    let reply = request_one(&addr, "LIST");
+    assert!(serve::reply_ok(&reply), "{reply}");
+    shutdown(&addr, daemon);
+}
+
+/// The client verbs build a `Request` from argv and send its rendering:
+/// a typo'd override is refused before anything crosses the wire, and the
+/// exit status follows the replies' `ok` field.
+#[test]
+fn client_verbs_send_the_rendered_request() {
+    let root = tmpdir("client");
+    let (daemon, addr) = start_daemon(&root, 1);
+    let client = |args: &[&str]| {
+        let out = Command::new(BIN)
+            .args(args)
+            .args(["--addr", &addr])
+            .output();
+        let out = out.unwrap();
+        let text = String::from_utf8_lossy(&out.stdout) + String::from_utf8_lossy(&out.stderr);
+        (out.status.success(), text.into_owned())
+    };
+    let (ok, text) = client(&["submit", "quickstart", "{\"stepz\":4}"]);
+    assert!(
+        !ok && text.contains("submit: `stepz`: unknown override"),
+        "{text}"
+    );
+    let (ok, text) = client(&["list"]);
+    assert!(
+        ok && text.starts_with("{\"ok\":true,\"runs\":[]}"),
+        "{text}"
+    );
+    let (ok, text) = client(&["status", "r9999-nope"]);
+    assert!(!ok && text.starts_with("{\"ok\":false"), "{text}");
+    shutdown(&addr, daemon);
+}
+
 /// `asura scenarios` prints the submittable registry: every registered
 /// scenario's name, in registry order, one per line under a header.
 #[test]

@@ -192,7 +192,7 @@ fn region_pipeline_output_bits_are_pinned() {
         bytes.extend_from_slice(&p.id.to_le_bytes());
     }
     assert_eq!(
-        unet::json::fnv1a(&bytes),
+        json::fnv1a(&bytes),
         0x584c_17b2_27cf_2e35,
         "predict_particles changed its output bits"
     );

@@ -117,7 +117,7 @@ fn checksummed_documents_the_pipeline_cannot_run_are_rejected_at_load() {
     let hostile = format!(
         "{}{:016x}{}{hostile_net}}}",
         &doc[..stored],
-        unet::json::fnv1a(hostile_net.as_bytes()),
+        json::fnv1a(hostile_net.as_bytes()),
         &doc[stored + 16..net_at],
     );
     let err = load(&hostile).expect_err("layers that do not chain");

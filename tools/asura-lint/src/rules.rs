@@ -109,7 +109,7 @@ pub fn all_rules() -> Vec<Rule> {
                 "crates/core/src/diagnostics.rs",
                 "crates/core/src/serve.rs",
                 "crates/core/src/supervise.rs",
-                "crates/unet/src/json.rs",
+                "crates/json/src/**",
                 "crates/surrogate/src/model.rs",
             ],
             exclude: &[],
@@ -134,7 +134,7 @@ pub fn all_rules() -> Vec<Rule> {
             name: "one-json-writer",
             description: "no escaped JSON key (`\\\":`) inside a string literal — \
                           documents, protocol replies and bench results \
-                          (bench::BenchDoc) are built as unet::json values and \
+                          (bench::BenchDoc) are built as json::Json values and \
                           rendered by its one writer, which keeps integers \
                           integers and escapes strings",
             include: &[
@@ -144,6 +144,8 @@ pub fn all_rules() -> Vec<Rule> {
                 "crates/bench/**",
                 "benches/**",
                 "tools/bench-gate/src/**",
+                "crates/unet/src/**",
+                "crates/json/src/**",
             ],
             exclude: &[],
             check: check_one_json_writer,
@@ -408,7 +410,7 @@ fn check_one_json_writer(model: &FileModel) -> Vec<Finding> {
                 model,
                 lit.line + lit.text[..at].matches('\n').count(),
                 "a JSON key spelled inside a string literal — build the \
-                 document as a `unet::json::Json` value (`Json::obj`, \
+                 document as a `json::Json` value (`Json::obj`, \
                  `.into()`) and let `render()` write it"
                     .into(),
             ));

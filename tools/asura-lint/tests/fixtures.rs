@@ -88,6 +88,7 @@ fn bad_tree_trips_every_rule() {
         "one-json-writer",
         "crates/bench/benches/blockstep.rs:4",
     );
+    assert_finding(&report, "one-json-writer", "crates/unet/src/tensor.rs:4");
     // The reasonless suppression in sim.rs is itself a finding and does
     // NOT silence the wall-clock read it sits above.
     assert_finding(&report, "lint-allow", "crates/core/src/sim.rs:4");

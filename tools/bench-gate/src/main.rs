@@ -41,10 +41,10 @@
 #![forbid(unsafe_code)]
 
 use bench::{gates, Better};
+use json::{parse_json, Json};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use unet::json::{parse_json, Json};
 
 /// Outcome of one metric comparison.
 struct Row {
