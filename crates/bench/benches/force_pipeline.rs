@@ -5,9 +5,9 @@
 //! theta = 0.5, n_group = 64):
 //!
 //! 1. **walk_recursive_alloc** — the checked-in naive baseline: serial
-//!    recursive MAC walk with a freshly allocated `InteractionList` per
-//!    group (exactly what `Tree::interaction_lists` did before the
-//!    zero-allocation refactor);
+//!    recursive MAC walk (`Tree::walk_mac`) with a freshly allocated
+//!    `InteractionList` per group (exactly what `Tree::interaction_lists`
+//!    did before the zero-allocation refactor);
 //! 2. **walk_indexed_serial** — the compact `WalkIndex` walk with scratch
 //!    reuse, single-threaded (isolates the cache-layout win);
 //! 3. **walk_indexed_parallel** — the production path: rayon-parallel
@@ -179,7 +179,7 @@ fn main() {
         let mut total = 0u64;
         for &g in &groups {
             let mut list = InteractionList::default();
-            tree.walk_mac_recursive(&tree.nodes[g].bbox, THETA, &mut list);
+            tree.walk_mac(&tree.nodes[g].bbox, THETA, &mut list);
             total += list.len() as u64;
         }
         total

@@ -1,7 +1,8 @@
-//! Ablation bench: tree construction cost, the MAC walk's layouts, and
-//! the SPH smoothing-length iteration's tree-walk economy. (The gravity
-//! group size n_g — paper §5.2.4 tunes 2048 on Fugaku, 65,536 on Miyabi —
-//! is swept on both kernels, with its accuracy, by `force_pipeline`.)
+//! Ablation bench: tree construction cost and the SPH smoothing-length
+//! iteration's tree-walk economy. (`force_pipeline` times the MAC walks,
+//! the recursive reference against the indexed walk, and sweeps the
+//! gravity group size n_g — paper §5.2.4 tunes 2048 on Fugaku, 65,536 on
+//! Miyabi — on both kernels, with its accuracy.)
 //! Writes the `BENCH_tree_walk.json` trajectory artifact at the repo
 //! root, including the **gated** `h_iter_walk_ratio` top-level metric:
 //! tree walks issued per h-iteration across a density pass whose initial
@@ -14,7 +15,6 @@
 
 use bench::fixtures::cloud;
 use bench::{BenchDoc, Better, Records};
-use fdps::walk::{InteractionList, WalkScratch};
 use fdps::{Tree, Vec3};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,40 +29,6 @@ fn bench_tree_build(records: &mut Records) {
             Tree::build(&pos, &mass, 8)
         });
     }
-}
-
-fn bench_mac_walk(records: &mut Records) {
-    let (pos, mass) = cloud(50_000);
-    let tree = Tree::build(&pos, &mass, 8);
-    let groups = tree.groups(64);
-    let index = tree.walk_index();
-    records.time("mac_walk_50k/recursive_alloc_baseline", 10, || {
-        let mut total = 0usize;
-        for &g in &groups {
-            let mut list = InteractionList::default();
-            tree.walk_mac_recursive(&tree.nodes[g].bbox, 0.5, &mut list);
-            total += list.len();
-        }
-        total
-    });
-    let mut scratch = WalkScratch::default();
-    let mut list = InteractionList::default();
-    records.time("mac_walk_50k/iterative_reuse", 10, || {
-        let mut total = 0usize;
-        for &g in &groups {
-            tree.walk_mac_into(&tree.nodes[g].bbox, 0.5, &mut scratch, &mut list);
-            total += list.len();
-        }
-        total
-    });
-    records.time("mac_walk_50k/indexed_reuse", 10, || {
-        let mut total = 0usize;
-        for &g in &groups {
-            tree.walk_mac_indexed(&index, &tree.nodes[g].bbox, 0.5, &mut scratch, &mut list);
-            total += list.len();
-        }
-        total
-    });
 }
 
 /// Jittered gas lattice for the density benches: `n_side^3` particles at
@@ -193,7 +159,6 @@ fn h_iter_walk_ratio() -> f64 {
 fn main() {
     let mut records = Records::new();
     bench_tree_build(&mut records);
-    bench_mac_walk(&mut records);
     bench_density_h_iteration(&mut records);
     bench_force_pass(&mut records);
     BenchDoc::new()

@@ -434,8 +434,8 @@ impl ForceBuffers {
     /// fully-inactive groups) and only active gas re-sums density/hydro
     /// forces against freshly exchanged ghosts. The cached octree is
     /// moment-refreshed in place unless a source drifted beyond
-    /// [`scheduler::TREE_DRIFT_FRACTION`] of the root cube, which forces a
-    /// full rebuild.
+    /// [`Tree::DRIFT_FRACTION`] of the root cube, which forces a full
+    /// rebuild.
     pub fn compute_forces_active<H: Halo>(
         &mut self,
         cfg: &SimConfig,
@@ -456,19 +456,11 @@ impl ForceBuffers {
         // the drift bound.
         halo.phase(ph.tree, || {
             self.refresh_positions(particles);
-            let n_src = self.pos.len();
             let cached = self.tree.take();
             let cached_index = self.walk_index.take();
-            let reuse = cached.as_ref().is_some_and(|t| {
-                t.len() == n_src && self.tree_ref_pos.len() == n_src && {
-                    let bound = t.cube.max_extent() * scheduler::TREE_DRIFT_FRACTION;
-                    let b2 = bound * bound;
-                    self.pos
-                        .iter()
-                        .zip(&self.tree_ref_pos)
-                        .all(|(p, q)| (*p - *q).norm2() <= b2)
-                }
-            });
+            let reuse = cached
+                .as_ref()
+                .is_some_and(|t| t.may_refresh(&self.pos, &self.tree_ref_pos));
             let (tree, index) = match cached {
                 Some(mut t) if reuse => {
                     t.refresh(&self.pos, &self.mass);

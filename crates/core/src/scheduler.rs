@@ -30,10 +30,10 @@
 //!    "prediction for all particles" overhead the paper's §1 argument
 //!    charges against individual timesteps), the tree is moment-refreshed
 //!    rather than rebuilt ([`fdps::Tree::refresh`], falling back to a full
-//!    rebuild when the [`TREE_DRIFT_FRACTION`] bound trips), and only the
-//!    boundary's active set ([`ActiveScheduler::active_at_boundary_into`])
-//!    gets new forces and a full kick — closing its old step and opening
-//!    its next.
+//!    rebuild when [`fdps::Tree::may_refresh`]'s drift bound trips), and
+//!    only the boundary's active set
+//!    ([`ActiveScheduler::active_at_boundary_into`]) gets new forces and a
+//!    full kick — closing its old step and opening its next.
 //! 4. **Base-step close**: at the last boundary every level closes with a
 //!    half-kick, re-synchronizing the system so cooling, star formation
 //!    and SN identification (§3.2 steps 1 and 6) run on the shared base
@@ -45,14 +45,6 @@
 
 use fdps::Vec3;
 use sph::timestep::{dt_accel, dt_cfl};
-
-/// Fraction of the tree's root-cube extent any particle may drift from its
-/// position at the last full build before a substep forces a rebuild
-/// instead of a moment refresh. Refreshed nodes keep the old Morton
-/// partition, so drifting particles gradually loosen the MAC; this bound
-/// keeps the error of the refreshed walk in the same class as the opening
-/// criterion itself.
-pub const TREE_DRIFT_FRACTION: f64 = 0.05;
 
 /// Assignment of particles to power-of-two timestep levels, reused
 /// (allocation-free after warm-up) every base step: level 0 steps with

@@ -92,7 +92,7 @@ where
     recvs.into_iter().flatten().collect()
 }
 
-fn route<P: Send + 'static>(
+pub(crate) fn route<P: Send + 'static>(
     comm: &Comm,
     dd: &DomainDecomposition,
     sends: Vec<Vec<P>>,

@@ -8,12 +8,23 @@
 //! monopole super-particle (SPJ). This is the all-to-all phase that
 //! dominates at full-machine scale (paper Table 3: "LET Exchange ... most
 //! time-consuming with the full system of Fugaku").
+//!
+//! The export walk is the recursive reference [`Tree::walk_mac`], not the
+//! gravity groups' [`Tree::walk_mac_indexed`]. Both emit the same entries
+//! in different orders, and the order can reach the result: the receiving
+//! rank appends its imports to its own particles and builds its gravity
+//! tree over them, and that build's Morton sort is unstable, so where keys
+//! tie (a star formed on top of its parent gas particle) the tree's order,
+//! and with it the summation order, follows the order the entries arrived
+//! in. Shipping `walk_mac`'s depth-first order keeps multi-rank runs on the
+//! bits they have; moving export to the indexed walk changes them at
+//! round-off.
 
 use crate::domain::DomainDecomposition;
-use crate::exchange::Routing;
+use crate::exchange::{route, Routing};
 use crate::tree::Tree;
 use crate::vec3::Vec3;
-use mpisim::{Comm, TorusDims};
+use mpisim::Comm;
 
 /// A particle-or-monopole entry shipped in a LET.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,11 +76,10 @@ pub fn exchange_let(
             });
         }
     }
-    let recvs = match routing {
-        Routing::Flat => comm.alltoallv(sends),
-        Routing::Torus => comm.alltoallv_torus(TorusDims::new(dd.nx, dd.ny, dd.nz), sends),
-    };
-    recvs.into_iter().flatten().collect()
+    route(comm, dd, sends, routing)
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 #[cfg(test)]

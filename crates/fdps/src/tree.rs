@@ -261,6 +261,30 @@ impl Tree {
         self.compute_moments(ROOT, pos, mass, h);
     }
 
+    /// Fraction of the root cube's extent a particle may drift from its
+    /// position at the last full build before a cached tree is rebuilt
+    /// instead of refreshed ([`Tree::may_refresh`]). A refreshed tree keeps
+    /// the old Morton partition, so drift costs it two ways. Gravity's
+    /// sibling boxes start to overlap and loosen the MAC: the bound keeps
+    /// the refreshed walk's error in the same class as the opening
+    /// criterion itself. A neighbour-search tree stays exact but loses
+    /// Morton locality: the bound guards against a degenerate partition.
+    pub const DRIFT_FRACTION: f64 = 0.05;
+
+    /// Whether this cached tree may be [`Tree::refresh`]ed over `pos`
+    /// instead of rebuilt: `pos` and `built_at` (the positions at the last
+    /// full build) hold the tree's particle count, and no particle moved
+    /// further than [`Tree::DRIFT_FRACTION`] of the root cube's extent.
+    pub fn may_refresh(&self, pos: &[Vec3], built_at: &[Vec3]) -> bool {
+        self.len() == pos.len() && built_at.len() == pos.len() && {
+            let bound = self.cube.max_extent() * Self::DRIFT_FRACTION;
+            let b2 = bound * bound;
+            pos.iter()
+                .zip(built_at)
+                .all(|(p, q)| (*p - *q).norm2() <= b2)
+        }
+    }
+
     /// Root node.
     pub fn root(&self) -> &TreeNode {
         &self.nodes[ROOT]

@@ -6,36 +6,34 @@
 //! particles kept individually plus distant nodes accepted as monopole
 //! "super-particles" — and the user kernel then evaluates group × list.
 //!
+//! # Two walks
+//!
+//! * [`Tree::walk_mac_indexed`] is the fast path, which the gravity groups
+//!   run. It walks a [`WalkIndex`] — a compact cache-line-per-node SoA
+//!   snapshot of the walk-relevant node data (bounds, precomputed size²,
+//!   child/leaf encoding, monopole), built once per tree, immutable and
+//!   shared by all workers — and resolves accepted and leaf children
+//!   inline instead of round-tripping them through its stack.
+//! * [`Tree::walk_mac`] is the recursive reference: a depth-first walk
+//!   that visits children in index order. LET export ships its order,
+//!   and the tests and benches hold the indexed walk against it.
+//!
+//! Both apply the same acceptance criterion, so they emit the **same EP
+//! set and SP multiset**; the indexed walk emits them in a different
+//! (still deterministic) order, because accepted children are emitted
+//! before their earlier siblings' subtrees are expanded.
+//!
 //! # Buffer-reuse contract
 //!
-//! The walk is the hottest loop in the code and is written to perform **no
-//! heap allocation in steady state**. The contract has four parts:
-//!
-//! * [`Tree::walk_mac_into`] takes a caller-owned [`WalkScratch`] (the
-//!   explicit traversal stack) and a caller-owned [`InteractionList`] (the
-//!   `ep`/`sp` output buffers). Both are **cleared, never shrunk**: after a
-//!   warm-up walk their capacities stabilize at the high-water mark and
-//!   subsequent walks reuse the storage.
-//! * Per-thread reuse: parallel drivers thread one `WalkScratch` +
-//!   `InteractionList` pair per worker through rayon's `map_init`, so a
-//!   worker's scratch persists across all groups it processes (see
-//!   [`Tree::interaction_lists`] and the gravity solver).
-//! * Per-tree reuse: hot drivers build one [`WalkIndex`] per tree — a
-//!   compact cache-line-per-node SoA snapshot of the walk-relevant node
-//!   data (bounds, precomputed size², child/leaf encoding, monopole) — and
-//!   walk through [`Tree::walk_mac_indexed`], which also resolves
-//!   accepted/leaf children inline instead of round-tripping them through
-//!   the stack. The index is immutable and shared by all workers.
-//! * [`Tree::walk_mac_into`] is an explicit-stack DFS visiting children in
-//!   index order, so its output is **element-for-element identical** to the
-//!   recursive reference [`Tree::walk_mac_recursive`], which is kept as the
-//!   checked-in naive baseline for tests and benchmarks.
-//!   `walk_mac_indexed` emits the **same EP set and SP multiset** but in a
-//!   different (still deterministic) order, because accepted children are
-//!   emitted before their earlier siblings' subtrees are expanded.
-//!
-//! [`Tree::walk_mac`] remains as the allocation-per-call convenience
-//! wrapper for cold paths and tests.
+//! The indexed walk is the hottest loop in the code and performs **no
+//! heap allocation in steady state**. It takes a caller-owned
+//! [`WalkScratch`] (its explicit traversal stack) and a caller-owned
+//! [`InteractionList`] (the `ep`/`sp` output buffers). Both are **cleared,
+//! never shrunk**: after a warm-up walk their capacities stabilize at the
+//! high-water mark and later walks reuse the storage. Callers keep one
+//! pair per thread — [`Tree::interaction_lists`] per rayon worker, the
+//! gravity solver in a thread-local that outlives the evaluation.
+//! [`Tree::walk_mac`] appends to a caller-owned list and needs no scratch.
 
 use crate::bbox::BBox;
 use crate::tree::{Tree, ROOT};
@@ -81,8 +79,8 @@ impl InteractionList {
     }
 }
 
-/// Reusable traversal state for the iterative MAC walk: the explicit DFS
-/// stack. Cleared (capacity kept) at the start of every walk.
+/// Reusable traversal state for [`Tree::walk_mac_indexed`]: its explicit
+/// DFS stack. Cleared (capacity kept) at the start of every walk.
 #[derive(Debug, Clone, Default)]
 pub struct WalkScratch {
     stack: Vec<u32>,
@@ -188,88 +186,19 @@ impl WalkIndex {
 }
 
 impl Tree {
-    /// Walk the tree for a target region and collect the interaction list.
+    /// Walk the tree for a target region and collect the interaction list:
+    /// the recursive reference walk.
     ///
     /// A node is *opened* (descended into) when `size > theta * dist`, where
     /// `dist` is the distance from the target box to the node's bounding
     /// box — the standard Barnes–Hut opening criterion generalized to group
     /// targets. Opened leaves contribute their particles as EPJ; accepted
-    /// nodes contribute their monopole as SPJ.
-    ///
-    /// Convenience wrapper over [`Tree::walk_mac_into`] that allocates its
-    /// own traversal stack; `out` is appended to (historical behaviour —
-    /// callers pass a fresh list). Hot paths should hold a [`WalkScratch`]
-    /// and call `walk_mac_into` instead.
+    /// nodes contribute their monopole as SPJ. Children are visited in index
+    /// order, depth first; `out` is appended to, not cleared. LET export
+    /// ships this order, the tests and benches compare
+    /// [`Tree::walk_mac_indexed`] against it, and the recursion depth is
+    /// bounded by the tree's (at most `morton::BITS` levels).
     pub fn walk_mac(&self, target: &BBox, theta: f64, out: &mut InteractionList) {
-        let mut scratch = WalkScratch::default();
-        self.walk_mac_append(target, theta, &mut scratch, out);
-    }
-
-    /// Iterative explicit-stack MAC walk into caller-owned buffers.
-    ///
-    /// `out` is cleared first (capacity kept); `scratch` holds the DFS
-    /// stack across calls. In steady state this performs zero heap
-    /// allocation. Children are visited in index order, so the output is
-    /// identical to [`Tree::walk_mac_recursive`].
-    pub fn walk_mac_into(
-        &self,
-        target: &BBox,
-        theta: f64,
-        scratch: &mut WalkScratch,
-        out: &mut InteractionList,
-    ) {
-        out.clear();
-        self.walk_mac_append(target, theta, scratch, out);
-    }
-
-    /// The iterative walk core: appends to `out` without clearing.
-    fn walk_mac_append(
-        &self,
-        target: &BBox,
-        theta: f64,
-        scratch: &mut WalkScratch,
-        out: &mut InteractionList,
-    ) {
-        if self.is_empty() {
-            return;
-        }
-        let theta2 = theta * theta;
-        let stack = &mut scratch.stack;
-        stack.clear();
-        stack.push(ROOT as u32);
-        while let Some(node) = stack.pop() {
-            let n = &self.nodes[node as usize];
-            if n.bbox.is_empty() {
-                continue;
-            }
-            let d2 = target.dist2_to_box(&n.bbox);
-            let s = n.size();
-            // Accept as monopole when s^2 <= theta^2 d^2 (and the node is
-            // not overlapping the target, where d2 = 0 forces opening).
-            if d2 > 0.0 && s * s <= theta2 * d2 {
-                out.sp.push(SuperParticle {
-                    pos: n.com,
-                    mass: n.mass,
-                });
-                continue;
-            }
-            if n.is_leaf() {
-                out.ep.extend_from_slice(self.leaf_particles(n));
-            } else {
-                // Push in reverse so the LIFO pop visits children in index
-                // order, matching the recursive reference exactly.
-                for c in (0..n.child_count as u32).rev() {
-                    stack.push(n.child_start + c);
-                }
-            }
-        }
-    }
-
-    /// The naive recursive MAC walk, kept as the checked-in reference
-    /// baseline: tests assert the iterative walk reproduces it
-    /// element-for-element, and `cargo bench --bench force_pipeline`
-    /// measures the iterative walk's speedup against it.
-    pub fn walk_mac_recursive(&self, target: &BBox, theta: f64, out: &mut InteractionList) {
         if self.is_empty() {
             return;
         }
@@ -283,6 +212,8 @@ impl Tree {
         }
         let d2 = target.dist2_to_box(&n.bbox);
         let s = n.size();
+        // Accept as monopole when s^2 <= theta^2 d^2 (and the node is not
+        // overlapping the target, where d2 = 0 forces opening).
         if d2 > 0.0 && s * s <= theta2 * d2 {
             out.sp.push(SuperParticle {
                 pos: n.com,
@@ -341,7 +272,7 @@ impl Tree {
 
     /// The hot-path MAC walk over a prebuilt [`WalkIndex`].
     ///
-    /// Same acceptance criterion as [`Tree::walk_mac_into`] and therefore
+    /// Same acceptance criterion as [`Tree::walk_mac`] and therefore
     /// the same EP set and SP multiset, but accepted/leaf children are
     /// resolved inline (only opened internal nodes touch the stack), so the
     /// emission *order* differs. `out` is cleared first; `scratch` and
@@ -524,6 +455,7 @@ pub fn eval_gravity_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::domain::DomainDecomposition;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -686,68 +618,73 @@ mod tests {
         (ep, sp)
     }
 
-    /// Property test: the iterative explicit-stack walk emits exactly the
-    /// recursive reference's interaction list — same EP sequence, same SP
-    /// monopoles — and the indexed walk emits the same EP set / SP
-    /// multiset, over random clouds and a grid of `theta`/`n_group`.
+    /// Property test: the indexed walk emits the recursive reference's EP
+    /// set and SP multiset, over random clouds and a grid of `theta`, on
+    /// the targets both kinds of caller walk: every group box for a grid
+    /// of `n_group` (gravity), and LET-shaped boxes — the eight domains of
+    /// a 2×2×2 cut of the cloud, which straddle the tree, a box wholly
+    /// outside the root and a box containing it.
     #[test]
-    fn iterative_walk_matches_recursive_reference() {
+    fn indexed_walk_matches_recursive_reference() {
         for seed in 0..24u64 {
             let mut rng = StdRng::seed_from_u64(seed * 7 + 1);
             let n = rng.gen_range(2..600usize);
             let (pos, mass) = random_cloud(n, seed + 100);
             let tree = Tree::build(&pos, &mass, rng.gen_range(1..12usize));
             let index = tree.walk_index();
+            let root = tree.nodes[ROOT].bbox;
+            let mut targets: Vec<(String, BBox)> = Vec::new();
+            for n_group in [1usize, 16, 64, 1024] {
+                for g in tree.groups(n_group) {
+                    targets.push((format!("n_group {n_group} group {g}"), tree.nodes[g].bbox));
+                }
+            }
+            let mut sample = pos.clone();
+            let dd = DomainDecomposition::from_samples((2, 2, 2), &mut sample, root);
+            targets.extend((0..dd.len()).map(|r| (format!("domain {r}"), dd.domain_box(r))));
+            // One root extent away: accepted whole at the larger thetas.
+            let beyond = root.hi + Vec3::splat(root.max_extent());
+            targets.push(("outside".into(), BBox::new(beyond, beyond + root.extent())));
+            targets.push(("containing".into(), root.inflated(1.0)));
             let mut scratch = WalkScratch::default();
-            let mut iterative = InteractionList::default();
             let mut indexed = InteractionList::default();
             for theta in [0.0, 0.3, 0.5, 0.8, 1.2] {
-                for n_group in [1usize, 16, 64, 1024] {
-                    for g in tree.groups(n_group) {
-                        let target = tree.nodes[g].bbox;
-                        let mut recursive = InteractionList::default();
-                        tree.walk_mac_recursive(&target, theta, &mut recursive);
-                        tree.walk_mac_into(&target, theta, &mut scratch, &mut iterative);
-                        assert_eq!(
-                            iterative.ep, recursive.ep,
-                            "seed {seed} theta {theta} n_group {n_group} group {g}: EP mismatch"
-                        );
-                        assert_eq!(
-                            iterative.sp, recursive.sp,
-                            "seed {seed} theta {theta} n_group {n_group} group {g}: SP mismatch"
-                        );
-                        tree.walk_mac_indexed(&index, &target, theta, &mut scratch, &mut indexed);
-                        assert_eq!(
-                            canonical(&indexed),
-                            canonical(&recursive),
-                            "seed {seed} theta {theta} n_group {n_group} group {g}: indexed set mismatch"
-                        );
-                    }
+                for (what, target) in &targets {
+                    let mut recursive = InteractionList::default();
+                    tree.walk_mac(target, theta, &mut recursive);
+                    tree.walk_mac_indexed(&index, target, theta, &mut scratch, &mut indexed);
+                    assert_eq!(
+                        canonical(&indexed),
+                        canonical(&recursive),
+                        "seed {seed} theta {theta} {what}: indexed set mismatch"
+                    );
                 }
             }
         }
     }
 
-    /// The walk scratch and output buffers stop growing after a warm-up
-    /// walk: steady-state traversals are allocation-free.
+    /// The indexed walk's scratch and output buffers stop growing after a
+    /// warm-up walk: steady-state traversals are allocation-free.
     #[test]
     fn walk_buffers_reach_steady_state() {
         let (pos, mass) = random_cloud(2000, 9);
         let tree = Tree::build(&pos, &mass, 8);
+        let index = tree.walk_index();
         let groups = tree.groups(64);
         let mut scratch = WalkScratch::default();
         let mut list = InteractionList::default();
+        let walk_all = |scratch: &mut WalkScratch, list: &mut InteractionList| {
+            for &g in &groups {
+                tree.walk_mac_indexed(&index, &tree.nodes[g].bbox, 0.5, scratch, list);
+            }
+        };
         // Warm-up pass over every group.
-        for &g in &groups {
-            tree.walk_mac_into(&tree.nodes[g].bbox, 0.5, &mut scratch, &mut list);
-        }
+        walk_all(&mut scratch, &mut list);
         let stack_cap = scratch.capacity();
         let list_caps = list.capacities();
         // Steady state: identical walks must not grow any buffer.
         for _ in 0..3 {
-            for &g in &groups {
-                tree.walk_mac_into(&tree.nodes[g].bbox, 0.5, &mut scratch, &mut list);
-            }
+            walk_all(&mut scratch, &mut list);
         }
         assert_eq!(scratch.capacity(), stack_cap, "stack grew after warm-up");
         assert_eq!(list.capacities(), list_caps, "ep/sp grew after warm-up");

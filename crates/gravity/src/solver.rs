@@ -9,8 +9,9 @@
 //! substep, every step) starts from buffers already grown to the largest
 //! group it has seen. Only the per-group outputs (target indices and
 //! accumulators) are freshly allocated, and
-//! [`GravitySolver::evaluate_into`] lets callers own the result arrays too,
-//! so a simulation's steady-state force evaluation does not grow the heap.
+//! [`GravitySolver::evaluate_into_indexed`] lets callers own the result
+//! arrays and the walk index too, so a simulation's steady-state force
+//! evaluation does not grow the heap.
 //!
 //! # Staging by slot
 //!
@@ -199,9 +200,10 @@ impl GravitySolver {
         mass: &[f64],
         n_local: usize,
     ) -> GravityResult {
-        let mut acc = Vec::new();
-        let mut pot = Vec::new();
-        let interactions = self.evaluate_into(tree, pos, mass, n_local, &mut acc, &mut pot);
+        let index = tree.walk_index();
+        let (mut acc, mut pot) = (Vec::new(), Vec::new());
+        let interactions =
+            self.evaluate_into_indexed(tree, &index, pos, mass, n_local, &mut acc, &mut pot);
         GravityResult {
             acc,
             pot,
@@ -209,24 +211,10 @@ impl GravitySolver {
         }
     }
 
-    /// Evaluate into caller-owned result buffers (`acc`/`pot` are resized
-    /// to `n_local` in place, capacity retained), returning the interaction
-    /// count. This is the zero-allocation entry point the simulation driver
-    /// uses every step.
-    pub fn evaluate_into(
-        &self,
-        tree: &Tree,
-        pos: &[Vec3],
-        mass: &[f64],
-        n_local: usize,
-        acc: &mut Vec<Vec3>,
-        pot: &mut Vec<f64>,
-    ) -> u64 {
-        let index = tree.walk_index();
-        self.evaluate_into_indexed(tree, &index, pos, mass, n_local, acc, pot)
-    }
-
-    /// [`GravitySolver::evaluate_into`] over a caller-owned [`WalkIndex`].
+    /// Evaluate into caller-owned result buffers over a caller-owned
+    /// [`WalkIndex`], returning the interaction count: `acc`/`pot` are
+    /// resized to `n_local` in place (capacity kept). This is the
+    /// zero-allocation entry point the simulation drivers use every step.
     ///
     /// The index must belong to `tree` (same build, or [`WalkIndex::refresh`]ed
     /// after a [`Tree::refresh`]). Drivers that evaluate forces repeatedly on
@@ -243,29 +231,22 @@ impl GravitySolver {
         acc: &mut Vec<Vec3>,
         pot: &mut Vec<f64>,
     ) -> u64 {
-        let interactions = AtomicU64::new(0);
-        let per_group =
-            self.accumulate_groups(tree, index, pos, mass, n_local, None, &interactions);
         acc.clear();
         acc.resize(n_local, Vec3::ZERO);
         pot.clear();
         pot.resize(n_local, 0.0);
-        for (targets, accum) in per_group {
-            for (k, &i) in targets.iter().enumerate() {
-                acc[i as usize] = accum[k].acc * self.g;
-                pot[i as usize] = -self.g * accum[k].pot;
-            }
-        }
-        interactions.into_inner()
+        self.accumulate_groups(tree, index, pos, mass, n_local, None, acc, pot)
     }
 
     /// The group kernel shared by the full and active-subset entry points:
     /// per group, filter targets (locality plus the optional active mask),
     /// walk the tree, stage the j-side SoA by slot (EP entries then SP
     /// monopoles, fused into one contiguous kernel launch), run the
-    /// monopole kernel and subtract the softened self-interaction. Groups
-    /// with no surviving target skip their walk entirely — with a sparse
-    /// mask that is where the block-timestep savings come from.
+    /// monopole kernel and subtract the softened self-interaction; then
+    /// write each target's `acc`/`pot` entry (with the G factor) and return
+    /// the interaction count. Groups with no surviving target skip their
+    /// walk entirely — with a sparse mask that is where the block-timestep
+    /// savings come from, and every other entry keeps its value.
     ///
     /// Each group owns disjoint i-particles, so groups parallelize
     /// cleanly; a thread's walk/list/SoA scratch persists across its
@@ -280,8 +261,10 @@ impl GravitySolver {
         mass: &[f64],
         n_local: usize,
         active_mask: Option<&[bool]>,
-        interactions: &AtomicU64,
-    ) -> Vec<(Vec<u32>, Vec<GravityAccum>)> {
+        acc: &mut [Vec3],
+        pot: &mut [f64],
+    ) -> u64 {
+        let interactions = AtomicU64::new(0);
         let eps2 = 2.0 * self.eps * self.eps; // eps_i^2 + eps_j^2, equal eps
         let groups = tree.groups(self.n_group);
 
@@ -337,42 +320,32 @@ impl GravitySolver {
             }
             (targets, accum)
         };
-        groups
+        let per_group: Vec<_> = groups
             .par_iter()
             .map(|&g| SCRATCH.with_borrow_mut(|scratch| group(scratch, g)))
-            .collect()
+            .collect();
+        for (targets, accum) in per_group {
+            for (k, &i) in targets.iter().enumerate() {
+                acc[i as usize] = accum[k].acc * self.g;
+                pot[i as usize] = -self.g * accum[k].pot;
+            }
+        }
+        interactions.into_inner()
     }
 
     /// Evaluate gravity only on the particles flagged in `active_mask`
-    /// while the full `pos`/`mass` set still acts as sources — the
-    /// hierarchical-block-timestep entry point: on a fine substep only the
-    /// active level bins need fresh forces, and groups whose leaves contain
-    /// no active target skip their tree walk entirely, which is where the
-    /// active-set savings come from.
+    /// while the full `pos`/`mass` set still acts as sources, over a
+    /// caller-owned [`WalkIndex`] — the hierarchical-block-timestep hot
+    /// path: on a fine substep only the active level bins need fresh
+    /// forces, groups whose leaves contain no active target skip their
+    /// tree walk entirely, and the tree is moment-refreshed and the index
+    /// [`WalkIndex::refresh`]ed in place, so neither structure is rebuilt
+    /// per force evaluation.
     ///
     /// `acc`/`pot` must already be sized to at least `n_local` (a base
-    /// step's [`GravitySolver::evaluate_into`] does that); only the entries
-    /// of active targets are overwritten, everything else keeps the value
-    /// from its own last update.
-    #[allow(clippy::too_many_arguments)]
-    pub fn evaluate_into_active(
-        &self,
-        tree: &Tree,
-        pos: &[Vec3],
-        mass: &[f64],
-        n_local: usize,
-        active_mask: &[bool],
-        acc: &mut [Vec3],
-        pot: &mut [f64],
-    ) -> u64 {
-        let index = tree.walk_index();
-        self.evaluate_into_active_indexed(tree, &index, pos, mass, n_local, active_mask, acc, pot)
-    }
-
-    /// [`GravitySolver::evaluate_into_active`] over a caller-owned
-    /// [`WalkIndex`] — the block-timestep hot path: on fine substeps the
-    /// tree is moment-refreshed and the index [`WalkIndex::refresh`]ed in
-    /// place, so neither structure is rebuilt per force evaluation.
+    /// step's [`GravitySolver::evaluate_into_indexed`] does that); only the
+    /// entries of active targets are overwritten, everything else keeps the
+    /// value from its own last update.
     #[allow(clippy::too_many_arguments)]
     pub fn evaluate_into_active_indexed(
         &self,
@@ -394,23 +367,7 @@ impl GravitySolver {
             acc.len() >= n_local && pot.len() >= n_local,
             "result buffers must be pre-sized (run a full evaluation first)"
         );
-        let interactions = AtomicU64::new(0);
-        let per_group = self.accumulate_groups(
-            tree,
-            index,
-            pos,
-            mass,
-            n_local,
-            Some(active_mask),
-            &interactions,
-        );
-        for (targets, accum) in per_group {
-            for (k, &i) in targets.iter().enumerate() {
-                acc[i as usize] = accum[k].acc * self.g;
-                pot[i as usize] = -self.g * accum[k].pot;
-            }
-        }
-        interactions.into_inner()
+        self.accumulate_groups(tree, index, pos, mass, n_local, Some(active_mask), acc, pot)
     }
 }
 
@@ -554,9 +511,10 @@ mod tests {
             ..Default::default()
         };
         let tree = Tree::build(&pos, &mass, solver.n_leaf);
+        let index = tree.walk_index();
         let mut acc = Vec::new();
         let mut pot = Vec::new();
-        solver.evaluate_into(&tree, &pos, &mass, n, &mut acc, &mut pot);
+        solver.evaluate_into_indexed(&tree, &index, &pos, &mass, n, &mut acc, &mut pot);
 
         // Poison the result arrays everywhere, then re-evaluate only a
         // scattered active subset: active entries must be restored exactly,
@@ -568,8 +526,16 @@ mod tests {
         let sentinel_a = Vec3::new(1e30, -1e30, 1e30);
         let mut acc2 = vec![sentinel_a; n];
         let mut pot2 = vec![1e30; n];
-        let inter =
-            solver.evaluate_into_active(&tree, &pos, &mass, n, &active_mask, &mut acc2, &mut pot2);
+        let inter = solver.evaluate_into_active_indexed(
+            &tree,
+            &index,
+            &pos,
+            &mass,
+            n,
+            &active_mask,
+            &mut acc2,
+            &mut pot2,
+        );
         assert!(inter > 0);
         for i in 0..n {
             if active_mask[i] {
@@ -587,9 +553,10 @@ mod tests {
         one_hot[13] = true;
         let mut acc3 = vec![Vec3::ZERO; n];
         let mut pot3 = vec![0.0; n];
-        let full = solver.evaluate_into(&tree, &pos, &mass, n, &mut acc, &mut pot);
-        let sparse =
-            solver.evaluate_into_active(&tree, &pos, &mass, n, &one_hot, &mut acc3, &mut pot3);
+        let full = solver.evaluate_into_indexed(&tree, &index, &pos, &mass, n, &mut acc, &mut pot);
+        let sparse = solver.evaluate_into_active_indexed(
+            &tree, &index, &pos, &mass, n, &one_hot, &mut acc3, &mut pot3,
+        );
         assert!(
             sparse * 10 < full,
             "one-hot active set should prune interactions: {sparse} vs {full}"

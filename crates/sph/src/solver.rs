@@ -30,7 +30,7 @@
 //!    active subset drifted a little; the refreshed tree stays *exact*
 //!    (bounding boxes always contain their particles and stored radii are
 //!    re-accumulated), it only gradually loses Morton locality. When any
-//!    particle drifts beyond [`SphTreeCache::DRIFT_FRACTION`] of the root
+//!    particle drifts beyond [`fdps::Tree::DRIFT_FRACTION`] of the root
 //!    cube — or the particle count changes — `Refresh` silently degrades
 //!    to a full rebuild.
 //!
@@ -155,14 +155,6 @@ pub struct SphTreeCache {
 }
 
 impl SphTreeCache {
-    /// Fraction of the root-cube extent any particle may drift from the
-    /// last full build before [`TreeReuse::Refresh`] degrades to a
-    /// rebuild. Unlike the gravity MAC — where drift loosens the opening
-    /// criterion — a refreshed neighbor tree remains *exact*, so this
-    /// bound is purely a performance guard against a degenerate Morton
-    /// partition.
-    pub const DRIFT_FRACTION: f64 = 0.05;
-
     /// Cumulative `(refreshes, rebuilds)` served by this cache.
     pub fn counts(&self) -> (u64, u64) {
         (self.refreshes, self.rebuilds)
@@ -179,16 +171,10 @@ impl SphTreeCache {
         reuse: TreeReuse,
     ) -> &Tree {
         let refresh = reuse == TreeReuse::Refresh
-            && self.ref_pos.len() == pos.len()
-            && self.tree.as_ref().is_some_and(|t| {
-                t.len() == pos.len() && {
-                    let bound = t.cube.max_extent() * Self::DRIFT_FRACTION;
-                    let b2 = bound * bound;
-                    pos.iter()
-                        .zip(&self.ref_pos)
-                        .all(|(p, q)| (*p - *q).norm2() <= b2)
-                }
-            });
+            && self
+                .tree
+                .as_ref()
+                .is_some_and(|t| t.may_refresh(pos, &self.ref_pos));
         if refresh {
             let t = self.tree.as_mut().expect("cache validated above");
             t.refresh_with_h(pos, mass, Some(radii));
@@ -889,7 +875,7 @@ mod tests {
         let solver = SphSolver::default();
         let mut scratch = SphScratch::default();
         solver.density_pass_with(&mut s, n, &mut scratch);
-        // Teleport one particle across the box: beyond DRIFT_FRACTION.
+        // Teleport one particle across the box: beyond Tree::DRIFT_FRACTION.
         s.pos[0] += Vec3::splat(3.0);
         let targets: Vec<usize> = (0..n).collect();
         let (_, b0) = scratch.tree_counts();

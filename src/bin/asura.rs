@@ -156,7 +156,6 @@ OPTIONS:
                                weights from `asura train-surrogate` and embeds
                                them in every checkpoint (a bad file exits 2 and
                                is never retried by the supervisor)
-    --diag-every <k>           diagnostics sampling cadence (default 1)
     --out-dir <dir>            output root (default results); artifacts land in
                                <out-dir>/<scenario>/
     --run-dir <dir>            exact artifact directory (no scenario-name nesting);
@@ -252,9 +251,6 @@ struct Args {
     timestep: Option<TimestepMode>,
     snapshot_every: Option<u64>,
     seed: u64,
-    /// Diagnostics sampling cadence; `None` means the default of every
-    /// step (explicitly passing the flag with `--dist` is rejected).
-    diag_every: Option<u64>,
     out_dir: PathBuf,
     /// Exact artifact directory, overriding the `<out-dir>/<scenario>`
     /// nesting — the serve daemon gives every run id its own directory.
@@ -337,7 +333,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         timestep: None,
         snapshot_every: None,
         seed: DEFAULT_SEED,
-        diag_every: None,
         out_dir: PathBuf::from("results"),
         run_dir: None,
         keep: DEFAULT_KEEP,
@@ -360,7 +355,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--timestep" => args.timestep = Some(flags.parsed(flag)?),
             "--snapshot-every" => args.snapshot_every = Some(flags.parsed(flag)?),
             "--seed" => args.seed = flags.parsed(flag)?,
-            "--diag-every" => args.diag_every = Some(flags.parsed(flag)?),
             "--out-dir" => args.out_dir = PathBuf::from(flags.value(flag)?),
             "--run-dir" => args.run_dir = Some(PathBuf::from(flags.value(flag)?)),
             "--keep" => args.keep = flags.at_least_one(flag)?,
@@ -500,14 +494,6 @@ fn run_scenario(args: &Args) -> Result<(), String> {
     // A malformed fault plan is a usage error (exit 2, never retried) so a
     // typo'd ASURA_FAULTS can't silently run fault-free.
     let mut injector = FaultInjector::from_env().map_err(|e| format!("usage: {e}"))?;
-    // Refuse a flag the distributed driver would silently ignore.
-    if args.dist.is_some() && args.diag_every.is_some() {
-        return Err(
-            "--dist writes dist_report.json instead of a diagnostics time series; \
-             --diag-every applies to the shared-memory driver"
-                .into(),
-        );
-    }
     let run = resolve_run(args, args.ckpt_base())?;
     let ranks = args
         .dist
@@ -573,7 +559,6 @@ fn run_shared(
     let map_half = scenarios::find(&run.name).map_or(100.0, |s| s.map_half);
     let mut series = TimeSeries::new(run.name.clone());
     let mut t_prev = sim.time;
-    let diag_every = args.diag_every.unwrap_or(1);
     let diag_path = store.dir().join("diagnostics.json");
     // Under supervision (--heartbeat set) the series is also rewritten
     // atomically after every sample, so WATCHers of the serve daemon see
@@ -583,12 +568,10 @@ fn run_shared(
     let mut written = sim
         .run_with_store(run.steps, store, CkptFormat::Bin, injector, |s| {
             beat(s.step_count);
-            if diag_every > 0 && s.step_count.is_multiple_of(diag_every) {
-                series.record(TimeSample::measure(s, t_prev, map_half));
-                t_prev = s.time;
-                if live_diag {
-                    let _ = atomic_write(&diag_path, series.to_json().as_bytes());
-                }
+            series.record(TimeSample::measure(s, t_prev, map_half));
+            t_prev = s.time;
+            if live_diag {
+                let _ = atomic_write(&diag_path, series.to_json().as_bytes());
             }
         })
         .map_err(ckpt_error)?;
@@ -715,7 +698,6 @@ struct ChildRun<'a> {
     timestep: Option<TimestepMode>,
     snapshot_every: Option<u64>,
     seed: u64,
-    diag_every: Option<u64>,
     predictor: Option<&'a PredictorSpec>,
     /// `--dist`'s main-rank grid and pool rank count.
     dist: Option<((usize, usize, usize), usize)>,
@@ -747,7 +729,6 @@ impl ChildRun<'_> {
         opt(&mut cmd, "--timestep", self.timestep);
         opt(&mut cmd, "--snapshot-every", self.snapshot_every);
         opt(&mut cmd, "--seed", Some(self.seed));
-        opt(&mut cmd, "--diag-every", self.diag_every);
         opt(&mut cmd, "--predictor", self.predictor);
         opt(&mut cmd, "--dist", self.dist.map(dist_spec));
         cmd.arg("--run-dir").arg(self.run_dir);
@@ -790,7 +771,6 @@ fn run_supervised(args: &Args) -> Result<(), String> {
         timestep: args.timestep,
         snapshot_every: args.snapshot_every,
         seed: args.seed,
-        diag_every: args.diag_every,
         predictor: args.predictor.as_ref(),
         dist: args.dist,
         run_dir: &dir,
@@ -997,7 +977,6 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
             // replay more than one step of lost work.
             snapshot_every: Some(o.snapshot_every.unwrap_or(1)),
             seed: o.seed.unwrap_or(DEFAULT_SEED),
-            diag_every: None,
             predictor: None,
             dist: None,
             run_dir: spec.run_dir,
