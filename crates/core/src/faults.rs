@@ -29,6 +29,12 @@
 //! checkpoint the first attempt writes and kills that attempt after step
 //! 5; the supervised resume (attempt 1) sees no armed faults.
 //!
+//! A [`Fault`] is one of two families, each carrying its effect: a
+//! [`StepFault`] at a step (`kill`, `stall`), enforced by
+//! [`FaultInjector::enforce_step`], or a [`WriteFault`] at a commit
+//! ordinal (`torn`, `corrupt`, `io`), handed out by
+//! [`FaultInjector::on_commit`].
+//!
 //! Write faults count *checkpoint commits* (calls into
 //! [`CkptStore::commit_bytes`](crate::ckpt::CkptStore::commit_bytes)), not
 //! arbitrary file writes, and the damage is applied to the bytes that land
@@ -51,17 +57,11 @@ pub const ATTEMPT_ENV: &str = "ASURA_ATTEMPT";
 /// One injectable fault (see the module docs for the grammar).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
-    /// Exit with [`FAULT_KILL_EXIT`] after completing the given step.
-    KillAtStep(u64),
-    /// Park in a sleep loop (simulated hang) after completing the step.
-    StallAtStep(u64),
-    /// Truncate the `nth` checkpoint commit to `at_byte` bytes.
-    TornWrite { nth: u64, at_byte: u64 },
-    /// Flip a byte of the `nth` checkpoint commit (`at_byte` wraps modulo
-    /// the payload length), breaking the stored checksum.
-    CorruptWrite { nth: u64, at_byte: u64 },
-    /// Fail the `nth` checkpoint commit with a synthetic I/O error.
-    IoErrorWrite { nth: u64 },
+    /// `kill@step` / `stall@step`: fires after completing `step`.
+    Step { step: u64, fault: StepFault },
+    /// `torn@nth:k` / `corrupt@nth:k` / `io@nth`: fires on the `nth`
+    /// checkpoint commit (1-based, per process).
+    Write { nth: u64, fault: WriteFault },
 }
 
 /// A fault with the attempt it is armed for.
@@ -110,55 +110,34 @@ impl FaultPlan {
                 ))
             };
             let fault = match kind {
-                "kill" => Fault::KillAtStep(one("step")?),
-                "stall" => Fault::StallAtStep(one("step")?),
-                "torn" => {
+                "kill" => Fault::Step {
+                    step: one("step")?,
+                    fault: StepFault::Kill,
+                },
+                "stall" => Fault::Step {
+                    step: one("step")?,
+                    fault: StepFault::Stall,
+                },
+                "torn" | "corrupt" => {
                     let (nth, at_byte) = two("nth:byte")?;
-                    Fault::TornWrite { nth, at_byte }
+                    let fault = match kind {
+                        "torn" => WriteFault::Torn { at_byte },
+                        _ => WriteFault::Corrupt { at_byte },
+                    };
+                    Fault::Write { nth, fault }
                 }
-                "corrupt" => {
-                    let (nth, at_byte) = two("nth:byte")?;
-                    Fault::CorruptWrite { nth, at_byte }
-                }
-                "io" => Fault::IoErrorWrite {
+                "io" => Fault::Write {
                     nth: one("ordinal")?,
+                    fault: WriteFault::Io,
                 },
                 other => return Err(format!("fault `{item}`: unknown kind `{other}`")),
             };
-            if matches!(
-                fault,
-                Fault::TornWrite { nth: 0, .. }
-                    | Fault::CorruptWrite { nth: 0, .. }
-                    | Fault::IoErrorWrite { nth: 0 }
-            ) {
+            if let Fault::Write { nth: 0, .. } = fault {
                 return Err(format!("fault `{item}`: write ordinals are 1-based"));
             }
             faults.push(PlannedFault { fault, attempt });
         }
         Ok(FaultPlan { faults })
-    }
-
-    /// Render back to the grammar (stable round-trip, used by the
-    /// supervisor when reporting what was injected).
-    pub fn render(&self) -> String {
-        self.faults
-            .iter()
-            .map(|p| {
-                let body = match p.fault {
-                    Fault::KillAtStep(n) => format!("kill@{n}"),
-                    Fault::StallAtStep(n) => format!("stall@{n}"),
-                    Fault::TornWrite { nth, at_byte } => format!("torn@{nth}:{at_byte}"),
-                    Fault::CorruptWrite { nth, at_byte } => format!("corrupt@{nth}:{at_byte}"),
-                    Fault::IoErrorWrite { nth } => format!("io@{nth}"),
-                };
-                if p.attempt == 0 {
-                    body
-                } else {
-                    format!("{body}#{}", p.attempt)
-                }
-            })
-            .collect::<Vec<_>>()
-            .join(",")
     }
 }
 
@@ -242,8 +221,7 @@ impl FaultInjector {
     /// [`FaultInjector::enforce_step`] for the effectful form).
     pub fn step_fault(&self, step: u64) -> Option<StepFault> {
         self.faults.iter().find_map(|f| match *f {
-            Fault::KillAtStep(n) if n == step => Some(StepFault::Kill),
-            Fault::StallAtStep(n) if n == step => Some(StepFault::Stall),
+            Fault::Step { step: s, fault } if s == step => Some(fault),
             _ => None,
         })
     }
@@ -274,11 +252,7 @@ impl FaultInjector {
         self.commits += 1;
         let nth = self.commits;
         self.faults.iter().find_map(|f| match *f {
-            Fault::TornWrite { nth: n, at_byte } if n == nth => Some(WriteFault::Torn { at_byte }),
-            Fault::CorruptWrite { nth: n, at_byte } if n == nth => {
-                Some(WriteFault::Corrupt { at_byte })
-            }
-            Fault::IoErrorWrite { nth: n } if n == nth => Some(WriteFault::Io),
+            Fault::Write { nth: n, fault } if n == nth => Some(fault),
             _ => None,
         })
     }
@@ -322,15 +296,26 @@ mod tests {
         assert_eq!(
             plan.faults[0],
             PlannedFault {
-                fault: Fault::KillAtStep(5),
+                fault: Fault::Step {
+                    step: 5,
+                    fault: StepFault::Kill
+                },
                 attempt: 0
             }
         );
         assert_eq!(
-            plan.render(),
-            "kill@5,torn@2:64,corrupt@3:7#1,io@1#2,stall@9#1"
+            plan.faults[2],
+            PlannedFault {
+                fault: Fault::Write {
+                    nth: 3,
+                    fault: WriteFault::Corrupt { at_byte: 7 }
+                },
+                attempt: 1
+            }
         );
-        assert_eq!(FaultPlan::parse(&plan.render()).unwrap(), plan);
+        // Spacing and an explicit `#0` spell the same plan.
+        let tight = "kill@5#0,torn@2:64,corrupt@3:7#1,io@1#2,stall@9#1";
+        assert_eq!(FaultPlan::parse(tight).unwrap(), plan);
 
         let a0 = FaultInjector::from_plan(&plan, 0);
         assert_eq!(a0.step_fault(5), Some(StepFault::Kill));

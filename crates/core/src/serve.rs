@@ -6,10 +6,11 @@
 //! move `queued → running → completed | failed | gave_up | canceled`. A
 //! scheduler dispatches queued runs up to a concurrency cap, and each
 //! dispatched run is a **supervised child process** — the worker drives
-//! [`Supervisor::run_with_abort`], so every fleet run gets the same
-//! crash/hang detection, incident logging, and checkpoint-rotation
-//! auto-resume as `asura --supervised`, and concurrent runs overlap
-//! compute as separate OS processes.
+//! [`Supervisor::run_processes`] under [`ServeConfig::retry`], the same
+//! launch path and policy as `asura --supervised`, so every fleet run gets
+//! the same crash/hang detection, incident logging, and
+//! checkpoint-rotation auto-resume, and concurrent runs overlap compute
+//! as separate OS processes.
 //!
 //! # Protocol
 //!
@@ -35,14 +36,19 @@
 //! The registry is persisted to `fleet.json` in the serve root with the
 //! same atomic tmp→fsync→rename discipline as the checkpoints, after every
 //! mutation. A restarted daemon re-adopts the file: `running` entries (the
-//! previous daemon died underneath them) fall back to `queued` — their
-//! next attempt auto-resumes from the run directory's checkpoint rotation,
-//! so no committed progress is lost — and any recorded child pid is
-//! best-effort killed first so an orphan can't race the re-run.
+//! previous daemon died underneath them) fall back to `queued` and are
+//! dispatched again into the same run directory — attempt 0 of the new
+//! worker starts from step 0, only its retries resume from the rotation,
+//! so the re-run still ends bitwise where an undisturbed run ends — and
+//! any recorded child pid is best-effort killed first so an orphan can't
+//! race the re-run.
 //!
-//! `SHUTDOWN` detaches the workers ([`StopReason::Detach`]): children are
-//! killed, their runs return to `queued` in `fleet.json`, and the next
-//! daemon start resumes them from the rotation. `SHUTDOWN DRAIN` instead
+//! A running run is asked to stop by one [`StopReason`] per run id, which
+//! its worker's abort hook reads: `CANCEL` files [`StopReason::Cancel`],
+//! and `SHUTDOWN` files [`StopReason::Detach`] for every running run —
+//! children are killed, their runs return to `queued` in `fleet.json`
+//! with `supervisor.json` still `"running"`, and the next daemon start
+//! runs them again as above. `SHUTDOWN DRAIN` files nothing: the daemon
 //! stops dispatching and waits for the running runs to finish.
 //!
 //! The daemon's bound address is advertised in `serve.json` in the serve
@@ -53,7 +59,7 @@ use crate::ckpt::{atomic_write, CkptStore};
 use crate::config::{Scheme, TimestepMode};
 use crate::faults::{self, FaultPlan};
 use crate::supervise::{
-    Heartbeat, IncidentLog, Outcome, ProcessChild, ResumePoint, RetryPolicy, StopReason, Supervisor,
+    Heartbeat, IncidentLog, Outcome, ResumePoint, RetryPolicy, StopReason, Supervisor,
 };
 use json::{parse_json, Json};
 use parking_lot::Mutex;
@@ -62,7 +68,7 @@ use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -477,14 +483,13 @@ pub struct SpawnSpec<'a> {
     pub run_dir: &'a Path,
     /// Heartbeat file the child must touch every step.
     pub heartbeat: &'a Path,
-    pub attempt: u32,
     pub resume: Option<&'a ResumePoint>,
 }
 
 /// Builds the child [`std::process::Command`] for a spawn request. The
 /// `asura` binary supplies this, keeping the CLI's flag vocabulary out of
-/// `asura-core`. The daemon adds the attempt-scoping and per-run fault
-/// environment itself.
+/// `asura-core`. The daemon adds the run's `faults` override and
+/// [`Supervisor::run_processes`] the attempt index.
 pub type Spawner = Arc<dyn Fn(&SpawnSpec) -> io::Result<std::process::Command> + Send + Sync>;
 
 /// Daemon configuration.
@@ -499,9 +504,8 @@ pub struct ServeConfig {
     pub max_concurrent: usize,
     /// Scenarios `SUBMIT` accepts.
     pub catalog: Vec<ScenarioMeta>,
-    /// Supervision parameters applied to every worker.
+    /// Supervision policy applied to every worker.
     pub retry: RetryPolicy,
-    pub heartbeat_timeout_ms: u64,
     /// Checkpoint rotation depth of each run directory.
     pub keep: usize,
 }
@@ -518,24 +522,16 @@ impl ServeConfig {
     }
 }
 
-/// Shutdown phases (`Shared::shutdown`).
-const RUNNING: u8 = 0;
-const DRAINING: u8 = 1;
-const STOPPING: u8 = 2;
-
-/// Per-run abort flag values (`Shared::flags`), mapped to [`StopReason`].
-const FLAG_RUN: u8 = 0;
-const FLAG_CANCEL: u8 = 1;
-const FLAG_DETACH: u8 = 2;
-
 struct Shared {
     cfg: ServeConfig,
     spawner: Spawner,
     fleet: Mutex<Fleet>,
-    /// Abort flags of the currently-running workers, by run id. Ordered
-    /// so broadcast (shutdown) signalling is deterministic.
-    flags: Mutex<BTreeMap<String, Arc<AtomicU8>>>,
-    shutdown: AtomicU8,
+    /// Stop requests for running runs, by run id: what each worker's abort
+    /// hook answers. Filed under the fleet lock (fleet, then stops), and
+    /// a worker clears its entry after its run has left `running`.
+    stops: Mutex<BTreeMap<String, StopReason>>,
+    /// Set by either `SHUTDOWN`: no more dispatches or submissions.
+    shutdown: AtomicBool,
 }
 
 impl Shared {
@@ -617,17 +613,14 @@ pub fn serve(cfg: ServeConfig, spawner: Spawner) -> io::Result<()> {
         cfg,
         spawner,
         fleet: Mutex::new(fleet),
-        flags: Mutex::new(BTreeMap::new()),
-        shutdown: AtomicU8::new(RUNNING),
+        stops: Mutex::new(BTreeMap::new()),
+        shutdown: AtomicBool::new(false),
     });
     let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
 
     loop {
-        // Dispatch queued runs while the daemon is in normal operation.
-        if shared.shutdown.load(Ordering::SeqCst) == RUNNING {
-            workers.extend(dispatch(&shared));
-        }
+        workers.extend(dispatch(&shared));
         match listener.accept() {
             Ok((stream, _)) => {
                 let shared = shared.clone();
@@ -640,9 +633,7 @@ pub fn serve(cfg: ServeConfig, spawner: Spawner) -> io::Result<()> {
         }
         // Exit once a shutdown was requested and every worker has wound
         // down (drain: runs finished; detach: runs back to queued).
-        if shared.shutdown.load(Ordering::SeqCst) != RUNNING
-            && shared.fleet.lock().running_count() == 0
-        {
+        if shared.shutdown.load(Ordering::SeqCst) && shared.fleet.lock().running_count() == 0 {
             break;
         }
         workers.retain(|h| !h.is_finished());
@@ -678,38 +669,40 @@ fn kill_stale(pid: u32) {
     }
 }
 
-/// Move queued runs into workers until the concurrency cap is reached.
+/// Move queued runs into workers until the concurrency cap is reached, or
+/// none once a shutdown was requested. The flag is read under the fleet
+/// lock, so a `SHUTDOWN` that files its detaches after this sees every run
+/// marked `running` here.
 fn dispatch(shared: &Arc<Shared>) -> Vec<std::thread::JoinHandle<()>> {
     let mut handles = Vec::new();
     let mut fleet = shared.fleet.lock();
-    while fleet.running_count() < shared.cfg.max_concurrent {
+    while !shared.shutdown.load(Ordering::SeqCst)
+        && fleet.running_count() < shared.cfg.max_concurrent
+    {
         let Some(run) = fleet.runs.iter_mut().find(|r| r.state == RunState::Queued) else {
             break;
         };
         run.state = RunState::Running;
         let id = run.id.clone();
         shared.save(&fleet);
-        let flag = Arc::new(AtomicU8::new(FLAG_RUN));
-        shared.flags.lock().insert(id.clone(), flag.clone());
         let shared = shared.clone();
-        handles.push(std::thread::spawn(move || worker(&shared, &id, &flag)));
+        handles.push(std::thread::spawn(move || worker(&shared, &id)));
     }
     handles
 }
 
 /// Drive one run to a terminal state (or detach) under supervision.
-fn worker(shared: &Arc<Shared>, id: &str, flag: &Arc<AtomicU8>) {
+fn worker(shared: &Arc<Shared>, id: &str) {
     // The dispatcher registers the run before spawning this thread; if the
     // entry has vanished anyway the worker has nothing to drive.
     let Some(entry) = shared.fleet.lock().get(id).cloned() else {
         eprintln!("[serve] run {id}: dispatched run missing from registry");
-        shared.flags.lock().remove(id);
         return;
     };
     let run_dir = shared.cfg.root.join(id);
     let result = std::fs::create_dir_all(&run_dir)
         .map_err(|e| format!("create {}: {e}", run_dir.display()))
-        .and_then(|()| supervise_run(shared, &entry, &run_dir, flag));
+        .and_then(|()| supervise_run(shared, &entry, &run_dir));
     let state = match result {
         Ok(Some(Outcome::Completed { .. })) => RunState::Completed,
         Ok(Some(Outcome::GaveUp { .. })) => RunState::GaveUp,
@@ -729,7 +722,7 @@ fn worker(shared: &Arc<Shared>, id: &str, flag: &Arc<AtomicU8>) {
     }
     shared.save(&fleet);
     drop(fleet);
-    shared.flags.lock().remove(id);
+    shared.stops.lock().remove(id);
     println!("[serve] run {id}: {}", state.as_str());
 }
 
@@ -737,40 +730,33 @@ fn supervise_run(
     shared: &Arc<Shared>,
     entry: &RunEntry,
     run_dir: &Path,
-    flag: &Arc<AtomicU8>,
 ) -> Result<Option<Outcome>, String> {
     let store = CkptStore::new(run_dir, shared.cfg.keep);
-    let supervisor =
-        Supervisor::for_run_dir(run_dir, shared.cfg.retry, shared.cfg.heartbeat_timeout_ms);
+    let supervisor = Supervisor::for_run_dir(run_dir, shared.cfg.retry);
     let (outcome, _log) = supervisor
-        .run_with_abort(
-            |attempt, resume| {
+        .run_processes(
+            &store,
+            |_, resume| {
                 let spec = SpawnSpec {
                     run: entry,
                     run_dir,
                     heartbeat: &supervisor.heartbeat_path,
-                    attempt,
                     resume,
                 };
                 let mut cmd = (shared.spawner)(&spec)?;
-                cmd.env(faults::ATTEMPT_ENV, attempt.to_string());
                 if let Some(plan) = &entry.overrides.faults {
                     cmd.env(faults::FAULTS_ENV, plan);
                 }
-                let child = cmd.spawn()?;
+                Ok(cmd)
+            },
+            |pid| {
                 let mut fleet = shared.fleet.lock();
                 if let Some(run) = fleet.get_mut(&entry.id) {
-                    run.child_pid = Some(child.id());
+                    run.child_pid = Some(pid);
                 }
                 shared.save(&fleet);
-                Ok(ProcessChild::new(child))
             },
-            || ResumePoint::latest(&store),
-            || match flag.load(Ordering::SeqCst) {
-                FLAG_CANCEL => Some(StopReason::Cancel),
-                FLAG_DETACH => Some(StopReason::Detach),
-                _ => None,
-            },
+            || shared.stops.lock().get(&entry.id).copied(),
         )
         .map_err(|e| format!("supervisor: {e}"))?;
     Ok(outcome)
@@ -817,7 +803,7 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
 }
 
 fn submit(shared: &Arc<Shared>, scenario: &str, overrides: RunOverrides) -> String {
-    if shared.shutdown.load(Ordering::SeqCst) != RUNNING {
+    if shared.shutdown.load(Ordering::SeqCst) {
         return err_line("daemon is shutting down");
     }
     let Some(meta) = shared.cfg.catalog.iter().find(|m| m.name == scenario) else {
@@ -886,10 +872,10 @@ fn cancel(shared: &Arc<Shared>, id: &str) -> String {
             ok_line([("id", id.into()), ("state", "canceled".into())])
         }
         RunState::Running => {
-            drop(fleet);
-            if let Some(flag) = shared.flags.lock().get(id) {
-                flag.store(FLAG_CANCEL, Ordering::SeqCst);
-            }
+            shared
+                .stops
+                .lock()
+                .insert(id.to_string(), StopReason::Cancel);
             ok_line([("id", id.into()), ("state", "canceling".into())])
         }
         state => err_line(&format!("run `{id}` is already {}", state.as_str())),
@@ -897,18 +883,18 @@ fn cancel(shared: &Arc<Shared>, id: &str) -> String {
 }
 
 fn shutdown(shared: &Arc<Shared>, drain: bool) -> String {
+    shared.shutdown.store(true, Ordering::SeqCst);
     if drain {
-        shared.shutdown.store(DRAINING, Ordering::SeqCst);
-        ok_line([("shutdown", "drain".into())])
-    } else {
-        shared.shutdown.store(STOPPING, Ordering::SeqCst);
-        // Detach every running worker: children are killed, their runs
-        // return to `queued`, and the rotation keeps their progress.
-        for flag in shared.flags.lock().values() {
-            flag.store(FLAG_DETACH, Ordering::SeqCst);
-        }
-        ok_line([("shutdown", "detach".into())])
+        return ok_line([("shutdown", "drain".into())]);
     }
+    // Detach every running worker: children are killed, their runs return
+    // to `queued`, and the rotation keeps their progress.
+    let fleet = shared.fleet.lock();
+    let mut stops = shared.stops.lock();
+    for run in fleet.runs.iter().filter(|r| r.state == RunState::Running) {
+        stops.insert(run.id.clone(), StopReason::Detach);
+    }
+    ok_line([("shutdown", "detach".into())])
 }
 
 /// Convert a column-oriented diagnostics document into row-oriented JSON
@@ -957,7 +943,7 @@ fn watch(shared: &Arc<Shared>, id: &str, out: &mut impl Write) -> io::Result<()>
             .get(id)
             .map(|r| r.state)
             .unwrap_or(RunState::Failed);
-        let stopping = shared.shutdown.load(Ordering::SeqCst) != RUNNING;
+        let stopping = shared.shutdown.load(Ordering::SeqCst);
         if let Ok(text) = std::fs::read_to_string(&diag) {
             if let Ok(doc) = parse_json(&text) {
                 let rows = diagnostics_rows(&doc);
@@ -1187,13 +1173,12 @@ mod tests {
                     meta("spiked_dt", "one hot particle", 6),
                 ],
                 retry: RetryPolicy::default(),
-                heartbeat_timeout_ms: 30_000,
                 keep: 3,
             },
             spawner: Arc::new(|_| Err(io::Error::other("no spawner"))),
             fleet: Mutex::new(fleet),
-            flags: Mutex::new(BTreeMap::new()),
-            shutdown: AtomicU8::new(RUNNING),
+            stops: Mutex::new(BTreeMap::new()),
+            shutdown: AtomicBool::new(false),
         })
     }
 

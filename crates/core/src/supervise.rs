@@ -2,13 +2,13 @@
 //!
 //! A supervised run is a parent/child pair. The child is the ordinary
 //! scenario driver plus one extra duty: it touches a heartbeat file every
-//! step ([`Heartbeat::beat`]). The parent ([`Supervisor::run`]) polls the
-//! child for two failure signals:
+//! step ([`Heartbeat::beat`]). The parent ([`Supervisor::run_with_abort`])
+//! polls the child for two failure signals:
 //!
 //! * **crash** — the child exited with a non-zero status;
 //! * **hang** — the child is still alive but its heartbeat has not
-//!   changed for longer than `heartbeat_timeout_ms` (the child is then
-//!   killed).
+//!   changed for longer than [`RetryPolicy::heartbeat_timeout_ms`] (the
+//!   child is then killed).
 //!
 //! On either signal the supervisor consults the checkpoint store for the
 //! newest intact snapshot
@@ -21,15 +21,21 @@
 //! crashes ends in exactly the state of an uninterrupted run — that
 //! property is enforced by `tests/supervised_chaos.rs`.
 //!
-//! The process-spawning side is abstracted behind [`ChildHandle`] so the
-//! retry/verdict logic is unit-testable with in-process fakes; the
-//! `asura` CLI provides the real `std::process::Child`-backed
-//! implementation.
+//! Both front-ends — `asura --supervised` and the
+//! [`serve`](crate::serve) daemon's workers — take one [`RetryPolicy`],
+//! build a [`Supervisor::for_run_dir`] and launch their children through
+//! [`Supervisor::run_processes`]: the caller supplies only the command
+//! line, a hook that sees each child's pid, and the stop hook that
+//! answers a [`StopReason`]. The process side sits behind
+//! [`ChildHandle`], so the retry/verdict logic is unit-testable with
+//! in-process fakes.
 
 use crate::ckpt::{atomic_write, CkptStore};
+use crate::faults;
 use json::{parse_json, Json};
 use std::io;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::time::{Duration, Instant};
 
 /// `format` field of the incident log.
@@ -37,15 +43,19 @@ pub const LOG_FORMAT: &str = "asura-supervisor-log";
 /// Incident-log schema version.
 pub const LOG_VERSION: u64 = 1;
 
-/// Retry budget and backoff schedule for auto-resume.
+/// How a supervisor judges and retries its child: the resume budget, the
+/// backoff schedule and the hang threshold. The `--max-retries`,
+/// `--backoff-ms` and `--heartbeat-timeout-ms` flags of both
+/// `asura --supervised` and `asura serve` set its three fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum number of resumes (attempt 0 is free; `max_retries = 3`
     /// allows attempts 0..=3).
     pub max_retries: u32,
-    /// Backoff before retry `k` is `base << k`, capped.
+    /// Backoff before retry `k` is `base × 2^k`, capped at 16 × base.
     pub backoff_base_ms: u64,
-    pub backoff_cap_ms: u64,
+    /// Heartbeat silence after which a live child is declared hung.
+    pub heartbeat_timeout_ms: u64,
 }
 
 impl Default for RetryPolicy {
@@ -53,18 +63,16 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_retries: 3,
             backoff_base_ms: 500,
-            backoff_cap_ms: 8000,
+            heartbeat_timeout_ms: 30_000,
         }
     }
 }
 
 impl RetryPolicy {
-    /// Backoff before the retry that follows failed attempt `attempt`.
+    /// Backoff before the retry that follows failed attempt `attempt`:
+    /// `base × 2^min(attempt, 4)`, saturating.
     pub fn backoff_ms(&self, attempt: u32) -> u64 {
-        self.backoff_base_ms
-            .checked_shl(attempt)
-            .unwrap_or(u64::MAX)
-            .min(self.backoff_cap_ms)
+        self.backoff_base_ms.saturating_mul(1 << attempt.min(4))
     }
 }
 
@@ -270,21 +278,9 @@ pub trait ChildHandle {
     fn kill(&mut self);
 }
 
-/// [`ChildHandle`] backed by a real [`std::process::Child`] — the
-/// implementation the `asura` CLI's `--supervised` mode and the
-/// [`serve`](crate::serve) daemon's workers drive.
-pub struct ProcessChild(std::process::Child);
-
-impl ProcessChild {
-    pub fn new(child: std::process::Child) -> ProcessChild {
-        ProcessChild(child)
-    }
-
-    /// OS pid of the child process.
-    pub fn id(&self) -> u32 {
-        self.0.id()
-    }
-}
+/// [`ChildHandle`] backed by a real [`std::process::Child`] — what
+/// [`Supervisor::run_processes`] drives.
+struct ProcessChild(std::process::Child);
 
 impl ChildHandle for ProcessChild {
     fn poll_exit(&mut self) -> io::Result<Option<i32>> {
@@ -320,8 +316,6 @@ impl ResumePoint {
 #[derive(Debug, Clone)]
 pub struct Supervisor {
     pub policy: RetryPolicy,
-    /// Heartbeat silence after which a live child is declared hung.
-    pub heartbeat_timeout_ms: u64,
     /// Poll cadence for exit status and heartbeat content.
     pub poll_interval_ms: u64,
     /// Exit codes that are never retried (e.g. usage errors).
@@ -343,10 +337,9 @@ impl Supervisor {
     /// serve daemon's workers both drive it: the child's heartbeat at
     /// `<dir>/heartbeat`, the incident log at `<dir>/supervisor.json`, a
     /// 20 ms poll, and exit code 2 (usage errors, bad weights) permanent.
-    pub fn for_run_dir(dir: &Path, policy: RetryPolicy, heartbeat_timeout_ms: u64) -> Supervisor {
+    pub fn for_run_dir(dir: &Path, policy: RetryPolicy) -> Supervisor {
         Supervisor {
             policy,
-            heartbeat_timeout_ms,
             poll_interval_ms: 20,
             permanent_exit_codes: vec![2],
             log_path: dir.join("supervisor.json"),
@@ -354,34 +347,50 @@ impl Supervisor {
         }
     }
 
-    /// Drive attempts until one completes, a permanent failure occurs, or
-    /// the retry budget runs out.
+    /// The one launch path of both front-ends: drive child processes
+    /// through [`Supervisor::run_with_abort`], resuming each retry from
+    /// `store`'s newest intact rotation entry ([`ResumePoint::latest`]).
+    ///
+    /// * `command(attempt, resume)` builds attempt `attempt`'s command
+    ///   line; the supervisor adds `ASURA_ATTEMPT` (so attempt-scoped
+    ///   faults fire once) and spawns it.
+    /// * `on_spawn(pid)` sees each child's OS pid once it is running.
+    /// * `abort` is the stop hook (see [`Supervisor::run_with_abort`]).
+    pub fn run_processes(
+        &self,
+        store: &CkptStore,
+        mut command: impl FnMut(u32, Option<&ResumePoint>) -> io::Result<Command>,
+        mut on_spawn: impl FnMut(u32),
+        abort: impl Fn() -> Option<StopReason>,
+    ) -> io::Result<(Option<Outcome>, IncidentLog)> {
+        self.run_with_abort(
+            |attempt, resume| {
+                let mut cmd = command(attempt, resume)?;
+                let child = cmd.env(faults::ATTEMPT_ENV, attempt.to_string()).spawn()?;
+                on_spawn(child.id());
+                Ok(ProcessChild(child))
+            },
+            || ResumePoint::latest(store),
+            abort,
+        )
+    }
+
+    /// Drive attempts until one completes, a permanent failure occurs, the
+    /// retry budget runs out, or `abort` asks to stop.
     ///
     /// * `spawn(attempt, resume)` launches attempt `attempt`, resuming
     ///   from `resume` when given (always `None` for attempt 0).
     /// * `resume_point()` queries the newest intact checkpoint — called
     ///   after each failure, so it sees exactly what the crashed attempt
     ///   managed to persist.
+    /// * `abort()` is polled at the heartbeat's cadence. When it returns a
+    ///   [`StopReason`] the current child is killed; `Cancel` records
+    ///   [`Outcome::Canceled`], `Detach` returns `None` with the log's
+    ///   outcome left at `"running"` so the run stays adoptable (the serve
+    ///   daemon's CANCEL and SHUTDOWN commands respectively).
     ///
     /// Returns the final outcome plus the full incident log (also
     /// persisted to `log_path` after every state change).
-    pub fn run<H: ChildHandle>(
-        &self,
-        spawn: impl FnMut(u32, Option<&ResumePoint>) -> io::Result<H>,
-        resume_point: impl FnMut() -> Option<ResumePoint>,
-    ) -> io::Result<(Outcome, IncidentLog)> {
-        let (outcome, log) = self.run_with_abort(spawn, resume_point, || None)?;
-        let outcome =
-            outcome.ok_or_else(|| io::Error::other("run without an abort hook cannot detach"))?;
-        Ok((outcome, log))
-    }
-
-    /// [`Supervisor::run`] with an external stop hook, polled at the same
-    /// cadence as the heartbeat. When `abort` returns a [`StopReason`] the
-    /// current child is killed; `Cancel` records [`Outcome::Canceled`]
-    /// and returns it, `Detach` returns `None` with the log's outcome left
-    /// at `"running"` so the run stays adoptable (the serve daemon's
-    /// CANCEL and SHUTDOWN commands respectively).
     pub fn run_with_abort<H: ChildHandle>(
         &self,
         mut spawn: impl FnMut(u32, Option<&ResumePoint>) -> io::Result<H>,
@@ -395,73 +404,48 @@ impl Supervisor {
             // A beat left by the previous attempt must not count as life.
             let _ = std::fs::remove_file(&self.heartbeat_path);
             let mut child = spawn(attempt, resume.as_ref())?;
-            let verdict = self.watch(&mut child, &abort)?;
-            match verdict {
-                Verdict::Stopped(StopReason::Cancel) => {
-                    let outcome = Outcome::Canceled {
-                        attempts: attempt + 1,
-                    };
-                    log.outcome = Some(outcome);
-                    log.save(&self.log_path)?;
-                    return Ok((Some(outcome), log));
-                }
-                Verdict::Stopped(StopReason::Detach) => {
-                    // The rotation already holds this attempt's newest
-                    // cadence checkpoint; a later supervisor resumes from
-                    // it via `resume_point`.
-                    log.save(&self.log_path)?;
-                    return Ok((None, log));
-                }
-                Verdict::Done => {
-                    let outcome = Outcome::Completed {
-                        attempts: attempt + 1,
-                    };
-                    log.outcome = Some(outcome);
-                    log.save(&self.log_path)?;
-                    return Ok((Some(outcome), log));
-                }
+            let attempts = attempt + 1;
+            let outcome = match self.watch(&mut child, &abort)? {
+                Verdict::Done => Some(Outcome::Completed { attempts }),
+                Verdict::Stopped(StopReason::Cancel) => Some(Outcome::Canceled { attempts }),
+                // No outcome: the log stays `"running"`, so the run is
+                // adoptable and its rotation is left as the attempt wrote it.
+                Verdict::Stopped(StopReason::Detach) => None,
                 Verdict::Failed(kind) => {
-                    if let IncidentKind::Crash { exit_code } = kind {
-                        if self.permanent_exit_codes.contains(&exit_code) {
-                            let outcome = Outcome::Permanent { exit_code };
+                    let outcome = match kind {
+                        IncidentKind::Crash { exit_code }
+                            if self.permanent_exit_codes.contains(&exit_code) =>
+                        {
+                            Outcome::Permanent { exit_code }
+                        }
+                        _ if attempt >= self.policy.max_retries => Outcome::GaveUp { attempts },
+                        _ => {
+                            let backoff_ms = self.policy.backoff_ms(attempt);
+                            resume = resume_point();
                             log.incidents.push(Incident {
                                 attempt,
                                 kind,
-                                resumed_from_step: None,
-                                backoff_ms: 0,
+                                resumed_from_step: resume.as_ref().map(|r| r.step),
+                                backoff_ms,
                             });
-                            log.outcome = Some(outcome);
                             log.save(&self.log_path)?;
-                            return Ok((Some(outcome), log));
+                            std::thread::sleep(Duration::from_millis(backoff_ms));
+                            attempt += 1;
+                            continue;
                         }
-                    }
-                    if attempt >= self.policy.max_retries {
-                        let outcome = Outcome::GaveUp {
-                            attempts: attempt + 1,
-                        };
-                        log.incidents.push(Incident {
-                            attempt,
-                            kind,
-                            resumed_from_step: None,
-                            backoff_ms: 0,
-                        });
-                        log.outcome = Some(outcome);
-                        log.save(&self.log_path)?;
-                        return Ok((Some(outcome), log));
-                    }
-                    let backoff_ms = self.policy.backoff_ms(attempt);
-                    resume = resume_point();
+                    };
                     log.incidents.push(Incident {
                         attempt,
                         kind,
-                        resumed_from_step: resume.as_ref().map(|r| r.step),
-                        backoff_ms,
+                        resumed_from_step: None,
+                        backoff_ms: 0,
                     });
-                    log.save(&self.log_path)?;
-                    std::thread::sleep(Duration::from_millis(backoff_ms));
-                    attempt += 1;
+                    Some(outcome)
                 }
-            }
+            };
+            log.outcome = outcome;
+            log.save(&self.log_path)?;
+            return Ok((outcome, log));
         }
     }
 
@@ -474,7 +458,7 @@ impl Supervisor {
         child: &mut H,
         abort: &impl Fn() -> Option<StopReason>,
     ) -> io::Result<Verdict> {
-        let timeout = Duration::from_millis(self.heartbeat_timeout_ms);
+        let timeout = Duration::from_millis(self.policy.heartbeat_timeout_ms);
         let poll = Duration::from_millis(self.poll_interval_ms.max(1));
         let mut last_content: Option<String> = None;
         let mut last_change = Instant::now();
@@ -523,15 +507,15 @@ mod tests {
     }
 
     /// A run directory's supervisor, polling fast and backing off briefly.
-    fn supervisor(dir: &Path, max_retries: u32, hb_timeout_ms: u64) -> Supervisor {
+    fn supervisor(dir: &Path, max_retries: u32, heartbeat_timeout_ms: u64) -> Supervisor {
         let policy = RetryPolicy {
             max_retries,
             backoff_base_ms: 1,
-            backoff_cap_ms: 4,
+            heartbeat_timeout_ms,
         };
         Supervisor {
             poll_interval_ms: 2,
-            ..Supervisor::for_run_dir(dir, policy, hb_timeout_ms)
+            ..Supervisor::for_run_dir(dir, policy)
         }
     }
 
@@ -571,7 +555,7 @@ mod tests {
                 path: older
             })
         );
-        let sup = Supervisor::for_run_dir(&dir, RetryPolicy::default(), 30_000);
+        let sup = Supervisor::for_run_dir(&dir, RetryPolicy::default());
         assert_eq!(sup.heartbeat_path, dir.join("heartbeat"));
         assert_eq!(sup.log_path, dir.join("supervisor.json"));
         assert_eq!(sup.permanent_exit_codes, vec![2]);
@@ -611,7 +595,7 @@ mod tests {
         let exits = RefCell::new(vec![86, 0]);
         let spawned = RefCell::new(Vec::new());
         let (outcome, log) = sup
-            .run(
+            .run_with_abort(
                 |attempt, resume| {
                     spawned.borrow_mut().push((attempt, resume.cloned()));
                     Ok(FakeChild {
@@ -626,9 +610,10 @@ mod tests {
                         path: dir.join("checkpoint-000004.bin"),
                     })
                 },
+                || None,
             )
             .unwrap();
-        assert_eq!(outcome, Outcome::Completed { attempts: 2 });
+        assert_eq!(outcome, Some(Outcome::Completed { attempts: 2 }));
         assert_eq!(log.incidents.len(), 1);
         assert_eq!(log.incidents[0].kind, IncidentKind::Crash { exit_code: 86 });
         assert_eq!(log.incidents[0].resumed_from_step, Some(4));
@@ -648,7 +633,7 @@ mod tests {
         let killed = Rc::new(RefCell::new(false));
         let killed2 = killed.clone();
         let (outcome, log) = sup
-            .run(
+            .run_with_abort(
                 move |_, _| {
                     Ok(FakeChild {
                         exit: None,
@@ -657,9 +642,10 @@ mod tests {
                     })
                 },
                 || None,
+                || None,
             )
             .unwrap();
-        assert_eq!(outcome, Outcome::GaveUp { attempts: 1 });
+        assert_eq!(outcome, Some(Outcome::GaveUp { attempts: 1 }));
         assert!(matches!(
             log.incidents[0].kind,
             IncidentKind::Hang { stale_ms } if stale_ms >= 30
@@ -691,7 +677,7 @@ mod tests {
             fn kill(&mut self) {}
         }
         let (outcome, log) = sup
-            .run(
+            .run_with_abort(
                 move |_, _| {
                     Ok(BeatingChild {
                         hb: Heartbeat::new(hb_path.clone()),
@@ -699,9 +685,10 @@ mod tests {
                     })
                 },
                 || None,
+                || None,
             )
             .unwrap();
-        assert_eq!(outcome, Outcome::Completed { attempts: 1 });
+        assert_eq!(outcome, Some(Outcome::Completed { attempts: 1 }));
         assert!(log.incidents.is_empty(), "no incident for a live child");
     }
 
@@ -711,7 +698,7 @@ mod tests {
         let sup = supervisor(&dir, 5, 10_000);
         let spawns = RefCell::new(0u32);
         let (outcome, log) = sup
-            .run(
+            .run_with_abort(
                 |_, _| {
                     *spawns.borrow_mut() += 1;
                     Ok(FakeChild {
@@ -721,9 +708,10 @@ mod tests {
                     })
                 },
                 || None,
+                || None,
             )
             .unwrap();
-        assert_eq!(outcome, Outcome::Permanent { exit_code: 2 });
+        assert_eq!(outcome, Some(Outcome::Permanent { exit_code: 2 }));
         assert_eq!(*spawns.borrow(), 1, "usage errors respawn nothing");
         assert_eq!(log.incidents.len(), 1);
     }
@@ -734,7 +722,7 @@ mod tests {
         let sup = supervisor(&dir, 2, 10_000);
         let spawns = RefCell::new(0u32);
         let (outcome, log) = sup
-            .run(
+            .run_with_abort(
                 |_, _| {
                     *spawns.borrow_mut() += 1;
                     Ok(FakeChild {
@@ -744,9 +732,10 @@ mod tests {
                     })
                 },
                 || None,
+                || None,
             )
             .unwrap();
-        assert_eq!(outcome, Outcome::GaveUp { attempts: 3 });
+        assert_eq!(outcome, Some(Outcome::GaveUp { attempts: 3 }));
         assert_eq!(*spawns.borrow(), 3, "attempt 0 + 2 retries");
         assert_eq!(log.incidents.len(), 3);
         assert!(
@@ -757,6 +746,8 @@ mod tests {
         assert_eq!(policy.backoff_ms(0), 500);
         assert_eq!(policy.backoff_ms(1), 1000);
         assert_eq!(policy.backoff_ms(10), 8000, "capped");
+        // `500 << 62` wraps to 0: the cap is 16 × base at every attempt.
+        assert_eq!(RetryPolicy::default().backoff_ms(62), 8000);
     }
 
     #[test]

@@ -429,12 +429,12 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> 
                         *pos += 1;
                     }
                     Some(_) => {
-                        // Consume one UTF-8 character.
-                        let rest = std::str::from_utf8(&b[*pos..])
-                            .map_err(|e| format!("invalid UTF-8: {e}"))?;
-                        let c = rest.chars().next().expect("non-empty");
-                        out.push(c);
-                        *pos += c.len_utf8();
+                        // Copy the run up to the next quote or escape whole:
+                        // both are ASCII, so the run ends on a char boundary.
+                        let run = b[*pos..].iter().position(|&c| c == b'"' || c == b'\\');
+                        let end = run.map_or(b.len(), |n| *pos + n);
+                        out.push_str(s_slice(b, *pos, end)?);
+                        *pos = end;
                     }
                 }
             }
@@ -480,7 +480,7 @@ mod tests {
     #[test]
     fn roundtrips_nested_documents() {
         let doc = Json::Obj(vec![
-            ("name".into(), Json::Str("u-net \"v1\"\n".into())),
+            ("name".into(), Json::Str("u-net \"v1\"\n — σ ✓".into())),
             (
                 "layers".into(),
                 Json::Arr(vec![Json::Num(1.5), Json::Num(-2.0), Json::Null]),
@@ -518,6 +518,7 @@ mod tests {
     #[test]
     fn rejects_malformed_input() {
         assert!(parse_json("{\"a\": }").is_err());
+        assert!(parse_json("\"unterminated é").is_err());
         assert!(parse_json("[1, 2").is_err());
         assert!(parse_json("hello").is_err());
         assert!(parse_json("{} junk").is_err());

@@ -37,9 +37,12 @@
 //! checkpoint under a bounded retry budget with exponential backoff,
 //! recording every incident in `supervisor.json` — on either route: with
 //! `--dist` the child runs distributed and resumes from the
-//! `dist_checkpoint` rotation. Deterministic fault injection for testing
-//! this machinery is driven by the `ASURA_FAULTS` / `ASURA_ATTEMPT`
-//! environment variables ([`asura_core::faults`]).
+//! `dist_checkpoint` rotation. `--supervised` and `asura serve` read the
+//! same three flags into one `RetryPolicy` and launch their children
+//! through the same `Supervisor::run_processes`; only the command line
+//! differs. Deterministic fault injection for testing this machinery is
+//! driven by the `ASURA_FAULTS` / `ASURA_ATTEMPT` environment variables
+//! ([`asura_core::faults`]).
 //!
 //! `--dist NXxNYxNZ+P` routes the scenario through the distributed
 //! (`mpisim`) driver — `NX*NY*NZ` main ranks plus `P` pool ranks —
@@ -79,11 +82,12 @@
 //! `FromStr` + `Display` pair); this file only maps flag names onto them.
 //! Every flag loop — the scenario runner's, `train-surrogate`'s, `serve`'s
 //! and the client verbs' — reads its values through one cursor
-//! ([`Flags`]); the supervised child of `--supervised` and of a fleet run
-//! is the same command line, built once ([`ChildRun`]); and every JSON
-//! document written here (`dist_report.json`, and through the library
-//! `train_manifest.json`) is a `json::Json` value rendered by the one
-//! writer.
+//! ([`Flags`]), and the two supervising loops read the supervision flags
+//! through one helper ([`Flags::retry_flag`]); the supervised child of
+//! `--supervised` and of a fleet run is the same command line, built once
+//! ([`ChildRun`]); and every JSON document written here
+//! (`dist_report.json`, and through the library `train_manifest.json`) is
+//! a `json::Json` value rendered by the one writer.
 //!
 //! Exit codes: 0 success, 1 runtime failure (unreadable snapshot, I/O,
 //! supervision gave up), 2 usage error or permanent failure (bad weights).
@@ -95,12 +99,10 @@ use asura::surrogate_train::{self, TrainSpec};
 use asura_core::ckpt::{atomic_write, CkptFormat, CkptStore, DEFAULT_KEEP};
 use asura_core::diagnostics::{TimeSample, TimeSeries};
 use asura_core::dist::{self, DistConfig, DistError, PredictorKind, PredictorSpec, Start};
-use asura_core::faults::{self, FaultInjector};
+use asura_core::faults::FaultInjector;
 use asura_core::serve::{self, Request, RunOverrides, ServeConfig};
 use asura_core::snapshot::SimSnapshot;
-use asura_core::supervise::{
-    Heartbeat, Outcome, ProcessChild, ResumePoint, RetryPolicy, Supervisor,
-};
+use asura_core::supervise::{Heartbeat, Outcome, ResumePoint, RetryPolicy, Supervisor};
 use asura_core::{Scheme, SimConfig, Simulation, TimestepMode};
 use fdps::exchange::Routing;
 use json::Json;
@@ -238,6 +240,18 @@ impl<'a> Flags<'a> {
         }
     }
 
+    /// Read one of the supervision flags `--supervised` and `serve` share
+    /// into `policy`; any other flag is unknown.
+    fn retry_flag(&mut self, flag: &str, policy: &mut RetryPolicy) -> Result<(), String> {
+        match flag {
+            "--max-retries" => policy.max_retries = self.parsed(flag)?,
+            "--backoff-ms" => policy.backoff_base_ms = self.parsed(flag)?,
+            "--heartbeat-timeout-ms" => policy.heartbeat_timeout_ms = self.parsed(flag)?,
+            other => return Err(self.unknown(other)),
+        }
+        Ok(())
+    }
+
     fn unknown(&self, flag: &str) -> String {
         format!("{}unknown flag `{flag}`", self.ctx)
     }
@@ -260,9 +274,8 @@ struct Args {
     /// Main-rank grid + pool rank count of `--dist`.
     dist: Option<((usize, usize, usize), usize)>,
     supervised: bool,
-    max_retries: u32,
-    backoff_ms: u64,
-    heartbeat_timeout_ms: u64,
+    /// `--max-retries`, `--backoff-ms`, `--heartbeat-timeout-ms`.
+    retry: RetryPolicy,
     /// Heartbeat file the (supervised) child touches after every step —
     /// set by the supervisor when it spawns the child.
     heartbeat: Option<PathBuf>,
@@ -338,9 +351,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         keep: DEFAULT_KEEP,
         dist: None,
         supervised: false,
-        max_retries: 3,
-        backoff_ms: 500,
-        heartbeat_timeout_ms: 30_000,
+        retry: RetryPolicy::default(),
         heartbeat: None,
         predictor: None,
     };
@@ -363,12 +374,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.dist = Some(spec.map_err(|e| format!("--dist: {e}"))?)
             }
             "--supervised" => args.supervised = true,
-            "--max-retries" => args.max_retries = flags.parsed(flag)?,
-            "--backoff-ms" => args.backoff_ms = flags.parsed(flag)?,
-            "--heartbeat-timeout-ms" => args.heartbeat_timeout_ms = flags.parsed(flag)?,
             "--heartbeat" => args.heartbeat = Some(PathBuf::from(flags.value(flag)?)),
             "--predictor" => args.predictor = Some(flags.parsed(flag)?),
-            other => return Err(flags.unknown(other)),
+            other => flags.retry_flag(other, &mut args.retry)?,
         }
     }
     Ok(args)
@@ -758,12 +766,7 @@ fn run_supervised(args: &Args) -> Result<(), String> {
     let dir = args.prepare_run_dir(scenario.name)?;
     let store = CkptStore::with_base(&dir, args.ckpt_base(), args.keep);
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let policy = RetryPolicy {
-        max_retries: args.max_retries,
-        backoff_base_ms: args.backoff_ms,
-        backoff_cap_ms: args.backoff_ms.max(1) * 16,
-    };
-    let supervisor = Supervisor::for_run_dir(&dir, policy, args.heartbeat_timeout_ms);
+    let supervisor = Supervisor::for_run_dir(&dir, args.retry);
     let child = ChildRun {
         scenario: name,
         target_steps: target_steps as u64,
@@ -780,15 +783,13 @@ fn run_supervised(args: &Args) -> Result<(), String> {
     println!(
         "supervising scenario {name}: target {target_steps} steps, rotation keep {}, \
          up to {} resume(s)",
-        args.keep, args.max_retries
+        args.keep, args.retry.max_retries
     );
+    // ASURA_FAULTS is inherited from this process's environment untouched.
     let (outcome, log) = supervisor
-        .run(
+        .run_processes(
+            &store,
             |attempt, resume| {
-                let mut cmd = child.command(&exe, resume);
-                // Attempt-scoped fault arming: ASURA_FAULTS is inherited
-                // from this process's environment untouched.
-                cmd.env(faults::ATTEMPT_ENV, attempt.to_string());
                 match resume {
                     Some(rp) => println!(
                         "[supervisor] attempt {attempt}: resuming from step {} ({})",
@@ -797,34 +798,32 @@ fn run_supervised(args: &Args) -> Result<(), String> {
                     ),
                     None => println!("[supervisor] attempt {attempt}: fresh start"),
                 }
-                cmd.spawn().map(ProcessChild::new)
+                Ok(child.command(&exe, resume))
             },
-            || ResumePoint::latest(&store),
+            |_| {},
+            || None,
         )
         .map_err(|e| format!("supervisor: {e}"))?;
+    let log_path = supervisor.log_path.display();
     println!(
-        "[supervisor] {} incident(s), log {}",
-        log.incidents.len(),
-        supervisor.log_path.display()
+        "[supervisor] {} incident(s), log {log_path}",
+        log.incidents.len()
     );
     match outcome {
-        Outcome::Completed { attempts } => {
+        Some(Outcome::Completed { attempts }) => {
             println!("[supervisor] run completed after {attempts} attempt(s)");
             Ok(())
         }
-        Outcome::GaveUp { attempts } => Err(format!(
-            "supervised run gave up after {attempts} attempt(s); see {}",
-            supervisor.log_path.display()
+        Some(Outcome::GaveUp { attempts }) => Err(format!(
+            "supervised run gave up after {attempts} attempt(s); see {log_path}"
         )),
-        Outcome::Permanent { exit_code } => Err(format!(
-            "supervised child failed permanently (exit {exit_code}); see {}",
-            supervisor.log_path.display()
+        Some(Outcome::Permanent { exit_code }) => Err(format!(
+            "supervised child failed permanently (exit {exit_code}); see {log_path}"
         )),
-        // `Supervisor::run` has no abort hook, so cancellation can only
-        // come out of the serve daemon's `run_with_abort` path.
-        Outcome::Canceled { attempts } => Err(format!(
-            "supervised run canceled after {attempts} attempt(s); see {}",
-            supervisor.log_path.display()
+        // The stop hook above never asks to stop: only the serve daemon's
+        // workers are canceled or detached.
+        Some(Outcome::Canceled { .. }) | None => Err(format!(
+            "supervised run stopped before it finished; see {log_path}"
         )),
     }
 }
@@ -943,7 +942,6 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
         max_concurrent: ServeConfig::default_max_concurrent(),
         catalog: scenarios::catalog(),
         retry: RetryPolicy::default(),
-        heartbeat_timeout_ms: 30_000,
         keep: DEFAULT_KEEP,
     };
     let mut flags = Flags::new(rest, "serve: ");
@@ -952,20 +950,15 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
             "--root" => cfg.root = PathBuf::from(flags.value(flag)?),
             "--addr" => cfg.addr = flags.value(flag)?.to_string(),
             "--max-concurrent" => cfg.max_concurrent = flags.at_least_one(flag)?,
-            "--max-retries" => cfg.retry.max_retries = flags.parsed(flag)?,
-            "--backoff-ms" => {
-                cfg.retry.backoff_base_ms = flags.parsed(flag)?;
-                cfg.retry.backoff_cap_ms = cfg.retry.backoff_base_ms.max(1) * 16;
-            }
-            "--heartbeat-timeout-ms" => cfg.heartbeat_timeout_ms = flags.parsed(flag)?,
             "--keep" => cfg.keep = flags.at_least_one(flag)?,
-            other => return Err(flags.unknown(other)),
+            other => flags.retry_flag(other, &mut cfg.retry)?,
         }
     }
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let keep = cfg.keep;
     // Build each worker attempt's command line from the run entry. The
-    // daemon itself adds ASURA_ATTEMPT and any per-run ASURA_FAULTS plan.
+    // daemon itself adds any per-run ASURA_FAULTS plan, and the supervisor
+    // ASURA_ATTEMPT.
     let spawner: serve::Spawner = Arc::new(move |spec: &serve::SpawnSpec| {
         let o = &spec.run.overrides;
         let child = ChildRun {

@@ -4,10 +4,12 @@
 //! `tests/supervised_chaos.rs`: kill a worker *child* mid-run (per-run
 //! `ASURA_FAULTS` override) and kill the *daemon* itself (`kill -9` +
 //! restart), asserting in both cases that every run still converges to a
-//! final checkpoint bitwise identical to an undisturbed run.
+//! final checkpoint bitwise identical to an undisturbed run. The graceful
+//! stops are covered the same way: a plain `SHUTDOWN` detaches a running
+//! run for the next daemon, `SHUTDOWN DRAIN` waits for it.
 
 use asura_core::faults::{ATTEMPT_ENV, FAULTS_ENV, FAULT_KILL_EXIT};
-use asura_core::serve::{self, RunState};
+use asura_core::serve::{self, Fleet, RunState};
 use asura_core::supervise::{IncidentKind, IncidentLog, Outcome};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -105,6 +107,29 @@ fn wait_state(addr: &str, id: &str, want: RunState) -> String {
         );
         std::thread::sleep(Duration::from_millis(50));
     }
+}
+
+/// Poll STATUS until the running run's heartbeat reports at least `step`.
+fn wait_step(addr: &str, id: &str, step: u64) {
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        let reply = wait_state(addr, id, RunState::Running);
+        let beat = reply
+            .split("\"step\":")
+            .nth(1)
+            .and_then(|r| r.split(',').next())
+            .and_then(|s| s.parse::<u64>().ok());
+        if beat.is_some_and(|s| s >= step) {
+            return;
+        }
+        assert!(Instant::now() < deadline, "{id}: never reached step {step}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+fn read_fleet(root: &Path) -> Fleet {
+    let text = fs::read_to_string(root.join(serve::FLEET_FILE)).unwrap();
+    Fleet::from_json(&text).unwrap()
 }
 
 fn shutdown(addr: &str, mut daemon: Child) {
@@ -220,6 +245,53 @@ fn cancel_dequeues_queued_runs_and_kills_running_ones() {
     let reply = request_one(&addr, &format!("CANCEL {running}"));
     assert!(reply.contains("\"ok\":false"), "{reply}");
     shutdown(&addr, daemon);
+}
+
+/// A plain `SHUTDOWN` detaches a running run: the daemon exits cleanly
+/// with the run `queued` in `fleet.json` and `"running"` in its
+/// `supervisor.json`, and the next daemon completes it in the bytes of an
+/// undisturbed twin. `SHUTDOWN DRAIN` exits only once the running run has
+/// completed.
+#[test]
+fn shutdown_detaches_running_runs_and_drain_waits_for_them() {
+    let root = tmpdir("shutdown");
+    let overrides = "{\"steps\":6,\"snapshot_every\":2}";
+    let (daemon, addr) = start_daemon(&root, 1);
+    let detached = submit(&addr, "quickstart", overrides);
+    wait_step(&addr, &detached, 2);
+    shutdown(&addr, daemon);
+    let entry = read_fleet(&root).get(&detached).cloned().unwrap();
+    assert_eq!(entry.state, RunState::Queued, "detached, not finished");
+    assert_eq!(entry.child_pid, None);
+    let log = fs::read_to_string(root.join(&detached).join("supervisor.json")).unwrap();
+    assert!(
+        log.contains("\"outcome\":\"running\""),
+        "stays adoptable: {log}"
+    );
+
+    let (mut daemon, addr) = start_daemon(&root, 1);
+    let twin = submit(&addr, "quickstart", overrides);
+    wait_state(&addr, &detached, RunState::Completed);
+    wait_state(&addr, &twin, RunState::Completed);
+    let a = fs::read(root.join(&detached).join("checkpoint-000006.bin")).unwrap();
+    let b = fs::read(root.join(&twin).join("checkpoint-000006.bin")).unwrap();
+    assert_eq!(a, b, "the detached run diverged from its undisturbed twin");
+
+    let drained = submit(&addr, "quickstart", "{\"steps\":2}");
+    wait_state(&addr, &drained, RunState::Running);
+    let reply = request_one(&addr, "SHUTDOWN DRAIN");
+    assert!(reply.contains("\"shutdown\":\"drain\""), "{reply}");
+    let status = daemon.wait().unwrap();
+    assert!(status.success(), "daemon must exit cleanly, got {status}");
+    assert_eq!(
+        read_fleet(&root).get(&drained).map(|r| r.state),
+        Some(RunState::Completed),
+        "DRAIN waits for the running run"
+    );
+    assert_eq!(
+        read_log(&root, &drained).outcome,
+        Some(Outcome::Completed { attempts: 1 })
+    );
 }
 
 #[test]

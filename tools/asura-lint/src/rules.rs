@@ -59,14 +59,19 @@ pub fn all_rules() -> Vec<Rule> {
         Rule {
             name: "no-panic-daemon",
             description: "no unwrap/expect/panic!/unreachable! in the serve \
-                          daemon, supervisor, protocol/fault parsers, or the \
-                          checkpoint store — malformed input must be a typed \
-                          error, never a crashed fleet",
+                          daemon, supervisor, protocol/fault parsers, the \
+                          checkpoint store, or the decoders they reach (the \
+                          snapshot codec, the json crate, the weights \
+                          document) — malformed input must be a typed error, \
+                          never a crashed fleet",
             include: &[
                 "crates/core/src/serve.rs",
                 "crates/core/src/supervise.rs",
                 "crates/core/src/faults.rs",
                 "crates/core/src/ckpt.rs",
+                "crates/core/src/snapshot.rs",
+                "crates/json/src/**",
+                "crates/surrogate/src/model.rs",
             ],
             exclude: &[],
             check: check_no_panic,

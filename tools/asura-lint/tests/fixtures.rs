@@ -46,6 +46,7 @@ fn bad_tree_trips_every_rule() {
     assert_finding(&report, "no-panic-daemon", "crates/core/src/serve.rs:3");
     assert_finding(&report, "no-panic-daemon", "crates/core/src/serve.rs:5");
     assert_finding(&report, "no-panic-daemon", "crates/core/src/ckpt.rs:4");
+    assert_finding(&report, "no-panic-daemon", "crates/json/src/json.rs:4");
     assert_finding(
         &report,
         "no-wallclock-determinism",
