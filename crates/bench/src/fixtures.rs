@@ -1,4 +1,4 @@
-//! Inputs that more than one bench measures on.
+//! Inputs the benches measure on.
 
 use asura_core::Particle;
 use fdps::Vec3;

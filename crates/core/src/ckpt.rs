@@ -241,6 +241,22 @@ impl CkptStore {
         entries
     }
 
+    /// Empty the rotation: remove every file [`entries`](Self::entries)
+    /// lists, then the manifest, so a fresh run starts from nothing an
+    /// earlier run left in the directory. A file already gone is fine;
+    /// files the rotation does not own (diagnostics, heartbeat, incident
+    /// log) stay.
+    pub fn clear(&self) -> io::Result<()> {
+        let remove = |path: PathBuf| match fs::remove_file(path) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+            _ => Ok(()),
+        };
+        for entry in self.entries() {
+            remove(self.entry_path(&entry))?;
+        }
+        remove(self.manifest_path())
+    }
+
     fn entries_oldest_first(&self) -> Vec<CkptEntry> {
         let mut entries = self.read_manifest().unwrap_or_else(|| self.scan_dir());
         entries.sort_by(|a, b| a.step.cmp(&b.step).then_with(|| a.file.cmp(&b.file)));
@@ -434,6 +450,32 @@ mod tests {
             st.entries().iter().map(|e| e.step).collect::<Vec<_>>(),
             vec![3, 2]
         );
+    }
+
+    #[test]
+    fn clear_empties_the_rotation_and_keeps_the_run_files() {
+        let st = store("clear", 2);
+        let mut inj = FaultInjector::none();
+        for step in [2u64, 4] {
+            st.commit_bytes(step, CkptFormat::Bin, b"OK".to_vec(), &mut inj)
+                .unwrap();
+        }
+        let others = ["diagnostics.json", "heartbeat", "supervisor.json"];
+        for name in others {
+            fs::write(st.dir().join(name), b"{}").unwrap();
+        }
+        // An entry already gone is no error.
+        fs::remove_file(st.dir().join("checkpoint-000002.bin")).unwrap();
+        st.clear().unwrap();
+        assert!(st.entries().is_empty());
+        assert!(!st.manifest_path().exists());
+        assert!(!st.dir().join("checkpoint-000004.bin").exists());
+        for name in others {
+            assert!(st.dir().join(name).exists(), "{name} kept");
+        }
+        st.clear().unwrap();
+        let missing = CkptStore::new(st.dir().join("no-such-run"), 2);
+        missing.clear().unwrap();
     }
 
     #[test]

@@ -516,13 +516,19 @@ fn run_scenario(args: &Args) -> Result<(), String> {
     );
     let dir = args.prepare_run_dir(&run.name)?;
     let store = CkptStore::with_base(&dir, args.ckpt_base(), args.keep);
+    let ckpt_error = |e: std::io::Error| format!("writing checkpoint under {}: {e}", dir.display());
+    // A fresh run starts an empty rotation: entries an earlier run left in
+    // the directory would be pruned against this run's, and a later
+    // `--resume <dir>` would continue whichever run is newest.
+    if let Start::Fresh(_) = run.start {
+        store.clear().map_err(ckpt_error)?;
+    }
     let mut hb = args.heartbeat.as_ref().map(Heartbeat::new);
     let mut hb_io: Option<std::io::Error> = None;
     // A heartbeat write error stops the beats and fails the run at its end.
     let mut beat = |step: u64| {
         hb_io = hb_io.take().or_else(|| hb.as_mut()?.beat(step).err());
     };
-    let ckpt_error = |e: std::io::Error| format!("writing checkpoint under {}: {e}", dir.display());
     match args.dist {
         Some(spec) => run_dist(run, spec, &store, |step, snap| {
             beat(step);
@@ -573,22 +579,22 @@ fn run_shared(
     // rows as they land instead of at run end. In-loop write errors are
     // tolerated (the final write below still reports them).
     let live_diag = args.heartbeat.is_some();
-    let mut written = sim
-        .run_with_store(run.steps, store, CkptFormat::Bin, injector, |s| {
-            beat(s.step_count);
-            series.record(TimeSample::measure(s, t_prev, map_half));
-            t_prev = s.time;
-            if live_diag {
-                let _ = atomic_write(&diag_path, series.to_json().as_bytes());
-            }
-        })
-        .map_err(ckpt_error)?;
+    sim.run_with_store(run.steps, store, CkptFormat::Bin, injector, |s| {
+        beat(s.step_count);
+        series.record(TimeSample::measure(s, t_prev, map_half));
+        t_prev = s.time;
+        if live_diag {
+            let _ = atomic_write(&diag_path, series.to_json().as_bytes());
+        }
+    })
+    .map_err(ckpt_error)?;
     // Always leave a final checkpoint (unless the cadence already
     // committed the last step) + the diagnostics series.
     let every = sim.config.snapshot_every;
     if run.steps == 0 || every == 0 || !sim.step_count.is_multiple_of(every) {
-        let last = store.commit_sim(&sim.snapshot(), injector);
-        written.push(last.map_err(|e| format!("writing final checkpoint: {e}"))?);
+        store
+            .commit_sim(&sim.snapshot(), injector)
+            .map_err(|e| format!("writing final checkpoint: {e}"))?;
     }
     atomic_write(&diag_path, series.to_json().as_bytes())
         .map_err(|e| format!("write {}: {e}", diag_path.display()))?;
@@ -602,8 +608,9 @@ fn run_shared(
         sim.pending_regions(),
         sim.stats.stars_formed,
     );
-    for path in &written {
-        println!("[checkpoint] {}", path.display());
+    // What the rotation holds, oldest first: pruned commits are gone.
+    for entry in store.entries().iter().rev() {
+        println!("[checkpoint] {}", store.entry_path(entry).display());
     }
     println!("[manifest] {}", store.manifest_path().display());
     println!(

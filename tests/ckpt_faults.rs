@@ -425,3 +425,61 @@ fn resume_of_a_json_rendering_fails_naming_the_file() {
         assert!(!run_dir.exists(), "{route}: nothing written");
     }
 }
+
+/// The `[checkpoint]` lines of a run's stdout, as paths.
+fn printed_checkpoints(out: &Output) -> Vec<PathBuf> {
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines = stdout
+        .lines()
+        .filter_map(|l| l.strip_prefix("[checkpoint] "));
+    lines.map(PathBuf::from).collect()
+}
+
+/// A fresh run into a directory an earlier run used starts an empty
+/// rotation: it lists only its own checkpoints, every listed file exists,
+/// and `--resume <dir>` continues it — not the earlier run, whose entries
+/// are newer by step.
+#[test]
+fn a_fresh_run_starts_an_empty_rotation() {
+    let dir = tmpdir("fresh-rotation");
+    let run = |seed: &str, steps: &str, run_dir: &Path| {
+        let args = ["--scenario", "spiked_dt", "--snapshot-every", "2"];
+        let out = asura(
+            &[
+                &args[..],
+                &["--keep", "2", "--seed", seed, "--steps", steps],
+            ]
+            .concat(),
+            Some(run_dir),
+        );
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        printed_checkpoints(&out)
+    };
+    let shared = dir.join("shared");
+    // The listing is what the rotation holds: step 2 was pruned.
+    let first = run("1", "6", &shared);
+    assert_eq!(
+        first,
+        [4, 6].map(|s| shared.join(format!("checkpoint-{s:06}.bin")))
+    );
+    let second = run("2", "2", &shared);
+    let entry = shared.join("checkpoint-000002.bin");
+    assert_eq!(second, std::slice::from_ref(&entry));
+    assert!(entry.exists());
+    let store = CkptStore::new(&shared, 2);
+    assert_eq!(
+        store.entries().iter().map(|e| e.step).collect::<Vec<_>>(),
+        [2]
+    );
+
+    let clean = dir.join("clean");
+    run("2", "2", &clean);
+    let clean_entry = fs::read(clean.join("checkpoint-000002.bin")).unwrap();
+    assert_eq!(fs::read(&entry).unwrap(), clean_entry);
+    let (_, snap) = store.latest_valid_sim().expect("an intact entry");
+    assert_eq!((snap.step_count, snap.config.seed), (2, 2));
+}

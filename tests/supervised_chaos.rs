@@ -152,6 +152,42 @@ fn torn_checkpoint_plus_kill_falls_back_past_the_torn_entry() {
     assert_eq!(final_bytes, reference);
 }
 
+/// A supervised run into the directory of an earlier run of the same
+/// scenario: attempt 0 starts fresh and so empties the rotation, and the
+/// retry after a kill ahead of the first commit starts fresh as well,
+/// instead of resuming the earlier run's newest checkpoint.
+#[test]
+fn a_retry_never_resumes_an_earlier_runs_checkpoint() {
+    let supervised = |out_dir: &Path, seed: &str| {
+        let mut cmd = Command::new(BIN);
+        cmd.args(["--scenario", "spiked_dt", "--supervised", "--seed", seed])
+            .args(["--steps", &STEPS.to_string(), "--backoff-ms", "10"])
+            .arg("--out-dir")
+            .arg(out_dir)
+            .env_remove(asura_core::faults::FAULTS_ENV)
+            .env_remove(asura_core::faults::ATTEMPT_ENV);
+        cmd
+    };
+    let reference = tmpdir("earlier-run-reference");
+    assert!(supervised(&reference, "2").status().unwrap().success());
+    let dir = tmpdir("earlier-run");
+    assert!(supervised(&dir, "1").status().unwrap().success());
+    let status = supervised(&dir, "2")
+        .env(asura_core::faults::FAULTS_ENV, "kill@1#0")
+        .status()
+        .unwrap();
+    assert!(status.success());
+
+    let log = read_log(&dir);
+    assert_eq!(log.outcome, Some(Outcome::Completed { attempts: 2 }));
+    assert_eq!(log.incidents.len(), 1);
+    assert_eq!(log.incidents[0].resumed_from_step, None, "a fresh retry");
+    let last = |out_dir: &Path| {
+        fs::read(run_dir(out_dir).join(format!("checkpoint-{STEPS:06}.bin"))).unwrap()
+    };
+    assert_eq!(last(&dir), last(&reference));
+}
+
 #[test]
 fn stalled_heartbeat_is_detected_killed_and_resumed() {
     let reference = baseline("base-stall", None);

@@ -23,13 +23,12 @@
 //!   `--tolerance` (default 30%), or one the baseline had as a number and
 //!   the fresh document lacks or holds as `null` / a non-number, fails the
 //!   job.
-//! * **Informational** — every other numeric leaf and every `records`
-//!   entry (ns/iter, matched by name). Reported with their change, never
-//!   failing: a shared runner's absolute timings swing far more than any
-//!   real regression they could catch (this repo has measured 2x
-//!   run-to-run variance on idle containers with CPU shares). One only
-//!   the baseline holds — a renamed or deleted record — is listed as
-//!   `dropped`.
+//! * **Informational** — every other numeric leaf, by its dotted path.
+//!   Reported with its change, never failing: a shared runner's absolute
+//!   timings swing far more than any real regression they could catch
+//!   (this repo has measured 2x run-to-run variance on idle containers
+//!   with CPU shares). One only the baseline holds — a renamed or deleted
+//!   leaf — is listed as `dropped`.
 //!
 //! The gate prints one markdown table per file to the job log and exits
 //! non-zero iff a gated metric failed. The files are the `BENCH_*.json`
@@ -119,20 +118,13 @@ fn finite(v: &Json) -> Option<f64> {
 }
 
 /// Every numeric leaf under `v` as `(dotted.path, value)`, in document
-/// order; an array (`records`) gives one `<name> (ns/iter)` leaf per entry.
+/// order.
 fn leaves(prefix: &str, v: &Json, out: &mut Vec<(String, f64)>) {
     match v {
         Json::Obj(fields) => {
             for (key, value) in fields {
                 let dot = if prefix.is_empty() { "" } else { "." };
                 leaves(&format!("{prefix}{dot}{key}"), value, out);
-            }
-        }
-        Json::Arr(records) => {
-            for r in records {
-                if let (Ok(name), Ok(ns)) = (r.at("name", Json::as_str), r.get("ns_per_iter")) {
-                    leaves(&format!("{name} (ns/iter)"), ns, out);
-                }
             }
         }
         _ => out.extend(finite(v).map(|n| (prefix.to_string(), n))),
@@ -147,8 +139,8 @@ fn lookup<T: Copy>(pairs: &[(String, T)], name: &str) -> Option<T> {
 /// Compare one bench document against its baseline: gated rows first (the
 /// fresh declaration, then names only the baseline still declares), then
 /// every other numeric leaf of the fresh document, then the informational
-/// leaves only the baseline holds — a renamed or vanished record shows up
-/// as `dropped` instead of leaving the table without a trace.
+/// leaves only the baseline holds — a renamed or vanished leaf shows up as
+/// `dropped` instead of leaving the table without a trace.
 fn compare(baseline: Option<&Json>, current: &Json) -> Result<Vec<Row>, String> {
     let mut gated = gates(current)?;
     for (name, better) in baseline.map(gates).transpose()?.unwrap_or_default() {
@@ -512,53 +504,27 @@ mod tests {
         assert!(rows.iter().all(|r| r.name != "global.steps"));
     }
 
-    #[test]
-    fn records_format_is_compared_by_name() {
-        let base = doc(
-            r#"{"records": [{"name": "a/1", "ns_per_iter": 100.0, "iters": 5},
-                            {"name": "b/2", "ns_per_iter": 200.0, "iters": 5}]}"#,
-        );
-        let cur = doc(
-            r#"{"records": [{"name": "a/1", "ns_per_iter": 150.0, "iters": 5},
-                            {"name": "c/3", "ns_per_iter": 50.0, "iters": 5}]}"#,
-        );
-        let rows = rows(&base, &cur);
-        let a = row(&rows, "a/1 (ns/iter)");
-        assert!((a.growth().unwrap() - 0.5).abs() < 1e-12);
-        assert_eq!(a.change(), "+50.0%");
-        assert!(!a.failed(0.01), "records are informational");
-        let c = row(&rows, "c/3 (ns/iter)");
-        assert_eq!(c.baseline, None);
-        assert_eq!(c.status(0.3), "new");
-    }
-
-    /// A record (or informational leaf) only the baseline holds is listed
-    /// as `dropped`, never silently left out, and never fails the gate.
+    /// An informational leaf only the baseline holds is listed as
+    /// `dropped`, never silently left out, and never fails the gate.
     #[test]
     fn baseline_only_leaves_are_reported_dropped_and_pass() {
-        let base = doc(
-            r#"{"records": [{"name": "a/1", "ns_per_iter": 100.0, "iters": 5},
-                                       {"name": "b/2", "ns_per_iter": 200.0, "iters": 5}],
+        let base = doc(r#"{"stage_ms": {"a": 100.0, "b": 200.0},
                 "block": {"wall_s": 1.0}, "update_ratio": 6.0,
-                "gated": {"update_ratio": "higher"}}"#,
-        );
-        let renamed = doc(
-            r#"{"records": [{"name": "a/1", "ns_per_iter": 100.0, "iters": 5},
-                                          {"name": "b/two", "ns_per_iter": 200.0, "iters": 5}],
-                "update_ratio": 6.0, "gated": {"update_ratio": "higher"}}"#,
-        );
+                "gated": {"update_ratio": "higher"}}"#);
+        let renamed = doc(r#"{"stage_ms": {"a": 100.0, "b_two": 200.0},
+                "update_ratio": 6.0, "gated": {"update_ratio": "higher"}}"#);
         let rows = rows(&base, &renamed);
-        for name in ["b/2 (ns/iter)", "block.wall_s"] {
+        for name in ["stage_ms.b", "block.wall_s"] {
             let r = row(&rows, name);
             assert_eq!((r.baseline.is_some(), r.current), (true, None), "{name}");
             assert_eq!(r.status(0.30), "dropped", "{name}");
             assert!(!r.failed(0.0), "{name} is informational");
         }
-        assert_eq!(row(&rows, "b/two (ns/iter)").status(0.30), "new");
+        assert_eq!(row(&rows, "stage_ms.b_two").status(0.30), "new");
         let mut out = String::new();
         render("BENCH_tree_walk.json", &rows, 0.30, &mut out);
         assert!(
-            out.contains("| b/2 (ns/iter) | 200.0000 | — | — | dropped |"),
+            out.contains("| stage_ms.b | 200.0000 | — | — | dropped |"),
             "{out}"
         );
         assert!(
@@ -606,24 +572,20 @@ mod tests {
 
     #[test]
     fn unet_conv_ratio_and_records_coexist() {
-        // unet_infer carries both a gated top-level scalar and the
-        // informational records array.
-        let base = doc(
-            r#"{"records": [{"name": "f/16", "ns_per_iter": 10.0, "iters": 3}],
-                "conv_gflops_ratio": 30.0, "gated": {"conv_gflops_ratio": "higher"}}"#,
-        );
-        let worse = doc(
-            r#"{"records": [{"name": "f/16", "ns_per_iter": 80.0, "iters": 3}],
-                "conv_gflops_ratio": 4.0, "gated": {"conv_gflops_ratio": "higher"}}"#,
-        );
+        // unet_infer records both a gated top-level scalar and the
+        // informational stage times of the paper-grid pipeline.
+        let base = doc(r#"{"paper_grid_64cubed_f4": {"forward_ms": 10.0},
+                "conv_gflops_ratio": 30.0, "gated": {"conv_gflops_ratio": "higher"}}"#);
+        let worse = doc(r#"{"paper_grid_64cubed_f4": {"forward_ms": 80.0},
+                "conv_gflops_ratio": 4.0, "gated": {"conv_gflops_ratio": "higher"}}"#);
         let rows = rows(&base, &worse);
         assert!(
             row(&rows, "conv_gflops_ratio").failed(0.30),
             "collapsed conv throughput must gate"
         );
         assert!(
-            !row(&rows, "f/16 (ns/iter)").failed(0.30),
-            "records stay informational"
+            !row(&rows, "paper_grid_64cubed_f4.forward_ms").failed(0.30),
+            "stage times stay informational"
         );
     }
 
