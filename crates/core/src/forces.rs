@@ -27,17 +27,16 @@
 //! `run_distributed` on one rank are the same computation bit for bit
 //! (`tests/distributed.rs`).
 //!
-//! Downstream of this arena the solvers stage per *worker*, not per step.
-//! The gravity solver packs each interaction list into SoA `GroupScratch`
-//! for the runtime-dispatched SIMD monopole kernels — one thread-local
-//! scratch per thread that runs groups, owned by the thread rather than
-//! by this arena, which is why it does not appear in the capacity
-//! signature. The SPH solver's per-worker group lists
-//! (`NeighborCache`, `ForceBatch`) and its leaf-ordered work plans do live
-//! here, inside [`SphScratch`], and are part of the signature: they are levelled across workers after every pass, so their
-//! capacities are a function of the passes run, not of which worker
-//! happened to meet the widest group. None of it is per-step state and
-//! none of it travels through snapshots.
+//! Downstream of this arena one rule holds: group scratch lives with the
+//! thread, for gravity and SPH alike. The gravity solver's walk stack,
+//! interaction list and SoA kernel columns and the SPH passes' group lists
+//! (`NeighborCache`, `ForceBatch`) are one thread-local set per thread
+//! that runs groups, so they are not in the capacity signature; each
+//! crate's tests check them inside `rayon::solo`, where every group runs
+//! on the calling thread. The SPH passes' leaf-ordered work plans name
+//! each result's target for the caller, so they live here, inside
+//! [`SphScratch`], and are part of the signature. None of it is per-step
+//! state and none of it travels through snapshots.
 
 use crate::config::SimConfig;
 use crate::particle::Particle;
@@ -251,7 +250,7 @@ pub struct ForceBuffers {
     /// halo's ghosts.
     pub hydro: HydroState,
     /// SPH staging buffers (search radii, targets, hydro inputs, work
-    /// plans, per-worker group lists) plus the cached SPH neighbor tree (`sph::solver::SphTreeCache`): rebuilt by
+    /// plans) plus the cached SPH neighbor tree (`sph::solver::SphTreeCache`): rebuilt by
     /// each density pass on base steps, moment-refreshed by force and
     /// substep passes — the hydro counterpart of `tree`/`walk_index`
     /// below.

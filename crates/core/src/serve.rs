@@ -37,9 +37,10 @@
 //! same atomic tmp→fsync→rename discipline as the checkpoints, after every
 //! mutation. A restarted daemon re-adopts the file: `running` entries (the
 //! previous daemon died underneath them) fall back to `queued` and are
-//! dispatched again into the same run directory — attempt 0 of the new
-//! worker starts from step 0, only its retries resume from the rotation,
-//! so the re-run still ends bitwise where an undisturbed run ends — and
+//! dispatched again into the same run directory — every attempt of the
+//! new worker, the first included, resumes from the rotation's newest
+//! intact entry, so the re-run redoes only the steps after it and still
+//! ends bitwise where an undisturbed run ends — and
 //! any recorded child pid is best-effort killed first so an orphan can't
 //! race the re-run.
 //!

@@ -19,7 +19,11 @@
 //! errors) are never retried. Because restarts are bitwise-deterministic
 //! (see `tests/snapshot_restart.rs`), a supervised run that suffers
 //! crashes ends in exactly the state of an uninterrupted run — that
-//! property is enforced by `tests/supervised_chaos.rs`.
+//! property is enforced by `tests/supervised_chaos.rs`. Attempt 0 starts
+//! from the rotation too: a run directory whose rotation already holds
+//! entries (a fleet run re-dispatched after a detach or a daemon death)
+//! continues from its newest intact one, and a fresh run's rotation is
+//! empty (`asura --supervised` clears it before the first attempt).
 //!
 //! Both front-ends — `asura --supervised` and the
 //! [`serve`](crate::serve) daemon's workers — take one [`RetryPolicy`],
@@ -348,7 +352,7 @@ impl Supervisor {
     }
 
     /// The one launch path of both front-ends: drive child processes
-    /// through [`Supervisor::run_with_abort`], resuming each retry from
+    /// through [`Supervisor::run_with_abort`], starting every attempt from
     /// `store`'s newest intact rotation entry ([`ResumePoint::latest`]).
     ///
     /// * `command(attempt, resume)` builds attempt `attempt`'s command
@@ -379,10 +383,11 @@ impl Supervisor {
     /// retry budget runs out, or `abort` asks to stop.
     ///
     /// * `spawn(attempt, resume)` launches attempt `attempt`, resuming
-    ///   from `resume` when given (always `None` for attempt 0).
+    ///   from `resume` when given.
     /// * `resume_point()` queries the newest intact checkpoint — called
-    ///   after each failure, so it sees exactly what the crashed attempt
-    ///   managed to persist.
+    ///   before attempt 0, so a run adopted or detached mid-way continues
+    ///   from what its rotation holds, and after each failure, so a retry
+    ///   sees exactly what the crashed attempt managed to persist.
     /// * `abort()` is polled at the heartbeat's cadence. When it returns a
     ///   [`StopReason`] the current child is killed; `Cancel` records
     ///   [`Outcome::Canceled`], `Detach` returns `None` with the log's
@@ -399,7 +404,7 @@ impl Supervisor {
     ) -> io::Result<(Option<Outcome>, IncidentLog)> {
         let mut log = IncidentLog::default();
         let mut attempt: u32 = 0;
-        let mut resume: Option<ResumePoint> = None;
+        let mut resume = resume_point();
         loop {
             // A beat left by the previous attempt must not count as life.
             let _ = std::fs::remove_file(&self.heartbeat_path);
@@ -591,39 +596,44 @@ mod tests {
     #[test]
     fn crash_then_success_records_one_incident_with_resume_step() {
         let dir = tmpdir("crash");
-        let sup = supervisor(&dir, 3, 10_000);
-        let exits = RefCell::new(vec![86, 0]);
-        let spawned = RefCell::new(Vec::new());
-        let (outcome, log) = sup
-            .run_with_abort(
-                |attempt, resume| {
-                    spawned.borrow_mut().push((attempt, resume.cloned()));
-                    Ok(FakeChild {
-                        exit: Some(exits.borrow_mut().remove(0)),
-                        polls_left: 1,
-                        killed: Rc::new(RefCell::new(false)),
-                    })
-                },
-                || {
-                    Some(ResumePoint {
-                        step: 4,
-                        path: dir.join("checkpoint-000004.bin"),
-                    })
-                },
-                || None,
-            )
-            .unwrap();
-        assert_eq!(outcome, Some(Outcome::Completed { attempts: 2 }));
-        assert_eq!(log.incidents.len(), 1);
-        assert_eq!(log.incidents[0].kind, IncidentKind::Crash { exit_code: 86 });
-        assert_eq!(log.incidents[0].resumed_from_step, Some(4));
-        let spawned = spawned.borrow();
-        assert_eq!(spawned[0].0, 0);
-        assert!(spawned[0].1.is_none(), "attempt 0 starts fresh");
-        assert_eq!(spawned[1].1.as_ref().unwrap().step, 4);
-        // The persisted log round-trips.
-        let text = std::fs::read_to_string(dir.join("supervisor.json")).unwrap();
-        assert_eq!(IncidentLog::from_json(&text).unwrap(), log);
+        let at = |step: u64| ResumePoint {
+            step,
+            path: dir.join(format!("checkpoint-{step:06}.bin")),
+        };
+        // Attempt 0 starts from what the rotation holds: nothing (a fresh
+        // run), or an entry (a run adopted after it committed step 2).
+        for held in [None, Some(at(2))] {
+            let sup = supervisor(&dir, 3, 10_000);
+            let exits = RefCell::new(vec![86, 0]);
+            let spawned = RefCell::new(Vec::new());
+            // The rotation as each query sees it: `held` until the crashed
+            // attempt commits step 4.
+            let rotation = RefCell::new(vec![held.clone(), Some(at(4))]);
+            let (outcome, log) = sup
+                .run_with_abort(
+                    |attempt, resume| {
+                        spawned.borrow_mut().push((attempt, resume.cloned()));
+                        Ok(FakeChild {
+                            exit: Some(exits.borrow_mut().remove(0)),
+                            polls_left: 1,
+                            killed: Rc::new(RefCell::new(false)),
+                        })
+                    },
+                    || rotation.borrow_mut().remove(0),
+                    || None,
+                )
+                .unwrap();
+            assert_eq!(outcome, Some(Outcome::Completed { attempts: 2 }));
+            assert_eq!(log.incidents.len(), 1);
+            assert_eq!(log.incidents[0].kind, IncidentKind::Crash { exit_code: 86 });
+            assert_eq!(log.incidents[0].resumed_from_step, Some(4));
+            let spawned = spawned.borrow();
+            assert_eq!(spawned[0], (0, held), "attempt 0 starts from the rotation");
+            assert_eq!(spawned[1].1.as_ref().unwrap().step, 4);
+            // The persisted log round-trips.
+            let text = std::fs::read_to_string(dir.join("supervisor.json")).unwrap();
+            assert_eq!(IncidentLog::from_json(&text).unwrap(), log);
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! equivalence references and the convenience API for small callers. The
 //! SoA kernels ([`accumulate_f64_soa`], [`accumulate_mixed_staged`]) take
 //! struct-of-arrays j-side inputs staged by the caller (the solver's
-//! per-worker `GroupScratch`), which turns the per-lane coordinate loads
+//! per-thread `GroupScratch`), which turns the per-lane coordinate loads
 //! into contiguous packed loads, and where [`lanes::Avx2::detect`] finds
 //! AVX2 they run an AVX2 body (one 256-bit vector per 4 × f64 / 8 × f32
 //! lane block) — the portable fallback is the same loop in
@@ -212,7 +212,7 @@ fn f64_tail(
 /// Mixed-precision kernel over pre-staged f32 relative SoA coordinates.
 ///
 /// `jx/jy/jz` are `(p - origin) as f32`, `jm` is the narrowed mass; the
-/// caller owns the staging buffers (the solver reuses per-worker scratch,
+/// caller owns the staging buffers (the solver reuses per-thread scratch,
 /// which is what makes this variant actually faster than f64 — the
 /// original [`accumulate_mixed`] allocated four fresh `Vec<f32>` per
 /// launch and paid more in allocator traffic than it saved in arithmetic).

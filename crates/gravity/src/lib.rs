@@ -17,7 +17,7 @@
 //!
 //! [`solver::GravitySolver`] drives the group-wise evaluation with rayon
 //! across groups (the intra-node OpenMP analogue), staging each group's
-//! interaction list into per-worker SoA buffers.
+//! interaction list into per-thread SoA buffers.
 
 // `unsafe` is confined to `kernel::simd`, the AVX2 bodies behind a
 // `lanes::Avx2` token: the compiler keeps it out of every other module.

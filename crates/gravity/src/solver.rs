@@ -563,6 +563,53 @@ mod tests {
         );
     }
 
+    #[test]
+    fn repeated_evaluations_do_not_grow_the_threads_scratch() {
+        // Inside `rayon::solo` every group runs on this thread, so its
+        // `SCRATCH` meets every group of every evaluation: after one f64
+        // and one mixed warm-up evaluation it holds the widest, and full
+        // and active evaluations on either kernel grow none of it.
+        fn capacities() -> Vec<usize> {
+            SCRATCH.with_borrow(|s| {
+                let (ep, sp) = s.list.capacities();
+                let mut caps = vec![s.walk.capacity(), ep, sp, s.ipos.capacity()];
+                for j in [&s.j64.x, &s.j64.y, &s.j64.z, &s.j64.m] {
+                    caps.push(j.capacity());
+                }
+                for j in [&s.j32.x, &s.j32.y, &s.j32.z, &s.j32.m] {
+                    caps.push(j.capacity());
+                }
+                caps
+            })
+        }
+        let (pos, mass) = plummer_like(2000, 11);
+        let n = pos.len();
+        let solvers = [false, true].map(|mixed_precision| GravitySolver {
+            mixed_precision,
+            ..Default::default()
+        });
+        let tree = Tree::build(&pos, &mass, solvers[0].n_leaf);
+        let index = tree.walk_index();
+        let active: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
+        let (mut acc, mut pot) = (Vec::new(), Vec::new());
+        rayon::solo(|| {
+            for solver in &solvers {
+                solver.evaluate_into_indexed(&tree, &index, &pos, &mass, n, &mut acc, &mut pot);
+            }
+            let warm = capacities();
+            assert!(warm.iter().all(|&c| c > 0), "warm-up left {warm:?}");
+            for _ in 0..3 {
+                for solver in &solvers {
+                    solver.evaluate_into_indexed(&tree, &index, &pos, &mass, n, &mut acc, &mut pot);
+                    solver.evaluate_into_active_indexed(
+                        &tree, &index, &pos, &mass, n, &active, &mut acc, &mut pot,
+                    );
+                }
+            }
+            assert_eq!(capacities(), warm, "scratch grew after warm-up");
+        });
+    }
+
     /// The f64 staging as it was before it wrote by slot: four pushes per
     /// entry, EP then SP.
     fn pushed_f64(list: &InteractionList, pos: &[Vec3], mass: &[f64]) -> JColumns<f64> {

@@ -11,7 +11,7 @@
 //! order ([`DensitySources`]), so that a tree walk can name its candidates
 //! as a few contiguous spans of those columns. The pass then runs over
 //! FDPS-style groups — one per leaf of the neighbour tree, see
-//! [`crate::group`] — and a per-worker [`NeighborCache`] holds the list at
+//! [`crate::group`] — and a per-thread [`NeighborCache`] holds the list at
 //! three widths, each filtered from the one before:
 //!
 //! 1. **Group list** — one gather-only [`fdps::Tree::gather_spans_of_box`]
@@ -38,11 +38,12 @@
 //! counts those fallbacks; together with the group walks, over
 //! [`DensityResult::iterations`], they are the gated `h_iter_walk_ratio`.
 
-use crate::group::{reserve_column, span_len, GroupBuffers, GroupScratch};
+use crate::group::{span_len, GroupPlan};
 use crate::kernel::SphKernel;
 #[cfg(target_arch = "x86_64")]
 use crate::simd::{self, Avx2};
 use fdps::{BBox, Tree, Vec3};
+use std::cell::RefCell;
 
 /// Result of a converged density pass for one particle.
 #[derive(Debug, Clone, Copy, Default)]
@@ -118,7 +119,7 @@ impl DensitySources {
     }
 }
 
-/// Per-worker neighbour lists of the density pass (see the module docs):
+/// Per-thread neighbour lists of the density pass (see the module docs):
 /// the group's spans, the current target's rows, and the in-support rows
 /// of the current trial `h`. Cleared in place between groups and targets,
 /// so steady-state passes reuse its capacity.
@@ -141,25 +142,28 @@ pub struct NeighborCache {
     w: Vec<f64>,
 }
 
-impl GroupBuffers for NeighborCache {
-    fn capacity(&self) -> usize {
-        self.r.capacity()
-    }
-
-    fn reserve(&mut self, n: usize) {
-        for col in [
-            &mut self.r,
-            &mut self.m,
-            &mut self.r_in,
-            &mut self.m_in,
-            &mut self.w,
-        ] {
-            reserve_column(col, n);
-        }
-    }
+thread_local! {
+    /// This thread's [`NeighborCache`]: the density pass borrows it for one
+    /// target at a time (see [`crate::group`]).
+    pub(crate) static NEIGHBOR_CACHE: RefCell<NeighborCache> =
+        RefCell::new(NeighborCache::default());
 }
 
 impl NeighborCache {
+    /// Capacity of every list, for the zero-allocation regression tests.
+    #[cfg(test)]
+    pub(crate) fn capacities(&self) -> [usize; 7] {
+        [
+            self.group.capacity(),
+            self.own.capacity(),
+            self.r.capacity(),
+            self.m.capacity(),
+            self.r_in.capacity(),
+            self.m_in.capacity(),
+            self.w.capacity(),
+        ]
+    }
+
     /// Padding applied to the search radius once `h` has outgrown the
     /// target rows: the iteration is then known to be live, and staging
     /// slightly wide lets further growth up to this factor re-filter
@@ -174,7 +178,6 @@ impl NeighborCache {
         self.group.clear();
         tree.gather_spans_of_box(bbox, radius, &mut self.group);
         self.group_radius = radius;
-        self.reserve(span_len(&self.group));
     }
 
     /// Stage the rows of the target at `xi` within `radius` — from the
@@ -191,7 +194,6 @@ impl NeighborCache {
         if walked {
             self.own.clear();
             tree.gather_spans_of_box(&BBox::new(xi, xi), radius, &mut self.own);
-            self.reserve(span_len(&self.own));
         }
         let spans = if walked { &self.own } else { &self.group };
         select_rows(&mut self.r, &mut self.m, sources, spans, xi, radius);
@@ -550,12 +552,12 @@ pub fn compute_density_on_tree(
     ordered
 }
 
-/// What a density pass keeps between calls: the tree-ordered sources, the
-/// leaf-ordered work plan and the per-worker lists.
+/// What a density pass keeps between calls: the tree-ordered sources and
+/// the leaf-ordered work plan.
 #[derive(Debug, Clone, Default)]
 pub struct DensityScratch {
     pub sources: DensitySources,
-    pub groups: GroupScratch<NeighborCache>,
+    pub groups: GroupPlan,
 }
 
 /// The density-iteration core: [`compute_density_on_tree`] with everything
@@ -579,10 +581,10 @@ pub fn compute_density_grouped(
     let support = kernel.support();
     let h0 = &*h;
     let (results, group_walks) = groups.run(
+        &NEIGHBOR_CACHE,
         tree,
-        pos,
         targets,
-        |i| support * h0[i].max(1e-12),
+        |i| (pos[i], support * h0[i].max(1e-12)),
         |cache, bbox, radius| cache.stage_group(tree, bbox, radius),
         |cache, i| density_in_group(kernel, cfg, tree, sources, pos[i], h0[i], cache),
     );

@@ -23,7 +23,7 @@
 //! the portable batch agree on every bit: same lanes, same association
 //! order, exactly rounded operations only (see `crate::simd`).
 
-use crate::group::{reserve_column, span_len};
+use crate::group::span_len;
 use crate::kernel::SphKernel;
 #[cfg(target_arch = "x86_64")]
 use crate::simd::{self, Avx2};
@@ -202,7 +202,7 @@ impl ForceSources {
 /// One target's interacting pairs: which sources they are, and the
 /// per-pair values the batched kernel-gradient evaluations need
 /// contiguously. Everything else [`force_batch`] reads in place from the
-/// [`ForceSources`]. Owned per pool worker by the solver;
+/// [`ForceSources`]. Owned per thread by the solver;
 /// [`ForceBatch::stage`] clears in place, keeping capacity.
 #[derive(Debug, Clone, Default)]
 pub struct ForceBatch {
@@ -324,24 +324,17 @@ impl ForceBatch {
         (&self.near, &self.r2, &self.r, &self.hj)
     }
 
-    /// Candidates the columns can hold without growing.
-    pub(crate) fn capacity(&self) -> usize {
-        self.r2.capacity()
-    }
-
-    /// Grow every column to hold a candidate list of `n` (see
-    /// [`crate::group::GroupBuffers`]; staging grows on demand without it).
-    pub(crate) fn reserve(&mut self, n: usize) {
-        reserve_column(&mut self.near, n);
-        for col in [
-            &mut self.r2,
-            &mut self.r,
-            &mut self.hj,
-            &mut self.dwi,
-            &mut self.dwj,
-        ] {
-            reserve_column(col, n);
-        }
+    /// Capacity of every column, for the zero-allocation regression tests.
+    #[cfg(test)]
+    pub(crate) fn capacities(&self) -> [usize; 6] {
+        [
+            self.near.capacity(),
+            self.r2.capacity(),
+            self.r.capacity(),
+            self.hj.capacity(),
+            self.dwi.capacity(),
+            self.dwj.capacity(),
+        ]
     }
 }
 

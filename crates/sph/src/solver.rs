@@ -1,11 +1,12 @@
 //! Rayon-parallel SPH driver over a neighbor-search tree.
 //!
 //! The per-pass staging buffers (search radii, target indices, the
-//! tree-ordered j-side columns, the leaf-ordered work plans and the
-//! per-worker group lists) live in a caller-owned [`SphScratch`]: the
-//! `density_pass_with`/`force_pass_with` entry points clear — never shrink
-//! — the scratch, so a simulation's steady-state hydro evaluation grows no
-//! buffer in this layer. The scratch-free `density_pass`/`force_pass`
+//! tree-ordered j-side columns and the leaf-ordered work plans) live in a
+//! caller-owned [`SphScratch`]: the `density_pass_with`/`force_pass_with`
+//! entry points clear — never shrink — the scratch, so a simulation's
+//! steady-state hydro evaluation grows no buffer in this layer. The group
+//! lists live with the thread that runs the group ([`crate::group`]), as
+//! the gravity solver's do. The scratch-free `density_pass`/`force_pass`
 //! wrappers remain for cold paths and tests.
 //!
 //! # Neighbor-tree reuse lifecycle
@@ -58,10 +59,11 @@
 use crate::density::{compute_density_grouped, DensityConfig, DensityScratch};
 use crate::eos::GammaLawEos;
 use crate::force::{force_batch, ForceBatch, ForceSources, HydroAccum, HydroInput, Viscosity};
-use crate::group::{span_len, GroupBuffers, GroupScratch};
+use crate::group::{span_len, GroupPlan};
 use crate::kernel::{CubicSpline, SphKernel};
 use crate::timestep::{dt_accel, dt_cfl};
 use fdps::{Tree, Vec3};
+use std::cell::RefCell;
 
 /// SoA hydrodynamic state. The first `n_local` entries are this rank's
 /// particles; any beyond are ghost copies acting as interaction sources.
@@ -189,22 +191,18 @@ impl SphTreeCache {
     }
 }
 
-/// One pool worker's buffers of the force pass: the group's candidate
-/// spans and the current target's staged pairs.
+/// One thread's buffers of the force pass: the group's candidate spans
+/// and the current target's staged pairs.
 #[derive(Debug, Default)]
 struct ForceLists {
     spans: Vec<(u32, u32)>,
     batch: ForceBatch,
 }
 
-impl GroupBuffers for ForceLists {
-    fn capacity(&self) -> usize {
-        self.batch.capacity()
-    }
-
-    fn reserve(&mut self, n: usize) {
-        self.batch.reserve(n);
-    }
+thread_local! {
+    /// This thread's [`ForceLists`]: the force pass borrows it for one
+    /// target at a time (see [`crate::group`]).
+    static FORCE_LISTS: RefCell<ForceLists> = RefCell::new(ForceLists::default());
 }
 
 /// Reusable staging buffers for the SPH passes: cleared in place every
@@ -218,32 +216,27 @@ pub struct SphScratch {
     targets: Vec<usize>,
     /// The cached neighbor tree (see the module docs' reuse lifecycle).
     tree: SphTreeCache,
-    /// Tree-ordered sources, work plan and per-worker neighbour lists of
-    /// the density pass.
+    /// Tree-ordered sources and work plan of the density pass.
     density: DensityScratch,
     /// Tree-ordered j-side hydro inputs of the force pass.
     force_sources: ForceSources,
-    /// Work plan and per-worker candidate lists of the force pass.
-    force_groups: GroupScratch<ForceLists>,
+    /// Work plan of the force pass.
+    force_groups: GroupPlan,
 }
 
 impl SphScratch {
     /// Buffer capacities, for zero-allocation regression tests: the
-    /// staging arrays, then `[tree-ordered sources, work plan, per-worker
-    /// group lists]` of the density and of the force pass.
-    pub fn capacities(&self) -> [usize; 9] {
-        let [density_plan, density_lists] = self.density.groups.capacities();
-        let [force_plan, force_lists] = self.force_groups.capacities();
+    /// staging arrays, then `[tree-ordered sources, work plan]` of the
+    /// density and of the force pass.
+    pub fn capacities(&self) -> [usize; 7] {
         [
             self.radii.capacity(),
             self.targets.capacity(),
             self.tree.ref_pos.capacity(),
             self.density.sources.capacity(),
-            density_plan,
-            density_lists,
+            self.density.groups.capacity(),
             self.force_sources.capacity(),
-            force_plan,
-            force_lists,
+            self.force_groups.capacity(),
         ]
     }
 
@@ -474,14 +467,13 @@ impl<K: SphKernel> SphSolver<K> {
         // may reach the box too); per target: select the interacting pairs
         // among the group's candidates and run the batched kernel on those.
         let (results, group_walks) = force_groups.run(
+            &FORCE_LISTS,
             tree,
-            &state.pos,
             targets,
-            |i| radii[i],
+            |i| (state.pos[i], radii[i]),
             |lists, bbox, radius| {
                 lists.spans.clear();
                 tree.spans_of_box(bbox, radius, &mut lists.spans);
-                lists.reserve(span_len(&lists.spans));
             },
             |lists, i| {
                 let pi = input(i);
@@ -844,20 +836,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn repeated_passes_do_not_grow_the_scratch() {
-        // After one warm-up evaluation every buffer — staging arrays, work
-        // plans and the per-worker group lists — is at its high-water
-        // mark: full and active passes over the same state leave the
-        // capacity signature alone, whichever worker meets which group.
+    /// One warm-up evaluation, then three rounds of full and active
+    /// passes over the same state; returns the capacities `caps` read
+    /// after the warm-up and after the rounds.
+    fn warm_then_repeat<C>(caps: impl Fn(&SphScratch) -> C) -> (C, C) {
         let mut s = uniform_box(8, 1.0, 1.0);
         let n = s.len();
         let solver = SphSolver::default();
         let mut scratch = SphScratch::default();
         solver.density_pass_with(&mut s, n, &mut scratch);
         solver.force_pass_with(&mut s, n, &mut scratch);
-        let caps = scratch.capacities();
-        assert!(caps.iter().all(|&c| c > 0), "warm-up left {caps:?}");
+        let warm = caps(&scratch);
         let active: Vec<usize> = (0..n).step_by(3).collect();
         for _ in 0..3 {
             solver.density_pass_with(&mut s, n, &mut scratch);
@@ -865,7 +854,35 @@ mod tests {
             solver.density_pass_active(&mut s, &active, &mut scratch);
             solver.force_pass_active(&mut s, &active, &mut scratch);
         }
-        assert_eq!(scratch.capacities(), caps, "scratch grew after warm-up");
+        (warm, caps(&scratch))
+    }
+
+    #[test]
+    fn repeated_passes_do_not_grow_the_scratch() {
+        // After one warm-up evaluation the staging arrays and work plans
+        // are at their high-water mark: full and active passes over the
+        // same state leave the capacity signature alone.
+        let (warm, after) = warm_then_repeat(SphScratch::capacities);
+        assert!(warm.iter().all(|&c| c > 0), "warm-up left {warm:?}");
+        assert_eq!(after, warm, "scratch grew after warm-up");
+    }
+
+    #[test]
+    fn repeated_passes_do_not_grow_the_threads_group_lists() {
+        // Inside `rayon::solo` every group runs on this thread, so its
+        // neighbour and force lists meet every group of every pass: after
+        // the warm-up they hold the widest, and the rounds grow none.
+        let lists = |_: &SphScratch| {
+            let density = crate::density::NEIGHBOR_CACHE.with_borrow(|c| c.capacities());
+            let force = FORCE_LISTS.with_borrow(|l| (l.spans.capacity(), l.batch.capacities()));
+            (density, force)
+        };
+        let (warm, after) = rayon::solo(|| warm_then_repeat(lists));
+        let (density, (spans, batch)) = warm;
+        // `own` holds the fallback walks, which a lattice never needs.
+        assert!(density[0] > 0 && density[2..].iter().all(|&c| c > 0));
+        assert!(spans > 0 && batch.iter().all(|&c| c > 0), "{batch:?}");
+        assert_eq!(after, warm, "the thread's group lists grew after warm-up");
     }
 
     #[test]

@@ -792,6 +792,12 @@ fn run_supervised(args: &Args) -> Result<(), String> {
          up to {} resume(s)",
         args.keep, args.retry.max_retries
     );
+    // A supervised run always starts fresh (it refuses `--resume`), and
+    // every attempt starts from the rotation: empty it once, here, so
+    // attempt 0 is fresh and a retry never resumes an earlier run's entry.
+    store
+        .clear()
+        .map_err(|e| format!("clearing the rotation under {}: {e}", dir.display()))?;
     // ASURA_FAULTS is inherited from this process's environment untouched.
     let (outcome, log) = supervisor
         .run_processes(

@@ -249,8 +249,8 @@ fn cancel_dequeues_queued_runs_and_kills_running_ones() {
 
 /// A plain `SHUTDOWN` detaches a running run: the daemon exits cleanly
 /// with the run `queued` in `fleet.json` and `"running"` in its
-/// `supervisor.json`, and the next daemon completes it in the bytes of an
-/// undisturbed twin. `SHUTDOWN DRAIN` exits only once the running run has
+/// `supervisor.json`, and the next daemon resumes it from its rotation
+/// and completes it in the bytes of an undisturbed twin. `SHUTDOWN DRAIN` exits only once the running run has
 /// completed.
 #[test]
 fn shutdown_detaches_running_runs_and_drain_waits_for_them() {
@@ -258,7 +258,8 @@ fn shutdown_detaches_running_runs_and_drain_waits_for_them() {
     let overrides = "{\"steps\":6,\"snapshot_every\":2}";
     let (daemon, addr) = start_daemon(&root, 1);
     let detached = submit(&addr, "quickstart", overrides);
-    wait_step(&addr, &detached, 2);
+    // Step 3's beat comes after step 2's checkpoint committed.
+    wait_step(&addr, &detached, 3);
     shutdown(&addr, daemon);
     let entry = read_fleet(&root).get(&detached).cloned().unwrap();
     assert_eq!(entry.state, RunState::Queued, "detached, not finished");
@@ -276,6 +277,14 @@ fn shutdown_detaches_running_runs_and_drain_waits_for_them() {
     let a = fs::read(root.join(&detached).join("checkpoint-000006.bin")).unwrap();
     let b = fs::read(root.join(&twin).join("checkpoint-000006.bin")).unwrap();
     assert_eq!(a, b, "the detached run diverged from its undisturbed twin");
+    // The re-dispatched attempt resumed from the rotation: its diagnostics
+    // sample only the steps it ran, the twin's all six.
+    let samples = |id: &str| {
+        let text = fs::read_to_string(root.join(id).join("diagnostics.json")).unwrap();
+        json::parse_json(&text).and_then(|d| d.get("samples")?.as_u64())
+    };
+    assert!(samples(&detached).unwrap() < 6, "restarted from step 0");
+    assert_eq!(samples(&twin), Ok(6));
 
     let drained = submit(&addr, "quickstart", "{\"steps\":2}");
     wait_state(&addr, &drained, RunState::Running);
