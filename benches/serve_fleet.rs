@@ -13,6 +13,8 @@
 //! Writes `BENCH_serve.json` at the repo root so subsequent PRs have a
 //! trajectory.
 
+#![expect(clippy::disallowed_methods, reason = "a bench times its runs")]
+
 use asura_core::serve::{self, RunOverrides, RunState};
 use bench::{BenchDoc, Better};
 use json::{parse_json, Json};

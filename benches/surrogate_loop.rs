@@ -23,6 +23,11 @@
 //! the trajectory but never gate. Writes `BENCH_surrogate.json` at the
 //! repo root.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a bench times its runs and audits energy exactly"
+)]
+
 use astro::units::E_SN;
 use asura::scenarios;
 use asura::surrogate_train::{self, TrainSpec};

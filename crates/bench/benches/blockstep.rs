@@ -15,8 +15,8 @@
 //! Writes `BENCH_blockstep.json` at the repo root so subsequent PRs have a
 //! perf trajectory.
 
+use asura_core::particle::spiked_blob;
 use asura_core::{Scheme, SimConfig, Simulation, TimestepMode};
-use bench::fixtures::spiked_blob;
 use bench::{best_of, BenchDoc, Better};
 use json::Json;
 

@@ -24,8 +24,8 @@
 //! have a perf trajectory.
 
 use asura_core::dist::{run_distributed, DistConfig, DistReport, PredictorKind};
+use asura_core::particle::spiked_blob;
 use asura_core::{Scheme, SimConfig, TimestepMode};
-use bench::fixtures::spiked_blob;
 use bench::{best_of, BenchDoc, Better};
 use fdps::exchange::Routing;
 use json::Json;

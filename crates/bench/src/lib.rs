@@ -38,6 +38,7 @@ fn repo_root() -> PathBuf {
 
 /// The best wall-clock seconds of `reps` calls of `f` (at least one), and
 /// the last call's output.
+#[expect(clippy::disallowed_methods, reason = "the bench harness's one timer")]
 pub fn best_of<O>(reps: usize, mut f: impl FnMut() -> O) -> (f64, O) {
     let mut timed = || {
         let start = Instant::now();
@@ -121,6 +122,7 @@ impl BenchDoc {
 
     /// Write the document to `file` at the repo root, stamped with the
     /// pool's thread count.
+    #[expect(clippy::disallowed_methods, reason = "a bench result, not run state")]
     pub fn write(self, file: &str) {
         let path = repo_root().join(file);
         let text = self.render(rayon::current_num_threads());
@@ -155,6 +157,7 @@ pub fn results_dir() -> PathBuf {
 }
 
 /// Write a named CSV artifact and report the path.
+#[expect(clippy::disallowed_methods, reason = "a bench artifact, not run state")]
 pub fn write_artifact(name: &str, contents: &str) {
     let path = results_dir().join(name);
     fs::write(&path, contents).expect("write artifact");

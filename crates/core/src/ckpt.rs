@@ -43,6 +43,16 @@
 //! }
 //! ```
 
+// no-panic-daemon: malformed input is a typed error, never a crashed fleet.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::faults::{apply_write_fault, FaultInjector};
 use crate::snapshot::SimSnapshot;
 use json::{fnv1a, parse_json, Json};
@@ -74,6 +84,10 @@ pub enum CkptFormat {
 /// either the complete old file or the complete new file, never a torn
 /// mix. The directory is fsynced best-effort afterwards so the rename
 /// itself survives power loss.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one writer: it creates only the temporary it renames"
+)]
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let file_name = path
         .file_name()

@@ -7,9 +7,9 @@
 //! [`Simulation::live_energy`] — the step's own tree potential, reused —
 //! not the exact O(N²) audit, which stays one call away for whoever wants
 //! it ([`Simulation::total_energy`] /
-//! [`total_energy_of`](crate::sim::total_energy_of)) and which
-//! `asura-lint`'s `no-exact-audit-live` rule keeps out of this per-step
-//! path.
+//! [`total_energy_of`](crate::sim::total_energy_of)) and which the
+//! root `clippy.toml` bans (`no-exact-audit-live`) outside the sites that
+//! `#[expect]` it, so it stays out of this per-step path.
 
 use crate::particle::Particle;
 use crate::sim::Simulation;

@@ -43,6 +43,16 @@
 //! [`latest_valid`](crate::ckpt::CkptStore::latest_valid_with) must
 //! survive by falling back to the previous entry.
 
+// no-panic-daemon: malformed input is a typed error, never a crashed fleet.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::fmt;
 
 /// Exit code of a `kill@N` fault — distinctive so logs show the crash was

@@ -102,6 +102,27 @@ impl Particle {
     }
 }
 
+/// The spiked-dt IC (the `spiked_dt` scenario and the block-timestep
+/// benches): an `n_side`³ unit lattice of gas at rest with one SN-hot
+/// centre particle, whose ~10^4 km/s signal speed collapses its CFL step
+/// well below the base step.
+pub fn spiked_blob(n_side: usize) -> Vec<Particle> {
+    let half = n_side as f64 / 2.0;
+    let mut particles = Vec::with_capacity(n_side * n_side * n_side);
+    for i in 0..n_side {
+        for j in 0..n_side {
+            for k in 0..n_side {
+                let pos = Vec3::new(i as f64 - half, j as f64 - half, k as f64 - half);
+                let id = particles.len() as u64;
+                particles.push(Particle::gas(id, pos, Vec3::ZERO, 1.0, 1.0, 1.3));
+            }
+        }
+    }
+    let c = n_side / 2;
+    particles[(c * n_side + c) * n_side + c].u = 1.0e8;
+    particles
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -56,6 +56,16 @@
 //! root (removed on clean exit), so clients on the same machine need no
 //! configuration beyond the root directory.
 
+// no-panic-daemon: malformed input is a typed error, never a crashed fleet.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::ckpt::{atomic_write, CkptStore};
 use crate::config::{Scheme, TimestepMode};
 use crate::faults::{self, FaultPlan};

@@ -269,6 +269,7 @@ impl Simulation {
     /// exact (`theta = 0`) audit, O(N²) per call. Conservation tests and
     /// end-of-run reports call it; anything sampling every step wants
     /// [`Simulation::live_energy`].
+    #[expect(clippy::disallowed_methods, reason = "this is the exact audit")]
     pub fn total_energy(&self) -> f64 {
         total_energy_of(&self.particles, self.config.eps)
     }
@@ -290,6 +291,10 @@ impl Simulation {
     pub fn live_energy(&self) -> f64 {
         let bufs = &self.state.forces;
         if bufs.pot.is_empty() {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "no step has run since new/restore: the audit runs once"
+            )]
             return self.total_energy();
         }
         let w: f64 = 0.5

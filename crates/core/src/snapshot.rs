@@ -68,6 +68,16 @@
 //! snapshots at the [`SimConfig::snapshot_every`] cadence under
 //! `results/<scenario>/` and resumes from them via [`SimSnapshot::load`].
 
+// no-panic-daemon: malformed input is a typed error, never a crashed fleet.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::config::{Scheme, SimConfig, TimestepMode, SCHEME_NAMES, TIMESTEP_MODE_NAMES};
 use crate::particle::{Kind, Particle};
 use crate::sim::SimStats;
@@ -862,8 +872,11 @@ impl SimSnapshot {
         let mut payload = Vec::new();
         self.put(&mut payload);
         let value = to_value(&Self::TY, &mut BinReader::new(&payload));
-        // lint:allow(no-panic-daemon): decodes the bytes `put` just wrote
-        // from `TY`, never input; only `asura inspect` and tests call it.
+        #[expect(
+            clippy::expect_used,
+            reason = "decodes the bytes `put` just wrote from `TY`, never input; \
+                      only `asura inspect` and tests call it"
+        )]
         let value = value.expect("`put` writes what `TY` describes");
         let state = value.render();
         let checksum = Json::checksum(fnv1a(state.as_bytes()));

@@ -343,8 +343,10 @@ fn take_due<T>(pending: &mut Vec<T>, step: u64, due_step: impl Fn(&T) -> u64) ->
 /// star do not.
 #[derive(Default)]
 pub struct GasIndex {
-    // lint:allow(ordered-iteration): keyed lookup only — never iterated,
-    // so hasher order cannot reach any persisted or rendered byte.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookup only, never iterated: hasher order reaches no byte"
+    )]
     map: std::collections::HashMap<u64, usize>,
     valid: bool,
 }

@@ -34,6 +34,16 @@
 //! [`ChildHandle`], so the retry/verdict logic is unit-testable with
 //! in-process fakes.
 
+// no-panic-daemon: malformed input is a typed error, never a crashed fleet.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::ckpt::{atomic_write, CkptStore};
 use crate::faults;
 use json::{parse_json, Json};
@@ -458,6 +468,10 @@ impl Supervisor {
     /// stop request, then heartbeat staleness. Staleness is measured from
     /// spawn or the last *content change* of the heartbeat file, so the
     /// child must produce its first beat within the timeout too.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the heartbeat watchdog times the child from outside its step loop"
+    )]
     fn watch<H: ChildHandle>(
         &self,
         child: &mut H,

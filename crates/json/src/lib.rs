@@ -10,6 +10,15 @@
 //! the text spelled or an error, never a truncated or saturated one.
 
 #![forbid(unsafe_code)]
+// no-panic-daemon: malformed input is a typed error, never a crashed fleet.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod json;
 

@@ -66,6 +66,10 @@ const fn pack_table() -> [[[i32; 8]; 2]; 16] {
 
 /// `v` with its lanes under `mask` (bit `l` keeps lane `l`; below 16)
 /// packed to the front, as `f64` lanes.
+///
+/// # Safety
+///
+/// The CPU supports AVX2.
 #[inline]
 #[target_feature(enable = "avx2")]
 fn pack_pd(v: __m256d, mask: usize) -> __m256d {
@@ -76,6 +80,10 @@ fn pack_pd(v: __m256d, mask: usize) -> __m256d {
 }
 
 /// The four `u32` lanes of `v` under `mask` packed to the front.
+///
+/// # Safety
+///
+/// The CPU supports AVX2.
 #[inline]
 #[target_feature(enable = "avx2")]
 fn pack_u32(v: __m128i, mask: usize) -> __m128i {
@@ -119,6 +127,10 @@ mod tests {
 
     /// Both compactions of the lanes `[1, 2, 3, 4]` under `mask`, stored
     /// at slot 1 of a zeroed buffer.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX2.
     #[target_feature(enable = "avx2")]
     fn packed(mask: usize) -> ([f64; W + 2], [u32; W + 2]) {
         let (mut f, mut u) = ([0.0; W + 2], [0; W + 2]);

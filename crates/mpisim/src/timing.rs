@@ -2,6 +2,8 @@
 //! `MPI_Wtime` brackets around each critical routine, reporting the elapsed
 //! time of the *slowest* MPI process per phase.
 
+#![expect(clippy::disallowed_methods, reason = "this is the phase-timer layer")]
+
 use crate::collective::ReduceOp;
 use crate::comm::Comm;
 use std::collections::BTreeMap;

@@ -16,6 +16,7 @@ pub struct KernelRate {
 /// Measure the softened gravity kernel on `n_i x n_j` synthetic
 /// interactions, in single precision relative coordinates (the paper's hot
 /// loop shape).
+#[expect(clippy::disallowed_methods, reason = "calibration measures wall time")]
 pub fn measure_gravity(n_i: usize, n_j: usize, repeats: usize) -> KernelRate {
     let jx: Vec<f32> = (0..n_j).map(|j| (j as f32 * 0.37).sin()).collect();
     let jy: Vec<f32> = (0..n_j).map(|j| (j as f32 * 0.73).cos()).collect();

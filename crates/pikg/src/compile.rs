@@ -9,7 +9,7 @@
 
 use crate::ast::{BinOp, Expr, Func, KernelSpec, Stmt};
 use crate::flops::FlopPolicy;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One bytecode instruction over f64 registers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,7 +57,7 @@ impl CompiledKernel {
         let mut c = Codegen {
             spec: &spec,
             code: Vec::new(),
-            vars: HashMap::new(),
+            vars: BTreeMap::new(),
             next_reg: 0,
         };
 
@@ -175,7 +175,7 @@ fn step(instr: &Instr, regs: &mut [f64], acc: &mut [f64], bufs: &SoaBuffers, i: 
 struct Codegen<'s> {
     spec: &'s KernelSpec,
     code: Vec<Instr>,
-    vars: HashMap<String, u16>,
+    vars: BTreeMap<String, u16>,
     next_reg: u16,
 }
 

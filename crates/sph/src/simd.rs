@@ -181,16 +181,31 @@ pub(crate) fn spline_dwdr_per_h(_: Avx2, r: &[f64], h: &[f64], out: &mut [f64]) 
     unsafe { spline_dwdr_per_h_body(r, h, out) }
 }
 
+/// Body of [`spline_w`].
+///
+/// # Safety
+///
+/// The CPU supports AVX2.
 #[target_feature(enable = "avx2")]
 fn spline_w_body(r: &[f64], h: f64, out: &mut [f64]) {
     kernel::spline_w(r, h, out)
 }
 
+/// Body of [`spline_dwdr`].
+///
+/// # Safety
+///
+/// The CPU supports AVX2.
 #[target_feature(enable = "avx2")]
 fn spline_dwdr_body(r: &[f64], h: f64, out: &mut [f64]) {
     kernel::spline_dwdr(r, h, out)
 }
 
+/// Body of [`spline_dwdr_per_h`].
+///
+/// # Safety
+///
+/// The CPU supports AVX2.
 #[target_feature(enable = "avx2")]
 fn spline_dwdr_per_h_body(r: &[f64], h: &[f64], out: &mut [f64]) {
     kernel::spline_dwdr_per_h(r, h, out)
@@ -264,12 +279,20 @@ unsafe fn load_u32(near: &[u32], at: usize) -> __m128i {
 }
 
 /// `4 × f64` lanes of `x`.
+///
+/// # Safety
+///
+/// The CPU supports AVX2.
 #[target_feature(enable = "avx2")]
 fn splat(x: f64) -> __m256d {
     _mm256_set1_pd(x)
 }
 
 /// `(dx·dx + dy·dy) + dz·dz`, the scalar association.
+///
+/// # Safety
+///
+/// The CPU supports AVX2.
 #[target_feature(enable = "avx2")]
 fn norm2(dx: __m256d, dy: __m256d, dz: __m256d) -> __m256d {
     _mm256_add_pd(
@@ -280,6 +303,10 @@ fn norm2(dx: __m256d, dy: __m256d, dz: __m256d) -> __m256d {
 
 /// `a` as the left operand of a `max` whose result is only compared
 /// against: a NaN becomes `-inf` (see the module docs).
+///
+/// # Safety
+///
+/// The CPU supports AVX2.
 #[target_feature(enable = "avx2")]
 fn max_operand(a: f64) -> __m256d {
     splat(if a.is_nan() { f64::NEG_INFINITY } else { a })

@@ -1,5 +1,15 @@
 //! The end-to-end surrogate: particles in, predicted particles out.
 
+// no-panic-daemon: malformed input is a typed error, never a crashed fleet.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::encode::{decode_fields, encode_fields};
 use crate::gibbs::grid_to_particles;
 use crate::voxel::{particles_to_grid, GasParticle, VoxelGrid};

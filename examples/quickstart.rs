@@ -10,6 +10,11 @@
 //! cargo run --release --bin asura -- --scenario quickstart
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the end-of-run energy audit is the exact one"
+)]
+
 use asura::scenarios;
 use asura_core::Simulation;
 

@@ -10,6 +10,11 @@
 //! cargo run --release --example supernova_remnant
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the example reports its phases' wall time"
+)]
+
 use astro::units::E_SN;
 use astro::SedovTaylor;
 use asura_core::pool::{PoolPredictor, UNetPredictor};

@@ -917,6 +917,10 @@ fn cmd_train_surrogate(rest: &[String]) -> Result<(), String> {
         spec.base_features,
         spec.lr,
     );
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "reports the training's wall time"
+    )]
     let t0 = std::time::Instant::now();
     let outcome = surrogate_train::train(&spec);
     let wall = t0.elapsed().as_secs_f64();

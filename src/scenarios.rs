@@ -311,34 +311,8 @@ fn config_spiked_dt() -> SimConfig {
 }
 
 fn ic_spiked_dt(_seed: u64) -> Vec<Particle> {
-    // The block-timestep stress scenario of `cargo bench --bench blockstep`:
-    // a uniform blob whose centre particle carries SN-level internal energy,
-    // collapsing its CFL step ~2^5-2^6 below the base step.
-    let n_side = 8usize;
-    let mut particles = Vec::new();
-    let mut id = 0u64;
-    for i in 0..n_side {
-        for j in 0..n_side {
-            for k in 0..n_side {
-                particles.push(Particle::gas(
-                    id,
-                    Vec3::new(
-                        i as f64 - n_side as f64 / 2.0,
-                        j as f64 - n_side as f64 / 2.0,
-                        k as f64 - n_side as f64 / 2.0,
-                    ),
-                    Vec3::ZERO,
-                    1.0,
-                    1.0,
-                    1.3,
-                ));
-                id += 1;
-            }
-        }
-    }
-    let center = (n_side / 2) * n_side * n_side + (n_side / 2) * n_side + n_side / 2;
-    particles[center].u = 1.0e8;
-    particles
+    // The block-timestep stress scenario of `cargo bench --bench blockstep`.
+    asura_core::particle::spiked_blob(8)
 }
 
 #[cfg(test)]

@@ -11,6 +11,11 @@
 //! inspect`'s output, or a `.json` rotation entry an older build wrote — is
 //! never read back: the rotation skips it and `--resume` refuses it.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "damage injection writes torn bytes on purpose"
+)]
+
 use asura::scenarios;
 use asura_core::ckpt::{CkptEntry, CkptFormat, CkptStore, MANIFEST_FORMAT, MANIFEST_VERSION};
 use asura_core::faults::FaultInjector;

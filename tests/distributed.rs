@@ -6,6 +6,8 @@
 //! (both run `asura_core::step::step`; with one main rank the distributed
 //! halo's exchanges have nobody to talk to).
 
+#![expect(clippy::disallowed_methods, reason = "tests audit energy exactly")]
+
 use asura_core::dist::{self, run_distributed, DistConfig, DistReport, PredictorKind, Start};
 use asura_core::sim::total_energy_of;
 use asura_core::snapshot::SimSnapshot;

@@ -1,6 +1,8 @@
 //! End-to-end integration tests: galaxy ICs through the full surrogate
 //! simulation loop, checking the cross-crate invariants a user relies on.
 
+#![expect(clippy::disallowed_methods, reason = "tests audit energy exactly")]
+
 use asura_core::{Particle, Scheme, SimConfig, Simulation};
 use fdps::Vec3;
 use galactic_ic::GalaxyModel;

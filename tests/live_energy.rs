@@ -7,6 +7,11 @@
 //! regime the scenarios cover, and that it *is* the exact audit whenever
 //! there is no evaluation to reuse.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "measures the live estimate against the exact audit"
+)]
+
 use asura::scenarios;
 use asura_core::diagnostics::TimeSample;
 use asura_core::snapshot::SimSnapshot;

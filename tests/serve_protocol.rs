@@ -8,6 +8,11 @@
 //! stops are covered the same way: a plain `SHUTDOWN` detaches a running
 //! run for the next daemon, `SHUTDOWN DRAIN` waits for it.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "polls the daemon against a wall-clock deadline"
+)]
+
 use asura_core::faults::{ATTEMPT_ENV, FAULTS_ENV, FAULT_KILL_EXIT};
 use asura_core::serve::{self, Fleet, RunState};
 use asura_core::supervise::{IncidentKind, IncidentLog, Outcome};

@@ -5,6 +5,11 @@
 //! produces a final checkpoint **bitwise identical** to an uninterrupted
 //! run — in both Block and Global timestep modes.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "damage injection writes torn bytes on purpose"
+)]
+
 use asura_core::ckpt::CkptStore;
 use asura_core::faults::FAULT_KILL_EXIT;
 use asura_core::snapshot::SimSnapshot;

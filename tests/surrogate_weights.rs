@@ -7,6 +7,11 @@
 //! file must exit 2 (the supervisor's permanent code) rather than be
 //! retried.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "writes hostile weights files on purpose"
+)]
+
 use asura_core::dist::{DistError, PredictorKind, PredictorSpec};
 use asura_core::pool::UNetPredictor;
 use rand::rngs::StdRng;
