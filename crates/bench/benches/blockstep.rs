@@ -16,7 +16,7 @@
 //! perf trajectory.
 
 use asura_core::particle::spiked_blob;
-use asura_core::{Scheme, SimConfig, Simulation, TimestepMode};
+use asura_core::{Scheme, SimConfig, SimStats, Simulation, TimestepMode};
 use bench::{best_of, BenchDoc, Better};
 use json::Json;
 
@@ -39,14 +39,7 @@ fn config(mode: TimestepMode) -> SimConfig {
 
 struct RunResult {
     wall_s: f64,
-    steps: u64,
-    substeps: u64,
-    updates: u64,
-    refreshes: u64,
-    rebuilds: u64,
-    sph_refreshes: u64,
-    sph_rebuilds: u64,
-    dt_min: f64,
+    stats: SimStats,
     max_level: u32,
     predicted_substeps: u64,
     modeled_efficiency: f64,
@@ -75,14 +68,7 @@ fn run(mode: TimestepMode) -> RunResult {
         .unwrap_or((0, 1, 1.0));
     RunResult {
         wall_s,
-        steps: sim.stats.steps,
-        substeps: sim.stats.substeps,
-        updates: sim.stats.active_updates,
-        refreshes: sim.stats.tree_refreshes,
-        rebuilds: sim.stats.tree_rebuilds,
-        sph_refreshes: sim.stats.sph_tree_refreshes,
-        sph_rebuilds: sim.stats.sph_tree_rebuilds,
-        dt_min: sim.stats.dt_min_seen,
+        stats: sim.stats,
         max_level,
         predicted_substeps,
         modeled_efficiency,
@@ -94,30 +80,16 @@ fn main() {
     println!("blockstep: N={n}, dt_base={DT_BASE}, horizon={BASE_STEPS} base steps");
 
     let global = run(TimestepMode::Global);
-    println!(
-        "global: {:.3} s, {} steps, {} updates, dt_min {:.3e}",
-        global.wall_s, global.steps, global.updates, global.dt_min
-    );
+    println!("global: {:.3} s | {}", global.wall_s, global.stats);
     let block = run(TimestepMode::Block {
         max_level: MAX_LEVEL,
     });
     println!(
-        "block:  {:.3} s, {} base steps / {} substeps (schedule says {}/base), \
-         {} updates, max level {}, gravity tree {} refreshes / {} rebuilds, \
-         sph tree {} refreshes / {} rebuilds, dt_min {:.3e}",
-        block.wall_s,
-        block.steps,
-        block.substeps,
-        block.predicted_substeps,
-        block.updates,
-        block.max_level,
-        block.refreshes,
-        block.rebuilds,
-        block.sph_refreshes,
-        block.sph_rebuilds,
-        block.dt_min
+        "block:  {:.3} s, max level {} (schedule says {} substeps/base) | {}",
+        block.wall_s, block.max_level, block.predicted_substeps, block.stats
     );
-    let update_ratio = global.updates as f64 / block.updates.max(1) as f64;
+    let update_ratio =
+        global.stats.active_updates as f64 / block.stats.active_updates.max(1) as f64;
     let speedup = global.wall_s / block.wall_s.max(1e-12);
     println!(
         "update savings: {update_ratio:.2}x, wall-clock speedup: {speedup:.2}x, \
@@ -134,28 +106,16 @@ fn main() {
             "global",
             Json::obj([
                 ("wall_s", global.wall_s.into()),
-                ("steps", global.steps.into()),
-                ("updates", global.updates.into()),
-                ("dt_min", global.dt_min.into()),
-                ("tree_rebuilds", global.rebuilds.into()),
-                ("sph_tree_refreshes", global.sph_refreshes.into()),
-                ("sph_tree_rebuilds", global.sph_rebuilds.into()),
+                ("stats", Json::obj(global.stats.fields())),
             ]),
         )
         .info(
             "block",
             Json::obj([
                 ("wall_s", block.wall_s.into()),
-                ("base_steps", block.steps.into()),
-                ("substeps", block.substeps.into()),
-                ("updates", block.updates.into()),
-                ("dt_min", block.dt_min.into()),
                 ("max_level", block.max_level.into()),
                 ("substeps_per_base_step", block.predicted_substeps.into()),
-                ("tree_refreshes", block.refreshes.into()),
-                ("tree_rebuilds", block.rebuilds.into()),
-                ("sph_tree_refreshes", block.sph_refreshes.into()),
-                ("sph_tree_rebuilds", block.sph_rebuilds.into()),
+                ("stats", Json::obj(block.stats.fields())),
             ]),
         )
         .gated("update_ratio", update_ratio, Better::Higher)

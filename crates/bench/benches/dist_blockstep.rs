@@ -25,7 +25,7 @@
 
 use asura_core::dist::{run_distributed, DistConfig, DistReport, PredictorKind};
 use asura_core::particle::spiked_blob;
-use asura_core::{Scheme, SimConfig, TimestepMode};
+use asura_core::{Scheme, SimConfig, SimStats, TimestepMode};
 use bench::{best_of, BenchDoc, Better};
 use fdps::exchange::Routing;
 use json::Json;
@@ -108,62 +108,26 @@ fn main() {
     );
 
     let global = run(TimestepMode::Global);
-    let g_updates: u64 = global
-        .report
-        .rank_stats
-        .iter()
-        .map(|s| s.active_updates)
-        .sum();
+    let g_stats = SimStats::combine(&global.report.rank_stats);
     println!(
-        "global: {:.3} s wall ({:.3} s phases, {:.3} s sync), {} steps, {} updates",
-        global.wall_s, global.phase_total_s, global.sync_s, global.report.steps, g_updates
+        "global: {:.3} s wall ({:.3} s phases, {:.3} s sync) | {g_stats}",
+        global.wall_s, global.phase_total_s, global.sync_s
     );
 
     let block = run(TimestepMode::Block {
         max_level: MAX_LEVEL,
     });
-    let b_updates: u64 = block
-        .report
-        .rank_stats
-        .iter()
-        .map(|s| s.active_updates)
-        .sum();
-    let substeps = block
-        .report
-        .rank_stats
-        .iter()
-        .map(|s| s.substeps)
-        .max()
-        .unwrap_or(0);
-    let (refreshes, rebuilds, sph_refreshes, sph_rebuilds) =
-        block.report.rank_stats.iter().fold((0, 0, 0, 0), |a, s| {
-            (
-                a.0 + s.tree_refreshes,
-                a.1 + s.tree_rebuilds,
-                a.2 + s.sph_tree_refreshes,
-                a.3 + s.sph_tree_rebuilds,
-            )
-        });
+    let b_stats = SimStats::combine(&block.report.rank_stats);
     println!(
-        "block:  {:.3} s wall ({:.3} s phases, {:.3} s sync), {} base steps / {} substeps, \
-         {} updates, gravity tree {} refreshes / {} rebuilds, sph tree {} refreshes / {} rebuilds",
-        block.wall_s,
-        block.phase_total_s,
-        block.sync_s,
-        block.report.steps,
-        substeps,
-        b_updates,
-        refreshes,
-        rebuilds,
-        sph_refreshes,
-        sph_rebuilds,
+        "block:  {:.3} s wall ({:.3} s phases, {:.3} s sync) | {b_stats}",
+        block.wall_s, block.phase_total_s, block.sync_s
     );
 
     // The paper's update economy, measured: a lockstep walk at the agreed
     // depth updates every particle at every fine substep; the active-set
     // hierarchy only pays for the levels that are due.
-    let lockstep_updates = n as u64 * substeps.max(1);
-    let update_ratio = lockstep_updates as f64 / b_updates.max(1) as f64;
+    let lockstep_updates = n as u64 * b_stats.substeps.max(1);
+    let update_ratio = lockstep_updates as f64 / b_stats.active_updates.max(1) as f64;
     let block_sync_share = block.sync_s / block.phase_total_s.max(1e-12);
     let global_sync_share = global.sync_s / global.phase_total_s.max(1e-12);
     println!(
@@ -184,26 +148,19 @@ fn main() {
             "global",
             Json::obj([
                 ("wall_s", global.wall_s.into()),
-                ("steps", global.report.steps.into()),
-                ("updates", g_updates.into()),
                 ("phase_total_s", global.phase_total_s.into()),
                 ("sync_s", global.sync_s.into()),
                 ("sync_share", global_sync_share.into()),
+                ("stats", Json::obj(g_stats.fields())),
             ]),
         )
         .info(
             "block",
             Json::obj([
                 ("wall_s", block.wall_s.into()),
-                ("base_steps", block.report.steps.into()),
-                ("substeps", substeps.into()),
-                ("updates", b_updates.into()),
                 ("phase_total_s", block.phase_total_s.into()),
                 ("sync_s", block.sync_s.into()),
-                ("tree_refreshes", refreshes.into()),
-                ("tree_rebuilds", rebuilds.into()),
-                ("sph_tree_refreshes", sph_refreshes.into()),
-                ("sph_tree_rebuilds", sph_rebuilds.into()),
+                ("stats", Json::obj(b_stats.fields())),
             ]),
         )
         .gated("update_ratio", update_ratio, Better::Higher)

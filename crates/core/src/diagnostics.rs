@@ -12,7 +12,7 @@
 //! `#[expect]` it, so it stays out of this per-step path.
 
 use crate::particle::Particle;
-use crate::sim::Simulation;
+use crate::sim::{SimStats, Simulation};
 use fdps::Vec3;
 use json::Json;
 
@@ -134,10 +134,6 @@ pub struct TimeSample {
     pub time: f64,
     pub n_gas: u64,
     pub n_star: u64,
-    /// Cumulative SN count.
-    pub sn_events: u64,
-    /// Cumulative pool predictions applied.
-    pub regions_applied: u64,
     /// Predictions currently in flight.
     pub pending_regions: u64,
     /// Star-formation rate over the window since the previous sample
@@ -156,14 +152,8 @@ pub struct TimeSample {
     pub total_energy: f64,
     /// Peak face-on gas column density \[M_sun/pc^2\].
     pub sigma_peak: f64,
-    /// Cumulative moment-only gravity-tree refreshes (cross-substep reuse).
-    pub tree_refreshes: u64,
-    /// Cumulative full gravity-tree rebuilds.
-    pub tree_rebuilds: u64,
-    /// Cumulative moment-only SPH neighbor-tree refreshes.
-    pub sph_tree_refreshes: u64,
-    /// Cumulative full SPH neighbor-tree rebuilds.
-    pub sph_tree_rebuilds: u64,
+    /// The run's counters at the sample.
+    pub stats: SimStats,
 }
 
 impl TimeSample {
@@ -177,8 +167,6 @@ impl TimeSample {
             time: sim.time,
             n_gas: sim.particles.iter().filter(|p| p.is_gas()).count() as u64,
             n_star: sim.particles.iter().filter(|p| p.is_star()).count() as u64,
-            sn_events: sim.stats.sn_events,
-            regions_applied: sim.stats.regions_applied,
             pending_regions: sim.pending_regions() as u64,
             sfr: if sim.time > t_prev {
                 star_formation_rate(&sim.particles, t_prev, sim.time)
@@ -193,10 +181,7 @@ impl TimeSample {
                 .sum(),
             total_energy: sim.live_energy(),
             sigma_peak: map.data.iter().cloned().fold(0.0f64, f64::max),
-            tree_refreshes: sim.stats.tree_refreshes,
-            tree_rebuilds: sim.stats.tree_rebuilds,
-            sph_tree_refreshes: sim.stats.sph_tree_refreshes,
-            sph_tree_rebuilds: sim.stats.sph_tree_rebuilds,
+            stats: sim.stats,
         }
     }
 }
@@ -235,7 +220,9 @@ impl TimeSeries {
     }
 
     /// Column-oriented JSON rendering:
-    /// `{"scenario": ..., "samples": N, "columns": {"time": [...], ...}}`.
+    /// `{"scenario": ..., "samples": N, "columns": {"time": [...], ...}}` —
+    /// the sample's own columns, then one per counter of
+    /// [`SimStats::fields`] under its name.
     pub fn to_json(&self) -> String {
         // `+ 0.0` turns `-0.0` — what an empty `f64` sum is (no star born
         // in the window, no gas to carry metals) — into `0.0`; every other
@@ -243,27 +230,30 @@ impl TimeSeries {
         let col = |f: fn(&TimeSample) -> f64| {
             Json::Arr(self.samples.iter().map(|s| Json::Num(f(s) + 0.0)).collect())
         };
-        let columns = Json::obj([
+        let mut columns = vec![
             ("step", col(|s| s.step as f64)),
             ("time", col(|s| s.time)),
             ("n_gas", col(|s| s.n_gas as f64)),
             ("n_star", col(|s| s.n_star as f64)),
-            ("sn_events", col(|s| s.sn_events as f64)),
-            ("regions_applied", col(|s| s.regions_applied as f64)),
             ("pending_regions", col(|s| s.pending_regions as f64)),
             ("sfr", col(|s| s.sfr)),
             ("total_metals", col(|s| s.total_metals)),
             ("total_energy", col(|s| s.total_energy)),
             ("sigma_peak", col(|s| s.sigma_peak)),
-            ("tree_refreshes", col(|s| s.tree_refreshes as f64)),
-            ("tree_rebuilds", col(|s| s.tree_rebuilds as f64)),
-            ("sph_tree_refreshes", col(|s| s.sph_tree_refreshes as f64)),
-            ("sph_tree_rebuilds", col(|s| s.sph_tree_rebuilds as f64)),
-        ]);
+        ];
+        let names = SimStats::default().fields().map(|(name, _)| name);
+        let mut counters = names.map(|_| Vec::with_capacity(self.samples.len()));
+        for s in &self.samples {
+            for (column, (_, value)) in counters.iter_mut().zip(s.stats.fields()) {
+                column.push(value);
+            }
+        }
+        let counters = names.into_iter().zip(counters);
+        columns.extend(counters.map(|(name, values)| (name, Json::Arr(values))));
         Json::obj([
             ("scenario", self.scenario.as_str().into()),
             ("samples", Json::Num(self.samples.len() as f64)),
-            ("columns", columns),
+            ("columns", Json::obj(columns)),
         ])
         .render()
     }
@@ -444,7 +434,9 @@ mod tests {
         );
         assert_eq!(doc.get("samples").unwrap().as_usize().unwrap(), 3);
         let cols = doc.get("columns").unwrap();
-        for key in ["step", "time", "total_energy", "sfr", "sigma_peak"] {
+        let counters = SimStats::default().fields().map(|(name, _)| name);
+        let own = ["step", "time", "total_energy", "sfr", "sigma_peak"];
+        for key in own.into_iter().chain(counters) {
             match cols.get(key).unwrap() {
                 json::Json::Arr(a) => assert_eq!(a.len(), 3, "column {key}"),
                 other => panic!("column {key} must be an array, got {other:?}"),
@@ -454,6 +446,9 @@ mod tests {
         // samples and must be rendered as plain zeros.
         assert!(series.samples().iter().all(|s| s.sfr == 0.0));
         assert!(json.contains("\"sfr\":[0.0,0.0,0.0]"), "{json}");
+        // The counters follow the sample's own columns, in table order.
+        let sigma = json.find("\"sigma_peak\":[").expect("sigma_peak column");
+        assert!(json[sigma..].contains("],\"steps\":[1,2,3],\"sn_events\":[0,0,0],"));
     }
 
     #[test]

@@ -79,7 +79,8 @@
 //! Domain decomposition, SN identification/feedback, pool replies and
 //! cooling stay at the base cadence, as conventional codes re-synchronize
 //! there. Per-rank [`SimStats`] (substeps, active updates, tree
-//! refresh/rebuild splits) are gathered into [`DistReport::rank_stats`].
+//! refresh/rebuild splits) are gathered into [`DistReport::rank_stats`],
+//! and [`SimStats::combine`] of them is the run's.
 //!
 //! # Checkpoints
 //!
@@ -358,7 +359,9 @@ pub struct DistReport {
     /// Slowest-rank phase timings (the paper's measurement convention).
     pub phases: PhaseReport,
     /// Steps this call integrated. Every counter below is the *run's*
-    /// total: a resumed run carries its checkpoint's counters on.
+    /// total: a resumed run carries its checkpoint's counters on. The four
+    /// named ones are [`SimStats::combine`] of `rank_stats`, kept by name
+    /// because callers read them.
     pub steps: u64,
     pub sn_events: u64,
     pub regions_applied: u64,
@@ -778,10 +781,7 @@ fn main_loop<H: FnMut(u64, Option<&SimSnapshot>) -> Result<(), String>>(
         }
         None => {
             let mine = all_particles.iter().skip(me).step_by(n_main);
-            let stats = SimStats {
-                dt_min_seen: f64::INFINITY,
-                ..Default::default()
-            };
+            let stats = SimStats::default();
             (mine.copied().collect(), 0.0, 0, stats, SlabState::default())
         }
     };
@@ -848,6 +848,7 @@ fn main_loop<H: FnMut(u64, Option<&SimSnapshot>) -> Result<(), String>>(
     let phases = halo.timer.report_max(main);
     let total_particles = main.allreduce_sum_u64(particles.len() as u64);
     let rank_stats = main.allgather(stats);
+    let run = SimStats::combine(&rank_stats);
     let final_state = {
         let all = main.allgatherv(particles.clone());
         if me == 0 {
@@ -861,10 +862,10 @@ fn main_loop<H: FnMut(u64, Option<&SimSnapshot>) -> Result<(), String>>(
     let report = DistReport {
         phases,
         steps: step - step0,
-        sn_events: main.allreduce_sum_u64(stats.sn_events),
-        regions_applied: main.allreduce_sum_u64(stats.regions_applied),
-        gravity_interactions: main.allreduce_sum_u64(stats.gravity_interactions),
-        hydro_interactions: main.allreduce_sum_u64(stats.hydro_interactions),
+        sn_events: run.sn_events,
+        regions_applied: run.regions_applied,
+        gravity_interactions: run.gravity_interactions,
+        hydro_interactions: run.hydro_interactions,
         final_particles: total_particles,
         bytes_sent: Vec::new(),
         final_state,

@@ -14,45 +14,135 @@ use crate::step::{self, Slab, SlabState};
 use astro::units::{E_SN, G};
 use fdps::Vec3;
 use gravity::GravitySolver;
+use json::Json;
+use std::fmt;
 use surrogate::GasParticle;
 
-/// Counters accumulated over a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SimStats {
-    pub steps: u64,
-    pub sn_events: u64,
-    pub stars_formed: u64,
-    pub regions_applied: u64,
-    /// Smallest timestep taken \[Myr\].
-    pub dt_min_seen: f64,
-    /// Total gravity interactions evaluated.
-    pub gravity_interactions: u64,
-    /// Total SPH interactions evaluated: per pass, the density sum's
-    /// converged neighbour counts plus the force pass's in-support pairs
-    /// (`sph::solver::SphStats`). Both count pairs that interact, not
-    /// candidates a tree walk staged, so the total does not depend on the
-    /// neighbour tree's topology.
-    pub hydro_interactions: u64,
-    /// Fine substeps executed by the block-timestep scheduler (0 in
-    /// `Global` mode — the surrogate scheme by construction).
-    pub substeps: u64,
-    /// Individual particle-step completions: in `Global` mode every KDK
-    /// counts each particle once; in `Block` mode a particle counts once
-    /// per step of its own level. The Surrogate-vs-Conventional update
-    /// economy is exactly the ratio of these.
-    pub active_updates: u64,
-    /// Full *gravity* octree builds (Morton sort + split + moments).
-    pub tree_rebuilds: u64,
-    /// Moment-only *gravity* tree refreshes reusing the last build's
-    /// topology (cross-substep reuse; see `fdps::Tree::refresh`).
-    pub tree_refreshes: u64,
-    /// Full *SPH* neighbor-tree builds (the gas-subset tree the
-    /// density/force passes walk; split from the gravity counters so the
-    /// two reuse pipelines are reported separately).
-    pub sph_tree_rebuilds: u64,
-    /// Moment-only *SPH* neighbor-tree refreshes
-    /// (see `sph::solver::SphTreeCache`).
-    pub sph_tree_refreshes: u64,
+/// Declares the run counters once. Each line gives a counter's doc, name,
+/// type and how the ranks of a distributed run merge it: `sum` for
+/// extensive counts, `max` for what every rank agrees on, `min` for a
+/// floor. The table expands to the struct, its snapshot record (the
+/// layout is positional: fields in table order), [`Default`] as each
+/// merge's identity, [`SimStats::combine`] and the name → value walk
+/// [`SimStats::fields`] that every report renders.
+macro_rules! counters {
+    (@identity sum $t:ty) => { <$t as Counter>::ZERO };
+    (@identity max $t:ty) => { <$t as Counter>::LEAST };
+    (@identity min $t:ty) => { <$t as Counter>::MOST };
+    (@merge sum $a:expr, $b:expr) => { $a + $b };
+    (@merge max $a:expr, $b:expr) => { $a.max($b) };
+    (@merge min $a:expr, $b:expr) => { $a.min($b) };
+    (
+        $(#[$meta:meta])*
+        pub struct $ty:ident {
+            $($(#[$fmeta:meta])* pub $field:ident: $fty:ty = $merge:ident),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub struct $ty {
+            $($(#[$fmeta])* pub $field: $fty),+
+        }
+
+        crate::snapshot::record!($ty { $($field: $fty),+ });
+
+        impl Default for $ty {
+            fn default() -> Self {
+                $ty { $($field: counters!(@identity $merge $fty)),+ }
+            }
+        }
+
+        impl $ty {
+            /// The counters of a distributed run's main ranks as one run's,
+            /// folded in rank order; `combine(&[])` is the default.
+            pub fn combine(ranks: &[$ty]) -> $ty {
+                ranks.iter().fold($ty::default(), |acc, r| $ty {
+                    $($field: counters!(@merge $merge acc.$field, r.$field)),+
+                })
+            }
+
+            /// Every counter as `(name, value)`, in table order; the names
+            /// are the snapshot's keys.
+            pub fn fields(&self) -> [(&'static str, Json); [$(stringify!($field)),+].len()] {
+                [$((stringify!($field), self.$field.into())),+]
+            }
+        }
+    };
+}
+
+/// A counter's value type: the identity of each rank merge.
+trait Counter {
+    const ZERO: Self;
+    const LEAST: Self;
+    const MOST: Self;
+}
+
+impl Counter for u64 {
+    const ZERO: u64 = 0;
+    const LEAST: u64 = u64::MIN;
+    const MOST: u64 = u64::MAX;
+}
+
+impl Counter for f64 {
+    const ZERO: f64 = 0.0;
+    const LEAST: f64 = f64::NEG_INFINITY;
+    const MOST: f64 = f64::INFINITY;
+}
+
+counters! {
+    /// Counters accumulated over a run.
+    pub struct SimStats {
+        /// Base steps integrated.
+        pub steps: u64 = max,
+        /// Supernovae identified.
+        pub sn_events: u64 = sum,
+        /// Stars spawned by star formation.
+        pub stars_formed: u64 = sum,
+        /// Pool predictions written back by particle id.
+        pub regions_applied: u64 = sum,
+        /// Smallest timestep taken \[Myr\] (infinite before the first).
+        pub dt_min_seen: f64 = min,
+        /// Total gravity interactions evaluated.
+        pub gravity_interactions: u64 = sum,
+        /// Total SPH interactions evaluated: per pass, the density sum's
+        /// converged neighbour counts plus the force pass's in-support pairs
+        /// (`sph::solver::SphStats`). Both count pairs that interact, not
+        /// candidates a tree walk staged, so the total does not depend on the
+        /// neighbour tree's topology.
+        pub hydro_interactions: u64 = sum,
+        /// Fine substeps executed by the block-timestep scheduler (0 in
+        /// `Global` mode — the surrogate scheme by construction).
+        pub substeps: u64 = max,
+        /// Individual particle-step completions: in `Global` mode every KDK
+        /// counts each particle once; in `Block` mode a particle counts once
+        /// per step of its own level. The Surrogate-vs-Conventional update
+        /// economy is exactly the ratio of these.
+        pub active_updates: u64 = sum,
+        /// Full *gravity* octree builds (Morton sort + split + moments).
+        pub tree_rebuilds: u64 = sum,
+        /// Moment-only *gravity* tree refreshes reusing the last build's
+        /// topology (cross-substep reuse; see `fdps::Tree::refresh`).
+        pub tree_refreshes: u64 = sum,
+        /// Full *SPH* neighbor-tree builds (the gas-subset tree the
+        /// density/force passes walk; split from the gravity counters so the
+        /// two reuse pipelines are reported separately).
+        pub sph_tree_rebuilds: u64 = sum,
+        /// Moment-only *SPH* neighbor-tree refreshes
+        /// (see `sph::solver::SphTreeCache`).
+        pub sph_tree_refreshes: u64 = sum,
+    }
+}
+
+/// `name=value` pairs, space-separated, in table order: the CLI's
+/// `[stats]` line.
+impl fmt::Display for SimStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, (name, value)) in self.fields().iter().enumerate() {
+            let sep = if i == 0 { "" } else { " " };
+            write!(f, "{sep}{name}={}", value.render())?;
+        }
+        Ok(())
+    }
 }
 
 /// The halo of a slab that is alone in the world: nobody to exchange with
@@ -117,10 +207,7 @@ impl Simulation {
             particles,
             time: 0.0,
             step_count: 0,
-            stats: SimStats {
-                dt_min_seen: f64::INFINITY,
-                ..Default::default()
-            },
+            stats: SimStats::default(),
             model: None,
             predictor,
             state: SlabState::default(),
@@ -375,6 +462,32 @@ mod tests {
             eps: 0.5,
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn combine_merges_each_counter_as_its_table_line_says() {
+        assert_eq!(SimStats::combine(&[]), SimStats::default());
+        assert_eq!(SimStats::default().dt_min_seen, f64::INFINITY);
+        assert_eq!(SimStats::default().steps, 0);
+        // One counter of each merge, the rest at their identities.
+        let rank = |steps, sn_events, dt_min_seen, substeps, sph_tree_refreshes| SimStats {
+            steps,
+            sn_events,
+            dt_min_seen,
+            substeps,
+            sph_tree_refreshes,
+            ..SimStats::default()
+        };
+        let (a, b) = (rank(5, 1, 0.25, 64, 9), rank(5, 10, 0.125, 32, 90));
+        assert_eq!(SimStats::combine(&[a]), a);
+        let run = rank(5, 11, 0.125, 64, 99);
+        assert_eq!(SimStats::combine(&[a, b]), run);
+        assert_eq!(SimStats::combine(&[b, a]), run);
+        let line = run.to_string();
+        assert!(line.starts_with("steps=5 sn_events=11 "), "{line}");
+        assert!(line.contains(" dt_min_seen=0.125 "), "{line}");
+        assert!(line.contains(" sph_tree_refreshes=99"), "{line}");
+        assert_eq!(line.split(' ').count(), run.fields().len(), "{line}");
     }
 
     #[test]

@@ -48,7 +48,9 @@
 //! destructured and rebuilt exhaustively, so a field missing from its
 //! table does not compile), bump [`SNAPSHOT_VERSION`], and refresh the
 //! goldens (`crates/core/fixtures/` and the checksums in this module's
-//! format-stability tests).
+//! format-stability tests). A run counter's table is [`SimStats`]'s own,
+//! in [`crate::sim`]: its one line there is its snapshot field as well as
+//! its rank merge, diagnostics column and report key.
 //!
 //! **Format version policy**: [`SNAPSHOT_VERSION`] is bumped whenever the
 //! payload layout changes in any way (field added, removed, reordered, or
@@ -154,9 +156,9 @@ fn malformed(why: impl Into<String>) -> SnapshotError {
 // The schema: wire types, the typed binary walk, and the record tables
 // ---------------------------------------------------------------------------
 
-/// What the schema is made of; nothing outside this file can implement or
-/// drive it.
-mod wire {
+/// What the schema is made of; nothing outside this crate can implement or
+/// drive it, and outside this file only through `record!`.
+pub(crate) mod wire {
     use super::{malformed, SnapshotError};
 
     /// The wire type of a value: the schema as plain data. It describes
@@ -263,33 +265,40 @@ macro_rules! record {
         pub struct $ty {
             $($(#[$fmeta])* pub $field: $fty),+
         }
-        record!(@impl $ty false { $($field $(as $key)? : $fty),+ });
+        $crate::snapshot::record!(@impl $ty false { $($field $(as $key)? : $fty),+ });
     };
     (columns $ty:ident $fields:tt) => {
-        record!(@impl $ty true $fields);
+        $crate::snapshot::record!(@impl $ty true $fields);
     };
     ($ty:ident $fields:tt) => {
-        record!(@impl $ty false $fields);
+        $crate::snapshot::record!(@impl $ty false $fields);
     };
     (@impl $ty:ident $columns:literal {
         $($field:ident $(as $key:literal)? : $fty:ty),+ $(,)?
     }) => {
-        impl Wire for $ty {
-            const TY: Ty = Ty::Record {
+        impl $crate::snapshot::wire::Wire for $ty {
+            const TY: $crate::snapshot::wire::Ty = $crate::snapshot::wire::Ty::Record {
                 // `[key?, name][0]`: the explicit key where one is given.
-                fields: &[$(([$($key,)? stringify!($field)][0], <$fty as Wire>::TY)),+],
+                fields: &[$((
+                    [$($key,)? stringify!($field)][0],
+                    <$fty as $crate::snapshot::wire::Wire>::TY,
+                )),+],
                 columns: $columns,
             };
             fn put(&self, out: &mut Vec<u8>) {
                 let $ty { $($field),+ } = self;
-                $(<$fty as Wire>::put($field, out);)+
+                $(<$fty as $crate::snapshot::wire::Wire>::put($field, out);)+
             }
-            fn get(r: &mut BinReader) -> Result<Self, SnapshotError> {
-                Ok($ty { $($field: <$fty as Wire>::get(r)?),+ })
+            fn get(
+                r: &mut $crate::snapshot::wire::BinReader,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                Ok($ty { $($field: <$fty as $crate::snapshot::wire::Wire>::get(r)?),+ })
             }
         }
     };
 }
+// The run counters declare themselves (`crate::sim`'s table).
+pub(crate) use record;
 
 /// Declares a field-less enum's wire tags (consecutive from 0, so a tag
 /// indexes the JSON names) and whether JSON spells the name or the number.
@@ -471,22 +480,6 @@ record!(SimConfig {
     sf_efficiency: f64,
     snapshot_every: u64,
     seed: u64,
-});
-
-record!(SimStats {
-    steps: u64,
-    sn_events: u64,
-    stars_formed: u64,
-    regions_applied: u64,
-    dt_min_seen: f64,
-    gravity_interactions: u64,
-    hydro_interactions: u64,
-    substeps: u64,
-    active_updates: u64,
-    tree_rebuilds: u64,
-    tree_refreshes: u64,
-    sph_tree_rebuilds: u64,
-    sph_tree_refreshes: u64,
 });
 
 record!(columns Particle {

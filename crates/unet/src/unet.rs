@@ -299,21 +299,6 @@ impl UNet3d {
         self.params_mut().iter().map(|p| p.value.len()).sum()
     }
 
-    /// Floating-point operations of one forward pass over a `d × h × w`
-    /// input: 2 per multiply-add of every convolution, padding taps
-    /// included, computed from the layer shapes (ReLU, pooling and
-    /// upsampling are not counted).
-    pub fn forward_flops(&self, d: usize, h: usize, w: usize) -> f64 {
-        // Pooling level each layer runs at, in `LAYER_NAMES` order.
-        const LEVEL: [u32; 11] = [0, 0, 1, 1, 2, 2, 1, 1, 0, 0, 0];
-        let voxels = (d * h * w) as f64;
-        (self.layers().iter().zip(LEVEL))
-            .map(|((_, conv), level)| {
-                2.0 * conv.weight.value.len() as f64 * voxels / f64::from(8u32.pow(level))
-            })
-            .sum()
-    }
-
     /// Names and references of the layers, in serialization order.
     fn layers(&self) -> [(&'static str, &Conv3d); 11] {
         let layers = [
@@ -556,21 +541,6 @@ mod tests {
         );
         let bits = |t: &Tensor| t.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&net.forward(&x)), bits(&net.forward_cached(&x).0));
-    }
-
-    #[test]
-    fn forward_flops_follow_the_layer_table() {
-        let net = UNet3d::new(
-            &UNetConfig {
-                in_channels: 8,
-                out_channels: 8,
-                base_features: 1,
-            },
-            0,
-        );
-        // Multiply-adds at 4^3 with f = 1: 64, 8 and 1 voxels per level.
-        let macs = 27 * (64 * (8 + 1 + 3 + 1) + 8 * (2 + 4 + 12 + 4) + (8 + 16)) + 64 * 8;
-        assert_eq!(net.forward_flops(4, 4, 4), 2.0 * macs as f64);
     }
 
     #[test]

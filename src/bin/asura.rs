@@ -51,7 +51,11 @@
 //! [`SimSnapshot`] on both routes — one slab, or one per main rank — so
 //! `--dist --resume` follows the shared-memory rules: the checkpoint
 //! supplies config, counters and model, flags override, `--scenario` is
-//! optional, and the grid must be the writer's.
+//! optional, and the grid must be the writer's. Both routes close with one
+//! `[stats]` line, the run's [`SimStats`] as `name=value` pairs (merged
+//! over the main ranks by [`SimStats::combine`] on `--dist`, which nests
+//! the same counters under `"stats"` in `dist_report.json`): on one main
+//! rank the two lines are equal.
 //! `--scheme` and `--timestep` mean what they mean without `--dist` (both
 //! drivers run the one `asura_core::step::step`): `--scheme conventional --timestep
 //! block[:<max_level>]` runs the conventional hierarchy's substep walk
@@ -103,7 +107,7 @@ use asura_core::faults::FaultInjector;
 use asura_core::serve::{self, Request, RunOverrides, ServeConfig};
 use asura_core::snapshot::SimSnapshot;
 use asura_core::supervise::{Heartbeat, Outcome, ResumePoint, RetryPolicy, Supervisor};
-use asura_core::{Scheme, SimConfig, Simulation, TimestepMode};
+use asura_core::{Scheme, SimConfig, SimStats, Simulation, TimestepMode};
 use fdps::exchange::Routing;
 use json::Json;
 use std::fmt::Display;
@@ -600,14 +604,12 @@ fn run_shared(
         .map_err(|e| format!("write {}: {e}", diag_path.display()))?;
 
     println!(
-        "done: t = {:.4} Myr after {} total steps | {} SNe, {} regions applied, {} in flight, {} stars formed",
+        "done: t = {:.4} Myr after {} total steps | {} in flight",
         sim.time,
         sim.step_count,
-        sim.stats.sn_events,
-        sim.stats.regions_applied,
         sim.pending_regions(),
-        sim.stats.stars_formed,
     );
+    println!("[stats] {}", sim.stats);
     // What the rotation holds, oldest first: pruned commits are gone.
     for entry in store.entries().iter().rev() {
         println!("[checkpoint] {}", store.entry_path(entry).display());
@@ -647,15 +649,8 @@ fn run_dist(
     if snapshots > 0 {
         println!("[manifest] {}", store.manifest_path().display());
     }
-    // Counter summary.
+    let stats = SimStats::combine(&report.rank_stats);
     let total_bytes: u64 = report.bytes_sent.iter().sum();
-    let substeps_max = report
-        .rank_stats
-        .iter()
-        .map(|s| s.substeps)
-        .max()
-        .unwrap_or(0);
-    let sum = |f: fn(&asura_core::SimStats) -> u64| report.rank_stats.iter().map(f).sum::<u64>();
     let phases = report.phases.entries.iter().map(|e| {
         Json::obj([
             ("name", e.name.as_str().into()),
@@ -665,18 +660,10 @@ fn run_dist(
     });
     let json = Json::obj([
         ("steps", report.steps.into()),
-        ("sn_events", report.sn_events.into()),
-        ("regions_applied", report.regions_applied.into()),
-        ("stars_formed", sum(|s| s.stars_formed).into()),
-        ("gravity_interactions", report.gravity_interactions.into()),
-        ("hydro_interactions", report.hydro_interactions.into()),
+        ("stats", Json::obj(stats.fields())),
         ("final_particles", report.final_particles.into()),
         ("bytes_sent_total", total_bytes.into()),
         ("snapshots", snapshots.into()),
-        ("substeps", substeps_max.into()),
-        ("active_updates", sum(|s| s.active_updates).into()),
-        ("tree_refreshes", sum(|s| s.tree_refreshes).into()),
-        ("tree_rebuilds", sum(|s| s.tree_rebuilds).into()),
         ("phases", Json::Arr(phases.collect())),
     ])
     .render()
@@ -685,16 +672,10 @@ fn run_dist(
     atomic_write(&report_path, json.as_bytes())
         .map_err(|e| format!("write {}: {e}", report_path.display()))?;
     println!(
-        "dist done: {} steps ({} substeps) | {} SNe, {} regions applied, {} stars formed, \
-         {} particles, {} snapshot(s)",
-        report.steps,
-        substeps_max,
-        report.sn_events,
-        report.regions_applied,
-        sum(|s| s.stars_formed),
-        report.final_particles,
-        snapshots,
+        "dist done: {} steps | {} particles, {} snapshot(s)",
+        report.steps, report.final_particles, snapshots,
     );
+    println!("[stats] {stats}");
     println!("[report] {}", report_path.display());
     Ok(())
 }

@@ -11,7 +11,7 @@
 use asura_core::dist::{self, run_distributed, DistConfig, DistReport, PredictorKind, Start};
 use asura_core::sim::total_energy_of;
 use asura_core::snapshot::SimSnapshot;
-use asura_core::{Particle, Scheme, SimConfig, Simulation, TimestepMode};
+use asura_core::{Particle, Scheme, SimConfig, SimStats, Simulation, TimestepMode};
 use fdps::exchange::Routing;
 use fdps::Vec3;
 use rand::rngs::StdRng;
@@ -457,7 +457,21 @@ fn two_ranks_form_the_same_stars_as_one() {
             ..base_cfg(window)
         };
         let report = run_distributed(&cfg, &ic).expect("dist run");
-        let stars: u64 = report.rank_stats.iter().map(|s| s.stars_formed).sum();
+        let run = SimStats::combine(&report.rank_stats);
+        let named = [
+            report.sn_events,
+            report.regions_applied,
+            report.gravity_interactions,
+            report.hydro_interactions,
+        ];
+        let merged = [
+            run.sn_events,
+            run.regions_applied,
+            run.gravity_interactions,
+            run.hydro_interactions,
+        ];
+        assert_eq!(named, merged, "{grid:?}: DistReport's named counters");
+        let stars = run.stars_formed;
         assert_eq!(report.final_particles, ic.len() as u64 + stars, "{grid:?}");
         let state = report.final_state.iter();
         let sf = state.map(|p| (p.id, p.kind, p.mass.to_bits(), p.birth_time.to_bits()));
@@ -662,10 +676,11 @@ fn cli_dist_runs_the_conventional_scheme_it_used_to_refuse() {
         String::from_utf8_lossy(&output.stderr)
     );
     let report = std::fs::read_to_string(dir.join("dist_report.json")).expect("report");
-    assert!(
-        report.starts_with("{\"steps\":8,\"sn_events\":1,\"regions_applied\":0,"),
-        "{report}"
-    );
+    assert!(report.starts_with("{\"steps\":8,\"stats\":{"), "{report}");
+    let stats = json::parse_json(&report).and_then(|r| r.get("stats").cloned());
+    let count = |key| stats.as_ref().map(|s| s.get(key).and_then(|v| v.as_u64()));
+    assert_eq!(count("sn_events"), Ok(Ok(1)), "{report}");
+    assert_eq!(count("regions_applied"), Ok(Ok(0)), "{report}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

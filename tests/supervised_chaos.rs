@@ -304,11 +304,13 @@ fn dist_honours_run_dir_and_fires_step_faults_as_it_steps() {
         "nothing under <out-dir>/<scenario>"
     );
     let report = fs::read_to_string(exact.join("dist_report.json")).unwrap();
-    assert!(
-        report.starts_with(&format!("{{\"steps\":{STEPS},\"sn_events\":")),
-        "{report}"
-    );
-    assert!(report.contains("\"tree_rebuilds\":") && !report.contains("\"error\""));
+    // The call's steps, then the run's counters, `steps` first.
+    let head = format!("{{\"steps\":{STEPS},\"stats\":{{\"steps\":{STEPS},\"sn_events\":");
+    assert!(report.starts_with(&head), "{report}");
+    let stats = json::parse_json(&report).and_then(|r| r.get("stats").cloned());
+    let rebuilds = stats.and_then(|s| s.get("tree_rebuilds")?.as_u64());
+    assert!(rebuilds.is_ok_and(|n| n > 0), "{report}");
+    assert!(!report.contains("\"error\""));
     assert!(report.contains(",\"phases\":[{\"name\":\""));
     // The heartbeat was beaten after every step; it reads the last one.
     assert_eq!(
