@@ -15,7 +15,7 @@
 
 #![expect(clippy::disallowed_methods, reason = "a bench times its runs")]
 
-use asura_core::serve::{self, RunOverrides, RunState};
+use asura::serve::{self, RunOverrides, RunState};
 use bench::{BenchDoc, Better};
 use json::{parse_json, Json};
 use std::path::Path;

@@ -119,11 +119,6 @@ impl TurbulentField {
         }
         div
     }
-
-    /// Number of synthesized modes.
-    pub fn mode_count(&self) -> usize {
-        self.modes.len()
-    }
 }
 
 #[cfg(test)]

@@ -276,7 +276,7 @@ mod tests {
     /// refreshes it) is a red test, not a silently passing gate.
     #[test]
     fn checked_in_baselines_declare_todays_gates() {
-        let expected: [(&str, &[(&str, Better)]); 8] = [
+        let expected: [(&str, &[(&str, Better)]); 7] = [
             (
                 "BENCH_force.json",
                 &[
@@ -303,7 +303,6 @@ mod tests {
                 "BENCH_surrogate.json",
                 &[("surrogate_speedup", Higher), ("energy_err_ratio", Lower)],
             ),
-            ("BENCH_alltoall.json", &[]),
         ];
         for (file, want) in expected {
             let text = fs::read_to_string(repo_root().join(file)).expect(file);

@@ -50,19 +50,9 @@
 //! `supervisor.json`), and [`faults`] (a deterministic, attempt-scoped
 //! fault-injection plan — kills, stalls, torn/corrupt/failed checkpoint
 //! writes — so the recovery paths are exercised by tests and CI rather
-//! than trusted). `asura run <scenario> --supervised` wires all three
-//! together.
-//!
-//! ## Serving a fleet
-//!
-//! [`serve`] turns the one-shot CLI into a simulation-as-a-service daemon:
-//! a TCP line protocol (`SUBMIT`/`STATUS`/`LIST`/`WATCH`/`CANCEL`/
-//! `SHUTDOWN`) in front of a persistent run registry (`fleet.json`) and a
-//! bounded-concurrency job queue whose workers spawn each run as a
-//! supervised child process — so every fleet run inherits the crash/hang
-//! recovery above, and a killed daemon restarts by re-adopting its
-//! registry. `asura serve` (plus the `submit`/`status`/`watch`/… client
-//! subcommands) is the CLI frontend.
+//! than trusted). `asura --scenario <name> --supervised` wires all three
+//! together, and so does each run of the `asura serve` fleet daemon (in
+//! the workspace root package, beside the CLI whose runs it launches).
 
 #![forbid(unsafe_code)]
 // Unit tests may write files, read the clock and key maps by hash; the
@@ -82,7 +72,6 @@ pub mod phases;
 pub mod pool;
 pub mod runs;
 pub mod scheduler;
-pub mod serve;
 pub mod sim;
 pub mod snapshot;
 pub mod step;
@@ -96,7 +85,6 @@ pub use faults::{FaultInjector, FaultPlan, FAULT_KILL_EXIT};
 pub use particle::{Kind, Particle};
 pub use pool::{PoolPredictor, SedovOverlayPredictor};
 pub use scheduler::ActiveScheduler;
-pub use serve::{Fleet, RunOverrides, RunState, ScenarioMeta, ServeConfig};
 pub use sim::{SimStats, Simulation};
 pub use snapshot::{SimSnapshot, SnapshotError};
 pub use supervise::{Heartbeat, IncidentLog, RetryPolicy, Supervisor};

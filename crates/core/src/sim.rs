@@ -989,4 +989,77 @@ mod tests {
         ids.dedup();
         assert_eq!(ids.len(), before, "duplicate particle ids");
     }
+
+    /// Returns each region unchanged but for `h`, set to `100 ×` the call's
+    /// number, and keeps the ids of every call's region.
+    struct Marking(std::sync::Arc<std::sync::Mutex<Vec<Vec<u64>>>>);
+
+    impl PoolPredictor for Marking {
+        fn predict(&self, _: Vec3, _: f64, _: f64, region: &[GasParticle]) -> Vec<GasParticle> {
+            let mut calls = self.0.lock().unwrap();
+            calls.push(region.iter().map(|g| g.id).collect());
+            let mark = 100.0 * calls.len() as f64;
+            region
+                .iter()
+                .map(|&g| GasParticle { h: mark, ..g })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn a_region_lands_on_its_ids_after_the_particles_are_reordered() {
+        // Two blobs 100 pc apart, each with a star at its centre: the first
+        // explodes in step 2 and lands in step 3, the second in step 4 and
+        // step 5 (latency 2).
+        let dt = 2.0e-3;
+        let m_star = 10.0;
+        let life = stellar_lifetime_myr(m_star);
+        let mut particles = gas_blob(4, 3.0, 1.0);
+        let n = particles.len() as u64;
+        let far = Vec3::new(100.0, 0.0, 0.0);
+        for mut p in gas_blob(4, 3.0, 1.0) {
+            p.id += n;
+            p.pos += far;
+            particles.push(p);
+        }
+        particles.push(Particle::star(
+            2 * n,
+            Vec3::ZERO,
+            Vec3::ZERO,
+            m_star,
+            dt * 1.5 - life,
+        ));
+        particles.push(Particle::star(
+            2 * n + 1,
+            far,
+            Vec3::ZERO,
+            m_star,
+            dt * 3.5 - life,
+        ));
+        let cfg = SimConfig {
+            dt_global: dt,
+            pool_latency_steps: 2,
+            ..quiet_config()
+        };
+        let calls = std::sync::Arc::default();
+        let marking = Box::new(Marking(std::sync::Arc::clone(&calls)));
+        let mut sim = Simulation::with_predictor(cfg, particles, 1, marking);
+        sim.run(3);
+        assert_eq!(sim.stats.regions_applied, 1);
+        sim.particles.reverse();
+        sim.run(2);
+        assert_eq!(sim.stats.regions_applied, 2);
+        let calls = calls.lock().unwrap();
+        assert_eq!(calls.len(), 2, "two regions predicted");
+        let mut second = calls[1].clone();
+        second.sort_unstable();
+        assert!(
+            !second.is_empty() && second.iter().all(|&id| id >= n),
+            "{second:?}"
+        );
+        let marked = sim.particles.iter().filter(|p| p.h == 200.0);
+        let mut marked: Vec<u64> = marked.map(|p| p.id).collect();
+        marked.sort_unstable();
+        assert_eq!(marked, second, "only the second region carries its mark");
+    }
 }

@@ -69,13 +69,12 @@ pub struct InFlight<T> {
 
 /// What a slab carries from step to step besides the particles, clock and
 /// counters its driver exposes: the force arena (whose `vsig` stash seeds
-/// the next adaptive step), the block schedule, the pool queue, the id
-/// index, the equation of state and the cooling curve.
+/// the next adaptive step), the block schedule, the pool queue, the
+/// equation of state and the cooling curve.
 pub struct SlabState<T> {
     pub forces: ForceBuffers,
     pub sched: ActiveScheduler,
     pub pending: Vec<InFlight<T>>,
-    pub gas_index: GasIndex,
     pub eos: GammaLawEos,
     pub cooling: CoolingCurve,
 }
@@ -86,7 +85,6 @@ impl<T> Default for SlabState<T> {
             forces: ForceBuffers::default(),
             sched: ActiveScheduler::default(),
             pending: Vec::new(),
-            gas_index: GasIndex::default(),
             eos: GammaLawEos::default(),
             cooling: CoolingCurve::standard_ism(),
         }
@@ -164,10 +162,6 @@ pub fn first_free_id(particles: &[Particle]) -> u64 {
 /// One full step of the paper's §3.2 procedure on one slab (module docs).
 pub fn step<H: Halo>(cfg: &SimConfig, halo: &mut H, s: &mut Slab<'_, H::Ticket>) {
     halo.rebalance(s.particles);
-    if H::COLLECTIVE {
-        // Other slabs exist: migration may have changed who is here.
-        s.state.gas_index.invalidate();
-    }
 
     let time = *s.time;
     let mine = halo.phase(phases::IDENTIFY_SNE, || {
@@ -251,7 +245,7 @@ pub fn step<H: Halo>(cfg: &SimConfig, halo: &mut H, s: &mut Slab<'_, H::Ticket>)
     let due = take_due(&mut st.pending, *s.step_count, |p| p.due_step);
     s.stats.regions_applied += due.len() as u64;
     let predicted = halo.collect(due.into_iter().map(|p| p.ticket).collect());
-    replace_by_id(s.particles, &mut st.gas_index, predicted, &st.eos);
+    replace_by_id(s.particles, predicted, &st.eos);
 
     halo.phase(phases::FEEDBACK_COOLING, || {
         if cfg.cooling {
@@ -337,50 +331,22 @@ fn take_due<T>(pending: &mut Vec<T>, step: u64, due_step: impl Fn(&T) -> u64) ->
     due
 }
 
-/// Gas id → particle index, for applying pool predictions. Built on first
-/// use and kept until [`GasIndex::invalidate`]d: gas→star conversion and
-/// migration change it; kicks, drifts, replacement by id and appending a
-/// star do not.
-#[derive(Default)]
-pub struct GasIndex {
-    #[expect(
-        clippy::disallowed_types,
-        reason = "keyed lookup only, never iterated: hasher order reaches no byte"
-    )]
-    map: std::collections::HashMap<u64, usize>,
-    valid: bool,
-}
-
-impl GasIndex {
-    pub fn invalidate(&mut self) {
-        self.valid = false;
-    }
-}
-
-/// Replace particles by ID with the pool's predictions (paper §3.2 step
-/// 4), in the order given; ids no longer present as gas are skipped.
-fn replace_by_id(
-    particles: &mut [Particle],
-    index: &mut GasIndex,
-    predicted: impl IntoIterator<Item = GasParticle>,
-    eos: &GammaLawEos,
-) {
-    let mut predicted = predicted.into_iter().peekable();
-    if predicted.peek().is_none() {
+/// Replace gas particles by ID with the pool's predictions (paper §3.2
+/// step 4); of equal ids the last given wins, and ids no longer present as
+/// gas are skipped. The lookup is derived from `particles` at each landing,
+/// so their order may change between landings.
+fn replace_by_id(particles: &mut [Particle], mut predicted: Vec<GasParticle>, eos: &GammaLawEos) {
+    if predicted.is_empty() {
         return;
     }
-    if !index.valid {
-        index.map.clear();
-        for (i, p) in particles.iter().enumerate() {
-            if p.is_gas() {
-                index.map.insert(p.id, i);
-            }
-        }
-        index.valid = true;
-    }
-    for g in predicted {
-        if let Some(&i) = index.map.get(&g.id) {
-            let p = &mut particles[i];
+    // Stable: of equal ids, the last given sorts last.
+    predicted.sort_by_key(|g| g.id);
+    for p in particles.iter_mut().filter(|p| p.is_gas()) {
+        let past = predicted.partition_point(|g| g.id <= p.id);
+        let Some(g) = past.checked_sub(1).map(|i| &predicted[i]) else {
+            continue;
+        };
+        if g.id == p.id {
             p.pos = g.pos;
             p.vel = g.vel;
             p.mass = g.mass;
@@ -449,8 +415,6 @@ fn draw_stars<T>(cfg: &SimConfig, s: &mut Slab<'_, T>, dt: f64) -> Vec<(u64, Par
                 p.mass = star_mass;
                 p.birth_time = time;
                 p.exploded = false;
-                // A gas id just left the gas population.
-                s.state.gas_index.invalidate();
             }
         }
     }

@@ -25,12 +25,11 @@
 //! continues from its newest intact one, and a fresh run's rotation is
 //! empty (`asura --supervised` clears it before the first attempt).
 //!
-//! Both front-ends — `asura --supervised` and the
-//! [`serve`](crate::serve) daemon's workers — take one [`RetryPolicy`],
-//! build a [`Supervisor::for_run_dir`] and launch their children through
-//! [`Supervisor::run_processes`]: the caller supplies only the command
-//! line, a hook that sees each child's pid, and the stop hook that
-//! answers a [`StopReason`]. The process side sits behind
+//! Both front-ends — `asura --supervised` and the `asura serve` daemon's
+//! workers — take one [`RetryPolicy`], build a [`Supervisor::for_run_dir`]
+//! and launch their children through [`Supervisor::run_processes`]: the
+//! caller supplies only the command line, a hook that sees each spawned
+//! child, and the stop hook that answers a [`StopReason`]. The process side sits behind
 //! [`ChildHandle`], so the retry/verdict logic is unit-testable with
 //! in-process fakes.
 
@@ -56,6 +55,10 @@ use std::time::{Duration, Instant};
 pub const LOG_FORMAT: &str = "asura-supervisor-log";
 /// Incident-log schema version.
 pub const LOG_VERSION: u64 = 1;
+/// The incident log's file name in a supervised run's directory.
+pub const LOG_FILE: &str = "supervisor.json";
+/// The heartbeat's file name in a supervised run's directory.
+pub const HEARTBEAT_FILE: &str = "heartbeat";
 
 /// How a supervisor judges and retries its child: the resume budget, the
 /// backoff schedule and the hang threshold. The `--max-retries`,
@@ -356,8 +359,8 @@ impl Supervisor {
             policy,
             poll_interval_ms: 20,
             permanent_exit_codes: vec![2],
-            log_path: dir.join("supervisor.json"),
-            heartbeat_path: dir.join("heartbeat"),
+            log_path: dir.join(LOG_FILE),
+            heartbeat_path: dir.join(HEARTBEAT_FILE),
         }
     }
 
@@ -365,23 +368,24 @@ impl Supervisor {
     /// through [`Supervisor::run_with_abort`], starting every attempt from
     /// `store`'s newest intact rotation entry ([`ResumePoint::latest`]).
     ///
-    /// * `command(attempt, resume)` builds attempt `attempt`'s command
-    ///   line; the supervisor adds `ASURA_ATTEMPT` (so attempt-scoped
-    ///   faults fire once) and spawns it.
-    /// * `on_spawn(pid)` sees each child's OS pid once it is running.
+    /// * `command(resume)` builds an attempt's command line; the
+    ///   supervisor adds `ASURA_ATTEMPT` (so attempt-scoped faults fire
+    ///   once) and spawns it.
+    /// * `on_spawn(attempt, resume, pid)` sees each child once it is
+    ///   running: the attempt, where it resumed from and its OS pid.
     /// * `abort` is the stop hook (see [`Supervisor::run_with_abort`]).
     pub fn run_processes(
         &self,
         store: &CkptStore,
-        mut command: impl FnMut(u32, Option<&ResumePoint>) -> io::Result<Command>,
-        mut on_spawn: impl FnMut(u32),
+        mut command: impl FnMut(Option<&ResumePoint>) -> io::Result<Command>,
+        mut on_spawn: impl FnMut(u32, Option<&ResumePoint>, u32),
         abort: impl Fn() -> Option<StopReason>,
     ) -> io::Result<(Option<Outcome>, IncidentLog)> {
         self.run_with_abort(
             |attempt, resume| {
-                let mut cmd = command(attempt, resume)?;
+                let mut cmd = command(resume)?;
                 let child = cmd.env(faults::ATTEMPT_ENV, attempt.to_string()).spawn()?;
-                on_spawn(child.id());
+                on_spawn(attempt, resume, child.id());
                 Ok(ProcessChild(child))
             },
             || ResumePoint::latest(store),

@@ -122,11 +122,6 @@ impl PhaseBreakdown {
     pub fn get(&self, name: &str) -> Option<&PhaseCost> {
         self.phases.iter().find(|p| p.name == name)
     }
-
-    /// Achieved FLOP/s over the whole step.
-    pub fn flops_per_second(&self) -> f64 {
-        self.total_flops() / self.total_s().max(1e-30)
-    }
 }
 
 /// The step model: machine + calibration.

@@ -121,13 +121,6 @@ impl HydroState {
         s.resize_derived();
         s
     }
-
-    /// Kinetic + internal energy over the first `n` particles.
-    pub fn thermal_kinetic_energy(&self, n: usize) -> f64 {
-        (0..n)
-            .map(|i| self.mass[i] * (0.5 * self.vel[i].norm2() + self.u[i]))
-            .sum()
-    }
 }
 
 /// How a pass obtains its neighbor tree (see the module docs' lifecycle).

@@ -39,7 +39,7 @@
 //! `--dist` the child runs distributed and resumes from the
 //! `dist_checkpoint` rotation. `--supervised` and `asura serve` read the
 //! same three flags into one `RetryPolicy` and launch their children
-//! through the same `Supervisor::run_processes`; only the command line
+//! through the same [`ChildRun::supervise`]; only the run they describe
 //! differs. Deterministic fault injection for testing this machinery is
 //! driven by the `ASURA_FAULTS` / `ASURA_ATTEMPT` environment variables
 //! ([`asura_core::faults`]).
@@ -87,11 +87,14 @@
 //! Every flag loop — the scenario runner's, `train-surrogate`'s, `serve`'s
 //! and the client verbs' — reads its values through one cursor
 //! ([`Flags`]), and the two supervising loops read the supervision flags
-//! through one helper ([`Flags::retry_flag`]); the supervised child of
-//! `--supervised` and of a fleet run is the same command line, built once
-//! ([`ChildRun`]); and every JSON document written here
-//! (`dist_report.json`, and through the library `train_manifest.json`) is
-//! a `json::Json` value rendered by the one writer.
+//! through one helper ([`Flags::retry_flag`]). The fleet daemon and the
+//! supervised child both front-ends launch ([`ChildRun`], its command
+//! line and its supervision) live in the library's [`asura::serve`], which
+//! reads the scenario registry directly; this file only fills a
+//! `ChildRun` from its flags and a `ServeConfig` from `serve`'s. Every
+//! JSON document written here (`dist_report.json`, and through the
+//! library `train_manifest.json`) is a `json::Json` value rendered by the
+//! one writer.
 //!
 //! Exit codes: 0 success, 1 runtime failure (unreadable snapshot, I/O,
 //! supervision gave up), 2 usage error or permanent failure (bad weights).
@@ -99,23 +102,25 @@
 #![forbid(unsafe_code)]
 
 use asura::scenarios;
+use asura::serve::{
+    self, ckpt_base, dist_spec, ChildRun, DistSpec, Request, RunOverrides, ServeConfig,
+    DEFAULT_SEED,
+};
 use asura::surrogate_train::{self, TrainSpec};
 use asura_core::ckpt::{atomic_write, CkptFormat, CkptStore, DEFAULT_KEEP};
 use asura_core::diagnostics::{TimeSample, TimeSeries};
 use asura_core::dist::{self, DistConfig, DistError, PredictorKind, PredictorSpec, Start};
 use asura_core::faults::FaultInjector;
-use asura_core::serve::{self, Request, RunOverrides, ServeConfig};
 use asura_core::snapshot::SimSnapshot;
-use asura_core::supervise::{Heartbeat, Outcome, ResumePoint, RetryPolicy, Supervisor};
+use asura_core::supervise::{Heartbeat, Outcome, ResumePoint, RetryPolicy, LOG_FILE};
 use asura_core::{Scheme, SimConfig, SimStats, Simulation, TimestepMode};
 use fdps::exchange::Routing;
 use json::Json;
 use std::fmt::Display;
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
-use std::process::{Command, ExitCode};
+use std::process::ExitCode;
 use std::str::FromStr;
-use std::sync::Arc;
 
 const USAGE: &str = "\
 asura — ASURA-FDPS-ML scenario runner
@@ -186,9 +191,6 @@ Deterministic fault injection (for testing the crash-safety machinery) is
 read from ASURA_FAULTS, e.g. `ASURA_FAULTS=\"torn@2:64#0,kill@5#0\"`; see
 the asura-core faults module docs for the grammar.
 ";
-
-/// `--seed` when the flag (or a fleet run's override) is absent.
-const DEFAULT_SEED: u64 = 42;
 
 /// A driver error as this CLI reports it. Weights that cannot load — a
 /// `--predictor` file or the model a checkpoint embeds — are a *permanent*
@@ -276,7 +278,7 @@ struct Args {
     /// Checkpoint rotation depth.
     keep: usize,
     /// Main-rank grid + pool rank count of `--dist`.
-    dist: Option<((usize, usize, usize), usize)>,
+    dist: Option<DistSpec>,
     supervised: bool,
     /// `--max-retries`, `--backoff-ms`, `--heartbeat-timeout-ms`.
     retry: RetryPolicy,
@@ -299,23 +301,10 @@ impl Args {
         std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
         Ok(dir)
     }
-
-    /// The base name of this route's checkpoint rotation.
-    fn ckpt_base(&self) -> &'static str {
-        match self.dist {
-            Some(_) => "dist_checkpoint",
-            None => "checkpoint",
-        }
-    }
-}
-
-/// `--dist`'s spec as the flag spells it.
-fn dist_spec(((x, y, z), n_pool): ((usize, usize, usize), usize)) -> String {
-    format!("{x}x{y}x{z}+{n_pool}")
 }
 
 /// Parse `--dist`'s `NXxNYxNZ+P` spec.
-fn parse_dist_spec(spec: &str) -> Result<((usize, usize, usize), usize), String> {
+fn parse_dist_spec(spec: &str) -> Result<DistSpec, String> {
     let bad = || format!("expected NXxNYxNZ+P (e.g. 2x1x1+1), got `{spec}`");
     let (grid, pool) = spec.split_once('+').ok_or_else(bad)?;
     let dims: Vec<usize> = grid
@@ -418,13 +407,7 @@ struct Run {
 /// The registered scenario `name`. An unknown name is a usage error
 /// (exit 2, never retried), on every route.
 fn find_scenario(name: &str) -> Result<&'static scenarios::Scenario, String> {
-    scenarios::find(name).ok_or_else(|| {
-        let names: Vec<_> = scenarios::SCENARIOS.iter().map(|s| s.name).collect();
-        format!(
-            "usage: unknown scenario `{name}` (available: {})",
-            names.join(", ")
-        )
-    })
+    scenarios::lookup(name).map_err(|e| format!("usage: {e}"))
 }
 
 /// Resolve the run — a snapshot restore or a fresh scenario build — by
@@ -506,7 +489,8 @@ fn run_scenario(args: &Args) -> Result<(), String> {
     // A malformed fault plan is a usage error (exit 2, never retried) so a
     // typo'd ASURA_FAULTS can't silently run fault-free.
     let mut injector = FaultInjector::from_env().map_err(|e| format!("usage: {e}"))?;
-    let run = resolve_run(args, args.ckpt_base())?;
+    let base = ckpt_base(args.dist);
+    let run = resolve_run(args, base)?;
     let ranks = args
         .dist
         .map_or(String::new(), |d| format!(" on {} ranks", dist_spec(d)));
@@ -519,7 +503,7 @@ fn run_scenario(args: &Args) -> Result<(), String> {
         run.config.snapshot_every
     );
     let dir = args.prepare_run_dir(&run.name)?;
-    let store = CkptStore::with_base(&dir, args.ckpt_base(), args.keep);
+    let store = CkptStore::with_base(&dir, base, args.keep);
     let ckpt_error = |e: std::io::Error| format!("writing checkpoint under {}: {e}", dir.display());
     // A fresh run starts an empty rotation: entries an earlier run left in
     // the directory would be pruned against this run's, and a later
@@ -627,7 +611,7 @@ fn run_shared(
 /// rank 0 runs `on_step`; `dist_report.json` at the end.
 fn run_dist(
     run: Run,
-    (grid, n_pool): ((usize, usize, usize), usize),
+    (grid, n_pool): DistSpec,
     store: &CkptStore,
     mut on_step: impl FnMut(u64, Option<&SimSnapshot>) -> Result<(), String> + Send,
 ) -> Result<(), String> {
@@ -680,60 +664,6 @@ fn run_dist(
     Ok(())
 }
 
-/// What a supervised child process is told, whoever spawns it — the
-/// `--supervised` parent from its own flags, or the serve daemon from a
-/// fleet run's overrides.
-struct ChildRun<'a> {
-    scenario: &'a str,
-    /// The run's target in *absolute* steps: a resumed attempt is handed
-    /// `target - resume_step`, so every attempt ends at the same final
-    /// step — which is what makes the chaos tests' bitwise final-state
-    /// comparison meaningful.
-    target_steps: u64,
-    scheme: Option<Scheme>,
-    timestep: Option<TimestepMode>,
-    snapshot_every: Option<u64>,
-    seed: u64,
-    predictor: Option<&'a PredictorSpec>,
-    /// `--dist`'s main-rank grid and pool rank count.
-    dist: Option<((usize, usize, usize), usize)>,
-    run_dir: &'a Path,
-    keep: usize,
-    heartbeat: &'a Path,
-}
-
-impl ChildRun<'_> {
-    /// The child's command line for one attempt.
-    fn command(&self, exe: &Path, resume: Option<&ResumePoint>) -> Command {
-        fn opt(cmd: &mut Command, flag: &str, value: Option<impl Display>) {
-            if let Some(v) = value {
-                cmd.arg(flag).arg(v.to_string());
-            }
-        }
-        let done = resume.map_or(0, |rp| rp.step);
-        let mut cmd = Command::new(exe);
-        cmd.arg("--scenario").arg(self.scenario);
-        opt(
-            &mut cmd,
-            "--steps",
-            Some(self.target_steps.saturating_sub(done)),
-        );
-        if let Some(rp) = resume {
-            cmd.arg("--resume").arg(&rp.path);
-        }
-        opt(&mut cmd, "--scheme", self.scheme);
-        opt(&mut cmd, "--timestep", self.timestep);
-        opt(&mut cmd, "--snapshot-every", self.snapshot_every);
-        opt(&mut cmd, "--seed", Some(self.seed));
-        opt(&mut cmd, "--predictor", self.predictor);
-        opt(&mut cmd, "--dist", self.dist.map(dist_spec));
-        cmd.arg("--run-dir").arg(self.run_dir);
-        opt(&mut cmd, "--keep", Some(self.keep));
-        cmd.arg("--heartbeat").arg(self.heartbeat);
-        cmd
-    }
-}
-
 /// The `--supervised` parent: spawn the scenario as a heartbeat-monitored
 /// child, auto-resume it from the checkpoint rotation on crash or hang,
 /// and record every incident in `supervisor.json`.
@@ -752,9 +682,8 @@ fn run_supervised(args: &Args) -> Result<(), String> {
     let scenario = find_scenario(name)?;
     let target_steps = args.steps.unwrap_or(scenario.default_steps);
     let dir = args.prepare_run_dir(scenario.name)?;
-    let store = CkptStore::with_base(&dir, args.ckpt_base(), args.keep);
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let supervisor = Supervisor::for_run_dir(&dir, args.retry);
+    // ASURA_FAULTS is inherited from this process's environment untouched.
     let child = ChildRun {
         scenario: name,
         target_steps: target_steps as u64,
@@ -766,7 +695,7 @@ fn run_supervised(args: &Args) -> Result<(), String> {
         dist: args.dist,
         run_dir: &dir,
         keep: args.keep,
-        heartbeat: &supervisor.heartbeat_path,
+        faults: None,
     };
     println!(
         "supervising scenario {name}: target {target_steps} steps, rotation keep {}, \
@@ -776,29 +705,23 @@ fn run_supervised(args: &Args) -> Result<(), String> {
     // A supervised run always starts fresh (it refuses `--resume`), and
     // every attempt starts from the rotation: empty it once, here, so
     // attempt 0 is fresh and a retry never resumes an earlier run's entry.
-    store
+    child
+        .store()
         .clear()
         .map_err(|e| format!("clearing the rotation under {}: {e}", dir.display()))?;
-    // ASURA_FAULTS is inherited from this process's environment untouched.
-    let (outcome, log) = supervisor
-        .run_processes(
-            &store,
-            |attempt, resume| {
-                match resume {
-                    Some(rp) => println!(
-                        "[supervisor] attempt {attempt}: resuming from step {} ({})",
-                        rp.step,
-                        rp.path.display()
-                    ),
-                    None => println!("[supervisor] attempt {attempt}: fresh start"),
-                }
-                Ok(child.command(&exe, resume))
-            },
-            |_| {},
-            || None,
-        )
+    let announce = |attempt, resume: Option<&ResumePoint>, _| match resume {
+        Some(rp) => println!(
+            "[supervisor] attempt {attempt}: resuming from step {} ({})",
+            rp.step,
+            rp.path.display()
+        ),
+        None => println!("[supervisor] attempt {attempt}: fresh start"),
+    };
+    let (outcome, log) = child
+        .supervise(&exe, args.retry, announce, || None)
         .map_err(|e| format!("supervisor: {e}"))?;
-    let log_path = supervisor.log_path.display();
+    let log_path = dir.join(LOG_FILE);
+    let log_path = log_path.display();
     println!(
         "[supervisor] {} incident(s), log {log_path}",
         log.incidents.len()
@@ -938,7 +861,6 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
         root: PathBuf::from("results"),
         addr: "127.0.0.1:0".to_string(),
         max_concurrent: ServeConfig::default_max_concurrent(),
-        catalog: scenarios::catalog(),
         retry: RetryPolicy::default(),
         keep: DEFAULT_KEEP,
     };
@@ -952,31 +874,7 @@ fn cmd_serve(rest: &[String]) -> Result<(), String> {
             other => flags.retry_flag(other, &mut cfg.retry)?,
         }
     }
-    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let keep = cfg.keep;
-    // Build each worker attempt's command line from the run entry. The
-    // daemon itself adds any per-run ASURA_FAULTS plan, and the supervisor
-    // ASURA_ATTEMPT.
-    let spawner: serve::Spawner = Arc::new(move |spec: &serve::SpawnSpec| {
-        let o = &spec.run.overrides;
-        let child = ChildRun {
-            scenario: &spec.run.scenario,
-            target_steps: spec.run.target_steps,
-            scheme: o.scheme,
-            timestep: o.timestep,
-            // Serve default cadence is every step: auto-resume should never
-            // replay more than one step of lost work.
-            snapshot_every: Some(o.snapshot_every.unwrap_or(1)),
-            seed: o.seed.unwrap_or(DEFAULT_SEED),
-            predictor: None,
-            dist: None,
-            run_dir: spec.run_dir,
-            keep,
-            heartbeat: spec.heartbeat,
-        };
-        Ok(child.command(&exe, spec.resume))
-    });
-    serve::serve(cfg, spawner).map_err(|e| format!("serve: {e}"))
+    serve::serve(cfg).map_err(|e| format!("serve: {e}"))
 }
 
 /// The client subcommands (`submit`/`status`/`list`/`watch`/`cancel`/

@@ -2,13 +2,18 @@
 //!
 //! Re-exports every subsystem crate so the integration tests under
 //! `tests/` and the runnable `examples/` have a single dependency root,
-//! and hosts the [`scenarios`] registry behind the `asura` scenario-runner
-//! binary (`src/bin/asura.rs`). Library users should depend on the
-//! individual crates directly.
+//! and hosts what the `asura` scenario-runner binary (`src/bin/asura.rs`)
+//! is built from: the [`scenarios`] registry and the [`serve`] fleet
+//! daemon with the supervised child launch both front-ends share. Library
+//! users should depend on the individual crates directly.
 
 #![forbid(unsafe_code)]
+// Unit tests may write files, read the clock and key maps by hash; the
+// non-test build stays under clippy.toml's bans.
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod scenarios;
+pub mod serve;
 pub mod surrogate_train;
 
 pub use astro;

@@ -93,17 +93,16 @@ pub fn find(name: &str) -> Option<&'static Scenario> {
     SCENARIOS.iter().find(|s| s.name == name)
 }
 
-/// The registry as plain data, in the form the serve daemon advertises
-/// over its `SCENARIOS` request and validates `SUBMIT` against.
-pub fn catalog() -> Vec<asura_core::serve::ScenarioMeta> {
-    SCENARIOS
-        .iter()
-        .map(|s| asura_core::serve::ScenarioMeta {
-            name: s.name.to_string(),
-            description: s.description.to_string(),
-            default_steps: s.default_steps as u64,
-        })
-        .collect()
+/// [`find`], with the error the CLI and the serve daemon both report for
+/// an unknown name: it lists every registered one.
+pub fn lookup(name: &str) -> Result<&'static Scenario, String> {
+    find(name).ok_or_else(|| {
+        let names: Vec<_> = SCENARIOS.iter().map(|s| s.name).collect();
+        format!(
+            "unknown scenario `{name}` (available: {})",
+            names.join(", ")
+        )
+    })
 }
 
 /// Pack a galactic-ic realization into driver particles. Stars are born

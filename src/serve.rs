@@ -1,16 +1,18 @@
 //! Simulation-as-a-service: the `asura serve` daemon's fleet, queue, and
-//! line protocol.
+//! line protocol, and the supervised child both front-ends launch.
 //!
 //! One long-lived process owns a **run registry** (the [`Fleet`]): clients
-//! submit a scenario name plus [`RunOverrides`] and get back a run id; runs
-//! move `queued → running → completed | failed | gave_up | canceled`. A
+//! submit a name from the [`scenarios`] registry plus [`RunOverrides`] and
+//! get back a run id; runs move
+//! `queued → running → completed | failed | gave_up | canceled`. A
 //! scheduler dispatches queued runs up to a concurrency cap, and each
-//! dispatched run is a **supervised child process** — the worker drives
-//! [`Supervisor::run_processes`] under [`ServeConfig::retry`], the same
-//! launch path and policy as `asura --supervised`, so every fleet run gets
-//! the same crash/hang detection, incident logging, and
-//! checkpoint-rotation auto-resume, and concurrent runs overlap compute
-//! as separate OS processes.
+//! dispatched run is a **supervised child process**: the worker builds the
+//! run's [`ChildRun`] and calls [`ChildRun::supervise`] under
+//! [`ServeConfig::retry`] — the launch `asura --supervised` makes — so
+//! every fleet run gets the same crash/hang detection, incident logging,
+//! and checkpoint-rotation auto-resume, and concurrent runs overlap
+//! compute as separate OS processes. The child is this executable, whose
+//! path the daemon reads once at start.
 //!
 //! # Protocol
 //!
@@ -23,7 +25,7 @@
 //! LIST                                   → every run's id/scenario/state
 //! WATCH <run-id>                         → streams diagnostics rows, then a done line
 //! CANCEL <run-id>                        → kill (or dequeue) the run
-//! SCENARIOS                              → the submittable catalog
+//! SCENARIOS                              → the submittable scenarios
 //! SHUTDOWN [DRAIN]                       → stop the daemon (see below)
 //! ```
 //!
@@ -66,19 +68,23 @@
     clippy::unimplemented
 )]
 
-use crate::ckpt::{atomic_write, CkptStore};
-use crate::config::{Scheme, TimestepMode};
-use crate::faults::{self, FaultPlan};
-use crate::supervise::{
+use crate::scenarios;
+use asura_core::ckpt::{atomic_write, CkptStore};
+use asura_core::config::{Scheme, TimestepMode};
+use asura_core::dist::PredictorSpec;
+use asura_core::faults::{self, FaultPlan};
+use asura_core::supervise::{
     Heartbeat, IncidentLog, Outcome, ResumePoint, RetryPolicy, StopReason, Supervisor,
+    HEARTBEAT_FILE, LOG_FILE,
 };
 use json::{parse_json, Json};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Display};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -265,16 +271,6 @@ fn as_pid(v: &Json) -> Result<u32, String> {
         pid if pid > 0 => Ok(pid.unsigned_abs()),
         other => Err(format!("{other} is not a process id")),
     }
-}
-
-/// A submittable scenario, as the daemon advertises it — the binary feeds
-/// its registry in as plain data so `asura-core` needs no knowledge of the
-/// scenario implementations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScenarioMeta {
-    pub name: String,
-    pub description: String,
-    pub default_steps: u64,
 }
 
 /// The run registry: submit/lookup plus `fleet.json` (de)serialization.
@@ -486,22 +482,132 @@ impl Request {
     }
 }
 
-/// Everything the spawner callback needs to build one child-process
-/// command line for one attempt of one run.
-pub struct SpawnSpec<'a> {
-    pub run: &'a RunEntry,
-    /// The run's directory (artifacts, rotation, heartbeat all live here).
-    pub run_dir: &'a Path,
-    /// Heartbeat file the child must touch every step.
-    pub heartbeat: &'a Path,
-    pub resume: Option<&'a ResumePoint>,
+/// `--seed` when the flag (or a fleet run's override) is absent.
+pub const DEFAULT_SEED: u64 = 42;
+
+/// `--dist`'s main-rank grid and pool rank count.
+pub type DistSpec = ((usize, usize, usize), usize);
+
+/// `--dist`'s spec as the flag spells it.
+pub fn dist_spec(((x, y, z), n_pool): DistSpec) -> String {
+    format!("{x}x{y}x{z}+{n_pool}")
 }
 
-/// Builds the child [`std::process::Command`] for a spawn request. The
-/// `asura` binary supplies this, keeping the CLI's flag vocabulary out of
-/// `asura-core`. The daemon adds the run's `faults` override and
-/// [`Supervisor::run_processes`] the attempt index.
-pub type Spawner = Arc<dyn Fn(&SpawnSpec) -> io::Result<std::process::Command> + Send + Sync>;
+/// The base name of a run's checkpoint rotation: `--dist` runs rotate
+/// `dist_checkpoint-<step>.bin`, shared-memory runs `checkpoint-<step>.bin`.
+pub fn ckpt_base(dist: Option<DistSpec>) -> &'static str {
+    match dist {
+        Some(_) => "dist_checkpoint",
+        None => "checkpoint",
+    }
+}
+
+/// What a supervised child process is told, whoever launches it — the
+/// `--supervised` parent from its own flags, or the daemon from a fleet
+/// run's entry (`ChildRun::fleet`).
+pub struct ChildRun<'a> {
+    pub scenario: &'a str,
+    /// The run's target in *absolute* steps: a resumed attempt is handed
+    /// `target - resume_step`, so every attempt ends at the same final
+    /// step — which is what makes the chaos tests' bitwise final-state
+    /// comparison meaningful.
+    pub target_steps: u64,
+    pub scheme: Option<Scheme>,
+    pub timestep: Option<TimestepMode>,
+    pub snapshot_every: Option<u64>,
+    pub seed: u64,
+    pub predictor: Option<&'a PredictorSpec>,
+    pub dist: Option<DistSpec>,
+    /// The run's directory: artifacts, rotation and heartbeat.
+    pub run_dir: &'a Path,
+    pub keep: usize,
+    /// An `ASURA_FAULTS` plan set on this child only; without one the
+    /// child inherits the launcher's environment.
+    pub faults: Option<&'a str>,
+}
+
+impl<'a> ChildRun<'a> {
+    /// A fleet run's child, from its registry entry: the overrides, the
+    /// CLI's default seed, and a checkpoint every step unless overridden
+    /// (auto-resume should never replay more than one step of lost work).
+    fn fleet(run: &'a RunEntry, run_dir: &'a Path, keep: usize) -> ChildRun<'a> {
+        let o = &run.overrides;
+        ChildRun {
+            scenario: &run.scenario,
+            target_steps: run.target_steps,
+            scheme: o.scheme,
+            timestep: o.timestep,
+            snapshot_every: Some(o.snapshot_every.unwrap_or(1)),
+            seed: o.seed.unwrap_or(DEFAULT_SEED),
+            predictor: None,
+            dist: None,
+            run_dir,
+            keep,
+            faults: o.faults.as_deref(),
+        }
+    }
+
+    /// The run's checkpoint rotation.
+    pub fn store(&self) -> CkptStore {
+        CkptStore::with_base(self.run_dir, ckpt_base(self.dist), self.keep)
+    }
+
+    /// The child's command line for one attempt.
+    fn command(&self, exe: &Path, heartbeat: &Path, resume: Option<&ResumePoint>) -> Command {
+        fn opt(cmd: &mut Command, flag: &str, value: Option<impl Display>) {
+            if let Some(v) = value {
+                cmd.arg(flag).arg(v.to_string());
+            }
+        }
+        let done = resume.map_or(0, |rp| rp.step);
+        let mut cmd = Command::new(exe);
+        cmd.arg("--scenario").arg(self.scenario);
+        opt(
+            &mut cmd,
+            "--steps",
+            Some(self.target_steps.saturating_sub(done)),
+        );
+        if let Some(rp) = resume {
+            cmd.arg("--resume").arg(&rp.path);
+        }
+        opt(&mut cmd, "--scheme", self.scheme);
+        opt(&mut cmd, "--timestep", self.timestep);
+        opt(&mut cmd, "--snapshot-every", self.snapshot_every);
+        opt(&mut cmd, "--seed", Some(self.seed));
+        opt(&mut cmd, "--predictor", self.predictor);
+        opt(&mut cmd, "--dist", self.dist.map(dist_spec));
+        cmd.arg("--run-dir").arg(self.run_dir);
+        opt(&mut cmd, "--keep", Some(self.keep));
+        cmd.arg("--heartbeat").arg(heartbeat);
+        if let Some(plan) = self.faults {
+            cmd.env(faults::FAULTS_ENV, plan);
+        }
+        cmd
+    }
+
+    /// Run `exe` as this run's child under `retry` until it completes,
+    /// fails for good, gives up or is stopped, every attempt resuming from
+    /// the run directory's rotation ([`Supervisor::run_processes`]): the
+    /// heartbeat and incident log live in [`ChildRun::run_dir`].
+    /// `on_spawn(attempt, resume, pid)` sees each child once it runs;
+    /// `abort` is the stop hook.
+    pub fn supervise(
+        &self,
+        exe: &Path,
+        retry: RetryPolicy,
+        on_spawn: impl FnMut(u32, Option<&ResumePoint>, u32),
+        abort: impl Fn() -> Option<StopReason>,
+    ) -> io::Result<(Option<Outcome>, IncidentLog)> {
+        let supervisor = Supervisor::for_run_dir(self.run_dir, retry);
+        let heartbeat = &supervisor.heartbeat_path;
+        supervisor.run_processes(
+            &self.store(),
+            |resume| Ok(self.command(exe, heartbeat, resume)),
+            on_spawn,
+            abort,
+        )
+    }
+}
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -513,8 +619,6 @@ pub struct ServeConfig {
     pub addr: String,
     /// Concurrency cap of the job queue.
     pub max_concurrent: usize,
-    /// Scenarios `SUBMIT` accepts.
-    pub catalog: Vec<ScenarioMeta>,
     /// Supervision policy applied to every worker.
     pub retry: RetryPolicy,
     /// Checkpoint rotation depth of each run directory.
@@ -535,7 +639,8 @@ impl ServeConfig {
 
 struct Shared {
     cfg: ServeConfig,
-    spawner: Spawner,
+    /// The executable every worker launches as its run's child.
+    exe: PathBuf,
     fleet: Mutex<Fleet>,
     /// Stop requests for running runs, by run id: what each worker's abort
     /// hook answers. Filed under the fleet lock (fleet, then stops), and
@@ -583,7 +688,8 @@ pub fn request(addr: &str, line: &str) -> io::Result<Vec<String>> {
 /// Run the daemon: bind, adopt any existing `fleet.json`, then accept and
 /// dispatch until a `SHUTDOWN` request completes. Returns after the
 /// registry is saved and `serve.json` removed.
-pub fn serve(cfg: ServeConfig, spawner: Spawner) -> io::Result<()> {
+pub fn serve(cfg: ServeConfig) -> io::Result<()> {
+    let exe = std::env::current_exe()?;
     std::fs::create_dir_all(&cfg.root)?;
     let fleet_path = cfg.root.join(FLEET_FILE);
     let mut fleet = match std::fs::read_to_string(&fleet_path) {
@@ -622,7 +728,7 @@ pub fn serve(cfg: ServeConfig, spawner: Spawner) -> io::Result<()> {
 
     let shared = Arc::new(Shared {
         cfg,
-        spawner,
+        exe,
         fleet: Mutex::new(fleet),
         stops: Mutex::new(BTreeMap::new()),
         shutdown: AtomicBool::new(false),
@@ -711,9 +817,23 @@ fn worker(shared: &Arc<Shared>, id: &str) {
         return;
     };
     let run_dir = shared.cfg.root.join(id);
+    let child = ChildRun::fleet(&entry, &run_dir, shared.cfg.keep);
     let result = std::fs::create_dir_all(&run_dir)
         .map_err(|e| format!("create {}: {e}", run_dir.display()))
-        .and_then(|()| supervise_run(shared, &entry, &run_dir));
+        .and_then(|()| {
+            let record_pid = |_, _: Option<&ResumePoint>, pid| {
+                let mut fleet = shared.fleet.lock();
+                if let Some(run) = fleet.get_mut(id) {
+                    run.child_pid = Some(pid);
+                }
+                shared.save(&fleet);
+            };
+            let stop = || shared.stops.lock().get(id).copied();
+            let supervised = child.supervise(&shared.exe, shared.cfg.retry, record_pid, stop);
+            supervised
+                .map(|(outcome, _log)| outcome)
+                .map_err(|e| format!("supervisor: {e}"))
+        });
     let state = match result {
         Ok(Some(Outcome::Completed { .. })) => RunState::Completed,
         Ok(Some(Outcome::GaveUp { .. })) => RunState::GaveUp,
@@ -735,42 +855,6 @@ fn worker(shared: &Arc<Shared>, id: &str) {
     drop(fleet);
     shared.stops.lock().remove(id);
     println!("[serve] run {id}: {}", state.as_str());
-}
-
-fn supervise_run(
-    shared: &Arc<Shared>,
-    entry: &RunEntry,
-    run_dir: &Path,
-) -> Result<Option<Outcome>, String> {
-    let store = CkptStore::new(run_dir, shared.cfg.keep);
-    let supervisor = Supervisor::for_run_dir(run_dir, shared.cfg.retry);
-    let (outcome, _log) = supervisor
-        .run_processes(
-            &store,
-            |_, resume| {
-                let spec = SpawnSpec {
-                    run: entry,
-                    run_dir,
-                    heartbeat: &supervisor.heartbeat_path,
-                    resume,
-                };
-                let mut cmd = (shared.spawner)(&spec)?;
-                if let Some(plan) = &entry.overrides.faults {
-                    cmd.env(faults::FAULTS_ENV, plan);
-                }
-                Ok(cmd)
-            },
-            |pid| {
-                let mut fleet = shared.fleet.lock();
-                if let Some(run) = fleet.get_mut(&entry.id) {
-                    run.child_pid = Some(pid);
-                }
-                shared.save(&fleet);
-            },
-            || shared.stops.lock().get(&entry.id).copied(),
-        )
-        .map_err(|e| format!("supervisor: {e}"))?;
-    Ok(outcome)
 }
 
 /// Serve one client connection: read a request line, write response
@@ -803,7 +887,7 @@ fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
         Ok(Request::Status { id }) => status_line(shared, &id),
         Ok(Request::List) => list_line(shared),
         Ok(Request::Cancel { id }) => cancel(shared, &id),
-        Ok(Request::Scenarios) => scenarios_line(shared),
+        Ok(Request::Scenarios) => scenarios_line(),
         Ok(Request::Shutdown { drain }) => shutdown(shared, drain),
         Ok(Request::Watch { id }) => {
             let _ = watch(shared, &id, &mut out);
@@ -817,15 +901,12 @@ fn submit(shared: &Arc<Shared>, scenario: &str, overrides: RunOverrides) -> Stri
     if shared.shutdown.load(Ordering::SeqCst) {
         return err_line("daemon is shutting down");
     }
-    let Some(meta) = shared.cfg.catalog.iter().find(|m| m.name == scenario) else {
-        let known: Vec<&str> = shared.cfg.catalog.iter().map(|m| m.name.as_str()).collect();
-        return err_line(&format!(
-            "unknown scenario `{scenario}` (available: {})",
-            known.join(", ")
-        ));
+    let found = match scenarios::lookup(scenario) {
+        Ok(found) => found,
+        Err(e) => return err_line(&e),
     };
     let mut fleet = shared.fleet.lock();
-    let id = fleet.submit(scenario, meta.default_steps, overrides);
+    let id = fleet.submit(scenario, found.default_steps as u64, overrides);
     shared.save(&fleet);
     ok_line([("id", id.into())])
 }
@@ -835,13 +916,13 @@ fn status_line(shared: &Arc<Shared>, id: &str) -> String {
         return err_line(&format!("unknown run `{id}`"));
     };
     let run_dir = shared.cfg.root.join(id);
-    let step = Heartbeat::read(&run_dir.join("heartbeat")).map(|(_, step)| step);
-    let age_ms = std::fs::metadata(run_dir.join("heartbeat"))
+    let step = Heartbeat::read(&run_dir.join(HEARTBEAT_FILE)).map(|(_, step)| step);
+    let age_ms = std::fs::metadata(run_dir.join(HEARTBEAT_FILE))
         .and_then(|m| m.modified())
         .ok()
         .and_then(|t| t.elapsed().ok())
         .and_then(|d| u64::try_from(d.as_millis()).ok());
-    let incidents = std::fs::read_to_string(run_dir.join("supervisor.json"))
+    let incidents = std::fs::read_to_string(run_dir.join(LOG_FILE))
         .ok()
         .and_then(|text| IncidentLog::from_json(&text).ok())
         .map_or(0, |log| log.incidents.len());
@@ -859,16 +940,16 @@ fn list_line(shared: &Arc<Shared>) -> String {
     ok_line([("runs", Json::Arr(runs))])
 }
 
-fn scenarios_line(shared: &Arc<Shared>) -> String {
-    let scenario = |m: &ScenarioMeta| {
+fn scenarios_line() -> String {
+    let scenario = |s: &scenarios::Scenario| {
         Json::obj([
-            ("name", m.name.as_str().into()),
-            ("description", m.description.as_str().into()),
-            ("default_steps", m.default_steps.into()),
+            ("name", s.name.into()),
+            ("description", s.description.into()),
+            ("default_steps", s.default_steps.into()),
         ])
     };
-    let scenarios = shared.cfg.catalog.iter().map(scenario).collect();
-    ok_line([("scenarios", Json::Arr(scenarios))])
+    let listed = scenarios::SCENARIOS.iter().map(scenario).collect();
+    ok_line([("scenarios", Json::Arr(listed))])
 }
 
 fn cancel(shared: &Arc<Shared>, id: &str) -> String {
@@ -1169,24 +1250,15 @@ mod tests {
     // order and integer rendering are contract (CI greps them).
 
     fn golden_shared(root: PathBuf, fleet: Fleet) -> Arc<Shared> {
-        let meta = |name: &str, description: &str, default_steps| ScenarioMeta {
-            name: name.into(),
-            description: description.into(),
-            default_steps,
-        };
         Arc::new(Shared {
             cfg: ServeConfig {
                 root,
                 addr: "127.0.0.1:0".into(),
                 max_concurrent: 2,
-                catalog: vec![
-                    meta("quickstart", "a \"quick\" start", 20),
-                    meta("spiked_dt", "one hot particle", 6),
-                ],
                 retry: RetryPolicy::default(),
                 keep: 3,
             },
-            spawner: Arc::new(|_| Err(io::Error::other("no spawner"))),
+            exe: PathBuf::from("asura"),
             fleet: Mutex::new(fleet),
             stops: Mutex::new(BTreeMap::new()),
             shutdown: AtomicBool::new(false),
@@ -1247,6 +1319,9 @@ mod tests {
 
     #[test]
     fn protocol_reply_bytes_are_stable() {
+        // The `SUBMIT warp` error and the `SCENARIOS` reply are the
+        // registry's, as an `asura serve` of the commit before the daemon
+        // left `asura-core` answered them.
         let root = std::env::temp_dir().join(format!("asura-serve-golden-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let shared = golden_shared(root.clone(), golden_fleet());
@@ -1257,7 +1332,7 @@ mod tests {
         );
         assert_eq!(
             submit(&shared, "warp", RunOverrides::default()),
-            "{\"ok\":false,\"error\":\"unknown scenario `warp` (available: quickstart, spiked_dt)\"}"
+            "{\"ok\":false,\"error\":\"unknown scenario `warp` (available: quickstart, dwarf_galaxy, supernova_remnant, sn_shell_conventional, spiked_dt)\"}"
         );
         // STATUS before the run has a directory: every live field is null.
         assert_eq!(
@@ -1271,9 +1346,9 @@ mod tests {
         std::fs::create_dir_all(&run_dir).unwrap();
         Heartbeat::new(run_dir.join("heartbeat")).beat(5).unwrap();
         let log = IncidentLog {
-            incidents: vec![crate::supervise::Incident {
+            incidents: vec![asura_core::supervise::Incident {
                 attempt: 0,
-                kind: crate::supervise::IncidentKind::Crash { exit_code: 86 },
+                kind: asura_core::supervise::IncidentKind::Crash { exit_code: 86 },
                 resumed_from_step: Some(2),
                 backoff_ms: 500,
             }],
@@ -1294,8 +1369,8 @@ mod tests {
             "{\"ok\":true,\"runs\":[{\"id\":\"r0001-quickstart\",\"scenario\":\"quickstart\",\"state\":\"running\",\"target_steps\":20},{\"id\":\"r0002-spiked_dt\",\"scenario\":\"spiked_dt\",\"state\":\"queued\",\"target_steps\":3},{\"id\":\"r0003-quickstart\",\"scenario\":\"quickstart\",\"state\":\"completed\",\"target_steps\":20},{\"id\":\"r0004-quickstart\",\"scenario\":\"quickstart\",\"state\":\"queued\",\"target_steps\":20}]}"
         );
         assert_eq!(
-            scenarios_line(&shared),
-            "{\"ok\":true,\"scenarios\":[{\"name\":\"quickstart\",\"description\":\"a \\\"quick\\\" start\",\"default_steps\":20},{\"name\":\"spiked_dt\",\"description\":\"one hot particle\",\"default_steps\":6}]}"
+            scenarios_line(),
+            "{\"ok\":true,\"scenarios\":[{\"name\":\"quickstart\",\"description\":\"scaled-down Milky Way patch, surrogate SN scheme, fixed global step\",\"default_steps\":20},{\"name\":\"dwarf_galaxy\",\"description\":\"star-forming dwarf with cooling, star formation and timed SNe\",\"default_steps\":32},{\"name\":\"supernova_remnant\",\"description\":\"one SN inside a uniform gas lattice, surrogate prediction in flight\",\"default_steps\":12},{\"name\":\"sn_shell_conventional\",\"description\":\"the supernova_remnant IC integrated conventionally (adaptive global CFL step)\",\"default_steps\":12},{\"name\":\"spiked_dt\",\"description\":\"SN-hot particle in a cold blob: block-timestep stress (conventional scheme)\",\"default_steps\":6}]}"
         );
         assert_eq!(
             cancel(&shared, "r0002-spiked_dt"),
@@ -1380,7 +1455,7 @@ mod tests {
             GOLDEN_FLEET.replacen("\"faults\":", "\"snapshot_format\":\"json\",\"faults\":", 1);
         std::fs::write(root.join(FLEET_FILE), &parent).unwrap();
         let cfg = golden_shared(root.clone(), Fleet::default()).cfg.clone();
-        let err = serve(cfg, Arc::new(|_| Err(io::Error::other("no spawner")))).unwrap_err();
+        let err = serve(cfg).unwrap_err();
         assert!(err.to_string().contains("`snapshot_format`"), "{err}");
         assert_eq!(
             std::fs::read_to_string(root.join(FLEET_FILE)).unwrap(),

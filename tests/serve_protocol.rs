@@ -1,6 +1,6 @@
 //! End-to-end tests of the `asura serve` daemon: a real daemon process
 //! per test (ephemeral port, private root), driven over the line protocol
-//! by [`asura_core::serve::request`]. The chaos cases mirror
+//! by [`asura::serve::request`]. The chaos cases mirror
 //! `tests/supervised_chaos.rs`: kill a worker *child* mid-run (per-run
 //! `ASURA_FAULTS` override) and kill the *daemon* itself (`kill -9` +
 //! restart), asserting in both cases that every run still converges to a
@@ -13,8 +13,8 @@
     reason = "polls the daemon against a wall-clock deadline"
 )]
 
+use asura::serve::{self, Fleet, RunState};
 use asura_core::faults::{ATTEMPT_ENV, FAULTS_ENV, FAULT_KILL_EXIT};
-use asura_core::serve::{self, Fleet, RunState};
 use asura_core::supervise::{IncidentKind, IncidentLog, Outcome};
 use std::fs;
 use std::path::{Path, PathBuf};

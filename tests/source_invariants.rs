@@ -389,7 +389,7 @@ fn the_lint_configuration_still_states_every_rule() {
     let deny = "#![deny(clippy::unwrap_used,clippy::expect_used,clippy::panic,\
                 clippy::unreachable,clippy::todo,clippy::unimplemented)]";
     for scope in [
-        "crates/core/src/serve.rs",
+        "src/serve.rs",
         "crates/core/src/supervise.rs",
         "crates/core/src/faults.rs",
         "crates/core/src/ckpt.rs",

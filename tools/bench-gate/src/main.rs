@@ -667,7 +667,7 @@ mod tests {
         let mut found = BTreeSet::new();
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         bench_files(&root, &mut found).unwrap();
-        assert_eq!(found.len(), 8, "{found:?}");
+        assert_eq!(found.len(), 7, "{found:?}");
         let mut checked = 0;
         for file in &found {
             let base = load(&root.join(file)).unwrap().expect(file);
