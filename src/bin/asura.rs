@@ -664,6 +664,28 @@ fn run_dist(
     Ok(())
 }
 
+/// The child a `--supervised` parent launches into `dir`.
+fn supervised_child<'a>(
+    args: &'a Args,
+    scenario: &scenarios::Scenario,
+    dir: &'a Path,
+) -> ChildRun<'a> {
+    // ASURA_FAULTS is inherited from this process's environment untouched.
+    ChildRun {
+        scenario: args.scenario.as_deref().unwrap_or(scenario.name),
+        target_steps: args.steps.unwrap_or(scenario.default_steps) as u64,
+        scheme: args.scheme,
+        timestep: args.timestep,
+        snapshot_every: args.snapshot_every,
+        seed: args.seed,
+        predictor: args.predictor.as_ref(),
+        dist: args.dist,
+        run_dir: dir,
+        keep: args.keep,
+        faults: None,
+    }
+}
+
 /// The `--supervised` parent: spawn the scenario as a heartbeat-monitored
 /// child, auto-resume it from the checkpoint rotation on crash or hang,
 /// and record every incident in `supervisor.json`.
@@ -683,20 +705,7 @@ fn run_supervised(args: &Args) -> Result<(), String> {
     let target_steps = args.steps.unwrap_or(scenario.default_steps);
     let dir = args.prepare_run_dir(scenario.name)?;
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    // ASURA_FAULTS is inherited from this process's environment untouched.
-    let child = ChildRun {
-        scenario: name,
-        target_steps: target_steps as u64,
-        scheme: args.scheme,
-        timestep: args.timestep,
-        snapshot_every: args.snapshot_every,
-        seed: args.seed,
-        predictor: args.predictor.as_ref(),
-        dist: args.dist,
-        run_dir: &dir,
-        keep: args.keep,
-        faults: None,
-    };
+    let child = supervised_child(args, scenario, &dir);
     println!(
         "supervising scenario {name}: target {target_steps} steps, rotation keep {}, \
          up to {} resume(s)",
@@ -994,5 +1003,95 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{find_scenario, parse_args, supervised_child};
+    use asura::serve::{ChildRun, RunEntry, RunOverrides, RunState};
+    use asura_core::supervise::ResumePoint;
+    use asura_core::{Scheme, TimestepMode};
+    use std::path::Path;
+    use std::process::Command;
+
+    /// One attempt's argv and the `ASURA_FAULTS` it sets, as strings.
+    fn spelled(cmd: &Command) -> (String, Option<String>) {
+        let argv: Vec<_> = cmd.get_args().map(|a| a.to_string_lossy()).collect();
+        let faults = cmd
+            .get_envs()
+            .find(|(key, _)| *key == "ASURA_FAULTS")
+            .and_then(|(_, value)| Some(value?.to_string_lossy().into_owned()));
+        (argv.join(" "), faults)
+    }
+
+    /// The command line every launcher hands a run child, recorded before
+    /// the child's flags had one owner: a fleet run with every override
+    /// set, the same run resumed, and `--supervised` with every flag set.
+    #[test]
+    fn child_command_lines_are_pinned() {
+        let exe = Path::new("asura");
+        let entry = RunEntry {
+            id: "r0002-spiked_dt".into(),
+            scenario: "spiked_dt".into(),
+            state: RunState::Running,
+            target_steps: 3,
+            child_pid: None,
+            overrides: RunOverrides {
+                steps: Some(3),
+                seed: Some(7),
+                scheme: Some(Scheme::Conventional),
+                timestep: Some(TimestepMode::Block { max_level: 6 }),
+                snapshot_every: Some(2),
+                faults: Some("kill@3#0".into()),
+            },
+        };
+        let dir = Path::new("/runs/r0002-spiked_dt");
+        let heartbeat = dir.join("heartbeat");
+        let fleet = ChildRun::fleet(&entry, dir, 4);
+        assert_eq!(
+            spelled(&fleet.command(exe, &heartbeat, None)),
+            (
+                "--scenario spiked_dt --steps 3 --scheme conventional --timestep block:6 \
+                 --snapshot-every 2 --seed 7 --run-dir /runs/r0002-spiked_dt --keep 4 \
+                 --heartbeat /runs/r0002-spiked_dt/heartbeat"
+                    .into(),
+                Some("kill@3#0".into())
+            )
+        );
+        let resume = ResumePoint {
+            step: 2,
+            path: dir.join("checkpoint-000002.bin"),
+        };
+        assert_eq!(
+            spelled(&fleet.command(exe, &heartbeat, Some(&resume))),
+            (
+                "--scenario spiked_dt --steps 1 --resume /runs/r0002-spiked_dt/checkpoint-000002.bin \
+                 --scheme conventional --timestep block:6 --snapshot-every 2 --seed 7 \
+                 --run-dir /runs/r0002-spiked_dt --keep 4 --heartbeat /runs/r0002-spiked_dt/heartbeat"
+                    .into(),
+                Some("kill@3#0".into())
+            )
+        );
+
+        let argv = "--scenario spiked_dt --steps 5 --scheme surrogate --timestep block:4 \
+                    --snapshot-every 3 --seed 9 --predictor unet:w.json --dist 2x1x1+1 \
+                    --out-dir out --run-dir /runs/sup --keep 2 --supervised --max-retries 1 \
+                    --backoff-ms 10 --heartbeat-timeout-ms 100 --heartbeat /elsewhere/hb";
+        let argv: Vec<String> = argv.split_whitespace().map(String::from).collect();
+        let args = parse_args(&argv).expect("every flag parses");
+        let scenario = find_scenario("spiked_dt").expect("registered");
+        let supervised = supervised_child(&args, scenario, Path::new("/runs/sup"));
+        let heartbeat = Path::new("/runs/sup/heartbeat");
+        assert_eq!(
+            spelled(&supervised.command(exe, heartbeat, None)),
+            (
+                "--scenario spiked_dt --steps 5 --scheme surrogate --timestep block:4 \
+                 --snapshot-every 3 --seed 9 --predictor unet:w.json --dist 2x1x1+1 \
+                 --run-dir /runs/sup --keep 2 --heartbeat /runs/sup/heartbeat"
+                    .into(),
+                None
+            )
+        );
     }
 }

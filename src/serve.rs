@@ -530,7 +530,7 @@ impl<'a> ChildRun<'a> {
     /// A fleet run's child, from its registry entry: the overrides, the
     /// CLI's default seed, and a checkpoint every step unless overridden
     /// (auto-resume should never replay more than one step of lost work).
-    fn fleet(run: &'a RunEntry, run_dir: &'a Path, keep: usize) -> ChildRun<'a> {
+    pub fn fleet(run: &'a RunEntry, run_dir: &'a Path, keep: usize) -> ChildRun<'a> {
         let o = &run.overrides;
         ChildRun {
             scenario: &run.scenario,
@@ -553,7 +553,7 @@ impl<'a> ChildRun<'a> {
     }
 
     /// The child's command line for one attempt.
-    fn command(&self, exe: &Path, heartbeat: &Path, resume: Option<&ResumePoint>) -> Command {
+    pub fn command(&self, exe: &Path, heartbeat: &Path, resume: Option<&ResumePoint>) -> Command {
         fn opt(cmd: &mut Command, flag: &str, value: Option<impl Display>) {
             if let Some(v) = value {
                 cmd.arg(flag).arg(v.to_string());

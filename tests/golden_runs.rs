@@ -197,3 +197,31 @@ fn spiked_dt_block_runs_are_pinned() {
         ],
     );
 }
+
+#[test]
+fn dwarf_galaxy_runs_are_pinned() {
+    // The galaxy path: mixed-precision gravity at `n_group` 256, cooling
+    // and star formation. The first stars form on step 4.
+    check(
+        "dwarf_galaxy",
+        None,
+        4,
+        &[
+            Golden {
+                grid: None,
+                hash: 0xf6fd20db07d0f317,
+                stats: "steps=4 sn_events=0 stars_formed=2 regions_applied=0 dt_min_seen=0.25 gravity_interactions=83294939 hydro_interactions=1186280 substeps=0 active_updates=24048 tree_rebuilds=8 tree_refreshes=0 sph_tree_rebuilds=8 sph_tree_refreshes=8",
+            },
+            Golden {
+                grid: Some((1, 1, 1)),
+                hash: 0xf6fd20db07d0f317,
+                stats: "steps=4 sn_events=0 stars_formed=2 regions_applied=0 dt_min_seen=0.25 gravity_interactions=83294939 hydro_interactions=1186280 substeps=0 active_updates=24048 tree_rebuilds=8 tree_refreshes=0 sph_tree_rebuilds=8 sph_tree_refreshes=8",
+            },
+            Golden {
+                grid: Some((2, 1, 1)),
+                hash: 0xe894c1cd5dbb8fe3,
+                stats: "steps=4 sn_events=0 stars_formed=2 regions_applied=0 dt_min_seen=0.25 gravity_interactions=81172571 hydro_interactions=1190478 substeps=0 active_updates=24048 tree_rebuilds=16 tree_refreshes=0 sph_tree_rebuilds=16 sph_tree_refreshes=16",
+            },
+        ],
+    );
+}
