@@ -20,22 +20,32 @@
 //!   reproducible; it bounds how much physics fidelity the speedup costs.
 //!
 //! Absolute wall times (train/surrogate/conventional) are reported for
-//! the trajectory but never gate. Writes `BENCH_surrogate.json` at the
-//! repo root.
+//! the trajectory but never gate. After the timed runs, [`validate`]
+//! compares the surrogate's region prediction with the Sedov overlay it
+//! imitates (paper §3.3) and reports the temperature-PDF distances and
+//! hot-gas fractions, ungated. Writes `BENCH_surrogate.json` at the repo
+//! root.
 
 #![expect(
     clippy::disallowed_methods,
     reason = "a bench times its runs and audits energy exactly"
 )]
 
+use astro::turbulence::TurbulentField;
 use astro::units::E_SN;
 use asura::scenarios;
 use asura::surrogate_train::{self, TrainSpec};
-use asura_core::pool::UNetPredictor;
+use asura_core::diagnostics::{histogram_distance, log_histogram};
+use asura_core::pool::{PoolPredictor, SedovOverlayPredictor, UNetPredictor};
 use asura_core::sim::total_energy_of;
 use asura_core::{Particle, Simulation};
 use bench::{BenchDoc, Better};
+use fdps::Vec3;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::time::Instant;
+use surrogate::training::{make_dataset, TrainingSetup};
+use surrogate::{GasParticle, SurrogateConfig, SurrogateModel};
 
 /// Scenario seed for both deployment runs (not the training seeds).
 const SEED: u64 = 42;
@@ -57,6 +67,75 @@ fn build(scenario: &str) -> (asura_core::SimConfig, Vec<Particle>) {
     scenarios::find(scenario)
         .unwrap_or_else(|| panic!("scenario {scenario} is registered"))
         .build(SEED)
+}
+
+/// `n` gas particles at 100 K in a (60 pc)³ box, moving with a
+/// turbulent velocity field.
+fn turbulent_region(n: usize, seed: u64) -> Vec<GasParticle> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let turb = TurbulentField::new(&mut rng, 60.0, 3, 4.0, 5.0);
+    (0..n)
+        .map(|i| {
+            let pos = Vec3::new(
+                rng.gen_range(-30.0..30.0),
+                rng.gen_range(-30.0..30.0),
+                rng.gen_range(-30.0..30.0),
+            );
+            let v = turb.velocity([pos.x, pos.y, pos.z]);
+            GasParticle {
+                pos,
+                vel: Vec3::new(v[0], v[1], v[2]),
+                mass: 1.0,
+                temp: 100.0,
+                h: 3.0,
+                id: i as u64,
+            }
+        })
+        .collect()
+}
+
+/// One SN in a turbulent region, predicted 0.1 Myr ahead by the analytic
+/// Sedov overlay (the reference), a 16³ U-Net trained briefly on synthetic
+/// Sedov-in-turbulence pairs, and an untrained U-Net: the L1 distance of
+/// each net's mass-weighted temperature PDF to the reference's, and each
+/// predictor's hot (T > 1e5 K) particle fraction.
+fn validate() -> [(&'static str, f64); 5] {
+    let region = turbulent_region(1500, 42);
+    let reference = SedovOverlayPredictor.predict(Vec3::ZERO, E_SN, 0.1, &region);
+    let mut rng = StdRng::seed_from_u64(7);
+    let setup = TrainingSetup {
+        grid_n: 16,
+        ..Default::default()
+    };
+    let data = make_dataset(&mut rng, &setup, 6);
+    let mut model = SurrogateModel::new(SurrogateConfig {
+        grid_n: 16,
+        side: 60.0,
+        base_features: 4,
+        seed: 1,
+    });
+    model.train(&data, 8, 3e-3);
+    let trained = UNetPredictor::new(model, 9).predict(Vec3::ZERO, E_SN, 0.1, &region);
+    let untrained = UNetPredictor::untrained_small(3).predict(Vec3::ZERO, E_SN, 0.1, &region);
+    let pdf = |ps: &[GasParticle]| {
+        let weighted: Vec<_> = ps.iter().map(|p| (p.temp, p.mass)).collect();
+        log_histogram(&weighted, 0.0, 9.0, 36)
+    };
+    let hot =
+        |ps: &[GasParticle]| ps.iter().filter(|p| p.temp > 1e5).count() as f64 / ps.len() as f64;
+    [
+        (
+            "pdf_l1_trained",
+            histogram_distance(&pdf(&reference), &pdf(&trained)),
+        ),
+        (
+            "pdf_l1_untrained",
+            histogram_distance(&pdf(&reference), &pdf(&untrained)),
+        ),
+        ("hot_frac_sedov", hot(&reference)),
+        ("hot_frac_trained", hot(&trained)),
+        ("hot_frac_untrained", hot(&untrained)),
+    ]
 }
 
 fn main() {
@@ -133,7 +212,14 @@ fn main() {
         "surrogate must beat the conventional twin on wall clock"
     );
 
-    BenchDoc::new()
+    let validation = validate();
+    let line: Vec<_> = validation
+        .iter()
+        .map(|(k, v)| format!("{k} {v:.4}"))
+        .collect();
+    println!("surrogate_loop: vs the Sedov overlay  {}", line.join("  "));
+
+    let doc = BenchDoc::new()
         .info("scenario", "supernova_remnant")
         .info("surrogate_steps", STEPS)
         .info("t_end_myr", t_end)
@@ -142,8 +228,11 @@ fn main() {
         .info("surrogate_wall_s", surrogate_wall)
         .info("conventional_wall_s", conventional_wall)
         .info("surrogate_energy_err", err_surr)
-        .info("conventional_energy_err", err_conv)
-        .gated("surrogate_speedup", surrogate_speedup, Better::Higher)
+        .info("conventional_energy_err", err_conv);
+    let doc = validation
+        .into_iter()
+        .fold(doc, |doc, (k, v)| doc.info(k, v));
+    doc.gated("surrogate_speedup", surrogate_speedup, Better::Higher)
         .gated("energy_err_ratio", energy_err_ratio, Better::Lower)
         .write("BENCH_surrogate.json");
 }

@@ -16,8 +16,6 @@
 //! "Benchmarks & gating"). The inputs more than one bench measures on
 //! live in [`fixtures`]; a gravity pass's error against the direct sum is
 //! measured by [`accuracy`].
-//!
-//! The CSV helpers below serve `src/bin/validate_surrogate.rs`.
 
 #![forbid(unsafe_code)]
 
@@ -149,19 +147,11 @@ pub fn gates(doc: &Json) -> Result<Vec<(String, Better)>, String> {
         .collect()
 }
 
-/// Directory where harness binaries drop their CSV artifacts.
+/// The repo's `results/` directory, created if missing.
 pub fn results_dir() -> PathBuf {
     let dir = repo_root().join("results");
     fs::create_dir_all(&dir).expect("create results dir");
     dir
-}
-
-/// Write a named CSV artifact and report the path.
-#[expect(clippy::disallowed_methods, reason = "a bench artifact, not run state")]
-pub fn write_artifact(name: &str, contents: &str) {
-    let path = results_dir().join(name);
-    fs::write(&path, contents).expect("write artifact");
-    println!("[artifact] {}", path.display());
 }
 
 /// Render a number in the paper's compact scientific style.

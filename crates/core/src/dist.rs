@@ -170,10 +170,10 @@ pub enum PredictorKind {
     /// Analytic Sedov–Taylor overlay: deterministic and cheap (the default,
     /// and the reference the U-Net is trained to imitate).
     SedovOverlay,
-    /// Trained weights held inline (what snapshots embed): the verbatim,
-    /// checksummed [`SurrogateModel::to_json`] document, and the
+    /// Trained weights held inline, as snapshots embed them: the verbatim,
+    /// checksummed [`SurrogateModel::to_json`] document and the
     /// per-request Gibbs-resampling RNG seed.
-    UNetWeights { seed: u64, weights_json: String },
+    UNet(ModelState),
 }
 
 impl PredictorKind {
@@ -185,8 +185,8 @@ impl PredictorKind {
     pub fn build(&self, region_side: f64) -> Result<Box<dyn PoolPredictor>, DistError> {
         match self {
             PredictorKind::SedovOverlay => Ok(Box::new(SedovOverlayPredictor)),
-            PredictorKind::UNetWeights { seed, weights_json } => {
-                match UNetPredictor::from_weights(*seed, weights_json, region_side) {
+            PredictorKind::UNet(model) => {
+                match UNetPredictor::from_weights(model.seed, &model.weights_json, region_side) {
                     Ok(predictor) => Ok(Box::new(predictor)),
                     Err(reason) => Err(DistError::BadWeights {
                         path: "<inline weights>".into(),
@@ -197,24 +197,12 @@ impl PredictorKind {
         }
     }
 
-    /// The predictor a checkpoint's embedded model stands for (the
-    /// inverse of [`PredictorKind::model_state`]).
-    pub fn embedded(model: &ModelState) -> PredictorKind {
-        PredictorKind::UNetWeights {
-            seed: model.seed,
-            weights_json: model.weights_json.clone(),
-        }
-    }
-
-    /// The model state a checkpoint should embed for this predictor:
-    /// `Some` for trained weights, `None` for the analytic kind, which
-    /// rebuilds deterministically from config alone.
-    pub fn model_state(&self) -> Option<ModelState> {
+    /// The model a checkpoint embeds for this predictor: the trained
+    /// weights, or `None` for the analytic kind, which rebuilds
+    /// deterministically from config alone.
+    pub fn model(&self) -> Option<&ModelState> {
         match self {
-            PredictorKind::UNetWeights { seed, weights_json } => Some(ModelState {
-                seed: *seed,
-                weights_json: weights_json.clone(),
-            }),
+            PredictorKind::UNet(model) => Some(model),
             PredictorKind::SedovOverlay => None,
         }
     }
@@ -246,7 +234,7 @@ impl PredictorSpec {
         };
         let weights_json = std::fs::read_to_string(path).map_err(|e| bad(e.to_string()))?;
         SurrogateModel::from_json(&weights_json).map_err(bad)?;
-        Ok(PredictorKind::UNetWeights { seed, weights_json })
+        Ok(PredictorKind::UNet(ModelState { seed, weights_json }))
     }
 }
 
@@ -440,7 +428,7 @@ pub fn run(
     }
     let mut cfg = cfg.clone();
     if let Some(model) = &snapshot.model {
-        cfg.predictor = PredictorKind::embedded(model);
+        cfg.predictor = PredictorKind::UNet(model.clone());
     }
     run_inner(&cfg, &[], Some(snapshot), on_step)
 }
@@ -817,7 +805,7 @@ fn main_loop<H: FnMut(u64, Option<&SimSnapshot>) -> Result<(), String>>(
                 config: cfg.sim,
                 time,
                 step_count: step,
-                model: cfg.predictor.model_state(),
+                model: cfg.predictor.model().cloned(),
                 next_id,
                 slabs,
             })
@@ -1059,7 +1047,7 @@ mod tests {
         let dt = 2.0e-3;
         let ic = disk_ic(300, 0, true, dt);
         let mut cfg = test_cfg(5, 2);
-        cfg.predictor = PredictorKind::UNetWeights {
+        cfg.predictor = PredictorKind::UNet(ModelState {
             seed: 7,
             weights_json: SurrogateModel::new(surrogate::SurrogateConfig {
                 grid_n: 8,
@@ -1068,7 +1056,7 @@ mod tests {
                 seed: 7,
             })
             .to_json(),
-        };
+        });
         let report = run_distributed(&cfg, &ic).expect("dist run");
         assert_eq!(report.sn_events, 1);
         assert_eq!(

@@ -290,8 +290,8 @@ impl Simulation {
     /// [`DistError::BadWeights`]; otherwise the default Sedov-overlay
     /// predictor is used.
     pub fn try_restore(snapshot: &SimSnapshot) -> Result<Self, DistError> {
-        let embedded = snapshot.model.as_ref().map(PredictorKind::embedded);
-        let kind = embedded.unwrap_or(PredictorKind::SedovOverlay);
+        let model = snapshot.model.clone();
+        let kind = model.map_or(PredictorKind::SedovOverlay, PredictorKind::UNet);
         let predictor = kind.build(snapshot.config.region_side)?;
         Self::restore_with_predictor(snapshot, predictor)
     }

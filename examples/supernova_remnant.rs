@@ -157,6 +157,6 @@ fn main() {
         .abs()
     );
     println!(
-        "  (a briefly trained net is qualitative; `validate_surrogate` runs the full comparison)"
+        "  (a briefly trained net is qualitative; the surrogate_loop bench reports the full comparison)"
     );
 }

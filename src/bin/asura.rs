@@ -81,20 +81,17 @@
 //!
 //! # How this file is laid out
 //!
-//! Option *values* are spelled in `asura-core`, beside their types
-//! (`Scheme`, `TimestepMode`, `PredictorSpec` each carry one
-//! `FromStr` + `Display` pair); this file only maps flag names onto them.
-//! Every flag loop — the scenario runner's, `train-surrogate`'s, `serve`'s
-//! and the client verbs' — reads its values through one cursor
-//! ([`Flags`]), and the two supervising loops read the supervision flags
-//! through one helper ([`Flags::retry_flag`]). The fleet daemon and the
-//! supervised child both front-ends launch ([`ChildRun`], its command
-//! line and its supervision) live in the library's [`asura::serve`], which
-//! reads the scenario registry directly; this file only fills a
-//! `ChildRun` from its flags and a `ServeConfig` from `serve`'s. Every
-//! JSON document written here (`dist_report.json`, and through the
-//! library `train_manifest.json`) is a `json::Json` value rendered by the
-//! one writer.
+//! A run child's flags have one owner, [`RunFlags`] in the library's
+//! [`asura::serve`]: the scenario flag loop hands it every flag but the
+//! parent's own ([`Args`]: `--supervised`, `--out-dir`, `--help` and the
+//! supervision flags), and [`ChildRun`] writes it back as the child's
+//! command line. Option *values* are spelled beside their types, each with
+//! one `FromStr` + `Display` pair. Every flag loop reads through one cursor
+//! ([`Flags`]); the two supervising loops share [`Flags::retry_flag`]. The
+//! fleet daemon ([`asura::serve`]) fills the same `RunFlags` from a run's
+//! overrides. Every JSON document written here (`dist_report.json`, and
+//! through the library `train_manifest.json`) is a `json::Json` value
+//! rendered by the one writer.
 //!
 //! Exit codes: 0 success, 1 runtime failure (unreadable snapshot, I/O,
 //! supervision gave up), 2 usage error or permanent failure (bad weights).
@@ -103,17 +100,16 @@
 
 use asura::scenarios;
 use asura::serve::{
-    self, ckpt_base, dist_spec, ChildRun, DistSpec, Request, RunOverrides, ServeConfig,
-    DEFAULT_SEED,
+    self, ckpt_base, ChildRun, DistSpec, Request, RunFlags, RunOverrides, ServeConfig,
 };
 use asura::surrogate_train::{self, TrainSpec};
 use asura_core::ckpt::{atomic_write, CkptFormat, CkptStore, DEFAULT_KEEP};
 use asura_core::diagnostics::{TimeSample, TimeSeries};
-use asura_core::dist::{self, DistConfig, DistError, PredictorKind, PredictorSpec, Start};
+use asura_core::dist::{self, DistConfig, DistError, PredictorKind, Start};
 use asura_core::faults::FaultInjector;
 use asura_core::snapshot::SimSnapshot;
 use asura_core::supervise::{Heartbeat, Outcome, ResumePoint, RetryPolicy, LOG_FILE};
-use asura_core::{Scheme, SimConfig, SimStats, Simulation, TimestepMode};
+use asura_core::{SimConfig, SimStats, Simulation};
 use fdps::exchange::Routing;
 use json::Json;
 use std::fmt::Display;
@@ -147,7 +143,7 @@ USAGE:
 persisted to <root>/fleet.json, a bounded-concurrency job queue, and one
 supervised child process per dispatched run. The client subcommands speak
 its line protocol; they find the daemon via <root>/serve.json unless
---addr is given. See the asura-core serve module docs for the grammar.
+--addr is given. See the asura::serve module docs for the grammar.
 
 `asura inspect` prints a binary checkpoint as JSON, for reading; nothing
 reads that JSON back (a checkpoint has one encoding on disk).
@@ -264,30 +260,12 @@ impl<'a> Flags<'a> {
 }
 
 struct Args {
-    scenario: Option<String>,
-    resume: Option<PathBuf>,
-    steps: Option<usize>,
-    scheme: Option<Scheme>,
-    timestep: Option<TimestepMode>,
-    snapshot_every: Option<u64>,
-    seed: u64,
+    /// The run's own flags: what a `--supervised` parent hands its child.
+    run: RunFlags,
     out_dir: PathBuf,
-    /// Exact artifact directory, overriding the `<out-dir>/<scenario>`
-    /// nesting — the serve daemon gives every run id its own directory.
-    run_dir: Option<PathBuf>,
-    /// Checkpoint rotation depth.
-    keep: usize,
-    /// Main-rank grid + pool rank count of `--dist`.
-    dist: Option<DistSpec>,
     supervised: bool,
     /// `--max-retries`, `--backoff-ms`, `--heartbeat-timeout-ms`.
     retry: RetryPolicy,
-    /// Heartbeat file the (supervised) child touches after every step —
-    /// set by the supervisor when it spawns the child.
-    heartbeat: Option<PathBuf>,
-    /// `--predictor`: which pool predictor serves SN regions on a fresh
-    /// run (resumed runs reuse the snapshot's embedded model when present).
-    predictor: Option<PredictorSpec>,
 }
 
 impl Args {
@@ -295,6 +273,7 @@ impl Args {
     /// given, else `<out-dir>/<run name>` — on every route.
     fn prepare_run_dir(&self, run_name: &str) -> Result<PathBuf, String> {
         let dir = self
+            .run
             .run_dir
             .clone()
             .unwrap_or_else(|| self.out_dir.join(run_name));
@@ -303,73 +282,24 @@ impl Args {
     }
 }
 
-/// Parse `--dist`'s `NXxNYxNZ+P` spec.
-fn parse_dist_spec(spec: &str) -> Result<DistSpec, String> {
-    let bad = || format!("expected NXxNYxNZ+P (e.g. 2x1x1+1), got `{spec}`");
-    let (grid, pool) = spec.split_once('+').ok_or_else(bad)?;
-    let dims: Vec<usize> = grid
-        .split('x')
-        .map(|d| d.parse::<usize>().map_err(|_| bad()))
-        .collect::<Result<_, _>>()?;
-    let [nx, ny, nz] = dims[..] else {
-        return Err(bad());
-    };
-    let n_pool = pool.parse::<usize>().map_err(|_| bad())?;
-    let Some(n_main) = nx.checked_mul(ny).and_then(|n| n.checked_mul(nz)) else {
-        return Err(format!("{nx}*{ny}*{nz} main ranks overflow, got `{spec}`"));
-    };
-    if n_main == 0 {
-        return Err(format!("needs at least one main rank, got `{spec}`"));
-    }
-    if n_pool == 0 {
-        return Err(format!(
-            "needs at least one pool rank (the surrogate scheme ships SN regions \
-             to the pool), got `{spec}`"
-        ));
-    }
-    Ok(((nx, ny, nz), n_pool))
-}
-
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
-        scenario: None,
-        resume: None,
-        steps: None,
-        scheme: None,
-        timestep: None,
-        snapshot_every: None,
-        seed: DEFAULT_SEED,
+        run: RunFlags::default(),
         out_dir: PathBuf::from("results"),
-        run_dir: None,
-        keep: DEFAULT_KEEP,
-        dist: None,
         supervised: false,
         retry: RetryPolicy::default(),
-        heartbeat: None,
-        predictor: None,
     };
     let mut flags = Flags::new(argv, "");
     while let Some(flag) = flags.next() {
         match flag {
             "--help" | "-h" => return Err(String::new()),
-            "--scenario" => args.scenario = Some(flags.value(flag)?.to_string()),
-            "--resume" => args.resume = Some(PathBuf::from(flags.value(flag)?)),
-            "--steps" => args.steps = Some(flags.parsed(flag)?),
-            "--scheme" => args.scheme = Some(flags.parsed(flag)?),
-            "--timestep" => args.timestep = Some(flags.parsed(flag)?),
-            "--snapshot-every" => args.snapshot_every = Some(flags.parsed(flag)?),
-            "--seed" => args.seed = flags.parsed(flag)?,
             "--out-dir" => args.out_dir = PathBuf::from(flags.value(flag)?),
-            "--run-dir" => args.run_dir = Some(PathBuf::from(flags.value(flag)?)),
-            "--keep" => args.keep = flags.at_least_one(flag)?,
-            "--dist" => {
-                let spec = parse_dist_spec(flags.value(flag)?);
-                args.dist = Some(spec.map_err(|e| format!("--dist: {e}"))?)
-            }
             "--supervised" => args.supervised = true,
-            "--heartbeat" => args.heartbeat = Some(PathBuf::from(flags.value(flag)?)),
-            "--predictor" => args.predictor = Some(flags.parsed(flag)?),
-            other => flags.retry_flag(other, &mut args.retry)?,
+            other => {
+                if !args.run.read(other, || flags.value(other))? {
+                    flags.retry_flag(other, &mut args.retry)?;
+                }
+            }
         }
     }
     Ok(args)
@@ -412,7 +342,7 @@ fn find_scenario(name: &str) -> Result<&'static scenarios::Scenario, String> {
 
 /// Resolve the run — a snapshot restore or a fresh scenario build — by
 /// one rule on both routes (`base` names the route's rotation).
-fn resolve_run(args: &Args, base: &str) -> Result<Run, String> {
+fn resolve_run(args: &RunFlags, base: &str) -> Result<Run, String> {
     let flag_predictor = || match &args.predictor {
         Some(spec) => spec.resolve(args.seed).map_err(run_error),
         None => Ok(PredictorKind::SedovOverlay),
@@ -435,7 +365,7 @@ fn resolve_run(args: &Args, base: &str) -> Result<Run, String> {
             // snapshot accepts `--predictor` (the supervisor forwards the
             // flag to resumed attempts, so it must not conflict here).
             let predictor = match &snap.model {
-                Some(model) => PredictorKind::embedded(model),
+                Some(model) => PredictorKind::UNet(model.clone()),
                 None => flag_predictor()?,
             };
             // When the scenario is named alongside --resume, honour its
@@ -477,7 +407,7 @@ fn resolve_run(args: &Args, base: &str) -> Result<Run, String> {
         name,
         config,
         predictor,
-        steps: args.steps.unwrap_or(default_steps),
+        steps: args.steps.map_or(default_steps, |n| n as usize),
         start,
     })
 }
@@ -489,11 +419,12 @@ fn run_scenario(args: &Args) -> Result<(), String> {
     // A malformed fault plan is a usage error (exit 2, never retried) so a
     // typo'd ASURA_FAULTS can't silently run fault-free.
     let mut injector = FaultInjector::from_env().map_err(|e| format!("usage: {e}"))?;
-    let base = ckpt_base(args.dist);
-    let run = resolve_run(args, base)?;
+    let base = ckpt_base(args.run.dist);
+    let run = resolve_run(&args.run, base)?;
     let ranks = args
+        .run
         .dist
-        .map_or(String::new(), |d| format!(" on {} ranks", dist_spec(d)));
+        .map_or(String::new(), |d| format!(" on {d} ranks"));
     println!(
         "integrating {} steps{ranks} (dt = {} Myr, scheme {:?}, timestep {:?}, snapshot every {})",
         run.steps,
@@ -503,7 +434,7 @@ fn run_scenario(args: &Args) -> Result<(), String> {
         run.config.snapshot_every
     );
     let dir = args.prepare_run_dir(&run.name)?;
-    let store = CkptStore::with_base(&dir, base, args.keep);
+    let store = CkptStore::with_base(&dir, base, args.run.keep);
     let ckpt_error = |e: std::io::Error| format!("writing checkpoint under {}: {e}", dir.display());
     // A fresh run starts an empty rotation: entries an earlier run left in
     // the directory would be pruned against this run's, and a later
@@ -511,13 +442,13 @@ fn run_scenario(args: &Args) -> Result<(), String> {
     if let Start::Fresh(_) = run.start {
         store.clear().map_err(ckpt_error)?;
     }
-    let mut hb = args.heartbeat.as_ref().map(Heartbeat::new);
+    let mut hb = args.run.heartbeat.as_ref().map(Heartbeat::new);
     let mut hb_io: Option<std::io::Error> = None;
     // A heartbeat write error stops the beats and fails the run at its end.
     let mut beat = |step: u64| {
         hb_io = hb_io.take().or_else(|| hb.as_mut()?.beat(step).err());
     };
-    match args.dist {
+    match args.run.dist {
         Some(spec) => run_dist(run, spec, &store, |step, snap| {
             beat(step);
             let committed = store.after_step(step, snap, &mut injector);
@@ -557,7 +488,7 @@ fn run_shared(
     sim.config = run.config;
     // Embed the weights so every checkpoint carries the model and
     // `--resume` rebuilds it without the file.
-    sim.model = run.predictor.model_state();
+    sim.model = run.predictor.model().cloned();
     let map_half = scenarios::find(&run.name).map_or(100.0, |s| s.map_half);
     let mut series = TimeSeries::new(run.name.clone());
     let mut t_prev = sim.time;
@@ -566,7 +497,7 @@ fn run_shared(
     // atomically after every sample, so WATCHers of the serve daemon see
     // rows as they land instead of at run end. In-loop write errors are
     // tolerated (the final write below still reports them).
-    let live_diag = args.heartbeat.is_some();
+    let live_diag = args.run.heartbeat.is_some();
     sim.run_with_store(run.steps, store, CkptFormat::Bin, injector, |s| {
         beat(s.step_count);
         series.record(TimeSample::measure(s, t_prev, map_half));
@@ -611,7 +542,7 @@ fn run_shared(
 /// rank 0 runs `on_step`; `dist_report.json` at the end.
 fn run_dist(
     run: Run,
-    (grid, n_pool): DistSpec,
+    DistSpec { grid, n_pool }: DistSpec,
     store: &CkptStore,
     mut on_step: impl FnMut(u64, Option<&SimSnapshot>) -> Result<(), String> + Send,
 ) -> Result<(), String> {
@@ -664,26 +595,12 @@ fn run_dist(
     Ok(())
 }
 
-/// The child a `--supervised` parent launches into `dir`.
-fn supervised_child<'a>(
-    args: &'a Args,
-    scenario: &scenarios::Scenario,
-    dir: &'a Path,
-) -> ChildRun<'a> {
+/// The child a `--supervised` parent launches into `dir`: its own flags,
+/// to `--steps` or the scenario's default.
+fn supervised_child(args: &Args, scenario: &scenarios::Scenario, dir: &Path) -> ChildRun {
     // ASURA_FAULTS is inherited from this process's environment untouched.
-    ChildRun {
-        scenario: args.scenario.as_deref().unwrap_or(scenario.name),
-        target_steps: args.steps.unwrap_or(scenario.default_steps) as u64,
-        scheme: args.scheme,
-        timestep: args.timestep,
-        snapshot_every: args.snapshot_every,
-        seed: args.seed,
-        predictor: args.predictor.as_ref(),
-        dist: args.dist,
-        run_dir: dir,
-        keep: args.keep,
-        faults: None,
-    }
+    let target_steps = args.run.steps.unwrap_or(scenario.default_steps as u64);
+    ChildRun::new(args.run.clone(), dir, target_steps)
 }
 
 /// The `--supervised` parent: spawn the scenario as a heartbeat-monitored
@@ -691,10 +608,11 @@ fn supervised_child<'a>(
 /// and record every incident in `supervisor.json`.
 fn run_supervised(args: &Args) -> Result<(), String> {
     let name = args
+        .run
         .scenario
         .as_deref()
         .ok_or("usage: --supervised requires --scenario")?;
-    if args.resume.is_some() {
+    if args.run.resume.is_some() {
         return Err(
             "usage: --supervised resumes automatically from the run directory's rotation; \
              drop --resume"
@@ -702,14 +620,13 @@ fn run_supervised(args: &Args) -> Result<(), String> {
         );
     }
     let scenario = find_scenario(name)?;
-    let target_steps = args.steps.unwrap_or(scenario.default_steps);
     let dir = args.prepare_run_dir(scenario.name)?;
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let child = supervised_child(args, scenario, &dir);
     println!(
-        "supervising scenario {name}: target {target_steps} steps, rotation keep {}, \
+        "supervising scenario {name}: target {} steps, rotation keep {}, \
          up to {} resume(s)",
-        args.keep, args.retry.max_retries
+        child.target_steps, args.run.keep, args.retry.max_retries
     );
     // A supervised run always starts fresh (it refuses `--resume`), and
     // every attempt starts from the rotation: empty it once, here, so

@@ -14,10 +14,16 @@
 //! compute as separate OS processes. The child is this executable, whose
 //! path the daemon reads once at start.
 //!
+//! # The run child
+//!
+//! A child's whole description is one [`RunFlags`], which `asura`'s flag
+//! loop reads and [`ChildRun::command`] writes: each flag is named once.
+//!
 //! # Protocol
 //!
 //! Newline-delimited text over TCP; one request line per connection, JSON
-//! response line(s) back:
+//! response line(s) back. A connection that sends nothing for 5 s is
+//! dropped, so an idle client never holds a shut-down daemon open.
 //!
 //! ```text
 //! SUBMIT <scenario> [<overrides-json>]   → {"ok":true,"id":"r0001-…"}
@@ -69,7 +75,7 @@
 )]
 
 use crate::scenarios;
-use asura_core::ckpt::{atomic_write, CkptStore};
+use asura_core::ckpt::{atomic_write, CkptStore, DEFAULT_KEEP};
 use asura_core::config::{Scheme, TimestepMode};
 use asura_core::dist::PredictorSpec;
 use asura_core::faults::{self, FaultPlan};
@@ -80,11 +86,13 @@ use asura_core::supervise::{
 use json::{parse_json, Json};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::ffi::OsString;
 use std::fmt::{self, Display};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -99,6 +107,10 @@ pub const FLEET_FILE: &str = "fleet.json";
 pub const ADDR_FILE: &str = "serve.json";
 /// The longest request line the daemon reads, newline included.
 pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
+/// How long the daemon waits on each read of a request line: a client
+/// that connects and sends nothing is dropped after it, so it cannot keep
+/// a shut-down daemon waiting on its connection thread.
+const REQUEST_READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// A success response line: `{"ok":true,…fields}`.
 fn ok_line<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> String {
@@ -485,12 +497,51 @@ impl Request {
 /// `--seed` when the flag (or a fleet run's override) is absent.
 pub const DEFAULT_SEED: u64 = 42;
 
-/// `--dist`'s main-rank grid and pool rank count.
-pub type DistSpec = ((usize, usize, usize), usize);
+/// `--dist`'s main-rank grid and pool rank count, spelled `NXxNYxNZ+P`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DistSpec {
+    /// Main-rank grid; `nx * ny * nz` main ranks.
+    pub grid: (usize, usize, usize),
+    pub n_pool: usize,
+}
 
-/// `--dist`'s spec as the flag spells it.
-pub fn dist_spec(((x, y, z), n_pool): DistSpec) -> String {
-    format!("{x}x{y}x{z}+{n_pool}")
+impl FromStr for DistSpec {
+    type Err = String;
+    fn from_str(spec: &str) -> Result<DistSpec, String> {
+        let bad = || format!("expected NXxNYxNZ+P (e.g. 2x1x1+1), got `{spec}`");
+        let (grid, pool) = spec.split_once('+').ok_or_else(bad)?;
+        let dims: Vec<usize> = grid
+            .split('x')
+            .map(|d| d.parse::<usize>().map_err(|_| bad()))
+            .collect::<Result<_, _>>()?;
+        let [nx, ny, nz] = dims[..] else {
+            return Err(bad());
+        };
+        let n_pool = pool.parse::<usize>().map_err(|_| bad())?;
+        let Some(n_main) = nx.checked_mul(ny).and_then(|n| n.checked_mul(nz)) else {
+            return Err(format!("{nx}*{ny}*{nz} main ranks overflow, got `{spec}`"));
+        };
+        if n_main == 0 {
+            return Err(format!("needs at least one main rank, got `{spec}`"));
+        }
+        if n_pool == 0 {
+            return Err(format!(
+                "needs at least one pool rank (the surrogate scheme ships SN regions \
+                 to the pool), got `{spec}`"
+            ));
+        }
+        Ok(DistSpec {
+            grid: (nx, ny, nz),
+            n_pool,
+        })
+    }
+}
+
+impl Display for DistSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (x, y, z) = self.grid;
+        write!(f, "{x}x{y}x{z}+{}", self.n_pool)
+    }
 }
 
 /// The base name of a run's checkpoint rotation: `--dist` runs rotate
@@ -502,84 +553,235 @@ pub fn ckpt_base(dist: Option<DistSpec>) -> &'static str {
     }
 }
 
+/// The flags a run child takes (`asura --help` says what each means):
+/// `asura`'s scenario flag loop reads them ([`RunFlags::read`]) and
+/// [`ChildRun`] writes them for each attempt ([`RunFlags::args`]).
+/// `RunFlags::fields` is the one place a flag is named; each value is
+/// spelled by its type's `FromStr` / `Display` pair.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunFlags {
+    pub scenario: Option<String>,
+    pub steps: Option<u64>,
+    pub resume: Option<PathBuf>,
+    pub scheme: Option<Scheme>,
+    pub timestep: Option<TimestepMode>,
+    pub snapshot_every: Option<u64>,
+    pub seed: u64,
+    pub predictor: Option<PredictorSpec>,
+    pub dist: Option<DistSpec>,
+    /// The exact artifact directory, instead of `<out-dir>/<scenario>`.
+    pub run_dir: Option<PathBuf>,
+    /// Checkpoint rotation depth, at least 1.
+    pub keep: usize,
+    /// The file a supervised child touches after every step.
+    pub heartbeat: Option<PathBuf>,
+}
+
+impl Default for RunFlags {
+    fn default() -> RunFlags {
+        RunFlags {
+            scenario: None,
+            steps: None,
+            resume: None,
+            scheme: None,
+            timestep: None,
+            snapshot_every: None,
+            seed: DEFAULT_SEED,
+            predictor: None,
+            dist: None,
+            run_dir: None,
+            keep: DEFAULT_KEEP,
+            heartbeat: None,
+        }
+    }
+}
+
+impl RunFlags {
+    /// Every flag with its field, in the order a child's command line
+    /// carries them.
+    fn fields(&mut self) -> [(&'static str, &mut dyn FlagValue); 12] {
+        [
+            ("--scenario", &mut self.scenario),
+            ("--steps", &mut self.steps),
+            ("--resume", &mut self.resume),
+            ("--scheme", &mut self.scheme),
+            ("--timestep", &mut self.timestep),
+            ("--snapshot-every", &mut self.snapshot_every),
+            ("--seed", &mut self.seed),
+            ("--predictor", &mut self.predictor),
+            ("--dist", &mut self.dist),
+            ("--run-dir", &mut self.run_dir),
+            ("--keep", &mut self.keep),
+            ("--heartbeat", &mut self.heartbeat),
+        ]
+    }
+
+    /// Read `flag` with the value `value` hands out, if it is a run flag;
+    /// `Ok(false)` leaves any other flag to the caller.
+    pub fn read<'v>(
+        &mut self,
+        flag: &str,
+        value: impl FnOnce() -> Result<&'v str, String>,
+    ) -> Result<bool, String> {
+        let Some((_, field)) = self.fields().into_iter().find(|(name, _)| *name == flag) else {
+            return Ok(false);
+        };
+        field.read(value()?).map_err(|e| format!("{flag}{e}"))?;
+        Ok(true)
+    }
+
+    /// The command line [`RunFlags::read`] reads back into these flags:
+    /// every set field, as its flag and value.
+    pub fn args(mut self) -> Vec<OsString> {
+        let fields = self.fields().into_iter();
+        let set = fields.filter_map(|(flag, field)| Some([flag.into(), field.write()?]));
+        set.flatten().collect()
+    }
+}
+
+/// A [`RunFlags`] field: read from its flag's value (a refusal is the
+/// text after the flag's name), and written back as that value (`None`
+/// leaves the flag out).
+trait FlagValue {
+    fn read(&mut self, value: &str) -> Result<(), String>;
+    fn write(&self) -> Option<OsString>;
+}
+
+/// `value` as a `T`, or why not.
+fn parsed<T: FromStr>(value: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    value.parse().map_err(|e| format!(": {e}"))
+}
+
+/// Optional fields spelled by their type.
+macro_rules! spelled_by_type {
+    ($($ty:ty),*) => {$(
+        impl FlagValue for Option<$ty> {
+            fn read(&mut self, value: &str) -> Result<(), String> {
+                *self = Some(parsed(value)?);
+                Ok(())
+            }
+            fn write(&self) -> Option<OsString> {
+                Some(self.as_ref()?.to_string().into())
+            }
+        }
+    )*};
+}
+spelled_by_type!(String, u64, Scheme, TimestepMode, PredictorSpec, DistSpec);
+
+impl FlagValue for Option<PathBuf> {
+    fn read(&mut self, value: &str) -> Result<(), String> {
+        *self = Some(value.into());
+        Ok(())
+    }
+    fn write(&self) -> Option<OsString> {
+        Some(self.as_ref()?.into())
+    }
+}
+
+/// `--seed`, always written.
+impl FlagValue for u64 {
+    fn read(&mut self, value: &str) -> Result<(), String> {
+        *self = parsed(value)?;
+        Ok(())
+    }
+    fn write(&self) -> Option<OsString> {
+        Some(self.to_string().into())
+    }
+}
+
+/// `--keep`, at least 1 and always written.
+impl FlagValue for usize {
+    fn read(&mut self, value: &str) -> Result<(), String> {
+        match parsed(value)? {
+            0 => Err(" must be at least 1".into()),
+            n => {
+                *self = n;
+                Ok(())
+            }
+        }
+    }
+    fn write(&self) -> Option<OsString> {
+        Some(self.to_string().into())
+    }
+}
+
 /// What a supervised child process is told, whoever launches it — the
-/// `--supervised` parent from its own flags, or the daemon from a fleet
-/// run's entry (`ChildRun::fleet`).
-pub struct ChildRun<'a> {
-    pub scenario: &'a str,
+/// `--supervised` parent hands over its own flags ([`ChildRun::new`]), the
+/// daemon fills them from a fleet run's entry ([`ChildRun::fleet`]).
+pub struct ChildRun {
+    /// Every attempt's flags but its own `--steps`, `--resume` and
+    /// `--heartbeat`; `run_dir` is always set.
+    flags: RunFlags,
     /// The run's target in *absolute* steps: a resumed attempt is handed
     /// `target - resume_step`, so every attempt ends at the same final
     /// step — which is what makes the chaos tests' bitwise final-state
     /// comparison meaningful.
     pub target_steps: u64,
-    pub scheme: Option<Scheme>,
-    pub timestep: Option<TimestepMode>,
-    pub snapshot_every: Option<u64>,
-    pub seed: u64,
-    pub predictor: Option<&'a PredictorSpec>,
-    pub dist: Option<DistSpec>,
-    /// The run's directory: artifacts, rotation and heartbeat.
-    pub run_dir: &'a Path,
-    pub keep: usize,
     /// An `ASURA_FAULTS` plan set on this child only; without one the
     /// child inherits the launcher's environment.
-    pub faults: Option<&'a str>,
+    faults: Option<String>,
 }
 
-impl<'a> ChildRun<'a> {
+impl ChildRun {
+    /// The child that runs `flags` in `run_dir` to `target_steps`.
+    pub fn new(flags: RunFlags, run_dir: &Path, target_steps: u64) -> ChildRun {
+        let flags = RunFlags {
+            run_dir: Some(run_dir.to_path_buf()),
+            ..flags
+        };
+        ChildRun {
+            flags,
+            target_steps,
+            faults: None,
+        }
+    }
+
     /// A fleet run's child, from its registry entry: the overrides, the
     /// CLI's default seed, and a checkpoint every step unless overridden
     /// (auto-resume should never replay more than one step of lost work).
-    pub fn fleet(run: &'a RunEntry, run_dir: &'a Path, keep: usize) -> ChildRun<'a> {
+    pub fn fleet(run: &RunEntry, run_dir: &Path, keep: usize) -> ChildRun {
         let o = &run.overrides;
-        ChildRun {
-            scenario: &run.scenario,
-            target_steps: run.target_steps,
+        let flags = RunFlags {
+            scenario: Some(run.scenario.clone()),
             scheme: o.scheme,
             timestep: o.timestep,
             snapshot_every: Some(o.snapshot_every.unwrap_or(1)),
             seed: o.seed.unwrap_or(DEFAULT_SEED),
-            predictor: None,
-            dist: None,
-            run_dir,
             keep,
-            faults: o.faults.as_deref(),
+            ..RunFlags::default()
+        };
+        ChildRun {
+            faults: o.faults.clone(),
+            ..ChildRun::new(flags, run_dir, run.target_steps)
         }
+    }
+
+    /// The run's directory: artifacts, rotation, heartbeat and incident
+    /// log.
+    fn run_dir(&self) -> &Path {
+        self.flags.run_dir.as_deref().unwrap_or(Path::new(""))
     }
 
     /// The run's checkpoint rotation.
     pub fn store(&self) -> CkptStore {
-        CkptStore::with_base(self.run_dir, ckpt_base(self.dist), self.keep)
+        CkptStore::with_base(self.run_dir(), ckpt_base(self.flags.dist), self.flags.keep)
     }
 
     /// The child's command line for one attempt.
     pub fn command(&self, exe: &Path, heartbeat: &Path, resume: Option<&ResumePoint>) -> Command {
-        fn opt(cmd: &mut Command, flag: &str, value: Option<impl Display>) {
-            if let Some(v) = value {
-                cmd.arg(flag).arg(v.to_string());
-            }
-        }
         let done = resume.map_or(0, |rp| rp.step);
+        let attempt = RunFlags {
+            steps: Some(self.target_steps.saturating_sub(done)),
+            resume: resume.map(|rp| rp.path.clone()),
+            heartbeat: Some(heartbeat.to_path_buf()),
+            ..self.flags.clone()
+        };
         let mut cmd = Command::new(exe);
-        cmd.arg("--scenario").arg(self.scenario);
-        opt(
-            &mut cmd,
-            "--steps",
-            Some(self.target_steps.saturating_sub(done)),
-        );
-        if let Some(rp) = resume {
-            cmd.arg("--resume").arg(&rp.path);
-        }
-        opt(&mut cmd, "--scheme", self.scheme);
-        opt(&mut cmd, "--timestep", self.timestep);
-        opt(&mut cmd, "--snapshot-every", self.snapshot_every);
-        opt(&mut cmd, "--seed", Some(self.seed));
-        opt(&mut cmd, "--predictor", self.predictor);
-        opt(&mut cmd, "--dist", self.dist.map(dist_spec));
-        cmd.arg("--run-dir").arg(self.run_dir);
-        opt(&mut cmd, "--keep", Some(self.keep));
-        cmd.arg("--heartbeat").arg(heartbeat);
-        if let Some(plan) = self.faults {
+        cmd.args(attempt.args());
+        if let Some(plan) = &self.faults {
             cmd.env(faults::FAULTS_ENV, plan);
         }
         cmd
@@ -588,7 +790,7 @@ impl<'a> ChildRun<'a> {
     /// Run `exe` as this run's child under `retry` until it completes,
     /// fails for good, gives up or is stopped, every attempt resuming from
     /// the run directory's rotation ([`Supervisor::run_processes`]): the
-    /// heartbeat and incident log live in [`ChildRun::run_dir`].
+    /// heartbeat and incident log live in the run directory.
     /// `on_spawn(attempt, resume, pid)` sees each child once it runs;
     /// `abort` is the stop hook.
     pub fn supervise(
@@ -598,7 +800,7 @@ impl<'a> ChildRun<'a> {
         on_spawn: impl FnMut(u32, Option<&ResumePoint>, u32),
         abort: impl Fn() -> Option<StopReason>,
     ) -> io::Result<(Option<Outcome>, IncidentLog)> {
-        let supervisor = Supervisor::for_run_dir(self.run_dir, retry);
+        let supervisor = Supervisor::for_run_dir(self.run_dir(), retry);
         let heartbeat = &supervisor.heartbeat_path;
         supervisor.run_processes(
             &self.store(),
@@ -860,7 +1062,8 @@ fn worker(shared: &Arc<Shared>, id: &str) {
 /// Serve one client connection: read a request line, write response
 /// line(s).
 fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
-    let mut reader = BufReader::new(match stream.try_clone() {
+    let timed = stream.set_read_timeout(Some(REQUEST_READ_TIMEOUT));
+    let mut reader = BufReader::new(match timed.and_then(|()| stream.try_clone()) {
         Ok(s) => s,
         Err(_) => return,
     });
@@ -1146,6 +1349,52 @@ mod tests {
         let empty = RunOverrides::default();
         let doc = parse_json(&empty.to_json()).unwrap();
         assert_eq!(RunOverrides::from_json(&doc).unwrap(), empty);
+    }
+
+    /// Every field set, written as a child's command line and read back
+    /// through the flag loop's reader: the same flags.
+    #[test]
+    fn run_flags_read_back_what_they_write() {
+        let flags = RunFlags {
+            scenario: Some("spiked_dt".into()),
+            steps: Some(5),
+            resume: Some(PathBuf::from("/runs/a/checkpoint-000002.bin")),
+            scheme: Some(Scheme::Conventional),
+            timestep: Some(TimestepMode::Block { max_level: 4 }),
+            snapshot_every: Some(3),
+            seed: 9,
+            predictor: Some(PredictorSpec::UNet("w.json".into())),
+            dist: Some(DistSpec {
+                grid: (2, 1, 3),
+                n_pool: 2,
+            }),
+            run_dir: Some(PathBuf::from("/runs/a")),
+            keep: 2,
+            heartbeat: Some(PathBuf::from("/runs/a/heartbeat")),
+        };
+        let argv: Vec<String> = flags
+            .clone()
+            .args()
+            .into_iter()
+            .map(|arg| arg.into_string().unwrap())
+            .collect();
+        assert_eq!(argv.len(), 24, "every flag is written: {argv:?}");
+        let mut read = RunFlags::default();
+        let mut rest = argv.iter();
+        while let Some(flag) = rest.next() {
+            let value = || {
+                rest.next()
+                    .map(String::as_str)
+                    .ok_or("no value".to_string())
+            };
+            assert_eq!(read.read(flag, value), Ok(true), "{flag}");
+        }
+        assert_eq!(read, flags);
+        // Unset flags are left out; the seed and the rotation depth never are.
+        assert_eq!(RunFlags::default().args(), ["--seed", "42", "--keep", "3"]);
+        let mut other = RunFlags::default();
+        assert_eq!(other.read("--supervised", || Ok("x")), Ok(false));
+        assert_eq!(other, RunFlags::default());
     }
 
     #[test]

@@ -17,6 +17,7 @@ use asura::serve::{self, Fleet, RunState};
 use asura_core::faults::{ATTEMPT_ENV, FAULTS_ENV, FAULT_KILL_EXIT};
 use asura_core::supervise::{IncidentKind, IncidentLog, Outcome};
 use std::fs;
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -306,6 +307,34 @@ fn shutdown_detaches_running_runs_and_drain_waits_for_them() {
         read_log(&root, &drained).outcome,
         Some(Outcome::Completed { attempts: 1 })
     );
+}
+
+/// A client that connects and sends nothing does not hold the daemon
+/// open: after `SHUTDOWN` the daemon exits and removes `serve.json` within
+/// 15 s while the idle socket is still connected.
+#[test]
+fn shutdown_exits_while_a_client_holds_an_idle_connection() {
+    let root = tmpdir("idle");
+    let (mut daemon, addr) = start_daemon(&root, 1);
+    // Connected before SHUTDOWN's connection, so accepted before it.
+    let idle = TcpStream::connect(&addr).unwrap();
+    let reply = request_one(&addr, "SHUTDOWN");
+    assert!(reply.contains("\"shutdown\":\"detach\""), "{reply}");
+    let deadline = Instant::now() + Duration::from_secs(15);
+    let status = loop {
+        if let Some(status) = daemon.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = daemon.kill();
+            let _ = daemon.wait();
+            panic!("daemon still running 15 s after SHUTDOWN with an idle client");
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert!(status.success(), "daemon must exit cleanly, got {status}");
+    assert!(!root.join("serve.json").exists(), "serve.json left behind");
+    drop(idle);
 }
 
 #[test]

@@ -199,22 +199,19 @@ fn resolve_turns_bad_weight_files_into_typed_errors() {
     let good = PredictorSpec::UNet(good_path.display().to_string());
     let resolved = good.resolve(5).expect("valid weights resolve");
     match &resolved {
-        PredictorKind::UNetWeights { seed, weights_json } => {
-            assert_eq!(*seed, 5);
-            assert_eq!(*weights_json, doc);
+        PredictorKind::UNet(state) => {
+            assert_eq!(state.seed, 5);
+            assert_eq!(state.weights_json, doc);
         }
         other => panic!("expected inline weights, got {other:?}"),
     }
-    let state = resolved.model_state().expect("inline weights embed");
-    assert_eq!(state.seed, 5);
-    assert_eq!(state.weights_json, doc);
 
     // The analytic kind needs no file and embeds nothing.
     assert_eq!(
         PredictorSpec::Sedov.resolve(5),
         Ok(PredictorKind::SedovOverlay)
     );
-    assert_eq!(PredictorKind::SedovOverlay.model_state(), None);
+    assert_eq!(PredictorKind::SedovOverlay.model(), None);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
