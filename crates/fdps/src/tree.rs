@@ -98,7 +98,10 @@ impl Tree {
             .enumerate()
             .map(|(i, &p)| (morton::key(p, &cube), i as u32))
             .collect();
-        keyed.sort_unstable_by_key(|&(k, _)| k);
+        // By (key, index): particles that share a key (a star spawned at
+        // its parent's position) keep index order, whatever the sort
+        // algorithm does with equal elements.
+        keyed.sort_unstable();
         let keys: Vec<u64> = keyed.iter().map(|&(k, _)| k).collect();
         let order: Vec<u32> = keyed.iter().map(|&(_, i)| i).collect();
 
@@ -771,6 +774,30 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn particles_sharing_a_key_stay_in_index_order() {
+        // 40 sites, each holding 12 particles whose indices interleave
+        // with the other sites'.
+        let sites = 40;
+        let pos: Vec<Vec3> = (0..sites * 12)
+            .map(|i| {
+                let s = (i * 7) % sites;
+                Vec3::new(s as f64, (s * s % 13) as f64, (s % 5) as f64)
+            })
+            .collect();
+        let mass = vec![1.0; pos.len()];
+        let tree = Tree::build(&pos, &mass, 8);
+        let key = |i: u32| morton::key(pos[i as usize], &tree.cube);
+        let mut tied = 0;
+        for w in tree.order.windows(2) {
+            if key(w[0]) == key(w[1]) {
+                tied += 1;
+                assert!(w[0] < w[1], "tied run out of index order: {w:?}");
+            }
+        }
+        assert_eq!(tied, sites * 11);
     }
 
     #[test]
