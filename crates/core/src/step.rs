@@ -234,7 +234,8 @@ pub fn step<H: Halo>(cfg: &SimConfig, halo: &mut H, s: &mut Slab<'_, H::Ticket>)
             let dt = match scheme {
                 Scheme::Surrogate => cfg.dt_global,
                 Scheme::Conventional => {
-                    adaptive_dt(cfg, halo, s.particles, &st.eos, &st.forces.vsig)
+                    let dt = adaptive_dt(cfg, halo, s.particles, &st.eos, &st.forces.vsig);
+                    dt.min(to_next_base_step(*s.time, cfg.dt_global))
                 }
             };
             st.forces.kdk(cfg, halo, s.particles, dt, s.stats);
@@ -291,6 +292,16 @@ fn adaptive_dt<H: Halo>(
         }
     }
     quantize_block(halo.min(dt).max(cfg.dt_min), cfg.dt_global)
+}
+
+/// Time from `time` to the next multiple of `dt_global`, so an adaptive
+/// step that starts off a power-of-two boundary ends on the base step's
+/// end instead of crossing it. A clock within 1e-9 of a base step past a
+/// multiple counts as on it: the sum of `dt_global / 2^k` steps can land
+/// an ulp short of the boundary.
+fn to_next_base_step(time: f64, dt_global: f64) -> f64 {
+    let base = (time / dt_global + 1e-9).floor();
+    (base + 1.0) * dt_global - time
 }
 
 /// The gas of `particles` inside the cube of half-side `half` around
@@ -488,6 +499,25 @@ mod tests {
         stars
             .map(|p| (parent[&at(p)], (p.id, p.mass.to_bits())))
             .collect()
+    }
+
+    #[test]
+    fn an_adaptive_step_ends_on_the_base_step_it_starts_in() {
+        let dt_global: f64 = 2.0e-3;
+        let mut time = 0.0;
+        // 3/64 of the base step, then two half steps: the second is cut
+        // to the 29/64 left.
+        for dt in [dt_global / 64.0; 3]
+            .into_iter()
+            .chain([dt_global / 2.0; 2])
+        {
+            time += dt.min(to_next_base_step(time, dt_global));
+        }
+        assert_eq!(time, dt_global);
+        assert_eq!(to_next_base_step(time, dt_global), dt_global);
+        // An ulp short of the boundary is on it, not an ulp-long step away.
+        let short = f64::from_bits(dt_global.to_bits() - 1);
+        assert!(to_next_base_step(short, dt_global) > dt_global);
     }
 
     #[test]
