@@ -694,16 +694,10 @@ impl Conv3d {
         }
     }
 
-    /// Backward pass: given upstream `gy`, accumulate weight/bias gradients
-    /// and return the input gradient.
-    ///
-    /// The input gradient is the forward kernel again — a direct
-    /// convolution of `gy` with the flipped-transposed weights — and the
-    /// weight gradient sums im2col rows against `gy` rows. Summation
-    /// orders are fixed (see [`crate::gemm`]) so gradients are
-    /// reproducible across thread counts; they differ from
-    /// [`Conv3d::backward_reference`] only by f32 reassociation.
-    pub fn backward(&mut self, x: &Tensor, gy: &Tensor) -> Tensor {
+    /// The parameter half of [`Conv3d::backward`]: accumulate the bias and
+    /// weight gradients for upstream `gy`, without the input gradient (the
+    /// first layer's has no reader).
+    pub fn backward_params(&mut self, x: &Tensor, gy: &Tensor) {
         assert_eq!(gy.c, self.c_out);
         assert_eq!((gy.d, gy.h, gy.w), (x.d, x.h, x.w));
 
@@ -714,7 +708,19 @@ impl Conv3d {
         }
 
         self.accumulate_weight_grad(x, gy);
+    }
 
+    /// Backward pass: given upstream `gy`, accumulate weight/bias gradients
+    /// and return the input gradient.
+    ///
+    /// The input gradient is the forward kernel again — a direct
+    /// convolution of `gy` with the flipped-transposed weights — and the
+    /// weight gradient sums im2col rows against `gy` rows. Summation
+    /// orders are fixed (see [`crate::gemm`]) so gradients are
+    /// reproducible across thread counts; they differ from
+    /// [`Conv3d::backward_reference`] only by f32 reassociation.
+    pub fn backward(&mut self, x: &Tensor, gy: &Tensor) -> Tensor {
+        self.backward_params(x, gy);
         let wt = self.flipped_transposed_weight();
         let zero_bias = vec![0.0f32; self.c_in];
         conv_direct(gy, &wt, &zero_bias, self.k, false, conv_row)
@@ -1040,6 +1046,12 @@ mod tests {
             for (i, (&a, &b)) in fast.bias.grad.iter().zip(&slow.bias.grad).enumerate() {
                 assert!(rel(a, b) < 1e-4, "gb[{i}]: {a} vs {b}");
             }
+            // The parameter half alone accumulates the same bits.
+            let mut params = conv.clone();
+            params.backward_params(&x, &gy);
+            let bits = |g: &[f32]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&params.weight.grad), bits(&fast.weight.grad));
+            assert_eq!(bits(&params.bias.grad), bits(&fast.bias.grad));
         }
     }
 

@@ -261,7 +261,8 @@ impl UNet3d {
         let g = relu_backward(&cache.z1b, &g);
         let g = self.enc1b.backward(&cache.r1a, &g);
         let g = relu_backward(&cache.z1a, &g);
-        let _gx = self.enc1a.backward(&cache.x, &g);
+        // Nothing reads the gradient with respect to the input.
+        self.enc1a.backward_params(&cache.x, &g);
     }
 
     /// All trainable parameters, in a fixed order.
