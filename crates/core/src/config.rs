@@ -113,9 +113,9 @@ pub struct SimConfig {
     /// every member sees more interactions, each at least as accurate. The
     /// best value depends on the walk's cost against the kernel's:
     /// `force_pipeline` records the curve (`BENCH_force.json`'s
-    /// `n_group_sweep`), and the mixed-kernel galaxy scenarios take 256
-    /// from it. The default, 64, suits the f64 kernel and is what the
-    /// lattice scenarios' pinned bits were recorded with. Rides the
+    /// `n_group_sweep`), and the galaxy scenarios take 256 from it. The
+    /// lattice scenarios keep the default, 64: on their IC a larger group
+    /// raises the max force error (`tests/force_accuracy.rs`). Rides the
     /// snapshot, so a resume keeps its checkpoint's value.
     pub n_group: usize,
     /// Gravitational softening \[pc\].
@@ -139,9 +139,9 @@ pub struct SimConfig {
     /// ([`gravity::GravitySolver::mixed_precision`]): f32 interaction
     /// arithmetic on group-relative coordinates, ~3.5× cheaper per
     /// interaction than f64, for a force error the tree's opening-angle
-    /// error swamps. Off by default; the galaxy scenarios (`quickstart`,
-    /// `dwarf_galaxy`) set it, gated by `tests/force_accuracy.rs`. It
-    /// rides the snapshot, so a resumed run keeps the kernel it started on.
+    /// error swamps. Off by default; every registered scenario sets it,
+    /// gated by `tests/force_accuracy.rs`. It rides the snapshot, so a
+    /// resumed run keeps the kernel it started on.
     pub mixed_precision: bool,
     /// Star-formation density threshold \[M_sun/pc^3\]. The paper-physical
     /// value (~3.2, i.e. ~100 cm^-3) suits star-by-star resolution;

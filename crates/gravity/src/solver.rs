@@ -162,7 +162,7 @@ pub struct GravitySolver {
     /// centre (paper §4.3), ~0.5 vs ~1.8 ns per interaction for f64 SoA
     /// (`BENCH_force.json`), while targets, results and the self-potential
     /// correction stay f64. Drivers set it from `SimConfig::mixed_precision`,
-    /// which the galaxy scenarios turn on. What it costs is measured
+    /// which every registered scenario turns on. What it costs is measured
     /// against the direct sum: `tests/force_accuracy.rs` gates mixed p99 and
     /// max force and potential error at 1.1 × f64's on the registered ICs,
     /// and `BENCH_force.json` gates `force_err_p99_ratio`.

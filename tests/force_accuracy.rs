@@ -1,9 +1,10 @@
 //! What the gravity settings of each scenario cost in accuracy, measured
-//! where they run: the seed-42 initial conditions of `dwarf_galaxy` and
-//! `quickstart` (which take the mixed kernel and `n_group` 256) and of
-//! `supernova_remnant` (which stays f64 at 64), each through
-//! `GravitySolver` at its own `theta` and `eps`, against the O(N²) f64
-//! direct sum.
+//! where they run: the seed-42 initial conditions of every registered
+//! scenario, all of which take the mixed kernel — `dwarf_galaxy` and
+//! `quickstart` at `n_group` 256, the lattice scenarios `supernova_remnant`,
+//! `sn_shell_conventional` (the same IC) and `spiked_dt` at 64 — each
+//! through `GravitySolver` at its own `theta` and `eps`, against the O(N²)
+//! f64 direct sum.
 //!
 //! The tree's opening-angle error dominates; single-precision interaction
 //! arithmetic on group-relative coordinates (paper §4.3) must not add to
@@ -143,6 +144,16 @@ fn quickstart_mixed_kernel_adds_no_force_error() {
 #[test]
 fn supernova_remnant_mixed_kernel_adds_no_force_error() {
     mixed_adds_no_error("supernova_remnant");
+}
+
+#[test]
+fn sn_shell_conventional_mixed_kernel_adds_no_force_error() {
+    mixed_adds_no_error("sn_shell_conventional");
+}
+
+#[test]
+fn spiked_dt_mixed_kernel_adds_no_force_error() {
+    mixed_adds_no_error("spiked_dt");
 }
 
 #[test]

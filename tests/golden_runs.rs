@@ -9,9 +9,10 @@
 //! step; its counters are the ranks' merged by [`SimStats::combine`].
 //!
 //! To re-record a row on purpose (a change that is meant to move bits),
-//! run `cargo test --test golden_runs` at the commit *before* the change:
-//! a failing test prints every row of its scenario in source form, ready
-//! to paste over the table.
+//! check that every row passes at the commit *before* the change, then
+//! run `cargo test --test golden_runs` with it: a failing test prints
+//! every row of its scenario in source form, indented to paste over the
+//! table.
 
 use asura::scenarios;
 use asura_core::dist::{self, DistConfig, PredictorKind, Start};
@@ -81,8 +82,8 @@ fn check(scenario: &str, timestep: Option<&str>, steps: usize, rows: &[Golden]) 
         let (hash, stats) = (fnv1a(&snap.to_bytes()), stats.to_string());
         failed |= hash != row.hash || stats != row.stats;
         actual += &format!(
-            "        Golden {{\n            grid: {:?},\n            hash: {hash:#018x},\n            \
-             stats: \"{stats}\",\n        }},\n",
+            "            Golden {{\n                grid: {:?},\n                \
+             hash: {hash:#018x},\n                stats: \"{stats}\",\n            }},\n",
             row.grid
         );
     }
@@ -103,17 +104,17 @@ fn supernova_remnant_runs_are_pinned() {
         &[
             Golden {
                 grid: None,
-                hash: 0xdacec5f017f77f53,
+                hash: 0xf6030f4cddbf8c2c,
                 stats: "steps=8 sn_events=1 stars_formed=0 regions_applied=1 dt_min_seen=0.002 gravity_interactions=5328395 hydro_interactions=1057067 substeps=0 active_updates=8008 tree_rebuilds=16 tree_refreshes=0 sph_tree_rebuilds=16 sph_tree_refreshes=16",
             },
             Golden {
                 grid: Some((1, 1, 1)),
-                hash: 0xdacec5f017f77f53,
+                hash: 0xf6030f4cddbf8c2c,
                 stats: "steps=8 sn_events=1 stars_formed=0 regions_applied=1 dt_min_seen=0.002 gravity_interactions=5328395 hydro_interactions=1057067 substeps=0 active_updates=8008 tree_rebuilds=16 tree_refreshes=0 sph_tree_rebuilds=16 sph_tree_refreshes=16",
             },
             Golden {
                 grid: Some((2, 1, 1)),
-                hash: 0x9bb0fac121834b07,
+                hash: 0x3bb2c82da02b1042,
                 stats: "steps=8 sn_events=1 stars_formed=0 regions_applied=1 dt_min_seen=0.002 gravity_interactions=5247956 hydro_interactions=1059781 substeps=0 active_updates=8008 tree_rebuilds=32 tree_refreshes=0 sph_tree_rebuilds=32 sph_tree_refreshes=32",
             },
         ],
@@ -129,17 +130,17 @@ fn sn_shell_conventional_runs_are_pinned() {
         &[
             Golden {
                 grid: None,
-                hash: 0xb1ddc6c2fe19e319,
+                hash: 0x69629b6707218e0f,
                 stats: "steps=6 sn_events=1 stars_formed=0 regions_applied=0 dt_min_seen=0.0005 gravity_interactions=3983048 hydro_interactions=761738 substeps=0 active_updates=6006 tree_rebuilds=12 tree_refreshes=0 sph_tree_rebuilds=12 sph_tree_refreshes=12",
             },
             Golden {
                 grid: Some((1, 1, 1)),
-                hash: 0xb1ddc6c2fe19e319,
+                hash: 0x69629b6707218e0f,
                 stats: "steps=6 sn_events=1 stars_formed=0 regions_applied=0 dt_min_seen=0.0005 gravity_interactions=3983048 hydro_interactions=761738 substeps=0 active_updates=6006 tree_rebuilds=12 tree_refreshes=0 sph_tree_rebuilds=12 sph_tree_refreshes=12",
             },
             Golden {
                 grid: Some((2, 1, 1)),
-                hash: 0x8c5e0c6013949031,
+                hash: 0x0a8fc7ea62fda269,
                 stats: "steps=6 sn_events=1 stars_formed=0 regions_applied=0 dt_min_seen=0.0005 gravity_interactions=3918373 hydro_interactions=761738 substeps=0 active_updates=6006 tree_rebuilds=24 tree_refreshes=0 sph_tree_rebuilds=24 sph_tree_refreshes=24",
             },
         ],
@@ -155,17 +156,17 @@ fn spiked_dt_global_runs_are_pinned() {
         &[
             Golden {
                 grid: None,
-                hash: 0x07c30eb7b45d5a54,
+                hash: 0x1a9cbd2f17582bd1,
                 stats: "steps=4 sn_events=0 stars_formed=0 regions_applied=0 dt_min_seen=1.5625e-5 gravity_interactions=1036288 hydro_interactions=278076 substeps=0 active_updates=2048 tree_rebuilds=8 tree_refreshes=0 sph_tree_rebuilds=8 sph_tree_refreshes=8",
             },
             Golden {
                 grid: Some((1, 1, 1)),
-                hash: 0x07c30eb7b45d5a54,
+                hash: 0x1a9cbd2f17582bd1,
                 stats: "steps=4 sn_events=0 stars_formed=0 regions_applied=0 dt_min_seen=1.5625e-5 gravity_interactions=1036288 hydro_interactions=278076 substeps=0 active_updates=2048 tree_rebuilds=8 tree_refreshes=0 sph_tree_rebuilds=8 sph_tree_refreshes=8",
             },
             Golden {
                 grid: Some((2, 1, 1)),
-                hash: 0x72fd1d53c6d114e3,
+                hash: 0x0bc5cee5dd0c8062,
                 stats: "steps=4 sn_events=0 stars_formed=0 regions_applied=0 dt_min_seen=1.5625e-5 gravity_interactions=1036288 hydro_interactions=278076 substeps=0 active_updates=2048 tree_rebuilds=16 tree_refreshes=0 sph_tree_rebuilds=16 sph_tree_refreshes=16",
             },
         ],
@@ -181,17 +182,17 @@ fn spiked_dt_block_runs_are_pinned() {
         &[
             Golden {
                 grid: None,
-                hash: 0x13520802233d5147,
+                hash: 0xcd284b14ed076092,
                 stats: "steps=2 sn_events=0 stars_formed=0 regions_applied=0 dt_min_seen=3.125e-5 gravity_interactions=6228140 hydro_interactions=1628042 substeps=128 active_updates=22525 tree_rebuilds=14 tree_refreshes=116 sph_tree_rebuilds=14 sph_tree_refreshes=246",
             },
             Golden {
                 grid: Some((1, 1, 1)),
-                hash: 0x13520802233d5147,
+                hash: 0xcd284b14ed076092,
                 stats: "steps=2 sn_events=0 stars_formed=0 regions_applied=0 dt_min_seen=3.125e-5 gravity_interactions=6228140 hydro_interactions=1628042 substeps=128 active_updates=22525 tree_rebuilds=14 tree_refreshes=116 sph_tree_rebuilds=14 sph_tree_refreshes=246",
             },
             Golden {
                 grid: Some((2, 1, 1)),
-                hash: 0x4a7c86c73ef3aa76,
+                hash: 0xfe4778c7c609643f,
                 stats: "steps=2 sn_events=0 stars_formed=0 regions_applied=0 dt_min_seen=3.125e-5 gravity_interactions=5800450 hydro_interactions=1595916 substeps=128 active_updates=22069 tree_rebuilds=25 tree_refreshes=235 sph_tree_rebuilds=91 sph_tree_refreshes=429",
             },
         ],

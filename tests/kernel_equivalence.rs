@@ -39,7 +39,7 @@
 //!   which must stay bitwise identical to the uninterrupted run.
 
 use asura_core::snapshot::SimSnapshot;
-use asura_core::{Simulation, TimestepMode};
+use asura_core::{SimConfig, Simulation, TimestepMode};
 use fdps::{Tree, Vec3};
 use gravity::kernel::{accumulate_f64, accumulate_f64_soa, accumulate_mixed_staged, GravityAccum};
 use rand::rngs::StdRng;
@@ -854,12 +854,18 @@ fn sph_pass_bits_are_pinned() {
 /// A Block-mode run of `spiked_dt` — base-step and substep force
 /// evaluations through `ForceBuffers`' staging — hashed over every
 /// particle field the forces move. Recorded before the staging loops
-/// were rewritten to write by slot; it must not move.
+/// were rewritten to write by slot; it must not move. It guards the f64
+/// staging loops, so it runs the f64 kernel the scenario ran when it was
+/// recorded.
 #[test]
 fn block_mode_run_bits_are_pinned() {
     let (cfg, particles) = asura::scenarios::find("spiked_dt")
         .expect("registered scenario")
         .build(1);
+    let cfg = SimConfig {
+        mixed_precision: false,
+        ..cfg
+    };
     let mut sim = Simulation::new(cfg, particles, 11);
     sim.run(4);
     assert!(sim.stats.substeps > sim.stats.steps, "hierarchy engaged");
