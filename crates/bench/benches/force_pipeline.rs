@@ -12,7 +12,7 @@
 //!    reuse, single-threaded (isolates the cache-layout win);
 //! 3. **walk_indexed_parallel** — the production path: rayon-parallel
 //!    indexed walk with per-worker `WalkScratch` + `InteractionList` reuse
-//!    (what `Tree::interaction_lists` and the gravity solver run);
+//!    (what the gravity solver runs);
 //! 4. the monopole kernel's ns/interaction: AoS f64 (the retained scalar
 //!    reference), SoA f64 (the vectorized production kernel — their ratio
 //!    is the gated `simd_speedup`), and the staged mixed-precision kernel;

@@ -12,7 +12,7 @@
 //! * [`CkptStore`]: a rotation of the last `keep` stamped binary
 //!   snapshots (`<base>-<step:06>.bin`) plus a checksummed JSON manifest
 //!   (`<base>.manifest.json`). Commits prune the oldest entries beyond
-//!   `keep`; [`CkptStore::latest_valid_with`] walks the rotation
+//!   `keep`; `CkptStore::latest_valid_with` walks the rotation
 //!   newest-first and returns the first entry that passes *all* of:
 //!   file readable, length matches the manifest, FNV-1a checksum matches
 //!   the manifest, and the payload decodes (the binary codec's own magic,
@@ -21,7 +21,7 @@
 //!   previous one.
 //!
 //! The manifest records the *intended* length and checksum of each commit
-//! (captured before any injected [`WriteFault`](crate::faults::WriteFault)
+//! (captured before any injected `WriteFault`
 //! damage is applied), which is what makes storage-level corruption
 //! detectable at read time. If the manifest itself is missing or fails
 //! its own checksum, the store falls back to scanning the directory for
@@ -281,7 +281,7 @@ impl CkptStore {
     /// payload is intact: readable, length and FNV-1a checksum matching
     /// the manifest, and accepted by `decode`. Damaged or missing entries
     /// are skipped — this is the auto-resume fallback.
-    pub fn latest_valid_with<T>(
+    pub(crate) fn latest_valid_with<T>(
         &self,
         mut decode: impl FnMut(&[u8]) -> Option<T>,
     ) -> Option<(CkptEntry, T)> {

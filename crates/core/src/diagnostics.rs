@@ -4,7 +4,7 @@
 //!
 //! A [`TimeSample`] is taken after every step of a supervised run, so
 //! everything in it costs O(N) at most. Its energy column is
-//! [`Simulation::live_energy`] — the step's own tree potential, reused —
+//! `Simulation::live_energy` — the step's own tree potential, reused —
 //! not the exact O(N²) audit, which stays one call away for whoever wants
 //! it ([`Simulation::total_energy`] /
 //! [`total_energy_of`](crate::sim::total_energy_of)) and which the
@@ -13,15 +13,14 @@
 
 use crate::particle::Particle;
 use crate::sim::{SimStats, Simulation};
-use fdps::Vec3;
 use json::Json;
 
 /// A 2-D column-density map [M_sun / pc^2] on a square grid.
 #[derive(Debug, Clone)]
 pub struct SurfaceDensityMap {
-    pub n: usize,
+    n: usize,
     /// Half-extent of the map \[pc\].
-    pub half: f64,
+    half: f64,
     /// Row-major `n x n` values.
     pub data: Vec<f64>,
 }
@@ -35,7 +34,8 @@ pub enum Projection {
     EdgeOn,
 }
 
-/// Bin gas particles into a column-density map (paper Fig. 5).
+/// Bin gas particles into a column-density map (paper Fig. 5). Particles
+/// off the map, or with a non-finite position or mass, are dropped.
 pub fn surface_density(
     particles: &[Particle],
     projection: Projection,
@@ -50,6 +50,11 @@ pub fn surface_density(
             Projection::FaceOn => (p.pos.x, p.pos.y),
             Projection::EdgeOn => (p.pos.x, p.pos.z),
         };
+        // `NaN as i64` is 0: a NaN position would land in the first cell.
+        // A non-finite mass would poison its cell.
+        if !(a.is_finite() && b.is_finite() && p.mass.is_finite()) {
+            continue;
+        }
         let i = ((a + half) / cell).floor() as i64;
         let j = ((b + half) / cell).floor() as i64;
         if i >= 0 && j >= 0 && (i as usize) < n && (j as usize) < n {
@@ -65,35 +70,26 @@ impl SurfaceDensityMap {
         let cell = 2.0 * self.half / self.n as f64;
         self.data.iter().sum::<f64>() * cell * cell
     }
-
-    /// CSV rendering (x, y, sigma), one row per cell.
-    pub fn to_csv(&self) -> String {
-        let cell = 2.0 * self.half / self.n as f64;
-        let mut s = String::from("x_pc,y_pc,sigma_msun_pc2\n");
-        for j in 0..self.n {
-            for i in 0..self.n {
-                let x = -self.half + (i as f64 + 0.5) * cell;
-                let y = -self.half + (j as f64 + 0.5) * cell;
-                s.push_str(&format!(
-                    "{x:.3},{y:.3},{:.6e}\n",
-                    self.data[j * self.n + i]
-                ));
-            }
-        }
-        s
-    }
 }
 
 /// Mass-weighted histogram of `log10(value)` over gas particles — the
 /// density/temperature PDFs of the validation experiment (paper §3.3).
+/// Bins hold weight fractions of the finite weights' total. A pair whose
+/// weight is not finite is dropped, and so is its value. A value that is
+/// not positive and finite, or falls off `[lo, hi)`, gets no bin.
 pub fn log_histogram(values: &[(f64, f64)], lo: f64, hi: f64, bins: usize) -> Vec<f64> {
     let mut h = vec![0.0; bins];
-    let total: f64 = values.iter().map(|&(_, w)| w).sum();
+    let total: f64 = values
+        .iter()
+        .map(|&(_, w)| w)
+        .filter(|w| w.is_finite())
+        .sum();
     if total <= 0.0 {
         return h;
     }
     for &(v, w) in values {
-        if v <= 0.0 {
+        // Also drops NaN, whose bin would cast to 0.
+        if !(v > 0.0 && v.is_finite() && w.is_finite()) {
             continue;
         }
         let x = (v.log10() - lo) / (hi - lo);
@@ -141,7 +137,7 @@ pub struct TimeSample {
     pub sfr: f64,
     /// Total metal mass carried by the gas \[M_sun\].
     pub total_metals: f64,
-    /// Total energy as [`Simulation::live_energy`] reads it: kinetic +
+    /// Total energy as `Simulation::live_energy` reads it: kinetic +
     /// internal over the current particles plus the tree potential (at the
     /// run's `theta`) of the step's closing force evaluation. Within
     /// 4.0e-7 of the exact audit on `dwarf_galaxy` (whose own drift over
@@ -151,7 +147,7 @@ pub struct TimeSample {
     /// lag one sample. The exact audit is [`Simulation::total_energy`].
     pub total_energy: f64,
     /// Peak face-on gas column density \[M_sun/pc^2\].
-    pub sigma_peak: f64,
+    pub(crate) sigma_peak: f64,
     /// The run's counters at the sample.
     pub stats: SimStats,
 }
@@ -259,24 +255,44 @@ impl TimeSeries {
     }
 }
 
-/// Centre of mass of a particle set.
-pub fn center_of_mass(particles: &[Particle]) -> Vec3 {
-    let mut m = 0.0;
-    let mut c = Vec3::ZERO;
-    for p in particles {
-        m += p.mass;
-        c += p.pos * p.mass;
-    }
-    if m > 0.0 {
-        c / m
-    } else {
-        Vec3::ZERO
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fdps::Vec3;
+
+    impl SurfaceDensityMap {
+        /// CSV rendering (x, y, sigma), one row per cell.
+        fn to_csv(&self) -> String {
+            let cell = 2.0 * self.half / self.n as f64;
+            let mut s = String::from("x_pc,y_pc,sigma_msun_pc2\n");
+            for j in 0..self.n {
+                for i in 0..self.n {
+                    let x = -self.half + (i as f64 + 0.5) * cell;
+                    let y = -self.half + (j as f64 + 0.5) * cell;
+                    s.push_str(&format!(
+                        "{x:.3},{y:.3},{:.6e}\n",
+                        self.data[j * self.n + i]
+                    ));
+                }
+            }
+            s
+        }
+    }
+
+    /// Centre of mass of a particle set.
+    fn center_of_mass(particles: &[Particle]) -> Vec3 {
+        let mut m = 0.0;
+        let mut c = Vec3::ZERO;
+        for p in particles {
+            m += p.mass;
+            c += p.pos * p.mass;
+        }
+        if m > 0.0 {
+            c / m
+        } else {
+            Vec3::ZERO
+        }
+    }
 
     fn gas_at(pos: Vec3, mass: f64) -> Particle {
         Particle::gas(0, pos, Vec3::ZERO, mass, 1.0, 1.0)
@@ -296,6 +312,18 @@ mod tests {
         let parts = vec![gas_at(Vec3::new(100.0, 0.0, 0.0), 5.0)];
         let map = surface_density(&parts, Projection::FaceOn, 10.0, 8);
         assert_eq!(map.total_mass(), 0.0);
+    }
+
+    #[test]
+    fn non_finite_particles_are_dropped() {
+        let parts = vec![
+            gas_at(Vec3::new(f64::NAN, 0.0, 0.0), 5.0),
+            gas_at(Vec3::new(0.0, f64::NAN, 0.0), 5.0),
+            gas_at(Vec3::new(f64::INFINITY, 0.0, 0.0), 5.0),
+            gas_at(Vec3::ZERO, f64::NAN),
+        ];
+        let map = surface_density(&parts, Projection::FaceOn, 10.0, 8);
+        assert_eq!(map.total_mass(), 0.0, "{:?}", map.data);
     }
 
     #[test]
@@ -334,6 +362,17 @@ mod tests {
         assert_eq!(histogram_distance(&h, &h), 0.0);
         let other = log_histogram(&[(1.0, 1.0)], 0.0, 4.0, 4);
         assert!(histogram_distance(&h, &other) > 0.9);
+    }
+
+    #[test]
+    fn non_finite_values_are_dropped() {
+        let vals = [
+            (f64::NAN, 1.0),
+            (10.0, 1.0),
+            (f64::INFINITY, 2.0),
+            (10.0, f64::NAN),
+        ];
+        assert_eq!(log_histogram(&vals, 0.0, 4.0, 4), [0.0, 0.25, 0.0, 0.0]);
     }
 
     #[test]

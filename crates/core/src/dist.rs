@@ -35,9 +35,9 @@
 //! # One step, two drivers
 //!
 //! None of the §3.2 sequence is written here: a main rank calls
-//! [`step::step`] — the function the shared-memory
+//! `step::step` — the function the shared-memory
 //! [`Simulation`](crate::sim::Simulation) calls — on its local slab,
-//! through a [`Halo`] (`DistHalo`) that holds everything distributed about
+//! through a `Halo` (`DistHalo`) that holds everything distributed about
 //! the step, so [`SimConfig::scheme`] and [`SimConfig::timestep`] mean here
 //! what they mean there. On a `(1,1,1)` grid the halo has nobody to talk
 //! to and the two drivers agree to the bit — every particle field and the
@@ -63,7 +63,7 @@
 //! 2. the deepest occupied level is allreduce-maxed over the main ranks
 //!    (equivalently: allreduce-min of the finest quantized dt) and every
 //!    rank raises its schedule to the agreed depth
-//!    ([`scheduler::reduce_depth_world`]), so all ranks walk the identical
+//!    (`scheduler::reduce_depth_world`), so all ranks walk the identical
 //!    `2^depth` fine-substep boundaries and enter the identical sequence
 //!    of collectives;
 //! 3. each fine substep drifts *all* particles (inactive ones are thereby
@@ -145,10 +145,10 @@ use crate::step::{self, Explosion, Slab, SlabState};
 use astro::units::E_SN;
 use fdps::domain::DomainDecomposition;
 use fdps::exchange::{exchange_ghosts, exchange_particles, Routing};
-use fdps::let_exchange::exchange_let;
+use fdps::exchange_let;
 use fdps::{Tree, Vec3};
 use gravity::GravitySolver;
-use mpisim::collective::ReduceOp;
+use mpisim::ReduceOp;
 use mpisim::{Comm, PhaseReport, PhaseTimer, World};
 use sph::solver::HydroState;
 use std::fmt;
@@ -285,14 +285,14 @@ impl DistConfig {
         self.grid.0 * self.grid.1 * self.grid.2
     }
 
-    pub fn world_size(&self) -> usize {
+    pub(crate) fn world_size(&self) -> usize {
         self.n_main() + self.n_pool
     }
 }
 
 /// Typed failure of the distributed driver, returned as `Err` from [`run`]
 /// / [`run_distributed`] (or
-/// [`Simulation::try_restore`](crate::sim::Simulation::try_restore)): all
+/// `Simulation::try_restore`): all
 /// but [`DistError::Stopped`] before any rank is spawned or any step taken.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DistError {

@@ -29,19 +29,18 @@
 //! checkpoint the first attempt writes and kills that attempt after step
 //! 5; the supervised resume (attempt 1) sees no armed faults.
 //!
-//! A [`Fault`] is one of two families, each carrying its effect: a
-//! [`StepFault`] at a step (`kill`, `stall`), enforced by
-//! [`FaultInjector::enforce_step`], or a [`WriteFault`] at a commit
+//! A `Fault` is one of two families, each carrying its effect: a
+//! `StepFault` at a step (`kill`, `stall`), enforced by
+//! [`FaultInjector::enforce_step`], or a `WriteFault` at a commit
 //! ordinal (`torn`, `corrupt`, `io`), handed out by
-//! [`FaultInjector::on_commit`].
+//! `FaultInjector::on_commit`.
 //!
 //! Write faults count *checkpoint commits* (calls into
 //! [`CkptStore::commit_bytes`](crate::ckpt::CkptStore::commit_bytes)), not
 //! arbitrary file writes, and the damage is applied to the bytes that land
 //! in the final rotation entry — simulating storage-level corruption that
-//! the atomic rename cannot prevent, which is exactly what
-//! [`latest_valid`](crate::ckpt::CkptStore::latest_valid_with) must
-//! survive by falling back to the previous entry.
+//! the atomic rename cannot prevent, which is exactly what `latest_valid`
+//! must survive by falling back to the previous entry.
 
 // no-panic-daemon: malformed input is a typed error, never a crashed fleet.
 #![deny(
@@ -66,7 +65,7 @@ pub const ATTEMPT_ENV: &str = "ASURA_ATTEMPT";
 
 /// One injectable fault (see the module docs for the grammar).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fault {
+pub(crate) enum Fault {
     /// `kill@step` / `stall@step`: fires after completing `step`.
     Step { step: u64, fault: StepFault },
     /// `torn@nth:k` / `corrupt@nth:k` / `io@nth`: fires on the `nth`
@@ -77,7 +76,7 @@ pub enum Fault {
 /// A fault with the attempt it is armed for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannedFault {
-    pub fault: Fault,
+    pub(crate) fault: Fault,
     /// Supervised attempt index this fault fires on (0 = first process).
     pub attempt: u32,
 }
@@ -154,14 +153,14 @@ impl FaultPlan {
 /// A step fault due now (pure query form, separated from the enforcing
 /// side effect so the schedule is unit-testable).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepFault {
+pub(crate) enum StepFault {
     Kill,
     Stall,
 }
 
 /// What a checkpoint commit should do to its payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteFault {
+pub(crate) enum WriteFault {
     /// Truncate the payload to this many bytes.
     Torn { at_byte: u64 },
     /// XOR `0x40` into this byte (wrapped modulo the payload length).
@@ -197,7 +196,7 @@ impl FaultInjector {
     }
 
     /// Arm the plan's faults scoped to `attempt`.
-    pub fn from_plan(plan: &FaultPlan, attempt: u32) -> FaultInjector {
+    pub(crate) fn from_plan(plan: &FaultPlan, attempt: u32) -> FaultInjector {
         FaultInjector {
             faults: plan
                 .faults
@@ -229,7 +228,7 @@ impl FaultInjector {
 
     /// The step fault armed for `step`, if any (pure; see
     /// [`FaultInjector::enforce_step`] for the effectful form).
-    pub fn step_fault(&self, step: u64) -> Option<StepFault> {
+    pub(crate) fn step_fault(&self, step: u64) -> Option<StepFault> {
         self.faults.iter().find_map(|f| match *f {
             Fault::Step { step: s, fault } if s == step => Some(fault),
             _ => None,
@@ -258,7 +257,7 @@ impl FaultInjector {
 
     /// Account one checkpoint commit and return the write fault armed for
     /// it, if any. Ordinals are 1-based and counted per process.
-    pub fn on_commit(&mut self) -> Option<WriteFault> {
+    pub(crate) fn on_commit(&mut self) -> Option<WriteFault> {
         self.commits += 1;
         let nth = self.commits;
         self.faults.iter().find_map(|f| match *f {
@@ -268,7 +267,7 @@ impl FaultInjector {
     }
 
     /// Checkpoint commits accounted so far.
-    pub fn commits(&self) -> u64 {
+    pub(crate) fn commits(&self) -> u64 {
         self.commits
     }
 }
@@ -277,7 +276,7 @@ impl FaultInjector {
 /// Returns an error for [`WriteFault::Io`]; `Torn`/`Corrupt` mutate the
 /// bytes and succeed (the damage is then discovered at read time by the
 /// manifest/decode validation).
-pub fn apply_write_fault(fault: WriteFault, bytes: &mut Vec<u8>) -> std::io::Result<()> {
+pub(crate) fn apply_write_fault(fault: WriteFault, bytes: &mut Vec<u8>) -> std::io::Result<()> {
     match fault {
         WriteFault::Torn { at_byte } => {
             bytes.truncate(at_byte as usize);

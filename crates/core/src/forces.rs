@@ -10,14 +10,14 @@
 //! arena's capacities stabilize and steady-state stepping performs zero
 //! heap growth here. A substep rewrites only the local positions: species
 //! and masses, and with them the gas maps and the halo's imports, are
-//! fixed within a base step. [`ForceBuffers::capacity_signature`]
-//! exposes the capacities so regression tests can assert exactly that.
+//! fixed within a base step. The tests' `ForceBuffers::capacity_signature`
+//! lists the capacities so they can assert exactly that.
 //!
 //! On that arena sit the two force evaluations
-//! ([`ForceBuffers::compute_forces`], [`ForceBuffers::compute_forces_active`])
-//! and the two integrators ([`ForceBuffers::kdk`],
-//! [`ForceBuffers::block_step`]) over a *local particle slab*. They are
-//! generic over a [`Halo`]: the handful of points where a rank of the
+//! (`ForceBuffers::compute_forces`, `ForceBuffers::compute_forces_active`)
+//! and the two integrators (`ForceBuffers::kdk`,
+//! `ForceBuffers::block_step`) over a *local particle slab*. They are
+//! generic over a `Halo`: the handful of points where a rank of the
 //! distributed driver must talk to its neighbours — remote gravity sources
 //! appended after the locals, SPH ghosts appended after the local gas and
 //! overwritten with owner values after the density pass, the block depth
@@ -57,15 +57,15 @@ pub const NOT_GAS: u32 = u32::MAX;
 /// Phase names of one force evaluation, handed to [`Halo::phase`]: the
 /// opening (base-step) pass records under the paper's `1st *` legend
 /// entries, the KDK re-force and the substep path under the `2nd *` ones.
-pub struct PassPhases {
+pub(crate) struct PassPhases {
     pub tree: &'static str,
     pub let_exchange: &'static str,
-    pub grav_force: &'static str,
+    pub(crate) grav_force: &'static str,
     pub density: &'static str,
-    pub sph_force: &'static str,
+    pub(crate) sph_force: &'static str,
 }
 
-pub const PASS_OPENING: PassPhases = PassPhases {
+pub(crate) const PASS_OPENING: PassPhases = PassPhases {
     tree: phases::MAKE_LOCAL_TREE_1,
     let_exchange: phases::EXCHANGE_LET_1,
     grav_force: phases::CALC_FORCE_1,
@@ -73,7 +73,7 @@ pub const PASS_OPENING: PassPhases = PassPhases {
     sph_force: phases::CALC_FORCE_1,
 };
 
-pub const PASS_CLOSING: PassPhases = PassPhases {
+pub(crate) const PASS_CLOSING: PassPhases = PassPhases {
     tree: phases::MAKE_TREE_2,
     let_exchange: phases::EXCHANGE_LET_2,
     grav_force: phases::CALC_FORCE_2,
@@ -87,7 +87,7 @@ pub const PASS_CLOSING: PassPhases = PassPhases {
 /// answer of a slab that is alone in the world, which is the shared-memory
 /// driver's; the distributed driver overrides them all over its main
 /// communicator.
-pub trait Halo {
+pub(crate) trait Halo {
     /// Whether the methods below are collective operations. A collective
     /// halo must be entered by every rank in the same sequence, so the
     /// pipeline may not skip a pass because *this* slab has no particles,
@@ -274,7 +274,7 @@ pub struct ForceBuffers {
     /// refreshes — never reconstructed per force evaluation.
     pub walk_index: Option<WalkIndex>,
     /// Source positions at the last full tree build, for the drift bound.
-    pub tree_ref_pos: Vec<Vec3>,
+    pub(crate) tree_ref_pos: Vec<Vec3>,
     /// `(particle index, v_sig, h)` from the last full SPH force pass: the
     /// CFL input of the adaptive global step and of the level assignment.
     pub vsig: Vec<(usize, f64, f64)>,
@@ -353,7 +353,7 @@ impl ForceBuffers {
     /// into `acc`/`dudt` with `h`/`rho` scattered back to the particles.
     /// Every staging buffer is refreshed in place; the octree, its walk
     /// index and the imports are cached for the substep path to refresh.
-    pub fn compute_forces<H: Halo>(
+    pub(crate) fn compute_forces<H: Halo>(
         &mut self,
         cfg: &SimConfig,
         halo: &mut H,
@@ -435,7 +435,7 @@ impl ForceBuffers {
     /// moment-refreshed in place unless a source drifted beyond
     /// [`Tree::DRIFT_FRACTION`] of the root cube, which forces a full
     /// rebuild.
-    pub fn compute_forces_active<H: Halo>(
+    pub(crate) fn compute_forces_active<H: Halo>(
         &mut self,
         cfg: &SimConfig,
         halo: &mut H,
@@ -553,7 +553,7 @@ impl ForceBuffers {
     /// KDK leapfrog with a shared timestep (paper §3.2 step 3): opening
     /// forces, half-kick + drift, a full re-force at the new positions,
     /// closing half-kick.
-    pub fn kdk<H: Halo>(
+    pub(crate) fn kdk<H: Halo>(
         &mut self,
         cfg: &SimConfig,
         halo: &mut H,
@@ -583,7 +583,7 @@ impl ForceBuffers {
     /// each fine-substep boundary while everyone else is drift-predicted
     /// (phase-by-phase mapping to the paper in the [`crate::scheduler`]
     /// module docs).
-    pub fn block_step<H: Halo>(
+    pub(crate) fn block_step<H: Halo>(
         &mut self,
         cfg: &SimConfig,
         halo: &mut H,
@@ -647,7 +647,7 @@ impl ForceBuffers {
     }
 
     /// The `vsig` stash as snapshots carry it.
-    pub fn vsig_record(&self) -> Vec<(u64, f64, f64)> {
+    pub(crate) fn vsig_record(&self) -> Vec<(u64, f64, f64)> {
         self.vsig
             .iter()
             .map(|&(i, v, h)| (i as u64, v, h))
@@ -655,43 +655,8 @@ impl ForceBuffers {
     }
 
     /// Reinstate a snapshotted `vsig` stash.
-    pub fn restore_vsig(&mut self, record: &[(u64, f64, f64)]) {
+    pub(crate) fn restore_vsig(&mut self, record: &[(u64, f64, f64)]) {
         self.vsig = record.iter().map(|&(i, v, h)| (i as usize, v, h)).collect();
-    }
-
-    /// Capacities of every owned buffer, in a fixed order. Steady-state
-    /// stepping must leave this signature unchanged — the zero-allocation
-    /// regression tests compare it before and after.
-    pub fn capacity_signature(&self) -> Vec<usize> {
-        let hs = &self.hydro;
-        let mut sig = vec![
-            self.pos.capacity(),
-            self.mass.capacity(),
-            self.acc.capacity(),
-            self.pot.capacity(),
-            self.dudt.capacity(),
-            self.gas_idx.capacity(),
-            self.gas_local.capacity(),
-            hs.pos.capacity(),
-            hs.vel.capacity(),
-            hs.mass.capacity(),
-            hs.u.capacity(),
-            hs.h.capacity(),
-            hs.rho.capacity(),
-            hs.acc.capacity(),
-            hs.dudt.capacity(),
-            hs.cs.capacity(),
-            hs.v_sig.capacity(),
-            hs.n_ngb.capacity(),
-            self.dt_wanted.capacity(),
-            self.active.capacity(),
-            self.active_mask.capacity(),
-            self.active_gas.capacity(),
-            self.tree_ref_pos.capacity(),
-            self.vsig.capacity(),
-        ];
-        sig.extend(self.sph.capacities());
-        sig
     }
 }
 
@@ -699,6 +664,43 @@ impl ForceBuffers {
 mod tests {
     use super::*;
     use crate::particle::Particle;
+
+    impl ForceBuffers {
+        /// Capacities of every owned buffer, in a fixed order. Steady-state
+        /// stepping must leave this signature unchanged — the zero-allocation
+        /// regression tests compare it before and after.
+        pub(crate) fn capacity_signature(&self) -> Vec<usize> {
+            let hs = &self.hydro;
+            let mut sig = vec![
+                self.pos.capacity(),
+                self.mass.capacity(),
+                self.acc.capacity(),
+                self.pot.capacity(),
+                self.dudt.capacity(),
+                self.gas_idx.capacity(),
+                self.gas_local.capacity(),
+                hs.pos.capacity(),
+                hs.vel.capacity(),
+                hs.mass.capacity(),
+                hs.u.capacity(),
+                hs.h.capacity(),
+                hs.rho.capacity(),
+                hs.acc.capacity(),
+                hs.dudt.capacity(),
+                hs.cs.capacity(),
+                hs.v_sig.capacity(),
+                hs.n_ngb.capacity(),
+                self.dt_wanted.capacity(),
+                self.active.capacity(),
+                self.active_mask.capacity(),
+                self.active_gas.capacity(),
+                self.tree_ref_pos.capacity(),
+                self.vsig.capacity(),
+            ];
+            sig.extend(self.sph.capacities());
+            sig
+        }
+    }
 
     fn mixed_particles(n: usize) -> Vec<Particle> {
         (0..n)

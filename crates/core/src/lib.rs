@@ -70,11 +70,12 @@ pub mod forces;
 pub mod particle;
 pub mod phases;
 pub mod pool;
-pub mod runs;
+#[cfg(test)]
+mod runs;
 pub mod scheduler;
 pub mod sim;
 pub mod snapshot;
-pub mod step;
+mod step;
 pub mod supervise;
 
 pub use forces::ForceBuffers;

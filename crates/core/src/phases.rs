@@ -3,17 +3,17 @@
 
 pub const SEND_SNE: &str = "Send_SNe";
 pub const RECEIVE_SNE: &str = "Receive_SNe";
-pub const INTEGRATION: &str = "Integration";
+pub(crate) const INTEGRATION: &str = "Integration";
 pub const EXCHANGE_PARTICLE: &str = "Exchange_Particle";
 pub const PREPROCESS_FEEDBACK: &str = "Preprocess_of_Feedback";
 pub const CALC_KERNEL_DENSITY_1: &str = "1st Calc_Kernel_Size_and_Density";
 pub const MAKE_LOCAL_TREE_1: &str = "1st Make_Local_Tree";
 pub const EXCHANGE_LET_1: &str = "1st Exchange_LET";
 pub const CALC_FORCE_1: &str = "1st Calc_Force";
-pub const FINAL_KICK: &str = "Final_kick (brdg asso)";
+pub(crate) const FINAL_KICK: &str = "Final_kick (brdg asso)";
 pub const IDENTIFY_SNE: &str = "Identify_SNe";
-pub const FEEDBACK_COOLING: &str = "Feedback_and_Cooling (direct)";
-pub const STAR_FORMATION: &str = "Star Formation";
+pub(crate) const FEEDBACK_COOLING: &str = "Feedback_and_Cooling (direct)";
+pub(crate) const STAR_FORMATION: &str = "Star Formation";
 pub const CALC_KERNEL_SIZE_2: &str = "2nd Calc_Kernel_Size";
 pub const MAKE_TREE_2: &str = "2nd Make_Tree";
 pub const EXCHANGE_LET_2: &str = "2nd Exchange_LET";

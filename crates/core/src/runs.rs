@@ -4,20 +4,20 @@
 
 /// One row of Table 1: state-of-the-art isolated-disk simulations.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LiteratureRun {
-    pub paper: &'static str,
-    pub n_gas: f64,
-    pub m_gas: f64,
-    pub n_star: f64,
-    pub m_star: f64,
-    pub n_dm: f64,
-    pub m_tot: f64,
-    pub n_tot: f64,
-    pub code: &'static str,
+pub(crate) struct LiteratureRun {
+    pub(crate) paper: &'static str,
+    pub(crate) n_gas: f64,
+    pub(crate) m_gas: f64,
+    pub(crate) n_star: f64,
+    pub(crate) m_star: f64,
+    pub(crate) n_dm: f64,
+    pub(crate) m_tot: f64,
+    pub(crate) n_tot: f64,
+    pub(crate) code: &'static str,
 }
 
 /// Table 1 of the paper, verbatim.
-pub const TABLE1: [LiteratureRun; 8] = [
+pub(crate) const TABLE1: [LiteratureRun; 8] = [
     LiteratureRun {
         paper: "Hu et al. (2017)",
         n_gas: 1e7,
@@ -110,23 +110,23 @@ pub const TABLE1: [LiteratureRun; 8] = [
 
 /// One row of Table 2: the paper's measurement runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PaperRun {
-    pub name: &'static str,
+pub(crate) struct PaperRun {
+    pub(crate) name: &'static str,
     /// Node range `(max, min)` as printed in the table.
-    pub nodes: (u64, u64),
-    pub m_dm: f64,
-    pub n_dm: f64,
-    pub m_star: f64,
-    pub n_star: f64,
-    pub m_gas: f64,
-    pub n_gas: f64,
-    pub m_tot: f64,
+    pub(crate) nodes: (u64, u64),
+    pub(crate) m_dm: f64,
+    pub(crate) n_dm: f64,
+    pub(crate) m_star: f64,
+    pub(crate) n_star: f64,
+    pub(crate) m_gas: f64,
+    pub(crate) n_gas: f64,
+    pub(crate) m_tot: f64,
     /// Particles per node as printed (min, max) where ranges are given.
-    pub n_per_node: (f64, f64),
+    pub(crate) n_per_node: (f64, f64),
 }
 
 /// Table 2 of the paper, verbatim.
-pub const TABLE2: [PaperRun; 8] = [
+pub(crate) const TABLE2: [PaperRun; 8] = [
     PaperRun {
         name: "weakMW2M",
         nodes: (148_896, 128),
@@ -227,7 +227,7 @@ pub const TABLE2: [PaperRun; 8] = [
 
 impl PaperRun {
     /// Total particle count of this configuration.
-    pub fn n_tot(&self) -> f64 {
+    pub(crate) fn n_tot(&self) -> f64 {
         self.n_dm + self.n_star + self.n_gas
     }
 }

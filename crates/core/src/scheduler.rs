@@ -112,13 +112,13 @@ impl ActiveScheduler {
     /// while ranks with only shallow levels simply have empty active sets
     /// at the extra boundaries. A `depth` below the deepest occupied
     /// level is a no-op. Panics if no schedule has been assigned.
-    pub fn raise_depth(&mut self, depth: u32) {
+    pub(crate) fn raise_depth(&mut self, depth: u32) {
         assert!(self.assigned, "raise_depth requires an assigned schedule");
         self.max_level = self.max_level.max(depth);
     }
 
     /// Deepest level the substep walk subdivides to: the deepest occupied
-    /// level, or the [`ActiveScheduler::raise_depth`] override if deeper.
+    /// level, or the `ActiveScheduler::raise_depth` override if deeper.
     pub fn max_level(&self) -> u32 {
         self.max_level
     }
@@ -130,12 +130,12 @@ impl ActiveScheduler {
     }
 
     /// The finest substep of the current schedule.
-    pub fn dt_fine(&self) -> f64 {
+    pub(crate) fn dt_fine(&self) -> f64 {
         self.dt_max / self.substeps_per_base_step() as f64
     }
 
     /// The quantized step of particle `i`: `dt_max / 2^level`.
-    pub fn dt_of(&self, i: usize) -> f64 {
+    pub(crate) fn dt_of(&self, i: usize) -> f64 {
         self.dt_max / (1u64 << self.levels[i]) as f64
     }
 
@@ -186,7 +186,7 @@ impl ActiveScheduler {
 /// sets at the extra boundaries. Equivalent to an allreduce-min of the
 /// finest quantized dt, since levels are powers of two below the shared
 /// base step. Returns the world-consistent fine-substep count.
-pub fn reduce_depth_world(comm: &mpisim::Comm, sched: &mut ActiveScheduler) -> u64 {
+pub(crate) fn reduce_depth_world(comm: &mpisim::Comm, sched: &mut ActiveScheduler) -> u64 {
     let world = comm.allreduce_max_u64(sched.max_level() as u64) as u32;
     if sched.schedule().is_some() {
         sched.raise_depth(world);

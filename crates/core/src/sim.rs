@@ -5,7 +5,7 @@ use crate::ckpt::{CkptFormat, CkptStore};
 use crate::config::SimConfig;
 use crate::dist::{DistError, PredictorKind};
 use crate::faults::FaultInjector;
-use crate::forces::{ForceBuffers, Halo};
+use crate::forces::Halo;
 use crate::particle::Particle;
 use crate::pool::{PoolPredictor, SedovOverlayPredictor};
 use crate::scheduler::ActiveScheduler;
@@ -254,7 +254,7 @@ impl Simulation {
     /// [`SimSnapshot`] of one slab (see [`crate::snapshot`] for the format
     /// and the restart-determinism contract). Cheap relative to a step: one
     /// deep copy of the particle set and the pending-region queue
-    /// ([`SlabState::record`]).
+    /// (`SlabState::record`).
     pub fn snapshot(&self) -> SimSnapshot {
         let predicted = |r: &step::InFlight<Vec<GasParticle>>| PendingPrediction {
             due_step: r.due_step,
@@ -271,7 +271,7 @@ impl Simulation {
         }
     }
 
-    /// [`Simulation::try_restore`] for a snapshot this process wrote
+    /// `Simulation::try_restore` for a snapshot this process wrote
     /// itself: panics where that returns an error. A checkpoint *file* is
     /// outside input and goes through `try_restore`.
     pub fn restore(snapshot: &SimSnapshot) -> Self {
@@ -289,14 +289,14 @@ impl Simulation {
     /// time — and a document that does not decode is
     /// [`DistError::BadWeights`]; otherwise the default Sedov-overlay
     /// predictor is used.
-    pub fn try_restore(snapshot: &SimSnapshot) -> Result<Self, DistError> {
+    pub(crate) fn try_restore(snapshot: &SimSnapshot) -> Result<Self, DistError> {
         let model = snapshot.model.clone();
         let kind = model.map_or(PredictorKind::SedovOverlay, PredictorKind::UNet);
         let predictor = kind.build(snapshot.config.region_side)?;
         Self::restore_with_predictor(snapshot, predictor)
     }
 
-    /// [`Simulation::try_restore`] with an explicit pool predictor for
+    /// `Simulation::try_restore` with an explicit pool predictor for
     /// regions dispatched *after* the restart (in-flight predictions are
     /// replayed from the snapshot verbatim). A snapshot of several slabs
     /// is the distributed driver's to resume ([`DistError::GridMismatch`]);
@@ -322,7 +322,7 @@ impl Simulation {
         Ok(sim)
     }
 
-    /// One full step of the paper's §3.2 procedure: [`step::step`] on the
+    /// One full step of the paper's §3.2 procedure: `step::step` on the
     /// one slab there is.
     pub fn step(&mut self) {
         let mut slab = Slab {
@@ -346,16 +346,10 @@ impl Simulation {
         &self.state.sched
     }
 
-    /// Read-only view of the force scratch arena (regression tests assert
-    /// its steady-state capacities).
-    pub fn force_buffers(&self) -> &ForceBuffers {
-        &self.state.forces
-    }
-
     /// Total energy: kinetic + internal + gravitational potential — the
     /// exact (`theta = 0`) audit, O(N²) per call. Conservation tests and
     /// end-of-run reports call it; anything sampling every step wants
-    /// [`Simulation::live_energy`].
+    /// `Simulation::live_energy`.
     #[expect(clippy::disallowed_methods, reason = "this is the exact audit")]
     pub fn total_energy(&self) -> f64 {
         total_energy_of(&self.particles, self.config.eps)
@@ -375,7 +369,7 @@ impl Simulation {
     /// Measured against [`Simulation::total_energy`] in
     /// `tests/live_energy.rs`. Before the first force evaluation since
     /// `new`/`restore` there is no snapshot, and this *is* the exact audit.
-    pub fn live_energy(&self) -> f64 {
+    pub(crate) fn live_energy(&self) -> f64 {
         let bufs = &self.state.forces;
         if bufs.pot.is_empty() {
             #[expect(
@@ -442,7 +436,16 @@ fn kinetic_and_internal(particles: &[Particle]) -> f64 {
 mod tests {
     use super::*;
     use crate::config::{Scheme, TimestepMode};
+    use crate::forces::ForceBuffers;
     use astro::lifetime::stellar_lifetime_myr;
+
+    impl Simulation {
+        /// Read-only view of the force scratch arena (the regression tests
+        /// assert its steady-state capacities).
+        fn force_buffers(&self) -> &ForceBuffers {
+            &self.state.forces
+        }
+    }
 
     fn two_body() -> Vec<Particle> {
         // Circular binary in code units: masses 1e6 each, separation 100 pc.

@@ -10,7 +10,7 @@
 //!
 //! ## One schema, one encoding on disk, one kind
 //!
-//! Both drivers keep the same [`SlabState`](crate::step::SlabState)
+//! Both drivers keep the same `SlabState`
 //! between steps, so there is one kind of checkpoint and the number of
 //! slabs is data: [`Simulation::snapshot`](crate::sim::Simulation::snapshot)
 //! writes one slab, [`dist::run`](crate::dist::run)'s gather writes one
@@ -31,7 +31,7 @@
 //!   a resume reads back ([`SimSnapshot::load`]). Fields are positional and
 //!   little-endian, floats raw IEEE-754 bits (restart state is exact),
 //!   lists carry a `u64` length prefix, enums and options a `u8` tag.
-//!   Envelope: the 8-byte [`SNAPSHOT_MAGIC`], a `u32` format version, a
+//!   Envelope: the 8-byte `SNAPSHOT_MAGIC`, a `u32` format version, a
 //!   `u64` payload length, the payload, and a trailing FNV-1a 64-bit
 //!   checksum of it.
 //! * **JSON** ([`SimSnapshot::to_json`] / [`SimSnapshot::from_json`]): a
@@ -46,13 +46,13 @@
 //!
 //! **Adding a field**: one line in the record's table (structs are
 //! destructured and rebuilt exhaustively, so a field missing from its
-//! table does not compile), bump [`SNAPSHOT_VERSION`], and refresh the
+//! table does not compile), bump `SNAPSHOT_VERSION`, and refresh the
 //! goldens (`crates/core/fixtures/` and the checksums in this module's
 //! format-stability tests). A run counter's table is [`SimStats`]'s own,
 //! in [`crate::sim`]: its one line there is its snapshot field as well as
 //! its rank merge, diagnostics column and report key.
 //!
-//! **Format version policy**: [`SNAPSHOT_VERSION`] is bumped whenever the
+//! **Format version policy**: `SNAPSHOT_VERSION` is bumped whenever the
 //! payload layout changes in any way (field added, removed, reordered, or
 //! re-encoded). Readers accept exactly the current version and reject
 //! everything else with [`SnapshotError::UnsupportedVersion`] — snapshots
@@ -93,7 +93,7 @@ use wire::{BinReader, Ty, Wire};
 pub use json::fnv1a;
 
 /// Leading magic of binary snapshots.
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ASURSNAP";
+pub(crate) const SNAPSHOT_MAGIC: [u8; 8] = *b"ASURSNAP";
 /// Current snapshot format version (see the module docs for the policy).
 /// v2: [`SimStats`] gained the split SPH neighbor-tree reuse counters
 /// (`sph_tree_rebuilds` / `sph_tree_refreshes`);
@@ -107,7 +107,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ASURSNAP";
 /// v5: star formation draws from no stream — [`SimConfig`] gained its
 /// `seed`, and the stream gave way to the run-level
 /// [`SimSnapshot::next_id`].
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub(crate) const SNAPSHOT_VERSION: u32 = 5;
 /// `format` field of the JSON document.
 const SNAPSHOT_FORMAT: &str = "asura-snapshot";
 
@@ -115,7 +115,7 @@ const SNAPSHOT_FORMAT: &str = "asura-snapshot";
 /// corrupt or foreign input never panics the reader.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// The input does not start with [`SNAPSHOT_MAGIC`] (binary) or is not
+    /// The input does not start with `SNAPSHOT_MAGIC` (binary) or is not
     /// an `asura-snapshot` document (JSON).
     BadMagic,
     /// The snapshot was written by a different format version.
@@ -165,7 +165,7 @@ pub(crate) mod wire {
     /// the binary layout the typed walk ([`Wire`]) follows, and is all the
     /// two JSON backends need to render that layout and read it back.
     #[derive(Debug, Clone, Copy)]
-    pub enum Ty {
+    pub(crate) enum Ty {
         /// Little-endian integers; `F64` is the raw IEEE-754 bits.
         U32,
         U64,
@@ -200,22 +200,22 @@ pub(crate) mod wire {
 
     /// A value with a place in the schema: its wire type, and the typed
     /// walk to and from the binary layout that type describes.
-    pub trait Wire: Sized {
+    pub(crate) trait Wire: Sized {
         const TY: Ty;
         fn put(&self, out: &mut Vec<u8>);
         fn get(r: &mut BinReader) -> Result<Self, SnapshotError>;
     }
 
-    pub struct BinReader<'a> {
+    pub(crate) struct BinReader<'a> {
         pub b: &'a [u8],
         pub pos: usize,
     }
 
     impl<'a> BinReader<'a> {
-        pub fn new(b: &'a [u8]) -> Self {
+        pub(crate) fn new(b: &'a [u8]) -> Self {
             BinReader { b, pos: 0 }
         }
-        pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+        pub(crate) fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
             let remaining = self.b.len() - self.pos;
             if n > remaining {
                 return Err(malformed(format!(
@@ -227,17 +227,17 @@ pub(crate) mod wire {
             self.pos += n;
             Ok(s)
         }
-        pub fn array<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        pub(crate) fn array<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
             let mut out = [0; N];
             out.copy_from_slice(self.bytes(N)?);
             Ok(out)
         }
-        pub fn u8(&mut self) -> Result<u8, SnapshotError> {
+        pub(crate) fn u8(&mut self) -> Result<u8, SnapshotError> {
             Ok(self.array::<1>()?[0])
         }
         /// A length prefix, sanity-bounded so corrupt input cannot trigger
         /// a huge allocation before the checksum is even consulted.
-        pub fn len(&mut self) -> Result<usize, SnapshotError> {
+        pub(crate) fn len(&mut self) -> Result<usize, SnapshotError> {
             let n = u64::from_le_bytes(self.array()?);
             let remaining = self.b.len() - self.pos;
             match usize::try_from(n) {
@@ -543,7 +543,7 @@ record! {
 }
 
 record! {
-    /// One particle slab and what its [`SlabState`](crate::step::SlabState)
+    /// One particle slab and what its `SlabState`
     /// must carry across a restart.
     #[derive(Debug, Clone, PartialEq)]
     pub struct SlabRecord {

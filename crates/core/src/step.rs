@@ -55,28 +55,28 @@ use surrogate::GasParticle;
 /// An identified SN: where, and the progenitor's mass (which sets the
 /// yields).
 #[derive(Debug, Clone, Copy)]
-pub struct Explosion {
-    pub center: Vec3,
-    pub progenitor_mass: f64,
+pub(crate) struct Explosion {
+    pub(crate) center: Vec3,
+    pub(crate) progenitor_mass: f64,
 }
 
 /// A region the pool is predicting: the halo's handle on it and the step
 /// at which the prediction falls due.
-pub struct InFlight<T> {
-    pub due_step: u64,
-    pub ticket: T,
+pub(crate) struct InFlight<T> {
+    pub(crate) due_step: u64,
+    pub(crate) ticket: T,
 }
 
 /// What a slab carries from step to step besides the particles, clock and
 /// counters its driver exposes: the force arena (whose `vsig` stash seeds
 /// the next adaptive step), the block schedule, the pool queue, the
 /// equation of state and the cooling curve.
-pub struct SlabState<T> {
-    pub forces: ForceBuffers,
-    pub sched: ActiveScheduler,
-    pub pending: Vec<InFlight<T>>,
-    pub eos: GammaLawEos,
-    pub cooling: CoolingCurve,
+pub(crate) struct SlabState<T> {
+    pub(crate) forces: ForceBuffers,
+    pub(crate) sched: ActiveScheduler,
+    pub(crate) pending: Vec<InFlight<T>>,
+    pub(crate) eos: GammaLawEos,
+    pub(crate) cooling: CoolingCurve,
 }
 
 impl<T> Default for SlabState<T> {
@@ -97,7 +97,7 @@ impl<T> SlabState<T> {
     /// a ticket becomes one is the driver's business. None of the force
     /// scratch arena but the `vsig` stash is kept: the next force
     /// evaluation rebuilds it.
-    pub fn record(
+    pub(crate) fn record(
         &self,
         particles: &[Particle],
         stats: &SimStats,
@@ -119,7 +119,7 @@ impl<T> SlabState<T> {
     /// adaptive step, the schedule (for observability — the next base step
     /// re-derives it from forces) and the queue, `ticket` wrapping each
     /// prediction already in hand.
-    pub fn resumed(slab: &SlabRecord, ticket: impl Fn(Vec<GasParticle>) -> T) -> Self {
+    pub(crate) fn resumed(slab: &SlabRecord, ticket: impl Fn(Vec<GasParticle>) -> T) -> Self {
         let mut state = SlabState::default();
         state.forces.restore_vsig(&slab.last_vsig);
         if let Some(s) = &slab.schedule {
@@ -131,7 +131,7 @@ impl<T> SlabState<T> {
 }
 
 /// A checkpoint's `pending` list as the pool queue it was taken from.
-pub fn requeue<T>(
+pub(crate) fn requeue<T>(
     pending: &[PendingPrediction],
     ticket: impl Fn(Vec<GasParticle>) -> T,
 ) -> Vec<InFlight<T>> {
@@ -145,22 +145,22 @@ pub fn requeue<T>(
 /// One slab as [`step`] takes it: the driver's own particles, clock, id
 /// counter (the same on every slab) and counters, and the [`SlabState`] it
 /// keeps for the step.
-pub struct Slab<'a, T> {
-    pub particles: &'a mut Vec<Particle>,
-    pub time: &'a mut f64,
-    pub step_count: &'a mut u64,
-    pub next_id: &'a mut u64,
-    pub stats: &'a mut SimStats,
-    pub state: &'a mut SlabState<T>,
+pub(crate) struct Slab<'a, T> {
+    pub(crate) particles: &'a mut Vec<Particle>,
+    pub(crate) time: &'a mut f64,
+    pub(crate) step_count: &'a mut u64,
+    pub(crate) next_id: &'a mut u64,
+    pub(crate) stats: &'a mut SimStats,
+    pub(crate) state: &'a mut SlabState<T>,
 }
 
 /// The first id past `particles`' — a fresh run's `next_id`.
-pub fn first_free_id(particles: &[Particle]) -> u64 {
+pub(crate) fn first_free_id(particles: &[Particle]) -> u64 {
     particles.iter().map(|p| p.id).max().map_or(0, |m| m + 1)
 }
 
 /// One full step of the paper's §3.2 procedure on one slab (module docs).
-pub fn step<H: Halo>(cfg: &SimConfig, halo: &mut H, s: &mut Slab<'_, H::Ticket>) {
+pub(crate) fn step<H: Halo>(cfg: &SimConfig, halo: &mut H, s: &mut Slab<'_, H::Ticket>) {
     halo.rebalance(s.particles);
 
     let time = *s.time;

@@ -2,7 +2,7 @@
 //!
 //! A supervised run is a parent/child pair. The child is the ordinary
 //! scenario driver plus one extra duty: it touches a heartbeat file every
-//! step ([`Heartbeat::beat`]). The parent ([`Supervisor::run_with_abort`])
+//! step ([`Heartbeat::beat`]). The parent (`Supervisor::run_with_abort`)
 //! polls the child for two failure signals:
 //!
 //! * **crash** — the child exited with a non-zero status;
@@ -30,7 +30,7 @@
 //! and launch their children through [`Supervisor::run_processes`]: the
 //! caller supplies only the command line, a hook that sees each spawned
 //! child, and the stop hook that answers a [`StopReason`]. The process side sits behind
-//! [`ChildHandle`], so the retry/verdict logic is unit-testable with
+//! `ChildHandle`, so the retry/verdict logic is unit-testable with
 //! in-process fakes.
 
 // no-panic-daemon: malformed input is a typed error, never a crashed fleet.
@@ -52,9 +52,9 @@ use std::process::Command;
 use std::time::{Duration, Instant};
 
 /// `format` field of the incident log.
-pub const LOG_FORMAT: &str = "asura-supervisor-log";
+pub(crate) const LOG_FORMAT: &str = "asura-supervisor-log";
 /// Incident-log schema version.
-pub const LOG_VERSION: u64 = 1;
+pub(crate) const LOG_VERSION: u64 = 1;
 /// The incident log's file name in a supervised run's directory.
 pub const LOG_FILE: &str = "supervisor.json";
 /// The heartbeat's file name in a supervised run's directory.
@@ -170,12 +170,12 @@ pub enum Outcome {
     /// The child exited with a code configured as not retryable.
     Permanent { exit_code: i32 },
     /// The run was externally canceled (the abort hook of
-    /// [`Supervisor::run_with_abort`] returned [`StopReason::Cancel`]);
+    /// `Supervisor::run_with_abort` returned [`StopReason::Cancel`]);
     /// the child was killed and will not be resumed.
     Canceled { attempts: u32 },
 }
 
-/// Why [`Supervisor::run_with_abort`] should stop driving attempts.
+/// Why `Supervisor::run_with_abort` should stop driving attempts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
     /// Terminal: kill the child and record [`Outcome::Canceled`].
@@ -288,7 +288,7 @@ impl IncidentLog {
 
 /// Minimal process handle the supervisor drives, so the loop is testable
 /// with in-process fakes.
-pub trait ChildHandle {
+pub(crate) trait ChildHandle {
     /// Non-blocking: `Some(exit_code)` once the child has exited.
     fn poll_exit(&mut self) -> io::Result<Option<i32>>;
     /// Forcibly terminate the child (used on hang) and reap it.
@@ -320,7 +320,7 @@ pub struct ResumePoint {
 impl ResumePoint {
     /// The newest intact entry of `store`'s rotation, if any — what every
     /// supervisor of a run directory resumes from.
-    pub fn latest(store: &CkptStore) -> Option<ResumePoint> {
+    pub(crate) fn latest(store: &CkptStore) -> Option<ResumePoint> {
         let (entry, _) = store.latest_valid_sim()?;
         Some(ResumePoint {
             step: entry.step,
@@ -334,9 +334,9 @@ impl ResumePoint {
 pub struct Supervisor {
     pub policy: RetryPolicy,
     /// Poll cadence for exit status and heartbeat content.
-    pub poll_interval_ms: u64,
+    pub(crate) poll_interval_ms: u64,
     /// Exit codes that are never retried (e.g. usage errors).
-    pub permanent_exit_codes: Vec<i32>,
+    pub(crate) permanent_exit_codes: Vec<i32>,
     /// Where the incident log is written (typically `supervisor.json`).
     pub log_path: PathBuf,
     /// The heartbeat file the child writes to.
@@ -365,15 +365,15 @@ impl Supervisor {
     }
 
     /// The one launch path of both front-ends: drive child processes
-    /// through [`Supervisor::run_with_abort`], starting every attempt from
-    /// `store`'s newest intact rotation entry ([`ResumePoint::latest`]).
+    /// through `Supervisor::run_with_abort`, starting every attempt from
+    /// `store`'s newest intact rotation entry (`ResumePoint::latest`).
     ///
     /// * `command(resume)` builds an attempt's command line; the
     ///   supervisor adds `ASURA_ATTEMPT` (so attempt-scoped faults fire
     ///   once) and spawns it.
     /// * `on_spawn(attempt, resume, pid)` sees each child once it is
     ///   running: the attempt, where it resumed from and its OS pid.
-    /// * `abort` is the stop hook (see [`Supervisor::run_with_abort`]).
+    /// * `abort` is the stop hook (see `Supervisor::run_with_abort`).
     pub fn run_processes(
         &self,
         store: &CkptStore,
@@ -410,7 +410,7 @@ impl Supervisor {
     ///
     /// Returns the final outcome plus the full incident log (also
     /// persisted to `log_path` after every state change).
-    pub fn run_with_abort<H: ChildHandle>(
+    pub(crate) fn run_with_abort<H: ChildHandle>(
         &self,
         mut spawn: impl FnMut(u32, Option<&ResumePoint>) -> io::Result<H>,
         mut resume_point: impl FnMut() -> Option<ResumePoint>,

@@ -23,7 +23,7 @@ impl BBox {
     }
 
     /// Cube centred at `c` with half-side `half`.
-    pub fn cube(c: Vec3, half: f64) -> Self {
+    pub(crate) fn cube(c: Vec3, half: f64) -> Self {
         BBox {
             lo: c - Vec3::splat(half),
             hi: c + Vec3::splat(half),
@@ -70,13 +70,13 @@ impl BBox {
     }
 
     #[inline]
-    pub fn extent(&self) -> Vec3 {
+    pub(crate) fn extent(&self) -> Vec3 {
         self.hi - self.lo
     }
 
     /// Longest edge length.
     #[inline]
-    pub fn max_extent(&self) -> f64 {
+    pub(crate) fn max_extent(&self) -> f64 {
         self.extent().max_component()
     }
 
@@ -87,7 +87,7 @@ impl BBox {
 
     /// Minimum squared distance from `p` to the box (0 if inside).
     #[inline]
-    pub fn dist2_to_point(&self, p: Vec3) -> f64 {
+    pub(crate) fn dist2_to_point(&self, p: Vec3) -> f64 {
         let dx = (self.lo.x - p.x).max(0.0).max(p.x - self.hi.x);
         let dy = (self.lo.y - p.y).max(0.0).max(p.y - self.hi.y);
         let dz = (self.lo.z - p.z).max(0.0).max(p.z - self.hi.z);
@@ -96,7 +96,7 @@ impl BBox {
 
     /// Minimum squared distance between two boxes (0 if overlapping).
     #[inline]
-    pub fn dist2_to_box(&self, o: &BBox) -> f64 {
+    pub(crate) fn dist2_to_box(&self, o: &BBox) -> f64 {
         let d = |alo: f64, ahi: f64, blo: f64, bhi: f64| (blo - ahi).max(0.0).max(alo - bhi);
         let dx = d(self.lo.x, self.hi.x, o.lo.x, o.hi.x);
         let dy = d(self.lo.y, self.hi.y, o.lo.y, o.hi.y);
@@ -111,21 +111,23 @@ impl BBox {
             hi: self.hi + Vec3::splat(margin),
         }
     }
-
-    /// Do two boxes overlap (half-open semantics)?
-    pub fn overlaps(&self, o: &BBox) -> bool {
-        self.lo.x < o.hi.x
-            && o.lo.x < self.hi.x
-            && self.lo.y < o.hi.y
-            && o.lo.y < self.hi.y
-            && self.lo.z < o.hi.z
-            && o.lo.z < self.hi.z
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BBox {
+        /// Do two boxes overlap (half-open semantics)?
+        pub(crate) fn overlaps(&self, o: &BBox) -> bool {
+            self.lo.x < o.hi.x
+                && o.lo.x < self.hi.x
+                && self.lo.y < o.hi.y
+                && o.lo.y < self.hi.y
+                && self.lo.z < o.hi.z
+                && o.lo.z < self.hi.z
+        }
+    }
 
     #[test]
     fn extend_builds_tight_bounds() {

@@ -39,13 +39,13 @@ impl DomainDecomposition {
 
     /// Rank of grid cell `(ix, iy, iz)` — matches the 3-D torus layout.
     #[inline]
-    pub fn rank_of_cell(&self, ix: usize, iy: usize, iz: usize) -> usize {
+    pub(crate) fn rank_of_cell(&self, ix: usize, iy: usize, iz: usize) -> usize {
         ix + self.nx * (iy + self.ny * iz)
     }
 
     /// Grid cell of `rank`.
     #[inline]
-    pub fn cell_of_rank(&self, rank: usize) -> (usize, usize, usize) {
+    pub(crate) fn cell_of_rank(&self, rank: usize) -> (usize, usize, usize) {
         let ix = rank % self.nx;
         let iy = (rank / self.nx) % self.ny;
         let iz = rank / (self.nx * self.ny);

@@ -86,7 +86,7 @@ pub fn exchange_let(
 mod tests {
     use super::*;
     use crate::bbox::BBox;
-    use crate::walk::eval_gravity_reference;
+    use crate::walk::tests::eval_gravity_reference;
     use mpisim::World;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

@@ -8,7 +8,7 @@ use crate::bbox::BBox;
 use crate::vec3::Vec3;
 
 /// Bits per axis (3 * 21 = 63 bits used of the u64).
-pub const BITS: u32 = 21;
+pub(crate) const BITS: u32 = 21;
 
 /// Spread the low 21 bits of `v` so consecutive bits land 3 apart.
 #[inline]
@@ -22,21 +22,9 @@ fn spread(v: u64) -> u64 {
     x
 }
 
-/// Compact every third bit back into the low 21 bits.
-#[inline]
-fn compact(v: u64) -> u64 {
-    let mut x = v & 0x1249249249249249;
-    x = (x | (x >> 2)) & 0x10c30c30c30c30c3;
-    x = (x | (x >> 4)) & 0x100f00f00f00f00f;
-    x = (x | (x >> 8)) & 0x1f0000ff0000ff;
-    x = (x | (x >> 16)) & 0x1f00000000ffff;
-    x = (x | (x >> 32)) & 0x1f_ffff;
-    x
-}
-
 /// Quantize `p` inside `cube` to 21 bits per axis and interleave.
 #[inline]
-pub fn key(p: Vec3, cube: &BBox) -> u64 {
+pub(crate) fn key(p: Vec3, cube: &BBox) -> u64 {
     let n = (1u64 << BITS) as f64;
     let ext = cube.extent();
     let q = |x: f64, lo: f64, e: f64| -> u64 {
@@ -52,15 +40,9 @@ pub fn key(p: Vec3, cube: &BBox) -> u64 {
     spread(ix) | (spread(iy) << 1) | (spread(iz) << 2)
 }
 
-/// Invert a key back to its quantized cell indices.
-#[inline]
-pub fn cell_of(key: u64) -> (u64, u64, u64) {
-    (compact(key), compact(key >> 1), compact(key >> 2))
-}
-
 /// The 3-bit octant digit of `key` at `level` (level 0 is the root split).
 #[inline]
-pub fn digit(key: u64, level: u32) -> usize {
+pub(crate) fn digit(key: u64, level: u32) -> usize {
     debug_assert!(level < BITS);
     ((key >> (3 * (BITS - 1 - level))) & 0b111) as usize
 }
@@ -68,6 +50,24 @@ pub fn digit(key: u64, level: u32) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Compact every third bit back into the low 21 bits.
+    #[inline]
+    fn compact(v: u64) -> u64 {
+        let mut x = v & 0x1249249249249249;
+        x = (x | (x >> 2)) & 0x10c30c30c30c30c3;
+        x = (x | (x >> 4)) & 0x100f00f00f00f00f;
+        x = (x | (x >> 8)) & 0x1f0000ff0000ff;
+        x = (x | (x >> 16)) & 0x1f00000000ffff;
+        x = (x | (x >> 32)) & 0x1f_ffff;
+        x
+    }
+
+    /// Invert a key back to its quantized cell indices.
+    #[inline]
+    fn cell_of(key: u64) -> (u64, u64, u64) {
+        (compact(key), compact(key >> 1), compact(key >> 2))
+    }
 
     #[test]
     fn spread_compact_roundtrip() {

@@ -19,15 +19,15 @@ pub struct TreeNode {
     pub start: u32,
     pub end: u32,
     /// Index of the first child in [`Tree::nodes`]; children are contiguous.
-    pub child_start: u32,
-    pub child_count: u8,
+    pub(crate) child_start: u32,
+    pub(crate) child_count: u8,
     /// Monopole: total mass and centre of mass.
     pub mass: f64,
-    pub com: Vec3,
+    pub(crate) com: Vec3,
     /// Tight bounding box of the subtree's particles.
     pub bbox: BBox,
     /// Maximum smoothing length in the subtree (0 when none supplied).
-    pub h_max: f64,
+    pub(crate) h_max: f64,
 }
 
 impl TreeNode {
@@ -61,7 +61,7 @@ pub struct Tree {
     pub order: Vec<u32>,
     pub nodes: Vec<TreeNode>,
     /// Global bounding cube used for Morton quantization.
-    pub cube: BBox,
+    pub(crate) cube: BBox,
     n_leaf: usize,
     /// Per particle, the Morton rank of its leaf (see [`Tree::leaf_rank`]).
     /// Topology-derived, so it is filled at build and survives refreshes.
@@ -69,7 +69,7 @@ pub struct Tree {
 }
 
 /// Root node index.
-pub const ROOT: usize = 0;
+pub(crate) const ROOT: usize = 0;
 
 impl Tree {
     /// Build over `pos`/`mass`, splitting nodes larger than `n_leaf`.
@@ -272,12 +272,12 @@ impl Tree {
     /// the refreshed walk's error in the same class as the opening
     /// criterion itself. A neighbour-search tree stays exact but loses
     /// Morton locality: the bound guards against a degenerate partition.
-    pub const DRIFT_FRACTION: f64 = 0.05;
+    pub(crate) const DRIFT_FRACTION: f64 = 0.05;
 
     /// Whether this cached tree may be [`Tree::refresh`]ed over `pos`
     /// instead of rebuilt: `pos` and `built_at` (the positions at the last
     /// full build) hold the tree's particle count, and no particle moved
-    /// further than [`Tree::DRIFT_FRACTION`] of the root cube's extent.
+    /// further than `Tree::DRIFT_FRACTION` of the root cube's extent.
     pub fn may_refresh(&self, pos: &[Vec3], built_at: &[Vec3]) -> bool {
         self.len() == pos.len() && built_at.len() == pos.len() && {
             let bound = self.cube.max_extent() * Self::DRIFT_FRACTION;

@@ -35,15 +35,6 @@ impl Vec3 {
     }
 
     #[inline]
-    pub fn cross(self, o: Vec3) -> Vec3 {
-        Vec3 {
-            x: self.y * o.z - self.z * o.y,
-            y: self.z * o.x - self.x * o.z,
-            z: self.x * o.y - self.y * o.x,
-        }
-    }
-
-    #[inline]
     pub fn norm2(self) -> f64 {
         self.dot(self)
     }
@@ -67,7 +58,7 @@ impl Vec3 {
 
     /// Largest component.
     #[inline]
-    pub fn max_component(self) -> f64 {
+    pub(crate) fn max_component(self) -> f64 {
         self.x.max(self.y).max(self.z)
     }
 
@@ -82,27 +73,10 @@ impl Vec3 {
         }
     }
 
-    /// Set component by axis index.
-    #[inline]
-    pub fn set_axis(&mut self, k: usize, v: f64) {
-        match k {
-            0 => self.x = v,
-            1 => self.y = v,
-            2 => self.z = v,
-            _ => panic!("Vec3 axis out of range: {k}"),
-        }
-    }
-
     /// True if all components are finite.
     #[inline]
     pub fn is_finite(self) -> bool {
         self.x.is_finite() && self.y.is_finite() && self.z.is_finite()
-    }
-
-    /// Convert to an `[f32; 3]` (the mixed-precision path of §4.3).
-    #[inline]
-    pub fn to_f32(self) -> [f32; 3] {
-        [self.x as f32, self.y as f32, self.z as f32]
     }
 }
 
@@ -198,6 +172,34 @@ impl Index<usize> for Vec3 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Vec3 {
+        #[inline]
+        fn cross(self, o: Vec3) -> Vec3 {
+            Vec3 {
+                x: self.y * o.z - self.z * o.y,
+                y: self.z * o.x - self.x * o.z,
+                z: self.x * o.y - self.y * o.x,
+            }
+        }
+
+        /// Set component by axis index.
+        #[inline]
+        fn set_axis(&mut self, k: usize, v: f64) {
+            match k {
+                0 => self.x = v,
+                1 => self.y = v,
+                2 => self.z = v,
+                _ => panic!("Vec3 axis out of range: {k}"),
+            }
+        }
+
+        /// Convert to an `[f32; 3]` (the mixed-precision path of §4.3).
+        #[inline]
+        fn to_f32(self) -> [f32; 3] {
+            [self.x as f32, self.y as f32, self.z as f32]
+        }
+    }
 
     #[test]
     fn arithmetic_identities() {

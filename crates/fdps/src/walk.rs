@@ -31,14 +31,13 @@
 //! [`InteractionList`] (the `ep`/`sp` output buffers). Both are **cleared,
 //! never shrunk**: after a warm-up walk their capacities stabilize at the
 //! high-water mark and later walks reuse the storage. Callers keep one
-//! pair per thread — [`Tree::interaction_lists`] per rayon worker, the
-//! gravity solver in a thread-local that outlives the evaluation.
+//! pair per thread — the gravity solver in a thread-local that outlives
+//! the evaluation.
 //! [`Tree::walk_mac`] appends to a caller-owned list and needs no scratch.
 
 use crate::bbox::BBox;
 use crate::tree::{Tree, ROOT};
 use crate::vec3::Vec3;
-use rayon::prelude::*;
 
 /// A distant tree node accepted by the multipole acceptance criterion.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -326,60 +325,92 @@ impl Tree {
             }
         }
     }
-
-    /// Walk for every group of at most `n_group` particles: returns
-    /// `(group node index, interaction list)` pairs. The group's target box
-    /// is its tight bounding box. Groups are walked in parallel over one
-    /// shared [`WalkIndex`]; each rayon worker keeps one [`WalkScratch`]
-    /// across all groups it processes.
-    pub fn interaction_lists(&self, theta: f64, n_group: usize) -> Vec<(usize, InteractionList)> {
-        let groups = self.groups(n_group);
-        let index = self.walk_index();
-        groups
-            .par_iter()
-            .map_init(WalkScratch::default, |scratch, &g| {
-                let mut list = InteractionList::default();
-                self.walk_mac_indexed(&index, &self.nodes[g].bbox, theta, scratch, &mut list);
-                (g, list)
-            })
-            .collect()
-    }
 }
 
-/// Evaluate softened monopole gravity for one group against its interaction
-/// list, accumulating acceleration (without the G factor) and the positive
-/// potential sum — the reference evaluator used by tests and the serial
-/// path. `idx_i` are target particle indices; EPJ indices refer into
-/// `pos`/`mass` as well.
-///
-/// The inner loops run four partial accumulators wide (independent
-/// dependency chains over EP then SP, with `eps2` hoisted) so the compiler
-/// can pipeline the sqrt/divide chain; the lane sums are reduced once per
-/// target.
-#[allow(clippy::too_many_arguments)]
-pub fn eval_gravity_reference(
-    idx_i: &[u32],
-    pos: &[Vec3],
-    mass: &[f64],
-    eps2: f64,
-    list: &InteractionList,
-    acc: &mut [Vec3],
-    pot: &mut [f64],
-    skip_self: bool,
-) {
-    for &i in idx_i {
-        let i = i as usize;
-        let pi = pos[i];
-        let mut ax = [0.0f64; 4];
-        let mut ay = [0.0f64; 4];
-        let mut az = [0.0f64; 4];
-        let mut ps = [0.0f64; 4];
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::domain::DomainDecomposition;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-        let ep = &list.ep;
-        let mut j = 0;
-        while j + 4 <= ep.len() {
-            for lane in 0..4 {
-                let jj = ep[j + lane] as usize;
+    impl Tree {
+        /// Walk for every group of at most `n_group` particles: returns
+        /// `(group node index, interaction list)` pairs. The group's target box
+        /// is its tight bounding box. Groups are walked in parallel over one
+        /// shared [`WalkIndex`]; each rayon worker keeps one [`WalkScratch`]
+        /// across all groups it processes.
+        pub(crate) fn interaction_lists(
+            &self,
+            theta: f64,
+            n_group: usize,
+        ) -> Vec<(usize, InteractionList)> {
+            use rayon::prelude::*;
+            let groups = self.groups(n_group);
+            let index = self.walk_index();
+            groups
+                .par_iter()
+                .map_init(WalkScratch::default, |scratch, &g| {
+                    let mut list = InteractionList::default();
+                    self.walk_mac_indexed(&index, &self.nodes[g].bbox, theta, scratch, &mut list);
+                    (g, list)
+                })
+                .collect()
+        }
+    }
+
+    /// Evaluate softened monopole gravity for one group against its interaction
+    /// list, accumulating acceleration (without the G factor) and the positive
+    /// potential sum — the reference evaluator the tests check walks and
+    /// LETs against. `idx_i` are target particle indices; EPJ indices refer
+    /// into `pos`/`mass` as well.
+    ///
+    /// The inner loops run four partial accumulators wide (independent
+    /// dependency chains over EP then SP, with `eps2` hoisted) so the compiler
+    /// can pipeline the sqrt/divide chain; the lane sums are reduced once per
+    /// target.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn eval_gravity_reference(
+        idx_i: &[u32],
+        pos: &[Vec3],
+        mass: &[f64],
+        eps2: f64,
+        list: &InteractionList,
+        acc: &mut [Vec3],
+        pot: &mut [f64],
+        skip_self: bool,
+    ) {
+        for &i in idx_i {
+            let i = i as usize;
+            let pi = pos[i];
+            let mut ax = [0.0f64; 4];
+            let mut ay = [0.0f64; 4];
+            let mut az = [0.0f64; 4];
+            let mut ps = [0.0f64; 4];
+
+            let ep = &list.ep;
+            let mut j = 0;
+            while j + 4 <= ep.len() {
+                for lane in 0..4 {
+                    let jj = ep[j + lane] as usize;
+                    if skip_self && i == jj {
+                        continue;
+                    }
+                    let d = pi - pos[jj];
+                    let r2 = d.norm2() + eps2;
+                    let rinv = if r2 > 0.0 { 1.0 / r2.sqrt() } else { 0.0 };
+                    let mrinv = mass[jj] * rinv;
+                    let mr3 = mrinv * rinv * rinv;
+                    ax[lane] -= mr3 * d.x;
+                    ay[lane] -= mr3 * d.y;
+                    az[lane] -= mr3 * d.z;
+                    ps[lane] += mrinv;
+                }
+                j += 4;
+            }
+            while j < ep.len() {
+                let jj = ep[j] as usize;
+                j += 1;
                 if skip_self && i == jj {
                     continue;
                 }
@@ -388,76 +419,51 @@ pub fn eval_gravity_reference(
                 let rinv = if r2 > 0.0 { 1.0 / r2.sqrt() } else { 0.0 };
                 let mrinv = mass[jj] * rinv;
                 let mr3 = mrinv * rinv * rinv;
-                ax[lane] -= mr3 * d.x;
-                ay[lane] -= mr3 * d.y;
-                az[lane] -= mr3 * d.z;
-                ps[lane] += mrinv;
+                ax[0] -= mr3 * d.x;
+                ay[0] -= mr3 * d.y;
+                az[0] -= mr3 * d.z;
+                ps[0] += mrinv;
             }
-            j += 4;
-        }
-        while j < ep.len() {
-            let jj = ep[j] as usize;
-            j += 1;
-            if skip_self && i == jj {
-                continue;
-            }
-            let d = pi - pos[jj];
-            let r2 = d.norm2() + eps2;
-            let rinv = if r2 > 0.0 { 1.0 / r2.sqrt() } else { 0.0 };
-            let mrinv = mass[jj] * rinv;
-            let mr3 = mrinv * rinv * rinv;
-            ax[0] -= mr3 * d.x;
-            ay[0] -= mr3 * d.y;
-            az[0] -= mr3 * d.z;
-            ps[0] += mrinv;
-        }
 
-        let sp = &list.sp;
-        let mut k = 0;
-        while k + 4 <= sp.len() {
-            for lane in 0..4 {
-                let s = &sp[k + lane];
+            let sp = &list.sp;
+            let mut k = 0;
+            while k + 4 <= sp.len() {
+                for lane in 0..4 {
+                    let s = &sp[k + lane];
+                    let d = pi - s.pos;
+                    let r2 = d.norm2() + eps2;
+                    let rinv = if r2 > 0.0 { 1.0 / r2.sqrt() } else { 0.0 };
+                    let mrinv = s.mass * rinv;
+                    let mr3 = mrinv * rinv * rinv;
+                    ax[lane] -= mr3 * d.x;
+                    ay[lane] -= mr3 * d.y;
+                    az[lane] -= mr3 * d.z;
+                    ps[lane] += mrinv;
+                }
+                k += 4;
+            }
+            while k < sp.len() {
+                let s = &sp[k];
+                k += 1;
                 let d = pi - s.pos;
                 let r2 = d.norm2() + eps2;
                 let rinv = if r2 > 0.0 { 1.0 / r2.sqrt() } else { 0.0 };
                 let mrinv = s.mass * rinv;
                 let mr3 = mrinv * rinv * rinv;
-                ax[lane] -= mr3 * d.x;
-                ay[lane] -= mr3 * d.y;
-                az[lane] -= mr3 * d.z;
-                ps[lane] += mrinv;
+                ax[0] -= mr3 * d.x;
+                ay[0] -= mr3 * d.y;
+                az[0] -= mr3 * d.z;
+                ps[0] += mrinv;
             }
-            k += 4;
-        }
-        while k < sp.len() {
-            let s = &sp[k];
-            k += 1;
-            let d = pi - s.pos;
-            let r2 = d.norm2() + eps2;
-            let rinv = if r2 > 0.0 { 1.0 / r2.sqrt() } else { 0.0 };
-            let mrinv = s.mass * rinv;
-            let mr3 = mrinv * rinv * rinv;
-            ax[0] -= mr3 * d.x;
-            ay[0] -= mr3 * d.y;
-            az[0] -= mr3 * d.z;
-            ps[0] += mrinv;
-        }
 
-        acc[i] += Vec3::new(
-            ax[0] + ax[1] + ax[2] + ax[3],
-            ay[0] + ay[1] + ay[2] + ay[3],
-            az[0] + az[1] + az[2] + az[3],
-        );
-        pot[i] += ps[0] + ps[1] + ps[2] + ps[3];
+            acc[i] += Vec3::new(
+                ax[0] + ax[1] + ax[2] + ax[3],
+                ay[0] + ay[1] + ay[2] + ay[3],
+                az[0] + az[1] + az[2] + az[3],
+            );
+            pot[i] += ps[0] + ps[1] + ps[2] + ps[3];
+        }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::domain::DomainDecomposition;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     fn random_cloud(n: usize, seed: u64) -> (Vec<Vec3>, Vec<f64>) {
         let mut rng = StdRng::seed_from_u64(seed);

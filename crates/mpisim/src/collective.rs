@@ -101,7 +101,7 @@ impl Comm {
 
     /// Reduce `value` from all ranks to `root` with a binary operator
     /// (binomial tree). Returns `Some` on the root, `None` elsewhere.
-    pub fn reduce<T, F>(&self, root: usize, value: T, op: F) -> Option<T>
+    pub(crate) fn reduce<T, F>(&self, root: usize, value: T, op: F) -> Option<T>
     where
         T: Send + 'static,
         F: Fn(T, T) -> T,
@@ -137,7 +137,7 @@ impl Comm {
     }
 
     /// Allreduce with a generic operator: reduce to rank 0, then broadcast.
-    pub fn allreduce_with<T, F>(&self, value: T, op: F) -> T
+    pub(crate) fn allreduce_with<T, F>(&self, value: T, op: F) -> T
     where
         T: Clone + Send + 'static,
         F: Fn(T, T) -> T,
@@ -247,59 +247,62 @@ impl Comm {
         }
         recvs.into_iter().map(|o| o.unwrap()).collect()
     }
-
-    /// Exclusive prefix sum of `f64` values over ranks (`MPI_Exscan`):
-    /// rank r receives the sum of values from ranks `0..r` (0 on rank 0).
-    pub fn exscan_f64(&self, value: f64) -> f64 {
-        let all = self.allgather(value);
-        all[..self.rank()].iter().sum()
-    }
-
-    /// Scatter rows of `data` from `root`: rank `i` receives `data[i]`.
-    pub fn scatterv<T: Clone + Send + 'static>(
-        &self,
-        root: usize,
-        data: Option<Vec<Vec<T>>>,
-    ) -> Vec<T> {
-        let p = self.size();
-        let seq = self.next_coll_seq();
-        let tag = self.coll_tag(seq, 0);
-        if self.rank() == root {
-            let mut rows = data.expect("scatterv: root must supply data");
-            assert_eq!(rows.len(), p, "scatterv: one row per rank");
-            let mut mine = Vec::new();
-            for (dst, row) in rows.drain(..).enumerate().rev() {
-                // Reverse drain keeps indices valid; own row kept locally.
-                let (dst, row) = (dst, row);
-                if dst == root {
-                    mine = row;
-                } else {
-                    self.coll_send_vec(dst, tag, row);
-                }
-            }
-            mine
-        } else {
-            self.recv_raw(root, tag)
-        }
-    }
-
-    /// Combined send+receive with one partner each way (`MPI_Sendrecv`).
-    pub fn sendrecv<T: Send + 'static, U: 'static>(
-        &self,
-        dst: usize,
-        send: T,
-        src: usize,
-        tag: u64,
-    ) -> U {
-        self.send(dst, tag, send);
-        self.recv(src, tag)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::World;
+
+    /// Collectives that no caller uses, kept as the reference forms the
+    /// tests check against MPI's semantics.
+    impl Comm {
+        /// Exclusive prefix sum of `f64` values over ranks (`MPI_Exscan`):
+        /// rank r receives the sum of values from ranks `0..r` (0 on rank 0).
+        fn exscan_f64(&self, value: f64) -> f64 {
+            let all = self.allgather(value);
+            all[..self.rank()].iter().sum()
+        }
+
+        /// Scatter rows of `data` from `root`: rank `i` receives `data[i]`.
+        fn scatterv<T: Clone + Send + 'static>(
+            &self,
+            root: usize,
+            data: Option<Vec<Vec<T>>>,
+        ) -> Vec<T> {
+            let p = self.size();
+            let seq = self.next_coll_seq();
+            let tag = self.coll_tag(seq, 0);
+            if self.rank() == root {
+                let mut rows = data.expect("scatterv: root must supply data");
+                assert_eq!(rows.len(), p, "scatterv: one row per rank");
+                let mut mine = Vec::new();
+                for (dst, row) in rows.drain(..).enumerate().rev() {
+                    // Reverse drain keeps indices valid; own row kept locally.
+                    if dst == root {
+                        mine = row;
+                    } else {
+                        self.coll_send_vec(dst, tag, row);
+                    }
+                }
+                mine
+            } else {
+                self.recv_raw(root, tag)
+            }
+        }
+
+        /// Combined send+receive with one partner each way (`MPI_Sendrecv`).
+        fn sendrecv<T: Send + 'static, U: 'static>(
+            &self,
+            dst: usize,
+            send: T,
+            src: usize,
+            tag: u64,
+        ) -> U {
+            self.send(dst, tag, send);
+            self.recv(src, tag)
+        }
+    }
 
     #[test]
     fn barrier_orders_phases() {

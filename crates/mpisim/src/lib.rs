@@ -23,24 +23,29 @@
 //!
 //! All collectives are built on point-to-point messages (binomial trees,
 //! dissemination barriers, ring allgathers), so message *counts* and
-//! *volumes* — which [`CommStats`] records — follow the same asymptotics a
-//! real MPI implementation would generate. That instrumentation is what the
+//! *volumes* — which [`World::run_with_stats`] reports per rank as a
+//! [`StatsSnapshot`] — follow the same asymptotics a real MPI
+//! implementation would generate. That instrumentation is what the
 //! performance model (`perfmodel`) calibrates against.
+//!
+//! Every module is private: the `pub use` list below is the crate's whole
+//! surface, so an item that no other crate needs stays crate-private and
+//! `dead_code` can see it.
 
 #![forbid(unsafe_code)]
 
-pub mod collective;
-pub mod comm;
-pub mod mailbox;
-pub mod message;
-pub mod stats;
-pub mod timing;
-pub mod torus;
-pub mod world;
+mod collective;
+mod comm;
+mod mailbox;
+mod message;
+mod stats;
+mod timing;
+mod torus;
+mod world;
 
 pub use collective::ReduceOp;
 pub use comm::Comm;
-pub use stats::CommStats;
-pub use timing::{PhaseReport, PhaseTimer};
+pub use stats::StatsSnapshot;
+pub use timing::{PhaseEntry, PhaseReport, PhaseTimer};
 pub use torus::TorusDims;
 pub use world::World;

@@ -10,18 +10,18 @@ use std::collections::VecDeque;
 
 /// A blocking, matching mailbox.
 #[derive(Default)]
-pub struct Mailbox {
+pub(crate) struct Mailbox {
     queue: Mutex<VecDeque<Message>>,
     signal: Condvar,
 }
 
 impl Mailbox {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Deposit a message and wake any waiting receiver.
-    pub fn post(&self, msg: Message) {
+    pub(crate) fn post(&self, msg: Message) {
         let mut q = self.queue.lock();
         q.push_back(msg);
         // Receivers may be waiting for different (src, tag) matches, so wake
@@ -33,7 +33,7 @@ impl Mailbox {
     /// Block until a message matching `(comm_id, src, tag)` is available and
     /// remove it from the queue. Messages from the same (src, tag) pair are
     /// delivered in posting order (MPI's non-overtaking guarantee).
-    pub fn recv_match(&self, comm_id: u64, src: usize, tag: u64) -> Message {
+    pub(crate) fn recv_match(&self, comm_id: u64, src: usize, tag: u64) -> Message {
         let mut q = self.queue.lock();
         loop {
             if let Some(pos) = q
@@ -51,7 +51,11 @@ impl Mailbox {
     /// such message in posting order — leaving the message queued for
     /// `recv_match`. Posts that do not match wake the caller only to sleep
     /// again.
-    pub fn wait_any(&self, comm_id: u64, matches: impl Fn(usize, u64) -> bool) -> (usize, u64) {
+    pub(crate) fn wait_any(
+        &self,
+        comm_id: u64,
+        matches: impl Fn(usize, u64) -> bool,
+    ) -> (usize, u64) {
         let mut q = self.queue.lock();
         loop {
             if let Some(m) = q
@@ -63,22 +67,23 @@ impl Mailbox {
             self.signal.wait(&mut q);
         }
     }
-
-    /// Number of queued messages (diagnostics only).
-    pub fn len(&self) -> usize {
-        self.queue.lock().len()
-    }
-
-    /// Whether the queue is empty (diagnostics only).
-    pub fn is_empty(&self) -> bool {
-        self.queue.lock().is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    impl Mailbox {
+        /// Number of queued messages.
+        fn len(&self) -> usize {
+            self.queue.lock().len()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.queue.lock().is_empty()
+        }
+    }
 
     #[test]
     fn post_then_recv() {

@@ -9,35 +9,40 @@
 use std::any::Any;
 
 /// Tag values at or above this bound are reserved for collectives.
-pub const COLLECTIVE_TAG_BASE: u64 = 1 << 40;
+pub(crate) const COLLECTIVE_TAG_BASE: u64 = 1 << 40;
 
 /// A tagged, typed message envelope.
-pub struct Message {
+pub(crate) struct Message {
     /// Identifier of the communicator this message belongs to.
-    pub comm_id: u64,
+    pub(crate) comm_id: u64,
     /// Sender's rank *within that communicator*.
-    pub src: usize,
+    pub(crate) src: usize,
     /// Message tag. User tags must be below [`COLLECTIVE_TAG_BASE`].
-    pub tag: u64,
-    /// Approximate wire size in bytes (what real MPI would transfer).
-    pub bytes: usize,
+    pub(crate) tag: u64,
+    /// Approximate wire size in bytes (what real MPI would transfer). The
+    /// sender's `CommStats` count it; only the tests read it back here.
+    #[cfg(test)]
+    bytes: usize,
     /// The payload, to be downcast by the receiver.
-    pub payload: Box<dyn Any + Send>,
+    payload: Box<dyn Any + Send>,
 }
 
 impl Message {
     /// Wrap `data` into an envelope. `bytes` is the logical wire size.
-    pub fn new<T: Send + 'static>(
+    pub(crate) fn new<T: Send + 'static>(
         comm_id: u64,
         src: usize,
         tag: u64,
         bytes: usize,
         data: T,
     ) -> Self {
+        #[cfg(not(test))]
+        let _ = bytes;
         Message {
             comm_id,
             src,
             tag,
+            #[cfg(test)]
             bytes,
             payload: Box::new(data),
         }
@@ -47,7 +52,7 @@ impl Message {
     ///
     /// # Panics
     /// Panics if the payload is not a `T` (datatype mismatch).
-    pub fn take<T: 'static>(self) -> T {
+    pub(crate) fn take<T: 'static>(self) -> T {
         *self
             .payload
             .downcast::<T>()
@@ -57,7 +62,7 @@ impl Message {
 
 /// Logical wire size of a slice of `T`.
 #[inline]
-pub fn slice_bytes<T>(len: usize) -> usize {
+pub(crate) fn slice_bytes<T>(len: usize) -> usize {
     len * std::mem::size_of::<T>()
 }
 

@@ -8,33 +8,33 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-rank communication counters.
 #[derive(Default)]
-pub struct CommStats {
+pub(crate) struct CommStats {
     /// Point-to-point messages sent (collectives decompose into these).
-    pub messages_sent: AtomicU64,
+    messages_sent: AtomicU64,
     /// Logical bytes sent.
-    pub bytes_sent: AtomicU64,
+    bytes_sent: AtomicU64,
     /// Number of collective operations entered.
-    pub collectives: AtomicU64,
+    collectives: AtomicU64,
 }
 
 impl CommStats {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     #[inline]
-    pub fn record_send(&self, bytes: usize) {
+    pub(crate) fn record_send(&self, bytes: usize) {
         self.messages_sent.fetch_add(1, Ordering::Relaxed);
         self.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     #[inline]
-    pub fn record_collective(&self) {
+    pub(crate) fn record_collective(&self) {
         self.collectives.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Snapshot of the counters.
-    pub fn snapshot(&self) -> StatsSnapshot {
+    pub(crate) fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
             messages_sent: self.messages_sent.load(Ordering::Relaxed),
             bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
@@ -43,28 +43,28 @@ impl CommStats {
     }
 }
 
-/// Plain-data copy of [`CommStats`].
+/// Plain-data copy of `CommStats`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StatsSnapshot {
-    pub messages_sent: u64,
+    pub(crate) messages_sent: u64,
     pub bytes_sent: u64,
-    pub collectives: u64,
-}
-
-impl StatsSnapshot {
-    /// Element-wise sum, used to aggregate over ranks.
-    pub fn merged(self, other: StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            messages_sent: self.messages_sent + other.messages_sent,
-            bytes_sent: self.bytes_sent + other.bytes_sent,
-            collectives: self.collectives + other.collectives,
-        }
-    }
+    pub(crate) collectives: u64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl StatsSnapshot {
+        /// Element-wise sum.
+        fn merged(self, other: StatsSnapshot) -> StatsSnapshot {
+            StatsSnapshot {
+                messages_sent: self.messages_sent + other.messages_sent,
+                bytes_sent: self.bytes_sent + other.bytes_sent,
+                collectives: self.collectives + other.collectives,
+            }
+        }
+    }
 
     #[test]
     fn records_accumulate() {

@@ -56,7 +56,7 @@ impl PhaseTimer {
     }
 
     /// Local (this rank only) report, phases in first-recorded order.
-    pub fn local_report(&self) -> PhaseReport {
+    pub(crate) fn local_report(&self) -> PhaseReport {
         PhaseReport {
             entries: self
                 .order
@@ -104,7 +104,7 @@ pub struct PhaseEntry {
 }
 
 impl PhaseEntry {
-    pub fn mean_s(&self) -> f64 {
+    pub(crate) fn mean_s(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {

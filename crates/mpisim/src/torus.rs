@@ -14,45 +14,15 @@ use crate::comm::Comm;
 /// size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TorusDims {
-    pub px: usize,
-    pub py: usize,
-    pub pz: usize,
+    pub(crate) px: usize,
+    pub(crate) py: usize,
+    pub(crate) pz: usize,
 }
 
 impl TorusDims {
     pub fn new(px: usize, py: usize, pz: usize) -> Self {
         assert!(px > 0 && py > 0 && pz > 0, "torus dims must be positive");
         TorusDims { px, py, pz }
-    }
-
-    /// Choose near-cubic dimensions for `p` ranks (largest factors first so
-    /// `px >= py >= pz`), the way FDPS picks its 3-D process grid.
-    pub fn for_size(p: usize) -> Self {
-        assert!(p > 0);
-        let mut best = (p, 1, 1);
-        let mut best_score = usize::MAX;
-        // Enumerate factor triples; p is a rank count, so this stays tiny.
-        let mut a = 1;
-        while a * a * a <= p {
-            if p.is_multiple_of(a) {
-                let rest = p / a;
-                let mut b = a;
-                while b * b <= rest {
-                    if rest.is_multiple_of(b) {
-                        let c = rest / b;
-                        // Perimeter-like score: smaller means more cubic.
-                        let score = (c - a) + (c - b);
-                        if score < best_score {
-                            best_score = score;
-                            best = (c, b, a);
-                        }
-                    }
-                    b += 1;
-                }
-            }
-            a += 1;
-        }
-        TorusDims::new(best.0, best.1, best.2)
     }
 
     #[inline]
@@ -62,24 +32,19 @@ impl TorusDims {
 
     /// Rank of torus coordinates `(x, y, z)`.
     #[inline]
-    pub fn rank_of(&self, x: usize, y: usize, z: usize) -> usize {
+    pub(crate) fn rank_of(&self, x: usize, y: usize, z: usize) -> usize {
         debug_assert!(x < self.px && y < self.py && z < self.pz);
         x + self.px * (y + self.py * z)
     }
 
     /// Torus coordinates of `rank`.
     #[inline]
-    pub fn coords_of(&self, rank: usize) -> (usize, usize, usize) {
+    pub(crate) fn coords_of(&self, rank: usize) -> (usize, usize, usize) {
         debug_assert!(rank < self.size());
         let x = rank % self.px;
         let y = (rank / self.px) % self.py;
         let z = rank / (self.px * self.py);
         (x, y, z)
-    }
-
-    /// Messages per rank for one staged alltoallv (excluding self).
-    pub fn messages_per_rank(&self) -> usize {
-        (self.px - 1) + (self.py - 1) + (self.pz - 1)
     }
 }
 
@@ -217,6 +182,43 @@ impl Comm {
 mod tests {
     use super::*;
     use crate::World;
+
+    impl TorusDims {
+        /// Choose near-cubic dimensions for `p` ranks (largest factors first so
+        /// `px >= py >= pz`), the way FDPS picks its 3-D process grid.
+        fn for_size(p: usize) -> Self {
+            assert!(p > 0);
+            let mut best = (p, 1, 1);
+            let mut best_score = usize::MAX;
+            // Enumerate factor triples; p is a rank count, so this stays tiny.
+            let mut a = 1;
+            while a * a * a <= p {
+                if p.is_multiple_of(a) {
+                    let rest = p / a;
+                    let mut b = a;
+                    while b * b <= rest {
+                        if rest.is_multiple_of(b) {
+                            let c = rest / b;
+                            // Perimeter-like score: smaller means more cubic.
+                            let score = (c - a) + (c - b);
+                            if score < best_score {
+                                best_score = score;
+                                best = (c, b, a);
+                            }
+                        }
+                        b += 1;
+                    }
+                }
+                a += 1;
+            }
+            TorusDims::new(best.0, best.1, best.2)
+        }
+
+        /// Messages per rank for one staged alltoallv (excluding self).
+        fn messages_per_rank(&self) -> usize {
+            (self.px - 1) + (self.py - 1) + (self.pz - 1)
+        }
+    }
 
     #[test]
     fn dims_factorization_is_exact_and_cubic() {

@@ -7,7 +7,7 @@ use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 /// Shared state visible to every rank.
-pub struct WorldShared {
+pub(crate) struct WorldShared {
     pub(crate) mailboxes: Vec<Mailbox>,
     pub(crate) stats: Vec<CommStats>,
     pub(crate) next_comm_id: AtomicU64,

@@ -2,7 +2,7 @@
 //!
 //! We do not have Fugaku (158,976 A64FX nodes on a TofuD torus), the Rusty
 //! genoa partition, or Miyabi GH200 nodes. This crate stands in for them
-//! (ROADMAP open item 4b decides whether it stays): analytic
+//! (ROADMAP open item 6 decides whether it stays): analytic
 //! machine/network models whose *cost terms* are the ones the paper
 //! derives —
 //!

@@ -226,3 +226,33 @@ fn dwarf_galaxy_runs_are_pinned() {
         ],
     );
 }
+
+#[test]
+fn quickstart_runs_are_pinned() {
+    // The Milky Way patch: mixed-precision gravity at `n_group` 256, SPH
+    // and cooling. No gas reaches the default star-formation density, and
+    // the disc's stars are 500 Myr old, so none forms or explodes and the
+    // surrogate pool stays idle.
+    check(
+        "quickstart",
+        None,
+        4,
+        &[
+            Golden {
+                grid: None,
+                hash: 0x9aa69c801d1b2f6a,
+                stats: "steps=4 sn_events=0 stars_formed=0 regions_applied=0 dt_min_seen=0.1 gravity_interactions=46740468 hydro_interactions=593279 substeps=0 active_updates=16000 tree_rebuilds=8 tree_refreshes=0 sph_tree_rebuilds=8 sph_tree_refreshes=8",
+            },
+            Golden {
+                grid: Some((1, 1, 1)),
+                hash: 0x9aa69c801d1b2f6a,
+                stats: "steps=4 sn_events=0 stars_formed=0 regions_applied=0 dt_min_seen=0.1 gravity_interactions=46740468 hydro_interactions=593279 substeps=0 active_updates=16000 tree_rebuilds=8 tree_refreshes=0 sph_tree_rebuilds=8 sph_tree_refreshes=8",
+            },
+            Golden {
+                grid: Some((2, 1, 1)),
+                hash: 0xa1d1e5003fabaf36,
+                stats: "steps=4 sn_events=0 stars_formed=0 regions_applied=0 dt_min_seen=0.1 gravity_interactions=45314139 hydro_interactions=596980 substeps=0 active_updates=16000 tree_rebuilds=16 tree_refreshes=0 sph_tree_rebuilds=16 sph_tree_refreshes=16",
+            },
+        ],
+    );
+}

@@ -409,7 +409,7 @@ mod random_snapshots {
         }
     }
 
-    pub fn snapshot(rng: &mut StdRng) -> SimSnapshot {
+    pub(crate) fn snapshot(rng: &mut StdRng) -> SimSnapshot {
         SimSnapshot {
             config: SimConfig {
                 scheme: [Scheme::Surrogate, Scheme::Conventional][rng.gen_range(0..2usize)],

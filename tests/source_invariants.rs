@@ -410,6 +410,10 @@ fn the_lint_configuration_still_states_every_rule() {
         ),
         "the workspace no longer denies undocumented unsafe code"
     );
+    assert!(
+        squash(&manifest).contains("[workspace.lints.rust]unreachable_pub=\"warn\""),
+        "the workspace no longer flags `pub` items no path reaches"
+    );
     let members = manifest
         .split("\nmembers = [")
         .nth(1)
